@@ -2,7 +2,7 @@
 //! pay when a shard's primary replica is dead and every fan-out reroutes
 //! to the surviving replica, compared against a healthy fleet, a healed
 //! fleet (the corpse removed, the survivor promoted), and the degraded
-//! no-replica fallback (`dispatch_partial` coverage loss)?
+//! no-replica fallback (degraded-coverage loss)?
 //!
 //! Four fleet states per methodology (CN/CV/CI), in-process and TCP:
 //!

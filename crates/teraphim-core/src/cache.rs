@@ -5,9 +5,9 @@
 //! [`Receptionist::enable_cache`]):
 //!
 //! * a sharded LRU **result cache** keyed by the normalized query, the
-//!   methodology, `k` and the coverage policy, storing the merged
-//!   ranking (and its [`Coverage`], when produced by
-//!   `query_with_coverage`);
+//!   methodology, `k` and the completion policy (strict, or degraded
+//!   under a `min_answered`), storing the merged ranking with its
+//!   [`Coverage`];
 //! * a **term-statistics cache** that remembers global document
 //!   frequencies so CV query weighting skips the merged-vocabulary
 //!   probe on hot terms;
@@ -27,10 +27,10 @@
 //! no eager sweep: stale entries cost nothing until touched, then one
 //! map removal.
 //!
-//! Entries produced under degraded coverage are additionally flagged
-//! [`CachedAnswer::degraded`] and are never served once the fleet is
+//! Entries produced under degraded coverage (their [`Coverage`] lists a
+//! failed librarian) are additionally never served once the fleet is
 //! healthy again (the generation bump on any failed-set change already
-//! guarantees this; the flag is a second, local line of defence).
+//! guarantees this; the check is a second, local line of defence).
 //!
 //! # Determinism
 //!
@@ -44,7 +44,7 @@
 //! [`Receptionist::enable_cache`]: crate::Receptionist::enable_cache
 //! [`Coverage`]: crate::Coverage
 
-use crate::receptionist::{Coverage, GlobalHit};
+use crate::receptionist::RankedAnswer;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use teraphim_index::DocId;
@@ -124,24 +124,11 @@ pub struct ResultKey {
     pub code: &'static str,
     /// Requested answer size.
     pub k: usize,
-    /// Coverage policy in force (`min_answered`; 0 for plain `query`,
-    /// which has no degradation policy).
-    pub min_answered: usize,
-}
-
-/// A cached merged ranking.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CachedAnswer {
-    /// The merged global top `k`, exactly as the fleet produced it.
-    pub hits: Vec<GlobalHit>,
-    /// Coverage metadata when the entry came from
-    /// `query_with_coverage`; `None` for plain `query` entries, which
-    /// therefore cannot satisfy a coverage-requiring lookup.
-    pub coverage: Option<Coverage>,
-    /// True when at least one librarian had failed when this entry was
-    /// produced. Degraded entries are only served while the fleet is
-    /// still degraded.
-    pub degraded: bool,
+    /// Completion policy in force: `None` for strict `query` (every
+    /// contacted librarian must answer), `Some(min_answered)` for
+    /// `query_with_coverage` under that degradation policy. The two key
+    /// spaces are disjoint for every `min_answered`, zero included.
+    pub min_answered: Option<usize>,
 }
 
 /// Key of one answer-document cache entry: owning librarian, local
@@ -486,7 +473,7 @@ pub struct CacheState {
     /// The failed-librarian set as of the last observation, sorted.
     failed: Vec<usize>,
     /// Merged rankings.
-    pub(crate) results: ShardedLru<ResultKey, CachedAnswer>,
+    pub(crate) results: ShardedLru<ResultKey, RankedAnswer>,
     /// Global document frequency per term (`None` = not in the merged
     /// vocabulary — negative knowledge is cacheable too).
     pub(crate) terms: LruCache<String, Option<u64>>,
@@ -565,27 +552,16 @@ impl CacheState {
         }
     }
 
-    /// Probes the result cache. `want_coverage` selects the
-    /// `query_with_coverage` contract: the entry must carry coverage
-    /// metadata, and degraded entries are served only while the fleet
-    /// is still degraded. Plain `query` lookups never accept degraded
-    /// entries.
-    pub fn lookup_result(&mut self, key: &ResultKey, want_coverage: bool) -> Lookup<CachedAnswer> {
+    /// Probes the result cache. Degraded entries are served only while
+    /// the fleet is still degraded (strict entries never are degraded:
+    /// a strict query only succeeds at full coverage).
+    pub fn lookup_result(&mut self, key: &ResultKey) -> Lookup<RankedAnswer> {
         let degraded_now = self.fleet_degraded();
         let outcome = match self.results.get(key, self.generation) {
-            Lookup::Hit(entry) => {
-                let servable = if want_coverage {
-                    entry.coverage.is_some() && (!entry.degraded || degraded_now)
-                } else {
-                    !entry.degraded
-                };
-                if servable {
-                    Lookup::Hit(entry.clone())
-                } else {
-                    Lookup::Miss
-                }
+            Lookup::Hit(entry) if !entry.coverage.is_degraded() || degraded_now => {
+                Lookup::Hit(entry.clone())
             }
-            Lookup::Miss => Lookup::Miss,
+            Lookup::Hit(_) | Lookup::Miss => Lookup::Miss,
             Lookup::Stale => Lookup::Stale,
         };
         match outcome {
@@ -601,7 +577,7 @@ impl CacheState {
 
     /// Caches a merged ranking under the current generation. Returns
     /// entries evicted to make room.
-    pub fn insert_result(&mut self, key: ResultKey, answer: CachedAnswer) -> u64 {
+    pub fn insert_result(&mut self, key: ResultKey, answer: RankedAnswer) -> u64 {
         let evicted = self.results.insert(key, answer, self.generation);
         self.results_counters.evictions += evicted;
         evicted
@@ -681,6 +657,7 @@ impl CacheState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::receptionist::{Coverage, GlobalHit};
 
     #[test]
     fn capacity_one_thrashes_deterministically() {
@@ -779,28 +756,27 @@ mod tests {
         }
     }
 
-    fn key(q: &str) -> ResultKey {
+    fn key(q: &str, min_answered: Option<usize>) -> ResultKey {
         ResultKey {
             terms: vec![(q.to_owned(), 1)],
             code: "CN",
             k: 10,
-            min_answered: 0,
+            min_answered,
         }
     }
 
-    fn answer(degraded: bool, with_coverage: bool) -> CachedAnswer {
-        CachedAnswer {
+    fn answer(doc: DocId, degraded: bool) -> RankedAnswer {
+        RankedAnswer {
             hits: vec![GlobalHit {
                 librarian: 0,
-                doc: 1,
+                doc,
                 score: 0.5,
             }],
-            coverage: with_coverage.then(|| Coverage {
+            coverage: Coverage {
                 answered: vec![0],
                 failed: if degraded { vec![1] } else { vec![] },
                 docs_fraction: None,
-            }),
-            degraded,
+            },
         }
     }
 
@@ -839,14 +815,14 @@ mod tests {
     #[test]
     fn generation_bump_invalidates_results_lazily() {
         let mut state = CacheState::new(CacheConfig::default());
-        state.insert_result(key("q"), answer(false, false));
+        state.insert_result(key("q", None), answer(1, false));
         assert!(matches!(
-            state.lookup_result(&key("q"), false),
+            state.lookup_result(&key("q", None)),
             Lookup::Hit(_)
         ));
         state.observe_epoch(0, 1);
-        assert_eq!(state.lookup_result(&key("q"), false), Lookup::Stale);
-        assert_eq!(state.lookup_result(&key("q"), false), Lookup::Miss);
+        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Stale);
+        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
         let stats = state.stats();
         assert_eq!(stats.results.hits, 1);
         assert_eq!(stats.results.misses, 2);
@@ -854,43 +830,44 @@ mod tests {
     }
 
     #[test]
-    fn coverage_contract_gates_result_hits() {
+    fn strict_and_degraded_key_spaces_never_collide() {
         let mut state = CacheState::new(CacheConfig::default());
-        // A plain-query entry has no coverage: it cannot satisfy a
-        // coverage-requiring lookup.
-        state.insert_result(key("plain"), answer(false, false));
-        assert_eq!(state.lookup_result(&key("plain"), true), Lookup::Miss);
-        assert!(matches!(
-            state.lookup_result(&key("plain"), false),
-            Lookup::Hit(_)
-        ));
-        // A coverage entry serves both contracts.
-        state.insert_result(key("cov"), answer(false, true));
-        assert!(matches!(
-            state.lookup_result(&key("cov"), true),
-            Lookup::Hit(_)
-        ));
-        assert!(matches!(
-            state.lookup_result(&key("cov"), false),
-            Lookup::Hit(_)
-        ));
+        // Even `min_answered: 0` — which `set_degrade_policy` accepts —
+        // is a different key from the strict one: both entries coexist
+        // and each lookup is served its own.
+        state.insert_result(key("q", None), answer(1, false));
+        state.insert_result(key("q", Some(0)), answer(2, false));
+        assert_eq!(state.stats().result_entries, 2);
+        assert_eq!(
+            state.lookup_result(&key("q", None)),
+            Lookup::Hit(answer(1, false))
+        );
+        assert_eq!(
+            state.lookup_result(&key("q", Some(0))),
+            Lookup::Hit(answer(2, false))
+        );
+        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Miss);
     }
 
     #[test]
     fn degraded_entries_never_serve_a_healthy_fleet() {
         let mut state = CacheState::new(CacheConfig::default());
         state.observe_failed(&[1]);
-        state.insert_result(key("q"), answer(true, true));
+        state.insert_result(key("q", Some(1)), answer(1, true));
         // While degraded, the entry serves coverage lookups.
         assert!(matches!(
-            state.lookup_result(&key("q"), true),
+            state.lookup_result(&key("q", Some(1))),
             Lookup::Hit(_)
         ));
-        // Plain queries never accept degraded entries.
-        assert_eq!(state.lookup_result(&key("q"), false), Lookup::Miss);
+        // Strict queries never see it.
+        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
         // Recovery bumps the generation, so the entry is stale.
         state.observe_failed(&[]);
-        assert_eq!(state.lookup_result(&key("q"), true), Lookup::Stale);
+        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Stale);
+        // Second line of defence: even stamped with the current
+        // generation, a degraded entry does not serve a healthy fleet.
+        state.insert_result(key("q", Some(1)), answer(1, true));
+        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Miss);
     }
 
     #[test]
@@ -924,8 +901,8 @@ mod tests {
     #[test]
     fn disabled_config_never_caches_anything() {
         let mut state = CacheState::new(CacheConfig::disabled());
-        state.insert_result(key("q"), answer(false, false));
-        assert_eq!(state.lookup_result(&key("q"), false), Lookup::Miss);
+        state.insert_result(key("q", None), answer(1, false));
+        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
         state.insert_term("cat".to_owned(), Some(1));
         assert_eq!(state.lookup_term("cat"), Lookup::Miss);
         state.insert_doc((0, 0, false), "D".to_owned(), vec![0]);

@@ -11,7 +11,7 @@
 //! drives in-process librarians, TCP librarians on a LAN, and the
 //! byte-accounted runs that feed the WAN simulation.
 
-use crate::cache::{CacheConfig, CacheState, CacheStats, CachedAnswer, Lookup, ResultKey};
+use crate::cache::{CacheConfig, CacheState, CacheStats, Lookup, ResultKey};
 use crate::health::{self, HealthPolicy, HealthReport, HealthState};
 use crate::methodology::{CiParams, Methodology};
 use crate::TeraphimError;
@@ -22,8 +22,7 @@ use teraphim_engine::ranking::{self, ScoredDoc};
 use teraphim_index::similarity;
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, InvertedIndex, Vocabulary};
 use teraphim_net::{
-    dispatch_collect_traced, dispatch_partial_traced, dispatch_traced, DispatchMode, Message,
-    NetError, RoutingTable, TrafficStats, Transport,
+    dispatch, DispatchMode, Message, NetError, RoutingTable, TrafficStats, Transport,
 };
 use teraphim_obs::{EventKind, LibCandidates, Phase, TraceSink};
 use teraphim_text::Analyzer;
@@ -111,6 +110,19 @@ impl Default for DegradePolicy {
     fn default() -> Self {
         DegradePolicy { min_answered: 1 }
     }
+}
+
+/// What the ranked-query pipeline does about a librarian that fails to
+/// answer: the one difference between [`Receptionist::query`] and
+/// [`Receptionist::query_with_coverage`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OnFailure {
+    /// Every contacted librarian must answer; the first failure's own
+    /// [`NetError`] is the query's error.
+    Surface,
+    /// Failed librarians drop out of the merge and are reported, down to
+    /// the configured [`DegradePolicy`].
+    Degrade,
 }
 
 /// Global state for the Central Vocabulary methodology. Immutable once
@@ -418,6 +430,81 @@ impl<T: Transport> Receptionist<T> {
         self.dispatch = mode;
     }
 
+    /// Hands out the next query id.
+    fn next_id(&mut self) -> u32 {
+        let id = self.next_query_id;
+        self.next_query_id += 1;
+        id
+    }
+
+    /// Runs `body` as one traced operation — `Begin`, the phase, `End`.
+    /// Events recorded outside an operation are dropped by
+    /// [`TraceSink::take_traces`], so every fan-out must sit inside one.
+    fn in_op<R>(
+        &mut self,
+        op: &'static str,
+        query_id: u32,
+        k: usize,
+        phase: Phase,
+        body: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.trace.record(EventKind::Begin {
+            op,
+            methodology: None,
+            query_id,
+            k: k as u32,
+        });
+        self.trace.record(EventKind::PhaseStart { phase });
+        let result = body(self);
+        self.trace.record(EventKind::PhaseEnd { phase });
+        self.trace.record(EventKind::End);
+        result
+    }
+
+    /// All-or-nothing fan-out through the one dispatch primitive: the
+    /// batch stops at the first failure, which becomes the error.
+    fn fan_out_strict(
+        &mut self,
+        requests: Vec<Option<Message>>,
+        on_reply: &mut dyn FnMut(usize, Message) -> Result<(), NetError>,
+    ) -> Result<(), TeraphimError> {
+        let failures = dispatch(
+            self.dispatch,
+            &mut self.transports,
+            requests,
+            &self.trace,
+            true,
+            on_reply,
+        );
+        match failures.into_iter().next() {
+            Some((_, error)) => Err(error.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Sends `request` to every librarian and returns the replies in
+    /// *librarian* order, for callers whose reply processing is
+    /// order-sensitive even though the exchanges themselves may overlap
+    /// (vocabulary interning assigns term ids in first-seen order; the
+    /// grouped index's layout depends on subcollection order).
+    fn ask_everyone(&mut self, request: Message) -> Result<Vec<Message>, TeraphimError> {
+        let mut replies: Vec<Option<Message>> = vec![None; self.transports.len()];
+        let requests = vec![Some(request); self.transports.len()];
+        self.fan_out_strict(requests, &mut |lib, reply| {
+            replies[lib] = Some(reply);
+            Ok(())
+        })?;
+        Ok(replies.into_iter().flatten().collect())
+    }
+
+    /// Drops everything cached after the global state was rebuilt (CV
+    /// query weights and CI candidate expansion both derive from it).
+    fn global_state_rebuilt(&mut self) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.bump_generation();
+        }
+    }
+
     /// Fetches and merges every librarian's vocabulary and statistics —
     /// the Central Vocabulary preprocessing step.
     ///
@@ -425,27 +512,14 @@ impl<T: Transport> Receptionist<T> {
     ///
     /// Propagates transport failures.
     pub fn enable_cv(&mut self) -> Result<(), TeraphimError> {
-        self.trace.record(EventKind::Begin {
-            op: "enable_cv",
-            methodology: None,
-            query_id: 0,
-            k: 0,
-        });
-        self.trace.record(EventKind::PhaseStart {
-            phase: Phase::VocabExchange,
-        });
-        let result = self.enable_cv_inner();
-        self.trace.record(EventKind::PhaseEnd {
-            phase: Phase::VocabExchange,
-        });
-        self.trace.record(EventKind::End);
-        if result.is_ok() {
-            if let Some(cache) = self.cache.as_mut() {
-                // Rebuilt global state changes CV query weights.
-                cache.bump_generation();
-            }
-        }
-        result
+        self.in_op(
+            "enable_cv",
+            0,
+            0,
+            Phase::VocabExchange,
+            Self::enable_cv_inner,
+        )
+        .inspect(|_| self.global_state_rebuilt())
     }
 
     fn enable_cv_inner(&mut self) -> Result<(), TeraphimError> {
@@ -453,18 +527,7 @@ impl<T: Transport> Receptionist<T> {
         let mut stats = CollectionStats::new();
         let mut selection = crate::selection::SelectionState::new();
         let mut total_docs = 0u64;
-        // The exchanges overlap, but responses are *processed* in
-        // librarian order: `intern` assigns term ids in first-seen
-        // order, and the merged vocabulary must not depend on which
-        // librarian answered fastest.
-        let requests = vec![Some(Message::StatsRequest); self.transports.len()];
-        let responses = dispatch_collect_traced::<_, TeraphimError>(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &self.trace,
-        )?;
-        for response in responses.into_iter().flatten() {
+        for response in self.ask_everyone(Message::StatsRequest)? {
             match response {
                 Message::StatsResponse {
                     num_docs,
@@ -480,7 +543,7 @@ impl<T: Transport> Receptionist<T> {
                     }
                     selection.push_librarian(local);
                 }
-                other => return Err(unexpected("StatsRequest", &other)),
+                other => return Err(unexpected("StatsRequest", &other).into()),
             }
         }
         stats.set_num_docs(total_docs);
@@ -499,46 +562,20 @@ impl<T: Transport> Receptionist<T> {
     ///
     /// Propagates transport and index-decoding failures.
     pub fn enable_ci(&mut self, params: CiParams) -> Result<(), TeraphimError> {
-        self.trace.record(EventKind::Begin {
-            op: "enable_ci",
-            methodology: None,
-            query_id: 0,
-            k: 0,
-        });
-        self.trace.record(EventKind::PhaseStart {
-            phase: Phase::IndexExchange,
-        });
-        let result = self.enable_ci_inner(params);
-        self.trace.record(EventKind::PhaseEnd {
-            phase: Phase::IndexExchange,
-        });
-        self.trace.record(EventKind::End);
-        if result.is_ok() {
-            if let Some(cache) = self.cache.as_mut() {
-                // Rebuilt grouped index changes CI candidate expansion.
-                cache.bump_generation();
-            }
-        }
-        result
+        self.in_op("enable_ci", 0, 0, Phase::IndexExchange, |r| {
+            r.enable_ci_inner(params)
+        })
+        .inspect(|_| self.global_state_rebuilt())
     }
 
     fn enable_ci_inner(&mut self, params: CiParams) -> Result<(), TeraphimError> {
         let mut indexes = Vec::with_capacity(self.transports.len());
-        // As with CV setup, decode in librarian order: the grouped
-        // index's layout depends on subcollection order.
-        let requests = vec![Some(Message::IndexRequest); self.transports.len()];
-        let responses = dispatch_collect_traced::<_, TeraphimError>(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &self.trace,
-        )?;
-        for response in responses.into_iter().flatten() {
+        for response in self.ask_everyone(Message::IndexRequest)? {
             match response {
                 Message::IndexResponse { index_bytes } => {
                     indexes.push(InvertedIndex::from_bytes(&index_bytes)?);
                 }
-                other => return Err(unexpected("IndexRequest", &other)),
+                other => return Err(unexpected("IndexRequest", &other).into()),
             }
         }
         let refs: Vec<&InvertedIndex> = indexes.iter().collect();
@@ -576,7 +613,6 @@ impl<T: Transport> Receptionist<T> {
         self.ci.as_ref().map(|ci| &ci.grouped)
     }
 
-    /// Aggregate traffic across all librarian transports.
     /// Per-librarian transport counters, in librarian index order — the
     /// ground truth a trace's per-librarian `sent`/`reply` sums are
     /// checked against.
@@ -584,6 +620,7 @@ impl<T: Transport> Receptionist<T> {
         self.transports.iter().map(Transport::stats).collect()
     }
 
+    /// Aggregate traffic across all librarian transports.
     pub fn traffic(&self) -> TrafficStats {
         let mut total = TrafficStats::default();
         for t in &self.transports {
@@ -618,90 +655,169 @@ impl<T: Transport> Receptionist<T> {
         query: &str,
         k: usize,
     ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        self.observe_routing();
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
         let terms = self.analyze_query(query);
+        let answer = self.ranked_query("query", methodology, terms, k, None, OnFailure::Surface)?;
+        Ok(answer.hits)
+    }
+
+    /// The one ranked-query pipeline behind every ranked entry point:
+    /// result-cache lookup, step 1 (build the sub-queries), steps 2–3
+    /// (fan out and fold the rankings), the verdict on failed librarians
+    /// per `on_failure`, result-cache insert — all inside one traced
+    /// operation named `op`. `only` restricts the fan-out to the listed
+    /// librarians; global weights still come from the full global state.
+    fn ranked_query(
+        &mut self,
+        op: &'static str,
+        methodology: Methodology,
+        terms: Vec<(String, u32)>,
+        k: usize,
+        only: Option<&[usize]>,
+        on_failure: OnFailure,
+    ) -> Result<RankedAnswer, TeraphimError> {
+        self.observe_routing();
+        let query_id = self.next_id();
         self.trace.record(EventKind::Begin {
-            op: "query",
+            op,
             methodology: Some(methodology.code()),
             query_id,
             k: k as u32,
         });
-        // Plain queries have no degradation policy, recorded as
-        // `min_answered: 0` in the key so they never collide with
-        // `query_with_coverage` entries under a different policy.
-        let key = self.cache.as_ref().map(|_| ResultKey {
-            terms: terms.clone(),
-            code: methodology.code(),
-            k,
-            min_answered: 0,
-        });
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key.as_ref()) {
-            let lookup = cache.lookup_result(key, false);
-            note_lookup(&self.trace, "results", &lookup);
-            if let Lookup::Hit(entry) = lookup {
-                self.trace.record(EventKind::End);
-                return Ok(entry.hits);
-            }
-        }
-        let result = match methodology {
-            Methodology::CentralNothing => self.query_cn(query_id, &terms, k),
-            Methodology::CentralVocabulary => self.query_cv(query_id, &terms, k),
-            Methodology::CentralIndex => self.query_ci(query_id, &terms, k),
-        };
-        if let (Ok(hits), Some(key)) = (&result, key) {
-            let hits = hits.clone();
-            if let Some(cache) = self.cache.as_mut() {
-                // A plain query only succeeds when every contacted
-                // librarian answered; observing that may bump the
-                // generation (fleet recovery), so do it before the
-                // insert stamps the entry's generation.
-                cache.observe_failed(&[]);
-                let evicted = cache.insert_result(
-                    key,
-                    CachedAnswer {
-                        hits,
-                        coverage: None,
-                        degraded: false,
-                    },
-                );
-                note_evicted(&self.trace, "results", evicted);
-            }
-        }
+        let result = self.ranked_query_inner(methodology, query_id, terms, k, only, on_failure);
         self.trace.record(EventKind::End);
         result
     }
 
-    fn query_cn(
+    fn ranked_query_inner(
         &mut self,
+        methodology: Methodology,
         query_id: u32,
-        terms: &[(String, u32)],
+        terms: Vec<(String, u32)>,
         k: usize,
-    ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        let request = Message::RankRequest {
-            query_id,
-            k: k as u32,
-            terms: terms.to_vec(),
+        only: Option<&[usize]>,
+        on_failure: OnFailure,
+    ) -> Result<RankedAnswer, TeraphimError> {
+        // The key has no slot for a librarian restriction, so restricted
+        // queries bypass the result cache altogether.
+        let key = match (&self.cache, only) {
+            (Some(_), None) => Some(ResultKey {
+                terms: terms.clone(),
+                code: methodology.code(),
+                k,
+                min_answered: match on_failure {
+                    OnFailure::Surface => None,
+                    OnFailure::Degrade => Some(self.degrade.min_answered),
+                },
+            }),
+            _ => None,
         };
-        let requests = vec![Some(request); self.transports.len()];
-        self.rank_fanout(query_id, requests, k, ranking_entries)
+        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key.as_ref()) {
+            let lookup = cache.lookup_result(key);
+            note_lookup(&self.trace, "results", &lookup);
+            if let Lookup::Hit(answer) = lookup {
+                return Ok(answer);
+            }
+        }
+        let requests = self.rank_requests(methodology, query_id, terms, k, only)?;
+        let mut answered: Vec<usize> = (0..requests.len())
+            .filter(|&lib| requests[lib].is_some())
+            .collect();
+        let (hits, failures) = self.rank_fanout(
+            query_id,
+            requests,
+            k,
+            methodology == Methodology::CentralIndex,
+            on_failure == OnFailure::Surface,
+        );
+        let mut failed = Vec::with_capacity(failures.len());
+        for (lib, error) in failures {
+            if on_failure == OnFailure::Surface {
+                return Err(error.into());
+            }
+            failed.push(lib);
+        }
+        if let (Some(cache), Some(_)) = (self.cache.as_mut(), key.as_ref()) {
+            // Must precede the insert: a changed casualty set — or a
+            // recovery, which is what a strict success observes — bumps
+            // the generation the new entry is stamped with.
+            cache.observe_failed(&failed);
+        }
+        answered.retain(|lib| !failed.contains(lib));
+        let coverage = Coverage {
+            answered,
+            docs_fraction: self.docs_fraction_excluding(&failed),
+            failed,
+        };
+        if on_failure == OnFailure::Degrade {
+            if self.trace.is_enabled() {
+                self.trace.record(EventKind::Coverage {
+                    answered: coverage.answered.iter().map(|&lib| lib as u32).collect(),
+                    failed: coverage.failed.iter().map(|&lib| lib as u32).collect(),
+                    docs_permille: coverage.docs_fraction.map(|f| (f * 1000.0).round() as u32),
+                });
+            }
+            // The policy counts surviving librarians, not merely
+            // contacted ones. A CI expansion only contacts librarians
+            // holding candidates; the central index answers
+            // *authoritatively* for the rest ("no candidates here"), so
+            // an uncontacted librarian is covered, not missing.
+            // `answered` in the coverage report still lists only
+            // librarians that replied — this is purely the degradation
+            // threshold.
+            if self.transports.len() - coverage.failed.len() < self.degrade.min_answered {
+                return Err(TeraphimError::InsufficientCoverage {
+                    answered: coverage.answered.len(),
+                    failed: coverage.failed.len(),
+                });
+            }
+        }
+        let answer = RankedAnswer { hits, coverage };
+        if let (Some(key), Some(cache)) = (key, self.cache.as_mut()) {
+            let evicted = cache.insert_result(key, answer.clone());
+            note_evicted(&self.trace, "results", evicted);
+        }
+        Ok(answer)
     }
 
-    fn query_cv(
+    /// Step 1: the per-librarian sub-queries for `methodology` — the same
+    /// ranking request for everyone under CN and CV, per-librarian
+    /// candidate lists under CI — with every librarian outside `only`
+    /// (when given) left uncontacted.
+    fn rank_requests(
         &mut self,
+        methodology: Methodology,
         query_id: u32,
-        terms: &[(String, u32)],
+        terms: Vec<(String, u32)>,
         k: usize,
-    ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        let weighted = self.cv_weights(terms)?;
-        let request = Message::RankWeightedRequest {
-            query_id,
-            k: k as u32,
-            terms: weighted,
+        only: Option<&[usize]>,
+    ) -> Result<Vec<Option<Message>>, TeraphimError> {
+        let mut requests = match methodology {
+            Methodology::CentralNothing => {
+                let request = Message::RankRequest {
+                    query_id,
+                    k: k as u32,
+                    terms,
+                };
+                vec![Some(request); self.transports.len()]
+            }
+            Methodology::CentralVocabulary => {
+                let request = Message::RankWeightedRequest {
+                    query_id,
+                    k: k as u32,
+                    terms: self.cv_weights(&terms)?,
+                };
+                vec![Some(request); self.transports.len()]
+            }
+            Methodology::CentralIndex => self.ci_requests(query_id, &terms, k)?,
         };
-        let requests = vec![Some(request); self.transports.len()];
-        self.rank_fanout(query_id, requests, k, ranking_entries)
+        if let Some(only) = only {
+            for (lib, request) in requests.iter_mut().enumerate() {
+                if !only.contains(&lib) {
+                    *request = None;
+                }
+            }
+        }
+        Ok(requests)
     }
 
     /// CV global query weights, consulting the term-statistics cache
@@ -741,18 +857,22 @@ impl<T: Transport> Receptionist<T> {
         Ok(weighted)
     }
 
-    /// Fans `requests` out to the librarians and folds each ranking
-    /// reply into the running merged top `k` *as it arrives* — merging
-    /// overlaps the slower librarians' work. `merge_rankings` is a total
-    /// order (score, doc, librarian), so the result is identical no
-    /// matter which librarian answers first.
+    /// Steps 2–3: fans `requests` out to the librarians and folds each
+    /// ranking reply into the running merged top `k` *as it arrives* —
+    /// merging overlaps the slower librarians' work. `merge_rankings` is
+    /// a total order (score, doc, librarian), so the result is identical
+    /// no matter which librarian answers first. Returns the merged hits
+    /// over the librarians that answered plus the per-librarian failures
+    /// in index order; a garbled or misdirected reply fails its
+    /// librarian like a transport error does.
     fn rank_fanout(
         &mut self,
         query_id: u32,
         requests: Vec<Option<Message>>,
         k: usize,
-        extract: ExtractEntries,
-    ) -> Result<Vec<GlobalHit>, TeraphimError> {
+        scored: bool,
+        stop_at_first_failure: bool,
+    ) -> (Vec<GlobalHit>, Vec<(usize, NetError)>) {
         let trace = self.trace.clone();
         trace.record(EventKind::PhaseStart {
             phase: Phase::RankFanout,
@@ -761,11 +881,12 @@ impl<T: Transport> Receptionist<T> {
         let mut epochs: Vec<(usize, u64)> = Vec::new();
         let mut merged: Vec<(ScoredDoc, usize)> = Vec::new();
         let mut folded = 0u64;
-        let result = dispatch_traced::<_, TeraphimError>(
+        let failures = dispatch(
             self.dispatch,
             &mut self.transports,
             requests,
             &trace,
+            stop_at_first_failure,
             &mut |lib, response| {
                 record_scored(&trace, lib, &response);
                 if caching {
@@ -775,7 +896,7 @@ impl<T: Transport> Receptionist<T> {
                         epochs.push((lib, *epoch));
                     }
                 }
-                let entries = extract(response, query_id, lib)?;
+                let entries = ranking_entries(response, query_id, lib, scored)?;
                 folded += entries.len() as u64;
                 fold_ranking(&mut merged, entries, k);
                 Ok(())
@@ -789,8 +910,7 @@ impl<T: Transport> Receptionist<T> {
             phase: Phase::RankFanout,
         });
         self.observe_epochs(epochs);
-        result?;
-        Ok(into_global_hits(merged))
+        (into_global_hits(merged), failures)
     }
 
     /// Folds librarian-reported index epochs gathered during a fan-out
@@ -830,173 +950,15 @@ impl<T: Transport> Receptionist<T> {
         query: &str,
         k: usize,
     ) -> Result<RankedAnswer, TeraphimError> {
-        self.observe_routing();
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
         let terms = self.analyze_query(query);
-        self.trace.record(EventKind::Begin {
-            op: "query_with_coverage",
-            methodology: Some(methodology.code()),
-            query_id,
-            k: k as u32,
-        });
-        let result = self.query_with_coverage_inner(methodology, query_id, terms, k);
-        self.trace.record(EventKind::End);
-        result
-    }
-
-    fn query_with_coverage_inner(
-        &mut self,
-        methodology: Methodology,
-        query_id: u32,
-        terms: Vec<(String, u32)>,
-        k: usize,
-    ) -> Result<RankedAnswer, TeraphimError> {
-        let key = self.cache.as_ref().map(|_| ResultKey {
-            terms: terms.clone(),
-            code: methodology.code(),
+        self.ranked_query(
+            "query_with_coverage",
+            methodology,
+            terms,
             k,
-            min_answered: self.degrade.min_answered,
-        });
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key.as_ref()) {
-            let lookup = cache.lookup_result(key, true);
-            note_lookup(&self.trace, "results", &lookup);
-            if let Lookup::Hit(entry) = lookup {
-                let coverage = entry
-                    .coverage
-                    .expect("coverage-gated hits always carry coverage");
-                return Ok(RankedAnswer {
-                    hits: entry.hits,
-                    coverage,
-                });
-            }
-        }
-        let requests = match methodology {
-            Methodology::CentralNothing => {
-                let request = Message::RankRequest {
-                    query_id,
-                    k: k as u32,
-                    terms,
-                };
-                vec![Some(request); self.transports.len()]
-            }
-            Methodology::CentralVocabulary => {
-                let request = Message::RankWeightedRequest {
-                    query_id,
-                    k: k as u32,
-                    terms: self.cv_weights(&terms)?,
-                };
-                vec![Some(request); self.transports.len()]
-            }
-            Methodology::CentralIndex => self.ci_requests(query_id, &terms, k)?,
-        };
-        let extract = match methodology {
-            Methodology::CentralIndex => scoring_entries,
-            _ => ranking_entries,
-        };
-        let (hits, answered, failed) = self.rank_fanout_partial(query_id, requests, k, extract);
-        if let Some(cache) = self.cache.as_mut() {
-            // Must precede the insert: a changed casualty set bumps
-            // the generation the new entry is stamped with.
-            cache.observe_failed(&failed);
-        }
-        let docs_fraction = self.docs_fraction_excluding(&failed);
-        if self.trace.is_enabled() {
-            self.trace.record(EventKind::Coverage {
-                answered: answered.iter().map(|&lib| lib as u32).collect(),
-                failed: failed.iter().map(|&lib| lib as u32).collect(),
-                docs_permille: docs_fraction.map(|f| (f * 1000.0).round() as u32),
-            });
-        }
-        // The policy counts surviving librarians, not merely contacted
-        // ones. A CI expansion only contacts librarians holding
-        // candidates; the central index answers *authoritatively* for
-        // the rest ("no candidates here"), so an uncontacted librarian
-        // is covered, not missing. `answered` in the coverage report
-        // still lists only librarians that replied — this is purely the
-        // degradation threshold.
-        if self.transports.len() - failed.len() < self.degrade.min_answered {
-            return Err(TeraphimError::InsufficientCoverage {
-                answered: answered.len(),
-                failed: failed.len(),
-            });
-        }
-        let coverage = Coverage {
-            answered,
-            failed,
-            docs_fraction,
-        };
-        if let (Some(key), Some(cache)) = (key, self.cache.as_mut()) {
-            let evicted = cache.insert_result(
-                key,
-                CachedAnswer {
-                    hits: hits.clone(),
-                    coverage: Some(coverage.clone()),
-                    degraded: coverage.is_degraded(),
-                },
-            );
-            note_evicted(&self.trace, "results", evicted);
-        }
-        Ok(RankedAnswer { hits, coverage })
-    }
-
-    /// Fans out like [`Receptionist::rank_fanout`] but never aborts:
-    /// failed librarians are dropped from the merge and reported.
-    /// Returns `(hits, answered, failed)` with both index lists sorted.
-    fn rank_fanout_partial(
-        &mut self,
-        query_id: u32,
-        requests: Vec<Option<Message>>,
-        k: usize,
-        extract: ExtractEntries,
-    ) -> (Vec<GlobalHit>, Vec<usize>, Vec<usize>) {
-        let contacted: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(lib, r)| r.is_some().then_some(lib))
-            .collect();
-        let trace = self.trace.clone();
-        trace.record(EventKind::PhaseStart {
-            phase: Phase::RankFanout,
-        });
-        let caching = self.cache.is_some();
-        let mut epochs: Vec<(usize, u64)> = Vec::new();
-        let mut merged: Vec<(ScoredDoc, usize)> = Vec::new();
-        let mut folded = 0u64;
-        let failures = dispatch_partial_traced(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &trace,
-            &mut |lib, response| {
-                record_scored(&trace, lib, &response);
-                if caching {
-                    if let Message::RankResponse { epoch, .. }
-                    | Message::ScoreResponse { epoch, .. } = &response
-                    {
-                        epochs.push((lib, *epoch));
-                    }
-                }
-                let entries = extract(response, query_id, lib)?;
-                folded += entries.len() as u64;
-                fold_ranking(&mut merged, entries, k);
-                Ok(())
-            },
-        );
-        trace.record(EventKind::Merge {
-            entries: folded,
-            k: k as u32,
-        });
-        trace.record(EventKind::PhaseEnd {
-            phase: Phase::RankFanout,
-        });
-        self.observe_epochs(epochs);
-        let failed: Vec<usize> = failures.into_iter().map(|(lib, _)| lib).collect();
-        let answered: Vec<usize> = contacted
-            .into_iter()
-            .filter(|lib| !failed.contains(lib))
-            .collect();
-        (into_global_hits(merged), answered, failed)
+            None,
+            OnFailure::Degrade,
+        )
     }
 
     /// Fraction of the global document count held by librarians *not*
@@ -1036,37 +998,21 @@ impl<T: Transport> Receptionist<T> {
         k: usize,
         libs: &[usize],
     ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        let terms = self.analyze_query(query);
-        let request = match methodology {
-            Methodology::CentralNothing => Message::RankRequest {
-                query_id,
-                k: k as u32,
-                terms,
-            },
-            Methodology::CentralVocabulary => {
-                let cv = self
-                    .cv
-                    .as_ref()
-                    .ok_or(TeraphimError::MissingGlobalState("central vocabulary"))?;
-                Message::RankWeightedRequest {
-                    query_id,
-                    k: k as u32,
-                    terms: global_weights(&cv.vocab, &cv.stats, &terms),
-                }
-            }
-            Methodology::CentralIndex => {
-                return Err(TeraphimError::BadParameters(
-                    "query_subset supports CentralNothing and CentralVocabulary only".into(),
-                ))
-            }
-        };
-        let mut requests: Vec<Option<Message>> = vec![None; self.transports.len()];
-        for &lib in libs {
-            requests[lib] = Some(request.clone());
+        if methodology == Methodology::CentralIndex {
+            return Err(TeraphimError::BadParameters(
+                "query_subset supports CentralNothing and CentralVocabulary only".into(),
+            ));
         }
-        self.rank_fanout(query_id, requests, k, ranking_entries)
+        let terms = self.analyze_query(query);
+        let answer = self.ranked_query(
+            "query_subset",
+            methodology,
+            terms,
+            k,
+            Some(libs),
+            OnFailure::Surface,
+        )?;
+        Ok(answer.hits)
     }
 
     /// Builds the per-librarian candidate-scoring requests for a CI
@@ -1140,16 +1086,6 @@ impl<T: Transport> Receptionist<T> {
         Ok(requests)
     }
 
-    fn query_ci(
-        &mut self,
-        query_id: u32,
-        terms: &[(String, u32)],
-        k: usize,
-    ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        let requests = self.ci_requests(query_id, terms, k)?;
-        self.rank_fanout(query_id, requests, k, scoring_entries)
-    }
-
     /// Ranks librarians by GlOSS-style goodness for a query (requires CV
     /// state). Best first.
     ///
@@ -1182,30 +1118,21 @@ impl<T: Transport> Receptionist<T> {
         k: usize,
         n_libs: usize,
     ) -> Result<(Vec<GlobalHit>, Vec<usize>), TeraphimError> {
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
+        let cv = self
+            .cv
+            .as_ref()
+            .ok_or(TeraphimError::MissingGlobalState("central vocabulary"))?;
         let terms = self.analyze_query(query);
-        let (weighted, selected) = {
-            let cv = self
-                .cv
-                .as_ref()
-                .ok_or(TeraphimError::MissingGlobalState("central vocabulary"))?;
-            (
-                global_weights(&cv.vocab, &cv.stats, &terms),
-                cv.selection.select(&cv.vocab, &cv.stats, &terms, n_libs),
-            )
-        };
-        let request = Message::RankWeightedRequest {
-            query_id,
-            k: k as u32,
-            terms: weighted,
-        };
-        let mut requests: Vec<Option<Message>> = vec![None; self.transports.len()];
-        for &lib in &selected {
-            requests[lib] = Some(request.clone());
-        }
-        let hits = self.rank_fanout(query_id, requests, k, ranking_entries)?;
-        Ok((hits, selected))
+        let selected = cv.selection.select(&cv.vocab, &cv.stats, &terms, n_libs);
+        let answer = self.ranked_query(
+            "query_selected",
+            Methodology::CentralVocabulary,
+            terms,
+            k,
+            Some(&selected),
+            OnFailure::Surface,
+        )?;
+        Ok((answer.hits, selected))
     }
 
     /// Evaluates a Boolean query at every librarian; "the overall result
@@ -1219,23 +1146,10 @@ impl<T: Transport> Receptionist<T> {
     ///
     /// Propagates transport failures and per-librarian syntax errors.
     pub fn boolean_query(&mut self, expr: &str) -> Result<Vec<(usize, DocId)>, TeraphimError> {
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        self.trace.record(EventKind::Begin {
-            op: "boolean",
-            methodology: None,
-            query_id,
-            k: 0,
-        });
-        self.trace.record(EventKind::PhaseStart {
-            phase: Phase::Boolean,
-        });
-        let result = self.boolean_inner(query_id, expr);
-        self.trace.record(EventKind::PhaseEnd {
-            phase: Phase::Boolean,
-        });
-        self.trace.record(EventKind::End);
-        result
+        let query_id = self.next_id();
+        self.in_op("boolean", query_id, 0, Phase::Boolean, |r| {
+            r.boolean_inner(query_id, expr)
+        })
     }
 
     fn boolean_inner(
@@ -1251,22 +1165,16 @@ impl<T: Transport> Receptionist<T> {
         // librarian-then-document order holds under concurrent arrival.
         let mut per_lib: Vec<Vec<DocId>> = vec![Vec::new(); self.transports.len()];
         let requests = vec![Some(request); self.transports.len()];
-        dispatch_traced::<_, TeraphimError>(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &self.trace,
-            &mut |lib, response| match response {
-                Message::BooleanResponse {
-                    query_id: qid,
-                    docs,
-                } if qid == query_id => {
-                    per_lib[lib] = docs;
-                    Ok(())
-                }
-                other => Err(unexpected("BooleanRequest", &other)),
-            },
-        )?;
+        self.fan_out_strict(requests, &mut |lib, response| match response {
+            Message::BooleanResponse {
+                query_id: qid,
+                docs,
+            } if qid == query_id => {
+                per_lib[lib] = docs;
+                Ok(())
+            }
+            other => Err(unexpected("BooleanRequest", &other)),
+        })?;
         let mut result = Vec::new();
         for (lib, docs) in per_lib.into_iter().enumerate() {
             result.extend(docs.into_iter().map(|d| (lib, d)));
@@ -1288,23 +1196,10 @@ impl<T: Transport> Receptionist<T> {
         plain: bool,
     ) -> Result<Vec<FetchedDoc>, TeraphimError> {
         self.observe_routing();
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        self.trace.record(EventKind::Begin {
-            op: "fetch",
-            methodology: None,
-            query_id,
-            k: hits.len() as u32,
-        });
-        self.trace.record(EventKind::PhaseStart {
-            phase: Phase::DocFetch,
-        });
-        let result = self.fetch_inner(query_id, hits, plain);
-        self.trace.record(EventKind::PhaseEnd {
-            phase: Phase::DocFetch,
-        });
-        self.trace.record(EventKind::End);
-        result
+        let query_id = self.next_id();
+        self.in_op("fetch", query_id, hits.len(), Phase::DocFetch, |r| {
+            r.fetch_inner(query_id, hits, plain)
+        })
     }
 
     fn fetch_inner(
@@ -1349,21 +1244,15 @@ impl<T: Transport> Receptionist<T> {
         // Responses land in a map keyed by (librarian, doc), so arrival
         // order is irrelevant; output order is re-imposed from `hits`.
         let mut fetched: HashMap<(usize, u32), (String, Vec<u8>)> = HashMap::new();
-        dispatch_traced::<_, TeraphimError>(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &self.trace,
-            &mut |lib, response| match response {
-                Message::DocsResponse { docs, .. } => {
-                    for (doc, docno, bytes) in docs {
-                        fetched.insert((lib, doc), (docno, bytes));
-                    }
-                    Ok(())
+        self.fan_out_strict(requests, &mut |lib, response| match response {
+            Message::DocsResponse { docs, .. } => {
+                for (doc, docno, bytes) in docs {
+                    fetched.insert((lib, doc), (docno, bytes));
                 }
-                other => Err(unexpected("FetchDocsRequest", &other)),
-            },
-        )?;
+                Ok(())
+            }
+            other => Err(unexpected("FetchDocsRequest", &other)),
+        })?;
         if let Some(cache) = self.cache.as_mut() {
             // Insert newly fetched bodies in hit order, again for
             // deterministic recency.
@@ -1416,23 +1305,10 @@ impl<T: Transport> Receptionist<T> {
     ///
     /// Propagates transport failures.
     pub fn headers(&mut self, hits: &[GlobalHit]) -> Result<Vec<String>, TeraphimError> {
-        let query_id = self.next_query_id;
-        self.next_query_id += 1;
-        self.trace.record(EventKind::Begin {
-            op: "headers",
-            methodology: None,
-            query_id,
-            k: hits.len() as u32,
-        });
-        self.trace.record(EventKind::PhaseStart {
-            phase: Phase::HeaderFetch,
-        });
-        let result = self.headers_inner(query_id, hits);
-        self.trace.record(EventKind::PhaseEnd {
-            phase: Phase::HeaderFetch,
-        });
-        self.trace.record(EventKind::End);
-        result
+        let query_id = self.next_id();
+        self.in_op("headers", query_id, hits.len(), Phase::HeaderFetch, |r| {
+            r.headers_inner(query_id, hits)
+        })
     }
 
     fn headers_inner(
@@ -1449,21 +1325,15 @@ impl<T: Transport> Receptionist<T> {
             requests[lib] = Some(Message::FetchHeadersRequest { query_id, docs });
         }
         let mut resolved: HashMap<(usize, u32), String> = HashMap::new();
-        dispatch_traced::<_, TeraphimError>(
-            self.dispatch,
-            &mut self.transports,
-            requests,
-            &self.trace,
-            &mut |lib, response| match response {
-                Message::HeadersResponse { headers, .. } => {
-                    for (doc, docno) in headers {
-                        resolved.insert((lib, doc), docno);
-                    }
-                    Ok(())
+        self.fan_out_strict(requests, &mut |lib, response| match response {
+            Message::HeadersResponse { headers, .. } => {
+                for (doc, docno) in headers {
+                    resolved.insert((lib, doc), docno);
                 }
-                other => Err(unexpected("FetchHeadersRequest", &other)),
-            },
-        )?;
+                Ok(())
+            }
+            other => Err(unexpected("FetchHeadersRequest", &other)),
+        })?;
         hits.iter()
             .map(|hit| {
                 resolved
@@ -1527,18 +1397,6 @@ pub(crate) fn global_weights_from_grouped(
         .collect()
 }
 
-/// Pulls `(scored doc, librarian)` entries out of one ranking reply —
-/// the per-methodology hook [`Receptionist::rank_fanout_partial`] folds
-/// over.
-type ExtractEntries = fn(Message, u32, usize) -> Result<Vec<(ScoredDoc, usize)>, NetError>;
-
-/// Extracts ranking entries from a response, tagging each with the
-/// librarian. A wrong variant or a mismatched query id — a garbled or
-/// misdirected reply — is a *permanent* failure of that librarian for
-/// this query: the data cannot be trusted, so it must not be merged.
-/// Records a `scored` event for CI candidate-scoring replies: how many
-/// candidates the librarian scored and how many postings it decoded doing
-/// so. Other reply kinds record nothing.
 /// Records the trace event for a cache probe's outcome.
 fn note_lookup<V>(trace: &TraceSink, cache: &'static str, outcome: &Lookup<V>) {
     if trace.is_enabled() {
@@ -1563,6 +1421,9 @@ fn note_evicted(trace: &TraceSink, cache: &'static str, evicted: u64) {
     }
 }
 
+/// Records a `scored` event for CI candidate-scoring replies: how many
+/// candidates the librarian scored and how many postings it decoded doing
+/// so. Other reply kinds record nothing.
 fn record_scored(trace: &TraceSink, lib: usize, response: &Message) {
     if trace.is_enabled() {
         if let Message::ScoreResponse {
@@ -1580,45 +1441,42 @@ fn record_scored(trace: &TraceSink, lib: usize, response: &Message) {
     }
 }
 
+/// Extracts ranking entries from a response — a `ScoreResponse` when
+/// the request was a CI candidate-scoring one (`scored`), a
+/// `RankResponse` otherwise — tagging each with the librarian. A wrong
+/// variant or a mismatched query id — a garbled or misdirected reply —
+/// is a *permanent* failure of that librarian for this query: the data
+/// cannot be trusted, so it must not be merged.
 fn ranking_entries(
     response: Message,
     query_id: u32,
     lib: usize,
+    scored: bool,
 ) -> Result<Vec<(ScoredDoc, usize)>, NetError> {
-    match response {
+    let entries = match response {
         Message::RankResponse {
             query_id: qid,
             entries,
             ..
-        } if qid == query_id => Ok(entries
-            .into_iter()
-            .map(|(doc, score)| (ScoredDoc { doc, score }, lib))
-            .collect()),
-        other => Err(NetError::Remote(format!(
-            "unexpected ranking response: {other:?}"
-        ))),
-    }
-}
-
-/// [`ranking_entries`] for the CI candidate-scoring exchange.
-fn scoring_entries(
-    response: Message,
-    query_id: u32,
-    lib: usize,
-) -> Result<Vec<(ScoredDoc, usize)>, NetError> {
-    match response {
+        } if !scored && qid == query_id => entries,
         Message::ScoreResponse {
             query_id: qid,
             entries,
             ..
-        } if qid == query_id => Ok(entries
-            .into_iter()
-            .map(|(doc, score)| (ScoredDoc { doc, score }, lib))
-            .collect()),
-        other => Err(NetError::Remote(format!(
-            "unexpected response to ScoreCandidatesRequest: {other:?}"
-        ))),
-    }
+        } if scored && qid == query_id => entries,
+        other if scored => {
+            return Err(unexpected("ScoreCandidatesRequest", &other));
+        }
+        other => {
+            return Err(NetError::Remote(format!(
+                "unexpected ranking response: {other:?}"
+            )))
+        }
+    };
+    Ok(entries
+        .into_iter()
+        .map(|(doc, score)| (ScoredDoc { doc, score }, lib))
+        .collect())
 }
 
 /// Folds one librarian's ranking into the running merged top `k`,
@@ -1644,10 +1502,8 @@ fn into_global_hits(merged: Vec<(ScoredDoc, usize)>) -> Vec<GlobalHit> {
 }
 
 /// A response of the wrong variant for the request that was sent.
-fn unexpected(request_kind: &str, other: &Message) -> TeraphimError {
-    TeraphimError::Net(teraphim_net::NetError::Remote(format!(
-        "unexpected response to {request_kind}: {other:?}"
-    )))
+fn unexpected(request_kind: &str, other: &Message) -> NetError {
+    NetError::Remote(format!("unexpected response to {request_kind}: {other:?}"))
 }
 
 #[cfg(test)]

@@ -48,10 +48,7 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use fanout::{
-    dispatch, dispatch_collect, dispatch_collect_traced, dispatch_partial, dispatch_partial_traced,
-    dispatch_traced, DispatchMode,
-};
+pub use fanout::{dispatch, DispatchMode};
 pub use faults::{FaultAction, FaultPlan, FaultyService, FaultyTransport};
 pub use message::Message;
 pub use mux::{MuxConnection, MuxPool, MuxTransport};

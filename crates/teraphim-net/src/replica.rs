@@ -10,8 +10,8 @@
 //! ([`crate::NetError::is_transient`]), recording a
 //! [`EventKind::Failover`] trace event per reroute. Only when every
 //! replica has failed does the group surface an error — at which point
-//! the existing `dispatch_partial` degradation path takes over, exactly
-//! as for a single dead librarian.
+//! the receptionist's degraded-coverage policy takes over, exactly as
+//! for a single dead librarian.
 //!
 //! Membership is live: replicas [`ReplicaGroup::add_replica`] (join) and
 //! [`ReplicaGroup::remove_replica`] (leave) while queries are in flight,

@@ -556,6 +556,39 @@ fn trace_totals_match_transport_counters() {
         assert_eq!(metrics.bytes_received, total.bytes_received);
         assert_eq!(metrics.retries, 1);
         assert_eq!(metrics.faults, 1);
+
+        // The restricted entry points are operations like any other:
+        // each yields exactly one complete trace, whose byte sums equal
+        // the transport delta and what a teed registry counted.
+        let registry = r.enable_metrics();
+        r.enable_cv().unwrap();
+        sink.clear();
+        for op in ["query_subset", "query_selected"] {
+            let (traffic_before, counted_before) = (r.traffic(), registry.snapshot());
+            let hits = match op {
+                "query_subset" => r
+                    .query_subset(Methodology::CentralVocabulary, "cats dogs", 8, &[0, 1, 3])
+                    .unwrap(),
+                _ => r.query_selected("cats dogs", 8, 2).unwrap().0,
+            };
+            assert!(!hits.is_empty(), "{mode:?} {op}");
+            let traces = sink.take_traces();
+            assert_eq!(traces.len(), 1, "{mode:?} {op}: one trace per operation");
+            assert!(traces[0].complete, "{mode:?} {op}");
+            assert_eq!(traces[0].op, op);
+            let metrics = traces[0].metrics();
+            let (traffic, counted) = (r.traffic(), registry.snapshot());
+            let sent = traffic.bytes_sent - traffic_before.bytes_sent;
+            let received = traffic.bytes_received - traffic_before.bytes_received;
+            assert!(sent > 0 && received > 0, "{mode:?} {op}");
+            assert_eq!(metrics.bytes_sent, sent, "{mode:?} {op}");
+            assert_eq!(metrics.bytes_received, received, "{mode:?} {op}");
+            assert_eq!(counted.bytes_sent - counted_before.bytes_sent, sent);
+            assert_eq!(
+                counted.bytes_received - counted_before.bytes_received,
+                received
+            );
+        }
     }
 }
 
