@@ -8,7 +8,7 @@ use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions};
 use teraphim_core::{Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
-use teraphim_net::tcp::{ServerOptions, TcpServer, TcpTransport};
+use teraphim_net::tcp::{ServerOptions, TcpServer};
 use teraphim_net::{DispatchMode, TcpOptions};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -43,11 +43,11 @@ fn main() {
         },
     )
     .unwrap();
+    let pool = MuxPool::connect(server.addr(), 2, TcpOptions::default()).unwrap();
     let prototype = Receptionist::new(
-        vec![TcpTransport::connect(server.addr()).unwrap()],
+        vec![MuxTransport::new(Arc::clone(&pool))],
         Analyzer::default(),
     );
-    let pool = MuxPool::connect(server.addr(), 2, TcpOptions::default()).unwrap();
     let total = 400usize;
 
     let make_session = || {

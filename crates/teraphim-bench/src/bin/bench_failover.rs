@@ -31,9 +31,10 @@ use std::time::Instant;
 
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist};
-use teraphim_net::tcp::{TcpServer, TcpTransport};
+use teraphim_net::tcp::TcpServer;
 use teraphim_net::{
-    FaultPlan, FaultyService, FaultyTransport, InProcTransport, ReplicaGroup, Transport,
+    FaultPlan, FaultyService, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup,
+    Transport,
 };
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -221,7 +222,7 @@ fn tcp_cell(
         let librarian = Librarian::build(parts[shard].0, Analyzer::default(), parts[shard].1);
         let server = TcpServer::spawn(FaultyService::new(librarian, plan), "127.0.0.1:0")
             .expect("loopback server");
-        let transport = TcpTransport::connect(server.addr()).expect("loopback connect");
+        let transport = MuxTransport::connect(server.addr()).expect("loopback connect");
         servers.push(server);
         transport
     };

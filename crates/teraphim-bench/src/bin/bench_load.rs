@@ -4,13 +4,13 @@
 //!
 //! Two serving paths are compared per methodology (MS/CN/CV/CI):
 //!
-//! * **baseline** — the per-call exchange path: one receptionist over
-//!   plain [`TcpTransport`]s, one query at a time, concurrent fan-out
-//!   via scoped worker threads (the pre-multiplexing deployment);
+//! * **baseline** — one unforked receptionist with a connection of its
+//!   own to each librarian, one query at a time, concurrent fan-out via
+//!   scoped worker threads (a single-user deployment);
 //! * **multiplexed** — a [`ServePool`] of forked sessions over shared
 //!   [`MuxPool`]s with [`DispatchMode::Pipelined`]: hundreds of
-//!   in-flight queries pipeline correlation-tagged frames onto a
-//!   handful of persistent connections, served by the bounded worker
+//!   in-flight queries pipeline onto a handful of persistent
+//!   connections, served by the bounded worker
 //!   pool in [`TcpServer`].
 //!
 //! The closed-loop sweep drives N workers back-to-back at each
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
-use teraphim_net::tcp::{ServerOptions, TcpServer, TcpTransport};
+use teraphim_net::tcp::{ServerOptions, TcpServer};
 use teraphim_net::{DispatchMode, TcpOptions};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -182,7 +182,7 @@ fn spawn_fleet(parts: &[(&str, &[TrecDoc])]) -> Vec<TcpServer> {
         .collect()
 }
 
-fn preprocess(receptionist: &mut Receptionist<TcpTransport>, methodology: Methodology) {
+fn preprocess(receptionist: &mut Receptionist<MuxTransport>, methodology: Methodology) {
     match methodology {
         Methodology::CentralNothing => {}
         Methodology::CentralVocabulary => {
@@ -197,9 +197,9 @@ fn preprocess(receptionist: &mut Receptionist<TcpTransport>, methodology: Method
     }
 }
 
-/// One query at a time through the per-call exchange path.
+/// One query at a time through the unforked receptionist.
 fn run_baseline(
-    receptionist: &mut Receptionist<TcpTransport>,
+    receptionist: &mut Receptionist<MuxTransport>,
     methodology: Methodology,
     queries: &[String],
     n: usize,
@@ -430,12 +430,12 @@ fn run_mode(
 ) -> ModeReport {
     let servers = spawn_fleet(parts);
 
-    // Baseline: plain per-call transports, one query at a time. CV/CI
-    // preprocessing runs on this receptionist; the forked sessions
-    // below share its global state by construction.
-    let baseline_transports: Vec<TcpTransport> = servers
+    // Baseline: one receptionist on its own connections, one query at
+    // a time. CV/CI preprocessing runs on this receptionist; the forked
+    // sessions below share its global state by construction.
+    let baseline_transports: Vec<MuxTransport> = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()).expect("baseline connect"))
+        .map(|s| MuxTransport::connect(s.addr()).expect("baseline connect"))
         .collect();
     let mut prototype = Receptionist::new(baseline_transports, Analyzer::default());
     preprocess(&mut prototype, methodology);
@@ -646,8 +646,8 @@ fn main() {
         .map(|v| v.parse().expect("--min-speedup requires a number"))
         // The default floor is set for a single-CPU worst case: with no
         // parallelism available, the multiplexed core's entire win is
-        // per-query overhead it no longer pays (fan-out thread spawns,
-        // per-call connections), measured at 1.4-1.7x here. On multi-core
+        // per-query overhead it no longer pays (fan-out thread spawns),
+        // measured at 1.4-1.7x here. On multi-core
         // hardware pipelining overlaps librarian evaluation and the
         // ratio grows with cores; raise the floor accordingly when
         // regenerating the committed trajectory on such a machine.

@@ -5,7 +5,7 @@ use crate::args::Args;
 use crate::commands::{load_collection, outln};
 use teraphim_core::{CacheConfig, CiParams, Methodology, Receptionist};
 use teraphim_eval::{Judgments, QueryEval, SetEval};
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 use teraphim_obs::Phase;
 use teraphim_text::Analyzer;
 
@@ -127,7 +127,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let transports = servers
             .split(',')
             .map(|addr| {
-                TcpTransport::connect(addr.trim())
+                MuxTransport::connect(addr.trim())
                     .map_err(|e| format!("cannot connect {addr}: {e}"))
             })
             .collect::<Result<Vec<_>, String>>()?;

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use crate::args::Args;
 use crate::commands::outln;
 use teraphim_core::health::{poll_one, HealthPolicy, HealthState, LibrarianHealth};
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 use teraphim_net::{ReplicaGroup, RoutingTable};
 
 const HELP: &str = "\
@@ -70,7 +70,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut next_id = n;
     for (shard, addrs) in groups.iter().enumerate() {
         let shard = shard as u32;
-        let mut members: Vec<(u32, TcpTransport)> = Vec::new();
+        let mut members: Vec<(u32, MuxTransport)> = Vec::new();
         for (r, addr) in addrs.iter().enumerate() {
             let id = if r == 0 {
                 shard
@@ -78,7 +78,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 next_id += 1;
                 next_id - 1
             };
-            let health = match TcpTransport::connect(addr) {
+            let health = match MuxTransport::connect(addr) {
                 Ok(mut transport) => {
                     let health = poll_one(id, &mut transport, policy);
                     if health.state != HealthState::Down {

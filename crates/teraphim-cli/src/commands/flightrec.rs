@@ -10,7 +10,7 @@
 
 use crate::args::Args;
 use crate::commands::outln;
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 use teraphim_net::{Message, Transport};
 
 const HELP: &str = "\
@@ -59,7 +59,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
 
 /// One server's dump, or a connection/protocol error message.
 fn fetch_dump(addr: &str) -> Result<String, String> {
-    let mut transport = TcpTransport::connect(addr).map_err(|e| e.to_string())?;
+    let mut transport = MuxTransport::connect(addr).map_err(|e| e.to_string())?;
     match transport.request(&Message::FlightRecRequest) {
         Ok(Message::FlightRecReply { json }) => Ok(json),
         Ok(other) => Err(format!("unexpected reply {}", other.variant_name())),

@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use teraphim_core::{CiParams, Methodology, Receptionist};
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 use teraphim_text::Analyzer;
 
 const HELP: &str = "\
@@ -40,7 +40,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let transports = servers
         .split(',')
         .map(|addr| {
-            TcpTransport::connect(addr.trim()).map_err(|e| format!("cannot connect {addr}: {e}"))
+            MuxTransport::connect(addr.trim()).map_err(|e| format!("cannot connect {addr}: {e}"))
         })
         .collect::<Result<Vec<_>, String>>()?;
     let mut receptionist = Receptionist::new(transports, Analyzer::default());

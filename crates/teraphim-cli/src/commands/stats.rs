@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::commands::outln;
 use teraphim_core::health::{poll_one, HealthPolicy, HealthReport, LibrarianHealth};
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 
 const HELP: &str = "\
 usage: teraphim stats --servers ADDR[,ADDR...]
@@ -36,7 +36,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let mut rows: Vec<LibrarianHealth> = Vec::new();
     for (i, addr) in servers.split(',').enumerate() {
         let librarian = u32::try_from(i).map_err(|_| "too many servers".to_owned())?;
-        match TcpTransport::connect(addr.trim()) {
+        match MuxTransport::connect(addr.trim()) {
             Ok(mut transport) => rows.push(poll_one(librarian, &mut transport, policy)),
             Err(_) => rows.push(LibrarianHealth::down(librarian)),
         }

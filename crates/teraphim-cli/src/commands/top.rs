@@ -10,7 +10,7 @@
 use crate::args::Args;
 use crate::commands::outln;
 use teraphim_core::health::{poll_one, HealthPolicy, HealthState, LibrarianHealth};
-use teraphim_net::tcp::TcpTransport;
+use teraphim_net::MuxTransport;
 use teraphim_obs::SERVER_PHASES;
 
 const HELP: &str = "\
@@ -73,7 +73,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let mut rows = Vec::with_capacity(servers.len());
         for (i, addr) in servers.iter().enumerate() {
             let librarian = u32::try_from(i).map_err(|_| "too many servers".to_owned())?;
-            match TcpTransport::connect(addr) {
+            match MuxTransport::connect(addr) {
                 Ok(mut transport) => {
                     rows.push(poll_one(librarian, &mut transport, HealthPolicy::default()));
                 }

@@ -227,8 +227,8 @@ impl<T: Transport> Receptionist<T> {
     /// degrade policy carry over.
     ///
     /// The fork may run over a *different* transport type than the
-    /// prototype — e.g. preprocess over plain per-call
-    /// `TcpTransport`s, then fork sessions onto multiplexed handles.
+    /// prototype — e.g. preprocess in-process, then fork sessions onto
+    /// multiplexed TCP handles.
     /// The transports must of course address the same librarian fleet
     /// in the same order.
     pub fn fork<U: Transport>(&self, transports: Vec<U>) -> Receptionist<U> {

@@ -7,17 +7,16 @@
 //! into blocks by the librarians rather than transferred individually").
 //! To make those costs first-class, this crate hand-rolls a compact
 //! binary codec — every byte on the wire is visible and accounted — and
-//! provides three interchangeable transports over the same
+//! provides two interchangeable transports over the same
 //! [`Message`]/[`Service`] abstraction:
 //!
 //! * [`transport::InProcTransport`] — direct calls through the codec
 //!   (mono-disk / multi-disk configurations, and the simulation driver);
-//! * [`tcp`] — real TCP with length-prefixed frames (the LAN
-//!   configuration, runnable on loopback);
-//! * [`mux`] — persistent multiplexed connections over the same TCP
-//!   framing: correlation-id-tagged frames let hundreds of in-flight
-//!   requests pipeline on one socket, demultiplexed by a per-connection
-//!   reactor thread;
+//! * [`mux`] over [`tcp`] — real TCP with length-prefixed frames (the
+//!   LAN configuration, runnable on loopback): persistent multiplexed
+//!   connections whose correlation-id envelopes let hundreds of
+//!   in-flight requests pipeline on one socket, demultiplexed by a
+//!   per-connection reactor thread, served by a bounded worker pool;
 //! * traffic accounting ([`transport::TrafficStats`]) that the
 //!   simulation driver feeds into `teraphim-simnet` to cost the WAN;
 //! * [`fanout`] — the receptionist's batch dispatch path: one scoped

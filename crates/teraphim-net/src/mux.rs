@@ -1,15 +1,13 @@
-//! Persistent, multiplexed librarian connections.
+//! Persistent, multiplexed librarian connections: the one TCP client.
 //!
-//! The per-call TCP path ([`crate::tcp::TcpTransport`]) dedicates one
-//! blocking exchange to each request: useful for the paper's
-//! single-query cost model, but a serving receptionist mediates
-//! hundreds of concurrent queries, and giving each its own socket (or
-//! serializing them over one) wastes both descriptors and wall-clock.
-//! This module keeps a **small pool of long-lived connections per
-//! librarian** and pipelines every query over them:
+//! A serving receptionist mediates hundreds of concurrent queries;
+//! giving each its own socket (or serializing them over one) wastes
+//! both descriptors and wall-clock. This module keeps a **small pool of
+//! long-lived connections per librarian** and pipelines every query
+//! over them:
 //!
-//! * each request is wrapped in a correlated frame
-//!   ([`crate::wire::mux_envelope`]) carrying a connection-unique id;
+//! * each request goes out in an envelope ([`crate::wire::envelope`])
+//!   carrying a connection-unique correlation id;
 //! * a **reactor thread per connection** blocks on the socket, reads
 //!   reply frames as they arrive — in any order — and routes each to
 //!   the waiting exchange over a per-request channel;
@@ -20,16 +18,17 @@
 //! No async runtime is involved: completion is channel-based, deadlines
 //! are `recv_timeout` waits. A timed-out exchange deregisters its
 //! correlation id, so a late reply is discarded by the reactor instead
-//! of desynchronizing the stream — correlation ids fix the stale-reply
-//! hazard the per-call path has after a read timeout.
+//! of being mistaken for the answer to the next request on the stream.
 
 use crate::message::Message;
 use crate::tcp::{connect_stream, map_timeout_frame_error, TcpOptions};
-use crate::transport::{AtomicTrafficStats, Ticket, TicketState, TrafficStats, Transport};
-use crate::wire::{envelope_v1, mux_envelope, read_frame, split_envelope, write_frame};
+use crate::transport::{
+    decode_reply, AtomicTrafficStats, Ticket, TicketState, TrafficStats, Transport,
+};
+use crate::wire::{envelope, read_frame, split_envelope, write_frame};
 use crate::NetError;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -37,7 +36,7 @@ use std::time::Duration;
 use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
 
 /// A demultiplexed reply: the inner message payload plus any
-/// server-side phase timings piggybacked on a v1 envelope.
+/// server-side phase timings piggybacked on its envelope.
 #[derive(Debug)]
 pub(crate) struct MuxReply {
     pub(crate) payload: Vec<u8>,
@@ -90,22 +89,16 @@ pub struct MuxConnection {
 }
 
 impl MuxConnection {
-    /// Connects and starts the reactor. `options.read_timeout` is
-    /// ignored: the reactor must block indefinitely between replies —
+    /// Connects and starts the reactor. The socket has no read timeout:
+    /// the reactor must block indefinitely between replies —
     /// per-exchange deadlines are enforced on the waiting side.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Timeout`] when the connect itself exceeds
     /// `options.connect_timeout`, [`NetError::Io`] on other failures.
-    pub fn connect(addr: SocketAddr, options: TcpOptions) -> Result<Arc<Self>, NetError> {
-        let stream = connect_stream(
-            addr,
-            TcpOptions {
-                read_timeout: None,
-                ..options
-            },
-        )?;
+    pub fn connect(addr: impl ToSocketAddrs, options: TcpOptions) -> Result<Arc<Self>, NetError> {
+        let stream = connect_stream(addr, options)?;
         let reader = stream.try_clone()?;
         let writer = stream.try_clone()?;
         let shared = Arc::new(MuxShared {
@@ -124,11 +117,10 @@ impl MuxConnection {
         }))
     }
 
-    /// Sends one encoded message as a correlated frame, returning the
-    /// ticket that will receive the reply. When a span context is
-    /// given the frame is a v1 envelope carrying it (and requesting
-    /// server-side phase timings on the reply); otherwise the PR 6
-    /// v0 envelope is used, byte-for-byte.
+    /// Sends one encoded message under a fresh correlation id,
+    /// returning the ticket that will receive the reply. A span
+    /// context, when given, rides in the envelope and asks the server
+    /// for its phase timings on the reply.
     fn send(
         self: &Arc<Self>,
         encoded: &[u8],
@@ -144,10 +136,7 @@ impl MuxConnection {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(corr, tx);
-        let framed = match span {
-            Some(span) => envelope_v1(Some(corr), Some(span), None, encoded),
-            None => mux_envelope(corr, encoded),
-        };
+        let framed = envelope(corr, span, None, encoded);
         let write_result = {
             let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             write_frame(&mut *w, &framed)
@@ -201,29 +190,27 @@ impl Drop for MuxConnection {
     }
 }
 
-/// Blocks on the socket, routing each correlated reply to its waiting
-/// exchange. Exits — poisoning the connection — on EOF, I/O failure,
-/// or a protocol breach (an uncorrelated frame on a mux stream).
+/// Blocks on the socket, routing each reply to its waiting exchange.
+/// Exits — poisoning the connection — on EOF, I/O failure, or a
+/// protocol breach (a frame that is not an envelope, which is also how
+/// a server refuses a peer it cannot understand).
 fn reactor_loop(mut reader: TcpStream, shared: &MuxShared) {
     while let Ok(Some(frame)) = read_frame(&mut reader) {
-        match split_envelope(&frame) {
-            Ok(env) if env.corr.is_some() => {
-                let corr = env.corr.expect("guarded");
-                let tx = shared
-                    .pending
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remove(&corr);
-                if let Some(tx) = tx {
-                    let _ = tx.send(Ok(MuxReply {
-                        payload: env.message.to_vec(),
-                        timings: env.timings,
-                    }));
-                }
-                // An unknown id is a late reply whose waiter timed
-                // out and deregistered: discard it.
-            }
-            _ => break,
+        let Ok(env) = split_envelope(&frame) else {
+            break;
+        };
+        let tx = shared
+            .pending
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&env.corr);
+        // An unknown id is a late reply whose waiter timed out and
+        // deregistered: discard it.
+        if let Some(tx) = tx {
+            let _ = tx.send(Ok(MuxReply {
+                payload: env.message.to_vec(),
+                timings: env.timings,
+            }));
         }
     }
     shared.poison();
@@ -287,8 +274,9 @@ impl Drop for MuxTicket {
 
 /// A small pool of multiplexed connections to one librarian, shared by
 /// every [`MuxTransport`] handle talking to that librarian. Exchanges
-/// are spread round-robin; pool sizing trades head-of-line blocking on
-/// the per-connection write lock against descriptor count.
+/// are spread round-robin over the live connections; pool sizing trades
+/// head-of-line blocking on the per-connection write lock against
+/// descriptor count.
 #[derive(Debug)]
 pub struct MuxPool {
     conns: Vec<Arc<MuxConnection>>,
@@ -302,12 +290,13 @@ impl MuxPool {
     ///
     /// Returns the first connection failure.
     pub fn connect(
-        addr: SocketAddr,
+        addr: impl ToSocketAddrs,
         connections: usize,
         options: TcpOptions,
     ) -> Result<Arc<Self>, NetError> {
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let conns = (0..connections.max(1))
-            .map(|_| MuxConnection::connect(addr, options))
+            .map(|_| MuxConnection::connect(&addrs[..], options))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Arc::new(MuxPool {
             conns,
@@ -315,9 +304,16 @@ impl MuxPool {
         }))
     }
 
+    /// The next live connection in round-robin order. A dead one is
+    /// returned only when every connection is dead, so that the error
+    /// still surfaces.
     fn pick(&self) -> &Arc<MuxConnection> {
-        let i = self.rr.fetch_add(1, Ordering::Relaxed);
-        &self.conns[i % self.conns.len()]
+        let start = self.rr.fetch_add(1, Ordering::Relaxed);
+        let n = self.conns.len();
+        (0..n)
+            .map(|step| &self.conns[start.wrapping_add(step) % n])
+            .find(|conn| !conn.is_dead())
+            .unwrap_or(&self.conns[start % n])
     }
 
     /// Number of connections in the pool.
@@ -380,20 +376,22 @@ impl MuxTransport {
     /// # Errors
     ///
     /// Returns [`NetError::Io`] if the connection fails.
-    pub fn connect(addr: SocketAddr) -> Result<Self, NetError> {
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         Ok(Self::new(MuxPool::connect(addr, 1, TcpOptions::default())?))
     }
 
     /// Convenience: a single-connection pool where the connect, every
-    /// write, and every reply wait are bounded by `deadline` — the
-    /// multiplexed analogue of
-    /// [`crate::tcp::TcpTransport::connect_with_deadline`].
+    /// write, and every reply wait are bounded by `deadline`, which
+    /// bounds how long a dead or wedged librarian can stall a fan-out.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Timeout`] if the connection cannot be
     /// established in time, [`NetError::Io`] on other failures.
-    pub fn connect_with_deadline(addr: SocketAddr, deadline: Duration) -> Result<Self, NetError> {
+    pub fn connect_with_deadline(
+        addr: impl ToSocketAddrs,
+        deadline: Duration,
+    ) -> Result<Self, NetError> {
         let pool = MuxPool::connect(addr, 1, TcpOptions::with_deadline(deadline))?;
         Ok(Self::new(pool).with_deadline(deadline))
     }
@@ -446,18 +444,12 @@ impl Transport for MuxTransport {
 
     fn begin(&mut self, request: &Message) -> Ticket {
         let encoded = request.encode();
-        // A tracing handle upgrades the exchange to a v1 envelope
-        // carrying the span context, which also asks the server to
-        // piggyback its phase timings on the reply. Admin polls stay
-        // span-free so they never perturb the ledgers they read.
-        let span = if self.trace.is_enabled() && !request.is_admin() {
-            Some(SpanContext::sampled(
-                self.trace.current_trace_id(),
-                self.librarian,
-            ))
-        } else {
-            None
-        };
+        // A tracing handle sends its span context, which also asks
+        // the server to piggyback its phase timings on the reply. Admin
+        // polls stay span-free so they never perturb the ledgers they
+        // read.
+        let span = (self.trace.is_enabled() && !request.is_admin())
+            .then(|| SpanContext::sampled(self.trace.current_trace_id(), self.librarian));
         match self.pool.pick().send(&encoded, span.as_ref()) {
             Ok(ticket) => Ticket(TicketState::Mux(ticket)),
             Err(e) => Ticket(TicketState::Failed(e)),
@@ -470,20 +462,16 @@ impl Transport for MuxTransport {
                 let sent = ticket.sent_bytes();
                 match ticket.wait(self.deadline) {
                     Ok(reply) => {
-                        // Like the per-call TCP path, only completed
-                        // exchanges count, and only payload bytes (the
-                        // envelope is framing overhead) — so mux and
-                        // per-call accounting stay byte-identical.
+                        // Only completed exchanges count, and only
+                        // payload bytes (the envelope is framing
+                        // overhead) — so the server's counters mirror
+                        // its clients' exactly.
                         self.stats.round_trips += 1;
                         self.stats.bytes_sent += sent;
                         self.stats.bytes_received += reply.payload.len() as u64;
                         self.last = (sent, reply.payload.len() as u64);
                         self.last_timings = reply.timings;
-                        match Message::decode(&reply.payload)? {
-                            Message::Error { message } => Err(NetError::Remote(message)),
-                            Message::Unavailable { message } => Err(NetError::Unavailable(message)),
-                            response => Ok(response),
-                        }
+                        decode_reply(&reply.payload)
                     }
                     Err(e) => {
                         self.last_timings = None;
@@ -557,7 +545,7 @@ mod tests {
         let resp = t.request(&req).unwrap();
         assert!(matches!(resp, Message::RankResponse { query_id: 9, .. }));
         assert_eq!(t.stats().round_trips, 1);
-        // Payload bytes only, exactly like the per-call TCP transport.
+        // Payload bytes only: the envelope is not traffic.
         assert_eq!(t.stats().bytes_sent, req.wire_len() as u64);
         assert_eq!(t.last_exchange().0, req.wire_len() as u64);
         assert!(t.stats().bytes_received > 0);
@@ -682,7 +670,7 @@ mod tests {
             elapsed >= deadline && elapsed < deadline * 3,
             "timed out after {elapsed:?} against {deadline:?}"
         );
-        // Failed exchanges do not count, matching the per-call path.
+        // Failed exchanges do not count.
         assert_eq!(t.stats().round_trips, 0);
         hold.join().unwrap();
     }
@@ -728,7 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn remote_and_unavailable_errors_map_like_tcp() {
+    fn remote_errors_surface_as_neterror() {
         let server = TcpServer::spawn(Echo, "127.0.0.1:0").unwrap();
         let mut t = MuxTransport::connect(server.addr()).unwrap();
         let err = t.request(&Message::IndexRequest).unwrap_err();
@@ -753,5 +741,38 @@ mod tests {
         // The connection is still healthy for new exchanges.
         assert!(t.request(&rank(2)).is_ok());
         server.shutdown();
+    }
+
+    /// One poisoned connection in a pool must not fail every Nth
+    /// exchange while its healthy neighbours sit idle.
+    #[test]
+    fn pick_skips_dead_connections() {
+        // A raw peer: the first connection is closed at once, the
+        // second answers every request.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            drop(listener.accept().unwrap());
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Ok(Some(frame)) = read_frame(&mut stream) {
+                let env = split_envelope(&frame).unwrap();
+                let reply = Echo.handle(Message::decode(env.message).unwrap()).encode();
+                write_frame(&mut stream, &envelope(env.corr, None, None, &reply)).unwrap();
+            }
+        });
+        let pool = MuxPool::connect(addr, 2, TcpOptions::default()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !pool.conns[0].is_dead() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(pool.conns[0].is_dead(), "reactor saw the close");
+        let mut t = MuxTransport::new(Arc::clone(&pool));
+        for i in 0..6 {
+            let resp = t.request(&rank(i)).unwrap();
+            assert!(matches!(resp, Message::RankResponse { query_id, .. } if query_id == i));
+        }
+        assert_eq!(pool.per_connection_traffic()[1].round_trips, 6);
+        drop((t, pool));
+        peer.join().unwrap();
     }
 }

@@ -1,28 +1,26 @@
 //! TCP transport: length-prefixed frames over real sockets.
 //!
 //! This is the deployment transport — a librarian process listens on a
-//! socket, a receptionist connects. Frames are `u32` little-endian
-//! length + encoded [`Message`] (see [`crate::wire`] for the framing
-//! rules). One connection carries either sequential request/response
-//! exchanges (plain frames, answered in order — the paper's
-//! "librarian-to-receptionist session" model) or correlated multiplexed
-//! frames pipelined by [`crate::mux::MuxTransport`], answered in
-//! completion order.
+//! socket, a receptionist connects through [`crate::mux::MuxTransport`].
+//! Frames are `u32` little-endian length + one envelope (see
+//! [`crate::wire`]): a correlation id, optional trace context or server
+//! timings, and the encoded [`Message`]. Requests pipeline on a
+//! connection and are answered in completion order.
 //!
 //! The server couples a nonblocking accept loop with one reader thread
-//! per connection and a **bounded worker pool**: readers decode frames
-//! off the socket and enqueue correlated requests on a bounded job
+//! per connection and a **bounded worker pool**: readers decode
+//! envelopes off the socket and enqueue the requests on a bounded job
 //! queue; workers pull jobs, run the service, and write replies under a
 //! per-connection writer lock (replies to different correlation ids may
 //! interleave). When the queue is full the readers block, which stops
 //! them draining their sockets, which backpressures clients through
 //! TCP's own flow control — load shedding without unbounded thread
-//! growth. Plain frames are handled on the reader thread itself, which
-//! preserves their strict per-connection ordering.
+//! growth. Every request takes this path, so every request is subject
+//! to admission control and has its queue wait attributed.
 
 use crate::message::Message;
-use crate::transport::{AtomicTrafficStats, Service, TrafficStats, Transport};
-use crate::wire::{envelope_v1, mux_envelope, read_frame, split_envelope, write_frame, MUX_V1_TAG};
+use crate::transport::{elapsed_micros, serve, AtomicTrafficStats, Service, TrafficStats};
+use crate::wire::{envelope, read_frame, split_envelope, write_frame};
 use crate::NetError;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -30,121 +28,61 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
-
-/// Saturating microseconds for span timing.
-fn elapsed_micros(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
+use teraphim_obs::SpanContext;
 
 /// Socket configuration applied uniformly to every client connection:
-/// one knob each for connect, read and write, all optional. `Nagle` is
-/// always disabled — the protocol's exchanges are small and
-/// latency-sensitive, so coalescing delay is never worth it.
+/// one knob each for connect and write, both optional. There is none
+/// for reads: a connection's reactor blocks between replies, and each
+/// exchange's wait is bounded on the waiting side
+/// ([`crate::mux::MuxTransport::with_deadline`]). `Nagle` is always
+/// disabled — the protocol's exchanges are small and latency-sensitive,
+/// so coalescing delay is never worth it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TcpOptions {
     /// Bound on establishing the connection; `None` blocks until the OS
     /// gives up.
     pub connect_timeout: Option<Duration>,
-    /// Bound on each socket read ([`NetError::Timeout`] on expiry).
-    pub read_timeout: Option<Duration>,
     /// Bound on each socket write ([`NetError::Timeout`] on expiry).
     pub write_timeout: Option<Duration>,
 }
 
 impl TcpOptions {
-    /// One deadline for everything: connect, every read, every write.
+    /// One deadline for both: the connect and every write.
     pub fn with_deadline(deadline: Duration) -> Self {
         TcpOptions {
             connect_timeout: Some(deadline),
-            read_timeout: Some(deadline),
             write_timeout: Some(deadline),
         }
     }
 }
 
 /// Connects a raw stream per `options`: `TCP_NODELAY` on, timeouts
-/// applied. Shared by [`TcpTransport`] and the multiplexed pool.
-pub(crate) fn connect_stream(addr: SocketAddr, options: TcpOptions) -> Result<TcpStream, NetError> {
+/// applied.
+pub(crate) fn connect_stream(
+    addr: impl ToSocketAddrs,
+    options: TcpOptions,
+) -> Result<TcpStream, NetError> {
     let stream = match options.connect_timeout {
-        Some(t) => TcpStream::connect_timeout(&addr, t).map_err(map_timeout_io_error)?,
         None => TcpStream::connect(addr)?,
+        // `connect_timeout` takes one resolved address: try each in
+        // turn, as `connect` does.
+        Some(t) => {
+            let mut result = Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "could not resolve to any address",
+            ));
+            for addr in addr.to_socket_addrs()? {
+                result = TcpStream::connect_timeout(&addr, t);
+                if result.is_ok() {
+                    break;
+                }
+            }
+            result.map_err(map_timeout_io_error)?
+        }
     };
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(options.read_timeout)?;
     stream.set_write_timeout(options.write_timeout)?;
     Ok(stream)
-}
-
-/// A client connection to one librarian server.
-#[derive(Debug)]
-pub struct TcpTransport {
-    stream: TcpStream,
-    stats: TrafficStats,
-    last: (u64, u64),
-    trace: TraceSink,
-    librarian: u32,
-    last_timings: Option<ServerTimings>,
-}
-
-impl TcpTransport {
-    /// Connects to a librarian server with no deadline: exchanges block
-    /// until the peer answers or the connection dies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Io`] if the connection fails.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self::from_stream(stream))
-    }
-
-    /// Connects with explicit socket options — the uniform path that
-    /// [`TcpTransport::connect`] and
-    /// [`TcpTransport::connect_with_deadline`] both reduce to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Timeout`] if the connection cannot be
-    /// established within `options.connect_timeout`, [`NetError::Io`]
-    /// on other failures.
-    pub fn connect_with(addr: SocketAddr, options: TcpOptions) -> Result<Self, NetError> {
-        Ok(Self::from_stream(connect_stream(addr, options)?))
-    }
-
-    /// Connects with a per-operation deadline: the connect itself, and
-    /// every subsequent socket read and write, must each complete within
-    /// `deadline` or the request fails with [`NetError::Timeout`]. This
-    /// bounds how long a dead or wedged librarian can stall a fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Timeout`] if the connection cannot be
-    /// established in time, [`NetError::Io`] on other failures.
-    pub fn connect_with_deadline(addr: SocketAddr, deadline: Duration) -> Result<Self, NetError> {
-        Self::connect_with(addr, TcpOptions::with_deadline(deadline))
-    }
-
-    fn from_stream(stream: TcpStream) -> Self {
-        TcpTransport {
-            stream,
-            stats: TrafficStats::default(),
-            last: (0, 0),
-            trace: TraceSink::disabled(),
-            librarian: 0,
-            last_timings: None,
-        }
-    }
-
-    /// Attaches a trace sink: a socket deadline expiry records a
-    /// `timeout` event tagged with `librarian`.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceSink, librarian: u32) -> Self {
-        self.trace = trace;
-        self.librarian = librarian;
-        self
-    }
 }
 
 /// Maps socket-timeout I/O errors to the typed [`NetError::Timeout`].
@@ -165,87 +103,14 @@ pub(crate) fn map_timeout_frame_error(e: NetError) -> NetError {
     }
 }
 
-impl Transport for TcpTransport {
-    fn request(&mut self, request: &Message) -> Result<Message, NetError> {
-        let result = self.exchange(request);
-        if matches!(result, Err(NetError::Timeout)) && self.trace.is_enabled() {
-            self.trace.record(EventKind::Timeout {
-                librarian: self.librarian,
-            });
-        }
-        result
-    }
-
-    fn stats(&self) -> TrafficStats {
-        self.stats
-    }
-
-    fn last_exchange(&self) -> (u64, u64) {
-        self.last
-    }
-
-    fn set_trace(&mut self, trace: TraceSink, librarian: u32) {
-        self.trace = trace;
-        self.librarian = librarian;
-    }
-
-    fn last_server_timings(&self) -> Option<ServerTimings> {
-        self.last_timings
-    }
-}
-
-impl TcpTransport {
-    /// One length-prefixed request/response exchange over the socket.
-    /// A tracing transport wraps the request in a v1 envelope carrying
-    /// the span context, which asks the server to echo its phase
-    /// timings; an untraced one sends the bare message, byte-for-byte
-    /// the PR-wire of earlier releases. Either way only the inner
-    /// message payload is counted — envelopes are framing overhead.
-    fn exchange(&mut self, request: &Message) -> Result<Message, NetError> {
-        self.last_timings = None;
-        let encoded = request.encode();
-        let span = if self.trace.is_enabled() && !request.is_admin() {
-            Some(SpanContext::sampled(
-                self.trace.current_trace_id(),
-                self.librarian,
-            ))
-        } else {
-            None
-        };
-        match &span {
-            Some(span) => {
-                let framed = envelope_v1(None, Some(span), None, &encoded);
-                write_frame(&mut self.stream, &framed).map_err(map_timeout_frame_error)?;
-            }
-            None => write_frame(&mut self.stream, &encoded).map_err(map_timeout_frame_error)?,
-        }
-        let response_bytes = read_frame(&mut self.stream)
-            .map_err(map_timeout_frame_error)?
-            .ok_or(NetError::Disconnected)?;
-        let env = split_envelope(&response_bytes)?;
-        self.last_timings = env.timings;
-        let payload = env.message;
-        self.stats.round_trips += 1;
-        self.stats.bytes_sent += encoded.len() as u64;
-        self.stats.bytes_received += payload.len() as u64;
-        self.last = (encoded.len() as u64, payload.len() as u64);
-        let response = Message::decode(payload)?;
-        match response {
-            Message::Error { message } => Err(NetError::Remote(message)),
-            Message::Unavailable { message } => Err(NetError::Unavailable(message)),
-            response => Ok(response),
-        }
-    }
-}
-
 /// Sizing for a [`TcpServer`]'s bounded worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Worker threads draining the correlated-request queue. Each
+    /// Worker threads draining the request queue. Each
     /// worker is pinned to one service replica (`worker % replicas`),
     /// so concurrency across replicas needs at least as many workers.
     pub workers: usize,
-    /// Bound on queued correlated requests. A full queue blocks the
+    /// Bound on queued requests. A full queue blocks the
     /// connection readers, which backpressures clients through TCP
     /// flow control instead of growing memory without bound.
     pub queue_depth: usize,
@@ -263,18 +128,14 @@ impl Default for ServerOptions {
     }
 }
 
-/// A correlated request waiting for a worker: the decoded-frame bytes,
-/// the id to echo, the connection to answer on, and — for v1
-/// envelopes — the span context it carried plus the enqueue instant,
-/// so the worker can attribute queue wait.
+/// A request waiting for a worker: the encoded message, the
+/// correlation id to echo, the connection to answer on, and the span
+/// context it carried if any.
 struct Job {
     corr: u64,
     request: Vec<u8>,
     writer: Arc<Mutex<TcpStream>>,
-    /// Span context carried by a v1 envelope, if any.
     span: Option<SpanContext>,
-    /// Reply with a v1 envelope echoing server phase timings.
-    reply_v1: bool,
     /// When the reader enqueued the job; queue wait is measured from
     /// here to the worker's pop.
     created: Instant,
@@ -381,8 +242,7 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 impl TcpServer {
     /// Serves `service` on `addr` (use port 0 for an ephemeral port)
     /// with default [`ServerOptions`]. Each connection gets a reader
-    /// thread; plain requests on one connection are sequential,
-    /// correlated requests go through the worker pool.
+    /// thread; every request goes through the worker pool.
     ///
     /// # Errors
     ///
@@ -399,8 +259,7 @@ impl TcpServer {
     /// under explicit pool sizing. Every replica must answer any request
     /// identically (e.g. librarians built over the same collection):
     /// each worker is pinned to `replica = worker % replicas`, so with
-    /// `workers == replicas` correlated requests run lock-free in
-    /// parallel, while plain connections share replicas round-robin.
+    /// `workers == replicas` requests run lock-free in parallel.
     ///
     /// # Panics
     ///
@@ -443,7 +302,6 @@ impl TcpServer {
         let accept_traffic = Arc::clone(&traffic);
         let accept_queue = Arc::clone(&queue);
         let accept_thread = std::thread::spawn(move || {
-            let mut conn_id = 0usize;
             // Nonblocking accept + short poll: shutdown needs no
             // self-connect trick and cannot be missed.
             while !shutdown_flag.load(Ordering::SeqCst) {
@@ -454,8 +312,6 @@ impl TcpServer {
                         if stream.set_nonblocking(false).is_err() {
                             continue;
                         }
-                        let service = Arc::clone(&replicas[conn_id % replicas.len()]);
-                        conn_id = conn_id.wrapping_add(1);
                         let conn_shutdown = Arc::clone(&shutdown_flag);
                         let conn_traffic = Arc::clone(&accept_traffic);
                         let conn_queue = Arc::clone(&accept_queue);
@@ -467,7 +323,6 @@ impl TcpServer {
                         std::thread::spawn(move || {
                             let _ = serve_connection(
                                 stream,
-                                &service,
                                 &conn_shutdown,
                                 &conn_traffic,
                                 &conn_queue,
@@ -498,9 +353,9 @@ impl TcpServer {
 
     /// Aggregate traffic served so far, across all connection threads.
     /// Directions are from the server's perspective: `bytes_received`
-    /// counts requests, `bytes_sent` responses. Correlated frames are
-    /// counted by their message payload only (the envelope is framing
-    /// overhead), so totals mirror the clients' counters exactly.
+    /// counts requests, `bytes_sent` responses. Frames are counted by
+    /// their message payload only (the envelope is framing overhead),
+    /// so totals mirror the clients' counters exactly.
     pub fn traffic(&self) -> TrafficStats {
         self.traffic.snapshot()
     }
@@ -528,99 +383,29 @@ impl Drop for TcpServer {
     }
 }
 
-/// Runs the service over one decoded request payload under a single
-/// service lock, harvesting the service's scan/rank phase measurement
-/// when `timed`. Returns the response and `(scan, rank)` microseconds.
-fn handle_timed<S: Service>(
-    payload: &[u8],
-    service: &Arc<Mutex<S>>,
-    timed: bool,
-) -> (Message, Option<(u64, u64)>) {
-    let mut svc = service.lock().unwrap_or_else(PoisonError::into_inner);
-    match Message::decode(payload) {
-        Ok(request) => {
-            let response = svc.handle(request);
-            let phases = if timed {
-                svc.take_phase_timings()
-            } else {
-                None
-            };
-            (response, phases)
-        }
-        Err(e) => (
-            Message::Error {
-                message: format!("bad request: {e}"),
-            },
-            None,
-        ),
-    }
-}
-
-/// Runs the service over one decoded request payload.
-fn handle_payload<S: Service>(payload: &[u8], service: &Arc<Mutex<S>>) -> Message {
-    handle_timed(payload, service, false).0
-}
-
-/// Drains the job queue until closed-and-empty: decode, serve, reply
-/// under the connection's writer lock. Write failures mean the client
-/// is gone; the job is simply dropped.
-///
-/// For v1 jobs the worker is the server-side clock: queue wait is the
-/// enqueue-to-pop gap, scan/rank come from the service's own phase
-/// measurement, and serialize is the encode time; the reply echoes all
-/// four in its envelope. Span-carrying jobs additionally hand the
-/// timings back to the service (a second, brief lock) so it can keep
-/// server-side totals and flight exemplars — requests without a span
-/// never pay that re-lock.
-fn worker_loop<S: Service>(
-    queue: &JobQueue,
-    service: &Arc<Mutex<S>>,
-    traffic: &AtomicTrafficStats,
-) {
+/// Drains the job queue until closed-and-empty: serve, reply under the
+/// connection's writer lock. Write failures mean the client is gone;
+/// the job is simply dropped. The worker is the server-side clock for
+/// queue wait: the enqueue-to-pop gap.
+fn worker_loop<S: Service>(queue: &JobQueue, service: &Mutex<S>, traffic: &AtomicTrafficStats) {
     while let Some(job) = queue.pop() {
-        let timed = job.reply_v1 || job.span.is_some();
-        let queue_micros = if timed {
-            elapsed_micros(job.created)
-        } else {
-            0
-        };
-        let (response, phases) = handle_timed(&job.request, service, timed);
-        let encode_started = Instant::now();
-        let encoded = response.encode();
+        let queue_micros = elapsed_micros(job.created);
+        let (encoded, timings) = serve(service, &job.request, job.span.as_ref(), queue_micros);
         traffic.record(encoded.len() as u64, job.request.len() as u64);
-        let framed = if timed {
-            let (scan, rank) = phases.unwrap_or((0, 0));
-            let timings = ServerTimings {
-                queue_micros,
-                scan_micros: scan,
-                rank_micros: rank,
-                serialize_micros: elapsed_micros(encode_started),
-            };
-            if let Some(span) = &job.span {
-                service
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .note_server_timings(&timings, Some(span));
-            }
-            envelope_v1(Some(job.corr), None, Some(&timings), &encoded)
-        } else {
-            mux_envelope(job.corr, &encoded)
-        };
+        let framed = envelope(job.corr, None, timings.as_ref(), &encoded);
         let mut w = job.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = write_frame(&mut *w, &framed);
     }
 }
 
-fn serve_connection<S: Service>(
+fn serve_connection(
     stream: TcpStream,
-    service: &Arc<Mutex<S>>,
     shutdown: &AtomicBool,
     traffic: &AtomicTrafficStats,
-    queue: &Arc<JobQueue>,
+    queue: &JobQueue,
 ) -> Result<(), NetError> {
     stream.set_nodelay(true)?;
-    // Workers answer correlated frames out of order while this thread
-    // answers plain frames in order; the shared writer lock keeps their
+    // Workers answer out of order; the shared writer lock keeps their
     // frames from interleaving mid-write.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let mut reader = stream;
@@ -631,62 +416,30 @@ fn serve_connection<S: Service>(
             break;
         }
         match split_envelope(&frame) {
-            Ok(env) if env.corr.is_some() => {
+            Ok(env) => {
                 let job = Job {
-                    corr: env.corr.expect("guarded"),
+                    corr: env.corr,
                     request: env.message.to_vec(),
                     writer: Arc::clone(&writer),
                     span: env.span,
-                    reply_v1: frame.first() == Some(&MUX_V1_TAG),
                     created: Instant::now(),
                 };
                 if !queue.push(job) {
                     break; // queue closed: shutting down
                 }
             }
-            Ok(env) if frame.first() == Some(&MUX_V1_TAG) => {
-                // A v1 envelope without a correlation id: an in-order
-                // exchange that still wants span timing. Served inline
-                // like a plain frame (queue wait is zero by
-                // construction), replying with a v1 timings echo.
-                let message = env.message.to_vec();
-                let span = env.span;
-                let (response, phases) = handle_timed(&message, service, true);
-                let encode_started = Instant::now();
-                let encoded = response.encode();
-                traffic.record(encoded.len() as u64, message.len() as u64);
-                let (scan, rank) = phases.unwrap_or((0, 0));
-                let timings = ServerTimings {
-                    queue_micros: 0,
-                    scan_micros: scan,
-                    rank_micros: rank,
-                    serialize_micros: elapsed_micros(encode_started),
-                };
-                if let Some(span) = &span {
-                    service
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .note_server_timings(&timings, Some(span));
-                }
-                let framed = envelope_v1(None, None, Some(&timings), &encoded);
-                let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                write_frame(&mut *w, &framed)?;
-            }
-            Ok(_) => {
-                let response = handle_payload(&frame, service);
-                let encoded = response.encode();
-                traffic.record(encoded.len() as u64, frame.len() as u64);
-                let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                write_frame(&mut *w, &encoded)?;
-            }
             Err(e) => {
+                // The peer does not speak this protocol, so there is no
+                // correlation id to answer under: say so once, as the
+                // bare message any version can decode, and hang up.
                 let response = Message::Error {
                     message: format!("bad request: {e}"),
-                };
-                let encoded = response.encode();
-                traffic.record(encoded.len() as u64, frame.len() as u64);
+                }
+                .encode();
+                traffic.record(response.len() as u64, frame.len() as u64);
                 let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                write_frame(&mut *w, &encoded)?;
+                write_frame(&mut *w, &response)?;
+                break;
             }
         }
     }
@@ -696,7 +449,8 @@ fn serve_connection<S: Service>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::split_mux_envelope;
+    use crate::mux::MuxTransport;
+    use crate::transport::Transport;
 
     struct Doubler;
 
@@ -718,7 +472,7 @@ mod tests {
     #[test]
     fn tcp_roundtrip_on_loopback() {
         let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut client = TcpTransport::connect(server.addr()).unwrap();
+        let mut client = MuxTransport::connect(server.addr()).unwrap();
         let resp = client
             .request(&Message::RankRequest {
                 query_id: 21,
@@ -740,7 +494,7 @@ mod tests {
     #[test]
     fn multiple_sequential_requests_share_a_connection() {
         let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut client = TcpTransport::connect(server.addr()).unwrap();
+        let mut client = MuxTransport::connect(server.addr()).unwrap();
         for i in 0..10 {
             let resp = client
                 .request(&Message::RankRequest {
@@ -762,7 +516,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
-                    let mut client = TcpTransport::connect(addr).unwrap();
+                    let mut client = MuxTransport::connect(addr).unwrap();
                     for j in 0..5 {
                         let resp = client
                             .request(&Message::RankRequest {
@@ -792,7 +546,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let mut client = TcpTransport::connect(addr).unwrap();
+                    let mut client = MuxTransport::connect(addr).unwrap();
                     for j in 0..5 {
                         client
                             .request(&Message::RankRequest {
@@ -819,71 +573,10 @@ mod tests {
     }
 
     #[test]
-    fn remote_error_surfaces_as_neterror() {
-        let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut client = TcpTransport::connect(server.addr()).unwrap();
-        let err = client.request(&Message::StatsRequest).unwrap_err();
-        assert_eq!(err, NetError::Remote("nope".into()));
-        server.shutdown();
-    }
-
-    #[test]
-    fn stats_track_wire_bytes() {
-        let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut client = TcpTransport::connect(server.addr()).unwrap();
-        let req = Message::RankRequest {
-            query_id: 1,
-            k: 1,
-            terms: vec![("term".into(), 2)],
-        };
-        client.request(&req).unwrap();
-        assert_eq!(client.stats().bytes_sent, req.wire_len() as u64);
-        assert!(client.stats().bytes_received > 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn silent_server_times_out_within_the_deadline() {
-        use std::time::Instant;
-        // A listener that accepts but never reads or replies.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let hold = std::thread::spawn(move || {
-            // Keep accepted sockets alive until the test is done.
-            let mut held = Vec::new();
-            while let Ok((stream, _)) = listener.accept() {
-                held.push(stream);
-                if !held.is_empty() {
-                    std::thread::sleep(Duration::from_millis(400));
-                    break;
-                }
-            }
-        });
-        let deadline = Duration::from_millis(100);
-        let mut client = TcpTransport::connect_with_deadline(addr, deadline).unwrap();
-        let start = Instant::now();
-        let err = client
-            .request(&Message::RankRequest {
-                query_id: 1,
-                k: 1,
-                terms: vec![],
-            })
-            .unwrap_err();
-        let elapsed = start.elapsed();
-        assert_eq!(err, NetError::Timeout);
-        assert!(err.is_transient());
-        assert!(
-            elapsed >= deadline && elapsed < deadline * 3,
-            "timed out after {elapsed:?} with deadline {deadline:?}"
-        );
-        hold.join().unwrap();
-    }
-
-    #[test]
     fn deadline_connect_to_healthy_server_works_normally() {
         let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
         let mut client =
-            TcpTransport::connect_with_deadline(server.addr(), Duration::from_secs(5)).unwrap();
+            MuxTransport::connect_with_deadline(server.addr(), Duration::from_secs(5)).unwrap();
         let resp = client
             .request(&Message::RankRequest {
                 query_id: 3,
@@ -904,7 +597,7 @@ mod tests {
             "127.0.0.1:0",
         )
         .unwrap();
-        let mut client = TcpTransport::connect(server.addr()).unwrap();
+        let mut client = MuxTransport::connect(server.addr()).unwrap();
         let err = client.request(&Message::StatsRequest).unwrap_err();
         assert_eq!(err, NetError::Unavailable("compacting".into()));
         assert!(err.is_transient());
@@ -920,8 +613,8 @@ mod tests {
         use std::time::Instant;
         let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
         // Two idle clients hold connections open across shutdown.
-        let _idle_a = TcpTransport::connect(server.addr()).unwrap();
-        let _idle_b = TcpTransport::connect(server.addr()).unwrap();
+        let _idle_a = MuxTransport::connect(server.addr()).unwrap();
+        let _idle_b = MuxTransport::connect(server.addr()).unwrap();
         let start = Instant::now();
         server.shutdown();
         assert!(
@@ -931,9 +624,9 @@ mod tests {
         );
     }
 
-    /// Raw correlated frames over one connection: replies echo the
-    /// correlation id and the worker pool serves them even when sent
-    /// back-to-back without waiting.
+    /// Raw frames over one connection: replies echo the correlation id
+    /// and the worker pool serves them even when sent back-to-back
+    /// without waiting.
     #[test]
     fn correlated_frames_pipeline_on_one_connection() {
         use std::collections::HashMap;
@@ -955,15 +648,16 @@ mod tests {
                 k: 1,
                 terms: vec![],
             };
-            write_frame(&mut stream, &mux_envelope(corr, &req.encode())).unwrap();
+            write_frame(&mut stream, &envelope(corr, None, None, &req.encode())).unwrap();
         }
         let mut seen: HashMap<u64, u32> = HashMap::new();
         for _ in 0..n {
             let frame = read_frame(&mut stream).unwrap().unwrap();
-            let (corr, payload) = split_mux_envelope(&frame).unwrap().unwrap();
-            match Message::decode(payload).unwrap() {
+            let env = split_envelope(&frame).unwrap();
+            assert_eq!(env.timings, None, "no span, no timings");
+            match Message::decode(env.message).unwrap() {
                 Message::RankResponse { query_id, .. } => {
-                    seen.insert(corr, query_id);
+                    seen.insert(env.corr, query_id);
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -977,57 +671,73 @@ mod tests {
         server.shutdown();
     }
 
-    /// Plain and correlated frames may share one connection: plain
-    /// replies keep their strict ordering while correlated ones flow
-    /// through the pool.
+    /// A span on the request is what asks for timings on the reply, and
+    /// the service hears about them; the queue wait is the worker's own
+    /// measurement.
     #[test]
-    fn plain_and_correlated_frames_share_a_connection() {
-        let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let rank = |id: u32| Message::RankRequest {
-            query_id: id,
-            k: 1,
-            terms: vec![],
-        };
-        // A correlated request, then a plain one, without waiting.
-        write_frame(&mut stream, &mux_envelope(99, &rank(7).encode())).unwrap();
-        write_frame(&mut stream, &rank(8).encode()).unwrap();
-        let mut plain = None;
-        let mut correlated = None;
-        for _ in 0..2 {
-            let frame = read_frame(&mut stream).unwrap().unwrap();
-            match split_mux_envelope(&frame).unwrap() {
-                Some((corr, payload)) => {
-                    assert_eq!(corr, 99);
-                    correlated = Some(Message::decode(payload).unwrap());
-                }
-                None => plain = Some(Message::decode(&frame).unwrap()),
+    fn a_span_on_the_request_buys_timings_on_the_reply() {
+        use std::sync::atomic::AtomicU64;
+        struct Noting(Arc<AtomicU64>);
+        impl Service for Noting {
+            fn handle(&mut self, request: Message) -> Message {
+                Doubler.handle(request)
+            }
+            fn take_phase_timings(&mut self) -> Option<(u64, u64)> {
+                Some((11, 22))
+            }
+            fn note_server_timings(
+                &mut self,
+                timings: &teraphim_obs::ServerTimings,
+                span: Option<&SpanContext>,
+            ) {
+                assert_eq!((timings.scan_micros, timings.rank_micros), (11, 22));
+                assert_eq!(span.map(|s| s.trace_id), Some(77));
+                self.0.fetch_add(1, Ordering::SeqCst);
             }
         }
-        assert!(
-            matches!(correlated, Some(Message::RankResponse { query_id: 14, .. })),
-            "{correlated:?}"
-        );
-        assert!(
-            matches!(plain, Some(Message::RankResponse { query_id: 16, .. })),
-            "{plain:?}"
-        );
+        let noted = Arc::new(AtomicU64::new(0));
+        let server = TcpServer::spawn(Noting(Arc::clone(&noted)), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let req = Message::RankRequest {
+            query_id: 1,
+            k: 1,
+            terms: vec![],
+        }
+        .encode();
+        let span = SpanContext::sampled(77, 0);
+        write_frame(&mut stream, &envelope(4, Some(&span), None, &req)).unwrap();
+        let frame = read_frame(&mut stream).unwrap().unwrap();
+        let env = split_envelope(&frame).unwrap();
+        assert_eq!(env.corr, 4);
+        let timings = env.timings.expect("sampled request");
+        assert_eq!((timings.scan_micros, timings.rank_micros), (11, 22));
+        assert_eq!(noted.load(Ordering::SeqCst), 1);
         server.shutdown();
     }
 
-    /// A corrupt mux envelope answers a plain protocol error instead of
-    /// killing the connection.
+    /// A peer that does not speak the envelope — a bare message frame,
+    /// as clients before the single envelope sent, or a truncated
+    /// envelope — is told so once and disconnected; it never reaches
+    /// the service.
     #[test]
-    fn corrupt_envelope_answers_an_error_frame() {
-        let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write_frame(&mut stream, &[crate::wire::MUX_TAG]).unwrap();
-        let frame = read_frame(&mut stream).unwrap().unwrap();
-        assert!(matches!(
-            Message::decode(&frame).unwrap(),
-            Message::Error { .. }
-        ));
-        server.shutdown();
+    fn a_non_envelope_frame_is_answered_once_and_the_connection_closed() {
+        let bare = Message::RankRequest {
+            query_id: 8,
+            k: 1,
+            terms: vec![],
+        }
+        .encode();
+        for payload in [bare, vec![crate::wire::ENVELOPE_TAG]] {
+            let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            write_frame(&mut stream, &payload).unwrap();
+            let frame = read_frame(&mut stream).unwrap().unwrap();
+            assert!(
+                matches!(Message::decode(&frame), Ok(Message::Error { ref message }) if message.starts_with("bad request")),
+                "{frame:?}"
+            );
+            assert_eq!(read_frame(&mut stream).unwrap(), None, "closed after one");
+            server.shutdown();
+        }
     }
 }

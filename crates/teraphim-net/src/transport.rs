@@ -11,7 +11,13 @@ use crate::message::Message;
 use crate::NetError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Instant;
 use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
+
+/// Saturating microseconds for span timing.
+pub(crate) fn elapsed_micros(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
 
 /// The server side of the protocol: anything that can answer a request.
 pub trait Service: Send {
@@ -42,6 +48,64 @@ pub trait Service: Send {
 impl<F: FnMut(Message) -> Message + Send> Service for F {
     fn handle(&mut self, request: Message) -> Message {
         self(request)
+    }
+}
+
+/// The server side of one exchange, shared by every transport: decode
+/// `request`, run the service, encode its response. Returns the encoded
+/// response, and for a sampled request — one carrying a `span` — the
+/// server's phase timings: `queue_micros` is the caller's measurement
+/// of how long the request waited before this call, scan/rank come from
+/// the service's own clocks (taken under the same lock as `handle`),
+/// serialize is the encode. Sampled timings are also handed back to the
+/// service (a second, brief lock) for its ledgers and flight exemplars;
+/// unsampled requests never pay for the takeout or the re-lock.
+pub(crate) fn serve<S: Service>(
+    service: &Mutex<S>,
+    request: &[u8],
+    span: Option<&SpanContext>,
+    queue_micros: u64,
+) -> (Vec<u8>, Option<ServerTimings>) {
+    let request = match Message::decode(request) {
+        Ok(request) => request,
+        Err(e) => {
+            let response = Message::Error {
+                message: format!("bad request: {e}"),
+            };
+            return (response.encode(), None);
+        }
+    };
+    let (response, phases) = {
+        let mut service = service.lock().unwrap_or_else(PoisonError::into_inner);
+        let response = service.handle(request);
+        (response, span.and_then(|_| service.take_phase_timings()))
+    };
+    let encode_started = Instant::now();
+    let encoded = response.encode();
+    let timings = span.map(|span| {
+        let (scan_micros, rank_micros) = phases.unwrap_or((0, 0));
+        let timings = ServerTimings {
+            queue_micros,
+            scan_micros,
+            rank_micros,
+            serialize_micros: elapsed_micros(encode_started),
+        };
+        service
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .note_server_timings(&timings, Some(span));
+        timings
+    });
+    (encoded, timings)
+}
+
+/// The client side of a reply: decode it, and lift the protocol's error
+/// messages into their typed [`NetError`]s.
+pub(crate) fn decode_reply(payload: &[u8]) -> Result<Message, NetError> {
+    match Message::decode(payload)? {
+        Message::Error { message } => Err(NetError::Remote(message)),
+        Message::Unavailable { message } => Err(NetError::Unavailable(message)),
+        response => Ok(response),
     }
 }
 
@@ -297,76 +361,36 @@ impl<S: Service> InProcTransport<S> {
 impl<S: Service> Transport for InProcTransport<S> {
     fn request(&mut self, request: &Message) -> Result<Message, NetError> {
         let encoded = request.encode();
-        // Decode on the "server side" to prove the codec carries
-        // everything the service needs.
-        let decoded = Message::decode(&encoded)?;
         let traced = self.trace.is_enabled();
-        // Admin polls stay span-free (as on the wire transports): no
-        // phase takeout, no server-side note, no timings echo. Timeout
-        // events still record for any traced request.
-        let sampling = traced && !request.is_admin();
-        let started = std::time::Instant::now();
-        let (response, phase_timings) = {
-            let mut service = self.service.lock().unwrap_or_else(PoisonError::into_inner);
-            let response = service.handle(decoded);
-            // Only sampled requests pay for the timing takeout.
-            let timings = if sampling {
-                service.take_phase_timings()
-            } else {
-                None
-            };
-            (response, timings)
-        };
-        if let Some(deadline) = self.deadline {
-            if started.elapsed() > deadline {
-                // The request went out but the caller stopped waiting:
-                // count what was sent, drop the late response.
-                self.stats.round_trips += 1;
-                self.stats.bytes_sent += encoded.len() as u64;
-                self.last = (encoded.len() as u64, 0);
-                self.last_timings = None;
-                if traced {
-                    self.trace.record(EventKind::Timeout {
-                        librarian: self.librarian,
-                    });
-                }
-                return Err(NetError::Timeout);
+        // Admin polls stay span-free (as on the wire): no phase
+        // takeout, no server-side note, no timings echo. Timeout events
+        // still record for any traced request.
+        let span = (traced && !request.is_admin())
+            .then(|| SpanContext::sampled(self.trace.current_trace_id(), self.librarian));
+        let started = Instant::now();
+        // In-process: no worker queue, so queue wait is truly 0.
+        let (response_bytes, timings) = serve(&self.service, &encoded, span.as_ref(), 0);
+        let elapsed = started.elapsed();
+        if self.deadline.is_some_and(|deadline| elapsed > deadline) {
+            // The request went out but the caller stopped waiting:
+            // count what was sent, drop the late response.
+            self.stats.round_trips += 1;
+            self.stats.bytes_sent += encoded.len() as u64;
+            self.last = (encoded.len() as u64, 0);
+            self.last_timings = None;
+            if traced {
+                self.trace.record(EventKind::Timeout {
+                    librarian: self.librarian,
+                });
             }
+            return Err(NetError::Timeout);
         }
-        let encode_started = std::time::Instant::now();
-        let response_bytes = response.encode();
-        if sampling {
-            let (scan, rank) = phase_timings.unwrap_or((0, 0));
-            let timings = ServerTimings {
-                // In-process: no worker queue, so queue wait is truly 0.
-                queue_micros: 0,
-                scan_micros: scan,
-                rank_micros: rank,
-                serialize_micros: u64::try_from(encode_started.elapsed().as_micros())
-                    .unwrap_or(u64::MAX),
-            };
-            self.service
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .note_server_timings(
-                    &timings,
-                    Some(&SpanContext::sampled(
-                        self.trace.current_trace_id(),
-                        self.librarian,
-                    )),
-                );
-            self.last_timings = Some(timings);
-        }
+        self.last_timings = timings;
         self.stats.round_trips += 1;
         self.stats.bytes_sent += encoded.len() as u64;
         self.stats.bytes_received += response_bytes.len() as u64;
         self.last = (encoded.len() as u64, response_bytes.len() as u64);
-        let response = Message::decode(&response_bytes)?;
-        match response {
-            Message::Error { message } => Err(NetError::Remote(message)),
-            Message::Unavailable { message } => Err(NetError::Unavailable(message)),
-            response => Ok(response),
-        }
+        decode_reply(&response_bytes)
     }
 
     fn stats(&self) -> TrafficStats {

@@ -10,18 +10,13 @@
 //!
 //! Streams carry length-prefixed frames: a `u32` little-endian payload
 //! length followed by the payload ([`write_frame`] / [`read_frame`]).
-//! Two payload shapes share every stream:
-//!
-//! * a *plain* payload — one encoded [`crate::message::Message`],
-//!   answered in order on the same connection;
-//! * a *multiplexed* payload — the [`MUX_TAG`] marker byte, a v-byte
-//!   correlation id, then the encoded message. Correlated replies may
-//!   return in any order; the id routes each reply back to the exchange
-//!   that issued it, which is what lets hundreds of in-flight queries
-//!   pipeline over one connection.
-//!
-//! The marker byte cannot collide with a plain payload because message
-//! tags are small constants (well below [`MUX_TAG`]).
+//! Every payload, request or reply, is one envelope ([`envelope`] /
+//! [`split_envelope`]): the [`ENVELOPE_TAG`] marker, a version/flags
+//! byte, a v-byte correlation id, the optional sections the flags
+//! announce, then the encoded [`crate::message::Message`]. Replies may
+//! return in any order; the id routes each back to the exchange that
+//! issued it, which is what lets hundreds of in-flight queries pipeline
+//! over one connection.
 
 use crate::NetError;
 use std::io::{Read, Write};
@@ -100,11 +95,6 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
 /// Maximum accepted frame, guarding against corrupt length prefixes.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-/// Marks a frame payload as multiplexed: [`MUX_TAG`], a v-byte
-/// correlation id, then the encoded message. Plain payloads start with
-/// a message tag, all of which are far smaller than this value.
-pub const MUX_TAG: u8 = 0x80;
-
 /// Writes one length-prefixed frame. The prefix and payload go out in a
 /// single `write_all` so that, with `TCP_NODELAY` set, a small exchange
 /// costs one packet rather than two.
@@ -160,66 +150,32 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, NetError> {
     Ok(Some(payload))
 }
 
-/// Marks a frame payload as a *versioned* envelope: [`MUX_V1_TAG`], a
-/// version/flags byte, then the optional sections the flags announce
-/// (correlation id, [`SpanContext`], [`ServerTimings`]) and the encoded
-/// message. Like [`MUX_TAG`], the marker cannot collide with a plain
-/// payload — message tags are far smaller.
-///
-/// The fixed v0 layout (PR 6) had no room to grow: any new field would
-/// have silently broken old peers. The v1 envelope carries an explicit
-/// version nibble (readers reject versions they do not know, instead of
-/// misparsing) and a flags nibble (each optional section is announced,
-/// so a request without trace context costs zero extra bytes).
-pub const MUX_V1_TAG: u8 = 0x81;
+/// First byte of every frame payload. Message tags are small
+/// constants, so a bare message (or anything else that is not an
+/// envelope) can never start with it.
+pub const ENVELOPE_TAG: u8 = 0x81;
 
-/// v1 envelope version nibble (shifted into the high half of the
-/// version/flags byte).
-pub const ENVELOPE_VERSION: u8 = 1;
+/// Envelope version: the high nibble of the version/flags byte. Readers
+/// reject versions they do not know instead of misparsing them.
+pub const ENVELOPE_VERSION: u8 = 2;
 
-/// v1 flag: the envelope carries a v-byte correlation id.
-pub const ENV_CORR: u8 = 1;
-/// v1 flag: the envelope carries a [`SpanContext`].
-pub const ENV_SPAN: u8 = 1 << 1;
-/// v1 flag: the envelope carries [`ServerTimings`] (replies only).
-pub const ENV_TIMINGS: u8 = 1 << 2;
+/// Flag: the envelope carries a [`SpanContext`] (requests).
+pub const ENV_SPAN: u8 = 1;
+/// Flag: the envelope carries [`ServerTimings`] (replies).
+pub const ENV_TIMINGS: u8 = 1 << 1;
 
-/// A parsed frame payload: the envelope's optional sections plus the
-/// inner message bytes. Plain payloads parse with every option `None`.
+/// A parsed frame payload: the correlation id, the optional sections
+/// and the inner message bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope<'a> {
-    /// Correlation id, for multiplexed exchanges.
-    pub corr: Option<u64>,
+    /// Correlation id, echoed on the reply.
+    pub corr: u64,
     /// Trace context propagated by the client (requests).
     pub span: Option<SpanContext>,
     /// Server-side phase timings piggybacked by the server (replies).
     pub timings: Option<ServerTimings>,
     /// The encoded inner message.
     pub message: &'a [u8],
-}
-
-impl<'a> Envelope<'a> {
-    /// A plain payload: no envelope sections, the whole payload is the
-    /// message.
-    #[must_use]
-    pub fn plain(message: &'a [u8]) -> Self {
-        Envelope {
-            corr: None,
-            span: None,
-            timings: None,
-            message,
-        }
-    }
-}
-
-/// Builds a multiplexed frame payload: [`MUX_TAG`], the correlation id,
-/// the encoded message.
-pub fn mux_envelope(corr: u64, message: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 9 + message.len());
-    out.push(MUX_TAG);
-    put_uint(&mut out, corr);
-    out.extend_from_slice(message);
-    out
 }
 
 /// Appends a [`SpanContext`] in its wire form (defined here rather than
@@ -273,21 +229,16 @@ pub fn get_server_timings(buf: &[u8], pos: &mut usize) -> Result<ServerTimings, 
     })
 }
 
-/// Builds a v1 frame payload carrying any combination of correlation
-/// id, trace context and server timings. With only a correlation id the
-/// layout costs one byte more than [`mux_envelope`]; with nothing at
-/// all it still parses (a plain message in v1 clothing), which the
-/// per-call TCP path uses to request timings without a correlation id.
-pub fn envelope_v1(
-    corr: Option<u64>,
+/// Builds a frame payload: the correlation id, whichever of trace
+/// context and server timings are given, then the encoded message. A
+/// request without trace context costs no bytes for it.
+pub fn envelope(
+    corr: u64,
     span: Option<&SpanContext>,
     timings: Option<&ServerTimings>,
     message: &[u8],
 ) -> Vec<u8> {
     let mut flags = 0u8;
-    if corr.is_some() {
-        flags |= ENV_CORR;
-    }
     if span.is_some() {
         flags |= ENV_SPAN;
     }
@@ -295,11 +246,9 @@ pub fn envelope_v1(
         flags |= ENV_TIMINGS;
     }
     let mut out = Vec::with_capacity(2 + 9 + 16 + message.len());
-    out.push(MUX_V1_TAG);
+    out.push(ENVELOPE_TAG);
     out.push((ENVELOPE_VERSION << 4) | flags);
-    if let Some(corr) = corr {
-        put_uint(&mut out, corr);
-    }
+    put_uint(&mut out, corr);
     if let Some(span) = span {
         put_span_context(&mut out, span);
     }
@@ -310,77 +259,45 @@ pub fn envelope_v1(
     out
 }
 
-/// Parses any frame payload — plain, v0 mux, or v1 — into an
-/// [`Envelope`].
+/// Parses a frame payload into its [`Envelope`].
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Corrupt`] when an envelope marker is present but
-/// the envelope is truncated, or when a v1 envelope announces a version
-/// newer than this peer understands.
+/// Returns [`NetError::Corrupt`] when the payload does not start with
+/// [`ENVELOPE_TAG`], announces a version or flag this peer does not
+/// know, or is truncated inside the envelope.
 pub fn split_envelope(payload: &[u8]) -> Result<Envelope<'_>, NetError> {
-    match payload.first() {
-        Some(&MUX_TAG) => {
-            let mut pos = 1;
-            let corr = get_uint(payload, &mut pos)?;
-            Ok(Envelope {
-                corr: Some(corr),
-                span: None,
-                timings: None,
-                message: &payload[pos..],
-            })
-        }
-        Some(&MUX_V1_TAG) => {
-            let vf = *payload
-                .get(1)
-                .ok_or(NetError::Corrupt("envelope truncated"))?;
-            if vf >> 4 != ENVELOPE_VERSION {
-                return Err(NetError::Corrupt("unknown envelope version"));
-            }
-            let flags = vf & 0x0F;
-            let mut pos = 2;
-            let corr = if flags & ENV_CORR != 0 {
-                Some(get_uint(payload, &mut pos)?)
-            } else {
-                None
-            };
-            let span = if flags & ENV_SPAN != 0 {
-                Some(get_span_context(payload, &mut pos)?)
-            } else {
-                None
-            };
-            let timings = if flags & ENV_TIMINGS != 0 {
-                Some(get_server_timings(payload, &mut pos)?)
-            } else {
-                None
-            };
-            Ok(Envelope {
-                corr,
-                span,
-                timings,
-                message: &payload[pos..],
-            })
-        }
-        _ => Ok(Envelope::plain(payload)),
+    if payload.first() != Some(&ENVELOPE_TAG) {
+        return Err(NetError::Corrupt("not an envelope"));
     }
-}
-
-/// Splits a frame payload into its correlation id and message bytes, or
-/// `Ok(None)` when the payload is a plain (uncorrelated) message.
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] when the payload carries the
-/// [`MUX_TAG`] marker but the envelope is truncated.
-pub fn split_mux_envelope(payload: &[u8]) -> Result<Option<(u64, &[u8])>, NetError> {
-    match payload.first() {
-        Some(&MUX_TAG) => {
-            let mut pos = 1;
-            let corr = get_uint(payload, &mut pos)?;
-            Ok(Some((corr, &payload[pos..])))
-        }
-        _ => Ok(None),
+    let vf = *payload
+        .get(1)
+        .ok_or(NetError::Corrupt("envelope truncated"))?;
+    if vf >> 4 != ENVELOPE_VERSION {
+        return Err(NetError::Corrupt("unknown envelope version"));
     }
+    let flags = vf & 0x0F;
+    if flags & !(ENV_SPAN | ENV_TIMINGS) != 0 {
+        return Err(NetError::Corrupt("unknown envelope flags"));
+    }
+    let mut pos = 2;
+    let corr = get_uint(payload, &mut pos)?;
+    let span = if flags & ENV_SPAN != 0 {
+        Some(get_span_context(payload, &mut pos)?)
+    } else {
+        None
+    };
+    let timings = if flags & ENV_TIMINGS != 0 {
+        Some(get_server_timings(payload, &mut pos)?)
+    } else {
+        None
+    };
+    Ok(Envelope {
+        corr,
+        span,
+        timings,
+        message: &payload[pos..],
+    })
 }
 
 #[cfg(test)]
@@ -553,103 +470,84 @@ mod tests {
             .collect();
         let mut stream = Vec::new();
         for (i, m) in messages.iter().enumerate() {
-            write_frame(&mut stream, &mux_envelope(i as u64 + 7, &m.encode())).unwrap();
+            write_frame(
+                &mut stream,
+                &envelope(i as u64 + 7, None, None, &m.encode()),
+            )
+            .unwrap();
         }
         // Deliver one byte at a time: framing must still find every
         // message boundary.
         let mut r = ChunkedReader::new(stream, 1);
         for (i, m) in messages.iter().enumerate() {
             let frame = read_frame(&mut r).unwrap().unwrap();
-            let (corr, payload) = split_mux_envelope(&frame).unwrap().unwrap();
-            assert_eq!(corr, i as u64 + 7);
-            assert_eq!(&Message::decode(payload).unwrap(), m);
+            let env = split_envelope(&frame).unwrap();
+            assert_eq!(env.corr, i as u64 + 7);
+            assert_eq!(&Message::decode(env.message).unwrap(), m);
         }
         assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 
+    /// The envelope contract, one table: every section combination
+    /// round-trips, and everything that is not a whole envelope of the
+    /// known version is a typed `Corrupt` — never a misparse.
     #[test]
-    fn mux_envelope_roundtrip_and_plain_passthrough() {
-        let env = mux_envelope(300, b"payload");
-        assert_eq!(env[0], MUX_TAG);
-        let (corr, rest) = split_mux_envelope(&env).unwrap().unwrap();
-        assert_eq!(corr, 300);
-        assert_eq!(rest, b"payload");
-
-        // A plain message payload (tag byte is small) is not mux.
-        assert_eq!(split_mux_envelope(&[1, 2, 3]).unwrap(), None);
-        // Empty payloads are not mux either.
-        assert_eq!(split_mux_envelope(&[]).unwrap(), None);
-        // A truncated envelope is corrupt, not silently plain.
-        assert!(split_mux_envelope(&[MUX_TAG]).is_err());
-    }
-
-    #[test]
-    fn v1_envelope_roundtrips_every_flag_combination() {
+    fn envelope_contract() {
         let span = SpanContext::sampled(u64::MAX, 7);
         let timings = ServerTimings {
             queue_micros: 1_000_000,
             scan_micros: 0,
             rank_micros: 42,
-            serialize_micros: 3,
+            serialize_micros: 300,
         };
-        for corr in [None, Some(0u64), Some(u64::MAX)] {
+        for corr in [0u64, 300, u64::MAX] {
             for s in [None, Some(span)] {
                 for t in [None, Some(timings)] {
-                    let payload = envelope_v1(corr, s.as_ref(), t.as_ref(), b"inner message");
-                    assert_eq!(payload[0], MUX_V1_TAG);
-                    let env = split_envelope(&payload).unwrap();
-                    assert_eq!(env.corr, corr);
-                    assert_eq!(env.span, s);
-                    assert_eq!(env.timings, t);
-                    assert_eq!(env.message, b"inner message");
+                    let payload = envelope(corr, s.as_ref(), t.as_ref(), b"inner message");
+                    let want = Envelope {
+                        corr,
+                        span: s,
+                        timings: t,
+                        message: b"inner message",
+                    };
+                    assert_eq!(split_envelope(&payload), Ok(want));
+                    // Cut anywhere inside the sections (the message
+                    // itself is opaque here): truncated, not shorter.
+                    let sections = payload.len() - want.message.len();
+                    for cut in 0..sections {
+                        assert!(
+                            matches!(split_envelope(&payload[..cut]), Err(NetError::Corrupt(_))),
+                            "corr {corr} span {s:?} timings {t:?} cut {cut}"
+                        );
+                    }
                 }
             }
         }
-    }
+        // The sectionless envelope is three bytes of framing.
+        assert_eq!(envelope(5, None, None, b"m").len(), 3 + 1);
 
-    #[test]
-    fn old_format_frames_still_decode_through_split_envelope() {
-        // Satellite: the version/flags byte must not break v0 peers in
-        // either direction. Frames produced by the PR 6 layout parse
-        // unchanged through the new parser...
-        let old = mux_envelope(300, b"payload");
-        let env = split_envelope(&old).unwrap();
-        assert_eq!(env.corr, Some(300));
-        assert_eq!(env.span, None);
-        assert_eq!(env.timings, None);
-        assert_eq!(env.message, b"payload");
-        // ...and so do plain payloads.
-        let env = split_envelope(&[1, 2, 3]).unwrap();
-        assert_eq!(env, Envelope::plain(&[1, 2, 3][..]));
-        assert_eq!(split_envelope(&[]).unwrap().message, b"");
-        // A v1 envelope downgraded to corr-only still satisfies the old
-        // v0 parser's contract via its own tag... it must NOT, however,
-        // be mistaken for v0 by the old parser (different marker), so an
-        // old peer sees an unknown tag rather than garbage.
-        let v1 = envelope_v1(Some(5), None, None, b"m");
-        assert_eq!(split_mux_envelope(&v1).unwrap(), None, "not v0 mux");
-    }
-
-    #[test]
-    fn v1_corruption_is_detected_not_misparsed() {
-        // Truncations anywhere inside the envelope error out.
-        let span = SpanContext::sampled(99, 2);
-        let timings = ServerTimings {
-            queue_micros: 5,
-            scan_micros: 6,
-            rank_micros: 7,
-            serialize_micros: 300,
-        };
-        let payload = envelope_v1(Some(1000), Some(&span), Some(&timings), b"");
-        for cut in 1..payload.len() {
-            assert!(split_envelope(&payload[..cut]).is_err(), "cut {cut}");
+        let rejected: [(&str, &[u8], &str); 5] = [
+            ("empty payload", &[], "not an envelope"),
+            ("bare message", &[1, 2, 3], "not an envelope"),
+            ("PR 6 mux frame", &[0x80, 5, 1], "not an envelope"),
+            (
+                "PR 9 v1 envelope",
+                &[ENVELOPE_TAG, (1 << 4) | 1, 5, 1],
+                "unknown envelope version",
+            ),
+            (
+                "unannounced section",
+                &[ENVELOPE_TAG, (ENVELOPE_VERSION << 4) | (1 << 2), 5, 1],
+                "unknown envelope flags",
+            ),
+        ];
+        for (what, payload, why) in rejected {
+            assert_eq!(
+                split_envelope(payload),
+                Err(NetError::Corrupt(why)),
+                "{what}"
+            );
         }
-        // An unknown (future) version is rejected, never misparsed.
-        let future = [MUX_V1_TAG, 2 << 4, 0, 0];
-        assert!(matches!(
-            split_envelope(&future),
-            Err(NetError::Corrupt("unknown envelope version"))
-        ));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn server_phase_index(phase: &str) -> Option<usize> {
 pub const SPAN_SAMPLED: u8 = 1;
 
 /// The compact trace context a request carries across the wire (in the
-/// v1 frame envelope, see `teraphim-net::wire`): enough for a server to
+/// frame envelope, see `teraphim-net::wire`): enough for a server to
 /// tag its own measurements with the query they belong to, and for the
 /// client to stitch the reply's timings into the right span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

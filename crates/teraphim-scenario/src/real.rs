@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use teraphim_core::{CacheConfig, Librarian, QuerySession, Receptionist, ServePool};
 use teraphim_engine::Collection;
 use teraphim_net::mux::{MuxPool, MuxTransport};
-use teraphim_net::tcp::{TcpServer, TcpTransport};
+use teraphim_net::tcp::TcpServer;
 use teraphim_net::{
     DispatchMode, InProcTransport, Message, ReplicaGroup, RoutingTable, ServerOptions, Service,
     Transport,
@@ -630,9 +630,7 @@ impl TcpBackend {
         let mut prototype = Receptionist::new(
             replicas
                 .iter()
-                .map(|group| {
-                    TcpTransport::connect(group[0].server.addr()).expect("loopback connects")
-                })
+                .map(|group| MuxTransport::new(Arc::clone(&group[0].pool)))
                 .collect::<Vec<_>>(),
             Analyzer::default(),
         );

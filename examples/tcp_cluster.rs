@@ -8,7 +8,8 @@
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
-use teraphim::net::tcp::{TcpServer, TcpTransport};
+use teraphim::net::tcp::TcpServer;
+use teraphim::net::MuxTransport;
 use teraphim::text::Analyzer;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The receptionist connects to each.
     let transports = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()))
+        .map(|s| MuxTransport::connect(s.addr()))
         .collect::<Result<Vec<_>, _>>()?;
     let mut receptionist = Receptionist::new(transports, Analyzer::default());
     receptionist.enable_cv()?;

@@ -16,10 +16,10 @@ use proptest::prelude::*;
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
-use teraphim::net::tcp::{TcpServer, TcpTransport};
+use teraphim::net::tcp::TcpServer;
 use teraphim::net::{
-    DispatchMode, FaultPlan, FaultyService, FaultyTransport, InProcTransport, ReplicaGroup,
-    RoutingTable,
+    DispatchMode, FaultPlan, FaultyService, FaultyTransport, InProcTransport, MuxTransport,
+    ReplicaGroup, RoutingTable,
 };
 use teraphim::obs::{diff_json, EventKind, QueryTrace, SpanTree, TraceSink};
 use teraphim::scenario::{
@@ -472,7 +472,7 @@ fn golden_failover_trace_shared_by_inproc_and_tcp() {
                 .collect()
         })
         .collect();
-    let tcp_groups: Vec<ReplicaGroup<TcpTransport>> = servers
+    let tcp_groups: Vec<ReplicaGroup<MuxTransport>> = servers
         .iter()
         .enumerate()
         .map(|(s, replicas)| {
@@ -485,7 +485,7 @@ fn golden_failover_trace_shared_by_inproc_and_tcp() {
                         let id = if r == 0 { s as u32 } else { (n + s) as u32 };
                         (
                             id,
-                            TcpTransport::connect(server.addr()).expect("loopback connects"),
+                            MuxTransport::connect(server.addr()).expect("loopback connects"),
                         )
                     })
                     .collect(),

@@ -421,14 +421,15 @@ mod degraded_equivalence {
 #[test]
 fn transport_disconnect_is_an_error_not_a_hang() {
     // A TCP transport whose server dies mid-session.
-    use teraphim::net::tcp::{TcpServer, TcpTransport};
+    use teraphim::net::tcp::TcpServer;
+    use teraphim::net::MuxTransport;
     let server = TcpServer::spawn(
         Librarian::from_texts("A", &[("A-1", "cats")]),
         "127.0.0.1:0",
     )
     .unwrap();
     let addr = server.addr();
-    let mut transport = TcpTransport::connect(addr).unwrap();
+    let mut transport = MuxTransport::connect(addr).unwrap();
     // First request succeeds.
     let ok = transport.request(&Message::StatsRequest);
     assert!(ok.is_ok());

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use teraphim::core::health::{poll_fleet, HealthPolicy, HealthState};
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
-use teraphim::net::tcp::{TcpServer, TcpTransport};
-use teraphim::net::{FaultPlan, FaultyService, InProcTransport};
+use teraphim::net::tcp::TcpServer;
+use teraphim::net::{FaultPlan, FaultyService, InProcTransport, MuxTransport};
 use teraphim::obs::MetricsRegistry;
 use teraphim::text::Analyzer;
 
@@ -272,9 +272,9 @@ fn tcp_and_in_process_stats_produce_the_same_table_shape() {
         .into_iter()
         .map(|lib| TcpServer::spawn(lib, "127.0.0.1:0").unwrap())
         .collect();
-    let mut tcp_transports: Vec<TcpTransport> = servers
+    let mut tcp_transports: Vec<MuxTransport> = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()).unwrap())
+        .map(|s| MuxTransport::connect(s.addr()).unwrap())
         .collect();
     let tcp_report = poll_fleet(&mut tcp_transports, HealthPolicy::default());
 

@@ -2,7 +2,7 @@
 //! pipelining queries through multiplexed connections and a `ServePool`
 //! must produce byte-identical rankings to a sequential in-process
 //! oracle, keep all three traffic-accounting views in agreement, and
-//! preserve the fault/retry/deadline semantics of the per-call path.
+//! preserve the fault/retry/deadline semantics of the in-process path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use teraphim::core::{
 };
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::mux::{MuxPool, MuxTransport};
-use teraphim::net::tcp::{ServerOptions, TcpServer, TcpTransport};
+use teraphim::net::tcp::{ServerOptions, TcpServer};
 use teraphim::net::{
     DispatchMode, FaultPlan, FaultyTransport, InProcTransport, RetryPolicy, RetryTransport,
     TcpOptions,
@@ -64,7 +64,7 @@ fn concurrent_pipelined_sessions_match_the_sequential_oracle() {
     let mut prototype = Receptionist::new(
         servers
             .iter()
-            .map(|s| TcpTransport::connect(s.addr()).unwrap())
+            .map(|s| MuxTransport::connect(s.addr()).unwrap())
             .collect::<Vec<_>>(),
         Analyzer::default(),
     );
@@ -143,7 +143,7 @@ fn session_accounting_agrees_three_ways_under_concurrency() {
     let prototype = Receptionist::new(
         servers
             .iter()
-            .map(|s| TcpTransport::connect(s.addr()).unwrap())
+            .map(|s| MuxTransport::connect(s.addr()).unwrap())
             .collect::<Vec<_>>(),
         Analyzer::default(),
     );
@@ -337,8 +337,8 @@ fn mux_faults_and_retries_match_the_inproc_oracle() {
 
 /// A librarian that accepts the multiplexed connection but never replies
 /// must trip the per-request deadline (once per retry attempt) and be
-/// degraded out — same contract the per-call TCP path proved in
-/// `tcp_e2e`, now with the reply awaited through the reactor thread.
+/// degraded out — the contract `tcp_e2e` traces event by event under
+/// concurrent dispatch, here with every request pipelined.
 #[test]
 fn silent_librarian_times_out_over_mux_and_degrades() {
     let texts: [(&str, &[(&str, &str)]); 3] = [

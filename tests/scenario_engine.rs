@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use teraphim::core::{Librarian, Receptionist};
 use teraphim::net::mux::MuxTransport;
-use teraphim::net::tcp::{TcpServer, TcpTransport};
+use teraphim::net::tcp::TcpServer;
 use teraphim::net::{DispatchMode, ServerOptions};
 use teraphim::scenario::{
     compare_reports, differential, doublecheck, generate_plan, run_plan, shrink_plan,
@@ -546,7 +546,7 @@ fn killed_connection_mid_pipelined_batch_degrades_not_hangs() {
     let mut prototype = Receptionist::new(
         servers
             .iter()
-            .map(|s| TcpTransport::connect(s.addr()).unwrap())
+            .map(|s| MuxTransport::connect(s.addr()).unwrap())
             .collect::<Vec<_>>(),
         Analyzer::default(),
     );

@@ -3,8 +3,8 @@
 
 use teraphim::core::{CiParams, DistributedCollection, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
-use teraphim::net::tcp::{TcpServer, TcpTransport};
-use teraphim::net::{InProcTransport, RetryPolicy, RetryTransport};
+use teraphim::net::tcp::TcpServer;
+use teraphim::net::{InProcTransport, MuxTransport, RetryPolicy, RetryTransport};
 use teraphim::obs::{diff_json, EventKind, TraceSink};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
@@ -41,9 +41,9 @@ fn tcp_and_inproc_agree_on_all_methodologies() {
             .unwrap()
         })
         .collect();
-    let transports: Vec<TcpTransport> = servers
+    let transports: Vec<MuxTransport> = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()).unwrap())
+        .map(|s| MuxTransport::connect(s.addr()).unwrap())
         .collect();
     let mut tcp = Receptionist::new(transports, Analyzer::default());
     tcp.enable_cv().unwrap();
@@ -81,7 +81,7 @@ fn tcp_and_inproc_agree_on_all_methodologies() {
 }
 
 /// One librarian accepts the TCP connection but never replies: the
-/// receptionist's read deadline must fire (once per retry attempt), the
+/// receptionist's reply deadline must fire (once per retry attempt), the
 /// query must degrade (not hang), the other librarians' results must
 /// come through intact, and the trace must record the exact
 /// timeout/retry sequence the deadline configuration implies.
@@ -115,7 +115,7 @@ fn silent_librarian_degrades_within_the_deadline() {
     };
     let connect = |addr: std::net::SocketAddr, lib: u32| {
         RetryTransport::new(
-            TcpTransport::connect_with_deadline(addr, deadline)
+            MuxTransport::connect_with_deadline(addr, deadline)
                 .unwrap()
                 .with_trace(sink.clone(), lib),
             policy,
@@ -273,7 +273,7 @@ fn tcp_and_inproc_emit_identical_normalized_traces() {
         let mut tcp = Receptionist::new(
             servers
                 .iter()
-                .map(|s| TcpTransport::connect(s.addr()).unwrap())
+                .map(|s| MuxTransport::connect(s.addr()).unwrap())
                 .collect(),
             Analyzer::default(),
         );
@@ -324,8 +324,8 @@ fn tcp_spans_phase_ledger_and_flight_recorder_agree() {
     let mut r = Receptionist::new(
         servers
             .iter()
-            .map(|s| TcpTransport::connect(s.addr()).unwrap())
-            .collect::<Vec<TcpTransport>>(),
+            .map(|s| MuxTransport::connect(s.addr()).unwrap())
+            .collect::<Vec<MuxTransport>>(),
         Analyzer::default(),
     );
     let sink = r.enable_tracing();
@@ -342,7 +342,7 @@ fn tcp_spans_phase_ledger_and_flight_recorder_agree() {
         .iter()
         .enumerate()
         .map(|(i, server)| {
-            let mut t = TcpTransport::connect(server.addr()).unwrap();
+            let mut t = MuxTransport::connect(server.addr()).unwrap();
             let reply = t
                 .request(&teraphim::net::Message::FlightRecRequest)
                 .unwrap();
@@ -446,7 +446,7 @@ fn tcp_traffic_is_counted() {
         "127.0.0.1:0",
     )
     .unwrap();
-    let transport = TcpTransport::connect(server.addr()).unwrap();
+    let transport = MuxTransport::connect(server.addr()).unwrap();
     let mut r = Receptionist::new(vec![transport], Analyzer::default());
     r.query(Methodology::CentralNothing, "document", 5).unwrap();
     let traffic = r.traffic();

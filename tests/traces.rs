@@ -16,9 +16,10 @@ use std::time::Duration;
 use teraphim::core::sim::{SimDriver, SimMode};
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
-use teraphim::net::tcp::{TcpServer, TcpTransport};
+use teraphim::net::tcp::TcpServer;
 use teraphim::net::{
-    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, RetryPolicy, RetryTransport,
+    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport, RetryPolicy,
+    RetryTransport,
 };
 use teraphim::obs::{diff_json, EventKind, Phase, QueryTrace, SpanTree, TraceSink};
 use teraphim::simnet::{CostModel, Topology};
@@ -179,7 +180,7 @@ fn golden_traces_for_all_methodologies() {
 
 /// Runs one traced query against real TCP servers (one per
 /// subcollection), sequential dispatch — the wire path: span contexts
-/// travel in v1 envelopes and the servers echo measured phase timings,
+/// travel in the envelopes and the servers echo measured phase timings,
 /// which normalization then zeroes.
 fn tcp_trace(corpus: &SyntheticCorpus, methodology: Methodology, query: &str) -> QueryTrace {
     let servers: Vec<TcpServer> = corpus
@@ -193,9 +194,9 @@ fn tcp_trace(corpus: &SyntheticCorpus, methodology: Methodology, query: &str) ->
             .expect("loopback server spawns")
         })
         .collect();
-    let transports: Vec<TcpTransport> = servers
+    let transports: Vec<MuxTransport> = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()).expect("loopback connects"))
+        .map(|s| MuxTransport::connect(s.addr()).expect("loopback connects"))
         .collect();
     let mut r = Receptionist::new(transports, Analyzer::default());
     r.set_dispatch_mode(DispatchMode::Sequential);
@@ -675,9 +676,9 @@ fn golden_asof_cv_trace_shared_by_sim_inproc_and_tcp() {
             TcpServer::spawn(lib, "127.0.0.1:0").expect("loopback server spawns")
         })
         .collect();
-    let transports: Vec<TcpTransport> = servers
+    let transports: Vec<MuxTransport> = servers
         .iter()
-        .map(|s| TcpTransport::connect(s.addr()).expect("loopback connects"))
+        .map(|s| MuxTransport::connect(s.addr()).expect("loopback connects"))
         .collect();
     let mut rt = Receptionist::new(transports, Analyzer::default());
     rt.set_dispatch_mode(DispatchMode::Sequential);
