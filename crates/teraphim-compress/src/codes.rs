@@ -31,10 +31,12 @@ use crate::{CodeError, Result};
 /// Panics in debug builds if `n == 0`.
 pub fn write_unary(w: &mut BitWriter, n: u64) {
     debug_assert!(n >= 1, "unary codes values >= 1");
-    for _ in 1..n {
-        w.write_bit(false);
+    let mut zeros = n - 1;
+    while zeros >= 64 {
+        w.write_bits(0, 64);
+        zeros -= 64;
     }
-    w.write_bit(true);
+    w.write_bits(1, zeros as u32 + 1);
 }
 
 /// Reads a unary codeword written by [`write_unary`].
@@ -42,7 +44,22 @@ pub fn write_unary(w: &mut BitWriter, n: u64) {
 /// # Errors
 ///
 /// Returns [`CodeError::UnexpectedEof`] on a truncated stream.
+#[inline]
 pub fn read_unary(r: &mut BitReader<'_>) -> Result<u64> {
+    let (window, valid) = r.peek();
+    let zeros = window.leading_zeros();
+    if zeros < valid {
+        r.consume(zeros + 1);
+        return Ok(u64::from(zeros) + 1);
+    }
+    r.detour(read_unary_slow)
+}
+
+/// [`read_unary`] one bit at a time: for a run that outlasts the window,
+/// and for the end of the buffer.
+#[cold]
+#[inline(never)]
+fn read_unary_slow(r: &mut BitReader<'_>) -> Result<u64> {
     let mut n = 1u64;
     while !r.read_bit()? {
         n += 1;
@@ -68,14 +85,19 @@ fn bit_width(n: u64) -> u32 {
 /// # Panics
 ///
 /// Panics in debug builds if `n == 0`.
+#[inline]
 pub fn write_gamma(w: &mut BitWriter, n: u64) {
     debug_assert!(n >= 1, "gamma codes values >= 1");
     let width = bit_width(n);
-    write_unary(w, u64::from(width));
-    if width > 1 {
-        // Drop the leading 1 bit, it is implied by the length prefix.
-        w.write_bits(n & !(1u64 << (width - 1)), width - 1);
+    if width <= 32 {
+        // `width - 1` zeros then the value, whose leading 1 bit ends the
+        // unary prefix: `n` written in `2 * width - 1` bits is the code.
+        w.write_bits(n, 2 * width - 1);
+        return;
     }
+    write_unary(w, u64::from(width));
+    // Drop the leading 1 bit, it is implied by the length prefix.
+    w.write_bits(n & !(1u64 << (width - 1)), width - 1);
 }
 
 /// Reads an Elias γ codeword written by [`write_gamma`].
@@ -84,7 +106,53 @@ pub fn write_gamma(w: &mut BitWriter, n: u64) {
 ///
 /// Returns [`CodeError::UnexpectedEof`] on truncation and
 /// [`CodeError::Corrupt`] if the decoded width exceeds 64 bits.
+#[inline]
 pub fn read_gamma(r: &mut BitReader<'_>) -> Result<u64> {
+    let (window, valid) = r.peek();
+    let len = gamma_bits(window);
+    if len <= valid {
+        r.consume(len);
+        return Ok(window >> (64 - len));
+    }
+    r.detour(read_gamma_slow)
+}
+
+/// Reads two consecutive Elias γ codewords — an inverted list's
+/// `(d-gap, f_dt)` pair — from one refill of the window.
+///
+/// # Errors
+///
+/// As two calls of [`read_gamma`]: the second codeword's error leaves the
+/// cursor after the first.
+#[inline(always)]
+pub fn read_gamma_pair(r: &mut BitReader<'_>) -> Result<(u64, u64)> {
+    let (window, valid) = r.peek();
+    let first = gamma_bits(window);
+    if first < valid {
+        let rest = window << first;
+        let second = gamma_bits(rest);
+        if first + second <= valid {
+            r.consume(first + second);
+            return Ok((window >> (64 - first), rest >> (64 - second)));
+        }
+    }
+    Ok((read_gamma(r)?, read_gamma(r)?))
+}
+
+/// Length of the γ codeword at the top of `window`: `zeros` zero bits,
+/// then the value in `zeros + 1` bits — so shifting the window right by
+/// all but that many bits leaves the value. A length beyond the window's
+/// valid bits means the codeword does not end inside it.
+#[inline(always)]
+fn gamma_bits(window: u64) -> u32 {
+    2 * window.leading_zeros() + 1
+}
+
+/// [`read_gamma`] in two steps, prefix then value: for a code wider than
+/// the window, and for the end of the buffer.
+#[cold]
+#[inline(never)]
+fn read_gamma_slow(r: &mut BitReader<'_>) -> Result<u64> {
     let width = read_unary(r)?;
     if width > 64 {
         return Err(CodeError::Corrupt("gamma width exceeds 64 bits"));
@@ -108,6 +176,7 @@ pub fn write_gamma0(w: &mut BitWriter, n: u64) {
 /// # Errors
 ///
 /// Propagates errors from [`read_gamma`].
+#[inline]
 pub fn read_gamma0(r: &mut BitReader<'_>) -> Result<u64> {
     Ok(read_gamma(r)? - 1)
 }
@@ -611,6 +680,272 @@ mod proptests {
                     _ => read_golomb(&mut r, 7).unwrap(),
                 };
                 prop_assert_eq!(got, v);
+            }
+        }
+    }
+}
+
+/// Differential tests: every reader in this module against the same
+/// reader written over the bit-at-a-time [`RefReader`], on well-formed
+/// streams and on arbitrary bytes, from every start alignment and with
+/// the buffer cut at every byte. Equal values, equal errors and an equal
+/// cursor after each read — including the reads that fail.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::bitio::reference::{RefReader, RefWriter};
+    use proptest::prelude::*;
+
+    fn ref_write_unary(w: &mut RefWriter, n: u64) {
+        for _ in 1..n {
+            w.write_bit(false);
+        }
+        w.write_bit(true);
+    }
+
+    fn ref_write_gamma(w: &mut RefWriter, n: u64) {
+        let width = bit_width(n);
+        ref_write_unary(w, u64::from(width));
+        if width > 1 {
+            w.write_bits(n & !(1u64 << (width - 1)), width - 1);
+        }
+    }
+
+    /// The writers of this module as they were over the bit-at-a-time
+    /// writer: a unary prefix bit by bit, then the value.
+    fn ref_write(w: &mut RefWriter, read: Read) {
+        match read {
+            Read::Unary(v) => ref_write_unary(w, v),
+            Read::Gamma(v) => ref_write_gamma(w, v),
+            Read::Gamma0(v) => ref_write_gamma(w, v + 1),
+            Read::Delta(v) => {
+                let width = bit_width(v);
+                ref_write_gamma(w, u64::from(width));
+                if width > 1 {
+                    w.write_bits(v & !(1u64 << (width - 1)), width - 1);
+                }
+            }
+            Read::Golomb(v, b) => {
+                let (q, rem) = ((v - 1) / b, (v - 1) % b);
+                ref_write_unary(w, q + 1);
+                if b > 1 {
+                    let width = bit_width(b - 1).max(1);
+                    let threshold = (1u64 << width) - b;
+                    if rem < threshold {
+                        w.write_bits(rem, width - 1);
+                    } else {
+                        w.write_bits(rem + threshold, width);
+                    }
+                }
+            }
+            Read::Rice(v, k) => {
+                ref_write_unary(w, ((v - 1) >> k) + 1);
+                if k > 0 {
+                    w.write_bits((v - 1) & ((1u64 << k) - 1), k);
+                }
+            }
+            Read::Bits(v, c) => w.write_bits(v, c),
+        }
+    }
+
+    fn ref_unary(r: &mut RefReader<'_>) -> Result<u64> {
+        let mut n = 1u64;
+        while !r.read_bit()? {
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    fn ref_wide(r: &mut RefReader<'_>, width: u64, what: &'static str) -> Result<u64> {
+        if width > 64 {
+            return Err(CodeError::Corrupt(what));
+        }
+        let width = width as u32;
+        if width == 1 {
+            return Ok(1);
+        }
+        let low = r.read_bits(width - 1)?;
+        Ok((1u64 << (width - 1)) | low)
+    }
+
+    fn ref_gamma(r: &mut RefReader<'_>) -> Result<u64> {
+        let width = ref_unary(r)?;
+        ref_wide(r, width, "gamma width exceeds 64 bits")
+    }
+
+    fn ref_delta(r: &mut RefReader<'_>) -> Result<u64> {
+        let width = ref_gamma(r)?;
+        ref_wide(r, width, "delta width exceeds 64 bits")
+    }
+
+    fn ref_golomb(r: &mut RefReader<'_>, b: u64) -> Result<u64> {
+        let q = ref_unary(r)? - 1;
+        if b == 1 {
+            return Ok(q + 1);
+        }
+        let width = bit_width(b - 1).max(1);
+        let threshold = (1u64 << width) - b;
+        let mut rem = r.read_bits(width - 1)?;
+        if rem >= threshold {
+            rem = (rem << 1) | u64::from(r.read_bit()?);
+            rem -= threshold;
+        }
+        Ok(q * b + rem + 1)
+    }
+
+    fn ref_rice(r: &mut RefReader<'_>, k: u32) -> Result<u64> {
+        let q = ref_unary(r)? - 1;
+        let low = if k > 0 { r.read_bits(k)? } else { 0 };
+        Ok((q << k) + low + 1)
+    }
+
+    /// One read of a script, with the value a well-formed stream holds
+    /// there.
+    #[derive(Debug, Clone, Copy)]
+    enum Read {
+        Unary(u64),
+        Gamma(u64),
+        Gamma0(u64),
+        Delta(u64),
+        Golomb(u64, u64),
+        Rice(u64, u32),
+        Bits(u64, u32),
+    }
+
+    fn read() -> impl Strategy<Value = Read> {
+        (0u8..7, any::<u64>(), 0u32..64, 1u64..5_000, 0u32..=64).prop_map(
+            |(kind, raw, shift, b, count)| {
+                // Mostly small values, as in an inverted list, with the
+                // occasional one wider than the window.
+                let v = (raw >> shift).clamp(1, u64::MAX - 1);
+                match kind {
+                    0 => Read::Unary(v % 150 + 1),
+                    1 => Read::Gamma(v),
+                    2 => Read::Gamma0(v - 1),
+                    3 => Read::Delta(v),
+                    4 => Read::Golomb(v % (b * 80) + 1, b),
+                    5 => Read::Rice(v % (80 << (shift % 12)) + 1, shift % 12),
+                    _ => Read::Bits(
+                        if count == 64 {
+                            raw
+                        } else {
+                            raw & ((1 << count) - 1)
+                        },
+                        count,
+                    ),
+                }
+            },
+        )
+    }
+
+    fn write(w: &mut BitWriter, read: Read) {
+        match read {
+            Read::Unary(v) => write_unary(w, v),
+            Read::Gamma(v) => write_gamma(w, v),
+            Read::Gamma0(v) => write_gamma0(w, v),
+            Read::Delta(v) => write_delta(w, v),
+            Read::Golomb(v, b) => write_golomb(w, v, b),
+            Read::Rice(v, k) => write_rice(w, v, k),
+            Read::Bits(v, c) => w.write_bits(v, c),
+        }
+    }
+
+    /// Runs `script` over `bytes` from bit `start` on both readers; with
+    /// `whole`, the stream is the complete one and every read must also
+    /// return the value that was written.
+    fn compare(
+        bytes: &[u8],
+        start: u64,
+        script: &[Read],
+        whole: bool,
+    ) -> std::result::Result<(), String> {
+        let mut fast = BitReader::new(bytes);
+        let mut slow = RefReader::new(bytes);
+        let sought = (fast.seek_to_bit(start), slow.seek_to_bit(start));
+        if sought.0 != sought.1 {
+            return Err(format!("seek to {start}: {sought:?}"));
+        }
+        for (i, &read) in script.iter().enumerate() {
+            let got = match read {
+                Read::Unary(_) => (read_unary(&mut fast), ref_unary(&mut slow)),
+                Read::Gamma(_) => (read_gamma(&mut fast), ref_gamma(&mut slow)),
+                Read::Gamma0(_) => (read_gamma0(&mut fast), ref_gamma(&mut slow).map(|v| v - 1)),
+                Read::Delta(_) => (read_delta(&mut fast), ref_delta(&mut slow)),
+                Read::Golomb(_, b) => (read_golomb(&mut fast, b), ref_golomb(&mut slow, b)),
+                Read::Rice(_, k) => (read_rice(&mut fast, k), ref_rice(&mut slow, k)),
+                Read::Bits(_, c) => (fast.read_bits(c), slow.read_bits(c)),
+            };
+            let (Read::Unary(want)
+            | Read::Gamma(want)
+            | Read::Gamma0(want)
+            | Read::Delta(want)
+            | Read::Golomb(want, _)
+            | Read::Rice(want, _)
+            | Read::Bits(want, _)) = read;
+            let wrong_value = whole && got.0 != Ok(want);
+            if got.0 != got.1 || fast.bit_pos() != slow.bit_pos() || wrong_value {
+                return Err(format!(
+                    "read {i} ({read:?}) from bit {start} of {} bytes: {got:?}, cursors {} and {}",
+                    bytes.len(),
+                    fast.bit_pos(),
+                    slow.bit_pos()
+                ));
+            }
+            if got.0.is_err() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn written_streams_read_alike_at_every_alignment_and_cut(
+            script in proptest::collection::vec(read(), 1..24),
+            pad in any::<u8>(),
+        ) {
+            for start in 0..8u32 {
+                let mut w = BitWriter::new();
+                let mut slow = RefWriter::default();
+                w.write_bits(u64::from(pad) >> (8 - start) & 0x7F, start);
+                slow.write_bits(u64::from(pad) >> (8 - start) & 0x7F, start);
+                for &read in &script {
+                    write(&mut w, read);
+                    ref_write(&mut slow, read);
+                    // Whole words at once write the bytes bit-at-a-time
+                    // writing did.
+                    prop_assert_eq!(w.as_bytes(), slow.as_bytes(), "after {:?}", read);
+                }
+                let bytes = w.into_bytes();
+                // The whole stream decodes to what was written, and every
+                // prefix of it fails where and how the bit-at-a-time
+                // reader does.
+                for cut in 0..=bytes.len() {
+                    let whole = cut == bytes.len();
+                    if let Err(e) = compare(&bytes[..cut], u64::from(start), &script, whole) {
+                        prop_assert!(false, "{e}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_read_alike(
+            raw in proptest::collection::vec((0u8..4, any::<u8>(), 1usize..12), 0..24),
+            script in proptest::collection::vec(read(), 1..24),
+            start in 0u64..64,
+        ) {
+            // A quarter of the draws are runs of zero bytes: long enough
+            // to outlast the window and to reach the "width exceeds 64
+            // bits" errors.
+            let bytes: Vec<u8> = raw
+                .into_iter()
+                .flat_map(|(kind, byte, run)| {
+                    if kind == 0 { vec![0; run] } else { vec![byte] }
+                })
+                .collect();
+            if let Err(e) = compare(&bytes, start, &script, false) {
+                prop_assert!(false, "{e}");
             }
         }
     }

@@ -30,7 +30,7 @@
 //! # }
 //! ```
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitReader, BitWriter, WINDOW_BITS};
 use crate::{CodeError, Result};
 use std::collections::BinaryHeap;
 
@@ -54,6 +54,14 @@ pub struct HuffmanCode {
     /// Symbols sorted by (length, symbol) — canonical order.
     sorted_symbols: Vec<u32>,
     max_len: u8,
+    /// For decoding from a peeked window, indexed by (length - 1): one
+    /// past the last codeword of each length, left-aligned in 63 bits.
+    /// Codewords of a canonical code fill the code space from zero
+    /// upwards in length order, so the first limit a window falls under
+    /// names its codeword's length. Empty — and every symbol decoded bit
+    /// by bit — when a code is wider than the window or its lengths
+    /// over-subscribe the code space (only a corrupt dictionary's do).
+    limits: Vec<u64>,
 }
 
 impl HuffmanCode {
@@ -107,6 +115,16 @@ impl HuffmanCode {
             next_code[len - 1] += 1;
         }
 
+        let fits = u32::from(max_len) <= WINDOW_BITS
+            && (1..=max_len as usize).all(|len| first_code[len - 1] + count[len] <= 1u64 << len);
+        let limits = if fits {
+            (1..=max_len as usize)
+                .map(|len| (first_code[len - 1] + count[len]) << (63 - len))
+                .collect()
+        } else {
+            Vec::new()
+        };
+
         HuffmanCode {
             lengths,
             codewords,
@@ -114,6 +132,7 @@ impl HuffmanCode {
             first_index,
             sorted_symbols,
             max_len,
+            limits,
         }
     }
 
@@ -151,7 +170,27 @@ impl HuffmanCode {
     ///
     /// Returns [`CodeError::UnexpectedEof`] on truncation and
     /// [`CodeError::Corrupt`] if the bits match no codeword.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u32> {
+        let (window, valid) = r.peek();
+        let aligned = window >> 1;
+        if let Some(li) = self.limits.iter().position(|&limit| aligned < limit) {
+            let len = li as u32 + 1;
+            if len <= valid {
+                r.consume(len);
+                let offset = (window >> (64 - len)) - self.first_code[li];
+                return Ok(self.sorted_symbols[self.first_index[li] + offset as usize]);
+            }
+        }
+        r.detour(|r| self.decode_slow(r))
+    }
+
+    /// [`HuffmanCode::decode`] one bit at a time: for the end of the
+    /// buffer, for bits that match no codeword, and for codes without a
+    /// `limits` table.
+    #[cold]
+    #[inline(never)]
+    fn decode_slow(&self, r: &mut BitReader<'_>) -> Result<u32> {
         if self.max_len == 0 {
             return Err(CodeError::Corrupt("empty huffman code"));
         }
@@ -416,6 +455,39 @@ mod proptests {
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
             for &s in &message { prop_assert_eq!(code.decode(&mut r).unwrap(), s); }
+        }
+
+        /// Decoding from the peeked window agrees with the bit-at-a-time
+        /// loop on any bytes — symbols, errors and cursor — for codes
+        /// built from frequencies and for whatever code arbitrary
+        /// (possibly over-subscribed) lengths describe.
+        #[test]
+        fn window_decode_matches_bit_at_a_time_decode(
+            freqs in proptest::collection::vec(0u64..1_000, 1..300),
+            raw_lengths in proptest::collection::vec(0u8..12, 1..40),
+            from_lengths in any::<bool>(),
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            start in 0u64..8,
+        ) {
+            let code = if from_lengths {
+                HuffmanCode::from_lengths(raw_lengths)
+            } else {
+                prop_assume!(freqs.iter().any(|&f| f > 0));
+                HuffmanCode::from_frequencies(&freqs).unwrap()
+            };
+            let mut fast = BitReader::new(&bytes);
+            let mut slow = BitReader::new(&bytes);
+            let start = start.min(fast.bit_len());
+            fast.seek_to_bit(start).unwrap();
+            slow.seek_to_bit(start).unwrap();
+            loop {
+                let (got, want) = (code.decode(&mut fast), code.decode_slow(&mut slow));
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(fast.bit_pos(), slow.bit_pos());
+                if got.is_err() {
+                    break;
+                }
+            }
         }
 
         #[test]

@@ -116,17 +116,23 @@ impl ClassModel {
         }
     }
 
-    fn decode(&self, r: &mut BitReader<'_>) -> Result<String> {
+    /// Decodes one token onto the end of `out`.
+    fn decode_onto(&self, r: &mut BitReader<'_>, out: &mut String) -> Result<()> {
         let sym = self.code.decode(r)?;
         if sym != ESCAPE {
-            return Ok(self.tokens[sym as usize].clone());
+            out.push_str(&self.tokens[sym as usize]);
+            return Ok(());
         }
         let len = read_gamma0(r)? as usize;
-        let mut bytes = Vec::with_capacity(len);
+        // Eight bits a byte bounds what a corrupt length may reserve.
+        let mut bytes = Vec::with_capacity(len.min((r.remaining_bits() / 8) as usize));
         for _ in 0..len {
             bytes.push(r.read_bits(8)? as u8);
         }
-        String::from_utf8(bytes).map_err(|_| CodeError::Corrupt("escaped token is not UTF-8"))
+        let token = std::str::from_utf8(&bytes)
+            .map_err(|_| CodeError::Corrupt("escaped token is not UTF-8"))?;
+        out.push_str(token);
+        Ok(())
     }
 
     /// Approximate serialized dictionary size: token bytes + one length
@@ -255,12 +261,12 @@ impl TextModel {
         let count = read_gamma0(&mut r)? as usize;
         let mut out = String::new();
         for i in 0..count {
-            let tok = if i % 2 == 0 {
-                self.words.decode(&mut r)?
+            let class = if i % 2 == 0 {
+                &self.words
             } else {
-                self.nonwords.decode(&mut r)?
+                &self.nonwords
             };
-            out.push_str(&tok);
+            class.decode_onto(&mut r, &mut out)?;
         }
         Ok(out)
     }

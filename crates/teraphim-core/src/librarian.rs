@@ -25,9 +25,10 @@ fn elapsed_micros(since: Instant) -> u64 {
 
 /// A librarian serving one subcollection.
 ///
-/// Ranking scratch buffers (accumulator map, candidate vectors) live on
-/// the librarian and are reused across the query stream, so steady-state
-/// query evaluation allocates no fresh hash tables.
+/// Ranking scratch buffers (dense accumulators, candidate vectors) live
+/// on the librarian and are reused across the query stream, so
+/// steady-state query evaluation allocates and zeroes nothing of the
+/// collection's size.
 ///
 /// Every librarian also keeps its own service ledger — request, rank and
 /// error counters plus a log-bucketed service-latency histogram — and

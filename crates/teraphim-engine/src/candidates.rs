@@ -8,7 +8,7 @@
 //! mechanism the paper credits with cutting librarian CPU cost "by a
 //! factor of two or more" at small `k'`.
 
-use crate::ranking::{RankScratch, ScoredDoc, WeightedTerm};
+use crate::ranking::{accumulate, RankScratch, ScoredDoc, WeightedTerm};
 use crate::EngineError;
 use teraphim_index::similarity::{query_norm, w_dt};
 use teraphim_index::{DocId, InvertedIndex};
@@ -132,32 +132,20 @@ pub fn score_candidates_full_scan_with_norm(
     qnorm: f64,
     candidates: &[DocId],
 ) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
+    // The ranking loop over every document, read back at the candidates.
+    let mut scratch = RankScratch::new();
+    let (decoded, scanned) = accumulate(index, terms, &mut scratch, usize::MAX, false);
+    scanned?;
+
     let mut sorted: Vec<DocId> = candidates.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-
-    let mut sums = vec![0.0f64; sorted.len()];
-    let mut decoded = 0u64;
-    for wt in terms {
-        if wt.w_qt == 0.0 {
-            continue;
-        }
-        for posting in index.postings(wt.term).iter() {
-            let posting = posting?;
-            decoded += 1;
-            if let Ok(i) = sorted.binary_search(&posting.doc) {
-                sums[i] += wt.w_qt * w_dt(u64::from(posting.f_dt));
-            }
-        }
-    }
-
     let scores = sorted
         .into_iter()
-        .zip(sums)
-        .map(|(doc, sum)| {
+        .map(|doc| {
             let wd = index.weights().weight(doc);
             let score = if wd > 0.0 && qnorm > 0.0 {
-                sum / (wd * qnorm)
+                scratch.sum(doc) / (wd * qnorm)
             } else {
                 0.0
             };
@@ -258,6 +246,23 @@ mod tests {
         let w = weights_for(&ix, &["a"]);
         let (scored, _) = score_candidates(&mut ix, &w, &[1, 2]).unwrap();
         assert!(scored.iter().all(|s| s.score == 0.0));
+    }
+
+    #[test]
+    fn full_scan_reports_a_malformed_list() {
+        use crate::ranking::oracle::{index_from_lists, list_of};
+        use teraphim_index::PostingsList;
+        let good = list_of((0..30).map(|d| (d, d % 3 + 1)).collect());
+        let cut = PostingsList::from_raw_parts(
+            good.as_bytes()[..good.byte_len() - 2].to_vec(),
+            good.len(),
+            good.last_doc(),
+        );
+        let terms = [WeightedTerm { term: 0, w_qt: 1.0 }];
+        let clean = index_from_lists(&[1.0; 30], &[good]);
+        assert!(score_candidates_full_scan(&clean, &terms, &[3, 4]).is_ok());
+        let corrupt = index_from_lists(&[1.0; 30], &[cut]);
+        assert!(score_candidates_full_scan(&corrupt, &terms, &[3, 4]).is_err());
     }
 
     #[test]

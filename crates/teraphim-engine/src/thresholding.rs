@@ -17,11 +17,10 @@
 //! pruning of `teraphim_index::pruning` whose effectiveness the paper
 //! found "severely degraded".
 
-use crate::ranking::{ScoredDoc, WeightedTerm};
+use crate::ranking::{accumulate, drain_scores, RankScratch, ScoredDoc, WeightedTerm};
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use teraphim_index::similarity::{query_norm, w_dt};
-use teraphim_index::{DocId, InvertedIndex};
+use teraphim_index::similarity::query_norm;
+use teraphim_index::InvertedIndex;
 
 /// What to do when the accumulator budget is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,48 +64,18 @@ pub fn rank_limited(
             .then(a.term.cmp(&b.term))
     });
 
-    let mut acc: HashMap<DocId, f64> = HashMap::new();
-    let mut postings_processed = 0u64;
-    let mut full = false;
-    'terms: for wt in &ordered {
-        if wt.w_qt == 0.0 {
-            continue;
-        }
-        if full && mode == LimitMode::Quit {
-            break 'terms;
-        }
-        for posting in index.postings(wt.term).iter().flatten() {
-            postings_processed += 1;
-            let contribution = wt.w_qt * w_dt(u64::from(posting.f_dt));
-            let len = acc.len();
-            match acc.entry(posting.doc) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += contribution;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if len < max_accumulators {
-                        e.insert(contribution);
-                    }
-                    // else: continue mode drops the new document.
-                }
-            }
-            if acc.len() >= max_accumulators {
-                full = true;
-            }
-        }
-    }
+    let mut scratch = RankScratch::new();
+    let (postings_processed, _) = accumulate(
+        index,
+        &ordered,
+        &mut scratch,
+        max_accumulators,
+        mode == LimitMode::Quit,
+    );
 
     let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    let mut hits: Vec<ScoredDoc> = acc
-        .into_iter()
-        .filter_map(|(doc, sum)| {
-            let wd = index.weights().weight(doc);
-            (wd > 0.0 && qnorm > 0.0).then(|| ScoredDoc {
-                doc,
-                score: sum / (wd * qnorm),
-            })
-        })
-        .collect();
+    let mut hits: Vec<ScoredDoc> = Vec::new();
+    drain_scores(index, &mut scratch, qnorm, |scored| hits.push(scored));
     hits.sort_by(ScoredDoc::ranking_cmp);
     let accumulators_used = hits.len();
     hits.truncate(k);
@@ -121,7 +90,8 @@ pub fn rank_limited(
 mod tests {
     use super::*;
     use crate::ranking::{local_weights, rank_all};
-    use teraphim_index::IndexBuilder;
+    use std::collections::HashMap;
+    use teraphim_index::{DocId, IndexBuilder};
 
     fn index_of(docs: &[&[&str]]) -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -258,11 +228,115 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ranking::oracle::{self, bits, index_from_lists, list_of};
     use crate::ranking::{local_weights, rank_all};
     use proptest::prelude::*;
-    use teraphim_index::IndexBuilder;
+    use std::collections::hash_map::Entry;
+    use std::collections::HashMap;
+    use teraphim_index::similarity::w_dt;
+    use teraphim_index::{DocId, IndexBuilder};
+
+    /// `rank_limited` as it was over a `HashMap`: the oracle.
+    fn rank_limited_oracle(
+        index: &InvertedIndex,
+        terms: &[WeightedTerm],
+        k: usize,
+        max_accumulators: usize,
+        mode: LimitMode,
+    ) -> LimitedRanking {
+        let mut ordered: Vec<WeightedTerm> = terms.to_vec();
+        ordered.sort_by(|a, b| {
+            b.w_qt
+                .partial_cmp(&a.w_qt)
+                .unwrap_or(Ordering::Equal)
+                .then(a.term.cmp(&b.term))
+        });
+        let mut acc: HashMap<DocId, f64> = HashMap::new();
+        let mut postings_processed = 0u64;
+        let mut full = false;
+        for wt in &ordered {
+            if wt.w_qt == 0.0 {
+                continue;
+            }
+            if full && mode == LimitMode::Quit {
+                break;
+            }
+            for posting in index.postings(wt.term).iter().flatten() {
+                postings_processed += 1;
+                let contribution = wt.w_qt * w_dt(u64::from(posting.f_dt));
+                let len = acc.len();
+                match acc.entry(posting.doc) {
+                    Entry::Occupied(mut e) => *e.get_mut() += contribution,
+                    Entry::Vacant(e) => {
+                        if len < max_accumulators {
+                            e.insert(contribution);
+                        }
+                    }
+                }
+                if acc.len() >= max_accumulators {
+                    full = true;
+                }
+            }
+        }
+        let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+        let mut hits = oracle::ranking(index, acc, qnorm);
+        let accumulators_used = hits.len();
+        hits.truncate(k);
+        LimitedRanking {
+            hits,
+            postings_processed,
+            accumulators_used,
+        }
+    }
 
     proptest! {
+        /// Accumulator-limited evaluation over the dense kernel against
+        /// the `HashMap` oracle: same hits to the bit, same postings
+        /// processed, same accumulators used, for every budget (zero and
+        /// unlimited included) in both modes, with negative weights and
+        /// duplicate terms.
+        #[test]
+        fn limited_kernel_matches_the_hashmap_oracle(
+            doc_weights in proptest::collection::vec((0u8..8, 0.1f64..9.0), 1..50),
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..50, 1u32..600), 0..40),
+                1..6,
+            ),
+            terms in proptest::collection::vec((0usize..6, -3.0f64..3.0, 0u8..6), 0..8),
+            budgets in proptest::collection::vec(0usize..40, 1..4),
+            k in 0usize..30,
+        ) {
+            let n = doc_weights.len() as u32;
+            let doc_weights: Vec<f64> = doc_weights
+                .into_iter()
+                .map(|(kind, w)| if kind == 0 { 0.0 } else { w })
+                .collect();
+            // Every posting names a document the index has: one beyond
+            // the weights table took an accumulator in the map, and takes
+            // none in the dense table.
+            let lists: Vec<_> = lists
+                .into_iter()
+                .map(|l| list_of(l.into_iter().map(|(d, f)| (d % n, f)).collect()))
+                .collect();
+            let index = index_from_lists(&doc_weights, &lists);
+            let terms: Vec<WeightedTerm> = terms
+                .into_iter()
+                .map(|(t, w, kind)| WeightedTerm {
+                    term: (t % lists.len()) as teraphim_index::TermId,
+                    w_qt: if kind == 0 { 0.0 } else { w },
+                })
+                .collect();
+            for budget in budgets.into_iter().chain([usize::MAX]) {
+                for mode in [LimitMode::Continue, LimitMode::Quit] {
+                    let got = rank_limited(&index, &terms, k, budget, mode);
+                    let want = rank_limited_oracle(&index, &terms, k, budget, mode);
+                    prop_assert_eq!(bits(&got.hits), bits(&want.hits), "budget {}", budget);
+                    prop_assert_eq!(got.postings_processed, want.postings_processed);
+                    prop_assert_eq!(got.accumulators_used, want.accumulators_used);
+                }
+            }
+        }
+
         #[test]
         fn unlimited_budget_equals_exact(
             docs in proptest::collection::vec(

@@ -47,22 +47,19 @@ pub fn merge(base: &InvertedIndex, delta: &InvertedIndex) -> Result<InvertedInde
         let list = base.postings(term);
         let target = &mut merged_postings[term as usize];
         target.reserve(list.len() as usize);
-        for posting in list.iter() {
-            target.push(posting?);
-        }
+        list.scan(|posting| target.push(posting))?;
     }
     for (term, _) in delta.vocab().iter() {
         let mapped = delta_map[term as usize] as usize;
         let list = delta.postings(term);
         let target = &mut merged_postings[mapped];
         target.reserve(list.len() as usize);
-        for posting in list.iter() {
-            let posting = posting?;
+        list.scan(|posting| {
             target.push(Posting {
                 doc: offset + posting.doc,
                 f_dt: posting.f_dt,
             });
-        }
+        })?;
     }
 
     let mut stats = CollectionStats::new();

@@ -9,7 +9,7 @@
 
 use crate::{DocId, IndexError};
 use teraphim_compress::bitio::{BitReader, BitWriter};
-use teraphim_compress::codes::{read_gamma, write_gamma};
+use teraphim_compress::codes::{read_gamma_pair, write_gamma};
 
 /// One inverted-list entry: a document and the in-document frequency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,14 +95,34 @@ impl PostingsList {
         }
     }
 
-    /// Iterates over the postings, decoding incrementally.
+    /// Iterates over the postings, decoding incrementally. The iterator
+    /// is fused: a malformed posting yields one `Err` and then `None`.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
             reader: BitReader::new(&self.bytes),
             remaining: self.count,
-            prev_doc: 0,
-            first: true,
+            next_min: 0,
         }
+    }
+
+    /// Decodes the list front to back, handing each posting to `visit`.
+    ///
+    /// This is [`PostingsList::iter`] without an `Option<Result<..>>` per
+    /// posting, for loops that walk whole lists: it stops at the first
+    /// malformed posting and reports it once, after `visit` has seen
+    /// every posting before it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if the compressed stream is
+    /// malformed.
+    #[inline]
+    pub fn scan(&self, mut visit: impl FnMut(Posting)) -> Result<(), IndexError> {
+        let mut iter = self.iter();
+        for _ in 0..self.count {
+            visit(iter.step()?);
+        }
+        Ok(())
     }
 
     /// Decodes the whole list into a vector.
@@ -112,7 +132,11 @@ impl PostingsList {
     /// Returns [`IndexError::Corrupt`] if the compressed stream is
     /// malformed.
     pub fn decode(&self) -> Result<Vec<Posting>, IndexError> {
-        self.iter().collect()
+        // A posting is at least two bits, which bounds what a corrupt
+        // count may reserve.
+        let mut postings = Vec::with_capacity((self.count as usize).min(self.bytes.len() * 4));
+        self.scan(|p| postings.push(p))?;
+        Ok(postings)
     }
 
     /// Looks up the frequency of `doc` by linear scan (used by tests and
@@ -136,48 +160,52 @@ impl PostingsList {
 pub struct Iter<'a> {
     reader: BitReader<'a>,
     remaining: u32,
-    prev_doc: DocId,
-    first: bool,
+    /// The smallest document id the next posting may carry: one past the
+    /// previous posting's, zero before the first. The first gap is coded
+    /// as `doc + 1` so that document 0 is representable, which makes
+    /// every posting's id `next_min + gap - 1`.
+    next_min: u64,
+}
+
+impl Iter<'_> {
+    /// Decodes the next posting; the caller keeps count. Always inlined:
+    /// out of line, the reader's window lives in memory instead of in
+    /// the registers of the loop that calls this.
+    #[inline(always)]
+    fn step(&mut self) -> Result<Posting, IndexError> {
+        let (gap, f_dt) = read_gamma_pair(&mut self.reader)
+            .map_err(|_| IndexError::Corrupt("postings gap or frequency"))?;
+        // γ codes values >= 1, so `gap - 1` cannot underflow.
+        let doc = u32::try_from(self.next_min.saturating_add(gap - 1)).map_err(|_| {
+            IndexError::Corrupt(if self.next_min == 0 {
+                "first document id overflows"
+            } else {
+                "document id overflows"
+            })
+        })?;
+        self.next_min = u64::from(doc) + 1;
+        let f_dt =
+            u32::try_from(f_dt).map_err(|_| IndexError::Corrupt("frequency overflows u32"))?;
+        Ok(Posting { doc, f_dt })
+    }
 }
 
 impl Iterator for Iter<'_> {
     type Item = Result<Posting, IndexError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
-        let gap = match read_gamma(&mut self.reader) {
-            Ok(g) => g,
-            Err(_) => return Some(Err(IndexError::Corrupt("postings gap"))),
-        };
-        let f_dt = match read_gamma(&mut self.reader) {
-            Ok(f) => f,
-            Err(_) => return Some(Err(IndexError::Corrupt("postings frequency"))),
-        };
-        let doc = if self.first {
-            self.first = false;
-            // First gap is doc+1 so that doc 0 is representable.
-            match gap.checked_sub(1).and_then(|d| u32::try_from(d).ok()) {
-                Some(d) => d,
-                None => return Some(Err(IndexError::Corrupt("first document id overflows"))),
-            }
+        let posting = self.step();
+        // What follows a malformed posting is misaligned garbage.
+        self.remaining = if posting.is_ok() {
+            self.remaining - 1
         } else {
-            match u64::from(self.prev_doc)
-                .checked_add(gap)
-                .and_then(|d| u32::try_from(d).ok())
-            {
-                Some(d) => d,
-                None => return Some(Err(IndexError::Corrupt("document id overflows"))),
-            }
+            0
         };
-        self.prev_doc = doc;
-        let f_dt = match u32::try_from(f_dt) {
-            Ok(f) => f,
-            Err(_) => return Some(Err(IndexError::Corrupt("frequency overflows u32"))),
-        };
-        Some(Ok(Posting { doc, f_dt }))
+        Some(posting)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -269,6 +297,62 @@ mod tests {
         let bytes = list.as_bytes();
         let truncated = PostingsList::from_raw_parts(bytes[..bytes.len() - 1].to_vec(), 3, 10_000);
         assert!(truncated.decode().is_err());
+    }
+
+    /// Checks that `iter` yields nothing after its first error and that
+    /// `scan` and `decode` stop where it does; returns the postings
+    /// before the error and whether there was one.
+    fn decoded_prefix(list: &PostingsList) -> (Vec<Posting>, bool) {
+        let items: Vec<_> = list.iter().collect();
+        let good: Vec<Posting> = items.iter().map_while(|r| r.clone().ok()).collect();
+        let failed = good.len() < items.len();
+        assert_eq!(
+            items.len(),
+            good.len() + usize::from(failed),
+            "iterator went on after an error: {items:?}"
+        );
+        let mut scanned = Vec::new();
+        let outcome = list.scan(|p| scanned.push(p));
+        assert_eq!(scanned, good);
+        assert_eq!(outcome.is_err(), failed);
+        assert_eq!(outcome.err(), items.last().and_then(|r| r.clone().err()));
+        assert_eq!(list.decode().is_err(), failed);
+        (good, failed)
+    }
+
+    #[test]
+    fn truncated_list_stops_at_the_first_error() {
+        let postings: Vec<Posting> = (0..40).map(|i| p(i * 37 + i % 3, i % 5 + 1)).collect();
+        let list = PostingsList::from_postings(&postings);
+        assert_eq!(decoded_prefix(&list), (postings.clone(), false));
+        for cut in 0..list.byte_len() {
+            let truncated =
+                PostingsList::from_raw_parts(list.as_bytes()[..cut].to_vec(), 40, list.last_doc());
+            let (good, failed) = decoded_prefix(&truncated);
+            assert!(failed, "cut {cut}");
+            assert_eq!(good, postings[..good.len()], "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn bit_flipped_list_stops_at_the_first_error() {
+        // Document ids near the top of the range: a flipped bit that
+        // lengthens a gap overflows the id in the middle of the list.
+        let postings: Vec<Posting> = (0..40)
+            .map(|i| p(u32::MAX - 4000 + i * 97, i % 7 + 1))
+            .collect();
+        let list = PostingsList::from_postings(&postings);
+        let mut failed_midway = 0;
+        for bit in 0..list.byte_len() * 8 {
+            let mut bytes = list.as_bytes().to_vec();
+            bytes[bit / 8] ^= 0x80 >> (bit % 8);
+            let flipped = PostingsList::from_raw_parts(bytes, 40, list.last_doc());
+            let (good, failed) = decoded_prefix(&flipped);
+            if failed && good.len() + 1 < postings.len() {
+                failed_midway += 1;
+            }
+        }
+        assert!(failed_midway > 0, "no flip failed before the last posting");
     }
 
     #[test]
