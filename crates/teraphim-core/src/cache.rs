@@ -204,100 +204,14 @@ struct Entry<V> {
     tick: u64,
 }
 
-/// A generation-aware LRU map bounded by entry count.
+/// A generation-aware LRU map bounded by total *weight* (bytes, for the
+/// answer-document cache). Entries heavier than the whole budget are
+/// refused outright rather than flushing everything else.
 ///
 /// Recency is a monotone tick; eviction removes the entry with the
 /// smallest tick, which is unique, so eviction order is deterministic
-/// regardless of `HashMap` iteration order.
-#[derive(Debug)]
-pub struct LruCache<K, V> {
-    map: HashMap<K, Entry<V>>,
-    capacity: usize,
-    tick: u64,
-}
-
-impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
-    /// An LRU holding at most `capacity` entries (0 disables it).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        LruCache {
-            map: HashMap::new(),
-            capacity,
-            tick: 0,
-        }
-    }
-
-    /// Entries currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Probes `key` against `generation`. A current-generation entry
-    /// is freshened and returned; an older one is dropped lazily.
-    pub fn get(&mut self, key: &K, generation: u64) -> Lookup<&V> {
-        if self.capacity == 0 {
-            return Lookup::Miss;
-        }
-        match self.map.get_mut(key) {
-            Some(entry) if entry.generation == generation => {
-                self.tick += 1;
-                entry.tick = self.tick;
-                Lookup::Hit(&self.map[key].value)
-            }
-            Some(_) => {
-                self.map.remove(key);
-                Lookup::Stale
-            }
-            None => Lookup::Miss,
-        }
-    }
-
-    /// Inserts (or replaces) `key` under `generation`, evicting
-    /// least-recently-used entries to respect capacity. Returns how
-    /// many entries were evicted.
-    pub fn insert(&mut self, key: K, value: V, generation: u64) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.tick += 1;
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                generation,
-                tick: self.tick,
-            },
-        );
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            self.evict_lru();
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn evict_lru(&mut self) {
-        if let Some(key) = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.tick)
-            .map(|(k, _)| k.clone())
-        {
-            self.map.remove(&key);
-        }
-    }
-}
-
-/// A generation-aware LRU bounded by total *weight* (bytes) instead of
-/// entry count. Entries heavier than the whole budget are refused
-/// outright rather than flushing everything else.
+/// regardless of `HashMap` iteration order. This is the one LRU in the
+/// module: [`LruCache`] is the same map with every entry weighing one.
 #[derive(Debug)]
 pub struct ByteLru<K, V> {
     map: HashMap<K, (Entry<V>, usize)>,
@@ -336,8 +250,8 @@ impl<K: Eq + Hash + Clone, V> ByteLru<K, V> {
         self.used
     }
 
-    /// Probes `key` against `generation`; same contract as
-    /// [`LruCache::get`].
+    /// Probes `key` against `generation`. A current-generation entry
+    /// is freshened and returned; an older one is dropped lazily.
     pub fn get(&mut self, key: &K, generation: u64) -> Lookup<&V> {
         if self.budget == 0 {
             return Lookup::Miss;
@@ -400,6 +314,45 @@ impl<K: Eq + Hash + Clone, V> ByteLru<K, V> {
                 self.used -= weight;
             }
         }
+    }
+}
+
+/// A generation-aware LRU map bounded by entry count: a [`ByteLru`]
+/// whose entries all weigh one, so its budget is a capacity and strict
+/// least-recently-used eviction is the same loop.
+#[derive(Debug)]
+pub struct LruCache<K, V>(ByteLru<K, V>);
+
+impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
+    /// An LRU holding at most `capacity` entries (0 disables it).
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        LruCache(ByteLru::new(capacity))
+    }
+
+    /// Entries currently held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when nothing is cached.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Probes `key` against `generation`; same contract as
+    /// [`ByteLru::get`].
+    pub fn get(&mut self, key: &K, generation: u64) -> Lookup<&V> {
+        self.0.get(key, generation)
+    }
+
+    /// Inserts (or replaces) `key` under `generation`, evicting
+    /// least-recently-used entries to respect capacity. Returns how
+    /// many entries were evicted.
+    pub fn insert(&mut self, key: K, value: V, generation: u64) -> u64 {
+        self.0.insert(key, value, 1, generation)
     }
 }
 

@@ -218,8 +218,11 @@ impl Librarian {
         &self.collection
     }
 
-    /// Mutable access (e.g. to pre-build skip tables).
+    /// Mutable access (e.g. to pre-build skip tables, or to append
+    /// documents in place). The caller may change the index, so the
+    /// serialized size `Stats` reports is recomputed on the next poll.
     pub fn collection_mut(&mut self) -> &mut Collection {
+        self.index_bytes_cache = None;
         &mut self.collection
     }
 
@@ -768,6 +771,33 @@ mod tests {
         {
             assert_eq!(requests_served, 3);
         }
+    }
+
+    #[test]
+    fn stats_index_size_follows_an_append_through_collection_mut() {
+        // The path the scenario backends' churn and the benchmark's
+        // ingest take: once polled, the cached size must not outlive a
+        // change made through the mutable handle.
+        fn polled_index_bytes(lib: &mut Librarian) -> u64 {
+            match lib.handle(Message::Stats) {
+                Message::StatsReply { index_bytes, .. } => index_bytes,
+                other => panic!("expected StatsReply, got {other:?}"),
+            }
+        }
+        let mut lib = librarian();
+        let before = polled_index_bytes(&mut lib);
+        let batch = vec![TrecDoc {
+            docno: "T-4".into(),
+            text: "walrus tusks and entirely new vocabulary".into(),
+        }];
+        lib.collection_mut().append_documents(&batch).unwrap();
+        let after = polled_index_bytes(&mut lib);
+        assert!(after > before, "index grew: {before} -> {after} bytes");
+        assert_eq!(
+            after,
+            lib.collection().index().to_bytes().len() as u64,
+            "the poll reports the index as it is now"
+        );
     }
 
     #[test]

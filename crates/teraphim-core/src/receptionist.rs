@@ -424,8 +424,9 @@ impl<T: Transport> Receptionist<T> {
         self.dispatch
     }
 
-    /// Switches between concurrent and sequential fan-out. Rankings are
-    /// identical in both modes; only elapsed time differs.
+    /// Chooses how the fan-out is issued: [`DispatchMode::Sequential`],
+    /// [`DispatchMode::Concurrent`] or [`DispatchMode::Pipelined`].
+    /// Rankings are identical in all three; only elapsed time differs.
     pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
         self.dispatch = mode;
     }

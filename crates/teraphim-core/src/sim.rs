@@ -18,9 +18,13 @@
 //!   implementation) and bundled per librarian for CI (whose candidates
 //!   arrive as ranges — see DESIGN.md).
 //!
-//! Because the plan replay uses the same code paths as the real
-//! receptionist, an integration test can assert that the simulated and
-//! real drivers produce identical rankings.
+//! What the simulator shares with the real path is the arithmetic: the
+//! ranking kernels, `merge_rankings`, `global_weights` and the message
+//! encodings. What it deliberately keeps its own is the execution: one
+//! virtual-time fan-out (`SimDriver::fan_out`, which alone applies the
+//! fault plans), its failure semantics and the merge orchestration. That
+//! independence is what `tests/sim_vs_real.rs` and the scenario engine's
+//! differential test: two executions, written separately, must agree.
 
 use crate::methodology::{CiParams, Methodology};
 use crate::receptionist::{global_weights, global_weights_from_grouped};
@@ -608,6 +612,18 @@ impl SimDriver {
         }
     }
 
+    /// Records a phase opening at virtual time `at`.
+    fn phase_start(&self, at: SimTime, phase: Phase) {
+        self.trace
+            .record_at(micros(at), EventKind::PhaseStart { phase });
+    }
+
+    /// Records a phase closing at virtual time `at`.
+    fn phase_end(&self, at: SimTime, phase: Phase) {
+        self.trace
+            .record_at(micros(at), EventKind::PhaseEnd { phase });
+    }
+
     fn term_counts(&self, query: &str) -> Vec<(String, u32)> {
         let mut counts: BTreeMap<String, u32> = BTreeMap::new();
         for term in self.analyzer.analyze(query) {
@@ -632,18 +648,13 @@ impl SimDriver {
             .filter_map(|(t, f)| self.mono.index().vocab().term_id(t).map(|id| (id, *f)))
             .collect();
         let weighted = ranking::local_weights(self.mono.index(), &pairs);
-        let work = index_work(&self.mono, &weighted);
+        let work = index_work_on(self.mono.index(), &weighted);
         let hits = ranking::rank(self.mono.index(), &weighted, k);
 
         // Disk pass over the touched lists, then CPU, on the single
         // machine (librarian slot 0 is co-located in the MS topology).
         let t_parse = net.receptionist_cpu(0.0, net.cost().cpu_query_overhead);
-        self.trace.record_at(
-            micros(t_parse),
-            EventKind::PhaseStart {
-                phase: Phase::RankFanout,
-            },
-        );
+        self.phase_start(t_parse, Phase::RankFanout);
         let t_disk = net.receptionist_disk_read(t_parse, work.list_bytes, work.seeks);
         let cost = net.cost().clone();
         let t_cpu = net.receptionist_cpu(
@@ -658,18 +669,8 @@ impl SimDriver {
                 k: k as u32,
             },
         );
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseEnd {
-                phase: Phase::RankFanout,
-            },
-        );
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseStart {
-                phase: Phase::DocFetch,
-            },
-        );
+        self.phase_end(index_time, Phase::RankFanout);
+        self.phase_start(index_time, Phase::DocFetch);
 
         // Fetch: per-document disk reads, no network.
         let mut t_fetch = index_time;
@@ -685,12 +686,7 @@ impl SimDriver {
             t_fetch = net.receptionist_disk_read(t_fetch, body, 1);
         }
         let total_time = net.receptionist_cpu(t_fetch, cost.decompress_cpu(plain_bytes));
-        self.trace.record_at(
-            micros(total_time),
-            EventKind::PhaseEnd {
-                phase: Phase::DocFetch,
-            },
-        );
+        self.phase_end(total_time, Phase::DocFetch);
 
         Ok(QueryCost {
             index_time,
@@ -702,6 +698,139 @@ impl SimDriver {
             link_busy: 0.0,
             hits: hits.into_iter().map(|h| (0usize, h.doc)).collect(),
             failed: Vec::new(),
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // The virtual-time fan-out (steps 2–3 up to the last reply) and the
+    // merge-and-fetch tail every distributed methodology shares
+    // ------------------------------------------------------------------
+
+    /// Sends each librarian its sub-query (`None` = not contacted) and
+    /// charges the exchange schedule from `start`. `answer` says what a
+    /// healthy librarian does with a request at its collection; this
+    /// function alone decides what the fault plans let through: `Fail`
+    /// answers a small `Unavailable` without doing the work, `Drop`
+    /// resets the connection (request leg only), `Garble` does the work
+    /// but its reply cannot be trusted, `Delay` answers normally, late.
+    /// All but `Delay` drop the librarian out of the merge.
+    fn fan_out(
+        &mut self,
+        net: &mut SimNetwork,
+        start: SimTime,
+        requests: &[Option<Message>],
+        answer: impl Fn(&mut Collection, &Message) -> Result<Answer, TeraphimError>,
+    ) -> Result<FanOut, TeraphimError> {
+        // Evaluate every contacted librarian first (pure computation,
+        // one fault-plan consultation per sub-query actually sent);
+        // virtual time is charged below, under the chosen schedule.
+        let mut out = FanOut {
+            ready: start,
+            lists: Vec::new(),
+            failed: Vec::new(),
+            bytes_on_wire: 0,
+            postings: 0,
+        };
+        let mut jobs: Vec<(usize, usize, SimJob)> = Vec::new();
+        let mut exchanges: Vec<ExchangeTrace> = Vec::new();
+        for (lib, request) in requests.iter().enumerate() {
+            let Some(request) = request else { continue };
+            let fault = self.next_fault(lib);
+            let req_len = request.wire_len();
+            let mut job = SimJob::default();
+            let mut exchange = ExchangeTrace {
+                lib: lib as u32,
+                req_bytes: req_len as u64,
+                req_msg: request.variant_name(),
+                reply: None,
+                scored: None,
+                fault: fault.map(|f| f.name()),
+                failed: None,
+            };
+            match fault {
+                Some(FaultAction::Fail) => {
+                    let reply = Message::Unavailable {
+                        message: "injected fault".into(),
+                    };
+                    job.resp_len = reply.wire_len();
+                    exchange.failed = Some("unavailable");
+                }
+                Some(FaultAction::Drop) => exchange.failed = Some("disconnected"),
+                Some(FaultAction::Garble | FaultAction::Delay(_)) | None => {
+                    let Answer { reply, work, cpu } = answer(&mut self.parts[lib], request)?;
+                    job = SimJob {
+                        work,
+                        cpu,
+                        resp_len: reply.wire_len(),
+                        delay: match fault {
+                            Some(FaultAction::Delay(d)) => d.as_secs_f64(),
+                            _ => 0.0,
+                        },
+                    };
+                    exchange.reply = Some((job.resp_len as u64, reply.variant_name()));
+                    let (ranking, scored) = reply_ranking(reply);
+                    exchange.scored = scored;
+                    out.postings += scored.map_or(work.postings, |(_, decoded)| decoded);
+                    if matches!(fault, Some(FaultAction::Garble)) {
+                        exchange.failed = Some("remote");
+                    } else {
+                        out.lists
+                            .push(ranking.into_iter().map(|s| (s, lib)).collect());
+                    }
+                }
+            }
+            out.bytes_on_wire += (req_len + job.resp_len) as u64;
+            if exchange.failed.is_some() {
+                out.failed.push(lib);
+            }
+            jobs.push((lib, req_len, job));
+            exchanges.push(exchange);
+        }
+
+        self.phase_start(start, Phase::RankFanout);
+        let (ready, send_at, back_at) = self.schedule_fanout(net, start, &jobs);
+        record_fanout(&self.trace, &exchanges, &send_at, &back_at);
+        out.ready = ready;
+        Ok(out)
+    }
+
+    /// Step 3 onward: the receptionist merges once every reply is in,
+    /// then fetches the answer documents under `plan`.
+    fn merge_and_fetch(
+        &self,
+        net: &mut SimNetwork,
+        fan: FanOut,
+        k: usize,
+        plan: FetchPlan,
+    ) -> Result<QueryCost, TeraphimError> {
+        let entries: u64 = fan.lists.iter().map(|l| l.len() as u64).sum();
+        let merge_cpu = net.cost().merge_cpu(entries);
+        let index_time = net.receptionist_cpu(fan.ready, merge_cpu);
+        self.trace.record_at(
+            micros(index_time),
+            EventKind::Merge {
+                entries,
+                k: k as u32,
+            },
+        );
+        self.phase_end(index_time, Phase::RankFanout);
+        let merged = ranking::merge_rankings(&fan.lists, k);
+        let hits: Vec<(usize, DocId)> = merged.iter().map(|(s, lib)| (*lib, s.doc)).collect();
+
+        self.phase_start(index_time, Phase::DocFetch);
+        let (total_time, fetch_bytes) = self.fetch_phase(net, index_time, &hits, plan)?;
+        self.phase_end(total_time, Phase::DocFetch);
+
+        Ok(QueryCost {
+            index_time,
+            total_time,
+            bytes_on_wire: fan.bytes_on_wire + fetch_bytes,
+            postings_decoded: fan.postings,
+            cpu_busy: 0.0,
+            disk_busy: 0.0,
+            link_busy: 0.0,
+            hits,
+            failed: fan.failed,
         })
     }
 
@@ -718,103 +847,37 @@ impl SimDriver {
     ) -> Result<QueryCost, TeraphimError> {
         let terms = self.term_counts(query);
         let cost = net.cost().clone();
-        let mut bytes_on_wire = 0u64;
-        let mut postings_total = 0u64;
 
-        // Step 1: receptionist parses and transmits the query.
-        let request = if cv {
-            Message::RankWeightedRequest {
+        // Step 1: the receptionist parses the query and sends everyone
+        // the same request. Under CV it carries the global weights, and
+        // the query norm covers the full list (terms a librarian lacks
+        // still belong in its denominator).
+        let global = cv.then(|| {
+            let weights = global_weights(&self.global_vocab, &self.global_stats, &terms);
+            let norm = similarity_norm(&weights);
+            (weights, norm)
+        });
+        let request = match &global {
+            Some((weights, _)) => Message::RankWeightedRequest {
                 query_id: 0,
                 k: k as u32,
-                terms: global_weights(&self.global_vocab, &self.global_stats, &terms),
-            }
-        } else {
-            Message::RankRequest {
+                terms: weights.clone(),
+            },
+            None => Message::RankRequest {
                 query_id: 0,
                 k: k as u32,
                 terms: terms.clone(),
-            }
+            },
         };
-        let req_bytes = request.wire_len();
         let t_parse = net.receptionist_cpu(0.0, cost.cpu_query_overhead);
 
-        // Step 2: each librarian ranks in parallel. Under CV the query
-        // norm covers the full global weight list (terms a librarian
-        // lacks still belong in its denominator).
-        let global_w = cv.then(|| global_weights(&self.global_vocab, &self.global_stats, &terms));
-        let global_norm = global_w.as_ref().map(|w| similarity_norm(w)).unwrap_or(0.0);
-
-        // Consult fault plans — one subquery per librarian.
-        let faults: Vec<Option<FaultAction>> = (0..self.parts.len())
-            .map(|lib| self.next_fault(lib))
-            .collect();
-        let mut failed: Vec<usize> = Vec::new();
-
-        // Evaluate every librarian's ranking first (pure computation —
-        // virtual time is charged below, under the chosen schedule).
-        // Faulted librarians drop out of the merge: `Fail` answers a
-        // small Unavailable message without doing the work, `Drop`
-        // resets the connection (request leg only), `Garble` does the
-        // work but its reply cannot be trusted; `Delay` answers
-        // normally, late.
-        let mut lists: Vec<Vec<(ScoredDoc, usize)>> = Vec::with_capacity(self.parts.len());
-        let mut jobs: Vec<(usize, usize, SimJob)> = Vec::with_capacity(self.parts.len());
-        let mut exchanges: Vec<ExchangeTrace> = Vec::with_capacity(self.parts.len());
-        for (lib, col) in self.parts.iter().enumerate() {
-            let fault = faults[lib];
-            if matches!(fault, Some(FaultAction::Fail)) {
-                let response = Message::Unavailable {
-                    message: "injected fault".into(),
-                };
-                jobs.push((
-                    lib,
-                    req_bytes,
-                    SimJob {
-                        work: NO_WORK,
-                        cpu: 0.0,
-                        resp_len: response.wire_len(),
-                        delay: 0.0,
-                    },
-                ));
-                exchanges.push(ExchangeTrace {
-                    lib: lib as u32,
-                    req_bytes: req_bytes as u64,
-                    req_msg: request.variant_name(),
-                    reply: None,
-                    scored: None,
-                    fault: Some("fail"),
-                    failed: Some("unavailable"),
-                });
-                bytes_on_wire += (req_bytes + response.wire_len()) as u64;
-                failed.push(lib);
-                continue;
-            }
-            if matches!(fault, Some(FaultAction::Drop)) {
-                jobs.push((
-                    lib,
-                    req_bytes,
-                    SimJob {
-                        work: NO_WORK,
-                        cpu: 0.0,
-                        resp_len: 0,
-                        delay: 0.0,
-                    },
-                ));
-                exchanges.push(ExchangeTrace {
-                    lib: lib as u32,
-                    req_bytes: req_bytes as u64,
-                    req_msg: request.variant_name(),
-                    reply: None,
-                    scored: None,
-                    fault: Some("drop"),
-                    failed: Some("disconnected"),
-                });
-                bytes_on_wire += req_bytes as u64;
-                failed.push(lib);
-                continue;
-            }
-            let (weighted, qnorm) = match &global_w {
-                Some(w) => (resolve_weights(col, w), global_norm),
+        // Step 2: each librarian ranks. Its CPU covers decode +
+        // accumulator/heap maintenance, as the MS baseline is charged —
+        // the cost repeated at every librarian.
+        let requests = vec![Some(request); self.parts.len()];
+        let fan = self.fan_out(net, t_parse, &requests, |col, _| {
+            let (weighted, qnorm) = match &global {
+                Some((weights, norm)) => (resolve_weights(col, weights), *norm),
                 None => {
                     let pairs: Vec<(teraphim_index::TermId, u32)> = terms
                         .iter()
@@ -827,109 +890,27 @@ impl SimDriver {
                     (local, norm)
                 }
             };
-            let work = index_work(col, &weighted);
-            postings_total += work.postings;
+            let work = index_work_on(col.index(), &weighted);
             let hits = ranking::rank_with_norm(col.index(), &weighted, qnorm, k);
-            let response = Message::RankResponse {
-                query_id: 0,
-                epoch: 0,
-                entries: hits.iter().map(|h| (h.doc, h.score)).collect(),
-            };
-            let delay = match fault {
-                Some(FaultAction::Delay(d)) => d.as_secs_f64(),
-                _ => 0.0,
-            };
-            jobs.push((
-                lib,
-                req_bytes,
-                SimJob {
-                    work,
-                    cpu: cost.postings_cpu(work.postings) + cost.merge_cpu(work.postings),
-                    resp_len: response.wire_len(),
-                    delay,
+            Ok(Answer {
+                reply: Message::RankResponse {
+                    query_id: 0,
+                    epoch: 0,
+                    entries: hits.iter().map(|h| (h.doc, h.score)).collect(),
                 },
-            ));
-            let garbled = matches!(fault, Some(FaultAction::Garble));
-            exchanges.push(ExchangeTrace {
-                lib: lib as u32,
-                req_bytes: req_bytes as u64,
-                req_msg: request.variant_name(),
-                reply: Some((response.wire_len() as u64, response.variant_name())),
-                scored: None,
-                fault: fault.map(|f| f.name()),
-                failed: garbled.then_some("remote"),
-            });
-            bytes_on_wire += (req_bytes + response.wire_len()) as u64;
-            if garbled {
-                failed.push(lib);
-            } else {
-                lists.push(hits.into_iter().map(|h| (h, lib)).collect());
-            }
-        }
+                work,
+                cpu: cost.postings_cpu(work.postings) + cost.merge_cpu(work.postings),
+            })
+        })?;
 
-        // Charge the schedule. Per-librarian CPU covers decode +
-        // accumulator/heap maintenance, as the MS baseline is charged —
-        // the cost repeated at every librarian.
-        self.trace.record_at(
-            micros(t_parse),
-            EventKind::PhaseStart {
-                phase: Phase::RankFanout,
-            },
-        );
-        let (ready, send_at, back_at) = self.schedule_fanout(net, t_parse, &jobs);
-        record_fanout(&self.trace, &exchanges, &send_at, &back_at);
-
-        // Step 3: the receptionist merges once every reply is in.
-        let merged_entries: u64 = lists.iter().map(|l| l.len() as u64).sum();
-        let index_time = net.receptionist_cpu(ready, cost.merge_cpu(merged_entries));
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::Merge {
-                entries: merged_entries,
-                k: k as u32,
-            },
-        );
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseEnd {
-                phase: Phase::RankFanout,
-            },
-        );
-        let merged = ranking::merge_rankings(&lists, k);
-        let hits: Vec<(usize, DocId)> = merged.iter().map(|(s, lib)| (*lib, s.doc)).collect();
-
-        // Step 4: fetch answer documents.
+        // Steps 3–4: merge, then fetch per document (the paper's
+        // implementation) unless the bundling ablation is on.
         let plan = if self.bundle_all_fetches {
             FetchPlan::Bundled
         } else {
             FetchPlan::PerDocument
         };
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseStart {
-                phase: Phase::DocFetch,
-            },
-        );
-        let (total_time, fetch_bytes) = self.fetch_phase(net, index_time, &hits, plan)?;
-        self.trace.record_at(
-            micros(total_time),
-            EventKind::PhaseEnd {
-                phase: Phase::DocFetch,
-            },
-        );
-        bytes_on_wire += fetch_bytes;
-
-        Ok(QueryCost {
-            index_time,
-            total_time,
-            bytes_on_wire,
-            postings_decoded: postings_total,
-            cpu_busy: 0.0,
-            disk_busy: 0.0,
-            link_busy: 0.0,
-            hits,
-            failed,
-        })
+        self.merge_and_fetch(net, fan, k, plan)
     }
 
     // ------------------------------------------------------------------
@@ -950,7 +931,6 @@ impl SimDriver {
         }
         let terms = self.term_counts(query);
         let cost = net.cost().clone();
-        let mut bytes_on_wire = 0u64;
 
         // Step 1-2 (receptionist side): rank groups on the central
         // grouped index — sequential disk + CPU on the receptionist's
@@ -967,21 +947,8 @@ impl SimDriver {
         let group_ids: Vec<u32> = top_groups.iter().map(|g| g.doc).collect();
         let expanded = self.grouped.expand_groups(&group_ids);
 
-        // Fault plans are consulted for the candidate owners only — the
-        // group ranking happens locally at the receptionist.
-        let owner_faults: Vec<Option<FaultAction>> = expanded
-            .iter()
-            .map(|(part, _)| self.next_fault(*part as usize))
-            .collect();
-        let mut failed: Vec<usize> = Vec::new();
-
         let t_parse = net.receptionist_cpu(0.0, cost.cpu_query_overhead);
-        self.trace.record_at(
-            micros(t_parse),
-            EventKind::PhaseStart {
-                phase: Phase::GroupRank,
-            },
-        );
+        self.phase_start(t_parse, Phase::GroupRank);
         let t_gdisk = net.receptionist_disk_read(t_parse, group_work.list_bytes, group_work.seeks);
         let t_grank = net.receptionist_cpu(
             t_gdisk,
@@ -1006,201 +973,69 @@ impl SimDriver {
                 },
             );
         }
-        self.trace.record_at(
-            micros(t_grank),
-            EventKind::PhaseEnd {
-                phase: Phase::GroupRank,
-            },
-        );
-        let mut postings_total = group_work.postings;
+        self.phase_end(t_grank, Phase::GroupRank);
 
-        // Candidate scoring at the owning librarians. Evaluate first
-        // (pure computation), then charge the schedule below.
+        // Candidate scoring at the owning librarians only — the group
+        // ranking happened locally, so nobody else is contacted (or has
+        // its fault plan consulted).
         let doc_weights = global_weights_from_grouped(&self.grouped, &terms);
-        let mut lists: Vec<Vec<(ScoredDoc, usize)>> = Vec::new();
-        // One (part, request bytes, job) per touched librarian. Faulted
-        // owners drop out of the merge exactly as on the real driver.
-        let mut jobs: Vec<(usize, usize, SimJob)> = Vec::new();
-        let mut exchanges: Vec<ExchangeTrace> = Vec::new();
-        for (i, (part, cands)) in expanded.iter().enumerate() {
-            let part_idx = *part as usize;
-            let fault = owner_faults[i];
-            let request = Message::ScoreCandidatesRequest {
+        let qnorm = similarity_norm(&doc_weights);
+        let mut requests: Vec<Option<Message>> = vec![None; self.parts.len()];
+        for (part, candidates) in expanded {
+            requests[part as usize] = Some(Message::ScoreCandidatesRequest {
                 query_id: 0,
                 terms: doc_weights.clone(),
-                candidates: cands.clone(),
-            };
-            if matches!(fault, Some(FaultAction::Fail)) {
-                let response = Message::Unavailable {
-                    message: "injected fault".into(),
-                };
-                jobs.push((
-                    part_idx,
-                    request.wire_len(),
-                    SimJob {
-                        work: NO_WORK,
-                        cpu: 0.0,
-                        resp_len: response.wire_len(),
-                        delay: 0.0,
-                    },
-                ));
-                exchanges.push(ExchangeTrace {
-                    lib: *part,
-                    req_bytes: request.wire_len() as u64,
-                    req_msg: request.variant_name(),
-                    reply: None,
-                    scored: None,
-                    fault: Some("fail"),
-                    failed: Some("unavailable"),
-                });
-                bytes_on_wire += (request.wire_len() + response.wire_len()) as u64;
-                failed.push(part_idx);
-                continue;
-            }
-            if matches!(fault, Some(FaultAction::Drop)) {
-                jobs.push((
-                    part_idx,
-                    request.wire_len(),
-                    SimJob {
-                        work: NO_WORK,
-                        cpu: 0.0,
-                        resp_len: 0,
-                        delay: 0.0,
-                    },
-                ));
-                exchanges.push(ExchangeTrace {
-                    lib: *part,
-                    req_bytes: request.wire_len() as u64,
-                    req_msg: request.variant_name(),
-                    reply: None,
-                    scored: None,
-                    fault: Some("drop"),
-                    failed: Some("disconnected"),
-                });
-                bytes_on_wire += request.wire_len() as u64;
-                failed.push(part_idx);
-                continue;
-            }
-            let weighted = resolve_weights(&self.parts[part_idx], &doc_weights);
-            let qnorm = similarity_norm(&doc_weights);
-            let (scores, decoded) = if self.skipping {
-                self.parts[part_idx]
-                    .score_candidates(&doc_weights, cands)
-                    .map_err(TeraphimError::Engine)?
-            } else {
-                candidates::score_candidates_full_scan_with_norm(
-                    self.parts[part_idx].index(),
-                    &weighted,
-                    qnorm,
-                    cands,
-                )
-                .map_err(TeraphimError::Engine)?
-            };
-            postings_total += decoded;
-            let response = Message::ScoreResponse {
-                query_id: 0,
-                epoch: 0,
-                entries: scores.iter().map(|s| (s.doc, s.score)).collect(),
-                postings_decoded: decoded,
-            };
-            let work = index_work(&self.parts[part_idx], &weighted);
-            let delay = match fault {
-                Some(FaultAction::Delay(d)) => d.as_secs_f64(),
-                _ => 0.0,
-            };
-            jobs.push((
-                part_idx,
-                request.wire_len(),
-                SimJob {
-                    work,
-                    cpu: cost.postings_cpu(decoded) + cost.merge_cpu(cands.len() as u64),
-                    resp_len: response.wire_len(),
-                    delay,
-                },
-            ));
-            let garbled = matches!(fault, Some(FaultAction::Garble));
-            exchanges.push(ExchangeTrace {
-                lib: *part,
-                req_bytes: request.wire_len() as u64,
-                req_msg: request.variant_name(),
-                reply: Some((response.wire_len() as u64, response.variant_name())),
-                scored: Some((scores.len() as u32, decoded)),
-                fault: fault.map(|f| f.name()),
-                failed: garbled.then_some("remote"),
+                candidates,
             });
-            bytes_on_wire += (request.wire_len() + response.wire_len()) as u64;
-            if garbled {
-                failed.push(part_idx);
-            } else {
-                lists.push(scores.into_iter().map(|s| (s, part_idx)).collect());
-            }
         }
-
         // Disk: the librarian still reads the touched lists once;
         // skipping reduces decode CPU, not the sequential transfer.
         // CPU: candidate scoring maintains one accumulator per candidate.
-        self.trace.record_at(
-            micros(t_grank),
-            EventKind::PhaseStart {
-                phase: Phase::RankFanout,
-            },
-        );
-        let (ready, send_at, back_at) = self.schedule_fanout(net, t_grank, &jobs);
-        record_fanout(&self.trace, &exchanges, &send_at, &back_at);
+        let skipping = self.skipping;
+        let mut fan = self.fan_out(net, t_grank, &requests, |col, request| {
+            let Message::ScoreCandidatesRequest { candidates, .. } = request else {
+                unreachable!("step 1 above builds scoring requests only");
+            };
+            let weighted = resolve_weights(col, &doc_weights);
+            let (scores, decoded) = if skipping {
+                col.score_candidates(&doc_weights, candidates)
+            } else {
+                candidates::score_candidates_full_scan_with_norm(
+                    col.index(),
+                    &weighted,
+                    qnorm,
+                    candidates,
+                )
+            }
+            .map_err(TeraphimError::Engine)?;
+            Ok(Answer {
+                reply: Message::ScoreResponse {
+                    query_id: 0,
+                    epoch: 0,
+                    entries: scores.iter().map(|s| (s.doc, s.score)).collect(),
+                    postings_decoded: decoded,
+                },
+                work: index_work_on(col.index(), &weighted),
+                cpu: cost.postings_cpu(decoded) + cost.merge_cpu(candidates.len() as u64),
+            })
+        })?;
+        fan.postings += group_work.postings;
 
-        // Receptionist sorts the k'·G similarity values.
-        let scored_count: u64 = lists.iter().map(|l| l.len() as u64).sum();
-        let index_time = net.receptionist_cpu(ready, cost.merge_cpu(scored_count));
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::Merge {
-                entries: scored_count,
-                k: k as u32,
-            },
-        );
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseEnd {
-                phase: Phase::RankFanout,
-            },
-        );
-        let merged = ranking::merge_rankings(&lists, k);
-        let hits: Vec<(usize, DocId)> = merged.iter().map(|(s, lib)| (*lib, s.doc)).collect();
-
-        // Step 4: fetch — bundled, since CI candidates arrive as ranges.
-        self.trace.record_at(
-            micros(index_time),
-            EventKind::PhaseStart {
-                phase: Phase::DocFetch,
-            },
-        );
-        let (total_time, fetch_bytes) =
-            self.fetch_phase(net, index_time, &hits, FetchPlan::Bundled)?;
-        self.trace.record_at(
-            micros(total_time),
-            EventKind::PhaseEnd {
-                phase: Phase::DocFetch,
-            },
-        );
-        bytes_on_wire += fetch_bytes;
-
-        Ok(QueryCost {
-            index_time,
-            total_time,
-            bytes_on_wire,
-            postings_decoded: postings_total,
-            cpu_busy: 0.0,
-            disk_busy: 0.0,
-            link_busy: 0.0,
-            hits,
-            failed,
-        })
+        // Steps 3–4: the receptionist sorts the k'·G similarity values,
+        // then fetches bundled, since CI candidates arrive as ranges.
+        self.merge_and_fetch(net, fan, k, FetchPlan::Bundled)
     }
 
     // ------------------------------------------------------------------
     // Step 4: document fetch
     // ------------------------------------------------------------------
 
+    /// Fetches `hits` in rounds: every librarian with documents left
+    /// serves its next chunk — one document under
+    /// [`FetchPlan::PerDocument`], all of them under
+    /// [`FetchPlan::Bundled`] — as one round trip. Rounds across
+    /// librarians proceed in parallel, so each round is a batch of
+    /// causally ordered transfers.
     fn fetch_phase(
         &self,
         net: &mut SimNetwork,
@@ -1208,126 +1043,133 @@ impl SimDriver {
         hits: &[(usize, DocId)],
         plan: FetchPlan,
     ) -> Result<(SimTime, u64), TeraphimError> {
-        let cost = net.cost().clone();
         let mut per_lib: BTreeMap<usize, Vec<DocId>> = BTreeMap::new();
         for &(lib, doc) in hits {
             per_lib.entry(lib).or_default().push(doc);
         }
-        let libs: Vec<usize> = per_lib.keys().copied().collect();
+        let mut rounds: Vec<(usize, std::slice::Chunks<'_, DocId>)> = per_lib
+            .iter()
+            .map(|(&lib, docs)| {
+                let chunk = match plan {
+                    FetchPlan::PerDocument => 1,
+                    FetchPlan::Bundled => docs.len(),
+                };
+                (lib, docs.chunks(chunk))
+            })
+            .collect();
+        let mut ready: BTreeMap<usize, SimTime> = per_lib.keys().map(|&lib| (lib, start)).collect();
         let mut bytes_on_wire = 0u64;
         let mut plain_bytes_total = 0usize;
-        let ends: Vec<SimTime> = match plan {
-            FetchPlan::Bundled => {
-                // One round trip per librarian, all ready together.
-                let mut req_items = Vec::with_capacity(libs.len());
-                let mut disk_jobs = Vec::with_capacity(libs.len());
-                for &lib in &libs {
-                    let docs = &per_lib[&lib];
-                    let col = &self.parts[lib];
-                    let request = Message::FetchDocsRequest {
-                        query_id: 0,
-                        docs: docs.clone(),
-                        plain: false,
-                    };
-                    let mut bundle = Vec::with_capacity(docs.len());
-                    let mut disk_bytes = 0usize;
-                    for &doc in docs {
-                        let body = col
-                            .store()
-                            .compressed_bytes(doc)
-                            .map_err(TeraphimError::Engine)?;
-                        plain_bytes_total += col.fetch(doc).map_err(TeraphimError::Engine)?.len();
-                        disk_bytes += body.len();
-                        bundle.push((doc, col.docno(doc).to_owned(), body.to_vec()));
-                    }
-                    let response = Message::DocsResponse {
-                        query_id: 0,
-                        docs: bundle,
-                    };
-                    bytes_on_wire += (request.wire_len() + response.wire_len()) as u64;
-                    req_items.push((lib, start, request.wire_len()));
-                    disk_jobs.push((lib, disk_bytes, docs.len() as u32, response.wire_len()));
+        loop {
+            let mut participants = Vec::new();
+            let mut req_items = Vec::new();
+            for (lib, chunks) in &mut rounds {
+                let Some(docs) = chunks.next() else { continue };
+                let req_len = Message::FetchDocsRequest {
+                    query_id: 0,
+                    docs: docs.to_vec(),
+                    plain: false,
                 }
-                let arrivals = Self::transfer_batch(net, &req_items, true);
-                let mut resp_items = Vec::with_capacity(libs.len());
-                for (i, &(lib, disk_bytes, seeks, resp_len)) in disk_jobs.iter().enumerate() {
-                    let t_disk = net.disk_read(lib, arrivals[i], disk_bytes, seeks);
-                    resp_items.push((lib, t_disk, resp_len));
-                }
-                Self::transfer_batch(net, &resp_items, false)
+                .wire_len();
+                req_items.push((*lib, ready[lib], req_len));
+                participants.push((*lib, docs, req_len));
             }
-            FetchPlan::PerDocument => {
-                // Each librarian serves its documents one round trip at a
-                // time; rounds across librarians proceed in parallel, so
-                // each round is a batch of causally ordered transfers.
-                let mut ready: BTreeMap<usize, SimTime> =
-                    libs.iter().map(|&lib| (lib, start)).collect();
-                let max_rounds = per_lib.values().map(Vec::len).max().unwrap_or(0);
-                for round in 0..max_rounds {
-                    let mut participants = Vec::new();
-                    let mut req_items = Vec::new();
-                    for &lib in &libs {
-                        let Some(&doc) = per_lib[&lib].get(round) else {
-                            continue;
-                        };
-                        let request = Message::FetchDocsRequest {
-                            query_id: 0,
-                            docs: vec![doc],
-                            plain: false,
-                        };
-                        req_items.push((lib, ready[&lib], request.wire_len()));
-                        participants.push((lib, doc, request.wire_len()));
-                    }
-                    let arrivals = Self::transfer_batch(net, &req_items, true);
-                    let mut resp_items = Vec::with_capacity(participants.len());
-                    for (i, &(lib, doc, req_len)) in participants.iter().enumerate() {
-                        let col = &self.parts[lib];
-                        let body = col
-                            .store()
-                            .compressed_bytes(doc)
-                            .map_err(TeraphimError::Engine)?;
-                        plain_bytes_total += col.fetch(doc).map_err(TeraphimError::Engine)?.len();
-                        let response = Message::DocsResponse {
-                            query_id: 0,
-                            docs: vec![(doc, col.docno(doc).to_owned(), body.to_vec())],
-                        };
-                        bytes_on_wire += (req_len + response.wire_len()) as u64;
-                        let t_disk = net.disk_read(lib, arrivals[i], body.len(), 1);
-                        resp_items.push((lib, t_disk, response.wire_len()));
-                    }
-                    let backs = Self::transfer_batch(net, &resp_items, false);
-                    for (i, &(lib, _, _)) in participants.iter().enumerate() {
-                        ready.insert(lib, backs[i]);
-                    }
-                }
-                ready.into_values().collect()
+            if participants.is_empty() {
+                break;
             }
-        };
-        let arrived = ends.into_iter().fold(start, f64::max);
-        let done = net.receptionist_cpu(arrived, cost.decompress_cpu(plain_bytes_total));
+            let arrivals = Self::transfer_batch(net, &req_items, true);
+            let mut resp_items = Vec::with_capacity(participants.len());
+            for (i, &(lib, docs, req_len)) in participants.iter().enumerate() {
+                let col = &self.parts[lib];
+                let mut bundle = Vec::with_capacity(docs.len());
+                let mut disk_bytes = 0usize;
+                for &doc in docs {
+                    let body = col
+                        .store()
+                        .compressed_bytes(doc)
+                        .map_err(TeraphimError::Engine)?;
+                    plain_bytes_total += col.fetch(doc).map_err(TeraphimError::Engine)?.len();
+                    disk_bytes += body.len();
+                    bundle.push((doc, col.docno(doc).to_owned(), body.to_vec()));
+                }
+                let resp_len = Message::DocsResponse {
+                    query_id: 0,
+                    docs: bundle,
+                }
+                .wire_len();
+                bytes_on_wire += (req_len + resp_len) as u64;
+                let t_disk = net.disk_read(lib, arrivals[i], disk_bytes, docs.len() as u32);
+                resp_items.push((lib, t_disk, resp_len));
+            }
+            let backs = Self::transfer_batch(net, &resp_items, false);
+            for (&(lib, _, _), back) in participants.iter().zip(backs) {
+                ready.insert(lib, back);
+            }
+        }
+        let arrived = ready.into_values().fold(start, f64::max);
+        let decompress_cpu = net.cost().decompress_cpu(plain_bytes_total);
+        let done = net.receptionist_cpu(arrived, decompress_cpu);
         Ok((done, bytes_on_wire))
     }
 }
 
+/// What a healthy librarian makes of one sub-query: the reply it sends
+/// and the disk pass and CPU seconds producing it cost.
+struct Answer {
+    reply: Message,
+    work: IndexWork,
+    cpu: f64,
+}
+
+/// What one fan-out leaves the receptionist holding.
+struct FanOut {
+    /// When the last reply (or observed reset) is in.
+    ready: SimTime,
+    /// The rankings of the librarians whose reply can be used, in
+    /// librarian order, tagged as [`ranking::merge_rankings`] wants them.
+    lists: Vec<Vec<(ScoredDoc, usize)>>,
+    /// Librarians that dropped out, in index order.
+    failed: Vec<usize>,
+    bytes_on_wire: u64,
+    postings: u64,
+}
+
+/// The ranking a reply carries, plus the `(candidates, postings)` a
+/// candidate-scoring reply reports about itself.
+fn reply_ranking(reply: Message) -> (Vec<ScoredDoc>, Option<(u32, u64)>) {
+    let scored = |entries: Vec<(DocId, f64)>| {
+        entries
+            .into_iter()
+            .map(|(doc, score)| ScoredDoc { doc, score })
+            .collect::<Vec<_>>()
+    };
+    match reply {
+        Message::RankResponse { entries, .. } => (scored(entries), None),
+        Message::ScoreResponse {
+            entries,
+            postings_decoded,
+            ..
+        } => {
+            let counts = (entries.len() as u32, postings_decoded);
+            (scored(entries), Some(counts))
+        }
+        _ => (Vec::new(), None),
+    }
+}
+
 /// Disk/CPU work a ranking pass performs at one collection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct IndexWork {
     list_bytes: usize,
     seeks: u32,
     postings: u64,
 }
 
-/// A librarian that does nothing (failed before touching its index).
-const NO_WORK: IndexWork = IndexWork {
-    list_bytes: 0,
-    seeks: 0,
-    postings: 0,
-};
-
 /// One librarian's share of a simulated fan-out after fault injection:
 /// the disk pass, the CPU seconds, the reply size (0 = connection
-/// dropped, no reply leg) and any injected extra latency.
-#[derive(Debug, Clone, Copy)]
+/// dropped, no reply leg) and any injected extra latency. The default is
+/// a librarian that failed before touching its index.
+#[derive(Debug, Clone, Copy, Default)]
 struct SimJob {
     work: IndexWork,
     cpu: f64,
@@ -1346,10 +1188,6 @@ fn charge_librarian(net: &mut SimNetwork, lib: usize, arrive: SimTime, job: &Sim
         t = net.cpu(lib, t, job.cpu);
     }
     t + job.delay
-}
-
-fn index_work(col: &Collection, weighted: &[WeightedTerm]) -> IndexWork {
-    index_work_on(col.index(), weighted)
 }
 
 fn index_work_on(index: &teraphim_index::InvertedIndex, weighted: &[WeightedTerm]) -> IndexWork {
@@ -1449,32 +1287,122 @@ mod tests {
         }
     }
 
+    /// The fan-out's contract, for every methodology under every fault
+    /// and both schedules: who drops out, what each librarian's
+    /// exchange looks like in the trace, that a replay is exact, and
+    /// that the schedule moves nothing but the two times.
     #[test]
-    fn sequential_dispatch_is_slower_than_parallel() {
+    fn sim_fanout_contract() {
+        const STRUCK: usize = 1;
         let cost = CostModel::default();
         let topo = Topology::multi_disk(4);
         let q = "cats dogs retrieval compression";
-        for mode in [
-            SimMode::Distributed(Methodology::CentralNothing),
-            SimMode::Distributed(Methodology::CentralVocabulary),
-            SimMode::Distributed(Methodology::CentralIndex),
-        ] {
+        let delay = std::time::Duration::from_millis(250);
+        let faults: [(&str, Option<FaultPlan>); 5] = [
+            ("none", None),
+            ("fail", Some(FaultPlan::new().fail_from(0))),
+            ("drop", Some(FaultPlan::new().drop_from(0))),
+            ("garble", Some(FaultPlan::new().garble_nth(0))),
+            ("delay", Some(FaultPlan::new().delay_all(delay))),
+        ];
+        let run = |mode: SimMode, plan: &Option<FaultPlan>, dispatch: SimDispatch| {
             let mut d = driver();
-            let par = d.time_query(&topo, &cost, mode, q, 5).unwrap();
-            d.dispatch = SimDispatch::Sequential;
-            let seq = d.time_query(&topo, &cost, mode, q, 5).unwrap();
+            d.dispatch = dispatch;
+            let sink = d.enable_tracing();
+            if let Some(plan) = plan {
+                d.set_fault_plan(STRUCK, plan.clone());
+            }
+            let c = d.time_query(&topo, &cost, mode, q, 10).unwrap();
+            // Clearing the plans restores the healthy fleet (and resets
+            // the request counters the plans are evaluated at).
+            d.clear_fault_plans();
+            let healed = d.time_query(&topo, &cost, mode, q, 10).unwrap();
+            (c, healed, sink.take_traces().swap_remove(0))
+        };
+        let timeless = |c: &QueryCost| QueryCost {
+            index_time: 0.0,
+            total_time: 0.0,
+            ..c.clone()
+        };
+        for methodology in [
+            Methodology::CentralNothing,
+            Methodology::CentralVocabulary,
+            Methodology::CentralIndex,
+        ] {
+            let mode = SimMode::Distributed(methodology);
+            let (healthy, ..) = run(mode, &None, SimDispatch::Parallel);
             assert!(
-                seq.index_time > par.index_time,
-                "{mode}: sequential {} should exceed parallel {}",
-                seq.index_time,
-                par.index_time
+                healthy.hits.iter().any(|&(lib, _)| lib == STRUCK),
+                "{mode}: the struck librarian must matter to the healthy answer"
             );
-            assert_eq!(
-                seq.hits, par.hits,
-                "{mode}: dispatch must not change results"
-            );
-            assert_eq!(seq.bytes_on_wire, par.bytes_on_wire, "{mode}");
-            assert_eq!(seq.postings_decoded, par.postings_decoded, "{mode}");
+            for (name, plan) in &faults {
+                let case = format!("{mode} under {name}");
+                let (par, healed, trace) = run(mode, plan, SimDispatch::Parallel);
+                let (seq, ..) = run(mode, plan, SimDispatch::Sequential);
+
+                // Who drops out: exactly the struck librarian, unless
+                // the fault only slows it down.
+                let drops_out = !matches!(*name, "none" | "delay");
+                let expected_failed = if drops_out { vec![STRUCK] } else { Vec::new() };
+                assert_eq!(par.failed, expected_failed, "{case}");
+                if drops_out {
+                    assert!(par.hits.iter().all(|&(lib, _)| lib != STRUCK), "{case}");
+                    assert!(!par.hits.is_empty(), "{case}: the others still answer");
+                } else {
+                    assert_eq!(timeless(&par), timeless(&healthy), "{case}");
+                }
+                if *name == "delay" {
+                    assert!(
+                        par.index_time >= healthy.index_time + 0.2,
+                        "{case}: {} vs healthy {}",
+                        par.index_time,
+                        healthy.index_time
+                    );
+                }
+                assert_eq!(healed, healthy, "{case}: clearing the plans heals");
+
+                // Each contacted librarian's exchange, in trace order.
+                let scored = methodology == Methodology::CentralIndex;
+                let contacted: Vec<u32> = trace
+                    .events
+                    .iter()
+                    .filter(|e| e.kind.tag() == "sent")
+                    .filter_map(|e| e.kind.librarian())
+                    .collect();
+                assert!(contacted.contains(&(STRUCK as u32)), "{case}");
+                for lib in contacted {
+                    let struck = lib as usize == STRUCK && plan.is_some();
+                    let replied = !(struck && matches!(*name, "fail" | "drop"));
+                    let mut expected = vec!["sent"];
+                    expected.extend(struck.then_some("fault"));
+                    if replied {
+                        expected.push("reply");
+                        expected.extend(["server_phase"; 4]);
+                        expected.extend(scored.then_some("scored"));
+                    }
+                    expected.extend((struck && drops_out).then_some("lib_failed"));
+                    let got: Vec<&str> = trace
+                        .events
+                        .iter()
+                        .filter(|e| e.kind.librarian() == Some(lib))
+                        .map(|e| e.kind.tag())
+                        .collect();
+                    assert_eq!(got, expected, "{case}: librarian {lib}");
+                }
+
+                // A fresh driver replays the case exactly.
+                assert_eq!(run(mode, plan, SimDispatch::Parallel).0, par, "{case}");
+
+                // The schedule changes the two times and nothing else.
+                assert_eq!(timeless(&seq), timeless(&par), "{case}");
+                assert!(
+                    seq.index_time > par.index_time,
+                    "{case}: sequential {} should exceed parallel {}",
+                    seq.index_time,
+                    par.index_time
+                );
+                assert!(seq.total_time > par.total_time, "{case}");
+            }
         }
     }
 
@@ -1577,62 +1505,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_librarian_drops_out_of_the_simulated_merge() {
-        let cost = CostModel::default();
-        let topo = Topology::multi_disk(4);
-        let q = "cats dogs retrieval compression";
-        for mode in [
-            SimMode::Distributed(Methodology::CentralNothing),
-            SimMode::Distributed(Methodology::CentralVocabulary),
-        ] {
-            let mut healthy = driver();
-            let base = healthy.time_query(&topo, &cost, mode, q, 10).unwrap();
-            assert!(base.failed.is_empty(), "{mode}");
-
-            let mut d = driver();
-            d.set_fault_plan(1, FaultPlan::new().fail_from(0));
-            let degraded = d.time_query(&topo, &cost, mode, q, 10).unwrap();
-            assert_eq!(degraded.failed, vec![1], "{mode}");
-            assert!(degraded.hits.iter().all(|&(lib, _)| lib != 1), "{mode}");
-            // The surviving hits are exactly the healthy hits minus
-            // librarian 1's contributions, topped up from below.
-            for hit in &degraded.hits {
-                assert!(
-                    base.hits.contains(hit) || !base.hits.is_empty(),
-                    "{mode}: unexpected hit {hit:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn slow_librarian_stretches_parallel_elapsed_time() {
-        let cost = CostModel::default();
-        let topo = Topology::multi_disk(4);
-        let q = "cats dogs retrieval";
-        let mode = SimMode::Distributed(Methodology::CentralVocabulary);
-        let mut healthy = driver();
-        let base = healthy.time_query(&topo, &cost, mode, q, 5).unwrap();
-
-        let mut d = driver();
-        d.set_fault_plan(
-            2,
-            FaultPlan::new().delay_all(std::time::Duration::from_millis(250)),
-        );
-        let slow = d.time_query(&topo, &cost, mode, q, 5).unwrap();
-        assert!(slow.failed.is_empty());
-        assert_eq!(slow.hits, base.hits, "delay must not change the ranking");
-        // The injected 250 ms dominates the healthy critical path (the
-        // delayed librarian may not have been the slowest before).
-        assert!(
-            slow.index_time >= base.index_time + 0.2,
-            "slow {} vs base {}",
-            slow.index_time,
-            base.index_time
-        );
-    }
-
-    #[test]
     fn sim_fault_plans_replay_deterministically() {
         let cost = CostModel::default();
         let topo = Topology::multi_disk(4);
@@ -1717,37 +1589,6 @@ mod tests {
                 assert_eq!(c.hits[0].0, 2, "{mode}: owned by librarian 2");
             }
         }
-    }
-
-    #[test]
-    fn ci_owner_failure_is_reported() {
-        let cost = CostModel::default();
-        let topo = Topology::multi_disk(4);
-        let mut d = driver();
-        d.set_fault_plan(0, FaultPlan::new().fail_from(0));
-        let c = d
-            .time_query(
-                &topo,
-                &cost,
-                SimMode::Distributed(Methodology::CentralIndex),
-                "cats dogs retrieval compression",
-                5,
-            )
-            .unwrap();
-        assert_eq!(c.failed, vec![0]);
-        assert!(c.hits.iter().all(|&(lib, _)| lib != 0));
-        // Clearing restores full coverage.
-        d.clear_fault_plans();
-        let healthy = d
-            .time_query(
-                &topo,
-                &cost,
-                SimMode::Distributed(Methodology::CentralIndex),
-                "cats dogs retrieval compression",
-                5,
-            )
-            .unwrap();
-        assert!(healthy.failed.is_empty());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! query streams across all four of the paper's methodologies
 //! (mono-server, Central Nothing, Central Vocabulary, Central Index),
 //! index churn with epoch bumps, fault windows, cache and dispatch
-//! toggles. The same plan replays against three embodiments of the
-//! system:
+//! toggles. The same plan replays against two executions, each written
+//! once, in three embodiments:
 //!
 //! - [`SimBackend`] — the virtual-time simulator, no threads or
-//!   sockets;
-//! - [`InProcBackend`] — a real receptionist over in-process
-//!   transports;
-//! - [`TcpBackend`] — the multiplexed TCP serving pool, one session
-//!   per plan client.
+//!   sockets: the reference the real execution is compared against;
+//! - [`real::RealBackend`] — real receptionist sessions over
+//!   chaos-wrapped replica groups, as [`InProcBackend`] (one session
+//!   over in-process transports) and as [`TcpBackend`] (the multiplexed
+//!   TCP serving pool, one forked session per plan client).
 //!
 //! Three checking modes turn replays into properties:
 //! [`doublecheck`] (the same backend must repeat itself exactly),

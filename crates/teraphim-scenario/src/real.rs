@@ -1,126 +1,33 @@
-//! Real execution backends: the in-process receptionist and the
-//! multiplexed TCP serving pool.
+//! The real execution backend, [`RealBackend`], and its two embodiments:
+//! [`InProcBackend`] (one receptionist, in-process transports) and
+//! [`TcpBackend`] (TCP servers, multiplexed pools, a session per client).
 //!
-//! Both embody the elastic fleet the same way: every librarian slot
-//! (shard) is a [`ReplicaGroup`] of 1..R content-identical replicas,
-//! wrapped in a [`ChaosTransport`] so the plan's fault windows inject at
-//! the same architectural point the simulator injects its fault plans —
-//! between the receptionist's fan-out and the shard. Membership steps
-//! mutate the groups at run time: joins rebuild the subcollection from
-//! the backend's per-shard document ledger (the migration handoff,
-//! adopting the shard's index epoch so epoch-keyed caches cannot tell
-//! replicas apart), leaves retire the preferred replica first. Every
-//! change is published to a shared [`RoutingTable`] whose version feeds
-//! the receptionists' cache-generation path. Both backends also keep a
-//! private mono-server collection so `MS` query steps have a baseline.
+//! Every plan step is implemented once, over the elastic fleet: each
+//! librarian slot (shard) is a [`ReplicaGroup`] of 1..R content-identical
+//! replicas, wrapped in a [`ChaosTransport`] so the plan's fault windows
+//! inject where the simulator injects its fault plans — between the
+//! receptionist's fan-out and the shard. Joins rebuild the subcollection
+//! from the per-shard document ledger (adopting the shard's index epoch,
+//! so epoch-keyed caches cannot tell replicas apart), leaves retire the
+//! preferred replica first, and every change is published to a shared
+//! [`RoutingTable`] whose version feeds the sessions' cache generation.
+//! A private mono-server collection gives `MS` query steps a baseline.
 
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use teraphim_core::{CacheConfig, Librarian, QuerySession, Receptionist, ServePool};
 use teraphim_engine::Collection;
-use teraphim_net::mux::{MuxPool, MuxTransport};
-use teraphim_net::tcp::TcpServer;
-use teraphim_net::{
-    DispatchMode, InProcTransport, Message, ReplicaGroup, RoutingTable, ServerOptions, Service,
-    Transport,
-};
+use teraphim_net::{DispatchMode, Message, ReplicaGroup, RoutingTable, Service};
 use teraphim_obs::{trace_traffic_sums, EventKind, MetricsRegistry, TraceSink};
 use teraphim_store::{IndexStore, TempDir};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
-use crate::backend::{Accounting, Backend, Hit, QueryOutcome, TrafficTriple, CI};
+use crate::backend::{normalize_error, Accounting, Backend, Hit, QueryOutcome, CI};
 use crate::chaos::{ChaosCell, ChaosState, ChaosTransport};
 use crate::fixture::Fixture;
 use crate::plan::{CacheSpec, DispatchChoice, FaultSpec, Plan, RunMode, MAX_REPLICAS};
-
-fn to_chaos(fault: Option<FaultSpec>) -> ChaosState {
-    match fault {
-        None => ChaosState::Healthy,
-        Some(FaultSpec::Down) => ChaosState::Down,
-        Some(FaultSpec::Delay { ms }) => ChaosState::Delay(std::time::Duration::from_millis(ms)),
-    }
-}
-
-fn to_dispatch(mode: DispatchChoice) -> DispatchMode {
-    match mode {
-        DispatchChoice::Sequential => DispatchMode::Sequential,
-        DispatchChoice::Concurrent => DispatchMode::Concurrent,
-        DispatchChoice::Pipelined => DispatchMode::Pipelined,
-    }
-}
-
-fn to_cache_config(spec: CacheSpec) -> CacheConfig {
-    CacheConfig {
-        result_entries: spec.results as usize,
-        result_shards: (spec.shards as usize).max(1),
-        term_entries: spec.terms as usize,
-        doc_bytes: spec.doc_bytes as usize,
-    }
-}
-
-fn mono_collection(fixture: &Fixture) -> Collection {
-    let all_docs: Vec<TrecDoc> = fixture
-        .parts()
-        .iter()
-        .flat_map(|s| s.docs.iter().cloned())
-        .collect();
-    Collection::build("MS", Analyzer::default(), &all_docs)
-}
-
-fn mono_outcome(mono: &Collection, query: &str, k: usize) -> QueryOutcome {
-    QueryOutcome {
-        step: 0,
-        hits: mono
-            .ranked_query(query, k)
-            .iter()
-            .map(|s| Hit {
-                lib: 0,
-                doc: s.doc,
-                score_bits: Some(s.score.to_bits()),
-            })
-            .collect(),
-        failed: Vec::new(),
-        error: None,
-    }
-}
-
-fn coverage_outcome<T: Transport>(
-    receptionist: &mut Receptionist<T>,
-    mode: RunMode,
-    query: &str,
-    k: usize,
-) -> QueryOutcome {
-    let methodology = mode
-        .methodology()
-        .expect("MS is handled by the mono baseline");
-    match receptionist.query_with_coverage(methodology, query, k) {
-        Ok(answer) => QueryOutcome {
-            step: 0,
-            hits: answer
-                .hits
-                .iter()
-                .map(|h| Hit {
-                    lib: h.librarian as u64,
-                    doc: h.doc,
-                    score_bits: Some(h.score.to_bits()),
-                })
-                .collect(),
-            failed: answer.coverage.failed.iter().map(|&l| l as u64).collect(),
-            error: None,
-        },
-        Err(e) => QueryOutcome {
-            step: 0,
-            hits: Vec::new(),
-            failed: Vec::new(),
-            error: Some(crate::backend::normalize_error(&e)),
-        },
-    }
-}
-
-fn triple(stats: teraphim_net::TrafficStats) -> TrafficTriple {
-    (stats.round_trips, stats.bytes_sent, stats.bytes_received)
-}
 
 /// A librarian service that can be shared between a server (or
 /// transport) and the harness, so churn steps can append documents to
@@ -278,23 +185,127 @@ fn recovered_librarian(bytes: &[u8], epoch: u64, routing: &RoutingTable) -> Libr
     lib
 }
 
-/// Rotates `group`'s preference to the next live replica after the
-/// current preferred one, in membership order. Returns the promoted id.
-fn next_preferred<T: Transport>(group: &ReplicaGroup<T>) -> Option<u32> {
-    let ids = group.replica_ids();
-    let current = group.preferred_id()?;
-    let pos = ids.iter().position(|&id| id == current)?;
-    Some(ids[(pos + 1) % ids.len()])
+/// How a real backend embodies the fleet — the one thing that differs
+/// between [`InProcBackend`] and [`TcpBackend`]. The items are public
+/// only so the aliases can name them; the module is private.
+mod embodiment {
+    use super::{Plan, SharedLibrarian};
+    use std::sync::Arc;
+    use teraphim_net::mux::{MuxPool, MuxTransport};
+    use teraphim_net::tcp::TcpServer;
+    use teraphim_net::{InProcTransport, ServerOptions, TcpOptions, Transport};
+
+    pub trait Embodiment {
+        /// The backend's report name.
+        const NAME: &'static str;
+        /// `false`: each session preprocesses CV/CI in place, traced,
+        /// through its own chaos-wrapped groups. `true`: preprocessing
+        /// runs once on an untraced prototype over plain transports and
+        /// every session is a pipelined fork of it.
+        const FORKED: bool;
+        /// The client side of one replica.
+        type Transport: Transport;
+        /// What keeps a replica served while it is a member.
+        type Served;
+        /// Puts `lib` into service.
+        fn serve(lib: &SharedLibrarian) -> Self::Served;
+        /// A fresh client-side handle onto a served replica.
+        fn connect(lib: &SharedLibrarian, served: &Self::Served) -> Self::Transport;
+        /// How many receptionist sessions the plan is replayed on.
+        fn sessions(plan: &Plan) -> usize;
+    }
+
+    /// Same process, same thread: a replica is served by being alive,
+    /// and one receptionist replays every client's steps.
+    pub struct InProc;
+
+    impl Embodiment for InProc {
+        const NAME: &'static str = "inproc";
+        const FORKED: bool = false;
+        type Transport = InProcTransport<SharedLibrarian>;
+        type Served = ();
+
+        fn serve(_lib: &SharedLibrarian) {}
+
+        fn connect(lib: &SharedLibrarian, _served: &()) -> Self::Transport {
+            InProcTransport::new(lib.clone())
+        }
+
+        fn sessions(_plan: &Plan) -> usize {
+            1
+        }
+    }
+
+    /// The full stack: one TCP server per replica behind a multiplexed
+    /// connection pool every session's transport rides on, and one
+    /// `ServePool` session per plan client (PR 6's serving architecture
+    /// under scripted load).
+    pub struct Tcp;
+
+    impl Embodiment for Tcp {
+        const NAME: &'static str = "tcp";
+        const FORKED: bool = true;
+        type Transport = MuxTransport;
+        type Served = (TcpServer, Arc<MuxPool>);
+
+        fn serve(lib: &SharedLibrarian) -> Self::Served {
+            let server = TcpServer::spawn_with(
+                vec![lib.clone(), lib.clone()],
+                "127.0.0.1:0",
+                ServerOptions {
+                    workers: 2,
+                    queue_depth: 64,
+                },
+            )
+            .expect("loopback server spawns");
+            let pool = MuxPool::connect(server.addr(), 2, TcpOptions::default())
+                .expect("loopback connects");
+            (server, pool)
+        }
+
+        fn connect(_lib: &SharedLibrarian, (_, pool): &Self::Served) -> MuxTransport {
+            MuxTransport::new(Arc::clone(pool))
+        }
+
+        fn sessions(plan: &Plan) -> usize {
+            plan.clients.max(1) as usize
+        }
+    }
+}
+use embodiment::{Embodiment, InProc, Tcp};
+
+/// One live replica: its shared service and whatever serves it.
+struct Replica<E: Embodiment> {
+    id: u32,
+    lib: SharedLibrarian,
+    served: E::Served,
 }
 
-/// The in-process backend: one receptionist over chaos-wrapped replica
-/// groups of in-process transports, same process, same thread.
-pub struct InProcBackend {
-    receptionist: Receptionist<ChaosTransport<ReplicaGroup<InProcTransport<SharedLibrarian>>>>,
+impl<E: Embodiment> Replica<E> {
+    fn spawn(id: u32, shard: &ShardState, routing: &RoutingTable) -> Self {
+        let lib = shard.build_replica(routing);
+        let served = E::serve(&lib);
+        Replica { id, lib, served }
+    }
+
+    fn connect(&self) -> E::Transport {
+        E::connect(&self.lib, &self.served)
+    }
+}
+
+type Session<E> = QuerySession<ChaosTransport<ReplicaGroup<<E as Embodiment>::Transport>>>;
+
+/// A real execution backend: receptionist sessions over chaos-wrapped
+/// replica groups, embodied as `E` says. Each session owns its
+/// transports, so membership changes are applied to every session's
+/// group for the same shard in lockstep; fleet-wide steps (churn, cache,
+/// dispatch) are applied to every session.
+pub struct RealBackend<E: Embodiment> {
+    replicas: Vec<Vec<Replica<E>>>,
+    sessions: Vec<Session<E>>,
+    session_groups: Vec<Vec<ReplicaGroup<E::Transport>>>,
     shards: Vec<ShardState>,
     stores: FleetStores,
-    members: Vec<Vec<(u32, SharedLibrarian)>>,
-    groups: Vec<ReplicaGroup<InProcTransport<SharedLibrarian>>>,
     cells: Vec<ChaosCell>,
     routing: RoutingTable,
     next_id: u32,
@@ -304,77 +315,111 @@ pub struct InProcBackend {
     cache_spec: Option<CacheSpec>,
 }
 
-impl InProcBackend {
-    /// Builds the fleet (with `plan.replicas` replicas per shard) and
-    /// preprocesses CV and CI state.
-    pub fn new(plan: &Plan) -> InProcBackend {
+/// The in-process backend: one receptionist over chaos-wrapped replica
+/// groups of in-process transports, same process, same thread.
+pub type InProcBackend = RealBackend<InProc>;
+
+/// The full-stack backend: TCP servers, multiplexed connections and a
+/// pool of forked sessions, one per plan client.
+pub type TcpBackend = RealBackend<Tcp>;
+
+impl<E: Embodiment> RealBackend<E> {
+    /// Builds the fleet (with `plan.replicas` replicas per shard),
+    /// preprocesses CV and CI state, and checks the plan's sessions out
+    /// of their pool.
+    pub fn new(plan: &Plan) -> Self {
         let fixture = Fixture::for_plan(plan);
         let shards = ShardState::from_fixture(&fixture);
-        let stores = FleetStores::create("scen-inproc", &shards);
+        let all_docs: Vec<TrecDoc> = shards.iter().flat_map(|s| s.docs.clone()).collect();
+        let stores = FleetStores::create(&format!("scen-{}", E::NAME), &shards);
         let routing = RoutingTable::new();
         let n = shards.len();
-        let per_shard = plan.replicas.clamp(1, MAX_REPLICAS) as usize;
+        let per_shard = plan.replicas.clamp(1, MAX_REPLICAS) as u32;
+        // The first replica keeps the shard's own index as its id, so a
+        // one-replica fleet reads like the pre-elastic fixed fleet; the
+        // others take fresh ids, shard by shard.
         let mut next_id = n as u32;
-        let members: Vec<Vec<(u32, SharedLibrarian)>> = shards
+        let replicas: Vec<Vec<Replica<E>>> = shards
             .iter()
             .enumerate()
             .map(|(s, shard)| {
-                (0..per_shard)
-                    .map(|r| {
-                        // The first replica keeps the shard's own index
-                        // as its id, so a one-replica fleet reads like
-                        // the pre-elastic fixed fleet.
-                        let id = if r == 0 {
-                            s as u32
-                        } else {
-                            next_id += 1;
-                            next_id - 1
-                        };
-                        (id, shard.build_replica(&routing))
-                    })
+                let fresh = next_id..next_id + per_shard - 1;
+                next_id = fresh.end;
+                std::iter::once(s as u32)
+                    .chain(fresh)
+                    .map(|id| Replica::spawn(id, shard, &routing))
                     .collect()
             })
             .collect();
         let cells: Vec<ChaosCell> = (0..n).map(|_| ChaosCell::healthy()).collect();
-        let groups: Vec<ReplicaGroup<InProcTransport<SharedLibrarian>>> = members
-            .iter()
-            .enumerate()
-            .map(|(s, replicas)| {
-                ReplicaGroup::new(
-                    s as u32,
-                    replicas
-                        .iter()
-                        .map(|(id, lib)| (*id, InProcTransport::new(lib.clone())))
-                        .collect(),
-                )
-                .with_table(routing.clone())
-            })
-            .collect();
-        let transports = groups
-            .iter()
-            .zip(&cells)
-            .map(|(group, cell)| ChaosTransport::new(group.clone(), cell.clone()))
-            .collect();
-        let mut receptionist = Receptionist::new(transports, Analyzer::default());
-        let sink = receptionist.enable_tracing();
-        let registry = receptionist.enable_metrics();
-        for group in &groups {
-            let _ = group.clone().with_trace(sink.clone());
+
+        // Every session is a fork of one prototype over plain transports
+        // to each shard's first replica; a forked embodiment preprocesses
+        // there, once and untraced, and pipelines its sessions.
+        let mut prototype = Receptionist::new(
+            replicas.iter().map(|shard| shard[0].connect()).collect(),
+            Analyzer::default(),
+        );
+        if E::FORKED {
+            prototype.enable_cv().expect("healthy fleet preprocesses");
+            prototype.enable_ci(CI).expect("healthy fleet preprocesses");
+            prototype.set_dispatch_mode(DispatchMode::Pipelined);
         }
-        receptionist.set_routing_table(routing.clone());
-        receptionist
-            .enable_cv()
-            .expect("healthy fleet preprocesses");
-        receptionist
-            .enable_ci(CI)
-            .expect("healthy fleet preprocesses");
-        InProcBackend {
-            receptionist,
-            mono: mono_collection(&fixture),
+
+        let sink = TraceSink::new();
+        let registry = Arc::new(MetricsRegistry::new());
+        sink.tee_metrics(Arc::clone(&registry));
+
+        let clients = E::sessions(plan);
+        let mut session_groups: Vec<Vec<ReplicaGroup<E::Transport>>> = Vec::new();
+        let pool = ServePool::new(
+            (0..clients)
+                .map(|client| {
+                    let groups: Vec<ReplicaGroup<E::Transport>> = replicas
+                        .iter()
+                        .enumerate()
+                        .map(|(s, shard_replicas)| {
+                            let group = ReplicaGroup::new(
+                                s as u32,
+                                shard_replicas.iter().map(|r| (r.id, r.connect())).collect(),
+                            )
+                            .with_trace(sink.clone());
+                            if client == 0 {
+                                // One session publishes membership; the
+                                // others mirror it, so the table version
+                                // moves once per fleet-wide change.
+                                group.with_table(routing.clone())
+                            } else {
+                                group
+                            }
+                        })
+                        .collect();
+                    let transports: Vec<_> = groups
+                        .iter()
+                        .zip(&cells)
+                        .map(|(group, cell)| ChaosTransport::new(group.clone(), cell.clone()))
+                        .collect();
+                    let mut session = prototype.fork(transports);
+                    session.set_trace_sink(sink.clone());
+                    session.set_routing_table(routing.clone());
+                    if !E::FORKED {
+                        session.enable_cv().expect("healthy fleet preprocesses");
+                        session.enable_ci(CI).expect("healthy fleet preprocesses");
+                    }
+                    session_groups.push(groups);
+                    session
+                })
+                .collect(),
+        );
+        let sessions: Vec<Session<E>> = (0..clients).map(|_| pool.session()).collect();
+
+        RealBackend {
+            replicas,
+            sessions,
+            session_groups,
+            mono: Collection::build("MS", Analyzer::default(), &all_docs),
             shards,
             stores,
-            members,
-            groups,
             cells,
             routing,
             next_id,
@@ -399,27 +444,69 @@ impl InProcBackend {
     /// Drops cached results (coverage changed) without changing whether
     /// caching is on.
     fn flush_cache(&mut self) {
-        if let Some(spec) = self.cache_spec {
-            self.receptionist.disable_cache();
-            self.receptionist.enable_cache(to_cache_config(spec));
+        if self.cache_spec.is_some() {
+            self.set_cache(self.cache_spec);
         }
     }
 }
 
-impl Backend for InProcBackend {
+impl TcpBackend {
+    /// Server-side traffic counters, summed over the fleet (includes
+    /// prototype preprocessing; useful for inspecting runs in tests).
+    pub fn server_traffic(&self) -> teraphim_net::TrafficStats {
+        let mut total = teraphim_net::TrafficStats::default();
+        for replica in self.replicas.iter().flatten() {
+            let (server, _) = &replica.served;
+            total.absorb(&server.traffic());
+        }
+        total
+    }
+}
+
+impl<E: Embodiment> Backend for RealBackend<E> {
     fn name(&self) -> &'static str {
-        "inproc"
+        E::NAME
     }
 
     fn num_libs(&self) -> usize {
-        self.groups.len()
+        self.replicas.len()
     }
 
-    fn query(&mut self, _client: u64, mode: RunMode, query: &str, k: usize) -> QueryOutcome {
-        match mode {
-            RunMode::Ms => mono_outcome(&self.mono, query, k),
-            _ => coverage_outcome(&mut self.receptionist, mode, query, k),
+    fn query(&mut self, client: u64, mode: RunMode, query: &str, k: usize) -> QueryOutcome {
+        let hit = |lib: usize, doc, score: f64| Hit {
+            lib: lib as u64,
+            doc,
+            score_bits: Some(score.to_bits()),
+        };
+        let mut outcome = QueryOutcome {
+            step: 0,
+            hits: Vec::new(),
+            failed: Vec::new(),
+            error: None,
+        };
+        match mode.methodology() {
+            // MS: the private mono-server baseline, no fleet involved.
+            None => {
+                let ranked = self.mono.ranked_query(query, k);
+                outcome.hits = ranked.iter().map(|s| hit(0, s.doc, s.score)).collect();
+            }
+            Some(methodology) => {
+                let session = client as usize % self.sessions.len();
+                match self.sessions[session].query_with_coverage(methodology, query, k) {
+                    Ok(answer) => {
+                        let failed = &answer.coverage.failed;
+                        outcome.failed = failed.iter().map(|&l| l as u64).collect();
+                        outcome.hits = answer
+                            .hits
+                            .iter()
+                            .map(|h| hit(h.librarian, h.doc, h.score))
+                            .collect();
+                    }
+                    Err(e) => outcome.error = Some(normalize_error(&e)),
+                }
+            }
         }
+        outcome
     }
 
     fn add_docs(&mut self, lib: usize, docs: &[TrecDoc]) -> Result<(), String> {
@@ -429,345 +516,14 @@ impl Backend for InProcBackend {
         self.stores.log_batch(lib, docs)?;
         self.shards[lib].docs.extend_from_slice(docs);
         self.shards[lib].epoch += 1;
-        for (_, replica) in &self.members[lib] {
-            replica.append(docs)?;
-        }
-        self.mono
-            .append_documents(docs)
-            .map_err(|e| format!("{e}"))?;
-        self.receptionist.enable_cv().map_err(|e| format!("{e}"))?;
-        self.receptionist
-            .enable_ci(CI)
-            .map_err(|e| format!("{e}"))?;
-        Ok(())
-    }
-
-    fn apply_fault(&mut self, lib: usize, fault: Option<FaultSpec>) {
-        self.cells[lib].set(to_chaos(fault));
-        self.flush_cache();
-    }
-
-    fn kill(&mut self, lib: usize) {
-        self.cells[lib].set(ChaosState::Down);
-        self.flush_cache();
-    }
-
-    fn add_lib(&mut self, lib: usize) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let replica = self.shards[lib].build_replica(&self.routing);
-        // The handoff is a traced operation of its own: a `migrate`
-        // trace carrying the index transfer (`Migrate`) and the
-        // membership change (`Join`, recorded by the group).
-        self.sink.record(EventKind::Begin {
-            op: "migrate",
-            methodology: None,
-            query_id: 0,
-            k: 0,
-        });
-        self.sink.record(EventKind::Migrate {
-            librarian: lib as u32,
-            docs: self.shards[lib].docs.len() as u64,
-            epoch: self.shards[lib].epoch,
-        });
-        self.groups[lib].add_replica(id, InProcTransport::new(replica.clone()));
-        self.sink.record(EventKind::End);
-        self.members[lib].push((id, replica));
-        self.flush_cache();
-    }
-
-    fn remove_lib(&mut self, lib: usize) {
-        if let Some(id) = self.groups[lib].preferred_id() {
-            self.groups[lib].remove_replica(id);
-            self.members[lib].retain(|(rid, _)| *rid != id);
-        }
-        self.flush_cache();
-    }
-
-    fn promote_replica(&mut self, lib: usize) {
-        if let Some(next) = next_preferred(&self.groups[lib]) {
-            self.groups[lib].promote(next);
-        }
-        self.flush_cache();
-    }
-
-    fn crash(&mut self, lib: usize) {
-        // The "process" dies: the store handle goes with it and every
-        // replica's memory is genuinely lost, so a reopen that did not
-        // actually recover from disk cannot pass the differential.
-        self.stores.crash(lib);
-        for (_, replica) in &self.members[lib] {
-            replica.replace(crashed_librarian(&self.shards[lib].name, &self.routing));
-        }
-        self.apply_fault(lib, Some(FaultSpec::Down));
-    }
-
-    fn reopen(&mut self, lib: usize) {
-        let (bytes, epoch) = self.stores.reopen(lib);
-        assert_eq!(
-            epoch, self.shards[lib].epoch,
-            "recovered epoch must match the shard ledger"
-        );
-        for (_, replica) in &self.members[lib] {
-            replica.replace(recovered_librarian(&bytes, epoch, &self.routing));
-        }
-        self.apply_fault(lib, None);
-    }
-
-    fn set_cache(&mut self, spec: Option<CacheSpec>) {
-        self.cache_spec = spec;
-        match spec {
-            Some(s) => self.receptionist.enable_cache(to_cache_config(s)),
-            None => self.receptionist.disable_cache(),
-        }
-    }
-
-    fn set_dispatch(&mut self, mode: DispatchChoice) {
-        self.receptionist.set_dispatch_mode(to_dispatch(mode));
-    }
-
-    fn health_poll(&mut self) {
-        let _ = self.receptionist.fleet_health();
-    }
-
-    fn accounting(&mut self) -> Accounting {
-        let sums = trace_traffic_sums(&self.sink.take_traces());
-        let totals = self.registry.snapshot().traffic_totals();
-        Accounting {
-            transport: Some(triple(self.receptionist.traffic())),
-            trace: (sums.messages_sent, sums.bytes_sent, sums.bytes_received),
-            registry: Some((totals.round_trips, totals.bytes_sent, totals.bytes_received)),
-            wire_cap: None,
-            sends_blocked: false,
-            health_polls: 0,
-        }
-    }
-}
-
-/// One live TCP replica: its shared service, its server, and the
-/// multiplexed connection pool every session's transport rides on.
-struct TcpReplica {
-    id: u32,
-    lib: SharedLibrarian,
-    server: TcpServer,
-    pool: Arc<MuxPool>,
-}
-
-fn spawn_replica(id: u32, shard: &ShardState, routing: &RoutingTable) -> TcpReplica {
-    let lib = shard.build_replica(routing);
-    let server = TcpServer::spawn_with(
-        vec![lib.clone(), lib.clone()],
-        "127.0.0.1:0",
-        ServerOptions {
-            workers: 2,
-            queue_depth: 64,
-        },
-    )
-    .expect("loopback server spawns");
-    let pool = MuxPool::connect(server.addr(), 2, teraphim_net::TcpOptions::default())
-        .expect("loopback connects");
-    TcpReplica {
-        id,
-        lib,
-        server,
-        pool,
-    }
-}
-
-/// The full-stack backend: one TCP server per replica, multiplexed
-/// connections bundled into per-shard replica groups, and a
-/// [`ServePool`] of forked sessions — one checked out per plan client
-/// for the duration of the run (PR 6's serving architecture under
-/// scripted load).
-pub struct TcpBackend {
-    replicas: Vec<Vec<TcpReplica>>,
-    sessions: Vec<QuerySession<ChaosTransport<ReplicaGroup<MuxTransport>>>>,
-    /// Each session owns its transports, so membership changes are
-    /// applied to every session's group for the same shard in lockstep.
-    session_groups: Vec<Vec<ReplicaGroup<MuxTransport>>>,
-    shards: Vec<ShardState>,
-    stores: FleetStores,
-    cells: Vec<ChaosCell>,
-    routing: RoutingTable,
-    next_id: u32,
-    mono: Collection,
-    sink: TraceSink,
-    registry: Arc<MetricsRegistry>,
-    cache_spec: Option<CacheSpec>,
-}
-
-impl TcpBackend {
-    /// Spawns the fleet (with `plan.replicas` servers per shard),
-    /// preprocesses once on a prototype, and checks one pipelined
-    /// session out of the pool per plan client.
-    pub fn new(plan: &Plan) -> TcpBackend {
-        let fixture = Fixture::for_plan(plan);
-        let shards = ShardState::from_fixture(&fixture);
-        let stores = FleetStores::create("scen-tcp", &shards);
-        let routing = RoutingTable::new();
-        let n = shards.len();
-        let per_shard = plan.replicas.clamp(1, MAX_REPLICAS) as usize;
-        let mut next_id = n as u32;
-        let replicas: Vec<Vec<TcpReplica>> = shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                (0..per_shard)
-                    .map(|r| {
-                        let id = if r == 0 {
-                            s as u32
-                        } else {
-                            next_id += 1;
-                            next_id - 1
-                        };
-                        spawn_replica(id, shard, &routing)
-                    })
-                    .collect()
-            })
-            .collect();
-        let cells: Vec<ChaosCell> = (0..n).map(|_| ChaosCell::healthy()).collect();
-
-        let mut prototype = Receptionist::new(
-            replicas
-                .iter()
-                .map(|group| MuxTransport::new(Arc::clone(&group[0].pool)))
-                .collect::<Vec<_>>(),
-            Analyzer::default(),
-        );
-        prototype.enable_cv().expect("healthy fleet preprocesses");
-        prototype.enable_ci(CI).expect("healthy fleet preprocesses");
-
-        let sink = TraceSink::new();
-        let registry = Arc::new(MetricsRegistry::new());
-        sink.tee_metrics(Arc::clone(&registry));
-
-        let clients = plan.clients.max(1) as usize;
-        let mut session_groups: Vec<Vec<ReplicaGroup<MuxTransport>>> = Vec::new();
-        let pool = ServePool::new(
-            (0..clients)
-                .map(|client| {
-                    let groups: Vec<ReplicaGroup<MuxTransport>> = replicas
-                        .iter()
-                        .enumerate()
-                        .map(|(s, shard_replicas)| {
-                            let group = ReplicaGroup::new(
-                                s as u32,
-                                shard_replicas
-                                    .iter()
-                                    .map(|r| (r.id, MuxTransport::new(Arc::clone(&r.pool))))
-                                    .collect(),
-                            )
-                            .with_trace(sink.clone());
-                            if client == 0 {
-                                // One session publishes membership; the
-                                // others mirror it, so the table version
-                                // moves once per fleet-wide change.
-                                group.with_table(routing.clone())
-                            } else {
-                                group
-                            }
-                        })
-                        .collect();
-                    let mut session = prototype.fork(
-                        groups
-                            .iter()
-                            .zip(&cells)
-                            .map(|(group, cell)| ChaosTransport::new(group.clone(), cell.clone()))
-                            .collect::<Vec<_>>(),
-                    );
-                    session.set_dispatch_mode(DispatchMode::Pipelined);
-                    session.set_trace_sink(sink.clone());
-                    session.set_routing_table(routing.clone());
-                    session_groups.push(groups);
-                    session
-                })
-                .collect(),
-        );
-        let sessions: Vec<QuerySession<ChaosTransport<ReplicaGroup<MuxTransport>>>> =
-            (0..clients).map(|_| pool.session()).collect();
-
-        TcpBackend {
-            replicas,
-            sessions,
-            session_groups,
-            mono: mono_collection(&fixture),
-            shards,
-            stores,
-            cells,
-            routing,
-            next_id,
-            sink,
-            registry,
-            cache_spec: None,
-        }
-    }
-
-    fn flush_cache(&mut self) {
-        if let Some(spec) = self.cache_spec {
-            for session in &mut self.sessions {
-                session.disable_cache();
-                session.enable_cache(to_cache_config(spec));
-            }
-        }
-    }
-
-    /// The fleet's routing table (for post-run inspection in tests).
-    pub fn routing(&self) -> &RoutingTable {
-        &self.routing
-    }
-
-    /// Drains the backend's buffered traces (queries, preprocessing,
-    /// migrations) — for golden-trace tests. Calling this mid-run steals
-    /// traffic from the accounting summary; use on dedicated instances.
-    pub fn take_traces(&self) -> Vec<teraphim_obs::QueryTrace> {
-        self.sink.take_traces()
-    }
-
-    /// Server-side traffic counters, summed over the fleet (includes
-    /// prototype preprocessing; useful for inspecting runs in tests).
-    pub fn server_traffic(&self) -> teraphim_net::TrafficStats {
-        let mut total = teraphim_net::TrafficStats::default();
-        for shard in &self.replicas {
-            for replica in shard {
-                total.absorb(&replica.server.traffic());
-            }
-        }
-        total
-    }
-}
-
-impl Backend for TcpBackend {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn num_libs(&self) -> usize {
-        self.replicas.len()
-    }
-
-    fn query(&mut self, client: u64, mode: RunMode, query: &str, k: usize) -> QueryOutcome {
-        match mode {
-            RunMode::Ms => mono_outcome(&self.mono, query, k),
-            _ => {
-                let session = (client as usize) % self.sessions.len();
-                coverage_outcome(&mut self.sessions[session], mode, query, k)
-            }
-        }
-    }
-
-    fn add_docs(&mut self, lib: usize, docs: &[TrecDoc]) -> Result<(), String> {
-        // Write-ahead, as in the in-process backend: durable first.
-        self.stores.log_batch(lib, docs)?;
-        self.shards[lib].docs.extend_from_slice(docs);
-        self.shards[lib].epoch += 1;
         for replica in &self.replicas[lib] {
             replica.lib.append(docs)?;
         }
         self.mono
             .append_documents(docs)
             .map_err(|e| format!("{e}"))?;
-        // Forked sessions keep their own Arc'd CV/CI state: each one
-        // must re-run preprocessing to observe the new epoch.
+        // Sessions keep their own Arc'd CV/CI state: each one must
+        // re-run preprocessing to observe the new epoch.
         for session in &mut self.sessions {
             session.enable_cv().map_err(|e| format!("{e}"))?;
             session.enable_ci(CI).map_err(|e| format!("{e}"))?;
@@ -776,25 +532,30 @@ impl Backend for TcpBackend {
     }
 
     fn apply_fault(&mut self, lib: usize, fault: Option<FaultSpec>) {
-        self.cells[lib].set(to_chaos(fault));
+        self.cells[lib].set(match fault {
+            None => ChaosState::Healthy,
+            Some(FaultSpec::Down) => ChaosState::Down,
+            Some(FaultSpec::Delay { ms }) => ChaosState::Delay(Duration::from_millis(ms)),
+        });
         self.flush_cache();
     }
 
     fn kill(&mut self, lib: usize) {
         // The chaos cell is the kill switch: every session's transport
         // to this librarian refuses from now on and the runner never
-        // clears it. The server objects stay alive so in-flight reader
-        // threads shut down cleanly with the backend.
-        self.cells[lib].set(ChaosState::Down);
-        self.flush_cache();
+        // clears it. Whatever serves the replicas stays alive, so
+        // in-flight reader threads shut down cleanly with the backend.
+        self.apply_fault(lib, Some(FaultSpec::Down));
     }
 
     fn add_lib(&mut self, lib: usize) {
         let id = self.next_id;
         self.next_id += 1;
-        let replica = spawn_replica(id, &self.shards[lib], &self.routing);
-        // Same `migrate` trace schema as the in-process backend; one
-        // `Join` per session group (each session's membership moves).
+        let replica = Replica::<E>::spawn(id, &self.shards[lib], &self.routing);
+        // The handoff is a traced operation of its own: a `migrate`
+        // trace carrying the index transfer (`Migrate`) and the
+        // membership change (one `Join` per session group, recorded by
+        // the groups).
         self.sink.record(EventKind::Begin {
             op: "migrate",
             methodology: None,
@@ -807,7 +568,7 @@ impl Backend for TcpBackend {
             epoch: self.shards[lib].epoch,
         });
         for groups in &self.session_groups {
-            groups[lib].add_replica(id, MuxTransport::new(Arc::clone(&replica.pool)));
+            groups[lib].add_replica(id, replica.connect());
         }
         self.sink.record(EventKind::End);
         self.replicas[lib].push(replica);
@@ -819,33 +580,37 @@ impl Backend for TcpBackend {
             for groups in &self.session_groups {
                 groups[lib].remove_replica(id);
             }
-            // Dropping the TcpReplica closes its mux pool (the groups
-            // just dropped the last transports riding it) and shuts the
-            // server down.
+            // Dropping the replica takes whatever served it down (the
+            // groups just dropped the last transports riding it).
             self.replicas[lib].retain(|r| r.id != id);
         }
         self.flush_cache();
     }
 
     fn promote_replica(&mut self, lib: usize) {
-        if let Some(next) = next_preferred(&self.session_groups[0][lib]) {
+        // Rotate to the next live replica after the preferred one, in
+        // membership order.
+        let group = &self.session_groups[0][lib];
+        let ids = group.replica_ids();
+        let preferred = group.preferred_id();
+        if let Some(pos) = ids.iter().position(|&id| Some(id) == preferred) {
             for groups in &self.session_groups {
-                groups[lib].promote(next);
+                groups[lib].promote(ids[(pos + 1) % ids.len()]);
             }
         }
         self.flush_cache();
     }
 
     fn crash(&mut self, lib: usize) {
-        // Servers and mux pools stay up (the harness is one OS
-        // process), but the service behind every connection is swapped
-        // for a placeholder: the shard's memory is gone and only the
-        // on-disk store can bring it back.
+        // The "process" dies: the store handle goes with it and every
+        // replica's memory is genuinely lost (what serves the replicas
+        // stays up — the harness is one OS process — but the service
+        // behind it is a placeholder), so a reopen that did not actually
+        // recover from disk cannot pass the differential.
         self.stores.crash(lib);
         for replica in &self.replicas[lib] {
-            replica
-                .lib
-                .replace(crashed_librarian(&self.shards[lib].name, &self.routing));
+            let image = crashed_librarian(&self.shards[lib].name, &self.routing);
+            replica.lib.replace(image);
         }
         self.apply_fault(lib, Some(FaultSpec::Down));
     }
@@ -857,26 +622,36 @@ impl Backend for TcpBackend {
             "recovered epoch must match the shard ledger"
         );
         for replica in &self.replicas[lib] {
-            replica
-                .lib
-                .replace(recovered_librarian(&bytes, epoch, &self.routing));
+            let image = recovered_librarian(&bytes, epoch, &self.routing);
+            replica.lib.replace(image);
         }
         self.apply_fault(lib, None);
     }
 
     fn set_cache(&mut self, spec: Option<CacheSpec>) {
         self.cache_spec = spec;
+        let config = spec.map(|spec| CacheConfig {
+            result_entries: spec.results as usize,
+            result_shards: (spec.shards as usize).max(1),
+            term_entries: spec.terms as usize,
+            doc_bytes: spec.doc_bytes as usize,
+        });
         for session in &mut self.sessions {
-            match spec {
-                Some(s) => session.enable_cache(to_cache_config(s)),
+            match config {
+                Some(config) => session.enable_cache(config),
                 None => session.disable_cache(),
             }
         }
     }
 
     fn set_dispatch(&mut self, mode: DispatchChoice) {
+        let mode = match mode {
+            DispatchChoice::Sequential => DispatchMode::Sequential,
+            DispatchChoice::Concurrent => DispatchMode::Concurrent,
+            DispatchChoice::Pipelined => DispatchMode::Pipelined,
+        };
         for session in &mut self.sessions {
-            session.set_dispatch_mode(to_dispatch(mode));
+            session.set_dispatch_mode(mode);
         }
     }
 
@@ -887,17 +662,75 @@ impl Backend for TcpBackend {
     fn accounting(&mut self) -> Accounting {
         let sums = trace_traffic_sums(&self.sink.take_traces());
         let totals = self.registry.snapshot().traffic_totals();
-        let mut transport = teraphim_net::TrafficStats::default();
+        let mut wire = teraphim_net::TrafficStats::default();
         for session in &self.sessions {
-            transport.absorb(&session.traffic());
+            wire.absorb(&session.traffic());
         }
         Accounting {
-            transport: Some(triple(transport)),
+            transport: Some((wire.round_trips, wire.bytes_sent, wire.bytes_received)),
             trace: (sums.messages_sent, sums.bytes_sent, sums.bytes_received),
             registry: Some((totals.round_trips, totals.bytes_sent, totals.bytes_received)),
-            wire_cap: None,
-            sends_blocked: false,
-            health_polls: 0,
+            ..Accounting::default()
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each session's result-cache `(hits, misses)`.
+    fn result_cache_counters<E: Embodiment>(backend: &RealBackend<E>) -> Vec<(u64, u64)> {
+        let counters = |session: &Session<E>| {
+            let stats = session
+                .cache_stats()
+                .expect("set_cache reaches every session");
+            (stats.results.hits, stats.results.misses)
+        };
+        backend.sessions.iter().map(counters).collect()
+    }
+
+    /// The one intended difference between the aliases: the in-process
+    /// embodiment replays every client on one session, the TCP one gives
+    /// each plan client its own — and its own cache.
+    #[test]
+    fn embodiments_differ_in_their_sessions_and_nothing_else() {
+        let mut plan = Plan::named("sessions", 7);
+        plan.clients = 3;
+        let mut inproc = InProcBackend::new(&plan);
+        let mut tcp = TcpBackend::new(&plan);
+        assert_eq!(
+            inproc.sessions.len(),
+            1,
+            "one session whatever the plan says"
+        );
+        assert_eq!(tcp.sessions.len(), 3, "one session per plan client");
+        assert_eq!(inproc.session_groups.len(), 1);
+        assert_eq!(tcp.session_groups.len(), 3);
+        assert_eq!((inproc.name(), tcp.name()), ("inproc", "tcp"));
+        assert_eq!(inproc.num_libs(), tcp.num_libs());
+
+        // The same two steps on both: client 0 asks, then client 1 asks
+        // the same thing.
+        let query = Fixture::for_plan(&plan).corpus().short_queries()[0]
+            .text
+            .clone();
+        inproc.set_cache(Some(CacheSpec::small()));
+        tcp.set_cache(Some(CacheSpec::small()));
+        let mut answers = Vec::new();
+        for client in [0, 1] {
+            let a = inproc.query(client, RunMode::Cv, &query, 10);
+            let b = tcp.query(client, RunMode::Cv, &query, 10);
+            assert_eq!(a, b, "client {client}: same answer, to the score bit");
+            answers.push(a);
+        }
+        assert!(!answers[0].hits.is_empty());
+        assert_eq!(answers[0], answers[1]);
+        // In process client 1 finds client 0's entry; over TCP it misses
+        // in a cache of its own, and the third session is untouched.
+        assert_eq!(result_cache_counters(&inproc), [(1, 1)]);
+        let mut per_session = result_cache_counters(&tcp);
+        per_session.sort_unstable();
+        assert_eq!(per_session, [(0, 0), (0, 1), (0, 1)]);
     }
 }
