@@ -4,7 +4,9 @@
 //!
 //! The store is built like a long-lived librarian's: one base segment
 //! (the first corpus part) plus one committed WAL batch per remaining
-//! part. Three recovery paths are timed against the same end state:
+//! part. Three recovery paths are timed against the same end state,
+//! and beside them the fold that takes the store from the second to
+//! the third:
 //!
 //! * `rebuild` — `Collection::build` over the raw base docs, then
 //!   `append_documents` per batch: the work a storeless librarian
@@ -12,8 +14,11 @@
 //! * `open_wal` — `IndexStore::open` with the batches still pending in
 //!   the write-ahead log: deserialize the base segment, replay the WAL
 //!   tail.
-//! * `open_compacted` — `IndexStore::open` after `compact()`: a single
-//!   merged segment, pure deserialization.
+//! * `checkpoint` — `IndexStore::checkpoint` on that store: load the
+//!   segment, apply the pending batches, write the one new segment,
+//!   swap the manifest, empty the WAL.
+//! * `open_compacted` — `IndexStore::open` after `compact()` (the same
+//!   fold): one segment holding everything, pure deserialization.
 //!
 //! All three must produce bit-identical rankings over a probe query
 //! set — recovery is only allowed to be faster, never different.
@@ -24,9 +29,12 @@
 //! ```
 //!
 //! `--check` exits nonzero if the compacted cold-open fails to beat the
-//! rebuild, if any recovery path changes a ranking, or if the store
-//! fails its integrity scan — the CI gate for the persistence layer.
+//! rebuild, if any recovery path changes a ranking, if the store fails
+//! its integrity scan, or if `compact()` leaves anything in the
+//! directory but `MANIFEST`, an empty `wal.log` and one segment — the
+//! CI gate for the persistence layer.
 
+use std::path::Path;
 use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_engine::Collection;
@@ -75,9 +83,38 @@ struct Report {
     epochs: u64,
     rebuild_micros: u64,
     open_wal_micros: u64,
+    checkpoint_micros: u64,
     open_compacted_micros: u64,
-    segments_before: usize,
-    segments_after: usize,
+}
+
+/// `(name, size)` of every entry in a store directory, sorted by name.
+fn listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut entries: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .expect("store directory lists")
+        .map(|entry| {
+            let entry = entry.expect("directory entry");
+            let name = entry.file_name().to_string_lossy().into_owned();
+            (name, entry.metadata().expect("metadata").len())
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// What every fold must leave: the manifest, an empty WAL, one segment.
+fn check_folded(dir: &Path) -> Result<(), String> {
+    let entries = listing(dir);
+    match entries.as_slice() {
+        [(manifest, _), (segment, _), (wal, 0)]
+            if manifest == "MANIFEST" && segment.ends_with(".seg") && wal == "wal.log" =>
+        {
+            Ok(())
+        }
+        _ => Err(format!(
+            "after compact() the store directory holds {entries:?}, not MANIFEST, \
+             one segment and an empty wal.log"
+        )),
+    }
 }
 
 fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), String>) {
@@ -90,7 +127,6 @@ fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), S
     for batch in &batches {
         store.log_batch(batch).expect("batch commits");
     }
-    let segments_before = store.num_segments();
     let epochs = store.epoch();
     let num_docs = store.num_docs();
     drop(store);
@@ -108,11 +144,30 @@ fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), S
     let (opened_wal, open_wal_micros) =
         time_min(|| IndexStore::open(dir.path()).expect("store reopens").1);
 
-    // Compact, then cold-open the single merged segment.
+    // The fold, each time on a fresh copy of the WAL-pending store;
+    // only the `checkpoint` call is timed.
+    let pending = listing(dir.path());
+    let checkpoint_micros = (0..ITERS)
+        .map(|_| {
+            let copy = TempDir::new("bench-persist-fold").expect("tempdir");
+            for (name, _) in &pending {
+                std::fs::copy(dir.path().join(name), copy.path().join(name)).expect("copy store");
+            }
+            let (mut store, _) = IndexStore::open(copy.path()).expect("copy reopens");
+            let started = Instant::now();
+            store.checkpoint().expect("fold");
+            started.elapsed().as_micros() as u64
+        })
+        .min()
+        .expect("ITERS is positive");
+
+    // Compact, then cold-open the one segment that holds everything.
     let (mut store, _) = IndexStore::open(dir.path()).expect("store reopens");
     store.compact().expect("compaction");
-    let verify = store.verify().map(|_| ()).map_err(|e| format!("{e}"));
-    let segments_after = store.num_segments();
+    let verify = store
+        .verify()
+        .map_err(|e| format!("{e}"))
+        .and_then(|_| check_folded(dir.path()));
     drop(store);
     let (opened_compacted, open_compacted_micros) =
         time_min(|| IndexStore::open(dir.path()).expect("store reopens").1);
@@ -139,9 +194,8 @@ fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), S
             epochs,
             rebuild_micros,
             open_wal_micros,
+            checkpoint_micros,
             open_compacted_micros,
-            segments_before,
-            segments_after,
         },
         check,
     )
@@ -151,18 +205,16 @@ fn render_json(opts: &HarnessOptions, r: &Report) -> String {
     format!(
         "{{\n  \"corpus\": \"{}\",\n  \"seed\": {},\n  \"num_docs\": {},\n  \
          \"epochs\": {},\n  \"iters\": {ITERS},\n  \"probes\": {PROBES},\n  \"k\": {K},\n  \
-         \"segments_before_compact\": {},\n  \"segments_after_compact\": {},\n  \
          \"rebuild_micros\": {},\n  \"open_wal_micros\": {},\n  \
-         \"open_compacted_micros\": {},\n  \"speedup_wal\": {:.2},\n  \
+         \"checkpoint_micros\": {},\n  \"open_compacted_micros\": {},\n  \"speedup_wal\": {:.2},\n  \
          \"speedup_compacted\": {:.2}\n}}\n",
         if opts.small { "small" } else { "trec-like" },
         opts.seed,
         r.num_docs,
         r.epochs,
-        r.segments_before,
-        r.segments_after,
         r.rebuild_micros,
         r.open_wal_micros,
+        r.checkpoint_micros,
         r.open_compacted_micros,
         r.rebuild_micros as f64 / r.open_wal_micros.max(1) as f64,
         r.rebuild_micros as f64 / r.open_compacted_micros.max(1) as f64,
@@ -189,19 +241,18 @@ fn main() {
     let (report, check) = run(&parts, &probes);
 
     println!(
-        "Persistent store recovery — {} corpus, seed {}, {} documents over {} epochs \
-         ({} segment(s) before compaction, {} after), min of {ITERS} runs\n",
+        "Persistent store recovery — {} corpus, seed {}, {} documents over {} epochs, \
+         min of {ITERS} runs\n",
         if opts.small { "small" } else { "trec-like" },
         opts.seed,
         report.num_docs,
         report.epochs,
-        report.segments_before,
-        report.segments_after,
     );
-    let mut table = TextTable::new(["Recovery path", "micros", "vs rebuild"]);
+    let mut table = TextTable::new(["Path", "micros", "vs rebuild"]);
     for (name, micros) in [
         ("rebuild from raw text", report.rebuild_micros),
         ("cold-open, WAL pending", report.open_wal_micros),
+        ("fold (checkpoint), WAL pending", report.checkpoint_micros),
         ("cold-open, compacted", report.open_compacted_micros),
     ] {
         table.row([
@@ -226,7 +277,8 @@ fn main() {
         }
         println!(
             "check passed: rankings bit-identical on every recovery path, \
-             compacted cold-open beats the rebuild"
+             compacted cold-open beats the rebuild, compact() leaves \
+             MANIFEST + empty wal.log + one segment"
         );
     }
 }

@@ -55,11 +55,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .map_err(|e| format!("append failed: {e}"))?;
         outln!(
             "appended {} documents ({} -> {}); store {dir} now at epoch {epoch}, \
-             {} segment(s) + {} pending batch(es)",
+             {} pending batch(es)",
             docs.len(),
             before,
             store.num_docs(),
-            store.num_segments(),
             store.pending_batches()
         );
         return Ok(());

@@ -56,9 +56,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             IndexStore::create(std::path::Path::new(dir), name, &analyzer, &docs)
                 .map_err(|e| format!("cannot create store {dir}: {e}"))?;
         println!(
-            "store {dir}: epoch {}, {} segment(s), {} documents",
+            "store {dir}: epoch {}, {} documents",
             store.epoch(),
-            store.num_segments(),
             store.num_docs()
         );
         collection

@@ -73,9 +73,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             let (store, collection) = IndexStore::open(std::path::Path::new(dir))
                 .map_err(|e| format!("cannot open store {dir}: {e}"))?;
             println!(
-                "store {dir}: recovered to epoch {}, {} segment(s), {} pending batch(es)",
+                "store {dir}: recovered to epoch {}, {} pending batch(es)",
                 store.epoch(),
-                store.num_segments(),
                 store.pending_batches()
             );
             Some((collection.to_bytes(), store.epoch()))

@@ -9,16 +9,17 @@ const HELP: &str = "\
 usage: teraphim store --dir DIR [--verify] [--compact]
                       [--as-of E --query TEXT [--k N]]
 
-opens the persistent versioned store in DIR (replaying the write-ahead
-log into the last durable manifest — exactly the crash-recovery path)
-and prints its status: durable epoch, segments, pending WAL batches,
-document count.
+opens the persistent versioned store in DIR (its one segment with the
+write-ahead log replayed on top — exactly the crash-recovery path) and
+prints its status: durable epoch, pending WAL batches, document count.
 
---verify      full integrity scan: every segment must decode and match
+--verify      full integrity scan: the segment must decode and match
               the manifest, and the WAL must parse cleanly up to its
               valid prefix
---compact     checkpoint pending WAL batches into a segment, then merge
-              all segments into one and truncate the WAL
+--compact     fold the pending WAL batches into the segment and empty
+              the WAL, leaving MANIFEST, an empty wal.log and one
+              segment file (appending does this by itself whenever
+              enough batches have accumulated)
 --as-of E     reconstruct the collection exactly as it stood at durable
               epoch E (deterministic replay of the first E batches) and
               run --query TEXT against that historical view, printing
@@ -40,10 +41,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let (mut store, collection) = IndexStore::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open store {dir}: {e}"))?;
     outln!(
-        "store {dir}: {:?}, epoch {}, {} segment(s), {} pending batch(es), {} documents",
+        "store {dir}: {:?}, epoch {}, {} pending batch(es), {} documents",
         store.name(),
         store.epoch(),
-        store.num_segments(),
         store.pending_batches(),
         store.num_docs()
     );
@@ -53,22 +53,20 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .verify()
             .map_err(|e| format!("integrity scan failed: {e}"))?;
         outln!(
-            "verify OK: epoch {}, {} segment(s), {} pending batch(es), {} documents",
+            "verify OK: epoch {}, {} pending batch(es), {} documents",
             status.epoch,
-            status.segments,
             status.pending_batches,
             status.num_docs
         );
     }
 
     if args.flag("compact") {
-        let before = store.num_segments();
+        let pending = store.pending_batches();
         store
             .compact()
             .map_err(|e| format!("compaction failed: {e}"))?;
         outln!(
-            "compacted {before} segment(s) + WAL into {} segment(s) at epoch {}",
-            store.num_segments(),
+            "folded {pending} pending batch(es) into the segment at epoch {}",
             store.epoch()
         );
     }

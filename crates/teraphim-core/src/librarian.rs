@@ -104,9 +104,9 @@ impl Librarian {
     }
 
     /// Opens a librarian from a persistent store directory instead of
-    /// rebuilding its index: segments are deserialized and merged, the
-    /// WAL's valid prefix replayed, and the librarian's epoch set to the
-    /// store's durable epoch — so reopening after a crash serves replies
+    /// rebuilding its index: the store's one segment is deserialized,
+    /// the WAL's valid prefix replayed on top, and the librarian's epoch
+    /// set to the store's durable epoch — so reopening after a crash serves replies
     /// that are cache-indistinguishable from the pre-crash librarian at
     /// that epoch.
     ///
@@ -150,7 +150,9 @@ impl Librarian {
     /// # Errors
     ///
     /// Returns [`crate::TeraphimError::Store`] if the WAL append fails
-    /// (the in-memory index is then left untouched) or
+    /// (the in-memory index is then left untouched; a store that could
+    /// not fold its WAL into the segment afterwards is not a failure of
+    /// the batch, which is durable by then) or
     /// [`crate::TeraphimError::Engine`] if the merge fails.
     pub fn add_documents(&mut self, docs: &[TrecDoc]) -> Result<u64, crate::TeraphimError> {
         match &mut self.store {

@@ -312,28 +312,6 @@ impl Collection {
             .collect()
     }
 
-    /// Merges another collection built with the *same analyzer
-    /// configuration* into this one, as if its documents had been
-    /// appended with [`Collection::append_documents`].
-    ///
-    /// The other collection's prebuilt index is merged directly
-    /// ([`teraphim_index::merge`]), skipping re-analysis — this is the
-    /// cold-open fast path for on-disk segments. Because the merge
-    /// carries postings and per-document weights over bit-exactly, the
-    /// result ranks identically to `append_documents(&other docs)`,
-    /// which in turn ranks identically to a from-scratch build.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] if either index fails to decode
-    /// during the merge.
-    pub fn absorb(&mut self, other: &Collection) -> Result<(), EngineError> {
-        let docs = other.export_docs()?;
-        self.index = teraphim_index::merge::merge(&self.index, other.index())?;
-        self.store.append(&docs);
-        Ok(())
-    }
-
     /// Serializes the whole collection (analyzer configuration, index,
     /// document store) for on-disk storage.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -594,44 +572,6 @@ mod tests {
                 assert_eq!((x.doc, x.score.to_bits()), (y.doc, y.score.to_bits()));
             }
         }
-    }
-
-    #[test]
-    fn absorb_matches_append_documents_bit_for_bit() {
-        let base = [
-            ("D1", "the cat sat on the mat"),
-            ("D2", "the dog chased the cat across the yard"),
-        ];
-        let extra = [
-            ("D3", "penguins are aquatic flightless birds"),
-            ("D4", "a cat and a dog and a bird"),
-        ];
-        let extra_docs: Vec<TrecDoc> = extra
-            .iter()
-            .map(|(docno, text)| TrecDoc {
-                docno: (*docno).to_owned(),
-                text: (*text).to_owned(),
-            })
-            .collect();
-
-        let mut appended = Collection::from_texts("demo", &base);
-        appended.append_documents(&extra_docs).unwrap();
-
-        let mut absorbed = Collection::from_texts("demo", &base);
-        let delta = Collection::build("demo", Analyzer::default(), &extra_docs);
-        absorbed.absorb(&delta).unwrap();
-
-        assert_eq!(absorbed.num_docs(), appended.num_docs());
-        for query in ["cat dog", "bird", "penguins aquatic", "mat"] {
-            let a = absorbed.ranked_query(query, 10);
-            let b = appended.ranked_query(query, 10);
-            assert_eq!(a.len(), b.len(), "query {query}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!((x.doc, x.score.to_bits()), (y.doc, y.score.to_bits()));
-            }
-        }
-        assert_eq!(absorbed.fetch(2).unwrap(), appended.fetch(2).unwrap());
-        assert_eq!(absorbed.docno(3), appended.docno(3));
     }
 
     #[test]

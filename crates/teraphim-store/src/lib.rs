@@ -3,9 +3,10 @@
 //! Every librarian in the paper's distributed configurations owns a
 //! collection; until this crate existed that collection lived only in
 //! memory and the "index epoch" used by the cache-invalidation plumbing
-//! was an ephemeral counter. [`IndexStore`] makes both durable:
+//! was an ephemeral counter. [`IndexStore`] makes both durable. A store
+//! directory is exactly one segment, the WAL and the manifest:
 //!
-//! * **Segments** ([`segment`]) — immutable on-disk files holding a
+//! * **The segment** ([`segment`]) — an immutable on-disk file holding a
 //!   serialized [`teraphim_engine::Collection`] (compressed postings,
 //!   document weights, compressed document store) plus the list of
 //!   committed batches it covers, sealed with a CRC-32 footer
@@ -15,27 +16,40 @@
 //!   index is touched. A synced WAL record is the commit point: each one
 //!   advances the durable epoch by exactly one.
 //! * **Manifest** ([`manifest`]) — the store's root pointer, updated
-//!   atomically (write-temp + rename), naming the live segments and the
+//!   atomically (write-temp + rename), naming the live segment and the
 //!   last checkpointed epoch.
-//! * **Crash recovery** — [`IndexStore::open`] loads segments in epoch
-//!   order and replays the WAL's valid prefix. A torn tail (truncated or
-//!   garbled final record, the only damage a crash can inflict) is
-//!   dropped silently; corruption anywhere else fails with a typed
-//!   [`StoreError`] rather than panicking or serving partial data.
+//! * **The fold** — [`IndexStore::checkpoint`] (also reachable as
+//!   [`IndexStore::compact`], and run by [`IndexStore::log_batch`] once
+//!   [`CHECKPOINT_BATCHES`] batches are pending) is the one write path
+//!   besides the WAL append: the segment with the pending batches
+//!   applied becomes the next segment, the manifest is swapped, the WAL
+//!   truncated and the old segment deleted. A crash before the swap
+//!   leaves a file no manifest names; a crash after it leaves WAL
+//!   records the segment already covers. Recovery handles both.
+//! * **Crash recovery** — [`IndexStore::open`] loads the segment and
+//!   replays the WAL's valid prefix, skipping records at or below the
+//!   manifest's epoch and deleting what an interrupted fold left
+//!   behind. A torn tail (truncated or garbled final record, the only
+//!   damage a crash can inflict) is dropped silently; corruption
+//!   anywhere else fails with a typed [`StoreError`] rather than
+//!   panicking or serving partial data.
 //! * **As-of queries** — [`IndexStore::collection_at`] deterministically
 //!   replays the store up to any durable epoch, yielding a collection
 //!   whose rankings are byte-identical to an in-memory oracle that
 //!   applied the same batches in the same order.
 //!
-//! The byte-identity guarantee rests on three facts: collection
+//! The byte-identity guarantee rests on two facts: collection
 //! serialization round-trips exactly (document weights travel as raw
-//! `f64` bits), segment indexes are merged with the index-merge routine
-//! (`teraphim_index::merge`) which carries postings and
-//! weights over unchanged, and the per-batch delta indexes stored in
-//! segments are built exactly like the deltas
+//! `f64` bits), and every batch the store applies — on open, in the
+//! fold, in an as-of replay — goes through
 //! [`Collection::append_documents`](teraphim_engine::Collection::append_documents)
-//! builds in memory. Cold-open, WAL replay and as-of replay therefore all
-//! walk the same construction path as the oracle.
+//! on its own, in commit order, which is the call the live writer made
+//! for it. Batches are never concatenated into one call: a document's
+//! weight is a floating-point sum taken in the term-id order of the
+//! delta index its batch is built in, so indexing it together with other
+//! batches can change the last bit. Cold-open, WAL replay, the fold and
+//! as-of replay therefore all walk the same construction path as the
+//! oracle.
 //!
 //! [`fail`] supplies the crash-point injection harness ([`FailingFile`])
 //! used by the recovery test-suite, and [`tempdir`] a dependency-free
@@ -85,7 +99,7 @@ pub mod wal;
 pub use fail::{CrashMode, CrashPoint, FailingFile};
 pub use manifest::{Manifest, SegmentEntry};
 pub use segment::{Segment, SegmentBatch};
-pub use store::{IndexStore, StoreOptions, StoreStatus};
+pub use store::{IndexStore, StoreStatus, CHECKPOINT_BATCHES};
 pub use tempdir::TempDir;
 
 use std::error::Error;

@@ -1,4 +1,4 @@
-//! The store's root pointer: which segments are live, at which epoch.
+//! The store's root pointer: which segment is live, at which epoch.
 //!
 //! The manifest is the only mutable file in a store besides the WAL. It
 //! is always replaced atomically — written to `MANIFEST.tmp`, synced,
@@ -12,11 +12,15 @@
 //! analyzer flags: stopping (u8), stemming (u8)
 //! checkpointed epoch (u64 LE)
 //! next segment id (u64 LE)
-//! segment count (u32 LE), then per segment:
+//! segment count (u32 LE), always 1, then the segment:
 //!     file name (u32 length + bytes)
 //!     batch count (u32 LE), then per batch: epoch u64 LE, docs u64 LE
 //! CRC-32 over everything above (u32 LE)
 //! ```
+//!
+//! A store has exactly one segment; the count field is what remains of
+//! a layout that once listed several, and any other value is rejected
+//! as corrupt.
 
 use crate::segment::SegmentBatch;
 use crate::{Result, StoreError};
@@ -27,7 +31,7 @@ pub const MAGIC: [u8; 4] = *b"TMF1";
 /// The current manifest format version.
 pub const VERSION: u32 = 1;
 
-/// One live segment file as recorded in the manifest.
+/// The live segment file as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentEntry {
     /// File name relative to the store directory.
@@ -54,13 +58,13 @@ pub struct Manifest {
     pub stopping: bool,
     /// Analyzer stemming flag at indexing time.
     pub stemming: bool,
-    /// Highest epoch captured in segments (WAL records above this are
-    /// pending).
+    /// Highest epoch captured in the segment (WAL records above this
+    /// are pending).
     pub epoch: u64,
     /// Counter for naming the next segment file.
     pub next_segment_id: u64,
-    /// Live segments in epoch order.
-    pub segments: Vec<SegmentEntry>,
+    /// The live segment.
+    pub segment: SegmentEntry,
 }
 
 impl Manifest {
@@ -77,16 +81,14 @@ impl Manifest {
         out.push(u8::from(self.stemming));
         out.extend_from_slice(&self.epoch.to_le_bytes());
         out.extend_from_slice(&self.next_segment_id.to_le_bytes());
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
-        for entry in &self.segments {
-            let file = entry.file.as_bytes();
-            out.extend_from_slice(&(file.len() as u32).to_le_bytes());
-            out.extend_from_slice(file);
-            out.extend_from_slice(&(entry.batches.len() as u32).to_le_bytes());
-            for batch in &entry.batches {
-                out.extend_from_slice(&batch.epoch.to_le_bytes());
-                out.extend_from_slice(&batch.docs.to_le_bytes());
-            }
+        out.extend_from_slice(&1u32.to_le_bytes());
+        let file = self.segment.file.as_bytes();
+        out.extend_from_slice(&(file.len() as u32).to_le_bytes());
+        out.extend_from_slice(file);
+        out.extend_from_slice(&(self.segment.batches.len() as u32).to_le_bytes());
+        for batch in &self.segment.batches {
+            out.extend_from_slice(&batch.epoch.to_le_bytes());
+            out.extend_from_slice(&batch.docs.to_le_bytes());
         }
         out.extend_from_slice(&crc32(&out).to_le_bytes());
         out
@@ -152,19 +154,19 @@ impl Manifest {
         let stemming = *take(&mut pos, 1)?.first().expect("one byte") != 0;
         let epoch = take_u64(&mut pos)?;
         let next_segment_id = take_u64(&mut pos)?;
-        let seg_count = take_u32(&mut pos)? as usize;
-        let mut segments = Vec::with_capacity(seg_count.min(body.len()));
-        for _ in 0..seg_count {
-            let file = take_str(&mut pos)?;
-            let batch_count = take_u32(&mut pos)? as usize;
-            let mut batches = Vec::with_capacity(batch_count.min(body.len()));
-            for _ in 0..batch_count {
-                batches.push(SegmentBatch {
-                    epoch: take_u64(&mut pos)?,
-                    docs: take_u64(&mut pos)?,
-                });
-            }
-            segments.push(SegmentEntry { file, batches });
+        if take_u32(&mut pos)? != 1 {
+            return Err(StoreError::Corrupt {
+                what: "manifest does not list exactly one segment",
+            });
+        }
+        let file = take_str(&mut pos)?;
+        let batch_count = take_u32(&mut pos)? as usize;
+        let mut batches = Vec::with_capacity(batch_count.min(body.len()));
+        for _ in 0..batch_count {
+            batches.push(SegmentBatch {
+                epoch: take_u64(&mut pos)?,
+                docs: take_u64(&mut pos)?,
+            });
         }
         if pos != body.len() {
             return Err(StoreError::Corrupt {
@@ -177,7 +179,7 @@ impl Manifest {
             stemming,
             epoch,
             next_segment_id,
-            segments,
+            segment: SegmentEntry { file, batches },
         };
         manifest.validate()?;
         Ok(manifest)
@@ -190,43 +192,21 @@ impl Manifest {
     ///
     /// Returns [`StoreError::Corrupt`] describing the inconsistency.
     pub fn validate(&self) -> Result<()> {
-        let mut expected = 0u64;
-        for entry in &self.segments {
-            if entry.batches.is_empty() {
-                return Err(StoreError::Corrupt {
-                    what: "manifest segment covers no batches",
-                });
-            }
-            for batch in &entry.batches {
-                if batch.epoch != expected {
-                    return Err(StoreError::Corrupt {
-                        what: "manifest batch epochs not contiguous",
-                    });
-                }
-                expected += 1;
-            }
+        let batches = &self.segment.batches;
+        if (0u64..)
+            .zip(batches)
+            .any(|(expected, b)| b.epoch != expected)
+        {
+            return Err(StoreError::Corrupt {
+                what: "manifest batch epochs not contiguous",
+            });
         }
-        if self.segments.is_empty() || expected - 1 != self.epoch {
+        if Some(batches.len() as u64) != self.epoch.checked_add(1) {
             return Err(StoreError::Corrupt {
                 what: "manifest epoch disagrees with segment batches",
             });
         }
         Ok(())
-    }
-
-    /// All covered batches across segments, in epoch order.
-    #[must_use]
-    pub fn batches(&self) -> Vec<SegmentBatch> {
-        self.segments
-            .iter()
-            .flat_map(|s| s.batches.iter().copied())
-            .collect()
-    }
-
-    /// Total documents across all segments.
-    #[must_use]
-    pub fn num_docs(&self) -> u64 {
-        self.segments.iter().map(SegmentEntry::num_docs).sum()
     }
 }
 
@@ -241,23 +221,24 @@ mod tests {
             stemming: false,
             epoch: 3,
             next_segment_id: 2,
-            segments: vec![
-                SegmentEntry {
-                    file: "seg-000000.seg".into(),
-                    batches: vec![
-                        SegmentBatch { epoch: 0, docs: 10 },
-                        SegmentBatch { epoch: 1, docs: 4 },
-                    ],
-                },
-                SegmentEntry {
-                    file: "seg-000001.seg".into(),
-                    batches: vec![
-                        SegmentBatch { epoch: 2, docs: 5 },
-                        SegmentBatch { epoch: 3, docs: 0 },
-                    ],
-                },
-            ],
+            segment: SegmentEntry {
+                file: "seg-000001.seg".into(),
+                batches: vec![
+                    SegmentBatch { epoch: 0, docs: 10 },
+                    SegmentBatch { epoch: 1, docs: 4 },
+                    SegmentBatch { epoch: 2, docs: 5 },
+                    SegmentBatch { epoch: 3, docs: 0 },
+                ],
+            },
         }
+    }
+
+    /// Recomputes the trailing CRC after a hand edit, so only the
+    /// structural check under test can fire.
+    fn reseal(bytes: &mut [u8]) {
+        let body_len = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_len]).to_le_bytes();
+        bytes[body_len..].copy_from_slice(&crc);
     }
 
     #[test]
@@ -265,8 +246,7 @@ mod tests {
         let m = sample();
         let decoded = Manifest::decode(&m.encode()).unwrap();
         assert_eq!(decoded, m);
-        assert_eq!(decoded.num_docs(), 19);
-        assert_eq!(decoded.batches().len(), 4);
+        assert_eq!(decoded.segment.num_docs(), 19);
     }
 
     #[test]
@@ -284,15 +264,9 @@ mod tests {
 
     #[test]
     fn unknown_version_is_typed() {
-        let mut m = sample();
-        m.epoch = 3;
-        let mut bytes = m.encode();
-        // Rewrite the version field and re-seal the checksum so only the
-        // version check can fire.
+        let mut bytes = sample().encode();
         bytes[4] = 9;
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
+        reseal(&mut bytes);
         assert_eq!(
             Manifest::decode(&bytes),
             Err(StoreError::BadVersion { found: 9 })
@@ -302,11 +276,52 @@ mod tests {
     #[test]
     fn gap_in_epochs_rejected() {
         let mut m = sample();
-        m.segments[1].batches[0].epoch = 5;
-        m.segments[1].batches[1].epoch = 6;
+        m.segment.batches[2].epoch = 5;
+        m.segment.batches[3].epoch = 6;
         assert!(matches!(
             Manifest::decode(&m.encode()),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    /// Well-formed, CRC-valid manifests in the layout that once listed
+    /// several segments: none, and the sample's batches split over two.
+    #[test]
+    fn segment_counts_other_than_one_are_corrupt() {
+        let m = sample();
+        let encoded = m.encode();
+        // magic, version, name, two flags, epoch, next id.
+        let count_at = 4 + 4 + 4 + m.name.len() + 2 + 8 + 8;
+        assert_eq!(encoded[count_at..count_at + 4], 1u32.to_le_bytes());
+        let entry = |file: &str, batches: &[SegmentBatch]| {
+            let mut out = (file.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(file.as_bytes());
+            out.extend_from_slice(&(batches.len() as u32).to_le_bytes());
+            for b in batches {
+                out.extend_from_slice(&b.epoch.to_le_bytes());
+                out.extend_from_slice(&b.docs.to_le_bytes());
+            }
+            out
+        };
+        let (first, second) = m.segment.batches.split_at(2);
+        let two = [
+            entry("seg-000000.seg", first),
+            entry("seg-000001.seg", second),
+        ]
+        .concat();
+        for (count, entries) in [(0u32, Vec::new()), (2, two)] {
+            let mut bytes = encoded[..count_at].to_vec();
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes.extend_from_slice(&entries);
+            bytes.extend_from_slice(&[0; 4]);
+            reseal(&mut bytes);
+            assert_eq!(
+                Manifest::decode(&bytes),
+                Err(StoreError::Corrupt {
+                    what: "manifest does not list exactly one segment"
+                }),
+                "segment count {count}"
+            );
+        }
     }
 }

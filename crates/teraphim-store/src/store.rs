@@ -1,12 +1,12 @@
 //! The durable, versioned index store.
 //!
 //! See the crate docs for the durability contract. In short: a store
-//! directory holds immutable segments, an append-only WAL and an
-//! atomically replaced manifest. Epoch `0` is the base build; every
-//! synced WAL record commits exactly one further epoch. Checkpointing
-//! turns pending WAL batches into segments and truncates the WAL;
-//! compaction merges segments left-to-right (the same association order
-//! the in-memory oracle uses, which keeps rankings byte-identical).
+//! directory holds exactly one immutable segment, an append-only WAL
+//! and an atomically replaced manifest. Epoch `0` is the base build;
+//! every synced WAL record commits exactly one further epoch. The one
+//! write path besides the WAL append is the *fold*
+//! ([`IndexStore::checkpoint`]): the segment plus the pending batches
+//! become the next segment and the WAL is emptied.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -26,34 +26,18 @@ use crate::{io_err, Result, StoreError};
 pub const MANIFEST_FILE: &str = "MANIFEST";
 /// File name of the write-ahead log.
 pub const WAL_FILE: &str = "wal.log";
+/// What the manifest is written as before it is renamed into place.
+const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
 
-/// Tuning knobs for an [`IndexStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct StoreOptions {
-    /// Checkpoint automatically once this many batches are pending in
-    /// the WAL (`0` disables automatic checkpoints).
-    pub checkpoint_batches: usize,
-    /// Compact down to a single segment when a checkpoint leaves more
-    /// than this many segments (`0` disables automatic compaction).
-    pub merge_threshold: usize,
-}
-
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions {
-            checkpoint_batches: 8,
-            merge_threshold: 6,
-        }
-    }
-}
+/// [`IndexStore::log_batch`] folds the WAL into the segment once this
+/// many batches are pending.
+pub const CHECKPOINT_BATCHES: usize = 8;
 
 /// Summary returned by [`IndexStore::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreStatus {
     /// Newest durable epoch.
     pub epoch: u64,
-    /// Number of live segment files.
-    pub segments: usize,
     /// Batches sitting in the WAL, not yet checkpointed.
     pub pending_batches: usize,
     /// Total documents across all durable batches.
@@ -73,7 +57,6 @@ pub struct IndexStore {
     wal: File,
     pending: Vec<(u64, Vec<TrecDoc>)>,
     epoch: u64,
-    options: StoreOptions,
     crash: Option<CrashPoint>,
     poisoned: bool,
 }
@@ -91,21 +74,6 @@ impl IndexStore {
         name: &str,
         analyzer: &Analyzer,
         docs: &[TrecDoc],
-    ) -> Result<(IndexStore, Collection)> {
-        Self::create_with(dir, name, analyzer, docs, StoreOptions::default())
-    }
-
-    /// [`IndexStore::create`] with explicit [`StoreOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexStore::create`].
-    pub fn create_with(
-        dir: &Path,
-        name: &str,
-        analyzer: &Analyzer,
-        docs: &[TrecDoc],
-        options: StoreOptions,
     ) -> Result<(IndexStore, Collection)> {
         std::fs::create_dir_all(dir).map_err(io_err("create store dir"))?;
         if dir.join(MANIFEST_FILE).exists() {
@@ -132,10 +100,10 @@ impl IndexStore {
             stemming,
             epoch: 0,
             next_segment_id: 1,
-            segments: vec![SegmentEntry {
+            segment: SegmentEntry {
                 file,
                 batches: base.batches,
-            }],
+            },
         };
         write_manifest_atomic(dir, &manifest)?;
         let wal = OpenOptions::new()
@@ -152,7 +120,6 @@ impl IndexStore {
                 wal,
                 pending: Vec::new(),
                 epoch: 0,
-                options,
                 crash: None,
                 poisoned: false,
             },
@@ -161,9 +128,11 @@ impl IndexStore {
     }
 
     /// Opens an existing store, recovering to the last durable epoch:
-    /// segments are loaded in epoch order and the WAL's valid prefix is
-    /// replayed on top. A torn WAL tail (the only crash damage possible)
-    /// is truncated away; corruption anywhere else is a typed error.
+    /// the segment is loaded and the WAL's valid prefix is replayed on
+    /// top. A torn WAL tail (the only crash damage possible) is
+    /// truncated away; corruption anywhere else is a typed error. What a
+    /// crash in the middle of a fold left behind — `MANIFEST.tmp`, a
+    /// segment file the manifest does not name — is deleted.
     ///
     /// # Errors
     ///
@@ -171,15 +140,6 @@ impl IndexStore {
     /// [`StoreError::Corrupt`]/[`StoreError::BadVersion`] for damaged
     /// stores.
     pub fn open(dir: &Path) -> Result<(IndexStore, Collection)> {
-        Self::open_with(dir, StoreOptions::default())
-    }
-
-    /// [`IndexStore::open`] with explicit [`StoreOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexStore::open`].
-    pub fn open_with(dir: &Path, options: StoreOptions) -> Result<(IndexStore, Collection)> {
         let manifest_bytes = match std::fs::read(dir.join(MANIFEST_FILE)) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreError::Missing),
@@ -187,36 +147,13 @@ impl IndexStore {
         };
         let manifest = Manifest::decode(&manifest_bytes)?;
 
-        // Cold-open: deserialize the first segment, merge the rest in.
-        let mut collection: Option<Collection> = None;
-        for entry in &manifest.segments {
-            let segment = read_segment(dir, entry)?;
-            let part = Collection::from_bytes(&segment.collection)?;
-            collection = Some(match collection {
-                None => part,
-                Some(mut acc) => {
-                    acc.absorb(&part)?;
-                    acc
-                }
-            });
-        }
-        let mut collection = collection.ok_or(StoreError::Corrupt {
-            what: "manifest lists no segments",
-        })?;
-
-        // Replay the WAL's valid prefix on top of the checkpointed state.
-        let wal_bytes = match std::fs::read(dir.join(WAL_FILE)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read wal")(e)),
-        };
-        let scanned = wal::scan(&wal_bytes)?;
+        let scanned = wal::scan(&read_wal(dir)?)?;
         let mut pending = Vec::new();
         let mut epoch = manifest.epoch;
         for record in scanned.records {
             if record.epoch <= manifest.epoch {
                 // Stale record from a crash between manifest replacement
-                // and WAL truncation; the batch is already in a segment.
+                // and WAL truncation; the batch is already in the segment.
                 continue;
             }
             if record.epoch != epoch + 1 {
@@ -224,10 +161,10 @@ impl IndexStore {
                     what: "wal epoch out of order",
                 });
             }
-            collection.append_documents(&record.docs)?;
-            pending.push((record.epoch, record.docs));
             epoch = record.epoch;
+            pending.push((record.epoch, record.docs));
         }
+        let collection = replay(dir, &manifest, &pending)?;
 
         let mut wal = OpenOptions::new()
             .read(true)
@@ -242,6 +179,7 @@ impl IndexStore {
             wal.sync_data().map_err(io_err("sync wal"))?;
         }
         wal.seek(SeekFrom::End(0)).map_err(io_err("seek wal"))?;
+        remove_fold_debris(dir, &manifest.segment.file);
 
         Ok((
             IndexStore {
@@ -250,7 +188,6 @@ impl IndexStore {
                 wal,
                 pending,
                 epoch,
-                options,
                 crash: None,
                 poisoned: false,
             },
@@ -277,10 +214,10 @@ impl IndexStore {
         self.epoch
     }
 
-    /// Number of live segment files.
+    /// Number of live segment files: a store has exactly one.
     #[must_use]
     pub fn num_segments(&self) -> usize {
-        self.manifest.segments.len()
+        1
     }
 
     /// Number of batches pending in the WAL (not yet checkpointed).
@@ -292,7 +229,7 @@ impl IndexStore {
     /// Total documents across all durable batches.
     #[must_use]
     pub fn num_docs(&self) -> u64 {
-        self.manifest.num_docs()
+        self.manifest.segment.num_docs()
             + self
                 .pending
                 .iter()
@@ -320,6 +257,11 @@ impl IndexStore {
     /// and synced, and only then does the epoch advance. The caller must
     /// mirror the batch into its in-memory collection afterwards.
     ///
+    /// Once [`CHECKPOINT_BATCHES`] batches are pending the WAL is folded
+    /// into the segment ([`IndexStore::checkpoint`]). The batch is
+    /// committed by then, so a fold that fails does not fail this call:
+    /// the batches stay pending and the next call tries again.
+    ///
     /// Returns the new epoch.
     ///
     /// # Errors
@@ -344,26 +286,30 @@ impl IndexStore {
         self.wal.sync_data().map_err(io_err("wal sync"))?;
         self.epoch = next;
         self.pending.push((next, docs.to_vec()));
-        if self.options.checkpoint_batches > 0
-            && self.pending.len() >= self.options.checkpoint_batches
-        {
-            self.checkpoint()?;
+        if self.pending.len() >= CHECKPOINT_BATCHES {
+            let _ = self.checkpoint();
         }
         Ok(next)
     }
 
-    /// Folds pending WAL batches into per-batch segments, replaces the
-    /// manifest atomically and truncates the WAL. Runs compaction if the
-    /// segment count then exceeds the merge threshold.
+    /// The fold: loads the segment, applies the pending batches one at a
+    /// time, writes the result as the next segment, replaces the
+    /// manifest atomically, truncates the WAL and deletes the old
+    /// segment. Afterwards the directory is the manifest, an empty WAL
+    /// and one segment. With nothing pending it does nothing.
     ///
-    /// Both crash windows are idempotent: a crash after segment writes
-    /// but before the manifest rename leaves orphan files the manifest
-    /// never references; a crash after the rename but before WAL
-    /// truncation leaves stale records that replay skips.
+    /// Both crash windows are idempotent: a crash after the segment
+    /// write but before the manifest rename leaves a file the manifest
+    /// does not name, which the next [`IndexStore::open`] deletes; a
+    /// crash after the rename but before the WAL truncation leaves stale
+    /// records that replay skips. An error leaves the store usable and
+    /// its state equal to what a reopen would recover, so the fold can
+    /// simply be called again.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure.
+    /// Returns [`StoreError::Io`] on filesystem failure, or
+    /// [`StoreError::Corrupt`] if the segment fails to load.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
@@ -371,101 +317,50 @@ impl IndexStore {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let mut manifest = self.manifest.clone();
-        for (epoch, docs) in &self.pending {
-            // The delta collection is built exactly like the delta that
-            // `append_documents` builds in memory, so absorbing this
-            // segment later reproduces the oracle's merge bit-for-bit.
-            let delta = Collection::build(&manifest.name, self.analyzer(), docs);
-            let segment = Segment {
-                collection: delta.to_bytes(),
-                batches: vec![SegmentBatch {
-                    epoch: *epoch,
-                    docs: docs.len() as u64,
-                }],
-            };
-            let file = segment_file_name(manifest.next_segment_id);
-            manifest.next_segment_id += 1;
-            write_file_synced(&self.dir.join(&file), &segment.encode())?;
-            manifest.segments.push(SegmentEntry {
+        let collection = replay(&self.dir, &self.manifest, &self.pending)?;
+        let mut batches = self.manifest.segment.batches.clone();
+        batches.extend(self.pending.iter().map(|(epoch, docs)| SegmentBatch {
+            epoch: *epoch,
+            docs: docs.len() as u64,
+        }));
+        let segment = Segment {
+            collection: collection.to_bytes(),
+            batches,
+        };
+        let file = segment_file_name(self.manifest.next_segment_id);
+        write_file_synced(&self.dir.join(&file), &segment.encode())?;
+        let manifest = Manifest {
+            epoch: self.epoch,
+            next_segment_id: self.manifest.next_segment_id + 1,
+            segment: SegmentEntry {
                 file,
                 batches: segment.batches,
-            });
-            manifest.epoch = *epoch;
-        }
+            },
+            ..self.manifest.clone()
+        };
         write_manifest_atomic(&self.dir, &manifest)?;
-        self.manifest = manifest;
+        // The rename committed the fold: the pending batches are in the
+        // segment whatever happens to the WAL below.
+        let old = std::mem::replace(&mut self.manifest, manifest);
         self.pending.clear();
+        let _ = std::fs::remove_file(self.dir.join(old.segment.file));
         self.wal.set_len(0).map_err(io_err("truncate wal"))?;
         self.wal
             .seek(SeekFrom::Start(0))
             .map_err(io_err("seek wal"))?;
         self.wal.sync_data().map_err(io_err("sync wal"))?;
-        if self.options.merge_threshold > 0
-            && self.manifest.segments.len() > self.options.merge_threshold
-        {
-            self.compact()?;
-        }
         Ok(())
     }
 
-    /// Checkpoints any pending WAL batches, then merges all live
-    /// segments into one, left-to-right — the same association order
-    /// the in-memory oracle applies batches in, so the compacted index
-    /// stays byte-identical. Old segment files are deleted
-    /// (best-effort) after the manifest stops referencing them.
+    /// [`IndexStore::checkpoint`] under the name the CLI and the
+    /// benchmark call: with one segment per store, folding the WAL in
+    /// is all the compaction there is.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] or [`StoreError::Corrupt`] if a
-    /// segment fails to load.
+    /// As [`IndexStore::checkpoint`].
     pub fn compact(&mut self) -> Result<()> {
-        if self.poisoned {
-            return Err(StoreError::Poisoned);
-        }
-        self.checkpoint()?;
-        if self.manifest.segments.len() <= 1 {
-            return Ok(());
-        }
-        let mut merged: Option<Collection> = None;
-        let mut batches = Vec::new();
-        for entry in &self.manifest.segments {
-            let segment = read_segment(&self.dir, entry)?;
-            let part = Collection::from_bytes(&segment.collection)?;
-            batches.extend(segment.batches);
-            merged = Some(match merged {
-                None => part,
-                Some(mut acc) => {
-                    acc.absorb(&part)?;
-                    acc
-                }
-            });
-        }
-        let merged = merged.expect("at least two segments");
-        let segment = Segment {
-            collection: merged.to_bytes(),
-            batches,
-        };
-        let file = segment_file_name(self.manifest.next_segment_id);
-        write_file_synced(&self.dir.join(&file), &segment.encode())?;
-        let old: Vec<String> = self
-            .manifest
-            .segments
-            .iter()
-            .map(|e| e.file.clone())
-            .collect();
-        let mut manifest = self.manifest.clone();
-        manifest.next_segment_id += 1;
-        manifest.segments = vec![SegmentEntry {
-            file,
-            batches: segment.batches,
-        }];
-        write_manifest_atomic(&self.dir, &manifest)?;
-        self.manifest = manifest;
-        for file in old {
-            let _ = std::fs::remove_file(self.dir.join(file));
-        }
-        Ok(())
+        self.checkpoint()
     }
 
     /// Deterministically replays the store up to `epoch`, yielding a
@@ -485,60 +380,43 @@ impl IndexStore {
                 durable: self.epoch,
             });
         }
-        let mut batches: Vec<(u64, Vec<TrecDoc>)> = Vec::new();
-        for entry in &self.manifest.segments {
-            if entry.batches.first().is_none_or(|b| b.epoch > epoch) {
-                break;
-            }
-            let segment = read_segment(&self.dir, entry)?;
-            let part = Collection::from_bytes(&segment.collection)?;
-            let docs = part.export_docs()?;
-            let mut offset = 0usize;
-            for batch in &segment.batches {
-                let end = offset + batch.docs as usize;
-                if batch.epoch <= epoch {
-                    batches.push((batch.epoch, docs[offset..end].to_vec()));
-                }
-                offset = end;
-            }
-        }
-        for (e, docs) in &self.pending {
-            if *e <= epoch {
-                batches.push((*e, docs.clone()));
-            }
-        }
-        let mut iter = batches.into_iter();
-        let (base_epoch, base) = iter.next().ok_or(StoreError::Corrupt {
+        let segment = read_segment(&self.dir, &self.manifest.segment)?;
+        let docs = Collection::from_bytes(&segment.collection)?.export_docs()?;
+        // The segment's documents, cut back into the batches they were
+        // committed as; the manifest guarantees epoch 0 comes first.
+        let mut rest = docs.as_slice();
+        let mut batches = segment
+            .batches
+            .iter()
+            .map(|batch| {
+                let (docs, tail) = rest.split_at(batch.docs as usize);
+                rest = tail;
+                (batch.epoch, docs)
+            })
+            .chain(self.pending.iter().map(|(e, docs)| (*e, docs.as_slice())))
+            .take_while(|(e, _)| *e <= epoch);
+        let (_, base) = batches.next().ok_or(StoreError::Corrupt {
             what: "store has no base batch",
         })?;
-        debug_assert_eq!(base_epoch, 0);
-        let mut collection = Collection::build(&self.manifest.name, self.analyzer(), &base);
-        for (_, docs) in iter {
-            collection.append_documents(&docs)?;
+        let mut collection = Collection::build(&self.manifest.name, self.analyzer(), base);
+        for (_, docs) in batches {
+            collection.append_documents(docs)?;
         }
         Ok(collection)
     }
 
-    /// Full integrity scan: every segment decodes, matches the manifest
-    /// and the WAL parses cleanly up to its valid prefix.
+    /// Full integrity scan: the segment decodes and matches the
+    /// manifest, and the WAL parses cleanly up to its valid prefix.
     ///
     /// # Errors
     ///
     /// Returns the first [`StoreError`] encountered.
     pub fn verify(&self) -> Result<StoreStatus> {
         self.manifest.validate()?;
-        for entry in &self.manifest.segments {
-            read_segment(&self.dir, entry)?;
-        }
-        let wal_bytes = match std::fs::read(self.dir.join(WAL_FILE)) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err("read wal")(e)),
-        };
-        wal::scan(&wal_bytes)?;
+        read_segment(&self.dir, &self.manifest.segment)?;
+        wal::scan(&read_wal(&self.dir)?)?;
         Ok(StoreStatus {
             epoch: self.epoch,
-            segments: self.manifest.segments.len(),
             pending_batches: self.pending.len(),
             num_docs: self.num_docs(),
         })
@@ -549,7 +427,31 @@ fn segment_file_name(id: u64) -> String {
     format!("seg-{id:06}.seg")
 }
 
-/// Reads and validates one segment, cross-checking the manifest entry's
+/// Whether `name` is one [`segment_file_name`] could have produced.
+fn is_segment_file_name(name: &str) -> bool {
+    name.strip_prefix("seg-")
+        .and_then(|rest| rest.strip_suffix(".seg"))
+        .is_some_and(|id| id.len() >= 6 && id.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// The collection a store holds: its segment with `pending` applied on
+/// top. Each batch goes through `Collection::append_documents` on its
+/// own — the call the live writer made for it — because a document's
+/// weight is a floating-point sum taken in the term-id order of the
+/// delta index it was built in, and a delta over several batches at
+/// once numbers its terms differently. Recovery and the fold both come
+/// through here, which is why what the fold writes ranks bit for bit
+/// like what was serving.
+fn replay(dir: &Path, manifest: &Manifest, pending: &[(u64, Vec<TrecDoc>)]) -> Result<Collection> {
+    let segment = read_segment(dir, &manifest.segment)?;
+    let mut collection = Collection::from_bytes(&segment.collection)?;
+    for (_, docs) in pending {
+        collection.append_documents(docs)?;
+    }
+    Ok(collection)
+}
+
+/// Reads and validates the segment, cross-checking the manifest entry's
 /// batch list against the segment's own meta.
 fn read_segment(dir: &Path, entry: &SegmentEntry) -> Result<Segment> {
     let bytes = std::fs::read(dir.join(&entry.file)).map_err(io_err("read segment"))?;
@@ -562,6 +464,35 @@ fn read_segment(dir: &Path, entry: &SegmentEntry) -> Result<Segment> {
     Ok(segment)
 }
 
+/// The WAL's bytes; a missing file is an empty log.
+fn read_wal(dir: &Path) -> Result<Vec<u8>> {
+    match std::fs::read(dir.join(WAL_FILE)) {
+        Ok(bytes) => Ok(bytes),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(io_err("read wal")(e)),
+    }
+}
+
+/// Deletes, best-effort, what a crash between a fold's segment write
+/// and its manifest rename leaves behind: the temporary manifest and
+/// any segment file other than `live`. Only names this module gives
+/// its own files are touched.
+fn remove_fold_debris(dir: &Path, live: &str) {
+    let _ = std::fs::remove_file(dir.join(MANIFEST_TMP_FILE));
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        if name
+            .to_str()
+            .is_some_and(|n| n != live && is_segment_file_name(n))
+        {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 /// Writes `bytes` to `path` and syncs before returning.
 fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<()> {
     let mut file = File::create(path).map_err(io_err("create file"))?;
@@ -572,7 +503,7 @@ fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<()> {
 
 /// Atomically replaces the manifest: write `MANIFEST.tmp`, sync, rename.
 fn write_manifest_atomic(dir: &Path, manifest: &Manifest) -> Result<()> {
-    let tmp = dir.join("MANIFEST.tmp");
+    let tmp = dir.join(MANIFEST_TMP_FILE);
     write_file_synced(&tmp, &manifest.encode())?;
     std::fs::rename(&tmp, dir.join(MANIFEST_FILE)).map_err(io_err("rename manifest"))?;
     // Durability of the rename itself needs a directory sync where the
@@ -626,11 +557,32 @@ mod tests {
             .collect()
     }
 
-    fn manual() -> StoreOptions {
-        StoreOptions {
-            checkpoint_batches: 0,
-            merge_threshold: 0,
-        }
+    /// A fresh store over the base documents, with its oracle.
+    fn demo_store(dir: &TempDir) -> (IndexStore, Collection) {
+        IndexStore::create(dir.path(), "demo", &Analyzer::default(), &base_docs()).unwrap()
+    }
+
+    fn file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// What every successful fold leaves: the manifest, an empty WAL and
+    /// the one segment the manifest names.
+    fn assert_folded(store: &IndexStore) {
+        let mut want = vec![
+            MANIFEST_FILE.to_owned(),
+            store.manifest.segment.file.clone(),
+            WAL_FILE.to_owned(),
+        ];
+        want.sort();
+        assert_eq!(file_names(store.dir()), want);
+        let wal = std::fs::metadata(store.dir().join(WAL_FILE)).unwrap();
+        assert_eq!(wal.len(), 0, "the fold empties the WAL");
     }
 
     #[test]
@@ -670,14 +622,7 @@ mod tests {
     #[test]
     fn wal_replay_matches_oracle_exactly() {
         let dir = TempDir::new("replay").unwrap();
-        let (mut store, mut oracle) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            manual(),
-        )
-        .unwrap();
+        let (mut store, mut oracle) = demo_store(&dir);
         for n in 1..=4u64 {
             let docs = batch(n);
             assert_eq!(store.log_batch(&docs).unwrap(), n);
@@ -691,96 +636,90 @@ mod tests {
         assert_eq!(fingerprint(&recovered), fingerprint(&oracle));
     }
 
+    /// Pending batches, a fold, a reopen: by an explicit `checkpoint`,
+    /// by `compact`, and by `log_batch` itself (twice, so the second
+    /// fold starts from a segment that already holds several batches).
     #[test]
-    fn checkpoint_and_compact_preserve_rankings() {
-        let dir = TempDir::new("checkpoint").unwrap();
-        let (mut store, mut oracle) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            manual(),
-        )
-        .unwrap();
-        for n in 1..=3u64 {
-            store.log_batch(&batch(n)).unwrap();
-            oracle.append_documents(&batch(n)).unwrap();
-        }
-        store.checkpoint().unwrap();
-        assert_eq!(store.pending_batches(), 0);
-        assert_eq!(store.num_segments(), 4);
-        {
+    fn fold_leaves_one_segment_and_preserves_rankings() {
+        type Fold = fn(&mut IndexStore) -> Result<()>;
+        let cases: [(&str, usize, Option<Fold>); 3] = [
+            ("checkpoint", 3, Some(IndexStore::checkpoint)),
+            ("compact", 2, Some(IndexStore::compact)),
+            ("automatic", 2 * CHECKPOINT_BATCHES, None),
+        ];
+        for (case, batches, fold) in cases {
+            let dir = TempDir::new("fold").unwrap();
+            let (mut store, mut oracle) = demo_store(&dir);
+            for n in 1..=batches {
+                assert_eq!(store.log_batch(&batch(n as u64)).unwrap(), n as u64);
+                oracle.append_documents(&batch(n as u64)).unwrap();
+                let pending = match fold {
+                    Some(_) => n,
+                    None => n % CHECKPOINT_BATCHES,
+                };
+                assert_eq!(store.pending_batches(), pending, "{case}: batch {n}");
+                if pending == 0 {
+                    assert_folded(&store);
+                }
+            }
+            if let Some(fold) = fold {
+                fold(&mut store).unwrap();
+            }
+            assert_eq!(store.epoch(), batches as u64, "{case}");
+            assert_eq!(store.pending_batches(), 0, "{case}");
+            assert_folded(&store);
+            let segment = store.manifest.segment.file.clone();
+
+            // With nothing pending a fold does nothing at all.
+            store.checkpoint().unwrap();
+            store.compact().unwrap();
+            assert_eq!(store.manifest.segment.file, segment, "{case}");
+            assert_folded(&store);
+            drop(store);
+
             let (reopened, recovered) = IndexStore::open(dir.path()).unwrap();
-            assert_eq!(reopened.epoch(), 3);
-            assert_eq!(fingerprint(&recovered), fingerprint(&oracle));
+            assert_eq!(reopened.epoch(), batches as u64, "{case}");
+            assert_eq!(reopened.pending_batches(), 0, "{case}");
+            assert_eq!(reopened.num_docs(), oracle.num_docs(), "{case}");
+            assert_eq!(fingerprint(&recovered), fingerprint(&oracle), "{case}");
+            reopened.verify().unwrap();
         }
-        let mut store = IndexStore::open(dir.path()).unwrap().0;
-        store.compact().unwrap();
-        assert_eq!(store.num_segments(), 1);
-        let (reopened, recovered) = IndexStore::open(dir.path()).unwrap();
-        assert_eq!(reopened.epoch(), 3);
-        assert_eq!(fingerprint(&recovered), fingerprint(&oracle));
     }
 
+    /// A crash between a fold's segment write and its manifest rename
+    /// leaves files no manifest names; `open` deletes them, and nothing
+    /// that merely looks similar.
     #[test]
-    fn compact_folds_pending_wal_batches_in() {
-        // A single-segment store with batches still pending in the WAL:
-        // compact must checkpoint them first, not no-op on segment
-        // count alone.
-        let dir = TempDir::new("compact-pending").unwrap();
-        let (mut store, mut oracle) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            manual(),
-        )
-        .unwrap();
-        for n in 1..=2u64 {
-            store.log_batch(&batch(n)).unwrap();
-            oracle.append_documents(&batch(n)).unwrap();
+    fn open_removes_fold_debris_and_nothing_else() {
+        let dir = TempDir::new("debris").unwrap();
+        let (mut store, _) = demo_store(&dir);
+        store.log_batch(&batch(1)).unwrap();
+        drop(store);
+        let before = file_names(dir.path());
+        let bystanders = [
+            "notes.txt",
+            "seg-backup.seg",
+            "seg-12.seg",
+            "seg-000001.seg.bak",
+        ];
+        for name in ["MANIFEST.tmp", "seg-000001.seg", "seg-1234567.seg"]
+            .iter()
+            .chain(&bystanders)
+        {
+            std::fs::write(dir.path().join(name), b"torn").unwrap();
         }
-        assert_eq!((store.num_segments(), store.pending_batches()), (1, 2));
-        store.compact().unwrap();
-        assert_eq!((store.num_segments(), store.pending_batches()), (1, 0));
-        let (reopened, recovered) = IndexStore::open(dir.path()).unwrap();
-        assert_eq!(reopened.epoch(), 2);
-        assert_eq!(reopened.pending_batches(), 0);
-        assert_eq!(fingerprint(&recovered), fingerprint(&oracle));
-    }
-
-    #[test]
-    fn auto_checkpoint_and_merge_fire() {
-        let dir = TempDir::new("auto").unwrap();
-        let options = StoreOptions {
-            checkpoint_batches: 2,
-            merge_threshold: 3,
-        };
-        let (mut store, _) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            options,
-        )
-        .unwrap();
-        for n in 1..=6u64 {
-            store.log_batch(&batch(n)).unwrap();
-        }
-        // Auto-checkpoints at 2 pending; auto-compacts past 3 segments.
-        assert!(store.pending_batches() < 2);
-        assert!(store.num_segments() <= 3);
-        assert_eq!(store.epoch(), 6);
-        let (reopened, _) = IndexStore::open(dir.path()).unwrap();
-        assert_eq!(reopened.epoch(), 6);
+        let (store, _) = IndexStore::open(dir.path()).unwrap();
+        assert_eq!((store.epoch(), store.pending_batches()), (1, 1));
+        let mut want = before;
+        want.extend(bystanders.iter().map(|n| (*n).to_owned()));
+        want.sort();
+        assert_eq!(file_names(dir.path()), want);
     }
 
     #[test]
     fn collection_at_replays_every_epoch() {
         let dir = TempDir::new("asof").unwrap();
-        let analyzer = Analyzer::default();
-        let (mut store, _) =
-            IndexStore::create_with(dir.path(), "demo", &analyzer, &base_docs(), manual()).unwrap();
+        let (mut store, _) = demo_store(&dir);
         let mut oracles = vec![Collection::build("demo", Analyzer::default(), &base_docs())];
         for n in 1..=3u64 {
             store.log_batch(&batch(n)).unwrap();
@@ -814,14 +753,7 @@ mod tests {
     #[test]
     fn injected_crash_poisons_store_and_reopen_recovers() {
         let dir = TempDir::new("poison").unwrap();
-        let (mut store, _) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            manual(),
-        )
-        .unwrap();
+        let (mut store, _) = demo_store(&dir);
         store.log_batch(&batch(1)).unwrap();
         store.inject_crash(CrashPoint {
             offset: 7,
@@ -839,21 +771,13 @@ mod tests {
     #[test]
     fn verify_reports_status() {
         let dir = TempDir::new("verify").unwrap();
-        let (mut store, _) = IndexStore::create_with(
-            dir.path(),
-            "demo",
-            &Analyzer::default(),
-            &base_docs(),
-            manual(),
-        )
-        .unwrap();
+        let (mut store, _) = demo_store(&dir);
         store.log_batch(&batch(1)).unwrap();
         let status = store.verify().unwrap();
         assert_eq!(
             status,
             StoreStatus {
                 epoch: 1,
-                segments: 1,
                 pending_batches: 1,
                 num_docs: 5,
             }
@@ -861,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_segment_fails_open_with_typed_error() {
+    fn corrupted_segment_is_a_typed_open_failure() {
         let dir = TempDir::new("corrupt-seg").unwrap();
         IndexStore::create(dir.path(), "demo", &Analyzer::default(), &base_docs()).unwrap();
         let seg = dir.path().join(segment_file_name(0));
@@ -876,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_manifest_fails_open_with_typed_error() {
+    fn corrupted_manifest_is_a_typed_open_failure() {
         let dir = TempDir::new("corrupt-man").unwrap();
         IndexStore::create(dir.path(), "demo", &Analyzer::default(), &base_docs()).unwrap();
         let path = dir.path().join(MANIFEST_FILE);

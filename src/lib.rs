@@ -18,7 +18,7 @@
 //! * [`net`] — wire protocol and transports.
 //! * [`obs`] — structured query traces and per-phase metrics.
 //! * [`simnet`] — discrete-event disk/CPU/network simulator.
-//! * [`store`] — persistent versioned index: segments, WAL, epochs.
+//! * [`store`] — persistent versioned index: one segment, WAL, epochs.
 //! * [`core`] — the TERAPHIM librarian/receptionist system itself.
 //!
 //! # Quick start

@@ -10,7 +10,13 @@
 //! * corruption anywhere but the WAL tail fails `open` with a typed
 //!   [`StoreError`] — no panic, no partially-applied state;
 //! * as-of queries replay any durable epoch deterministically, and the
-//!   store-backed [`Librarian`] recovers epoch and rankings end-to-end.
+//!   store-backed [`Librarian`] recovers epoch and rankings end-to-end;
+//! * the fold (checkpoint) survives a death in either of its two crash
+//!   windows, and a fold that fails does not fail the batch that
+//!   triggered it.
+
+use std::collections::BTreeMap;
+use std::path::Path;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -18,7 +24,9 @@ use proptest::test_runner::TestRng;
 
 use teraphim::core::Librarian;
 use teraphim::engine::Collection;
-use teraphim::store::{wal, CrashMode, CrashPoint, IndexStore, StoreError, StoreOptions, TempDir};
+use teraphim::store::{
+    wal, CrashMode, CrashPoint, IndexStore, StoreError, TempDir, CHECKPOINT_BATCHES,
+};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
 
@@ -44,15 +52,6 @@ fn fingerprint(c: &Collection) -> Vec<(u32, u64)> {
                 .map(|h| (h.doc, h.score.to_bits()))
         })
         .collect()
-}
-
-/// Keep every WAL batch pending (no auto-checkpoint), so crash sweeps
-/// exercise replay of the full log.
-fn manual() -> StoreOptions {
-    StoreOptions {
-        checkpoint_batches: 0,
-        merge_threshold: 0,
-    }
 }
 
 const VOCAB: &[&str] = &[
@@ -110,17 +109,15 @@ impl Strategy for ArbBatch {
     }
 }
 
-/// Builds a store with `batches` committed (WAL-only, manual
-/// checkpointing) alongside the in-memory oracle collection.
+/// Builds a store with `batches` committed alongside the in-memory
+/// oracle collection. Callers commit fewer than [`CHECKPOINT_BATCHES`],
+/// so every batch is still pending in the WAL and the crash sweeps
+/// exercise replay of the full log.
 fn store_with_batches(dir: &TempDir, batches: &[Vec<TrecDoc>]) -> (IndexStore, Collection) {
-    let (mut store, mut oracle) = IndexStore::create_with(
-        dir.path(),
-        "CRASH",
-        &Analyzer::default(),
-        &base_docs(),
-        manual(),
-    )
-    .expect("fresh store creates");
+    assert!(batches.len() < CHECKPOINT_BATCHES);
+    let (mut store, mut oracle) =
+        IndexStore::create(dir.path(), "CRASH", &Analyzer::default(), &base_docs())
+            .expect("fresh store creates");
     for batch in batches {
         store.log_batch(batch).expect("batch commits");
         oracle.append_documents(batch).expect("oracle appends");
@@ -157,7 +154,7 @@ fn run_crash_case(committed: &[Vec<TrecDoc>], next: &[TrecDoc], offset: u64, mod
 
     // The record survives only if every one of its bytes did.
     let expected = if offset >= record_len { k + 1 } else { k };
-    let (reopened, collection) = IndexStore::open_with(dir.path(), manual())
+    let (reopened, collection) = IndexStore::open(dir.path())
         .unwrap_or_else(|e| panic!("reopen after crash at {offset}/{record_len} {mode:?}: {e}"));
     assert_eq!(
         reopened.epoch(),
@@ -324,8 +321,9 @@ fn corruption_beyond_the_tail_is_a_typed_open_failure() {
 }
 
 /// As-of queries: every durable epoch replays to oracle-identical
-/// rankings, before and after checkpoint/compaction reshuffle the
-/// batches into segments; asking beyond the durable epoch is typed.
+/// rankings, before and after the fold moves the batches from the WAL
+/// into the segment ("checkpointed" and "compacted" are one state under
+/// two names); asking beyond the durable epoch is typed.
 #[test]
 fn as_of_replay_matches_the_oracle_at_every_epoch() {
     let batches = vec![
@@ -391,4 +389,131 @@ fn librarian_reopens_with_identical_rankings() {
         before,
         "recovered rankings are bit-identical"
     );
+}
+
+/// Every regular file of a store directory, by name.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .filter(|entry| entry.file_type().unwrap().is_file())
+        .map(|entry| {
+            let name = entry.file_name().into_string().unwrap();
+            (name, std::fs::read(entry.path()).unwrap())
+        })
+        .collect()
+}
+
+/// The fold has two crash windows: after the new segment is written but
+/// before the manifest is renamed over the old one, and after the
+/// rename but before the WAL is truncated. Both directory states are
+/// assembled from snapshots taken before (A) and after (B) a real fold;
+/// each must reopen at the same durable epoch with oracle-identical
+/// rankings, keep working, and fold down to the three files every fold
+/// ends with.
+#[test]
+fn a_crash_in_either_window_of_the_fold_recovers() {
+    let batches = vec![
+        vec![doc("B1", 0, &[0, 1, 8]), doc("B1", 1, &[4, 5])],
+        vec![doc("B2", 0, &[6, 7, 0])],
+        vec![doc("B3", 0, &[2, 3, 9])],
+    ];
+    let extra = vec![doc("B4", 0, &[10, 0, 5])];
+    let dir = TempDir::new("fold-windows").expect("tempdir");
+    let (mut store, mut oracle) = store_with_batches(&dir, &batches);
+    let a = snapshot(dir.path());
+    store.checkpoint().expect("checkpoint");
+    let b = snapshot(dir.path());
+    drop(store);
+    let before = fingerprint(&oracle);
+    oracle.append_documents(&extra).expect("oracle appends");
+
+    let (new_segment, new_segment_bytes) = b
+        .iter()
+        .find(|(name, _)| name.ends_with(".seg") && !a.contains_key(*name))
+        .expect("the fold wrote a new segment");
+    let mut died_before_rename = a.clone();
+    died_before_rename.insert(new_segment.clone(), new_segment_bytes.clone());
+    died_before_rename.insert("MANIFEST.tmp".to_owned(), b["MANIFEST"].clone());
+    let mut died_before_truncation = b.clone();
+    died_before_truncation.insert("wal.log".to_owned(), a["wal.log"].clone());
+
+    for (window, files, pending) in [
+        ("before the rename", died_before_rename, batches.len()),
+        ("before the truncation", died_before_truncation, 0),
+    ] {
+        let dir = TempDir::new("fold-window").expect("tempdir");
+        for (name, bytes) in &files {
+            std::fs::write(dir.path().join(name), bytes).unwrap();
+        }
+        let (mut store, collection) =
+            IndexStore::open(dir.path()).unwrap_or_else(|e| panic!("died {window}: reopen: {e}"));
+        assert_eq!(store.epoch(), batches.len() as u64, "died {window}");
+        assert_eq!(store.pending_batches(), pending, "died {window}");
+        assert_eq!(fingerprint(&collection), before, "died {window}");
+        store.verify().expect("recovered store verifies");
+
+        let epoch = store.log_batch(&extra).expect("a further batch commits");
+        assert_eq!(epoch, batches.len() as u64 + 1, "died {window}");
+        store.checkpoint().expect("a further fold");
+        assert_eq!(store.pending_batches(), 0, "died {window}");
+        drop(store);
+        let left = snapshot(dir.path());
+        let names: Vec<&str> = left.keys().map(String::as_str).collect();
+        assert!(
+            matches!(names[..], ["MANIFEST", seg, "wal.log"] if seg.ends_with(".seg")),
+            "died {window}: the directory holds {names:?}"
+        );
+        assert!(left["wal.log"].is_empty(), "died {window}: WAL not emptied");
+        let (_, collection) = IndexStore::open(dir.path()).expect("reopen after the fold");
+        assert_eq!(
+            fingerprint(&collection),
+            fingerprint(&oracle),
+            "died {window}: rankings after a further batch and fold"
+        );
+    }
+}
+
+/// A batch whose WAL record is synced has committed, whatever then
+/// happens to the fold it triggers. The fold is made to fail by a
+/// directory sitting where its segment file would go.
+#[test]
+fn a_failed_automatic_fold_does_not_fail_the_committed_batch() {
+    let dir = TempDir::new("blocked-fold").expect("tempdir");
+    let mut librarian =
+        Librarian::create_store(dir.path(), "CRASH", &Analyzer::default(), &base_docs())
+            .expect("store-backed librarian");
+    let mut oracle = Collection::build("CRASH", Analyzer::default(), &base_docs());
+    // The base build is segment 0, so the first fold writes segment 1.
+    let blocker = dir.path().join("seg-000001.seg");
+    std::fs::create_dir(&blocker).unwrap();
+
+    for n in 1..=CHECKPOINT_BATCHES {
+        let batch = vec![doc("B", n, &[n, n + 3, 2])];
+        let epoch = librarian
+            .add_documents(&batch)
+            .unwrap_or_else(|e| panic!("batch {n} is durable, yet: {e}"));
+        assert_eq!(epoch, n as u64);
+        oracle.append_documents(&batch).expect("oracle appends");
+    }
+    assert_eq!(librarian.collection().num_docs(), oracle.num_docs());
+    assert_eq!(fingerprint(librarian.collection()), fingerprint(&oracle));
+
+    // The batches stay pending, and asking for the fold by name still
+    // reports why it cannot be done.
+    let store = librarian.store_mut().expect("a store-backed librarian");
+    assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES);
+    assert!(matches!(store.checkpoint(), Err(StoreError::Io { .. })));
+    assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES);
+    drop(librarian);
+
+    let mut reopened = Librarian::open(dir.path()).expect("reopen");
+    assert_eq!(reopened.epoch(), CHECKPOINT_BATCHES as u64);
+    assert_eq!(fingerprint(reopened.collection()), fingerprint(&oracle));
+
+    // With the obstacle gone the retry goes through.
+    std::fs::remove_dir(&blocker).unwrap();
+    let store = reopened.store_mut().expect("a store-backed librarian");
+    store.checkpoint().expect("unblocked fold");
+    assert_eq!(store.pending_batches(), 0);
 }
