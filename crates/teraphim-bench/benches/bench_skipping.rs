@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use teraphim_corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim_engine::ranking::local_weights;
-use teraphim_engine::{candidates, Collection};
+use teraphim_engine::{candidates, Collection, RankScratch};
+use teraphim_index::similarity::query_norm;
 use teraphim_index::DocId;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -17,14 +18,18 @@ fn bench_candidate_scoring(c: &mut Criterion) {
         .iter()
         .flat_map(|s| s.docs.iter().cloned())
         .collect();
-    let mut collection = Collection::build("MS", Analyzer::default(), &all);
+    let collection = Collection::build("MS", Analyzer::default(), &all);
     let query = &corpus.short_queries()[0].text;
     let pairs = collection.analyze_query(query);
     let weighted = local_weights(collection.index(), &pairs);
+    let qnorm = query_norm(&weighted.iter().map(|t| t.w_qt).collect::<Vec<_>>());
     let n = collection.num_docs() as DocId;
+    let mut scratch = RankScratch::new();
 
-    // Pre-build skip tables outside the timed region.
-    collection.index_mut().build_skips(32);
+    // The first skipping call builds the queried lists' skip tables:
+    // make it outside the timed region.
+    candidates::score_candidates(collection.index(), &weighted, qnorm, &[0], &mut scratch)
+        .expect("scoring");
 
     for (label, stride) in [
         ("sparse_20_candidates", (n / 20).max(1)),
@@ -35,16 +40,27 @@ fn bench_candidate_scoring(c: &mut Criterion) {
         group.bench_function("full_scan", |b| {
             b.iter(|| {
                 black_box(
-                    candidates::score_candidates_full_scan(collection.index(), &weighted, &cands)
-                        .expect("scoring"),
+                    candidates::score_candidates_full_scan(
+                        collection.index(),
+                        &weighted,
+                        qnorm,
+                        &cands,
+                    )
+                    .expect("scoring"),
                 )
             })
         });
         group.bench_function("skipping", |b| {
             b.iter(|| {
                 black_box(
-                    candidates::score_candidates(collection.index_mut(), &weighted, &cands)
-                        .expect("scoring"),
+                    candidates::score_candidates(
+                        collection.index(),
+                        &weighted,
+                        qnorm,
+                        &cands,
+                        &mut scratch,
+                    )
+                    .expect("scoring"),
                 )
             })
         });

@@ -31,11 +31,9 @@ fn main() {
         .chain(corpus.short_queries())
         .map(|q| q.text.clone())
         .collect();
+    let librarian = Librarian::build("MS", Analyzer::default(), &merged);
     let server = TcpServer::spawn_with(
-        vec![
-            Librarian::build("MS", Analyzer::default(), &merged),
-            Librarian::build("MS", Analyzer::default(), &merged),
-        ],
+        vec![librarian.share(), librarian.share()],
         "127.0.0.1:0",
         ServerOptions {
             workers: 2,

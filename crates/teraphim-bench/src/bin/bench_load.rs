@@ -46,7 +46,6 @@ use teraphim_text::Analyzer;
 
 /// Fleet shape shared by every mode.
 const SERVER_WORKERS: usize = 2;
-const SERVER_REPLICAS: usize = 2;
 const SERVER_QUEUE_DEPTH: usize = 512;
 const MUX_CONNECTIONS: usize = 2;
 const CONCURRENCY_SWEEP: [usize; 4] = [1, 16, 64, 256];
@@ -158,19 +157,15 @@ impl ModeReport {
     }
 }
 
-fn build_replicas(name: &str, docs: &[TrecDoc]) -> Vec<Librarian> {
-    (0..SERVER_REPLICAS)
-        .map(|_| Librarian::build(name, Analyzer::default(), docs))
-        .collect()
-}
-
-/// Spins one TCP server per subcollection and returns them.
+/// Spins one TCP server per subcollection and returns them: each shard
+/// is indexed once and every worker ranks against that one copy.
 fn spawn_fleet(parts: &[(&str, &[TrecDoc])]) -> Vec<TcpServer> {
     parts
         .iter()
         .map(|(name, docs)| {
+            let librarian = Librarian::build(name, Analyzer::default(), docs);
             TcpServer::spawn_with(
-                build_replicas(name, docs),
+                (0..SERVER_WORKERS).map(|_| librarian.share()).collect(),
                 "127.0.0.1:0",
                 ServerOptions {
                     workers: SERVER_WORKERS,
@@ -520,7 +515,7 @@ fn render_json(opts: &HarnessOptions, n_queries: usize, modes: &[ModeReport]) ->
         opts.seed
     ));
     out.push_str(&format!(
-        "  \"fleet\": {{\"server_workers\": {SERVER_WORKERS}, \"server_replicas\": {SERVER_REPLICAS}, \"queue_depth\": {SERVER_QUEUE_DEPTH}, \"mux_connections\": {MUX_CONNECTIONS}}},\n"
+        "  \"fleet\": {{\"server_workers\": {SERVER_WORKERS}, \"queue_depth\": {SERVER_QUEUE_DEPTH}, \"mux_connections\": {MUX_CONNECTIONS}}},\n"
     ));
     out.push_str("  \"methodologies\": [\n");
     for (i, mode) in modes.iter().enumerate() {

@@ -2,13 +2,21 @@
 //!
 //! Deliberately dependency-free — the workspace's only binary interface
 //! is small and stable, and the parser is thoroughly unit-tested.
+//!
+//! The parser does not know a command's options; it remembers which ones
+//! the command asked about, and [`Args::reject_unread`] turns the rest
+//! into errors. A command reads every option it understands, calls it,
+//! and only then starts work — so a misspelt or retired option stops the
+//! command instead of silently running it with a default.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Parsed options: flags, key-value options, and positional arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    options: HashMap<String, String>,
+    /// Each option's value, and whether the command has asked about it.
+    options: HashMap<String, (String, Cell<bool>)>,
     flags: Vec<String>,
     positional: Vec<String>,
 }
@@ -31,7 +39,8 @@ impl Args {
                     let value = iter
                         .next()
                         .ok_or_else(|| format!("option --{name} requires a value"))?;
-                    args.options.insert(name.to_owned(), value.clone());
+                    args.options
+                        .insert(name.to_owned(), (value.clone(), Cell::new(false)));
                 }
             } else {
                 args.positional.push(arg.clone());
@@ -42,7 +51,31 @@ impl Args {
 
     /// The value of `--name`, if present.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+        self.options.get(name).map(|(value, read)| {
+            read.set(true);
+            value.as_str()
+        })
+    }
+
+    /// Fails if an option was given that the command has not asked about
+    /// (through [`Args::get`] and its wrappers) by now: one it does not
+    /// know, or one that means nothing in this invocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns `unknown option --x` naming every such option.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let mut unread: Vec<&str> = self
+            .options
+            .iter()
+            .filter(|(_, (_, read))| !read.get())
+            .map(|(name, _)| name.as_str())
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort_unstable();
+        Err(format!("unknown option --{}", unread.join(", --")))
     }
 
     /// The value of `--name` or an error naming the option.
@@ -115,6 +148,25 @@ mod tests {
         let args = Args::parse(&argv(&[]), &[]).unwrap();
         let err = args.require("query").unwrap_err();
         assert!(err.contains("--query"));
+    }
+
+    #[test]
+    fn options_nobody_read_are_rejected() {
+        let args = Args::parse(
+            &argv(&["--workers", "4", "--replicas", "4", "--worker", "8"]),
+            &[],
+        )
+        .unwrap();
+        assert_eq!(args.get_parsed("workers", 2usize).unwrap(), 4);
+        let err = args.reject_unread().unwrap_err();
+        assert_eq!(err, "unknown option --replicas, --worker");
+        // Asking is what counts, not using the answer.
+        let _ = args.get("replicas");
+        let _ = args.get("worker");
+        assert_eq!(args.reject_unread(), Ok(()));
+        // An option that was asked about but not given is nobody's error.
+        assert_eq!(args.get("addr"), None);
+        assert_eq!(args.reject_unread(), Ok(()));
     }
 
     #[test]

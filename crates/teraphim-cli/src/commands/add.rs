@@ -40,6 +40,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Err(format!("need exactly one of --index or --store\n\n{HELP}"));
     }
     let input = args.require("input")?;
+    args.reject_unread()?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let docs = parse_trec(&text).map_err(|e| format!("cannot parse {input}: {e}"))?;
     if docs.is_empty() {

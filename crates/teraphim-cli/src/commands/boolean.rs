@@ -20,8 +20,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let collection = load_collection(args.require("index")?)?;
+    let index_path = args.require("index")?;
     let expr = args.require("expr")?;
+    args.reject_unread()?;
+    let collection = load_collection(index_path)?;
     let docs = collection.boolean_query(expr).map_err(|e| format!("{e}"))?;
     outln!("{} matching documents", docs.len());
     for doc in docs {

@@ -102,28 +102,36 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let queries = parse_queries(args.require("queries")?)?;
+    let queries_path = args.require("queries")?;
     let qrels_path = args.require("qrels")?;
-    let qrels = std::fs::read_to_string(qrels_path)
-        .map_err(|e| format!("cannot read {qrels_path}: {e}"))?;
-    let judgments = Judgments::from_qrels(&qrels);
     let k = args.get_parsed("k", 1000usize)?;
-
     let trace_path = args.get("trace-json");
     let metrics_path = args.get("metrics");
     let cache_config = args.get("cache").map(parse_cache_spec).transpose()?;
+    // A fleet has a methodology, the mono baseline an index file.
+    let servers = args.get("servers");
+    let methodology = match servers.and_then(|_| args.get("methodology")) {
+        Some("cn") => Methodology::CentralNothing,
+        Some("cv") | None => Methodology::CentralVocabulary,
+        Some("ci") => Methodology::CentralIndex,
+        Some(other) => return Err(format!("unknown methodology {other:?}")),
+    };
+    let index_path = match servers {
+        Some(_) => None,
+        None => Some(args.require("index")?),
+    };
+    args.reject_unread()?;
+
+    let queries = parse_queries(queries_path)?;
+    let qrels = std::fs::read_to_string(qrels_path)
+        .map_err(|e| format!("cannot read {qrels_path}: {e}"))?;
+    let judgments = Judgments::from_qrels(&qrels);
     let mut trace_sink = None;
     let mut metrics_registry = None;
     let mut cache_stats = None;
     let mut degraded_queries = 0usize;
     let mut failed_librarians: Vec<usize> = Vec::new();
-    let evals: Vec<QueryEval> = if let Some(servers) = args.get("servers") {
-        let methodology = match args.get("methodology").unwrap_or("cv") {
-            "cn" => Methodology::CentralNothing,
-            "cv" => Methodology::CentralVocabulary,
-            "ci" => Methodology::CentralIndex,
-            other => return Err(format!("unknown methodology {other:?}")),
-        };
+    let evals: Vec<QueryEval> = if let Some(servers) = servers {
         let transports = servers
             .split(',')
             .map(|addr| {
@@ -201,7 +209,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     .to_owned(),
             );
         }
-        let collection = load_collection(args.require("index")?)?;
+        let collection = load_collection(index_path.expect("required without --servers"))?;
         queries
             .iter()
             .map(|(id, q)| {

@@ -19,8 +19,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let collection = load_collection(args.require("index")?)?;
+    let index_path = args.require("index")?;
     let docno = args.require("docno")?;
+    args.reject_unread()?;
+    let collection = load_collection(index_path)?;
     let doc = collection
         .store()
         .doc_id(docno)

@@ -55,6 +55,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let policy = HealthPolicy {
         degraded_error_rate: args.get_parsed("degraded-error-rate", 0.1f64)?,
     };
+    args.reject_unread()?;
 
     let groups: Vec<Vec<&str>> = shards
         .split(';')

@@ -34,6 +34,8 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let servers = args.require("servers")?;
+    let out = args.get("out");
+    args.reject_unread()?;
     let mut dumps = String::new();
     for (i, addr) in servers.split(',').enumerate() {
         let addr = addr.trim();
@@ -44,7 +46,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             Err(e) => dumps.push_str(&format!("unavailable: {e}\n")),
         }
     }
-    match args.get("out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &dumps).map_err(|e| format!("cannot write {path}: {e}"))?
         }

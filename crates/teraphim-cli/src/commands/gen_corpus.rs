@@ -25,6 +25,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     let outdir = std::path::PathBuf::from(args.require("outdir")?);
     let seed = args.get_parsed("seed", 1998u64)?;
+    args.reject_unread()?;
     let spec = if args.flag("small") {
         CorpusSpec::small(seed)
     } else {

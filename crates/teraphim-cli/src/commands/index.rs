@@ -41,6 +41,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if output.is_some() == store_dir.is_some() {
         return Err(format!("need exactly one of --output or --store\n\n{HELP}"));
     }
+    args.reject_unread()?;
 
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
     let docs = parse_trec(&text).map_err(|e| format!("cannot parse {input}: {e}"))?;

@@ -24,6 +24,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let index_path = args.require("index")?;
     let query = args.require("query")?;
     let k = args.get_parsed("k", 10usize)?;
+    args.reject_unread()?;
     let collection = load_collection(index_path)?;
 
     let hits = collection.ranked_query(query, k);

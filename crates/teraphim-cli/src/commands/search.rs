@@ -36,6 +36,15 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "ci" => Methodology::CentralIndex,
         other => return Err(format!("unknown methodology {other:?} (use cn, cv or ci)")),
     };
+    // Grouping parameters mean something to CI only.
+    let ci_params = match methodology {
+        Methodology::CentralIndex => CiParams {
+            group_size: args.get_parsed("group-size", 10u32)?,
+            k_prime: args.get_parsed("k-prime", 100usize)?,
+        },
+        _ => CiParams::default(),
+    };
+    args.reject_unread()?;
 
     let transports = servers
         .split(',')
@@ -51,10 +60,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .enable_cv()
             .map_err(|e| format!("CV preprocessing failed: {e}"))?,
         Methodology::CentralIndex => receptionist
-            .enable_ci(CiParams {
-                group_size: args.get_parsed("group-size", 10u32)?,
-                k_prime: args.get_parsed("k-prime", 100usize)?,
-            })
+            .enable_ci(ci_params)
             .map_err(|e| format!("CI preprocessing failed: {e}"))?,
     }
 

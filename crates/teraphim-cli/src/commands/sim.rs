@@ -133,29 +133,43 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let plan = if let Some(path) = args.get("plan") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Plan::from_json(&text).map_err(|e| format!("{path}: {e}"))?
-    } else if args.flag("generate") {
+    // A plan file wins; the generator's options mean something only
+    // when it runs.
+    let plan_path = args.get("plan");
+    let generated = if plan_path.is_none() && args.flag("generate") {
         let seed = args.get_parsed("seed", 42u64)?;
-        let name = args.get("name").map(str::to_owned);
-        let name = name.unwrap_or_else(|| format!("gen-{seed}"));
-        generate_plan(
-            &name,
-            seed,
-            GenOptions {
-                steps: args.get_parsed("steps", 60usize)?,
-                clients: args.get_parsed("clients", 2u64)?,
-                allow_kills: args.flag("allow-kills"),
-                replicas: args.get_parsed("replicas", 1u64)?,
-                crashes: args.flag("crashes"),
-            },
-        )
+        let name = args
+            .get("name")
+            .map_or_else(|| format!("gen-{seed}"), str::to_owned);
+        let options = GenOptions {
+            steps: args.get_parsed("steps", 60usize)?,
+            clients: args.get_parsed("clients", 2u64)?,
+            allow_kills: args.flag("allow-kills"),
+            replicas: args.get_parsed("replicas", 1u64)?,
+            crashes: args.flag("crashes"),
+        };
+        Some(generate_plan(&name, seed, options))
     } else {
-        return Err(format!("need --plan FILE or --generate\n\n{HELP}"));
+        None
+    };
+    let out = args.get("out");
+    let backend = args.get("backend");
+    let check = args.get("check");
+    let bugbase = args.get("bugbase").unwrap_or(".");
+    let max_checks = args.get_parsed("max-checks", 200usize)?;
+    args.reject_unread()?;
+
+    let plan = match (plan_path, generated) {
+        (Some(path), _) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            Plan::from_json(&text).map_err(|e| format!("{path}: {e}"))?
+        }
+        (None, Some(plan)) => plan,
+        (None, None) => return Err(format!("need --plan FILE or --generate\n\n{HELP}")),
     };
 
-    if let Some(out) = args.get("out") {
+    if let Some(out) = out {
         std::fs::write(out, plan.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
         outln!("plan written:   {out}");
     }
@@ -169,21 +183,18 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         plan.replicas
     );
 
-    let backend = args.get("backend").unwrap_or("sim");
+    // `--backend` without an explicit `--check` means "just run it".
+    let check = check.unwrap_or(if backend.is_some() {
+        "run"
+    } else {
+        "differential"
+    });
+    let backend = backend.unwrap_or("sim");
     if !["sim", "inproc", "tcp"].contains(&backend) {
         return Err(format!(
             "unknown backend {backend:?} (expected sim, inproc, tcp)"
         ));
     }
-    // `--backend` without an explicit `--check` means "just run it".
-    let default_check = if args.get("backend").is_some() && args.get("check").is_none() {
-        "run"
-    } else {
-        "differential"
-    };
-    let check = args.get("check").unwrap_or(default_check);
-    let bugbase = args.get("bugbase").unwrap_or(".");
-    let max_checks = args.get_parsed("max-checks", 200usize)?;
 
     match check {
         "run" => {

@@ -32,6 +32,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let policy = HealthPolicy {
         degraded_error_rate: args.get_parsed("degraded-error-rate", 0.1f64)?,
     };
+    args.reject_unread()?;
 
     let mut rows: Vec<LibrarianHealth> = Vec::new();
     for (i, addr) in servers.split(',').enumerate() {

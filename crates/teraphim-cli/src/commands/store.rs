@@ -38,6 +38,21 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let dir = args.require("dir")?;
+    // `--as-of E` replays a query at epoch E; a query alone has no epoch.
+    let as_of = match args.get("as-of") {
+        Some(epoch) => {
+            let epoch: u64 = epoch
+                .parse()
+                .map_err(|e| format!("bad --as-of epoch {epoch:?}: {e}"))?;
+            let k = args.get_parsed("k", 10usize)?;
+            Some((epoch, args.require("query")?, k))
+        }
+        None if args.get("query").is_some() => {
+            return Err(format!("--query needs --as-of E\n\n{HELP}"));
+        }
+        None => None,
+    };
+    args.reject_unread()?;
     let (mut store, collection) = IndexStore::open(std::path::Path::new(dir))
         .map_err(|e| format!("cannot open store {dir}: {e}"))?;
     outln!(
@@ -71,12 +86,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(epoch) = args.get("as-of") {
-        let epoch: u64 = epoch
-            .parse()
-            .map_err(|e| format!("bad --as-of epoch {epoch:?}: {e}"))?;
-        let query = args.require("query")?;
-        let k = args.get_parsed("k", 10usize)?;
+    if let Some((epoch, query, k)) = as_of {
         let view = store
             .collection_at(epoch)
             .map_err(|e| format!("cannot reconstruct epoch {epoch}: {e}"))?;
@@ -99,8 +109,6 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                 hit.score
             );
         }
-    } else if args.get("query").is_some() {
-        return Err(format!("--query needs --as-of E\n\n{HELP}"));
     }
     Ok(())
 }

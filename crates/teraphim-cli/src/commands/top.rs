@@ -64,6 +64,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if count == 0 {
         return Err("--count must be at least 1".into());
     }
+    args.reject_unread()?;
 
     let mut prev: Option<Vec<LibrarianHealth>> = None;
     for round in 0..count {

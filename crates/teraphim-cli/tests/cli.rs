@@ -161,6 +161,45 @@ fn unknown_command_and_missing_options_fail() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--query"));
 }
 
+/// An option the command never reads stops it before it does anything:
+/// `serve --replicas` (retired) and `--worker` (a typo) used to start a
+/// server that meant something else than its operator believed.
+#[test]
+fn options_nobody_reads_are_errors() {
+    for (args, culprit) in [
+        (
+            &["serve", "--index", "x.tcol", "--replicas", "4"][..],
+            "unknown option --replicas",
+        ),
+        (
+            &["serve", "--index", "x.tcol", "--worker", "8"],
+            "unknown option --worker",
+        ),
+        // Known to the command, meaningless in this invocation.
+        (
+            &[
+                "search",
+                "--servers",
+                "127.0.0.1:1",
+                "--query",
+                "q",
+                "--group-size",
+                "5",
+            ],
+            "unknown option --group-size",
+        ),
+        (
+            &["sim", "--plan", "p.json", "--seed", "7"],
+            "unknown option --seed",
+        ),
+    ] {
+        let out = teraphim().args(args).output().expect("runs");
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(culprit), "{args:?}: {stderr}");
+    }
+}
+
 /// Spawns `teraphim serve` and kills it on drop.
 struct Server {
     child: Child,

@@ -9,6 +9,8 @@
 //! requires — any subcollection can serve several receptionists at once.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 use teraphim_engine::{ranking, Collection, RankScratch};
 use teraphim_net::{Message, Service};
@@ -23,25 +25,42 @@ fn elapsed_micros(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// A librarian serving one subcollection.
+/// The service ledger of one server: request, rank and error counters,
+/// a log-bucketed service-latency histogram and the server-phase totals
+/// (indexed like [`teraphim_obs::SERVER_PHASES`]). Every handle of a
+/// librarian adds to the same ledger, so whichever handle answers
+/// [`Message::Stats`] answers for all of them.
+#[derive(Debug, Default)]
+struct Ledger {
+    requests_served: AtomicU64,
+    rank_requests: AtomicU64,
+    errors_returned: AtomicU64,
+    latency: Histogram,
+    phase_totals: [AtomicU64; 4],
+}
+
+/// A librarian serving one subcollection: a cheap handle over an
+/// immutable, shared [`Collection`].
 ///
-/// Ranking scratch buffers (dense accumulators, candidate vectors) live
-/// on the librarian and are reused across the query stream, so
-/// steady-state query evaluation allocates and zeroes nothing of the
-/// collection's size.
-///
-/// Every librarian also keeps its own service ledger — request, rank and
-/// error counters plus a log-bucketed service-latency histogram — and
-/// serves it over [`Message::Stats`], so a receptionist (or `teraphim
-/// stats`) can snapshot fleet health without any shared state.
+/// A server that evaluates N requests at once holds N handles
+/// ([`Librarian::share`]) over **one** collection. What the handles
+/// share: the collection (queries only read it), the service ledger
+/// served over [`Message::Stats`], the flight recorder and the routing
+/// table. What each keeps to itself is what one evaluation scribbles on:
+/// the ranking scratch buffers (reused across the query stream, so
+/// steady-state evaluation allocates and zeroes nothing of the
+/// collection's size), the last request's phase clocks, and the epoch of
+/// the snapshot it serves. A write through one handle
+/// ([`Librarian::add_documents`], [`Librarian::collection_mut`]) is in
+/// place while the handle is alone and copy-on-write otherwise: the
+/// other handles keep ranking against the snapshot, and advertising the
+/// epoch, they had. The [`teraphim_store::IndexStore`] stays with the
+/// handle that opened it.
 #[derive(Debug)]
 pub struct Librarian {
-    collection: Collection,
+    collection: Arc<Collection>,
+    ledger: Arc<Ledger>,
     scratch: RankScratch,
-    requests_served: u64,
-    rank_requests: u64,
-    errors_returned: u64,
-    latency: Histogram,
     /// Index epoch: 0 at build, bumped by [`Librarian::bump_epoch`] when
     /// the index changes. Echoed in every rank/score reply and in
     /// `StatsReply` so receptionist caches can invalidate.
@@ -57,10 +76,6 @@ pub struct Librarian {
     last_scan: u64,
     /// Rank (accumulator/heap) micros of the last handled request.
     last_rank: u64,
-    /// Lifetime server-phase totals, indexed like
-    /// [`SERVER_PHASES`] — the server side of the phase ledger,
-    /// published in [`Message::StatsReply`].
-    phase_totals: [u64; 4],
     /// Server-side flight recorder: exemplar spans for requests that
     /// arrived with a span context. Detached (free) by default.
     flight: FlightRecorder,
@@ -83,22 +98,38 @@ impl Librarian {
         Self::from_collection(Collection::from_texts(name, docs))
     }
 
-    /// Wraps an existing collection (e.g. one loaded from disk).
-    pub fn from_collection(collection: Collection) -> Self {
+    /// Wraps an existing collection (e.g. one loaded from disk), owned
+    /// or already shared, under a fresh ledger.
+    pub fn from_collection(collection: impl Into<Arc<Collection>>) -> Self {
         Librarian {
-            collection,
+            collection: collection.into(),
+            ledger: Arc::default(),
             scratch: RankScratch::new(),
-            requests_served: 0,
-            rank_requests: 0,
-            errors_returned: 0,
-            latency: Histogram::new(),
             epoch: 0,
             index_bytes_cache: None,
             routing: None,
             last_scan: 0,
             last_rank: 0,
-            phase_totals: [0; 4],
             flight: FlightRecorder::disabled(),
+            store: None,
+        }
+    }
+
+    /// Another handle onto this librarian's collection, ledger, flight
+    /// recorder and routing table, at this handle's epoch, for one more
+    /// worker to evaluate with: it costs a scratch buffer. Not `Clone`,
+    /// because the store does not come along.
+    pub fn share(&self) -> Librarian {
+        Librarian {
+            collection: Arc::clone(&self.collection),
+            ledger: Arc::clone(&self.ledger),
+            scratch: RankScratch::new(),
+            epoch: self.epoch,
+            index_bytes_cache: self.index_bytes_cache,
+            routing: self.routing.clone(),
+            last_scan: 0,
+            last_rank: 0,
+            flight: self.flight.clone(),
             store: None,
         }
     }
@@ -155,19 +186,13 @@ impl Librarian {
     /// the batch, which is durable by then) or
     /// [`crate::TeraphimError::Engine`] if the merge fails.
     pub fn add_documents(&mut self, docs: &[TrecDoc]) -> Result<u64, crate::TeraphimError> {
-        match &mut self.store {
-            Some(store) => {
-                let epoch = store.log_batch(docs)?;
-                self.collection.append_documents(docs)?;
-                self.epoch = epoch;
-            }
-            None => {
-                self.collection.append_documents(docs)?;
-                self.epoch += 1;
-            }
-        }
-        self.index_bytes_cache = None;
-        Ok(self.epoch)
+        let epoch = match &mut self.store {
+            Some(store) => store.log_batch(docs)?,
+            None => self.epoch + 1,
+        };
+        self.collection_mut().append_documents(docs)?;
+        self.epoch = epoch;
+        Ok(epoch)
     }
 
     /// The attached persistent store, if any.
@@ -220,12 +245,14 @@ impl Librarian {
         &self.collection
     }
 
-    /// Mutable access (e.g. to pre-build skip tables, or to append
-    /// documents in place). The caller may change the index, so the
-    /// serialized size `Stats` reports is recomputed on the next poll.
+    /// Mutable access (e.g. to append documents): in place while this
+    /// handle is alone, on a private copy once the collection is shared,
+    /// so no other handle's snapshot moves. The caller may change the
+    /// index, so the serialized size `Stats` reports is recomputed on
+    /// the next poll.
     pub fn collection_mut(&mut self) -> &mut Collection {
         self.index_bytes_cache = None;
-        &mut self.collection
+        Arc::make_mut(&mut self.collection)
     }
 
     /// Collection name.
@@ -245,8 +272,8 @@ impl Librarian {
         self.collection.num_docs()
     }
 
-    /// Builds the [`Message::StatsReply`] for this librarian's current
-    /// service ledger.
+    /// Builds the [`Message::StatsReply`] from the shared service ledger
+    /// and this handle's snapshot.
     fn stats_reply(&mut self) -> Message {
         let index_bytes = *self
             .index_bytes_cache
@@ -256,17 +283,15 @@ impl Librarian {
             num_docs: self.collection.num_docs(),
             num_terms: self.collection.index().vocab().len() as u64,
             index_bytes,
-            requests_served: self.requests_served,
-            rank_requests: self.rank_requests,
-            errors: self.errors_returned,
+            requests_served: self.ledger.requests_served.load(Relaxed),
+            rank_requests: self.ledger.rank_requests.load(Relaxed),
+            errors: self.ledger.errors_returned.load(Relaxed),
             epoch: self.epoch,
-            latency: self.latency.snapshot().to_bucket_pairs(),
-            server_phases: self
-                .phase_totals
-                .iter()
-                .enumerate()
-                .filter(|(_, &micros)| micros > 0)
-                .map(|(i, &micros)| (i as u32, micros))
+            latency: self.ledger.latency.snapshot().to_bucket_pairs(),
+            server_phases: (0u32..)
+                .zip(&self.ledger.phase_totals)
+                .map(|(i, micros)| (i, micros.load(Relaxed)))
+                .filter(|&(_, micros)| micros > 0)
                 .collect(),
         }
     }
@@ -335,11 +360,9 @@ impl Librarian {
                 candidates,
             } => {
                 let rank_started = Instant::now();
-                let result = self.collection.score_candidates_scratch(
-                    &terms,
-                    &candidates,
-                    &mut self.scratch,
-                );
+                let result =
+                    self.collection
+                        .score_candidates(&terms, &candidates, &mut self.scratch);
                 self.last_rank = elapsed_micros(rank_started);
                 match result {
                     Ok((scores, postings_decoded)) => Message::ScoreResponse {
@@ -474,17 +497,17 @@ impl Service for Librarian {
         self.last_scan = 0;
         self.last_rank = 0;
         let response = self.handle_inner(request);
-        self.requests_served += 1;
+        self.ledger.requests_served.fetch_add(1, Relaxed);
         if is_rank {
-            self.rank_requests += 1;
+            self.ledger.rank_requests.fetch_add(1, Relaxed);
         }
         if matches!(
             response,
             Message::Error { .. } | Message::Unavailable { .. }
         ) {
-            self.errors_returned += 1;
+            self.ledger.errors_returned.fetch_add(1, Relaxed);
         }
-        self.latency.record(elapsed_micros(started));
+        self.ledger.latency.record(elapsed_micros(started));
         response
     }
 
@@ -496,8 +519,8 @@ impl Service for Librarian {
     }
 
     fn note_server_timings(&mut self, timings: &ServerTimings, span: Option<&SpanContext>) {
-        for (i, (_, micros)) in timings.as_pairs().iter().enumerate() {
-            self.phase_totals[i] = self.phase_totals[i].saturating_add(*micros);
+        for (total, (_, micros)) in self.ledger.phase_totals.iter().zip(timings.as_pairs()) {
+            total.fetch_add(micros, Relaxed);
         }
         // A span-carrying request leaves a server-side exemplar: a
         // one-level span tree of the four phases, stamped with the
@@ -773,6 +796,97 @@ mod tests {
         {
             assert_eq!(requests_served, 3);
         }
+    }
+
+    fn rank_cat(lib: &mut Librarian, query_id: u32) -> Message {
+        lib.handle(Message::RankRequest {
+            query_id,
+            k: 10,
+            terms: vec![("cat".into(), 1)],
+        })
+    }
+
+    /// Handles share one collection until one of them writes; the write
+    /// lands on a private copy, so the other keeps its ranking and its
+    /// epoch.
+    #[test]
+    fn shared_handles_rank_identically_and_diverge_on_a_write() {
+        let mut original = librarian();
+        let mut handle = original.share();
+        assert!(Arc::ptr_eq(&original.collection, &handle.collection));
+        assert!(handle.store().is_none());
+        let before = rank_cat(&mut original, 1);
+        assert_eq!(rank_cat(&mut handle, 1).encode(), before.encode());
+
+        let batch = vec![TrecDoc {
+            docno: "T-4".into(),
+            text: "one more cat".into(),
+        }];
+        handle.collection_mut().append_documents(&batch).unwrap();
+        handle.bump_epoch();
+        assert!(!Arc::ptr_eq(&original.collection, &handle.collection));
+        assert_eq!((original.num_docs(), handle.num_docs()), (3, 4));
+        assert_eq!(rank_cat(&mut original, 1).encode(), before.encode());
+        assert_eq!((original.epoch(), handle.epoch()), (0, 1));
+        let Message::RankResponse { epoch, entries, .. } = rank_cat(&mut handle, 1) else {
+            panic!("expected a ranking");
+        };
+        assert_eq!((epoch, entries.len()), (1, 3));
+
+        // Alone again, a handle writes in place.
+        drop(original);
+        let held = Arc::as_ptr(&handle.collection);
+        handle.collection_mut().append_documents(&batch).unwrap();
+        assert_eq!(Arc::as_ptr(&handle.collection), held);
+    }
+
+    /// Three engines behind three workers are one server: whichever
+    /// handle pops a `Stats` poll reports every request the server has
+    /// answered, not the third of them it happened to evaluate.
+    #[test]
+    fn every_handle_of_a_server_answers_stats_for_the_whole_server() {
+        use teraphim_net::mux::MuxTransport;
+        use teraphim_net::tcp::{ServerOptions, TcpServer};
+        let original = librarian();
+        let server = TcpServer::spawn_with(
+            (0..3).map(|_| original.share()).collect(),
+            "127.0.0.1:0",
+            ServerOptions {
+                workers: 3,
+                queue_depth: 16,
+            },
+        )
+        .unwrap();
+        let mut client = MuxTransport::connect(server.addr()).unwrap();
+        for query_id in 0..30 {
+            let reply = client
+                .request(&Message::RankRequest {
+                    query_id,
+                    k: 10,
+                    terms: vec![("cat".into(), 1)],
+                })
+                .unwrap();
+            assert!(matches!(reply, Message::RankResponse { .. }));
+        }
+        // Several polls, so more than one worker (and its engine) answers.
+        for poll in 0..9 {
+            let Message::StatsReply {
+                requests_served,
+                rank_requests,
+                latency,
+                ..
+            } = client.request(&Message::Stats).unwrap()
+            else {
+                panic!("expected StatsReply");
+            };
+            let timed: u64 = latency.iter().map(|&(_, c)| c).sum();
+            assert_eq!(
+                (requests_served, rank_requests, timed),
+                (30, 30, 30),
+                "poll {poll}: admin polls count nothing, rank exchanges all count"
+            );
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::TeraphimError;
 use std::collections::BTreeMap;
 
 use teraphim_engine::ranking::{self, ScoredDoc, WeightedTerm};
-use teraphim_engine::{candidates, Collection};
+use teraphim_engine::{candidates, Collection, RankScratch};
 use teraphim_index::stats::merge_stats;
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, Vocabulary};
 use teraphim_net::{FaultAction, FaultPlan, Message};
@@ -719,7 +719,7 @@ impl SimDriver {
         net: &mut SimNetwork,
         start: SimTime,
         requests: &[Option<Message>],
-        answer: impl Fn(&mut Collection, &Message) -> Result<Answer, TeraphimError>,
+        answer: impl Fn(&Collection, &Message) -> Result<Answer, TeraphimError>,
     ) -> Result<FanOut, TeraphimError> {
         // Evaluate every contacted librarian first (pure computation,
         // one fault-plan consultation per sub-query actually sent);
@@ -757,7 +757,7 @@ impl SimDriver {
                 }
                 Some(FaultAction::Drop) => exchange.failed = Some("disconnected"),
                 Some(FaultAction::Garble | FaultAction::Delay(_)) | None => {
-                    let Answer { reply, work, cpu } = answer(&mut self.parts[lib], request)?;
+                    let Answer { reply, work, cpu } = answer(&self.parts[lib], request)?;
                     job = SimJob {
                         work,
                         cpu,
@@ -998,14 +998,10 @@ impl SimDriver {
             };
             let weighted = resolve_weights(col, &doc_weights);
             let (scores, decoded) = if skipping {
-                col.score_candidates(&doc_weights, candidates)
+                let scratch = &mut RankScratch::new();
+                candidates::score_candidates(col.index(), &weighted, qnorm, candidates, scratch)
             } else {
-                candidates::score_candidates_full_scan_with_norm(
-                    col.index(),
-                    &weighted,
-                    qnorm,
-                    candidates,
-                )
+                candidates::score_candidates_full_scan(col.index(), &weighted, qnorm, candidates)
             }
             .map_err(TeraphimError::Engine)?;
             Ok(Answer {

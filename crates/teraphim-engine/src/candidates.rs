@@ -10,53 +10,26 @@
 
 use crate::ranking::{accumulate, RankScratch, ScoredDoc, WeightedTerm};
 use crate::EngineError;
-use teraphim_index::similarity::{query_norm, w_dt};
+use teraphim_index::similarity::w_dt;
 use teraphim_index::{DocId, InvertedIndex};
 
 /// Scores exactly `candidates` (any order, duplicates tolerated) against
-/// the weighted query.
+/// the weighted query, seeking through each list's skip table (built on
+/// the list's first use; the index is only read). `qnorm` is explicit
+/// for the reason `ranking::rank_with_norm` gives: in distributed
+/// scoring it covers terms this index has never seen.
 ///
 /// Returns `(scores, postings_decoded)`. The score vector has one entry
 /// per *distinct* candidate, in increasing document order; documents
 /// containing none of the query terms score 0.0. `postings_decoded`
 /// counts index postings actually decompressed, the unit of the CPU cost
-/// model.
+/// model. `scratch` lends the sorted-candidate and partial-sum vectors.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
 pub fn score_candidates(
-    index: &mut InvertedIndex,
-    terms: &[WeightedTerm],
-    candidates: &[DocId],
-) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    score_candidates_with_norm(index, terms, qnorm, candidates)
-}
-
-/// [`score_candidates`] with an explicit query norm (see
-/// `ranking::rank_with_norm` for why distributed scoring needs it).
-///
-/// # Errors
-///
-/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
-pub fn score_candidates_with_norm(
-    index: &mut InvertedIndex,
-    terms: &[WeightedTerm],
-    qnorm: f64,
-    candidates: &[DocId],
-) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-    score_candidates_with_norm_scratch(index, terms, qnorm, candidates, &mut RankScratch::new())
-}
-
-/// [`score_candidates_with_norm`] reusing caller-owned scratch buffers
-/// (the sorted-candidate and partial-sum vectors) across calls.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
-pub fn score_candidates_with_norm_scratch(
-    index: &mut InvertedIndex,
+    index: &InvertedIndex,
     terms: &[WeightedTerm],
     qnorm: f64,
     candidates: &[DocId],
@@ -76,7 +49,7 @@ pub fn score_candidates_with_norm_scratch(
         if wt.w_qt == 0.0 {
             continue;
         }
-        let mut cursor = index.skip_cursor(wt.term);
+        let mut cursor = index.skip_cursor(wt.term)?;
         for (i, &doc) in sorted.iter().enumerate() {
             match cursor.seek(doc)? {
                 Some(p) if p.doc == doc => {
@@ -88,45 +61,21 @@ pub fn score_candidates_with_norm_scratch(
         }
         decoded += cursor.decoded();
     }
-
-    let scores = sorted
-        .iter()
-        .zip(sums.iter())
-        .map(|(&doc, &sum)| {
-            let wd = index.weights().weight(doc);
-            let score = if wd > 0.0 && qnorm > 0.0 {
-                sum / (wd * qnorm)
-            } else {
-                0.0
-            };
-            ScoredDoc { doc, score }
-        })
-        .collect();
-    Ok((scores, decoded))
+    let scores = sorted.iter().zip(sums.iter());
+    Ok((
+        normalized(index, qnorm, scores.map(|(&d, &s)| (d, s))),
+        decoded,
+    ))
 }
 
 /// Scores candidates by decoding lists in full (no skipping) — the
 /// configuration the paper actually benchmarked ("we did not employ our
-/// skipping mechanism"), kept for the ablation comparison.
+/// skipping mechanism"), kept as the reference and for the ablation.
 ///
 /// # Errors
 ///
 /// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
 pub fn score_candidates_full_scan(
-    index: &InvertedIndex,
-    terms: &[WeightedTerm],
-    candidates: &[DocId],
-) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    score_candidates_full_scan_with_norm(index, terms, qnorm, candidates)
-}
-
-/// [`score_candidates_full_scan`] with an explicit query norm.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
-pub fn score_candidates_full_scan_with_norm(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
     qnorm: f64,
@@ -140,19 +89,26 @@ pub fn score_candidates_full_scan_with_norm(
     let mut sorted: Vec<DocId> = candidates.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let scores = sorted
-        .into_iter()
-        .map(|doc| {
-            let wd = index.weights().weight(doc);
-            let score = if wd > 0.0 && qnorm > 0.0 {
-                scratch.sum(doc) / (wd * qnorm)
-            } else {
-                0.0
-            };
-            ScoredDoc { doc, score }
-        })
-        .collect();
-    Ok((scores, decoded))
+    let sums = sorted.into_iter().map(|doc| (doc, scratch.sum(doc)));
+    Ok((normalized(index, qnorm, sums), decoded))
+}
+
+/// Cosine-normalises `(document, partial sum)` pairs.
+fn normalized(
+    index: &InvertedIndex,
+    qnorm: f64,
+    sums: impl Iterator<Item = (DocId, f64)>,
+) -> Vec<ScoredDoc> {
+    sums.map(|(doc, sum)| {
+        let wd = index.weights().weight(doc);
+        let score = if wd > 0.0 && qnorm > 0.0 {
+            sum / (wd * qnorm)
+        } else {
+            0.0
+        };
+        ScoredDoc { doc, score }
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -170,6 +126,25 @@ mod tests {
         b.build()
     }
 
+    type Scored = Result<(Vec<ScoredDoc>, u64), EngineError>;
+
+    /// The two entry points under the query's own norm.
+    pub(super) fn skipping(ix: &InvertedIndex, w: &[WeightedTerm], candidates: &[DocId]) -> Scored {
+        score_candidates(ix, w, norm(w), candidates, &mut RankScratch::new())
+    }
+
+    pub(super) fn full_scan(
+        ix: &InvertedIndex,
+        w: &[WeightedTerm],
+        candidates: &[DocId],
+    ) -> Scored {
+        score_candidates_full_scan(ix, w, norm(w), candidates)
+    }
+
+    fn norm(w: &[WeightedTerm]) -> f64 {
+        teraphim_index::similarity::query_norm(&w.iter().map(|t| t.w_qt).collect::<Vec<_>>())
+    }
+
     fn weights_for(ix: &InvertedIndex, terms: &[&str]) -> Vec<WeightedTerm> {
         let pairs: Vec<(teraphim_index::TermId, u32)> = terms
             .iter()
@@ -180,7 +155,7 @@ mod tests {
 
     #[test]
     fn candidate_scores_equal_full_ranking_scores() {
-        let mut ix = index_of(&[
+        let ix = index_of(&[
             &["cat", "dog"],
             &["cat"],
             &["dog", "dog", "bird"],
@@ -189,7 +164,7 @@ mod tests {
         ]);
         let w = weights_for(&ix, &["cat", "bird"]);
         let full = rank_all(&ix, &w);
-        let (scored, _) = score_candidates(&mut ix, &w, &[0, 1, 2, 3, 4]).unwrap();
+        let (scored, _) = skipping(&ix, &w, &[0, 1, 2, 3, 4]).unwrap();
         for s in &scored {
             let expected = full
                 .iter()
@@ -214,11 +189,11 @@ mod tests {
         for d in &docs {
             b.add_document(d);
         }
-        let mut ix = b.build();
+        let ix = b.build();
         let w = weights_for(&ix, &["triple", "w3"]);
         let candidates: Vec<DocId> = (0..500).step_by(17).collect();
-        let (skipped, dec_skip) = score_candidates(&mut ix, &w, &candidates).unwrap();
-        let (full, dec_full) = score_candidates_full_scan(&ix, &w, &candidates).unwrap();
+        let (skipped, dec_skip) = skipping(&ix, &w, &candidates).unwrap();
+        let (full, dec_full) = full_scan(&ix, &w, &candidates).unwrap();
         assert_eq!(skipped.len(), full.len());
         for (a, b) in skipped.iter().zip(&full) {
             assert_eq!(a.doc, b.doc);
@@ -232,9 +207,9 @@ mod tests {
 
     #[test]
     fn duplicates_and_order_are_normalized() {
-        let mut ix = index_of(&[&["a"], &["a", "b"]]);
+        let ix = index_of(&[&["a"], &["a", "b"]]);
         let w = weights_for(&ix, &["a"]);
-        let (scored, _) = score_candidates(&mut ix, &w, &[1, 0, 1, 0]).unwrap();
+        let (scored, _) = skipping(&ix, &w, &[1, 0, 1, 0]).unwrap();
         assert_eq!(scored.len(), 2);
         assert_eq!(scored[0].doc, 0);
         assert_eq!(scored[1].doc, 1);
@@ -242,9 +217,9 @@ mod tests {
 
     #[test]
     fn nonmatching_candidates_score_zero() {
-        let mut ix = index_of(&[&["a"], &["b"], &["c"]]);
+        let ix = index_of(&[&["a"], &["b"], &["c"]]);
         let w = weights_for(&ix, &["a"]);
-        let (scored, _) = score_candidates(&mut ix, &w, &[1, 2]).unwrap();
+        let (scored, _) = skipping(&ix, &w, &[1, 2]).unwrap();
         assert!(scored.iter().all(|s| s.score == 0.0));
     }
 
@@ -260,24 +235,48 @@ mod tests {
         );
         let terms = [WeightedTerm { term: 0, w_qt: 1.0 }];
         let clean = index_from_lists(&[1.0; 30], &[good]);
-        assert!(score_candidates_full_scan(&clean, &terms, &[3, 4]).is_ok());
+        assert!(full_scan(&clean, &terms, &[3, 4]).is_ok());
         let corrupt = index_from_lists(&[1.0; 30], &[cut]);
-        assert!(score_candidates_full_scan(&corrupt, &terms, &[3, 4]).is_err());
+        assert!(full_scan(&corrupt, &terms, &[3, 4]).is_err());
+    }
+
+    /// A loaded index may hold a list that does not decode. Building its
+    /// skip table used to panic the worker; now the query fails.
+    #[test]
+    fn skipping_reports_a_malformed_list_instead_of_panicking() {
+        use crate::ranking::oracle::{index_from_lists, list_of};
+        use teraphim_index::PostingsList;
+        let good = list_of((0..100).map(|d| (d, d % 3 + 1)).collect());
+        let cut = PostingsList::from_raw_parts(
+            good.as_bytes()[..good.byte_len() - 2].to_vec(),
+            good.len(),
+            good.last_doc(),
+        );
+        let terms = [WeightedTerm { term: 1, w_qt: 1.0 }];
+        let corrupt = index_from_lists(&[1.0; 100], &[good, cut]);
+        assert!(matches!(
+            skipping(&corrupt, &terms, &[3, 4]),
+            Err(EngineError::Corrupt(_))
+        ));
+        // The healthy list beside it still scores, and only it has a table.
+        let healthy = [WeightedTerm { term: 0, w_qt: 1.0 }];
+        assert!(skipping(&corrupt, &healthy, &[3, 4]).is_ok());
+        assert!(corrupt.has_skips(0) && !corrupt.has_skips(1));
     }
 
     #[test]
     fn empty_candidates_give_empty_scores() {
-        let mut ix = index_of(&[&["a"]]);
+        let ix = index_of(&[&["a"]]);
         let w = weights_for(&ix, &["a"]);
-        let (scored, decoded) = score_candidates(&mut ix, &w, &[]).unwrap();
+        let (scored, decoded) = skipping(&ix, &w, &[]).unwrap();
         assert!(scored.is_empty());
         assert_eq!(decoded, 0);
     }
 
     #[test]
     fn empty_query_scores_all_zero() {
-        let mut ix = index_of(&[&["a"], &["b"]]);
-        let (scored, _) = score_candidates(&mut ix, &[], &[0, 1]).unwrap();
+        let ix = index_of(&[&["a"], &["b"]]);
+        let (scored, _) = skipping(&ix, &[], &[0, 1]).unwrap();
         assert_eq!(scored.len(), 2);
         assert!(scored.iter().all(|s| s.score == 0.0));
     }
@@ -285,6 +284,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{full_scan, skipping};
     use super::*;
     use crate::ranking::local_weights;
     use proptest::prelude::*;
@@ -303,15 +303,15 @@ mod proptests {
             for d in &docs {
                 b.add_document(d);
             }
-            let mut ix = b.build();
+            let ix = b.build();
             let n = docs.len() as u32;
             let candidates: Vec<DocId> =
                 candidate_seed.into_iter().map(|c| c % n.max(1)).collect();
             let terms: Vec<(teraphim_index::TermId, u32)> =
                 ix.vocab().iter().map(|(id, _)| (id, 1u32)).collect();
             let w = local_weights(&ix, &terms);
-            let (skipped, _) = score_candidates(&mut ix, &w, &candidates).unwrap();
-            let (full, _) = score_candidates_full_scan(&ix, &w, &candidates).unwrap();
+            let (skipped, _) = skipping(&ix, &w, &candidates).unwrap();
+            let (full, _) = full_scan(&ix, &w, &candidates).unwrap();
             prop_assert_eq!(skipped.len(), full.len());
             for (a, b) in skipped.iter().zip(&full) {
                 prop_assert_eq!(a.doc, b.doc);

@@ -14,7 +14,7 @@ use teraphim_index::DocId;
 use teraphim_text::sgml::TrecDoc;
 
 /// Compressed storage for a collection's documents.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DocStore {
     model: TextModel,
     docnos: Vec<String>,

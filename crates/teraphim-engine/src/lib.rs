@@ -87,7 +87,11 @@ impl From<teraphim_compress::CodeError> for EngineError {
 }
 
 /// A complete searchable collection: what one librarian manages.
-#[derive(Debug)]
+///
+/// Every query reads it through `&self`; only
+/// [`Collection::append_documents`] changes it. `Clone` is the
+/// copy-on-write step of a librarian whose collection is shared.
+#[derive(Debug, Clone)]
 pub struct Collection {
     name: String,
     analyzer: Analyzer,
@@ -143,11 +147,6 @@ impl Collection {
     /// The underlying inverted index.
     pub fn index(&self) -> &InvertedIndex {
         &self.index
-    }
-
-    /// Mutable access to the index (needed to build skip tables).
-    pub fn index_mut(&mut self) -> &mut InvertedIndex {
-        &mut self.index
     }
 
     /// The compressed document store.
@@ -220,34 +219,14 @@ impl Collection {
     ///
     /// Returns [`EngineError::Corrupt`] if the index fails to decode.
     pub fn score_candidates(
-        &mut self,
-        terms: &[(String, f64)],
-        candidates: &[DocId],
-    ) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-        self.score_candidates_scratch(terms, candidates, &mut RankScratch::new())
-    }
-
-    /// [`Collection::score_candidates`] reusing caller-owned scratch
-    /// buffers across calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] if the index fails to decode.
-    pub fn score_candidates_scratch(
-        &mut self,
+        &self,
         terms: &[(String, f64)],
         candidates: &[DocId],
         scratch: &mut RankScratch,
     ) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
         let qnorm = full_query_norm(terms);
         let weighted = self.resolve_weighted(terms);
-        candidates::score_candidates_with_norm_scratch(
-            &mut self.index,
-            &weighted,
-            qnorm,
-            candidates,
-            scratch,
-        )
+        candidates::score_candidates(&self.index, &weighted, qnorm, candidates, scratch)
     }
 
     /// Evaluates a Boolean query.
@@ -488,7 +467,7 @@ mod tests {
 
     #[test]
     fn score_candidates_matches_full_ranking_scores() {
-        let mut c = demo();
+        let c = demo();
         let terms = c.analyze_query("cat dog");
         let weighted = ranking::local_weights(c.index(), &terms);
         let full = ranking::rank(c.index(), &weighted, 10);
@@ -497,7 +476,9 @@ mod tests {
             .map(|w| (c.index().vocab().term(w.term).to_owned(), w.w_qt))
             .collect();
         let candidates: Vec<DocId> = (0..4).collect();
-        let (scored, _decoded) = c.score_candidates(&weighted_str, &candidates).unwrap();
+        let (scored, _decoded) = c
+            .score_candidates(&weighted_str, &candidates, &mut RankScratch::new())
+            .unwrap();
         for s in &scored {
             let full_score = full
                 .iter()
@@ -553,6 +534,51 @@ mod tests {
             "penguins are aquatic flightless birds"
         );
         assert_eq!(incremental.docno(3), "D4");
+    }
+
+    /// An append replaces the index, and with it every skip table: the
+    /// next candidate query rebuilds tables for the lists it touches —
+    /// through `&Collection`, from several threads at once — and for no
+    /// others.
+    #[test]
+    fn candidate_scoring_after_an_append_builds_only_the_queried_tables() {
+        let mut c = demo();
+        c.append_documents(&[TrecDoc {
+            docno: "D5".into(),
+            text: "a walrus chased the cat".into(),
+        }])
+        .unwrap();
+        let shared = &c;
+        let queried = c.analyzer().analyze("cat walrus");
+        let terms: Vec<(String, f64)> = queried.iter().cloned().zip([1.5, 0.5]).collect();
+        assert_eq!(shared.resolve_weighted(&terms).len(), 2);
+        let candidates: Vec<DocId> = (0..5).collect();
+        let qnorm = full_query_norm(&terms);
+        let expected = candidates::score_candidates_full_scan(
+            shared.index(),
+            &shared.resolve_weighted(&terms),
+            qnorm,
+            &candidates,
+        )
+        .unwrap()
+        .0;
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let (scored, _) = shared
+                        .score_candidates(&terms, &candidates, &mut RankScratch::new())
+                        .unwrap();
+                    assert_eq!(
+                        ranking::oracle::bits(&scored),
+                        ranking::oracle::bits(&expected)
+                    );
+                });
+            }
+        });
+        for (term, name) in c.index().vocab().iter() {
+            let queried = queried.iter().any(|q| q == name);
+            assert_eq!(c.index().has_skips(term), queried, "{name}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use crate::vocab::{read_u32, Vocabulary};
 use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// An in-memory index under construction.
 ///
@@ -141,7 +142,7 @@ impl IndexBuilder {
             stats,
             weights: self.weights,
             doc_lengths: self.doc_lengths,
-            skip_tables: None,
+            skip_tables: OnceLock::new(),
         }
     }
 }
@@ -155,7 +156,10 @@ pub struct InvertedIndex {
     stats: CollectionStats,
     weights: DocWeights,
     doc_lengths: Vec<u32>,
-    skip_tables: Option<Vec<SkipTable>>,
+    /// One slot per list, filled on the list's first `skip_cursor`; the
+    /// slots are allocated on the index's first, so an index that only
+    /// ever ranks pays nothing for them.
+    skip_tables: OnceLock<Vec<OnceLock<SkipTable>>>,
 }
 
 impl InvertedIndex {
@@ -219,7 +223,7 @@ impl InvertedIndex {
             stats,
             weights,
             doc_lengths,
-            skip_tables: None,
+            skip_tables: OnceLock::new(),
         }
     }
 
@@ -238,30 +242,52 @@ impl InvertedIndex {
         self.weights = weights;
     }
 
-    /// Builds skip tables for every list with the given interval,
-    /// enabling [`InvertedIndex::skip_cursor`]. Idempotent per interval.
-    pub fn build_skips(&mut self, skip_every: u32) {
+    /// Builds skip tables for every list at a chosen interval, replacing
+    /// any built so far ([`InvertedIndex::skip_cursor`] needs no such
+    /// call: it builds at [`DEFAULT_SKIP_EVERY`] as lists are sought in).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if a list fails to decode.
+    pub fn build_skips(&mut self, skip_every: u32) -> Result<(), IndexError> {
         let tables = self
             .postings
             .iter()
-            .map(|list| SkipTable::build(list, skip_every).expect("own lists are well-formed"))
-            .collect();
-        self.skip_tables = Some(tables);
+            .map(|list| SkipTable::build(list, skip_every).map(OnceLock::from))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.skip_tables = OnceLock::from(tables);
+        Ok(())
     }
 
-    /// A seeking cursor over `term`'s list. Builds default skip tables on
-    /// first use if [`InvertedIndex::build_skips`] was not called.
-    pub fn skip_cursor(&mut self, term: TermId) -> crate::skips::SkipCursor<'_> {
-        if self.skip_tables.is_none() {
-            self.build_skips(DEFAULT_SKIP_EVERY);
-        }
-        let tables = self.skip_tables.as_ref().expect("just built");
-        tables[term as usize].cursor(&self.postings[term as usize])
+    /// A seeking cursor over `term`'s list. The list's skip table is
+    /// built on its first cursor and kept; that needs only `&self`, so
+    /// queries sharing one index may both build a table (one copy is
+    /// kept) but never wait for each other.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if the list fails to decode while
+    /// its table is built.
+    pub fn skip_cursor(&self, term: TermId) -> Result<crate::skips::SkipCursor<'_>, IndexError> {
+        let list = &self.postings[term as usize];
+        let slots = self
+            .skip_tables
+            .get_or_init(|| self.postings.iter().map(|_| OnceLock::new()).collect());
+        let slot = &slots[term as usize];
+        let table = match slot.get() {
+            Some(table) => table,
+            None => {
+                let built = SkipTable::build(list, DEFAULT_SKIP_EVERY)?;
+                slot.get_or_init(|| built)
+            }
+        };
+        Ok(table.cursor(list))
     }
 
-    /// True if skip tables have been built.
-    pub fn has_skips(&self) -> bool {
-        self.skip_tables.is_some()
+    /// True if `term`'s skip table has been built.
+    pub fn has_skips(&self, term: TermId) -> bool {
+        let slots = self.skip_tables.get();
+        slots.is_some_and(|s| s[term as usize].get().is_some())
     }
 
     /// Total compressed postings size in bytes.
@@ -276,10 +302,13 @@ impl InvertedIndex {
         self.postings_bytes()
             + self.vocab.serialized_len()
             + self.weights.serialized_len()
-            + self
-                .skip_tables
-                .as_ref()
-                .map_or(0, |ts| ts.iter().map(SkipTable::byte_len).sum())
+            + self.skip_tables.get().map_or(0, |slots| {
+                slots
+                    .iter()
+                    .flat_map(OnceLock::get)
+                    .map(SkipTable::byte_len)
+                    .sum()
+            })
     }
 
     /// Serializes the full index (without skip tables, which are
@@ -355,7 +384,7 @@ impl InvertedIndex {
             stats,
             weights,
             doc_lengths,
-            skip_tables: None,
+            skip_tables: OnceLock::new(),
         })
     }
 }
@@ -478,12 +507,17 @@ mod tests {
 
     #[test]
     fn skip_cursor_agrees_with_postings() {
-        let mut index = small_index();
+        let index = small_index();
         let sat = index.vocab().term_id("sat").unwrap();
         let expected = index.postings(sat).decode().unwrap();
-        let mut cursor = index.skip_cursor(sat);
+        assert!(!index.has_skips(sat));
+        let mut cursor = index.skip_cursor(sat).unwrap();
         for p in expected {
             assert_eq!(cursor.frequency_of(p.doc).unwrap(), Some(p.f_dt));
+        }
+        // Only the list that was sought in has a table.
+        for (term, _) in index.vocab().iter() {
+            assert_eq!(index.has_skips(term), term == sat, "term {term}");
         }
     }
 
@@ -492,7 +526,7 @@ mod tests {
         let mut index = small_index();
         let without_skips = index.index_bytes();
         assert!(without_skips > 0);
-        index.build_skips(2);
+        index.build_skips(2).unwrap();
         assert!(index.index_bytes() > without_skips);
     }
 }

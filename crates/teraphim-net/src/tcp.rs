@@ -106,9 +106,14 @@ pub(crate) fn map_timeout_frame_error(e: NetError) -> NetError {
 /// Sizing for a [`TcpServer`]'s bounded worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Worker threads draining the request queue. Each
-    /// worker is pinned to one service replica (`worker % replicas`),
-    /// so concurrency across replicas needs at least as many workers.
+    /// Worker threads draining the request queue: how many requests
+    /// the server evaluates at once, provided
+    /// [`TcpServer::spawn_with`] was given as many service handles
+    /// (worker `i` drives handle `i % handles`; workers that share a
+    /// handle take turns on its lock). Handles over one shared,
+    /// immutable state — a librarian's are — cost a scratch buffer each,
+    /// so N workers means N-way parallel evaluation over one copy of
+    /// the index.
     pub workers: usize,
     /// Bound on queued requests. A full queue blocks the
     /// connection readers, which backpressures clients through TCP
@@ -118,8 +123,7 @@ pub struct ServerOptions {
 
 impl Default for ServerOptions {
     /// Two workers over a 128-deep queue: enough to overlap service
-    /// work with socket I/O on a single replica without oversubscribing
-    /// small machines.
+    /// work with socket I/O without oversubscribing small machines.
     fn default() -> Self {
         ServerOptions {
             workers: 2,
@@ -255,11 +259,14 @@ impl TcpServer {
         Self::spawn_with(vec![service], addr, ServerOptions::default())
     }
 
-    /// Serves a set of interchangeable `services` replicas on `addr`
-    /// under explicit pool sizing. Every replica must answer any request
-    /// identically (e.g. librarians built over the same collection):
-    /// each worker is pinned to `replica = worker % replicas`, so with
-    /// `workers == replicas` requests run lock-free in parallel.
+    /// Serves a set of interchangeable `services` handles on `addr`
+    /// under explicit pool sizing. Every handle must answer any request
+    /// identically and answer for the whole server — handles of one
+    /// librarian (`Librarian::share`) do: they read one collection and
+    /// write one ledger. Worker `i` drives handle `i % handles`, so
+    /// with as many handles as workers no request waits on another's
+    /// lock; with one handle ([`TcpServer::spawn`]) the workers overlap
+    /// socket I/O but evaluate one at a time.
     ///
     /// # Panics
     ///
@@ -277,8 +284,8 @@ impl TcpServer {
         S: Service + 'static,
         A: ToSocketAddrs,
     {
-        assert!(!services.is_empty(), "at least one service replica");
-        let replicas: Vec<Arc<Mutex<S>>> = services
+        assert!(!services.is_empty(), "at least one service handle");
+        let handles: Vec<Arc<Mutex<S>>> = services
             .into_iter()
             .map(|s| Arc::new(Mutex::new(s)))
             .collect();
@@ -292,7 +299,7 @@ impl TcpServer {
         let workers: Vec<JoinHandle<()>> = (0..options.workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let service = Arc::clone(&replicas[i % replicas.len()]);
+                let service = Arc::clone(&handles[i % handles.len()]);
                 let traffic = Arc::clone(&traffic);
                 std::thread::spawn(move || worker_loop(&queue, &service, &traffic))
             })

@@ -250,7 +250,7 @@ mod embodiment {
 
         fn serve(lib: &SharedLibrarian) -> Self::Served {
             let server = TcpServer::spawn_with(
-                vec![lib.clone(), lib.clone()],
+                vec![lib.clone()],
                 "127.0.0.1:0",
                 ServerOptions {
                     workers: 2,

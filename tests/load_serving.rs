@@ -26,17 +26,20 @@ const CI: CiParams = CiParams {
     k_prime: 50,
 };
 
-/// Spawns one multiplexing-capable server per subcollection.
+/// Spawns one multiplexing-capable server per subcollection: two
+/// workers evaluating in parallel over one copy of the shard's index.
 fn spawn_fleet(corpus: &SyntheticCorpus) -> Vec<TcpServer> {
+    let workers = 2;
     corpus
         .subcollections()
         .iter()
         .map(|s| {
+            let librarian = Librarian::build(&s.name, Analyzer::default(), &s.docs);
             TcpServer::spawn_with(
-                vec![Librarian::build(&s.name, Analyzer::default(), &s.docs)],
+                (0..workers).map(|_| librarian.share()).collect(),
                 "127.0.0.1:0",
                 ServerOptions {
-                    workers: 2,
+                    workers,
                     queue_depth: 64,
                 },
             )
