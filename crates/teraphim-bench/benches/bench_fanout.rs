@@ -1,18 +1,19 @@
-//! Sequential vs concurrent librarian fan-out at S = 1, 2, 4, 8.
+//! Sequential vs parallel (default) librarian fan-out at S = 1, 2, 4, 8.
 //!
 //! The paper's elapsed-time model assumes the receptionist's subqueries
 //! proceed in parallel, so elapsed time is the *maximum* of the
 //! librarian times rather than their sum (§4). Each librarian here is
 //! wrapped with a fixed per-exchange service latency standing in for a
 //! remote machine's network + disk time — that is the component the
-//! concurrent dispatch path overlaps, and it is what makes the
+//! parallel dispatch arm overlaps, and it is what makes the
 //! comparison meaningful even on a single-core host (pure CPU work
 //! cannot overlap with itself there; remote waits always can).
 //!
 //! The same CV query is evaluated with the dispatch mode flipped
-//! between `Sequential` and `Concurrent`; the elapsed-time ratio should
-//! grow toward S while every librarian holds an equal share of the
-//! collection.
+//! between `Sequential` and the default (these in-process transports
+//! hand out deferred tickets, so the parallel arm runs one scoped worker
+//! per librarian); the elapsed-time ratio should grow toward S while
+//! every librarian holds an equal share of the collection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -95,7 +96,7 @@ fn bench_fanout(c: &mut Criterion) {
         group.sample_size(20);
         for (label, mode) in [
             ("sequential", DispatchMode::Sequential),
-            ("concurrent", DispatchMode::Concurrent),
+            ("parallel", DispatchMode::default()),
         ] {
             system.set_dispatch_mode(mode);
             group.bench_function(label, |b| {

@@ -9,7 +9,7 @@ use teraphim_bench::{corpus_parts, HarnessOptions};
 use teraphim_core::{Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
 use teraphim_net::tcp::{ServerOptions, TcpServer};
-use teraphim_net::{DispatchMode, TcpOptions};
+use teraphim_net::TcpOptions;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -48,11 +48,7 @@ fn main() {
     );
     let total = 400usize;
 
-    let make_session = || {
-        let mut s = prototype.fork(vec![MuxTransport::new(Arc::clone(&pool))]);
-        s.set_dispatch_mode(DispatchMode::Pipelined);
-        s
-    };
+    let make_session = || prototype.fork(vec![MuxTransport::new(Arc::clone(&pool))]);
 
     println!("-- sessions owned per thread (no ServePool) --");
     for threads in [1usize, 16, 64, 256] {

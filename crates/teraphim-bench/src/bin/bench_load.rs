@@ -2,16 +2,18 @@
 //! generation against a real TCP fleet, writing `BENCH_load.json` — the
 //! latency/throughput trajectory future PRs regress against.
 //!
-//! Two serving paths are compared per methodology (MS/CN/CV/CI):
+//! Two serving paths are compared per methodology (MS/CN/CV/CI), both
+//! under the default dispatch — over multiplexed handles every fan-out
+//! is issued and collected on the calling thread, no spawns:
 //!
 //! * **baseline** — one unforked receptionist with a connection of its
-//!   own to each librarian, one query at a time, concurrent fan-out via
-//!   scoped worker threads (a single-user deployment);
+//!   own to each librarian, one query at a time (a single-user
+//!   deployment): each query waits out its slowest librarian while the
+//!   rest of the fleet idles;
 //! * **multiplexed** — a [`ServePool`] of forked sessions over shared
-//!   [`MuxPool`]s with [`DispatchMode::Pipelined`]: hundreds of
-//!   in-flight queries pipeline onto a handful of persistent
-//!   connections, served by the bounded worker
-//!   pool in [`TcpServer`].
+//!   [`MuxPool`]s: hundreds of in-flight queries pipeline onto a
+//!   handful of persistent connections, served by the bounded worker
+//!   pool in [`TcpServer`], so one query's wait is another's service.
 //!
 //! The closed-loop sweep drives N workers back-to-back at each
 //! concurrency level (throughput under saturation); the open-loop
@@ -40,7 +42,7 @@ use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
 use teraphim_net::tcp::{ServerOptions, TcpServer};
-use teraphim_net::{DispatchMode, TcpOptions};
+use teraphim_net::TcpOptions;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -456,9 +458,7 @@ fn run_mode(
                 .iter()
                 .map(|p| MuxTransport::new(Arc::clone(p)))
                 .collect();
-            let mut session = prototype.fork(transports);
-            session.set_dispatch_mode(DispatchMode::Pipelined);
-            session
+            prototype.fork(transports)
         })
         .collect();
     let pool = ServePool::new(sessions);
@@ -606,9 +606,10 @@ fn check(modes: &[ModeReport], min_speedup: f64) -> Result<(), String> {
             ));
         }
         // The speedup floor applies to the multi-librarian modes: the
-        // multiplexed core's win is eliminating per-query fan-out
-        // threads and per-query connections, which a single-librarian
-        // mono-server (MS) never paid for in the first place.
+        // multiplexed core's win is keeping every librarian busy with
+        // some session's subquery while another session waits on its
+        // slowest one, and a single-librarian mono-server (MS) has no
+        // such idle fleet to fill.
         if mode.librarians < 2 {
             continue;
         }

@@ -154,8 +154,9 @@ impl DistributedCollection {
         self.lock().traffic()
     }
 
-    /// Switches the receptionist between concurrent and sequential
-    /// subquery fan-out (rankings are identical; elapsed time differs).
+    /// Switches the receptionist between parallel (the default) and
+    /// sequential subquery fan-out (rankings are identical; elapsed time
+    /// differs).
     pub fn set_dispatch_mode(&self, mode: teraphim_net::DispatchMode) {
         self.lock().set_dispatch_mode(mode);
     }
@@ -232,14 +233,14 @@ mod tests {
     #[test]
     fn dispatch_modes_agree() {
         let s = system();
-        let conc = s
+        let parallel = s
             .query(Methodology::CentralVocabulary, "cat file", 3)
             .unwrap();
         s.set_dispatch_mode(teraphim_net::DispatchMode::Sequential);
         let seq = s
             .query(Methodology::CentralVocabulary, "cat file", 3)
             .unwrap();
-        assert_eq!(conc, seq);
+        assert_eq!(parallel, seq);
     }
 
     #[test]

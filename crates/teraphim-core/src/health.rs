@@ -12,8 +12,8 @@
 //!
 //! [`MetricsRegistry`]: teraphim_obs::MetricsRegistry
 
-use teraphim_net::{Message, Transport};
-use teraphim_obs::{HistogramSnapshot, LibrarianMetrics};
+use teraphim_net::{dispatch, DispatchMode, Message, NetError, Transport};
+use teraphim_obs::{HistogramSnapshot, LibrarianMetrics, TraceSink};
 
 /// Health classification of one librarian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,61 +215,80 @@ impl HealthReport {
     }
 }
 
+/// Classifies one librarian from the outcome of its `Stats` exchange: a
+/// failure or any reply but a `StatsReply` is [`LibrarianHealth::down`].
+fn classify(
+    librarian: u32,
+    reply: Result<Message, NetError>,
+    policy: HealthPolicy,
+) -> LibrarianHealth {
+    let Ok(Message::StatsReply {
+        name,
+        num_docs,
+        num_terms,
+        index_bytes,
+        requests_served,
+        rank_requests,
+        errors,
+        epoch,
+        latency,
+        server_phases,
+    }) = reply
+    else {
+        return LibrarianHealth::down(librarian);
+    };
+    let mut phases = [0u64; 4];
+    for (i, micros) in server_phases {
+        if let Some(slot) = phases.get_mut(i as usize) {
+            *slot = micros;
+        }
+    }
+    let mut row = LibrarianHealth {
+        librarian,
+        name,
+        state: HealthState::Up,
+        num_docs,
+        num_terms,
+        index_bytes,
+        requests_served,
+        rank_requests,
+        errors,
+        epoch,
+        latency: HistogramSnapshot::from_bucket_pairs(&latency),
+        server_phases: phases,
+    };
+    if row.requests_served > 0 && row.error_rate() >= policy.degraded_error_rate {
+        row.state = HealthState::Degraded;
+    }
+    row
+}
+
 /// Polls one librarian over `transport` and classifies the reply.
 pub fn poll_one<T: Transport>(
     librarian: u32,
     transport: &mut T,
     policy: HealthPolicy,
 ) -> LibrarianHealth {
-    match transport.request(&Message::Stats) {
-        Ok(Message::StatsReply {
-            name,
-            num_docs,
-            num_terms,
-            index_bytes,
-            requests_served,
-            rank_requests,
-            errors,
-            epoch,
-            latency,
-            server_phases,
-        }) => {
-            let mut phases = [0u64; 4];
-            for (i, micros) in server_phases {
-                if let Some(slot) = phases.get_mut(i as usize) {
-                    *slot = micros;
-                }
-            }
-            let mut row = LibrarianHealth {
-                librarian,
-                name,
-                state: HealthState::Up,
-                num_docs,
-                num_terms,
-                index_bytes,
-                requests_served,
-                rank_requests,
-                errors,
-                epoch,
-                latency: HistogramSnapshot::from_bucket_pairs(&latency),
-                server_phases: phases,
-            };
-            if row.requests_served > 0 && row.error_rate() >= policy.degraded_error_rate {
-                row.state = HealthState::Degraded;
-            }
-            row
-        }
-        Ok(_) | Err(_) => LibrarianHealth::down(librarian),
-    }
+    classify(librarian, transport.request(&Message::Stats), policy)
 }
 
-/// Polls every librarian in index order.
-pub fn poll_fleet<T: Transport>(transports: &mut [T], policy: HealthPolicy) -> HealthReport {
-    let librarians = transports
-        .iter_mut()
-        .enumerate()
-        .map(|(i, t)| poll_one(i as u32, t, policy))
-        .collect();
+/// Polls every librarian in one untraced fan-out issued as `mode` says
+/// (a dead librarian costs the poll its own deadline, not the sum of
+/// everyone's); rows come back in index order.
+pub fn poll_fleet<T: Transport>(
+    mode: DispatchMode,
+    transports: &mut [T],
+    policy: HealthPolicy,
+) -> HealthReport {
+    let n = transports.len();
+    // A librarian whose exchange fails keeps its `down` row.
+    let mut librarians: Vec<_> = (0..n as u32).map(LibrarianHealth::down).collect();
+    let polls = vec![Some(Message::Stats); n];
+    let sink = TraceSink::disabled();
+    dispatch(mode, transports, polls, &sink, false, &mut |lib, reply| {
+        librarians[lib] = classify(lib as u32, Ok(reply), policy);
+        Ok(())
+    });
     HealthReport { librarians }
 }
 

@@ -193,9 +193,9 @@ pub struct Receptionist<T: Transport> {
 
 impl<T: Transport> Receptionist<T> {
     /// Creates a Central-Nothing-capable receptionist: all it knows is
-    /// the librarian list. Subqueries fan out concurrently by default
-    /// (the paper's parallel-librarians model, where elapsed time is the
-    /// maximum of the librarians' times).
+    /// the librarian list. Subqueries fan out in parallel by default
+    /// ([`DispatchMode::Pipelined`]: the paper's parallel-librarians
+    /// model, where elapsed time is the maximum of the librarians' times).
     pub fn new(transports: Vec<T>, analyzer: Analyzer) -> Self {
         Receptionist {
             transports,
@@ -382,7 +382,7 @@ impl<T: Transport> Receptionist<T> {
     /// degraded even if it answers its own poll cleanly.
     pub fn fleet_health_with(&mut self, policy: HealthPolicy) -> HealthReport {
         let registry = self.trace.metrics();
-        let mut report = health::poll_fleet(&mut self.transports, policy);
+        let mut report = health::poll_fleet(self.dispatch, &mut self.transports, policy);
         if let Some(registry) = registry {
             report.apply_client_observations(&registry.snapshot().per_librarian, policy);
         }
@@ -419,14 +419,11 @@ impl<T: Transport> Receptionist<T> {
         self.transports.len()
     }
 
-    /// How subqueries are issued to the librarians.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.dispatch
-    }
-
-    /// Chooses how the fan-out is issued: [`DispatchMode::Sequential`],
-    /// [`DispatchMode::Concurrent`] or [`DispatchMode::Pipelined`].
-    /// Rankings are identical in all three; only elapsed time differs.
+    /// Chooses how the fan-out is issued: [`DispatchMode::Pipelined`]
+    /// (the default; all librarians at once) or
+    /// [`DispatchMode::Sequential`] (one at a time — the reference for
+    /// tests and benchmarks). Rankings are identical in both; only
+    /// elapsed time differs.
     pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
         self.dispatch = mode;
     }
@@ -1903,8 +1900,9 @@ mod tests {
     fn concurrent_dispatch_matches_sequential_everywhere() {
         let mut seq = receptionist();
         seq.set_dispatch_mode(DispatchMode::Sequential);
+        // The default mode; in-process tickets are deferred, so this
+        // side runs every fan-out on scoped workers.
         let mut conc = receptionist();
-        assert_eq!(conc.dispatch_mode(), DispatchMode::Concurrent);
 
         let (rank_s, bool_s, head_s, fetch_s) = tour(&mut seq);
         let (rank_c, bool_c, head_c, fetch_c) = tour(&mut conc);
@@ -2020,7 +2018,7 @@ mod proptests {
         ) {
             let query = query_words.join(" ");
             let mut seq = build(&docs, num_libs, DispatchMode::Sequential);
-            let mut conc = build(&docs, num_libs, DispatchMode::Concurrent);
+            let mut conc = build(&docs, num_libs, DispatchMode::Pipelined);
             seq.enable_cv().unwrap();
             conc.enable_cv().unwrap();
             let a = seq.query(Methodology::CentralVocabulary, &query, k).unwrap();

@@ -35,7 +35,7 @@ use teraphim_engine::ranking::{self, ScoredDoc, WeightedTerm};
 use teraphim_engine::{candidates, Collection, RankScratch};
 use teraphim_index::stats::merge_stats;
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, Vocabulary};
-use teraphim_net::{FaultAction, FaultPlan, Message};
+use teraphim_net::{DispatchMode, FaultAction, FaultPlan, Message};
 use teraphim_obs::{EventKind, LibCandidates, Phase, TraceSink};
 use teraphim_simnet::{CostModel, SimNetwork, SimTime, Topology};
 use teraphim_text::sgml::TrecDoc;
@@ -88,21 +88,6 @@ pub struct QueryCost {
     pub failed: Vec<usize>,
 }
 
-/// How the simulated receptionist issues subqueries to the librarians —
-/// the virtual-time mirror of `teraphim_net::DispatchMode` on the real
-/// transports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SimDispatch {
-    /// All librarians work concurrently: elapsed time is the *maximum*
-    /// of their times (the paper's parallel-machines model).
-    #[default]
-    Parallel,
-    /// One librarian at a time, each exchange completing before the next
-    /// begins: elapsed time is the *sum* — the baseline the concurrent
-    /// fan-out is measured against.
-    Sequential,
-}
-
 /// Fetch strategies for step 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FetchPlan {
@@ -130,9 +115,11 @@ pub struct SimDriver {
     pub skipping: bool,
     /// Bundle CN/CV document fetches too (ablation; default false).
     pub bundle_all_fetches: bool,
-    /// How the librarian fan-out is scheduled (steps 1–3). Rankings are
-    /// identical either way; only elapsed time differs.
-    pub dispatch: SimDispatch,
+    /// How the librarian fan-out is scheduled (steps 1–3) in virtual
+    /// time: the *maximum* of the librarians' times under `Pipelined`
+    /// (the paper's parallel-machines model), their *sum* under
+    /// `Sequential`. Rankings are identical either way.
+    pub dispatch: DispatchMode,
     /// Per-librarian fault plans (same [`FaultPlan`] type the real
     /// transports use), consulted once per subquery a librarian
     /// receives.
@@ -304,7 +291,7 @@ impl SimDriver {
             ci_params,
             skipping: false,
             bundle_all_fetches: false,
-            dispatch: SimDispatch::default(),
+            dispatch: DispatchMode::default(),
             fault_plans: vec![None; num_parts],
             fault_requests: vec![0; num_parts],
             seed: 0,
@@ -549,7 +536,7 @@ impl SimDriver {
 
     /// Charges the fan-out schedule for `jobs` — one `(librarian,
     /// request bytes, job)` per contacted librarian — under the current
-    /// [`SimDispatch`]. Returns the time the last reply (or observed
+    /// [`DispatchMode`]. Returns the time the last reply (or observed
     /// reset) is in, plus each job's request-departure time and
     /// reply-arrival (or reset-observed) time.
     fn schedule_fanout(
@@ -559,7 +546,7 @@ impl SimDriver {
         jobs: &[(usize, usize, SimJob)],
     ) -> (SimTime, Vec<SimTime>, Vec<SimTime>) {
         match self.dispatch {
-            SimDispatch::Parallel => {
+            DispatchMode::Pipelined => {
                 // All requests leave the receptionist together; the
                 // fan-out completes with the slowest librarian.
                 let req_items: Vec<(usize, SimTime, usize)> = jobs
@@ -591,7 +578,7 @@ impl SimDriver {
                 let ready = backs.iter().cloned().fold(done, f64::max);
                 (ready, send_at, back_at)
             }
-            SimDispatch::Sequential => {
+            DispatchMode::Sequential => {
                 // Each exchange completes before the next begins.
                 let mut t = start;
                 let mut send_at = Vec::with_capacity(jobs.len());
@@ -1301,7 +1288,7 @@ mod tests {
             ("garble", Some(FaultPlan::new().garble_nth(0))),
             ("delay", Some(FaultPlan::new().delay_all(delay))),
         ];
-        let run = |mode: SimMode, plan: &Option<FaultPlan>, dispatch: SimDispatch| {
+        let run = |mode: SimMode, plan: &Option<FaultPlan>, dispatch: DispatchMode| {
             let mut d = driver();
             d.dispatch = dispatch;
             let sink = d.enable_tracing();
@@ -1326,15 +1313,15 @@ mod tests {
             Methodology::CentralIndex,
         ] {
             let mode = SimMode::Distributed(methodology);
-            let (healthy, ..) = run(mode, &None, SimDispatch::Parallel);
+            let (healthy, ..) = run(mode, &None, DispatchMode::Pipelined);
             assert!(
                 healthy.hits.iter().any(|&(lib, _)| lib == STRUCK),
                 "{mode}: the struck librarian must matter to the healthy answer"
             );
             for (name, plan) in &faults {
                 let case = format!("{mode} under {name}");
-                let (par, healed, trace) = run(mode, plan, SimDispatch::Parallel);
-                let (seq, ..) = run(mode, plan, SimDispatch::Sequential);
+                let (par, healed, trace) = run(mode, plan, DispatchMode::Pipelined);
+                let (seq, ..) = run(mode, plan, DispatchMode::Sequential);
 
                 // Who drops out: exactly the struck librarian, unless
                 // the fault only slows it down.
@@ -1387,7 +1374,7 @@ mod tests {
                 }
 
                 // A fresh driver replays the case exactly.
-                assert_eq!(run(mode, plan, SimDispatch::Parallel).0, par, "{case}");
+                assert_eq!(run(mode, plan, DispatchMode::Pipelined).0, par, "{case}");
 
                 // The schedule changes the two times and nothing else.
                 assert_eq!(timeless(&seq), timeless(&par), "{case}");

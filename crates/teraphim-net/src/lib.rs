@@ -19,8 +19,10 @@
 //!   per-connection reactor thread, served by a bounded worker pool;
 //! * traffic accounting ([`transport::TrafficStats`]) that the
 //!   simulation driver feeds into `teraphim-simnet` to cost the WAN;
-//! * [`fanout`] — the receptionist's batch dispatch path: one scoped
-//!   worker thread per librarian, replies handed back as they arrive.
+//! * [`fanout`] — the receptionist's batch dispatch path: every request
+//!   issued up front, then waited for on the calling thread where the
+//!   transport put it in flight and on a scoped worker where it could
+//!   only block, replies handed back as they arrive.
 //!
 //! # Examples
 //!

@@ -425,9 +425,10 @@ impl<T: Transport> Transport for ReplicaGroup<T> {
     fn last_server_timings(&self) -> Option<teraphim_obs::ServerTimings> {
         self.lock().last_timings
     }
-    // `begin`/`finish` use the deferred default: a pipelined dispatch
-    // over a replica group degrades to issue-order exchanges, each with
-    // full failover semantics.
+    // `begin`/`finish` use the deferred default: `dispatch` sees that
+    // nothing went out at `begin` and runs each group's exchange — with
+    // full failover semantics — on a scoped worker, so a fleet of groups
+    // still fans out in parallel, at a thread per group per fan-out.
 }
 
 #[cfg(test)]

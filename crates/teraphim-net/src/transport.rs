@@ -197,9 +197,9 @@ impl Ticket {
 #[derive(Debug)]
 pub(crate) enum TicketState {
     /// Nothing has gone out yet: `finish` runs the full blocking
-    /// exchange. Every transport gets this fallback for free, so
-    /// pipelined dispatch degrades gracefully (to sequential issue
-    /// order) over transports without true pipelining.
+    /// exchange. Every transport gets this fallback for free;
+    /// [`crate::fanout::dispatch`] runs such a ticket on a scoped
+    /// worker, so transports without true pipelining still overlap.
     Deferred(Message),
     /// `begin` itself failed; `finish` surfaces the error.
     Failed(NetError),

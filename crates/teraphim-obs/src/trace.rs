@@ -41,7 +41,7 @@ impl QueryTrace {
     ///    run to run, structure does not);
     /// 3. within each maximal contiguous run of librarian-tagged events
     ///    (`sent`, `reply`, `retry`, `timeout`, `fault`, `lib_failed`,
-    ///    `scored`), events are stably sorted by librarian index. Concurrent
+    ///    `scored`), events are stably sorted by librarian index. Parallel
     ///    dispatch interleaves librarians in arrival order; the stable sort
     ///    restores the sequential order while preserving each librarian's
     ///    own event sequence. Phase boundaries and merge/coverage events

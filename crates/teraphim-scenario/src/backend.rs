@@ -8,16 +8,16 @@
 //! never downing the whole fleet, clearing fault windows around
 //! reindexing — so backends stay thin translation layers.
 
-use teraphim_core::sim::{derive_seed, SimDispatch, SimDriver, SimMode};
+use teraphim_core::sim::{derive_seed, SimDriver, SimMode};
 use teraphim_core::{CiParams, TeraphimError};
-use teraphim_net::FaultPlan;
+use teraphim_net::{DispatchMode, FaultPlan};
 use teraphim_obs::{trace_traffic_sums, EventKind, TraceSink};
 use teraphim_simnet::{CostModel, Topology};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
 use crate::fixture::{churn_docs, Fixture};
-use crate::plan::{CacheSpec, DispatchChoice, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
+use crate::plan::{CacheSpec, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
 
 /// CI preprocessing parameters every backend shares (the values the
 /// repo's sim-vs-real differential suite is proven under).
@@ -168,7 +168,7 @@ pub trait Backend {
     fn set_cache(&mut self, spec: Option<CacheSpec>);
 
     /// Switches the fan-out dispatch mode.
-    fn set_dispatch(&mut self, mode: DispatchChoice);
+    fn set_dispatch(&mut self, mode: DispatchMode);
 
     /// Polls fleet health (feeds cache invalidation).
     fn health_poll(&mut self);
@@ -598,11 +598,8 @@ impl Backend for SimBackend {
         // differential meaningful.
     }
 
-    fn set_dispatch(&mut self, mode: DispatchChoice) {
-        self.driver.dispatch = match mode {
-            DispatchChoice::Sequential => SimDispatch::Sequential,
-            DispatchChoice::Concurrent | DispatchChoice::Pipelined => SimDispatch::Parallel,
-        };
+    fn set_dispatch(&mut self, mode: DispatchMode) {
+        self.driver.dispatch = mode;
     }
 
     fn health_poll(&mut self) {

@@ -13,9 +13,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use teraphim_core::sim::derive_seed;
 use teraphim_corpus::zipf::Zipf;
+use teraphim_net::DispatchMode;
 
 use crate::fixture::Fixture;
-use crate::plan::{CacheSpec, DispatchChoice, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
+use crate::plan::{CacheSpec, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
 
 /// Generator knobs.
 #[derive(Debug, Clone, Copy)]
@@ -161,9 +162,8 @@ pub fn generate_plan(name: &str, seed: u64, options: GenOptions) -> Plan {
             }
             92..=95 => {
                 let mode = match rng.gen_range(0u32..3) {
-                    0 => DispatchChoice::Sequential,
-                    1 => DispatchChoice::Concurrent,
-                    _ => DispatchChoice::Pipelined,
+                    0 => DispatchMode::Sequential,
+                    _ => DispatchMode::Pipelined,
                 };
                 steps.push(Step::Dispatch { mode });
             }

@@ -49,6 +49,6 @@ pub use check::{
 pub use fixture::{churn_docs, Fixture};
 pub use gen::{generate_plan, GenOptions};
 pub use json::Json;
-pub use plan::{CacheSpec, DispatchChoice, FaultSpec, Plan, RunMode, Step};
+pub use plan::{CacheSpec, FaultSpec, Plan, RunMode, Step};
 pub use real::{InProcBackend, SharedLibrarian, TcpBackend};
 pub use shrink::{shrink_plan, write_bugbase, ShrinkResult};

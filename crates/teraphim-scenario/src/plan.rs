@@ -14,6 +14,7 @@
 
 use crate::json::Json;
 use teraphim_core::Methodology;
+use teraphim_net::DispatchMode;
 
 /// What system a query step runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,34 +79,20 @@ pub enum FaultSpec {
     },
 }
 
-/// How the receptionist issues its fan-out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchChoice {
-    /// One librarian at a time.
-    Sequential,
-    /// One worker thread per librarian.
-    Concurrent,
-    /// Zero-spawn pipelining (PR 6).
-    Pipelined,
+/// The plan-file code of a dispatch mode.
+fn dispatch_code(mode: DispatchMode) -> &'static str {
+    match mode {
+        DispatchMode::Sequential => "sequential",
+        DispatchMode::Pipelined => "pipelined",
+    }
 }
 
-impl DispatchChoice {
-    fn code(self) -> &'static str {
-        match self {
-            DispatchChoice::Sequential => "sequential",
-            DispatchChoice::Concurrent => "concurrent",
-            DispatchChoice::Pipelined => "pipelined",
-        }
-    }
-
-    fn from_code(code: &str) -> Option<DispatchChoice> {
-        Some(match code {
-            "sequential" => DispatchChoice::Sequential,
-            "concurrent" => DispatchChoice::Concurrent,
-            "pipelined" => DispatchChoice::Pipelined,
-            _ => return None,
-        })
-    }
+fn dispatch_from_code(code: &str) -> Option<DispatchMode> {
+    Some(match code {
+        "sequential" => DispatchMode::Sequential,
+        "pipelined" => DispatchMode::Pipelined,
+        _ => return None,
+    })
 }
 
 /// Receptionist cache sizing for a `cache on` step (mirrors
@@ -185,7 +172,7 @@ pub enum Step {
     /// Switch the fan-out dispatch mode.
     Dispatch {
         /// The new mode.
-        mode: DispatchChoice,
+        mode: DispatchMode,
     },
     /// Poll fleet health (feeds the cache-invalidation generation).
     HealthPoll,
@@ -293,7 +280,7 @@ impl Step {
                 fields.push(("doc_bytes".into(), Json::UInt(spec.doc_bytes)));
             }
             Step::Dispatch { mode } => {
-                fields.push(("mode".into(), Json::Str(mode.code().into())));
+                fields.push(("mode".into(), Json::Str(dispatch_code(*mode).into())));
             }
         }
         Json::Obj(fields)
@@ -353,7 +340,7 @@ impl Step {
             },
             "cache_off" => Step::CacheOff,
             "dispatch" => Step::Dispatch {
-                mode: DispatchChoice::from_code(str_field("mode")?)
+                mode: dispatch_from_code(str_field("mode")?)
                     .ok_or_else(|| format!("unknown dispatch {:?}", str_field("mode").unwrap()))?,
             },
             "health_poll" => Step::HealthPoll,
@@ -523,7 +510,7 @@ mod tests {
             },
             Step::CacheOff,
             Step::Dispatch {
-                mode: DispatchChoice::Pipelined,
+                mode: DispatchMode::Pipelined,
             },
             Step::HealthPoll,
             Step::AddLib { lib: 1 },
@@ -558,6 +545,15 @@ mod tests {
         let text = "{\"name\":\"old\",\"seed\":1,\"corpus_seed\":1,\"clients\":1,\"steps\":[]}";
         let plan = Plan::from_json(text).unwrap();
         assert_eq!(plan.replicas, 1, "pre-elastic fixtures stay parseable");
+    }
+
+    #[test]
+    fn a_deleted_dispatch_mode_is_an_unknown_code() {
+        let step = Json::parse("{\"op\":\"dispatch\",\"mode\":\"concurrent\"}").unwrap();
+        assert_eq!(
+            Step::from_json(&step).unwrap_err(),
+            "unknown dispatch \"concurrent\""
+        );
     }
 
     #[test]

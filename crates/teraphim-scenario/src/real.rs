@@ -27,7 +27,7 @@ use teraphim_text::Analyzer;
 use crate::backend::{normalize_error, Accounting, Backend, Hit, QueryOutcome, CI};
 use crate::chaos::{ChaosCell, ChaosState, ChaosTransport};
 use crate::fixture::Fixture;
-use crate::plan::{CacheSpec, DispatchChoice, FaultSpec, Plan, RunMode, MAX_REPLICAS};
+use crate::plan::{CacheSpec, FaultSpec, Plan, RunMode, MAX_REPLICAS};
 
 /// A librarian service that can be shared between a server (or
 /// transport) and the harness, so churn steps can append documents to
@@ -355,7 +355,7 @@ impl<E: Embodiment> RealBackend<E> {
 
         // Every session is a fork of one prototype over plain transports
         // to each shard's first replica; a forked embodiment preprocesses
-        // there, once and untraced, and pipelines its sessions.
+        // there, once and untraced.
         let mut prototype = Receptionist::new(
             replicas.iter().map(|shard| shard[0].connect()).collect(),
             Analyzer::default(),
@@ -363,7 +363,6 @@ impl<E: Embodiment> RealBackend<E> {
         if E::FORKED {
             prototype.enable_cv().expect("healthy fleet preprocesses");
             prototype.enable_ci(CI).expect("healthy fleet preprocesses");
-            prototype.set_dispatch_mode(DispatchMode::Pipelined);
         }
 
         let sink = TraceSink::new();
@@ -644,12 +643,7 @@ impl<E: Embodiment> Backend for RealBackend<E> {
         }
     }
 
-    fn set_dispatch(&mut self, mode: DispatchChoice) {
-        let mode = match mode {
-            DispatchChoice::Sequential => DispatchMode::Sequential,
-            DispatchChoice::Concurrent => DispatchMode::Concurrent,
-            DispatchChoice::Pipelined => DispatchMode::Pipelined,
-        };
+    fn set_dispatch(&mut self, mode: DispatchMode) {
         for session in &mut self.sessions {
             session.set_dispatch_mode(mode);
         }

@@ -4,11 +4,12 @@
 //! transports.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use teraphim::core::health::{poll_fleet, HealthPolicy, HealthState};
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::net::tcp::TcpServer;
-use teraphim::net::{FaultPlan, FaultyService, InProcTransport, MuxTransport};
+use teraphim::net::{DispatchMode, FaultPlan, FaultyService, InProcTransport, MuxTransport};
 use teraphim::obs::MetricsRegistry;
 use teraphim::text::Analyzer;
 
@@ -263,6 +264,41 @@ fn health_polls_drive_cache_invalidation() {
     assert_eq!(receptionist.cache_stats().unwrap().generation, g1);
 }
 
+/// The health poll is a fan-out like any other: four librarians that
+/// each take 20 ms to answer are polled in about one delay, not four,
+/// and a dead one among them costs the others nothing.
+#[test]
+fn fleet_health_polls_every_librarian_at_once() {
+    let delay = Duration::from_millis(20);
+    let slow = || FaultPlan::new().delay_all(delay);
+
+    let mut receptionist = faulty_receptionist(vec![slow(); 4]);
+    let start = Instant::now();
+    let report = receptionist.fleet_health();
+    let took = start.elapsed();
+    assert!(report.all_up(), "{}", report.summary());
+    assert!(took < delay * 5 / 2, "four 20 ms polls took {took:?}");
+
+    let mut plans = vec![slow(); 4];
+    plans[2] = FaultPlan::new().fail_from(0);
+    let mut receptionist = faulty_receptionist(plans);
+    let report = receptionist.fleet_health();
+    let rows: Vec<(u32, HealthState)> = report
+        .librarians
+        .iter()
+        .map(|row| (row.librarian, row.state))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            (0, HealthState::Up),
+            (1, HealthState::Up),
+            (2, HealthState::Down),
+            (3, HealthState::Up),
+        ]
+    );
+}
+
 /// The same report shape over TCP and in-process transports: a live TCP
 /// fleet serves `Stats` end to end, and the rendered table is identical
 /// to the in-process one over the same (healthy) librarians.
@@ -276,13 +312,21 @@ fn tcp_and_in_process_stats_produce_the_same_table_shape() {
         .iter()
         .map(|s| MuxTransport::connect(s.addr()).unwrap())
         .collect();
-    let tcp_report = poll_fleet(&mut tcp_transports, HealthPolicy::default());
+    let tcp_report = poll_fleet(
+        DispatchMode::default(),
+        &mut tcp_transports,
+        HealthPolicy::default(),
+    );
 
     let mut inproc_transports: Vec<InProcTransport<Librarian>> = four_librarians()
         .into_iter()
         .map(InProcTransport::new)
         .collect();
-    let inproc_report = poll_fleet(&mut inproc_transports, HealthPolicy::default());
+    let inproc_report = poll_fleet(
+        DispatchMode::default(),
+        &mut inproc_transports,
+        HealthPolicy::default(),
+    );
 
     // Fresh librarians on both sides: no requests served yet, so the
     // ledgers — and therefore the rendered tables — are identical.

@@ -83,14 +83,12 @@ fn concurrent_pipelined_sessions_match_the_sequential_oracle() {
     let serve_pool = ServePool::new(
         (0..6)
             .map(|_| {
-                let mut session = prototype.fork(
+                prototype.fork(
                     pools
                         .iter()
                         .map(|p| MuxTransport::new(Arc::clone(p)))
                         .collect::<Vec<_>>(),
-                );
-                session.set_dispatch_mode(DispatchMode::Pipelined);
-                session
+                )
             })
             .collect(),
     );
@@ -177,7 +175,6 @@ fn session_accounting_agrees_three_ways_under_concurrency() {
                     })
                     .collect::<Vec<_>>(),
             );
-            session.set_dispatch_mode(DispatchMode::Pipelined);
             session.set_trace_sink(sink.clone());
             (session, sink)
         })
@@ -310,7 +307,6 @@ fn mux_faults_and_retries_match_the_inproc_oracle() {
             .collect::<Vec<_>>(),
         Analyzer::default(),
     );
-    mux.set_dispatch_mode(DispatchMode::Pipelined);
 
     let fingerprint = |hits: &[teraphim::core::GlobalHit]| -> Vec<(usize, u32, u64)> {
         hits.iter()
@@ -385,7 +381,6 @@ fn silent_librarian_times_out_over_mux_and_degrades() {
         ],
         Analyzer::default(),
     );
-    r.set_dispatch_mode(DispatchMode::Pipelined);
 
     let started = Instant::now();
     let answer = r

@@ -264,7 +264,7 @@ impl Backend for MutantBackend {
     fn set_cache(&mut self, spec: Option<teraphim::scenario::CacheSpec>) {
         self.inner.set_cache(spec);
     }
-    fn set_dispatch(&mut self, mode: teraphim::scenario::DispatchChoice) {
+    fn set_dispatch(&mut self, mode: DispatchMode) {
         self.inner.set_dispatch(mode);
     }
     fn health_poll(&mut self) {
@@ -581,7 +581,6 @@ fn killed_connection_mid_pipelined_batch_degrades_not_hangs() {
         })
         .collect();
     let mut session = prototype.fork(transports);
-    session.set_dispatch_mode(DispatchMode::Pipelined);
 
     // Watchdog: the query must finish well before the 30s hang budget.
     let (tx, rx) = std::sync::mpsc::channel();
@@ -620,7 +619,7 @@ fn plan_level_kill_under_pipelined_dispatch_stays_differential() {
     let query = fixture.corpus().short_queries()[0].text.clone();
     plan.steps = vec![
         Step::Dispatch {
-            mode: teraphim::scenario::DispatchChoice::Pipelined,
+            mode: DispatchMode::Pipelined,
         },
         Step::Query {
             client: 0,

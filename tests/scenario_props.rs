@@ -13,9 +13,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use teraphim::scenario::{
-    shrink_plan, CacheSpec, DispatchChoice, Failure, FaultSpec, Plan, RunMode, Step,
-};
+use teraphim::net::DispatchMode;
+use teraphim::scenario::{shrink_plan, CacheSpec, Failure, FaultSpec, Plan, RunMode, Step};
 
 /// Samples one arbitrary plan step, covering every variant.
 struct ArbStep;
@@ -60,11 +59,7 @@ impl Strategy for ArbStep {
             },
             6 => Step::CacheOff,
             7 => Step::Dispatch {
-                mode: [
-                    DispatchChoice::Sequential,
-                    DispatchChoice::Concurrent,
-                    DispatchChoice::Pipelined,
-                ][rng.index(3)],
+                mode: [DispatchMode::Sequential, DispatchMode::Pipelined][rng.index(2)],
             },
             8 => Step::AddLib {
                 lib: (0u64..4).generate(rng),

@@ -224,7 +224,7 @@ fn golden_span_trees_shared_by_sim_inproc_and_tcp() {
     let query = corpus.short_queries()[0].text.clone();
     let mut driver = sim_driver(&corpus);
     driver.skipping = true;
-    driver.dispatch = teraphim::core::sim::SimDispatch::Sequential;
+    driver.dispatch = DispatchMode::Sequential;
 
     let ms = sim_trace(&mut driver, SimMode::MonoServer, &query).normalized();
     assert_span_golden("span_ms", &SpanTree::from_trace(&ms));
@@ -312,8 +312,9 @@ fn golden_cache_hit_and_miss_cv_traces() {
     assert_matches_golden("cv_cache_miss", &traces[1]);
 }
 
-/// Concurrent dispatch interleaves arrivals nondeterministically; the
-/// normalized trace must be identical to the sequential one.
+/// The parallel arm runs these in-process exchanges on workers, whose
+/// replies interleave nondeterministically; the normalized trace must be
+/// identical to the sequential one.
 #[test]
 fn concurrent_trace_normalizes_to_sequential() {
     let corpus = corpus();
@@ -322,7 +323,7 @@ fn concurrent_trace_normalizes_to_sequential() {
         let sequential = real_trace(&corpus, methodology, &query);
 
         let mut conc = receptionist(&corpus);
-        conc.set_dispatch_mode(DispatchMode::Concurrent);
+        conc.set_dispatch_mode(DispatchMode::Pipelined);
         match methodology {
             Methodology::CentralNothing => {}
             Methodology::CentralVocabulary => conc.enable_cv().unwrap(),
@@ -350,7 +351,7 @@ fn sim_and_real_traces_share_schema() {
     // The real librarians score CI candidates with skip-based scoring;
     // flip the simulator onto the same path so `scored` events agree.
     driver.skipping = true;
-    driver.dispatch = teraphim::core::sim::SimDispatch::Sequential;
+    driver.dispatch = DispatchMode::Sequential;
     for methodology in Methodology::ALL {
         for query in corpus.short_queries().iter().take(3) {
             let real = real_trace(&corpus, methodology, &query.text).normalized();
@@ -501,7 +502,7 @@ fn traced_faulty_receptionist(mode: DispatchMode) -> (Receptionist<FaultyStack>,
 /// bytes, so the retried exchange is counted exactly once by both.)
 #[test]
 fn trace_totals_match_transport_counters() {
-    for mode in [DispatchMode::Sequential, DispatchMode::Concurrent] {
+    for mode in [DispatchMode::Sequential, DispatchMode::Pipelined] {
         let (mut r, sink) = traced_faulty_receptionist(mode);
         let hits = r
             .query(Methodology::CentralNothing, "cats dogs", 8)
@@ -693,7 +694,7 @@ fn golden_asof_cv_trace_shared_by_sim_inproc_and_tcp() {
     // the exact history `collection_at(1)` replays from the WAL.
     let mut driver = sim_driver(&corpus);
     driver.skipping = true;
-    driver.dispatch = teraphim::core::sim::SimDispatch::Sequential;
+    driver.dispatch = DispatchMode::Sequential;
     for lib in 0..corpus.subcollections().len() {
         driver
             .append_documents(lib, &asof_batch(lib, 1))
