@@ -12,8 +12,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
-use teraphim_engine::ranking::{local_weights, rank_with_scratch, RankScratch, WeightedTerm};
+use teraphim_engine::ranking::{local_weights, rank_with_norm, RankScratch, WeightedTerm};
 use teraphim_engine::Collection;
+use teraphim_index::similarity::query_norm;
 use teraphim_text::Analyzer;
 
 /// Result depth of every timed ranking, as in the fleet benchmark.
@@ -39,20 +40,21 @@ fn main() {
         .into_iter()
         .map(|(name, docs)| Collection::build(name, Analyzer::default(), docs))
         .collect();
-    // One weighted term list per (shard, query), resolved up front so
-    // that only index work is timed.
-    let work: Vec<(&Collection, Vec<WeightedTerm>)> = shards
+    // One weighted term list and its norm per (shard, query), resolved
+    // up front so that only index work is timed.
+    let work: Vec<(&Collection, Vec<WeightedTerm>, f64)> = shards
         .iter()
         .flat_map(|shard| {
             corpus.short_queries().iter().map(move |q| {
-                let terms = shard.analyze_query(&q.text);
-                (shard, local_weights(shard.index(), &terms))
+                let terms = local_weights(shard.index(), &shard.analyze_query(&q.text));
+                let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+                (shard, terms, qnorm)
             })
         })
         .collect();
     let postings: u64 = work
         .iter()
-        .flat_map(|(shard, terms)| {
+        .flat_map(|(shard, terms, _)| {
             terms
                 .iter()
                 .map(move |t| shard.index().stats().doc_freq(t.term))
@@ -60,7 +62,7 @@ fn main() {
         .sum();
 
     let decode = fastest_ns(|| {
-        for (shard, terms) in &work {
+        for (shard, terms, _) in &work {
             for t in terms {
                 shard
                     .index()
@@ -77,8 +79,14 @@ fn main() {
     // is the decode-and-accumulate loop.
     let mut rank_at = |k: usize| {
         fastest_ns(|| {
-            for (shard, terms) in &work {
-                black_box(rank_with_scratch(shard.index(), terms, k, &mut scratch));
+            for (shard, terms, qnorm) in &work {
+                black_box(rank_with_norm(
+                    shard.index(),
+                    terms,
+                    *qnorm,
+                    k,
+                    &mut scratch,
+                ));
             }
         })
     };

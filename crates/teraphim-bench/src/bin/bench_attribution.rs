@@ -19,8 +19,9 @@
 //!     [-- --small] [--seed N] [--out FILE] [--check]
 //! ```
 //!
-//! `--check` exits nonzero unless every phase histogram recorded
-//! samples in both regimes, scan and rank measured nonzero engine time,
+//! `--check` exits nonzero unless the registry counted exactly the
+//! queries issued and every phase histogram recorded samples in both
+//! regimes, scan and rank measured nonzero engine time,
 //! queue-wait dominates the p99 under overload, and the Prometheus
 //! exposition lints clean — the CI attribution gate.
 
@@ -33,6 +34,7 @@ use teraphim_core::{Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
 use teraphim_net::tcp::{ServerOptions, TcpServer};
 use teraphim_net::TcpOptions;
+use teraphim_obs::json::push_escaped;
 use teraphim_obs::{lint_prometheus, MetricsRegistry, MetricsSnapshot, TraceSink, SERVER_PHASES};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -81,38 +83,37 @@ fn run_regime(
         .iter()
         .map(|&addr| MuxPool::connect(addr, 1, TcpOptions::default()).expect("connect mux pool"))
         .collect();
+    // One registry for the whole regime, one metrics-only sink per
+    // session: a sink follows one operation at a time, and its trace id
+    // is the one stamped into the span context on the wire. The sinks
+    // keep tracing on (so spans go over the wire and echoed server
+    // timings come back) without keeping traces.
+    let registry = Arc::new(MetricsRegistry::new());
     let sessions: Vec<Receptionist<MuxTransport>> = (0..concurrency.max(1))
         .map(|_| {
             let transports = pools
                 .iter()
                 .map(|p| MuxTransport::new(Arc::clone(p)))
                 .collect();
-            Receptionist::new(transports, Analyzer::default())
+            let mut session = Receptionist::new(transports, Analyzer::default());
+            session.set_trace_sink(TraceSink::metrics_only(Arc::clone(&registry)));
+            session
         })
         .collect();
     let pool = ServePool::new(sessions);
-
-    // One registry for the whole regime; the metrics-only sink keeps
-    // tracing on (so spans go over the wire and echoed server timings
-    // come back) without buffering events.
-    let registry = Arc::new(MetricsRegistry::new());
-    let sink = TraceSink::metrics_only(Arc::clone(&registry));
 
     let issued = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..concurrency {
             let issued = &issued;
             let pool = pool.clone();
-            let sink = sink.clone();
             let queries = &queries;
             scope.spawn(move || loop {
                 let i = issued.fetch_add(1, Ordering::Relaxed);
                 if i >= total {
                     break;
                 }
-                let mut session = pool.session();
-                session.set_trace_sink(sink.clone());
-                session
+                pool.session()
                     .query(Methodology::CentralNothing, &queries[i % queries.len()], K)
                     .expect("attribution query");
             });
@@ -127,19 +128,6 @@ fn run_regime(
     }
 }
 
-fn push_quoted(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn render_json(opts: &HarnessOptions, regimes: &[Regime]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -152,7 +140,7 @@ fn render_json(opts: &HarnessOptions, regimes: &[Regime]) -> String {
     for (i, regime) in regimes.iter().enumerate() {
         let latency = regime.snapshot.query_latency();
         out.push_str("    {\n      \"label\": ");
-        push_quoted(&mut out, regime.label);
+        push_escaped(&mut out, regime.label);
         out.push_str(&format!(
             ",\n      \"concurrency\": {},\n      \"queries\": {},\n",
             regime.concurrency, regime.queries
@@ -167,7 +155,7 @@ fn render_json(opts: &HarnessOptions, regimes: &[Regime]) -> String {
         let phases = &regime.snapshot.per_server_phase;
         for (j, (phase, hist)) in phases.iter().enumerate() {
             out.push_str("        ");
-            push_quoted(&mut out, phase);
+            push_escaped(&mut out, phase);
             out.push_str(&format!(
                 ": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}{}\n",
                 hist.count,
@@ -195,8 +183,11 @@ fn check(regimes: &[Regime]) -> Result<(), String> {
     for regime in regimes {
         let label = regime.label;
         let s = &regime.snapshot;
-        if s.queries == 0 {
-            return Err(format!("{label}: zero queries recorded"));
+        if s.queries != regime.queries as u64 {
+            return Err(format!(
+                "{label}: {} queries issued but the registry counted {}",
+                regime.queries, s.queries
+            ));
         }
         if s.per_server_phase.len() != SERVER_PHASES.len() {
             return Err(format!(

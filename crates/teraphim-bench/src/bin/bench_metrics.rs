@@ -23,6 +23,7 @@
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim_net::InProcTransport;
+use teraphim_obs::json::push_escaped;
 use teraphim_obs::{lint_prometheus, MetricsSnapshot};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -73,19 +74,6 @@ fn run_mode(
     }
 }
 
-fn push_quoted(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeReport]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -100,7 +88,7 @@ fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeR
         let latency = s.query_latency();
         let traffic = s.traffic_totals();
         out.push_str("    {\n      \"code\": ");
-        push_quoted(&mut out, mode.code);
+        push_escaped(&mut out, mode.code);
         out.push_str(&format!(",\n      \"queries\": {},\n", s.queries));
         out.push_str(&format!(
             "      \"latency_micros\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.1}}},\n",

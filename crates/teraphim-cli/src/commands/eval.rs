@@ -33,7 +33,6 @@ and latency histograms — to FILE in the Prometheus text format
 --cache (with --servers) enables the receptionist-side caches. SPEC is
 `default` or comma-separated `key=value` pairs, any subset of:
   results=N     result-cache entries (default 256; 0 disables)
-  shards=N      result-cache shards (default 4)
   terms=N       term-statistics entries (default 1024; 0 disables)
   doc-bytes=N   answer-document byte budget (default 1048576; 0 disables)
 Hit/miss/eviction counters are printed after the run (and show up in
@@ -56,12 +55,11 @@ fn parse_cache_spec(spec: &str) -> Result<CacheConfig, String> {
             .map_err(|_| format!("--cache: {key}={value:?} is not an integer"))?;
         match key.trim() {
             "results" => config.result_entries = value,
-            "shards" => config.result_shards = value,
             "terms" => config.term_entries = value,
             "doc-bytes" => config.doc_bytes = value,
             other => {
                 return Err(format!(
-                    "--cache: unknown key {other:?} (expected results, shards, terms, doc-bytes)"
+                    "--cache: unknown key {other:?} (expected results, terms, doc-bytes)"
                 ))
             }
         }
@@ -330,4 +328,27 @@ fn print_trace_summary(traces: &[teraphim_obs::QueryTrace], path: &str) -> Resul
         "  messages: {messages}, payload bytes: {bytes}, retries: {retries}, timeouts: {timeouts}"
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_spec_has_three_keys() {
+        let config = parse_cache_spec("results=8, terms=0,doc-bytes=64").unwrap();
+        assert_eq!(
+            config,
+            CacheConfig {
+                result_entries: 8,
+                term_entries: 0,
+                doc_bytes: 64,
+            }
+        );
+        assert_eq!(parse_cache_spec("default").unwrap(), CacheConfig::default());
+        assert_eq!(
+            parse_cache_spec("shards=2").unwrap_err(),
+            "--cache: unknown key \"shards\" (expected results, terms, doc-bytes)"
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! [`CacheConfig`] and all **off by default** (see
 //! [`Receptionist::enable_cache`]):
 //!
-//! * a sharded LRU **result cache** keyed by the normalized query, the
+//! * an LRU **result cache** keyed by the normalized query, the
 //!   methodology, `k` and the completion policy (strict, or degraded
 //!   under a `min_answered`), storing the merged ranking with its
 //!   [`Coverage`];
@@ -34,10 +34,9 @@
 //!
 //! # Determinism
 //!
-//! Everything here is deterministic: shard selection uses a fixed
-//! FNV-1a hash (never `RandomState`), recency is a monotone tick
-//! counter, and eviction removes the strictly least-recently-used
-//! entry. A cached answer replays the exact bytes the fleet produced,
+//! Everything here is deterministic: recency is a monotone tick
+//! counter and eviction removes the strictly least-recently-used
+//! entry, whatever order the map iterates in. A cached answer replays the exact bytes the fleet produced,
 //! so cached and cache-free receptionists return byte-identical
 //! rankings — the property `tests/cache_transparency.rs` proves.
 //!
@@ -46,7 +45,7 @@
 
 use crate::receptionist::RankedAnswer;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use teraphim_index::DocId;
 
 /// Capacity knobs for the receptionist caches. A capacity of zero
@@ -54,11 +53,8 @@ use teraphim_index::DocId;
 /// inserts are no-ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total merged-ranking entries across all result-cache shards.
+    /// Merged-ranking entries in the result cache.
     pub result_entries: usize,
-    /// Number of result-cache shards (at least 1; each holds
-    /// `ceil(result_entries / result_shards)` entries).
-    pub result_shards: usize,
     /// Entries in the term-statistics cache.
     pub term_entries: usize,
     /// Byte budget for the answer-document cache.
@@ -66,12 +62,11 @@ pub struct CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// Small but useful defaults: 256 rankings over 4 shards, 1024
+    /// Small but useful defaults: 256 rankings, 1024
     /// term statistics, 1 MiB of answer documents.
     fn default() -> Self {
         CacheConfig {
             result_entries: 256,
-            result_shards: 4,
             term_entries: 1024,
             doc_bytes: 1 << 20,
         }
@@ -84,7 +79,6 @@ impl CacheConfig {
     pub fn disabled() -> Self {
         CacheConfig {
             result_entries: 0,
-            result_shards: 1,
             term_entries: 0,
             doc_bytes: 0,
         }
@@ -163,36 +157,12 @@ pub struct CacheStats {
     pub terms: CacheCounters,
     /// Answer-document cache counters.
     pub docs: CacheCounters,
-    /// Rankings currently cached across all shards.
+    /// Rankings currently cached.
     pub result_entries: usize,
     /// Term statistics currently cached.
     pub term_entries: usize,
     /// Bytes currently held by the answer-document cache.
     pub doc_bytes_used: usize,
-}
-
-/// Deterministic 64-bit FNV-1a, used for shard selection so the same
-/// key always lands in the same shard in every process.
-#[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -356,62 +326,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-/// An entry-bounded LRU split into shards by a deterministic FNV-1a
-/// hash of the key, so large result caches don't degenerate into one
-/// long eviction scan.
-#[derive(Debug)]
-pub struct ShardedLru<K, V> {
-    shards: Vec<LruCache<K, V>>,
-}
-
-impl<K: Eq + Hash + Clone, V> ShardedLru<K, V> {
-    /// `total` entries spread over `shards` shards (each shard holds
-    /// `ceil(total / shards)`; `total == 0` disables the cache).
-    #[must_use]
-    pub fn new(total: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = total.div_ceil(shards);
-        ShardedLru {
-            shards: (0..shards).map(|_| LruCache::new(per_shard)).collect(),
-        }
-    }
-
-    fn shard(&mut self, key: &K) -> &mut LruCache<K, V> {
-        let mut h = Fnv1a::new();
-        key.hash(&mut h);
-        let idx = (h.finish() % self.shards.len() as u64) as usize;
-        &mut self.shards[idx]
-    }
-
-    /// Entries currently held across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(LruCache::len).sum()
-    }
-
-    /// True when every shard is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(LruCache::is_empty)
-    }
-
-    /// Probes the owning shard; same contract as [`LruCache::get`].
-    pub fn get(&mut self, key: &K, generation: u64) -> Lookup<&V> {
-        // Borrow dance: compute the shard index first so the returned
-        // reference borrows `self.shards` rather than a temporary.
-        let mut h = Fnv1a::new();
-        key.hash(&mut h);
-        let idx = (h.finish() % self.shards.len() as u64) as usize;
-        self.shards[idx].get(key, generation)
-    }
-
-    /// Inserts into the owning shard; returns entries evicted there.
-    pub fn insert(&mut self, key: K, value: V, generation: u64) -> u64 {
-        let shard = self.shard(&key);
-        shard.insert(key, value, generation)
-    }
-}
-
 /// All receptionist cache state: the three caches plus the
 /// invalidation inputs they are validated against.
 #[derive(Debug)]
@@ -426,7 +340,7 @@ pub struct CacheState {
     /// The failed-librarian set as of the last observation, sorted.
     failed: Vec<usize>,
     /// Merged rankings.
-    pub(crate) results: ShardedLru<ResultKey, RankedAnswer>,
+    pub(crate) results: LruCache<ResultKey, RankedAnswer>,
     /// Global document frequency per term (`None` = not in the merged
     /// vocabulary — negative knowledge is cacheable too).
     pub(crate) terms: LruCache<String, Option<u64>>,
@@ -447,7 +361,7 @@ impl CacheState {
             generation: 0,
             lib_epochs: Vec::new(),
             failed: Vec::new(),
-            results: ShardedLru::new(config.result_entries, config.result_shards),
+            results: LruCache::new(config.result_entries),
             terms: LruCache::new(config.term_entries),
             docs: ByteLru::new(config.doc_bytes),
             results_counters: CacheCounters::default(),
@@ -691,22 +605,6 @@ mod tests {
         docs.insert(1, vec![0; 30], 30, 0);
         assert_eq!(docs.used(), 30);
         assert_eq!(docs.len(), 1);
-    }
-
-    #[test]
-    fn sharded_lru_is_deterministic_and_complete() {
-        let mut a: ShardedLru<String, u32> = ShardedLru::new(64, 4);
-        let mut b: ShardedLru<String, u32> = ShardedLru::new(64, 4);
-        for i in 0..50u32 {
-            a.insert(format!("key-{i}"), i, 0);
-            b.insert(format!("key-{i}"), i, 0);
-        }
-        assert_eq!(a.len(), 50);
-        for i in 0..50u32 {
-            let key = format!("key-{i}");
-            assert_eq!(a.get(&key, 0), b.get(&key, 0), "shard choice must agree");
-            assert_eq!(a.get(&key, 0), Lookup::Hit(&i));
-        }
     }
 
     fn key(q: &str, min_answered: Option<usize>) -> ResultKey {

@@ -13,10 +13,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 use teraphim_engine::{ranking, Collection, RankScratch};
+use teraphim_index::similarity::query_norm;
 use teraphim_net::{Message, Service};
-use teraphim_obs::{
-    FlightEntry, FlightRecorder, Histogram, ServerTimings, Span, SpanContext, SpanTree,
-};
+use teraphim_obs::{FlightRecorder, Histogram, ServerTimings, Span, SpanContext, SpanTree};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -325,10 +324,11 @@ impl Librarian {
                     .filter_map(|(t, f)| index.vocab().term_id(t).map(|id| (id, *f)))
                     .collect();
                 let weighted = ranking::local_weights(index, &pairs);
+                let qnorm = query_norm(&weighted.iter().map(|t| t.w_qt).collect::<Vec<_>>());
                 self.last_scan = elapsed_micros(scan_started);
                 let rank_started = Instant::now();
                 let hits =
-                    ranking::rank_with_scratch(index, &weighted, k as usize, &mut self.scratch);
+                    ranking::rank_with_norm(index, &weighted, qnorm, k as usize, &mut self.scratch);
                 self.last_rank = elapsed_micros(rank_started);
                 Message::RankResponse {
                     query_id,
@@ -342,11 +342,9 @@ impl Librarian {
                 // No local scan phase — the weighting already happened
                 // client-side.
                 let rank_started = Instant::now();
-                let hits = self.collection.ranked_query_weighted_scratch(
-                    &terms,
-                    k as usize,
-                    &mut self.scratch,
-                );
+                let hits =
+                    self.collection
+                        .ranked_query_weighted(&terms, k as usize, &mut self.scratch);
                 self.last_rank = elapsed_micros(rank_started);
                 Message::RankResponse {
                     query_id,
@@ -566,16 +564,7 @@ impl Service for Librarian {
                 degraded: false,
                 root,
             };
-            FlightEntry {
-                trace_id,
-                op: tree.op.clone(),
-                methodology: None,
-                query_id: 0,
-                duration_micros: total,
-                faulted: false,
-                degraded: false,
-                json: tree.to_json(),
-            }
+            (tree, total)
         });
     }
 }
@@ -650,9 +639,11 @@ mod tests {
     #[test]
     fn weighted_rank_matches_engine() {
         let mut lib = librarian();
-        let expected = lib
-            .collection()
-            .ranked_query_weighted(&[("compression".into(), 2.0)], 5);
+        let expected = lib.collection().ranked_query_weighted(
+            &[("compression".into(), 2.0)],
+            5,
+            &mut RankScratch::new(),
+        );
         let resp = lib.handle(Message::RankWeightedRequest {
             query_id: 2,
             k: 5,

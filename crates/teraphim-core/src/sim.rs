@@ -878,7 +878,8 @@ impl SimDriver {
                 }
             };
             let work = index_work_on(col.index(), &weighted);
-            let hits = ranking::rank_with_norm(col.index(), &weighted, qnorm, k);
+            let hits =
+                ranking::rank_with_norm(col.index(), &weighted, qnorm, k, &mut RankScratch::new());
             Ok(Answer {
                 reply: Message::RankResponse {
                     query_id: 0,

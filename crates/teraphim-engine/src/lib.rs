@@ -194,13 +194,10 @@ impl Collection {
     /// terms this collection has never seen — that is what makes scores
     /// from different librarians directly comparable (and identical to a
     /// mono-server evaluation).
-    pub fn ranked_query_weighted(&self, terms: &[(String, f64)], k: usize) -> Vec<ScoredDoc> {
-        self.ranked_query_weighted_scratch(terms, k, &mut RankScratch::new())
-    }
-
-    /// [`Collection::ranked_query_weighted`] reusing caller-owned scratch
-    /// buffers — the hot path for a librarian answering a query stream.
-    pub fn ranked_query_weighted_scratch(
+    ///
+    /// `scratch` is the caller's, reused across a librarian's query
+    /// stream.
+    pub fn ranked_query_weighted(
         &self,
         terms: &[(String, f64)],
         k: usize,
@@ -208,7 +205,7 @@ impl Collection {
     ) -> Vec<ScoredDoc> {
         let qnorm = full_query_norm(terms);
         let weighted = self.resolve_weighted(terms);
-        ranking::rank_with_norm_scratch(&self.index, &weighted, qnorm, k, scratch)
+        ranking::rank_with_norm(&self.index, &weighted, qnorm, k, scratch)
     }
 
     /// Scores exactly the given candidate documents with externally
@@ -346,14 +343,29 @@ impl Collection {
         })
     }
 
-    /// Writes the collection to a file.
+    /// Writes the collection to a file: to a sibling `<path>.tmp`,
+    /// synced, then renamed over `path`, so a save that does not
+    /// complete (a crash, a full disk) leaves the previous file intact
+    /// instead of a truncated one.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Corrupt`] wrapping any I/O failure message.
     pub fn save(&self, path: &std::path::Path) -> Result<(), EngineError> {
-        std::fs::write(path, self.to_bytes())
-            .map_err(|_| EngineError::Corrupt("failed to write collection file"))
+        use std::io::Write as _;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        std::fs::File::create(&tmp)
+            .and_then(|mut file| {
+                file.write_all(&self.to_bytes())?;
+                file.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, path))
+            .map_err(|_| {
+                let _ = std::fs::remove_file(&tmp);
+                EngineError::Corrupt("failed to write collection file")
+            })
     }
 
     /// Reads a collection written by [`Collection::save`].
@@ -432,6 +444,47 @@ mod tests {
     }
 
     #[test]
+    fn a_save_that_cannot_complete_leaves_the_previous_file_loadable() {
+        let dir = std::env::temp_dir().join(format!("teraphim-engine-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("demo.tcol");
+        let first = demo();
+        first.save(&path).unwrap();
+        assert_eq!(
+            Collection::load(&path).unwrap().num_docs(),
+            first.num_docs()
+        );
+        assert!(
+            !dir.join("demo.tcol.tmp").exists(),
+            "temporary renamed away"
+        );
+
+        // Something in the way of the temporary: the save fails before
+        // the live file is touched.
+        std::fs::create_dir(dir.join("demo.tcol.tmp")).unwrap();
+        let mut grown = demo();
+        grown
+            .append_documents(&[TrecDoc {
+                docno: "D9".into(),
+                text: "one more cat".into(),
+            }])
+            .unwrap();
+        assert!(grown.save(&path).is_err());
+        assert_eq!(
+            Collection::load(&path).unwrap().num_docs(),
+            first.num_docs()
+        );
+
+        std::fs::remove_dir(dir.join("demo.tcol.tmp")).unwrap();
+        grown.save(&path).unwrap();
+        assert_eq!(
+            Collection::load(&path).unwrap().num_docs(),
+            grown.num_docs()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn analyze_query_counts_repeats() {
         let c = demo();
         let terms = c.analyze_query("cat cat dog");
@@ -454,14 +507,19 @@ mod tests {
         let c = demo();
         // Give "bird" an overwhelming weight: D4 must win over D1 for
         // "cat bird".
-        let hits = c.ranked_query_weighted(&[("cat".into(), 0.1), ("bird".into(), 100.0)], 4);
+        let hits = c.ranked_query_weighted(
+            &[("cat".into(), 0.1), ("bird".into(), 100.0)],
+            4,
+            &mut RankScratch::new(),
+        );
         assert_eq!(c.docno(hits[0].doc), "D4");
     }
 
     #[test]
     fn weighted_query_ignores_unknown_terms() {
         let c = demo();
-        let hits = c.ranked_query_weighted(&[("unknownterm".into(), 5.0)], 4);
+        let hits =
+            c.ranked_query_weighted(&[("unknownterm".into(), 5.0)], 4, &mut RankScratch::new());
         assert!(hits.is_empty());
     }
 

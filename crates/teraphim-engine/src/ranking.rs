@@ -142,13 +142,14 @@ pub fn local_weights(index: &InvertedIndex, terms: &[(TermId, u32)]) -> Vec<Weig
 
 /// Evaluates the cosine measure over the whole collection and returns the
 /// top `k` documents in ranking order. The query norm is computed from
-/// the supplied terms.
+/// the supplied terms and the scratch is allocated for this one call.
 pub fn rank(index: &InvertedIndex, terms: &[WeightedTerm], k: usize) -> Vec<ScoredDoc> {
     let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    rank_with_norm(index, terms, qnorm, k)
+    rank_with_norm(index, terms, qnorm, k, &mut RankScratch::new())
 }
 
-/// [`rank`] with an explicit query norm.
+/// [`rank`] with an explicit query norm, reusing caller-owned scratch
+/// buffers across calls — the one exhaustive evaluation.
 ///
 /// In distributed evaluation the norm must cover *every* weighted query
 /// term — including terms absent from this particular subcollection's
@@ -156,27 +157,6 @@ pub fn rank(index: &InvertedIndex, terms: &[WeightedTerm], k: usize) -> Vec<Scor
 /// and their scores would stop being comparable. The receptionist
 /// therefore computes the norm once, globally, and supplies it.
 pub fn rank_with_norm(
-    index: &InvertedIndex,
-    terms: &[WeightedTerm],
-    qnorm: f64,
-    k: usize,
-) -> Vec<ScoredDoc> {
-    rank_with_norm_scratch(index, terms, qnorm, k, &mut RankScratch::new())
-}
-
-/// [`rank`] reusing caller-owned scratch buffers across calls.
-pub fn rank_with_scratch(
-    index: &InvertedIndex,
-    terms: &[WeightedTerm],
-    k: usize,
-    scratch: &mut RankScratch,
-) -> Vec<ScoredDoc> {
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
-    rank_with_norm_scratch(index, terms, qnorm, k, scratch)
-}
-
-/// [`rank_with_norm`] reusing caller-owned scratch buffers across calls.
-pub fn rank_with_norm_scratch(
     index: &InvertedIndex,
     terms: &[WeightedTerm],
     qnorm: f64,
@@ -511,6 +491,10 @@ mod tests {
         ix.vocab().term_id(t).unwrap()
     }
 
+    fn norm_of(terms: &[WeightedTerm]) -> f64 {
+        query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>())
+    }
+
     #[test]
     fn single_term_ranking_orders_by_frequency_over_length() {
         let ix = index_of(&[
@@ -671,7 +655,7 @@ mod tests {
             let terms: Vec<(TermId, u32)> = query.iter().map(|&(t, f)| (tid(&ix, t), f)).collect();
             let w = local_weights(&ix, &terms);
             let fresh = rank(&ix, &w, 10);
-            let reused = rank_with_scratch(&ix, &w, 10, &mut scratch);
+            let reused = rank_with_norm(&ix, &w, norm_of(&w), 10, &mut scratch);
             assert_eq!(fresh, reused);
         }
     }
@@ -707,7 +691,7 @@ mod tests {
                 let w = local_weights(ix, &terms);
                 for k in [0, 5, usize::MAX] {
                     assert_eq!(
-                        rank_with_scratch(ix, &w, k, &mut scratch),
+                        rank_with_norm(ix, &w, norm_of(&w), k, &mut scratch),
                         rank(ix, &w, k),
                         "N = {}, query {query:?}, k = {k}",
                         ix.num_docs()
@@ -852,9 +836,9 @@ mod proptests {
                 };
                 for k in [0, small_k, 200, usize::MAX] {
                     let want = bits(&oracle::rank_with_norm(&index, &terms, qnorm, k));
-                    let fresh = rank_with_norm(&index, &terms, qnorm, k);
+                    let fresh = rank_with_norm(&index, &terms, qnorm, k, &mut RankScratch::new());
                     prop_assert_eq!(&bits(&fresh), &want, "k = {}", k);
-                    let again = rank_with_norm_scratch(&index, &terms, qnorm, k, &mut reused);
+                    let again = rank_with_norm(&index, &terms, qnorm, k, &mut reused);
                     prop_assert_eq!(&bits(&again), &want, "reused scratch, k = {}", k);
                 }
             }

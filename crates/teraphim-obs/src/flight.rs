@@ -7,9 +7,11 @@
 //! Like [`TraceSink`](crate::TraceSink), a disabled recorder is a
 //! single `Option` check and performs **zero allocation** on the hit
 //! path: [`FlightRecorder::record_entry`] takes a closure that builds
-//! the entry and never calls it when recording is off or the recorder
-//! is detached.
+//! the span tree and never calls it when recording is off or the
+//! recorder is detached.
 
+use crate::json::push_escaped;
+use crate::span::SpanTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -91,9 +93,11 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    /// Offers an entry for retention. The closure runs only when the
-    /// recorder is attached, so a disabled recorder does no work and no
-    /// allocation. Retention under a full buffer:
+    /// Offers a finished operation for retention: `make` returns its
+    /// stitched span tree and end-to-end duration in microseconds, from
+    /// which the one [`FlightEntry`] is built here. The closure runs
+    /// only when the recorder is attached, so a disabled recorder does
+    /// no work and no allocation. Retention under a full buffer:
     ///
     /// * faulted/degraded entries are *pinned* — a pinned candidate
     ///   always gets a slot, evicting the fastest non-pinned entry, or
@@ -101,9 +105,25 @@ impl FlightRecorder {
     ///   is a hard budget);
     /// * a plain entry is kept only if it is slower than the fastest
     ///   retained non-pinned entry, which it then replaces.
-    pub fn record_entry(&self, make: impl FnOnce() -> FlightEntry) {
+    pub fn record_entry(&self, make: impl FnOnce() -> (SpanTree, u64)) {
+        if !self.is_enabled() {
+            return;
+        }
+        let (tree, duration_micros) = make();
+        self.retain(FlightEntry {
+            trace_id: tree.trace_id,
+            json: tree.to_json(),
+            op: tree.op,
+            methodology: tree.methodology,
+            query_id: tree.query_id,
+            duration_micros,
+            faulted: tree.faulted,
+            degraded: tree.degraded,
+        });
+    }
+
+    fn retain(&self, entry: FlightEntry) {
         let Some(inner) = &self.inner else { return };
-        let entry = make();
         inner.recorded.fetch_add(1, Ordering::Relaxed);
         let mut entries = inner.entries.lock().expect("flight lock");
         if entries.len() < inner.capacity {
@@ -202,11 +222,12 @@ impl FlightRecorder {
             self.dropped()
         );
         for e in &entries {
+            let _ = write!(out, "{{\"exemplar\":{{\"trace_id\":{},\"op\":", e.trace_id);
+            push_escaped(&mut out, &e.op);
             let _ = writeln!(
                 out,
-                "{{\"exemplar\":{{\"trace_id\":{},\"op\":\"{}\",\"query_id\":{},\
-                 \"duration_micros\":{},\"faulted\":{},\"degraded\":{}}}}}",
-                e.trace_id, e.op, e.query_id, e.duration_micros, e.faulted, e.degraded
+                ",\"query_id\":{},\"duration_micros\":{},\"faulted\":{},\"degraded\":{}}}}}",
+                e.query_id, e.duration_micros, e.faulted, e.degraded
             );
             out.push_str(&e.json);
             if !e.json.ends_with('\n') {
@@ -277,7 +298,7 @@ mod tests {
     fn retains_slowest_under_budget() {
         let rec = FlightRecorder::new(3);
         for d in [10, 50, 20, 90, 5, 60] {
-            rec.record_entry(|| entry(d, false, false));
+            rec.retain(entry(d, false, false));
         }
         let kept: Vec<u64> = rec.entries().iter().map(|e| e.duration_micros).collect();
         assert_eq!(kept, vec![90, 60, 50]);
@@ -290,33 +311,33 @@ mod tests {
     #[test]
     fn faulted_and_degraded_are_pinned_over_slow() {
         let rec = FlightRecorder::new(2);
-        rec.record_entry(|| entry(100, false, false));
-        rec.record_entry(|| entry(90, false, false));
+        rec.retain(entry(100, false, false));
+        rec.retain(entry(90, false, false));
         // A fast but faulted query evicts the fastest plain entry.
-        rec.record_entry(|| entry(1, true, false));
+        rec.retain(entry(1, true, false));
         let kept = rec.entries();
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().any(|e| e.faulted));
         assert!(kept.iter().any(|e| e.duration_micros == 100));
         // A fast degraded query then evicts the remaining plain one.
-        rec.record_entry(|| entry(2, false, true));
+        rec.retain(entry(2, false, true));
         let kept = rec.entries();
         assert!(kept.iter().all(FlightEntry::pinned));
         // All pinned + full: budget is hard; oldest pinned is evicted.
-        rec.record_entry(|| entry(3, true, true));
+        rec.retain(entry(3, true, true));
         assert_eq!(rec.len(), 2);
         let kept = rec.entries();
         assert!(kept.iter().any(|e| e.duration_micros == 3));
         // A plain entry cannot displace pinned exemplars.
-        rec.record_entry(|| entry(1000, false, false));
+        rec.retain(entry(1000, false, false));
         assert!(rec.entries().iter().all(FlightEntry::pinned));
     }
 
     #[test]
     fn dump_lists_exemplars_slowest_first() {
         let rec = FlightRecorder::new(4);
-        rec.record_entry(|| entry(10, false, false));
-        rec.record_entry(|| entry(30, true, false));
+        rec.retain(entry(10, false, false));
+        rec.retain(entry(30, true, false));
         let dump = rec.dump_json();
         let lines: Vec<&str> = dump.lines().collect();
         assert!(lines[0].contains("\"retained\":2"));
@@ -327,9 +348,26 @@ mod tests {
     }
 
     #[test]
+    fn dump_escapes_the_operation_name() {
+        // Server-side exemplars are named after the collection, which
+        // `teraphim index --name` takes from the command line.
+        let rec = FlightRecorder::new(2);
+        rec.retain(FlightEntry {
+            op: "A\"B\\C".to_owned(),
+            ..entry(10, false, false)
+        });
+        let dump = rec.dump_json();
+        let line = dump.lines().nth(1).unwrap();
+        assert!(
+            line.starts_with(r#"{"exemplar":{"trace_id":10,"op":"A\"B\\C","query_id":10,"#),
+            "{line}"
+        );
+    }
+
+    #[test]
     fn prometheus_rendering_passes_the_lint() {
         let rec = FlightRecorder::new(2);
-        rec.record_entry(|| entry(10, false, false));
+        rec.retain(entry(10, false, false));
         let text = rec.render_prometheus();
         assert!(crate::lint_prometheus(&text).is_ok(), "{text}");
         assert!(text.contains("teraphim_flightrec_recorded_total 1"));
@@ -338,7 +376,7 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let rec = FlightRecorder::new(2);
-        rec.record_entry(|| entry(10, false, false));
+        rec.retain(entry(10, false, false));
         rec.clear();
         assert!(rec.is_empty());
         assert_eq!(rec.recorded(), 0);

@@ -9,7 +9,9 @@ use crate::event::{EventKind, TraceEvent};
 use crate::trace::QueryTrace;
 use std::fmt::Write as _;
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string — the workspace's one
+/// string escaper (`"`, `\`, and control characters).
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -16,10 +16,12 @@
 //! ## Shape of the API
 //!
 //! * [`TraceSink`] — a cloneable collector; the disabled default costs
-//!   nothing. Components share clones of the same sink.
+//!   nothing. The components of one session share clones of the same
+//!   sink, which assembles each operation once and hands it to the
+//!   consumers below.
 //! * [`EventKind`] / [`TraceEvent`] / [`Phase`] — the event vocabulary.
-//! * [`QueryTrace`] — one operation's events, split out of the sink by
-//!   [`TraceSink::take_traces`]; [`QueryTrace::normalized`] makes traces
+//! * [`QueryTrace`] — one operation's events, assembled by the sink and
+//!   drained with [`TraceSink::take_traces`]; [`QueryTrace::normalized`] makes traces
 //!   deterministic for golden-fixture comparison, and
 //!   [`QueryTrace::metrics`] rolls a trace up into per-phase durations and
 //!   traffic counters.

@@ -3,18 +3,20 @@
 //! Tracing answers "what happened inside *this* query"; metrics answer
 //! "how is the fleet doing *right now*". The [`MetricsRegistry`] keeps
 //! atomic counters and log-bucketed latency [`Histogram`]s, rolled up
-//! per librarian and per methodology, and is fed exclusively from the
-//! existing trace event stream ([`MetricsRegistry::observe`] is called
-//! by the sink for every recorded event). Instrumented code therefore
-//! needs **zero new call sites** to light up the registry — anything
-//! that already traces also meters.
+//! per librarian and per methodology, and is fed exclusively by the
+//! [`TraceSink`]s teed into it: [`MetricsRegistry::observe`] counts each
+//! event as it is recorded, and [`MetricsRegistry::observe_operation`]
+//! takes the latencies of each operation a sink completes. Instrumented
+//! code therefore needs **zero new call sites** to light up the
+//! registry — anything that already traces also meters.
 //!
-//! Counter updates are single atomic adds. The only lock is a small
-//! mutex over the event-correlation state (which `Sent` is still
-//! awaiting its `Reply`, which phase brackets are open), held for a few
-//! instructions per event — the same cost class as the sink's own
-//! buffer push. Snapshots ([`MetricsRegistry::snapshot`]) read the
-//! atomics without stopping recorders.
+//! The registry remembers nothing between calls: every update is an
+//! atomic add or a histogram record, and which `Sent` awaits its
+//! `Reply`, or which phase brackets are open, is worked out from the
+//! finished operation the sink hands over. One registry shared by the
+//! sinks of many concurrent sessions (a `ServePool`'s) is therefore
+//! exact. Snapshots ([`MetricsRegistry::snapshot`]) read the atomics
+//! without stopping recorders.
 //!
 //! Histograms are log-bucketed (one bucket per power of two) because
 //! query latencies span six orders of magnitude between an in-process
@@ -27,8 +29,9 @@
 
 use crate::event::{EventKind, Phase};
 use crate::span::{server_phase_index, SERVER_PHASES};
+use crate::trace::{Closed, QueryTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::RwLock;
 
 /// Number of log buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values whose bit length is `i`, i.e. `[2^(i-1), 2^i - 1]`.
@@ -325,25 +328,12 @@ struct CacheSlot {
     evictions: AtomicU64,
 }
 
-/// Event-correlation state: which operation/phases/requests are open.
-/// Guarded by one small mutex; every field is bounded by the number of
-/// librarians, so holding it never allocates on the steady state.
-#[derive(Debug, Default)]
-struct OpenState {
-    /// `(methodology slot, Begin timestamp)` of the operation in flight.
-    op: Option<(Option<usize>, u64)>,
-    /// Open phase brackets, innermost last.
-    phases: Vec<(Phase, u64)>,
-    /// `(librarian, Sent timestamp)` of requests awaiting their reply.
-    pending: Vec<(u32, u64)>,
-}
-
 /// The rolling metrics registry.
 ///
 /// Create one, share it as an `Arc`, and tee a [`TraceSink`] into it
 /// ([`TraceSink::tee_metrics`] or [`TraceSink::metrics_only`]); every
-/// event the sink records then updates the registry. All counters are
-/// monotone; [`MetricsRegistry::snapshot`] is safe to call at any time
+/// event the sink records and every operation it completes then updates
+/// the registry. All counters are monotone; [`MetricsRegistry::snapshot`] is safe to call at any time
 /// from any thread.
 ///
 /// [`TraceSink`]: crate::TraceSink
@@ -373,7 +363,6 @@ pub struct MetricsRegistry {
     /// Server-side phase latency, in [`SERVER_PHASES`] slot order.
     server_phases: [Histogram; 4],
     librarians: RwLock<Vec<LibSlot>>,
-    open: Mutex<OpenState>,
 }
 
 impl MetricsRegistry {
@@ -402,7 +391,6 @@ impl MetricsRegistry {
             phases: Default::default(),
             server_phases: Default::default(),
             librarians: RwLock::new(Vec::new()),
-            open: Mutex::new(OpenState::default()),
         }
     }
 
@@ -424,48 +412,13 @@ impl MetricsRegistry {
         f(&slots[lib])
     }
 
-    /// Applies one trace event to the registry. Called by the sink for
-    /// every event it records; `at_micros` is the event's timestamp
-    /// (wall-clock or simulated — latencies are timestamp differences,
-    /// so both drivers meter identically).
-    pub fn observe(&self, at_micros: u64, kind: &EventKind) {
+    /// Counts one trace event. Called by the sink for every event it
+    /// records, inside an operation or not (membership changes and
+    /// health-poll timeouts arrive outside any). Operation and phase
+    /// brackets count nothing here: their latencies are read off the
+    /// finished trace by [`MetricsRegistry::observe_operation`].
+    pub fn observe(&self, kind: &EventKind) {
         match kind {
-            EventKind::Begin { methodology, .. } => {
-                let slot = methodology.and_then(methodology_index);
-                let mut open = self.open.lock().unwrap();
-                open.op = Some((slot, at_micros));
-                open.phases.clear();
-                open.pending.clear();
-            }
-            EventKind::End => {
-                let op = {
-                    let mut open = self.open.lock().unwrap();
-                    open.phases.clear();
-                    open.pending.clear();
-                    open.op.take()
-                };
-                if let Some((Some(slot), began)) = op {
-                    self.queries.fetch_add(1, Ordering::Relaxed);
-                    let m = &self.methodologies[slot];
-                    m.queries.fetch_add(1, Ordering::Relaxed);
-                    m.latency.record(at_micros.saturating_sub(began));
-                }
-            }
-            EventKind::PhaseStart { phase } => {
-                self.open.lock().unwrap().phases.push((*phase, at_micros));
-            }
-            EventKind::PhaseEnd { phase } => {
-                let started = {
-                    let mut open = self.open.lock().unwrap();
-                    open.phases
-                        .iter()
-                        .rposition(|(p, _)| p == phase)
-                        .map(|pos| open.phases.remove(pos).1)
-                };
-                if let Some(started) = started {
-                    self.phases[phase_index(*phase)].record(at_micros.saturating_sub(started));
-                }
-            }
             EventKind::Sent {
                 librarian, bytes, ..
             } => {
@@ -475,30 +428,15 @@ impl MetricsRegistry {
                     s.sent.fetch_add(1, Ordering::Relaxed);
                     s.bytes_sent.fetch_add(*bytes, Ordering::Relaxed);
                 });
-                self.open
-                    .lock()
-                    .unwrap()
-                    .pending
-                    .push((*librarian, at_micros));
             }
             EventKind::Reply {
                 librarian, bytes, ..
             } => {
                 self.messages_received.fetch_add(1, Ordering::Relaxed);
                 self.bytes_received.fetch_add(*bytes, Ordering::Relaxed);
-                let sent_at = {
-                    let mut open = self.open.lock().unwrap();
-                    open.pending
-                        .iter()
-                        .position(|(lib, _)| lib == librarian)
-                        .map(|pos| open.pending.remove(pos).1)
-                };
                 self.with_lib(*librarian, |s| {
                     s.replies.fetch_add(1, Ordering::Relaxed);
                     s.bytes_received.fetch_add(*bytes, Ordering::Relaxed);
-                    if let Some(sent_at) = sent_at {
-                        s.latency.record(at_micros.saturating_sub(sent_at));
-                    }
                 });
             }
             EventKind::Timeout { librarian } => {
@@ -524,8 +462,6 @@ impl MetricsRegistry {
                 self.with_lib(*librarian, |s| {
                     s.failures.fetch_add(1, Ordering::Relaxed);
                 });
-                let mut open = self.open.lock().unwrap();
-                open.pending.retain(|(lib, _)| lib != librarian);
             }
             EventKind::Scored {
                 candidates,
@@ -541,10 +477,8 @@ impl MetricsRegistry {
                 self.merges.fetch_add(1, Ordering::Relaxed);
                 self.merged_entries.fetch_add(*entries, Ordering::Relaxed);
             }
-            EventKind::Coverage { failed, .. } => {
-                if !failed.is_empty() {
-                    self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-                }
+            EventKind::Coverage { failed, .. } if !failed.is_empty() => {
+                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
             }
             EventKind::CacheHit { cache } => {
                 if let Some(i) = cache_index(cache) {
@@ -577,8 +511,30 @@ impl MetricsRegistry {
                     self.server_phases[i].record(*micros);
                 }
             }
-            EventKind::Expansion { .. } => {}
+            _ => {}
         }
+    }
+
+    /// Records one completed operation, as the sink that ran it
+    /// assembled it: a methodology-tagged operation counts as a query
+    /// of `duration_micros` (its `Begin`→`End` time), and every phase
+    /// bracket and `Sent`→`Reply` exchange the trace closed lands in
+    /// its phase / librarian latency histogram. Latencies are timestamp
+    /// differences within one trace, so wall-clock and simulated
+    /// drivers meter identically.
+    pub fn observe_operation(&self, trace: &QueryTrace, duration_micros: u64) {
+        if let Some(slot) = trace.methodology.as_deref().and_then(methodology_index) {
+            self.queries.fetch_add(1, Ordering::Relaxed);
+            let m = &self.methodologies[slot];
+            m.queries.fetch_add(1, Ordering::Relaxed);
+            m.latency.record(duration_micros);
+        }
+        trace.for_each_closed(|closed| match closed {
+            Closed::Phase(phase, micros) => self.phases[phase_index(phase)].record(micros),
+            Closed::Exchange(librarian, micros) => {
+                self.with_lib(librarian, |s| s.latency.record(micros));
+            }
+        });
     }
 
     /// A point-in-time copy of every counter and histogram.
@@ -1164,6 +1120,17 @@ pub fn lint_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TraceSink;
+    use std::sync::Arc;
+
+    /// A virtual-time sink teed into a fresh registry: the only way
+    /// operations reach one.
+    fn teed_sink() -> (TraceSink, Arc<MetricsRegistry>) {
+        let registry = Arc::new(MetricsRegistry::new());
+        let sink = TraceSink::for_driver("sim");
+        sink.tee_metrics(Arc::clone(&registry));
+        (sink, registry)
+    }
 
     #[test]
     fn bucket_boundaries_are_exact() {
@@ -1280,33 +1247,33 @@ mod tests {
 
     #[test]
     fn registry_correlates_sent_reply_latency() {
-        let r = MetricsRegistry::new();
-        r.observe(
+        let (sink, r) = teed_sink();
+        sink.record_at(
             0,
-            &EventKind::Begin {
+            EventKind::Begin {
                 op: "query",
                 methodology: Some("CN"),
                 query_id: 1,
                 k: 10,
             },
         );
-        r.observe(
+        sink.record_at(
             5,
-            &EventKind::Sent {
+            EventKind::Sent {
                 librarian: 2,
                 bytes: 40,
                 message: "RankRequest",
             },
         );
-        r.observe(
+        sink.record_at(
             105,
-            &EventKind::Reply {
+            EventKind::Reply {
                 librarian: 2,
                 bytes: 80,
                 message: "RankResponse",
             },
         );
-        r.observe(200, &EventKind::End);
+        sink.record_at(200, EventKind::End);
         let s = r.snapshot();
         assert_eq!(s.messages_sent, 1);
         assert_eq!(s.bytes_received, 80);
@@ -1323,40 +1290,40 @@ mod tests {
 
     #[test]
     fn registry_counts_failures_and_degradation() {
-        let r = MetricsRegistry::new();
-        r.observe(
+        let (sink, r) = teed_sink();
+        sink.record_at(
             0,
-            &EventKind::Begin {
+            EventKind::Begin {
                 op: "query_with_coverage",
                 methodology: Some("CV"),
                 query_id: 0,
                 k: 5,
             },
         );
-        r.observe(
+        sink.record_at(
             1,
-            &EventKind::Sent {
+            EventKind::Sent {
                 librarian: 0,
                 bytes: 10,
                 message: "RankWeightedRequest",
             },
         );
-        r.observe(
+        sink.record_at(
             2,
-            &EventKind::LibFailed {
+            EventKind::LibFailed {
                 librarian: 0,
                 error: "unavailable",
             },
         );
-        r.observe(
+        sink.record_at(
             3,
-            &EventKind::Coverage {
+            EventKind::Coverage {
                 answered: vec![1],
                 failed: vec![0],
                 docs_permille: Some(500),
             },
         );
-        r.observe(4, &EventKind::End);
+        sink.record_at(4, EventKind::End);
         let s = r.snapshot();
         assert_eq!(s.lib_failures, 1);
         assert_eq!(s.degraded_queries, 1);
@@ -1368,45 +1335,45 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_passes_the_lint() {
-        let r = MetricsRegistry::new();
-        r.observe(
+        let (sink, r) = teed_sink();
+        sink.record_at(
             0,
-            &EventKind::Begin {
+            EventKind::Begin {
                 op: "query",
                 methodology: Some("CI"),
                 query_id: 0,
                 k: 5,
             },
         );
-        r.observe(
+        sink.record_at(
             1,
-            &EventKind::PhaseStart {
+            EventKind::PhaseStart {
                 phase: Phase::RankFanout,
             },
         );
-        r.observe(
+        sink.record_at(
             2,
-            &EventKind::Sent {
+            EventKind::Sent {
                 librarian: 0,
                 bytes: 11,
                 message: "ScoreCandidatesRequest",
             },
         );
-        r.observe(
+        sink.record_at(
             9,
-            &EventKind::Reply {
+            EventKind::Reply {
                 librarian: 0,
                 bytes: 22,
                 message: "ScoreResponse",
             },
         );
-        r.observe(
+        sink.record_at(
             10,
-            &EventKind::PhaseEnd {
+            EventKind::PhaseEnd {
                 phase: Phase::RankFanout,
             },
         );
-        r.observe(11, &EventKind::End);
+        sink.record_at(11, EventKind::End);
         let text = r.snapshot().render_prometheus();
         lint_prometheus(&text).unwrap();
         assert!(text.contains("teraphim_queries_total{methodology=\"CI\"} 1"));
@@ -1443,22 +1410,16 @@ mod tests {
     #[test]
     fn server_phase_events_feed_their_own_family() {
         let r = MetricsRegistry::new();
-        r.observe(
-            0,
-            &EventKind::ServerPhase {
-                librarian: 1,
-                phase: "queue_wait",
-                micros: 500,
-            },
-        );
-        r.observe(
-            0,
-            &EventKind::ServerPhase {
-                librarian: 1,
-                phase: "rank",
-                micros: 20,
-            },
-        );
+        r.observe(&EventKind::ServerPhase {
+            librarian: 1,
+            phase: "queue_wait",
+            micros: 500,
+        });
+        r.observe(&EventKind::ServerPhase {
+            librarian: 1,
+            phase: "rank",
+            micros: 20,
+        });
         let snap = r.snapshot();
         assert_eq!(snap.per_server_phase.len(), SERVER_PHASES.len());
         assert_eq!(snap.per_server_phase[0].0, "queue_wait");

@@ -1,14 +1,21 @@
 //! The [`TraceSink`] — a cheap, cloneable event collector.
 //!
 //! A sink is either *disabled* (the default: a `None` inner, no allocation,
-//! every call a no-op) or *attached* (an `Arc` around a mutex-guarded event
-//! buffer). Components hold clones of the same sink so events from transport
-//! wrappers, fan-out workers and the receptionist interleave into one
-//! stream, which [`TraceSink::take_traces`] later splits into per-operation
-//! [`QueryTrace`] values.
+//! every call a no-op) or *attached* (an `Arc` around one mutex-guarded
+//! operation buffer). Components of one session hold clones of the same
+//! sink so events from transport wrappers, fan-out workers and the
+//! receptionist land in the operation that session is running.
+//!
+//! The sink is the one place an operation is assembled: `Begin` opens the
+//! buffer, every later event is moved into it, and `End` finishes the
+//! [`QueryTrace`] once and hands it to whichever consumers are attached —
+//! the completed-trace list behind [`TraceSink::take_traces`], the teed
+//! [`MetricsRegistry`], the [`FlightRecorder`]. A sink therefore follows
+//! **one operation at a time**: concurrent sessions each need their own
+//! sink (they may share a registry and a recorder).
 
 use crate::event::{EventKind, TraceEvent};
-use crate::flight::{FlightEntry, FlightRecorder};
+use crate::flight::FlightRecorder;
 use crate::metrics::MetricsRegistry;
 use crate::span::SpanTree;
 use crate::trace::QueryTrace;
@@ -16,60 +23,93 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// An operation in flight for the attached flight recorder: its own
-/// event side-buffer, so exemplar capture works even on a
-/// [`TraceSink::metrics_only`] sink that never buffers traces.
+/// The operation a sink is following: its trace so far, plus what the
+/// finished [`QueryTrace`] does not carry.
 #[derive(Debug)]
-struct PendingOp {
+struct OpenOp {
     trace_id: u64,
     began_at: u64,
-    op: &'static str,
-    methodology: Option<&'static str>,
-    query_id: u32,
-    k: u32,
-    events: Vec<TraceEvent>,
+    trace: QueryTrace,
 }
 
+impl OpenOp {
+    /// The finished trace: events stably sorted by timestamp — a no-op
+    /// for real drivers, which record in time order, but required for
+    /// the simulator, which records librarian by librarian.
+    fn finish(mut self, complete: bool) -> QueryTrace {
+        self.trace.complete = complete;
+        self.trace.events.sort_by_key(|e| e.at_micros);
+        self.trace
+    }
+}
+
+/// The operation buffer and the consumers of finished operations.
 #[derive(Debug)]
-struct FlightState {
-    recorder: FlightRecorder,
-    current: Option<PendingOp>,
+struct SinkState {
+    open: Option<OpenOp>,
+    /// Finished (and abandoned) operations awaiting
+    /// [`TraceSink::take_traces`]; `None` on a
+    /// [`TraceSink::metrics_only`] sink, which keeps none so a
+    /// long-running fleet cannot grow it without bound.
+    traces: Option<Vec<QueryTrace>>,
+    /// Registry every event and finished operation is applied to.
+    metrics: Option<Arc<MetricsRegistry>>,
+    /// Recorder finished operations are offered to (detached when
+    /// disabled).
+    flight: FlightRecorder,
 }
 
 #[derive(Debug)]
 struct SinkInner {
     driver: &'static str,
     enabled: AtomicBool,
-    /// When false the sink still runs (and tees into `metrics`) but does
-    /// not buffer events — the metrics-only mode long-running fleets use
-    /// so the buffer cannot grow without bound.
-    buffer_events: bool,
     epoch: Instant,
-    events: Mutex<Vec<TraceEvent>>,
-    /// Registry every recorded event is also applied to, when teed.
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
     /// Trace id of the most recently begun operation; bumped on every
     /// [`EventKind::Begin`]. Ids are per-sink and start at 1.
     trace_id: AtomicU64,
-    /// Fast-path guard for `flight`: checked with one atomic load so an
-    /// unattached recorder costs nothing per event.
-    flight_on: AtomicBool,
-    /// Attached flight recorder plus the operation it is following.
-    flight: Mutex<Option<FlightState>>,
+    state: Mutex<SinkState>,
 }
 
-/// A shared, thread-safe collector of [`TraceEvent`]s.
+/// A thread-safe collector of one session's [`TraceEvent`]s.
 ///
-/// Cloning is cheap (an `Arc` clone) and all clones feed the same buffer.
-/// The zero-cost default is [`TraceSink::disabled`], which never allocates;
-/// instrumented code guards any expensive event construction behind
-/// [`TraceSink::is_enabled`].
+/// Cloning is cheap (an `Arc` clone) and all clones feed the same
+/// operation buffer. The zero-cost default is [`TraceSink::disabled`],
+/// which never allocates; instrumented code guards any expensive event
+/// construction behind [`TraceSink::is_enabled`].
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     inner: Option<Arc<SinkInner>>,
 }
 
 impl TraceSink {
+    fn attached(
+        driver: &'static str,
+        traces: Option<Vec<QueryTrace>>,
+        metrics: Option<Arc<MetricsRegistry>>,
+    ) -> Self {
+        TraceSink {
+            inner: Some(Arc::new(SinkInner {
+                driver,
+                enabled: AtomicBool::new(true),
+                epoch: Instant::now(),
+                trace_id: AtomicU64::new(0),
+                state: Mutex::new(SinkState {
+                    open: None,
+                    traces,
+                    metrics,
+                    flight: FlightRecorder::disabled(),
+                }),
+            })),
+        }
+    }
+
+    /// Runs `f` on the sink's state; `None` on a disabled sink.
+    fn with_state<R>(&self, f: impl FnOnce(&mut SinkState) -> R) -> Option<R> {
+        self.inner
+            .as_ref()
+            .map(|inner| f(&mut inner.state.lock().unwrap()))
+    }
+
     /// A new sink for a real (wall-clock) driver, initially enabled.
     #[must_use]
     pub fn new() -> Self {
@@ -82,60 +122,34 @@ impl TraceSink {
     /// harnesses can tell which driver emitted a trace before normalizing.
     #[must_use]
     pub fn for_driver(driver: &'static str) -> Self {
-        TraceSink {
-            inner: Some(Arc::new(SinkInner {
-                driver,
-                enabled: AtomicBool::new(true),
-                buffer_events: true,
-                epoch: Instant::now(),
-                events: Mutex::new(Vec::new()),
-                metrics: Mutex::new(None),
-                trace_id: AtomicU64::new(0),
-                flight_on: AtomicBool::new(false),
-                flight: Mutex::new(None),
-            })),
-        }
+        Self::attached(driver, Some(Vec::new()), None)
     }
 
-    /// A sink that feeds `registry` but never buffers events.
+    /// A sink that feeds `registry` but keeps no finished traces.
     ///
     /// Instrumented code sees an enabled sink (so it constructs event
-    /// payloads as usual) and every event updates the registry, but the
-    /// in-memory trace buffer stays empty — the right mode for a
-    /// long-running fleet where buffering every event forever would leak.
-    /// [`TraceSink::take_traces`] on such a sink always returns nothing.
+    /// payloads as usual) and every event and finished operation updates
+    /// the registry, but nothing outlives the operation in flight — the
+    /// right mode for a long-running fleet where keeping every trace
+    /// forever would leak. [`TraceSink::take_traces`] on such a sink
+    /// always returns nothing.
     #[must_use]
     pub fn metrics_only(registry: Arc<MetricsRegistry>) -> Self {
-        TraceSink {
-            inner: Some(Arc::new(SinkInner {
-                driver: "metrics",
-                enabled: AtomicBool::new(true),
-                buffer_events: false,
-                epoch: Instant::now(),
-                events: Mutex::new(Vec::new()),
-                metrics: Mutex::new(Some(registry)),
-                trace_id: AtomicU64::new(0),
-                flight_on: AtomicBool::new(false),
-                flight: Mutex::new(None),
-            })),
-        }
+        Self::attached("metrics", None, Some(registry))
     }
 
     /// Tees this sink into `registry`: from now on every recorded event
-    /// also updates the registry, with no new instrumentation points.
-    /// No-op on a disabled sink. All clones observe the tee.
+    /// and finished operation also updates the registry, with no new
+    /// instrumentation points. No-op on a disabled sink. All clones
+    /// observe the tee.
     pub fn tee_metrics(&self, registry: Arc<MetricsRegistry>) {
-        if let Some(inner) = &self.inner {
-            *inner.metrics.lock().unwrap() = Some(registry);
-        }
+        self.with_state(|state| state.metrics = Some(registry));
     }
 
     /// The registry this sink tees into, if any.
     #[must_use]
     pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.inner
-            .as_ref()
-            .and_then(|inner| inner.metrics.lock().unwrap().clone())
+        self.with_state(|state| state.metrics.clone()).flatten()
     }
 
     /// The no-op sink: records nothing, allocates nothing.
@@ -192,34 +206,18 @@ impl TraceSink {
         }
     }
 
-    /// Tees an event into the attached registry (if any), feeds the
-    /// flight recorder's side-buffer, and buffers it.
+    /// Counts the event in the teed registry (if any) and moves it into
+    /// the operation buffer: `Begin` opens the buffer (an operation
+    /// still open is kept as a partial trace), `End` finishes the trace
+    /// and hands it to the registry, the flight recorder and the
+    /// completed-trace list. Events outside any operation are counted
+    /// and dropped.
     fn deliver(inner: &SinkInner, at_micros: u64, kind: EventKind) {
-        if let EventKind::Begin { .. } = kind {
-            inner.trace_id.fetch_add(1, Ordering::Relaxed);
+        let mut guard = inner.state.lock().unwrap();
+        let state = &mut *guard;
+        if let Some(registry) = &state.metrics {
+            registry.observe(&kind);
         }
-        let registry = inner.metrics.lock().unwrap().clone();
-        if let Some(registry) = registry {
-            registry.observe(at_micros, &kind);
-        }
-        if inner.flight_on.load(Ordering::Relaxed) {
-            Self::deliver_flight(inner, at_micros, &kind);
-        }
-        if inner.buffer_events {
-            inner
-                .events
-                .lock()
-                .unwrap()
-                .push(TraceEvent { at_micros, kind });
-        }
-    }
-
-    /// Routes one event into the attached flight recorder's pending
-    /// operation; on `End`, stitches the side-buffer into a span tree
-    /// and offers it for retention.
-    fn deliver_flight(inner: &SinkInner, at_micros: u64, kind: &EventKind) {
-        let mut guard = inner.flight.lock().unwrap();
-        let Some(state) = guard.as_mut() else { return };
         match kind {
             EventKind::Begin {
                 op,
@@ -227,53 +225,43 @@ impl TraceSink {
                 query_id,
                 k,
             } => {
-                state.current = Some(PendingOp {
-                    trace_id: inner.trace_id.load(Ordering::Relaxed),
+                let abandoned = state.open.replace(OpenOp {
+                    trace_id: inner.trace_id.fetch_add(1, Ordering::Relaxed) + 1,
                     began_at: at_micros,
-                    op,
-                    methodology: *methodology,
-                    query_id: *query_id,
-                    k: *k,
-                    events: Vec::new(),
+                    trace: QueryTrace {
+                        driver: inner.driver.to_owned(),
+                        op: op.to_owned(),
+                        methodology: methodology.map(str::to_owned),
+                        query_id,
+                        k,
+                        complete: false,
+                        events: Vec::new(),
+                    },
                 });
-            }
-            EventKind::End => {
-                if let Some(pending) = state.current.take() {
-                    let duration = at_micros.saturating_sub(pending.began_at);
-                    let recorder = state.recorder.clone();
-                    drop(guard);
-                    recorder.record_entry(|| {
-                        let mut trace = QueryTrace {
-                            driver: inner.driver.to_owned(),
-                            op: pending.op.to_owned(),
-                            methodology: pending.methodology.map(str::to_owned),
-                            query_id: pending.query_id,
-                            k: pending.k,
-                            complete: true,
-                            events: pending.events,
-                        };
-                        trace.events.sort_by_key(|e| e.at_micros);
-                        let mut tree = SpanTree::from_trace(&trace);
-                        tree.trace_id = pending.trace_id;
-                        FlightEntry {
-                            trace_id: pending.trace_id,
-                            op: trace.op.clone(),
-                            methodology: trace.methodology.clone(),
-                            query_id: trace.query_id,
-                            duration_micros: duration,
-                            faulted: tree.faulted,
-                            degraded: tree.degraded,
-                            json: tree.to_json(),
-                        }
-                    });
+                if let (Some(traces), Some(op)) = (&mut state.traces, abandoned) {
+                    traces.push(op.finish(false));
                 }
             }
-            _ => {
-                if let Some(pending) = state.current.as_mut() {
-                    pending.events.push(TraceEvent {
-                        at_micros,
-                        kind: kind.clone(),
-                    });
+            EventKind::End => {
+                let Some(op) = state.open.take() else { return };
+                let trace_id = op.trace_id;
+                let duration = at_micros.saturating_sub(op.began_at);
+                let trace = op.finish(true);
+                if let Some(registry) = &state.metrics {
+                    registry.observe_operation(&trace, duration);
+                }
+                state.flight.record_entry(|| {
+                    let mut tree = SpanTree::from_trace(&trace);
+                    tree.trace_id = trace_id;
+                    (tree, duration)
+                });
+                if let Some(traces) = &mut state.traces {
+                    traces.push(trace);
+                }
+            }
+            kind => {
+                if let Some(op) = &mut state.open {
+                    op.trace.events.push(TraceEvent { at_micros, kind });
                 }
             }
         }
@@ -281,34 +269,17 @@ impl TraceSink {
 
     /// Attaches a flight recorder: from now on every completed traced
     /// operation is stitched into a span tree and offered to `recorder`
-    /// for tail-based retention. Works on buffering and metrics-only
-    /// sinks alike (the recorder keeps its own per-operation
-    /// side-buffer). Attaching a disabled recorder detaches. No-op on a
+    /// for tail-based retention. Works on trace-keeping and metrics-only
+    /// sinks alike. Attaching a disabled recorder detaches. No-op on a
     /// disabled sink; all clones observe the attachment.
     pub fn attach_flight(&self, recorder: FlightRecorder) {
-        if let Some(inner) = &self.inner {
-            let on = recorder.is_enabled();
-            *inner.flight.lock().unwrap() = on.then_some(FlightState {
-                recorder,
-                current: None,
-            });
-            inner.flight_on.store(on, Ordering::Relaxed);
-        }
+        self.with_state(|state| state.flight = recorder);
     }
 
     /// The attached flight recorder, or a disabled one.
     #[must_use]
     pub fn flight(&self) -> FlightRecorder {
-        self.inner
-            .as_ref()
-            .and_then(|inner| {
-                inner
-                    .flight
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .map(|s| s.recorder.clone())
-            })
+        self.with_state(|state| state.flight.clone())
             .unwrap_or_default()
     }
 
@@ -323,73 +294,35 @@ impl TraceSink {
             .map_or(0, |inner| inner.trace_id.load(Ordering::Relaxed))
     }
 
-    /// Discards all buffered events.
+    /// Discards every kept trace and the operation in flight.
     pub fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            inner.events.lock().unwrap().clear();
-        }
+        self.with_state(|state| {
+            state.open = None;
+            if let Some(traces) = &mut state.traces {
+                traces.clear();
+            }
+        });
     }
 
-    /// Drains the buffered event stream and splits it into per-operation
-    /// traces.
+    /// Drains the per-operation traces assembled so far, oldest first.
     ///
-    /// The stream is cut at [`EventKind::Begin`] / [`EventKind::End`]
-    /// markers; events recorded outside any operation are dropped, and an
-    /// operation missing its `End` (an error path, or a drain mid-query) is
-    /// kept as a partial trace with [`QueryTrace::complete`] false. Within
-    /// each trace, events are stably sorted by timestamp — a no-op for real
-    /// drivers, which record in time order, but required for the simulator,
-    /// which records librarian by librarian.
+    /// Events recorded outside any operation were dropped, and an
+    /// operation missing its `End` (an error path, or a drain
+    /// mid-operation) is returned as a partial trace with
+    /// [`QueryTrace::complete`] false — drained mid-operation, the rest
+    /// of that operation's events are dropped and it reaches neither the
+    /// registry's latency histograms nor the flight recorder. Within each
+    /// trace, events are in timestamp order.
     #[must_use]
     pub fn take_traces(&self) -> Vec<QueryTrace> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let drained: Vec<TraceEvent> = std::mem::take(&mut *inner.events.lock().unwrap());
-        let mut traces = Vec::new();
-        let mut current: Option<QueryTrace> = None;
-        let finish = |mut trace: QueryTrace, complete: bool, traces: &mut Vec<QueryTrace>| {
-            trace.complete = complete;
-            trace.events.sort_by_key(|e| e.at_micros);
-            traces.push(trace);
-        };
-        for event in drained {
-            match event.kind {
-                EventKind::Begin {
-                    op,
-                    methodology,
-                    query_id,
-                    k,
-                } => {
-                    if let Some(trace) = current.take() {
-                        finish(trace, false, &mut traces);
-                    }
-                    current = Some(QueryTrace {
-                        driver: inner.driver.to_owned(),
-                        op: op.to_owned(),
-                        methodology: methodology.map(str::to_owned),
-                        query_id,
-                        k,
-                        complete: false,
-                        events: Vec::new(),
-                    });
-                }
-                EventKind::End => {
-                    if let Some(trace) = current.take() {
-                        finish(trace, true, &mut traces);
-                    }
-                }
-                _ => {
-                    if let Some(trace) = &mut current {
-                        trace.events.push(event);
-                    }
-                }
-            }
-        }
-        if let Some(trace) = current.take() {
-            finish(trace, false, &mut traces);
-        }
-        traces
+        self.with_state(|state| {
+            let Some(traces) = &mut state.traces else {
+                return Vec::new();
+            };
+            traces.extend(state.open.take().map(|op| op.finish(false)));
+            std::mem::take(traces)
+        })
+        .unwrap_or_default()
     }
 }
 
@@ -443,6 +376,110 @@ mod tests {
         assert_eq!(traces[0].events.len(), 1);
         assert!(!traces[1].complete, "unterminated trace kept as partial");
         assert!(sink.take_traces().is_empty(), "drain empties the buffer");
+    }
+
+    #[test]
+    fn drain_mid_operation_keeps_a_partial_and_drops_the_rest() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let sink = TraceSink::new();
+        sink.tee_metrics(Arc::clone(&registry));
+        sink.record(begin("query"));
+        sink.record(EventKind::Merge { entries: 3, k: 1 });
+        let drained = sink.take_traces();
+        assert_eq!(drained.len(), 1);
+        assert!(!drained[0].complete);
+        assert_eq!(drained[0].events.len(), 1);
+        // The rest of that operation belongs to no trace (its events
+        // are still counted), and the next one starts clean.
+        sink.record(EventKind::Merge { entries: 4, k: 1 });
+        sink.record(EventKind::End);
+        assert!(sink.take_traces().is_empty());
+        assert_eq!(registry.snapshot().merged_entries, 7);
+        sink.record(begin("query"));
+        sink.record(EventKind::End);
+        let next = sink.take_traces();
+        assert_eq!(next.len(), 1);
+        assert!(next[0].complete && next[0].events.is_empty());
+    }
+
+    #[test]
+    fn an_abandoned_operation_is_kept_as_a_partial_trace() {
+        let sink = TraceSink::new();
+        sink.record(begin("query"));
+        sink.record(EventKind::Merge { entries: 3, k: 1 });
+        sink.record(begin("headers"));
+        sink.record(EventKind::End);
+        let traces = sink.take_traces();
+        assert_eq!(traces.len(), 2);
+        assert!(!traces[0].complete && traces[0].events.len() == 1);
+        assert!(traces[1].complete && traces[1].op == "headers");
+    }
+
+    /// The deployment the serving core documents: one registry shared by
+    /// the per-session sinks of concurrent sessions. Which `Begin` an
+    /// `End` closes is each sink's own knowledge, so every operation is
+    /// counted once and no latency mixes two sinks' clocks.
+    #[test]
+    fn sinks_of_concurrent_sessions_share_one_registry_exactly() {
+        const SESSIONS: u64 = 8;
+        const OPS: u64 = 200;
+        const WORK: std::time::Duration = std::time::Duration::from_micros(300);
+        let spin = |d: std::time::Duration| {
+            let start = Instant::now();
+            while start.elapsed() < d {
+                std::hint::spin_loop();
+            }
+        };
+        let registry = Arc::new(MetricsRegistry::new());
+        std::thread::scope(|scope| {
+            for session in 0..SESSIONS {
+                let registry = Arc::clone(&registry);
+                scope.spawn(move || {
+                    // Sinks born at different times: their epochs differ.
+                    spin(WORK * session as u32);
+                    let sink = TraceSink::metrics_only(registry);
+                    for _ in 0..OPS {
+                        sink.record(begin("query"));
+                        sink.record(EventKind::PhaseStart {
+                            phase: Phase::RankFanout,
+                        });
+                        sink.record(EventKind::Sent {
+                            librarian: 0,
+                            bytes: 4,
+                            message: "RankRequest",
+                        });
+                        spin(WORK);
+                        sink.record(EventKind::Reply {
+                            librarian: 0,
+                            bytes: 8,
+                            message: "RankResponse",
+                        });
+                        sink.record(EventKind::PhaseEnd {
+                            phase: Phase::RankFanout,
+                        });
+                        sink.record(EventKind::End);
+                    }
+                });
+            }
+        });
+        let snap = registry.snapshot();
+        let issued = SESSIONS * OPS;
+        assert_eq!(snap.queries, issued);
+        assert_eq!(snap.messages_sent, issued);
+        let cv = &snap.per_methodology[2];
+        assert_eq!((cv.code, cv.queries), ("CV", issued));
+        let floor = WORK.as_micros() as u64;
+        for (what, latency) in [
+            ("query", &cv.latency),
+            ("rank_fanout", &snap.per_phase[3].1),
+            ("librarian 0", &snap.per_librarian[0].latency),
+        ] {
+            assert_eq!(latency.count, issued, "{what} latency samples");
+            assert!(
+                latency.min >= floor && latency.max < 10_000_000,
+                "{what} latency outside [{floor} us, 10 s): {latency:?}"
+            );
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! pin down.
 
 use crate::event::EventKind;
+use crate::json::push_escaped;
 use crate::trace::QueryTrace;
 use std::fmt::Write as _;
 
@@ -143,17 +144,6 @@ impl Span {
         }
     }
 
-    fn annotation(name: &str, librarian: Option<u32>, at: u64) -> Self {
-        Span {
-            name: name.to_owned(),
-            librarian,
-            start_micros: at,
-            duration_micros: 0,
-            faulted: false,
-            children: Vec::new(),
-        }
-    }
-
     /// Total spans in this subtree (including this one).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -186,24 +176,6 @@ impl Span {
             child.push_json(depth + 1, out);
         }
     }
-}
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The stitched span tree of one traced operation.
@@ -314,7 +286,7 @@ impl SpanTree {
                     phase,
                     micros,
                 } => {
-                    let mut leaf = Span::annotation(phase, Some(*librarian), at);
+                    let mut leaf = Span::new(phase, Some(*librarian), at);
                     leaf.duration_micros = *micros;
                     if let Some((_, span)) =
                         closed_libs.iter_mut().rev().find(|(l, _)| l == librarian)
@@ -334,7 +306,7 @@ impl SpanTree {
                 }
                 EventKind::LibFailed { librarian, error } => {
                     faulted = true;
-                    let note = Span::annotation("lib_failed", Some(*librarian), at);
+                    let note = Span::new("lib_failed", Some(*librarian), at);
                     if let Some(pos) = open_libs.iter().position(|(l, _)| l == librarian) {
                         let (lib, mut span) = open_libs.remove(pos);
                         span.duration_micros = at.saturating_sub(span.start_micros);
@@ -365,7 +337,7 @@ impl SpanTree {
                     ) {
                         faulted = true;
                     }
-                    let note = Span::annotation(event.kind.tag(), Some(*librarian), at);
+                    let note = Span::new(event.kind.tag(), Some(*librarian), at);
                     if let Some((_, span)) =
                         open_libs.iter_mut().rev().find(|(l, _)| l == librarian)
                     {
@@ -392,7 +364,7 @@ impl SpanTree {
                 | EventKind::Leave { librarian, .. }
                 | EventKind::Migrate { librarian, .. } => {
                     flush_closed(&mut stack, &mut closed_libs);
-                    let note = Span::annotation(event.kind.tag(), Some(*librarian), at);
+                    let note = Span::new(event.kind.tag(), Some(*librarian), at);
                     stack.first_mut().expect("root").children.push(note);
                 }
                 EventKind::Merge { .. }

@@ -76,20 +76,54 @@ impl QueryTrace {
         trace
     }
 
+    /// The one pairing of a trace's intervals, shared by
+    /// [`QueryTrace::metrics`] and
+    /// [`MetricsRegistry::observe_operation`](crate::MetricsRegistry::observe_operation):
+    /// calls `closed` for every `phase_end` that closes the innermost
+    /// open bracket of its phase and for every `reply` that answers the
+    /// oldest outstanding `sent` to its librarian, with the interval's
+    /// duration. A `lib_failed` discards that librarian's outstanding
+    /// requests; brackets and requests still open at the end of the
+    /// trace close nothing.
+    pub(crate) fn for_each_closed(&self, mut closed: impl FnMut(Closed)) {
+        let mut phases: Vec<(Phase, u64)> = Vec::new();
+        let mut pending: Vec<(u32, u64)> = Vec::new();
+        for event in &self.events {
+            let at = event.at_micros;
+            match &event.kind {
+                EventKind::PhaseStart { phase } => phases.push((*phase, at)),
+                EventKind::PhaseEnd { phase } => {
+                    if let Some(pos) = phases.iter().rposition(|(p, _)| p == phase) {
+                        let (_, started) = phases.remove(pos);
+                        closed(Closed::Phase(*phase, at.saturating_sub(started)));
+                    }
+                }
+                EventKind::Sent { librarian, .. } => pending.push((*librarian, at)),
+                EventKind::Reply { librarian, .. } => {
+                    if let Some(pos) = pending.iter().position(|(l, _)| l == librarian) {
+                        let (_, sent_at) = pending.remove(pos);
+                        closed(Closed::Exchange(*librarian, at.saturating_sub(sent_at)));
+                    }
+                }
+                EventKind::LibFailed { librarian, .. } => {
+                    pending.retain(|(l, _)| l != librarian);
+                }
+                _ => {}
+            }
+        }
+    }
+
     /// Rolls the trace up into per-phase durations and traffic counters.
     #[must_use]
     pub fn metrics(&self) -> TraceMetrics {
         let mut metrics = TraceMetrics::default();
-        let mut open: Vec<(Phase, u64)> = Vec::new();
+        self.for_each_closed(|closed| {
+            if let Closed::Phase(phase, micros) = closed {
+                metrics.add_phase(phase, micros);
+            }
+        });
         for event in &self.events {
             match &event.kind {
-                EventKind::PhaseStart { phase } => open.push((*phase, event.at_micros)),
-                EventKind::PhaseEnd { phase } => {
-                    if let Some(pos) = open.iter().rposition(|(p, _)| p == phase) {
-                        let (_, started) = open.remove(pos);
-                        metrics.add_phase(*phase, event.at_micros.saturating_sub(started));
-                    }
-                }
                 EventKind::Sent { bytes, .. } => {
                     metrics.messages_sent += 1;
                     metrics.bytes_sent += bytes;
@@ -191,6 +225,16 @@ impl QueryTrace {
         }
         sums
     }
+}
+
+/// An interval found closed by [`QueryTrace::for_each_closed`], with its
+/// duration in microseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Closed {
+    /// A `phase_start`/`phase_end` bracket.
+    Phase(Phase, u64),
+    /// One librarian's `sent`→`reply` exchange.
+    Exchange(u32, u64),
 }
 
 /// Traffic attributed to one librarian by [`QueryTrace::per_librarian_traffic`].

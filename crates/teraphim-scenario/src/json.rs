@@ -9,6 +9,7 @@
 //! bit.
 
 use std::fmt::Write as _;
+use teraphim_obs::json::push_escaped;
 
 /// A parsed JSON value (plan subset: no floats, no null).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,25 +124,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-/// JSON string escaping, mirroring the teraphim-obs trace writer.
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

@@ -101,8 +101,6 @@ fn dispatch_from_code(code: &str) -> Option<DispatchMode> {
 pub struct CacheSpec {
     /// Result-cache entries.
     pub results: u64,
-    /// Result-cache shards.
-    pub shards: u64,
     /// Term-statistics entries.
     pub terms: u64,
     /// Answer-document byte budget.
@@ -114,7 +112,6 @@ impl CacheSpec {
     pub fn small() -> CacheSpec {
         CacheSpec {
             results: 32,
-            shards: 2,
             terms: 128,
             doc_bytes: 65536,
         }
@@ -275,7 +272,6 @@ impl Step {
             | Step::ReopenLib { lib } => fields.push(("lib".into(), Json::UInt(*lib))),
             Step::CacheOn { spec } => {
                 fields.push(("results".into(), Json::UInt(spec.results)));
-                fields.push(("shards".into(), Json::UInt(spec.shards)));
                 fields.push(("terms".into(), Json::UInt(spec.terms)));
                 fields.push(("doc_bytes".into(), Json::UInt(spec.doc_bytes)));
             }
@@ -333,7 +329,6 @@ impl Step {
             "cache_on" => Step::CacheOn {
                 spec: CacheSpec {
                     results: u64_field("results")?,
-                    shards: u64_field("shards")?,
                     terms: u64_field("terms")?,
                     doc_bytes: u64_field("doc_bytes")?,
                 },
@@ -545,6 +540,20 @@ mod tests {
         let text = "{\"name\":\"old\",\"seed\":1,\"corpus_seed\":1,\"clients\":1,\"steps\":[]}";
         let plan = Plan::from_json(text).unwrap();
         assert_eq!(plan.replicas, 1, "pre-elastic fixtures stay parseable");
+    }
+
+    #[test]
+    fn cache_on_steps_written_with_a_shards_key_still_parse() {
+        let step = Json::parse(
+            "{\"op\":\"cache_on\",\"results\":32,\"shards\":2,\"terms\":128,\"doc_bytes\":65536}",
+        )
+        .unwrap();
+        assert_eq!(
+            Step::from_json(&step).unwrap(),
+            Step::CacheOn {
+                spec: CacheSpec::small()
+            }
+        );
     }
 
     #[test]

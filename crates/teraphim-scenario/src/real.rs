@@ -631,7 +631,6 @@ impl<E: Embodiment> Backend for RealBackend<E> {
         self.cache_spec = spec;
         let config = spec.map(|spec| CacheConfig {
             result_entries: spec.results as usize,
-            result_shards: (spec.shards as usize).max(1),
             term_entries: spec.terms as usize,
             doc_bytes: spec.doc_bytes as usize,
         });

@@ -108,7 +108,6 @@ fn render_stream(pool: &[Vec<usize>], stream: &[usize]) -> Vec<String> {
 fn tiny_config() -> CacheConfig {
     CacheConfig {
         result_entries: 2,
-        result_shards: 1,
         term_entries: 2,
         doc_bytes: 96,
     }

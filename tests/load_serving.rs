@@ -220,7 +220,11 @@ fn session_accounting_agrees_three_ways_under_concurrency() {
     }
 
     // Way 3: the shared registry saw every session's traffic, exactly.
-    let totals = registry.snapshot().traffic_totals();
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.queries, 40, "4 sessions x 10 queries");
+    assert_eq!(snapshot.per_methodology[1].code, "CN");
+    assert_eq!(snapshot.per_methodology[1].latency.count, 40);
+    let totals = snapshot.traffic_totals();
     assert_eq!(totals.round_trips, client_total.round_trips);
     assert_eq!(totals.bytes_sent, client_total.bytes_sent);
     assert_eq!(totals.bytes_received, client_total.bytes_received);

@@ -52,7 +52,6 @@ impl Strategy for ArbStep {
             5 => Step::CacheOn {
                 spec: CacheSpec {
                     results: (1u64..=64).generate(rng),
-                    shards: (1u64..=4).generate(rng),
                     terms: (1u64..=256).generate(rng),
                     doc_bytes: (1u64..=1 << 20).generate(rng),
                 },

@@ -294,7 +294,6 @@ fn cache_accounting_paths_agree_on_the_real_driver() {
     // exercising the `CacheEvict` accounting, not just hits and misses.
     receptionist.enable_cache(teraphim::core::CacheConfig {
         result_entries: 2,
-        result_shards: 1,
         term_entries: 4,
         doc_bytes: 4096,
     });
