@@ -1,12 +1,14 @@
 //! Fan-out latency under injected faults: healthy baseline vs one slow
-//! librarian vs one dead librarian, at S = 4 with concurrent dispatch.
+//! librarian vs one dead librarian, at S = 4 under the default
+//! (pipelined) dispatch.
 //!
-//! Every librarian is wrapped in a `FaultyService` whose plan injects a
-//! fixed 2 ms per-exchange delay standing in for a remote machine's
-//! network + disk time. The "one-slow" configuration raises librarian
-//! 2's delay to 25 ms: under the paper's max-of-librarians elapsed-time
-//! model the whole fan-out stretches to the straggler's latency, which
-//! is exactly the tail-latency problem the transport deadlines bound
+//! Every librarian's transport is wrapped in a `FaultyTransport` whose
+//! plan injects a fixed 2 ms per-exchange delay standing in for a
+//! remote machine's network + disk time. The "one-slow" configuration
+//! raises librarian 2's delay to 25 ms: under the paper's
+//! max-of-librarians elapsed-time model the whole fan-out stretches to
+//! the straggler's latency, which is exactly the tail-latency problem
+//! the transport deadlines bound
 //! (over TCP the read timeout abandons the straggler; see
 //! `tests/tcp_e2e.rs`). The "one-dead" configuration kills librarian 2
 //! outright: the receptionist degrades — coverage 3/4 — at the healthy
@@ -17,7 +19,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
 use teraphim_core::{Librarian, Methodology, Receptionist};
-use teraphim_net::{FaultPlan, FaultyService, InProcTransport};
+use teraphim_net::{FaultPlan, FaultyTransport, InProcTransport};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -49,7 +51,7 @@ fn librarian_docs(lib: usize) -> Vec<TrecDoc> {
 /// `plan(lib)` and everyone else pays the healthy remote latency.
 fn build_system(
     plan_for: impl Fn(usize) -> FaultPlan,
-) -> Receptionist<InProcTransport<FaultyService<Librarian>>> {
+) -> Receptionist<FaultyTransport<InProcTransport<Librarian>>> {
     let transports: Vec<_> = (0..NUM_LIBRARIANS)
         .map(|lib| {
             let inner = Librarian::build(
@@ -57,7 +59,7 @@ fn build_system(
                 Analyzer::default(),
                 &librarian_docs(lib),
             );
-            InProcTransport::new(FaultyService::new(inner, plan_for(lib)))
+            FaultyTransport::new(InProcTransport::new(inner), plan_for(lib))
         })
         .collect();
     let mut receptionist = Receptionist::new(transports, Analyzer::default());

@@ -33,9 +33,9 @@ use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim_net::tcp::TcpServer;
 use teraphim_net::{
-    FaultPlan, FaultyService, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup,
-    Transport,
+    FaultPlan, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup, Transport,
 };
+use teraphim_obs::json::push_escaped;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -213,6 +213,7 @@ fn tcp_cell(
 ) -> Cell {
     let n = parts.len();
     let mut servers = Vec::new();
+    // A dead replica is refused at the client, like its in-process twin.
     let mut make = |shard: usize, _replica: usize, dead: bool| {
         let plan = if dead {
             dead_plan(methodology)
@@ -220,20 +221,15 @@ fn tcp_cell(
             FaultPlan::new()
         };
         let librarian = Librarian::build(parts[shard].0, Analyzer::default(), parts[shard].1);
-        let server = TcpServer::spawn(FaultyService::new(librarian, plan), "127.0.0.1:0")
-            .expect("loopback server");
+        let server = TcpServer::spawn(librarian, "127.0.0.1:0").expect("loopback server");
         let transport = MuxTransport::connect(server.addr()).expect("loopback connect");
         servers.push(server);
-        transport
+        FaultyTransport::new(transport, plan)
     };
     let groups = (0..n)
         .map(|s| build_group(state, s, n, &mut make))
         .collect();
     measure(state, methodology, groups, queries, rounds)
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -316,16 +312,18 @@ fn main() {
                     p99.to_string(),
                     format!("{ratio:.2}x"),
                 ]);
-                json_rows.push(format!(
-                    "    {{\"driver\": \"{}\", \"mode\": \"{}\", \"state\": \"{}\", \
-                     \"completed\": {}, \"p50_us\": {}, \"p99_us\": {}}}",
-                    json_escape(driver),
-                    json_escape(mode),
-                    json_escape(state.name()),
-                    cell.completed,
-                    p50,
-                    p99
+                let mut row = String::from("    {");
+                for (key, value) in [("driver", driver), ("mode", mode), ("state", state.name())] {
+                    push_escaped(&mut row, key);
+                    row.push_str(": ");
+                    push_escaped(&mut row, value);
+                    row.push_str(", ");
+                }
+                row.push_str(&format!(
+                    "\"completed\": {}, \"p50_us\": {p50}, \"p99_us\": {p99}}}",
+                    cell.completed
                 ));
+                json_rows.push(row);
                 if check && cell.completed == 0 {
                     failures.push(format!("{driver}/{mode}/{}: zero queries", state.name()));
                 }

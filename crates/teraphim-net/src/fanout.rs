@@ -10,8 +10,8 @@
 //! back. A ticket the transport put on the wire is waited for on the
 //! calling thread, with no thread spawned. A *deferred* ticket — the
 //! transport put nothing in flight, so [`Transport::finish`] is the
-//! whole blocking exchange: in-process transports, and the retry, fault
-//! and replica-group decorators — runs on a scoped worker, whose reply
+//! whole blocking exchange: in-process transports, and the retry and
+//! replica-group decorators — runs on a scoped worker, whose reply
 //! reaches the caller over a channel *as it arrives*, so that merging
 //! overlaps the slower librarians' work.
 //!
@@ -237,6 +237,7 @@ pub fn dispatch<T: Transport + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, FaultyTransport};
     use crate::mux::MuxTransport;
     use crate::replica::ReplicaGroup;
     use crate::retry::{RetryPolicy, RetryTransport};
@@ -567,13 +568,23 @@ mod tests {
         };
 
         // In-flight tickets: everything is issued before anything is
-        // waited for, and nothing leaves the caller's thread.
+        // waited for, and nothing leaves the caller's thread — also
+        // behind the fault decorator, whose delays are held at `finish`.
         let (servers, mux) = mux_fleet(4);
-        let calls = probe_calls(mux);
-        let names: Vec<&str> = calls.iter().map(|&(call, _)| call).collect();
-        assert_eq!(names[..4], ["begin"; 4]);
-        assert_eq!(names[4..], ["finish"; 4]);
-        assert_eq!(off_thread_finishes(&calls), 0);
+        let delay = FaultPlan::new().delay_all(Duration::from_millis(1));
+        let faulty = servers
+            .iter()
+            .map(|server| {
+                let mux = MuxTransport::connect(server.addr()).unwrap();
+                FaultyTransport::new(mux, delay.clone())
+            })
+            .collect();
+        for calls in [probe_calls(mux), probe_calls(faulty)] {
+            let names: Vec<&str> = calls.iter().map(|&(call, _)| call).collect();
+            assert_eq!(names[..4], ["begin"; 4]);
+            assert_eq!(names[4..], ["finish"; 4]);
+            assert_eq!(off_thread_finishes(&calls), 0);
+        }
         for server in servers {
             server.shutdown();
         }

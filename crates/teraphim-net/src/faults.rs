@@ -1,14 +1,13 @@
-//! Deterministic failure injection for transports and services.
+//! Deterministic failure injection on the client's path to a librarian.
 //!
 //! A production broker must be exercised against slow, dead and lying
 //! librarians — and those experiments must be *replayable*, or a failing
 //! run cannot be debugged and a fixed run cannot be trusted. This module
 //! supplies the harness: a [`FaultPlan`] describes, as a pure function
 //! of the request sequence number, which fault (if any) strikes each
-//! request. Wrapping the plan around any [`Service`]
-//! ([`FaultyService`]) or any [`Transport`] ([`FaultyTransport`])
-//! injects the faults at that layer; the simulation driver consults the
-//! same plans directly to model librarian outages in virtual time.
+//! request, and [`FaultyTransport`] — the one real injector — applies it
+//! to any [`Transport`]. The simulation driver consults the same plans
+//! directly to model librarian outages in virtual time.
 //!
 //! Because a plan is immutable and the only mutable state is the
 //! wrapper's request counter, replaying a scenario is trivial: wrap a
@@ -16,7 +15,8 @@
 //! sequence unfolds. Seeded pseudo-random plans
 //! ([`FaultPlan::seeded_failures`]) hash the request number with the
 //! seed, so they too are pure functions — no hidden RNG stream to keep
-//! in sync.
+//! in sync. A scenario that opens and closes fault windows swaps the
+//! plan through a [`SharedPlan`]; the counter runs on regardless.
 //!
 //! # Examples
 //!
@@ -38,17 +38,17 @@
 //! ```
 
 use crate::message::Message;
-use crate::transport::{Service, TrafficStats, Transport};
+use crate::transport::{Ticket, TrafficStats, Transport};
 use crate::NetError;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 use teraphim_obs::{EventKind, TraceSink};
 
 /// What happens to a request selected by a [`FaultPlan`] rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// The peer answers a typed transient failure
-    /// ([`Message::Unavailable`] / [`NetError::Unavailable`]) without
-    /// doing the work.
+    /// The librarian refuses with a typed transient failure
+    /// ([`NetError::Unavailable`]) without doing the work.
     Fail,
     /// The exchange completes, but only after this much extra latency —
     /// a slow disk, a congested link, a GC pause.
@@ -190,6 +190,32 @@ impl FaultPlan {
     }
 }
 
+/// The plan a [`FaultyTransport`] follows, in a clone-shared handle: a
+/// scenario keeps one per librarian, hands clones to every transport to
+/// it, and swaps the plan between steps with [`SharedPlan::set`].
+#[derive(Debug, Clone, Default)]
+pub struct SharedPlan(Arc<Mutex<FaultPlan>>);
+
+impl SharedPlan {
+    /// Replaces the plan. It applies from the next `begin` of every
+    /// transport sharing this handle — an exchange already begun keeps
+    /// what it drew — and no transport's request counter is reset.
+    pub fn set(&self, plan: FaultPlan) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = plan;
+    }
+
+    fn action_for(&self, n: u64) -> Option<FaultAction> {
+        let plan = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        plan.action_for(n).copied()
+    }
+}
+
+impl From<FaultPlan> for SharedPlan {
+    fn from(plan: FaultPlan) -> Self {
+        SharedPlan(Arc::new(Mutex::new(plan)))
+    }
+}
+
 /// Perturbs the echoed query id of a response — the protocol-visible
 /// corruption a receptionist must detect and treat as a failed
 /// librarian, not merge at face value.
@@ -227,86 +253,48 @@ fn garble_response(response: Message) -> Message {
     }
 }
 
-/// A [`Service`] wrapper injecting a [`FaultPlan`] on the server side —
-/// usable behind any transport, including a real [`crate::tcp::TcpServer`].
+/// What `finish` still owes the exchange begun last: hold its reply
+/// back until this instant, and/or garble it.
+#[derive(Debug, Default)]
+struct Hold {
+    until: Option<Instant>,
+    garble: bool,
+}
+
+/// A [`Transport`] decorator injecting a [`FaultPlan`] on the client's
+/// path to one librarian — the one place a real fault is injected.
 ///
-/// [`FaultAction::Drop`] cannot sever a connection from inside the
-/// service layer; it answers [`Message::Unavailable`] like
-/// [`FaultAction::Fail`] (the client observes a typed transient failure
-/// either way). Use [`FaultyTransport`] when the distinction matters.
-#[derive(Debug)]
-pub struct FaultyService<S> {
-    inner: S,
-    plan: FaultPlan,
-    served: u64,
-}
-
-impl<S: Service> FaultyService<S> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: S, plan: FaultPlan) -> Self {
-        FaultyService {
-            inner,
-            plan,
-            served: 0,
-        }
-    }
-
-    /// Requests seen so far (the next request gets this sequence number).
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The wrapped service.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: Service> Service for FaultyService<S> {
-    fn handle(&mut self, request: Message) -> Message {
-        let n = self.served;
-        self.served += 1;
-        match self.plan.action_for(n).copied() {
-            Some(FaultAction::Fail) | Some(FaultAction::Drop) => Message::Unavailable {
-                message: format!("injected fault (request {n})"),
-            },
-            Some(FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.handle(request)
-            }
-            Some(FaultAction::Garble) => garble_response(self.inner.handle(request)),
-            None => self.inner.handle(request),
-        }
-    }
-}
-
-/// A [`Transport`] wrapper injecting a [`FaultPlan`] on the client's
-/// path to one librarian. All four actions are fully realizable at this
-/// layer: `Fail` answers [`NetError::Unavailable`] *without* reaching
-/// the peer (so a retry hits the healthy service and succeeds), `Drop`
-/// answers [`NetError::Disconnected`], `Delay` stalls then forwards,
-/// `Garble` forwards then corrupts the reply.
+/// The action is drawn from the request counter at `begin`. `Fail` and
+/// `Drop` hand back [`Ticket::failed`] ([`NetError::Unavailable`] /
+/// [`NetError::Disconnected`]) without touching the inner transport, so
+/// a retry reaches the healthy peer. `Delay` and `Garble` pass the
+/// inner transport's own ticket through — an in-flight ticket stays in
+/// flight and a deferred one deferred, so [`crate::dispatch`] treats a
+/// decorated fleet like a plain one — and are applied at `finish`: the
+/// reply is held back until `begin + d` (so delays on several
+/// librarians overlap), or comes back with a perturbed query id.
+///
+/// Each `finish` settles the exchange begun last; a ticket dropped
+/// unfinished leaves nothing behind for the next one.
 #[derive(Debug)]
 pub struct FaultyTransport<T> {
     inner: T,
-    plan: FaultPlan,
+    plan: SharedPlan,
     sent: u64,
+    hold: Hold,
     trace: TraceSink,
     librarian: u32,
 }
 
 impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: T, plan: FaultPlan) -> Self {
+    /// Wraps `inner` under `plan`: a [`FaultPlan`] of its own, or a
+    /// clone of a [`SharedPlan`] to swap later.
+    pub fn new(inner: T, plan: impl Into<SharedPlan>) -> Self {
         FaultyTransport {
             inner,
-            plan,
+            plan: plan.into(),
             sent: 0,
+            hold: Hold::default(),
             trace: TraceSink::disabled(),
             librarian: 0,
         }
@@ -326,8 +314,8 @@ impl<T: Transport> FaultyTransport<T> {
         self.sent
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &FaultPlan {
+    /// The handle on the plan in force.
+    pub fn plan(&self) -> &SharedPlan {
         &self.plan
     }
 
@@ -339,35 +327,8 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn request(&mut self, request: &Message) -> Result<Message, NetError> {
-        let n = self.sent;
-        self.sent += 1;
-        let action = self.plan.action_for(n).copied();
-        if let Some(action) = action {
-            if self.trace.is_enabled() {
-                self.trace.record(EventKind::Fault {
-                    librarian: self.librarian,
-                    action: action.name(),
-                });
-            }
-        }
-        match action {
-            Some(FaultAction::Fail) => Err(NetError::Unavailable(format!(
-                "injected failure (request {n})"
-            ))),
-            Some(FaultAction::Drop) => Err(NetError::Disconnected),
-            Some(FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.request(request)
-            }
-            Some(FaultAction::Garble) => {
-                let response = self.inner.request(request)?;
-                match garble_response(response) {
-                    Message::Unavailable { message } => Err(NetError::Unavailable(message)),
-                    garbled => Ok(garbled),
-                }
-            }
-            None => self.inner.request(request),
-        }
+        let ticket = self.begin(request);
+        self.finish(ticket)
     }
 
     fn stats(&self) -> TrafficStats {
@@ -378,14 +339,54 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.last_exchange()
     }
 
+    fn begin(&mut self, request: &Message) -> Ticket {
+        let n = self.sent;
+        self.sent += 1;
+        self.hold = Hold::default();
+        let Some(action) = self.plan.action_for(n) else {
+            return self.inner.begin(request);
+        };
+        if self.trace.is_enabled() {
+            self.trace.record(EventKind::Fault {
+                librarian: self.librarian,
+                action: action.name(),
+            });
+        }
+        match action {
+            FaultAction::Fail => {
+                return Ticket::failed(NetError::Unavailable(format!(
+                    "injected fault (request {n})"
+                )))
+            }
+            FaultAction::Drop => return Ticket::failed(NetError::Disconnected),
+            FaultAction::Delay(d) => self.hold.until = Some(Instant::now() + d),
+            FaultAction::Garble => self.hold.garble = true,
+        }
+        self.inner.begin(request)
+    }
+
+    fn finish(&mut self, ticket: Ticket) -> Result<Message, NetError> {
+        let hold = std::mem::take(&mut self.hold);
+        let outcome = self.inner.finish(ticket);
+        if let Some(until) = hold.until {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        if !hold.garble {
+            return outcome;
+        }
+        match garble_response(outcome?) {
+            Message::Unavailable { message } => Err(NetError::Unavailable(message)),
+            garbled => Ok(garbled),
+        }
+    }
+
     fn set_trace(&mut self, trace: TraceSink, librarian: u32) {
         // Forward-only: injected-fault events stay opt-in via
-        // [`FaultyTransport::with_trace`]. A receptionist pushing its
-        // sink down the stack is wiring *wire-level* tracing, and a
-        // client-side fault plan has no server-side counterpart — if
-        // `set_trace` also enabled fault events here, the same fleet
-        // served over TCP (faults injected in the service) would emit a
-        // structurally different trace than in-process.
+        // [`FaultyTransport::with_trace`], so a receptionist pushing its
+        // sink down the stack records the same wire-level events whether
+        // or not a plan is installed. The failover golden (a dead
+        // replica behind a traced group) and the scenario backends'
+        // traces, compared with the simulator's, rely on that.
         self.inner.set_trace(trace, librarian);
     }
 
@@ -397,7 +398,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::InProcTransport;
+    use crate::mux::MuxTransport;
+    use crate::tcp::TcpServer;
+    use crate::transport::{InProcTransport, Service, TicketState};
 
     /// Answers rank requests; anything else is a permanent error.
     struct Echo;
@@ -424,6 +427,32 @@ mod tests {
         }
     }
 
+    fn query_id(reply: Result<Message, NetError>) -> Result<u32, NetError> {
+        match reply? {
+            Message::RankResponse { query_id, .. } => Ok(query_id),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// What `begin` handed back.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Handed {
+        /// Nothing sent yet: `finish` is the whole exchange.
+        Deferred,
+        /// On the wire over a multiplexed connection.
+        InFlight,
+        /// Refused at `begin`.
+        Failed,
+    }
+
+    fn handed(ticket: &Ticket) -> Handed {
+        match ticket.0 {
+            TicketState::Deferred(_) => Handed::Deferred,
+            TicketState::Mux(_) => Handed::InFlight,
+            TicketState::Failed(_) => Handed::Failed,
+        }
+    }
+
     #[test]
     fn empty_plan_is_transparent() {
         let plan = FaultPlan::new();
@@ -436,16 +465,109 @@ mod tests {
         assert_eq!(t.stats().round_trips, 5);
     }
 
+    /// The decorator contract in one table: every action on request 0,
+    /// over an inner transport whose tickets are deferred (in-process)
+    /// and one whose tickets are in flight (mux).
     #[test]
-    fn fail_nth_skips_the_peer_so_a_retry_succeeds() {
-        let plan = FaultPlan::new().fail_nth(0);
-        let mut t = FaultyTransport::new(InProcTransport::new(Echo), plan);
-        let err = t.request(&rank(7)).unwrap_err();
-        assert!(matches!(err, NetError::Unavailable(_)));
-        // The peer never saw the failed attempt.
-        assert_eq!(t.stats().round_trips, 0);
-        assert!(t.request(&rank(7)).is_ok());
-        assert_eq!(t.stats().round_trips, 1);
+    fn every_action_over_both_kinds_of_ticket() {
+        let server = TcpServer::spawn(Echo, "127.0.0.1:0").unwrap();
+        let delay = Duration::from_millis(25);
+        let rows = [
+            FaultPlan::new(),
+            FaultPlan::new().fail_nth(0),
+            FaultPlan::new().drop_nth(0),
+            FaultPlan::new().delay_nth(0, delay),
+            FaultPlan::new().garble_nth(0),
+        ];
+        for plan in rows {
+            check_row(&plan, InProcTransport::new(Echo), Handed::Deferred);
+            let mux = MuxTransport::connect(server.addr()).unwrap();
+            check_row(&plan, mux, Handed::InFlight);
+        }
+        server.shutdown();
+    }
+
+    fn check_row<T: Transport>(plan: &FaultPlan, inner: T, untouched: Handed) {
+        let action = plan.action_for(0).copied();
+        let case = format!("{action:?} over {untouched:?} tickets");
+        let mut t = FaultyTransport::new(inner, plan.clone());
+        let started = Instant::now();
+        let ticket = t.begin(&rank(10));
+        let refused = matches!(action, Some(FaultAction::Fail | FaultAction::Drop));
+        let expected = if refused { Handed::Failed } else { untouched };
+        assert_eq!(handed(&ticket), expected, "{case}: begin");
+        let outcome = query_id(t.finish(ticket));
+        let expected = match action {
+            None | Some(FaultAction::Delay(_)) => Ok(10),
+            Some(FaultAction::Garble) => Ok(11),
+            Some(FaultAction::Fail) => {
+                Err(NetError::Unavailable("injected fault (request 0)".into()))
+            }
+            Some(FaultAction::Drop) => Err(NetError::Disconnected),
+        };
+        assert_eq!(outcome, expected, "{case}: finish");
+        if let Some(FaultAction::Delay(d)) = action {
+            assert!(started.elapsed() >= d, "{case}: released early");
+        }
+        // A refusal never reached the inner transport.
+        assert_eq!(t.stats().round_trips, u64::from(!refused), "{case}");
+        // Request 1 matches no rule: straight through, nothing left over.
+        assert_eq!(query_id(t.request(&rank(12))), Ok(12), "{case}");
+        assert_eq!(t.attempts(), 2, "{case}");
+    }
+
+    /// Held replies are released against their own `begin`, so delayed
+    /// in-flight exchanges finished one after another on one thread
+    /// still overlap.
+    #[test]
+    fn delays_on_several_librarians_overlap() {
+        let delay = Duration::from_millis(20);
+        let servers: Vec<TcpServer> = (0..3)
+            .map(|_| TcpServer::spawn(Echo, "127.0.0.1:0").unwrap())
+            .collect();
+        let mut fleet: Vec<_> = servers
+            .iter()
+            .map(|s| {
+                let mux = MuxTransport::connect(s.addr()).unwrap();
+                FaultyTransport::new(mux, FaultPlan::new().delay_all(delay))
+            })
+            .collect();
+        let started = Instant::now();
+        let tickets: Vec<Ticket> = fleet.iter_mut().map(|t| t.begin(&rank(3))).collect();
+        for (t, ticket) in fleet.iter_mut().zip(tickets) {
+            assert_eq!(query_id(t.finish(ticket)), Ok(3));
+        }
+        let took = started.elapsed();
+        assert!(
+            took >= delay && took < delay * 2,
+            "three delays took {took:?}"
+        );
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_swapped_plan_applies_from_the_next_begin_and_the_counter_runs_on() {
+        let mut t = FaultyTransport::new(InProcTransport::new(Echo), FaultPlan::new());
+        let plan = t.plan().clone();
+        let begun = t.begin(&rank(0));
+        plan.set(FaultPlan::new().fail_from(0));
+        assert_eq!(query_id(t.finish(begun)), Ok(0), "drawn before the swap");
+        assert!(matches!(t.request(&rank(1)), Err(NetError::Unavailable(_))));
+        // Rules name request numbers the transport has already reached.
+        plan.set(FaultPlan::new().drop_nth(2).garble_nth(3));
+        assert_eq!(t.request(&rank(2)).unwrap_err(), NetError::Disconnected);
+        assert_eq!(query_id(t.request(&rank(3))), Ok(4));
+        assert_eq!(t.attempts(), 4);
+        // Clones share the plan, never the counter.
+        let mut other = FaultyTransport::new(InProcTransport::new(Echo), plan.clone());
+        plan.set(FaultPlan::new().fail_nth(0));
+        assert!(other.request(&rank(0)).is_err());
+        assert!(t.request(&rank(4)).is_ok());
+        plan.set(FaultPlan::new());
+        assert!(other.request(&rank(1)).is_ok());
+        assert_eq!((t.attempts(), other.attempts()), (5, 2));
     }
 
     #[test]
@@ -457,47 +579,6 @@ mod tests {
         for _ in 0..4 {
             assert!(t.request(&rank(2)).is_err());
         }
-    }
-
-    #[test]
-    fn drop_maps_to_disconnected_on_transports() {
-        let plan = FaultPlan::new().drop_nth(0);
-        let mut t = FaultyTransport::new(InProcTransport::new(Echo), plan);
-        assert_eq!(t.request(&rank(0)).unwrap_err(), NetError::Disconnected);
-    }
-
-    #[test]
-    fn delay_forwards_after_sleeping() {
-        let delay = Duration::from_millis(25);
-        let plan = FaultPlan::new().delay_nth(0, delay);
-        let mut t = FaultyTransport::new(InProcTransport::new(Echo), plan);
-        let start = std::time::Instant::now();
-        assert!(t.request(&rank(0)).is_ok());
-        assert!(start.elapsed() >= delay);
-        // Subsequent requests are full speed (no rule matches).
-        let start = std::time::Instant::now();
-        assert!(t.request(&rank(1)).is_ok());
-        assert!(start.elapsed() < delay);
-    }
-
-    #[test]
-    fn garble_perturbs_the_query_id() {
-        let plan = FaultPlan::new().garble_nth(0);
-        let mut t = FaultyTransport::new(InProcTransport::new(Echo), plan);
-        match t.request(&rank(10)).unwrap() {
-            Message::RankResponse { query_id, .. } => assert_eq!(query_id, 11),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn faulty_service_injects_behind_any_transport() {
-        let plan = FaultPlan::new().fail_nth(1);
-        let mut t = InProcTransport::new(FaultyService::new(Echo, plan));
-        assert!(t.request(&rank(0)).is_ok());
-        let err = t.request(&rank(1)).unwrap_err();
-        assert!(matches!(err, NetError::Unavailable(_)));
-        assert!(t.request(&rank(2)).is_ok());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod transport;
 pub mod wire;
 
 pub use fanout::{dispatch, DispatchMode};
-pub use faults::{FaultAction, FaultPlan, FaultyService, FaultyTransport};
+pub use faults::{FaultAction, FaultPlan, FaultyTransport, SharedPlan};
 pub use message::Message;
 pub use mux::{MuxConnection, MuxPool, MuxTransport};
 pub use replica::{ReplicaGroup, RoutingTable};

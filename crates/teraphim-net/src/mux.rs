@@ -502,7 +502,6 @@ impl Transport for MuxTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultPlan, FaultyService};
     use crate::retry::{RetryPolicy, RetryTransport};
     use crate::tcp::{ServerOptions, TcpServer};
     use crate::transport::Service;
@@ -628,14 +627,17 @@ mod tests {
 
     #[test]
     fn timeout_then_late_reply_does_not_desynchronize() {
-        // The first exchange is delayed past the deadline; its late
+        // The first exchange is served past the deadline; its late
         // reply must be discarded by correlation, leaving the second
         // exchange to receive its own answer.
-        let delayed = FaultyService::new(
-            Echo,
-            FaultPlan::new().delay_nth(0, Duration::from_millis(150)),
-        );
-        let server = TcpServer::spawn(delayed, "127.0.0.1:0").unwrap();
+        let mut first = true;
+        let slow_once = move |request: Message| {
+            if std::mem::take(&mut first) {
+                std::thread::sleep(Duration::from_millis(150));
+            }
+            Echo.handle(request)
+        };
+        let server = TcpServer::spawn(slow_once, "127.0.0.1:0").unwrap();
         let pool = MuxPool::connect(server.addr(), 1, TcpOptions::default()).unwrap();
         let mut t = MuxTransport::new(pool).with_deadline(Duration::from_millis(40));
         let err = t.request(&rank(1)).unwrap_err();
@@ -697,10 +699,20 @@ mod tests {
 
     #[test]
     fn retry_composes_over_mux() {
-        // Server-side: the first request is answered Unavailable; the
-        // retry decorator re-issues over the same multiplexed pool.
-        let flaky = FaultyService::new(Echo, FaultPlan::new().fail_nth(0));
-        let server = TcpServer::spawn(flaky, "127.0.0.1:0").unwrap();
+        // Server-side: the first request is answered Unavailable on the
+        // wire; the retry decorator re-issues over the same multiplexed
+        // pool.
+        let mut first = true;
+        let refuse_once = move |request: Message| {
+            if std::mem::take(&mut first) {
+                Message::Unavailable {
+                    message: "restarting".into(),
+                }
+            } else {
+                Echo.handle(request)
+            }
+        };
+        let server = TcpServer::spawn(refuse_once, "127.0.0.1:0").unwrap();
         let inner = MuxTransport::connect(server.addr()).unwrap();
         let mut t = RetryTransport::new(
             inner,

@@ -186,9 +186,9 @@ pub struct Ticket(pub(crate) TicketState);
 impl Ticket {
     /// A ticket that is already dead on arrival: [`Transport::finish`]
     /// surfaces `error` without touching the wire. Transport decorators
-    /// (fault injectors, chaos wrappers) use this to refuse a pipelined
-    /// request at `begin` time while still forwarding healthy requests
-    /// to a pipelining inner transport.
+    /// (the fault injector) use this to refuse a pipelined request at
+    /// `begin` time while still forwarding healthy requests to a
+    /// pipelining inner transport.
     pub fn failed(error: NetError) -> Ticket {
         Ticket(TicketState::Failed(error))
     }

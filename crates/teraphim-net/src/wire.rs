@@ -95,6 +95,11 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
 /// Maximum accepted frame, guarding against corrupt length prefixes.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
+/// What `read_frame` reserves before a byte of the payload has arrived:
+/// frames up to this size cost one allocation, larger ones grow as
+/// their bytes come in, so a length prefix alone buys nothing.
+const FRAME_PREALLOC: usize = 64 * 1024;
+
 /// Writes one length-prefixed frame. The prefix and payload go out in a
 /// single `write_all` so that, with `TCP_NODELAY` set, a small exchange
 /// costs one packet rather than two.
@@ -112,9 +117,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> 
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary. Short reads mid-frame are retried by `read_exact`, so a
-/// frame split across arbitrarily many TCP segments reassembles
-/// correctly.
+/// boundary. Short reads mid-frame are retried until the frame is
+/// whole, so a frame split across arbitrarily many TCP segments
+/// reassembles correctly. The buffer grows with the bytes that arrive,
+/// not with what the prefix claims.
 ///
 /// # Errors
 ///
@@ -145,8 +151,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, NetError> {
     if len > MAX_FRAME {
         return Err(NetError::Corrupt("frame too large"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed mid frame",
+        )
+        .into());
+    }
     Ok(Some(payload))
 }
 
@@ -454,6 +468,43 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// A peer that claims a 64 MiB frame, sends 10 bytes and hangs up
+    /// must not get 64 MiB allocated for it.
+    #[test]
+    fn a_length_prefix_alone_buys_no_allocation() {
+        struct Liar {
+            data: Vec<u8>,
+            pos: usize,
+            largest_buffer: usize,
+        }
+        impl Read for Liar {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.largest_buffer = self.largest_buffer.max(buf.len());
+                let n = buf.len().min(self.data.len() - self.pos);
+                buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+                self.pos += n;
+                Ok(n)
+            }
+        }
+        let mut data = (64u32 << 20).to_le_bytes().to_vec();
+        data.extend_from_slice(&[7; 10]);
+        let mut r = Liar {
+            data,
+            pos: 0,
+            largest_buffer: 0,
+        };
+        match read_frame(&mut r) {
+            Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+            other => panic!("a torn frame must be an I/O error: {other:?}"),
+        }
+        assert_eq!(r.pos, r.data.len(), "everything sent was read");
+        assert!(
+            r.largest_buffer <= FRAME_PREALLOC,
+            "handed a {} byte buffer",
+            r.largest_buffer
+        );
     }
 
     #[test]

@@ -10,14 +10,14 @@
 
 use teraphim_core::sim::{derive_seed, SimDriver, SimMode};
 use teraphim_core::{CiParams, TeraphimError};
-use teraphim_net::{DispatchMode, FaultPlan};
+use teraphim_net::DispatchMode;
 use teraphim_obs::{trace_traffic_sums, EventKind, TraceSink};
 use teraphim_simnet::{CostModel, Topology};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
 use crate::fixture::{churn_docs, Fixture};
-use crate::plan::{CacheSpec, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
+use crate::plan::{fault_plan, CacheSpec, FaultSpec, Plan, RunMode, Step, MAX_REPLICAS};
 
 /// CI preprocessing parameters every backend shares (the values the
 /// repo's sim-vs-real differential suite is proven under).
@@ -468,18 +468,12 @@ impl SimBackend {
     /// down no matter what the plan's fault window says, so membership
     /// and fault transitions compose instead of clobbering each other.
     fn reapply(&mut self, lib: usize) {
-        let plan = if self.live[lib] == 0 {
-            FaultPlan::new().fail_from(0)
+        let fault = if self.live[lib] == 0 {
+            Some(FaultSpec::Down)
         } else {
-            match self.faults[lib] {
-                None => FaultPlan::new(),
-                Some(FaultSpec::Down) => FaultPlan::new().fail_from(0),
-                Some(FaultSpec::Delay { ms }) => {
-                    FaultPlan::new().delay_all(std::time::Duration::from_millis(ms))
-                }
-            }
+            self.faults[lib]
         };
-        self.driver.set_fault_plan(lib, plan);
+        self.driver.set_fault_plan(lib, fault_plan(fault));
     }
 }
 
@@ -544,7 +538,7 @@ impl Backend for SimBackend {
         // Permanent: the runner never clears faults on a killed shard,
         // so this plan is final regardless of `faults`/`live`.
         self.driver
-            .set_fault_plan(lib, FaultPlan::new().fail_from(0));
+            .set_fault_plan(lib, fault_plan(Some(FaultSpec::Down)));
     }
 
     fn add_lib(&mut self, lib: usize) {

@@ -12,7 +12,7 @@
 //! - [`SimBackend`] — the virtual-time simulator, no threads or
 //!   sockets: the reference the real execution is compared against;
 //! - [`real::RealBackend`] — real receptionist sessions over
-//!   chaos-wrapped replica groups, as [`InProcBackend`] (one session
+//!   fault-decorated replica groups, as [`InProcBackend`] (one session
 //!   over in-process transports) and as [`TcpBackend`] (the multiplexed
 //!   TCP serving pool, one forked session per plan client).
 //!
@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod chaos;
 pub mod check;
 pub mod fixture;
 pub mod gen;
@@ -42,7 +41,6 @@ pub use backend::{
     normalize_error, run_plan, Accounting, Backend, Hit, QueryOutcome, RunReport, SimBackend,
     TrafficTriple, CI,
 };
-pub use chaos::{ChaosCell, ChaosState, ChaosTransport};
 pub use check::{
     compare_reports, differential, doublecheck, verify_accounting, DifferentialReport, Failure,
 };

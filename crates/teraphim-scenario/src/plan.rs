@@ -12,9 +12,11 @@
 //! shrunken subset of steps produces the *same* documents as the
 //! original plan.
 
+use std::time::Duration;
+
 use crate::json::Json;
 use teraphim_core::Methodology;
-use teraphim_net::DispatchMode;
+use teraphim_net::{DispatchMode, FaultPlan};
 
 /// What system a query step runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,8 +70,8 @@ impl RunMode {
 /// A clearable fault condition on one librarian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// Every exchange fails (`fail_from(0)` on the sim; a refused
-    /// request on real transports) until cleared.
+    /// Every exchange is refused without reaching the librarian until
+    /// cleared.
     Down,
     /// Every exchange is delayed by this many milliseconds; rankings
     /// are unaffected.
@@ -77,6 +79,19 @@ pub enum FaultSpec {
         /// Injected delay in milliseconds.
         ms: u64,
     },
+}
+
+/// The fault plan a librarian runs under while `fault` is open (`None`:
+/// healthy) — the one translation, shared by the simulator and the real
+/// backends' `FaultyTransport`s. Both rules match every request number,
+/// so a window strikes every exchange however many setup or retry
+/// exchanges a backend made before it opened.
+pub(crate) fn fault_plan(fault: Option<FaultSpec>) -> FaultPlan {
+    match fault {
+        None => FaultPlan::new(),
+        Some(FaultSpec::Down) => FaultPlan::new().fail_from(0),
+        Some(FaultSpec::Delay { ms }) => FaultPlan::new().delay_all(Duration::from_millis(ms)),
+    }
 }
 
 /// The plan-file code of a dispatch mode.

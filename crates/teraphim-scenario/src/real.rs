@@ -4,8 +4,9 @@
 //!
 //! Every plan step is implemented once, over the elastic fleet: each
 //! librarian slot (shard) is a [`ReplicaGroup`] of 1..R content-identical
-//! replicas, wrapped in a [`ChaosTransport`] so the plan's fault windows
-//! inject where the simulator injects its fault plans — between the
+//! replicas, wrapped in a [`FaultyTransport`] whose [`SharedPlan`] the
+//! fault steps swap, so the plan's fault windows inject the same
+//! `FaultPlan` the simulator runs, where it injects it — between the
 //! receptionist's fan-out and the shard. Joins rebuild the subcollection
 //! from the per-shard document ledger (adopting the shard's index epoch,
 //! so epoch-keyed caches cannot tell replicas apart), leaves retire the
@@ -14,20 +15,20 @@
 //! A private mono-server collection gives `MS` query steps a baseline.
 
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use teraphim_core::{CacheConfig, Librarian, QuerySession, Receptionist, ServePool};
 use teraphim_engine::Collection;
-use teraphim_net::{DispatchMode, Message, ReplicaGroup, RoutingTable, Service};
+use teraphim_net::{
+    DispatchMode, FaultyTransport, Message, ReplicaGroup, RoutingTable, Service, SharedPlan,
+};
 use teraphim_obs::{trace_traffic_sums, EventKind, MetricsRegistry, TraceSink};
 use teraphim_store::{IndexStore, TempDir};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
 use crate::backend::{normalize_error, Accounting, Backend, Hit, QueryOutcome, CI};
-use crate::chaos::{ChaosCell, ChaosState, ChaosTransport};
 use crate::fixture::Fixture;
-use crate::plan::{CacheSpec, FaultSpec, Plan, RunMode, MAX_REPLICAS};
+use crate::plan::{fault_plan, CacheSpec, FaultSpec, Plan, RunMode, MAX_REPLICAS};
 
 /// A librarian service that can be shared between a server (or
 /// transport) and the harness, so churn steps can append documents to
@@ -199,7 +200,7 @@ mod embodiment {
         /// The backend's report name.
         const NAME: &'static str;
         /// `false`: each session preprocesses CV/CI in place, traced,
-        /// through its own chaos-wrapped groups. `true`: preprocessing
+        /// through its own fault-decorated groups. `true`: preprocessing
         /// runs once on an untraced prototype over plain transports and
         /// every session is a pipelined fork of it.
         const FORKED: bool;
@@ -293,9 +294,9 @@ impl<E: Embodiment> Replica<E> {
     }
 }
 
-type Session<E> = QuerySession<ChaosTransport<ReplicaGroup<<E as Embodiment>::Transport>>>;
+type Session<E> = QuerySession<FaultyTransport<ReplicaGroup<<E as Embodiment>::Transport>>>;
 
-/// A real execution backend: receptionist sessions over chaos-wrapped
+/// A real execution backend: receptionist sessions over fault-decorated
 /// replica groups, embodied as `E` says. Each session owns its
 /// transports, so membership changes are applied to every session's
 /// group for the same shard in lockstep; fleet-wide steps (churn, cache,
@@ -306,7 +307,8 @@ pub struct RealBackend<E: Embodiment> {
     session_groups: Vec<Vec<ReplicaGroup<E::Transport>>>,
     shards: Vec<ShardState>,
     stores: FleetStores,
-    cells: Vec<ChaosCell>,
+    /// One plan per shard, shared by every session's transport to it.
+    faults: Vec<SharedPlan>,
     routing: RoutingTable,
     next_id: u32,
     mono: Collection,
@@ -315,7 +317,7 @@ pub struct RealBackend<E: Embodiment> {
     cache_spec: Option<CacheSpec>,
 }
 
-/// The in-process backend: one receptionist over chaos-wrapped replica
+/// The in-process backend: one receptionist over fault-decorated replica
 /// groups of in-process transports, same process, same thread.
 pub type InProcBackend = RealBackend<InProc>;
 
@@ -351,7 +353,7 @@ impl<E: Embodiment> RealBackend<E> {
                     .collect()
             })
             .collect();
-        let cells: Vec<ChaosCell> = (0..n).map(|_| ChaosCell::healthy()).collect();
+        let faults: Vec<SharedPlan> = (0..n).map(|_| SharedPlan::default()).collect();
 
         // Every session is a fork of one prototype over plain transports
         // to each shard's first replica; a forked embodiment preprocesses
@@ -395,8 +397,8 @@ impl<E: Embodiment> RealBackend<E> {
                         .collect();
                     let transports: Vec<_> = groups
                         .iter()
-                        .zip(&cells)
-                        .map(|(group, cell)| ChaosTransport::new(group.clone(), cell.clone()))
+                        .zip(&faults)
+                        .map(|(group, plan)| FaultyTransport::new(group.clone(), plan.clone()))
                         .collect();
                     let mut session = prototype.fork(transports);
                     session.set_trace_sink(sink.clone());
@@ -419,7 +421,7 @@ impl<E: Embodiment> RealBackend<E> {
             mono: Collection::build("MS", Analyzer::default(), &all_docs),
             shards,
             stores,
-            cells,
+            faults,
             routing,
             next_id,
             sink,
@@ -531,16 +533,12 @@ impl<E: Embodiment> Backend for RealBackend<E> {
     }
 
     fn apply_fault(&mut self, lib: usize, fault: Option<FaultSpec>) {
-        self.cells[lib].set(match fault {
-            None => ChaosState::Healthy,
-            Some(FaultSpec::Down) => ChaosState::Down,
-            Some(FaultSpec::Delay { ms }) => ChaosState::Delay(Duration::from_millis(ms)),
-        });
+        self.faults[lib].set(fault_plan(fault));
         self.flush_cache();
     }
 
     fn kill(&mut self, lib: usize) {
-        // The chaos cell is the kill switch: every session's transport
+        // The shard's plan is the kill switch: every session's transport
         // to this librarian refuses from now on and the runner never
         // clears it. Whatever serves the replicas stays alive, so
         // in-flight reader threads shut down cleanly with the backend.

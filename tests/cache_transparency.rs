@@ -23,7 +23,7 @@ use teraphim::core::{
     CacheConfig, CiParams, Coverage, GlobalHit, Librarian, Methodology, Receptionist,
 };
 use teraphim::net::{
-    FaultPlan, FaultyService, InProcTransport, Message, ReplicaGroup, RoutingTable, Service,
+    FaultPlan, FaultyTransport, InProcTransport, Message, ReplicaGroup, RoutingTable, Service,
 };
 use teraphim::text::Analyzer;
 
@@ -220,7 +220,7 @@ proptest! {
                         } else {
                             FaultPlan::new()
                         };
-                        InProcTransport::new(FaultyService::new(lib, plan))
+                        FaultyTransport::new(InProcTransport::new(lib), plan)
                     })
                     .collect();
                 Receptionist::new(transports, Analyzer::default())
@@ -386,8 +386,8 @@ fn hits_suppress_fan_out_traffic() {
     // Fail every request after the first two (CV setup + one rank
     // exchange): only a receptionist that answers repeats from cache
     // can survive the stream below.
-    let service = FaultyService::new(lib, FaultPlan::new().fail_from(2));
-    let mut r = Receptionist::new(vec![InProcTransport::new(service)], Analyzer::default());
+    let faulty = FaultyTransport::new(InProcTransport::new(lib), FaultPlan::new().fail_from(2));
+    let mut r = Receptionist::new(vec![faulty], Analyzer::default());
     r.enable_cv().unwrap();
     r.enable_cache(CacheConfig::default());
     let first = r.query(Methodology::CentralVocabulary, "cats", 4).unwrap();

@@ -18,8 +18,8 @@ use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::{
-    DispatchMode, FaultPlan, FaultyService, FaultyTransport, InProcTransport, MuxTransport,
-    ReplicaGroup, RoutingTable,
+    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup,
+    RoutingTable,
 };
 use teraphim::obs::{diff_json, EventKind, QueryTrace, SpanTree, TraceSink};
 use teraphim::scenario::{
@@ -452,27 +452,19 @@ fn golden_failover_trace_shared_by_inproc_and_tcp() {
     );
     assert_matches_golden("failover", &inproc);
 
-    // The same fleet over real sockets: one TCP server per replica,
-    // the shard-1 primary server refusing every request.
+    // The same fleet over real sockets: one TCP server per replica, the
+    // client's handle to the shard-1 primary refusing every request.
     let servers: Vec<Vec<TcpServer>> = (0..n)
         .map(|s| {
             (0..2)
-                .map(|r| {
-                    let plan = if s == 1 && r == 0 {
-                        FaultPlan::new().fail_from(0)
-                    } else {
-                        FaultPlan::new()
-                    };
-                    TcpServer::spawn(
-                        FaultyService::new(corpus_librarian(&corpus, s), plan),
-                        "127.0.0.1:0",
-                    )
-                    .expect("loopback server spawns")
+                .map(|_| {
+                    TcpServer::spawn(corpus_librarian(&corpus, s), "127.0.0.1:0")
+                        .expect("loopback server spawns")
                 })
                 .collect()
         })
         .collect();
-    let tcp_groups: Vec<ReplicaGroup<MuxTransport>> = servers
+    let tcp_groups: Vec<ReplicaGroup<FaultyTransport<MuxTransport>>> = servers
         .iter()
         .enumerate()
         .map(|(s, replicas)| {
@@ -483,10 +475,13 @@ fn golden_failover_trace_shared_by_inproc_and_tcp() {
                     .enumerate()
                     .map(|(r, server)| {
                         let id = if r == 0 { s as u32 } else { (n + s) as u32 };
-                        (
-                            id,
-                            MuxTransport::connect(server.addr()).expect("loopback connects"),
-                        )
+                        let plan = if s == 1 && r == 0 {
+                            FaultPlan::new().fail_from(0)
+                        } else {
+                            FaultPlan::new()
+                        };
+                        let mux = MuxTransport::connect(server.addr()).expect("loopback connects");
+                        (id, FaultyTransport::new(mux, plan))
                     })
                     .collect(),
             )

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::net::{
-    FaultPlan, FaultyService, FaultyTransport, InProcTransport, Message, NetError, RetryPolicy,
-    RetryTransport, Service, Transport,
+    FaultPlan, FaultyTransport, InProcTransport, Message, NetError, RetryPolicy, RetryTransport,
+    Service, Transport,
 };
 use teraphim::text::Analyzer;
 
@@ -28,17 +28,18 @@ fn four_librarians() -> Vec<Librarian> {
     ]
 }
 
-/// Wraps each librarian in a `FaultyService` driven by its plan. The
-/// fault counter advances once per request the librarian *receives*, so
-/// setup traffic (`enable_cv` = 1 request, `enable_ci` = 1 request)
-/// shifts the indices query traffic sees.
+/// Wraps the transport to each librarian in a `FaultyTransport` driven
+/// by its plan. The fault counter advances once per request the
+/// receptionist *sends* that librarian, so setup traffic (`enable_cv` =
+/// 1 request, `enable_ci` = 1 request) shifts the indices query traffic
+/// sees.
 fn faulty_receptionist(
     plans: Vec<FaultPlan>,
-) -> Receptionist<InProcTransport<FaultyService<Librarian>>> {
+) -> Receptionist<FaultyTransport<InProcTransport<Librarian>>> {
     let transports = four_librarians()
         .into_iter()
         .zip(plans)
-        .map(|(lib, plan)| InProcTransport::new(FaultyService::new(lib, plan)))
+        .map(|(lib, plan)| FaultyTransport::new(InProcTransport::new(lib), plan))
         .collect();
     Receptionist::new(transports, Analyzer::default())
 }
@@ -137,15 +138,18 @@ fn corrupt_index_bytes_fail_ci_setup() {
 
 #[test]
 fn timeout_then_retry_succeeds() {
-    // First request sleeps past the transport deadline and times out;
-    // the retry layer classifies Timeout as transient and the second
-    // attempt (fault index 1, healthy) succeeds.
-    let lib = Librarian::from_texts("A", &[("A-1", "cats and dogs")]);
-    let service = FaultyService::new(
-        lib,
-        FaultPlan::new().delay_nth(0, Duration::from_millis(120)),
-    );
-    let transport = InProcTransport::new(service).with_deadline(Duration::from_millis(30));
+    // The librarian is slow on its first request, past the transport
+    // deadline, and times out; the retry layer classifies Timeout as
+    // transient and the second attempt succeeds.
+    let mut lib = Librarian::from_texts("A", &[("A-1", "cats and dogs")]);
+    let mut first = true;
+    let slow_once = move |request: Message| {
+        if std::mem::take(&mut first) {
+            std::thread::sleep(Duration::from_millis(120));
+        }
+        lib.handle(request)
+    };
+    let transport = InProcTransport::new(slow_once).with_deadline(Duration::from_millis(30));
     let mut t = RetryTransport::new(
         transport,
         RetryPolicy {
@@ -254,7 +258,7 @@ fn killed_mid_stream_degrades_and_replays_deterministically() {
             .into_iter()
             .zip(plans)
             .map(|(lib, plan)| {
-                InProcTransport::new(FaultyService::new(lib, plan)).with_deadline(deadline)
+                FaultyTransport::new(InProcTransport::new(lib).with_deadline(deadline), plan)
             })
             .collect();
         let mut r = Receptionist::new(transports, Analyzer::default());
@@ -300,7 +304,10 @@ fn tie_order_is_stable_under_librarian_id_gaps() {
             } else {
                 FaultPlan::new()
             };
-            InProcTransport::new(FaultyService::new(Librarian::from_texts("T", texts), plan))
+            FaultyTransport::new(
+                InProcTransport::new(Librarian::from_texts("T", texts)),
+                plan,
+            )
         })
         .collect();
     let mut r = Receptionist::new(transports, Analyzer::default());
@@ -380,7 +387,7 @@ mod degraded_equivalence {
                     } else {
                         FaultPlan::new()
                     };
-                    InProcTransport::new(FaultyService::new(lib, plan))
+                    FaultyTransport::new(InProcTransport::new(lib), plan)
                 })
                 .collect();
             let mut faulty = Receptionist::new(transports, Analyzer::default());

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use teraphim::core::health::{poll_fleet, HealthPolicy, HealthState};
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::net::tcp::TcpServer;
-use teraphim::net::{DispatchMode, FaultPlan, FaultyService, InProcTransport, MuxTransport};
+use teraphim::net::{DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport};
 use teraphim::obs::MetricsRegistry;
 use teraphim::text::Analyzer;
 
@@ -27,11 +27,11 @@ fn four_librarians() -> Vec<Librarian> {
 
 fn faulty_receptionist(
     plans: Vec<FaultPlan>,
-) -> Receptionist<InProcTransport<FaultyService<Librarian>>> {
+) -> Receptionist<FaultyTransport<InProcTransport<Librarian>>> {
     let transports = four_librarians()
         .into_iter()
         .zip(plans)
-        .map(|(lib, plan)| InProcTransport::new(FaultyService::new(lib, plan)))
+        .map(|(lib, plan)| FaultyTransport::new(InProcTransport::new(lib), plan))
         .collect();
     Receptionist::new(transports, Analyzer::default())
 }

@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use teraphim::core::{Librarian, Receptionist};
 use teraphim::net::mux::MuxTransport;
@@ -644,4 +644,64 @@ fn plan_level_kill_under_pipelined_dispatch_stays_differential() {
     let report = differential(&plan).unwrap_or_else(|f| panic!("kill plan diverged: {f}"));
     assert_eq!(report.tcp.outcomes[1].failed, vec![1]);
     assert_eq!(report.tcp.outcomes[2].failed, vec![1]);
+}
+
+/// Three `Delay{20}` windows under pipelined dispatch cost one delay per
+/// query, not three, on both real backends — the simulator charges the
+/// maximum too — and change no answer.
+#[test]
+fn delay_windows_on_several_shards_overlap() {
+    let plan = Plan::named("delay-overlap", 7);
+    let queries: Vec<String> = Fixture::for_plan(&plan).corpus().short_queries()[..5]
+        .iter()
+        .map(|q| q.text.clone())
+        .collect();
+    let delay = Duration::from_millis(20);
+    // Each query's outcome and how long it took.
+    type Timed = Vec<(QueryOutcome, Duration)>;
+    let run = |backend: &mut dyn Backend, windows: bool| -> Timed {
+        backend.set_dispatch(DispatchMode::Pipelined);
+        if windows {
+            for lib in 0..3 {
+                let ms = delay.as_millis() as u64;
+                backend.apply_fault(lib, Some(FaultSpec::Delay { ms }));
+            }
+        }
+        queries
+            .iter()
+            .map(|query| {
+                let started = Instant::now();
+                let outcome = backend.query(0, RunMode::Cn, query, 10);
+                (outcome, started.elapsed())
+            })
+            .collect()
+    };
+    let placement = |outcomes: &Timed| -> Vec<Vec<(u64, u32)>> {
+        outcomes
+            .iter()
+            .map(|(o, _)| o.hits.iter().map(|h| (h.lib, h.doc)).collect())
+            .collect()
+    };
+    let sim = run(&mut SimBackend::new(&plan), true);
+    assert!(sim.iter().all(|(o, _)| !o.hits.is_empty()));
+    let check = |name: &str, healthy: Timed, delayed: Timed| {
+        for (i, ((slow, took), (fast, _))) in delayed.iter().zip(&healthy).enumerate() {
+            assert_eq!(slow, fast, "{name} query {i}: a delay changed the answer");
+            assert!(
+                *took >= delay && *took < delay * 2,
+                "{name} query {i}: three {delay:?} windows took {took:?}"
+            );
+        }
+        assert_eq!(placement(&delayed), placement(&sim), "{name} vs sim");
+    };
+    check(
+        "inproc",
+        run(&mut InProcBackend::new(&plan), false),
+        run(&mut InProcBackend::new(&plan), true),
+    );
+    check(
+        "tcp",
+        run(&mut TcpBackend::new(&plan), false),
+        run(&mut TcpBackend::new(&plan), true),
+    );
 }
