@@ -25,7 +25,7 @@ use crate::tcp::{connect_stream, map_timeout_frame_error, TcpOptions};
 use crate::transport::{
     decode_reply, AtomicTrafficStats, Ticket, TicketState, TrafficStats, Transport,
 };
-use crate::wire::{envelope, read_frame, split_envelope, write_frame};
+use crate::wire::{envelope, split_envelope, write_frame, FrameReader};
 use crate::NetError;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -99,14 +99,16 @@ impl MuxConnection {
     /// `options.connect_timeout`, [`NetError::Io`] on other failures.
     pub fn connect(addr: impl ToSocketAddrs, options: TcpOptions) -> Result<Arc<Self>, NetError> {
         let stream = connect_stream(addr, options)?;
-        let reader = stream.try_clone()?;
+        let frames = FrameReader::new(stream.try_clone()?);
         let writer = stream.try_clone()?;
         let shared = Arc::new(MuxShared {
             pending: Mutex::new(HashMap::new()),
             dead: AtomicBool::new(false),
         });
         let reactor_shared = Arc::clone(&shared);
-        let reactor = std::thread::spawn(move || reactor_loop(reader, &reactor_shared));
+        let reactor = std::thread::Builder::new()
+            .name("teraphim-mux".into())
+            .spawn(move || reactor_loop(frames, &reactor_shared))?;
         Ok(Arc::new(MuxConnection {
             shared,
             writer: Mutex::new(writer),
@@ -194,9 +196,9 @@ impl Drop for MuxConnection {
 /// Exits — poisoning the connection — on EOF, I/O failure, or a
 /// protocol breach (a frame that is not an envelope, which is also how
 /// a server refuses a peer it cannot understand).
-fn reactor_loop(mut reader: TcpStream, shared: &MuxShared) {
-    while let Ok(Some(frame)) = read_frame(&mut reader) {
-        let Ok(env) = split_envelope(&frame) else {
+fn reactor_loop(mut frames: FrameReader<TcpStream>, shared: &MuxShared) {
+    while let Ok(true) = frames.advance() {
+        let Ok(env) = split_envelope(frames.frame()) else {
             break;
         };
         let tx = shared
@@ -766,8 +768,9 @@ mod tests {
         let peer = std::thread::spawn(move || {
             drop(listener.accept().unwrap());
             let (mut stream, _) = listener.accept().unwrap();
-            while let Ok(Some(frame)) = read_frame(&mut stream) {
-                let env = split_envelope(&frame).unwrap();
+            let mut frames = FrameReader::new(stream.try_clone().unwrap());
+            while let Ok(true) = frames.advance() {
+                let env = split_envelope(frames.frame()).unwrap();
                 let reply = Echo.handle(Message::decode(env.message).unwrap()).encode();
                 write_frame(&mut stream, &envelope(env.corr, None, None, &reply)).unwrap();
             }

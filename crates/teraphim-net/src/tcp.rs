@@ -8,27 +8,27 @@
 //! connection and are answered in completion order.
 //!
 //! The server couples a nonblocking accept loop with one reader thread
-//! per connection and a **bounded worker pool**: readers decode
-//! envelopes off the socket and enqueue the requests on a bounded job
-//! queue; workers pull jobs, run the service, and write replies under a
-//! per-connection writer lock (replies to different correlation ids may
-//! interleave). When the queue is full the readers block, which stops
+//! per connection and a bounded job queue that owns the **evaluation
+//! slots**, one per service handle. A reader evaluates a request itself
+//! when the queue grants it the last free slot with nothing queued, and
+//! otherwise enqueues it for a worker, which pops it with a free slot;
+//! either way one function writes the reply, under a per-connection
+//! writer lock. When the queue is full the readers block, which stops
 //! them draining their sockets, which backpressures clients through
 //! TCP's own flow control — load shedding without unbounded thread
-//! growth. Every request takes this path, so every request is subject
-//! to admission control and has its queue wait attributed.
+//! growth. Every request has its queue wait attributed, from the read
+//! that completed its frame to the moment it took a slot.
 
 use crate::message::Message;
 use crate::transport::{elapsed_micros, serve, AtomicTrafficStats, Service, TrafficStats};
-use crate::wire::{envelope, read_frame, split_envelope, write_frame};
+use crate::wire::{envelope, split_envelope, write_frame, Envelope, FrameReader};
 use crate::NetError;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::thread::{Builder, JoinHandle};
 use std::time::{Duration, Instant};
-use teraphim_obs::SpanContext;
 
 /// Socket configuration applied uniformly to every client connection:
 /// one knob each for connect and write, both optional. There is none
@@ -106,14 +106,14 @@ pub(crate) fn map_timeout_frame_error(e: NetError) -> NetError {
 /// Sizing for a [`TcpServer`]'s bounded worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Worker threads draining the request queue: how many requests
-    /// the server evaluates at once, provided
-    /// [`TcpServer::spawn_with`] was given as many service handles
-    /// (worker `i` drives handle `i % handles`; workers that share a
-    /// handle take turns on its lock). Handles over one shared,
-    /// immutable state — a librarian's are — cost a scratch buffer each,
-    /// so N workers means N-way parallel evaluation over one copy of
-    /// the index.
+    /// Worker threads draining the request queue. Every evaluation, a
+    /// worker's or a connection reader's own, holds one of the service
+    /// handles given to [`TcpServer::spawn_with`], so the handles bound
+    /// how many requests the server evaluates at once; one worker beyond
+    /// them can overlap a reply's write with the next evaluation, more
+    /// only wait. Handles over one shared, immutable state — a
+    /// librarian's are — cost a scratch buffer each, so N handles means
+    /// N-way parallel evaluation over one copy of the index.
     pub workers: usize,
     /// Bound on queued requests. A full queue blocks the
     /// connection readers, which backpressures clients through TCP
@@ -132,41 +132,44 @@ impl Default for ServerOptions {
     }
 }
 
-/// A request waiting for a worker: the encoded message, the
-/// correlation id to echo, the connection to answer on, and the span
-/// context it carried if any.
+/// A request waiting for a slot: its frame (an envelope that parsed),
+/// the connection to answer on, and when the read that completed the
+/// frame returned — its queue wait runs from there.
+#[derive(Debug)]
 struct Job {
-    corr: u64,
-    request: Vec<u8>,
+    frame: Vec<u8>,
     writer: Arc<Mutex<TcpStream>>,
-    span: Option<SpanContext>,
-    /// When the reader enqueued the job; queue wait is measured from
-    /// here to the worker's pop.
-    created: Instant,
+    arrived: Instant,
 }
 
-/// A bounded MPMC queue: readers push (blocking when full), workers pop
-/// (blocking when empty), `close` wakes everyone for shutdown.
+/// A bounded MPMC queue that also hands out the evaluation slots (the
+/// service handles' indices) under its one lock — which is what keeps
+/// requests first come, first served.
+#[derive(Debug)]
 struct JobQueue {
     state: Mutex<JobQueueState>,
-    not_empty: Condvar,
+    /// Signalled when a job and a free slot may both be there.
+    ready: Condvar,
     not_full: Condvar,
     capacity: usize,
 }
 
+#[derive(Debug)]
 struct JobQueueState {
     jobs: VecDeque<Job>,
+    free: Vec<usize>,
     closed: bool,
 }
 
 impl JobQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, slots: usize) -> Self {
         JobQueue {
             state: Mutex::new(JobQueueState {
                 jobs: VecDeque::new(),
+                free: (0..slots).collect(),
                 closed: false,
             }),
-            not_empty: Condvar::new(),
+            ready: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
         }
@@ -186,34 +189,91 @@ impl JobQueue {
             return false;
         }
         st.jobs.push_back(job);
-        self.not_empty.notify_one();
+        if !st.free.is_empty() {
+            self.ready.notify_one();
+        }
         true
     }
 
-    /// Dequeues the next job, blocking while empty. Drains remaining
-    /// jobs after close; returns `None` only when closed *and* empty.
-    fn pop(&self) -> Option<Job> {
+    /// Dequeues the next job with a free slot to evaluate it on,
+    /// blocking until there are both. Drains remaining jobs after
+    /// close; returns `None` only when closed *and* empty.
+    fn pop(&self) -> Option<(Job, Slot<'_>)> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(job) = st.jobs.pop_front() {
+            if st.jobs.is_empty() {
+                if st.closed {
+                    return None;
+                }
+            } else if let Some(index) = st.free.pop() {
+                let job = st.jobs.pop_front().expect("checked non-empty");
                 self.not_full.notify_one();
-                return Some(job);
+                return Some((job, Slot { queue: self, index }));
             }
-            if st.closed {
-                return None;
-            }
-            st = self
-                .not_empty
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// A slot for a connection reader to evaluate its request on its own
+    /// thread: the last free one, while no job is queued (a request read
+    /// later never overtakes one). A reader that evaluates reads nothing,
+    /// so with a second slot free the request goes to a worker.
+    fn take_slot(&self) -> Option<Slot<'_>> {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.closed || !st.jobs.is_empty() || st.free.len() != 1 {
+            return None;
+        }
+        let index = st.free.pop().expect("one slot free");
+        Some(Slot { queue: self, index })
     }
 
     fn close(&self) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.closed = true;
-        self.not_empty.notify_all();
+        self.ready.notify_all();
         self.not_full.notify_all();
+    }
+}
+
+/// An evaluation slot lent by a [`JobQueue`]: the index of a service
+/// handle. Dropping it gives the slot back — also while a panicking
+/// service unwinds, so a panic costs the server no capacity.
+struct Slot<'q> {
+    queue: &'q JobQueue,
+    index: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let queue = self.queue;
+        let mut st = queue.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.free.push(self.index);
+        if !st.jobs.is_empty() {
+            queue.ready.notify_one();
+        }
+    }
+}
+
+/// What a server's workers and readers share: the queue, the service
+/// handle behind each slot, the traffic counters.
+struct Pool<S> {
+    queue: Arc<JobQueue>,
+    handles: Vec<Mutex<S>>,
+    traffic: Arc<AtomicTrafficStats>,
+}
+
+impl<S: Service> Pool<S> {
+    /// Answers one request on `slot`, for a worker and a reader alike.
+    /// A failed write means the client is gone; the reply is dropped.
+    fn answer(&self, slot: Slot<'_>, request: &Envelope, waited: u64, writer: &Mutex<TcpStream>) {
+        let span = request.span.as_ref();
+        let (encoded, timings) = serve(&self.handles[slot.index], request.message, span, waited);
+        self.traffic
+            .record(encoded.len() as u64, request.message.len() as u64);
+        let framed = envelope(request.corr, None, timings.as_ref(), &encoded);
+        drop(slot);
+        let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = write_frame(&mut *w, &framed);
     }
 }
 
@@ -231,26 +291,17 @@ pub struct TcpServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for JobQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobQueue")
-            .field("capacity", &self.capacity)
-            .finish_non_exhaustive()
-    }
-}
-
 /// How often the nonblocking accept loop re-checks the shutdown flag
 /// while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
 impl TcpServer {
     /// Serves `service` on `addr` (use port 0 for an ephemeral port)
-    /// with default [`ServerOptions`]. Each connection gets a reader
-    /// thread; every request goes through the worker pool.
+    /// with default [`ServerOptions`]: one request evaluated at a time.
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Io`] if the listener cannot be bound.
+    /// As [`TcpServer::spawn_with`].
     pub fn spawn<S, A>(service: S, addr: A) -> Result<TcpServer, NetError>
     where
         S: Service + 'static,
@@ -263,10 +314,10 @@ impl TcpServer {
     /// under explicit pool sizing. Every handle must answer any request
     /// identically and answer for the whole server — handles of one
     /// librarian (`Librarian::share`) do: they read one collection and
-    /// write one ledger. Worker `i` drives handle `i % handles`, so
-    /// with as many handles as workers no request waits on another's
-    /// lock; with one handle ([`TcpServer::spawn`]) the workers overlap
-    /// socket I/O but evaluate one at a time.
+    /// write one ledger. Each evaluation holds one handle, taken from
+    /// the job queue's free list, so no request waits on another's
+    /// lock; with one handle ([`TcpServer::spawn`]) the server
+    /// evaluates one request at a time.
     ///
     /// # Panics
     ///
@@ -274,7 +325,8 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Io`] if the listener cannot be bound.
+    /// Returns [`NetError::Io`] if the listener cannot be bound or the
+    /// OS refuses a worker or the accept thread.
     pub fn spawn_with<S, A>(
         services: Vec<S>,
         addr: A,
@@ -285,72 +337,36 @@ impl TcpServer {
         A: ToSocketAddrs,
     {
         assert!(!services.is_empty(), "at least one service handle");
-        let handles: Vec<Arc<Mutex<S>>> = services
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(s)))
-            .collect();
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let traffic = Arc::new(AtomicTrafficStats::new());
-        let queue = Arc::new(JobQueue::new(options.queue_depth));
-
-        let workers: Vec<JoinHandle<()>> = (0..options.workers.max(1))
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let service = Arc::clone(&handles[i % handles.len()]);
-                let traffic = Arc::clone(&traffic);
-                std::thread::spawn(move || worker_loop(&queue, &service, &traffic))
-            })
-            .collect();
-
-        let shutdown_flag = Arc::clone(&shutdown);
-        let accept_traffic = Arc::clone(&traffic);
-        let accept_queue = Arc::clone(&queue);
-        let accept_thread = std::thread::spawn(move || {
-            // Nonblocking accept + short poll: shutdown needs no
-            // self-connect trick and cannot be missed.
-            while !shutdown_flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // The listener is nonblocking; the accepted
-                        // socket must not be.
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        let conn_shutdown = Arc::clone(&shutdown_flag);
-                        let conn_traffic = Arc::clone(&accept_traffic);
-                        let conn_queue = Arc::clone(&accept_queue);
-                        // Connection readers are detached: they exit when
-                        // their client hangs up (EOF at a frame boundary)
-                        // or shutdown closes the job queue. Joining them
-                        // here would stall shutdown while any client is
-                        // still connected.
-                        std::thread::spawn(move || {
-                            let _ = serve_connection(
-                                stream,
-                                &conn_shutdown,
-                                &conn_traffic,
-                                &conn_queue,
-                            );
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
-                }
-            }
+        // Built before any thread starts, so that a refused spawn drops
+        // it, which closes the queue and joins the threads that did.
+        let mut server = TcpServer {
+            addr: listener.local_addr()?,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            traffic: Arc::new(AtomicTrafficStats::new()),
+            accept_thread: None,
+            queue: Arc::new(JobQueue::new(options.queue_depth, services.len())),
+            workers: Vec::new(),
+        };
+        let pool = Arc::new(Pool {
+            queue: Arc::clone(&server.queue),
+            handles: services.into_iter().map(Mutex::new).collect(),
+            traffic: Arc::clone(&server.traffic),
         });
-        Ok(TcpServer {
-            addr,
-            shutdown,
-            traffic,
-            accept_thread: Some(accept_thread),
-            queue,
-            workers,
-        })
+        for i in 0..options.workers.max(1) {
+            let (pool, name) = (Arc::clone(&pool), format!("teraphim-worker-{i}"));
+            let worker = Builder::new()
+                .name(name)
+                .spawn(move || worker_loop(&pool))?;
+            server.workers.push(worker);
+        }
+        let shutdown = Arc::clone(&server.shutdown);
+        let accept = Builder::new()
+            .name("teraphim-accept".into())
+            .spawn(move || accept_loop(&listener, &shutdown, &pool))?;
+        server.accept_thread = Some(accept);
+        Ok(server)
     }
 
     /// The bound address (with the actual port when 0 was requested).
@@ -390,48 +406,76 @@ impl Drop for TcpServer {
     }
 }
 
-/// Drains the job queue until closed-and-empty: serve, reply under the
-/// connection's writer lock. Write failures mean the client is gone;
-/// the job is simply dropped. The worker is the server-side clock for
-/// queue wait: the enqueue-to-pop gap.
-fn worker_loop<S: Service>(queue: &JobQueue, service: &Mutex<S>, traffic: &AtomicTrafficStats) {
-    while let Some(job) = queue.pop() {
-        let queue_micros = elapsed_micros(job.created);
-        let (encoded, timings) = serve(service, &job.request, job.span.as_ref(), queue_micros);
-        traffic.record(encoded.len() as u64, job.request.len() as u64);
-        let framed = envelope(job.corr, None, timings.as_ref(), &encoded);
-        let mut w = job.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = write_frame(&mut *w, &framed);
+/// Accepts connections until shutdown, one reader thread each.
+/// Nonblocking accept + short poll: shutdown needs no self-connect
+/// trick and cannot be missed.
+fn accept_loop<S: Service + 'static>(
+    listener: &TcpListener,
+    shutdown: &Arc<AtomicBool>,
+    pool: &Arc<Pool<S>>,
+) {
+    while !shutdown.load(Ordering::SeqCst) {
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(ACCEPT_POLL);
+            continue;
+        };
+        // The listener is nonblocking; the accepted socket must not be.
+        if stream.set_nonblocking(false).is_err() {
+            continue;
+        }
+        let (shutdown, pool) = (Arc::clone(shutdown), Arc::clone(pool));
+        // Connection readers are detached: they exit when their client
+        // hangs up or shutdown closes the job queue; joining them would
+        // stall shutdown while any client is connected. A reader the OS
+        // refuses drops its stream: that one connection is closed.
+        let _ = Builder::new()
+            .name("teraphim-conn".into())
+            .spawn(move || serve_connection(stream, &shutdown, &pool));
     }
 }
 
-fn serve_connection(
+/// Drains the job queue until closed-and-empty, answering each job on
+/// the slot the queue handed over with it.
+fn worker_loop<S: Service>(pool: &Pool<S>) {
+    while let Some((job, slot)) = pool.queue.pop() {
+        let request = split_envelope(&job.frame).expect("queued only once parsed");
+        pool.answer(slot, &request, elapsed_micros(job.arrived), &job.writer);
+    }
+}
+
+/// Reads one connection's requests until EOF, a protocol breach or
+/// shutdown. A request still in the kernel's buffer while this thread
+/// evaluates has not arrived: it is charged nothing for that one
+/// evaluation — the blind spot a full queue's backpressure has too.
+fn serve_connection<S: Service>(
     stream: TcpStream,
     shutdown: &AtomicBool,
-    traffic: &AtomicTrafficStats,
-    queue: &JobQueue,
+    pool: &Pool<S>,
 ) -> Result<(), NetError> {
     stream.set_nodelay(true)?;
-    // Workers answer out of order; the shared writer lock keeps their
-    // frames from interleaving mid-write.
+    // Replies go out in completion order, from this thread and the
+    // workers; the shared writer lock keeps their frames whole.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    while let Some(frame) = read_frame(&mut reader)? {
+    let mut frames = FrameReader::new(stream);
+    while frames.advance()? {
         // A shut-down server stops serving even on live connections; the
         // client observes EOF on its next exchange.
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match split_envelope(&frame) {
-            Ok(env) => {
+        match split_envelope(frames.frame()) {
+            Ok(request) => {
+                if let Some(slot) = pool.queue.take_slot() {
+                    let waited = elapsed_micros(frames.arrived());
+                    pool.answer(slot, &request, waited, &writer);
+                    continue;
+                }
                 let job = Job {
-                    corr: env.corr,
-                    request: env.message.to_vec(),
+                    frame: frames.frame().to_vec(),
                     writer: Arc::clone(&writer),
-                    span: env.span,
-                    created: Instant::now(),
+                    arrived: frames.arrived(),
                 };
-                if !queue.push(job) {
+                if !pool.queue.push(job) {
                     break; // queue closed: shutting down
                 }
             }
@@ -443,7 +487,8 @@ fn serve_connection(
                     message: format!("bad request: {e}"),
                 }
                 .encode();
-                traffic.record(response.len() as u64, frame.len() as u64);
+                pool.traffic
+                    .record(response.len() as u64, frames.frame().len() as u64);
                 let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
                 write_frame(&mut *w, &response)?;
                 break;
@@ -458,6 +503,7 @@ mod tests {
     use super::*;
     use crate::mux::MuxTransport;
     use crate::transport::Transport;
+    use teraphim_obs::SpanContext;
 
     struct Doubler;
 
@@ -646,21 +692,15 @@ mod tests {
             },
         )
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
+        let (mut stream, mut frames) = raw(&server);
         let n = 16u64;
         for corr in 0..n {
-            let req = Message::RankRequest {
-                query_id: corr as u32,
-                k: 1,
-                terms: vec![],
-            };
-            write_frame(&mut stream, &envelope(corr, None, None, &req.encode())).unwrap();
+            write_frame(&mut stream, &envelope(corr, None, None, &rank(corr))).unwrap();
         }
         let mut seen: HashMap<u64, u32> = HashMap::new();
         for _ in 0..n {
-            let frame = read_frame(&mut stream).unwrap().unwrap();
-            let env = split_envelope(&frame).unwrap();
+            assert!(frames.advance().unwrap());
+            let env = split_envelope(frames.frame()).unwrap();
             assert_eq!(env.timings, None, "no span, no timings");
             match Message::decode(env.message).unwrap() {
                 Message::RankResponse { query_id, .. } => {
@@ -704,17 +744,11 @@ mod tests {
         }
         let noted = Arc::new(AtomicU64::new(0));
         let server = TcpServer::spawn(Noting(Arc::clone(&noted)), "127.0.0.1:0").unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let req = Message::RankRequest {
-            query_id: 1,
-            k: 1,
-            terms: vec![],
-        }
-        .encode();
+        let (mut stream, mut frames) = raw(&server);
         let span = SpanContext::sampled(77, 0);
-        write_frame(&mut stream, &envelope(4, Some(&span), None, &req)).unwrap();
-        let frame = read_frame(&mut stream).unwrap().unwrap();
-        let env = split_envelope(&frame).unwrap();
+        write_frame(&mut stream, &envelope(4, Some(&span), None, &rank(1))).unwrap();
+        assert!(frames.advance().unwrap());
+        let env = split_envelope(frames.frame()).unwrap();
         assert_eq!(env.corr, 4);
         let timings = env.timings.expect("sampled request");
         assert_eq!((timings.scan_micros, timings.rank_micros), (11, 22));
@@ -736,15 +770,239 @@ mod tests {
         .encode();
         for payload in [bare, vec![crate::wire::ENVELOPE_TAG]] {
             let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            let (mut stream, mut frames) = raw(&server);
             write_frame(&mut stream, &payload).unwrap();
-            let frame = read_frame(&mut stream).unwrap().unwrap();
+            assert!(frames.advance().unwrap());
+            let frame = frames.frame();
             assert!(
-                matches!(Message::decode(&frame), Ok(Message::Error { ref message }) if message.starts_with("bad request")),
+                matches!(Message::decode(frame), Ok(Message::Error { ref message }) if message.starts_with("bad request")),
                 "{frame:?}"
             );
-            assert_eq!(read_frame(&mut stream).unwrap(), None, "closed after one");
+            assert!(!frames.advance().unwrap(), "closed after one");
             server.shutdown();
         }
+    }
+
+    /// An encoded rank request for `id`.
+    fn rank(id: u64) -> Vec<u8> {
+        Message::RankRequest {
+            query_id: id as u32,
+            k: 1,
+            terms: vec![],
+        }
+        .encode()
+    }
+
+    /// A raw connection to `server`: requests go out through
+    /// `write_frame`, replies come back through one `FrameReader`.
+    fn raw(server: &TcpServer) -> (TcpStream, FrameReader<TcpStream>) {
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let frames = FrameReader::new(stream.try_clone().unwrap());
+        (stream, frames)
+    }
+
+    /// Nothing queued and the handle free: the connection's reader
+    /// evaluates the request itself, and its wait is the few
+    /// microseconds between the read and taking the slot.
+    #[test]
+    fn a_lone_request_is_evaluated_on_its_connection_reader() {
+        let (tx, threads) = std::sync::mpsc::channel();
+        let server = TcpServer::spawn(
+            move |request: Message| {
+                tx.send(std::thread::current().name().map(String::from))
+                    .unwrap();
+                Doubler.handle(request)
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let (mut stream, mut frames) = raw(&server);
+        let span = SpanContext::sampled(1, 0);
+        write_frame(&mut stream, &envelope(9, Some(&span), None, &rank(3))).unwrap();
+        assert!(frames.advance().unwrap());
+        let env = split_envelope(frames.frame()).unwrap();
+        let queue_micros = env.timings.expect("sampled request").queue_micros;
+        assert!(queue_micros <= 1_000, "waited {queue_micros} µs");
+        assert_eq!(threads.recv().unwrap().as_deref(), Some("teraphim-conn"));
+        server.shutdown();
+    }
+
+    /// One handle. A's first request holds it on A's reader while B's
+    /// request queues; A's second request, read once the first is
+    /// answered, must go behind B's rather than take the handle its own
+    /// reader just gave back.
+    #[test]
+    fn a_request_read_later_never_overtakes_a_queued_one() {
+        use std::sync::mpsc::channel;
+        let (started_tx, started) = channel();
+        let (go, gate) = channel::<()>();
+        let (log_tx, log) = channel();
+        let server = TcpServer::spawn(
+            move |request: Message| {
+                if let Message::RankRequest { query_id, .. } = request {
+                    let thread = std::thread::current().name().map(String::from);
+                    log_tx.send((query_id, thread)).unwrap();
+                    if query_id == 1 {
+                        started_tx.send(()).unwrap();
+                        gate.recv().unwrap();
+                    }
+                }
+                std::thread::sleep(Duration::from_millis(30));
+                Doubler.handle(request)
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let (mut a, mut a_frames) = raw(&server);
+        let (mut b, mut b_frames) = raw(&server);
+        write_frame(&mut a, &envelope(0, None, None, &rank(1))).unwrap();
+        started.recv().unwrap();
+        write_frame(&mut b, &envelope(0, None, None, &rank(2))).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.queue.state.lock().unwrap().jobs.is_empty() {
+            assert!(Instant::now() < deadline, "B's request never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A's reader is evaluating: this one waits in A's socket.
+        write_frame(&mut a, &envelope(1, None, None, &rank(3))).unwrap();
+        go.send(()).unwrap();
+        assert!(a_frames.advance().unwrap() && a_frames.advance().unwrap());
+        assert!(b_frames.advance().unwrap());
+        let order: Vec<(u32, Option<String>)> = log.try_iter().collect();
+        let ids: Vec<u32> = order.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [1, 2, 3], "evaluation order");
+        assert_eq!(order[0].1.as_deref(), Some("teraphim-conn"));
+        for (id, thread) in &order[1..] {
+            let thread = thread.as_deref().unwrap_or_default();
+            assert!(thread.starts_with("teraphim-worker-"), "{id} on {thread}");
+        }
+        server.shutdown();
+    }
+
+    /// The rule behind the test above, without its race against the
+    /// worker's wake-up: a slot given back while a job waits belongs to
+    /// that job, never to a reader that asks for one.
+    #[test]
+    fn a_freed_slot_goes_to_the_queued_job_not_to_a_reader() {
+        let queue = JobQueue::new(4, 1);
+        let slot = queue.take_slot().expect("idle: the reader takes it");
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let job = Job {
+            frame: envelope(7, None, None, &rank(1)),
+            writer: Arc::new(Mutex::new(stream)),
+            arrived: Instant::now(),
+        };
+        assert!(queue.push(job));
+        let index = slot.index;
+        drop(slot);
+        assert!(queue.take_slot().is_none(), "a reader overtook the job");
+        let (job, popped) = queue.pop().expect("the job, with the freed slot");
+        assert_eq!(
+            (split_envelope(&job.frame).unwrap().corr, popped.index),
+            (7, index)
+        );
+    }
+
+    /// A request arrives alone at an idle four-handle server, and three
+    /// more follow it a millisecond apart on the same connection. Had
+    /// the reader evaluated the first itself, the other three would sit
+    /// in the socket for that whole evaluation; as it is, the four run
+    /// side by side.
+    #[test]
+    fn a_burst_arriving_in_pieces_still_spreads_over_free_slots() {
+        let slow = |request: Message| {
+            std::thread::sleep(Duration::from_millis(30));
+            Doubler.handle(request)
+        };
+        let server = TcpServer::spawn_with(
+            vec![slow; 4],
+            "127.0.0.1:0",
+            ServerOptions {
+                workers: 4,
+                queue_depth: 16,
+            },
+        )
+        .unwrap();
+        let (mut stream, mut frames) = raw(&server);
+        let start = Instant::now();
+        for corr in 0..4 {
+            write_frame(&mut stream, &envelope(corr, None, None, &rank(corr))).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for _ in 0..4 {
+            assert!(frames.advance().unwrap());
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(60),
+            "four 30 ms requests took {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    /// A service that panics gives its slot back as it unwinds: the
+    /// one-handle server answers the next request, and shuts down.
+    #[test]
+    fn a_panicking_service_costs_no_slot() {
+        let mut first = true;
+        let server = TcpServer::spawn(
+            move |request: Message| {
+                assert!(!std::mem::take(&mut first), "the first request panics");
+                Doubler.handle(request)
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        // Evaluated on the reader, whose thread the panic ends: the
+        // connection closes unanswered.
+        let (mut stream, mut frames) = raw(&server);
+        write_frame(&mut stream, &envelope(1, None, None, &rank(1))).unwrap();
+        assert!(!matches!(frames.advance(), Ok(true)), "a reply to a panic");
+        let deadline = Duration::from_secs(5);
+        let mut client = MuxTransport::connect_with_deadline(server.addr(), deadline).unwrap();
+        let reply = client.request(&Message::RankRequest {
+            query_id: 2,
+            k: 1,
+            terms: vec![],
+        });
+        if !matches!(reply, Ok(Message::RankResponse { query_id: 4, .. })) {
+            // The slot is lost, and joining the workers that wait for it
+            // would hang: fail without shutting down.
+            std::mem::forget(server);
+            panic!("the second request: {reply:?}");
+        }
+        server.shutdown();
+    }
+
+    /// Six traced requests pipelined in one write over one connection to
+    /// a one-handle server: the reader evaluates them one by one, and
+    /// each is charged its wait from the read that brought it in.
+    #[test]
+    fn requests_buffered_behind_an_evaluation_are_charged_their_wait() {
+        let server = TcpServer::spawn(
+            |request: Message| {
+                std::thread::sleep(Duration::from_millis(10));
+                Doubler.handle(request)
+            },
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let (mut stream, mut frames) = raw(&server);
+        let span = SpanContext::sampled(5, 0);
+        let mut burst = Vec::new();
+        for corr in 0..6 {
+            write_frame(&mut burst, &envelope(corr, Some(&span), None, &rank(corr))).unwrap();
+        }
+        std::io::Write::write_all(&mut stream, &burst).unwrap();
+        let mut waits = Vec::new();
+        for _ in 0..6 {
+            assert!(frames.advance().unwrap());
+            let env = split_envelope(frames.frame()).unwrap();
+            waits.push(env.timings.expect("sampled request").queue_micros);
+        }
+        assert!(waits[5] >= 40_000, "queue waits {waits:?} µs");
+        server.shutdown();
     }
 }

@@ -9,7 +9,7 @@
 //! # Framing
 //!
 //! Streams carry length-prefixed frames: a `u32` little-endian payload
-//! length followed by the payload ([`write_frame`] / [`read_frame`]).
+//! length followed by the payload ([`write_frame`] / [`FrameReader`]).
 //! Every payload, request or reply, is one envelope ([`envelope`] /
 //! [`split_envelope`]): the [`ENVELOPE_TAG`] marker, a version/flags
 //! byte, a v-byte correlation id, the optional sections the flags
@@ -19,7 +19,9 @@
 //! over one connection.
 
 use crate::NetError;
-use std::io::{Read, Write};
+use std::io::{self, ErrorKind::UnexpectedEof, Read, Write};
+use std::ops::Range;
+use std::time::Instant;
 use teraphim_compress::codes::{read_vbyte, write_vbyte};
 use teraphim_obs::{ServerTimings, SpanContext};
 
@@ -95,10 +97,13 @@ pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
 /// Maximum accepted frame, guarding against corrupt length prefixes.
 pub const MAX_FRAME: u32 = 256 * 1024 * 1024;
 
-/// What `read_frame` reserves before a byte of the payload has arrived:
-/// frames up to this size cost one allocation, larger ones grow as
-/// their bytes come in, so a length prefix alone buys nothing.
+/// The most a [`FrameReader`] reserves ahead of the bytes that have
+/// arrived, so a length prefix alone buys nothing.
 const FRAME_PREALLOC: usize = 64 * 1024;
+
+/// The buffer a [`FrameReader`] keeps between frames; one grown for a
+/// larger frame is given back once that frame has been consumed.
+const FRAME_BUFFER: usize = 8 * 1024;
 
 /// Writes one length-prefixed frame. The prefix and payload go out in a
 /// single `write_all` so that, with `TCP_NODELAY` set, a small exchange
@@ -116,52 +121,103 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> 
     Ok(())
 }
 
-/// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
-/// boundary. Short reads mid-frame are retried until the frame is
-/// whole, so a frame split across arbitrarily many TCP segments
-/// reassembles correctly. The buffer grows with the bytes that arrive,
-/// not with what the prefix claims.
-///
-/// # Errors
-///
-/// Returns [`NetError::Io`] on read failure or EOF mid-frame, and
-/// [`NetError::Corrupt`] when the length prefix exceeds [`MAX_FRAME`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, NetError> {
-    // Read the prefix byte-wise: `read_exact` reports the same
-    // `UnexpectedEof` for zero bytes (clean close) and a torn prefix
-    // (peer died mid-write), but only the former is a frame boundary.
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < len_buf.len() {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid frame header",
-                )
-                .into())
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
+/// Reads the length-prefixed frames of one connection end through one
+/// reused buffer. A `read` takes whatever bytes the source has, so a
+/// lone frame that fits costs one call and frames pipelined behind it
+/// cost none. [`FrameReader::advance`] moves to the next frame, and
+/// [`FrameReader::frame`] lends it until the next `advance`.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    source: R,
+    /// Zero-initialised; `start..end` is read but not yet handed out.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    frame: Range<usize>,
+    /// When the last read returned. Every whole frame in the buffer was
+    /// completed by that read: the reader reads only when none is whole.
+    arrived: Instant,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader over `source`.
+    pub fn new(source: R) -> Self {
+        FrameReader {
+            source,
+            buf: vec![0; FRAME_BUFFER],
+            start: 0,
+            end: 0,
+            frame: 0..0,
+            arrived: Instant::now(),
         }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(NetError::Corrupt("frame too large"));
+
+    /// Moves to the next frame, reading until it is whole (across any
+    /// number of TCP segments); `Ok(false)` on clean EOF at a frame
+    /// boundary. The buffer grows with the bytes that arrive, not with
+    /// what a prefix claims.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Io`] on read failure or EOF mid-frame
+    /// (`UnexpectedEof`), and [`NetError::Corrupt`] when a length prefix
+    /// exceeds [`MAX_FRAME`].
+    pub fn advance(&mut self) -> Result<bool, NetError> {
+        self.frame = 0..0;
+        loop {
+            let wanted = self.next_len()?;
+            if let Some(len) = wanted.filter(|&len| len <= self.end - self.start) {
+                self.frame = self.start + 4..self.start + len;
+                self.start += len;
+                return Ok(true);
+            }
+            if self.start > 0 {
+                let rest = self.end - self.start;
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, rest);
+                if self.buf.len() > FRAME_BUFFER && rest <= FRAME_BUFFER {
+                    // The frame that grew the buffer has been consumed.
+                    self.buf.truncate(FRAME_BUFFER);
+                    self.buf.shrink_to_fit();
+                }
+            }
+            let room = wanted.unwrap_or(4).min(self.end + FRAME_PREALLOC);
+            if self.buf.len() < room {
+                self.buf.resize(room, 0);
+            }
+            match self.source.read(&mut self.buf[self.end..]) {
+                Ok(0) if self.end == 0 => return Ok(false),
+                Ok(0) => return Err(io::Error::new(UnexpectedEof, "closed mid frame").into()),
+                Ok(n) => {
+                    self.end += n;
+                    self.arrived = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
-    let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC));
-    r.take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() < len {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed mid frame",
-        )
-        .into());
+
+    /// The current frame's payload; empty unless the last `advance`
+    /// returned `Ok(true)`.
+    pub fn frame(&self) -> &[u8] {
+        &self.buf[self.frame.clone()]
     }
-    Ok(Some(payload))
+
+    /// When the current frame's last byte was read off the source.
+    pub fn arrived(&self) -> Instant {
+        self.arrived
+    }
+
+    /// The whole length, prefix included, of the next frame once its
+    /// prefix has arrived.
+    fn next_len(&self) -> Result<Option<usize>, NetError> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>();
+        match prefix.map(|prefix| u32::from_le_bytes(*prefix)) {
+            Some(len) if len > MAX_FRAME => Err(NetError::Corrupt("frame too large")),
+            len => Ok(len.map(|len| 4 + len as usize)),
+        }
+    }
 }
 
 /// First byte of every frame payload. Message tags are small
@@ -411,26 +467,93 @@ mod tests {
         }
     }
 
+    /// The next frame, owned; `None` on clean EOF.
+    fn next<R: Read>(frames: &mut FrameReader<R>) -> Result<Option<Vec<u8>>, NetError> {
+        Ok(frames.advance()?.then(|| frames.frame().to_vec()))
+    }
+
     #[test]
     fn frames_roundtrip() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+        let mut frames = FrameReader::new(std::io::Cursor::new(buf));
+        assert!(frames.advance().unwrap());
+        assert_eq!(frames.frame(), b"hello");
+        assert!(frames.advance().unwrap());
+        assert_eq!(frames.frame(), b"");
+        assert!(!frames.advance().unwrap());
+        assert_eq!(frames.frame(), b"");
     }
 
     #[test]
     fn oversized_frame_is_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut frames = FrameReader::new(std::io::Cursor::new(buf));
         assert!(matches!(
-            read_frame(&mut cursor),
+            frames.advance(),
             Err(NetError::Corrupt("frame too large"))
         ));
+    }
+
+    /// A `Read` that counts the calls made on it.
+    struct Counting<R> {
+        inner: R,
+        reads: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    /// A frame whose bytes are all there costs one `read` (a prefix,
+    /// then a payload, cost two), and frames that arrived with it cost
+    /// none.
+    #[test]
+    fn a_lone_frame_costs_one_read() {
+        let mut stream = Vec::new();
+        for corr in 0..3 {
+            write_frame(&mut stream, &envelope(corr, None, None, b"a request")).unwrap();
+        }
+        let lone = stream.len() / 3;
+        let mut frames = FrameReader::new(Counting {
+            inner: std::io::Cursor::new(stream[..lone].to_vec()),
+            reads: 0,
+        });
+        assert!(frames.advance().unwrap());
+        assert_eq!(frames.source.reads, 1);
+
+        let mut frames = FrameReader::new(Counting {
+            inner: std::io::Cursor::new(stream),
+            reads: 0,
+        });
+        for corr in 0..3 {
+            assert!(frames.advance().unwrap());
+            assert_eq!(split_envelope(frames.frame()).unwrap().corr, corr);
+        }
+        assert_eq!(frames.source.reads, 1, "three pipelined frames, one read");
+        assert!(!frames.advance().unwrap());
+    }
+
+    /// The buffer a large frame grew is given back once the frame has
+    /// been consumed, not kept for the connection's lifetime.
+    #[test]
+    fn a_large_frame_does_not_pin_its_buffer() {
+        let big = vec![7u8; 1 << 20];
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &big).unwrap();
+        write_frame(&mut stream, b"small").unwrap();
+        let mut frames = FrameReader::new(std::io::Cursor::new(stream));
+        assert!(frames.advance().unwrap());
+        assert_eq!(frames.frame(), &big[..]);
+        assert!(frames.advance().unwrap());
+        assert_eq!(frames.frame(), b"small");
+        assert_eq!(frames.buf.capacity(), FRAME_BUFFER);
+        assert!(!frames.advance().unwrap());
     }
 
     #[test]
@@ -443,15 +566,15 @@ mod tests {
         // Every chunk size from one byte up must reassemble identically —
         // the length prefix itself may arrive split across reads.
         for chunk in 1..=stream.len() {
-            let mut r = ChunkedReader::new(stream.clone(), chunk);
+            let mut frames = FrameReader::new(ChunkedReader::new(stream.clone(), chunk));
             for p in payloads {
                 assert_eq!(
-                    read_frame(&mut r).unwrap().as_deref(),
+                    next(&mut frames).unwrap().as_deref(),
                     Some(p),
                     "chunk size {chunk}"
                 );
             }
-            assert_eq!(read_frame(&mut r).unwrap(), None, "chunk size {chunk}");
+            assert_eq!(next(&mut frames).unwrap(), None, "chunk size {chunk}");
         }
     }
 
@@ -462,9 +585,9 @@ mod tests {
         // Truncate anywhere after the first byte: the reader must
         // distinguish a torn frame from EOF at a boundary.
         for cut in 1..stream.len() {
-            let mut r = ChunkedReader::new(stream[..cut].to_vec(), 3);
+            let mut frames = FrameReader::new(ChunkedReader::new(stream[..cut].to_vec(), 3));
             assert!(
-                matches!(read_frame(&mut r), Err(NetError::Io(_))),
+                matches!(frames.advance(), Err(NetError::Io(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
                 "cut {cut}"
             );
         }
@@ -495,10 +618,16 @@ mod tests {
             pos: 0,
             largest_buffer: 0,
         };
-        match read_frame(&mut r) {
+        let mut frames = FrameReader::new(&mut r);
+        match frames.advance() {
             Err(NetError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
             other => panic!("a torn frame must be an I/O error: {other:?}"),
         }
+        assert!(
+            frames.buf.len() <= 14 + FRAME_PREALLOC,
+            "reserved {} bytes for 14",
+            frames.buf.len()
+        );
         assert_eq!(r.pos, r.data.len(), "everything sent was read");
         assert!(
             r.largest_buffer <= FRAME_PREALLOC,
@@ -529,14 +658,14 @@ mod tests {
         }
         // Deliver one byte at a time: framing must still find every
         // message boundary.
-        let mut r = ChunkedReader::new(stream, 1);
+        let mut frames = FrameReader::new(ChunkedReader::new(stream, 1));
         for (i, m) in messages.iter().enumerate() {
-            let frame = read_frame(&mut r).unwrap().unwrap();
-            let env = split_envelope(&frame).unwrap();
+            assert!(frames.advance().unwrap());
+            let env = split_envelope(frames.frame()).unwrap();
             assert_eq!(env.corr, i as u64 + 7);
             assert_eq!(&Message::decode(env.message).unwrap(), m);
         }
-        assert_eq!(read_frame(&mut r).unwrap(), None);
+        assert!(!frames.advance().unwrap());
     }
 
     /// The envelope contract, one table: every section combination
