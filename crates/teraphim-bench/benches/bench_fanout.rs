@@ -10,10 +10,13 @@
 //! cannot overlap with itself there; remote waits always can).
 //!
 //! The same CV query is evaluated with the dispatch mode flipped
-//! between `Sequential` and the default (these in-process transports
-//! hand out deferred tickets, so the parallel arm runs one scoped worker
-//! per librarian); the elapsed-time ratio should grow toward S while
-//! every librarian holds an equal share of the collection.
+//! between `Sequential` and the default. In-process transports are the
+//! only kind that hands out deferred tickets — multiplexed TCP, bare or
+//! behind the fault and replica-group decorators, puts the request in
+//! flight at `begin` — so this is the fleet on which the parallel arm
+//! runs one scoped worker per librarian. The elapsed-time ratio should
+//! grow toward S while every librarian holds an equal share of the
+//! collection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

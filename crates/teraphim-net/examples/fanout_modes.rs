@@ -1,16 +1,17 @@
 //! What one fan-out costs under each dispatch mode, over the two kinds
 //! of ticket a transport can hand back: in-flight (multiplexed handles
-//! to 4 and to 43 echo servers; p50 of 2 000 strict dispatches, modes
-//! alternated in rounds) and deferred (four 20 ms in-process services,
-//! plain, behind `RetryTransport` and behind a two-replica
-//! `ReplicaGroup`; median of 5). Run with
+//! to 4 and to 43 echo servers, bare and each behind a one-replica
+//! `ReplicaGroup`; p50 of 2 000 strict dispatches, modes alternated in
+//! rounds) and deferred (four 20 ms in-process services, plain, behind
+//! a retrying one-replica group and behind a two-replica group; median
+//! of 5). Run with
 //! `cargo run --release -p teraphim-net --example fanout_modes`.
 
 use std::time::{Duration, Instant};
 use teraphim_net::tcp::TcpServer;
 use teraphim_net::{
     dispatch, DispatchMode, InProcTransport, Message, MuxTransport, ReplicaGroup, RetryPolicy,
-    RetryTransport, Transport,
+    Transport,
 };
 use teraphim_obs::TraceSink;
 
@@ -74,7 +75,17 @@ fn main() {
             .collect();
         medians(&mut handles, 100); // warm-up
         report(&format!("{s} echo servers over mux"), &mut handles, 2000);
-        drop(handles);
+        let mut groups: Vec<_> = (0..)
+            .zip(handles)
+            .map(|(shard, mux)| ReplicaGroup::new(shard, vec![(shard, mux)]))
+            .collect();
+        medians(&mut groups, 100);
+        report(
+            &format!("{s} one-replica groups over mux"),
+            &mut groups,
+            2000,
+        );
+        drop(groups);
         for server in servers {
             server.shutdown();
         }
@@ -89,9 +100,10 @@ fn main() {
     let mut plain: Vec<_> = (0..4).map(|_| slow()).collect();
     report("4 x 20 ms in-process, plain", &mut plain, 5);
     let mut retrying: Vec<_> = (0..4)
-        .map(|_| RetryTransport::new(slow(), RetryPolicy::default()))
+        .map(|shard| ReplicaGroup::new(shard, vec![(shard, slow())]))
+        .map(|group| group.with_retries(RetryPolicy::default()))
         .collect();
-    report("4 x 20 ms behind RetryTransport", &mut retrying, 5);
+    report("4 x 20 ms behind a retrying group", &mut retrying, 5);
     let mut groups: Vec<_> = (0..4)
         .map(|shard| ReplicaGroup::new(shard, vec![(shard, slow()), (shard + 4, slow())]))
         .collect();

@@ -8,19 +8,21 @@
 //! ([`dispatch`]). Its parallel arm issues every request from the
 //! calling thread with [`Transport::begin`] and then looks at what came
 //! back. A ticket the transport put on the wire is waited for on the
-//! calling thread, with no thread spawned. A *deferred* ticket — the
-//! transport put nothing in flight, so [`Transport::finish`] is the
-//! whole blocking exchange: in-process transports, and the retry and
-//! replica-group decorators — runs on a scoped worker, whose reply
-//! reaches the caller over a channel *as it arrives*, so that merging
-//! overlaps the slower librarians' work.
+//! calling thread, with no thread spawned — also behind the fault and
+//! replica-group decorators, which forward `begin`/`finish`. A
+//! *deferred* ticket — the transport put nothing in flight, so
+//! [`Transport::finish`] is the whole blocking exchange: in-process
+//! transports, or a group whose first replica refused at `begin` — runs
+//! on a scoped worker, whose reply reaches the caller over a channel
+//! *as it arrives*, so that merging overlaps the slower librarians'
+//! work.
 //!
 //! Because replies may arrive in completion order, callers must fold
 //! them with an order-independent rule (the engine's `merge_rankings`
 //! orders ties on the librarian payload for exactly this reason).
 
 use crate::message::Message;
-use crate::transport::{Ticket, TicketState, Transport};
+use crate::transport::{Ticket, Transport};
 use crate::NetError;
 use std::sync::mpsc;
 use teraphim_obs::{EventKind, TraceSink};
@@ -57,9 +59,10 @@ pub enum DispatchMode {
     Sequential,
     /// All requests issued back-to-back on the calling thread
     /// ([`Transport::begin`]), each then finished where its ticket says
-    /// (see [`dispatch`]): in-flight ones on the calling thread with no
-    /// worker threads at all — which is what lets hundreds of query
-    /// sessions coexist cheaply — deferred ones on scoped workers. The
+    /// (see [`dispatch`]): in-flight ones — multiplexed TCP, bare or
+    /// behind decorators — on the calling thread with no worker threads
+    /// at all, which is what lets hundreds of query sessions coexist
+    /// cheaply; deferred ones (in-process) on scoped workers. The
     /// elapsed time is the maximum of the librarians' times.
     #[default]
     Pipelined,
@@ -96,12 +99,6 @@ fn finish<T: Transport + ?Sized>(
         }
     }
     Ok(response)
-}
-
-/// True when the transport put nothing in flight at `begin`: finishing
-/// the ticket is the whole blocking exchange.
-fn is_deferred(ticket: &Ticket) -> bool {
-    matches!(ticket.0, TicketState::Deferred(_))
 }
 
 /// Finishes `tickets` on the calling thread, in order, until `settle`
@@ -199,12 +196,12 @@ pub fn dispatch<T: Transport + Send>(
             // is not already on the wire, so the caller runs it — and
             // sets up no scope or channel: doing so for every fan-out
             // cost the 43-shard benchmark workload 7% of its throughput.
-            if tickets.iter().filter(|(.., t)| is_deferred(t)).count() < 2 {
+            if tickets.iter().filter(|(.., t)| t.is_deferred()).count() < 2 {
                 finish_here(trace, tickets, &mut settle);
             } else {
                 let (deferred, here): (Vec<_>, Vec<_>) = tickets
                     .into_iter()
-                    .partition(|(.., ticket)| is_deferred(ticket));
+                    .partition(|(.., ticket)| ticket.is_deferred());
                 std::thread::scope(|scope| {
                     let (tx, rx) = mpsc::channel();
                     for (lib, transport, ticket) in deferred {
@@ -239,8 +236,7 @@ mod tests {
     use super::*;
     use crate::faults::{FaultPlan, FaultyTransport};
     use crate::mux::MuxTransport;
-    use crate::replica::ReplicaGroup;
-    use crate::retry::{RetryPolicy, RetryTransport};
+    use crate::replica::{ReplicaGroup, RetryPolicy};
     use crate::tcp::TcpServer;
     use crate::transport::{InProcTransport, Service, TrafficStats};
     use std::sync::{Arc, Mutex};
@@ -569,17 +565,34 @@ mod tests {
 
         // In-flight tickets: everything is issued before anything is
         // waited for, and nothing leaves the caller's thread — also
-        // behind the fault decorator, whose delays are held at `finish`.
+        // behind the fault decorator, whose delays are held at `finish`,
+        // and behind replica groups, retrying or not, of one or two
+        // replicas.
         let (servers, mux) = mux_fleet(4);
+        let connect = |i: usize| MuxTransport::connect(servers[i % 4].addr()).unwrap();
+        let group = |shard: usize, replicas: usize| {
+            let members = (0..replicas).map(|r| (r as u32, connect(shard + r)));
+            ReplicaGroup::new(shard as u32, members.collect())
+        };
+        let groups = |replicas: usize| (0..4).map(move |shard| group(shard, replicas));
         let delay = FaultPlan::new().delay_all(Duration::from_millis(1));
-        let faulty = servers
-            .iter()
-            .map(|server| {
-                let mux = MuxTransport::connect(server.addr()).unwrap();
-                FaultyTransport::new(mux, delay.clone())
-            })
+        let faulty = (0..4)
+            .map(|i| FaultyTransport::new(connect(i), delay.clone()))
             .collect();
-        for calls in [probe_calls(mux), probe_calls(faulty)] {
+        let faulty_groups = groups(1)
+            .map(|g| FaultyTransport::new(g, delay.clone()))
+            .collect();
+        let retrying = groups(1)
+            .map(|g| g.with_retries(RetryPolicy::default()))
+            .collect();
+        for calls in [
+            probe_calls(mux),
+            probe_calls(faulty),
+            probe_calls(groups(1).collect()),
+            probe_calls(groups(2).collect()),
+            probe_calls(faulty_groups),
+            probe_calls(retrying),
+        ] {
             let names: Vec<&str> = calls.iter().map(|&(call, _)| call).collect();
             assert_eq!(names[..4], ["begin"; 4]);
             assert_eq!(names[4..], ["finish"; 4]);
@@ -623,8 +636,9 @@ mod tests {
     }
 
     /// The serving default must not fan a decorated fleet out one shard
-    /// at a time: none of these transports implements `begin`/`finish`,
-    /// so every ticket is deferred and each needs its own worker.
+    /// at a time: every transport here bottoms out in-process, so every
+    /// ticket is deferred — behind a group too — and each needs its own
+    /// worker.
     #[test]
     fn default_mode_overlaps_plain_and_decorated_deferred_exchanges() {
         let delay = Duration::from_millis(20);
@@ -633,7 +647,8 @@ mod tests {
 
         let mut plain = transports(4, delay);
         let mut retrying: Vec<_> = (0..4)
-            .map(|_| RetryTransport::new(slow(), RetryPolicy::default()))
+            .map(|shard| ReplicaGroup::new(shard, vec![(shard, slow())]))
+            .map(|group| group.with_retries(RetryPolicy::default()))
             .collect();
         let mut groups: Vec<_> = (0..4)
             .map(|shard| ReplicaGroup::new(shard, vec![(shard, slow()), (shard + 4, slow())]))
@@ -648,7 +663,7 @@ mod tests {
 
         let (failures, replies, took) = timed_dispatch(&mut retrying);
         assert_eq!((failures.len(), replies), (0, 4));
-        assert!(took < budget, "behind RetryTransport: {took:?}");
+        assert!(took < budget, "behind a retrying group: {took:?}");
 
         let (failures, replies, took) = timed_dispatch(&mut groups);
         assert_eq!((failures.len(), replies), (0, 4));
@@ -660,6 +675,31 @@ mod tests {
         assert_eq!(failures, [(2, NetError::Unavailable("refused".into()))]);
         assert_eq!(replies, 4);
         assert!(took < budget, "with a failed ticket mixed in: {took:?}");
+    }
+
+    /// A deadline runs from the send: silent peers finished one after
+    /// another on the calling thread time out together, not in turn.
+    #[test]
+    fn in_flight_deadlines_expire_together() {
+        let deadline = Duration::from_millis(100);
+        // Accept-only peers: connections land in the backlog, no reply
+        // ever comes.
+        let silent: Vec<std::net::TcpListener> = (0..3)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let mut ts: Vec<MuxTransport> = silent
+            .iter()
+            .map(|l| MuxTransport::connect_with_deadline(l.local_addr().unwrap(), deadline))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let (failures, replies, took) = timed_dispatch(&mut ts);
+        assert_eq!(replies, 0);
+        assert_eq!(failures.len(), 3);
+        assert!(failures.iter().all(|(_, e)| *e == NetError::Timeout));
+        assert!(
+            took >= deadline && took < deadline * 2,
+            "three silent peers took {took:?} against {deadline:?}"
+        );
     }
 
     #[test]

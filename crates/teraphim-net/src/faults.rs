@@ -450,6 +450,7 @@ mod tests {
             TicketState::Deferred(_) => Handed::Deferred,
             TicketState::Mux(_) => Handed::InFlight,
             TicketState::Failed(_) => Handed::Failed,
+            TicketState::Group(_) => unreachable!("no group in these rows"),
         }
     }
 

@@ -44,7 +44,6 @@ pub mod faults;
 pub mod message;
 pub mod mux;
 pub mod replica;
-pub mod retry;
 pub mod tcp;
 pub mod transport;
 pub mod wire;
@@ -53,8 +52,7 @@ pub use fanout::{dispatch, DispatchMode};
 pub use faults::{FaultAction, FaultPlan, FaultyTransport, SharedPlan};
 pub use message::Message;
 pub use mux::{MuxConnection, MuxPool, MuxTransport};
-pub use replica::{ReplicaGroup, RoutingTable};
-pub use retry::{RetryPolicy, RetryTransport};
+pub use replica::{ReplicaGroup, RetryPolicy, RoutingTable};
 pub use tcp::{ServerOptions, TcpOptions};
 pub use transport::{
     AtomicTrafficStats, InProcTransport, Service, Ticket, TrafficStats, Transport,
@@ -74,7 +72,7 @@ pub enum NetError {
     /// *permanent* failure, never retried.
     Remote(String),
     /// The peer answered [`Message::Unavailable`]: a *transient*
-    /// failure the retry layer may attempt again.
+    /// failure a [`ReplicaGroup`] may attempt again.
     Unavailable(String),
     /// The peer did not answer within the transport's deadline. The
     /// exchange may still complete on the peer's side; the caller

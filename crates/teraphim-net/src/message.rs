@@ -149,7 +149,7 @@ pub enum Message {
     /// Typed *transient* failure: the peer is up but temporarily unable
     /// to serve this request (overload, injected fault, resource
     /// contention). Transports surface it as [`NetError::Unavailable`],
-    /// which the retry layer treats as retryable — the typed complement
+    /// which a replica group treats as retryable — the typed complement
     /// of the permanent [`Message::Error`].
     Unavailable {
         /// Human-readable reason.

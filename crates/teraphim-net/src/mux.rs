@@ -11,14 +11,16 @@
 //! * a **reactor thread per connection** blocks on the socket, reads
 //!   reply frames as they arrive — in any order — and routes each to
 //!   the waiting exchange over a per-request channel;
-//! * [`MuxTransport`] implements [`Transport`], so fan-out, retry,
-//!   fault-injection and the receptionist compose with it unchanged;
-//!   many transports (one per in-flight query session) share one pool.
+//! * [`MuxTransport`] implements [`Transport`], so fan-out, replica
+//!   groups, fault injection and the receptionist compose with it
+//!   unchanged; many transports (one per in-flight query session) share
+//!   one pool.
 //!
 //! No async runtime is involved: completion is channel-based, deadlines
-//! are `recv_timeout` waits. A timed-out exchange deregisters its
-//! correlation id, so a late reply is discarded by the reactor instead
-//! of being mistaken for the answer to the next request on the stream.
+//! are `recv_timeout` waits for what is left of the time since the
+//! send. A timed-out exchange deregisters its correlation id, so a late
+//! reply is discarded by the reactor instead of being mistaken for the
+//! answer to the next request on the stream.
 
 use crate::message::Message;
 use crate::tcp::{connect_stream, map_timeout_frame_error, TcpOptions};
@@ -32,7 +34,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
 
 /// A demultiplexed reply: the inner message payload plus any
@@ -120,13 +122,15 @@ impl MuxConnection {
     }
 
     /// Sends one encoded message under a fresh correlation id,
-    /// returning the ticket that will receive the reply. A span
-    /// context, when given, rides in the envelope and asks the server
-    /// for its phase timings on the reply.
+    /// returning the ticket that will receive the reply — within
+    /// `deadline` of now, when one is given. A span context, when
+    /// given, rides in the envelope and asks the server for its phase
+    /// timings on the reply.
     fn send(
         self: &Arc<Self>,
         encoded: &[u8],
         span: Option<&SpanContext>,
+        deadline: Option<Duration>,
     ) -> Result<MuxTicket, NetError> {
         if self.shared.dead.load(Ordering::SeqCst) {
             return Err(NetError::Disconnected);
@@ -152,6 +156,7 @@ impl MuxConnection {
             corr,
             rx,
             sent: encoded.len() as u64,
+            expires: deadline.map(|d| Instant::now() + d),
         })
     }
 
@@ -226,6 +231,9 @@ pub struct MuxTicket {
     corr: u64,
     rx: mpsc::Receiver<ReplyResult>,
     sent: u64,
+    /// When the reply stops being waited for: the send plus the
+    /// handle's deadline. Only a deadlined handle reads the clock.
+    expires: Option<Instant>,
 }
 
 impl MuxTicket {
@@ -233,12 +241,16 @@ impl MuxTicket {
         self.sent
     }
 
-    /// Waits for the reply (bounded by `deadline` when set). On
-    /// success the connection's shared traffic counters record the
-    /// exchange.
-    pub(crate) fn wait(self, deadline: Option<Duration>) -> ReplyResult {
-        let outcome = match deadline {
-            Some(d) => match self.rx.recv_timeout(d) {
+    /// Waits for the reply, until the ticket expires if it does: a
+    /// ticket finished after its deadline has passed only takes a reply
+    /// that is already there. On success the connection's shared
+    /// traffic counters record the exchange.
+    pub(crate) fn wait(self) -> ReplyResult {
+        let outcome = match self.expires {
+            Some(at) => match self
+                .rx
+                .recv_timeout(at.saturating_duration_since(Instant::now()))
+            {
                 Ok(r) => r,
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     // Deregister so the late reply is dropped, then
@@ -407,7 +419,8 @@ impl MuxTransport {
         self
     }
 
-    /// Bounds every reply wait by `deadline`.
+    /// Bounds every exchange by `deadline`, counted from its send — so
+    /// tickets finished one after another still expire together.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
@@ -452,7 +465,11 @@ impl Transport for MuxTransport {
         // read.
         let span = (self.trace.is_enabled() && !request.is_admin())
             .then(|| SpanContext::sampled(self.trace.current_trace_id(), self.librarian));
-        match self.pool.pick().send(&encoded, span.as_ref()) {
+        match self
+            .pool
+            .pick()
+            .send(&encoded, span.as_ref(), self.deadline)
+        {
             Ok(ticket) => Ticket(TicketState::Mux(ticket)),
             Err(e) => Ticket(TicketState::Failed(e)),
         }
@@ -462,7 +479,7 @@ impl Transport for MuxTransport {
         match ticket.0 {
             TicketState::Mux(ticket) => {
                 let sent = ticket.sent_bytes();
-                match ticket.wait(self.deadline) {
+                match ticket.wait() {
                     Ok(reply) => {
                         // Only completed exchanges count, and only
                         // payload bytes (the envelope is framing
@@ -488,6 +505,9 @@ impl Transport for MuxTransport {
             }
             TicketState::Deferred(request) => self.request(&request),
             TicketState::Failed(e) => Err(e),
+            TicketState::Group(_) => {
+                Err(NetError::Corrupt("ticket finished on a foreign transport"))
+            }
         }
     }
 
@@ -504,10 +524,9 @@ impl Transport for MuxTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::{RetryPolicy, RetryTransport};
+    use crate::replica::{ReplicaGroup, RetryPolicy};
     use crate::tcp::{ServerOptions, TcpServer};
     use crate::transport::Service;
-    use std::time::Instant;
 
     struct Echo;
 
@@ -702,8 +721,8 @@ mod tests {
     #[test]
     fn retry_composes_over_mux() {
         // Server-side: the first request is answered Unavailable on the
-        // wire; the retry decorator re-issues over the same multiplexed
-        // pool.
+        // wire; a retrying one-replica group re-issues over the same
+        // multiplexed pool.
         let mut first = true;
         let refuse_once = move |request: Message| {
             if std::mem::take(&mut first) {
@@ -716,13 +735,10 @@ mod tests {
         };
         let server = TcpServer::spawn(refuse_once, "127.0.0.1:0").unwrap();
         let inner = MuxTransport::connect(server.addr()).unwrap();
-        let mut t = RetryTransport::new(
-            inner,
-            RetryPolicy {
-                max_retries: 2,
-                backoff: Duration::ZERO,
-            },
-        );
+        let mut t = ReplicaGroup::new(0, vec![(0, inner)]).with_retries(RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::ZERO,
+        });
         let resp = t.request(&rank(5)).unwrap();
         assert!(matches!(resp, Message::RankResponse { query_id: 5, .. }));
         assert_eq!(t.retries_used(), 1);

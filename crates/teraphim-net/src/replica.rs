@@ -8,10 +8,18 @@
 //! ordinary [`Transport`] trait: requests go to the *preferred* replica
 //! and fail over to the next live replica on a transient error
 //! ([`crate::NetError::is_transient`]), recording a
-//! [`EventKind::Failover`] trace event per reroute. Only when every
-//! replica has failed does the group surface an error — at which point
-//! the receptionist's degraded-coverage policy takes over, exactly as
-//! for a single dead librarian.
+//! [`EventKind::Failover`] trace event per reroute. A [`RetryPolicy`]
+//! lets a group go round its replicas again after a backoff — the one
+//! place the crate re-issues a request; a one-replica group with a
+//! policy is a plain retrying transport. Only when every round has
+//! failed does the group surface an error — at which point the
+//! receptionist's degraded-coverage policy takes over, exactly as for a
+//! single dead librarian.
+//!
+//! A group forwards [`Transport::begin`]/[`Transport::finish`]: the
+//! first attempt goes out on the preferred replica at `begin`, so a
+//! fleet of groups over multiplexed connections fans out without a
+//! thread per shard; recovery, if it is needed, runs at `finish`.
 //!
 //! Membership is live: replicas [`ReplicaGroup::add_replica`] (join) and
 //! [`ReplicaGroup::remove_replica`] (leave) while queries are in flight,
@@ -21,11 +29,56 @@
 //! serializes as [`Message::RoutingReply`] so fleets can gossip it.
 
 use crate::message::Message;
-use crate::transport::{TrafficStats, Transport};
+use crate::transport::{Ticket, TicketState, TrafficStats, Transport};
 use crate::NetError;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
+use std::time::Duration;
 use teraphim_obs::{EventKind, TraceSink};
+
+/// How many more rounds over its replicas a [`ReplicaGroup`] runs after
+/// every replica failed transiently, and how long it waits before each.
+/// All exchanges in the protocol are idempotent reads, so re-sending a
+/// request whose fate is unknown (a timeout the peer may have served)
+/// is always safe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Rounds *after* the first — `max_retries = 2` means at most 3
+    /// attempts per replica.
+    pub max_retries: u32,
+    /// Backoff before the first retry; doubles on each subsequent one.
+    pub backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    /// Two retries with a 5 ms initial backoff — enough to ride out a
+    /// momentary stall without tripling the latency of a real outage.
+    fn default() -> Self {
+        RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::from_millis(5),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// No retries: the first round's failure surfaces.
+    pub fn none() -> Self {
+        RetryPolicy {
+            max_retries: 0,
+            backoff: Duration::ZERO,
+        }
+    }
+
+    /// The pause before retry number `retry` (1-based): exponential,
+    /// `backoff * 2^(retry-1)`.
+    pub fn backoff_before(&self, retry: u32) -> Duration {
+        if retry == 0 || self.backoff.is_zero() {
+            return Duration::ZERO;
+        }
+        self.backoff.saturating_mul(1u32 << (retry - 1).min(16))
+    }
+}
 
 /// A versioned shard→replica routing table shared by one fleet.
 ///
@@ -131,6 +184,14 @@ impl RoutingTable {
 /// A failover-aware bundle of content-identical replicas for one shard,
 /// itself a [`Transport`].
 ///
+/// A request is tried in rounds: the preferred replica, then the others
+/// in membership order, wrapping. A transient error moves on to the
+/// next replica ([`EventKind::Failover`]); a permanent one returns at
+/// once, since every replica would repeat it. When a whole round has
+/// failed and the [`RetryPolicy`] allows another, the group records
+/// [`EventKind::Retry`], backs off, and starts again from the preferred
+/// replica.
+///
 /// Cloning shares the group: the scenario harness and the receptionist
 /// hold the same membership, so a replica added by an operator is
 /// immediately routable by in-flight queries. Statistics are the *sum*
@@ -164,9 +225,85 @@ struct GroupInner<T: Transport> {
     last_timings: Option<teraphim_obs::ServerTimings>,
     trace: TraceSink,
     table: Option<RoutingTable>,
+    policy: RetryPolicy,
+    /// Rounds started after the first, summed over all requests.
+    retries_used: u64,
+}
+
+/// What a group's `begin` hands to its `finish`: the replica's own
+/// ticket, which replica it is, and the request, kept for a re-issue.
+#[derive(Debug)]
+pub(crate) struct GroupTicket {
+    pub(crate) inner: Ticket,
+    replica: u32,
+    request: Message,
 }
 
 impl<T: Transport> GroupInner<T> {
+    fn position(&self, id: u32) -> Option<usize> {
+        self.replicas.iter().position(|(rid, _)| *rid == id)
+    }
+
+    /// Settles an exchange whose first attempt — on replica `id`, at
+    /// position `at` (`None`: it left the group since) — ended in
+    /// `outcome`: the rest of that round, then further rounds as the
+    /// policy allows, each attempt a blocking exchange.
+    fn recover(
+        &mut self,
+        request: &Message,
+        mut id: u32,
+        mut at: Option<usize>,
+        mut outcome: Result<Message, NetError>,
+    ) -> Result<Message, NetError> {
+        // The position tried next (modulo the membership) and how many
+        // replicas are left to try in this round.
+        let mut next = at.map_or(self.preferred, |pos| pos + 1);
+        let mut left = self.replicas.len() - usize::from(at.is_some());
+        let mut round = 0;
+        loop {
+            let another_round = round < self.policy.max_retries && !self.replicas.is_empty();
+            let error = match outcome {
+                Err(e) if e.is_transient() && (left > 0 || another_round) => e,
+                // A success, a permanent error — every replica holds the
+                // same index, so each would repeat it — or the last round
+                // spent.
+                settled => {
+                    let replica = at.map(|pos| &self.replicas[pos].1);
+                    self.last = replica.map_or((0, 0), |t| t.last_exchange());
+                    self.last_timings = replica
+                        .filter(|_| settled.is_ok())
+                        .and_then(|t| t.last_server_timings());
+                    return settled;
+                }
+            };
+            if left == 0 {
+                round += 1;
+                self.retries_used += 1;
+                if self.trace.is_enabled() {
+                    self.trace.record(EventKind::Retry {
+                        librarian: self.shard,
+                        attempt: round,
+                        error: error.kind(),
+                    });
+                }
+                std::thread::sleep(self.policy.backoff_before(round));
+                (next, left) = (self.preferred, self.replicas.len());
+            } else if self.trace.is_enabled() {
+                let event = EventKind::Failover {
+                    librarian: self.shard,
+                    from: id,
+                    to: self.replicas[next % self.replicas.len()].0,
+                    error: error.kind(),
+                };
+                self.trace.record(event);
+            }
+            let pos = next % self.replicas.len();
+            (next, left) = (pos + 1, left - 1);
+            (id, at) = (self.replicas[pos].0, Some(pos));
+            outcome = self.replicas[pos].1.request(request);
+        }
+    }
+
     fn publish(&self) -> u64 {
         match &self.table {
             Some(table) => table.publish(
@@ -194,8 +331,26 @@ impl<T: Transport> ReplicaGroup<T> {
                 last_timings: None,
                 trace: TraceSink::disabled(),
                 table: None,
+                policy: RetryPolicy::none(),
+                retries_used: 0,
             })),
         }
+    }
+
+    /// Sets how many more rounds over the replicas a request gets after
+    /// a round in which every replica failed transiently (the default is
+    /// [`RetryPolicy::none`]: one round).
+    #[must_use]
+    pub fn with_retries(self, policy: RetryPolicy) -> Self {
+        self.lock().policy = policy;
+        self
+    }
+
+    /// Rounds started after the first, summed over every request the
+    /// group has served.
+    #[must_use]
+    pub fn retries_used(&self) -> u64 {
+        self.lock().retries_used
     }
 
     /// Attaches a trace sink: failovers and membership changes record
@@ -283,7 +438,7 @@ impl<T: Transport> ReplicaGroup<T> {
     /// is promoted. Returns `false` if `id` is not a member.
     pub fn remove_replica(&self, id: u32) -> bool {
         let mut g = self.lock();
-        let Some(pos) = g.replicas.iter().position(|(rid, _)| *rid == id) else {
+        let Some(pos) = g.position(id) else {
             return false;
         };
         let (_, transport) = g.replicas.remove(pos);
@@ -310,7 +465,7 @@ impl<T: Transport> ReplicaGroup<T> {
     /// not a member (membership and version are then untouched).
     pub fn promote(&self, id: u32) -> bool {
         let mut g = self.lock();
-        let Some(pos) = g.replicas.iter().position(|(rid, _)| *rid == id) else {
+        let Some(pos) = g.position(id) else {
             return false;
         };
         if pos != g.preferred {
@@ -351,51 +506,46 @@ impl<T: Transport> ReplicaGroup<T> {
 
 impl<T: Transport> Transport for ReplicaGroup<T> {
     fn request(&mut self, request: &Message) -> Result<Message, NetError> {
+        let ticket = self.begin(request);
+        self.finish(ticket)
+    }
+
+    /// Begins on the preferred replica — on the wire, if that replica
+    /// pipelines.
+    fn begin(&mut self, request: &Message) -> Ticket {
         let mut g = self.lock();
-        if g.replicas.is_empty() {
-            return Err(NetError::Unavailable("no live replicas for shard".into()));
-        }
-        // Attempt order: preferred first, then the rest in membership
-        // order, wrapping — deterministic for any fixed membership.
-        let n = g.replicas.len();
-        let order: Vec<usize> = (0..n).map(|i| (g.preferred + i) % n).collect();
-        let mut last_err = None;
-        for (attempt, &pos) in order.iter().enumerate() {
-            let id = g.replicas[pos].0;
-            match g.replicas[pos].1.request(request) {
-                Ok(response) => {
-                    g.last = g.replicas[pos].1.last_exchange();
-                    g.last_timings = g.replicas[pos].1.last_server_timings();
-                    return Ok(response);
-                }
-                Err(e) => {
-                    let transient = e.is_transient();
-                    if transient && attempt + 1 < n {
-                        let next = g.replicas[order[attempt + 1]].0;
-                        if g.trace.is_enabled() {
-                            let event = EventKind::Failover {
-                                librarian: g.shard,
-                                from: id,
-                                to: next,
-                                error: e.kind(),
-                            };
-                            g.trace.record(event);
-                        }
-                        last_err = Some(e);
-                        continue;
-                    }
-                    // Permanent errors are deterministic — every replica
-                    // holds the same index, so rerouting would repeat
-                    // the identical failure.
-                    g.last = g.replicas[pos].1.last_exchange();
-                    g.last_timings = None;
-                    return Err(e);
-                }
-            }
-        }
-        g.last = (0, 0);
-        g.last_timings = None;
-        Err(last_err.unwrap_or(NetError::Disconnected))
+        let preferred = g.preferred;
+        let Some((id, replica)) = g.replicas.get_mut(preferred) else {
+            return Ticket::failed(NetError::Unavailable("no live replicas for shard".into()));
+        };
+        Ticket(TicketState::Group(Box::new(GroupTicket {
+            inner: replica.begin(request),
+            replica: *id,
+            request: request.clone(),
+        })))
+    }
+
+    /// Finishes the first attempt on the replica it was begun on, then
+    /// recovers as [`ReplicaGroup`] describes. A replica that left the
+    /// group since `begin` counts as a transient
+    /// [`NetError::Disconnected`].
+    fn finish(&mut self, ticket: Ticket) -> Result<Message, NetError> {
+        let GroupTicket {
+            inner,
+            replica,
+            request,
+        } = match ticket.0 {
+            TicketState::Group(ticket) => *ticket,
+            TicketState::Failed(e) => return Err(e),
+            _ => return Err(NetError::Corrupt("ticket finished on a foreign transport")),
+        };
+        let mut g = self.lock();
+        let at = g.position(replica);
+        let outcome = match at {
+            Some(pos) => g.replicas[pos].1.finish(inner),
+            None => Err(NetError::Disconnected),
+        };
+        g.recover(&request, replica, at, outcome)
     }
 
     fn stats(&self) -> TrafficStats {
@@ -425,19 +575,25 @@ impl<T: Transport> Transport for ReplicaGroup<T> {
     fn last_server_timings(&self) -> Option<teraphim_obs::ServerTimings> {
         self.lock().last_timings
     }
-    // `begin`/`finish` use the deferred default: `dispatch` sees that
-    // nothing went out at `begin` and runs each group's exchange — with
-    // full failover semantics — on a scoped worker, so a fleet of groups
-    // still fans out in parallel, at a thread per group per fan-out.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultPlan, FaultyTransport};
+    use crate::mux::MuxTransport;
+    use crate::tcp::TcpServer;
     use crate::transport::InProcTransport;
+    use std::time::Instant;
 
     fn flaky(dead: bool) -> InProcTransport<impl FnMut(Message) -> Message + Send> {
-        InProcTransport::new(move |req: Message| {
+        InProcTransport::new(stats_service(dead))
+    }
+
+    /// Answers `Stats`; anything else is a permanent error. A dead one
+    /// answers everything `Unavailable`.
+    fn stats_service(dead: bool) -> impl FnMut(Message) -> Message + Send + 'static {
+        move |req: Message| {
             if dead {
                 return Message::Unavailable {
                     message: "down".into(),
@@ -460,7 +616,181 @@ mod tests {
                     message: "unsupported".into(),
                 },
             }
+        }
+    }
+
+    /// A one-replica group over a healthy replica behind `plan`.
+    fn retrying(
+        plan: FaultPlan,
+        max_retries: u32,
+    ) -> ReplicaGroup<FaultyTransport<InProcTransport<impl FnMut(Message) -> Message + Send>>> {
+        let replica = FaultyTransport::new(flaky(false), plan);
+        ReplicaGroup::new(0, vec![(0, replica)]).with_retries(RetryPolicy {
+            max_retries,
+            backoff: Duration::ZERO,
         })
+    }
+
+    #[test]
+    fn a_transient_failure_is_retried_to_success() {
+        let mut group = retrying(FaultPlan::new().fail_nth(0).fail_nth(1), 2);
+        assert!(group.request(&Message::Stats).is_ok());
+        assert_eq!(group.retries_used(), 2);
+    }
+
+    #[test]
+    fn spent_retries_surface_the_last_error() {
+        let mut group = retrying(FaultPlan::new().fail_from(0), 2);
+        let err = group.request(&Message::Stats).unwrap_err();
+        assert!(matches!(err, NetError::Unavailable(_)));
+        // max_retries + 1 attempts in all.
+        assert_eq!(group.with_preferred(|t| t.attempts()), Some(3));
+        assert_eq!(group.retries_used(), 2);
+    }
+
+    #[test]
+    fn permanent_errors_are_never_retried() {
+        let mut group = retrying(FaultPlan::new(), 2);
+        let err = group.request(&Message::IndexRequest).unwrap_err();
+        assert_eq!(err, NetError::Remote("unsupported".into()));
+        assert_eq!(group.retries_used(), 0);
+        // The default policy is one round.
+        let mut once = ReplicaGroup::new(0, vec![(0, flaky(true))]);
+        assert!(once.request(&Message::Stats).is_err());
+        assert_eq!((once.retries_used(), once.stats().round_trips), (0, 1));
+    }
+
+    #[test]
+    fn backoff_schedule_is_exponential_and_slept() {
+        let p = RetryPolicy {
+            max_retries: 2,
+            backoff: Duration::from_millis(10),
+        };
+        assert_eq!(p.backoff_before(0), Duration::ZERO);
+        assert_eq!(p.backoff_before(1), Duration::from_millis(10));
+        assert_eq!(p.backoff_before(2), Duration::from_millis(20));
+        assert_eq!(p.backoff_before(3), Duration::from_millis(40));
+        let mut group = ReplicaGroup::new(0, vec![(0, flaky(true))]).with_retries(p);
+        let started = Instant::now();
+        assert!(group.request(&Message::Stats).is_err());
+        assert!(started.elapsed() >= Duration::from_millis(30));
+    }
+
+    /// A round is every replica once; the next starts again from the
+    /// preferred one, after a `retry` event.
+    #[test]
+    fn a_retry_is_one_more_round_over_the_replicas() {
+        let sink = TraceSink::new();
+        let once = || FaultyTransport::new(flaky(false), FaultPlan::new().fail_nth(0));
+        let mut group = ReplicaGroup::new(2, vec![(7, once()), (9, once())])
+            .with_retries(RetryPolicy {
+                max_retries: 1,
+                backoff: Duration::ZERO,
+            })
+            .with_trace(sink.clone());
+        sink.record(EventKind::Begin {
+            op: "probe",
+            methodology: None,
+            query_id: 0,
+            k: 0,
+        });
+        assert!(group.request(&Message::Stats).is_ok());
+        sink.record(EventKind::End);
+        let events: Vec<EventKind> = sink.take_traces()[0]
+            .events
+            .iter()
+            .map(|e| e.kind.clone())
+            .filter(|kind| !matches!(kind, EventKind::Begin { .. } | EventKind::End))
+            .collect();
+        let failover = EventKind::Failover {
+            librarian: 2,
+            from: 7,
+            to: 9,
+            error: "unavailable",
+        };
+        let retry = EventKind::Retry {
+            librarian: 2,
+            attempt: 1,
+            error: "unavailable",
+        };
+        assert_eq!(events, [failover, retry]);
+        // Replica 7 answered the second round; 9 was not asked again.
+        assert_eq!(group.with_preferred(|t| t.attempts()), Some(2));
+        assert!(group.promote(9));
+        assert_eq!(group.with_preferred(|t| t.attempts()), Some(1));
+        assert_eq!(group.stats().round_trips, 1);
+    }
+
+    /// The replica an exchange was begun on leaves before it is
+    /// finished: the exchange fails over to the survivor, and the
+    /// group's counters only grow.
+    #[test]
+    fn a_replica_removed_mid_flight_fails_over_to_the_survivor() {
+        let servers: Vec<TcpServer> = (0..2)
+            .map(|_| TcpServer::spawn(stats_service(false), "127.0.0.1:0").unwrap())
+            .collect();
+        let members = servers
+            .iter()
+            .zip([0, 43])
+            .map(|(s, id)| (id, MuxTransport::connect(s.addr()).unwrap()))
+            .collect();
+        let sink = TraceSink::new();
+        let mut group = ReplicaGroup::new(0, members).with_trace(sink.clone());
+        group.request(&Message::Stats).unwrap();
+        let pool = group.with_preferred(|t| t.pool()).unwrap();
+        let before = group.stats();
+
+        sink.record(EventKind::Begin {
+            op: "probe",
+            methodology: None,
+            query_id: 0,
+            k: 0,
+        });
+        let ticket = group.begin(&Message::Stats);
+        assert!(group.clone().remove_replica(0));
+        assert!(group.stats().round_trips >= before.round_trips);
+        assert!(matches!(
+            group.finish(ticket),
+            Ok(Message::StatsReply { .. })
+        ));
+        sink.record(EventKind::End);
+        let failover = EventKind::Failover {
+            librarian: 0,
+            from: 0,
+            to: 43,
+            error: "disconnected",
+        };
+        assert!(sink.take_traces()[0]
+            .events
+            .iter()
+            .any(|e| e.kind == failover));
+        assert_eq!(group.stats().round_trips, before.round_trips + 1);
+        assert_eq!(pool.in_flight(), 0, "the abandoned exchange deregistered");
+        for server in servers {
+            server.shutdown();
+        }
+    }
+
+    /// A ticket dropped unfinished leaves nothing behind: the group's
+    /// next exchange is its own, and the pool drains.
+    #[test]
+    fn a_dropped_group_ticket_leaves_the_group_usable() {
+        let server = TcpServer::spawn(stats_service(false), "127.0.0.1:0").unwrap();
+        let mux = MuxTransport::connect(server.addr()).unwrap();
+        let pool = mux.pool();
+        let mut group = ReplicaGroup::new(0, vec![(0, mux)]);
+        drop(group.begin(&Message::Stats));
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while pool.in_flight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(pool.in_flight(), 0);
+        assert!(matches!(
+            group.request(&Message::Stats),
+            Ok(Message::StatsReply { .. })
+        ));
+        assert_eq!(group.stats().round_trips, 1);
+        server.shutdown();
     }
 
     #[test]

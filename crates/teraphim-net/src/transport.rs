@@ -192,20 +192,38 @@ impl Ticket {
     pub fn failed(error: NetError) -> Ticket {
         Ticket(TicketState::Failed(error))
     }
+
+    /// True when finishing the ticket is a whole blocking exchange —
+    /// nothing is in flight to wait for — so [`crate::fanout::dispatch`]
+    /// gives it a worker when others can overlap with it. A group's
+    /// ticket is deferred when its replica's ticket is, or when that
+    /// one failed at `begin`: its `finish` is then the recovery.
+    pub(crate) fn is_deferred(&self) -> bool {
+        match &self.0 {
+            TicketState::Deferred(_) => true,
+            TicketState::Group(group) => {
+                matches!(group.inner.0, TicketState::Failed(_)) || group.inner.is_deferred()
+            }
+            TicketState::Failed(_) | TicketState::Mux(_) => false,
+        }
+    }
 }
 
 #[derive(Debug)]
 pub(crate) enum TicketState {
     /// Nothing has gone out yet: `finish` runs the full blocking
-    /// exchange. Every transport gets this fallback for free;
+    /// exchange. Every transport gets this fallback for free — today
+    /// [`InProcTransport`] is the only one that relies on it;
     /// [`crate::fanout::dispatch`] runs such a ticket on a scoped
-    /// worker, so transports without true pipelining still overlap.
+    /// worker, so in-process fleets still overlap.
     Deferred(Message),
     /// `begin` itself failed; `finish` surfaces the error.
     Failed(NetError),
     /// Sent over a multiplexed connection; the connection's reactor
     /// thread completes it ([`crate::mux`]).
     Mux(crate::mux::MuxTicket),
+    /// Begun by a [`crate::ReplicaGroup`] on one of its replicas.
+    Group(Box<crate::replica::GroupTicket>),
 }
 
 /// A synchronous request/response channel to one librarian.
@@ -231,9 +249,11 @@ pub trait Transport: Send {
 
     /// Issues `request` without waiting for the reply. Pipelining
     /// transports (the multiplexed TCP path) put the request on the
-    /// wire here; the default implementation defers the whole exchange
-    /// to [`Transport::finish`], preserving `request`'s exact semantics
-    /// for every existing transport and decorator.
+    /// wire here, and the decorators (fault injection, replica groups)
+    /// forward it to the transport they wrap; the default implementation
+    /// defers the whole exchange to [`Transport::finish`], preserving
+    /// `request`'s exact semantics for a transport that cannot pipeline
+    /// (in-process).
     fn begin(&mut self, request: &Message) -> Ticket {
         Ticket(TicketState::Deferred(request.clone()))
     }
@@ -252,7 +272,9 @@ pub trait Transport: Send {
         match ticket.0 {
             TicketState::Deferred(request) => self.request(&request),
             TicketState::Failed(e) => Err(e),
-            TicketState::Mux(_) => Err(NetError::Corrupt("ticket finished on a foreign transport")),
+            TicketState::Mux(_) | TicketState::Group(_) => {
+                Err(NetError::Corrupt("ticket finished on a foreign transport"))
+            }
         }
     }
 
@@ -296,15 +318,7 @@ pub struct InProcTransport<S: Service> {
 impl<S: Service> InProcTransport<S> {
     /// Wraps a service.
     pub fn new(service: S) -> Self {
-        InProcTransport {
-            service: Arc::new(Mutex::new(service)),
-            stats: TrafficStats::default(),
-            last: (0, 0),
-            last_timings: None,
-            deadline: None,
-            trace: TraceSink::disabled(),
-            librarian: 0,
-        }
+        Self::from_shared(Arc::new(Mutex::new(service)))
     }
 
     /// Wraps an already-shared service (several receptionists talking to

@@ -114,11 +114,12 @@ pub enum EventKind {
         /// Librarian index.
         librarian: u32,
     },
-    /// `RetryTransport` is about to retry after a transient error.
+    /// A replica group is about to start another round over its
+    /// replicas: every replica failed transiently in the last one.
     Retry {
-        /// Librarian index.
+        /// Librarian (shard) index.
         librarian: u32,
-        /// 1-based retry attempt number.
+        /// 1-based number of the round about to start after the first.
         attempt: u32,
         /// Error kind that triggered the retry (see `NetError::kind`).
         error: &'static str,

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::net::{
-    FaultPlan, FaultyTransport, InProcTransport, Message, NetError, RetryPolicy, RetryTransport,
+    FaultPlan, FaultyTransport, InProcTransport, Message, NetError, ReplicaGroup, RetryPolicy,
     Service, Transport,
 };
 use teraphim::text::Analyzer;
@@ -139,8 +139,8 @@ fn corrupt_index_bytes_fail_ci_setup() {
 #[test]
 fn timeout_then_retry_succeeds() {
     // The librarian is slow on its first request, past the transport
-    // deadline, and times out; the retry layer classifies Timeout as
-    // transient and the second attempt succeeds.
+    // deadline, and times out; a retrying one-replica group classifies
+    // Timeout as transient and the second attempt succeeds.
     let mut lib = Librarian::from_texts("A", &[("A-1", "cats and dogs")]);
     let mut first = true;
     let slow_once = move |request: Message| {
@@ -150,13 +150,10 @@ fn timeout_then_retry_succeeds() {
         lib.handle(request)
     };
     let transport = InProcTransport::new(slow_once).with_deadline(Duration::from_millis(30));
-    let mut t = RetryTransport::new(
-        transport,
-        RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-        },
-    );
+    let mut t = ReplicaGroup::new(0, vec![(0, transport)]).with_retries(RetryPolicy {
+        max_retries: 2,
+        backoff: Duration::from_millis(1),
+    });
     let response = t
         .request(&Message::RankRequest {
             query_id: 1,
@@ -172,18 +169,15 @@ fn timeout_then_retry_succeeds() {
 fn retries_exhausted_surfaces_the_final_error() {
     let lib = Librarian::from_texts("A", &[("A-1", "cats")]);
     let faulty = FaultyTransport::new(InProcTransport::new(lib), FaultPlan::new().fail_from(0));
-    let mut t = RetryTransport::new(
-        faulty,
-        RetryPolicy {
-            max_retries: 2,
-            backoff: Duration::from_millis(1),
-        },
-    );
+    let mut t = ReplicaGroup::new(0, vec![(0, faulty)]).with_retries(RetryPolicy {
+        max_retries: 2,
+        backoff: Duration::from_millis(1),
+    });
     let err = t.request(&Message::StatsRequest).unwrap_err();
     assert!(matches!(err, NetError::Unavailable(_)));
     assert_eq!(t.retries_used(), 2);
     // max_retries + 1 total attempts, all consumed by the plan.
-    assert_eq!(t.inner().attempts(), 3);
+    assert_eq!(t.with_preferred(|replica| replica.attempts()), Some(3));
 }
 
 #[test]

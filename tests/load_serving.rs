@@ -15,7 +15,7 @@ use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::mux::{MuxPool, MuxTransport};
 use teraphim::net::tcp::{ServerOptions, TcpServer};
 use teraphim::net::{
-    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, RetryPolicy, RetryTransport,
+    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, ReplicaGroup, RetryPolicy,
     TcpOptions,
 };
 use teraphim::obs::{MetricsRegistry, TraceSink};
@@ -274,13 +274,11 @@ fn mux_faults_and_retries_match_the_inproc_oracle() {
             .iter()
             .enumerate()
             .map(|(i, (name, docs))| {
-                RetryTransport::new(
-                    FaultyTransport::new(
-                        InProcTransport::new(Librarian::from_texts(name, docs)),
-                        plans(i),
-                    ),
-                    policy,
-                )
+                let faulty = FaultyTransport::new(
+                    InProcTransport::new(Librarian::from_texts(name, docs)),
+                    plans(i),
+                );
+                ReplicaGroup::new(i as u32, vec![(0, faulty)]).with_retries(policy)
             })
             .collect::<Vec<_>>(),
         Analyzer::default(),
@@ -303,10 +301,9 @@ fn mux_faults_and_retries_match_the_inproc_oracle() {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                RetryTransport::new(
-                    FaultyTransport::new(MuxTransport::connect(s.addr()).unwrap(), plans(i)),
-                    policy,
-                )
+                let faulty =
+                    FaultyTransport::new(MuxTransport::connect(s.addr()).unwrap(), plans(i));
+                ReplicaGroup::new(i as u32, vec![(0, faulty)]).with_retries(policy)
             })
             .collect::<Vec<_>>(),
         Analyzer::default(),
@@ -371,10 +368,8 @@ fn silent_librarian_times_out_over_mux_and_degrades() {
         backoff: Duration::ZERO,
     };
     let connect = |addr: std::net::SocketAddr| {
-        RetryTransport::new(
-            MuxTransport::connect(addr).unwrap().with_deadline(deadline),
-            policy,
-        )
+        let mux = MuxTransport::connect(addr).unwrap().with_deadline(deadline);
+        ReplicaGroup::new(0, vec![(0, mux)]).with_retries(policy)
     };
     let mut r = Receptionist::new(
         vec![

@@ -4,7 +4,7 @@
 use teraphim::core::{CiParams, DistributedCollection, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::tcp::TcpServer;
-use teraphim::net::{InProcTransport, MuxTransport, RetryPolicy, RetryTransport};
+use teraphim::net::{InProcTransport, MuxTransport, ReplicaGroup, RetryPolicy};
 use teraphim::obs::{diff_json, EventKind, TraceSink};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
@@ -114,13 +114,12 @@ fn silent_librarian_degrades_within_the_deadline() {
         backoff: Duration::ZERO,
     };
     let connect = |addr: std::net::SocketAddr, lib: u32| {
-        RetryTransport::new(
-            MuxTransport::connect_with_deadline(addr, deadline)
-                .unwrap()
-                .with_trace(sink.clone(), lib),
-            policy,
-        )
-        .with_trace(sink.clone(), lib)
+        let mux = MuxTransport::connect_with_deadline(addr, deadline)
+            .unwrap()
+            .with_trace(sink.clone(), lib);
+        ReplicaGroup::new(lib, vec![(lib, mux)])
+            .with_retries(policy)
+            .with_trace(sink.clone())
     };
     let transports = vec![
         connect(servers[0].addr(), 0),

@@ -18,8 +18,8 @@ use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::{
-    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport, RetryPolicy,
-    RetryTransport,
+    DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup,
+    RetryPolicy,
 };
 use teraphim::obs::{diff_json, EventKind, Phase, QueryTrace, SpanTree, TraceSink};
 use teraphim::simnet::{CostModel, Topology};
@@ -462,7 +462,7 @@ fn four_librarians() -> Vec<Librarian> {
     ]
 }
 
-type FaultyStack = RetryTransport<FaultyTransport<InProcTransport<Librarian>>>;
+type FaultyStack = ReplicaGroup<FaultyTransport<InProcTransport<Librarian>>>;
 
 /// One shared sink wired through the receptionist *and* the transport
 /// decorators, with a transport-layer `fail_nth(0)` on librarian 2 so
@@ -480,14 +480,12 @@ fn traced_faulty_receptionist(mode: DispatchMode) -> (Receptionist<FaultyStack>,
             };
             let faulty = FaultyTransport::new(InProcTransport::new(service), plan)
                 .with_trace(sink.clone(), lib as u32);
-            RetryTransport::new(
-                faulty,
-                RetryPolicy {
+            ReplicaGroup::new(lib as u32, vec![(lib as u32, faulty)])
+                .with_retries(RetryPolicy {
                     max_retries: 2,
                     backoff: Duration::ZERO,
-                },
-            )
-            .with_trace(sink.clone(), lib as u32)
+                })
+                .with_trace(sink.clone())
         })
         .collect();
     let mut r = Receptionist::new(transports, Analyzer::default());
