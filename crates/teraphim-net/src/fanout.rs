@@ -103,7 +103,8 @@ fn finish<T: Transport + ?Sized>(
 
 /// Finishes `tickets` on the calling thread, in order, until `settle`
 /// says stop; false means it did. Tickets left over at a stop
-/// deregister on drop, and their replies are discarded by the reactors.
+/// free their reply slots on drop, and their replies are discarded when
+/// read.
 fn finish_here<'t, T: Transport + 't>(
     trace: &TraceSink,
     tickets: impl IntoIterator<Item = (usize, &'t mut T, Ticket)>,

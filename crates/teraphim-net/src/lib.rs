@@ -15,8 +15,8 @@
 //! * [`mux`] over [`tcp`] — real TCP with length-prefixed frames (the
 //!   LAN configuration, runnable on loopback): persistent multiplexed
 //!   connections whose correlation-id envelopes let hundreds of
-//!   in-flight requests pipeline on one socket, demultiplexed by a
-//!   per-connection reactor thread, served by a bounded worker pool;
+//!   in-flight requests pipeline on one socket, demultiplexed by the
+//!   waiting exchanges themselves, served by a bounded worker pool;
 //! * traffic accounting ([`transport::TrafficStats`]) that the
 //!   simulation driver feeds into `teraphim-simnet` to cost the WAN;
 //! * [`fanout`] — the receptionist's batch dispatch path: every request

@@ -7,20 +7,21 @@
 //! over them:
 //!
 //! * each request goes out in an envelope ([`crate::wire::envelope`])
-//!   carrying a connection-unique correlation id;
-//! * a **reactor thread per connection** blocks on the socket, reads
-//!   reply frames as they arrive — in any order — and routes each to
-//!   the waiting exchange over a per-request channel;
+//!   carrying a connection-unique correlation id, which names its
+//!   **reply slot** in the connection's one state table;
+//! * no thread watches the socket: the exchange that needs a reply
+//!   reads it, files every other reply (in any order) in its slot and
+//!   wakes exactly that slot's waiter; the others park meanwhile;
 //! * [`MuxTransport`] implements [`Transport`], so fan-out, replica
 //!   groups, fault injection and the receptionist compose with it
 //!   unchanged; many transports (one per in-flight query session) share
 //!   one pool.
 //!
-//! No async runtime is involved: completion is channel-based, deadlines
-//! are `recv_timeout` waits for what is left of the time since the
-//! send. A timed-out exchange deregisters its correlation id, so a late
-//! reply is discarded by the reactor instead of being mistaken for the
-//! answer to the next request on the stream.
+//! No async runtime is involved. A deadline, counted from the send,
+//! bounds the reader's socket read or the parked waiter's sleep. A
+//! finished or abandoned ticket frees its slot, so a late reply is
+//! discarded instead of being mistaken for the answer to the next
+//! request on the stream.
 
 use crate::message::Message;
 use crate::tcp::{connect_stream, map_timeout_frame_error, TcpOptions};
@@ -30,10 +31,10 @@ use crate::transport::{
 use crate::wire::{envelope, split_envelope, write_frame, FrameReader};
 use crate::NetError;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
 
@@ -47,53 +48,90 @@ pub(crate) struct MuxReply {
 
 type ReplyResult = Result<MuxReply, NetError>;
 
-/// State shared between a connection's users and its reactor thread.
+/// Where one exchange's reply lands.
 #[derive(Debug)]
-struct MuxShared {
-    /// Waiting exchanges by correlation id. The reactor removes an
-    /// entry when it routes the reply; a timed-out waiter removes its
-    /// own so the late reply is dropped.
-    pending: Mutex<HashMap<u64, mpsc::Sender<ReplyResult>>>,
-    /// Set when the reactor exits; new sends fail fast.
-    dead: AtomicBool,
+enum Slot {
+    /// No reply yet; the thread to unpark when it comes, if one parked.
+    Waiting(Option<Thread>),
+    Ready(ReplyResult),
 }
 
-impl MuxShared {
-    /// Marks the connection dead and fails every waiting exchange.
-    fn poison(&self) {
-        self.dead.store(true, Ordering::SeqCst);
-        let waiters: Vec<_> = self
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain()
-            .collect();
-        for (_, tx) in waiters {
-            let _ = tx.send(Err(NetError::Disconnected));
+/// A connection's one state table, under one lock.
+#[derive(Debug)]
+struct MuxState {
+    /// Reply slots by correlation id, from send to finish or drop.
+    slots: HashMap<u64, Slot>,
+    /// The reply stream, while no exchange is reading through it.
+    frames: Option<FrameReader<TcpStream>>,
+}
+
+impl MuxState {
+    /// Files a reply in its slot and wakes the slot's waiter. A reply
+    /// whose ticket is gone (timed out or abandoned) is dropped, and so
+    /// is one for a slot that already has its reply.
+    fn file(&mut self, corr: u64, reply: ReplyResult) {
+        if let Some(slot @ Slot::Waiting(_)) = self.slots.get_mut(&corr) {
+            if let Slot::Waiting(Some(waiter)) = std::mem::replace(slot, Slot::Ready(reply)) {
+                waiter.unpark();
+            }
         }
+    }
+
+    /// Takes the slot's reply once it has one.
+    fn take_ready(&mut self, corr: u64) -> Option<ReplyResult> {
+        if let Some(Slot::Waiting(_)) = self.slots.get(&corr) {
+            return None;
+        }
+        match self.slots.remove(&corr) {
+            Some(Slot::Ready(reply)) => Some(reply),
+            _ => Some(Err(NetError::Disconnected)),
+        }
+    }
+
+    /// Sets the thread a slot's reply must unpark; `None` once it is
+    /// awake, so that it is not chosen to take the reader over.
+    fn set_waiter(&mut self, corr: u64, waiter: Option<Thread>) {
+        if let Some(Slot::Waiting(slot)) = self.slots.get_mut(&corr) {
+            *slot = waiter;
+        }
+    }
+
+    /// Wakes one parked waiter, to read through the free reader.
+    fn wake_one(&mut self) {
+        let parked = self.slots.values_mut().find_map(|slot| match slot {
+            Slot::Waiting(waiter) => waiter.take(),
+            Slot::Ready(_) => None,
+        });
+        if let Some(waiter) = parked {
+            waiter.unpark();
+        }
+    }
+
+    /// Returns the reader. No waiter stays parked while the reader is
+    /// free: one is woken to take it over.
+    fn give_back(&mut self, frames: FrameReader<TcpStream>) {
+        self.frames = Some(frames);
+        self.wake_one();
     }
 }
 
 /// One long-lived connection to a librarian, shared by many concurrent
-/// exchanges. Writes are serialized by a lock; reads are demultiplexed
-/// by the reactor thread. Dropping the last handle shuts the socket
-/// down and joins the reactor.
+/// exchanges, which take turns to read it. It owns no thread.
 #[derive(Debug)]
 pub struct MuxConnection {
-    shared: Arc<MuxShared>,
+    state: Mutex<MuxState>,
+    /// Set when the connection is found dead; new sends fail fast.
+    dead: AtomicBool,
     writer: Mutex<TcpStream>,
-    /// Kept solely to shut the socket down on drop, unblocking the
-    /// reactor's read.
+    /// Sets the socket's read timeout and mode; shuts it down on death.
     stream: TcpStream,
     next_corr: AtomicU64,
     traffic: AtomicTrafficStats,
-    reactor: Option<JoinHandle<()>>,
 }
 
 impl MuxConnection {
-    /// Connects and starts the reactor. The socket has no read timeout:
-    /// the reactor must block indefinitely between replies —
-    /// per-exchange deadlines are enforced on the waiting side.
+    /// Connects. The socket has no read timeout between exchanges: an
+    /// exchange with a deadline sets one while it reads.
     ///
     /// # Errors
     ///
@@ -101,23 +139,16 @@ impl MuxConnection {
     /// `options.connect_timeout`, [`NetError::Io`] on other failures.
     pub fn connect(addr: impl ToSocketAddrs, options: TcpOptions) -> Result<Arc<Self>, NetError> {
         let stream = connect_stream(addr, options)?;
-        let frames = FrameReader::new(stream.try_clone()?);
-        let writer = stream.try_clone()?;
-        let shared = Arc::new(MuxShared {
-            pending: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-        });
-        let reactor_shared = Arc::clone(&shared);
-        let reactor = std::thread::Builder::new()
-            .name("teraphim-mux".into())
-            .spawn(move || reactor_loop(frames, &reactor_shared))?;
         Ok(Arc::new(MuxConnection {
-            shared,
-            writer: Mutex::new(writer),
+            state: Mutex::new(MuxState {
+                slots: HashMap::new(),
+                frames: Some(FrameReader::new(stream.try_clone()?)),
+            }),
+            dead: AtomicBool::new(false),
+            writer: Mutex::new(stream.try_clone()?),
             stream,
             next_corr: AtomicU64::new(0),
             traffic: AtomicTrafficStats::new(),
-            reactor: Some(reactor),
         }))
     }
 
@@ -132,40 +163,31 @@ impl MuxConnection {
         span: Option<&SpanContext>,
         deadline: Option<Duration>,
     ) -> Result<MuxTicket, NetError> {
-        if self.shared.dead.load(Ordering::SeqCst) {
+        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        let mut state = self.state();
+        if self.is_dead() {
             return Err(NetError::Disconnected);
         }
-        let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(corr, tx);
+        state.slots.insert(corr, Slot::Waiting(None));
+        drop(state);
         let framed = envelope(corr, span, None, encoded);
         let write_result = {
             let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
             write_frame(&mut *w, &framed)
         };
-        if let Err(e) = write_result {
-            self.deregister(corr);
-            return Err(map_timeout_frame_error(e));
-        }
-        Ok(MuxTicket {
+        // Dropped on a failed write, the ticket frees its slot.
+        let ticket = MuxTicket {
             conn: Arc::clone(self),
             corr,
-            rx,
             sent: encoded.len() as u64,
             expires: deadline.map(|d| Instant::now() + d),
-        })
+        };
+        write_result.map_err(map_timeout_frame_error)?;
+        Ok(ticket)
     }
 
-    fn deregister(&self, corr: u64) {
-        self.shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&corr);
+    fn state(&self) -> MutexGuard<'_, MuxState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Payload traffic completed over this connection (all users).
@@ -173,63 +195,100 @@ impl MuxConnection {
         self.traffic.snapshot()
     }
 
-    /// Exchanges currently awaiting their reply.
+    /// Exchanges sent and not yet finished or abandoned.
     pub fn in_flight(&self) -> usize {
-        self.shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.state().slots.len()
     }
 
-    /// Whether the reactor has observed the connection die.
+    /// Whether the connection has been found dead.
     pub fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::SeqCst)
+        self.dead.load(Ordering::SeqCst)
     }
-}
 
-impl Drop for MuxConnection {
-    fn drop(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(handle) = self.reactor.take() {
-            let _ = handle.join();
+    /// Marks the connection dead, shuts its socket down so that any
+    /// later read ends at once, and fails every waiting exchange.
+    fn poison(&self) {
+        let mut state = self.state();
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let corrs: Vec<u64> = state.slots.keys().copied().collect();
+        for corr in corrs {
+            state.file(corr, Err(NetError::Disconnected));
         }
     }
-}
 
-/// Blocks on the socket, routing each reply to its waiting exchange.
-/// Exits — poisoning the connection — on EOF, I/O failure, or a
-/// protocol breach (a frame that is not an envelope, which is also how
-/// a server refuses a peer it cannot understand).
-fn reactor_loop(mut frames: FrameReader<TcpStream>, shared: &MuxShared) {
-    while let Ok(true) = frames.advance() {
-        let Ok(env) = split_envelope(frames.frame()) else {
-            break;
-        };
-        let tx = shared
-            .pending
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&env.corr);
-        // An unknown id is a late reply whose waiter timed out and
-        // deregistered: discard it.
-        if let Some(tx) = tx {
-            let _ = tx.send(Ok(MuxReply {
+    /// The one read loop: files each reply in its slot until `until`'s
+    /// is among them or a read runs out of time (after `timeout`, or at
+    /// once on a nonblocking socket). EOF, a read failure or a frame that
+    /// is not an envelope (which is also how a server refuses a peer it
+    /// cannot understand) kills the connection.
+    fn read_replies(
+        &self,
+        frames: &mut FrameReader<TcpStream>,
+        until: Option<u64>,
+        timeout: Option<Duration>,
+    ) {
+        if timeout.is_some() && self.stream.set_read_timeout(timeout).is_err() {
+            return self.poison();
+        }
+        loop {
+            match frames.advance().map_err(map_timeout_frame_error) {
+                Ok(true) => {}
+                Err(NetError::Timeout) => break,
+                Ok(false) | Err(_) => return self.poison(),
+            }
+            let Ok(env) = split_envelope(frames.frame()) else {
+                return self.poison();
+            };
+            let reply = MuxReply {
                 payload: env.message.to_vec(),
                 timings: env.timings,
-            }));
+            };
+            self.state().file(env.corr, Ok(reply));
+            if until == Some(env.corr) {
+                break;
+            }
+        }
+        if timeout.is_some() && self.stream.set_read_timeout(None).is_err() {
+            self.poison();
         }
     }
-    shared.poison();
+
+    /// If nobody is reading, reads what has already arrived without
+    /// blocking, stopping at `until`'s reply if given. The writer shares
+    /// the socket's mode, so its lock is held throughout; it is taken
+    /// first, so a drain held up by a write keeps nobody from reading.
+    fn drain(&self, until: Option<u64>) {
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(mut frames) = self.state().frames.take() else {
+            return;
+        };
+        if self.stream.set_nonblocking(true).is_ok() {
+            self.read_replies(&mut frames, until, None);
+        }
+        if self.stream.set_nonblocking(false).is_err() {
+            self.poison();
+        }
+        self.state().give_back(frames);
+    }
+
+    /// Whether the connection is live, after draining what has arrived
+    /// (late replies, or the peer's hang-up) if no slot is outstanding.
+    /// A busy connection is left to its waiters, who read and see any end.
+    fn probe(&self) -> bool {
+        if !self.is_dead() && self.state().slots.is_empty() {
+            self.drain(None);
+        }
+        !self.is_dead()
+    }
 }
 
 /// An in-flight correlated exchange. Dropping it (without waiting)
-/// deregisters the id so the reactor discards the eventual reply.
+/// frees its slot, so the eventual reply is discarded when read.
 #[derive(Debug)]
 pub struct MuxTicket {
     conn: Arc<MuxConnection>,
     corr: u64,
-    rx: mpsc::Receiver<ReplyResult>,
     sent: u64,
     /// When the reply stops being waited for: the send plus the
     /// handle's deadline. Only a deadlined handle reads the clock.
@@ -241,38 +300,57 @@ impl MuxTicket {
         self.sent
     }
 
-    /// Waits for the reply, until the ticket expires if it does: a
-    /// ticket finished after its deadline has passed only takes a reply
-    /// that is already there. On success the connection's shared
-    /// traffic counters record the exchange.
+    /// Waits for the reply — reading through the reader while it is
+    /// free, else parked until the reply is filed or the reader handed
+    /// over — until the ticket expires, if it does: an expired ticket
+    /// only takes a reply already there, in its slot or in the socket.
+    /// On success the connection's traffic counters record the exchange.
     pub(crate) fn wait(self) -> ReplyResult {
-        let outcome = match self.expires {
-            Some(at) => match self
-                .rx
-                .recv_timeout(at.saturating_duration_since(Instant::now()))
-            {
-                Ok(r) => r,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Deregister so the late reply is dropped, then
-                    // settle the race where the reactor routed it while
-                    // we were timing out.
-                    self.conn.deregister(self.corr);
-                    match self.rx.try_recv() {
-                        Ok(r) => r,
-                        Err(_) => return Err(NetError::Timeout),
-                    }
+        let conn = &*self.conn;
+        let mut state = conn.state();
+        // Whether this waiter was woken, perhaps to take the reader over.
+        let mut woken = false;
+        let outcome = loop {
+            if let Some(reply) = state.take_ready(self.corr) {
+                if woken && state.frames.is_some() {
+                    state.wake_one();
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-            },
-            None => match self.rx.recv() {
-                Ok(r) => r,
-                Err(_) => Err(NetError::Disconnected),
-            },
+                break reply;
+            }
+            let remaining = self
+                .expires
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            if remaining == Some(Duration::ZERO) {
+                if state.frames.is_some() {
+                    drop(state);
+                    conn.drain(Some(self.corr));
+                    state = conn.state();
+                }
+                break state
+                    .take_ready(self.corr)
+                    .unwrap_or(Err(NetError::Timeout));
+            }
+            if let Some(mut frames) = state.frames.take() {
+                drop(state);
+                conn.read_replies(&mut frames, Some(self.corr), remaining);
+                state = conn.state();
+                state.give_back(frames);
+                woken = false;
+                continue;
+            }
+            state.set_waiter(self.corr, Some(std::thread::current()));
+            drop(state);
+            match remaining {
+                Some(d) => std::thread::park_timeout(d),
+                None => std::thread::park(),
+            }
+            state = conn.state();
+            state.set_waiter(self.corr, None);
+            woken = true;
         };
+        drop(state);
         if let Ok(reply) = &outcome {
-            self.conn
-                .traffic
-                .record(self.sent, reply.payload.len() as u64);
+            conn.traffic.record(self.sent, reply.payload.len() as u64);
         }
         outcome
     }
@@ -280,9 +358,8 @@ impl MuxTicket {
 
 impl Drop for MuxTicket {
     fn drop(&mut self) {
-        // Harmless if the exchange completed (the id is already gone);
-        // essential if the ticket was abandoned mid-flight.
-        self.conn.deregister(self.corr);
+        // A no-op after `wait`; frees an abandoned ticket's slot.
+        self.conn.state().slots.remove(&self.corr);
     }
 }
 
@@ -318,15 +395,15 @@ impl MuxPool {
         }))
     }
 
-    /// The next live connection in round-robin order. A dead one is
-    /// returned only when every connection is dead, so that the error
-    /// still surfaces.
+    /// The next live connection ([`MuxConnection::probe`]) in round-robin
+    /// order. A dead one is returned only when every connection is dead,
+    /// so that the error still surfaces.
     fn pick(&self) -> &Arc<MuxConnection> {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let n = self.conns.len();
         (0..n)
             .map(|step| &self.conns[start.wrapping_add(step) % n])
-            .find(|conn| !conn.is_dead())
+            .find(|conn| conn.probe())
             .unwrap_or(&self.conns[start % n])
     }
 
@@ -527,6 +604,7 @@ mod tests {
     use crate::replica::{ReplicaGroup, RetryPolicy};
     use crate::tcp::{ServerOptions, TcpServer};
     use crate::transport::Service;
+    use std::sync::Barrier;
 
     struct Echo;
 
@@ -761,8 +839,8 @@ mod tests {
         let mut t = MuxTransport::new(Arc::clone(&pool));
         let ticket = t.begin(&rank(1));
         drop(ticket);
-        // The reply arrives, the reactor discards it, and the pending
-        // table drains back to empty.
+        // The ticket frees its slot, so the slot table is empty again
+        // and the reply is discarded whenever it is read.
         let deadline = Instant::now() + Duration::from_secs(2);
         while pool.in_flight() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -781,9 +859,12 @@ mod tests {
         // second answers every request.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let closed = Arc::new(Barrier::new(2));
+        let peer_closed = Arc::clone(&closed);
         let peer = std::thread::spawn(move || {
             drop(listener.accept().unwrap());
             let (mut stream, _) = listener.accept().unwrap();
+            peer_closed.wait();
             let mut frames = FrameReader::new(stream.try_clone().unwrap());
             while let Ok(true) = frames.advance() {
                 let env = split_envelope(frames.frame()).unwrap();
@@ -792,18 +873,116 @@ mod tests {
             }
         });
         let pool = MuxPool::connect(addr, 2, TcpOptions::default()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !pool.conns[0].is_dead() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(pool.conns[0].is_dead(), "reactor saw the close");
+        // The peer has closed the first connection. Nothing has read
+        // it since: picking it is what finds the close.
+        closed.wait();
         let mut t = MuxTransport::new(Arc::clone(&pool));
         for i in 0..6 {
             let resp = t.request(&rank(i)).unwrap();
             assert!(matches!(resp, Message::RankResponse { query_id, .. } if query_id == i));
         }
+        assert!(pool.conns[0].is_dead(), "the pick saw the close");
         assert_eq!(pool.per_connection_traffic()[1].round_trips, 6);
         drop((t, pool));
         peer.join().unwrap();
+    }
+
+    /// A ticket finished after its deadline takes a reply that is
+    /// already in the socket, though no thread has read it yet.
+    #[test]
+    fn a_reply_in_the_socket_beats_an_expired_deadline() {
+        let server = TcpServer::spawn(Echo, "127.0.0.1:0").unwrap();
+        let mut t = MuxTransport::connect(server.addr())
+            .unwrap()
+            .with_deadline(Duration::from_millis(20));
+        let ticket = t.begin(&rank(4));
+        std::thread::sleep(Duration::from_millis(150));
+        let resp = t.finish(ticket).unwrap();
+        assert!(matches!(resp, Message::RankResponse { query_id: 4, .. }));
+        server.shutdown();
+    }
+
+    /// 64 threads over two connections: pipelined tickets finished out
+    /// of order, a third of the handles deadlined, some tickets dropped
+    /// unfinished. Every reply reaches its own exchange, the slots
+    /// drain, and a lost wake-up fails the bound instead of hanging. The
+    /// deadlines outlast the bound, so no timed wake-up hides a lost one.
+    #[test]
+    fn many_waiters_share_two_connections() {
+        // Up to 0.3 ms a request, so replies trickle in one at a time.
+        let jitter = |request: Message| {
+            if let Message::RankRequest { query_id, .. } = request {
+                std::thread::sleep(Duration::from_micros(u64::from(query_id % 7) * 50));
+            }
+            Echo.handle(request)
+        };
+        let server = TcpServer::spawn_with(
+            vec![jitter, jitter],
+            "127.0.0.1:0",
+            ServerOptions {
+                workers: 2,
+                queue_depth: 256,
+            },
+        )
+        .unwrap();
+        let pool = MuxPool::connect(server.addr(), 2, TcpOptions::default()).unwrap();
+        let workers: Vec<_> = (0..64u32)
+            .map(|worker| {
+                let mut t = MuxTransport::new(Arc::clone(&pool));
+                if worker % 3 == 0 {
+                    t.set_deadline(Some(Duration::from_secs(120)));
+                }
+                std::thread::spawn(move || {
+                    // Threads end one by one: a lost wake-up strands a
+                    // waiter once too few are left to read for it.
+                    for round in 0..4 + worker % 32 {
+                        let ids = (0..3).map(|i| worker * 1000 + round * 10 + i);
+                        let mut tickets: Vec<_> = ids.map(|id| (id, t.begin(&rank(id)))).collect();
+                        if (worker + round) % 4 == 0 {
+                            tickets.remove(1);
+                        }
+                        for (id, ticket) in tickets.into_iter().rev() {
+                            let resp = t.finish(ticket).unwrap();
+                            assert!(
+                                matches!(resp, Message::RankResponse { query_id, .. } if query_id == id),
+                                "reply routed to the wrong exchange"
+                            );
+                        }
+                    }
+                })
+            })
+            .collect();
+        let bound = Instant::now() + Duration::from_secs(30);
+        while !workers.iter().all(|w| w.is_finished()) {
+            assert!(Instant::now() < bound, "a waiter was never woken");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(pool.in_flight(), 0);
+        server.shutdown();
+    }
+
+    /// A connection owns no thread: the exchanges that wait read it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn connecting_spawns_no_thread() {
+        // A listener that never accepts: the handshakes complete in its
+        // backlog, and no server thread starts either.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+        // Other tests start and end threads meanwhile, so one attempt
+        // over which the count holds is enough; connections that each
+        // owned a thread would raise it on every attempt.
+        let mut pools = Vec::new();
+        let steady = (0..20).any(|_| {
+            let before = threads();
+            pools.push(MuxPool::connect(addr, 2, TcpOptions::default()).unwrap());
+            threads() == before
+        });
+        assert!(steady, "every MuxPool::connect changed the thread count");
+        drop((pools, listener));
     }
 }

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 
 /// Socket configuration applied uniformly to every client connection:
 /// one knob each for connect and write, both optional. There is none
-/// for reads: a connection's reactor blocks between replies, and each
-/// exchange's wait is bounded on the waiting side
+/// for reads: an exchange that reads a connection blocks until its own
+/// reply, and only its deadline bounds that read
 /// ([`crate::mux::MuxTransport::with_deadline`]). `Nagle` is always
 /// disabled — the protocol's exchanges are small and latency-sensitive,
 /// so coalescing delay is never worth it.

@@ -219,8 +219,8 @@ pub(crate) enum TicketState {
     Deferred(Message),
     /// `begin` itself failed; `finish` surfaces the error.
     Failed(NetError),
-    /// Sent over a multiplexed connection; the connection's reactor
-    /// thread completes it ([`crate::mux`]).
+    /// Sent over a multiplexed connection; `finish` reads its reply or
+    /// takes it from its slot, filed by another exchange ([`crate::mux`]).
     Mux(crate::mux::MuxTicket),
     /// Begun by a [`crate::ReplicaGroup`] on one of its replicas.
     Group(Box<crate::replica::GroupTicket>),

@@ -358,7 +358,7 @@ fn silent_librarian_times_out_over_mux_and_degrades() {
         })
         .collect();
     // Connections land in the backlog, so connect succeeds but no
-    // reply ever comes back through the reactor.
+    // reply ever comes back for the waiting exchange to read.
     let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let silent_addr = silent.local_addr().unwrap();
 
