@@ -183,10 +183,11 @@ fn check(regimes: &[Regime]) -> Result<(), String> {
     for regime in regimes {
         let label = regime.label;
         let s = &regime.snapshot;
-        if s.queries != regime.queries as u64 {
+        if s.counts.queries() != regime.queries as u64 {
             return Err(format!(
                 "{label}: {} queries issued but the registry counted {}",
-                regime.queries, s.queries
+                regime.queries,
+                s.counts.queries()
             ));
         }
         if s.per_server_phase.len() != SERVER_PHASES.len() {

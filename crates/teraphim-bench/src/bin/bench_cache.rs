@@ -27,7 +27,7 @@ use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CacheConfig, CacheStats, Librarian, Methodology, Receptionist};
 use teraphim_corpus::zipf::Zipf;
 use teraphim_net::InProcTransport;
-use teraphim_obs::MetricsSnapshot;
+use teraphim_obs::{Count, MetricsSnapshot};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -179,24 +179,17 @@ fn check(reports: &[SkewReport]) -> Result<(), String> {
         return Err(format!("skew {}: zero doc-cache hits", steepest.skew));
     }
     for r in reports {
-        for (name, local) in [
+        // The registry's cache rows, in `CACHE_KINDS` order.
+        for (kind, (name, local)) in [
             ("results", r.stats.results),
             ("stats", r.stats.terms),
             ("docs", r.stats.docs),
-        ] {
-            let registry = r
-                .snapshot
-                .per_cache
-                .iter()
-                .find(|c| c.cache == name)
-                .ok_or_else(|| format!("registry has no {name:?} cache slot"))?;
-            if (
-                registry.hits,
-                registry.misses,
-                registry.stale,
-                registry.evictions,
-            ) != (local.hits, local.misses, local.stale, local.evictions)
-            {
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let registry = Count::cache(kind).map(|count| r.snapshot.counts.get(count));
+            if registry != [local.hits, local.misses, local.stale, local.evictions] {
                 return Err(format!(
                     "skew {}: registry {name} counters {registry:?} disagree with receptionist {local:?}",
                     r.skew

@@ -24,7 +24,7 @@ use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim_net::InProcTransport;
 use teraphim_obs::json::push_escaped;
-use teraphim_obs::{lint_prometheus, MetricsSnapshot};
+use teraphim_obs::{lint_prometheus, Count, MetricsSnapshot, CACHE_KINDS};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -84,12 +84,11 @@ fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeR
     ));
     out.push_str("  \"methodologies\": [\n");
     for (i, mode) in modes.iter().enumerate() {
-        let s = &mode.snapshot;
-        let latency = s.query_latency();
-        let traffic = s.traffic_totals();
+        let c = &mode.snapshot.counts;
+        let latency = mode.snapshot.query_latency();
         out.push_str("    {\n      \"code\": ");
         push_escaped(&mut out, mode.code);
-        out.push_str(&format!(",\n      \"queries\": {},\n", s.queries));
+        out.push_str(&format!(",\n      \"queries\": {},\n", c.queries()));
         out.push_str(&format!(
             "      \"latency_micros\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.1}}},\n",
             latency.p50(),
@@ -100,11 +99,16 @@ fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeR
         ));
         out.push_str(&format!(
             "      \"traffic\": {{\"round_trips\": {}, \"bytes_sent\": {}, \"bytes_received\": {}}},\n",
-            traffic.round_trips, traffic.bytes_sent, traffic.bytes_received
+            c.get(Count::SENT),
+            c.get(Count::BYTES_SENT),
+            c.get(Count::BYTES_RECEIVED)
         ));
         out.push_str(&format!(
             "      \"merged_entries\": {}, \"timeouts\": {}, \"failures\": {}, \"degraded_queries\": {}\n",
-            s.merged_entries, s.timeouts, s.lib_failures, s.degraded_queries
+            c.get(Count::MERGED_ENTRIES),
+            c.get(Count::TIMEOUTS),
+            c.get(Count::FAILURES),
+            c.get(Count::DEGRADED_QUERIES)
         ));
         out.push_str(if i + 1 == modes.len() {
             "    }\n"
@@ -121,31 +125,33 @@ fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeR
 fn check(modes: &[ModeReport]) -> Result<(), String> {
     for mode in modes {
         let s = &mode.snapshot;
+        let c = &s.counts;
         let code = mode.code;
-        if s.queries == 0 {
+        if c.queries() == 0 {
             return Err(format!("{code}: zero queries recorded"));
         }
-        if s.messages_sent == 0 || s.messages_received == 0 {
+        if c.get(Count::SENT) == 0 || c.get(Count::REPLIES) == 0 {
             return Err(format!("{code}: zero messages recorded"));
         }
-        if s.bytes_sent == 0 || s.bytes_received == 0 {
+        if c.get(Count::BYTES_SENT) == 0 || c.get(Count::BYTES_RECEIVED) == 0 {
             return Err(format!("{code}: zero bytes recorded"));
         }
         if s.query_latency().is_empty() {
             return Err(format!("{code}: empty query latency histogram"));
         }
-        if s.per_librarian.iter().all(|l| l.latency.is_empty()) {
+        if s.per_librarian.iter().all(|l| l.is_empty()) {
             return Err(format!("{code}: no per-librarian latency recorded"));
         }
         // This sweep runs cache-free receptionists: any cache event in
         // the registry means the trace plumbing is misattributing, or a
         // cache was silently enabled and the sweep no longer measures
         // the fleet round trips the trajectory file tracks.
-        for c in &s.per_cache {
-            if c.hits + c.misses + c.stale + c.evictions != 0 {
+        for (kind, cache) in CACHE_KINDS.iter().enumerate() {
+            let events = Count::cache(kind).map(|count| c.get(count));
+            if events.iter().sum::<u64>() != 0 {
                 return Err(format!(
-                    "{code}: uncached sweep recorded {:?} cache events ({c:?})",
-                    c.cache
+                    "{code}: uncached sweep recorded {cache:?} cache events \
+                     (hits, misses, stale, evictions: {events:?})"
                 ));
             }
         }
@@ -205,15 +211,15 @@ fn main() {
     ]);
     for mode in &modes {
         let latency = mode.snapshot.query_latency();
-        let traffic = mode.snapshot.traffic_totals();
+        let c = &mode.snapshot.counts;
         table.row([
             mode.code.to_string(),
-            mode.snapshot.queries.to_string(),
+            c.queries().to_string(),
             latency.p50().to_string(),
             latency.p99().to_string(),
-            traffic.round_trips.to_string(),
-            traffic.bytes_sent.to_string(),
-            traffic.bytes_received.to_string(),
+            c.get(Count::SENT).to_string(),
+            c.get(Count::BYTES_SENT).to_string(),
+            c.get(Count::BYTES_RECEIVED).to_string(),
         ]);
     }
     println!("{}", table.render());

@@ -6,7 +6,7 @@ use crate::commands::{load_collection, outln};
 use teraphim_core::{CacheConfig, CiParams, Methodology, Receptionist};
 use teraphim_eval::{Judgments, QueryEval, SetEval};
 use teraphim_net::MuxTransport;
-use teraphim_obs::Phase;
+use teraphim_obs::{Count, Counts, Phase};
 use teraphim_text::Analyzer;
 
 const HELP: &str = "\
@@ -243,7 +243,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         let latency = snapshot.query_latency();
         outln!(
             "metrics written:   {path} ({} queries, p50 {} us, p99 {} us)",
-            snapshot.queries,
+            snapshot.counts.queries(),
             latency.p50(),
             latency.p99()
         );
@@ -297,24 +297,23 @@ fn print_trace_summary(traces: &[teraphim_obs::QueryTrace], path: &str) -> Resul
         .count()
         .max(1) as u64;
     let mut phase_totals: Vec<(Phase, u64)> = Vec::new();
-    let mut messages = 0u64;
-    let mut bytes = 0u64;
-    let mut retries = 0u64;
-    let mut timeouts = 0u64;
     for trace in traces {
-        let m = trace.metrics();
-        for (phase, micros) in m.phase_micros {
+        for (phase, micros) in trace.metrics().phase_micros {
             if let Some(slot) = phase_totals.iter_mut().find(|(p, _)| *p == phase) {
                 slot.1 += micros;
             } else {
                 phase_totals.push((phase, micros));
             }
         }
-        messages += m.messages_sent + m.messages_received;
-        bytes += m.bytes_sent + m.bytes_received;
-        retries += m.retries;
-        timeouts += m.timeouts;
     }
+    let counts: Counts = traces
+        .iter()
+        .flat_map(|t| &t.events)
+        .map(|e| &e.kind)
+        .collect();
+    let messages = counts.get(Count::SENT) + counts.get(Count::REPLIES);
+    let bytes = counts.get(Count::BYTES_SENT) + counts.get(Count::BYTES_RECEIVED);
+    let (retries, timeouts) = (counts.get(Count::RETRIES), counts.get(Count::TIMEOUTS));
     outln!("traces written:    {} ({path})", traces.len());
     outln!("per-phase mean latency over {query_count} queries:");
     for (phase, total) in phase_totals {

@@ -13,7 +13,7 @@
 //! [`MetricsRegistry`]: teraphim_obs::MetricsRegistry
 
 use teraphim_net::{dispatch, DispatchMode, Message, NetError, Transport};
-use teraphim_obs::{HistogramSnapshot, LibrarianMetrics, TraceSink};
+use teraphim_obs::{Count, Counts, HistogramSnapshot, TraceSink};
 
 /// Health classification of one librarian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,21 +195,18 @@ impl HealthReport {
 
     /// Re-classifies rows against the *client-side* ledger: a librarian
     /// that answered its poll is still degraded if the receptionist has
-    /// watched it time out or drop out of fan-outs at or above the
-    /// policy threshold.
-    pub fn apply_client_observations(
-        &mut self,
-        observed: &[LibrarianMetrics],
-        policy: HealthPolicy,
-    ) {
+    /// watched it time out or drop out of fan-outs — failures plus
+    /// timeouts, over requests sent — at or above the policy threshold.
+    pub fn apply_client_observations(&mut self, observed: &Counts, policy: HealthPolicy) {
         for row in &mut self.librarians {
-            if row.state != HealthState::Up {
-                continue;
-            }
-            if let Some(m) = observed.iter().find(|m| m.librarian == row.librarian) {
-                if m.sent > 0 && m.error_rate() >= policy.degraded_error_rate {
-                    row.state = HealthState::Degraded;
-                }
+            let count = |count| observed.librarian(row.librarian as usize, count);
+            let sent = count(Count::SENT);
+            let errors = count(Count::FAILURES) + count(Count::TIMEOUTS);
+            if row.state == HealthState::Up
+                && sent > 0
+                && errors as f64 / sent as f64 >= policy.degraded_error_rate
+            {
+                row.state = HealthState::Degraded;
             }
         }
     }
@@ -333,19 +330,19 @@ mod tests {
         let mut report = HealthReport {
             librarians: vec![up_row(0, 10, 0), up_row(1, 10, 0)],
         };
-        let observed = vec![LibrarianMetrics {
-            librarian: 1,
-            sent: 10,
-            replies: 8,
-            bytes_sent: 100,
-            bytes_received: 80,
-            timeouts: 2,
-            retries: 2,
-            faults: 0,
-            failures: 0,
-            latency: HistogramSnapshot::empty(),
-        }];
-        report.apply_client_observations(&observed, HealthPolicy::default());
+        // Librarian 1: ten requests sent, two of them timed out.
+        let registry = teraphim_obs::MetricsRegistry::new();
+        for _ in 0..10 {
+            registry.observe(&teraphim_obs::EventKind::Sent {
+                librarian: 1,
+                bytes: 10,
+                message: "RankRequest",
+            });
+        }
+        for _ in 0..2 {
+            registry.observe(&teraphim_obs::EventKind::Timeout { librarian: 1 });
+        }
+        report.apply_client_observations(&registry.snapshot().counts, HealthPolicy::default());
         assert_eq!(report.librarians[0].state, HealthState::Up);
         assert_eq!(report.librarians[1].state, HealthState::Degraded);
         assert!(!report.all_up());

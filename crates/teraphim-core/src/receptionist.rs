@@ -384,7 +384,7 @@ impl<T: Transport> Receptionist<T> {
         let registry = self.trace.metrics();
         let mut report = health::poll_fleet(self.dispatch, &mut self.transports, policy);
         if let Some(registry) = registry {
-            report.apply_client_observations(&registry.snapshot().per_librarian, policy);
+            report.apply_client_observations(&registry.snapshot().counts, policy);
         }
         if let Some(cache) = self.cache.as_mut() {
             // Fold the poll into the cache's invalidation inputs: any

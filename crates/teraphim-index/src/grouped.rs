@@ -95,6 +95,11 @@ impl GroupedIndex {
                 let global_term = mapping[local_term as usize] as usize;
                 for posting in ix.postings(local_term).iter() {
                     let posting = posting?;
+                    // A posting past the part's documents would land in
+                    // another part's group, or in none.
+                    if u64::from(posting.doc) >= ix.num_docs() {
+                        return Err(IndexError::Corrupt("posting beyond its part's documents"));
+                    }
                     let group = offset + posting.doc / group_size;
                     *per_term[global_term].entry(group).or_insert(0) += posting.f_dt;
                 }

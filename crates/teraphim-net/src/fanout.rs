@@ -243,7 +243,7 @@ mod tests {
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
-    use teraphim_obs::ServerTimings;
+    use teraphim_obs::{Count, ServerTimings};
 
     /// Echoes rank requests after an optional artificial delay.
     struct SlowEcho {
@@ -460,15 +460,17 @@ mod tests {
         // Traced bytes are the transport's own counters, for every
         // exchange that ran (a dropped ticket was `sent` but never ran).
         let wire_len = rank_request(0).wire_len() as u64;
-        for row in traces[0].normalized().per_librarian_traffic() {
-            let stats = spent[row.librarian as usize];
+        let counts = traces[0].metrics().counts;
+        for (lib, stats) in spent.iter().enumerate() {
             if stats.round_trips == 0 {
                 continue;
             }
-            assert_eq!(row.bytes_sent, stats.bytes_sent, "{case}");
-            if row.librarian != 2 || failure != Failure::Transport {
-                assert_eq!(row.bytes_sent, wire_len, "{case}");
-                assert_eq!(row.bytes_received, stats.bytes_received, "{case}");
+            let bytes_sent = counts.librarian(lib, Count::BYTES_SENT);
+            assert_eq!(bytes_sent, stats.bytes_sent, "{case}");
+            if lib != 2 || failure != Failure::Transport {
+                assert_eq!(bytes_sent, wire_len, "{case}");
+                let bytes_received = counts.librarian(lib, Count::BYTES_RECEIVED);
+                assert_eq!(bytes_received, stats.bytes_received, "{case}");
             }
         }
     }

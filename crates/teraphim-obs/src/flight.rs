@@ -236,36 +236,6 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Renders the recorder's own counters in Prometheus exposition
-    /// format (validated by
-    /// [`lint_prometheus`](crate::lint_prometheus)).
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        counter(
-            "teraphim_flightrec_recorded_total",
-            "Span trees offered to the flight recorder.",
-            self.recorded(),
-        );
-        counter(
-            "teraphim_flightrec_dropped_total",
-            "Span trees rejected by tail-based retention.",
-            self.dropped(),
-        );
-        counter(
-            "teraphim_flightrec_retained",
-            "Span trees currently retained as exemplars.",
-            self.len() as u64,
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -362,15 +332,6 @@ mod tests {
             line.starts_with(r#"{"exemplar":{"trace_id":10,"op":"A\"B\\C","query_id":10,"#),
             "{line}"
         );
-    }
-
-    #[test]
-    fn prometheus_rendering_passes_the_lint() {
-        let rec = FlightRecorder::new(2);
-        rec.retain(entry(10, false, false));
-        let text = rec.render_prometheus();
-        assert!(crate::lint_prometheus(&text).is_ok(), "{text}");
-        assert!(text.contains("teraphim_flightrec_recorded_total 1"));
     }
 
     #[test]

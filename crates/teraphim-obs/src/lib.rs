@@ -24,15 +24,20 @@
 //!   drained with [`TraceSink::take_traces`]; [`QueryTrace::normalized`] makes traces
 //!   deterministic for golden-fixture comparison, and
 //!   [`QueryTrace::metrics`] rolls a trace up into per-phase durations and
-//!   traffic counters.
+//!   its [`Counts`].
 //! * [`traces_to_json`] / [`diff_json`] — a stable line-oriented JSON
 //!   encoding (no serde) and the structural diff used by the golden tests.
+//! * [`Count`] / [`Counts`] — the counter catalogue: every event-derived
+//!   count is one row (its Prometheus family, labels and help), mapped
+//!   from events by one function; [`Counts`] holds them — fleet-wide,
+//!   plus one row per librarian — for a registry snapshot, a trace and a
+//!   batch of traces alike.
 //! * [`MetricsRegistry`] / [`MetricsSnapshot`] — rolling fleet metrics
-//!   (atomic counters and log-bucketed latency [`Histogram`]s, per
-//!   librarian and per methodology) that a sink tees into via
-//!   [`TraceSink::tee_metrics`], so everything that traces also meters;
-//!   [`MetricsSnapshot::render_prometheus`] exposes a snapshot in the
-//!   Prometheus text format.
+//!   (the catalogue's counts as atomics, and log-bucketed latency
+//!   [`Histogram`]s per librarian, methodology and phase) that a sink
+//!   tees into via [`TraceSink::tee_metrics`], so everything that traces
+//!   also meters; [`MetricsSnapshot::render_prometheus`] exposes a
+//!   snapshot in the Prometheus text format.
 //! * [`SpanContext`] / [`ServerTimings`] / [`SpanTree`] — distributed
 //!   spans: the compact context a request carries across the wire, the
 //!   per-phase server-side timings piggybacked on replies, and the
@@ -55,13 +60,11 @@ pub use event::{EventKind, LibCandidates, Phase, TraceEvent};
 pub use flight::{FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use json::{diff_json, traces_to_json};
 pub use metrics::{
-    lint_prometheus, CacheMetrics, Histogram, HistogramSnapshot, LibrarianMetrics,
-    MethodologyMetrics, MetricsRegistry, MetricsSnapshot, TrafficTotals, CACHE_KINDS,
+    lint_prometheus, Count, Counts, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    CACHE_KINDS,
 };
 pub use sink::TraceSink;
 pub use span::{
     server_phase_index, ServerTimings, Span, SpanContext, SpanTree, SERVER_PHASES, SPAN_SAMPLED,
 };
-pub use trace::{
-    trace_traffic_sums, LibTraffic, QueryTrace, TraceMetrics, TraceTrafficSums, NORMALIZED_DRIVER,
-};
+pub use trace::{QueryTrace, TraceMetrics, NORMALIZED_DRIVER};

@@ -28,8 +28,9 @@
 //! [`TraceSink`]: crate::TraceSink
 
 use crate::event::{EventKind, Phase};
-use crate::span::{server_phase_index, SERVER_PHASES};
+use crate::span::SERVER_PHASES;
 use crate::trace::{Closed, QueryTrace};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -178,7 +179,8 @@ impl HistogramSnapshot {
     /// Rebuilds a snapshot from sparse `(bucket, count)` pairs — the
     /// wire form used by `Message::StatsReply`. Bucket bounds stand in
     /// for the lost exact `min`/`max`/`sum`, so quantiles keep their
-    /// usual at-most-one-bucket error.
+    /// usual at-most-one-bucket error. Counts come off the wire, so
+    /// they saturate rather than overflow.
     #[must_use]
     pub fn from_bucket_pairs(pairs: &[(u32, u64)]) -> Self {
         let mut snap = HistogramSnapshot::empty();
@@ -186,8 +188,8 @@ impl HistogramSnapshot {
             let Some(slot) = snap.buckets.get_mut(bucket as usize) else {
                 continue;
             };
-            *slot += count;
-            snap.count += count;
+            *slot = slot.saturating_add(count);
+            snap.count = snap.count.saturating_add(count);
         }
         for (i, &c) in snap.buckets.iter().enumerate() {
             if c > 0 {
@@ -244,7 +246,7 @@ impl HistogramSnapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_upper_bound(i).clamp(self.min, self.max);
             }
@@ -278,11 +280,11 @@ impl HistogramSnapshot {
             .iter_mut()
             .zip(self.buckets.iter().zip(&other.buckets))
         {
-            *out = a + b;
+            *out = a.saturating_add(*b);
         }
         HistogramSnapshot {
             buckets,
-            count: self.count + other.count,
+            count: self.count.saturating_add(other.count),
             // The live histogram's atomic sum wraps on overflow, so the
             // merge must wrap identically to stay associative.
             sum: self.sum.wrapping_add(other.sum),
@@ -298,34 +300,343 @@ impl Default for HistogramSnapshot {
     }
 }
 
-/// Per-librarian atomic slots.
+/// An event-derived count: a row of the counter catalogue.
+///
+/// The first eight rows (requests through failures) are kept per
+/// librarian, in the row of the fan-out librarian index the event
+/// names; their fleet totals are sums over those rows. Every other
+/// count is kept fleet-wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Count(usize);
+
+impl Count {
+    /// Requests sent.
+    pub const SENT: Count = Count(0);
+    /// Replies received.
+    pub const REPLIES: Count = Count(1);
+    /// Request payload bytes.
+    pub const BYTES_SENT: Count = Count(2);
+    /// Reply payload bytes.
+    pub const BYTES_RECEIVED: Count = Count(3);
+    /// Transport timeouts.
+    pub const TIMEOUTS: Count = Count(4);
+    /// Retry rounds issued.
+    pub const RETRIES: Count = Count(5);
+    /// Injected faults that fired.
+    pub const FAULTS: Count = Count(6);
+    /// Fan-out drop-outs (after retries).
+    pub const FAILURES: Count = Count(7);
+    /// Entries folded into merges.
+    pub const MERGED_ENTRIES: Count = Count(8);
+    /// CI candidates scored.
+    pub const SCORED_CANDIDATES: Count = Count(9);
+    /// Postings decoded while scoring.
+    pub const POSTINGS_DECODED: Count = Count(10);
+    /// Queries whose coverage was degraded.
+    pub const DEGRADED_QUERIES: Count = Count(11);
+    /// Requests rerouted to another replica after a transient error.
+    pub const FAILOVERS: Count = Count(12);
+    /// Fleet membership changes (joins, leaves, migrations).
+    pub const MEMBERSHIP_CHANGES: Count = Count(13);
+    /// Merge operations performed (not exported).
+    pub const MERGES: Count = Count(14);
+
+    /// The hit, miss, stale-miss and eviction counts of cache `kind`, a
+    /// [`CACHE_KINDS`] index. Stale misses are a subset of misses.
+    #[must_use]
+    pub const fn cache(kind: usize) -> [Count; 4] {
+        let first = 15 + 4 * kind;
+        [
+            Count(first),
+            Count(first + 1),
+            Count(first + 2),
+            Count(first + 3),
+        ]
+    }
+
+    /// Completed query operations of `methodology`, a [`METHODOLOGIES`]
+    /// index.
+    #[must_use]
+    pub const fn queries(methodology: usize) -> Count {
+        Count(27 + methodology)
+    }
+
+    /// The column of a count kept per librarian, `None` for a
+    /// fleet-wide one.
+    fn column(self) -> Option<usize> {
+        (self.0 < PER_LIBRARIAN).then_some(self.0)
+    }
+
+    /// The fleet slot of a fleet-wide count.
+    fn fleet_slot(self) -> usize {
+        self.0 - PER_LIBRARIAN
+    }
+}
+
+/// Counts kept per librarian (the first catalogue rows).
+const PER_LIBRARIAN: usize = 8;
+/// Counts kept fleet-wide.
+const FLEET: usize = CATALOGUE.len() - PER_LIBRARIAN;
+
+/// A Prometheus counter family: name and help.
+type Family = (&'static str, &'static str);
+
+const MESSAGES: Family = (
+    "teraphim_messages_total",
+    "Protocol messages exchanged, by direction.",
+);
+const BYTES: Family = (
+    "teraphim_bytes_total",
+    "Payload bytes on the wire, by direction.",
+);
+const CACHE_EVENTS: Family = (
+    "teraphim_cache_events_total",
+    "Receptionist cache lookups and evictions, by cache and outcome.",
+);
+const QUERIES: Family = (
+    "teraphim_queries_total",
+    "Completed query operations, by methodology.",
+);
+
+/// The counter catalogue, in [`Count`] order: the family a count's fleet
+/// total is exported in (unnamed: not exported) and the sample's labels.
+/// The exposition lists the families in catalogue order.
+const CATALOGUE: [(Family, &str); 31] = [
+    (MESSAGES, "direction=\"sent\""),
+    (MESSAGES, "direction=\"received\""),
+    (BYTES, "direction=\"sent\""),
+    (BYTES, "direction=\"received\""),
+    (("teraphim_timeouts_total", "Transport timeouts."), ""),
+    (("teraphim_retries_total", "Transport retries issued."), ""),
+    (("teraphim_faults_total", "Injected faults that fired."), ""),
+    (
+        (
+            "teraphim_librarian_failures_total",
+            "Librarian fan-out drop-outs (after retries).",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_merged_entries_total",
+            "Ranking entries folded into merges.",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_scored_candidates_total",
+            "CI candidates scored at librarians.",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_postings_decoded_total",
+            "Postings decoded while scoring CI candidates.",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_degraded_queries_total",
+            "Queries answered with degraded coverage.",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_failovers_total",
+            "Requests rerouted to another replica after a transient error.",
+        ),
+        "",
+    ),
+    (
+        (
+            "teraphim_membership_changes_total",
+            "Fleet membership changes (joins, leaves, migrations).",
+        ),
+        "",
+    ),
+    (("", ""), ""),
+    (CACHE_EVENTS, "cache=\"results\",outcome=\"hit\""),
+    (CACHE_EVENTS, "cache=\"results\",outcome=\"miss\""),
+    (CACHE_EVENTS, "cache=\"results\",outcome=\"stale\""),
+    (CACHE_EVENTS, "cache=\"results\",outcome=\"evict\""),
+    (CACHE_EVENTS, "cache=\"stats\",outcome=\"hit\""),
+    (CACHE_EVENTS, "cache=\"stats\",outcome=\"miss\""),
+    (CACHE_EVENTS, "cache=\"stats\",outcome=\"stale\""),
+    (CACHE_EVENTS, "cache=\"stats\",outcome=\"evict\""),
+    (CACHE_EVENTS, "cache=\"docs\",outcome=\"hit\""),
+    (CACHE_EVENTS, "cache=\"docs\",outcome=\"miss\""),
+    (CACHE_EVENTS, "cache=\"docs\",outcome=\"stale\""),
+    (CACHE_EVENTS, "cache=\"docs\",outcome=\"evict\""),
+    (QUERIES, "methodology=\"MS\""),
+    (QUERIES, "methodology=\"CN\""),
+    (QUERIES, "methodology=\"CV\""),
+    (QUERIES, "methodology=\"CI\""),
+];
+
+/// The per-librarian families, exported after the fleet totals: for
+/// each librarian, the listed counts of its row, labelled with the
+/// librarian and the listed labels.
+const PER_LIBRARIAN_FAMILIES: [(Family, &[(Count, &str)]); 2] = [
+    (
+        (
+            "teraphim_librarian_requests_total",
+            "Requests sent, by librarian.",
+        ),
+        &[(Count::SENT, "")],
+    ),
+    (
+        (
+            "teraphim_librarian_errors_total",
+            "Timeouts, failures and retries, by librarian.",
+        ),
+        &[
+            (Count::TIMEOUTS, "kind=\"timeout\""),
+            (Count::FAILURES, "kind=\"failure\""),
+            (Count::RETRIES, "kind=\"retry\""),
+        ],
+    ),
+];
+
+/// The one mapping from trace events to counts: calls `bump` with each
+/// count `kind` adds to and the amount. A count kept per librarian goes
+/// to the row of the librarian the event names
+/// ([`EventKind::librarian`]).
+fn for_each_count(kind: &EventKind, mut bump: impl FnMut(Count, u64)) {
+    let cache = |name| cache_index(name).map(Count::cache);
+    match *kind {
+        EventKind::Sent { bytes, .. } => {
+            bump(Count::SENT, 1);
+            bump(Count::BYTES_SENT, bytes);
+        }
+        EventKind::Reply { bytes, .. } => {
+            bump(Count::REPLIES, 1);
+            bump(Count::BYTES_RECEIVED, bytes);
+        }
+        EventKind::Timeout { .. } => bump(Count::TIMEOUTS, 1),
+        EventKind::Retry { .. } => bump(Count::RETRIES, 1),
+        EventKind::Fault { .. } => bump(Count::FAULTS, 1),
+        EventKind::LibFailed { .. } => bump(Count::FAILURES, 1),
+        EventKind::Scored {
+            candidates,
+            postings,
+            ..
+        } => {
+            bump(Count::SCORED_CANDIDATES, u64::from(candidates));
+            bump(Count::POSTINGS_DECODED, postings);
+        }
+        EventKind::Merge { entries, .. } => {
+            bump(Count::MERGES, 1);
+            bump(Count::MERGED_ENTRIES, entries);
+        }
+        EventKind::Coverage { ref failed, .. } if !failed.is_empty() => {
+            bump(Count::DEGRADED_QUERIES, 1);
+        }
+        EventKind::CacheHit { cache: name } => {
+            if let Some([hit, ..]) = cache(name) {
+                bump(hit, 1);
+            }
+        }
+        EventKind::CacheMiss { cache: name, stale } => {
+            if let Some([_, miss, stale_miss, _]) = cache(name) {
+                bump(miss, 1);
+                if stale {
+                    bump(stale_miss, 1);
+                }
+            }
+        }
+        EventKind::CacheEvict {
+            cache: name,
+            entries,
+        } => {
+            if let Some([.., evict]) = cache(name) {
+                bump(evict, u64::from(entries));
+            }
+        }
+        EventKind::Failover { .. } => bump(Count::FAILOVERS, 1),
+        EventKind::Join { .. } | EventKind::Leave { .. } | EventKind::Migrate { .. } => {
+            bump(Count::MEMBERSHIP_CHANGES, 1);
+        }
+        _ => {}
+    }
+}
+
+/// Counts indexed by the catalogue: the fleet-wide counts, plus one row
+/// per librarian (by fan-out index) of the counts kept per librarian.
+/// A registry snapshot, a trace's roll-up and a batch of traces (collect
+/// the events of all of them) are each one `Counts`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counts {
+    fleet: [u64; FLEET],
+    librarians: Vec<[u64; PER_LIBRARIAN]>,
+}
+
+impl<'a> FromIterator<&'a EventKind> for Counts {
+    fn from_iter<I: IntoIterator<Item = &'a EventKind>>(events: I) -> Self {
+        let mut counts = Counts::default();
+        for kind in events {
+            for_each_count(kind, |count, n| match (count.column(), kind.librarian()) {
+                (Some(column), Some(lib)) => {
+                    let lib = lib as usize;
+                    if counts.librarians.len() <= lib {
+                        counts.librarians.resize(lib + 1, [0; PER_LIBRARIAN]);
+                    }
+                    counts.librarians[lib][column] += n;
+                }
+                (Some(_), None) => {}
+                (None, _) => counts.fleet[count.fleet_slot()] += n,
+            });
+        }
+        counts
+    }
+}
+
+impl Counts {
+    /// The fleet total of `count`: a fleet-wide count, or the sum of
+    /// the librarians' rows.
+    #[must_use]
+    pub fn get(&self, count: Count) -> u64 {
+        match count.column() {
+            Some(column) => self.librarians.iter().map(|row| row[column]).sum(),
+            None => self.fleet[count.fleet_slot()],
+        }
+    }
+
+    /// Librarian `lib`'s value of a count kept per librarian (0 for a
+    /// librarian without a row, and for a fleet-wide count).
+    #[must_use]
+    pub fn librarian(&self, lib: usize, count: Count) -> u64 {
+        match (self.librarians.get(lib), count.column()) {
+            (Some(row), Some(column)) => row[column],
+            _ => 0,
+        }
+    }
+
+    /// Number of librarian rows: one past the highest librarian index
+    /// counted.
+    #[must_use]
+    pub fn librarians(&self) -> usize {
+        self.librarians.len()
+    }
+
+    /// Completed query operations, summed over the methodologies.
+    #[must_use]
+    pub fn queries(&self) -> u64 {
+        (0..METHODOLOGIES.len())
+            .map(|m| self.get(Count::queries(m)))
+            .sum()
+    }
+}
+
+/// One librarian's live row: the counts kept per librarian, and its
+/// request→reply latency.
 #[derive(Debug, Default)]
 struct LibSlot {
-    sent: AtomicU64,
-    replies: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    timeouts: AtomicU64,
-    retries: AtomicU64,
-    faults: AtomicU64,
-    failures: AtomicU64,
+    counts: [AtomicU64; PER_LIBRARIAN],
     latency: Histogram,
-}
-
-/// Per-methodology atomic slots.
-#[derive(Debug, Default)]
-struct MethodSlot {
-    queries: AtomicU64,
-    latency: Histogram,
-}
-
-/// Per-cache-kind atomic slots.
-#[derive(Debug, Default)]
-struct CacheSlot {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// The rolling metrics registry.
@@ -339,26 +650,12 @@ struct CacheSlot {
 /// [`TraceSink`]: crate::TraceSink
 /// [`TraceSink::tee_metrics`]: crate::TraceSink::tee_metrics
 /// [`TraceSink::metrics_only`]: crate::TraceSink::metrics_only
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    messages_sent: AtomicU64,
-    messages_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    timeouts: AtomicU64,
-    retries: AtomicU64,
-    faults: AtomicU64,
-    lib_failures: AtomicU64,
-    merges: AtomicU64,
-    merged_entries: AtomicU64,
-    scored_candidates: AtomicU64,
-    postings_decoded: AtomicU64,
-    queries: AtomicU64,
-    degraded_queries: AtomicU64,
-    failovers: AtomicU64,
-    membership_changes: AtomicU64,
-    methodologies: [MethodSlot; 4],
-    caches: [CacheSlot; 3],
+    /// The fleet-wide counts, laid out like [`Counts`].
+    fleet: [AtomicU64; FLEET],
+    /// Query latency, in [`METHODOLOGIES`] slot order.
+    queries: [Histogram; 4],
     phases: [Histogram; 7],
     /// Server-side phase latency, in [`SERVER_PHASES`] slot order.
     server_phases: [Histogram; 4],
@@ -369,29 +666,7 @@ impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        MetricsRegistry {
-            messages_sent: AtomicU64::new(0),
-            messages_received: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            lib_failures: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            merged_entries: AtomicU64::new(0),
-            scored_candidates: AtomicU64::new(0),
-            postings_decoded: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
-            degraded_queries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            membership_changes: AtomicU64::new(0),
-            methodologies: Default::default(),
-            caches: Default::default(),
-            phases: Default::default(),
-            server_phases: Default::default(),
-            librarians: RwLock::new(Vec::new()),
-        }
+        MetricsRegistry::default()
     }
 
     /// Runs `f` with librarian `lib`'s slot, growing the table on first
@@ -412,128 +687,41 @@ impl MetricsRegistry {
         f(&slots[lib])
     }
 
-    /// Counts one trace event. Called by the sink for every event it
-    /// records, inside an operation or not (membership changes and
-    /// health-poll timeouts arrive outside any). Operation and phase
-    /// brackets count nothing here: their latencies are read off the
-    /// finished trace by [`MetricsRegistry::observe_operation`].
+    /// Counts one trace event: one atomic add per count it bumps (see
+    /// [`Count`]). Called by the sink for every event it records, inside
+    /// an operation or not (membership changes and health-poll timeouts
+    /// arrive outside any). Latencies are read off the finished trace by
+    /// [`MetricsRegistry::observe_operation`].
     pub fn observe(&self, kind: &EventKind) {
-        match kind {
-            EventKind::Sent {
-                librarian, bytes, ..
-            } => {
-                self.messages_sent.fetch_add(1, Ordering::Relaxed);
-                self.bytes_sent.fetch_add(*bytes, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.sent.fetch_add(1, Ordering::Relaxed);
-                    s.bytes_sent.fetch_add(*bytes, Ordering::Relaxed);
-                });
+        for_each_count(kind, |count, n| match (count.column(), kind.librarian()) {
+            (Some(column), Some(lib)) => {
+                self.with_lib(lib, |s| s.counts[column].fetch_add(n, Ordering::Relaxed));
             }
-            EventKind::Reply {
-                librarian, bytes, ..
-            } => {
-                self.messages_received.fetch_add(1, Ordering::Relaxed);
-                self.bytes_received.fetch_add(*bytes, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.replies.fetch_add(1, Ordering::Relaxed);
-                    s.bytes_received.fetch_add(*bytes, Ordering::Relaxed);
-                });
+            (Some(_), None) => {}
+            (None, _) => {
+                self.fleet[count.fleet_slot()].fetch_add(n, Ordering::Relaxed);
             }
-            EventKind::Timeout { librarian } => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.timeouts.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            EventKind::Retry { librarian, .. } => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.retries.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            EventKind::Fault { librarian, .. } => {
-                self.faults.fetch_add(1, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.faults.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            EventKind::LibFailed { librarian, .. } => {
-                self.lib_failures.fetch_add(1, Ordering::Relaxed);
-                self.with_lib(*librarian, |s| {
-                    s.failures.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            EventKind::Scored {
-                candidates,
-                postings,
-                ..
-            } => {
-                self.scored_candidates
-                    .fetch_add(u64::from(*candidates), Ordering::Relaxed);
-                self.postings_decoded
-                    .fetch_add(*postings, Ordering::Relaxed);
-            }
-            EventKind::Merge { entries, .. } => {
-                self.merges.fetch_add(1, Ordering::Relaxed);
-                self.merged_entries.fetch_add(*entries, Ordering::Relaxed);
-            }
-            EventKind::Coverage { failed, .. } if !failed.is_empty() => {
-                self.degraded_queries.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheHit { cache } => {
-                if let Some(i) = cache_index(cache) {
-                    self.caches[i].hits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            EventKind::CacheMiss { cache, stale } => {
-                if let Some(i) = cache_index(cache) {
-                    self.caches[i].misses.fetch_add(1, Ordering::Relaxed);
-                    if *stale {
-                        self.caches[i].stale.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            EventKind::CacheEvict { cache, entries } => {
-                if let Some(i) = cache_index(cache) {
-                    self.caches[i]
-                        .evictions
-                        .fetch_add(u64::from(*entries), Ordering::Relaxed);
-                }
-            }
-            EventKind::Failover { .. } => {
-                self.failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Join { .. } | EventKind::Leave { .. } | EventKind::Migrate { .. } => {
-                self.membership_changes.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::ServerPhase { phase, micros, .. } => {
-                if let Some(i) = server_phase_index(phase) {
-                    self.server_phases[i].record(*micros);
-                }
-            }
-            _ => {}
-        }
+        });
     }
 
     /// Records one completed operation, as the sink that ran it
     /// assembled it: a methodology-tagged operation counts as a query
     /// of `duration_micros` (its `Begin`→`End` time), and every phase
-    /// bracket and `Sent`→`Reply` exchange the trace closed lands in
-    /// its phase / librarian latency histogram. Latencies are timestamp
+    /// bracket, `Sent`→`Reply` exchange and server phase the trace
+    /// closed lands in its latency histogram. Latencies are timestamp
     /// differences within one trace, so wall-clock and simulated
     /// drivers meter identically.
     pub fn observe_operation(&self, trace: &QueryTrace, duration_micros: u64) {
         if let Some(slot) = trace.methodology.as_deref().and_then(methodology_index) {
-            self.queries.fetch_add(1, Ordering::Relaxed);
-            let m = &self.methodologies[slot];
-            m.queries.fetch_add(1, Ordering::Relaxed);
-            m.latency.record(duration_micros);
+            self.fleet[Count::queries(slot).fleet_slot()].fetch_add(1, Ordering::Relaxed);
+            self.queries[slot].record(duration_micros);
         }
         trace.for_each_closed(|closed| match closed {
             Closed::Phase(phase, micros) => self.phases[phase_index(phase)].record(micros),
             Closed::Exchange(librarian, micros) => {
                 self.with_lib(librarian, |s| s.latency.record(micros));
             }
+            Closed::ServerPhase(slot, micros) => self.server_phases[slot].record(micros),
         });
     }
 
@@ -541,205 +729,46 @@ impl MetricsRegistry {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let per_librarian = self
+        let librarians = self
             .librarians
             .read()
-            .unwrap()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| LibrarianMetrics {
-                librarian: i as u32,
-                sent: load(&s.sent),
-                replies: load(&s.replies),
-                bytes_sent: load(&s.bytes_sent),
-                bytes_received: load(&s.bytes_received),
-                timeouts: load(&s.timeouts),
-                retries: load(&s.retries),
-                faults: load(&s.faults),
-                failures: load(&s.failures),
-                latency: s.latency.snapshot(),
-            })
-            .collect();
-        let per_methodology = METHODOLOGIES
-            .iter()
-            .zip(&self.methodologies)
-            .map(|(&code, slot)| MethodologyMetrics {
-                code,
-                queries: load(&slot.queries),
-                latency: slot.latency.snapshot(),
-            })
-            .collect();
-        let per_cache = CACHE_KINDS
-            .iter()
-            .zip(&self.caches)
-            .map(|(&cache, slot)| CacheMetrics {
-                cache,
-                hits: load(&slot.hits),
-                misses: load(&slot.misses),
-                stale: load(&slot.stale),
-                evictions: load(&slot.evictions),
-            })
-            .collect();
-        let per_phase = PHASES
-            .iter()
-            .zip(&self.phases)
-            .map(|(&phase, h)| (phase, h.snapshot()))
-            .collect();
-        let per_server_phase = SERVER_PHASES
-            .iter()
-            .zip(&self.server_phases)
-            .map(|(&phase, h)| (phase, h.snapshot()))
-            .collect();
+            .expect("no thread panics holding the librarian table");
         MetricsSnapshot {
-            messages_sent: load(&self.messages_sent),
-            messages_received: load(&self.messages_received),
-            bytes_sent: load(&self.bytes_sent),
-            bytes_received: load(&self.bytes_received),
-            timeouts: load(&self.timeouts),
-            retries: load(&self.retries),
-            faults: load(&self.faults),
-            lib_failures: load(&self.lib_failures),
-            merges: load(&self.merges),
-            merged_entries: load(&self.merged_entries),
-            scored_candidates: load(&self.scored_candidates),
-            postings_decoded: load(&self.postings_decoded),
-            queries: load(&self.queries),
-            degraded_queries: load(&self.degraded_queries),
-            failovers: load(&self.failovers),
-            membership_changes: load(&self.membership_changes),
-            per_methodology,
-            per_cache,
-            per_librarian,
-            per_phase,
-            per_server_phase,
+            counts: Counts {
+                fleet: self.fleet.each_ref().map(load),
+                librarians: librarians
+                    .iter()
+                    .map(|s| s.counts.each_ref().map(load))
+                    .collect(),
+            },
+            per_methodology: METHODOLOGIES
+                .into_iter()
+                .zip(self.queries.iter().map(Histogram::snapshot))
+                .collect(),
+            per_librarian: librarians.iter().map(|s| s.latency.snapshot()).collect(),
+            per_phase: PHASES
+                .into_iter()
+                .zip(self.phases.iter().map(Histogram::snapshot))
+                .collect(),
+            per_server_phase: SERVER_PHASES
+                .into_iter()
+                .zip(self.server_phases.iter().map(Histogram::snapshot))
+                .collect(),
         }
     }
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new()
-    }
-}
-
-/// One librarian's rolled-up counters in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LibrarianMetrics {
-    /// Librarian index.
-    pub librarian: u32,
-    /// Requests sent to this librarian.
-    pub sent: u64,
-    /// Replies received from it.
-    pub replies: u64,
-    /// Request payload bytes sent to it.
-    pub bytes_sent: u64,
-    /// Reply payload bytes received from it.
-    pub bytes_received: u64,
-    /// Transport timeouts against it.
-    pub timeouts: u64,
-    /// Retries issued against it.
-    pub retries: u64,
-    /// Injected faults that fired against it.
-    pub faults: u64,
-    /// Times it dropped out of a fan-out (after retries).
-    pub failures: u64,
-    /// Request→reply latency in microseconds.
-    pub latency: HistogramSnapshot,
-}
-
-impl LibrarianMetrics {
-    /// Permanent failures plus timeouts, over requests sent — the
-    /// client-observed error rate health checks use.
-    #[must_use]
-    pub fn error_rate(&self) -> f64 {
-        (self.failures + self.timeouts) as f64 / (self.sent.max(1)) as f64
-    }
-}
-
-/// One receptionist cache's rolled-up counters in a
-/// [`MetricsSnapshot`]. All four counters are monotone; `hits + misses`
-/// is the number of lookups, and `stale` counts the subset of misses
-/// that lazily dropped an entry from an invalidated generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheMetrics {
-    /// Cache kind (`"results"`, `"stats"`, `"docs"`).
-    pub cache: &'static str,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Misses that dropped a stale-generation entry.
-    pub stale: u64,
-    /// Entries evicted to make room for inserts.
-    pub evictions: u64,
-}
-
-/// One methodology's rolled-up counters in a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MethodologyMetrics {
-    /// Methodology code (`"MS"`, `"CN"`, `"CV"`, `"CI"`).
-    pub code: &'static str,
-    /// Completed query operations.
-    pub queries: u64,
-    /// Begin→End query latency in microseconds.
-    pub latency: HistogramSnapshot,
-}
-
-/// Wire-level totals a finished registry implies — the same quantities
-/// `TrafficStats` counts on the transports and a `QueryTrace` sums from
-/// its `sent`/`reply` events. `tests/sim_vs_real.rs` asserts all three
-/// accounting paths agree, so they cannot silently drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficTotals {
-    /// Logical request/reply exchanges (one per `Sent` event).
-    pub round_trips: u64,
-    /// Request payload bytes.
-    pub bytes_sent: u64,
-    /// Reply payload bytes.
-    pub bytes_received: u64,
 }
 
 /// A point-in-time copy of a [`MetricsRegistry`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Requests sent across all librarians.
-    pub messages_sent: u64,
-    /// Replies received across all librarians.
-    pub messages_received: u64,
-    /// Request payload bytes.
-    pub bytes_sent: u64,
-    /// Reply payload bytes.
-    pub bytes_received: u64,
-    /// Transport timeouts.
-    pub timeouts: u64,
-    /// Retries issued.
-    pub retries: u64,
-    /// Injected faults that fired.
-    pub faults: u64,
-    /// Librarian fan-out drop-outs.
-    pub lib_failures: u64,
-    /// Merge operations performed.
-    pub merges: u64,
-    /// Entries folded into merges.
-    pub merged_entries: u64,
-    /// CI candidates scored.
-    pub scored_candidates: u64,
-    /// Postings decoded while scoring.
-    pub postings_decoded: u64,
-    /// Completed query operations (any methodology).
-    pub queries: u64,
-    /// Queries whose coverage was degraded.
-    pub degraded_queries: u64,
-    /// Requests rerouted to another replica after a transient error.
-    pub failovers: u64,
-    /// Fleet membership changes observed (joins, leaves, migrations).
-    pub membership_changes: u64,
-    /// Per-methodology slots, in [`METHODOLOGIES`] order.
-    pub per_methodology: Vec<MethodologyMetrics>,
-    /// Per-cache slots, in [`CACHE_KINDS`] order.
-    pub per_cache: Vec<CacheMetrics>,
-    /// Per-librarian slots, in librarian index order.
-    pub per_librarian: Vec<LibrarianMetrics>,
+    /// Every event-derived count, fleet-wide and per librarian.
+    pub counts: Counts,
+    /// Begin→End query latency in microseconds, in [`METHODOLOGIES`]
+    /// order.
+    pub per_methodology: Vec<(&'static str, HistogramSnapshot)>,
+    /// Request→reply latency in microseconds, by librarian index (as
+    /// many as [`Counts::librarians`]).
+    pub per_librarian: Vec<HistogramSnapshot>,
     /// Per-phase latency histograms, in [`PHASES`] order.
     pub per_phase: Vec<(Phase, HistogramSnapshot)>,
     /// Server-side phase latency histograms (queue wait, scan, rank,
@@ -751,266 +780,127 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The wire totals this snapshot implies (see [`TrafficTotals`]).
-    #[must_use]
-    pub fn traffic_totals(&self) -> TrafficTotals {
-        TrafficTotals {
-            round_trips: self.messages_sent,
-            bytes_sent: self.bytes_sent,
-            bytes_received: self.bytes_received,
-        }
-    }
-
     /// Query latency merged across all methodologies.
     #[must_use]
     pub fn query_latency(&self) -> HistogramSnapshot {
         self.per_methodology
             .iter()
-            .fold(HistogramSnapshot::empty(), |acc, m| acc.merge(&m.latency))
+            .fold(HistogramSnapshot::empty(), |acc, (_, h)| acc.merge(h))
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4) — `# HELP`/`# TYPE` comments, counters, and
-    /// cumulative-bucket histograms. Hand-rolled, no dependencies, like
-    /// the crate's JSON encoding.
+    /// (version 0.0.4) — `# HELP`/`# TYPE` comments, counters from the
+    /// catalogue, and cumulative-bucket histograms. Hand-rolled, no
+    /// dependencies, like the crate's JSON encoding.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str, samples: &[(String, u64)]| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (labels, value) in samples {
-                out.push_str(&format!("{name}{labels} {value}\n"));
+        let mut family = "";
+        for (i, &((name, help), labels)) in CATALOGUE.iter().enumerate() {
+            if name.is_empty() {
+                continue;
             }
-        };
-        counter(
+            if name != family {
+                family = name;
+                declare(&mut out, (name, help), "counter");
+            }
+            let value = self.counts.get(Count(i));
+            let _ = if labels.is_empty() {
+                writeln!(out, "{name} {value}")
+            } else {
+                writeln!(out, "{name}{{{labels}}} {value}")
+            };
+        }
+        for ((name, help), series) in PER_LIBRARIAN_FAMILIES {
+            declare(&mut out, (name, help), "counter");
+            for lib in 0..self.counts.librarians() {
+                for &(count, labels) in series {
+                    let sep = if labels.is_empty() { "" } else { "," };
+                    let value = self.counts.librarian(lib, count);
+                    let _ = writeln!(out, "{name}{{librarian=\"{lib}\"{sep}{labels}}} {value}");
+                }
+            }
+        }
+        render_histogram_family(
             &mut out,
-            "teraphim_messages_total",
-            "Protocol messages exchanged, by direction.",
-            &[
-                ("{direction=\"sent\"}".into(), self.messages_sent),
-                ("{direction=\"received\"}".into(), self.messages_received),
-            ],
-        );
-        counter(
-            &mut out,
-            "teraphim_bytes_total",
-            "Payload bytes on the wire, by direction.",
-            &[
-                ("{direction=\"sent\"}".into(), self.bytes_sent),
-                ("{direction=\"received\"}".into(), self.bytes_received),
-            ],
-        );
-        counter(
-            &mut out,
-            "teraphim_timeouts_total",
-            "Transport timeouts.",
-            &[(String::new(), self.timeouts)],
-        );
-        counter(
-            &mut out,
-            "teraphim_retries_total",
-            "Transport retries issued.",
-            &[(String::new(), self.retries)],
-        );
-        counter(
-            &mut out,
-            "teraphim_faults_total",
-            "Injected faults that fired.",
-            &[(String::new(), self.faults)],
-        );
-        counter(
-            &mut out,
-            "teraphim_librarian_failures_total",
-            "Librarian fan-out drop-outs (after retries).",
-            &[(String::new(), self.lib_failures)],
-        );
-        counter(
-            &mut out,
-            "teraphim_merged_entries_total",
-            "Ranking entries folded into merges.",
-            &[(String::new(), self.merged_entries)],
-        );
-        counter(
-            &mut out,
-            "teraphim_scored_candidates_total",
-            "CI candidates scored at librarians.",
-            &[(String::new(), self.scored_candidates)],
-        );
-        counter(
-            &mut out,
-            "teraphim_postings_decoded_total",
-            "Postings decoded while scoring CI candidates.",
-            &[(String::new(), self.postings_decoded)],
-        );
-        counter(
-            &mut out,
-            "teraphim_degraded_queries_total",
-            "Queries answered with degraded coverage.",
-            &[(String::new(), self.degraded_queries)],
-        );
-        counter(
-            &mut out,
-            "teraphim_failovers_total",
-            "Requests rerouted to another replica after a transient error.",
-            &[(String::new(), self.failovers)],
-        );
-        counter(
-            &mut out,
-            "teraphim_membership_changes_total",
-            "Fleet membership changes (joins, leaves, migrations).",
-            &[(String::new(), self.membership_changes)],
-        );
-        let cache_samples: Vec<(String, u64)> = self
-            .per_cache
-            .iter()
-            .flat_map(|c| {
-                [
-                    (format!("{{cache=\"{}\",outcome=\"hit\"}}", c.cache), c.hits),
-                    (
-                        format!("{{cache=\"{}\",outcome=\"miss\"}}", c.cache),
-                        c.misses,
-                    ),
-                    (
-                        format!("{{cache=\"{}\",outcome=\"stale\"}}", c.cache),
-                        c.stale,
-                    ),
-                    (
-                        format!("{{cache=\"{}\",outcome=\"evict\"}}", c.cache),
-                        c.evictions,
-                    ),
-                ]
-            })
-            .collect();
-        counter(
-            &mut out,
-            "teraphim_cache_events_total",
-            "Receptionist cache lookups and evictions, by cache and outcome.",
-            &cache_samples,
-        );
-        let query_samples: Vec<(String, u64)> = self
-            .per_methodology
-            .iter()
-            .map(|m| (format!("{{methodology=\"{}\"}}", m.code), m.queries))
-            .collect();
-        counter(
-            &mut out,
-            "teraphim_queries_total",
-            "Completed query operations, by methodology.",
-            &query_samples,
-        );
-        let lib_label = |lib: u32| format!("librarian=\"{lib}\"");
-        let sent_samples: Vec<(String, u64)> = self
-            .per_librarian
-            .iter()
-            .map(|l| (format!("{{{}}}", lib_label(l.librarian)), l.sent))
-            .collect();
-        counter(
-            &mut out,
-            "teraphim_librarian_requests_total",
-            "Requests sent, by librarian.",
-            &sent_samples,
-        );
-        let err_samples: Vec<(String, u64)> = self
-            .per_librarian
-            .iter()
-            .flat_map(|l| {
-                [
-                    (
-                        format!("{{{},kind=\"timeout\"}}", lib_label(l.librarian)),
-                        l.timeouts,
-                    ),
-                    (
-                        format!("{{{},kind=\"failure\"}}", lib_label(l.librarian)),
-                        l.failures,
-                    ),
-                    (
-                        format!("{{{},kind=\"retry\"}}", lib_label(l.librarian)),
-                        l.retries,
-                    ),
-                ]
-            })
-            .collect();
-        counter(
-            &mut out,
-            "teraphim_librarian_errors_total",
-            "Timeouts, failures and retries, by librarian.",
-            &err_samples,
+            (
+                "teraphim_query_latency_micros",
+                "Query latency in microseconds, by methodology.",
+            ),
+            self.per_methodology
+                .iter()
+                .map(|(code, h)| (format!("methodology=\"{code}\""), h)),
         );
         render_histogram_family(
             &mut out,
-            "teraphim_query_latency_micros",
-            "Query latency in microseconds, by methodology.",
-            &self
-                .per_methodology
+            (
+                "teraphim_librarian_latency_micros",
+                "Request-to-reply latency in microseconds, by librarian.",
+            ),
+            self.per_librarian
                 .iter()
-                .filter(|m| !m.latency.is_empty())
-                .map(|m| (format!("methodology=\"{}\"", m.code), &m.latency))
-                .collect::<Vec<_>>(),
+                .enumerate()
+                .map(|(lib, h)| (format!("librarian=\"{lib}\""), h)),
         );
         render_histogram_family(
             &mut out,
-            "teraphim_librarian_latency_micros",
-            "Request-to-reply latency in microseconds, by librarian.",
-            &self
-                .per_librarian
+            (
+                "teraphim_phase_latency_micros",
+                "Phase latency in microseconds, by lifecycle phase.",
+            ),
+            self.per_phase
                 .iter()
-                .filter(|l| !l.latency.is_empty())
-                .map(|l| (lib_label(l.librarian), &l.latency))
-                .collect::<Vec<_>>(),
+                .map(|(p, h)| (format!("phase=\"{}\"", p.as_str()), h)),
         );
         render_histogram_family(
             &mut out,
-            "teraphim_phase_latency_micros",
-            "Phase latency in microseconds, by lifecycle phase.",
-            &self
-                .per_phase
+            (
+                "teraphim_server_phase_latency_micros",
+                "Server-side phase latency in microseconds (queue wait, scan, rank, serialize).",
+            ),
+            self.per_server_phase
                 .iter()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(p, h)| (format!("phase=\"{}\"", p.as_str()), h))
-                .collect::<Vec<_>>(),
-        );
-        render_histogram_family(
-            &mut out,
-            "teraphim_server_phase_latency_micros",
-            "Server-side phase latency in microseconds (queue wait, scan, rank, serialize).",
-            &self
-                .per_server_phase
-                .iter()
-                .filter(|(_, h)| !h.is_empty())
-                .map(|(p, h)| (format!("phase=\"{p}\""), h))
-                .collect::<Vec<_>>(),
+                .map(|(p, h)| (format!("phase=\"{p}\""), h)),
         );
         out
     }
 }
 
-/// Renders one histogram metric family with cumulative `le` buckets.
-fn render_histogram_family(
+/// Writes a family's `# HELP` and `# TYPE` lines.
+fn declare(out: &mut String, (name, help): Family, kind: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+}
+
+/// Renders one histogram family with cumulative `le` buckets; empty
+/// histograms are skipped, and a family with none left is omitted.
+fn render_histogram_family<'a>(
     out: &mut String,
-    name: &str,
-    help: &str,
-    series: &[(String, &HistogramSnapshot)],
+    family: Family,
+    series: impl IntoIterator<Item = (String, &'a HistogramSnapshot)>,
 ) {
-    if series.is_empty() {
-        return;
-    }
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
+    let name = family.0;
+    let mut declared = false;
     for (labels, snap) in series {
+        if snap.is_empty() {
+            continue;
+        }
+        if !std::mem::replace(&mut declared, true) {
+            declare(out, family, "histogram");
+        }
         let last = snap.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
         let mut cumulative = 0u64;
         for (i, &c) in snap.buckets.iter().enumerate().take(last + 1) {
             cumulative += c;
-            out.push_str(&format!(
-                "{name}_bucket{{{labels},le=\"{}\"}} {cumulative}\n",
+            let _ = writeln!(
+                out,
+                "{name}_bucket{{{labels},le=\"{}\"}} {cumulative}",
                 bucket_upper_bound(i)
-            ));
+            );
         }
-        out.push_str(&format!(
-            "{name}_bucket{{{labels},le=\"+Inf\"}} {}\n",
-            snap.count
-        ));
-        out.push_str(&format!("{name}_sum{{{labels}}} {}\n", snap.sum));
-        out.push_str(&format!("{name}_count{{{labels}}} {}\n", snap.count));
+        let count = snap.count;
+        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {count}");
+        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", snap.sum);
+        let _ = writeln!(out, "{name}_count{{{labels}}} {count}");
     }
 }
 
@@ -1243,6 +1133,12 @@ mod tests {
         // Out-of-range bucket indexes are ignored, not a panic.
         let odd = HistogramSnapshot::from_bucket_pairs(&[(200, 5), (1, 2)]);
         assert_eq!(odd.count, 2);
+        // A damaged server's counts saturate instead of overflowing,
+        // through quantile readout and merging too.
+        let huge = HistogramSnapshot::from_bucket_pairs(&[(1, u64::MAX), (2, 1)]);
+        assert_eq!(huge.count, u64::MAX);
+        assert_eq!(huge.p99(), 1);
+        assert_eq!(huge.merge(&huge).count, u64::MAX);
     }
 
     #[test]
@@ -1275,17 +1171,16 @@ mod tests {
         );
         sink.record_at(200, EventKind::End);
         let s = r.snapshot();
-        assert_eq!(s.messages_sent, 1);
-        assert_eq!(s.bytes_received, 80);
-        assert_eq!(s.queries, 1);
-        let lib = &s.per_librarian[2];
-        assert_eq!(lib.latency.count, 1);
-        assert_eq!(lib.latency.min, 100);
-        let cn = &s.per_methodology[1];
-        assert_eq!(cn.code, "CN");
-        assert_eq!(cn.queries, 1);
-        assert_eq!(cn.latency.min, 200);
-        assert_eq!(s.traffic_totals().round_trips, 1);
+        assert_eq!(s.counts.get(Count::SENT), 1);
+        assert_eq!(s.counts.get(Count::BYTES_RECEIVED), 80);
+        assert_eq!(s.counts.queries(), 1);
+        assert_eq!(s.counts.librarian(2, Count::SENT), 1);
+        assert_eq!(s.per_librarian[2].count, 1);
+        assert_eq!(s.per_librarian[2].min, 100);
+        let (code, latency) = &s.per_methodology[1];
+        assert_eq!(*code, "CN");
+        assert_eq!(s.counts.get(Count::queries(1)), 1);
+        assert_eq!(latency.min, 200);
     }
 
     #[test]
@@ -1325,12 +1220,11 @@ mod tests {
         );
         sink.record_at(4, EventKind::End);
         let s = r.snapshot();
-        assert_eq!(s.lib_failures, 1);
-        assert_eq!(s.degraded_queries, 1);
-        assert_eq!(s.per_librarian[0].failures, 1);
-        assert!(s.per_librarian[0].error_rate() >= 1.0);
+        assert_eq!(s.counts.get(Count::FAILURES), 1);
+        assert_eq!(s.counts.get(Count::DEGRADED_QUERIES), 1);
+        assert_eq!(s.counts.librarian(0, Count::FAILURES), 1);
         // The failed request's pending entry was discarded: no latency.
-        assert!(s.per_librarian[0].latency.is_empty());
+        assert!(s.per_librarian[0].is_empty());
     }
 
     #[test]
@@ -1409,17 +1303,27 @@ mod tests {
 
     #[test]
     fn server_phase_events_feed_their_own_family() {
-        let r = MetricsRegistry::new();
-        r.observe(&EventKind::ServerPhase {
-            librarian: 1,
-            phase: "queue_wait",
-            micros: 500,
-        });
-        r.observe(&EventKind::ServerPhase {
-            librarian: 1,
-            phase: "rank",
-            micros: 20,
-        });
+        let (sink, r) = teed_sink();
+        sink.record_at(
+            0,
+            EventKind::Begin {
+                op: "query",
+                methodology: None,
+                query_id: 0,
+                k: 5,
+            },
+        );
+        for (phase, micros) in [("queue_wait", 500), ("rank", 20)] {
+            sink.record_at(
+                1,
+                EventKind::ServerPhase {
+                    librarian: 1,
+                    phase,
+                    micros,
+                },
+            );
+        }
+        sink.record_at(2, EventKind::End);
         let snap = r.snapshot();
         assert_eq!(snap.per_server_phase.len(), SERVER_PHASES.len());
         assert_eq!(snap.per_server_phase[0].0, "queue_wait");

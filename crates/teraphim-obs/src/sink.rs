@@ -337,7 +337,7 @@ impl Default for TraceSink {
 mod tests {
     use super::*;
     use crate::event::Phase;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::{Count, MetricsRegistry};
     use std::sync::Arc;
 
     fn begin(op: &'static str) -> EventKind {
@@ -394,7 +394,7 @@ mod tests {
         sink.record(EventKind::Merge { entries: 4, k: 1 });
         sink.record(EventKind::End);
         assert!(sink.take_traces().is_empty());
-        assert_eq!(registry.snapshot().merged_entries, 7);
+        assert_eq!(registry.snapshot().counts.get(Count::MERGED_ENTRIES), 7);
         sink.record(begin("query"));
         sink.record(EventKind::End);
         let next = sink.take_traces();
@@ -464,15 +464,15 @@ mod tests {
         });
         let snap = registry.snapshot();
         let issued = SESSIONS * OPS;
-        assert_eq!(snap.queries, issued);
-        assert_eq!(snap.messages_sent, issued);
-        let cv = &snap.per_methodology[2];
-        assert_eq!((cv.code, cv.queries), ("CV", issued));
+        assert_eq!(snap.counts.queries(), issued);
+        assert_eq!(snap.counts.get(Count::SENT), issued);
+        let (code, cv) = &snap.per_methodology[2];
+        assert_eq!((*code, snap.counts.get(Count::queries(2))), ("CV", issued));
         let floor = WORK.as_micros() as u64;
         for (what, latency) in [
-            ("query", &cv.latency),
+            ("query", cv),
             ("rank_fanout", &snap.per_phase[3].1),
-            ("librarian 0", &snap.per_librarian[0].latency),
+            ("librarian 0", &snap.per_librarian[0]),
         ] {
             assert_eq!(latency.count, issued, "{what} latency samples");
             assert!(
@@ -527,9 +527,9 @@ mod tests {
         });
         sink.record(EventKind::End);
         let snap = registry.snapshot();
-        assert_eq!(snap.messages_sent, 1);
-        assert_eq!(snap.bytes_received, 42);
-        assert_eq!(snap.per_librarian[3].latency.count, 1);
+        assert_eq!(snap.counts.get(Count::SENT), 1);
+        assert_eq!(snap.counts.get(Count::BYTES_RECEIVED), 42);
+        assert_eq!(snap.per_librarian[3].count, 1);
         assert_eq!(sink.take_traces().len(), 1, "events still buffered");
     }
 
@@ -542,7 +542,7 @@ mod tests {
         sink.record(begin("query"));
         sink.record(EventKind::End);
         assert!(sink.take_traces().is_empty());
-        assert_eq!(registry.snapshot().queries, 1);
+        assert_eq!(registry.snapshot().counts.queries(), 1);
     }
 
     #[test]

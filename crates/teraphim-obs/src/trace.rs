@@ -1,7 +1,9 @@
 //! [`QueryTrace`] — the per-operation trace, plus normalization and
-//! metric roll-ups.
+//! its roll-up into phase durations and [`Counts`].
 
 use crate::event::{EventKind, Phase, TraceEvent};
+use crate::metrics::Counts;
+use crate::span::server_phase_index;
 
 /// Driver label stamped onto normalized traces in place of the real one.
 pub const NORMALIZED_DRIVER: &str = "normalized";
@@ -80,11 +82,12 @@ impl QueryTrace {
     /// [`QueryTrace::metrics`] and
     /// [`MetricsRegistry::observe_operation`](crate::MetricsRegistry::observe_operation):
     /// calls `closed` for every `phase_end` that closes the innermost
-    /// open bracket of its phase and for every `reply` that answers the
+    /// open bracket of its phase, for every `reply` that answers the
     /// oldest outstanding `sent` to its librarian, with the interval's
-    /// duration. A `lib_failed` discards that librarian's outstanding
-    /// requests; brackets and requests still open at the end of the
-    /// trace close nothing.
+    /// duration, and for every `server_phase` the server timed. A
+    /// `lib_failed` discards that librarian's outstanding requests;
+    /// brackets and requests still open at the end of the trace close
+    /// nothing.
     pub(crate) fn for_each_closed(&self, mut closed: impl FnMut(Closed)) {
         let mut phases: Vec<(Phase, u64)> = Vec::new();
         let mut pending: Vec<(u32, u64)> = Vec::new();
@@ -108,122 +111,32 @@ impl QueryTrace {
                 EventKind::LibFailed { librarian, .. } => {
                     pending.retain(|(l, _)| l != librarian);
                 }
-                _ => {}
-            }
-        }
-    }
-
-    /// Rolls the trace up into per-phase durations and traffic counters.
-    #[must_use]
-    pub fn metrics(&self) -> TraceMetrics {
-        let mut metrics = TraceMetrics::default();
-        self.for_each_closed(|closed| {
-            if let Closed::Phase(phase, micros) = closed {
-                metrics.add_phase(phase, micros);
-            }
-        });
-        for event in &self.events {
-            match &event.kind {
-                EventKind::Sent { bytes, .. } => {
-                    metrics.messages_sent += 1;
-                    metrics.bytes_sent += bytes;
-                }
-                EventKind::Reply { bytes, .. } => {
-                    metrics.messages_received += 1;
-                    metrics.bytes_received += bytes;
-                }
-                EventKind::Timeout { .. } => metrics.timeouts += 1,
-                EventKind::Retry { .. } => metrics.retries += 1,
-                EventKind::Fault { .. } => metrics.faults += 1,
-                EventKind::LibFailed { .. } => metrics.failed_librarians += 1,
-                EventKind::Scored {
-                    candidates,
-                    postings,
-                    ..
-                } => {
-                    metrics.scored_candidates += u64::from(*candidates);
-                    metrics.postings_decoded += postings;
-                }
-                EventKind::Merge { entries, .. } => metrics.merged_entries += entries,
-                EventKind::CacheHit { .. } => metrics.cache_hits += 1,
-                EventKind::CacheMiss { stale, .. } => {
-                    metrics.cache_misses += 1;
-                    if *stale {
-                        metrics.cache_stale += 1;
+                EventKind::ServerPhase { phase, micros, .. } => {
+                    if let Some(slot) = server_phase_index(phase) {
+                        closed(Closed::ServerPhase(slot, *micros));
                     }
                 }
-                EventKind::CacheEvict { entries, .. } => {
-                    metrics.cache_evictions += u64::from(*entries);
-                }
                 _ => {}
             }
         }
-        metrics
     }
 
-    /// Per-librarian traffic summed from `sent`/`reply` events, sorted by
-    /// librarian index.
-    ///
-    /// For transports whose counters charge each *logical* request once
-    /// (the in-process and TCP transports with client-side fault
-    /// injection), these totals line up with `TrafficStats`.
+    /// Rolls the trace up into per-phase durations and its counts.
     #[must_use]
-    pub fn per_librarian_traffic(&self) -> Vec<LibTraffic> {
-        fn row(rows: &mut Vec<LibTraffic>, librarian: u32) -> &mut LibTraffic {
-            if let Some(pos) = rows.iter().position(|r| r.librarian == librarian) {
-                &mut rows[pos]
-            } else {
-                rows.push(LibTraffic {
-                    librarian,
-                    messages: 0,
-                    bytes_sent: 0,
-                    bytes_received: 0,
-                });
-                rows.last_mut().unwrap()
-            }
-        }
-        let mut rows: Vec<LibTraffic> = Vec::new();
-        for event in &self.events {
-            match event.kind {
-                EventKind::Sent {
-                    librarian, bytes, ..
-                } => {
-                    let r = row(&mut rows, librarian);
-                    r.messages += 1;
-                    r.bytes_sent += bytes;
-                }
-                EventKind::Reply {
-                    librarian, bytes, ..
-                } => {
-                    let r = row(&mut rows, librarian);
-                    r.messages += 1;
-                    r.bytes_received += bytes;
-                }
-                _ => {}
-            }
-        }
-        rows.sort_by_key(|r| r.librarian);
-        rows
-    }
-
-    /// Sums the server-side phase durations (`server_phase` events) in
-    /// this trace, keyed by phase label. Labels appear in first-seen
-    /// order — [`crate::span::SERVER_PHASES`] order for traces recorded
-    /// by the fan-out path. The totals are what the span sum-check
-    /// compares against the registry's server-phase histograms.
-    #[must_use]
-    pub fn server_phase_sums(&self) -> Vec<(&'static str, u64)> {
-        let mut sums: Vec<(&'static str, u64)> = Vec::new();
-        for event in &self.events {
-            if let EventKind::ServerPhase { phase, micros, .. } = event.kind {
-                if let Some(slot) = sums.iter_mut().find(|(p, _)| *p == phase) {
-                    slot.1 += micros;
-                } else {
-                    sums.push((phase, micros));
+    pub fn metrics(&self) -> TraceMetrics {
+        let mut phase_micros: Vec<(Phase, u64)> = Vec::new();
+        self.for_each_closed(|closed| {
+            if let Closed::Phase(phase, micros) = closed {
+                match phase_micros.iter_mut().find(|(p, _)| *p == phase) {
+                    Some(slot) => slot.1 += micros,
+                    None => phase_micros.push((phase, micros)),
                 }
             }
+        });
+        TraceMetrics {
+            phase_micros,
+            counts: self.events.iter().map(|e| &e.kind).collect(),
         }
-        sums
     }
 }
 
@@ -235,68 +148,22 @@ pub(crate) enum Closed {
     Phase(Phase, u64),
     /// One librarian's `sent`→`reply` exchange.
     Exchange(u32, u64),
+    /// A server-side phase, by [`crate::span::SERVER_PHASES`] slot.
+    ServerPhase(usize, u64),
 }
 
-/// Traffic attributed to one librarian by [`QueryTrace::per_librarian_traffic`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LibTraffic {
-    /// Librarian index.
-    pub librarian: u32,
-    /// Messages exchanged (requests sent plus replies received).
-    pub messages: u64,
-    /// Request bytes sent to the librarian.
-    pub bytes_sent: u64,
-    /// Reply bytes received from the librarian.
-    pub bytes_received: u64,
-}
-
-/// Aggregated counters for one trace, from [`QueryTrace::metrics`].
+/// One trace rolled up, from [`QueryTrace::metrics`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceMetrics {
     /// Completed phases and their durations in microseconds, in order of
     /// first completion. Repeated phases accumulate.
     pub phase_micros: Vec<(Phase, u64)>,
-    /// Requests sent.
-    pub messages_sent: u64,
-    /// Replies received.
-    pub messages_received: u64,
-    /// Request bytes sent.
-    pub bytes_sent: u64,
-    /// Reply bytes received.
-    pub bytes_received: u64,
-    /// Transport timeouts observed.
-    pub timeouts: u64,
-    /// Retries attempted.
-    pub retries: u64,
-    /// Injected faults that fired.
-    pub faults: u64,
-    /// Librarians that dropped out.
-    pub failed_librarians: u64,
-    /// CI candidates scored across all librarians.
-    pub scored_candidates: u64,
-    /// Postings decoded while scoring CI candidates.
-    pub postings_decoded: u64,
-    /// Entries folded into merges.
-    pub merged_entries: u64,
-    /// Receptionist cache hits (all cache kinds).
-    pub cache_hits: u64,
-    /// Receptionist cache misses (all cache kinds, stale drops included).
-    pub cache_misses: u64,
-    /// Misses that dropped an entry from a stale generation.
-    pub cache_stale: u64,
-    /// Entries evicted by cache inserts.
-    pub cache_evictions: u64,
+    /// The trace's counts, per librarian where the catalogue keeps them
+    /// so. A batch's counts are the events of all its traces collected.
+    pub counts: Counts,
 }
 
 impl TraceMetrics {
-    fn add_phase(&mut self, phase: Phase, micros: u64) {
-        if let Some(slot) = self.phase_micros.iter_mut().find(|(p, _)| *p == phase) {
-            slot.1 += micros;
-        } else {
-            self.phase_micros.push((phase, micros));
-        }
-    }
-
     /// Duration of `phase` in microseconds, if it completed in this trace.
     #[must_use]
     pub fn phase(&self, phase: Phase) -> Option<u64> {
@@ -307,40 +174,10 @@ impl TraceMetrics {
     }
 }
 
-/// Wire traffic summed over a batch of traces, from
-/// [`trace_traffic_sums`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceTrafficSums {
-    /// Requests sent across all traces.
-    pub messages_sent: u64,
-    /// Replies received across all traces.
-    pub messages_received: u64,
-    /// Request bytes sent.
-    pub bytes_sent: u64,
-    /// Reply bytes received.
-    pub bytes_received: u64,
-}
-
-/// Sums the wire traffic of a whole trace batch — the trace-side ledger
-/// an accounting check compares against transport counters and the
-/// metrics registry. One number per direction, independent of how the
-/// traffic was split across operations.
-#[must_use]
-pub fn trace_traffic_sums(traces: &[QueryTrace]) -> TraceTrafficSums {
-    let mut sums = TraceTrafficSums::default();
-    for trace in traces {
-        let m = trace.metrics();
-        sums.messages_sent += m.messages_sent;
-        sums.messages_received += m.messages_received;
-        sums.bytes_sent += m.bytes_sent;
-        sums.bytes_received += m.bytes_received;
-    }
-    sums
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Count;
 
     fn ev(at: u64, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -464,16 +301,16 @@ mod tests {
         let m = t.metrics();
         assert_eq!(m.phase(Phase::RankFanout), Some(40));
         assert_eq!(m.phase(Phase::HeaderFetch), None);
-        assert_eq!(m.messages_sent, 1);
-        assert_eq!(m.bytes_sent, 10);
-        assert_eq!(m.bytes_received, 100);
-        assert_eq!(m.retries, 1);
-        assert_eq!(m.failed_librarians, 1);
-        assert_eq!(m.merged_entries, 10);
+        assert_eq!(m.counts.get(Count::SENT), 1);
+        assert_eq!(m.counts.get(Count::BYTES_SENT), 10);
+        assert_eq!(m.counts.get(Count::BYTES_RECEIVED), 100);
+        assert_eq!(m.counts.get(Count::RETRIES), 1);
+        assert_eq!(m.counts.get(Count::FAILURES), 1);
+        assert_eq!(m.counts.get(Count::MERGED_ENTRIES), 10);
     }
 
     #[test]
-    fn per_librarian_traffic_sums_sent_and_reply() {
+    fn counts_keep_traffic_per_librarian() {
         let t = trace(vec![
             ev(0, sent(1)),
             ev(0, sent(0)),
@@ -481,25 +318,32 @@ mod tests {
             ev(0, reply(0)),
             ev(0, sent(1)),
         ]);
-        let rows = t.per_librarian_traffic();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].librarian, 0);
-        assert_eq!(rows[0].messages, 2);
-        assert_eq!(rows[1].librarian, 1);
-        assert_eq!(rows[1].messages, 3);
-        assert_eq!(rows[1].bytes_sent, 22);
-        assert_eq!(rows[1].bytes_received, 101);
+        let counts = t.metrics().counts;
+        assert_eq!(counts.librarians(), 2);
+        assert_eq!(counts.librarian(0, Count::SENT), 1);
+        assert_eq!(counts.librarian(0, Count::REPLIES), 1);
+        assert_eq!(counts.librarian(1, Count::SENT), 2);
+        assert_eq!(counts.librarian(1, Count::REPLIES), 1);
+        assert_eq!(counts.librarian(1, Count::BYTES_SENT), 22);
+        assert_eq!(counts.librarian(1, Count::BYTES_RECEIVED), 101);
+        assert_eq!(counts.get(Count::SENT), 3);
     }
 
     #[test]
-    fn trace_traffic_sums_totals_a_batch() {
+    fn a_batch_collects_the_events_of_all_its_traces() {
         let a = trace(vec![ev(0, sent(0)), ev(1, reply(0))]);
         let b = trace(vec![ev(0, sent(1)), ev(1, reply(1)), ev(2, sent(0))]);
-        let sums = trace_traffic_sums(&[a, b]);
-        assert_eq!(sums.messages_sent, 3);
-        assert_eq!(sums.messages_received, 2);
-        assert_eq!(sums.bytes_sent, 10 + 11 + 10);
-        assert_eq!(sums.bytes_received, 100 + 101);
-        assert_eq!(trace_traffic_sums(&[]), TraceTrafficSums::default());
+        let batch = [a, b];
+        let sums: Counts = batch
+            .iter()
+            .flat_map(|t| &t.events)
+            .map(|e| &e.kind)
+            .collect();
+        assert_eq!(sums.get(Count::SENT), 3);
+        assert_eq!(sums.get(Count::REPLIES), 2);
+        assert_eq!(sums.get(Count::BYTES_SENT), 10 + 11 + 10);
+        assert_eq!(sums.get(Count::BYTES_RECEIVED), 100 + 101);
+        let none: Counts = std::iter::empty().collect();
+        assert_eq!(none, Counts::default());
     }
 }

@@ -11,7 +11,7 @@
 use teraphim_core::sim::{derive_seed, SimDriver, SimMode};
 use teraphim_core::{CiParams, TeraphimError};
 use teraphim_net::DispatchMode;
-use teraphim_obs::{trace_traffic_sums, EventKind, TraceSink};
+use teraphim_obs::{Count, Counts, EventKind, TraceSink};
 use teraphim_simnet::{CostModel, Topology};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -601,10 +601,19 @@ impl Backend for SimBackend {
     }
 
     fn accounting(&mut self) -> Accounting {
-        let sums = trace_traffic_sums(&self.sink.take_traces());
+        let traces = self.sink.take_traces();
+        let sums: Counts = traces
+            .iter()
+            .flat_map(|t| &t.events)
+            .map(|e| &e.kind)
+            .collect();
         Accounting {
             transport: None,
-            trace: (sums.messages_sent, sums.bytes_sent, sums.bytes_received),
+            trace: (
+                sums.get(Count::SENT),
+                sums.get(Count::BYTES_SENT),
+                sums.get(Count::BYTES_RECEIVED),
+            ),
             registry: None,
             wire_cap: Some(self.wire_bytes),
             sends_blocked: false,

@@ -21,7 +21,7 @@ use teraphim_engine::Collection;
 use teraphim_net::{
     DispatchMode, FaultyTransport, Message, ReplicaGroup, RoutingTable, Service, SharedPlan,
 };
-use teraphim_obs::{trace_traffic_sums, EventKind, MetricsRegistry, TraceSink};
+use teraphim_obs::{Count, Counts, EventKind, MetricsRegistry, TraceSink};
 use teraphim_store::{IndexStore, TempDir};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -651,16 +651,29 @@ impl<E: Embodiment> Backend for RealBackend<E> {
     }
 
     fn accounting(&mut self) -> Accounting {
-        let sums = trace_traffic_sums(&self.sink.take_traces());
-        let totals = self.registry.snapshot().traffic_totals();
+        let traces = self.sink.take_traces();
+        let sums: Counts = traces
+            .iter()
+            .flat_map(|t| &t.events)
+            .map(|e| &e.kind)
+            .collect();
+        let totals = self.registry.snapshot().counts;
         let mut wire = teraphim_net::TrafficStats::default();
         for session in &self.sessions {
             wire.absorb(&session.traffic());
         }
         Accounting {
             transport: Some((wire.round_trips, wire.bytes_sent, wire.bytes_received)),
-            trace: (sums.messages_sent, sums.bytes_sent, sums.bytes_received),
-            registry: Some((totals.round_trips, totals.bytes_sent, totals.bytes_received)),
+            trace: (
+                sums.get(Count::SENT),
+                sums.get(Count::BYTES_SENT),
+                sums.get(Count::BYTES_RECEIVED),
+            ),
+            registry: Some((
+                totals.get(Count::SENT),
+                totals.get(Count::BYTES_SENT),
+                totals.get(Count::BYTES_RECEIVED),
+            )),
             ..Accounting::default()
         }
     }

@@ -10,6 +10,7 @@
 use std::time::{Duration, Instant};
 
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
+use teraphim::index::IndexBuilder;
 use teraphim::net::{
     FaultPlan, FaultyTransport, InProcTransport, Message, NetError, ReplicaGroup, RetryPolicy,
     Service, Transport,
@@ -116,24 +117,63 @@ fn cv_setup_failure_leaves_receptionist_usable_for_cn() {
 fn corrupt_index_bytes_fail_ci_setup() {
     // Payload corruption is outside FaultPlan's protocol-level faults,
     // so this keeps a bespoke service.
-    struct BadIndex(Librarian);
+    struct BadIndex(Librarian, Vec<u8>);
     impl Service for BadIndex {
         fn handle(&mut self, request: Message) -> Message {
             match request {
                 Message::IndexRequest => Message::IndexResponse {
-                    index_bytes: vec![0xDE, 0xAD, 0xBE, 0xEF],
+                    index_bytes: self.1.clone(),
                 },
                 other => self.0.handle(other),
             }
         }
     }
-    let transports = vec![InProcTransport::new(BadIndex(Librarian::from_texts(
-        "A",
-        &[("A-1", "cats")],
-    )))];
-    let mut r = Receptionist::new(transports, Analyzer::default());
-    let err = r.enable_ci(Default::default()).unwrap_err();
-    assert!(format!("{err}").contains("index") || format!("{err}").contains("corrupt"));
+    // Garbage, and a well-formed index of one document whose posting
+    // names document 9 (its group would be the ninth of a one-group part).
+    for (index_bytes, group_size) in [
+        (vec![0xDE, 0xAD, 0xBE, 0xEF], CiParams::default().group_size),
+        (posting_past_its_documents(), 1),
+    ] {
+        let transports = vec![InProcTransport::new(BadIndex(
+            Librarian::from_texts("A", &[("A-1", "cats")]),
+            index_bytes,
+        ))];
+        let mut r = Receptionist::new(transports, Analyzer::default());
+        let err = r
+            .enable_ci(CiParams {
+                group_size,
+                ..Default::default()
+            })
+            .unwrap_err();
+        assert!(format!("{err}").contains("index") || format!("{err}").contains("corrupt"));
+    }
+}
+
+/// The bytes of a one-document index whose only posting is at document
+/// 9: the header (vocabulary, statistics, weights, document lengths) of
+/// a one-document index followed by the postings of a ten-document index
+/// in which only the last document holds the term.
+fn posting_past_its_documents() -> Vec<u8> {
+    let index = |docs: usize| {
+        let mut builder = IndexBuilder::new();
+        for doc in 0..docs {
+            let terms: &[&str] = if doc + 1 == docs { &["cats"] } else { &[] };
+            builder.add_document(terms);
+        }
+        builder.build().to_bytes()
+    };
+    // `to_bytes` writes three length-prefixed sections, then a counted
+    // run of u32 document lengths, then the postings.
+    let postings_at = |bytes: &[u8]| {
+        let u32_at = |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let mut pos = 0;
+        for _ in 0..3 {
+            pos += 4 + u32_at(pos) as usize;
+        }
+        pos + 4 + 4 * u32_at(pos) as usize
+    };
+    let (one, ten) = (index(1), index(10));
+    [&one[..postings_at(&one)], &ten[postings_at(&ten)..]].concat()
 }
 
 #[test]

@@ -10,7 +10,7 @@ use teraphim::core::health::{poll_fleet, HealthPolicy, HealthState};
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::{DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport};
-use teraphim::obs::MetricsRegistry;
+use teraphim::obs::{Count, MetricsRegistry, CACHE_KINDS};
 use teraphim::text::Analyzer;
 
 /// Four librarians with overlapping vocabulary (every one participates
@@ -60,25 +60,26 @@ fn any_traced_query_populates_per_librarian_metrics() {
         .unwrap();
 
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.queries, 1);
-    assert!(snapshot.messages_sent >= 4, "setup + rank fan-out");
+    let counts = &snapshot.counts;
+    assert_eq!(counts.queries(), 1);
+    assert!(counts.get(Count::SENT) >= 4, "setup + rank fan-out");
+    assert_eq!(counts.librarians(), 4);
     assert_eq!(snapshot.per_librarian.len(), 4);
-    for lib in &snapshot.per_librarian {
-        assert!(lib.sent > 0, "lib {} never contacted", lib.librarian);
+    for (lib, latency) in snapshot.per_librarian.iter().enumerate() {
         assert!(
-            !lib.latency.is_empty(),
-            "lib {} has no latency samples",
-            lib.librarian
+            counts.librarian(lib, Count::SENT) > 0,
+            "lib {lib} never contacted"
         );
-        assert!(lib.latency.p99() >= lib.latency.p50());
+        assert!(!latency.is_empty(), "lib {lib} has no latency samples");
+        assert!(latency.p99() >= latency.p50());
     }
     let cv = snapshot
         .per_methodology
         .iter()
-        .find(|m| m.code == "CV")
+        .position(|(code, _)| *code == "CV")
         .unwrap();
-    assert_eq!(cv.queries, 1);
-    assert!(!cv.latency.is_empty());
+    assert_eq!(counts.get(Count::queries(cv)), 1);
+    assert!(!snapshot.per_methodology[cv].1.is_empty());
     // The exposition renders and lints clean straight off a live run.
     teraphim::obs::lint_prometheus(&snapshot.render_prometheus()).unwrap();
 }
@@ -106,11 +107,12 @@ fn permanently_failed_librarian_is_down_and_counters_match_coverage() {
     }
 
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.degraded_queries, degraded);
-    assert_eq!(snapshot.lib_failures, failed_exchanges);
-    assert_eq!(snapshot.per_librarian[2].failures, failed_exchanges);
+    let counts = &snapshot.counts;
+    assert_eq!(counts.get(Count::DEGRADED_QUERIES), degraded);
+    assert_eq!(counts.get(Count::FAILURES), failed_exchanges);
+    assert_eq!(counts.librarian(2, Count::FAILURES), failed_exchanges);
     for lib in [0usize, 1, 3] {
-        assert_eq!(snapshot.per_librarian[lib].failures, 0);
+        assert_eq!(counts.librarian(lib, Count::FAILURES), 0);
     }
 
     let report = receptionist.fleet_health();
@@ -157,7 +159,7 @@ fn transient_failure_degrades_via_client_observations() {
         .query_with_coverage(Methodology::CentralNothing, "dogs", 8)
         .unwrap();
     assert!(answer.coverage.failed.is_empty());
-    assert_eq!(registry.snapshot().per_librarian[1].failures, 1);
+    assert_eq!(registry.snapshot().counts.librarian(1, Count::FAILURES), 1);
 
     let report = receptionist.fleet_health();
     assert_eq!(report.librarians[1].state, HealthState::Degraded);
@@ -195,24 +197,22 @@ fn cache_hits_leave_the_fleet_ledger_untouched() {
     receptionist
         .query(Methodology::CentralVocabulary, "cats and birds", 8)
         .unwrap();
-    let warm = registry.snapshot();
+    let (cold, warm) = (cold.counts, registry.snapshot().counts);
 
     assert_eq!(
-        warm.queries,
-        cold.queries + 1,
+        warm.queries(),
+        cold.queries() + 1,
         "the hit still counts as a query"
     );
     assert_eq!(
-        warm.messages_sent, cold.messages_sent,
+        warm.get(Count::SENT),
+        cold.get(Count::SENT),
         "a hit sends nothing"
     );
-    assert_eq!(warm.bytes_sent, cold.bytes_sent);
-    let results = warm
-        .per_cache
-        .iter()
-        .find(|c| c.cache == "results")
-        .unwrap();
-    assert_eq!((results.hits, results.misses), (1, 1));
+    assert_eq!(warm.get(Count::BYTES_SENT), cold.get(Count::BYTES_SENT));
+    let results = CACHE_KINDS.iter().position(|&c| c == "results").unwrap();
+    let [hits, misses, ..] = Count::cache(results).map(|count| warm.get(count));
+    assert_eq!((hits, misses), (1, 1));
 
     // The librarians' own ledgers agree: one rank request each, ever.
     let report = receptionist.fleet_health();
@@ -368,10 +368,13 @@ fn ci_queries_meter_phases_and_methodology_slots() {
     let ci = snapshot
         .per_methodology
         .iter()
-        .find(|m| m.code == "CI")
+        .position(|(code, _)| *code == "CI")
         .unwrap();
-    assert_eq!(ci.queries, 1);
-    assert!(snapshot.scored_candidates > 0, "Scored events tee through");
+    assert_eq!(snapshot.counts.get(Count::queries(ci)), 1);
+    assert!(
+        snapshot.counts.get(Count::SCORED_CANDIDATES) > 0,
+        "Scored events tee through"
+    );
     assert!(
         snapshot.per_phase.iter().any(|(_, h)| !h.is_empty()),
         "phase brackets tee through"

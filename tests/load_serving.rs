@@ -18,7 +18,7 @@ use teraphim::net::{
     DispatchMode, FaultPlan, FaultyTransport, InProcTransport, ReplicaGroup, RetryPolicy,
     TcpOptions,
 };
-use teraphim::obs::{MetricsRegistry, TraceSink};
+use teraphim::obs::{Count, MetricsRegistry, TraceSink};
 use teraphim::text::Analyzer;
 
 const CI: CiParams = CiParams {
@@ -209,11 +209,13 @@ fn session_accounting_agrees_three_ways_under_concurrency() {
         assert_eq!(traces.len(), 10);
         let mut trace_rows = vec![teraphim::net::TrafficStats::default(); transports.len()];
         for trace in &traces {
-            for row in trace.per_librarian_traffic() {
-                let entry = &mut trace_rows[row.librarian as usize];
-                entry.bytes_sent += row.bytes_sent;
-                entry.bytes_received += row.bytes_received;
-                entry.round_trips += row.messages / 2;
+            let counts = trace.metrics().counts;
+            assert!(counts.librarians() <= trace_rows.len());
+            for (lib, entry) in trace_rows.iter_mut().enumerate() {
+                let count = |count| counts.librarian(lib, count);
+                entry.bytes_sent += count(Count::BYTES_SENT);
+                entry.bytes_received += count(Count::BYTES_RECEIVED);
+                entry.round_trips += (count(Count::SENT) + count(Count::REPLIES)) / 2;
             }
         }
         assert_eq!(trace_rows, transports, "trace sums vs transport counters");
@@ -221,13 +223,16 @@ fn session_accounting_agrees_three_ways_under_concurrency() {
 
     // Way 3: the shared registry saw every session's traffic, exactly.
     let snapshot = registry.snapshot();
-    assert_eq!(snapshot.queries, 40, "4 sessions x 10 queries");
-    assert_eq!(snapshot.per_methodology[1].code, "CN");
-    assert_eq!(snapshot.per_methodology[1].latency.count, 40);
-    let totals = snapshot.traffic_totals();
-    assert_eq!(totals.round_trips, client_total.round_trips);
-    assert_eq!(totals.bytes_sent, client_total.bytes_sent);
-    assert_eq!(totals.bytes_received, client_total.bytes_received);
+    let totals = &snapshot.counts;
+    assert_eq!(totals.queries(), 40, "4 sessions x 10 queries");
+    assert_eq!(snapshot.per_methodology[1].0, "CN");
+    assert_eq!(snapshot.per_methodology[1].1.count, 40);
+    assert_eq!(totals.get(Count::SENT), client_total.round_trips);
+    assert_eq!(totals.get(Count::BYTES_SENT), client_total.bytes_sent);
+    assert_eq!(
+        totals.get(Count::BYTES_RECEIVED),
+        client_total.bytes_received
+    );
 
     // Server side: the fleet answered exactly the exchanges the mux
     // pools carried (sessions are the pools' only users).

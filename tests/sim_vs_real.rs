@@ -7,7 +7,7 @@ use teraphim::core::sim::{SimDriver, SimMode};
 use teraphim::core::{CiParams, DistributedCollection, Librarian, Methodology, Receptionist};
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::net::InProcTransport;
-use teraphim::obs::MetricsRegistry;
+use teraphim::obs::{Count, MetricsRegistry, CACHE_KINDS};
 use teraphim::simnet::{CostModel, Topology};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
@@ -218,20 +218,23 @@ fn three_accounting_paths_agree_on_the_real_driver() {
 
     // Path 1 vs path 2: transport counters vs metrics registry.
     let snapshot = registry.snapshot();
-    let totals = snapshot.traffic_totals();
-    assert_eq!(totals.round_trips, traffic.round_trips);
-    assert_eq!(totals.bytes_sent, traffic.bytes_sent);
-    assert_eq!(totals.bytes_received, traffic.bytes_received);
+    let totals = &snapshot.counts;
+    assert_eq!(totals.get(Count::SENT), traffic.round_trips);
+    assert_eq!(totals.get(Count::BYTES_SENT), traffic.bytes_sent);
+    assert_eq!(totals.get(Count::BYTES_RECEIVED), traffic.bytes_received);
 
     // Per-librarian as well, not just the fleet roll-up.
     let per_lib = receptionist.per_librarian_traffic();
+    assert_eq!(totals.librarians(), per_lib.len());
     assert_eq!(snapshot.per_librarian.len(), per_lib.len());
-    for (metrics, stats) in snapshot.per_librarian.iter().zip(&per_lib) {
-        assert_eq!(metrics.sent, stats.round_trips, "lib {}", metrics.librarian);
-        assert_eq!(metrics.bytes_sent, stats.bytes_sent);
-        assert_eq!(metrics.bytes_received, stats.bytes_received);
+    for (lib, (latency, stats)) in snapshot.per_librarian.iter().zip(&per_lib).enumerate() {
+        let count = |count| totals.librarian(lib, count);
+        assert_eq!(count(Count::SENT), stats.round_trips, "lib {lib}");
+        assert_eq!(count(Count::BYTES_SENT), stats.bytes_sent);
+        assert_eq!(count(Count::BYTES_RECEIVED), stats.bytes_received);
         assert_eq!(
-            metrics.latency.count, metrics.replies,
+            latency.count,
+            count(Count::REPLIES),
             "every reply contributes one latency sample"
         );
     }
@@ -240,10 +243,10 @@ fn three_accounting_paths_agree_on_the_real_driver() {
     let traces = sink.take_traces();
     let (mut messages, mut bytes_sent, mut bytes_received) = (0u64, 0u64, 0u64);
     for trace in &traces {
-        let m = trace.metrics();
-        messages += m.messages_sent;
-        bytes_sent += m.bytes_sent;
-        bytes_received += m.bytes_received;
+        let m = trace.metrics().counts;
+        messages += m.get(Count::SENT);
+        bytes_sent += m.get(Count::BYTES_SENT);
+        bytes_received += m.get(Count::BYTES_RECEIVED);
     }
     assert_eq!(messages, traffic.round_trips);
     assert_eq!(bytes_sent, traffic.bytes_sent);
@@ -321,33 +324,36 @@ fn cache_accounting_paths_agree_on_the_real_driver() {
     let traces = sink.take_traces();
     let (mut hits, mut misses, mut stale, mut evictions) = (0u64, 0u64, 0u64, 0u64);
     for trace in &traces {
-        let m = trace.metrics();
-        hits += m.cache_hits;
-        misses += m.cache_misses;
-        stale += m.cache_stale;
-        evictions += m.cache_evictions;
+        let m = trace.metrics().counts;
+        for kind in 0..CACHE_KINDS.len() {
+            let [h, mi, s, e] = Count::cache(kind).map(|count| m.get(count));
+            hits += h;
+            misses += mi;
+            stale += s;
+            evictions += e;
+        }
     }
     assert_eq!(hits, local_hits);
     assert_eq!(misses, local_misses);
     assert_eq!(stale, local_stale);
     assert_eq!(evictions, local_evictions);
 
-    // Path 3: the registry's per-cache slots, keyed per cache kind.
+    // Path 3: the registry's per-cache rows, keyed per cache kind.
     let snapshot = registry.snapshot();
     for (kind, counters) in [
         ("results", stats.results),
         ("stats", stats.terms),
         ("docs", stats.docs),
     ] {
-        let slot = snapshot
-            .per_cache
+        let slot = CACHE_KINDS
             .iter()
-            .find(|c| c.cache == kind)
+            .position(|&c| c == kind)
             .unwrap_or_else(|| panic!("no registry slot for cache {kind:?}"));
-        assert_eq!(slot.hits, counters.hits, "{kind} hits");
-        assert_eq!(slot.misses, counters.misses, "{kind} misses");
-        assert_eq!(slot.stale, counters.stale, "{kind} stale");
-        assert_eq!(slot.evictions, counters.evictions, "{kind} evictions");
+        let [h, mi, s, e] = Count::cache(slot).map(|count| snapshot.counts.get(count));
+        assert_eq!(h, counters.hits, "{kind} hits");
+        assert_eq!(mi, counters.misses, "{kind} misses");
+        assert_eq!(s, counters.stale, "{kind} stale");
+        assert_eq!(e, counters.evictions, "{kind} evictions");
     }
 }
 
@@ -374,23 +380,25 @@ fn sim_registry_traffic_is_bounded_by_query_cost() {
         )
         .unwrap();
     let snapshot = registry.snapshot();
-    let totals = snapshot.traffic_totals();
-    assert!(totals.round_trips > 0, "sim fan-out must be metered");
+    let totals = &snapshot.counts;
+    let (sent, received) = (
+        totals.get(Count::BYTES_SENT),
+        totals.get(Count::BYTES_RECEIVED),
+    );
+    assert!(totals.get(Count::SENT) > 0, "sim fan-out must be metered");
     assert!(
-        totals.bytes_sent + totals.bytes_received <= result.bytes_on_wire,
-        "registry {} + {} vs QueryCost {}",
-        totals.bytes_sent,
-        totals.bytes_received,
+        sent + received <= result.bytes_on_wire,
+        "registry {sent} + {received} vs QueryCost {}",
         result.bytes_on_wire
     );
     // Methodology latency lands in the CV slot, in *virtual* micros.
     let cv = snapshot
         .per_methodology
         .iter()
-        .find(|m| m.code == "CV")
+        .position(|(code, _)| *code == "CV")
         .unwrap();
-    assert_eq!(cv.queries, 1);
-    assert!(!cv.latency.is_empty());
+    assert_eq!(totals.get(Count::queries(cv)), 1);
+    assert!(!snapshot.per_methodology[cv].1.is_empty());
 }
 
 #[test]

@@ -21,7 +21,7 @@ use teraphim::net::{
     DispatchMode, FaultPlan, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup,
     RetryPolicy,
 };
-use teraphim::obs::{diff_json, EventKind, Phase, QueryTrace, SpanTree, TraceSink};
+use teraphim::obs::{diff_json, Count, EventKind, Phase, QueryTrace, SpanTree, TraceSink};
 use teraphim::simnet::{CostModel, Topology};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
@@ -421,11 +421,10 @@ fn ci_trace_obeys_candidate_budget() {
         assert_eq!(traces.len(), 1, "case {case}: expected exactly one trace");
         let trace = &traces[0];
 
-        let metrics = trace.metrics();
+        let scored = trace.metrics().counts.get(Count::SCORED_CANDIDATES);
         assert!(
-            metrics.scored_candidates <= budget,
-            "case {case}: scored {} candidates, budget k'*G = {budget}",
-            metrics.scored_candidates
+            scored <= budget,
+            "case {case}: scored {scored} candidates, budget k'*G = {budget}"
         );
 
         let mut expanded: HashSet<(u32, u32)> = HashSet::new();
@@ -527,35 +526,34 @@ fn trace_totals_match_transport_counters() {
         );
 
         // Per-librarian: trace sums == transport counters.
-        let from_trace = trace.per_librarian_traffic();
+        let from_trace = trace.metrics().counts;
         let from_transports = r.per_librarian_traffic();
-        assert_eq!(from_trace.len(), from_transports.len());
-        for (row, stats) in from_trace.iter().zip(&from_transports) {
+        assert_eq!(from_trace.librarians(), from_transports.len());
+        for (lib, stats) in from_transports.iter().enumerate() {
+            let count = |count| from_trace.librarian(lib, count);
             assert_eq!(
-                row.bytes_sent, stats.bytes_sent,
-                "{mode:?} librarian {}: sent bytes",
-                row.librarian
+                count(Count::BYTES_SENT),
+                stats.bytes_sent,
+                "{mode:?} librarian {lib}: sent bytes"
             );
             assert_eq!(
-                row.bytes_received, stats.bytes_received,
-                "{mode:?} librarian {}: received bytes",
-                row.librarian
+                count(Count::BYTES_RECEIVED),
+                stats.bytes_received,
+                "{mode:?} librarian {lib}: received bytes"
             );
             assert_eq!(
-                row.messages,
+                count(Count::SENT) + count(Count::REPLIES),
                 2 * stats.round_trips,
-                "{mode:?} librarian {}: one sent + one reply per round trip",
-                row.librarian
+                "{mode:?} librarian {lib}: one sent + one reply per round trip"
             );
         }
 
         // And in aggregate against the receptionist's rollup.
-        let metrics = trace.metrics();
         let total = r.traffic();
-        assert_eq!(metrics.bytes_sent, total.bytes_sent);
-        assert_eq!(metrics.bytes_received, total.bytes_received);
-        assert_eq!(metrics.retries, 1);
-        assert_eq!(metrics.faults, 1);
+        assert_eq!(from_trace.get(Count::BYTES_SENT), total.bytes_sent);
+        assert_eq!(from_trace.get(Count::BYTES_RECEIVED), total.bytes_received);
+        assert_eq!(from_trace.get(Count::RETRIES), 1);
+        assert_eq!(from_trace.get(Count::FAULTS), 1);
 
         // The restricted entry points are operations like any other:
         // each yields exactly one complete trace, whose byte sums equal
@@ -576,16 +574,20 @@ fn trace_totals_match_transport_counters() {
             assert_eq!(traces.len(), 1, "{mode:?} {op}: one trace per operation");
             assert!(traces[0].complete, "{mode:?} {op}");
             assert_eq!(traces[0].op, op);
-            let metrics = traces[0].metrics();
-            let (traffic, counted) = (r.traffic(), registry.snapshot());
+            let traced = traces[0].metrics().counts;
+            let (traffic, counted) = (r.traffic(), registry.snapshot().counts);
+            let counted_before = counted_before.counts;
             let sent = traffic.bytes_sent - traffic_before.bytes_sent;
             let received = traffic.bytes_received - traffic_before.bytes_received;
             assert!(sent > 0 && received > 0, "{mode:?} {op}");
-            assert_eq!(metrics.bytes_sent, sent, "{mode:?} {op}");
-            assert_eq!(metrics.bytes_received, received, "{mode:?} {op}");
-            assert_eq!(counted.bytes_sent - counted_before.bytes_sent, sent);
+            assert_eq!(traced.get(Count::BYTES_SENT), sent, "{mode:?} {op}");
+            assert_eq!(traced.get(Count::BYTES_RECEIVED), received, "{mode:?} {op}");
             assert_eq!(
-                counted.bytes_received - counted_before.bytes_received,
+                counted.get(Count::BYTES_SENT) - counted_before.get(Count::BYTES_SENT),
+                sent
+            );
+            assert_eq!(
+                counted.get(Count::BYTES_RECEIVED) - counted_before.get(Count::BYTES_RECEIVED),
                 received
             );
         }
