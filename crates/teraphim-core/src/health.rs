@@ -280,7 +280,7 @@ pub fn poll_fleet<T: Transport>(
     let n = transports.len();
     // A librarian whose exchange fails keeps its `down` row.
     let mut librarians: Vec<_> = (0..n as u32).map(LibrarianHealth::down).collect();
-    let polls = vec![Some(Message::Stats); n];
+    let polls = vec![Some(&Message::Stats); n];
     let sink = TraceSink::disabled();
     dispatch(mode, transports, polls, &sink, false, &mut |lib, reply| {
         librarians[lib] = classify(lib as u32, Ok(reply), policy);

@@ -125,6 +125,30 @@ enum OnFailure {
     Degrade,
 }
 
+/// Step 1's sub-queries, owned here and lent to the fan-out.
+enum SubQueries {
+    /// One request for every librarian (CN, CV): built once, never
+    /// cloned per librarian.
+    Shared(Message),
+    /// A request of its own per librarian, `None` where there is nothing
+    /// to ask (CI).
+    Own(Vec<Option<Message>>),
+}
+
+impl SubQueries {
+    /// Each of `n` librarians' request, with every librarian outside
+    /// `only` (when given) left uncontacted.
+    fn lend(&self, n: usize, only: Option<&[usize]>) -> Vec<Option<&Message>> {
+        (0..n)
+            .map(|lib| match self {
+                _ if only.is_some_and(|only| !only.contains(&lib)) => None,
+                SubQueries::Shared(request) => Some(request),
+                SubQueries::Own(requests) => requests[lib].as_ref(),
+            })
+            .collect()
+    }
+}
+
 /// Global state for the Central Vocabulary methodology. Immutable once
 /// built, so forked receptionists ([`Receptionist::fork`]) share one
 /// copy behind an [`Arc`] instead of re-running the vocabulary
@@ -463,7 +487,7 @@ impl<T: Transport> Receptionist<T> {
     /// batch stops at the first failure, which becomes the error.
     fn fan_out_strict(
         &mut self,
-        requests: Vec<Option<Message>>,
+        requests: Vec<Option<&Message>>,
         on_reply: &mut dyn FnMut(usize, Message) -> Result<(), NetError>,
     ) -> Result<(), TeraphimError> {
         let failures = dispatch(
@@ -487,7 +511,7 @@ impl<T: Transport> Receptionist<T> {
     /// grouped index's layout depends on subcollection order).
     fn ask_everyone(&mut self, request: Message) -> Result<Vec<Message>, TeraphimError> {
         let mut replies: Vec<Option<Message>> = vec![None; self.transports.len()];
-        let requests = vec![Some(request); self.transports.len()];
+        let requests = vec![Some(&request); self.transports.len()];
         self.fan_out_strict(requests, &mut |lib, reply| {
             replies[lib] = Some(reply);
             Ok(())
@@ -716,7 +740,8 @@ impl<T: Transport> Receptionist<T> {
                 return Ok(answer);
             }
         }
-        let requests = self.rank_requests(methodology, query_id, terms, k, only)?;
+        let sub_queries = self.rank_requests(methodology, query_id, terms, k)?;
+        let requests = sub_queries.lend(self.transports.len(), only);
         let mut answered: Vec<usize> = (0..requests.len())
             .filter(|&lib| requests[lib].is_some())
             .collect();
@@ -777,45 +802,29 @@ impl<T: Transport> Receptionist<T> {
         Ok(answer)
     }
 
-    /// Step 1: the per-librarian sub-queries for `methodology` — the same
-    /// ranking request for everyone under CN and CV, per-librarian
-    /// candidate lists under CI — with every librarian outside `only`
-    /// (when given) left uncontacted.
+    /// Step 1: the sub-queries for `methodology` — one ranking request
+    /// lent to everyone under CN and CV, per-librarian candidate lists
+    /// under CI.
     fn rank_requests(
         &mut self,
         methodology: Methodology,
         query_id: u32,
         terms: Vec<(String, u32)>,
         k: usize,
-        only: Option<&[usize]>,
-    ) -> Result<Vec<Option<Message>>, TeraphimError> {
-        let mut requests = match methodology {
-            Methodology::CentralNothing => {
-                let request = Message::RankRequest {
-                    query_id,
-                    k: k as u32,
-                    terms,
-                };
-                vec![Some(request); self.transports.len()]
-            }
-            Methodology::CentralVocabulary => {
-                let request = Message::RankWeightedRequest {
-                    query_id,
-                    k: k as u32,
-                    terms: self.cv_weights(&terms)?,
-                };
-                vec![Some(request); self.transports.len()]
-            }
-            Methodology::CentralIndex => self.ci_requests(query_id, &terms, k)?,
-        };
-        if let Some(only) = only {
-            for (lib, request) in requests.iter_mut().enumerate() {
-                if !only.contains(&lib) {
-                    *request = None;
-                }
-            }
-        }
-        Ok(requests)
+    ) -> Result<SubQueries, TeraphimError> {
+        Ok(match methodology {
+            Methodology::CentralNothing => SubQueries::Shared(Message::RankRequest {
+                query_id,
+                k: k as u32,
+                terms,
+            }),
+            Methodology::CentralVocabulary => SubQueries::Shared(Message::RankWeightedRequest {
+                query_id,
+                k: k as u32,
+                terms: self.cv_weights(&terms)?,
+            }),
+            Methodology::CentralIndex => SubQueries::Own(self.ci_requests(query_id, &terms, k)?),
+        })
     }
 
     /// CV global query weights, consulting the term-statistics cache
@@ -866,7 +875,7 @@ impl<T: Transport> Receptionist<T> {
     fn rank_fanout(
         &mut self,
         query_id: u32,
-        requests: Vec<Option<Message>>,
+        requests: Vec<Option<&Message>>,
         k: usize,
         scored: bool,
         stop_at_first_failure: bool,
@@ -1162,7 +1171,7 @@ impl<T: Transport> Receptionist<T> {
         // Collect into per-librarian slots so the documented
         // librarian-then-document order holds under concurrent arrival.
         let mut per_lib: Vec<Vec<DocId>> = vec![Vec::new(); self.transports.len()];
-        let requests = vec![Some(request); self.transports.len()];
+        let requests = vec![Some(&request); self.transports.len()];
         self.fan_out_strict(requests, &mut |lib, response| match response {
             Message::BooleanResponse {
                 query_id: qid,
@@ -1242,6 +1251,7 @@ impl<T: Transport> Receptionist<T> {
         // Responses land in a map keyed by (librarian, doc), so arrival
         // order is irrelevant; output order is re-imposed from `hits`.
         let mut fetched: HashMap<(usize, u32), (String, Vec<u8>)> = HashMap::new();
+        let requests = requests.iter().map(Option::as_ref).collect();
         self.fan_out_strict(requests, &mut |lib, response| match response {
             Message::DocsResponse { docs, .. } => {
                 for (doc, docno, bytes) in docs {
@@ -1323,6 +1333,7 @@ impl<T: Transport> Receptionist<T> {
             requests[lib] = Some(Message::FetchHeadersRequest { query_id, docs });
         }
         let mut resolved: HashMap<(usize, u32), String> = HashMap::new();
+        let requests = requests.iter().map(Option::as_ref).collect();
         self.fan_out_strict(requests, &mut |lib, response| match response {
             Message::HeadersResponse { headers, .. } => {
                 for (doc, docno) in headers {

@@ -24,7 +24,7 @@ fn one_dispatch<T: Transport>(mode: DispatchMode, ts: &mut [T]) -> Duration {
         k: 10,
         terms: vec![("term".into(), 1)],
     };
-    let requests = vec![Some(request); ts.len()];
+    let requests = vec![Some(&request); ts.len()];
     let start = Instant::now();
     let failures = dispatch(
         mode,

@@ -150,7 +150,7 @@ fn finish_here<'t, T: Transport + 't>(
 pub fn dispatch<T: Transport + Send>(
     mode: DispatchMode,
     transports: &mut [T],
-    requests: Vec<Option<Message>>,
+    requests: Vec<Option<&Message>>,
     trace: &TraceSink,
     stop_at_first_failure: bool,
     on_reply: &mut dyn FnMut(usize, Message) -> Result<(), NetError>,
@@ -179,8 +179,8 @@ pub fn dispatch<T: Transport + Send>(
     let begun = transports.iter_mut().zip(requests).enumerate().filter_map(
         |(lib, (transport, request))| {
             let request = request?;
-            record_sent(trace, lib, &request);
-            let ticket = transport.begin(&request);
+            record_sent(trace, lib, request);
+            let ticket = transport.begin(request);
             Some((lib, transport, ticket))
         },
     );
@@ -367,6 +367,7 @@ mod tests {
             })
             .collect();
         let mut delivered = Vec::new();
+        let requests = requests.iter().map(Option::as_ref).collect();
         let failures = dispatch(mode, ts, requests, &sink, stop, &mut |lib, response| {
             if lib == 2 && failure == Failure::Rejected {
                 return Err(NetError::Corrupt("bad payload"));
@@ -619,15 +620,13 @@ mod tests {
     /// every failure collected; returns the failures, how many replies
     /// were delivered and how long the batch took.
     fn timed_dispatch<T: Transport>(ts: &mut [T]) -> (Vec<(usize, NetError)>, usize, Duration) {
-        let requests = (0..ts.len())
-            .map(|i| Some(rank_request(i as u32)))
-            .collect();
+        let requests: Vec<Message> = (0..ts.len()).map(|i| rank_request(i as u32)).collect();
         let mut replies = 0;
         let start = Instant::now();
         let failures = dispatch(
             DispatchMode::Pipelined,
             ts,
-            requests,
+            requests.iter().map(Some).collect(),
             &TraceSink::disabled(),
             false,
             &mut |_, _| {
@@ -720,7 +719,7 @@ mod tests {
         let failures = dispatch(
             DispatchMode::default(),
             &mut ts,
-            vec![Some(Message::StatsRequest); 3],
+            vec![Some(&Message::StatsRequest); 3],
             &TraceSink::disabled(),
             false,
             &mut |_, _| Ok(()),

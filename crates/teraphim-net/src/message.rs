@@ -267,6 +267,13 @@ impl Message {
     /// Encodes to the compact wire form.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the compact wire form to `out` — in place, behind a
+    /// frame's head ([`crate::wire::frame`]).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::StatsRequest => out.push(TAG_STATS_REQ),
             Message::StatsResponse {
@@ -274,36 +281,36 @@ impl Message {
                 term_freqs,
             } => {
                 out.push(TAG_STATS_RESP);
-                put_uint(&mut out, *num_docs);
-                put_uint(&mut out, term_freqs.len() as u64);
+                put_uint(out, *num_docs);
+                put_uint(out, term_freqs.len() as u64);
                 for (term, f) in term_freqs {
-                    put_str(&mut out, term);
-                    put_uint(&mut out, *f);
+                    put_str(out, term);
+                    put_uint(out, *f);
                 }
             }
             Message::IndexRequest => out.push(TAG_INDEX_REQ),
             Message::IndexResponse { index_bytes } => {
                 out.push(TAG_INDEX_RESP);
-                put_bytes(&mut out, index_bytes);
+                put_bytes(out, index_bytes);
             }
             Message::RankRequest { query_id, k, terms } => {
                 out.push(TAG_RANK_REQ);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, u64::from(*k));
-                put_uint(&mut out, terms.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, u64::from(*k));
+                put_uint(out, terms.len() as u64);
                 for (term, f_qt) in terms {
-                    put_str(&mut out, term);
-                    put_uint(&mut out, u64::from(*f_qt));
+                    put_str(out, term);
+                    put_uint(out, u64::from(*f_qt));
                 }
             }
             Message::RankWeightedRequest { query_id, k, terms } => {
                 out.push(TAG_RANK_W_REQ);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, u64::from(*k));
-                put_uint(&mut out, terms.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, u64::from(*k));
+                put_uint(out, terms.len() as u64);
                 for (term, w) in terms {
-                    put_str(&mut out, term);
-                    put_f64(&mut out, *w);
+                    put_str(out, term);
+                    put_f64(out, *w);
                 }
             }
             Message::RankResponse {
@@ -312,12 +319,12 @@ impl Message {
                 entries,
             } => {
                 out.push(TAG_RANK_RESP);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, *epoch);
-                put_uint(&mut out, entries.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, *epoch);
+                put_uint(out, entries.len() as u64);
                 for (doc, score) in entries {
-                    put_uint(&mut out, u64::from(*doc));
-                    put_f64(&mut out, *score);
+                    put_uint(out, u64::from(*doc));
+                    put_f64(out, *score);
                 }
             }
             Message::ScoreCandidatesRequest {
@@ -326,20 +333,20 @@ impl Message {
                 candidates,
             } => {
                 out.push(TAG_SCORE_REQ);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, terms.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, terms.len() as u64);
                 for (term, w) in terms {
-                    put_str(&mut out, term);
-                    put_f64(&mut out, *w);
+                    put_str(out, term);
+                    put_f64(out, *w);
                 }
                 // Candidates as d-gaps of the sorted list keeps this the
                 // "few bytes each" the paper assumes.
-                put_uint(&mut out, candidates.len() as u64);
+                put_uint(out, candidates.len() as u64);
                 let mut prev = 0u32;
                 for (i, &c) in candidates.iter().enumerate() {
                     debug_assert!(i == 0 || c >= prev, "candidates must be sorted");
                     let gap = if i == 0 { c } else { c - prev };
-                    put_uint(&mut out, u64::from(gap));
+                    put_uint(out, u64::from(gap));
                     prev = c;
                 }
             }
@@ -350,13 +357,13 @@ impl Message {
                 postings_decoded,
             } => {
                 out.push(TAG_SCORE_RESP);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, *epoch);
-                put_uint(&mut out, *postings_decoded);
-                put_uint(&mut out, entries.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, *epoch);
+                put_uint(out, *postings_decoded);
+                put_uint(out, entries.len() as u64);
                 for (doc, score) in entries {
-                    put_uint(&mut out, u64::from(*doc));
-                    put_f64(&mut out, *score);
+                    put_uint(out, u64::from(*doc));
+                    put_f64(out, *score);
                 }
             }
             Message::FetchDocsRequest {
@@ -365,65 +372,65 @@ impl Message {
                 plain,
             } => {
                 out.push(TAG_FETCH_REQ);
-                put_uint(&mut out, u64::from(*query_id));
+                put_uint(out, u64::from(*query_id));
                 out.push(u8::from(*plain));
-                put_uint(&mut out, docs.len() as u64);
+                put_uint(out, docs.len() as u64);
                 for &d in docs {
-                    put_uint(&mut out, u64::from(d));
+                    put_uint(out, u64::from(d));
                 }
             }
             Message::FetchHeadersRequest { query_id, docs } => {
                 out.push(TAG_HEADERS_REQ);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, docs.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, docs.len() as u64);
                 for &d in docs {
-                    put_uint(&mut out, u64::from(d));
+                    put_uint(out, u64::from(d));
                 }
             }
             Message::HeadersResponse { query_id, headers } => {
                 out.push(TAG_HEADERS_RESP);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, headers.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, headers.len() as u64);
                 for (doc, docno) in headers {
-                    put_uint(&mut out, u64::from(*doc));
-                    put_str(&mut out, docno);
+                    put_uint(out, u64::from(*doc));
+                    put_str(out, docno);
                 }
             }
             Message::DocsResponse { query_id, docs } => {
                 out.push(TAG_DOCS_RESP);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, docs.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, docs.len() as u64);
                 for (doc, docno, bytes) in docs {
-                    put_uint(&mut out, u64::from(*doc));
-                    put_str(&mut out, docno);
-                    put_bytes(&mut out, bytes);
+                    put_uint(out, u64::from(*doc));
+                    put_str(out, docno);
+                    put_bytes(out, bytes);
                 }
             }
             Message::BooleanRequest { query_id, expr } => {
                 out.push(TAG_BOOL_REQ);
-                put_uint(&mut out, u64::from(*query_id));
-                put_str(&mut out, expr);
+                put_uint(out, u64::from(*query_id));
+                put_str(out, expr);
             }
             Message::BooleanResponse { query_id, docs } => {
                 out.push(TAG_BOOL_RESP);
-                put_uint(&mut out, u64::from(*query_id));
-                put_uint(&mut out, docs.len() as u64);
+                put_uint(out, u64::from(*query_id));
+                put_uint(out, docs.len() as u64);
                 // Ascending ids: gap-code them like candidates.
                 let mut prev = 0u32;
                 for (i, &d) in docs.iter().enumerate() {
                     debug_assert!(i == 0 || d >= prev, "boolean results must be sorted");
                     let gap = if i == 0 { d } else { d - prev };
-                    put_uint(&mut out, u64::from(gap));
+                    put_uint(out, u64::from(gap));
                     prev = d;
                 }
             }
             Message::Error { message } => {
                 out.push(TAG_ERROR);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Message::Unavailable { message } => {
                 out.push(TAG_UNAVAILABLE);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Message::Stats => out.push(TAG_ADMIN_STATS),
             Message::StatsReply {
@@ -439,46 +446,45 @@ impl Message {
                 server_phases,
             } => {
                 out.push(TAG_ADMIN_STATS_REPLY);
-                put_str(&mut out, name);
-                put_uint(&mut out, *num_docs);
-                put_uint(&mut out, *num_terms);
-                put_uint(&mut out, *index_bytes);
-                put_uint(&mut out, *requests_served);
-                put_uint(&mut out, *rank_requests);
-                put_uint(&mut out, *errors);
-                put_uint(&mut out, *epoch);
-                put_uint(&mut out, latency.len() as u64);
+                put_str(out, name);
+                put_uint(out, *num_docs);
+                put_uint(out, *num_terms);
+                put_uint(out, *index_bytes);
+                put_uint(out, *requests_served);
+                put_uint(out, *rank_requests);
+                put_uint(out, *errors);
+                put_uint(out, *epoch);
+                put_uint(out, latency.len() as u64);
                 for (bucket, count) in latency {
-                    put_uint(&mut out, u64::from(*bucket));
-                    put_uint(&mut out, *count);
+                    put_uint(out, u64::from(*bucket));
+                    put_uint(out, *count);
                 }
-                put_uint(&mut out, server_phases.len() as u64);
+                put_uint(out, server_phases.len() as u64);
                 for (phase, micros) in server_phases {
-                    put_uint(&mut out, u64::from(*phase));
-                    put_uint(&mut out, *micros);
+                    put_uint(out, u64::from(*phase));
+                    put_uint(out, *micros);
                 }
             }
             Message::RoutingRequest => out.push(TAG_ROUTING_REQ),
             Message::RoutingReply { version, shards } => {
                 out.push(TAG_ROUTING_REPLY);
-                put_uint(&mut out, *version);
-                put_uint(&mut out, shards.len() as u64);
+                put_uint(out, *version);
+                put_uint(out, shards.len() as u64);
                 for (shard, replicas, preferred) in shards {
-                    put_uint(&mut out, u64::from(*shard));
-                    put_uint(&mut out, replicas.len() as u64);
+                    put_uint(out, u64::from(*shard));
+                    put_uint(out, replicas.len() as u64);
                     for r in replicas {
-                        put_uint(&mut out, u64::from(*r));
+                        put_uint(out, u64::from(*r));
                     }
-                    put_uint(&mut out, u64::from(*preferred));
+                    put_uint(out, u64::from(*preferred));
                 }
             }
             Message::FlightRecRequest => out.push(TAG_FLIGHTREC_REQ),
             Message::FlightRecReply { json } => {
                 out.push(TAG_FLIGHTREC_REPLY);
-                put_str(&mut out, json);
+                put_str(out, json);
             }
         }
-        out
     }
 
     /// Decodes the wire form.
@@ -948,6 +954,16 @@ mod tests {
         let mut good = Message::StatsRequest.encode();
         good.push(0); // trailing byte
         assert!(Message::decode(&good).is_err());
+    }
+
+    /// A peer's length claim is arithmetic on hostile input: a term that
+    /// claims `u64::MAX` bytes must be `Corrupt`, not an overflow.
+    #[test]
+    fn decode_rejects_a_length_that_overflows_the_position() {
+        let mut frame = vec![TAG_RANK_REQ, 0x81, 0x81, 0x81];
+        put_uint(&mut frame, u64::MAX);
+        assert_eq!(frame.len(), 14);
+        assert!(matches!(Message::decode(&frame), Err(NetError::Corrupt(_))));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! long-lived connections per librarian** and pipelines every query
 //! over them:
 //!
-//! * each request goes out in an envelope ([`crate::wire::envelope`])
+//! * each request goes out in an envelope ([`crate::wire::frame`])
 //!   carrying a connection-unique correlation id, which names its
 //!   **reply slot** in the connection's one state table;
 //! * no thread watches the socket: the exchange that needs a reply
@@ -24,13 +24,14 @@
 //! request on the stream.
 
 use crate::message::Message;
-use crate::tcp::{connect_stream, map_timeout_frame_error, TcpOptions};
+use crate::tcp::{connect_stream, map_timeout, TcpOptions};
 use crate::transport::{
     decode_reply, AtomicTrafficStats, Ticket, TicketState, TrafficStats, Transport,
 };
-use crate::wire::{envelope, split_envelope, write_frame, FrameReader};
+use crate::wire::{frame, split_envelope, FrameReader};
 use crate::NetError;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -152,37 +153,42 @@ impl MuxConnection {
         }))
     }
 
-    /// Sends one encoded message under a fresh correlation id,
-    /// returning the ticket that will receive the reply — within
-    /// `deadline` of now, when one is given. A span context, when
-    /// given, rides in the envelope and asks the server for its phase
-    /// timings on the reply.
+    /// Sends `request`, encoded in place in its frame, under a fresh
+    /// correlation id; the ticket receives the reply, within `deadline`
+    /// of now if one is given. A span context rides in the envelope and
+    /// asks the server for its phase timings. A failed write may leave
+    /// part of a frame on the stream, so it kills the connection.
     fn send(
         self: &Arc<Self>,
-        encoded: &[u8],
+        request: &Message,
         span: Option<&SpanContext>,
         deadline: Option<Duration>,
     ) -> Result<MuxTicket, NetError> {
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
+        let (framed, sent) = frame(corr, span, |out| {
+            request.encode_into(out);
+            None
+        });
         let mut state = self.state();
         if self.is_dead() {
             return Err(NetError::Disconnected);
         }
         state.slots.insert(corr, Slot::Waiting(None));
         drop(state);
-        let framed = envelope(corr, span, None, encoded);
         let write_result = {
             let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            write_frame(&mut *w, &framed)
+            w.write_all(&framed)
         };
         // Dropped on a failed write, the ticket frees its slot.
         let ticket = MuxTicket {
             conn: Arc::clone(self),
             corr,
-            sent: encoded.len() as u64,
+            sent: sent as u64,
             expires: deadline.map(|d| Instant::now() + d),
         };
-        write_result.map_err(map_timeout_frame_error)?;
+        write_result
+            .inspect_err(|_| self.poison())
+            .map_err(map_timeout)?;
         Ok(ticket)
     }
 
@@ -232,7 +238,7 @@ impl MuxConnection {
             return self.poison();
         }
         loop {
-            match frames.advance().map_err(map_timeout_frame_error) {
+            match frames.advance().map_err(map_timeout) {
                 Ok(true) => {}
                 Err(NetError::Timeout) => break,
                 Ok(false) | Err(_) => return self.poison(),
@@ -296,10 +302,6 @@ pub struct MuxTicket {
 }
 
 impl MuxTicket {
-    pub(crate) fn sent_bytes(&self) -> u64 {
-        self.sent
-    }
-
     /// Waits for the reply — reading through the reader while it is
     /// free, else parked until the reply is filed or the reader handed
     /// over — until the ticket expires, if it does: an expired ticket
@@ -397,13 +399,14 @@ impl MuxPool {
 
     /// The next live connection ([`MuxConnection::probe`]) in round-robin
     /// order. A dead one is returned only when every connection is dead,
-    /// so that the error still surfaces.
+    /// so that the error still surfaces. A lone connection is not probed,
+    /// having none to fall back to: the exchange's own read finds a hang-up.
     fn pick(&self) -> &Arc<MuxConnection> {
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let n = self.conns.len();
         (0..n)
             .map(|step| &self.conns[start.wrapping_add(step) % n])
-            .find(|conn| conn.probe())
+            .find(|conn| n == 1 || conn.probe())
             .unwrap_or(&self.conns[start % n])
     }
 
@@ -535,18 +538,13 @@ impl Transport for MuxTransport {
     }
 
     fn begin(&mut self, request: &Message) -> Ticket {
-        let encoded = request.encode();
         // A tracing handle sends its span context, which also asks
         // the server to piggyback its phase timings on the reply. Admin
         // polls stay span-free so they never perturb the ledgers they
         // read.
         let span = (self.trace.is_enabled() && !request.is_admin())
             .then(|| SpanContext::sampled(self.trace.current_trace_id(), self.librarian));
-        match self
-            .pool
-            .pick()
-            .send(&encoded, span.as_ref(), self.deadline)
-        {
+        match self.pool.pick().send(request, span.as_ref(), self.deadline) {
             Ok(ticket) => Ticket(TicketState::Mux(ticket)),
             Err(e) => Ticket(TicketState::Failed(e)),
         }
@@ -555,7 +553,7 @@ impl Transport for MuxTransport {
     fn finish(&mut self, ticket: Ticket) -> Result<Message, NetError> {
         match ticket.0 {
             TicketState::Mux(ticket) => {
-                let sent = ticket.sent_bytes();
+                let sent = ticket.sent;
                 match ticket.wait() {
                     Ok(reply) => {
                         // Only completed exchanges count, and only
@@ -604,6 +602,7 @@ mod tests {
     use crate::replica::{ReplicaGroup, RetryPolicy};
     use crate::tcp::{ServerOptions, TcpServer};
     use crate::transport::Service;
+    use crate::wire::tests::framed;
     use std::sync::Barrier;
 
     struct Echo;
@@ -869,7 +868,9 @@ mod tests {
             while let Ok(true) = frames.advance() {
                 let env = split_envelope(frames.frame()).unwrap();
                 let reply = Echo.handle(Message::decode(env.message).unwrap()).encode();
-                write_frame(&mut stream, &envelope(env.corr, None, None, &reply)).unwrap();
+                stream
+                    .write_all(&framed(env.corr, None, None, &reply))
+                    .unwrap();
             }
         });
         let pool = MuxPool::connect(addr, 2, TcpOptions::default()).unwrap();
@@ -885,6 +886,27 @@ mod tests {
         assert_eq!(pool.per_connection_traffic()[1].round_trips, 6);
         drop((t, pool));
         peer.join().unwrap();
+    }
+
+    /// A one-connection pool is not probed: a peer that hung up while
+    /// the connection sat idle is found by the next exchange's own read,
+    /// which returns `Disconnected` at once, deadline or none, and leaves
+    /// no slot behind.
+    #[test]
+    fn a_lone_connection_whose_peer_hung_up_while_idle_disconnects() {
+        for deadline in [None, Some(Duration::from_secs(30))] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let pool =
+                MuxPool::connect(listener.local_addr().unwrap(), 1, TcpOptions::default()).unwrap();
+            drop(listener.accept().unwrap());
+            let mut t = MuxTransport::new(Arc::clone(&pool));
+            t.set_deadline(deadline);
+            let start = Instant::now();
+            assert_eq!(t.request(&rank(1)), Err(NetError::Disconnected));
+            assert!(start.elapsed() < Duration::from_secs(2), "{deadline:?}");
+            assert_eq!(pool.in_flight(), 0);
+            assert_eq!(t.request(&rank(2)), Err(NetError::Disconnected));
+        }
     }
 
     /// A ticket finished after its deadline takes a reply that is

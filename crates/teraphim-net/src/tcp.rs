@@ -7,7 +7,7 @@
 //! timings, and the encoded [`Message`]. Requests pipeline on a
 //! connection and are answered in completion order.
 //!
-//! The server couples a nonblocking accept loop with one reader thread
+//! The server couples a blocking accept loop with one reader thread
 //! per connection and a bounded job queue that owns the **evaluation
 //! slots**, one per service handle. A reader evaluates a request itself
 //! when the queue grants it the last free slot with nothing queued, and
@@ -21,10 +21,12 @@
 
 use crate::message::Message;
 use crate::transport::{elapsed_micros, serve, AtomicTrafficStats, Service, TrafficStats};
-use crate::wire::{envelope, split_envelope, write_frame, Envelope, FrameReader};
+use crate::wire::{frame, split_envelope, Envelope, FrameReader};
 use crate::NetError;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind::{TimedOut, WouldBlock};
+use std::io::Write;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{Builder, JoinHandle};
@@ -77,7 +79,7 @@ pub(crate) fn connect_stream(
                     break;
                 }
             }
-            result.map_err(map_timeout_io_error)?
+            result.map_err(map_timeout)?
         }
     };
     stream.set_nodelay(true)?;
@@ -85,21 +87,13 @@ pub(crate) fn connect_stream(
     Ok(stream)
 }
 
-/// Maps socket-timeout I/O errors to the typed [`NetError::Timeout`].
-/// (`WouldBlock` is what Unix returns for a timed-out read on a socket
-/// with `SO_RCVTIMEO`; Windows uses `TimedOut`.)
-pub(crate) fn map_timeout_io_error(e: std::io::Error) -> NetError {
-    match e.kind() {
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => NetError::Timeout,
-        _ => NetError::Io(e),
-    }
-}
-
-/// Lifts frame-level I/O errors into typed timeouts where applicable.
-pub(crate) fn map_timeout_frame_error(e: NetError) -> NetError {
-    match e {
-        NetError::Io(io) => map_timeout_io_error(io),
-        other => other,
+/// Lifts a socket timeout, of an I/O call or a frame read, into
+/// [`NetError::Timeout`]. (Unix reports a timed-out read on a socket with
+/// `SO_RCVTIMEO` as `WouldBlock`, Windows as `TimedOut`.)
+pub(crate) fn map_timeout(e: impl Into<NetError>) -> NetError {
+    match e.into() {
+        NetError::Io(e) if matches!(e.kind(), WouldBlock | TimedOut) => NetError::Timeout,
+        e => e,
     }
 }
 
@@ -266,14 +260,14 @@ impl<S: Service> Pool<S> {
     /// Answers one request on `slot`, for a worker and a reader alike.
     /// A failed write means the client is gone; the reply is dropped.
     fn answer(&self, slot: Slot<'_>, request: &Envelope, waited: u64, writer: &Mutex<TcpStream>) {
-        let span = request.span.as_ref();
-        let (encoded, timings) = serve(&self.handles[slot.index], request.message, span, waited);
-        self.traffic
-            .record(encoded.len() as u64, request.message.len() as u64);
-        let framed = envelope(request.corr, None, timings.as_ref(), &encoded);
+        let (span, handle) = (request.span.as_ref(), &self.handles[slot.index]);
+        let (framed, n) = frame(request.corr, None, |out| {
+            serve(handle, request.message, span, waited, out)
+        });
+        self.traffic.record(n as u64, request.message.len() as u64);
         drop(slot);
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = write_frame(&mut *w, &framed);
+        let _ = w.write_all(&framed);
     }
 }
 
@@ -291,9 +285,12 @@ pub struct TcpServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// How often the nonblocking accept loop re-checks the shutdown flag
-/// while no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// The pause after a failed `accept` (out of descriptors, say) before
+/// the accept loop tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Bound on the connection that wakes a blocked acceptor at shutdown.
+const ACCEPT_WAKE: Duration = Duration::from_millis(250);
 
 impl TcpServer {
     /// Serves `service` on `addr` (use port 0 for an ephemeral port)
@@ -338,7 +335,6 @@ impl TcpServer {
     {
         assert!(!services.is_empty(), "at least one service handle");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         // Built before any thread starts, so that a refused spawn drops
         // it, which closes the queue and joins the threads that did.
         let mut server = TcpServer {
@@ -388,10 +384,20 @@ impl TcpServer {
         self.shutdown_inner();
     }
 
+    /// The acceptor blocks in `accept`, so one connection wakes it to
+    /// see the flag. A wake-up that cannot connect leaves the acceptor
+    /// detached rather than joined: shutdown never hangs on it.
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+            let ip = match self.addr.ip() {
+                ip if !ip.is_unspecified() => ip,
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            if TcpStream::connect_timeout(&(ip, self.addr.port()).into(), ACCEPT_WAKE).is_ok() {
+                let _ = handle.join();
+            }
         }
         self.queue.close();
         for worker in self.workers.drain(..) {
@@ -406,23 +412,22 @@ impl Drop for TcpServer {
     }
 }
 
-/// Accepts connections until shutdown, one reader thread each.
-/// Nonblocking accept + short poll: shutdown needs no self-connect
-/// trick and cannot be missed.
+/// Accepts connections until shutdown, one reader thread each. The
+/// flag is checked after every `accept`, before a reader is spawned, so
+/// the connection that wakes the loop at shutdown gets none.
 fn accept_loop<S: Service + 'static>(
     listener: &TcpListener,
     shutdown: &Arc<AtomicBool>,
     pool: &Arc<Pool<S>>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let Ok((stream, _)) = listener.accept() else {
-            std::thread::sleep(ACCEPT_POLL);
+    for accepted in listener.incoming() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Ok(stream) = accepted else {
+            std::thread::sleep(ACCEPT_BACKOFF);
             continue;
         };
-        // The listener is nonblocking; the accepted socket must not be.
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
         let (shutdown, pool) = (Arc::clone(shutdown), Arc::clone(pool));
         // Connection readers are detached: they exit when their client
         // hangs up or shutdown closes the job queue; joining them would
@@ -489,8 +494,9 @@ fn serve_connection<S: Service>(
                 .encode();
                 pool.traffic
                     .record(response.len() as u64, frames.frame().len() as u64);
+                let bare = [&(response.len() as u32).to_le_bytes()[..], &response].concat();
                 let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-                write_frame(&mut *w, &response)?;
+                w.write_all(&bare)?;
                 break;
             }
         }
@@ -503,6 +509,7 @@ mod tests {
     use super::*;
     use crate::mux::MuxTransport;
     use crate::transport::Transport;
+    use crate::wire::tests::{framed, put_raw_frame};
     use teraphim_obs::SpanContext;
 
     struct Doubler;
@@ -657,24 +664,56 @@ mod tests {
         server.shutdown();
     }
 
-    /// The old shutdown path woke the acceptor by connecting to itself,
-    /// which could hang if the connect was swallowed. The nonblocking
-    /// accept loop must shut down promptly even with idle clients still
-    /// connected.
+    /// The acceptor blocks in `accept`, and shutdown wakes it with one
+    /// bounded connection — to loopback when the bind is a wildcard. It
+    /// stays prompt with idle clients still connected, whose readers
+    /// block in their own reads. Each client has been served once, so
+    /// the acceptor is back in `accept` with no connection pending that
+    /// could wake it instead.
     #[test]
     fn shutdown_is_prompt_with_idle_connections() {
-        use std::time::Instant;
-        let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
-        // Two idle clients hold connections open across shutdown.
-        let _idle_a = MuxTransport::connect(server.addr()).unwrap();
-        let _idle_b = MuxTransport::connect(server.addr()).unwrap();
-        let start = Instant::now();
-        server.shutdown();
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "shutdown took {:?}",
-            start.elapsed()
-        );
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = TcpServer::spawn(Doubler, bind).unwrap();
+            let at = ("127.0.0.1", server.addr().port());
+            // Two idle clients hold connections open across shutdown.
+            let mut idle = [(); 2].map(|_| MuxTransport::connect(at).unwrap());
+            for client in &mut idle {
+                let rank = Message::RankRequest {
+                    query_id: 1,
+                    k: 1,
+                    terms: vec![],
+                };
+                client.request(&rank).unwrap();
+            }
+            // A hung shutdown fails the test instead of hanging it.
+            let (done, shut) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.shutdown();
+                done.send(())
+            });
+            assert!(
+                shut.recv_timeout(Duration::from_secs(1)).is_ok(),
+                "{bind}: shutdown took over 1 s"
+            );
+        }
+    }
+
+    /// The accept loop checks the flag after every `accept`, before it
+    /// spawns a reader, so the connection that wakes it at shutdown gets
+    /// none. Held open, that connection would keep a reader blocked,
+    /// holding the pool.
+    #[test]
+    fn the_wake_up_connection_gets_no_reader() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let wake = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let pool = Arc::new(Pool {
+            queue: Arc::new(JobQueue::new(1, 1)),
+            handles: vec![Mutex::new(Doubler)],
+            traffic: Arc::new(AtomicTrafficStats::new()),
+        });
+        accept_loop(&listener, &Arc::new(AtomicBool::new(true)), &pool);
+        assert_eq!(Arc::strong_count(&pool), 1, "a reader took the pool");
+        drop(wake);
     }
 
     /// Raw frames over one connection: replies echo the correlation id
@@ -695,7 +734,9 @@ mod tests {
         let (mut stream, mut frames) = raw(&server);
         let n = 16u64;
         for corr in 0..n {
-            write_frame(&mut stream, &envelope(corr, None, None, &rank(corr))).unwrap();
+            stream
+                .write_all(&framed(corr, None, None, &rank(corr)))
+                .unwrap();
         }
         let mut seen: HashMap<u64, u32> = HashMap::new();
         for _ in 0..n {
@@ -746,7 +787,9 @@ mod tests {
         let server = TcpServer::spawn(Noting(Arc::clone(&noted)), "127.0.0.1:0").unwrap();
         let (mut stream, mut frames) = raw(&server);
         let span = SpanContext::sampled(77, 0);
-        write_frame(&mut stream, &envelope(4, Some(&span), None, &rank(1))).unwrap();
+        stream
+            .write_all(&framed(4, Some(&span), None, &rank(1)))
+            .unwrap();
         assert!(frames.advance().unwrap());
         let env = split_envelope(frames.frame()).unwrap();
         assert_eq!(env.corr, 4);
@@ -771,7 +814,9 @@ mod tests {
         for payload in [bare, vec![crate::wire::ENVELOPE_TAG]] {
             let server = TcpServer::spawn(Doubler, "127.0.0.1:0").unwrap();
             let (mut stream, mut frames) = raw(&server);
-            write_frame(&mut stream, &payload).unwrap();
+            let mut raw_frame = Vec::new();
+            put_raw_frame(&mut raw_frame, &payload);
+            stream.write_all(&raw_frame).unwrap();
             assert!(frames.advance().unwrap());
             let frame = frames.frame();
             assert!(
@@ -793,8 +838,8 @@ mod tests {
         .encode()
     }
 
-    /// A raw connection to `server`: requests go out through
-    /// `write_frame`, replies come back through one `FrameReader`.
+    /// A raw connection to `server`: requests go out as whole frames,
+    /// replies come back through one `FrameReader`.
     fn raw(server: &TcpServer) -> (TcpStream, FrameReader<TcpStream>) {
         let stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_nodelay(true).unwrap();
@@ -819,7 +864,9 @@ mod tests {
         .unwrap();
         let (mut stream, mut frames) = raw(&server);
         let span = SpanContext::sampled(1, 0);
-        write_frame(&mut stream, &envelope(9, Some(&span), None, &rank(3))).unwrap();
+        stream
+            .write_all(&framed(9, Some(&span), None, &rank(3)))
+            .unwrap();
         assert!(frames.advance().unwrap());
         let env = split_envelope(frames.frame()).unwrap();
         let queue_micros = env.timings.expect("sampled request").queue_micros;
@@ -856,16 +903,16 @@ mod tests {
         .unwrap();
         let (mut a, mut a_frames) = raw(&server);
         let (mut b, mut b_frames) = raw(&server);
-        write_frame(&mut a, &envelope(0, None, None, &rank(1))).unwrap();
+        a.write_all(&framed(0, None, None, &rank(1))).unwrap();
         started.recv().unwrap();
-        write_frame(&mut b, &envelope(0, None, None, &rank(2))).unwrap();
+        b.write_all(&framed(0, None, None, &rank(2))).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.queue.state.lock().unwrap().jobs.is_empty() {
             assert!(Instant::now() < deadline, "B's request never queued");
             std::thread::sleep(Duration::from_millis(1));
         }
         // A's reader is evaluating: this one waits in A's socket.
-        write_frame(&mut a, &envelope(1, None, None, &rank(3))).unwrap();
+        a.write_all(&framed(1, None, None, &rank(3))).unwrap();
         go.send(()).unwrap();
         assert!(a_frames.advance().unwrap() && a_frames.advance().unwrap());
         assert!(b_frames.advance().unwrap());
@@ -890,7 +937,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let job = Job {
-            frame: envelope(7, None, None, &rank(1)),
+            frame: framed(7, None, None, &rank(1))[4..].to_vec(),
             writer: Arc::new(Mutex::new(stream)),
             arrived: Instant::now(),
         };
@@ -928,7 +975,9 @@ mod tests {
         let (mut stream, mut frames) = raw(&server);
         let start = Instant::now();
         for corr in 0..4 {
-            write_frame(&mut stream, &envelope(corr, None, None, &rank(corr))).unwrap();
+            stream
+                .write_all(&framed(corr, None, None, &rank(corr)))
+                .unwrap();
             std::thread::sleep(Duration::from_millis(1));
         }
         for _ in 0..4 {
@@ -958,7 +1007,7 @@ mod tests {
         // Evaluated on the reader, whose thread the panic ends: the
         // connection closes unanswered.
         let (mut stream, mut frames) = raw(&server);
-        write_frame(&mut stream, &envelope(1, None, None, &rank(1))).unwrap();
+        stream.write_all(&framed(1, None, None, &rank(1))).unwrap();
         assert!(!matches!(frames.advance(), Ok(true)), "a reply to a panic");
         let deadline = Duration::from_secs(5);
         let mut client = MuxTransport::connect_with_deadline(server.addr(), deadline).unwrap();
@@ -993,9 +1042,9 @@ mod tests {
         let span = SpanContext::sampled(5, 0);
         let mut burst = Vec::new();
         for corr in 0..6 {
-            write_frame(&mut burst, &envelope(corr, Some(&span), None, &rank(corr))).unwrap();
+            burst.extend(framed(corr, Some(&span), None, &rank(corr)));
         }
-        std::io::Write::write_all(&mut stream, &burst).unwrap();
+        stream.write_all(&burst).unwrap();
         let mut waits = Vec::new();
         for _ in 0..6 {
             assert!(frames.advance().unwrap());

@@ -52,8 +52,8 @@ impl<F: FnMut(Message) -> Message + Send> Service for F {
 }
 
 /// The server side of one exchange, shared by every transport: decode
-/// `request`, run the service, encode its response. Returns the encoded
-/// response, and for a sampled request — one carrying a `span` — the
+/// `request`, run the service, append its encoded response to `out`.
+/// Returns, for a sampled request — one carrying a `span` — the
 /// server's phase timings: `queue_micros` is the caller's measurement
 /// of how long the request waited before this call, scan/rank come from
 /// the service's own clocks (taken under the same lock as `handle`),
@@ -65,14 +65,16 @@ pub(crate) fn serve<S: Service>(
     request: &[u8],
     span: Option<&SpanContext>,
     queue_micros: u64,
-) -> (Vec<u8>, Option<ServerTimings>) {
+    out: &mut Vec<u8>,
+) -> Option<ServerTimings> {
     let request = match Message::decode(request) {
         Ok(request) => request,
         Err(e) => {
             let response = Message::Error {
                 message: format!("bad request: {e}"),
             };
-            return (response.encode(), None);
+            response.encode_into(out);
+            return None;
         }
     };
     let (response, phases) = {
@@ -81,8 +83,8 @@ pub(crate) fn serve<S: Service>(
         (response, span.and_then(|_| service.take_phase_timings()))
     };
     let encode_started = Instant::now();
-    let encoded = response.encode();
-    let timings = span.map(|span| {
+    response.encode_into(out);
+    span.map(|span| {
         let (scan_micros, rank_micros) = phases.unwrap_or((0, 0));
         let timings = ServerTimings {
             queue_micros,
@@ -95,8 +97,7 @@ pub(crate) fn serve<S: Service>(
             .unwrap_or_else(PoisonError::into_inner)
             .note_server_timings(&timings, Some(span));
         timings
-    });
-    (encoded, timings)
+    })
 }
 
 /// The client side of a reply: decode it, and lift the protocol's error
@@ -383,7 +384,14 @@ impl<S: Service> Transport for InProcTransport<S> {
             .then(|| SpanContext::sampled(self.trace.current_trace_id(), self.librarian));
         let started = Instant::now();
         // In-process: no worker queue, so queue wait is truly 0.
-        let (response_bytes, timings) = serve(&self.service, &encoded, span.as_ref(), 0);
+        let mut response_bytes = Vec::new();
+        let timings = serve(
+            &self.service,
+            &encoded,
+            span.as_ref(),
+            0,
+            &mut response_bytes,
+        );
         let elapsed = started.elapsed();
         if self.deadline.is_some_and(|deadline| elapsed > deadline) {
             // The request went out but the caller stopped waiting:

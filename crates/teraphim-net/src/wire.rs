@@ -9,17 +9,17 @@
 //! # Framing
 //!
 //! Streams carry length-prefixed frames: a `u32` little-endian payload
-//! length followed by the payload ([`write_frame`] / [`FrameReader`]).
-//! Every payload, request or reply, is one envelope ([`envelope`] /
-//! [`split_envelope`]): the [`ENVELOPE_TAG`] marker, a version/flags
-//! byte, a v-byte correlation id, the optional sections the flags
-//! announce, then the encoded [`crate::message::Message`]. Replies may
+//! length followed by the payload ([`frame`] / [`FrameReader`]). Every
+//! payload, request or reply, is one envelope ([`split_envelope`]): the
+//! [`ENVELOPE_TAG`] marker, a version/flags byte, a v-byte correlation
+//! id, the optional sections the flags announce, then the encoded
+//! [`crate::message::Message`]. Replies may
 //! return in any order; the id routes each back to the exchange that
 //! issued it, which is what lets hundreds of in-flight queries pipeline
 //! over one connection.
 
 use crate::NetError;
-use std::io::{self, ErrorKind::UnexpectedEof, Read, Write};
+use std::io::{self, ErrorKind::UnexpectedEof, Read};
 use std::ops::Range;
 use std::time::Instant;
 use teraphim_compress::codes::{read_vbyte, write_vbyte};
@@ -71,11 +71,15 @@ pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
 ///
 /// Returns [`NetError::Corrupt`] on truncation or an absurd length.
 pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], NetError> {
-    let len = get_uint(buf, pos)? as usize;
-    let slice = buf
-        .get(*pos..*pos + len)
+    let len = get_uint(buf, pos)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
         .ok_or(NetError::Corrupt("bytes truncated"))?;
-    *pos += len;
+    let slice = buf
+        .get(*pos..end)
+        .ok_or(NetError::Corrupt("bytes truncated"))?;
+    *pos = end;
     Ok(slice)
 }
 
@@ -105,21 +109,9 @@ const FRAME_PREALLOC: usize = 64 * 1024;
 /// larger frame is given back once that frame has been consumed.
 const FRAME_BUFFER: usize = 8 * 1024;
 
-/// Writes one length-prefixed frame. The prefix and payload go out in a
-/// single `write_all` so that, with `TCP_NODELAY` set, a small exchange
-/// costs one packet rather than two.
-///
-/// # Errors
-///
-/// Returns [`NetError::Io`] on write failure.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), NetError> {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    w.write_all(&buf)?;
-    w.flush()?;
-    Ok(())
-}
+/// A frame's one allocation: room for a query or a top-k reply, so
+/// that most frames never grow.
+const FRAME_CAPACITY: usize = 512;
 
 /// Reads the length-prefixed frames of one connection end through one
 /// reused buffer. A `read` takes whatever bytes the source has, so a
@@ -299,34 +291,38 @@ pub fn get_server_timings(buf: &[u8], pos: &mut usize) -> Result<ServerTimings, 
     })
 }
 
-/// Builds a frame payload: the correlation id, whichever of trace
-/// context and server timings are given, then the encoded message. A
-/// request without trace context costs no bytes for it.
-pub fn envelope(
+/// Builds one whole frame in one buffer, for one `write_all` (with
+/// `TCP_NODELAY`, a small exchange is one packet): the `u32` length
+/// prefix, the envelope head — correlation id, then whichever of trace
+/// context and server timings there are — and the message, which
+/// `encode` appends in place. `encode` returns the timings a reply
+/// carries: measured once the message is encoded, their section is
+/// rotated in ahead of it. Returns the frame and the message's length.
+pub fn frame(
     corr: u64,
     span: Option<&SpanContext>,
-    timings: Option<&ServerTimings>,
-    message: &[u8],
-) -> Vec<u8> {
-    let mut flags = 0u8;
-    if span.is_some() {
-        flags |= ENV_SPAN;
-    }
-    if timings.is_some() {
-        flags |= ENV_TIMINGS;
-    }
-    let mut out = Vec::with_capacity(2 + 9 + 16 + message.len());
-    out.push(ENVELOPE_TAG);
-    out.push((ENVELOPE_VERSION << 4) | flags);
+    encode: impl FnOnce(&mut Vec<u8>) -> Option<ServerTimings>,
+) -> (Vec<u8>, usize) {
+    let mut out = Vec::with_capacity(FRAME_CAPACITY);
+    // The prefix is filled in last; `out[5]` is the version/flags byte.
+    out.extend_from_slice(&[0, 0, 0, 0, ENVELOPE_TAG, ENVELOPE_VERSION << 4]);
     put_uint(&mut out, corr);
     if let Some(span) = span {
+        out[5] |= ENV_SPAN;
         put_span_context(&mut out, span);
     }
+    let start = out.len();
+    let timings = encode(&mut out);
+    let len = out.len() - start;
     if let Some(timings) = timings {
-        put_server_timings(&mut out, timings);
+        out[5] |= ENV_TIMINGS;
+        put_server_timings(&mut out, &timings);
+        let section = out.len() - start - len;
+        out[start..].rotate_right(section);
     }
-    out.extend_from_slice(message);
-    out
+    let payload = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&payload.to_le_bytes());
+    (out, len)
 }
 
 /// Parses a frame payload into its [`Envelope`].
@@ -371,8 +367,28 @@ pub fn split_envelope(payload: &[u8]) -> Result<Envelope<'_>, NetError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Appends a length-prefixed frame of any payload, envelope or not.
+    pub(crate) fn put_raw_frame(stream: &mut Vec<u8>, payload: &[u8]) {
+        stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        stream.extend_from_slice(payload);
+    }
+
+    /// The frame of an envelope around already encoded `message` bytes.
+    pub(crate) fn framed(
+        corr: u64,
+        span: Option<&SpanContext>,
+        timings: Option<ServerTimings>,
+        message: &[u8],
+    ) -> Vec<u8> {
+        frame(corr, span, |out| {
+            out.extend_from_slice(message);
+            timings
+        })
+        .0
+    }
 
     #[test]
     fn uint_roundtrip() {
@@ -475,8 +491,8 @@ mod tests {
     #[test]
     fn frames_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        put_raw_frame(&mut buf, b"hello");
+        put_raw_frame(&mut buf, b"");
         let mut frames = FrameReader::new(std::io::Cursor::new(buf));
         assert!(frames.advance().unwrap());
         assert_eq!(frames.frame(), b"hello");
@@ -517,7 +533,7 @@ mod tests {
     fn a_lone_frame_costs_one_read() {
         let mut stream = Vec::new();
         for corr in 0..3 {
-            write_frame(&mut stream, &envelope(corr, None, None, b"a request")).unwrap();
+            stream.extend(framed(corr, None, None, b"a request"));
         }
         let lone = stream.len() / 3;
         let mut frames = FrameReader::new(Counting {
@@ -545,8 +561,8 @@ mod tests {
     fn a_large_frame_does_not_pin_its_buffer() {
         let big = vec![7u8; 1 << 20];
         let mut stream = Vec::new();
-        write_frame(&mut stream, &big).unwrap();
-        write_frame(&mut stream, b"small").unwrap();
+        put_raw_frame(&mut stream, &big);
+        put_raw_frame(&mut stream, b"small");
         let mut frames = FrameReader::new(std::io::Cursor::new(stream));
         assert!(frames.advance().unwrap());
         assert_eq!(frames.frame(), &big[..]);
@@ -561,7 +577,7 @@ mod tests {
         let payloads: [&[u8]; 4] = [b"first", b"", b"a much longer third frame payload", b"x"];
         let mut stream = Vec::new();
         for p in payloads {
-            write_frame(&mut stream, p).unwrap();
+            put_raw_frame(&mut stream, p);
         }
         // Every chunk size from one byte up must reassemble identically —
         // the length prefix itself may arrive split across reads.
@@ -581,7 +597,7 @@ mod tests {
     #[test]
     fn eof_mid_frame_is_an_error_not_a_clean_close() {
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"whole frame").unwrap();
+        put_raw_frame(&mut stream, b"whole frame");
         // Truncate anywhere after the first byte: the reader must
         // distinguish a torn frame from EOF at a boundary.
         for cut in 1..stream.len() {
@@ -650,11 +666,12 @@ mod tests {
             .collect();
         let mut stream = Vec::new();
         for (i, m) in messages.iter().enumerate() {
-            write_frame(
-                &mut stream,
-                &envelope(i as u64 + 7, None, None, &m.encode()),
-            )
-            .unwrap();
+            let (frame, len) = frame(i as u64 + 7, None, |out| {
+                m.encode_into(out);
+                None
+            });
+            assert_eq!(len, m.wire_len());
+            stream.extend(frame);
         }
         // Deliver one byte at a time: framing must still find every
         // message boundary.
@@ -683,14 +700,16 @@ mod tests {
         for corr in [0u64, 300, u64::MAX] {
             for s in [None, Some(span)] {
                 for t in [None, Some(timings)] {
-                    let payload = envelope(corr, s.as_ref(), t.as_ref(), b"inner message");
+                    let frame = framed(corr, s.as_ref(), t, b"inner message");
+                    let payload = &frame[4..];
+                    assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
                     let want = Envelope {
                         corr,
                         span: s,
                         timings: t,
                         message: b"inner message",
                     };
-                    assert_eq!(split_envelope(&payload), Ok(want));
+                    assert_eq!(split_envelope(payload), Ok(want));
                     // Cut anywhere inside the sections (the message
                     // itself is opaque here): truncated, not shorter.
                     let sections = payload.len() - want.message.len();
@@ -704,7 +723,7 @@ mod tests {
             }
         }
         // The sectionless envelope is three bytes of framing.
-        assert_eq!(envelope(5, None, None, b"m").len(), 3 + 1);
+        assert_eq!(framed(5, None, None, b"m").len(), 4 + 3 + 1);
 
         let rejected: [(&str, &[u8], &str); 5] = [
             ("empty payload", &[], "not an envelope"),
