@@ -53,7 +53,7 @@ fn bench_decode(c: &mut Criterion) {
         .map(|(id, _)| id)
         .max_by_key(|&id| index.postings(id).len())
         .expect("non-empty vocab");
-    let list = index.postings(term).clone();
+    let list = index.postings(term);
     let mut group = c.benchmark_group("postings");
     group.throughput(Throughput::Elements(u64::from(list.len())));
     group.bench_function("decode_longest_list", |b| {
@@ -66,13 +66,13 @@ fn bench_decode(c: &mut Criterion) {
         })
     });
 
-    let table = SkipTable::build(&list, 32).expect("skip table");
+    let table = SkipTable::build(list, 32).expect("skip table");
     let probes: Vec<u32> = (0..list.last_doc())
         .step_by(37.max(list.last_doc() as usize / 20))
         .collect();
     group.bench_function("skip_seek_sparse_probes", |b| {
         b.iter(|| {
-            let mut cursor = table.cursor(&list);
+            let mut cursor = table.cursor(list);
             let mut found = 0u32;
             for &p in &probes {
                 if cursor.seek(p).expect("valid list").is_some() {

@@ -1,6 +1,9 @@
 //! Where a ranked query's time goes inside one librarian, per posting:
 //! decoding the inverted lists, decoding plus accumulating, and
-//! normalising plus top-k selection. The short queries of the corpus run
+//! normalising plus top-k selection; and, per query term, looking the
+//! term up in each shard's vocabulary from a cold cache (a sweep over a
+//! buffer larger than the last-level cache precedes each query, as the
+//! other shards' work would on a loaded host). The short queries of the corpus run
 //! against each subcollection's index directly — no receptionist, no
 //! wire — so a change to the exhaustive kernel (or a pruning kernel
 //! measured against it) shows its split without the full benchmark.
@@ -21,6 +24,8 @@ use teraphim_text::Analyzer;
 const K: usize = 20;
 /// Timed passes over the query set; the fastest is reported.
 const PASSES: usize = 5;
+/// Bytes swept before each cold lookup, past a 32 MiB last-level cache.
+const SWEEP_BYTES: usize = 48 << 20;
 
 /// Nanoseconds of the fastest of [`PASSES`] runs of `pass`.
 fn fastest_ns(mut pass: impl FnMut()) -> f64 {
@@ -74,6 +79,32 @@ fn main() {
             }
         }
     });
+    // Every shard's vocabulary is asked for every analyzed query term;
+    // only the lookups are timed, each query's after a cache sweep.
+    let analyzer = Analyzer::default();
+    let query_terms: Vec<Vec<String>> = corpus
+        .short_queries()
+        .iter()
+        .map(|q| analyzer.analyze(&q.text))
+        .collect();
+    let lookups = shards.len() * query_terms.iter().map(Vec::len).sum::<usize>();
+    let sweep = vec![1u8; SWEEP_BYTES];
+    let lookup = (0..PASSES)
+        .map(|_| {
+            let mut timed = 0u128;
+            for terms in &query_terms {
+                black_box(sweep.iter().step_by(64).map(|&b| u64::from(b)).sum::<u64>());
+                let started = Instant::now();
+                for shard in &shards {
+                    for term in terms {
+                        black_box(shard.index().vocab().term_id(black_box(term)));
+                    }
+                }
+                timed += started.elapsed().as_nanos();
+            }
+            timed as f64
+        })
+        .fold(f64::INFINITY, f64::min);
     let mut scratch = RankScratch::new();
     // Depth 0 returns before a single score is normalised: what is left
     // is the decode-and-accumulate loop.
@@ -108,5 +139,11 @@ fn main() {
         per_posting((full - accumulate).max(0.0)),
     ]);
     table.row(["whole ranking".to_owned(), per_posting(full)]);
+    println!("{}", table.render());
+    let mut table = TextTable::new(["phase", "ns/query term"]);
+    table.row([
+        format!("vocabulary lookup, cold ({lookups} a pass)"),
+        format!("{:.1}", lookup / lookups.max(1) as f64),
+    ]);
     println!("{}", table.render());
 }

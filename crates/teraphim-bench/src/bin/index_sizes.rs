@@ -10,7 +10,7 @@
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_engine::Collection;
 use teraphim_index::stats::merge_stats;
-use teraphim_index::{CollectionStats, GroupedIndex, Vocabulary};
+use teraphim_index::{vocab, GroupedIndex};
 use teraphim_text::Analyzer;
 
 fn main() {
@@ -25,12 +25,9 @@ fn main() {
     let text_bytes = corpus.text_bytes();
 
     // Central vocabulary (CV state): merged vocabulary + statistics.
-    let stat_parts: Vec<(&Vocabulary, &CollectionStats)> = collections
-        .iter()
-        .map(|c| (c.index().vocab(), c.index().stats()))
-        .collect();
-    let (gv, gs, _) = merge_stats(&stat_parts);
-    let cv_bytes = gv.serialized_len() + gs.to_bytes().len();
+    let indexes: Vec<_> = collections.iter().map(|c| c.index()).collect();
+    let (gv, gs, _) = merge_stats(&indexes);
+    let cv_bytes = vocab::serialized_len(&gv) + gs.to_bytes().len();
 
     println!("Storage figures ({} KB of text)\n", text_bytes / 1024);
     println!(

@@ -46,6 +46,7 @@
 pub mod bitio;
 pub mod checksum;
 pub mod codes;
+pub mod dict;
 pub mod huffman;
 pub mod textcomp;
 

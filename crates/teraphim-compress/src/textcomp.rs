@@ -28,6 +28,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::codes::{read_gamma0, write_gamma0};
+use crate::dict::Dictionary;
 use crate::huffman::HuffmanCode;
 use crate::{CodeError, Result};
 use std::collections::HashMap;
@@ -74,10 +75,9 @@ pub fn alternating_tokens(text: &str) -> Vec<&str> {
 /// One of the two token-class models: vocabulary plus Huffman code.
 #[derive(Debug, Clone)]
 struct ClassModel {
-    /// Token string for each symbol; index 0 is the escape and has no
-    /// string.
-    tokens: Vec<String>,
-    lookup: HashMap<String, u32>,
+    /// Token string of each symbol but the escape: symbol `s ≥ 1` is
+    /// token `s - 1`.
+    tokens: Dictionary,
     code: HuffmanCode,
 }
 
@@ -86,25 +86,21 @@ impl ClassModel {
         // Deterministic symbol order: by token string. Symbol 0 is escape.
         let mut entries: Vec<(&str, u64)> = counts.into_iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut tokens = vec![String::new()];
-        let mut freqs = vec![1u64]; // escape always possible
-        let mut lookup = HashMap::new();
+        let bytes = entries.iter().map(|(tok, _)| tok.len()).sum();
+        let mut tokens = Dictionary::with_capacity(entries.len(), bytes);
+        let mut freqs = Vec::with_capacity(entries.len() + 1);
+        freqs.push(1u64); // escape always possible
         for (tok, count) in entries {
-            lookup.insert(tok.to_owned(), tokens.len() as u32);
+            tokens.intern(tok);
             freqs.push(count);
-            tokens.push(tok.to_owned());
         }
         let code = HuffmanCode::from_frequencies(&freqs)?;
-        Ok(ClassModel {
-            tokens,
-            lookup,
-            code,
-        })
+        Ok(ClassModel { tokens, code })
     }
 
     fn encode(&self, w: &mut BitWriter, token: &str) {
-        match self.lookup.get(token) {
-            Some(&sym) => self.code.encode(w, sym),
+        match self.tokens.term_id(token) {
+            Some(id) => self.code.encode(w, id + 1),
             None => {
                 self.code.encode(w, ESCAPE);
                 let bytes = token.as_bytes();
@@ -120,7 +116,9 @@ impl ClassModel {
     fn decode_onto(&self, r: &mut BitReader<'_>, out: &mut String) -> Result<()> {
         let sym = self.code.decode(r)?;
         if sym != ESCAPE {
-            out.push_str(&self.tokens[sym as usize]);
+            // The code has one symbol per stored entry, so `sym - 1` is
+            // a token.
+            out.push_str(self.tokens.term(sym - 1));
             return Ok(());
         }
         let len = read_gamma0(r)? as usize;
@@ -136,49 +134,56 @@ impl ClassModel {
     }
 
     /// Approximate serialized dictionary size: token bytes + one length
-    /// byte per entry.
+    /// byte per entry (the escape's included).
     fn dictionary_bytes(&self) -> usize {
-        self.tokens.iter().map(|t| t.len() + 1).sum()
+        1 + self.tokens.iter().map(|(_, t)| t.len() + 1).sum::<usize>()
     }
 
     /// Serializes the model: token strings plus canonical code lengths
-    /// (the code itself is reconstructed canonically).
+    /// (the code itself is reconstructed canonically). The escape is
+    /// entry 0, with an empty string.
     fn to_bytes(&self, out: &mut Vec<u8>) {
         let lengths = self.code.lengths();
-        out.extend_from_slice(&(self.tokens.len() as u32).to_le_bytes());
-        for (i, token) in self.tokens.iter().enumerate() {
+        let length = |sym: usize| lengths.get(sym).copied().unwrap_or(0);
+        out.extend_from_slice(&(self.tokens.len() as u32 + 1).to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        out.push(length(0));
+        for (id, token) in self.tokens.iter() {
             let bytes = token.as_bytes();
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
-            out.push(lengths.get(i).copied().unwrap_or(0));
+            out.push(length(id as usize + 1));
         }
     }
 
     fn from_bytes(bytes: &[u8], pos: &mut usize) -> Result<ClassModel> {
         let count = read_u32(bytes, pos)? as usize;
-        let mut tokens = Vec::with_capacity(count.min(1 << 24));
-        let mut lengths = Vec::with_capacity(count.min(1 << 24));
-        let mut lookup = HashMap::new();
+        // An entry is at least five bytes, which bounds what a corrupt
+        // count may reserve.
+        let rest = bytes.len().saturating_sub(*pos);
+        if count > rest / 5 {
+            return Err(CodeError::UnexpectedEof);
+        }
+        let mut tokens = Dictionary::with_capacity(count.saturating_sub(1), rest - 5 * count);
+        let mut lengths = Vec::with_capacity(count);
         for i in 0..count {
             let len = read_u32(bytes, pos)? as usize;
             let slice = bytes
-                .get(*pos..*pos + len)
+                .get(*pos..pos.saturating_add(len))
                 .ok_or(CodeError::UnexpectedEof)?;
             *pos += len;
             let token = std::str::from_utf8(slice)
-                .map_err(|_| CodeError::Corrupt("model token is not UTF-8"))?
-                .to_owned();
+                .map_err(|_| CodeError::Corrupt("model token is not UTF-8"))?;
             let code_len = *bytes.get(*pos).ok_or(CodeError::UnexpectedEof)?;
             *pos += 1;
-            if i != ESCAPE as usize {
-                lookup.insert(token.clone(), i as u32);
+            // The escape's string is never read.
+            if i != ESCAPE as usize && tokens.intern(token) as usize != i - 1 {
+                return Err(CodeError::Corrupt("model token appears twice"));
             }
-            tokens.push(token);
             lengths.push(code_len);
         }
         Ok(ClassModel {
             tokens,
-            lookup,
             code: HuffmanCode::from_lengths(lengths),
         })
     }
@@ -279,7 +284,7 @@ impl TextModel {
 
     /// Number of distinct word tokens in the trained model.
     pub fn word_vocab_len(&self) -> usize {
-        self.words.tokens.len() - 1
+        self.words.tokens.len()
     }
 
     /// Serializes the trained model (dictionaries plus canonical code

@@ -19,7 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use teraphim_engine::ranking::{self, ScoredDoc};
-use teraphim_index::similarity;
+use teraphim_index::{similarity, vocab};
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, InvertedIndex, Vocabulary};
 use teraphim_net::{
     dispatch, DispatchMode, Message, NetError, RoutingTable, TrafficStats, Transport,
@@ -621,7 +621,7 @@ impl<T: Transport> Receptionist<T> {
     pub fn cv_vocabulary_bytes(&self) -> Option<usize> {
         self.cv
             .as_ref()
-            .map(|cv| cv.vocab.serialized_len() + cv.stats.to_bytes().len())
+            .map(|cv| vocab::serialized_len(&cv.vocab) + cv.stats.to_bytes().len())
     }
 
     /// Size of the grouped central index in bytes (the paper's "around

@@ -272,13 +272,9 @@ impl SimDriver {
             .flat_map(|(_, docs)| docs.iter().cloned())
             .collect();
         let mono = Collection::build("MS", analyzer.clone(), &all_docs);
-        let stat_parts: Vec<(&Vocabulary, &CollectionStats)> = collections
-            .iter()
-            .map(|c| (c.index().vocab(), c.index().stats()))
-            .collect();
-        let (global_vocab, global_stats, _) = merge_stats(&stat_parts);
         let indexes: Vec<&teraphim_index::InvertedIndex> =
             collections.iter().map(Collection::index).collect();
+        let (global_vocab, global_stats, _) = merge_stats(&indexes);
         let grouped = GroupedIndex::build(&indexes, ci_params.group_size)?;
         let num_parts = collections.len();
         Ok(SimDriver {
@@ -408,12 +404,9 @@ impl SimDriver {
     pub fn append_documents(&mut self, lib: usize, docs: &[TrecDoc]) -> Result<(), TeraphimError> {
         self.parts[lib].append_documents(docs)?;
         self.mono.append_documents(docs)?;
-        let stat_parts: Vec<(&Vocabulary, &CollectionStats)> = self
-            .parts
-            .iter()
-            .map(|c| (c.index().vocab(), c.index().stats()))
-            .collect();
-        let (global_vocab, global_stats, _) = merge_stats(&stat_parts);
+        let indexes: Vec<&teraphim_index::InvertedIndex> =
+            self.parts.iter().map(Collection::index).collect();
+        let (global_vocab, global_stats, _) = merge_stats(&indexes);
         self.global_vocab = global_vocab;
         self.global_stats = global_stats;
         let indexes: Vec<&teraphim_index::InvertedIndex> =

@@ -228,8 +228,9 @@ mod tests {
         use crate::ranking::oracle::{index_from_lists, list_of};
         use teraphim_index::PostingsList;
         let good = list_of((0..30).map(|d| (d, d % 3 + 1)).collect());
+        let good = good.view();
         let cut = PostingsList::from_raw_parts(
-            good.as_bytes()[..good.byte_len() - 2].to_vec(),
+            &good.as_bytes()[..good.byte_len() - 2],
             good.len(),
             good.last_doc(),
         );
@@ -247,8 +248,9 @@ mod tests {
         use crate::ranking::oracle::{index_from_lists, list_of};
         use teraphim_index::PostingsList;
         let good = list_of((0..100).map(|d| (d, d % 3 + 1)).collect());
+        let good = good.view();
         let cut = PostingsList::from_raw_parts(
-            good.as_bytes()[..good.byte_len() - 2].to_vec(),
+            &good.as_bytes()[..good.byte_len() - 2],
             good.len(),
             good.last_doc(),
         );

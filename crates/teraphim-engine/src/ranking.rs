@@ -377,9 +377,7 @@ pub(crate) mod oracle {
     use super::{ScoredDoc, WeightedTerm};
     use std::collections::HashMap;
     use teraphim_index::similarity::w_dt;
-    use teraphim_index::{
-        CollectionStats, DocId, DocWeights, InvertedIndex, Posting, PostingsList, Vocabulary,
-    };
+    use teraphim_index::{DocId, DocWeights, InvertedIndex, Posting, PostingsList};
 
     /// `accumulators` divided by `W_d` and the query norm, best first.
     pub(crate) fn ranking(
@@ -426,19 +424,20 @@ pub(crate) mod oracle {
     /// `t{i}`, has the inverted list `lists[i]` — whatever it holds.
     /// Assembled in the serialized layout and read back, the one public
     /// way to an index that no builder would produce.
-    pub(crate) fn index_from_lists(weights: &[f64], lists: &[PostingsList]) -> InvertedIndex {
-        let mut vocab = Vocabulary::new();
-        for i in 0..lists.len() {
-            vocab.intern(&format!("t{i}"));
+    pub(crate) fn index_from_lists(weights: &[f64], lists: &[PostingsList<'_>]) -> InvertedIndex {
+        let mut vocab = (lists.len() as u32).to_le_bytes().to_vec();
+        let mut stats = (weights.len() as u64).to_le_bytes().to_vec();
+        stats.extend_from_slice(&(lists.len() as u32).to_le_bytes());
+        for (i, list) in lists.iter().enumerate() {
+            let name = format!("t{i}");
+            vocab.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            vocab.extend_from_slice(name.as_bytes());
+            stats.extend_from_slice(&u64::from(list.len()).to_le_bytes());
         }
-        let stats = CollectionStats::from_parts(
-            weights.len() as u64,
-            lists.iter().map(|l| u64::from(l.len())).collect(),
-        );
         let mut bytes = Vec::new();
         for section in [
-            vocab.to_bytes(),
-            stats.to_bytes(),
+            vocab,
+            stats,
             DocWeights::from_vec(weights.to_vec()).to_bytes(),
         ] {
             bytes.extend_from_slice(&(section.len() as u32).to_le_bytes());
@@ -456,15 +455,37 @@ pub(crate) mod oracle {
         InvertedIndex::from_bytes(&bytes).expect("a well-formed index file")
     }
 
+    /// A list's bytes, length and last document, owned.
+    pub(crate) struct Encoded {
+        bytes: Vec<u8>,
+        count: u32,
+        last_doc: DocId,
+    }
+
+    impl Encoded {
+        /// The list of `postings`, strictly increasing.
+        pub(crate) fn new(postings: &[Posting]) -> Encoded {
+            Encoded {
+                bytes: PostingsList::encode(postings),
+                count: postings.len() as u32,
+                last_doc: postings.last().map_or(0, |p| p.doc),
+            }
+        }
+
+        pub(crate) fn view(&self) -> PostingsList<'_> {
+            PostingsList::from_raw_parts(&self.bytes, self.count, self.last_doc)
+        }
+    }
+
     /// A well-formed list of `(doc, f_dt)` pairs, in any order.
-    pub(crate) fn list_of(mut postings: Vec<(DocId, u32)>) -> PostingsList {
+    pub(crate) fn list_of(mut postings: Vec<(DocId, u32)>) -> Encoded {
         postings.sort_unstable_by_key(|&(doc, _)| doc);
         postings.dedup_by_key(|&mut (doc, _)| doc);
         let postings: Vec<Posting> = postings
             .into_iter()
             .map(|(doc, f_dt)| Posting { doc, f_dt })
             .collect();
-        PostingsList::from_postings(&postings)
+        Encoded::new(&postings)
     }
 
     /// Scores to the bit, for comparing rankings that may hold NaN.
@@ -712,8 +733,11 @@ mod tests {
         let weights = vec![1.0; 64];
         let mut postings: Vec<(DocId, u32)> = (0..20).map(|i| (i * 3, i % 4 + 1)).collect();
         postings.extend((0..20).map(|i| (u32::MAX - 500 + i * 7, 2)));
-        let good = list_of(postings);
-        let other = list_of((0..64).step_by(5).map(|d| (d, 1)).collect());
+        let (good, other) = (
+            list_of(postings),
+            list_of((0..64).step_by(5).map(|d| (d, 1)).collect()),
+        );
+        let (good, other) = (good.view(), other.view());
         let terms = [
             WeightedTerm { term: 0, w_qt: 1.5 },
             WeightedTerm { term: 1, w_qt: 0.5 },
@@ -727,16 +751,13 @@ mod tests {
             })
             .chain((0..good.byte_len()).map(|cut| good.as_bytes()[..cut].to_vec()));
         for bytes in corruptions {
-            let bad = PostingsList::from_raw_parts(bytes, good.len(), good.last_doc());
+            let bad = PostingsList::from_raw_parts(&bytes, good.len(), good.last_doc());
             let prefix: Vec<Posting> = bad.iter().map_while(Result::ok).collect();
             if prefix.len() + 1 < good.len() as usize && bad.decode().is_err() {
                 stopped_midway += 1;
             }
-            let corrupt = index_from_lists(&weights, &[bad, other.clone()]);
-            let clean = index_from_lists(
-                &weights,
-                &[PostingsList::from_postings(&prefix), other.clone()],
-            );
+            let corrupt = index_from_lists(&weights, &[bad, other]);
+            let clean = index_from_lists(&weights, &[oracle::Encoded::new(&prefix).view(), other]);
             assert_eq!(rank(&corrupt, &terms, 64), rank(&clean, &terms, 64));
             let limited = |ix| {
                 crate::thresholding::rank_limited(
@@ -821,7 +842,8 @@ mod proptests {
                 .map(|(kind, w)| if kind == 0 { 0.0 } else { w })
                 .collect();
             let lists: Vec<_> = lists.into_iter().map(list_of).collect();
-            let index = index_from_lists(&doc_weights, &lists);
+            let views: Vec<_> = lists.iter().map(|l| l.view()).collect();
+            let index = index_from_lists(&doc_weights, &views);
             let mut reused = RankScratch::new();
             for (terms, norm_kind, small_k) in queries {
                 let terms: Vec<WeightedTerm> = terms

@@ -318,7 +318,8 @@ mod proptests {
                 .into_iter()
                 .map(|l| list_of(l.into_iter().map(|(d, f)| (d % n, f)).collect()))
                 .collect();
-            let index = index_from_lists(&doc_weights, &lists);
+            let views: Vec<_> = lists.iter().map(|l| l.view()).collect();
+            let index = index_from_lists(&doc_weights, &views);
             let terms: Vec<WeightedTerm> = terms
                 .into_iter()
                 .map(|(t, w, kind)| WeightedTerm {

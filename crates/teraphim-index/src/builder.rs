@@ -1,12 +1,11 @@
 //! Index construction and the complete inverted index.
 
-use crate::postings::{Posting, PostingsList};
+use crate::postings::{Lists, ListsWriter, Posting, PostingsList};
 use crate::skips::{SkipTable, DEFAULT_SKIP_EVERY};
-use crate::stats::CollectionStats;
-use crate::vocab::{read_u32, Vocabulary};
+use crate::stats::{self, IndexStats};
+use crate::vocab::{self, read_u32, Vocabulary};
 use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// An in-memory index under construction.
@@ -31,11 +30,13 @@ use std::sync::OnceLock;
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
     vocab: Vocabulary,
-    /// Per-term accumulated postings (docs strictly increasing by
-    /// construction).
-    lists: Vec<Vec<Posting>>,
+    /// Every posting so far with its term, in document order and, within
+    /// a document, in term order.
+    postings: Vec<(TermId, Posting)>,
     weights: DocWeights,
     doc_lengths: Vec<u32>,
+    /// The term ids of the document being added (kept for its capacity).
+    ids: Vec<TermId>,
 }
 
 impl IndexBuilder {
@@ -51,26 +52,16 @@ impl IndexBuilder {
 
     /// Adds a document given its analyzed term sequence; returns its id.
     pub fn add_document<S: AsRef<str>>(&mut self, terms: &[S]) -> DocId {
-        let doc = self.doc_lengths.len() as DocId;
-        let mut freqs: HashMap<TermId, u32> = HashMap::new();
-        for term in terms {
-            let id = self.vocab.intern(term.as_ref());
-            *freqs.entry(id).or_insert(0) += 1;
-        }
-        // Deterministic order: sort by term id before appending.
-        let mut entries: Vec<(TermId, u32)> = freqs.into_iter().collect();
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        for &(term, f_dt) in &entries {
-            let idx = term as usize;
-            if idx >= self.lists.len() {
-                self.lists.resize_with(idx + 1, Vec::new);
-            }
-            self.lists[idx].push(Posting { doc, f_dt });
-        }
-        self.weights.push(DocWeights::weight_from_freqs(
-            entries.iter().map(|&(_, f)| u64::from(f)),
-        ));
-        self.doc_lengths.push(terms.len() as u32);
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        ids.extend(terms.iter().map(|term| self.vocab.intern(term.as_ref())));
+        ids.sort_unstable();
+        let doc = self.push_document(
+            ids.chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u32)),
+            terms.len() as u32,
+        );
+        self.ids = ids;
         doc
     }
 
@@ -89,71 +80,86 @@ impl IndexBuilder {
     ///
     /// Panics if any frequency is zero.
     pub fn add_document_freqs<S: AsRef<str>>(&mut self, freqs: &[(S, u32)]) -> DocId {
-        let doc = self.doc_lengths.len() as DocId;
         let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(freqs.len());
         let mut total = 0u64;
         for (term, f) in freqs {
             assert!(*f > 0, "frequencies must be positive");
-            let id = self.vocab.intern(term.as_ref());
-            entries.push((id, *f));
+            entries.push((self.vocab.intern(term.as_ref()), *f));
             total += u64::from(*f);
         }
         entries.sort_unstable_by_key(|&(t, _)| t);
         // Merge duplicate terms if the caller supplied any.
-        let mut merged: Vec<(TermId, u32)> = Vec::with_capacity(entries.len());
-        for (t, f) in entries {
-            match merged.last_mut() {
-                Some(last) if last.0 == t => last.1 += f,
-                _ => merged.push((t, f)),
-            }
-        }
-        for &(term, f_dt) in &merged {
-            let idx = term as usize;
-            if idx >= self.lists.len() {
-                self.lists.resize_with(idx + 1, Vec::new);
-            }
-            self.lists[idx].push(Posting { doc, f_dt });
-        }
+        self.push_document(
+            entries
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|run| (run[0].0, run.iter().map(|&(_, f)| f).sum())),
+            total as u32,
+        )
+    }
+
+    /// Files the next document's `(term, f_dt)` pairs, in term order, its
+    /// weight and its length; returns its id.
+    fn push_document(
+        &mut self,
+        entries: impl Iterator<Item = (TermId, u32)>,
+        length: u32,
+    ) -> DocId {
+        let doc = self.doc_lengths.len() as DocId;
+        let first = self.postings.len();
+        self.postings
+            .extend(entries.map(|(term, f_dt)| (term, Posting { doc, f_dt })));
         self.weights.push(DocWeights::weight_from_freqs(
-            merged.iter().map(|&(_, f)| u64::from(f)),
+            self.postings[first..]
+                .iter()
+                .map(|(_, p)| u64::from(p.f_dt)),
         ));
-        self.doc_lengths.push(total as u32);
+        self.doc_lengths.push(length);
         doc
     }
 
-    /// Finalizes the index, compressing all lists.
+    /// Finalizes the index, compressing all lists into one arena.
     pub fn build(self) -> InvertedIndex {
-        let mut stats = CollectionStats::new();
-        stats.set_num_docs(self.doc_lengths.len() as u64);
-        let mut postings = Vec::with_capacity(self.vocab.len());
-        for (term_idx, list) in self.lists.iter().enumerate() {
-            stats.add_doc_freq(term_idx as TermId, list.len() as u64);
-            postings.push(PostingsList::from_postings(list));
+        // A stable counting sort by term keeps each term's postings in
+        // document order. Terms can exist in the vocabulary without
+        // postings only if it was pre-seeded; they get empty lists.
+        let terms = self.vocab.len();
+        let mut starts = vec![0usize; terms + 1];
+        for &(term, _) in &self.postings {
+            starts[term as usize + 1] += 1;
         }
-        // Terms can exist in the vocabulary without lists only if the
-        // vocabulary was pre-seeded; align lengths defensively.
-        while postings.len() < self.vocab.len() {
-            stats.add_doc_freq(postings.len() as TermId, 0);
-            postings.push(PostingsList::from_postings(&[]));
+        for t in 0..terms {
+            starts[t + 1] += starts[t];
         }
-        InvertedIndex {
-            vocab: self.vocab,
-            postings,
-            stats,
-            weights: self.weights,
-            doc_lengths: self.doc_lengths,
-            skip_tables: OnceLock::new(),
+        let mut next = starts.clone();
+        let mut sorted = vec![Posting { doc: 0, f_dt: 0 }; self.postings.len()];
+        for &(term, posting) in &self.postings {
+            sorted[next[term as usize]] = posting;
+            next[term as usize] += 1;
         }
+        drop(self.postings);
+        // A γ-coded posting takes about a byte.
+        let mut lists = ListsWriter::with_capacity(terms, sorted.len());
+        for run in starts.windows(2) {
+            for &posting in &sorted[run[0]..run[1]] {
+                lists.put(posting);
+            }
+            lists.close();
+        }
+        InvertedIndex::from_merge_parts(self.vocab, lists.finish(), self.weights, self.doc_lengths)
     }
 }
 
 /// A complete compressed inverted index over one (sub)collection: the
 /// structure a *librarian* owns.
+///
+/// It holds the vocabulary, every term's list in one arena of bytes with
+/// a 12-byte head per term, the document weights and lengths: a handful
+/// of allocations however many terms. A term's `f_t` is its list's
+/// length, stored once.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     vocab: Vocabulary,
-    postings: Vec<PostingsList>,
-    stats: CollectionStats,
+    lists: Lists,
     weights: DocWeights,
     doc_lengths: Vec<u32>,
     /// One slot per list, filled on the list's first `skip_cursor`; the
@@ -165,7 +171,7 @@ pub struct InvertedIndex {
 impl InvertedIndex {
     /// Number of documents indexed.
     pub fn num_docs(&self) -> u64 {
-        self.stats.num_docs()
+        self.doc_lengths.len() as u64
     }
 
     /// The term dictionary.
@@ -173,9 +179,12 @@ impl InvertedIndex {
         &self.vocab
     }
 
-    /// Collection statistics (`N`, per-term `f_t`).
-    pub fn stats(&self) -> &CollectionStats {
-        &self.stats
+    /// Collection statistics (`N`, per-term `f_t`), read from the lists.
+    pub fn stats(&self) -> IndexStats<'_> {
+        IndexStats {
+            num_docs: self.num_docs(),
+            lists: &self.lists,
+        }
     }
 
     /// The document-weights table.
@@ -193,11 +202,11 @@ impl InvertedIndex {
     /// # Panics
     ///
     /// Panics if `term` is out of range.
-    pub fn postings(&self, term: TermId) -> &PostingsList {
-        &self.postings[term as usize]
+    pub fn postings(&self, term: TermId) -> PostingsList<'_> {
+        self.lists.get(term as usize).expect("term id out of range")
     }
 
-    /// Assembles an index from already-merged parts (used by
+    /// Assembles an index from its parts (used by the builder and by
     /// [`crate::merge`]).
     ///
     /// # Panics
@@ -205,22 +214,19 @@ impl InvertedIndex {
     /// Panics if section lengths disagree.
     pub(crate) fn from_merge_parts(
         vocab: Vocabulary,
-        postings: Vec<PostingsList>,
-        stats: CollectionStats,
+        lists: Lists,
         weights: DocWeights,
         doc_lengths: Vec<u32>,
     ) -> InvertedIndex {
-        assert_eq!(vocab.len(), postings.len(), "vocab/postings mismatch");
+        assert_eq!(vocab.len(), lists.len(), "vocab/postings mismatch");
         assert_eq!(
-            weights.len() as u64,
-            stats.num_docs(),
+            weights.len(),
+            doc_lengths.len(),
             "weights/doc-count mismatch"
         );
-        assert_eq!(doc_lengths.len() as u64, stats.num_docs());
         InvertedIndex {
             vocab,
-            postings,
-            stats,
+            lists,
             weights,
             doc_lengths,
             skip_tables: OnceLock::new(),
@@ -251,7 +257,7 @@ impl InvertedIndex {
     /// Returns [`IndexError::Corrupt`] if a list fails to decode.
     pub fn build_skips(&mut self, skip_every: u32) -> Result<(), IndexError> {
         let tables = self
-            .postings
+            .lists
             .iter()
             .map(|list| SkipTable::build(list, skip_every).map(OnceLock::from))
             .collect::<Result<Vec<_>, _>>()?;
@@ -269,10 +275,10 @@ impl InvertedIndex {
     /// Returns [`IndexError::Corrupt`] if the list fails to decode while
     /// its table is built.
     pub fn skip_cursor(&self, term: TermId) -> Result<crate::skips::SkipCursor<'_>, IndexError> {
-        let list = &self.postings[term as usize];
+        let list = self.postings(term);
         let slots = self
             .skip_tables
-            .get_or_init(|| self.postings.iter().map(|_| OnceLock::new()).collect());
+            .get_or_init(|| (0..self.lists.len()).map(|_| OnceLock::new()).collect());
         let slot = &slots[term as usize];
         let table = match slot.get() {
             Some(table) => table,
@@ -292,7 +298,7 @@ impl InvertedIndex {
 
     /// Total compressed postings size in bytes.
     pub fn postings_bytes(&self) -> usize {
-        self.postings.iter().map(PostingsList::byte_len).sum()
+        self.lists.byte_len()
     }
 
     /// Total index size in bytes: postings + vocabulary + weights (+ skip
@@ -300,7 +306,7 @@ impl InvertedIndex {
     /// "around 40 Mb" central index for a gigabyte of text.
     pub fn index_bytes(&self) -> usize {
         self.postings_bytes()
-            + self.vocab.serialized_len()
+            + vocab::serialized_len(&self.vocab)
             + self.weights.serialized_len()
             + self.skip_tables.get().map_or(0, |slots| {
                 slots
@@ -312,12 +318,24 @@ impl InvertedIndex {
     }
 
     /// Serializes the full index (without skip tables, which are
-    /// rebuilt).
+    /// rebuilt): length-prefixed vocabulary, stats and weights sections,
+    /// the document lengths, then each term's list head and bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let vocab = self.vocab.to_bytes();
-        let stats = self.stats.to_bytes();
+        let mut vocab = Vec::with_capacity(4 + vocab::serialized_len(&self.vocab));
+        vocab::write(&self.vocab, &mut vocab);
+        let mut stats = Vec::with_capacity(12 + 8 * self.lists.len());
+        let doc_freqs = self.lists.iter().map(|list| u64::from(list.len()));
+        stats::write(self.num_docs(), doc_freqs, &mut stats);
         let weights = self.weights.to_bytes();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(
+            vocab.len()
+                + stats.len()
+                + weights.len()
+                + 4 * self.doc_lengths.len()
+                + 12 * self.lists.len()
+                + self.postings_bytes()
+                + 20,
+        );
         for section in [&vocab, &stats, &weights] {
             out.extend_from_slice(&(section.len() as u32).to_le_bytes());
             out.extend_from_slice(section);
@@ -326,8 +344,8 @@ impl InvertedIndex {
         for &len in &self.doc_lengths {
             out.extend_from_slice(&len.to_le_bytes());
         }
-        out.extend_from_slice(&(self.postings.len() as u32).to_le_bytes());
-        for list in &self.postings {
+        out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
+        for list in self.lists.iter() {
             out.extend_from_slice(&list.len().to_le_bytes());
             out.extend_from_slice(&list.last_doc().to_le_bytes());
             out.extend_from_slice(&(list.byte_len() as u32).to_le_bytes());
@@ -340,7 +358,10 @@ impl InvertedIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::Corrupt`] on truncation or inconsistency.
+    /// Returns [`IndexError::Corrupt`] on truncation or inconsistency:
+    /// among others, a count larger than the bytes left could hold, or a
+    /// stats section whose `N`, term count or any `f_t` disagrees with
+    /// the document lengths and the lists.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
         let mut pos = 0usize;
         let section = |pos: &mut usize| -> Result<&[u8], IndexError> {
@@ -351,19 +372,31 @@ impl InvertedIndex {
             *pos += len;
             Ok(slice)
         };
-        let vocab = Vocabulary::from_bytes(section(&mut pos)?)?;
-        let stats = CollectionStats::from_bytes(section(&mut pos)?)?;
+        let vocab = vocab::read(section(&mut pos)?)?;
+        let stats = section(&mut pos)?;
         let weights = DocWeights::from_bytes(section(&mut pos)?)?;
         let doc_count = read_u32(bytes, &mut pos)? as usize;
-        let mut doc_lengths = Vec::with_capacity(doc_count);
-        for _ in 0..doc_count {
-            doc_lengths.push(read_u32(bytes, &mut pos)?);
+        if doc_count > (bytes.len() - pos) / 4 {
+            return Err(IndexError::Corrupt("document lengths truncated"));
+        }
+        let doc_lengths: Vec<u32> = bytes[pos..pos + 4 * doc_count]
+            .chunks_exact(4)
+            .map(|len| u32::from_le_bytes(len.try_into().expect("4 bytes")))
+            .collect();
+        pos += 4 * doc_count;
+        if weights.len() != doc_count {
+            return Err(IndexError::Corrupt("weights/document count mismatch"));
         }
         let term_count = read_u32(bytes, &mut pos)? as usize;
         if term_count != vocab.len() {
             return Err(IndexError::Corrupt("postings/vocabulary length mismatch"));
         }
-        let mut postings = Vec::with_capacity(term_count);
+        // Each list takes at least its 12-byte head.
+        let rest = bytes.len() - pos;
+        if term_count > rest / 12 {
+            return Err(IndexError::Corrupt("postings truncated"));
+        }
+        let mut lists = Lists::with_capacity(term_count, rest - 12 * term_count);
         for _ in 0..term_count {
             let count = read_u32(bytes, &mut pos)?;
             let last_doc = read_u32(bytes, &mut pos)?;
@@ -372,20 +405,15 @@ impl InvertedIndex {
                 .get(pos..pos + byte_len)
                 .ok_or(IndexError::Corrupt("postings truncated"))?;
             pos += byte_len;
-            postings.push(PostingsList::from_raw_parts(
-                slice.to_vec(),
-                count,
-                last_doc,
-            ));
+            lists.push_raw(slice, count, last_doc)?;
         }
-        Ok(InvertedIndex {
+        stats::check(stats, doc_count, &lists)?;
+        Ok(InvertedIndex::from_merge_parts(
             vocab,
-            postings,
-            stats,
+            lists,
             weights,
             doc_lengths,
-            skip_tables: OnceLock::new(),
-        })
+        ))
     }
 }
 
@@ -503,6 +531,95 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// The serialized index of no documents and no terms, up to the
+    /// document-length count: empty vocabulary, stats and weights.
+    fn empty_sections() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for section in [&0u32.to_le_bytes()[..], &[0; 12], &0u32.to_le_bytes()] {
+            bytes.extend_from_slice(&(section.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(section);
+        }
+        bytes
+    }
+
+    #[test]
+    fn a_document_count_beyond_the_bytes_is_corrupt_not_an_abort() {
+        // 36 bytes claiming u32::MAX document lengths.
+        let mut bytes = empty_sections();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 36);
+        assert_eq!(
+            InvertedIndex::from_bytes(&bytes).err(),
+            Some(IndexError::Corrupt("document lengths truncated"))
+        );
+    }
+
+    #[test]
+    fn a_stats_term_count_beyond_the_bytes_is_corrupt_not_an_abort() {
+        // An empty vocabulary, then a 12-byte stats section claiming
+        // u32::MAX terms, and nothing after it.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&12u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(bytes.len(), 24);
+        assert!(InvertedIndex::from_bytes(&bytes).is_err());
+        // The same section in front of well-formed empty weights and
+        // lengths reaches the stats check itself.
+        let mut bytes = empty_sections();
+        bytes[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(
+            InvertedIndex::from_bytes(&bytes).err(),
+            Some(IndexError::Corrupt("stats term count disagrees"))
+        );
+    }
+
+    #[test]
+    fn a_weights_count_beyond_the_bytes_is_corrupt_not_an_abort() {
+        let mut bytes = empty_sections();
+        let weights = bytes.len() - 4;
+        bytes[weights..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            InvertedIndex::from_bytes(&bytes).err(),
+            Some(IndexError::Corrupt("weights truncated"))
+        );
+    }
+
+    #[test]
+    fn stats_that_disagree_with_the_lists_are_corrupt() {
+        let index = small_index();
+        let bytes = index.to_bytes();
+        // The stats section follows the vocabulary section: its length,
+        // N, the term count, then one f_t per term.
+        let vocab_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let stats = 4 + vocab_len + 4;
+        let first_f_t = stats + 12;
+        let cat = index.vocab().term_id("cat").unwrap() as usize;
+        let at = first_f_t + 8 * cat;
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+        let mut edited = bytes.clone();
+        edited[at] = 3;
+        assert_eq!(
+            InvertedIndex::from_bytes(&edited).err(),
+            Some(IndexError::Corrupt("f_t disagrees with its list"))
+        );
+        let mut edited = bytes.clone();
+        edited[stats] = 4;
+        assert_eq!(
+            InvertedIndex::from_bytes(&edited).err(),
+            Some(IndexError::Corrupt("stats document count disagrees"))
+        );
+        let mut edited = bytes;
+        edited[stats + 8] += 1;
+        assert_eq!(
+            InvertedIndex::from_bytes(&edited).err(),
+            Some(IndexError::Corrupt("stats term count disagrees"))
+        );
     }
 
     #[test]

@@ -62,9 +62,7 @@ impl GroupedIndex {
     pub fn build(parts: &[&InvertedIndex], group_size: u32) -> Result<Self, IndexError> {
         assert!(group_size > 0, "group size must be positive");
         // Merge vocabularies and document-level statistics.
-        let stat_parts: Vec<(&Vocabulary, &CollectionStats)> =
-            parts.iter().map(|ix| (ix.vocab(), ix.stats())).collect();
-        let (global_vocab, doc_stats, mappings) = merge_stats(&stat_parts);
+        let (global_vocab, doc_stats, mappings) = merge_stats(parts);
 
         // Assign group ids: contiguous per part, in part order.
         let mut spans = Vec::new();

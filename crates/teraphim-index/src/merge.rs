@@ -10,10 +10,7 @@
 //! merging never re-scores existing documents.
 
 use crate::builder::InvertedIndex;
-use crate::postings::{Posting, PostingsList};
-use crate::stats::CollectionStats;
-use crate::vocab::Vocabulary;
-use crate::weights::DocWeights;
+use crate::postings::{ListsWriter, Posting};
 use crate::{DocId, IndexError, TermId};
 
 /// Merges `base` with a `delta` index of newly added documents.
@@ -22,58 +19,62 @@ use crate::{DocId, IndexError, TermId};
 /// vocabulary preserves `base`'s term ids and appends `delta`'s new
 /// terms. Weights, lengths and statistics carry over unchanged — the
 /// merged index is equivalent to one built over the concatenated
-/// document stream.
+/// document stream, to the byte.
+///
+/// Allocations are per index, not per term: the base vocabulary is
+/// copied whole, and each merged list is decoded and re-encoded straight
+/// into the new arena.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::Corrupt`] if either index fails to decode.
+/// Returns [`IndexError::Corrupt`] if either index fails to decode, or
+/// holds a posting beyond its own documents.
 pub fn merge(base: &InvertedIndex, delta: &InvertedIndex) -> Result<InvertedIndex, IndexError> {
     let offset = base.num_docs() as DocId;
 
-    // Union vocabulary: base ids stable, delta terms mapped.
-    let mut vocab = Vocabulary::new();
-    for (_, term) in base.vocab().iter() {
-        vocab.intern(term);
-    }
-    let delta_map: Vec<TermId> = delta
-        .vocab()
-        .iter()
-        .map(|(_, term)| vocab.intern(term))
-        .collect();
-
-    // Merged postings: base list then shifted delta list per term.
-    let mut merged_postings: Vec<Vec<Posting>> = vec![Vec::new(); vocab.len()];
-    for (term, _) in base.vocab().iter() {
-        let list = base.postings(term);
-        let target = &mut merged_postings[term as usize];
-        target.reserve(list.len() as usize);
-        list.scan(|posting| target.push(posting))?;
-    }
-    for (term, _) in delta.vocab().iter() {
-        let mapped = delta_map[term as usize] as usize;
-        let list = delta.postings(term);
-        let target = &mut merged_postings[mapped];
-        target.reserve(list.len() as usize);
-        list.scan(|posting| {
-            target.push(Posting {
-                doc: offset + posting.doc,
-                f_dt: posting.f_dt,
-            });
-        })?;
+    // Union vocabulary: base ids stable, delta terms appended; for each
+    // merged term, the delta term feeding it, if any.
+    const NONE: TermId = TermId::MAX;
+    let mut vocab = base.vocab().clone();
+    let mut from_delta = vec![NONE; base.vocab().len() + delta.vocab().len()];
+    for (term, name) in delta.vocab().iter() {
+        from_delta[vocab.intern(name) as usize] = term;
     }
 
-    let mut stats = CollectionStats::new();
-    stats.set_num_docs(base.num_docs() + delta.num_docs());
-    let mut lists = Vec::with_capacity(vocab.len());
-    for (term_idx, postings) in merged_postings.iter().enumerate() {
-        stats.add_doc_freq(term_idx as TermId, postings.len() as u64);
-        lists.push(PostingsList::from_postings(postings));
+    // Merged lists: each base list, then its delta list shifted.
+    let bytes = base.postings_bytes() + delta.postings_bytes();
+    let mut lists = ListsWriter::with_capacity(vocab.len(), bytes);
+    // A loaded list may name a document its index does not have; that
+    // would put the shifted delta postings out of order.
+    let beyond = IndexError::Corrupt("posting beyond its index's documents");
+    for (term, &fed_by) in from_delta[..vocab.len()].iter().enumerate() {
+        let mut past = false;
+        if term < base.vocab().len() {
+            base.postings(term as TermId).scan(|p| {
+                past |= p.doc >= offset;
+                lists.put(p);
+            })?;
+        }
+        if fed_by != NONE && !past {
+            delta.postings(fed_by).scan(|p| {
+                past |= u64::from(p.doc) >= delta.num_docs();
+                if !past {
+                    lists.put(Posting {
+                        doc: offset + p.doc,
+                        f_dt: p.f_dt,
+                    });
+                }
+            })?;
+        }
+        if past {
+            return Err(beyond);
+        }
+        lists.close();
     }
 
-    let mut weights = DocWeights::new();
-    let mut doc_lengths = Vec::with_capacity(stats.num_docs() as usize);
+    let mut weights = base.weights().clone();
+    let mut doc_lengths = Vec::with_capacity((base.num_docs() + delta.num_docs()) as usize);
     for d in 0..base.num_docs() as DocId {
-        weights.push(base.weights().weight(d));
         doc_lengths.push(base.doc_length(d));
     }
     for d in 0..delta.num_docs() as DocId {
@@ -83,8 +84,7 @@ pub fn merge(base: &InvertedIndex, delta: &InvertedIndex) -> Result<InvertedInde
 
     Ok(InvertedIndex::from_merge_parts(
         vocab,
-        lists,
-        stats,
+        lists.finish(),
         weights,
         doc_lengths,
     ))
@@ -120,6 +120,7 @@ mod tests {
     fn merge_equals_scratch_build_per_term() {
         let m = merged();
         let s = from_scratch();
+        assert!(m.to_bytes() == s.to_bytes(), "merged bytes differ");
         assert_eq!(m.num_docs(), s.num_docs());
         assert_eq!(m.vocab().len(), s.vocab().len());
         for (term, name) in s.vocab().iter() {
@@ -176,6 +177,28 @@ mod tests {
         let emu = m.vocab().term_id("emu").unwrap();
         assert_eq!(m.postings(emu).get(0), Some(1));
         assert_eq!(m.postings(emu).get(2), Some(2));
+    }
+
+    #[test]
+    fn a_posting_beyond_its_documents_is_corrupt_not_a_panic() {
+        // The header of a one-document index over the postings of a
+        // three-document one whose only posting is at document 2.
+        let bytes = |docs: &[&[&str]]| index_of(docs).to_bytes();
+        let (one, three) = (bytes(&[&["cat"]]), bytes(&[&[], &[], &["cat"]]));
+        let postings_at = |b: &[u8]| {
+            let u32_at = |pos: usize| u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap());
+            let mut pos = 0;
+            for _ in 0..3 {
+                pos += 4 + u32_at(pos) as usize;
+            }
+            pos + 4 + 4 * u32_at(pos) as usize
+        };
+        let spliced = [&one[..postings_at(&one)], &three[postings_at(&three)..]].concat();
+        let corrupt = InvertedIndex::from_bytes(&spliced).unwrap();
+        let delta = index_of(&[&["cat"]]);
+        let beyond = Err(IndexError::Corrupt("posting beyond its index's documents"));
+        assert_eq!(merge(&corrupt, &delta).map(|_| ()), beyond);
+        assert_eq!(merge(&delta, &corrupt).map(|_| ()), beyond);
     }
 
     #[test]

@@ -20,43 +20,38 @@ pub struct Posting {
     pub f_dt: u32,
 }
 
-/// An immutable compressed postings list.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PostingsList {
-    bytes: Vec<u8>,
+/// A borrowed view of one compressed postings list: its bytes in its
+/// index's arena (see [`crate::InvertedIndex::postings`]), its length and
+/// its last document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PostingsList<'a> {
+    bytes: &'a [u8],
     count: u32,
     last_doc: DocId,
 }
 
-impl PostingsList {
-    /// Builds a compressed list from strictly increasing postings.
+impl<'a> PostingsList<'a> {
+    /// Views `bytes` as a list of `count` postings ending at `last_doc`
+    /// (the parts [`PostingsList::as_bytes`], [`PostingsList::len`] and
+    /// [`PostingsList::last_doc`] give back). Nothing is checked until
+    /// the list is decoded.
+    pub fn from_raw_parts(bytes: &'a [u8], count: u32, last_doc: DocId) -> Self {
+        PostingsList {
+            bytes,
+            count,
+            last_doc,
+        }
+    }
+
+    /// The compressed bytes of a list of strictly increasing postings.
     ///
     /// # Panics
     ///
     /// Panics if documents are not strictly increasing or an `f_dt` is
     /// zero (these are structural invariants of an inverted file, not
     /// recoverable input errors).
-    pub fn from_postings(postings: &[Posting]) -> Self {
-        let mut w = BitWriter::with_capacity_bits(postings.len() * 8);
-        let mut prev: Option<DocId> = None;
-        for p in postings {
-            assert!(p.f_dt >= 1, "f_dt must be >= 1");
-            let gap = match prev {
-                None => u64::from(p.doc) + 1,
-                Some(q) => {
-                    assert!(p.doc > q, "postings must be strictly increasing");
-                    u64::from(p.doc - q)
-                }
-            };
-            write_gamma(&mut w, gap);
-            write_gamma(&mut w, u64::from(p.f_dt));
-            prev = Some(p.doc);
-        }
-        PostingsList {
-            bytes: w.into_bytes(),
-            count: postings.len() as u32,
-            last_doc: prev.unwrap_or(0),
-        }
+    pub fn encode(postings: &[Posting]) -> Vec<u8> {
+        Lists::of(postings).bytes
     }
 
     /// Number of postings in the list (the term's document frequency
@@ -81,25 +76,15 @@ impl PostingsList {
     }
 
     /// Raw compressed bytes (for serialization and wire transfer).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Reconstructs a list from its raw parts (inverse of
-    /// [`PostingsList::as_bytes`] plus metadata).
-    pub fn from_raw_parts(bytes: Vec<u8>, count: u32, last_doc: DocId) -> Self {
-        PostingsList {
-            bytes,
-            count,
-            last_doc,
-        }
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// Iterates over the postings, decoding incrementally. The iterator
     /// is fused: a malformed posting yields one `Err` and then `None`.
-    pub fn iter(&self) -> Iter<'_> {
+    pub fn iter(&self) -> Iter<'a> {
         Iter {
-            reader: BitReader::new(&self.bytes),
+            reader: BitReader::new(self.bytes),
             remaining: self.count,
             next_min: 0,
         }
@@ -213,6 +198,170 @@ impl Iterator for Iter<'_> {
     }
 }
 
+/// Every inverted list of one index: the lists' bytes back to back in
+/// one arena, each starting on a byte boundary, and one 12-byte head per
+/// term. A term's list ends where the next one's starts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lists {
+    bytes: Vec<u8>,
+    heads: Vec<Head>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    offset: u32,
+    count: u32,
+    last_doc: DocId,
+}
+
+impl Lists {
+    /// Room for `terms` lists of `bytes` bytes in all.
+    pub(crate) fn with_capacity(terms: usize, bytes: usize) -> Self {
+        Lists {
+            bytes: Vec::with_capacity(bytes),
+            heads: Vec::with_capacity(terms),
+        }
+    }
+
+    /// An arena holding one list, of `postings` (about a byte each).
+    pub(crate) fn of(postings: &[Posting]) -> Lists {
+        let mut w = ListsWriter::with_capacity(1, postings.len());
+        for &p in postings {
+            w.put(p);
+        }
+        w.close();
+        w.finish()
+    }
+
+    /// Number of lists (one per term).
+    pub(crate) fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Total compressed size of every list.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// The list of `term`, if there is one.
+    pub(crate) fn get(&self, term: usize) -> Option<PostingsList<'_>> {
+        let head = self.heads.get(term)?;
+        let end = self
+            .heads
+            .get(term + 1)
+            .map_or(self.bytes.len(), |next| next.offset as usize);
+        Some(PostingsList {
+            bytes: &self.bytes[head.offset as usize..end],
+            count: head.count,
+            last_doc: head.last_doc,
+        })
+    }
+
+    /// Every list, in term order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = PostingsList<'_>> {
+        (0..self.len()).map(|term| self.get(term).expect("in range"))
+    }
+
+    /// Appends a list as stored: `count` postings ending at `last_doc`,
+    /// compressed in `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if the arena would pass 4 GiB.
+    pub(crate) fn push_raw(
+        &mut self,
+        bytes: &[u8],
+        count: u32,
+        last_doc: DocId,
+    ) -> Result<(), IndexError> {
+        let offset = u32::try_from(self.bytes.len())
+            .map_err(|_| IndexError::Corrupt("postings exceed 4 GiB"))?;
+        self.heads.push(Head {
+            offset,
+            count,
+            last_doc,
+        });
+        self.bytes.extend_from_slice(bytes);
+        Ok(())
+    }
+}
+
+/// Encodes lists one after another straight into a [`Lists`] arena:
+/// [`ListsWriter::put`] the postings of a term, in strictly increasing
+/// document order, then [`ListsWriter::close`] its list, once per term.
+pub(crate) struct ListsWriter {
+    writer: BitWriter,
+    heads: Vec<Head>,
+    /// The open list's head; its offset is where its first byte goes.
+    open: Head,
+}
+
+impl ListsWriter {
+    /// Room for `terms` lists of `bytes` bytes in all.
+    pub(crate) fn with_capacity(terms: usize, bytes: usize) -> Self {
+        ListsWriter {
+            writer: BitWriter::with_capacity_bits(bytes * 8),
+            heads: Vec::with_capacity(terms),
+            open: Head {
+                offset: 0,
+                count: 0,
+                last_doc: 0,
+            },
+        }
+    }
+
+    /// Appends `p` to the open list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` does not follow the list's last document or its
+    /// `f_dt` is zero.
+    #[inline]
+    pub(crate) fn put(&mut self, p: Posting) {
+        assert!(p.f_dt >= 1, "f_dt must be >= 1");
+        let gap = if self.open.count == 0 {
+            u64::from(p.doc) + 1
+        } else {
+            assert!(
+                p.doc > self.open.last_doc,
+                "postings must be strictly increasing"
+            );
+            u64::from(p.doc - self.open.last_doc)
+        };
+        write_gamma(&mut self.writer, gap);
+        write_gamma(&mut self.writer, u64::from(p.f_dt));
+        self.open.count += 1;
+        self.open.last_doc = p.doc;
+    }
+
+    /// Closes the open list (empty if nothing was put) and opens the
+    /// next term's on the next byte boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena passes 4 GiB.
+    pub(crate) fn close(&mut self) {
+        self.writer.align_to_byte();
+        self.heads.push(self.open);
+        let offset = u32::try_from(self.writer.as_bytes().len()).expect("postings exceed 4 GiB");
+        self.open = Head {
+            offset,
+            count: 0,
+            last_doc: 0,
+        };
+    }
+
+    /// The closed lists.
+    pub(crate) fn finish(self) -> Lists {
+        let mut bytes = self.writer.into_bytes();
+        bytes.shrink_to_fit();
+        Lists {
+            bytes,
+            heads: self.heads,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +373,8 @@ mod tests {
     #[test]
     fn roundtrip_simple_list() {
         let postings = vec![p(0, 1), p(3, 2), p(4, 7), p(100, 1)];
-        let list = PostingsList::from_postings(&postings);
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
         assert_eq!(list.len(), 4);
         assert_eq!(list.last_doc(), 100);
         assert_eq!(list.decode().unwrap(), postings);
@@ -232,7 +382,8 @@ mod tests {
 
     #[test]
     fn empty_list() {
-        let list = PostingsList::from_postings(&[]);
+        let lists = Lists::of(&[]);
+        let list = lists.get(0).unwrap();
         assert!(list.is_empty());
         assert_eq!(list.decode().unwrap(), vec![]);
         assert_eq!(list.byte_len(), 0);
@@ -240,31 +391,34 @@ mod tests {
 
     #[test]
     fn doc_zero_is_representable() {
-        let list = PostingsList::from_postings(&[p(0, 5)]);
+        let lists = Lists::of(&[p(0, 5)]);
+        let list = lists.get(0).unwrap();
         assert_eq!(list.decode().unwrap(), vec![p(0, 5)]);
     }
 
     #[test]
     fn single_posting_large_doc() {
-        let list = PostingsList::from_postings(&[p(u32::MAX - 1, 3)]);
+        let lists = Lists::of(&[p(u32::MAX - 1, 3)]);
+        let list = lists.get(0).unwrap();
         assert_eq!(list.decode().unwrap(), vec![p(u32::MAX - 1, 3)]);
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn non_increasing_docs_panic() {
-        PostingsList::from_postings(&[p(5, 1), p(5, 1)]);
+        PostingsList::encode(&[p(5, 1), p(5, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "f_dt must be >= 1")]
     fn zero_frequency_panics() {
-        PostingsList::from_postings(&[p(1, 0)]);
+        PostingsList::encode(&[p(1, 0)]);
     }
 
     #[test]
     fn get_finds_present_and_absent() {
-        let list = PostingsList::from_postings(&[p(2, 1), p(7, 3), p(9, 2)]);
+        let lists = Lists::of(&[p(2, 1), p(7, 3), p(9, 2)]);
+        let list = lists.get(0).unwrap();
         assert_eq!(list.get(7), Some(3));
         assert_eq!(list.get(2), Some(1));
         assert_eq!(list.get(8), None);
@@ -276,7 +430,8 @@ mod tests {
         // 1000 consecutive docs with f_dt = 1: gaps of 1 are one bit, f=1
         // one bit -> ~250 bytes versus 8000 fixed.
         let postings: Vec<Posting> = (0..1000).map(|d| p(d, 1)).collect();
-        let list = PostingsList::from_postings(&postings);
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
         assert!(list.byte_len() < 300, "got {}", list.byte_len());
         assert_eq!(list.decode().unwrap(), postings);
     }
@@ -284,25 +439,28 @@ mod tests {
     #[test]
     fn raw_parts_roundtrip() {
         let postings = vec![p(1, 2), p(9, 1)];
-        let list = PostingsList::from_postings(&postings);
-        let rebuilt =
-            PostingsList::from_raw_parts(list.as_bytes().to_vec(), list.len(), list.last_doc());
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
+        let bytes = PostingsList::encode(&postings);
+        assert_eq!(bytes, list.as_bytes());
+        let rebuilt = PostingsList::from_raw_parts(&bytes, list.len(), list.last_doc());
         assert_eq!(rebuilt.decode().unwrap(), postings);
     }
 
     #[test]
     fn corrupt_stream_yields_error_not_panic() {
         let postings = vec![p(1, 2), p(9, 1), p(10_000, 4)];
-        let list = PostingsList::from_postings(&postings);
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
         let bytes = list.as_bytes();
-        let truncated = PostingsList::from_raw_parts(bytes[..bytes.len() - 1].to_vec(), 3, 10_000);
+        let truncated = PostingsList::from_raw_parts(&bytes[..bytes.len() - 1], 3, 10_000);
         assert!(truncated.decode().is_err());
     }
 
     /// Checks that `iter` yields nothing after its first error and that
     /// `scan` and `decode` stop where it does; returns the postings
     /// before the error and whether there was one.
-    fn decoded_prefix(list: &PostingsList) -> (Vec<Posting>, bool) {
+    fn decoded_prefix(list: &PostingsList<'_>) -> (Vec<Posting>, bool) {
         let items: Vec<_> = list.iter().collect();
         let good: Vec<Posting> = items.iter().map_while(|r| r.clone().ok()).collect();
         let failed = good.len() < items.len();
@@ -323,11 +481,12 @@ mod tests {
     #[test]
     fn truncated_list_stops_at_the_first_error() {
         let postings: Vec<Posting> = (0..40).map(|i| p(i * 37 + i % 3, i % 5 + 1)).collect();
-        let list = PostingsList::from_postings(&postings);
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
         assert_eq!(decoded_prefix(&list), (postings.clone(), false));
         for cut in 0..list.byte_len() {
             let truncated =
-                PostingsList::from_raw_parts(list.as_bytes()[..cut].to_vec(), 40, list.last_doc());
+                PostingsList::from_raw_parts(&list.as_bytes()[..cut], 40, list.last_doc());
             let (good, failed) = decoded_prefix(&truncated);
             assert!(failed, "cut {cut}");
             assert_eq!(good, postings[..good.len()], "cut {cut}");
@@ -341,12 +500,13 @@ mod tests {
         let postings: Vec<Posting> = (0..40)
             .map(|i| p(u32::MAX - 4000 + i * 97, i % 7 + 1))
             .collect();
-        let list = PostingsList::from_postings(&postings);
+        let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
         let mut failed_midway = 0;
         for bit in 0..list.byte_len() * 8 {
             let mut bytes = list.as_bytes().to_vec();
             bytes[bit / 8] ^= 0x80 >> (bit % 8);
-            let flipped = PostingsList::from_raw_parts(bytes, 40, list.last_doc());
+            let flipped = PostingsList::from_raw_parts(&bytes, 40, list.last_doc());
             let (good, failed) = decoded_prefix(&flipped);
             if failed && good.len() + 1 < postings.len() {
                 failed_midway += 1;
@@ -356,8 +516,38 @@ mod tests {
     }
 
     #[test]
+    fn lists_share_one_arena_and_keep_their_bounds() {
+        let terms = [
+            vec![p(0, 1), p(3, 2)],
+            vec![],
+            vec![p(7, 9)],
+            (0..50).map(|d| p(d * 2, d % 3 + 1)).collect(),
+            vec![],
+        ];
+        let mut w = ListsWriter::with_capacity(terms.len(), 0);
+        for postings in &terms {
+            for &posting in postings {
+                w.put(posting);
+            }
+            w.close();
+        }
+        let lists = w.finish();
+        assert_eq!(lists.len(), terms.len());
+        let mut total = 0;
+        for (t, postings) in terms.iter().enumerate() {
+            let list = lists.get(t).unwrap();
+            assert_eq!(list.decode().unwrap(), *postings, "term {t}");
+            assert_eq!(list.as_bytes(), PostingsList::encode(postings), "term {t}");
+            total += list.byte_len();
+        }
+        assert_eq!(lists.byte_len(), total);
+        assert_eq!(lists.get(terms.len()), None);
+    }
+
+    #[test]
     fn iterator_size_hint_is_exact() {
-        let list = PostingsList::from_postings(&[p(1, 1), p(2, 1), p(3, 1)]);
+        let lists = Lists::of(&[p(1, 1), p(2, 1), p(3, 1)]);
+        let list = lists.get(0).unwrap();
         let it = list.iter();
         assert_eq!(it.size_hint(), (3, Some(3)));
     }
@@ -381,13 +571,15 @@ mod proptests {
     proptest! {
         #[test]
         fn roundtrips(postings in arbitrary_postings()) {
-            let list = PostingsList::from_postings(&postings);
+            let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
             prop_assert_eq!(list.decode().unwrap(), postings);
         }
 
         #[test]
         fn get_agrees_with_decode(postings in arbitrary_postings(), probe in 0u32..1_000_000) {
-            let list = PostingsList::from_postings(&postings);
+            let lists = Lists::of(&postings);
+        let list = lists.get(0).unwrap();
             let expected = postings.iter().find(|p| p.doc == probe).map(|p| p.f_dt);
             prop_assert_eq!(list.get(probe), expected);
         }

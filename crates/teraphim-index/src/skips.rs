@@ -56,7 +56,7 @@ impl SkipTable {
     /// # Panics
     ///
     /// Panics if `skip_every == 0`.
-    pub fn build(list: &PostingsList, skip_every: u32) -> Result<Self, IndexError> {
+    pub fn build(list: PostingsList<'_>, skip_every: u32) -> Result<Self, IndexError> {
         assert!(skip_every > 0, "skip interval must be positive");
         let bytes = list.as_bytes();
         let mut reader = BitReader::new(bytes);
@@ -108,7 +108,7 @@ impl SkipTable {
 
     /// Creates a seeking cursor over `list` (which must be the list the
     /// table was built from).
-    pub fn cursor<'a>(&'a self, list: &'a PostingsList) -> SkipCursor<'a> {
+    pub fn cursor<'a>(&'a self, list: PostingsList<'a>) -> SkipCursor<'a> {
         SkipCursor {
             table: self,
             list,
@@ -130,7 +130,7 @@ impl SkipTable {
 #[derive(Debug, Clone)]
 pub struct SkipCursor<'a> {
     table: &'a SkipTable,
-    list: &'a PostingsList,
+    list: PostingsList<'a>,
     reader: BitReader<'a>,
     /// Index of the next posting to decode.
     next_index: u32,
@@ -236,21 +236,23 @@ impl<'a> SkipCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postings::Lists;
 
-    fn make_list(docs: &[(DocId, u32)]) -> PostingsList {
+    fn make_list(docs: &[(DocId, u32)]) -> Lists {
         let postings: Vec<Posting> = docs
             .iter()
             .map(|&(doc, f_dt)| Posting { doc, f_dt })
             .collect();
-        PostingsList::from_postings(&postings)
+        Lists::of(&postings)
     }
 
     #[test]
     fn seek_finds_every_posting() {
         let docs: Vec<(DocId, u32)> = (0..200).map(|i| (i * 3, i % 5 + 1)).collect();
-        let list = make_list(&docs);
-        let table = SkipTable::build(&list, 16).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&docs);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 16).unwrap();
+        let mut cursor = table.cursor(list);
         for &(doc, f_dt) in &docs {
             assert_eq!(cursor.frequency_of(doc).unwrap(), Some(f_dt), "doc {doc}");
         }
@@ -258,9 +260,10 @@ mod tests {
 
     #[test]
     fn seek_misses_absent_docs() {
-        let list = make_list(&[(10, 1), (20, 2), (30, 3)]);
-        let table = SkipTable::build(&list, 2).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&[(10, 1), (20, 2), (30, 3)]);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 2).unwrap();
+        let mut cursor = table.cursor(list);
         assert_eq!(cursor.frequency_of(5).unwrap(), None);
         assert_eq!(cursor.frequency_of(15).unwrap(), None);
         assert_eq!(cursor.frequency_of(20).unwrap(), Some(2));
@@ -269,9 +272,10 @@ mod tests {
 
     #[test]
     fn seek_beyond_end_returns_none() {
-        let list = make_list(&[(1, 1)]);
-        let table = SkipTable::build(&list, 4).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&[(1, 1)]);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 4).unwrap();
+        let mut cursor = table.cursor(list);
         assert_eq!(cursor.seek(50).unwrap(), None);
         // Subsequent seeks stay at None.
         assert_eq!(cursor.seek(60).unwrap(), None);
@@ -279,19 +283,21 @@ mod tests {
 
     #[test]
     fn empty_list_cursor() {
-        let list = make_list(&[]);
-        let table = SkipTable::build(&list, 4).unwrap();
+        let lists = make_list(&[]);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 4).unwrap();
         assert!(table.is_empty());
-        let mut cursor = table.cursor(&list);
+        let mut cursor = table.cursor(list);
         assert_eq!(cursor.seek(0).unwrap(), None);
     }
 
     #[test]
     fn skipping_decodes_fewer_postings_than_full_scan() {
         let docs: Vec<(DocId, u32)> = (0..10_000).map(|i| (i, 1)).collect();
-        let list = make_list(&docs);
-        let table = SkipTable::build(&list, 64).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&docs);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 64).unwrap();
+        let mut cursor = table.cursor(list);
         // Probe 10 widely spaced candidates.
         for target in (0..10).map(|i| i * 1000) {
             cursor.frequency_of(target).unwrap();
@@ -307,9 +313,10 @@ mod tests {
     #[test]
     fn skip_table_size_scales_with_interval() {
         let docs: Vec<(DocId, u32)> = (0..1000).map(|i| (i, 1)).collect();
-        let list = make_list(&docs);
-        let fine = SkipTable::build(&list, 8).unwrap();
-        let coarse = SkipTable::build(&list, 128).unwrap();
+        let lists = make_list(&docs);
+        let list = lists.get(0).unwrap();
+        let fine = SkipTable::build(list, 8).unwrap();
+        let coarse = SkipTable::build(list, 128).unwrap();
         assert!(fine.len() > coarse.len());
         assert_eq!(fine.len(), 125);
         assert_eq!(coarse.len(), 8);
@@ -318,9 +325,10 @@ mod tests {
 
     #[test]
     fn seek_same_target_twice_is_stable() {
-        let list = make_list(&[(5, 2), (10, 3)]);
-        let table = SkipTable::build(&list, 1).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&[(5, 2), (10, 3)]);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 1).unwrap();
+        let mut cursor = table.cursor(list);
         assert_eq!(cursor.seek(7).unwrap(), Some(Posting { doc: 10, f_dt: 3 }));
         assert_eq!(cursor.seek(7).unwrap(), Some(Posting { doc: 10, f_dt: 3 }));
         assert_eq!(cursor.seek(10).unwrap(), Some(Posting { doc: 10, f_dt: 3 }));
@@ -328,9 +336,10 @@ mod tests {
 
     #[test]
     fn doc_zero_is_seekable() {
-        let list = make_list(&[(0, 4), (9, 1)]);
-        let table = SkipTable::build(&list, 2).unwrap();
-        let mut cursor = table.cursor(&list);
+        let lists = make_list(&[(0, 4), (9, 1)]);
+        let list = lists.get(0).unwrap();
+        let table = SkipTable::build(list, 2).unwrap();
+        let mut cursor = table.cursor(list);
         assert_eq!(cursor.frequency_of(0).unwrap(), Some(4));
     }
 }
@@ -338,6 +347,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::postings::Lists;
     use proptest::prelude::*;
 
     proptest! {
@@ -352,9 +362,10 @@ mod proptests {
             docs.dedup_by_key(|&mut (d, _)| d);
             let postings: Vec<Posting> =
                 docs.iter().map(|&(doc, f_dt)| Posting { doc, f_dt }).collect();
-            let list = PostingsList::from_postings(&postings);
-            let table = SkipTable::build(&list, skip_every).unwrap();
-            let mut cursor = table.cursor(&list);
+            let lists = Lists::of(&postings);
+            let list = lists.get(0).unwrap();
+            let table = SkipTable::build(list, skip_every).unwrap();
+            let mut cursor = table.cursor(list);
             let mut sorted_probes = probes;
             sorted_probes.sort_unstable();
             for probe in sorted_probes {

@@ -1,5 +1,5 @@
 //! The vocabulary: a bidirectional mapping between term strings and dense
-//! term identifiers, plus per-term document frequencies.
+//! term identifiers.
 //!
 //! A Central Vocabulary receptionist holds the *merged* vocabularies of
 //! all subcollections (see [`crate::stats::merge_stats`]); the
@@ -7,106 +7,60 @@
 //! "less than 10 Mb for the gigabyte of text".
 
 use crate::IndexError;
-use std::collections::HashMap;
+use teraphim_compress::dict::Dictionary;
 
 /// Dense term identifier within one vocabulary.
 pub type TermId = u32;
 
-/// A term dictionary assigning dense ids in first-seen order.
-#[derive(Debug, Clone, Default)]
-pub struct Vocabulary {
-    terms: Vec<String>,
-    lookup: HashMap<String, TermId>,
+/// A term dictionary assigning dense ids in first-seen order: the term
+/// bytes in one arena and an id table, three allocations however many
+/// terms (see [`teraphim_compress::dict`]).
+pub type Vocabulary = Dictionary;
+
+/// Serialized size in bytes (length-prefixed UTF-8 strings), used for
+/// the paper's central-vocabulary storage accounting.
+pub fn serialized_len(vocab: &Vocabulary) -> usize {
+    vocab.iter().map(|(_, t)| t.len() + 2).sum()
 }
 
-impl Vocabulary {
-    /// Creates an empty vocabulary.
-    pub fn new() -> Self {
-        Self::default()
+/// Appends the serialized vocabulary: a `u32` term count, then each
+/// term in id order as a `u16` length and its UTF-8 bytes.
+pub(crate) fn write(vocab: &Vocabulary, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(vocab.len() as u32).to_le_bytes());
+    for (_, term) in vocab.iter() {
+        out.extend_from_slice(&(term.len() as u16).to_le_bytes());
+        out.extend_from_slice(term.as_bytes());
     }
+}
 
-    /// Number of distinct terms.
-    pub fn len(&self) -> usize {
-        self.terms.len()
+/// Reads the form [`write`] produces.
+///
+/// # Errors
+///
+/// Returns [`IndexError::Corrupt`] on truncation, invalid UTF-8 or a
+/// term stored twice.
+pub(crate) fn read(bytes: &[u8]) -> Result<Vocabulary, IndexError> {
+    let mut pos = 0usize;
+    let count = read_u32(bytes, &mut pos)? as usize;
+    // Each term takes at least its two length bytes.
+    let rest = bytes.len() - pos;
+    if count > rest / 2 {
+        return Err(IndexError::Corrupt("vocabulary truncated"));
     }
-
-    /// True if no terms have been added.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Returns the id of `term`, inserting it if new.
-    pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.lookup.get(term) {
-            return id;
+    let mut vocab = Vocabulary::with_capacity(count, rest - 2 * count);
+    for id in 0..count {
+        let len = read_u16(bytes, &mut pos)? as usize;
+        let slice = bytes
+            .get(pos..pos + len)
+            .ok_or(IndexError::Corrupt("vocabulary truncated"))?;
+        pos += len;
+        let term = std::str::from_utf8(slice)
+            .map_err(|_| IndexError::Corrupt("vocabulary term not UTF-8"))?;
+        if vocab.intern(term) as usize != id {
+            return Err(IndexError::Corrupt("vocabulary term stored twice"));
         }
-        let id = self.terms.len() as TermId;
-        self.terms.push(term.to_owned());
-        self.lookup.insert(term.to_owned(), id);
-        id
     }
-
-    /// Returns the id of `term` if present.
-    pub fn term_id(&self, term: &str) -> Option<TermId> {
-        self.lookup.get(term).copied()
-    }
-
-    /// Returns the term string for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn term(&self, id: TermId) -> &str {
-        &self.terms[id as usize]
-    }
-
-    /// Iterates over `(id, term)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (TermId, &str)> {
-        self.terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i as TermId, t.as_str()))
-    }
-
-    /// Serialized size in bytes (length-prefixed UTF-8 strings), used for
-    /// the paper's central-vocabulary storage accounting.
-    pub fn serialized_len(&self) -> usize {
-        self.terms.iter().map(|t| t.len() + 2).sum()
-    }
-
-    /// Serializes to a compact byte form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len() + 8);
-        out.extend_from_slice(&(self.terms.len() as u32).to_le_bytes());
-        for term in &self.terms {
-            let bytes = term.as_bytes();
-            out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-            out.extend_from_slice(bytes);
-        }
-        out
-    }
-
-    /// Deserializes the form produced by [`Vocabulary::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::Corrupt`] on truncation or invalid UTF-8.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
-        let mut pos = 0usize;
-        let count = read_u32(bytes, &mut pos)? as usize;
-        let mut vocab = Vocabulary::new();
-        for _ in 0..count {
-            let len = read_u16(bytes, &mut pos)? as usize;
-            let slice = bytes
-                .get(pos..pos + len)
-                .ok_or(IndexError::Corrupt("vocabulary truncated"))?;
-            pos += len;
-            let term = std::str::from_utf8(slice)
-                .map_err(|_| IndexError::Corrupt("vocabulary term not UTF-8"))?;
-            vocab.intern(term);
-        }
-        Ok(vocab)
-    }
+    Ok(vocab)
 }
 
 pub(crate) fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, IndexError> {
@@ -141,6 +95,12 @@ pub(crate) fn read_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, IndexError>
 mod tests {
     use super::*;
 
+    fn to_bytes(v: &Vocabulary) -> Vec<u8> {
+        let mut out = Vec::new();
+        write(v, &mut out);
+        out
+    }
+
     #[test]
     fn intern_assigns_dense_ids_in_order() {
         let mut v = Vocabulary::new();
@@ -168,7 +128,7 @@ mod tests {
         let v = Vocabulary::new();
         assert!(v.is_empty());
         assert_eq!(v.len(), 0);
-        let rt = Vocabulary::from_bytes(&v.to_bytes()).unwrap();
+        let rt = read(&to_bytes(&v)).unwrap();
         assert!(rt.is_empty());
     }
 
@@ -178,7 +138,7 @@ mod tests {
         for t in ["retrieval", "distributed", "naïve", "x"] {
             v.intern(t);
         }
-        let rt = Vocabulary::from_bytes(&v.to_bytes()).unwrap();
+        let rt = read(&to_bytes(&v)).unwrap();
         assert_eq!(rt.len(), v.len());
         for (id, term) in v.iter() {
             assert_eq!(rt.term(id), term);
@@ -189,10 +149,33 @@ mod tests {
     fn truncated_bytes_error() {
         let mut v = Vocabulary::new();
         v.intern("hello");
-        let bytes = v.to_bytes();
+        let bytes = to_bytes(&v);
         for cut in 0..bytes.len() {
-            assert!(Vocabulary::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+            assert!(read(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn a_count_beyond_the_bytes_is_corrupt_not_an_abort() {
+        let mut bytes = u32::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[1, 0, b'a']);
+        assert_eq!(
+            read(&bytes).err(),
+            Some(IndexError::Corrupt("vocabulary truncated"))
+        );
+    }
+
+    #[test]
+    fn a_term_stored_twice_is_corrupt() {
+        let mut v = Vocabulary::new();
+        v.intern("twice");
+        let mut bytes = to_bytes(&v);
+        bytes[0] = 2;
+        bytes.extend_from_within(4..);
+        assert_eq!(
+            read(&bytes).err(),
+            Some(IndexError::Corrupt("vocabulary term stored twice"))
+        );
     }
 
     #[test]
@@ -201,6 +184,6 @@ mod tests {
         for t in ["one", "two", "three"] {
             v.intern(t);
         }
-        assert_eq!(v.to_bytes().len(), v.serialized_len() + 4);
+        assert_eq!(to_bytes(&v).len(), serialized_len(&v) + 4);
     }
 }

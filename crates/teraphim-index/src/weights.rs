@@ -85,6 +85,9 @@ impl DocWeights {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
         let mut pos = 0usize;
         let count = read_u32(bytes, &mut pos)? as usize;
+        if count > (bytes.len() - pos) / 8 {
+            return Err(IndexError::Corrupt("weights truncated"));
+        }
         let mut weights = Vec::with_capacity(count);
         for _ in 0..count {
             weights.push(read_f64(bytes, &mut pos)?);
@@ -96,6 +99,15 @@ impl DocWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_count_beyond_the_bytes_is_corrupt_not_an_abort() {
+        // Four bytes claiming u32::MAX weights (a 32 GiB reservation).
+        assert_eq!(
+            DocWeights::from_bytes(&u32::MAX.to_le_bytes()).err(),
+            Some(IndexError::Corrupt("weights truncated"))
+        );
+    }
 
     #[test]
     fn weight_from_freqs_hand_computed() {

@@ -128,11 +128,17 @@ fn corrupt_index_bytes_fail_ci_setup() {
             }
         }
     }
-    // Garbage, and a well-formed index of one document whose posting
-    // names document 9 (its group would be the ninth of a one-group part).
+    // Garbage; a well-formed index of one document whose posting names
+    // document 9 (its group would be the ninth of a one-group part); and
+    // 24 bytes whose stats section claims u32::MAX terms (a reservation
+    // of 32 GiB that aborted the receptionist).
     for (index_bytes, group_size) in [
         (vec![0xDE, 0xAD, 0xBE, 0xEF], CiParams::default().group_size),
         (posting_past_its_documents(), 1),
+        (
+            stats_claiming_u32_max_terms(),
+            CiParams::default().group_size,
+        ),
     ] {
         let transports = vec![InProcTransport::new(BadIndex(
             Librarian::from_texts("A", &[("A-1", "cats")]),
@@ -147,6 +153,19 @@ fn corrupt_index_bytes_fail_ci_setup() {
             .unwrap_err();
         assert!(format!("{err}").contains("index") || format!("{err}").contains("corrupt"));
     }
+}
+
+/// An empty vocabulary section, then a 12-byte stats section of no
+/// documents and `u32::MAX` terms, and nothing after it.
+fn stats_claiming_u32_max_terms() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&4u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(&12u32.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(bytes.len(), 24);
+    bytes
 }
 
 /// The bytes of a one-document index whose only posting is at document
