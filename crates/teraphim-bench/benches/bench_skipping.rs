@@ -22,7 +22,7 @@ fn bench_candidate_scoring(c: &mut Criterion) {
     let query = &corpus.short_queries()[0].text;
     let pairs = collection.analyze_query(query);
     let weighted = local_weights(collection.index(), &pairs);
-    let qnorm = query_norm(&weighted.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+    let qnorm = query_norm(weighted.iter().map(|t| t.w_qt));
     let n = collection.num_docs() as DocId;
     let mut scratch = RankScratch::new();
 

@@ -8,17 +8,60 @@
 //! wire — so a change to the exhaustive kernel (or a pruning kernel
 //! measured against it) shows its split without the full benchmark.
 //!
+//! A second table follows one served Central Nothing request through a
+//! shard of the paper's 43-way split, step by step as a librarian takes
+//! it: decode the request, look its terms up and weight them, accumulate,
+//! select the top k, encode the reply — nanoseconds and heap allocations
+//! a request for each (a counting allocator; allocations do not move
+//! with the host's speed).
+//!
 //! ```sh
 //! cargo run --release -p teraphim-bench --example rank_kernel [-- --small]
 //! ```
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
+use teraphim_corpus::splits::split_into;
+use teraphim_corpus::SyntheticCorpus;
 use teraphim_engine::ranking::{local_weights, rank_with_norm, RankScratch, WeightedTerm};
 use teraphim_engine::Collection;
 use teraphim_index::similarity::query_norm;
+use teraphim_net::{Message, TermList};
 use teraphim_text::Analyzer;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is only bookkeeping.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 /// Result depth of every timed ranking, as in the fleet benchmark.
 const K: usize = 20;
@@ -26,6 +69,8 @@ const K: usize = 20;
 const PASSES: usize = 5;
 /// Bytes swept before each cold lookup, past a 32 MiB last-level cache.
 const SWEEP_BYTES: usize = 48 << 20;
+/// Subcollections of the served-request table: the paper's §4 split.
+const SPLIT: usize = 43;
 
 /// Nanoseconds of the fastest of [`PASSES`] runs of `pass`.
 fn fastest_ns(mut pass: impl FnMut()) -> f64 {
@@ -36,6 +81,127 @@ fn fastest_ns(mut pass: impl FnMut()) -> f64 {
             started.elapsed().as_nanos() as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// [`fastest_ns`] of `pass`, and the heap allocations one more run of
+/// it makes once the passes before have grown every buffer.
+fn measured(mut pass: impl FnMut()) -> (f64, u64) {
+    let ns = fastest_ns(&mut pass);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    pass();
+    (ns, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// One CN request per short query on every shard of the 43-way split,
+/// each step timed over all of them with what the steps before it made.
+fn served_requests(corpus: &SyntheticCorpus) {
+    let analyzer = Analyzer::default();
+    let shards: Vec<Collection> = split_into(corpus, SPLIT)
+        .iter()
+        .map(|part| Collection::build(&part.name, analyzer.clone(), &part.docs))
+        .collect();
+    // The requests as a receptionist encodes them: `(term, f_qt)` in
+    // term order.
+    let requests: Vec<Vec<u8>> = (0u32..)
+        .zip(corpus.short_queries())
+        .map(|(query_id, query)| {
+            let mut counts: BTreeMap<String, u32> = BTreeMap::new();
+            for term in analyzer.analyze(&query.text) {
+                *counts.entry(term).or_default() += 1;
+            }
+            let terms: TermList<u32> = counts.into_iter().collect();
+            let k = K as u32;
+            Message::RankRequest { query_id, k, terms }.encode()
+        })
+        .collect();
+    let served = (shards.len() * requests.len()) as f64;
+
+    let decode = measured(|| {
+        for _ in &shards {
+            for bytes in &requests {
+                black_box(Message::decode(black_box(bytes)).expect("an encoded request"));
+            }
+        }
+    });
+    let lists: Vec<TermList<u32>> = requests
+        .iter()
+        .map(|bytes| match Message::decode(bytes) {
+            Ok(Message::RankRequest { terms, .. }) => terms,
+            _ => unreachable!("rank requests were encoded"),
+        })
+        .collect();
+    let mut query = Vec::new();
+    let lookup = measured(|| {
+        for shard in &shards {
+            for terms in &lists {
+                black_box(shard.resolve_local(terms.iter(), &mut query));
+            }
+        }
+    });
+    let resolved: Vec<(&Collection, Vec<WeightedTerm>, f64)> = shards
+        .iter()
+        .flat_map(|shard| {
+            lists.iter().map(move |terms| {
+                let mut query = Vec::new();
+                let qnorm = shard.resolve_local(terms.iter(), &mut query);
+                (shard, query, qnorm)
+            })
+        })
+        .collect();
+    let mut scratch = RankScratch::new();
+    let mut rank_at = |k: usize| {
+        measured(|| {
+            for (shard, query, qnorm) in &resolved {
+                black_box(rank_with_norm(
+                    shard.index(),
+                    query,
+                    *qnorm,
+                    k,
+                    &mut scratch,
+                ));
+            }
+        })
+    };
+    let accumulate = rank_at(0);
+    let whole = rank_at(K);
+    let replies: Vec<Message> = resolved
+        .iter()
+        .map(|(shard, query, qnorm)| Message::RankResponse {
+            query_id: 0,
+            epoch: 0,
+            entries: rank_with_norm(shard.index(), query, *qnorm, K, &mut scratch)
+                .into_iter()
+                .map(|hit| (hit.doc, hit.score))
+                .collect(),
+        })
+        .collect();
+    let encode = measured(|| {
+        for reply in &replies {
+            black_box(reply.encode());
+        }
+    });
+
+    println!(
+        "served CN requests: {} shards x {} short queries, k = {K}, fastest of {PASSES} passes",
+        shards.len(),
+        requests.len()
+    );
+    let mut table = TextTable::new(["step", "ns/request", "allocations/request"]);
+    let select = (whole.0 - accumulate.0, whole.1.saturating_sub(accumulate.1));
+    for (step, (ns, allocations)) in [
+        ("decode request", decode),
+        ("lookup + local weights", lookup),
+        ("accumulate", accumulate),
+        ("normalise + select", select),
+        ("encode reply (a fresh Vec)", encode),
+    ] {
+        table.row([
+            step.to_owned(),
+            format!("{:.0}", ns.max(0.0) / served),
+            format!("{:.2}", allocations as f64 / served),
+        ]);
+    }
+    println!("{}", table.render());
 }
 
 fn main() {
@@ -52,7 +218,7 @@ fn main() {
         .flat_map(|shard| {
             corpus.short_queries().iter().map(move |q| {
                 let terms = local_weights(shard.index(), &shard.analyze_query(&q.text));
-                let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+                let qnorm = query_norm(terms.iter().map(|t| t.w_qt));
                 (shard, terms, qnorm)
             })
         })
@@ -146,4 +312,5 @@ fn main() {
         format!("{:.1}", lookup / lookups.max(1) as f64),
     ]);
     println!("{}", table.render());
+    served_requests(&corpus);
 }

@@ -12,8 +12,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
-use teraphim_engine::{ranking, Collection, RankScratch};
-use teraphim_index::similarity::query_norm;
+use teraphim_engine::{candidates, ranking, Collection, RankScratch, WeightedTerm};
 use teraphim_net::{Message, Service};
 use teraphim_obs::{FlightRecorder, Histogram, ServerTimings, Span, SpanContext, SpanTree};
 use teraphim_text::sgml::TrecDoc;
@@ -46,10 +45,10 @@ struct Ledger {
 /// share: the collection (queries only read it), the service ledger
 /// served over [`Message::Stats`], the flight recorder and the routing
 /// table. What each keeps to itself is what one evaluation scribbles on:
-/// the ranking scratch buffers (reused across the query stream, so
-/// steady-state evaluation allocates and zeroes nothing of the
-/// collection's size), the last request's phase clocks, and the epoch of
-/// the snapshot it serves. A write through one handle
+/// the ranking scratch buffers and the resolved query (reused across the
+/// query stream, so steady-state evaluation allocates and zeroes nothing
+/// of the collection's size), the last request's phase clocks, and the
+/// epoch of the snapshot it serves. A write through one handle
 /// ([`Librarian::add_documents`], [`Librarian::collection_mut`]) is in
 /// place while the handle is alone and copy-on-write otherwise: the
 /// other handles keep ranking against the snapshot, and advertising the
@@ -60,6 +59,8 @@ pub struct Librarian {
     collection: Arc<Collection>,
     ledger: Arc<Ledger>,
     scratch: RankScratch,
+    /// The request being evaluated, resolved against this collection.
+    query: Vec<WeightedTerm>,
     /// Index epoch: 0 at build, bumped by [`Librarian::bump_epoch`] when
     /// the index changes. Echoed in every rank/score reply and in
     /// `StatsReply` so receptionist caches can invalidate.
@@ -104,6 +105,7 @@ impl Librarian {
             collection: collection.into(),
             ledger: Arc::default(),
             scratch: RankScratch::new(),
+            query: Vec::new(),
             epoch: 0,
             index_bytes_cache: None,
             routing: None,
@@ -123,6 +125,7 @@ impl Librarian {
             collection: Arc::clone(&self.collection),
             ledger: Arc::clone(&self.ledger),
             scratch: RankScratch::new(),
+            query: Vec::new(),
             epoch: self.epoch,
             index_bytes_cache: self.index_bytes_cache,
             routing: self.routing.clone(),
@@ -295,6 +298,24 @@ impl Librarian {
         }
     }
 
+    /// Ranks the resolved query to depth `k` and answers with it; the
+    /// rank phase runs from `rank_started` to the end of this pass.
+    fn ranking(&mut self, query_id: u32, k: u32, qnorm: f64, rank_started: Instant) -> Message {
+        let hits = ranking::rank_with_norm(
+            self.collection.index(),
+            &self.query,
+            qnorm,
+            k as usize,
+            &mut self.scratch,
+        );
+        self.last_rank = elapsed_micros(rank_started);
+        Message::RankResponse {
+            query_id,
+            epoch: self.epoch,
+            entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
+        }
+    }
+
     fn handle_inner(&mut self, request: Message) -> Message {
         match request {
             Message::StatsRequest => {
@@ -316,25 +337,11 @@ impl Librarian {
                 // Central Nothing: local statistics. Query terms arrive as
                 // strings with their f_qt; unknown terms contribute
                 // nothing. Scan = lookup + local weighting; rank = the
-                // accumulator/heap pass.
+                // accumulator/selection pass.
                 let scan_started = Instant::now();
-                let index = self.collection.index();
-                let pairs: Vec<(teraphim_index::TermId, u32)> = terms
-                    .iter()
-                    .filter_map(|(t, f)| index.vocab().term_id(t).map(|id| (id, *f)))
-                    .collect();
-                let weighted = ranking::local_weights(index, &pairs);
-                let qnorm = query_norm(&weighted.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+                let qnorm = self.collection.resolve_local(terms.iter(), &mut self.query);
                 self.last_scan = elapsed_micros(scan_started);
-                let rank_started = Instant::now();
-                let hits =
-                    ranking::rank_with_norm(index, &weighted, qnorm, k as usize, &mut self.scratch);
-                self.last_rank = elapsed_micros(rank_started);
-                Message::RankResponse {
-                    query_id,
-                    epoch: self.epoch,
-                    entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
-                }
+                self.ranking(query_id, k, qnorm, Instant::now())
             }
             Message::RankWeightedRequest { query_id, k, terms } => {
                 // Central Vocabulary: the receptionist supplies global
@@ -342,15 +349,10 @@ impl Librarian {
                 // No local scan phase — the weighting already happened
                 // client-side.
                 let rank_started = Instant::now();
-                let hits =
-                    self.collection
-                        .ranked_query_weighted(&terms, k as usize, &mut self.scratch);
-                self.last_rank = elapsed_micros(rank_started);
-                Message::RankResponse {
-                    query_id,
-                    epoch: self.epoch,
-                    entries: hits.into_iter().map(|h| (h.doc, h.score)).collect(),
-                }
+                let qnorm = self
+                    .collection
+                    .resolve_weighted(terms.iter(), &mut self.query);
+                self.ranking(query_id, k, qnorm, rank_started)
             }
             Message::ScoreCandidatesRequest {
                 query_id,
@@ -358,9 +360,16 @@ impl Librarian {
                 candidates,
             } => {
                 let rank_started = Instant::now();
-                let result =
-                    self.collection
-                        .score_candidates(&terms, &candidates, &mut self.scratch);
+                let qnorm = self
+                    .collection
+                    .resolve_weighted(terms.iter(), &mut self.query);
+                let result = candidates::score_candidates(
+                    self.collection.index(),
+                    &self.query,
+                    qnorm,
+                    &candidates,
+                    &mut self.scratch,
+                );
                 self.last_rank = elapsed_micros(rank_started);
                 match result {
                     Ok((scores, postings_decoded)) => Message::ScoreResponse {
@@ -621,7 +630,7 @@ mod tests {
         let resp = lib.handle(Message::RankRequest {
             query_id: 1,
             k: 10,
-            terms: vec![("cat".into(), 1)],
+            terms: vec![("cat".into(), 1)].into(),
         });
         match resp {
             Message::RankResponse {
@@ -639,15 +648,21 @@ mod tests {
     #[test]
     fn weighted_rank_matches_engine() {
         let mut lib = librarian();
-        let expected = lib.collection().ranked_query_weighted(
-            &[("compression".into(), 2.0)],
+        let mut query = Vec::new();
+        let qnorm = lib
+            .collection()
+            .resolve_weighted([("compression", 2.0)], &mut query);
+        let expected = ranking::rank_with_norm(
+            lib.collection().index(),
+            &query,
+            qnorm,
             5,
             &mut RankScratch::new(),
         );
         let resp = lib.handle(Message::RankWeightedRequest {
             query_id: 2,
             k: 5,
-            terms: vec![("compression".into(), 2.0)],
+            terms: vec![("compression".into(), 2.0)].into(),
         });
         match resp {
             Message::RankResponse { entries, .. } => {
@@ -738,7 +753,7 @@ mod tests {
         lib.handle(Message::RankRequest {
             query_id: 1,
             k: 10,
-            terms: vec![("cat".into(), 1)],
+            terms: vec![("cat".into(), 1)].into(),
         });
         lib.handle(Message::FetchHeadersRequest {
             query_id: 2,
@@ -793,7 +808,7 @@ mod tests {
         lib.handle(Message::RankRequest {
             query_id,
             k: 10,
-            terms: vec![("cat".into(), 1)],
+            terms: vec![("cat".into(), 1)].into(),
         })
     }
 
@@ -854,7 +869,7 @@ mod tests {
                 .request(&Message::RankRequest {
                     query_id,
                     k: 10,
-                    terms: vec![("cat".into(), 1)],
+                    terms: vec![("cat".into(), 1)].into(),
                 })
                 .unwrap();
             assert!(matches!(reply, Message::RankResponse { .. }));
@@ -914,7 +929,7 @@ mod tests {
             .request(&Message::RankRequest {
                 query_id: 7,
                 k: 1,
-                terms: vec![("cat".into(), 1)],
+                terms: vec![("cat".into(), 1)].into(),
             })
             .unwrap();
         assert!(matches!(resp, Message::RankResponse { .. }));
@@ -995,7 +1010,7 @@ mod tests {
         let mut lib = librarian();
         let resp = lib.handle(Message::ScoreCandidatesRequest {
             query_id: 8,
-            terms: vec![("cat".into(), 1.0)],
+            terms: vec![("cat".into(), 1.0)].into(),
             candidates: vec![0, 1, 2],
         });
         match resp {

@@ -22,7 +22,7 @@ use teraphim_engine::ranking::{self, ScoredDoc};
 use teraphim_index::{similarity, vocab};
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, InvertedIndex, Vocabulary};
 use teraphim_net::{
-    dispatch, DispatchMode, Message, NetError, RoutingTable, TrafficStats, Transport,
+    dispatch, DispatchMode, Message, NetError, RoutingTable, TermList, TrafficStats, Transport,
 };
 use teraphim_obs::{EventKind, LibCandidates, Phase, TraceSink};
 use teraphim_text::Analyzer;
@@ -213,6 +213,9 @@ pub struct Receptionist<T: Transport> {
     trace: TraceSink,
     cache: Option<CacheState>,
     routing: Option<RoutingWatch>,
+    /// The running merged ranking and the buffer the next fold merges
+    /// into ([`ranking::merge_rankings`]), kept from query to query.
+    merged: [Vec<(ScoredDoc, usize)>; 2],
 }
 
 impl<T: Transport> Receptionist<T> {
@@ -232,6 +235,7 @@ impl<T: Transport> Receptionist<T> {
             trace: TraceSink::disabled(),
             cache: None,
             routing: None,
+            merged: Default::default(),
         }
     }
 
@@ -267,6 +271,7 @@ impl<T: Transport> Receptionist<T> {
             trace: TraceSink::disabled(),
             cache: self.cache.as_ref().map(|c| CacheState::new(c.config())),
             routing: self.routing.clone(),
+            merged: Default::default(),
         }
     }
 
@@ -816,7 +821,7 @@ impl<T: Transport> Receptionist<T> {
             Methodology::CentralNothing => SubQueries::Shared(Message::RankRequest {
                 query_id,
                 k: k as u32,
-                terms,
+                terms: terms.into(),
             }),
             Methodology::CentralVocabulary => SubQueries::Shared(Message::RankWeightedRequest {
                 query_id,
@@ -833,7 +838,7 @@ impl<T: Transport> Receptionist<T> {
     /// vocabulary) and the weight itself is recomputed with
     /// [`similarity::w_qt`] on every use — the same call the uncached
     /// path makes, so cached weights are bit-identical.
-    fn cv_weights(&mut self, terms: &[(String, u32)]) -> Result<Vec<(String, f64)>, TeraphimError> {
+    fn cv_weights(&mut self, terms: &[(String, u32)]) -> Result<TermList<f64>, TeraphimError> {
         let cv = self
             .cv
             .as_ref()
@@ -841,27 +846,25 @@ impl<T: Transport> Receptionist<T> {
         let Some(cache) = self.cache.as_mut() else {
             return Ok(global_weights(&cv.vocab, &cv.stats, terms));
         };
-        let mut weighted = Vec::new();
-        for (term, f_qt) in terms {
-            let lookup = cache.lookup_term(term);
-            note_lookup(&self.trace, "stats", &lookup);
-            let doc_freq = match lookup {
-                Lookup::Hit(doc_freq) => doc_freq,
-                Lookup::Miss | Lookup::Stale => {
-                    let doc_freq = cv.vocab.term_id(term).map(|id| cv.stats.doc_freq(id));
-                    let evicted = cache.insert_term(term.clone(), doc_freq);
-                    note_evicted(&self.trace, "stats", evicted);
-                    doc_freq
-                }
-            };
-            if let Some(doc_freq) = doc_freq {
-                let w = similarity::w_qt(u64::from(*f_qt), cv.stats.num_docs(), doc_freq);
-                if w > 0.0 {
-                    weighted.push((term.clone(), w));
-                }
-            }
-        }
-        Ok(weighted)
+        let trace = &self.trace;
+        Ok(terms
+            .iter()
+            .filter_map(|(term, f_qt)| {
+                let lookup = cache.lookup_term(term);
+                note_lookup(trace, "stats", &lookup);
+                let doc_freq = match lookup {
+                    Lookup::Hit(doc_freq) => doc_freq,
+                    Lookup::Miss | Lookup::Stale => {
+                        let doc_freq = cv.vocab.term_id(term).map(|id| cv.stats.doc_freq(id));
+                        let evicted = cache.insert_term(term.clone(), doc_freq);
+                        note_evicted(trace, "stats", evicted);
+                        doc_freq
+                    }
+                };
+                let w = similarity::w_qt(u64::from(*f_qt), cv.stats.num_docs(), doc_freq?);
+                (w > 0.0).then_some((term, w))
+            })
+            .collect())
     }
 
     /// Steps 2–3: fans `requests` out to the librarians and folds each
@@ -871,7 +874,8 @@ impl<T: Transport> Receptionist<T> {
     /// no matter which librarian answers first. Returns the merged hits
     /// over the librarians that answered plus the per-librarian failures
     /// in index order; a garbled or misdirected reply fails its
-    /// librarian like a transport error does.
+    /// librarian like a transport error does: the data cannot be
+    /// trusted, so it is not merged.
     fn rank_fanout(
         &mut self,
         query_id: u32,
@@ -886,7 +890,8 @@ impl<T: Transport> Receptionist<T> {
         });
         let caching = self.cache.is_some();
         let mut epochs: Vec<(usize, u64)> = Vec::new();
-        let mut merged: Vec<(ScoredDoc, usize)> = Vec::new();
+        let [merged, spare] = &mut self.merged;
+        merged.clear();
         let mut folded = 0u64;
         let failures = dispatch(
             self.dispatch,
@@ -903,9 +908,22 @@ impl<T: Transport> Receptionist<T> {
                         epochs.push((lib, *epoch));
                     }
                 }
-                let entries = ranking_entries(response, query_id, lib, scored)?;
+                let mut entries = match response {
+                    Message::RankResponse {
+                        query_id: qid,
+                        entries,
+                        ..
+                    } if !scored && qid == query_id => entries,
+                    Message::ScoreResponse {
+                        query_id: qid,
+                        entries,
+                        ..
+                    } if scored && qid == query_id => entries,
+                    other if scored => return Err(unexpected("ScoreCandidatesRequest", &other)),
+                    other => return Err(unexpected("a ranking request", &other)),
+                };
                 folded += entries.len() as u64;
-                fold_ranking(&mut merged, entries, k);
+                ranking::merge_rankings(merged, spare, &mut entries, lib, k);
                 Ok(())
             },
         );
@@ -916,8 +934,16 @@ impl<T: Transport> Receptionist<T> {
         trace.record(EventKind::PhaseEnd {
             phase: Phase::RankFanout,
         });
+        let hits = merged
+            .iter()
+            .map(|&(scored, lib)| GlobalHit {
+                librarian: lib,
+                doc: scored.doc,
+                score: scored.score,
+            })
+            .collect();
         self.observe_epochs(epochs);
-        (into_global_hits(merged), failures)
+        (hits, failures)
     }
 
     /// Folds librarian-reported index epochs gathered during a fan-out
@@ -1376,13 +1402,13 @@ pub(crate) fn global_weights(
     vocab: &Vocabulary,
     stats: &CollectionStats,
     terms: &[(String, u32)],
-) -> Vec<(String, f64)> {
+) -> TermList<f64> {
     terms
         .iter()
         .filter_map(|(term, f_qt)| {
             let id = vocab.term_id(term)?;
             let w = similarity::w_qt(u64::from(*f_qt), stats.num_docs(), stats.doc_freq(id));
-            (w > 0.0).then(|| (term.clone(), w))
+            (w > 0.0).then_some((term, w))
         })
         .collect()
 }
@@ -1391,7 +1417,7 @@ pub(crate) fn global_weights(
 pub(crate) fn global_weights_from_grouped(
     grouped: &GroupedIndex,
     terms: &[(String, u32)],
-) -> Vec<(String, f64)> {
+) -> TermList<f64> {
     terms
         .iter()
         .filter_map(|(term, f_qt)| {
@@ -1401,7 +1427,7 @@ pub(crate) fn global_weights_from_grouped(
                 grouped.total_docs(),
                 grouped.doc_stats().doc_freq(id),
             );
-            (w > 0.0).then(|| (term.clone(), w))
+            (w > 0.0).then_some((term, w))
         })
         .collect()
 }
@@ -1450,69 +1476,15 @@ fn record_scored(trace: &TraceSink, lib: usize, response: &Message) {
     }
 }
 
-/// Extracts ranking entries from a response — a `ScoreResponse` when
-/// the request was a CI candidate-scoring one (`scored`), a
-/// `RankResponse` otherwise — tagging each with the librarian. A wrong
-/// variant or a mismatched query id — a garbled or misdirected reply —
-/// is a *permanent* failure of that librarian for this query: the data
-/// cannot be trusted, so it must not be merged.
-fn ranking_entries(
-    response: Message,
-    query_id: u32,
-    lib: usize,
-    scored: bool,
-) -> Result<Vec<(ScoredDoc, usize)>, NetError> {
-    let entries = match response {
-        Message::RankResponse {
-            query_id: qid,
-            entries,
-            ..
-        } if !scored && qid == query_id => entries,
-        Message::ScoreResponse {
-            query_id: qid,
-            entries,
-            ..
-        } if scored && qid == query_id => entries,
-        other if scored => {
-            return Err(unexpected("ScoreCandidatesRequest", &other));
-        }
-        other => {
-            return Err(NetError::Remote(format!(
-                "unexpected ranking response: {other:?}"
-            )))
-        }
-    };
-    Ok(entries
-        .into_iter()
-        .map(|(doc, score)| (ScoredDoc { doc, score }, lib))
-        .collect())
-}
-
-/// Folds one librarian's ranking into the running merged top `k`,
-/// "accepting at face value all supplied similarity values". Because
-/// `merge_rankings` imposes a total order, folding lists one at a time —
-/// in whatever order they arrive — produces the same top `k` as merging
-/// them all at once.
-fn fold_ranking(merged: &mut Vec<(ScoredDoc, usize)>, entries: Vec<(ScoredDoc, usize)>, k: usize) {
-    let prev = std::mem::take(merged);
-    *merged = ranking::merge_rankings(&[prev, entries], k);
-}
-
-/// Converts a merged `(score, librarian)` list into public hits.
-fn into_global_hits(merged: Vec<(ScoredDoc, usize)>) -> Vec<GlobalHit> {
-    merged
-        .into_iter()
-        .map(|(scored, lib)| GlobalHit {
-            librarian: lib,
-            doc: scored.doc,
-            score: scored.score,
-        })
-        .collect()
-}
-
-/// A response of the wrong variant for the request that was sent.
+/// A response of the wrong variant for the request that was sent, named
+/// by its variant and encoded length: a peer that answers with a whole
+/// index costs one line, not a dump of it.
 fn unexpected(request_kind: &str, other: &Message) -> NetError {
-    NetError::Remote(format!("unexpected response to {request_kind}: {other:?}"))
+    NetError::Remote(format!(
+        "unexpected response to {request_kind}: {} ({} bytes)",
+        other.variant_name(),
+        other.wire_len()
+    ))
 }
 
 #[cfg(test)]
@@ -1861,6 +1833,30 @@ mod tests {
         assert!(answer.hits.iter().all(|h| h.librarian == 1));
         // No CV state: the docs fraction is unknown.
         assert_eq!(answer.coverage.docs_fraction, None);
+    }
+
+    /// Answers every request with a serialized index's worth of bytes.
+    struct Misdirected;
+
+    impl teraphim_net::Service for Misdirected {
+        fn handle(&mut self, _: Message) -> Message {
+            Message::IndexResponse {
+                index_bytes: vec![7; 1 << 20],
+            }
+        }
+    }
+
+    /// A 1 MiB reply of the wrong kind is named, not dumped: the error
+    /// was a `Debug` rendering of every byte, over 3 MiB of text.
+    #[test]
+    fn a_misdirected_reply_costs_one_line_of_error() {
+        let mut r = Receptionist::new(vec![InProcTransport::new(Misdirected)], Analyzer::default());
+        let error = r
+            .query(Methodology::CentralNothing, "cat", 5)
+            .unwrap_err()
+            .to_string();
+        assert!(error.len() < 200, "{} bytes of error", error.len());
+        assert!(error.contains("IndexResponse (1048580 bytes)"), "{error}");
     }
 
     #[test]

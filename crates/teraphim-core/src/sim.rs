@@ -31,7 +31,7 @@ use crate::receptionist::{global_weights, global_weights_from_grouped};
 use crate::TeraphimError;
 use std::collections::BTreeMap;
 
-use teraphim_engine::ranking::{self, ScoredDoc, WeightedTerm};
+use teraphim_engine::ranking::{self, WeightedTerm};
 use teraphim_engine::{candidates, Collection, RankScratch};
 use teraphim_index::stats::merge_stats;
 use teraphim_index::{CollectionStats, DocId, GroupedIndex, Vocabulary};
@@ -754,8 +754,7 @@ impl SimDriver {
                     if matches!(fault, Some(FaultAction::Garble)) {
                         exchange.failed = Some("remote");
                     } else {
-                        out.lists
-                            .push(ranking.into_iter().map(|s| (s, lib)).collect());
+                        out.lists.push((lib, ranking));
                     }
                 }
             }
@@ -783,7 +782,7 @@ impl SimDriver {
         k: usize,
         plan: FetchPlan,
     ) -> Result<QueryCost, TeraphimError> {
-        let entries: u64 = fan.lists.iter().map(|l| l.len() as u64).sum();
+        let entries: u64 = fan.lists.iter().map(|(_, l)| l.len() as u64).sum();
         let merge_cpu = net.cost().merge_cpu(entries);
         let index_time = net.receptionist_cpu(fan.ready, merge_cpu);
         self.trace.record_at(
@@ -794,7 +793,10 @@ impl SimDriver {
             },
         );
         self.phase_end(index_time, Phase::RankFanout);
-        let merged = ranking::merge_rankings(&fan.lists, k);
+        let (mut merged, mut spare) = (Vec::new(), Vec::new());
+        for (lib, mut list) in fan.lists {
+            ranking::merge_rankings(&mut merged, &mut spare, &mut list, lib, k);
+        }
         let hits: Vec<(usize, DocId)> = merged.iter().map(|(s, lib)| (*lib, s.doc)).collect();
 
         self.phase_start(index_time, Phase::DocFetch);
@@ -832,13 +834,9 @@ impl SimDriver {
         // the same request. Under CV it carries the global weights, and
         // the query norm covers the full list (terms a librarian lacks
         // still belong in its denominator).
-        let global = cv.then(|| {
-            let weights = global_weights(&self.global_vocab, &self.global_stats, &terms);
-            let norm = similarity_norm(&weights);
-            (weights, norm)
-        });
+        let global = cv.then(|| global_weights(&self.global_vocab, &self.global_stats, &terms));
         let request = match &global {
-            Some((weights, _)) => Message::RankWeightedRequest {
+            Some(weights) => Message::RankWeightedRequest {
                 query_id: 0,
                 k: k as u32,
                 terms: weights.clone(),
@@ -846,7 +844,7 @@ impl SimDriver {
             None => Message::RankRequest {
                 query_id: 0,
                 k: k as u32,
-                terms: terms.clone(),
+                terms: terms.clone().into(),
             },
         };
         let t_parse = net.receptionist_cpu(0.0, cost.cpu_query_overhead);
@@ -856,18 +854,11 @@ impl SimDriver {
         // the cost repeated at every librarian.
         let requests = vec![Some(request); self.parts.len()];
         let fan = self.fan_out(net, t_parse, &requests, |col, _| {
-            let (weighted, qnorm) = match &global {
-                Some((weights, norm)) => (resolve_weights(col, weights), *norm),
+            let mut weighted = Vec::new();
+            let qnorm = match &global {
+                Some(weights) => col.resolve_weighted(weights.iter(), &mut weighted),
                 None => {
-                    let pairs: Vec<(teraphim_index::TermId, u32)> = terms
-                        .iter()
-                        .filter_map(|(t, f)| col.index().vocab().term_id(t).map(|id| (id, *f)))
-                        .collect();
-                    let local = ranking::local_weights(col.index(), &pairs);
-                    let norm = teraphim_index::similarity::query_norm(
-                        &local.iter().map(|t| t.w_qt).collect::<Vec<_>>(),
-                    );
-                    (local, norm)
+                    col.resolve_local(terms.iter().map(|(t, f)| (t.as_str(), *f)), &mut weighted)
                 }
             };
             let work = index_work_on(col.index(), &weighted);
@@ -960,7 +951,6 @@ impl SimDriver {
         // ranking happened locally, so nobody else is contacted (or has
         // its fault plan consulted).
         let doc_weights = global_weights_from_grouped(&self.grouped, &terms);
-        let qnorm = similarity_norm(&doc_weights);
         let mut requests: Vec<Option<Message>> = vec![None; self.parts.len()];
         for (part, candidates) in expanded {
             requests[part as usize] = Some(Message::ScoreCandidatesRequest {
@@ -977,7 +967,8 @@ impl SimDriver {
             let Message::ScoreCandidatesRequest { candidates, .. } = request else {
                 unreachable!("step 1 above builds scoring requests only");
             };
-            let weighted = resolve_weights(col, &doc_weights);
+            let mut weighted = Vec::new();
+            let qnorm = col.resolve_weighted(doc_weights.iter(), &mut weighted);
             let (scores, decoded) = if skipping {
                 let scratch = &mut RankScratch::new();
                 candidates::score_candidates(col.index(), &weighted, qnorm, candidates, scratch)
@@ -1103,32 +1094,29 @@ struct FanOut {
     /// When the last reply (or observed reset) is in.
     ready: SimTime,
     /// The rankings of the librarians whose reply can be used, in
-    /// librarian order, tagged as [`ranking::merge_rankings`] wants them.
-    lists: Vec<Vec<(ScoredDoc, usize)>>,
+    /// librarian order, each with its librarian.
+    lists: Vec<(usize, Entries)>,
     /// Librarians that dropped out, in index order.
     failed: Vec<usize>,
     bytes_on_wire: u64,
     postings: u64,
 }
 
+/// A ranking as a reply carries it: `(local doc id, similarity)`.
+type Entries = Vec<(DocId, f64)>;
+
 /// The ranking a reply carries, plus the `(candidates, postings)` a
 /// candidate-scoring reply reports about itself.
-fn reply_ranking(reply: Message) -> (Vec<ScoredDoc>, Option<(u32, u64)>) {
-    let scored = |entries: Vec<(DocId, f64)>| {
-        entries
-            .into_iter()
-            .map(|(doc, score)| ScoredDoc { doc, score })
-            .collect::<Vec<_>>()
-    };
+fn reply_ranking(reply: Message) -> (Entries, Option<(u32, u64)>) {
     match reply {
-        Message::RankResponse { entries, .. } => (scored(entries), None),
+        Message::RankResponse { entries, .. } => (entries, None),
         Message::ScoreResponse {
             entries,
             postings_decoded,
             ..
         } => {
             let counts = (entries.len() as u32, postings_decoded);
-            (scored(entries), Some(counts))
+            (entries, Some(counts))
         }
         _ => (Vec::new(), None),
     }
@@ -1184,24 +1172,6 @@ fn index_work_on(index: &teraphim_index::InvertedIndex, weighted: &[WeightedTerm
         seeks,
         postings,
     }
-}
-
-/// Query norm over a full (string, weight) list.
-fn similarity_norm(weights: &[(String, f64)]) -> f64 {
-    teraphim_index::similarity::query_norm(&weights.iter().map(|(_, w)| *w).collect::<Vec<_>>())
-}
-
-/// Maps globally weighted term strings onto one collection's term ids.
-fn resolve_weights(col: &Collection, weights: &[(String, f64)]) -> Vec<WeightedTerm> {
-    weights
-        .iter()
-        .filter_map(|(term, w_qt)| {
-            col.index().vocab().term_id(term).map(|id| WeightedTerm {
-                term: id,
-                w_qt: *w_qt,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]

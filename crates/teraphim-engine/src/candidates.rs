@@ -114,7 +114,7 @@ fn normalized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranking::{local_weights, rank_all};
+    use crate::ranking::{local_weights, rank};
     use teraphim_index::IndexBuilder;
 
     fn index_of(docs: &[&[&str]]) -> InvertedIndex {
@@ -142,7 +142,7 @@ mod tests {
     }
 
     fn norm(w: &[WeightedTerm]) -> f64 {
-        teraphim_index::similarity::query_norm(&w.iter().map(|t| t.w_qt).collect::<Vec<_>>())
+        teraphim_index::similarity::query_norm(w.iter().map(|t| t.w_qt))
     }
 
     fn weights_for(ix: &InvertedIndex, terms: &[&str]) -> Vec<WeightedTerm> {
@@ -163,7 +163,7 @@ mod tests {
             &["cat", "bird"],
         ]);
         let w = weights_for(&ix, &["cat", "bird"]);
-        let full = rank_all(&ix, &w);
+        let full = rank(&ix, &w, usize::MAX);
         let (scored, _) = skipping(&ix, &w, &[0, 1, 2, 3, 4]).unwrap();
         for s in &scored {
             let expected = full

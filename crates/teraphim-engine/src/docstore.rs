@@ -183,8 +183,11 @@ impl DocStore {
         let raw_bytes_total =
             u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes")) as usize;
         let count = take_u32(bytes, &mut pos)? as usize;
-        let mut docnos = Vec::with_capacity(count.min(1 << 24));
-        let mut compressed = Vec::with_capacity(count.min(1 << 24));
+        // A document is two length words at least: the count is a claim
+        // the bytes left must be able to hold before anything is reserved.
+        let room = count.min((bytes.len() - pos) / 8);
+        let mut docnos = Vec::with_capacity(room);
+        let mut compressed = Vec::with_capacity(room);
         for _ in 0..count {
             let len = take_u32(bytes, &mut pos)? as usize;
             let docno = std::str::from_utf8(take(bytes, &mut pos, len)?)

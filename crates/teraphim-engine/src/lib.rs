@@ -44,6 +44,7 @@ pub mod thresholding;
 use std::error::Error;
 use std::fmt;
 
+use teraphim_index::similarity::query_norm;
 use teraphim_index::{DocId, IndexBuilder, InvertedIndex, TermId};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -186,44 +187,45 @@ impl Collection {
         ranking::rank(&self.index, &weighted, k)
     }
 
-    /// Evaluates a ranked query with externally supplied term weights
-    /// (the Central Vocabulary librarian operation). Terms are given as
-    /// strings because the weights come from the *global* vocabulary.
-    ///
-    /// The cosine query norm covers *all* supplied weights, including
-    /// terms this collection has never seen — that is what makes scores
-    /// from different librarians directly comparable (and identical to a
-    /// mono-server evaluation).
-    ///
-    /// `scratch` is the caller's, reused across a librarian's query
-    /// stream.
-    pub fn ranked_query_weighted(
+    /// Resolves a Central Nothing request's `(term, f_qt)` pairs into
+    /// `query` (cleared first): this collection's term ids with weights
+    /// from its *own* statistics ([`ranking::local_weights`]), in request
+    /// order, dropping terms it has never seen. Returns the query norm
+    /// over the terms kept. `query` is the caller's, reused across a
+    /// librarian's query stream.
+    pub fn resolve_local<'t>(
         &self,
-        terms: &[(String, f64)],
-        k: usize,
-        scratch: &mut RankScratch,
-    ) -> Vec<ScoredDoc> {
-        let qnorm = full_query_norm(terms);
-        let weighted = self.resolve_weighted(terms);
-        ranking::rank_with_norm(&self.index, &weighted, qnorm, k, scratch)
+        terms: impl IntoIterator<Item = (&'t str, u32)>,
+        query: &mut Vec<WeightedTerm>,
+    ) -> f64 {
+        query.clear();
+        query.extend(terms.into_iter().filter_map(|(term, f_qt)| {
+            ranking::local_weight(&self.index, self.index.vocab().term_id(term)?, f_qt)
+        }));
+        query_norm(query.iter().map(|t| t.w_qt))
     }
 
-    /// Scores exactly the given candidate documents with externally
-    /// supplied weights (the Central Index librarian operation). Returns
-    /// one score per candidate plus the number of postings decoded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] if the index fails to decode.
-    pub fn score_candidates(
+    /// Resolves externally supplied `(term, w_qt)` pairs — the Central
+    /// Vocabulary and Central Index librarian operations — into `query`
+    /// (cleared first), in request order, dropping terms this collection
+    /// has never seen: they cannot contribute to an accumulator. Their
+    /// weights still belong in the query norm, which is returned: it
+    /// covers *all* supplied weights, and that is what makes scores from
+    /// different librarians directly comparable (and identical to a
+    /// mono-server evaluation). Terms are strings because the weights
+    /// come from the *global* vocabulary.
+    pub fn resolve_weighted<'t>(
         &self,
-        terms: &[(String, f64)],
-        candidates: &[DocId],
-        scratch: &mut RankScratch,
-    ) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-        let qnorm = full_query_norm(terms);
-        let weighted = self.resolve_weighted(terms);
-        candidates::score_candidates(&self.index, &weighted, qnorm, candidates, scratch)
+        terms: impl IntoIterator<Item = (&'t str, f64)>,
+        query: &mut Vec<WeightedTerm>,
+    ) -> f64 {
+        query.clear();
+        query_norm(terms.into_iter().map(|(term, w_qt)| {
+            if let Some(id) = self.index.vocab().term_id(term) {
+                query.push(WeightedTerm { term: id, w_qt });
+            }
+            w_qt
+        }))
     }
 
     /// Evaluates a Boolean query.
@@ -379,28 +381,6 @@ impl Collection {
             .map_err(|_| EngineError::Corrupt("failed to read collection file"))?;
         Collection::from_bytes(&bytes)
     }
-
-    /// Maps weighted term strings onto this collection's term ids,
-    /// dropping unknown terms (they cannot contribute to accumulators;
-    /// their weights still belong in the query norm — see
-    /// [`Collection::ranked_query_weighted`]).
-    fn resolve_weighted(&self, terms: &[(String, f64)]) -> Vec<WeightedTerm> {
-        terms
-            .iter()
-            .filter_map(|(term, w_qt)| {
-                self.index.vocab().term_id(term).map(|id| WeightedTerm {
-                    term: id,
-                    w_qt: *w_qt,
-                })
-            })
-            .collect()
-    }
-}
-
-/// Query norm over a full weighted term list (strings not yet resolved
-/// against any particular vocabulary).
-fn full_query_norm(terms: &[(String, f64)]) -> f64 {
-    teraphim_index::similarity::query_norm(&terms.iter().map(|(_, w)| *w).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -507,19 +487,26 @@ mod tests {
         let c = demo();
         // Give "bird" an overwhelming weight: D4 must win over D1 for
         // "cat bird".
-        let hits = c.ranked_query_weighted(
-            &[("cat".into(), 0.1), ("bird".into(), 100.0)],
-            4,
-            &mut RankScratch::new(),
-        );
+        let mut query = Vec::new();
+        let qnorm = c.resolve_weighted([("cat", 0.1), ("bird", 100.0)], &mut query);
+        let hits = ranking::rank_with_norm(c.index(), &query, qnorm, 4, &mut RankScratch::new());
         assert_eq!(c.docno(hits[0].doc), "D4");
     }
 
     #[test]
     fn weighted_query_ignores_unknown_terms() {
         let c = demo();
-        let hits =
-            c.ranked_query_weighted(&[("unknownterm".into(), 5.0)], 4, &mut RankScratch::new());
+        let mut query = Vec::new();
+        let qnorm = c.resolve_weighted([("unknownterm", 5.0), ("cat", 1.0)], &mut query);
+        assert_eq!(query.len(), 1);
+        assert_eq!(
+            qnorm.to_bits(),
+            26f64.sqrt().to_bits(),
+            "the norm covers every term"
+        );
+        query.clear();
+        let qnorm = c.resolve_weighted([("unknownterm", 5.0)], &mut query);
+        let hits = ranking::rank_with_norm(c.index(), &query, qnorm, 4, &mut RankScratch::new());
         assert!(hits.is_empty());
     }
 
@@ -529,14 +516,22 @@ mod tests {
         let terms = c.analyze_query("cat dog");
         let weighted = ranking::local_weights(c.index(), &terms);
         let full = ranking::rank(c.index(), &weighted, 10);
-        let weighted_str: Vec<(String, f64)> = weighted
-            .iter()
-            .map(|w| (c.index().vocab().term(w.term).to_owned(), w.w_qt))
-            .collect();
+        let mut query = Vec::new();
+        let qnorm = c.resolve_weighted(
+            weighted
+                .iter()
+                .map(|w| (c.index().vocab().term(w.term), w.w_qt)),
+            &mut query,
+        );
         let candidates: Vec<DocId> = (0..4).collect();
-        let (scored, _decoded) = c
-            .score_candidates(&weighted_str, &candidates, &mut RankScratch::new())
-            .unwrap();
+        let (scored, _decoded) = candidates::score_candidates(
+            c.index(),
+            &query,
+            qnorm,
+            &candidates,
+            &mut RankScratch::new(),
+        )
+        .unwrap();
         for s in &scored {
             let full_score = full
                 .iter()
@@ -608,24 +603,28 @@ mod tests {
         .unwrap();
         let shared = &c;
         let queried = c.analyzer().analyze("cat walrus");
-        let terms: Vec<(String, f64)> = queried.iter().cloned().zip([1.5, 0.5]).collect();
-        assert_eq!(shared.resolve_weighted(&terms).len(), 2);
+        let terms = || queried.iter().map(String::as_str).zip([1.5, 0.5]);
+        let mut query = Vec::new();
+        let qnorm = shared.resolve_weighted(terms(), &mut query);
+        assert_eq!(query.len(), 2);
         let candidates: Vec<DocId> = (0..5).collect();
-        let qnorm = full_query_norm(&terms);
-        let expected = candidates::score_candidates_full_scan(
-            shared.index(),
-            &shared.resolve_weighted(&terms),
-            qnorm,
-            &candidates,
-        )
-        .unwrap()
-        .0;
+        let expected =
+            candidates::score_candidates_full_scan(shared.index(), &query, qnorm, &candidates)
+                .unwrap()
+                .0;
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let (scored, _) = shared
-                        .score_candidates(&terms, &candidates, &mut RankScratch::new())
-                        .unwrap();
+                    let mut query = Vec::new();
+                    let qnorm = shared.resolve_weighted(terms(), &mut query);
+                    let (scored, _) = candidates::score_candidates(
+                        shared.index(),
+                        &query,
+                        qnorm,
+                        &candidates,
+                        &mut RankScratch::new(),
+                    )
+                    .unwrap();
                     assert_eq!(
                         ranking::oracle::bits(&scored),
                         ranking::oracle::bits(&expected)

@@ -3,7 +3,8 @@
 //! For each query term the inverted list is decoded and each posting
 //! contributes `w_qt · w_dt` to the document's accumulator; final scores
 //! divide by the document weight `W_d` and the query norm, yielding the
-//! cosine measure of §2. The top `k` are selected with a bounded heap.
+//! cosine measure of §2. The top `k` are selected through a bounded
+//! buffer of integer rank keys.
 //!
 //! Query-term weights can come from two places:
 //!
@@ -13,8 +14,7 @@
 //!   Index), in which case two librarians holding different
 //!   subcollections produce *directly comparable* scores.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
 use std::sync::OnceLock;
 
 use teraphim_index::similarity::{query_norm, w_dt, w_qt};
@@ -85,6 +85,9 @@ pub struct RankScratch {
     /// `matched` advance only for a new one.
     touched: Vec<DocId>,
     matched: usize,
+    /// The documents still in the running for the top `k`, as rank keys
+    /// ([`rank_key`]) with their scores (top-`k` selection).
+    keys: Vec<(u128, f64)>,
     /// Sorted candidate ids (Central Index scoring).
     pub(crate) candidates: Vec<DocId>,
     /// Per-candidate partial sums, parallel to `candidates`.
@@ -129,22 +132,25 @@ fn w_dt_table() -> &'static [f64; 256] {
 /// Computes local query weights `w_qt = ln(f_qt + 1) · ln(N/f_t + 1)`
 /// from the collection's own statistics.
 pub fn local_weights(index: &InvertedIndex, terms: &[(TermId, u32)]) -> Vec<WeightedTerm> {
-    let n = index.stats().num_docs();
     terms
         .iter()
-        .filter_map(|&(term, f_qt)| {
-            let f_t = index.stats().doc_freq(term);
-            let w = w_qt(u64::from(f_qt), n, f_t);
-            (w > 0.0).then_some(WeightedTerm { term, w_qt: w })
-        })
+        .filter_map(|&(term, f_qt)| local_weight(index, term, f_qt))
         .collect()
+}
+
+/// One term's local weight; `None` when it is not positive (a term in
+/// no document weighs nothing).
+pub(crate) fn local_weight(index: &InvertedIndex, term: TermId, f_qt: u32) -> Option<WeightedTerm> {
+    let stats = index.stats();
+    let w = w_qt(u64::from(f_qt), stats.num_docs(), stats.doc_freq(term));
+    (w > 0.0).then_some(WeightedTerm { term, w_qt: w })
 }
 
 /// Evaluates the cosine measure over the whole collection and returns the
 /// top `k` documents in ranking order. The query norm is computed from
 /// the supplied terms and the scratch is allocated for this one call.
 pub fn rank(index: &InvertedIndex, terms: &[WeightedTerm], k: usize) -> Vec<ScoredDoc> {
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+    let qnorm = query_norm(terms.iter().map(|t| t.w_qt));
     rank_with_norm(index, terms, qnorm, k, &mut RankScratch::new())
 }
 
@@ -166,20 +172,15 @@ pub fn rank_with_norm(
     // A malformed list contributes the postings before its first error;
     // a ranking has no way to say so.
     let _ = accumulate(index, terms, scratch, usize::MAX, false);
-    let mut top = TopK::new(k);
-    // Depth 0 selects nothing: skip the normalisation too, and leave
-    // the accumulators to the next evaluation's reset.
-    if k > 0 {
-        drain_scores(index, scratch, qnorm, |scored| top.offer(scored));
+    // Depth 0 selects nothing: skip the normalisation too.
+    if k == 0 {
+        return Vec::new();
     }
-    top.into_ranking()
-}
-
-/// Evaluates the cosine measure and returns *all* matching documents in
-/// ranking order (used when the caller needs the complete ranking, e.g.
-/// effectiveness evaluation at 1000 retrieved).
-pub fn rank_all(index: &InvertedIndex, terms: &[WeightedTerm]) -> Vec<ScoredDoc> {
-    rank(index, terms, usize::MAX)
+    let mut top = TopK::new(k, std::mem::take(&mut scratch.keys));
+    drain_scores(index, scratch, qnorm, |scored| top.offer(scored));
+    let ranking = top.ranking();
+    scratch.keys = top.keys;
+    ranking
 }
 
 /// Phase 1, the one loop every exhaustive evaluation runs: decode each
@@ -273,99 +274,150 @@ pub(crate) fn drain_scores(
     scratch.matched = 0;
 }
 
-/// The best `k` of the documents offered so far: a bounded max-heap on
-/// the inverted ordering, whose root is the entry to evict.
+/// A ranking position as one integer: a document ranks before another
+/// exactly when its key is the greater ([`ScoredDoc::ranking_cmp`]).
+/// The score's bits, made to order as `partial_cmp` orders scores (−0.0
+/// folded into 0.0, every NaN below every number), fill the high half;
+/// `u32::MAX − doc` breaks ties toward the smaller id.
+fn rank_key(doc: DocId, score: f64) -> u128 {
+    // Adding 0.0 turns −0.0 into 0.0 and leaves every other value be.
+    let bits = (score + 0.0).to_bits();
+    let ordered = if score.is_nan() {
+        0
+    } else if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(ordered) << 32 | u128::from(u32::MAX - doc)
+}
+
+/// The document a [`rank_key`] was made for.
+fn key_doc(key: u128) -> DocId {
+    u32::MAX - key as u32
+}
+
+/// The score a [`rank_key`] was made for, as a floor to compare scores
+/// against: exact for every number (−0.0 reads as 0.0, which compares
+/// equal to it), −∞ for NaN, below which no score is.
+fn key_floor(key: u128) -> f64 {
+    match (key >> 32) as u64 {
+        0 => f64::NEG_INFINITY,
+        ordered if ordered >> 63 == 1 => f64::from_bits(ordered & !(1 << 63)),
+        ordered => f64::from_bits(!ordered),
+    }
+}
+
+/// Fewest keys the top-`k` buffer holds before it is cut.
+const SELECT_MIN: usize = 64;
+
+/// The best `k` (≥ 1) of the documents offered so far, as rank keys
+/// with their scores in a buffer of `max(2k, 64)`. A full buffer is cut
+/// to its best `k`, and the score of the worst kept becomes the floor: a
+/// later document scoring below it ranks after all `k`, whatever its id,
+/// and leaves on one float compare, before its key is made; most of a
+/// long ranking does. A score equal to the floor, or NaN, is kept for
+/// the next cut to order by key.
 struct TopK {
     k: usize,
-    heap: BinaryHeap<Worst>,
-    /// The root's score once the heap is full, negative infinity before:
-    /// a document scoring below it ranks after all `k` kept, whatever
-    /// its id. Nothing is below a NaN floor, nor is a NaN score below
-    /// anything; both fall through to the full comparison.
+    cap: usize,
+    keys: Vec<(u128, f64)>,
+    /// The worst kept score since the last cut; −∞ before the first.
     floor: f64,
 }
 
-/// Orders the heap "worst first".
-struct Worst(ScoredDoc);
-
-impl PartialEq for Worst {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.ranking_cmp(&other.0) == Ordering::Equal
-    }
-}
-
-impl Eq for Worst {}
-
-impl PartialOrd for Worst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Worst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // ranking_cmp orders best-first (Less = ranks better), so the
-        // max-heap's greatest element — what peek() returns — is the
-        // worst-ranked entry.
-        self.0.ranking_cmp(&other.0)
-    }
-}
-
 impl TopK {
-    fn new(k: usize) -> Self {
+    /// A selection of the best `k` into `keys`, the scratch's buffer.
+    fn new(k: usize, mut keys: Vec<(u128, f64)>) -> Self {
+        keys.clear();
         TopK {
             k,
-            heap: BinaryHeap::new(),
+            cap: k.saturating_mul(2).max(SELECT_MIN),
+            keys,
             floor: f64::NEG_INFINITY,
         }
     }
 
     #[inline]
     fn offer(&mut self, scored: ScoredDoc) {
-        // Where most documents of a long ranking leave: one comparison.
         if scored.score < self.floor {
             return;
         }
-        if self.heap.len() < self.k {
-            self.heap.push(Worst(scored));
-        } else {
-            match self.heap.peek_mut() {
-                // Replacing the root in place sifts once, not twice.
-                Some(mut worst) if scored.ranking_cmp(&worst.0) == Ordering::Less => {
-                    *worst = Worst(scored);
-                }
-                _ => return,
-            }
+        if self.keys.len() == self.cap {
+            self.cut();
         }
-        if self.heap.len() == self.k {
-            self.floor = self.heap.peek().map_or(self.floor, |worst| worst.0.score);
-        }
+        self.keys
+            .push((rank_key(scored.doc, scored.score), scored.score));
+    }
+
+    /// Keeps the best `k` keys, and the worst of their scores as the floor.
+    fn cut(&mut self) {
+        let k = self.k;
+        self.keys
+            .select_nth_unstable_by_key(k - 1, |&(key, _)| Reverse(key));
+        self.keys.truncate(k);
+        self.floor = key_floor(self.keys[k - 1].0);
     }
 
     /// The kept documents in final ranking order.
-    fn into_ranking(self) -> Vec<ScoredDoc> {
-        let mut ranking: Vec<ScoredDoc> = self.heap.into_iter().map(|w| w.0).collect();
-        ranking.sort_by(ScoredDoc::ranking_cmp);
-        ranking
+    fn ranking(&mut self) -> Vec<ScoredDoc> {
+        if self.keys.len() > self.k {
+            self.cut();
+        }
+        self.keys.sort_unstable_by_key(|&(key, _)| Reverse(key));
+        self.keys
+            .iter()
+            .map(|&(key, score)| ScoredDoc {
+                doc: key_doc(key),
+                score,
+            })
+            .collect()
     }
 }
 
-/// Merges several already-ranked lists into a single ranking of length at
-/// most `k`, comparing scores at face value — exactly what a Central
-/// Nothing / Central Vocabulary receptionist does with librarian
-/// rankings. Entries carry an ordered payload (e.g. librarian id) which
-/// serves as the final tie break, making the order *total*: the merged
-/// ranking is independent of list order, so a receptionist folding in
-/// replies as they arrive from concurrent librarians gets byte-identical
-/// results to a sequential pass.
+/// Folds one librarian's ranked `list` into the running merged top `k`
+/// — exactly what a Central Nothing / Central Vocabulary receptionist
+/// does with each reply, "accepting at face value all supplied
+/// similarity values". Every entry of `list` is tagged `tag` (e.g. the
+/// librarian id), the final tie break, which makes the order *total*:
+/// folding lists one at a time, in whatever order they arrive, gives
+/// the same ranking as sorting them all at once.
+///
+/// `merged` and `spare` are the caller's, reused from fold to fold and
+/// query to query, so a fold is one two-way merge that allocates
+/// nothing once they have grown to `k`. `merged` must be a fold's
+/// output (or empty); `list` is sorted in place unless it already is.
 pub fn merge_rankings<T: Copy + Ord>(
-    lists: &[Vec<(ScoredDoc, T)>],
+    merged: &mut Vec<(ScoredDoc, T)>,
+    spare: &mut Vec<(ScoredDoc, T)>,
+    list: &mut [(DocId, f64)],
+    tag: T,
     k: usize,
-) -> Vec<(ScoredDoc, T)> {
-    let mut all: Vec<(ScoredDoc, T)> = lists.iter().flatten().copied().collect();
-    all.sort_by(|a, b| a.0.ranking_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    all.truncate(k);
-    all
+) {
+    let by_rank =
+        |a: &(ScoredDoc, T), b: &(ScoredDoc, T)| a.0.ranking_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+    let entry = |&(doc, score): &(DocId, f64)| (ScoredDoc { doc, score }, tag);
+    let list_cmp = |a: &(DocId, f64), b: &(DocId, f64)| entry(a).0.ranking_cmp(&entry(b).0);
+    if !list.is_sorted_by(|a, b| list_cmp(a, b) != Ordering::Greater) {
+        list.sort_by(list_cmp);
+    }
+    spare.clear();
+    let (mut old, mut new) = (
+        merged.iter().copied().peekable(),
+        list.iter().map(entry).peekable(),
+    );
+    while spare.len() < k {
+        // On a tie the earlier fold's entry goes first, as a stable sort
+        // of the two lists one after the other would put it.
+        let next = match (old.peek(), new.peek()) {
+            (Some(a), Some(b)) if by_rank(a, b) == Ordering::Greater => new.next(),
+            (Some(_), _) => old.next(),
+            (None, _) => new.next(),
+        };
+        let Some(next) = next else { break };
+        spare.push(next);
+    }
+    std::mem::swap(merged, spare);
 }
 
 /// The accumulator map this module used before the dense kernel — a
@@ -492,6 +544,17 @@ pub(crate) mod oracle {
     pub(crate) fn bits(hits: &[ScoredDoc]) -> Vec<(DocId, u64)> {
         hits.iter().map(|h| (h.doc, h.score.to_bits())).collect()
     }
+
+    /// The merge the fold replaced: every list at once, one stable sort.
+    pub(crate) fn merge_rankings<T: Copy + Ord>(
+        lists: &[Vec<(ScoredDoc, T)>],
+        k: usize,
+    ) -> Vec<(ScoredDoc, T)> {
+        let mut all: Vec<(ScoredDoc, T)> = lists.iter().flatten().copied().collect();
+        all.sort_by(|a, b| a.0.ranking_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        all.truncate(k);
+        all
+    }
 }
 
 #[cfg(test)]
@@ -513,7 +576,7 @@ mod tests {
     }
 
     fn norm_of(terms: &[WeightedTerm]) -> f64 {
-        query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>())
+        query_norm(terms.iter().map(|t| t.w_qt))
     }
 
     #[test]
@@ -559,7 +622,7 @@ mod tests {
         let terms = vec![(tid(&ix, "x"), 1u32)];
         let w = local_weights(&ix, &terms);
         assert_eq!(rank(&ix, &w, 5).len(), 5);
-        assert_eq!(rank_all(&ix, &w).len(), 20);
+        assert_eq!(rank(&ix, &w, usize::MAX).len(), 20);
     }
 
     #[test]
@@ -574,7 +637,7 @@ mod tests {
         ]);
         let terms = vec![(tid(&ix, "a"), 1u32), (tid(&ix, "b"), 2u32)];
         let w = local_weights(&ix, &terms);
-        let full = rank_all(&ix, &w);
+        let full = rank(&ix, &w, usize::MAX);
         for k in 0..=full.len() {
             let partial = rank(&ix, &w, k);
             assert_eq!(&full[..k.min(full.len())], partial.as_slice(), "k={k}");
@@ -585,7 +648,7 @@ mod tests {
     fn scores_are_cosine_bounded() {
         let ix = index_of(&[&["a", "b", "c"], &["a", "a"], &["b"]]);
         let terms = vec![(tid(&ix, "a"), 3u32), (tid(&ix, "b"), 1u32)];
-        for s in rank_all(&ix, &local_weights(&ix, &terms)) {
+        for s in rank(&ix, &local_weights(&ix, &terms), usize::MAX) {
             assert!(s.score > 0.0 && s.score <= 1.0 + 1e-9, "score {}", s.score);
         }
     }
@@ -654,15 +717,24 @@ mod tests {
         assert_eq!(docs[2].doc, 2);
     }
 
+    /// Folds `lists` one after the other, as the receptionist does with
+    /// its replies.
+    fn fold(lists: &[(u32, Vec<(DocId, f64)>)], k: usize) -> Vec<(ScoredDoc, u32)> {
+        let (mut merged, mut spare) = (Vec::new(), Vec::new());
+        for (tag, list) in lists {
+            merge_rankings(&mut merged, &mut spare, &mut list.clone(), *tag, k);
+        }
+        merged
+    }
+
     #[test]
     fn merge_rankings_is_independent_of_list_order() {
         // Two librarians report identical (score, doc) pairs; the
         // librarian payload breaks the tie, so either arrival order
         // merges to the same ranking.
-        let l1 = vec![(ScoredDoc { doc: 4, score: 0.5 }, 0u32)];
-        let l2 = vec![(ScoredDoc { doc: 4, score: 0.5 }, 1u32)];
-        let ab = merge_rankings(&[l1.clone(), l2.clone()], 2);
-        let ba = merge_rankings(&[l2, l1], 2);
+        let (l0, l1) = ((0, vec![(4, 0.5)]), (1, vec![(4, 0.5)]));
+        let ab = fold(&[l0.clone(), l1.clone()], 2);
+        let ba = fold(&[l1, l0], 2);
         assert_eq!(ab, ba);
         assert_eq!(ab[0].1, 0);
         assert_eq!(ab[1].1, 1);
@@ -775,15 +847,8 @@ mod tests {
 
     #[test]
     fn merge_rankings_interleaves_by_score() {
-        let l1 = vec![
-            (ScoredDoc { doc: 0, score: 0.9 }, 0u32),
-            (ScoredDoc { doc: 1, score: 0.3 }, 0u32),
-        ];
-        let l2 = vec![
-            (ScoredDoc { doc: 0, score: 0.7 }, 1u32),
-            (ScoredDoc { doc: 1, score: 0.1 }, 1u32),
-        ];
-        let merged = merge_rankings(&[l1, l2], 3);
+        let lists = [(0, vec![(0, 0.9), (1, 0.3)]), (1, vec![(0, 0.7), (1, 0.1)])];
+        let merged = fold(&lists, 3);
         assert_eq!(merged.len(), 3);
         assert_eq!((merged[0].0.doc, merged[0].1), (0, 0));
         assert_eq!((merged[1].0.doc, merged[1].1), (0, 1));
@@ -792,10 +857,18 @@ mod tests {
 
     #[test]
     fn merge_rankings_empty_inputs() {
-        let merged: Vec<(ScoredDoc, u32)> = merge_rankings(&[], 5);
-        assert!(merged.is_empty());
-        let merged: Vec<(ScoredDoc, u32)> = merge_rankings(&[vec![], vec![]], 5);
-        assert!(merged.is_empty());
+        assert!(fold(&[], 5).is_empty());
+        assert!(fold(&[(0, vec![]), (1, vec![])], 5).is_empty());
+        assert!(fold(&[(0, vec![(1, 0.5)])], 0).is_empty());
+    }
+
+    #[test]
+    fn an_unsorted_reply_is_sorted_before_it_is_merged() {
+        let merged = fold(&[(0, vec![(3, 0.1), (1, 0.9), (2, 0.5)])], 2);
+        assert_eq!(
+            merged.iter().map(|(s, _)| s.doc).collect::<Vec<_>>(),
+            [1, 2]
+        );
     }
 }
 
@@ -805,6 +878,32 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use teraphim_index::IndexBuilder;
+
+    /// Any score a ranking can hold: every bit pattern, with NaN
+    /// payloads of both signs, ±0, ±∞, subnormals and a few values that
+    /// make ties likely drawn on purpose.
+    fn score() -> impl Strategy<Value = f64> {
+        (0u8..8, any::<u64>()).prop_map(|(kind, bits)| match kind {
+            0 => f64::from_bits(bits),
+            1 => 0.0,
+            2 => -0.0,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => f64::from_bits(bits | 0x7FF0_0000_0000_0001),
+            6 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+            _ => [0.5, -0.5, 1.0][(bits % 3) as usize],
+        })
+    }
+
+    /// A document id: the extremes, a few small ids (ties), or any.
+    fn doc() -> impl Strategy<Value = DocId> {
+        (0u8..4, any::<u32>()).prop_map(|(kind, id)| match kind {
+            0 => u32::MAX,
+            1 => 0,
+            2 => id % 4,
+            _ => id,
+        })
+    }
 
     /// A query weight: mostly ordinary, sometimes one of the values only
     /// an outside caller would send.
@@ -826,9 +925,9 @@ mod proptests {
         /// terms, every kind of `k`, fresh scratch and reused scratch.
         #[test]
         fn dense_kernel_matches_the_hashmap_oracle(
-            doc_weights in proptest::collection::vec((0u8..8, 0.1f64..9.0), 1..70),
+            doc_weights in proptest::collection::vec((0u8..8, 0.1f64..9.0), 1..200),
             lists in proptest::collection::vec(
-                proptest::collection::vec((0u32..80, 1u32..600), 0..60),
+                proptest::collection::vec((0u32..220, 1u32..600), 0..120),
                 1..6,
             ),
             queries in proptest::collection::vec(
@@ -854,7 +953,7 @@ mod proptests {
                     0 => 0.0,
                     1 => f64::NAN,
                     2 => 2.5,
-                    _ => query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>()),
+                    _ => query_norm(terms.iter().map(|t| t.w_qt)),
                 };
                 for k in [0, small_k, 200, usize::MAX] {
                     let want = bits(&oracle::rank_with_norm(&index, &terms, qnorm, k));
@@ -866,11 +965,14 @@ mod proptests {
             }
         }
 
+        /// The buffered selector against a full sort, with rankings
+        /// longer than the buffer (so that it is cut) and every kind of
+        /// depth: none, one, the benchmark's 20, past the end, unbounded.
         #[test]
         fn top_k_agrees_with_exhaustive_sort(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-d]", 1..8),
-                1..30,
+                1..300,
             ),
             k in 0usize..40,
         ) {
@@ -885,9 +987,79 @@ mod proptests {
                 .map(|(id, _)| (id, 1u32))
                 .collect();
             let w = local_weights(&ix, &terms);
-            let full = rank_all(&ix, &w);
-            let partial = rank(&ix, &w, k);
-            prop_assert_eq!(&full[..k.min(full.len())], partial.as_slice());
+            let full = rank(&ix, &w, usize::MAX);
+            for k in [0, 1, 20, k, full.len() + 1, usize::MAX] {
+                let partial = rank(&ix, &w, k);
+                prop_assert_eq!(&full[..k.min(full.len())], partial.as_slice(), "k = {}", k);
+            }
+        }
+
+        /// Integer order of rank keys is `ranking_cmp`, reversed: a
+        /// greater key ranks first.
+        #[test]
+        fn rank_keys_order_as_ranking_cmp(a in (doc(), score()), b in (doc(), score())) {
+            let (a, b) = (
+                ScoredDoc { doc: a.0, score: a.1 },
+                ScoredDoc { doc: b.0, score: b.1 },
+            );
+            prop_assert_eq!(
+                rank_key(b.doc, b.score).cmp(&rank_key(a.doc, a.score)),
+                a.ranking_cmp(&b),
+                "{:?} vs {:?}", a, b
+            );
+            prop_assert_eq!(key_doc(rank_key(a.doc, a.score)), a.doc);
+            let floor = key_floor(rank_key(a.doc, a.score));
+            if a.score.is_nan() {
+                prop_assert_eq!(floor, f64::NEG_INFINITY);
+            } else {
+                prop_assert_eq!(floor, a.score);
+            }
+        }
+
+        /// The allocation-free fold against the sort-everything merge it
+        /// replaced, to the bit: replies unsorted or sorted, with
+        /// duplicate documents, NaN, ±0 and ties across librarians.
+        #[test]
+        fn fold_equals_the_merge_it_replaced(
+            replies in proptest::collection::vec(
+                (proptest::collection::vec((doc(), score()), 0..30), any::<bool>()),
+                0..6,
+            ),
+            k in 0usize..50,
+        ) {
+            let lists: Vec<(u32, Vec<(DocId, f64)>)> = replies
+                .into_iter()
+                .enumerate()
+                .map(|(lib, (mut entries, sorted))| {
+                    if sorted {
+                        entries.sort_by(|a, b| {
+                            ScoredDoc { doc: a.0, score: a.1 }
+                                .ranking_cmp(&ScoredDoc { doc: b.0, score: b.1 })
+                        });
+                    }
+                    (lib as u32, entries)
+                })
+                .collect();
+            let tagged: Vec<Vec<(ScoredDoc, u32)>> = lists
+                .iter()
+                .map(|(lib, entries)| {
+                    entries
+                        .iter()
+                        .map(|&(doc, score)| (ScoredDoc { doc, score }, *lib))
+                        .collect()
+                })
+                .collect();
+            let bits = |merged: &[(ScoredDoc, u32)]| {
+                merged
+                    .iter()
+                    .map(|(s, lib)| (s.doc, s.score.to_bits(), *lib))
+                    .collect::<Vec<_>>()
+            };
+            let (mut merged, mut spare) = (Vec::new(), Vec::new());
+            for (lib, mut entries) in lists {
+                merge_rankings(&mut merged, &mut spare, &mut entries, lib, k);
+            }
+            prop_assert_eq!(bits(&merged), bits(&oracle::merge_rankings(&tagged, k)));
         }
     }
 }

@@ -73,7 +73,7 @@ pub fn rank_limited(
         mode == LimitMode::Quit,
     );
 
-    let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+    let qnorm = query_norm(terms.iter().map(|t| t.w_qt));
     let mut hits: Vec<ScoredDoc> = Vec::new();
     drain_scores(index, &mut scratch, qnorm, |scored| hits.push(scored));
     hits.sort_by(ScoredDoc::ranking_cmp);
@@ -89,7 +89,7 @@ pub fn rank_limited(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ranking::{local_weights, rank_all};
+    use crate::ranking::{local_weights, rank};
     use std::collections::HashMap;
     use teraphim_index::{DocId, IndexBuilder};
 
@@ -118,7 +118,7 @@ mod tests {
             &["a", "d", "d"],
         ]);
         let w = weights(&ix);
-        let exact = rank_all(&ix, &w);
+        let exact = rank(&ix, &w, usize::MAX);
         let exact_scores: HashMap<DocId, f64> = exact.iter().map(|h| (h.doc, h.score)).collect();
         for mode in [LimitMode::Continue, LimitMode::Quit] {
             let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, mode);
@@ -207,7 +207,7 @@ mod tests {
         }
         let ix = b.build();
         let w = weights(&ix);
-        let exact = rank_all(&ix, &w);
+        let exact = rank(&ix, &w, usize::MAX);
         let limited = rank_limited(&ix, &w, 3, 15, LimitMode::Continue);
         // The top-3 of the exact ranking must survive a 15-accumulator
         // budget (rare "signal" term processed first).
@@ -229,7 +229,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::ranking::oracle::{self, bits, index_from_lists, list_of};
-    use crate::ranking::{local_weights, rank_all};
+    use crate::ranking::{local_weights, rank};
     use proptest::prelude::*;
     use std::collections::hash_map::Entry;
     use std::collections::HashMap;
@@ -278,7 +278,7 @@ mod proptests {
                 }
             }
         }
-        let qnorm = query_norm(&terms.iter().map(|t| t.w_qt).collect::<Vec<_>>());
+        let qnorm = query_norm(terms.iter().map(|t| t.w_qt));
         let mut hits = oracle::ranking(index, acc, qnorm);
         let accumulators_used = hits.len();
         hits.truncate(k);
@@ -353,7 +353,7 @@ mod proptests {
             let terms: Vec<(teraphim_index::TermId, u32)> =
                 ix.vocab().iter().map(|(id, _)| (id, 1u32)).collect();
             let w = local_weights(&ix, &terms);
-            let exact = rank_all(&ix, &w);
+            let exact = rank(&ix, &w, usize::MAX);
             let limited = rank_limited(&ix, &w, usize::MAX, usize::MAX, LimitMode::Quit);
             prop_assert_eq!(limited.hits.len(), exact.len());
             // Terms are processed in a different order (rarest first), so

@@ -107,9 +107,10 @@ pub mod similarity {
         ((f_qt + 1) as f64).ln() * (n_docs as f64 / f_t as f64 + 1.0).ln()
     }
 
-    /// Query norm `sqrt(Σ w_qt²)` for a list of query weights.
-    pub fn query_norm(weights: &[f64]) -> f64 {
-        weights.iter().map(|w| w * w).sum::<f64>().sqrt()
+    /// Query norm `sqrt(Σ w_qt²)` for a list of query weights, summed
+    /// in the order given.
+    pub fn query_norm(weights: impl IntoIterator<Item = f64>) -> f64 {
+        weights.into_iter().map(|w| w * w).sum::<f64>().sqrt()
     }
 
     #[cfg(test)]
@@ -137,8 +138,8 @@ pub mod similarity {
 
         #[test]
         fn query_norm_hand_computed() {
-            assert!((query_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-            assert_eq!(query_norm(&[]), 0.0);
+            assert!((query_norm([3.0, 4.0]) - 5.0).abs() < 1e-12);
+            assert_eq!(query_norm([]), 0.0);
         }
     }
 }

@@ -22,7 +22,7 @@ fn one_dispatch<T: Transport>(mode: DispatchMode, ts: &mut [T]) -> Duration {
     let request = Message::RankRequest {
         query_id: 1,
         k: 10,
-        terms: vec![("term".into(), 1)],
+        terms: vec![("term".into(), 1)].into(),
     };
     let requests = vec![Some(&request); ts.len()];
     let start = Instant::now();

@@ -423,7 +423,7 @@ mod tests {
         Message::RankRequest {
             query_id,
             k: 1,
-            terms: vec![],
+            terms: vec![].into(),
         }
     }
 

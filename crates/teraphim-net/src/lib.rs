@@ -32,7 +32,7 @@
 //! let msg = Message::RankRequest {
 //!     query_id: 202,
 //!     k: 20,
-//!     terms: vec![("cat".into(), 1), ("dog".into(), 2)],
+//!     terms: vec![("cat".into(), 1), ("dog".into(), 2)].into(),
 //! };
 //! let bytes = msg.encode();
 //! assert_eq!(Message::decode(&bytes)?, msg);
@@ -50,7 +50,7 @@ pub mod wire;
 
 pub use fanout::{dispatch, DispatchMode};
 pub use faults::{FaultAction, FaultPlan, FaultyTransport, SharedPlan};
-pub use message::Message;
+pub use message::{Message, TermList};
 pub use mux::{MuxConnection, MuxPool, MuxTransport};
 pub use replica::{ReplicaGroup, RetryPolicy, RoutingTable};
 pub use tcp::{ServerOptions, TcpOptions};

@@ -17,6 +17,9 @@
 
 use crate::wire::{get_bytes, get_f64, get_str, get_uint, put_bytes, put_f64, put_str, put_uint};
 use crate::NetError;
+use std::fmt;
+use std::marker::PhantomData;
+use teraphim_compress::codes::vbyte_len;
 
 /// A protocol message (request or response).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +49,7 @@ pub enum Message {
         /// Number of documents wanted.
         k: u32,
         /// `(term, f_qt)` pairs; the librarian computes its own weights.
-        terms: Vec<(String, u32)>,
+        terms: TermList<u32>,
     },
     /// Rank with supplied *global* weights (Central Vocabulary).
     RankWeightedRequest {
@@ -55,7 +58,7 @@ pub enum Message {
         /// Number of documents wanted.
         k: u32,
         /// `(term, w_qt)` pairs computed by the receptionist.
-        terms: Vec<(String, f64)>,
+        terms: TermList<f64>,
     },
     /// A ranking: `(local doc id, similarity)` in decreasing order.
     RankResponse {
@@ -72,7 +75,7 @@ pub enum Message {
         /// Caller-chosen query identifier echoed in the response.
         query_id: u32,
         /// `(term, w_qt)` pairs computed by the receptionist.
-        terms: Vec<(String, f64)>,
+        terms: TermList<f64>,
         /// Local document ids to score.
         candidates: Vec<u32>,
     },
@@ -250,6 +253,15 @@ const TAG_ROUTING_REPLY: u8 = 21;
 const TAG_FLIGHTREC_REQ: u8 = 22;
 const TAG_FLIGHTREC_REPLY: u8 = 23;
 
+/// Room to reserve for `n` elements of at least `width` encoded bytes
+/// each: no more than the bytes left after `pos` could hold. A count is
+/// a peer's claim, and a few bytes claiming a million elements reserve
+/// nothing.
+fn room(n: u64, rest: &[u8], pos: usize, width: usize) -> usize {
+    let fits = rest.len().saturating_sub(pos) / width;
+    usize::try_from(n).map_or(fits, |n| n.min(fits))
+}
+
 impl Message {
     /// Admin traffic: health polls, routing-table fetches and
     /// flight-recorder dumps. Services answer these out of band (not
@@ -297,21 +309,13 @@ impl Message {
                 out.push(TAG_RANK_REQ);
                 put_uint(out, u64::from(*query_id));
                 put_uint(out, u64::from(*k));
-                put_uint(out, terms.len() as u64);
-                for (term, f_qt) in terms {
-                    put_str(out, term);
-                    put_uint(out, u64::from(*f_qt));
-                }
+                out.extend_from_slice(&terms.bytes);
             }
             Message::RankWeightedRequest { query_id, k, terms } => {
                 out.push(TAG_RANK_W_REQ);
                 put_uint(out, u64::from(*query_id));
                 put_uint(out, u64::from(*k));
-                put_uint(out, terms.len() as u64);
-                for (term, w) in terms {
-                    put_str(out, term);
-                    put_f64(out, *w);
-                }
+                out.extend_from_slice(&terms.bytes);
             }
             Message::RankResponse {
                 query_id,
@@ -334,11 +338,7 @@ impl Message {
             } => {
                 out.push(TAG_SCORE_REQ);
                 put_uint(out, u64::from(*query_id));
-                put_uint(out, terms.len() as u64);
-                for (term, w) in terms {
-                    put_str(out, term);
-                    put_f64(out, *w);
-                }
+                out.extend_from_slice(&terms.bytes);
                 // Candidates as d-gaps of the sorted list keeps this the
                 // "few bytes each" the paper assumes.
                 put_uint(out, candidates.len() as u64);
@@ -502,8 +502,8 @@ impl Message {
             TAG_STATS_REQ => Message::StatsRequest,
             TAG_STATS_RESP => {
                 let num_docs = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut term_freqs = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut term_freqs = Vec::with_capacity(room(n, rest, pos, 2));
                 for _ in 0..n {
                     let term = get_str(rest, &mut pos)?;
                     let f = get_uint(rest, &mut pos)?;
@@ -518,35 +518,21 @@ impl Message {
             TAG_INDEX_RESP => Message::IndexResponse {
                 index_bytes: get_bytes(rest, &mut pos)?.to_vec(),
             },
-            TAG_RANK_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let k = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut terms = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let term = get_str(rest, &mut pos)?;
-                    let f = get_uint(rest, &mut pos)? as u32;
-                    terms.push((term, f));
-                }
-                Message::RankRequest { query_id, k, terms }
-            }
-            TAG_RANK_W_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let k = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut terms = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let term = get_str(rest, &mut pos)?;
-                    let w = get_f64(rest, &mut pos)?;
-                    terms.push((term, w));
-                }
-                Message::RankWeightedRequest { query_id, k, terms }
-            }
+            TAG_RANK_REQ => Message::RankRequest {
+                query_id: get_uint(rest, &mut pos)? as u32,
+                k: get_uint(rest, &mut pos)? as u32,
+                terms: TermList::decode(rest, &mut pos)?,
+            },
+            TAG_RANK_W_REQ => Message::RankWeightedRequest {
+                query_id: get_uint(rest, &mut pos)? as u32,
+                k: get_uint(rest, &mut pos)? as u32,
+                terms: TermList::decode(rest, &mut pos)?,
+            },
             TAG_RANK_RESP => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
                 let epoch = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut entries = Vec::with_capacity(room(n, rest, pos, 9));
                 for _ in 0..n {
                     let doc = get_uint(rest, &mut pos)? as u32;
                     let score = get_f64(rest, &mut pos)?;
@@ -560,15 +546,9 @@ impl Message {
             }
             TAG_SCORE_REQ => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
-                let nt = get_uint(rest, &mut pos)? as usize;
-                let mut terms = Vec::with_capacity(nt.min(1 << 20));
-                for _ in 0..nt {
-                    let term = get_str(rest, &mut pos)?;
-                    let w = get_f64(rest, &mut pos)?;
-                    terms.push((term, w));
-                }
-                let nc = get_uint(rest, &mut pos)? as usize;
-                let mut candidates = Vec::with_capacity(nc.min(1 << 20));
+                let terms = TermList::decode(rest, &mut pos)?;
+                let nc = get_uint(rest, &mut pos)?;
+                let mut candidates = Vec::with_capacity(room(nc, rest, pos, 1));
                 let mut prev = 0u32;
                 for i in 0..nc {
                     let raw = get_uint(rest, &mut pos)?;
@@ -592,8 +572,8 @@ impl Message {
                 let query_id = get_uint(rest, &mut pos)? as u32;
                 let epoch = get_uint(rest, &mut pos)?;
                 let postings_decoded = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut entries = Vec::with_capacity(room(n, rest, pos, 9));
                 for _ in 0..n {
                     let doc = get_uint(rest, &mut pos)? as u32;
                     let score = get_f64(rest, &mut pos)?;
@@ -614,8 +594,8 @@ impl Message {
                     _ => return Err(NetError::Corrupt("bad plain flag")),
                 };
                 pos += 1;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut docs = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
                 for _ in 0..n {
                     docs.push(get_uint(rest, &mut pos)? as u32);
                 }
@@ -627,8 +607,8 @@ impl Message {
             }
             TAG_HEADERS_REQ => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut docs = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
                 for _ in 0..n {
                     docs.push(get_uint(rest, &mut pos)? as u32);
                 }
@@ -636,8 +616,8 @@ impl Message {
             }
             TAG_HEADERS_RESP => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut headers = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut headers = Vec::with_capacity(room(n, rest, pos, 2));
                 for _ in 0..n {
                     let doc = get_uint(rest, &mut pos)? as u32;
                     let docno = get_str(rest, &mut pos)?;
@@ -647,8 +627,8 @@ impl Message {
             }
             TAG_DOCS_RESP => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut docs = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut docs = Vec::with_capacity(room(n, rest, pos, 3));
                 for _ in 0..n {
                     let doc = get_uint(rest, &mut pos)? as u32;
                     let docno = get_str(rest, &mut pos)?;
@@ -664,8 +644,8 @@ impl Message {
             }
             TAG_BOOL_RESP => {
                 let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut docs = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
                 let mut prev = 0u32;
                 for i in 0..n {
                     let raw = get_uint(rest, &mut pos)?;
@@ -697,15 +677,15 @@ impl Message {
                 let rank_requests = get_uint(rest, &mut pos)?;
                 let errors = get_uint(rest, &mut pos)?;
                 let epoch = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut latency = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut latency = Vec::with_capacity(room(n, rest, pos, 2));
                 for _ in 0..n {
                     let bucket = get_uint(rest, &mut pos)? as u32;
                     let count = get_uint(rest, &mut pos)?;
                     latency.push((bucket, count));
                 }
-                let np = get_uint(rest, &mut pos)? as usize;
-                let mut server_phases = Vec::with_capacity(np.min(1 << 20));
+                let np = get_uint(rest, &mut pos)?;
+                let mut server_phases = Vec::with_capacity(room(np, rest, pos, 2));
                 for _ in 0..np {
                     let phase = get_uint(rest, &mut pos)? as u32;
                     let micros = get_uint(rest, &mut pos)?;
@@ -727,12 +707,12 @@ impl Message {
             TAG_ROUTING_REQ => Message::RoutingRequest,
             TAG_ROUTING_REPLY => {
                 let version = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)? as usize;
-                let mut shards = Vec::with_capacity(n.min(1 << 20));
+                let n = get_uint(rest, &mut pos)?;
+                let mut shards = Vec::with_capacity(room(n, rest, pos, 3));
                 for _ in 0..n {
                     let shard = get_uint(rest, &mut pos)? as u32;
-                    let nr = get_uint(rest, &mut pos)? as usize;
-                    let mut replicas = Vec::with_capacity(nr.min(1 << 20));
+                    let nr = get_uint(rest, &mut pos)?;
+                    let mut replicas = Vec::with_capacity(room(nr, rest, pos, 1));
                     for _ in 0..nr {
                         replicas.push(get_uint(rest, &mut pos)? as u32);
                     }
@@ -789,6 +769,144 @@ impl Message {
     }
 }
 
+/// A query's `(term, weight)` pairs as they travel, in one buffer that
+/// holds the term section exactly as the wire carries it: the count,
+/// then each term's length-prefixed bytes and its weight (`f_qt` as a
+/// v-byte under CN, `w_qt` as its eight bit-pattern bytes under CV and
+/// CI). The receptionist builds the list once a query, and every
+/// librarian's request copies its bytes; a librarian decodes it with
+/// one allocation, however many terms it holds, and reads the pairs in
+/// place ([`TermList::iter`]).
+///
+/// The bytes are canonical (every v-byte as short as it can be), so
+/// two lists are equal when they hold the same pairs, weights compared
+/// to the bit.
+#[derive(Clone, PartialEq)]
+pub struct TermList<W> {
+    bytes: Vec<u8>,
+    weight: PhantomData<W>,
+}
+
+mod weight {
+    use crate::NetError;
+
+    /// How one kind of term weight travels.
+    pub trait Weight: Copy {
+        /// Appends the weight's wire form.
+        fn put(self, out: &mut Vec<u8>);
+        /// Reads a weight at `pos`.
+        fn get(buf: &[u8], pos: &mut usize) -> Result<Self, NetError>;
+        /// Bytes `put` appends.
+        fn wire_len(self) -> usize;
+    }
+}
+use weight::Weight;
+
+impl Weight for u32 {
+    fn put(self, out: &mut Vec<u8>) {
+        put_uint(out, u64::from(self));
+    }
+
+    /// A count beyond 32 bits is read modulo 2^32, as `f_qt` always was.
+    fn get(buf: &[u8], pos: &mut usize) -> Result<u32, NetError> {
+        Ok(get_uint(buf, pos)? as u32)
+    }
+
+    fn wire_len(self) -> usize {
+        vbyte_len(u64::from(self))
+    }
+}
+
+impl Weight for f64 {
+    fn put(self, out: &mut Vec<u8>) {
+        put_f64(out, self);
+    }
+
+    fn get(buf: &[u8], pos: &mut usize) -> Result<f64, NetError> {
+        get_f64(buf, pos)
+    }
+
+    fn wire_len(self) -> usize {
+        8
+    }
+}
+
+impl<W: Weight> TermList<W> {
+    /// The pairs, in order, read from the buffer.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, W)> + '_ {
+        pairs(&self.bytes)
+    }
+
+    /// Reads the term section at `pos`, checking it once — count,
+    /// v-bytes, UTF-8, weights — and copies it once. A section that is
+    /// well formed but not canonical is re-encoded.
+    fn decode(buf: &[u8], pos: &mut usize) -> Result<Self, NetError> {
+        let start = *pos;
+        let len = get_uint(buf, pos)?;
+        let mut canonical = vbyte_len(len);
+        for _ in 0..len {
+            let term = get_bytes(buf, pos)?;
+            std::str::from_utf8(term).map_err(|_| NetError::Corrupt("string not UTF-8"))?;
+            canonical += vbyte_len(term.len() as u64) + term.len() + W::get(buf, pos)?.wire_len();
+        }
+        let section = &buf[start..*pos];
+        if section.len() == canonical {
+            return Ok(TermList {
+                bytes: section.to_vec(),
+                weight: PhantomData,
+            });
+        }
+        Ok(pairs(section).collect())
+    }
+}
+
+/// The pairs of a checked term section.
+fn pairs<W: Weight>(section: &[u8]) -> impl Iterator<Item = (&str, W)> + '_ {
+    let mut pos = 0;
+    let len = get_uint(section, &mut pos).expect("a term list holds checked pairs");
+    (0..len).map(move |_| {
+        let term = get_bytes(section, &mut pos)
+            .ok()
+            .and_then(|term| std::str::from_utf8(term).ok())
+            .expect("a term list holds checked pairs");
+        let weight = W::get(section, &mut pos).expect("a term list holds checked pairs");
+        (term, weight)
+    })
+}
+
+impl<S: AsRef<str>, W: Weight> FromIterator<(S, W)> for TermList<W> {
+    fn from_iter<I: IntoIterator<Item = (S, W)>>(pairs: I) -> Self {
+        let mut bytes = Vec::new();
+        let mut len = 0usize;
+        for (term, weight) in pairs {
+            put_str(&mut bytes, term.as_ref());
+            weight.put(&mut bytes);
+            len += 1;
+        }
+        // The count leads the section but is known last.
+        let body = bytes.len();
+        put_uint(&mut bytes, len as u64);
+        let count = bytes.len() - body;
+        bytes.rotate_right(count);
+        TermList {
+            bytes,
+            weight: PhantomData,
+        }
+    }
+}
+
+impl<W: Weight> From<Vec<(String, W)>> for TermList<W> {
+    fn from(pairs: Vec<(String, W)>) -> Self {
+        pairs.into_iter().collect()
+    }
+}
+
+impl<W: Weight + fmt::Debug> fmt::Debug for TermList<W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,12 +930,12 @@ mod tests {
         roundtrip(Message::RankRequest {
             query_id: 202,
             k: 20,
-            terms: vec![("cat".into(), 1), ("dog".into(), 3)],
+            terms: vec![("cat".into(), 1), ("dog".into(), 3)].into(),
         });
         roundtrip(Message::RankWeightedRequest {
             query_id: 51,
             k: 1000,
-            terms: vec![("cat".into(), 1.5), ("dog".into(), 0.25)],
+            terms: vec![("cat".into(), 1.5), ("dog".into(), 0.25)].into(),
         });
         roundtrip(Message::RankResponse {
             query_id: 202,
@@ -826,7 +944,7 @@ mod tests {
         });
         roundtrip(Message::ScoreCandidatesRequest {
             query_id: 1,
-            terms: vec![("x".into(), 2.0)],
+            terms: vec![("x".into(), 2.0)].into(),
             candidates: vec![0, 5, 6, 100],
         });
         roundtrip(Message::ScoreResponse {
@@ -920,7 +1038,7 @@ mod tests {
         roundtrip(Message::RankRequest {
             query_id: 0,
             k: 0,
-            terms: vec![],
+            terms: vec![].into(),
         });
         roundtrip(Message::RankResponse {
             query_id: 0,
@@ -934,12 +1052,66 @@ mod tests {
         });
     }
 
+    /// The bytes of each term-carrying request, pinned: the term list
+    /// travels exactly as the pairs always have.
+    #[test]
+    fn term_carrying_requests_keep_their_bytes() {
+        let cn = Message::RankRequest {
+            query_id: 202,
+            k: 20,
+            terms: vec![("cat".into(), 1), ("dog".into(), 300)].into(),
+        };
+        assert_eq!(
+            cn.encode(),
+            [
+                5, 0x4A, 0x81, 0x94, 0x82, 0x83, b'c', b'a', b't', 0x81, 0x83, b'd', b'o', b'g',
+                0x2C, 0x82
+            ]
+        );
+        let cv = Message::RankWeightedRequest {
+            query_id: 1,
+            k: 5,
+            terms: vec![("ab".into(), 1.5)].into(),
+        };
+        assert_eq!(
+            cv.encode(),
+            [6, 0x81, 0x85, 0x81, 0x82, b'a', b'b', 0, 0, 0, 0, 0, 0, 0xF8, 0x3F]
+        );
+        let ci = Message::ScoreCandidatesRequest {
+            query_id: 1,
+            terms: vec![("ab".into(), -2.0)].into(),
+            candidates: vec![4, 6],
+        };
+        assert_eq!(
+            ci.encode(),
+            [8, 0x81, 0x81, 0x82, b'a', b'b', 0, 0, 0, 0, 0, 0, 0, 0xC0, 0x82, 0x84, 0x82]
+        );
+    }
+
+    /// A well-formed term section spelled with longer v-bytes than it
+    /// needs, or an `f_qt` past 32 bits, decodes to the list of the same
+    /// pairs, and re-encodes canonically.
+    #[test]
+    fn a_non_canonical_term_section_decodes_to_the_canonical_list() {
+        let canonical = Message::RankRequest {
+            query_id: 1,
+            k: 2,
+            terms: vec![("ab".into(), 1)].into(),
+        };
+        // Count 1 and length 2 in two bytes each; f_qt = 2^32 + 1.
+        let mut padded = vec![TAG_RANK_REQ, 0x81, 0x82, 0x01, 0x80, 0x02, 0x80, b'a', b'b'];
+        put_uint(&mut padded, (1 << 32) + 1);
+        let decoded = Message::decode(&padded).unwrap();
+        assert_eq!(decoded, canonical);
+        assert_eq!(decoded.encode(), canonical.encode());
+    }
+
     #[test]
     fn candidates_are_gap_coded_compactly() {
         // 100 consecutive candidates: gaps of 1 are one byte each.
         let msg = Message::ScoreCandidatesRequest {
             query_id: 1,
-            terms: vec![],
+            terms: vec![].into(),
             candidates: (1000..1100).collect(),
         };
         // tag + qid(2) + nt(1) + nc(1) + first gap (2) + 99 gaps (1 each)
@@ -972,7 +1144,7 @@ mod tests {
             Message::RankRequest {
                 query_id: 202,
                 k: 20,
-                terms: vec![("catfish".into(), 1)],
+                terms: vec![("catfish".into(), 1)].into(),
             },
             Message::DocsResponse {
                 query_id: 9,
@@ -1022,14 +1194,64 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
+        /// Every term-carrying request encodes exactly as it did when
+        /// each pair was written out in turn, decodes to itself, and
+        /// lends back the pairs it was built from.
         #[test]
-        fn rank_requests_roundtrip(
+        fn term_lists_encode_as_pairs_written_in_turn(
             query_id in 0u32..1000,
             k in 0u32..2000,
-            terms in proptest::collection::vec(("[a-z]{1,12}", 1u32..50), 0..40),
+            counts in proptest::collection::vec(("[a-z]{0,12}", any::<u32>()), 0..40),
+            weights in proptest::collection::vec(("[a-zé]{1,12}", any::<u64>()), 0..40),
         ) {
-            let msg = Message::RankRequest { query_id, k, terms };
-            prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
+            let weights: Vec<(String, f64)> =
+                weights.into_iter().map(|(t, w)| (t, f64::from_bits(w))).collect();
+            // The parent encoder: tag, fields, count, then each pair.
+            let head = |tag: u8, fields: &[u64], n: usize| {
+                let mut out = vec![tag];
+                for &field in fields {
+                    put_uint(&mut out, field);
+                }
+                put_uint(&mut out, n as u64);
+                out
+            };
+            let mut cn = head(TAG_RANK_REQ, &[query_id.into(), k.into()], counts.len());
+            for (term, f_qt) in &counts {
+                put_str(&mut cn, term);
+                put_uint(&mut cn, u64::from(*f_qt));
+            }
+            let mut cv = head(TAG_RANK_W_REQ, &[query_id.into(), k.into()], weights.len());
+            let mut ci = head(TAG_SCORE_REQ, &[query_id.into()], weights.len());
+            for out in [&mut cv, &mut ci] {
+                for (term, w) in &weights {
+                    put_str(out, term);
+                    put_f64(out, *w);
+                }
+            }
+            put_uint(&mut ci, 2);
+            put_uint(&mut ci, 3);
+            put_uint(&mut ci, 4);
+            let msgs = [
+                Message::RankRequest { query_id, k, terms: counts.clone().into() },
+                Message::RankWeightedRequest { query_id, k, terms: weights.clone().into() },
+                Message::ScoreCandidatesRequest {
+                    query_id,
+                    terms: weights.clone().into(),
+                    candidates: vec![3, 7],
+                },
+            ];
+            for (msg, parent) in msgs.iter().zip([cn, cv, ci]) {
+                prop_assert_eq!(&msg.encode(), &parent);
+                prop_assert_eq!(&Message::decode(&parent).unwrap(), msg);
+            }
+            let Message::RankRequest { terms, .. } = &msgs[0] else { unreachable!() };
+            let lent: Vec<(String, u32)> = terms.iter().map(|(t, f)| (t.to_owned(), f)).collect();
+            prop_assert_eq!(lent, counts);
+            let Message::RankWeightedRequest { terms, .. } = &msgs[1] else { unreachable!() };
+            prop_assert_eq!(terms.iter().count(), weights.len());
+            for ((t, w), (want_t, want_w)) in terms.iter().zip(&weights) {
+                prop_assert_eq!((t, w.to_bits()), (want_t.as_str(), want_w.to_bits()));
+            }
         }
 
         #[test]
@@ -1038,7 +1260,7 @@ mod proptests {
         ) {
             let msg = Message::ScoreCandidatesRequest {
                 query_id: 7,
-                terms: vec![("t".into(), 1.0)],
+                terms: vec![("t".into(), 1.0)].into(),
                 candidates: candidates.into_iter().collect(),
             };
             prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);

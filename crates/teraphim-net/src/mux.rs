@@ -39,11 +39,13 @@ use std::thread::Thread;
 use std::time::{Duration, Instant};
 use teraphim_obs::{EventKind, ServerTimings, SpanContext, TraceSink};
 
-/// A demultiplexed reply: the inner message payload plus any
-/// server-side phase timings piggybacked on its envelope.
+/// A demultiplexed reply: the message, decoded where the frame was
+/// read, with its payload length and any server-side phase timings
+/// piggybacked on its envelope.
 #[derive(Debug)]
 pub(crate) struct MuxReply {
-    pub(crate) payload: Vec<u8>,
+    pub(crate) message: Result<Message, NetError>,
+    pub(crate) len: u64,
     pub(crate) timings: Option<ServerTimings>,
 }
 
@@ -123,7 +125,8 @@ pub struct MuxConnection {
     state: Mutex<MuxState>,
     /// Set when the connection is found dead; new sends fail fast.
     dead: AtomicBool,
-    writer: Mutex<TcpStream>,
+    /// The writing end and the one buffer its frames are built in.
+    writer: Mutex<(TcpStream, Vec<u8>)>,
     /// Sets the socket's read timeout and mode; shuts it down on death.
     stream: TcpStream,
     next_corr: AtomicU64,
@@ -146,18 +149,19 @@ impl MuxConnection {
                 frames: Some(FrameReader::new(stream.try_clone()?)),
             }),
             dead: AtomicBool::new(false),
-            writer: Mutex::new(stream.try_clone()?),
+            writer: Mutex::new((stream.try_clone()?, Vec::new())),
             stream,
             next_corr: AtomicU64::new(0),
             traffic: AtomicTrafficStats::new(),
         }))
     }
 
-    /// Sends `request`, encoded in place in its frame, under a fresh
-    /// correlation id; the ticket receives the reply, within `deadline`
-    /// of now if one is given. A span context rides in the envelope and
-    /// asks the server for its phase timings. A failed write may leave
-    /// part of a frame on the stream, so it kills the connection.
+    /// Sends `request`, encoded in place in the writer's frame buffer,
+    /// under a fresh correlation id; the ticket receives the reply,
+    /// within `deadline` of now if one is given. A span context rides
+    /// in the envelope and asks the server for its phase timings. A
+    /// failed write may leave part of a frame on the stream, so it kills
+    /// the connection.
     fn send(
         self: &Arc<Self>,
         request: &Message,
@@ -165,7 +169,9 @@ impl MuxConnection {
         deadline: Option<Duration>,
     ) -> Result<MuxTicket, NetError> {
         let corr = self.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (framed, sent) = frame(corr, span, |out| {
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let (stream, framed) = &mut *writer;
+        let sent = frame(framed, corr, span, |out| {
             request.encode_into(out);
             None
         });
@@ -175,10 +181,8 @@ impl MuxConnection {
         }
         state.slots.insert(corr, Slot::Waiting(None));
         drop(state);
-        let write_result = {
-            let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-            w.write_all(&framed)
-        };
+        let write_result = stream.write_all(framed);
+        drop(writer);
         // Dropped on a failed write, the ticket frees its slot.
         let ticket = MuxTicket {
             conn: Arc::clone(self),
@@ -247,7 +251,8 @@ impl MuxConnection {
                 return self.poison();
             };
             let reply = MuxReply {
-                payload: env.message.to_vec(),
+                message: decode_reply(env.message),
+                len: env.message.len() as u64,
                 timings: env.timings,
             };
             self.state().file(env.corr, Ok(reply));
@@ -352,7 +357,7 @@ impl MuxTicket {
         };
         drop(state);
         if let Ok(reply) = &outcome {
-            conn.traffic.record(self.sent, reply.payload.len() as u64);
+            conn.traffic.record(self.sent, reply.len);
         }
         outcome
     }
@@ -562,10 +567,10 @@ impl Transport for MuxTransport {
                         // its clients' exactly.
                         self.stats.round_trips += 1;
                         self.stats.bytes_sent += sent;
-                        self.stats.bytes_received += reply.payload.len() as u64;
-                        self.last = (sent, reply.payload.len() as u64);
+                        self.stats.bytes_received += reply.len;
+                        self.last = (sent, reply.len);
                         self.last_timings = reply.timings;
-                        decode_reply(&reply.payload)
+                        reply.message
                     }
                     Err(e) => {
                         self.last_timings = None;
@@ -630,7 +635,7 @@ mod tests {
         Message::RankRequest {
             query_id,
             k: 3,
-            terms: vec![],
+            terms: vec![].into(),
         }
     }
 

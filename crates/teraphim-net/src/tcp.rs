@@ -257,17 +257,26 @@ struct Pool<S> {
 }
 
 impl<S: Service> Pool<S> {
-    /// Answers one request on `slot`, for a worker and a reader alike.
-    /// A failed write means the client is gone; the reply is dropped.
-    fn answer(&self, slot: Slot<'_>, request: &Envelope, waited: u64, writer: &Mutex<TcpStream>) {
+    /// Answers one request on `slot`, for a worker and a reader alike,
+    /// building the reply in `framed`, the answering thread's own frame
+    /// buffer. A failed write means the client is gone; the reply is
+    /// dropped.
+    fn answer(
+        &self,
+        slot: Slot<'_>,
+        request: &Envelope,
+        waited: u64,
+        writer: &Mutex<TcpStream>,
+        framed: &mut Vec<u8>,
+    ) {
         let (span, handle) = (request.span.as_ref(), &self.handles[slot.index]);
-        let (framed, n) = frame(request.corr, None, |out| {
+        let n = frame(framed, request.corr, None, |out| {
             serve(handle, request.message, span, waited, out)
         });
         self.traffic.record(n as u64, request.message.len() as u64);
         drop(slot);
         let mut w = writer.lock().unwrap_or_else(PoisonError::into_inner);
-        let _ = w.write_all(&framed);
+        let _ = w.write_all(framed);
     }
 }
 
@@ -442,9 +451,16 @@ fn accept_loop<S: Service + 'static>(
 /// Drains the job queue until closed-and-empty, answering each job on
 /// the slot the queue handed over with it.
 fn worker_loop<S: Service>(pool: &Pool<S>) {
+    let mut framed = Vec::new();
     while let Some((job, slot)) = pool.queue.pop() {
         let request = split_envelope(&job.frame).expect("queued only once parsed");
-        pool.answer(slot, &request, elapsed_micros(job.arrived), &job.writer);
+        pool.answer(
+            slot,
+            &request,
+            elapsed_micros(job.arrived),
+            &job.writer,
+            &mut framed,
+        );
     }
 }
 
@@ -462,6 +478,7 @@ fn serve_connection<S: Service>(
     // workers; the shared writer lock keeps their frames whole.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let mut frames = FrameReader::new(stream);
+    let mut framed = Vec::new();
     while frames.advance()? {
         // A shut-down server stops serving even on live connections; the
         // client observes EOF on its next exchange.
@@ -472,7 +489,7 @@ fn serve_connection<S: Service>(
             Ok(request) => {
                 if let Some(slot) = pool.queue.take_slot() {
                     let waited = elapsed_micros(frames.arrived());
-                    pool.answer(slot, &request, waited, &writer);
+                    pool.answer(slot, &request, waited, &writer, &mut framed);
                     continue;
                 }
                 let job = Job {
@@ -537,7 +554,7 @@ mod tests {
             .request(&Message::RankRequest {
                 query_id: 21,
                 k: 5,
-                terms: vec![("a".into(), 1)],
+                terms: vec![("a".into(), 1)].into(),
             })
             .unwrap();
         assert_eq!(
@@ -560,7 +577,7 @@ mod tests {
                 .request(&Message::RankRequest {
                     query_id: i,
                     k: 1,
-                    terms: vec![],
+                    terms: vec![].into(),
                 })
                 .unwrap();
             assert!(matches!(resp, Message::RankResponse { query_id, .. } if query_id == i * 2));
@@ -582,7 +599,7 @@ mod tests {
                             .request(&Message::RankRequest {
                                 query_id: i * 100 + j,
                                 k: 1,
-                                terms: vec![],
+                                terms: vec![].into(),
                             })
                             .unwrap();
                         assert!(matches!(
@@ -612,7 +629,7 @@ mod tests {
                             .request(&Message::RankRequest {
                                 query_id: j,
                                 k: 1,
-                                terms: vec![],
+                                terms: vec![].into(),
                             })
                             .unwrap();
                     }
@@ -641,7 +658,7 @@ mod tests {
             .request(&Message::RankRequest {
                 query_id: 3,
                 k: 1,
-                terms: vec![],
+                terms: vec![].into(),
             })
             .unwrap();
         assert!(matches!(resp, Message::RankResponse { query_id: 6, .. }));
@@ -681,7 +698,7 @@ mod tests {
                 let rank = Message::RankRequest {
                     query_id: 1,
                     k: 1,
-                    terms: vec![],
+                    terms: vec![].into(),
                 };
                 client.request(&rank).unwrap();
             }
@@ -808,7 +825,7 @@ mod tests {
         let bare = Message::RankRequest {
             query_id: 8,
             k: 1,
-            terms: vec![],
+            terms: vec![].into(),
         }
         .encode();
         for payload in [bare, vec![crate::wire::ENVELOPE_TAG]] {
@@ -833,7 +850,7 @@ mod tests {
         Message::RankRequest {
             query_id: id as u32,
             k: 1,
-            terms: vec![],
+            terms: vec![].into(),
         }
         .encode()
     }
@@ -1014,7 +1031,7 @@ mod tests {
         let reply = client.request(&Message::RankRequest {
             query_id: 2,
             k: 1,
-            terms: vec![],
+            terms: vec![].into(),
         });
         if !matches!(reply, Ok(Message::RankResponse { query_id: 4, .. })) {
             // The slot is lost, and joining the workers that wait for it

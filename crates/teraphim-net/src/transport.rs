@@ -466,7 +466,7 @@ mod tests {
             .request(&Message::RankRequest {
                 query_id: 7,
                 k: 3,
-                terms: vec![("x".into(), 1)],
+                terms: vec![("x".into(), 1)].into(),
             })
             .unwrap();
         match resp {

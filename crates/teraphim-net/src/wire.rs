@@ -84,7 +84,7 @@ pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], NetErro
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, v: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, v: &str) {
     put_bytes(out, v.as_bytes());
 }
 
@@ -93,7 +93,7 @@ pub fn put_str(out: &mut Vec<u8>, v: &str) {
 /// # Errors
 ///
 /// Returns [`NetError::Corrupt`] on truncation or invalid UTF-8.
-pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
+pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
     let bytes = get_bytes(buf, pos)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| NetError::Corrupt("string not UTF-8"))
 }
@@ -291,38 +291,47 @@ pub fn get_server_timings(buf: &[u8], pos: &mut usize) -> Result<ServerTimings, 
     })
 }
 
-/// Builds one whole frame in one buffer, for one `write_all` (with
+/// Builds one whole frame in `out`, for one `write_all` (with
 /// `TCP_NODELAY`, a small exchange is one packet): the `u32` length
 /// prefix, the envelope head — correlation id, then whichever of trace
 /// context and server timings there are — and the message, which
 /// `encode` appends in place. `encode` returns the timings a reply
 /// carries: measured once the message is encoded, their section is
-/// rotated in ahead of it. Returns the frame and the message's length.
+/// rotated in ahead of it. Returns the message's length.
+///
+/// `out` is the caller's to reuse, one per connection end that writes:
+/// it is cleared first, and a buffer an earlier frame grew past the
+/// 8 KiB a frame reader keeps is given back down to one frame's 512.
 pub fn frame(
+    out: &mut Vec<u8>,
     corr: u64,
     span: Option<&SpanContext>,
     encode: impl FnOnce(&mut Vec<u8>) -> Option<ServerTimings>,
-) -> (Vec<u8>, usize) {
-    let mut out = Vec::with_capacity(FRAME_CAPACITY);
+) -> usize {
+    out.clear();
+    if out.capacity() > FRAME_BUFFER {
+        out.shrink_to(FRAME_CAPACITY);
+    }
+    out.reserve(FRAME_CAPACITY);
     // The prefix is filled in last; `out[5]` is the version/flags byte.
     out.extend_from_slice(&[0, 0, 0, 0, ENVELOPE_TAG, ENVELOPE_VERSION << 4]);
-    put_uint(&mut out, corr);
+    put_uint(out, corr);
     if let Some(span) = span {
         out[5] |= ENV_SPAN;
-        put_span_context(&mut out, span);
+        put_span_context(out, span);
     }
     let start = out.len();
-    let timings = encode(&mut out);
+    let timings = encode(out);
     let len = out.len() - start;
     if let Some(timings) = timings {
         out[5] |= ENV_TIMINGS;
-        put_server_timings(&mut out, &timings);
+        put_server_timings(out, &timings);
         let section = out.len() - start - len;
         out[start..].rotate_right(section);
     }
     let payload = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&payload.to_le_bytes());
-    (out, len)
+    len
 }
 
 /// Parses a frame payload into its [`Envelope`].
@@ -383,11 +392,12 @@ pub(crate) mod tests {
         timings: Option<ServerTimings>,
         message: &[u8],
     ) -> Vec<u8> {
-        frame(corr, span, |out| {
+        let mut out = Vec::new();
+        frame(&mut out, corr, span, |out| {
             out.extend_from_slice(message);
             timings
-        })
-        .0
+        });
+        out
     }
 
     #[test]
@@ -661,17 +671,17 @@ pub(crate) mod tests {
             .map(|i| Message::RankRequest {
                 query_id: i,
                 k: 5,
-                terms: vec![(format!("term{i}"), i + 1)],
+                terms: vec![(format!("term{i}"), i + 1)].into(),
             })
             .collect();
-        let mut stream = Vec::new();
+        let (mut stream, mut buf) = (Vec::new(), Vec::new());
         for (i, m) in messages.iter().enumerate() {
-            let (frame, len) = frame(i as u64 + 7, None, |out| {
+            let len = frame(&mut buf, i as u64 + 7, None, |out| {
                 m.encode_into(out);
                 None
             });
             assert_eq!(len, m.wire_len());
-            stream.extend(frame);
+            stream.extend_from_slice(&buf);
         }
         // Deliver one byte at a time: framing must still find every
         // message boundary.

@@ -217,7 +217,7 @@ fn timeout_then_retry_succeeds() {
         .request(&Message::RankRequest {
             query_id: 1,
             k: 4,
-            terms: vec![("cats".into(), 1)],
+            terms: vec![("cats".into(), 1)].into(),
         })
         .unwrap();
     assert!(matches!(response, Message::RankResponse { .. }));
