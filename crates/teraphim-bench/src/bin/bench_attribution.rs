@@ -34,7 +34,7 @@ use teraphim_core::{Librarian, Methodology, Receptionist, ServePool};
 use teraphim_net::mux::{MuxPool, MuxTransport};
 use teraphim_net::tcp::{ServerOptions, TcpServer};
 use teraphim_net::TcpOptions;
-use teraphim_obs::json::push_escaped;
+use teraphim_obs::Json;
 use teraphim_obs::{lint_prometheus, MetricsRegistry, MetricsSnapshot, TraceSink, SERVER_PHASES};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -140,7 +140,7 @@ fn render_json(opts: &HarnessOptions, regimes: &[Regime]) -> String {
     for (i, regime) in regimes.iter().enumerate() {
         let latency = regime.snapshot.query_latency();
         out.push_str("    {\n      \"label\": ");
-        push_escaped(&mut out, regime.label);
+        out.push_str(&Json::from(regime.label).render());
         out.push_str(&format!(
             ",\n      \"concurrency\": {},\n      \"queries\": {},\n",
             regime.concurrency, regime.queries
@@ -155,7 +155,7 @@ fn render_json(opts: &HarnessOptions, regimes: &[Regime]) -> String {
         let phases = &regime.snapshot.per_server_phase;
         for (j, (phase, hist)) in phases.iter().enumerate() {
             out.push_str("        ");
-            push_escaped(&mut out, phase);
+            out.push_str(&Json::from(*phase).render());
             out.push_str(&format!(
                 ": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p99\": {}, \"max\": {}}}{}\n",
                 hist.count,

@@ -35,7 +35,7 @@ use teraphim_net::tcp::TcpServer;
 use teraphim_net::{
     FaultPlan, FaultyTransport, InProcTransport, MuxTransport, ReplicaGroup, Transport,
 };
-use teraphim_obs::json::push_escaped;
+use teraphim_obs::Json;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -314,9 +314,9 @@ fn main() {
                 ]);
                 let mut row = String::from("    {");
                 for (key, value) in [("driver", driver), ("mode", mode), ("state", state.name())] {
-                    push_escaped(&mut row, key);
+                    row.push_str(&Json::from(key).render());
                     row.push_str(": ");
-                    push_escaped(&mut row, value);
+                    row.push_str(&Json::from(value).render());
                     row.push_str(", ");
                 }
                 row.push_str(&format!(

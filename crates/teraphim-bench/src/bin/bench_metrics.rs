@@ -23,7 +23,7 @@
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
 use teraphim_core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim_net::InProcTransport;
-use teraphim_obs::json::push_escaped;
+use teraphim_obs::Json;
 use teraphim_obs::{lint_prometheus, Count, MetricsSnapshot, CACHE_KINDS};
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
@@ -87,7 +87,7 @@ fn render_json(opts: &HarnessOptions, k: usize, n_queries: usize, modes: &[ModeR
         let c = &mode.snapshot.counts;
         let latency = mode.snapshot.query_latency();
         out.push_str("    {\n      \"code\": ");
-        push_escaped(&mut out, mode.code);
+        out.push_str(&Json::from(mode.code).render());
         out.push_str(&format!(",\n      \"queries\": {},\n", c.queries()));
         out.push_str(&format!(
             "      \"latency_micros\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}, \"mean\": {:.1}}},\n",

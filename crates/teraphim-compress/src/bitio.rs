@@ -19,7 +19,7 @@ use crate::{CodeError, Result};
 /// use teraphim_compress::bitio::BitWriter;
 ///
 /// let mut w = BitWriter::new();
-/// w.write_bit(true);
+/// w.write_bits(u64::from(true), 1);
 /// w.write_bits(0b101, 3);
 /// assert_eq!(w.bit_len(), 4);
 /// assert_eq!(w.into_bytes(), vec![0b1101_0000]);
@@ -53,11 +53,6 @@ impl BitWriter {
         } else {
             (self.bytes.len() as u64 - 1) * 8 + u64::from(self.partial_bits)
         }
-    }
-
-    /// Appends a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u64::from(bit), 1);
     }
 
     /// Appends the `count` low-order bits of `value`, most significant
@@ -99,12 +94,6 @@ impl BitWriter {
     /// Pads with zero bits to the next byte boundary.
     pub fn align_to_byte(&mut self) {
         self.partial_bits = 0;
-    }
-
-    /// Appends a whole byte, aligning first.
-    pub fn write_aligned_byte(&mut self, byte: u8) {
-        self.align_to_byte();
-        self.bytes.push(byte);
     }
 
     /// Consumes the writer and returns the packed bytes (final byte
@@ -326,12 +315,6 @@ impl<'a> BitReader<'a> {
         }
         Ok(value)
     }
-
-    /// Skips forward to the next byte boundary (no-op if already aligned).
-    pub fn align_to_byte(&mut self) {
-        // The window ends on a byte boundary, `avail` bits ahead.
-        self.consume(self.avail % 8);
-    }
 }
 
 /// The bit-at-a-time reader and writer this module had before the window:
@@ -422,10 +405,6 @@ pub(crate) mod reference {
             }
             Ok(value)
         }
-
-        pub(crate) fn align_to_byte(&mut self) {
-            self.pos = self.pos.div_ceil(8) * 8;
-        }
     }
 }
 
@@ -444,7 +423,7 @@ mod tests {
     fn single_bits_pack_msb_first() {
         let mut w = BitWriter::new();
         for bit in [true, false, true, true, false, false, false, true, true] {
-            w.write_bit(bit);
+            w.write_bits(u64::from(bit), 1);
         }
         assert_eq!(w.bit_len(), 9);
         assert_eq!(w.into_bytes(), vec![0b1011_0001, 0b1000_0000]);
@@ -456,7 +435,7 @@ mod tests {
         a.write_bits(0b1_0110, 5);
         let mut b = BitWriter::new();
         for bit in [true, false, true, true, false] {
-            b.write_bit(bit);
+            b.write_bits(u64::from(bit), 1);
         }
         assert_eq!(a.into_bytes(), b.into_bytes());
     }
@@ -489,24 +468,11 @@ mod tests {
     #[test]
     fn alignment_pads_with_zeros() {
         let mut w = BitWriter::new();
-        w.write_bit(true);
+        w.write_bits(u64::from(true), 1);
         w.align_to_byte();
-        w.write_aligned_byte(0xAB);
-        let bytes = w.into_bytes();
-        assert_eq!(bytes, vec![0b1000_0000, 0xAB]);
-
-        let mut r = BitReader::new(&bytes);
-        assert!(r.read_bit().unwrap());
-        r.align_to_byte();
-        assert_eq!(r.read_bits(8).unwrap(), 0xAB);
-    }
-
-    #[test]
-    fn align_when_already_aligned_is_noop() {
-        let mut r = BitReader::new(&[0x01, 0x02]);
-        r.read_bits(8).unwrap();
-        r.align_to_byte();
-        assert_eq!(r.bit_pos(), 8);
+        w.align_to_byte();
+        w.write_bits(0xAB, 8);
+        assert_eq!(w.into_bytes(), vec![0b1000_0000, 0xAB]);
     }
 
     #[test]
@@ -527,7 +493,7 @@ mod tests {
     fn bit_len_tracks_partial_bytes() {
         let mut w = BitWriter::new();
         assert_eq!(w.bit_len(), 0);
-        w.write_bit(false);
+        w.write_bits(u64::from(false), 1);
         assert_eq!(w.bit_len(), 1);
         w.write_bits(0, 7);
         assert_eq!(w.bit_len(), 8);
@@ -605,7 +571,7 @@ mod proptests {
             for op in &ops {
                 match *op {
                     Op::Bits(v, c) => { fast.write_bits(v, c); slow.write_bits(v, c); }
-                    Op::Bit(b) => { fast.write_bit(b); slow.write_bit(b); }
+                    Op::Bit(b) => { fast.write_bits(u64::from(b), 1); slow.write_bit(b); }
                     Op::Align => { fast.align_to_byte(); slow.align_to_byte(); }
                     Op::Seek(_) => {}
                 }
@@ -615,7 +581,7 @@ mod proptests {
 
         /// The windowed reader returns the same values, the same errors
         /// and the same cursor as the bit-at-a-time one, whatever mix of
-        /// reads, aligns and seeks runs over whatever bytes.
+        /// reads and seeks runs over whatever bytes.
         #[test]
         fn reader_matches_the_bit_at_a_time_reader(
             bytes in proptest::collection::vec(any::<u8>(), 0..40),
@@ -627,7 +593,7 @@ mod proptests {
                 match *op {
                     Op::Bits(_, c) => prop_assert_eq!(fast.read_bits(c), slow.read_bits(c)),
                     Op::Bit(_) => prop_assert_eq!(fast.read_bit(), slow.read_bit()),
-                    Op::Align => { fast.align_to_byte(); slow.align_to_byte(); }
+                    Op::Align => {}
                     Op::Seek(p) => {
                         let p = p % (bytes.len() as u64 * 8 + 3);
                         prop_assert_eq!(fast.seek_to_bit(p), slow.seek_to_bit(p));

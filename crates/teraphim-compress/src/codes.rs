@@ -8,7 +8,7 @@
 //! * **Elias γ** — parameterless; good for small values such as
 //!   in-document frequencies `f_dt`.
 //! * **Elias δ** — parameterless; better than γ for larger magnitudes.
-//! * **Golomb / Rice** — parameterised; with `b ≈ 0.69 · N/f_t` this is the
+//! * **Golomb** — parameterised; with `b ≈ 0.69 · N/f_t` this is the
 //!   near-optimal code for d-gaps of a Bernoulli-distributed term.
 //! * **v-byte** — byte-aligned variable-length code, used where byte
 //!   alignment matters more than density (e.g. wire headers).
@@ -219,7 +219,7 @@ pub fn read_delta(r: &mut BitReader<'_>) -> Result<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Golomb / Rice
+// Golomb
 // ---------------------------------------------------------------------------
 
 /// Computes the Golomb parameter `b ≈ 0.69 · (n / f)` recommended for
@@ -286,28 +286,6 @@ pub fn read_golomb(r: &mut BitReader<'_>, b: u64) -> Result<u64> {
         rem -= threshold;
     }
     Ok(q * b + rem + 1)
-}
-
-/// Writes `n ≥ 1` with the Rice code of parameter `k` (Golomb with
-/// `b = 2^k`).
-pub fn write_rice(w: &mut BitWriter, n: u64, k: u32) {
-    debug_assert!(n >= 1, "rice codes values >= 1");
-    let v = n - 1;
-    write_unary(w, (v >> k) + 1);
-    if k > 0 {
-        w.write_bits(v & ((1u64 << k) - 1), k);
-    }
-}
-
-/// Reads a Rice codeword of parameter `k` written by [`write_rice`].
-///
-/// # Errors
-///
-/// Returns [`CodeError::UnexpectedEof`] on truncation.
-pub fn read_rice(r: &mut BitReader<'_>, k: u32) -> Result<u64> {
-    let q = read_unary(r)? - 1;
-    let low = if k > 0 { r.read_bits(k)? } else { 0 };
-    Ok((q << k) + low + 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -511,32 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn rice_roundtrip_various_parameters() {
-        for k in [0u32, 1, 3, 7, 16] {
-            let values: Vec<u64> = SAMPLE
-                .iter()
-                .copied()
-                .filter(|&n| (n - 1) >> k < 100_000)
-                .collect();
-            roundtrip(&values, |w, n| write_rice(w, n, k), |r| read_rice(r, k));
-        }
-    }
-
-    #[test]
-    fn rice_equals_golomb_power_of_two() {
-        for k in [0u32, 2, 5] {
-            let b = 1u64 << k;
-            for &n in SAMPLE.iter().filter(|&&n| (n - 1) >> k < 100_000) {
-                let mut wr = BitWriter::new();
-                write_rice(&mut wr, n, k);
-                let mut wg = BitWriter::new();
-                write_golomb(&mut wg, n, b);
-                assert_eq!(wr.bit_len(), wg.bit_len(), "n={n} k={k}");
-            }
-        }
-    }
-
-    #[test]
     fn vbyte_roundtrip() {
         let mut out = Vec::new();
         for &v in SAMPLE {
@@ -639,18 +591,6 @@ mod proptests {
         }
 
         #[test]
-        fn rice_roundtrips(
-            values in proptest::collection::vec(1u64..1u64 << 20, 0..200),
-            k in 4u32..20,
-        ) {
-            let mut w = BitWriter::new();
-            for &v in &values { write_rice(&mut w, v, k); }
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            for &v in &values { prop_assert_eq!(read_rice(&mut r, k).unwrap(), v); }
-        }
-
-        #[test]
         fn vbyte_roundtrips(values in proptest::collection::vec(0u64..u64::MAX, 0..200)) {
             let mut out = Vec::new();
             for &v in &values { write_vbyte(&mut out, v); }
@@ -698,9 +638,9 @@ mod differential {
 
     fn ref_write_unary(w: &mut RefWriter, n: u64) {
         for _ in 1..n {
-            w.write_bit(false);
+            w.write_bits(u64::from(false), 1);
         }
-        w.write_bit(true);
+        w.write_bits(u64::from(true), 1);
     }
 
     fn ref_write_gamma(w: &mut RefWriter, n: u64) {
@@ -736,12 +676,6 @@ mod differential {
                     } else {
                         w.write_bits(rem + threshold, width);
                     }
-                }
-            }
-            Read::Rice(v, k) => {
-                ref_write_unary(w, ((v - 1) >> k) + 1);
-                if k > 0 {
-                    w.write_bits((v - 1) & ((1u64 << k) - 1), k);
                 }
             }
             Read::Bits(v, c) => w.write_bits(v, c),
@@ -793,12 +727,6 @@ mod differential {
         Ok(q * b + rem + 1)
     }
 
-    fn ref_rice(r: &mut RefReader<'_>, k: u32) -> Result<u64> {
-        let q = ref_unary(r)? - 1;
-        let low = if k > 0 { r.read_bits(k)? } else { 0 };
-        Ok((q << k) + low + 1)
-    }
-
     /// One read of a script, with the value a well-formed stream holds
     /// there.
     #[derive(Debug, Clone, Copy)]
@@ -808,12 +736,11 @@ mod differential {
         Gamma0(u64),
         Delta(u64),
         Golomb(u64, u64),
-        Rice(u64, u32),
         Bits(u64, u32),
     }
 
     fn read() -> impl Strategy<Value = Read> {
-        (0u8..7, any::<u64>(), 0u32..64, 1u64..5_000, 0u32..=64).prop_map(
+        (0u8..6, any::<u64>(), 0u32..64, 1u64..5_000, 0u32..=64).prop_map(
             |(kind, raw, shift, b, count)| {
                 // Mostly small values, as in an inverted list, with the
                 // occasional one wider than the window.
@@ -824,7 +751,6 @@ mod differential {
                     2 => Read::Gamma0(v - 1),
                     3 => Read::Delta(v),
                     4 => Read::Golomb(v % (b * 80) + 1, b),
-                    5 => Read::Rice(v % (80 << (shift % 12)) + 1, shift % 12),
                     _ => Read::Bits(
                         if count == 64 {
                             raw
@@ -845,7 +771,6 @@ mod differential {
             Read::Gamma0(v) => write_gamma0(w, v),
             Read::Delta(v) => write_delta(w, v),
             Read::Golomb(v, b) => write_golomb(w, v, b),
-            Read::Rice(v, k) => write_rice(w, v, k),
             Read::Bits(v, c) => w.write_bits(v, c),
         }
     }
@@ -872,7 +797,6 @@ mod differential {
                 Read::Gamma0(_) => (read_gamma0(&mut fast), ref_gamma(&mut slow).map(|v| v - 1)),
                 Read::Delta(_) => (read_delta(&mut fast), ref_delta(&mut slow)),
                 Read::Golomb(_, b) => (read_golomb(&mut fast, b), ref_golomb(&mut slow, b)),
-                Read::Rice(_, k) => (read_rice(&mut fast, k), ref_rice(&mut slow, k)),
                 Read::Bits(_, c) => (fast.read_bits(c), slow.read_bits(c)),
             };
             let (Read::Unary(want)
@@ -880,7 +804,6 @@ mod differential {
             | Read::Gamma0(want)
             | Read::Delta(want)
             | Read::Golomb(want, _)
-            | Read::Rice(want, _)
             | Read::Bits(want, _)) = read;
             let wrong_value = whole && got.0 != Ok(want);
             if got.0 != got.1 || fast.bit_pos() != slow.bit_pos() || wrong_value {

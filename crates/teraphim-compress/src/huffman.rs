@@ -136,16 +136,6 @@ impl HuffmanCode {
         }
     }
 
-    /// Number of symbols in the alphabet (including absent ones).
-    pub fn alphabet_len(&self) -> usize {
-        self.lengths.len()
-    }
-
-    /// Codeword bit length of `symbol`, or 0 if the symbol is absent.
-    pub fn length(&self, symbol: u32) -> u8 {
-        self.lengths.get(symbol as usize).copied().unwrap_or(0)
-    }
-
     /// Per-symbol code lengths (0 = absent); enough to reconstruct the
     /// code via [`HuffmanCode::from_lengths`].
     pub fn lengths(&self) -> &[u8] {
@@ -214,16 +204,6 @@ impl HuffmanCode {
             }
         }
         Err(CodeError::Corrupt("bits match no huffman codeword"))
-    }
-
-    /// Total compressed size, in bits, of a message with the given symbol
-    /// frequencies (which must be coverable by this code).
-    pub fn message_bits(&self, freqs: &[u64]) -> u64 {
-        freqs
-            .iter()
-            .enumerate()
-            .map(|(s, &f)| f * u64::from(self.lengths[s]))
-            .sum()
     }
 }
 
@@ -312,6 +292,16 @@ fn code_lengths(freqs: &[u64]) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// Total compressed size, in bits, of a message with the given symbol
+    /// frequencies under `code`.
+    pub(super) fn message_bits(code: &HuffmanCode, freqs: &[u64]) -> u64 {
+        freqs
+            .iter()
+            .zip(code.lengths())
+            .map(|(&f, &len)| f * u64::from(len))
+            .sum()
+    }
+
     fn roundtrip(freqs: &[u64], message: &[u32]) {
         let code = HuffmanCode::from_frequencies(freqs).unwrap();
         let mut w = BitWriter::new();
@@ -328,15 +318,15 @@ mod tests {
     #[test]
     fn two_symbols_get_one_bit_each() {
         let code = HuffmanCode::from_frequencies(&[5, 3]).unwrap();
-        assert_eq!(code.length(0), 1);
-        assert_eq!(code.length(1), 1);
+        assert_eq!(code.lengths()[0], 1);
+        assert_eq!(code.lengths()[1], 1);
     }
 
     #[test]
     fn single_symbol_alphabet() {
         roundtrip(&[7], &[0, 0, 0]);
         let code = HuffmanCode::from_frequencies(&[7]).unwrap();
-        assert_eq!(code.length(0), 1);
+        assert_eq!(code.lengths()[0], 1);
     }
 
     #[test]
@@ -348,16 +338,16 @@ mod tests {
     #[test]
     fn zero_frequency_symbols_are_skipped() {
         let code = HuffmanCode::from_frequencies(&[4, 0, 2, 0, 1]).unwrap();
-        assert_eq!(code.length(1), 0);
-        assert_eq!(code.length(3), 0);
+        assert_eq!(code.lengths()[1], 0);
+        assert_eq!(code.lengths()[3], 0);
         roundtrip(&[4, 0, 2, 0, 1], &[0, 2, 4, 0, 2]);
     }
 
     #[test]
     fn skewed_frequencies_give_shorter_codes_to_common_symbols() {
         let code = HuffmanCode::from_frequencies(&[1000, 10, 10, 10, 1]).unwrap();
-        assert!(code.length(0) < code.length(4));
-        assert!(code.length(1) <= code.length(4));
+        assert!(code.lengths()[0] < code.lengths()[4]);
+        assert!(code.lengths()[1] <= code.lengths()[4]);
     }
 
     #[test]
@@ -365,8 +355,8 @@ mod tests {
         let freqs = [13u64, 7, 7, 3, 2, 1, 1, 1, 5, 9];
         let code = HuffmanCode::from_frequencies(&freqs).unwrap();
         let kraft: f64 = (0..freqs.len() as u32)
-            .filter(|&s| code.length(s) > 0)
-            .map(|s| 2f64.powi(-i32::from(code.length(s))))
+            .filter(|&s| code.lengths()[s as usize] > 0)
+            .map(|s| 2f64.powi(-i32::from(code.lengths()[s as usize])))
             .sum();
         assert!((kraft - 1.0).abs() < 1e-12, "kraft sum {kraft}");
     }
@@ -378,7 +368,7 @@ mod tests {
         // Within a length, codewords increase with symbol index.
         for len in 1..=8u8 {
             let syms: Vec<u32> = (0..freqs.len() as u32)
-                .filter(|&s| code.length(s) == len)
+                .filter(|&s| code.lengths()[s as usize] == len)
                 .collect();
             for pair in syms.windows(2) {
                 assert!(code.codewords[pair[0] as usize] < code.codewords[pair[1] as usize]);
@@ -404,7 +394,7 @@ mod tests {
                 code.encode(&mut w, sym as u32);
             }
         }
-        assert_eq!(w.bit_len(), code.message_bits(&freqs));
+        assert_eq!(w.bit_len(), message_bits(&code, &freqs));
     }
 
     #[test]
@@ -422,12 +412,13 @@ mod tests {
         let code = HuffmanCode::from_frequencies(&freqs).unwrap();
         let total: u64 = freqs.iter().sum();
         let fixed_bits = total * 3; // 8 symbols -> 3 bits fixed
-        assert!(code.message_bits(&freqs) < fixed_bits);
+        assert!(message_bits(&code, &freqs) < fixed_bits);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::message_bits;
     use super::*;
     use proptest::prelude::*;
 
@@ -497,8 +488,8 @@ mod proptests {
             prop_assume!(freqs.iter().any(|&f| f > 0));
             let code = HuffmanCode::from_frequencies(&freqs).unwrap();
             let kraft: f64 = (0..freqs.len() as u32)
-                .filter(|&s| code.length(s) > 0)
-                .map(|s| 2f64.powi(-i32::from(code.length(s))))
+                .filter(|&s| code.lengths()[s as usize] > 0)
+                .map(|s| 2f64.powi(-i32::from(code.lengths()[s as usize])))
                 .sum();
             prop_assert!(kraft <= 1.0 + 1e-9);
         }
@@ -517,7 +508,7 @@ mod proptests {
                     -p * p.log2()
                 })
                 .sum();
-            let avg_len = code.message_bits(&freqs) as f64 / total;
+            let avg_len = message_bits(&code, &freqs) as f64 / total;
             prop_assert!(avg_len >= entropy - 1e-9, "avg {avg_len} < entropy {entropy}");
             prop_assert!(avg_len <= entropy + 1.0 + 1e-9, "avg {avg_len} > entropy+1 {entropy}");
         }

@@ -6,7 +6,7 @@
 //!
 //! * [`bitio`] — MSB-first bit readers and writers over byte buffers.
 //! * [`codes`] — parameterless integer codes (unary, Elias γ, Elias δ),
-//!   parameterised codes (Golomb, Rice) and byte-aligned v-byte coding.
+//!   parameterised Golomb codes and byte-aligned v-byte coding.
 //!   These are used to store inverted-list d-gaps and in-document
 //!   frequencies compressed.
 //! * [`checksum`] — CRC-32 (IEEE/zlib polynomial) for sealing on-disk

@@ -133,12 +133,6 @@ impl ClassModel {
         Ok(())
     }
 
-    /// Approximate serialized dictionary size: token bytes + one length
-    /// byte per entry (the escape's included).
-    fn dictionary_bytes(&self) -> usize {
-        1 + self.tokens.iter().map(|(_, t)| t.len() + 1).sum::<usize>()
-    }
-
     /// Serializes the model: token strings plus canonical code lengths
     /// (the code itself is reconstructed canonically). The escape is
     /// entry 0, with an empty string.
@@ -276,17 +270,6 @@ impl TextModel {
         Ok(out)
     }
 
-    /// Approximate size of the model's dictionaries in bytes (used for the
-    /// paper's storage accounting).
-    pub fn dictionary_bytes(&self) -> usize {
-        self.words.dictionary_bytes() + self.nonwords.dictionary_bytes()
-    }
-
-    /// Number of distinct word tokens in the trained model.
-    pub fn word_vocab_len(&self) -> usize {
-        self.words.tokens.len()
-    }
-
     /// Serializes the trained model (dictionaries plus canonical code
     /// lengths) for on-disk collections and wire shipping.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -415,13 +398,6 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(TextModel::from_bytes(&extended).is_err());
-    }
-
-    #[test]
-    fn dictionary_bytes_is_positive() {
-        let model = TextModel::train(["alpha beta"].iter().copied()).unwrap();
-        assert!(model.dictionary_bytes() > 0);
-        assert_eq!(model.word_vocab_len(), 2);
     }
 }
 

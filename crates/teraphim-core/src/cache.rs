@@ -5,8 +5,8 @@
 //! [`Receptionist::enable_cache`]):
 //!
 //! * an LRU **result cache** keyed by the normalized query, the
-//!   methodology, `k` and the completion policy (strict, or degraded
-//!   under a `min_answered`), storing the merged ranking with its
+//!   methodology, `k` and the completion policy (strict or degraded),
+//!   storing the merged ranking with its
 //!   [`Coverage`];
 //! * a **term-statistics cache** that remembers global document
 //!   frequencies so CV query weighting skips the merged-vocabulary
@@ -73,18 +73,6 @@ impl Default for CacheConfig {
     }
 }
 
-impl CacheConfig {
-    /// Every cache disabled; useful as a differential-testing control.
-    #[must_use]
-    pub fn disabled() -> Self {
-        CacheConfig {
-            result_entries: 0,
-            term_entries: 0,
-            doc_bytes: 0,
-        }
-    }
-}
-
 /// The outcome of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lookup<T> {
@@ -97,17 +85,6 @@ pub enum Lookup<T> {
     Stale,
 }
 
-impl<T> Lookup<T> {
-    /// Maps the payload of a `Hit`, preserving `Miss`/`Stale`.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Lookup<U> {
-        match self {
-            Lookup::Hit(v) => Lookup::Hit(f(v)),
-            Lookup::Miss => Lookup::Miss,
-            Lookup::Stale => Lookup::Stale,
-        }
-    }
-}
-
 /// Key of one result-cache entry: everything that determines the bytes
 /// of a merged ranking besides the index contents themselves.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -118,11 +95,11 @@ pub struct ResultKey {
     pub code: &'static str,
     /// Requested answer size.
     pub k: usize,
-    /// Completion policy in force: `None` for strict `query` (every
-    /// contacted librarian must answer), `Some(min_answered)` for
-    /// `query_with_coverage` under that degradation policy. The two key
-    /// spaces are disjoint for every `min_answered`, zero included.
-    pub min_answered: Option<usize>,
+    /// Completion policy in force: `false` for strict `query` (every
+    /// contacted librarian must answer), `true` for
+    /// `query_with_coverage` (failed librarians drop out of the merge).
+    /// The two key spaces are disjoint.
+    pub degraded: bool,
 }
 
 /// Key of one answer-document cache entry: owning librarian, local
@@ -376,12 +353,6 @@ impl CacheState {
         self.config
     }
 
-    /// The current fleet generation.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// True while at least one librarian is known to be failed.
     #[must_use]
     pub fn fleet_degraded(&self) -> bool {
@@ -607,12 +578,12 @@ mod tests {
         assert_eq!(docs.len(), 1);
     }
 
-    fn key(q: &str, min_answered: Option<usize>) -> ResultKey {
+    fn key(q: &str, degraded: bool) -> ResultKey {
         ResultKey {
             terms: vec![(q.to_owned(), 1)],
             code: "CN",
             k: 10,
-            min_answered,
+            degraded,
         }
     }
 
@@ -634,46 +605,46 @@ mod tests {
     #[test]
     fn epoch_movement_bumps_the_generation_once_per_change() {
         let mut state = CacheState::new(CacheConfig::default());
-        assert_eq!(state.generation(), 0);
+        assert_eq!(state.generation, 0);
         state.observe_epoch(0, 0);
         state.observe_epoch(3, 0);
-        assert_eq!(state.generation(), 0, "epoch 0 is the baseline");
+        assert_eq!(state.generation, 0, "epoch 0 is the baseline");
         state.observe_epoch(1, 1);
-        assert_eq!(state.generation(), 1);
+        assert_eq!(state.generation, 1);
         state.observe_epoch(1, 1);
-        assert_eq!(state.generation(), 1, "unchanged epoch is quiet");
+        assert_eq!(state.generation, 1, "unchanged epoch is quiet");
         state.observe_epoch(1, 2);
-        assert_eq!(state.generation(), 2);
+        assert_eq!(state.generation, 2);
     }
 
     #[test]
     fn failed_set_changes_bump_in_both_directions() {
         let mut state = CacheState::new(CacheConfig::default());
         state.observe_failed(&[]);
-        assert_eq!(state.generation(), 0);
+        assert_eq!(state.generation, 0);
         state.observe_failed(&[2, 1]);
-        assert_eq!(state.generation(), 1);
+        assert_eq!(state.generation, 1);
         assert!(state.fleet_degraded());
         state.observe_failed(&[1, 2]);
-        assert_eq!(state.generation(), 1, "same set, different order");
+        assert_eq!(state.generation, 1, "same set, different order");
         state.observe_failed(&[1]);
-        assert_eq!(state.generation(), 2, "partial recovery still a change");
+        assert_eq!(state.generation, 2, "partial recovery still a change");
         state.observe_failed(&[]);
-        assert_eq!(state.generation(), 3, "full recovery invalidates too");
+        assert_eq!(state.generation, 3, "full recovery invalidates too");
         assert!(!state.fleet_degraded());
     }
 
     #[test]
     fn generation_bump_invalidates_results_lazily() {
         let mut state = CacheState::new(CacheConfig::default());
-        state.insert_result(key("q", None), answer(1, false));
+        state.insert_result(key("q", false), answer(1, false));
         assert!(matches!(
-            state.lookup_result(&key("q", None)),
+            state.lookup_result(&key("q", false)),
             Lookup::Hit(_)
         ));
         state.observe_epoch(0, 1);
-        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Stale);
-        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
+        assert_eq!(state.lookup_result(&key("q", false)), Lookup::Stale);
+        assert_eq!(state.lookup_result(&key("q", false)), Lookup::Miss);
         let stats = state.stats();
         assert_eq!(stats.results.hits, 1);
         assert_eq!(stats.results.misses, 2);
@@ -683,42 +654,40 @@ mod tests {
     #[test]
     fn strict_and_degraded_key_spaces_never_collide() {
         let mut state = CacheState::new(CacheConfig::default());
-        // Even `min_answered: 0` — which `set_degrade_policy` accepts —
-        // is a different key from the strict one: both entries coexist
-        // and each lookup is served its own.
-        state.insert_result(key("q", None), answer(1, false));
-        state.insert_result(key("q", Some(0)), answer(2, false));
+        // The degraded key is a different key from the strict one: both
+        // entries coexist and each lookup is served its own.
+        state.insert_result(key("q", false), answer(1, false));
+        state.insert_result(key("q", true), answer(2, false));
         assert_eq!(state.stats().result_entries, 2);
         assert_eq!(
-            state.lookup_result(&key("q", None)),
+            state.lookup_result(&key("q", false)),
             Lookup::Hit(answer(1, false))
         );
         assert_eq!(
-            state.lookup_result(&key("q", Some(0))),
+            state.lookup_result(&key("q", true)),
             Lookup::Hit(answer(2, false))
         );
-        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Miss);
     }
 
     #[test]
     fn degraded_entries_never_serve_a_healthy_fleet() {
         let mut state = CacheState::new(CacheConfig::default());
         state.observe_failed(&[1]);
-        state.insert_result(key("q", Some(1)), answer(1, true));
+        state.insert_result(key("q", true), answer(1, true));
         // While degraded, the entry serves coverage lookups.
         assert!(matches!(
-            state.lookup_result(&key("q", Some(1))),
+            state.lookup_result(&key("q", true)),
             Lookup::Hit(_)
         ));
         // Strict queries never see it.
-        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
+        assert_eq!(state.lookup_result(&key("q", false)), Lookup::Miss);
         // Recovery bumps the generation, so the entry is stale.
         state.observe_failed(&[]);
-        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Stale);
+        assert_eq!(state.lookup_result(&key("q", true)), Lookup::Stale);
         // Second line of defence: even stamped with the current
         // generation, a degraded entry does not serve a healthy fleet.
-        state.insert_result(key("q", Some(1)), answer(1, true));
-        assert_eq!(state.lookup_result(&key("q", Some(1))), Lookup::Miss);
+        state.insert_result(key("q", true), answer(1, true));
+        assert_eq!(state.lookup_result(&key("q", true)), Lookup::Miss);
     }
 
     #[test]
@@ -751,9 +720,13 @@ mod tests {
 
     #[test]
     fn disabled_config_never_caches_anything() {
-        let mut state = CacheState::new(CacheConfig::disabled());
-        state.insert_result(key("q", None), answer(1, false));
-        assert_eq!(state.lookup_result(&key("q", None)), Lookup::Miss);
+        let mut state = CacheState::new(CacheConfig {
+            result_entries: 0,
+            term_entries: 0,
+            doc_bytes: 0,
+        });
+        state.insert_result(key("q", false), answer(1, false));
+        assert_eq!(state.lookup_result(&key("q", false)), Lookup::Miss);
         state.insert_term("cat".to_owned(), Some(1));
         assert_eq!(state.lookup_term("cat"), Lookup::Miss);
         state.insert_doc((0, 0, false), "D".to_owned(), vec![0]);

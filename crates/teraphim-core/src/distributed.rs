@@ -153,13 +153,6 @@ impl DistributedCollection {
     pub fn traffic(&self) -> teraphim_net::TrafficStats {
         self.lock().traffic()
     }
-
-    /// Switches the receptionist between parallel (the default) and
-    /// sequential subquery fan-out (rankings are identical; elapsed time
-    /// differs).
-    pub fn set_dispatch_mode(&self, mode: teraphim_net::DispatchMode) {
-        self.lock().set_dispatch_mode(mode);
-    }
 }
 
 #[cfg(test)]
@@ -228,19 +221,6 @@ mod tests {
         assert!(s.cv_vocabulary_bytes() > 0);
         assert!(s.ci_index_bytes() > 0);
         assert_eq!(s.num_librarians(), 2);
-    }
-
-    #[test]
-    fn dispatch_modes_agree() {
-        let s = system();
-        let parallel = s
-            .query(Methodology::CentralVocabulary, "cat file", 3)
-            .unwrap();
-        s.set_dispatch_mode(teraphim_net::DispatchMode::Sequential);
-        let seq = s
-            .query(Methodology::CentralVocabulary, "cat file", 3)
-            .unwrap();
-        assert_eq!(parallel, seq);
     }
 
     #[test]

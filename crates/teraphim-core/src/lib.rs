@@ -56,9 +56,7 @@ pub use distributed::DistributedCollection;
 pub use health::{HealthPolicy, HealthReport, HealthState, LibrarianHealth};
 pub use librarian::Librarian;
 pub use methodology::{CiParams, Methodology};
-pub use receptionist::{
-    Coverage, DegradePolicy, FetchedDoc, GlobalHit, RankedAnswer, Receptionist,
-};
+pub use receptionist::{Coverage, FetchedDoc, GlobalHit, RankedAnswer, Receptionist};
 pub use serving::{QuerySession, ServePool};
 
 use std::error::Error;
@@ -79,8 +77,8 @@ pub enum TeraphimError {
     MissingGlobalState(&'static str),
     /// Invalid parameters (e.g. `k' < k / G`).
     BadParameters(String),
-    /// Too few librarians answered to satisfy the degradation policy:
-    /// the query produced no usable (even partial) ranking.
+    /// Every librarian failed a degraded query: it produced no usable
+    /// (even partial) ranking.
     InsufficientCoverage {
         /// Librarians that answered successfully.
         answered: usize,

@@ -43,8 +43,7 @@ struct Ledger {
 /// A server that evaluates N requests at once holds N handles
 /// ([`Librarian::share`]) over **one** collection. What the handles
 /// share: the collection (queries only read it), the service ledger
-/// served over [`Message::Stats`], the flight recorder and the routing
-/// table. What each keeps to itself is what one evaluation scribbles on:
+/// served over [`Message::Stats`] and the flight recorder. What each keeps to itself is what one evaluation scribbles on:
 /// the ranking scratch buffers and the resolved query (reused across the
 /// query stream, so steady-state evaluation allocates and zeroes nothing
 /// of the collection's size), the last request's phase clocks, and the
@@ -68,9 +67,6 @@ pub struct Librarian {
     /// Serialized index size, computed lazily on the first `Stats`
     /// request (serialization is too expensive for the constructor).
     index_bytes_cache: Option<u64>,
-    /// Fleet routing table, when this librarian serves as a routing
-    /// info point (answers [`Message::RoutingRequest`]).
-    routing: Option<teraphim_net::RoutingTable>,
     /// Scan (term lookup / weighting) micros of the last handled
     /// request; harvested by [`Service::take_phase_timings`].
     last_scan: u64,
@@ -108,7 +104,6 @@ impl Librarian {
             query: Vec::new(),
             epoch: 0,
             index_bytes_cache: None,
-            routing: None,
             last_scan: 0,
             last_rank: 0,
             flight: FlightRecorder::disabled(),
@@ -116,8 +111,8 @@ impl Librarian {
         }
     }
 
-    /// Another handle onto this librarian's collection, ledger, flight
-    /// recorder and routing table, at this handle's epoch, for one more
+    /// Another handle onto this librarian's collection, ledger and flight
+    /// recorder, at this handle's epoch, for one more
     /// worker to evaluate with: it costs a scratch buffer. Not `Clone`,
     /// because the store does not come along.
     pub fn share(&self) -> Librarian {
@@ -128,7 +123,6 @@ impl Librarian {
             query: Vec::new(),
             epoch: self.epoch,
             index_bytes_cache: self.index_bytes_cache,
-            routing: self.routing.clone(),
             last_scan: 0,
             last_rank: 0,
             flight: self.flight.clone(),
@@ -216,12 +210,6 @@ impl Librarian {
         self.flight.clone()
     }
 
-    /// The librarian's flight recorder handle (detached unless
-    /// [`Librarian::enable_flight_recorder`] was called).
-    pub fn flight(&self) -> FlightRecorder {
-        self.flight.clone()
-    }
-
     /// Current index epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -255,18 +243,6 @@ impl Librarian {
     pub fn collection_mut(&mut self) -> &mut Collection {
         self.index_bytes_cache = None;
         Arc::make_mut(&mut self.collection)
-    }
-
-    /// Collection name.
-    pub fn name(&self) -> &str {
-        self.collection.name()
-    }
-
-    /// Attaches the fleet's shared routing table so this librarian can
-    /// answer [`Message::RoutingRequest`] admin queries (any node can
-    /// serve the table; it is shared and versioned).
-    pub fn set_routing_table(&mut self, table: teraphim_net::RoutingTable) {
-        self.routing = Some(table);
     }
 
     /// Number of documents managed.
@@ -448,12 +424,6 @@ impl Librarian {
             }
             // Handled in `Service::handle` before the ledger is updated.
             Message::Stats => self.stats_reply(),
-            Message::RoutingRequest => match &self.routing {
-                Some(table) => table.to_message(),
-                None => Message::Error {
-                    message: "no routing table at this librarian".into(),
-                },
-            },
             Message::FlightRecRequest => Message::FlightRecReply {
                 // A detached recorder dumps an empty (but well-formed)
                 // summary — asking is never an error.
@@ -470,7 +440,6 @@ impl Librarian {
             | Message::Error { .. }
             | Message::Unavailable { .. }
             | Message::StatsReply { .. }
-            | Message::RoutingReply { .. }
             | Message::FlightRecReply { .. } => Message::Error {
                 message: "librarian received a response message".into(),
             },
@@ -486,10 +455,9 @@ impl Service for Librarian {
         if matches!(request, Message::Stats) {
             return self.stats_reply();
         }
-        // Routing-table polls and flight-recorder dumps are admin
-        // traffic too: answered out of band so fleet status checks
-        // never perturb the service ledger.
-        if matches!(request, Message::RoutingRequest | Message::FlightRecRequest) {
+        // Flight-recorder dumps are admin traffic too: answered out of
+        // band so fleet status checks never perturb the service ledger.
+        if matches!(request, Message::FlightRecRequest) {
             return self.handle_inner(request);
         }
         let started = Instant::now();

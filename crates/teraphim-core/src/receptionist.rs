@@ -74,11 +74,6 @@ pub struct Coverage {
 }
 
 impl Coverage {
-    /// True when every contacted librarian answered.
-    pub fn is_complete(&self) -> bool {
-        self.failed.is_empty()
-    }
-
     /// True when at least one librarian dropped out of the merge.
     pub fn is_degraded(&self) -> bool {
         !self.failed.is_empty()
@@ -94,24 +89,6 @@ pub struct RankedAnswer {
     pub coverage: Coverage,
 }
 
-/// When is a partial answer still an answer? The receptionist's
-/// degradation policy for [`Receptionist::query_with_coverage`]:
-/// fewer than `min_answered` successful librarians turns the degraded
-/// result into [`TeraphimError::InsufficientCoverage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradePolicy {
-    /// Minimum number of librarians that must answer for a ranking to
-    /// be returned at all.
-    pub min_answered: usize,
-}
-
-impl Default for DegradePolicy {
-    /// Any surviving librarian is better than no answer.
-    fn default() -> Self {
-        DegradePolicy { min_answered: 1 }
-    }
-}
-
 /// What the ranked-query pipeline does about a librarian that fails to
 /// answer: the one difference between [`Receptionist::query`] and
 /// [`Receptionist::query_with_coverage`].
@@ -120,8 +97,8 @@ enum OnFailure {
     /// Every contacted librarian must answer; the first failure's own
     /// [`NetError`] is the query's error.
     Surface,
-    /// Failed librarians drop out of the merge and are reported, down to
-    /// the configured [`DegradePolicy`].
+    /// Failed librarians drop out of the merge and are reported; only a
+    /// fan-out where every librarian failed is an error.
     Degrade,
 }
 
@@ -209,7 +186,6 @@ pub struct Receptionist<T: Transport> {
     ci: Option<Arc<CiState>>,
     next_query_id: u32,
     dispatch: DispatchMode,
-    degrade: DegradePolicy,
     trace: TraceSink,
     cache: Option<CacheState>,
     routing: Option<RoutingWatch>,
@@ -231,7 +207,6 @@ impl<T: Transport> Receptionist<T> {
             ci: None,
             next_query_id: 0,
             dispatch: DispatchMode::default(),
-            degrade: DegradePolicy::default(),
             trace: TraceSink::disabled(),
             cache: None,
             routing: None,
@@ -251,8 +226,8 @@ impl<T: Transport> Receptionist<T> {
     /// query-id counter, a fresh cache with the same configuration
     /// (caches are unsynchronized, so each session maintains its own),
     /// and a disabled trace sink — attach one per session with
-    /// [`Receptionist::set_trace_sink`] if needed. Dispatch mode and
-    /// degrade policy carry over.
+    /// [`Receptionist::set_trace_sink`] if needed. Dispatch mode carries
+    /// over.
     ///
     /// The fork may run over a *different* transport type than the
     /// prototype — e.g. preprocess in-process, then fork sessions onto
@@ -267,7 +242,6 @@ impl<T: Transport> Receptionist<T> {
             ci: self.ci.clone(),
             next_query_id: 0,
             dispatch: self.dispatch,
-            degrade: self.degrade,
             trace: TraceSink::disabled(),
             cache: self.cache.as_ref().map(|c| CacheState::new(c.config())),
             routing: self.routing.clone(),
@@ -299,11 +273,6 @@ impl<T: Transport> Receptionist<T> {
         self.routing = Some(RoutingWatch { table, last_seen });
     }
 
-    /// The watched routing table's current version, if one is attached.
-    pub fn routing_version(&self) -> Option<u64> {
-        self.routing.as_ref().map(|w| w.table.version())
-    }
-
     /// Folds any routing-table movement into the cache generation.
     fn observe_routing(&mut self) {
         let Some(watch) = self.routing.as_mut() else {
@@ -321,11 +290,6 @@ impl<T: Transport> Receptionist<T> {
     /// Drops all cached state and disables caching.
     pub fn disable_cache(&mut self) {
         self.cache = None;
-    }
-
-    /// True while [`Receptionist::enable_cache`] is in force.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
     }
 
     /// Hit/miss/eviction counters and occupancy for the enabled
@@ -348,11 +312,6 @@ impl<T: Transport> Receptionist<T> {
         }
     }
 
-    /// The sink operations currently record into (disabled by default).
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace
-    }
-
     /// Creates a fresh enabled sink, attaches it, and returns it — call
     /// [`TraceSink::take_traces`] on the returned handle after running
     /// queries.
@@ -360,24 +319,6 @@ impl<T: Transport> Receptionist<T> {
         let sink = TraceSink::new();
         self.set_trace_sink(sink.clone());
         sink
-    }
-
-    /// Attaches a tail-retaining [`FlightRecorder`] of `capacity`
-    /// exemplars to the current sink (enabling a metrics-only sink first
-    /// when none is attached, so recording works without trace
-    /// buffering) and returns a handle for dumping. Completed query
-    /// traces are offered as span-tree exemplars; the recorder keeps the
-    /// slowest plus every faulted or degraded one.
-    ///
-    /// [`FlightRecorder`]: teraphim_obs::FlightRecorder
-    pub fn enable_flight_recorder(&mut self, capacity: usize) -> teraphim_obs::FlightRecorder {
-        if !self.trace.is_enabled() {
-            let registry = Arc::new(teraphim_obs::MetricsRegistry::new());
-            self.set_trace_sink(TraceSink::metrics_only(registry));
-        }
-        let recorder = teraphim_obs::FlightRecorder::new(capacity);
-        self.trace.attach_flight(recorder.clone());
-        recorder
     }
 
     /// Tees the attached sink into a fresh [`MetricsRegistry`] and
@@ -430,22 +371,6 @@ impl<T: Transport> Receptionist<T> {
             cache.observe_failed(&failed);
         }
         report
-    }
-
-    /// The degradation policy applied by
-    /// [`Receptionist::query_with_coverage`].
-    pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade
-    }
-
-    /// Sets the degradation policy.
-    pub fn set_degrade_policy(&mut self, policy: DegradePolicy) {
-        self.degrade = policy;
-    }
-
-    /// Number of librarians.
-    pub fn num_librarians(&self) -> usize {
-        self.transports.len()
     }
 
     /// Chooses how the fan-out is issued: [`DispatchMode::Pipelined`]
@@ -635,11 +560,6 @@ impl<T: Transport> Receptionist<T> {
         self.ci.as_ref().map(|ci| ci.grouped.index_bytes())
     }
 
-    /// The grouped central index, if CI is enabled.
-    pub fn ci_grouped_index(&self) -> Option<&GroupedIndex> {
-        self.ci.as_ref().map(|ci| &ci.grouped)
-    }
-
     /// Per-librarian transport counters, in librarian index order — the
     /// ground truth a trace's per-librarian `sent`/`reply` sums are
     /// checked against.
@@ -731,10 +651,7 @@ impl<T: Transport> Receptionist<T> {
                 terms: terms.clone(),
                 code: methodology.code(),
                 k,
-                min_answered: match on_failure {
-                    OnFailure::Surface => None,
-                    OnFailure::Degrade => Some(self.degrade.min_answered),
-                },
+                degraded: on_failure == OnFailure::Degrade,
             }),
             _ => None,
         };
@@ -784,15 +701,15 @@ impl<T: Transport> Receptionist<T> {
                     docs_permille: coverage.docs_fraction.map(|f| (f * 1000.0).round() as u32),
                 });
             }
-            // The policy counts surviving librarians, not merely
-            // contacted ones. A CI expansion only contacts librarians
-            // holding candidates; the central index answers
-            // *authoritatively* for the rest ("no candidates here"), so
-            // an uncontacted librarian is covered, not missing.
-            // `answered` in the coverage report still lists only
-            // librarians that replied — this is purely the degradation
-            // threshold.
-            if self.transports.len() - coverage.failed.len() < self.degrade.min_answered {
+            // The rule counts surviving librarians, not merely contacted
+            // ones. A CI expansion only contacts librarians holding
+            // candidates; the central index answers *authoritatively*
+            // for the rest ("no candidates here"), so an uncontacted
+            // librarian is covered, not missing. `answered` in the
+            // coverage report still lists only librarians that replied —
+            // this is purely the degradation threshold: one survivor is
+            // better than no answer.
+            if coverage.failed.len() == self.transports.len() {
                 return Err(TeraphimError::InsufficientCoverage {
                     answered: coverage.answered.len(),
                     failed: coverage.failed.len(),
@@ -960,9 +877,8 @@ impl<T: Transport> Receptionist<T> {
     /// answer instead of sinking it: surviving rankings are merged and
     /// the result carries explicit [`Coverage`] metadata. CN and CV
     /// merge whatever arrives; CI re-ranks with the reachable candidate
-    /// owners. Only when fewer than [`DegradePolicy::min_answered`]
-    /// librarians answer does the query fail, with the typed
-    /// [`TeraphimError::InsufficientCoverage`].
+    /// owners. Only when every librarian fails does the query fail, with
+    /// the typed [`TeraphimError::InsufficientCoverage`].
     ///
     /// The merged ranking over the survivors is *byte-identical* to the
     /// ranking the same receptionist would compute if only those
@@ -1117,21 +1033,6 @@ impl<T: Transport> Receptionist<T> {
             phase: Phase::GroupRank,
         });
         Ok(requests)
-    }
-
-    /// Ranks librarians by GlOSS-style goodness for a query (requires CV
-    /// state). Best first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeraphimError::MissingGlobalState`] without CV state.
-    pub fn rank_librarians(&self, query: &str) -> Result<Vec<(usize, f64)>, TeraphimError> {
-        let cv = self
-            .cv
-            .as_ref()
-            .ok_or(TeraphimError::MissingGlobalState("central vocabulary"))?;
-        let terms = self.analyze_query(query);
-        Ok(cv.selection.rank_librarians(&cv.vocab, &cv.stats, &terms))
     }
 
     /// Central Vocabulary evaluation restricted to the `n_libs` best
@@ -1628,13 +1529,9 @@ mod tests {
     #[test]
     fn selection_requires_cv_and_restricts_librarians() {
         let mut r = receptionist();
-        assert!(r.rank_librarians("compression").is_err());
+        assert!(r.query_selected("compression", 5, 1).is_err());
         r.enable_cv().unwrap();
         // "compression inverted" lives only at librarian 0 (A-3).
-        let ranked = r.rank_librarians("compression inverted").unwrap();
-        assert_eq!(ranked[0].0, 0);
-        assert!(ranked[0].1 > ranked[1].1);
-
         let (hits, used) = r.query_selected("compression inverted", 5, 1).unwrap();
         assert_eq!(used, vec![0]);
         assert!(hits.iter().all(|h| h.librarian == 0));
@@ -1719,7 +1616,7 @@ mod tests {
         let answer = r
             .query_with_coverage(Methodology::CentralVocabulary, "cat dog", 4)
             .unwrap();
-        assert!(answer.coverage.is_complete());
+        assert!(!answer.coverage.is_degraded());
         assert_eq!(answer.coverage.answered, vec![0, 1]);
         assert!(answer.coverage.failed.is_empty());
         assert_eq!(answer.coverage.docs_fraction, Some(1.0));
@@ -1793,24 +1690,6 @@ mod tests {
             TeraphimError::InsufficientCoverage {
                 answered: 0,
                 failed: 2
-            }
-        ));
-    }
-
-    #[test]
-    fn degrade_policy_can_require_full_coverage() {
-        use teraphim_net::FaultPlan;
-        let mut r = faulty_receptionist(vec![FaultPlan::new().fail_from(0), FaultPlan::new()]);
-        r.set_degrade_policy(DegradePolicy { min_answered: 2 });
-        assert_eq!(r.degrade_policy().min_answered, 2);
-        let err = r
-            .query_with_coverage(Methodology::CentralNothing, "cat", 3)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            TeraphimError::InsufficientCoverage {
-                answered: 1,
-                failed: 1
             }
         ));
     }
@@ -1953,7 +1832,7 @@ mod tests {
             .unwrap();
         let expected_traffic = reference.traffic();
 
-        let services: Vec<_> = (0..base.num_librarians())
+        let services: Vec<_> = (0..base.transports.len())
             .map(|lib| base.transports[lib].service())
             .collect();
         std::thread::scope(|s| {

@@ -43,16 +43,6 @@ impl SelectionState {
         self.per_librarian.push(stats);
     }
 
-    /// Number of librarians registered.
-    pub fn len(&self) -> usize {
-        self.per_librarian.len()
-    }
-
-    /// True if no librarians are registered.
-    pub fn is_empty(&self) -> bool {
-        self.per_librarian.is_empty()
-    }
-
     /// Per-librarian collection sizes in registration order — what the
     /// degradation path needs to report the fraction of the global
     /// collection a partial answer covers.

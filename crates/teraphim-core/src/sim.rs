@@ -128,9 +128,6 @@ pub struct SimDriver {
     /// numbers the fault plans are evaluated at. Persists across
     /// queries, like a real transport's request counter.
     fault_requests: Vec<u64>,
-    /// Master scenario seed ([`SimDriver::set_seed`]); every stochastic
-    /// consumer derives its stream from this via [`derive_seed`].
-    seed: u64,
     /// Structured trace sink (disabled by default). Simulated queries
     /// emit the same event schema as the real receptionist, stamped
     /// with *virtual* microseconds instead of wall-clock ones.
@@ -290,53 +287,14 @@ impl SimDriver {
             dispatch: DispatchMode::default(),
             fault_plans: vec![None; num_parts],
             fault_requests: vec![0; num_parts],
-            seed: 0,
             trace: TraceSink::disabled(),
         })
-    }
-
-    /// Stamps the master seed all derived randomness flows from. The
-    /// driver itself is deterministic; the seed exists so that plan
-    /// generators and seeded fault schedules built *around* the driver
-    /// share one root instead of each hand-rolling constants.
-    pub fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
-    }
-
-    /// The master seed last stamped with [`SimDriver::set_seed`]
-    /// (0 until then).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// A decorrelated sub-seed for `stream`, derived from the master
-    /// seed — the handle plan generation and fault schedules draw from.
-    pub fn stream_seed(&self, stream: u64) -> u64 {
-        derive_seed(self.seed, stream)
-    }
-
-    /// Installs a seeded random-failure plan for `lib` whose seed is
-    /// derived from the master seed (stream = librarian index), so
-    /// "librarian `lib` fails ~`permille`/1000 of its subqueries" needs
-    /// no per-call seed bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lib` is out of range.
-    pub fn seeded_fault_plan(&mut self, lib: usize, permille: u16) {
-        let seed = self.stream_seed(lib as u64);
-        self.set_fault_plan(lib, FaultPlan::new().seeded_failures(seed, permille));
     }
 
     /// Attaches a trace sink; pass [`TraceSink::disabled`] to stop
     /// tracing.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.trace = sink;
-    }
-
-    /// The sink simulated queries currently record into.
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace
     }
 
     /// Creates a fresh enabled sink labelled `"sim"`, attaches it, and
@@ -365,13 +323,6 @@ impl SimDriver {
     /// Panics if `lib` is out of range.
     pub fn set_fault_plan(&mut self, lib: usize, plan: FaultPlan) {
         self.fault_plans[lib] = Some(plan);
-    }
-
-    /// Removes all fault plans and resets the per-librarian request
-    /// counters, restoring a healthy fleet.
-    pub fn clear_fault_plans(&mut self) {
-        self.fault_plans = vec![None; self.parts.len()];
-        self.fault_requests = vec![0; self.parts.len()];
     }
 
     /// The fault (if any) striking librarian `lib`'s next subquery, and
@@ -413,11 +364,6 @@ impl SimDriver {
             self.parts.iter().map(Collection::index).collect();
         self.grouped = GroupedIndex::build(&indexes, self.ci_params.group_size)?;
         Ok(())
-    }
-
-    /// The grouped central index (for size reports).
-    pub fn grouped(&self) -> &GroupedIndex {
-        &self.grouped
     }
 
     /// The merged mono-server collection.
@@ -1260,9 +1206,8 @@ mod tests {
                 d.set_fault_plan(STRUCK, plan.clone());
             }
             let c = d.time_query(&topo, &cost, mode, q, 10).unwrap();
-            // Clearing the plans restores the healthy fleet (and resets
-            // the request counters the plans are evaluated at).
-            d.clear_fault_plans();
+            // An empty plan restores the healthy fleet.
+            d.set_fault_plan(STRUCK, FaultPlan::new());
             let healed = d.time_query(&topo, &cost, mode, q, 10).unwrap();
             (c, healed, sink.take_traces().swap_remove(0))
         };
@@ -1459,18 +1404,17 @@ mod tests {
         let mode = SimMode::Distributed(Methodology::CentralNothing);
         // One master seed; the per-librarian schedule derives from it,
         // so the same seed reproduces the same virtual history.
+        let lib3_seed = derive_seed(9, 3);
         let run = || {
             let mut d = driver();
-            d.set_seed(9);
             d.set_fault_plan(0, FaultPlan::new().drop_nth(0));
-            d.seeded_fault_plan(3, 500);
+            d.set_fault_plan(3, FaultPlan::new().seeded_failures(lib3_seed, 500));
             let first = d.time_query(&topo, &cost, mode, q, 8).unwrap();
             let second = d.time_query(&topo, &cost, mode, q, 8).unwrap();
-            let lib3_seed = d.stream_seed(3);
-            (first, second, lib3_seed)
+            (first, second)
         };
-        let (a1, a2, lib3_seed) = run();
-        let (b1, b2, _) = run();
+        let (a1, a2) = run();
+        let (b1, b2) = run();
         assert_eq!(a1, b1, "same seed, same virtual history");
         assert_eq!(a2, b2);
         assert_eq!(
@@ -1492,12 +1436,8 @@ mod tests {
     }
 
     #[test]
-    fn derived_seeds_are_stable_and_decorrelated() {
-        let mut d = driver();
-        d.set_seed(42);
-        assert_eq!(d.seed(), 42);
-        assert_eq!(d.stream_seed(0), derive_seed(42, 0));
-        assert_ne!(d.stream_seed(0), d.stream_seed(1));
+    fn derived_seeds_are_decorrelated() {
+        assert_ne!(derive_seed(42, 0), derive_seed(42, 1));
         // A different master seed moves every stream.
         assert_ne!(derive_seed(42, 0), derive_seed(43, 0));
     }

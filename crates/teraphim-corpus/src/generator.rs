@@ -280,12 +280,6 @@ impl SyntheticCorpus {
         &self.subcollections
     }
 
-    /// Ground-truth metadata for every document, in global order
-    /// (subcollection by subcollection).
-    pub fn metas(&self) -> &[DocMeta] {
-        &self.metas
-    }
-
     /// The long query set (ids from
     /// [`queries::LONG_QUERY_BASE_ID`]).
     pub fn long_queries(&self) -> &[Query] {
@@ -436,7 +430,7 @@ mod tests {
             assert_eq!(sub.docs.len(), spec_sub.num_docs);
             assert_eq!(sub.name, spec_sub.name);
         }
-        assert_eq!(corpus.metas().len(), spec.total_docs());
+        assert_eq!(corpus.metas.len(), spec.total_docs());
         assert_eq!(corpus.long_queries().len(), spec.num_long_queries);
         assert_eq!(corpus.short_queries().len(), spec.num_short_queries);
     }
@@ -473,7 +467,7 @@ mod tests {
         let threshold = corpus.spec().relevance_threshold;
         for t in 0..corpus.spec().num_topics {
             for docno in corpus.relevant_docnos(t) {
-                let meta = corpus.metas().iter().find(|m| m.docno == docno).unwrap();
+                let meta = corpus.metas.iter().find(|m| m.docno == docno).unwrap();
                 assert_eq!(meta.topic, Some(t));
                 assert!(meta.topical_fraction >= threshold);
             }
@@ -485,7 +479,7 @@ mod tests {
         let corpus = SyntheticCorpus::generate(&CorpusSpec::small(5));
         let topics_in = |sub: usize| -> std::collections::HashSet<usize> {
             corpus
-                .metas()
+                .metas
                 .iter()
                 .filter(|m| m.sub == sub)
                 .filter_map(|m| m.topic)
@@ -496,7 +490,7 @@ mod tests {
         // uneven; measure via max share.
         let share = |sub: usize| {
             let counts = corpus
-                .metas()
+                .metas
                 .iter()
                 .filter(|m| m.sub == sub)
                 .filter_map(|m| m.topic)

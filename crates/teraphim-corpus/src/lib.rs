@@ -60,15 +60,6 @@ pub struct Subcollection {
 }
 
 impl Subcollection {
-    /// Documents as `(docno, text)` string-slice pairs (the form
-    /// `teraphim_engine::Collection::from_texts` accepts).
-    pub fn as_pairs(&self) -> Vec<(&str, &str)> {
-        self.docs
-            .iter()
-            .map(|d| (d.docno.as_str(), d.text.as_str()))
-            .collect()
-    }
-
     /// Total uncompressed text bytes.
     pub fn text_bytes(&self) -> usize {
         self.docs.iter().map(|d| d.text.len()).sum()

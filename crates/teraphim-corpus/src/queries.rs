@@ -84,7 +84,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn topics() -> TopicSet {
-        TopicSet::generate(8, 40, 2000)
+        TopicSet::generate_full(8, 40, 0, 1.0, 2000)
     }
 
     #[test]
@@ -117,7 +117,7 @@ mod tests {
             // Most terms should come from the topic.
             let members: std::collections::HashSet<String> = set
                 .topic(q.topic)
-                .terms()
+                .terms
                 .iter()
                 .map(|&t| word_for(t))
                 .collect();

@@ -16,22 +16,12 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Topic {
     /// The topic's term ids, most probable first.
-    terms: Vec<usize>,
+    pub(crate) terms: Vec<usize>,
     /// Sampler over positions in `terms` (Zipfian within the topic).
     dist: Zipf,
 }
 
 impl Topic {
-    /// The topic's terms, most probable first.
-    pub fn terms(&self) -> &[usize] {
-        &self.terms
-    }
-
-    /// The `n` most characteristic terms (used for query construction).
-    pub fn top_terms(&self, n: usize) -> &[usize] {
-        &self.terms[..n.min(self.terms.len())]
-    }
-
     /// Draws one term id from the topic distribution.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         self.terms[self.dist.sample(rng)]
@@ -46,19 +36,9 @@ pub struct TopicSet {
 }
 
 impl TopicSet {
-    /// Generates `num_topics` disjoint topics of `terms_per_topic` terms
-    /// each over a vocabulary of `vocab_size`. Equivalent to
-    /// [`TopicSet::generate_with_overlap`] with zero overlap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vocabulary cannot accommodate the requested topics.
-    pub fn generate(num_topics: usize, terms_per_topic: usize, vocab_size: usize) -> TopicSet {
-        Self::generate_with_overlap(num_topics, terms_per_topic, 0, vocab_size)
-    }
-
     /// Generates `num_topics` topics of `terms_per_topic` terms each,
-    /// where consecutive topics share `overlap` terms.
+    /// where consecutive topics share `overlap` terms and terms within a
+    /// topic follow a Zipf law of the given `exponent`.
     ///
     /// Topic cores are taken from the *mid-frequency* band of the
     /// vocabulary (ids after the first 5%), mirroring how topical
@@ -68,25 +48,11 @@ impl TopicSet {
     /// documents perfectly and every methodology saturates at 100%
     /// effectiveness, which real collections never do.
     ///
-    /// # Panics
-    ///
-    /// Panics if `overlap >= terms_per_topic` or the vocabulary cannot
-    /// accommodate the requested topics.
-    pub fn generate_with_overlap(
-        num_topics: usize,
-        terms_per_topic: usize,
-        overlap: usize,
-        vocab_size: usize,
-    ) -> TopicSet {
-        Self::generate_full(num_topics, terms_per_topic, overlap, 1.0, vocab_size)
-    }
-
-    /// [`TopicSet::generate_with_overlap`] with an explicit within-topic
-    /// Zipf exponent. Lower exponents flatten the topic signature:
-    /// documents and queries then sample *different* slices of the topic
-    /// vocabulary, which is what makes retrieval realistically imperfect
-    /// (a steep exponent concentrates every sample on the same few head
-    /// terms and effectiveness saturates).
+    /// Lower exponents flatten the topic signature: documents and
+    /// queries then sample *different* slices of the topic vocabulary,
+    /// which is what makes retrieval realistically imperfect (a steep
+    /// exponent concentrates every sample on the same few head terms and
+    /// effectiveness saturates).
     ///
     /// # Panics
     ///
@@ -150,11 +116,6 @@ impl TopicSet {
     pub fn topic(&self, t: usize) -> &Topic {
         &self.topics[t]
     }
-
-    /// Iterates over the topics.
-    pub fn iter(&self) -> impl Iterator<Item = &Topic> {
-        self.topics.iter()
-    }
 }
 
 #[cfg(test)]
@@ -166,10 +127,10 @@ mod tests {
 
     #[test]
     fn topic_cores_are_disjoint() {
-        let set = TopicSet::generate(20, 50, 5000);
+        let set = TopicSet::generate_full(20, 50, 0, 1.0, 5000);
         let mut seen = HashSet::new();
-        for topic in set.iter() {
-            for &term in topic.terms() {
+        for topic in set.topics.iter() {
+            for &term in &topic.terms {
                 assert!(seen.insert(term), "term {term} in two topics");
             }
         }
@@ -177,20 +138,20 @@ mod tests {
 
     #[test]
     fn topics_avoid_the_zipf_head() {
-        let set = TopicSet::generate(10, 30, 2000);
+        let set = TopicSet::generate_full(10, 30, 0, 1.0, 2000);
         let reserved = 2000 / 20;
-        for topic in set.iter() {
-            assert!(topic.terms().iter().all(|&t| t >= reserved));
+        for topic in set.topics.iter() {
+            assert!(topic.terms.iter().all(|&t| t >= reserved));
         }
     }
 
     #[test]
     fn samples_come_from_the_topic() {
-        let set = TopicSet::generate(5, 40, 1000);
+        let set = TopicSet::generate_full(5, 40, 0, 1.0, 1000);
         let mut rng = StdRng::seed_from_u64(3);
         for t in 0..5 {
             let topic = set.topic(t);
-            let members: HashSet<usize> = topic.terms().iter().copied().collect();
+            let members: HashSet<usize> = topic.terms.iter().copied().collect();
             for _ in 0..200 {
                 assert!(members.contains(&topic.sample(&mut rng)));
             }
@@ -199,10 +160,10 @@ mod tests {
 
     #[test]
     fn sampling_is_skewed_towards_top_terms() {
-        let set = TopicSet::generate(1, 100, 1000);
+        let set = TopicSet::generate_full(1, 100, 0, 1.0, 1000);
         let topic = set.topic(0);
         let mut rng = StdRng::seed_from_u64(9);
-        let first = topic.terms()[0];
+        let first = topic.terms[0];
         let hits = (0..5000)
             .filter(|_| topic.sample(&mut rng) == first)
             .count();
@@ -211,15 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn top_terms_clamps() {
-        let set = TopicSet::generate(1, 10, 1000);
-        assert_eq!(set.topic(0).top_terms(3).len(), 3);
-        assert_eq!(set.topic(0).top_terms(99).len(), 10);
-    }
-
-    #[test]
     #[should_panic(expected = "vocabulary too small")]
     fn oversubscribed_vocabulary_panics() {
-        TopicSet::generate(100, 100, 1000);
+        TopicSet::generate_full(100, 100, 0, 1.0, 1000);
     }
 }

@@ -41,11 +41,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks in the support.
-    pub fn support(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Probability of rank `r`.
     pub fn probability(&self, r: usize) -> f64 {
         if r >= self.cdf.len() {

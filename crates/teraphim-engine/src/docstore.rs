@@ -38,16 +38,6 @@ impl DocStore {
         }
     }
 
-    /// Number of documents stored.
-    pub fn len(&self) -> usize {
-        self.docnos.len()
-    }
-
-    /// True if the store holds no documents.
-    pub fn is_empty(&self) -> bool {
-        self.docnos.is_empty()
-    }
-
     /// The external identifier of `doc`.
     ///
     /// # Panics
@@ -97,19 +87,6 @@ impl DocStore {
             .map_err(|_| EngineError::Corrupt("document decompression failed"))
     }
 
-    /// Decompresses a document's wire bytes with this store's model (the
-    /// receptionist side of a compressed transfer; valid because all
-    /// TERAPHIM components share vocabulary and models).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] if the bytes do not decode.
-    pub fn decompress_external(&self, bytes: &[u8]) -> Result<String, EngineError> {
-        self.model
-            .decompress(bytes)
-            .map_err(|_| EngineError::Corrupt("document decompression failed"))
-    }
-
     /// Total compressed size of all documents.
     pub fn compressed_bytes_total(&self) -> usize {
         self.compressed.iter().map(Vec::len).sum()
@@ -118,15 +95,6 @@ impl DocStore {
     /// Total uncompressed size of all documents.
     pub fn raw_bytes_total(&self) -> usize {
         self.raw_bytes_total
-    }
-
-    /// Mean uncompressed document size in bytes (the paper quotes "over
-    /// two kilobytes" for TREC).
-    pub fn mean_doc_bytes(&self) -> f64 {
-        if self.docnos.is_empty() {
-            return 0.0;
-        }
-        self.raw_bytes_total as f64 / self.docnos.len() as f64
     }
 
     /// Appends documents, compressing them with the *existing* model —
@@ -270,20 +238,9 @@ mod tests {
     }
 
     #[test]
-    fn external_decompression_matches_fetch() {
-        let store = DocStore::build(&docs());
-        let wire = store.compressed_bytes(0).unwrap().to_vec();
-        assert_eq!(
-            store.decompress_external(&wire).unwrap(),
-            store.fetch(0).unwrap()
-        );
-    }
-
-    #[test]
     fn empty_store() {
         let store = DocStore::build(&[]);
-        assert!(store.is_empty());
-        assert_eq!(store.mean_doc_bytes(), 0.0);
+        assert!(store.docnos.is_empty());
         assert_eq!(store.compressed_bytes_total(), 0);
     }
 
@@ -291,9 +248,9 @@ mod tests {
     fn store_serialization_roundtrips() {
         let store = DocStore::build(&docs());
         let restored = DocStore::from_bytes(&store.to_bytes()).unwrap();
-        assert_eq!(restored.len(), store.len());
+        assert_eq!(restored.docnos, store.docnos);
         assert_eq!(restored.raw_bytes_total(), store.raw_bytes_total());
-        for d in 0..store.len() as DocId {
+        for d in 0..store.docnos.len() as DocId {
             assert_eq!(restored.docno(d), store.docno(d));
             assert_eq!(restored.fetch(d).unwrap(), store.fetch(d).unwrap());
         }
@@ -306,12 +263,5 @@ mod tests {
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(DocStore::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn mean_doc_bytes() {
-        let store = DocStore::build(&docs());
-        let expected = docs().iter().map(|d| d.text.len()).sum::<usize>() as f64 / 3.0;
-        assert!((store.mean_doc_bytes() - expected).abs() < 1e-9);
     }
 }

@@ -140,11 +140,6 @@ impl Collection {
         self.index.num_docs()
     }
 
-    /// The text analyzer used at indexing time.
-    pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
     /// The underlying inverted index.
     pub fn index(&self) -> &InvertedIndex {
         &self.index
@@ -602,7 +597,7 @@ mod tests {
         }])
         .unwrap();
         let shared = &c;
-        let queried = c.analyzer().analyze("cat walrus");
+        let queried = c.analyzer.analyze("cat walrus");
         let terms = || queried.iter().map(String::as_str).zip([1.5, 0.5]);
         let mut query = Vec::new();
         let qnorm = shared.resolve_weighted(terms(), &mut query);

@@ -9,8 +9,8 @@
 //!   count, "an important way of quantifying retrieval effectiveness
 //!   \[when\] one screen of titles contains 20 lines".
 //!
-//! Plus the standard companions (precision@k, recall@k, average
-//! precision / MAP, R-precision) used by the extended experiments.
+//! Plus the standard companions (precision@k, average precision / MAP)
+//! used by the extended experiments.
 //!
 //! # Examples
 //!
@@ -65,11 +65,6 @@ impl Judgments {
             .is_some_and(|set| set.contains(docno))
     }
 
-    /// Queries that have at least one relevant document.
-    pub fn queries(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.by_query.keys().copied()
-    }
-
     /// Parses TREC qrels format: `topic 0 docno judgment` per line.
     ///
     /// Lines with judgment `0` are ignored; malformed lines are skipped.
@@ -122,11 +117,6 @@ impl QueryEval {
         }
     }
 
-    /// Number of documents in the evaluated ranking.
-    pub fn retrieved(&self) -> usize {
-        self.relevance.len()
-    }
-
     /// Precision after `k` documents (0.0 when `k == 0`).
     pub fn precision_at(&self, k: usize) -> f64 {
         if k == 0 {
@@ -140,15 +130,6 @@ impl QueryEval {
     /// "relevant docs in top 20" when `k = 20`).
     pub fn relevant_in_top(&self, k: usize) -> usize {
         self.relevance.iter().take(k).filter(|&&r| r).count()
-    }
-
-    /// Recall after `k` documents (0.0 when the query has no relevant
-    /// documents).
-    pub fn recall_at(&self, k: usize) -> f64 {
-        if self.relevant_total == 0 {
-            return 0.0;
-        }
-        self.relevant_in_top(k) as f64 / self.relevant_total as f64
     }
 
     /// Non-interpolated average precision (the MAP contribution).
@@ -165,12 +146,6 @@ impl QueryEval {
             }
         }
         sum / self.relevant_total as f64
-    }
-
-    /// R-precision: precision at rank R where R is the number of relevant
-    /// documents.
-    pub fn r_precision(&self) -> f64 {
-        self.precision_at(self.relevant_total)
     }
 
     /// Interpolated precision at the given recall level in `[0, 1]`:
@@ -283,7 +258,6 @@ mod tests {
         let e = eval(&["a", "b"], &["a", "b", "c", "d"]);
         assert!((e.eleven_point_average() - 1.0).abs() < 1e-12);
         assert!((e.average_precision() - 1.0).abs() < 1e-12);
-        assert!((e.r_precision() - 1.0).abs() < 1e-12);
         assert_eq!(e.relevant_in_top(20), 2);
     }
 
@@ -300,8 +274,6 @@ mod tests {
         let e = eval(&[], &["a", "b"]);
         assert_eq!(e.eleven_point_average(), 0.0);
         assert_eq!(e.average_precision(), 0.0);
-        assert_eq!(e.recall_at(2), 0.0);
-        assert!(!e.r_precision().is_nan());
     }
 
     #[test]
@@ -346,20 +318,6 @@ mod tests {
         // level (recall jumps 0 -> 1 at rank 2).
         let e = eval(&["b"], &["x", "b"]);
         assert!((e.eleven_point_average() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn recall_at_k() {
-        let e = eval(&["a", "b", "c", "d"], &["a", "x", "b"]);
-        assert!((e.recall_at(1) - 0.25).abs() < 1e-12);
-        assert!((e.recall_at(3) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_precision_hand_computed() {
-        // R = 2, top-2 contains 1 relevant -> 0.5.
-        let e = eval(&["a", "b"], &["a", "x", "b"]);
-        assert!((e.r_precision() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -445,10 +403,8 @@ mod proptests {
         fn metrics_are_bounded(e in arbitrary_eval()) {
             prop_assert!((0.0..=1.0).contains(&e.eleven_point_average()));
             prop_assert!((0.0..=1.0).contains(&e.average_precision()));
-            prop_assert!((0.0..=1.0).contains(&e.r_precision()));
             for k in [1, 5, 20, 1000] {
                 prop_assert!((0.0..=1.0).contains(&e.precision_at(k)));
-                prop_assert!((0.0..=1.0).contains(&e.recall_at(k)));
             }
         }
 
@@ -459,16 +415,6 @@ mod proptests {
                 let p = e.interpolated_precision(i as f64 / 10.0);
                 prop_assert!(p <= prev + 1e-12);
                 prev = p;
-            }
-        }
-
-        #[test]
-        fn recall_monotone_in_k(e in arbitrary_eval()) {
-            let mut prev = 0.0;
-            for k in 0..e.retrieved() {
-                let r = e.recall_at(k + 1);
-                prop_assert!(r + 1e-12 >= prev);
-                prev = r;
             }
         }
     }

@@ -45,11 +45,6 @@ impl IndexBuilder {
         Self::default()
     }
 
-    /// Number of documents added so far.
-    pub fn num_docs(&self) -> u64 {
-        self.doc_lengths.len() as u64
-    }
-
     /// Adds a document given its analyzed term sequence; returns its id.
     pub fn add_document<S: AsRef<str>>(&mut self, terms: &[S]) -> DocId {
         let mut ids = std::mem::take(&mut self.ids);
@@ -248,23 +243,6 @@ impl InvertedIndex {
         self.weights = weights;
     }
 
-    /// Builds skip tables for every list at a chosen interval, replacing
-    /// any built so far ([`InvertedIndex::skip_cursor`] needs no such
-    /// call: it builds at [`DEFAULT_SKIP_EVERY`] as lists are sought in).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::Corrupt`] if a list fails to decode.
-    pub fn build_skips(&mut self, skip_every: u32) -> Result<(), IndexError> {
-        let tables = self
-            .lists
-            .iter()
-            .map(|list| SkipTable::build(list, skip_every).map(OnceLock::from))
-            .collect::<Result<Vec<_>, _>>()?;
-        self.skip_tables = OnceLock::from(tables);
-        Ok(())
-    }
-
     /// A seeking cursor over `term`'s list. The list's skip table is
     /// built on its first cursor and kept; that needs only `&self`, so
     /// queries sharing one index may both build a table (one copy is
@@ -438,7 +416,7 @@ mod tests {
         let mut b = IndexBuilder::new();
         assert_eq!(b.add_document(&doc(&["a"])), 0);
         assert_eq!(b.add_document(&doc(&["b"])), 1);
-        assert_eq!(b.num_docs(), 2);
+        assert_eq!(b.doc_lengths.len(), 2);
     }
 
     #[test]
@@ -640,10 +618,11 @@ mod tests {
 
     #[test]
     fn index_bytes_counts_all_sections() {
-        let mut index = small_index();
+        let index = small_index();
         let without_skips = index.index_bytes();
         assert!(without_skips > 0);
-        index.build_skips(2).unwrap();
+        let sat = index.vocab().term_id("sat").unwrap();
+        index.skip_cursor(sat).unwrap();
         assert!(index.index_bytes() > without_skips);
     }
 }

@@ -45,9 +45,6 @@ pub struct GroupedIndex {
     /// Global *document*-level statistics (merged over subcollections);
     /// used to compute the query weights shipped to librarians.
     doc_stats: CollectionStats,
-    /// Mapping from the grouped index's global term ids to nothing — the
-    /// grouped index vocabulary *is* the global vocabulary.
-    group_size: u32,
     total_docs: u64,
 }
 
@@ -133,13 +130,7 @@ impl GroupedIndex {
             spans,
             total_docs: doc_stats.num_docs(),
             doc_stats,
-            group_size,
         })
-    }
-
-    /// The group size `G`.
-    pub fn group_size(&self) -> u32 {
-        self.group_size
     }
 
     /// Number of groups.

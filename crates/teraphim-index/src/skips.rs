@@ -43,7 +43,6 @@ struct SkipEntry {
 #[derive(Debug, Clone)]
 pub struct SkipTable {
     skips: Vec<SkipEntry>,
-    skip_every: u32,
 }
 
 impl SkipTable {
@@ -80,22 +79,7 @@ impl SkipTable {
                 prev_doc + gap as DocId
             };
         }
-        Ok(SkipTable { skips, skip_every })
-    }
-
-    /// The interval between sync points, in postings.
-    pub fn skip_every(&self) -> u32 {
-        self.skip_every
-    }
-
-    /// Number of sync points.
-    pub fn len(&self) -> usize {
-        self.skips.len()
-    }
-
-    /// True if the underlying list was empty.
-    pub fn is_empty(&self) -> bool {
-        self.skips.is_empty()
+        Ok(SkipTable { skips })
     }
 
     /// Approximate size of the table in bytes (for index-size
@@ -220,23 +204,21 @@ impl<'a> SkipCursor<'a> {
             }
         }
     }
-
-    /// Convenience: the frequency of exactly `target`, if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::Corrupt`] on a malformed stream.
-    pub fn frequency_of(&mut self, target: DocId) -> Result<Option<u32>, IndexError> {
-        Ok(self
-            .seek(target)?
-            .and_then(|p| (p.doc == target).then_some(p.f_dt)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::postings::Lists;
+
+    impl SkipCursor<'_> {
+        /// The frequency of exactly `target`, if present.
+        pub(crate) fn frequency_of(&mut self, target: DocId) -> Result<Option<u32>, IndexError> {
+            Ok(self
+                .seek(target)?
+                .and_then(|p| (p.doc == target).then_some(p.f_dt)))
+        }
+    }
 
     fn make_list(docs: &[(DocId, u32)]) -> Lists {
         let postings: Vec<Posting> = docs
@@ -286,7 +268,7 @@ mod tests {
         let lists = make_list(&[]);
         let list = lists.get(0).unwrap();
         let table = SkipTable::build(list, 4).unwrap();
-        assert!(table.is_empty());
+        assert!(table.skips.is_empty());
         let mut cursor = table.cursor(list);
         assert_eq!(cursor.seek(0).unwrap(), None);
     }
@@ -317,9 +299,9 @@ mod tests {
         let list = lists.get(0).unwrap();
         let fine = SkipTable::build(list, 8).unwrap();
         let coarse = SkipTable::build(list, 128).unwrap();
-        assert!(fine.len() > coarse.len());
-        assert_eq!(fine.len(), 125);
-        assert_eq!(coarse.len(), 8);
+        assert!(fine.skips.len() > coarse.skips.len());
+        assert_eq!(fine.skips.len(), 125);
+        assert_eq!(coarse.skips.len(), 8);
         assert!(fine.byte_len() > coarse.byte_len());
     }
 

@@ -17,11 +17,6 @@ pub struct DocWeights {
 }
 
 impl DocWeights {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Wraps a precomputed weight vector (indexed by [`DocId`]).
     pub fn from_vec(weights: Vec<f64>) -> Self {
         DocWeights { weights }
@@ -133,7 +128,7 @@ mod tests {
 
     #[test]
     fn push_and_len() {
-        let mut table = DocWeights::new();
+        let mut table = DocWeights::default();
         assert!(table.is_empty());
         table.push(0.5);
         table.push(1.5);

@@ -127,11 +127,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// True if the plan can never inject anything.
-    pub fn is_healthy(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     fn rule(mut self, matcher: Matcher, action: FaultAction) -> Self {
         self.rules.push((matcher, action));
         self
@@ -313,16 +308,6 @@ impl<T: Transport> FaultyTransport<T> {
     pub fn attempts(&self) -> u64 {
         self.sent
     }
-
-    /// The handle on the plan in force.
-    pub fn plan(&self) -> &SharedPlan {
-        &self.plan
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
@@ -457,7 +442,7 @@ mod tests {
     #[test]
     fn empty_plan_is_transparent() {
         let plan = FaultPlan::new();
-        assert!(plan.is_healthy());
+        assert!(plan.rules.is_empty());
         let mut t = FaultyTransport::new(InProcTransport::new(Echo), plan);
         for i in 0..5 {
             assert!(t.request(&rank(i)).is_ok());
@@ -551,7 +536,7 @@ mod tests {
     #[test]
     fn a_swapped_plan_applies_from_the_next_begin_and_the_counter_runs_on() {
         let mut t = FaultyTransport::new(InProcTransport::new(Echo), FaultPlan::new());
-        let plan = t.plan().clone();
+        let plan = t.plan.clone();
         let begun = t.begin(&rank(0));
         plan.set(FaultPlan::new().fail_from(0));
         assert_eq!(query_id(t.finish(begun)), Ok(0), "drawn before the swap");

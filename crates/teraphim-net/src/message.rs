@@ -198,24 +198,6 @@ pub enum Message {
         /// phase — which is also what pre-tracing peers decode to.
         server_phases: Vec<(u32, u64)>,
     },
-    /// Admin request: ask a fleet node for its current shard→replica
-    /// routing table. Any node holding a
-    /// [`crate::replica::RoutingTable`] answers; nodes without one
-    /// answer [`Message::Error`].
-    RoutingRequest,
-    /// Admin response: a versioned snapshot of the routing table. The
-    /// version is bumped on every membership change (join, leave,
-    /// promote), so receptionists can detect movement with one integer
-    /// compare and re-key caches.
-    RoutingReply {
-        /// Monotonic routing-table version (fleet generation input).
-        version: u64,
-        /// One entry per shard: `(shard, live replica ids, preferred
-        /// replica id)`. Replica ids are stable for the life of the
-        /// fleet; the preferred id is always a member of the live list
-        /// unless the shard has no replicas (empty list, preferred 0).
-        shards: Vec<(u32, Vec<u32>, u32)>,
-    },
     /// Admin request: dump the librarian's flight recorder — the
     /// retained tail-latency span-tree exemplars. Librarians without an
     /// attached recorder answer an empty dump, not an error.
@@ -248,8 +230,8 @@ const TAG_BOOL_RESP: u8 = 16;
 const TAG_UNAVAILABLE: u8 = 17;
 const TAG_ADMIN_STATS: u8 = 18;
 const TAG_ADMIN_STATS_REPLY: u8 = 19;
-const TAG_ROUTING_REQ: u8 = 20;
-const TAG_ROUTING_REPLY: u8 = 21;
+// 20 and 21 are retired: a new message takes the next free tag, so a
+// frame from an older peer never decodes as a different message.
 const TAG_FLIGHTREC_REQ: u8 = 22;
 const TAG_FLIGHTREC_REPLY: u8 = 23;
 
@@ -263,17 +245,13 @@ fn room(n: u64, rest: &[u8], pos: usize, width: usize) -> usize {
 }
 
 impl Message {
-    /// Admin traffic: health polls, routing-table fetches and
-    /// flight-recorder dumps. Services answer these out of band (not
-    /// counted, not timed), and transports never attach a span context
+    /// Admin traffic: health polls and flight-recorder dumps. Services
+    /// answer these out of band (not counted, not timed), and transports never attach a span context
     /// to them — so polling a fleet perturbs neither the server-side
     /// phase ledger nor the flight recorder it reads.
     #[must_use]
     pub fn is_admin(&self) -> bool {
-        matches!(
-            self,
-            Message::Stats | Message::RoutingRequest | Message::FlightRecRequest
-        )
+        matches!(self, Message::Stats | Message::FlightRecRequest)
     }
 
     /// Encodes to the compact wire form.
@@ -463,20 +441,6 @@ impl Message {
                 for (phase, micros) in server_phases {
                     put_uint(out, u64::from(*phase));
                     put_uint(out, *micros);
-                }
-            }
-            Message::RoutingRequest => out.push(TAG_ROUTING_REQ),
-            Message::RoutingReply { version, shards } => {
-                out.push(TAG_ROUTING_REPLY);
-                put_uint(out, *version);
-                put_uint(out, shards.len() as u64);
-                for (shard, replicas, preferred) in shards {
-                    put_uint(out, u64::from(*shard));
-                    put_uint(out, replicas.len() as u64);
-                    for r in replicas {
-                        put_uint(out, u64::from(*r));
-                    }
-                    put_uint(out, u64::from(*preferred));
                 }
             }
             Message::FlightRecRequest => out.push(TAG_FLIGHTREC_REQ),
@@ -704,23 +668,6 @@ impl Message {
                     server_phases,
                 }
             }
-            TAG_ROUTING_REQ => Message::RoutingRequest,
-            TAG_ROUTING_REPLY => {
-                let version = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)?;
-                let mut shards = Vec::with_capacity(room(n, rest, pos, 3));
-                for _ in 0..n {
-                    let shard = get_uint(rest, &mut pos)? as u32;
-                    let nr = get_uint(rest, &mut pos)?;
-                    let mut replicas = Vec::with_capacity(room(nr, rest, pos, 1));
-                    for _ in 0..nr {
-                        replicas.push(get_uint(rest, &mut pos)? as u32);
-                    }
-                    let preferred = get_uint(rest, &mut pos)? as u32;
-                    shards.push((shard, replicas, preferred));
-                }
-                Message::RoutingReply { version, shards }
-            }
             TAG_FLIGHTREC_REQ => Message::FlightRecRequest,
             TAG_FLIGHTREC_REPLY => Message::FlightRecReply {
                 json: get_str(rest, &mut pos)?,
@@ -761,8 +708,6 @@ impl Message {
             Message::Unavailable { .. } => "Unavailable",
             Message::Stats => "Stats",
             Message::StatsReply { .. } => "StatsReply",
-            Message::RoutingRequest => "RoutingRequest",
-            Message::RoutingReply { .. } => "RoutingReply",
             Message::FlightRecRequest => "FlightRecRequest",
             Message::FlightRecReply { .. } => "FlightRecReply",
         }
@@ -1018,15 +963,6 @@ mod tests {
             latency: vec![],
             server_phases: vec![],
         });
-        roundtrip(Message::RoutingRequest);
-        roundtrip(Message::RoutingReply {
-            version: 7,
-            shards: vec![(0, vec![0, 43], 43), (1, vec![1], 1), (2, vec![], 0)],
-        });
-        roundtrip(Message::RoutingReply {
-            version: 0,
-            shards: vec![],
-        });
         roundtrip(Message::FlightRecRequest);
         roundtrip(Message::FlightRecReply {
             json: "{\"flightrec\":true,\"retained\":0,\"recorded\":0,\"dropped\":0}\n".into(),
@@ -1161,10 +1097,6 @@ mod tests {
                 epoch: 2,
                 latency: vec![(4, 2), (11, 6)],
                 server_phases: vec![(1, 800)],
-            },
-            Message::RoutingReply {
-                version: 9,
-                shards: vec![(0, vec![0, 300], 300), (5, vec![5], 5)],
             },
         ];
         for msg in msgs {

@@ -205,11 +205,6 @@ impl MuxConnection {
         self.traffic.snapshot()
     }
 
-    /// Exchanges sent and not yet finished or abandoned.
-    pub fn in_flight(&self) -> usize {
-        self.state().slots.len()
-    }
-
     /// Whether the connection has been found dead.
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
@@ -415,16 +410,6 @@ impl MuxPool {
             .unwrap_or(&self.conns[start % n])
     }
 
-    /// Number of connections in the pool.
-    pub fn connections(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// Completed payload traffic per connection, in pool order.
-    pub fn per_connection_traffic(&self) -> Vec<TrafficStats> {
-        self.conns.iter().map(|c| c.traffic()).collect()
-    }
-
     /// Completed payload traffic summed over the pool.
     pub fn traffic(&self) -> TrafficStats {
         let mut total = TrafficStats::default();
@@ -432,11 +417,6 @@ impl MuxPool {
             total.absorb(&c.traffic());
         }
         total
-    }
-
-    /// Exchanges currently in flight across the pool.
-    pub fn in_flight(&self) -> usize {
-        self.conns.iter().map(|c| c.in_flight()).sum()
     }
 }
 
@@ -510,21 +490,6 @@ impl MuxTransport {
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Sets or clears the reply-wait deadline.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
-    }
-
-    /// The reply-wait deadline, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The shared connection pool.
-    pub fn pool(&self) -> Arc<MuxPool> {
-        Arc::clone(&self.pool)
     }
 }
 
@@ -609,6 +574,27 @@ mod tests {
     use crate::transport::Service;
     use crate::wire::tests::framed;
     use std::sync::Barrier;
+
+    impl MuxConnection {
+        /// Exchanges sent and not yet finished or abandoned.
+        pub(crate) fn in_flight(&self) -> usize {
+            self.state().slots.len()
+        }
+    }
+
+    impl MuxPool {
+        /// Exchanges currently in flight across the pool.
+        pub(crate) fn in_flight(&self) -> usize {
+            self.conns.iter().map(|c| c.in_flight()).sum()
+        }
+    }
+
+    impl MuxTransport {
+        /// The shared connection pool.
+        pub(crate) fn pool(&self) -> Arc<MuxPool> {
+            Arc::clone(&self.pool)
+        }
+    }
 
     struct Echo;
 
@@ -888,7 +874,7 @@ mod tests {
             assert!(matches!(resp, Message::RankResponse { query_id, .. } if query_id == i));
         }
         assert!(pool.conns[0].is_dead(), "the pick saw the close");
-        assert_eq!(pool.per_connection_traffic()[1].round_trips, 6);
+        assert_eq!(pool.conns[1].traffic().round_trips, 6);
         drop((t, pool));
         peer.join().unwrap();
     }
@@ -905,7 +891,7 @@ mod tests {
                 MuxPool::connect(listener.local_addr().unwrap(), 1, TcpOptions::default()).unwrap();
             drop(listener.accept().unwrap());
             let mut t = MuxTransport::new(Arc::clone(&pool));
-            t.set_deadline(deadline);
+            t.deadline = deadline;
             let start = Instant::now();
             assert_eq!(t.request(&rank(1)), Err(NetError::Disconnected));
             assert!(start.elapsed() < Duration::from_secs(2), "{deadline:?}");
@@ -957,7 +943,7 @@ mod tests {
             .map(|worker| {
                 let mut t = MuxTransport::new(Arc::clone(&pool));
                 if worker % 3 == 0 {
-                    t.set_deadline(Some(Duration::from_secs(120)));
+                    t = t.with_deadline(Duration::from_secs(120));
                 }
                 std::thread::spawn(move || {
                     // Threads end one by one: a lost wake-up strands a

@@ -25,8 +25,7 @@
 //! [`ReplicaGroup::remove_replica`] (leave) while queries are in flight,
 //! and every change is published to a shared [`RoutingTable`] whose
 //! monotonic version feeds the receptionist's cache-generation path —
-//! one integer compare per query detects membership movement. The table
-//! serializes as [`Message::RoutingReply`] so fleets can gossip it.
+//! one integer compare per query detects membership movement.
 
 use crate::message::Message;
 use crate::transport::{Ticket, TicketState, TrafficStats, Transport};
@@ -124,54 +123,6 @@ impl RoutingTable {
         t.version += 1;
         t.shards.insert(shard, (replicas, preferred));
         t.version
-    }
-
-    /// A wire snapshot of the table ([`Message::RoutingReply`]).
-    #[must_use]
-    pub fn to_message(&self) -> Message {
-        let t = self.lock();
-        Message::RoutingReply {
-            version: t.version,
-            shards: t
-                .shards
-                .iter()
-                .map(|(&shard, (replicas, preferred))| (shard, replicas.clone(), *preferred))
-                .collect(),
-        }
-    }
-
-    /// Answers an admin request against this table:
-    /// [`Message::RoutingRequest`] gets a [`Message::RoutingReply`];
-    /// anything else is not ours (`None`).
-    #[must_use]
-    pub fn answer(&self, request: &Message) -> Option<Message> {
-        match request {
-            Message::RoutingRequest => Some(self.to_message()),
-            _ => None,
-        }
-    }
-
-    /// Adopts a peer's snapshot if it is strictly newer than ours.
-    /// Returns `true` when the table changed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Corrupt`] if `snapshot` is not a
-    /// [`Message::RoutingReply`].
-    pub fn apply(&self, snapshot: &Message) -> Result<bool, NetError> {
-        let Message::RoutingReply { version, shards } = snapshot else {
-            return Err(NetError::Corrupt("not a routing snapshot"));
-        };
-        let mut t = self.lock();
-        if *version <= t.version {
-            return Ok(false);
-        }
-        t.version = *version;
-        t.shards = shards
-            .iter()
-            .map(|(shard, replicas, preferred)| (*shard, (replicas.clone(), *preferred)))
-            .collect();
-        Ok(true)
     }
 
     /// The live replica ids and preferred replica for `shard`, if known.
@@ -376,24 +327,6 @@ impl<T: Transport> ReplicaGroup<T> {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, GroupInner<T>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The shard index this group serves.
-    #[must_use]
-    pub fn shard(&self) -> u32 {
-        self.lock().shard
-    }
-
-    /// Number of live replicas.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock().replicas.len()
-    }
-
-    /// True when no replica is live (every request fails transiently).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lock().replicas.is_empty()
     }
 
     /// Live replica ids in attempt order (preferred first is **not**
@@ -854,25 +787,6 @@ mod tests {
         let best = group.prefer_by(|id| if id == 20 { 2 } else { 0 });
         assert_eq!(best, Some(10));
         assert_eq!(group.preferred_id(), Some(10));
-    }
-
-    #[test]
-    fn routing_table_snapshot_roundtrip_and_apply() {
-        let table = RoutingTable::new();
-        table.publish(0, vec![0, 43], 43);
-        table.publish(1, vec![1], 1);
-        let snapshot = table.to_message();
-        let answered = table.answer(&Message::RoutingRequest).unwrap();
-        assert_eq!(snapshot, answered);
-        assert!(table.answer(&Message::Stats).is_none());
-
-        let follower = RoutingTable::new();
-        assert!(follower.apply(&snapshot).unwrap());
-        assert_eq!(follower.version(), table.version());
-        assert_eq!(follower.shard(0), Some((vec![0, 43], 43)));
-        // Stale snapshots are ignored.
-        assert!(!follower.apply(&snapshot).unwrap());
-        assert!(follower.apply(&Message::Stats).is_err());
     }
 
     #[test]

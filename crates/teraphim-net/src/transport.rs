@@ -158,16 +158,6 @@ impl AtomicTrafficStats {
         self.bytes_received.fetch_add(received, Ordering::Relaxed);
     }
 
-    /// Merges a worker's locally accumulated counters.
-    pub fn absorb(&self, other: &TrafficStats) {
-        self.round_trips
-            .fetch_add(other.round_trips, Ordering::Relaxed);
-        self.bytes_sent
-            .fetch_add(other.bytes_sent, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(other.bytes_received, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> TrafficStats {
         TrafficStats {
@@ -336,15 +326,6 @@ impl<S: Service> InProcTransport<S> {
         }
     }
 
-    /// Attaches a trace sink: a deadline expiry records a `timeout`
-    /// event tagged with `librarian`.
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceSink, librarian: u32) -> Self {
-        self.trace = trace;
-        self.librarian = librarian;
-        self
-    }
-
     /// Sets a per-request deadline: if the service (queueing included)
     /// takes longer than this, the request fails with
     /// [`NetError::Timeout`]. The response, when it eventually
@@ -355,16 +336,6 @@ impl<S: Service> InProcTransport<S> {
     pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Sets or clears the per-request deadline on an existing transport.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Duration>) {
-        self.deadline = deadline;
-    }
-
-    /// The per-request deadline, if one is set.
-    pub fn deadline(&self) -> Option<std::time::Duration> {
-        self.deadline
     }
 
     /// The shared service handle.
@@ -537,7 +508,7 @@ mod tests {
         assert_eq!(stats.bytes_received, 0);
         assert_eq!(t.last_exchange().1, 0);
         // Clearing the deadline restores normal service.
-        t.set_deadline(None);
+        t.deadline = None;
         assert!(t.request(&Message::StatsRequest).is_ok());
     }
 
@@ -545,7 +516,7 @@ mod tests {
     fn generous_deadline_does_not_fire() {
         use std::time::Duration;
         let mut t = InProcTransport::new(Echo).with_deadline(Duration::from_secs(5));
-        assert_eq!(t.deadline(), Some(Duration::from_secs(5)));
+        assert_eq!(t.deadline, Some(Duration::from_secs(5)));
         assert!(t.request(&Message::StatsRequest).is_ok());
     }
 
@@ -585,15 +556,6 @@ mod tests {
         assert_eq!(total.round_trips, 8_000);
         assert_eq!(total.bytes_sent, 24_000);
         assert_eq!(total.bytes_received, 56_000);
-
-        let extra = TrafficStats {
-            round_trips: 1,
-            bytes_sent: 2,
-            bytes_received: 3,
-        };
-        shared.absorb(&extra);
-        assert_eq!(shared.snapshot().round_trips, 8_001);
-        assert_eq!(shared.snapshot().total_bytes(), 80_005);
     }
 
     #[test]

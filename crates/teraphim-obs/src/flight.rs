@@ -10,7 +10,7 @@
 //! the span tree and never calls it when recording is off or the
 //! recorder is detached.
 
-use crate::json::push_escaped;
+use crate::json::{obj, push_line};
 use crate::span::SpanTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -156,20 +156,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Number of retained entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.entries.lock().expect("flight lock").len())
-    }
-
-    /// True when nothing is retained (or the recorder is detached).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Total entries offered to an attached recorder.
     #[must_use]
     pub fn recorded(&self) -> u64 {
@@ -197,38 +183,30 @@ impl FlightRecorder {
         out
     }
 
-    /// Drops all retained entries and resets counters.
-    pub fn clear(&self) {
-        if let Some(inner) = &self.inner {
-            inner.entries.lock().expect("flight lock").clear();
-            inner.recorded.store(0, Ordering::Relaxed);
-            inner.dropped.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Dumps the retained exemplars as line-oriented JSON: one summary
     /// header, then per exemplar a summary line followed by its span
     /// tree (already line-oriented), slowest exemplar first.
     #[must_use]
     pub fn dump_json(&self) -> String {
-        use std::fmt::Write as _;
         let entries = self.entries();
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"flightrec\":true,\"retained\":{},\"recorded\":{},\"dropped\":{}}}",
-            entries.len(),
-            self.recorded(),
-            self.dropped()
-        );
+        let header = obj(vec![
+            ("flightrec", true.into()),
+            ("retained", (entries.len() as u64).into()),
+            ("recorded", self.recorded().into()),
+            ("dropped", self.dropped().into()),
+        ]);
+        push_line(&mut out, &header);
         for e in &entries {
-            let _ = write!(out, "{{\"exemplar\":{{\"trace_id\":{},\"op\":", e.trace_id);
-            push_escaped(&mut out, &e.op);
-            let _ = writeln!(
-                out,
-                ",\"query_id\":{},\"duration_micros\":{},\"faulted\":{},\"degraded\":{}}}}}",
-                e.query_id, e.duration_micros, e.faulted, e.degraded
-            );
+            let summary = obj(vec![
+                ("trace_id", e.trace_id.into()),
+                ("op", e.op.as_str().into()),
+                ("query_id", e.query_id.into()),
+                ("duration_micros", e.duration_micros.into()),
+                ("faulted", e.faulted.into()),
+                ("degraded", e.degraded.into()),
+            ]);
+            push_line(&mut out, &obj(vec![("exemplar", summary)]));
             out.push_str(&e.json);
             if !e.json.ends_with('\n') {
                 out.push('\n');
@@ -260,7 +238,7 @@ mod tests {
         let rec = FlightRecorder::disabled();
         rec.record_entry(|| panic!("builder must not run when disabled"));
         assert!(!rec.is_enabled());
-        assert!(rec.is_empty());
+        assert!(rec.entries().is_empty());
         assert_eq!(rec.recorded(), 0);
     }
 
@@ -295,7 +273,7 @@ mod tests {
         assert!(kept.iter().all(FlightEntry::pinned));
         // All pinned + full: budget is hard; oldest pinned is evicted.
         rec.retain(entry(3, true, true));
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.entries().len(), 2);
         let kept = rec.entries();
         assert!(kept.iter().any(|e| e.duration_micros == 3));
         // A plain entry cannot displace pinned exemplars.
@@ -332,14 +310,5 @@ mod tests {
             line.starts_with(r#"{"exemplar":{"trace_id":10,"op":"A\"B\\C","query_id":10,"#),
             "{line}"
         );
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let rec = FlightRecorder::new(2);
-        rec.retain(entry(10, false, false));
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.recorded(), 0);
     }
 }

@@ -25,8 +25,11 @@
 //!   deterministic for golden-fixture comparison, and
 //!   [`QueryTrace::metrics`] rolls a trace up into per-phase durations and
 //!   its [`Counts`].
+//! * [`Json`] — the workspace's one JSON value, parser and renderer (no
+//!   serde): traces, span trees, flight-recorder dumps and scenario plans
+//!   are all built as values and rendered by it.
 //! * [`traces_to_json`] / [`diff_json`] — a stable line-oriented JSON
-//!   encoding (no serde) and the structural diff used by the golden tests.
+//!   encoding and the structural diff used by the golden tests.
 //! * [`Count`] / [`Counts`] — the counter catalogue: every event-derived
 //!   count is one row (its Prometheus family, labels and help), mapped
 //!   from events by one function; [`Counts`] holds them — fleet-wide,
@@ -43,8 +46,8 @@
 //!   per-phase server-side timings piggybacked on replies, and the
 //!   client-side stitching of a trace into one span tree per query.
 //! * [`FlightRecorder`] — a fixed-size exemplar buffer with tail-based
-//!   retention (slowest + all faulted/degraded queries), attached to a
-//!   sink via [`TraceSink::attach_flight`].
+//!   retention (slowest + all faulted/degraded queries), kept by a
+//!   librarian for the server-side spans of the requests it serves.
 //!
 //! [`SimDriver`]: https://docs.rs/teraphim-core
 
@@ -58,7 +61,7 @@ pub mod trace;
 
 pub use event::{EventKind, LibCandidates, Phase, TraceEvent};
 pub use flight::{FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use json::{diff_json, traces_to_json};
+pub use json::{diff_json, traces_to_json, Json, JsonError};
 pub use metrics::{
     lint_prometheus, Count, Counts, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
     CACHE_KINDS,

@@ -9,15 +9,13 @@
 //! The sink is the one place an operation is assembled: `Begin` opens the
 //! buffer, every later event is moved into it, and `End` finishes the
 //! [`QueryTrace`] once and hands it to whichever consumers are attached —
-//! the completed-trace list behind [`TraceSink::take_traces`], the teed
-//! [`MetricsRegistry`], the [`FlightRecorder`]. A sink therefore follows
-//! **one operation at a time**: concurrent sessions each need their own
-//! sink (they may share a registry and a recorder).
+//! the completed-trace list behind [`TraceSink::take_traces`] and the
+//! teed [`MetricsRegistry`]. A sink therefore follows **one operation at
+//! a time**: concurrent sessions each need their own sink (they may share
+//! a registry).
 
 use crate::event::{EventKind, TraceEvent};
-use crate::flight::FlightRecorder;
 use crate::metrics::MetricsRegistry;
-use crate::span::SpanTree;
 use crate::trace::QueryTrace;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -27,7 +25,6 @@ use std::time::Instant;
 /// finished [`QueryTrace`] does not carry.
 #[derive(Debug)]
 struct OpenOp {
-    trace_id: u64,
     began_at: u64,
     trace: QueryTrace,
 }
@@ -54,9 +51,6 @@ struct SinkState {
     traces: Option<Vec<QueryTrace>>,
     /// Registry every event and finished operation is applied to.
     metrics: Option<Arc<MetricsRegistry>>,
-    /// Recorder finished operations are offered to (detached when
-    /// disabled).
-    flight: FlightRecorder,
 }
 
 #[derive(Debug)]
@@ -97,7 +91,6 @@ impl TraceSink {
                     open: None,
                     traces,
                     metrics,
-                    flight: FlightRecorder::disabled(),
                 }),
             })),
         }
@@ -178,12 +171,6 @@ impl TraceSink {
         }
     }
 
-    /// The driver label traces from this sink carry.
-    #[must_use]
-    pub fn driver(&self) -> &'static str {
-        self.inner.as_ref().map_or("disabled", |inner| inner.driver)
-    }
-
     /// Records an event stamped with the wall-clock time since the sink was
     /// created. No-op when the sink is disabled.
     pub fn record(&self, kind: EventKind) {
@@ -209,8 +196,7 @@ impl TraceSink {
     /// Counts the event in the teed registry (if any) and moves it into
     /// the operation buffer: `Begin` opens the buffer (an operation
     /// still open is kept as a partial trace), `End` finishes the trace
-    /// and hands it to the registry, the flight recorder and the
-    /// completed-trace list. Events outside any operation are counted
+    /// and hands it to the registry and the completed-trace list. Events outside any operation are counted
     /// and dropped.
     fn deliver(inner: &SinkInner, at_micros: u64, kind: EventKind) {
         let mut guard = inner.state.lock().unwrap();
@@ -225,8 +211,8 @@ impl TraceSink {
                 query_id,
                 k,
             } => {
+                inner.trace_id.fetch_add(1, Ordering::Relaxed);
                 let abandoned = state.open.replace(OpenOp {
-                    trace_id: inner.trace_id.fetch_add(1, Ordering::Relaxed) + 1,
                     began_at: at_micros,
                     trace: QueryTrace {
                         driver: inner.driver.to_owned(),
@@ -244,17 +230,11 @@ impl TraceSink {
             }
             EventKind::End => {
                 let Some(op) = state.open.take() else { return };
-                let trace_id = op.trace_id;
                 let duration = at_micros.saturating_sub(op.began_at);
                 let trace = op.finish(true);
                 if let Some(registry) = &state.metrics {
                     registry.observe_operation(&trace, duration);
                 }
-                state.flight.record_entry(|| {
-                    let mut tree = SpanTree::from_trace(&trace);
-                    tree.trace_id = trace_id;
-                    (tree, duration)
-                });
                 if let Some(traces) = &mut state.traces {
                     traces.push(trace);
                 }
@@ -265,22 +245,6 @@ impl TraceSink {
                 }
             }
         }
-    }
-
-    /// Attaches a flight recorder: from now on every completed traced
-    /// operation is stitched into a span tree and offered to `recorder`
-    /// for tail-based retention. Works on trace-keeping and metrics-only
-    /// sinks alike. Attaching a disabled recorder detaches. No-op on a
-    /// disabled sink; all clones observe the attachment.
-    pub fn attach_flight(&self, recorder: FlightRecorder) {
-        self.with_state(|state| state.flight = recorder);
-    }
-
-    /// The attached flight recorder, or a disabled one.
-    #[must_use]
-    pub fn flight(&self) -> FlightRecorder {
-        self.with_state(|state| state.flight.clone())
-            .unwrap_or_default()
     }
 
     /// The trace id of the most recently begun operation (ids are
@@ -555,53 +519,6 @@ mod tests {
         sink.record(begin("headers"));
         assert_eq!(sink.current_trace_id(), 2);
         assert_eq!(TraceSink::disabled().current_trace_id(), 0);
-    }
-
-    #[test]
-    fn attached_flight_recorder_captures_completed_operations() {
-        let registry = Arc::new(MetricsRegistry::new());
-        // Metrics-only sink: no trace buffering, flight still works.
-        let sink = TraceSink::metrics_only(Arc::clone(&registry));
-        let rec = crate::FlightRecorder::new(8);
-        sink.attach_flight(rec.clone());
-        sink.record(begin("query"));
-        sink.record(EventKind::Sent {
-            librarian: 0,
-            bytes: 4,
-            message: "RankRequest",
-        });
-        sink.record(EventKind::Reply {
-            librarian: 0,
-            bytes: 8,
-            message: "RankResponse",
-        });
-        sink.record(EventKind::End);
-        assert!(sink.take_traces().is_empty(), "still metrics-only");
-        assert_eq!(rec.len(), 1);
-        let entry = &rec.entries()[0];
-        assert_eq!(entry.op, "query");
-        assert_eq!(entry.trace_id, 1);
-        assert!(!entry.faulted);
-        assert!(entry.json.contains("\"span\":\"librarian\""));
-        // Detach: later operations are no longer captured.
-        sink.attach_flight(crate::FlightRecorder::disabled());
-        sink.record(begin("query"));
-        sink.record(EventKind::End);
-        assert_eq!(rec.len(), 1);
-    }
-
-    #[test]
-    fn flight_marks_faulted_operations() {
-        let sink = TraceSink::new();
-        let rec = crate::FlightRecorder::new(4);
-        sink.attach_flight(rec.clone());
-        sink.record(begin("query"));
-        sink.record(EventKind::LibFailed {
-            librarian: 2,
-            error: "unavailable",
-        });
-        sink.record(EventKind::End);
-        assert!(rec.entries()[0].faulted);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! pin down.
 
 use crate::event::EventKind;
-use crate::json::push_escaped;
+use crate::json::{obj, push_line};
 use crate::trace::QueryTrace;
-use std::fmt::Write as _;
 
 /// The server-side phases a librarian attributes request time to, in
 /// canonical order. `queue_wait` is time spent in the server's worker
@@ -103,12 +102,6 @@ impl ServerTimings {
     pub fn total_micros(&self) -> u64 {
         self.queue_micros + self.scan_micros + self.rank_micros + self.serialize_micros
     }
-
-    /// True when nothing was measured.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == ServerTimings::default()
-    }
 }
 
 /// One node of a [`SpanTree`]: a named interval with optional librarian
@@ -156,22 +149,16 @@ impl Span {
         false
     }
 
-    fn push_json(&self, depth: usize, out: &mut String) {
-        let _ = write!(out, "{{\"depth\":{depth},\"span\":");
-        push_escaped(out, &self.name);
-        out.push_str(",\"librarian\":");
-        match self.librarian {
-            Some(lib) => {
-                let _ = write!(out, "{lib}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"start\":{},\"dur\":{},\"faulted\":{}}}",
-            self.start_micros, self.duration_micros, self.faulted
-        );
-        out.push('\n');
+    fn push_json(&self, depth: u64, out: &mut String) {
+        let span = obj(vec![
+            ("depth", depth.into()),
+            ("span", self.name.as_str().into()),
+            ("librarian", self.librarian.into()),
+            ("start", self.start_micros.into()),
+            ("dur", self.duration_micros.into()),
+            ("faulted", self.faulted.into()),
+        ]);
+        push_line(out, &span);
         for child in &self.children {
             child.push_json(depth + 1, out);
         }
@@ -429,38 +416,23 @@ impl SpanTree {
         sums
     }
 
-    /// Total spans in the tree.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.root.len()
-    }
-
-    /// Always false — the root span exists.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Encodes the tree as line-oriented JSON: one header line, then one
     /// span per line in pre-order with its depth. Two trees are
     /// structurally equal iff their encodings are byte-equal, matching
     /// the trace fixtures' diffing model.
     #[must_use]
     pub fn to_json(&self) -> String {
+        let header = obj(vec![
+            ("trace_id", self.trace_id.into()),
+            ("op", self.op.as_str().into()),
+            ("methodology", self.methodology.as_deref().into()),
+            ("query_id", self.query_id.into()),
+            ("k", self.k.into()),
+            ("faulted", self.faulted.into()),
+            ("degraded", self.degraded.into()),
+        ]);
         let mut out = String::new();
-        let _ = write!(out, "{{\"trace_id\":{},\"op\":", self.trace_id);
-        push_escaped(&mut out, &self.op);
-        out.push_str(",\"methodology\":");
-        match &self.methodology {
-            Some(m) => push_escaped(&mut out, m),
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"query_id\":{},\"k\":{},\"faulted\":{},\"degraded\":{}}}",
-            self.query_id, self.k, self.faulted, self.degraded
-        );
-        out.push('\n');
+        push_line(&mut out, &header);
         self.root.push_json(0, &mut out);
         out
     }
@@ -560,7 +532,7 @@ mod tests {
         assert!(!tree.degraded);
         // Two librarians × (10+20+30+40) each.
         assert_eq!(tree.server_phase_sums(), [20, 40, 60, 80]);
-        assert_eq!(tree.len(), 1 + 1 + 2 * 5);
+        assert_eq!(tree.root.len(), 1 + 1 + 2 * 5);
     }
 
     #[test]
@@ -653,7 +625,7 @@ mod tests {
         let tree = SpanTree::from_trace(&trace(events));
         let json = tree.to_json();
         let lines: Vec<&str> = json.lines().collect();
-        assert_eq!(lines.len(), 1 + tree.len());
+        assert_eq!(lines.len(), 1 + tree.root.len());
         assert!(lines[0].starts_with("{\"trace_id\":0,\"op\":\"query\""));
         assert!(lines[1].contains("\"depth\":0,\"span\":\"query\""));
         assert!(lines[2].contains("\"depth\":1,\"span\":\"librarian\",\"librarian\":2"));
@@ -674,8 +646,6 @@ mod tests {
             assert_eq!(*v, i as u64 + 1);
         }
         assert_eq!(t.total_micros(), 10);
-        assert!(!t.is_zero());
-        assert!(ServerTimings::default().is_zero());
         let ctx = SpanContext::sampled(7, 2);
         assert!(ctx.is_sampled());
         assert_eq!(ctx.trace_id, 7);

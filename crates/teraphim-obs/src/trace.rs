@@ -163,17 +163,6 @@ pub struct TraceMetrics {
     pub counts: Counts,
 }
 
-impl TraceMetrics {
-    /// Duration of `phase` in microseconds, if it completed in this trace.
-    #[must_use]
-    pub fn phase(&self, phase: Phase) -> Option<u64> {
-        self.phase_micros
-            .iter()
-            .find(|(p, _)| *p == phase)
-            .map(|&(_, micros)| micros)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,8 +288,7 @@ mod tests {
             ),
         ]);
         let m = t.metrics();
-        assert_eq!(m.phase(Phase::RankFanout), Some(40));
-        assert_eq!(m.phase(Phase::HeaderFetch), None);
+        assert_eq!(m.phase_micros, vec![(Phase::RankFanout, 40)]);
         assert_eq!(m.counts.get(Count::SENT), 1);
         assert_eq!(m.counts.get(Count::BYTES_SENT), 10);
         assert_eq!(m.counts.get(Count::BYTES_RECEIVED), 100);

@@ -8,7 +8,7 @@
 //! never downing the whole fleet, clearing fault windows around
 //! reindexing — so backends stay thin translation layers.
 
-use teraphim_core::sim::{derive_seed, SimDriver, SimMode};
+use teraphim_core::sim::{SimDriver, SimMode};
 use teraphim_core::{CiParams, TeraphimError};
 use teraphim_net::DispatchMode;
 use teraphim_obs::{Count, Counts, EventKind, TraceSink};
@@ -425,7 +425,6 @@ impl SimBackend {
             .collect();
         let mut driver = SimDriver::new(&parts, Analyzer::default(), CI)
             .expect("fixture corpus must build a sim driver");
-        driver.set_seed(derive_seed(plan.seed, 0x53494d)); // "SIM"
         let sink = driver.enable_tracing();
         let n = driver.num_parts();
         let docs = fixture
@@ -457,11 +456,6 @@ impl SimBackend {
     /// use on dedicated instances.
     pub fn take_traces(&self) -> Vec<teraphim_obs::QueryTrace> {
         self.sink.take_traces()
-    }
-
-    /// The driver, for post-run inspection in tests.
-    pub fn driver(&self) -> &SimDriver {
-        &self.driver
     }
 
     /// Reinstalls shard `lib`'s effective fault plan: a 0-live shard is

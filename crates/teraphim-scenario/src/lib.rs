@@ -32,7 +32,6 @@ pub mod backend;
 pub mod check;
 pub mod fixture;
 pub mod gen;
-pub mod json;
 pub mod plan;
 pub mod real;
 pub mod shrink;
@@ -46,7 +45,6 @@ pub use check::{
 };
 pub use fixture::{churn_docs, Fixture};
 pub use gen::{generate_plan, GenOptions};
-pub use json::Json;
 pub use plan::{CacheSpec, FaultSpec, Plan, RunMode, Step};
 pub use real::{InProcBackend, SharedLibrarian, TcpBackend};
 pub use shrink::{shrink_plan, write_bugbase, ShrinkResult};

@@ -14,9 +14,9 @@
 
 use std::time::Duration;
 
-use crate::json::Json;
 use teraphim_core::Methodology;
 use teraphim_net::{DispatchMode, FaultPlan};
+use teraphim_obs::Json;
 
 /// What system a query step runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,29 +413,20 @@ impl Plan {
     }
 
     /// Serializes the plan as stable, committed-fixture-friendly JSON:
-    /// one step per line, field order fixed.
+    /// one step per line, field order fixed ([`Json::render_lines`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"name\": {},\n",
-            Json::Str(self.name.clone()).render()
-        ));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"corpus_seed\": {},\n", self.corpus_seed));
-        out.push_str(&format!("  \"clients\": {},\n", self.clients));
-        out.push_str(&format!("  \"replicas\": {},\n", self.replicas));
-        out.push_str("  \"steps\": [\n");
-        for (i, step) in self.steps.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&step.to_json().render());
-            if i + 1 < self.steps.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let fields = vec![
+            ("name".to_string(), Json::Str(self.name.clone())),
+            ("seed".into(), Json::UInt(self.seed)),
+            ("corpus_seed".into(), Json::UInt(self.corpus_seed)),
+            ("clients".into(), Json::UInt(self.clients)),
+            ("replicas".into(), Json::UInt(self.replicas)),
+            (
+                "steps".into(),
+                Json::Arr(self.steps.iter().map(Step::to_json).collect()),
+            ),
+        ];
+        Json::Obj(fields).render_lines() + "\n"
     }
 
     /// Parses a plan from JSON.
@@ -444,7 +435,7 @@ impl Plan {
     ///
     /// Returns a message naming the malformed field.
     pub fn from_json(text: &str) -> Result<Plan, String> {
-        let value = Json::parse(text)?;
+        let value = Json::parse(text).map_err(|e| e.to_string())?;
         let name = value
             .get("name")
             .and_then(Json::as_str)

@@ -95,11 +95,10 @@ impl ShardState {
     }
 
     /// The migration handoff: build a fresh librarian over the ledger
-    /// and stamp it with the shard's epoch and the fleet routing table.
-    fn build_replica(&self, routing: &RoutingTable) -> SharedLibrarian {
+    /// and stamp it with the shard's epoch.
+    fn build_replica(&self) -> SharedLibrarian {
         let mut lib = Librarian::build(&self.name, Analyzer::default(), &self.docs);
         lib.set_epoch(self.epoch);
-        lib.set_routing_table(routing.clone());
         SharedLibrarian::new(lib)
     }
 }
@@ -167,22 +166,19 @@ impl FleetStores {
 /// skipped: a one-document placeholder whose rankings cannot match any
 /// real shard, so a missed reopen fails the differential loudly instead
 /// of silently serving stale memory.
-fn crashed_librarian(name: &str, routing: &RoutingTable) -> Librarian {
+fn crashed_librarian(name: &str) -> Librarian {
     let docs = vec![TrecDoc {
         docno: "CRASHED-0".to_string(),
         text: "volatile state lost in crash".to_string(),
     }];
-    let mut lib = Librarian::build(name, Analyzer::default(), &docs);
-    lib.set_routing_table(routing.clone());
-    lib
+    Librarian::build(name, Analyzer::default(), &docs)
 }
 
 /// Rebuilds one replica's librarian from a recovered collection image.
-fn recovered_librarian(bytes: &[u8], epoch: u64, routing: &RoutingTable) -> Librarian {
+fn recovered_librarian(bytes: &[u8], epoch: u64) -> Librarian {
     let collection = Collection::from_bytes(bytes).expect("recovered collection deserializes");
     let mut lib = Librarian::from_collection(collection);
     lib.set_epoch(epoch);
-    lib.set_routing_table(routing.clone());
     lib
 }
 
@@ -283,8 +279,8 @@ struct Replica<E: Embodiment> {
 }
 
 impl<E: Embodiment> Replica<E> {
-    fn spawn(id: u32, shard: &ShardState, routing: &RoutingTable) -> Self {
-        let lib = shard.build_replica(routing);
+    fn spawn(id: u32, shard: &ShardState) -> Self {
+        let lib = shard.build_replica();
         let served = E::serve(&lib);
         Replica { id, lib, served }
     }
@@ -309,7 +305,6 @@ pub struct RealBackend<E: Embodiment> {
     stores: FleetStores,
     /// One plan per shard, shared by every session's transport to it.
     faults: Vec<SharedPlan>,
-    routing: RoutingTable,
     next_id: u32,
     mono: Collection,
     sink: TraceSink,
@@ -349,7 +344,7 @@ impl<E: Embodiment> RealBackend<E> {
                 next_id = fresh.end;
                 std::iter::once(s as u32)
                     .chain(fresh)
-                    .map(|id| Replica::spawn(id, shard, &routing))
+                    .map(|id| Replica::spawn(id, shard))
                     .collect()
             })
             .collect();
@@ -422,17 +417,11 @@ impl<E: Embodiment> RealBackend<E> {
             shards,
             stores,
             faults,
-            routing,
             next_id,
             sink,
             registry,
             cache_spec: None,
         }
-    }
-
-    /// The fleet's routing table (for post-run inspection in tests).
-    pub fn routing(&self) -> &RoutingTable {
-        &self.routing
     }
 
     /// Drains the backend's buffered traces (queries, preprocessing,
@@ -448,19 +437,6 @@ impl<E: Embodiment> RealBackend<E> {
         if self.cache_spec.is_some() {
             self.set_cache(self.cache_spec);
         }
-    }
-}
-
-impl TcpBackend {
-    /// Server-side traffic counters, summed over the fleet (includes
-    /// prototype preprocessing; useful for inspecting runs in tests).
-    pub fn server_traffic(&self) -> teraphim_net::TrafficStats {
-        let mut total = teraphim_net::TrafficStats::default();
-        for replica in self.replicas.iter().flatten() {
-            let (server, _) = &replica.served;
-            total.absorb(&server.traffic());
-        }
-        total
     }
 }
 
@@ -548,7 +524,7 @@ impl<E: Embodiment> Backend for RealBackend<E> {
     fn add_lib(&mut self, lib: usize) {
         let id = self.next_id;
         self.next_id += 1;
-        let replica = Replica::<E>::spawn(id, &self.shards[lib], &self.routing);
+        let replica = Replica::<E>::spawn(id, &self.shards[lib]);
         // The handoff is a traced operation of its own: a `migrate`
         // trace carrying the index transfer (`Migrate`) and the
         // membership change (one `Join` per session group, recorded by
@@ -606,7 +582,7 @@ impl<E: Embodiment> Backend for RealBackend<E> {
         // recover from disk cannot pass the differential.
         self.stores.crash(lib);
         for replica in &self.replicas[lib] {
-            let image = crashed_librarian(&self.shards[lib].name, &self.routing);
+            let image = crashed_librarian(&self.shards[lib].name);
             replica.lib.replace(image);
         }
         self.apply_fault(lib, Some(FaultSpec::Down));
@@ -619,7 +595,7 @@ impl<E: Embodiment> Backend for RealBackend<E> {
             "recovered epoch must match the shard ledger"
         );
         for replica in &self.replicas[lib] {
-            let image = recovered_librarian(&bytes, epoch, &self.routing);
+            let image = recovered_librarian(&bytes, epoch);
             replica.lib.replace(image);
         }
         self.apply_fault(lib, None);

@@ -96,11 +96,6 @@ impl SimNetwork {
         &self.cost
     }
 
-    /// Number of librarians in the configuration.
-    pub fn num_librarians(&self) -> usize {
-        self.placements.len()
-    }
-
     /// One-way message from receptionist to librarian `lib`: completion =
     /// ready + serialization (possibly contended) + propagation (rtt/2).
     pub fn send_to_librarian(&mut self, lib: usize, ready: SimTime, bytes: usize) -> SimTime {

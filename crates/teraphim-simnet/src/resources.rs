@@ -19,7 +19,6 @@ use std::collections::BinaryHeap;
 pub struct Fcfs {
     next_free: SimTime,
     busy: f64,
-    served: u64,
     /// Opaque caller-owned value (e.g. a bandwidth attached to the
     /// resource); zero when created with [`Fcfs::new`].
     tag: f64,
@@ -56,23 +55,12 @@ impl Fcfs {
         let start = ready.max(self.next_free);
         self.next_free = start + service;
         self.busy += service;
-        self.served += 1;
-        self.next_free
-    }
-
-    /// Earliest time a new request could start service.
-    pub fn next_free(&self) -> SimTime {
         self.next_free
     }
 
     /// Total busy time accumulated (utilization accounting).
     pub fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -82,7 +70,6 @@ pub struct CpuPool {
     /// Min-heap of server free times (stored negated in a max-heap).
     free_at: BinaryHeap<std::cmp::Reverse<OrderedTime>>,
     busy: f64,
-    served: u64,
 }
 
 /// Total-ordered f64 wrapper; times in this simulator are always finite.
@@ -114,13 +101,7 @@ impl CpuPool {
                 .map(|_| std::cmp::Reverse(OrderedTime(0.0)))
                 .collect(),
             busy: 0.0,
-            served: 0,
         }
-    }
-
-    /// Number of processors.
-    pub fn servers(&self) -> usize {
-        self.free_at.len()
     }
 
     /// Reserves `service` seconds on the earliest-free processor,
@@ -136,18 +117,12 @@ impl CpuPool {
         let done = start + service;
         self.free_at.push(std::cmp::Reverse(OrderedTime(done)));
         self.busy += service;
-        self.served += 1;
         done
     }
 
     /// Total busy time across all processors.
     pub fn busy_time(&self) -> f64 {
         self.busy
-    }
-
-    /// Number of requests served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -159,7 +134,7 @@ mod tests {
     fn fcfs_idle_resource_starts_immediately() {
         let mut r = Fcfs::new();
         assert_eq!(r.reserve(5.0, 2.0), 7.0);
-        assert_eq!(r.next_free(), 7.0);
+        assert_eq!(r.next_free, 7.0);
     }
 
     #[test]
@@ -168,7 +143,6 @@ mod tests {
         assert_eq!(r.reserve(0.0, 1.0), 1.0);
         assert_eq!(r.reserve(0.0, 1.0), 2.0);
         assert_eq!(r.reserve(0.5, 1.0), 3.0);
-        assert_eq!(r.served(), 3);
         assert!((r.busy_time() - 3.0).abs() < 1e-12);
     }
 
@@ -192,7 +166,7 @@ mod tests {
         assert_eq!(p.reserve(0.0, 1.0), 1.0);
         assert_eq!(p.reserve(0.0, 1.0), 1.0);
         assert_eq!(p.reserve(0.0, 1.0), 2.0); // third job queues
-        assert_eq!(p.servers(), 2);
+        assert_eq!(p.free_at.len(), 2);
     }
 
     #[test]
@@ -226,7 +200,6 @@ mod tests {
             p.reserve(0.0, 0.5);
         }
         assert!((p.busy_time() - 4.0).abs() < 1e-12);
-        assert_eq!(p.served(), 8);
     }
 }
 

@@ -241,15 +241,6 @@ impl Topology {
         t
     }
 
-    /// Round-trip time of librarian `lib` to the receptionist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lib` is out of range.
-    pub fn site_rtt(&self, lib: usize) -> f64 {
-        self.librarians[lib].rtt
-    }
-
     /// The paper's Table 2 site data: (location, hops, ping seconds).
     pub fn table2_sites() -> [(&'static str, u32, f64); 4] {
         [
@@ -296,21 +287,21 @@ mod tests {
     #[test]
     fn wan_rtts_match_table_2() {
         let t = Topology::wan();
-        assert!((t.site_rtt(0) - 0.14).abs() < 1e-12); // AP / Brisbane
-        assert!((t.site_rtt(1) - 0.76).abs() < 1e-12); // FR / Waikato
-        assert!((t.site_rtt(2) - 1.04).abs() < 1e-12); // WSJ / Israel
-        assert!((t.site_rtt(3) - 0.18).abs() < 1e-12); // ZIFF / Canberra
+        assert!((t.librarians[0].rtt - 0.14).abs() < 1e-12); // AP / Brisbane
+        assert!((t.librarians[1].rtt - 0.76).abs() < 1e-12); // FR / Waikato
+        assert!((t.librarians[2].rtt - 1.04).abs() < 1e-12); // WSJ / Israel
+        assert!((t.librarians[3].rtt - 0.18).abs() < 1e-12); // ZIFF / Canberra
         assert!(t.shared_medium_bandwidth.is_none());
     }
 
     #[test]
     fn wan_table2_order_matches_paper_listing() {
         let t = Topology::wan_table2_order();
-        let rtts: Vec<f64> = (0..4).map(|i| t.site_rtt(i)).collect();
+        let rtts: Vec<f64> = (0..4).map(|i| t.librarians[i].rtt).collect();
         // Waikato, Canberra, Brisbane, Israel — as printed in Table 2.
         assert_eq!(rtts, vec![0.76, 0.18, 0.14, 1.04]);
         for (i, (_, _, ping)) in Topology::table2_sites().iter().enumerate() {
-            assert!((t.site_rtt(i) - ping).abs() < 1e-12, "site {i}");
+            assert!((t.librarians[i].rtt - ping).abs() < 1e-12, "site {i}");
         }
     }
 

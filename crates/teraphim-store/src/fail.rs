@@ -52,9 +52,8 @@ fn crash_error() -> io::Error {
 ///   nothing is lost (the crash lands after the write completed).
 /// * [`CrashMode::Garble`] — all bytes are forwarded with the byte at
 ///   `offset` flipped; writes keep succeeding (the corruption is
-///   already planted, and the caller learns of the crash from
-///   [`FailingFile::crashed`], exactly how the store treats an armed
-///   crash point as fatal after the write).
+///   already planted; the store treats an armed crash point as fatal
+///   after the write).
 #[derive(Debug)]
 pub struct FailingFile<W: Write> {
     inner: W,
@@ -72,16 +71,6 @@ impl<W: Write> FailingFile<W> {
             written: 0,
             fired: false,
         }
-    }
-
-    /// Whether the crash point has fired.
-    pub fn crashed(&self) -> bool {
-        self.fired
-    }
-
-    /// Total bytes forwarded to the wrapped writer.
-    pub fn bytes_written(&self) -> u64 {
-        self.written
     }
 }
 
@@ -138,7 +127,7 @@ mod tests {
                     break;
                 }
             }
-            crashed = f.crashed();
+            crashed = f.fired;
         }
         (sink, crashed)
     }
@@ -209,7 +198,7 @@ mod tests {
             },
         );
         assert!(f.write_all(b"xy").is_err());
-        assert!(f.crashed());
+        assert!(f.fired);
         assert!(f.write_all(b"z").is_err());
         let _ = f;
         assert_eq!(sink, b"x");

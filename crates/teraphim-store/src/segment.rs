@@ -53,24 +53,6 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Lowest epoch covered.
-    #[must_use]
-    pub fn epoch_lo(&self) -> u64 {
-        self.batches.first().map_or(0, |b| b.epoch)
-    }
-
-    /// Highest epoch covered.
-    #[must_use]
-    pub fn epoch_hi(&self) -> u64 {
-        self.batches.last().map_or(0, |b| b.epoch)
-    }
-
-    /// Total documents across all covered batches.
-    #[must_use]
-    pub fn num_docs(&self) -> u64 {
-        self.batches.iter().map(|b| b.docs).sum()
-    }
-
     /// Serializes the segment (payload + meta + checksummed footer).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -198,9 +180,9 @@ mod tests {
         let seg = sample();
         let decoded = Segment::decode(&seg.encode()).unwrap();
         assert_eq!(decoded, seg);
-        assert_eq!(decoded.epoch_lo(), 0);
-        assert_eq!(decoded.epoch_hi(), 2);
-        assert_eq!(decoded.num_docs(), 19);
+        let epochs: Vec<u64> = decoded.batches.iter().map(|b| b.epoch).collect();
+        assert_eq!((epochs.first(), epochs.last()), (Some(&0), Some(&2)));
+        assert_eq!(decoded.batches.iter().map(|b| b.docs).sum::<u64>(), 19);
     }
 
     #[test]

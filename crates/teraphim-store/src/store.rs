@@ -195,12 +195,6 @@ impl IndexStore {
         ))
     }
 
-    /// The store directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The collection name recorded in the manifest.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -580,8 +574,8 @@ mod tests {
             WAL_FILE.to_owned(),
         ];
         want.sort();
-        assert_eq!(file_names(store.dir()), want);
-        let wal = std::fs::metadata(store.dir().join(WAL_FILE)).unwrap();
+        assert_eq!(file_names(&store.dir), want);
+        let wal = std::fs::metadata(store.dir.join(WAL_FILE)).unwrap();
         assert_eq!(wal.len(), 0, "the fold empties the WAL");
     }
 

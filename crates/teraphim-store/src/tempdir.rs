@@ -44,20 +44,11 @@ impl TempDir {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Releases the directory without deleting it (for post-mortem
-    /// inspection, e.g. CI artifact upload).
-    #[must_use]
-    pub fn keep(mut self) -> PathBuf {
-        std::mem::take(&mut self.path)
-    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        if !self.path.as_os_str().is_empty() {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 
@@ -82,13 +73,5 @@ mod tests {
         let a = TempDir::new("uniq").unwrap();
         let b = TempDir::new("uniq").unwrap();
         assert_ne!(a.path(), b.path());
-    }
-
-    #[test]
-    fn keep_preserves_directory() {
-        let dir = TempDir::new("keep").unwrap();
-        let path = dir.keep();
-        assert!(path.is_dir());
-        std::fs::remove_dir_all(&path).unwrap();
     }
 }

@@ -1,6 +1,7 @@
 //! Federated search with explicit receptionist control: build librarians
-//! and a receptionist by hand, inspect per-methodology wire traffic, and
-//! compare the merged rankings.
+//! and a receptionist by hand, inspect per-methodology wire traffic,
+//! compare the merged rankings, and evaluate a Boolean query across the
+//! fleet.
 //!
 //! ```sh
 //! cargo run --example federated_search
@@ -65,5 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!();
     }
+
+    // Boolean retrieval needs no global state: the answer is the union
+    // of every librarian's own result set, in librarian order.
+    let terms: Vec<&str> = corpus.short_queries()[0].text.split_whitespace().collect();
+    let expr = terms[..2].join(" OR ");
+    let matches = receptionist.boolean_query(&expr)?;
+    println!("boolean {expr:?}: {} documents", matches.len());
     Ok(())
 }

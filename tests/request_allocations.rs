@@ -179,8 +179,6 @@ fn a_hostile_count_buys_no_reservation() {
         claiming_a_million(16, &[1]),                         // BooleanResponse
         claiming_a_million(19, &[0, 1, 2, 3, 4, 5, 6, 7]),    // StatsReply latency
         claiming_a_million(19, &[0, 1, 2, 3, 4, 5, 6, 7, 0]), // StatsReply phases
-        claiming_a_million(21, &[3]),                         // RoutingReply shards
-        claiming_a_million(21, &[3, 1, 0]),                   // RoutingReply replicas
     ];
     let mut fetch = vec![10];
     put_uint(&mut fetch, 1);
