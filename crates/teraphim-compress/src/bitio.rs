@@ -91,6 +91,32 @@ impl BitWriter {
         }
     }
 
+    /// Appends the first `bits` bits of `bytes`, MSB-first, as they
+    /// are: on a byte boundary, whole bytes are one copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` holds fewer than `bits` bits.
+    pub fn copy_bits(&mut self, bytes: &[u8], bits: u64) {
+        let whole = (bits / 8) as usize;
+        let tail = (bits % 8) as u32;
+        assert!(
+            whole + usize::from(tail > 0) <= bytes.len(),
+            "cannot copy {bits} bits from {} bytes",
+            bytes.len()
+        );
+        if self.partial_bits == 0 {
+            self.bytes.extend_from_slice(&bytes[..whole]);
+        } else {
+            for &byte in &bytes[..whole] {
+                self.write_bits(u64::from(byte), 8);
+            }
+        }
+        if tail > 0 {
+            self.write_bits(u64::from(bytes[whole] >> (8 - tail)), tail);
+        }
+    }
+
     /// Pads with zero bits to the next byte boundary.
     pub fn align_to_byte(&mut self) {
         self.partial_bits = 0;
@@ -550,14 +576,17 @@ mod proptests {
         Bit(bool),
         Align,
         Seek(u64),
+        /// The first `c` bits of `v`'s big-endian bytes, copied.
+        Copy(u64, u32),
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..10, any::<u64>(), 0u32..=64).prop_map(|(kind, v, c)| match kind {
+        (0u8..11, any::<u64>(), 0u32..=64).prop_map(|(kind, v, c)| match kind {
             0..=5 => Op::Bits(if c == 64 { v } else { v & ((1u64 << c) - 1) }, c),
             6 | 7 => Op::Bit(v & 1 == 1),
             8 => Op::Align,
-            _ => Op::Seek(v),
+            9 => Op::Seek(v),
+            _ => Op::Copy(v, c),
         })
     }
 
@@ -574,6 +603,10 @@ mod proptests {
                     Op::Bit(b) => { fast.write_bits(u64::from(b), 1); slow.write_bit(b); }
                     Op::Align => { fast.align_to_byte(); slow.align_to_byte(); }
                     Op::Seek(_) => {}
+                    Op::Copy(v, c) => {
+                        fast.copy_bits(&v.to_be_bytes(), u64::from(c));
+                        slow.write_bits(v.checked_shr(64 - c).unwrap_or(0), c);
+                    }
                 }
                 prop_assert_eq!(fast.as_bytes(), slow.as_bytes());
             }
@@ -593,7 +626,7 @@ mod proptests {
                 match *op {
                     Op::Bits(_, c) => prop_assert_eq!(fast.read_bits(c), slow.read_bits(c)),
                     Op::Bit(_) => prop_assert_eq!(fast.read_bit(), slow.read_bit()),
-                    Op::Align => {}
+                    Op::Align | Op::Copy(..) => {}
                     Op::Seek(p) => {
                         let p = p % (bytes.len() as u64 * 8 + 3);
                         prop_assert_eq!(fast.seek_to_bit(p), slow.seek_to_bit(p));

@@ -246,19 +246,46 @@ impl Collection {
     /// introduction motivates ("distributed ... to simplify update").
     /// New documents are indexed into a delta and merged
     /// ([`teraphim_index::merge`]); the result ranks identically to a
-    /// from-scratch build over the concatenated documents.
+    /// from-scratch build over the concatenated documents. This is
+    /// [`Collection::append_batches`] of one batch.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Corrupt`] if the existing index fails to
     /// decode during the merge.
     pub fn append_documents(&mut self, docs: &[TrecDoc]) -> Result<(), EngineError> {
-        let mut delta = IndexBuilder::new();
-        for doc in docs {
-            delta.add_document(&self.analyzer.analyze(&doc.text));
+        self.append_batches(&[docs])
+    }
+
+    /// Appends several batches in order, with one merge: the collection
+    /// is the same, to the byte, as after one
+    /// [`Collection::append_documents`] per batch, because each batch is
+    /// still indexed into a delta of its own (a document's weight is
+    /// summed in its delta's term order), but the existing index is
+    /// copied once instead of once per batch. No batches, no change.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Corrupt`] if the existing index fails to
+    /// decode during the merge; the collection is then unchanged.
+    pub fn append_batches(&mut self, batches: &[&[TrecDoc]]) -> Result<(), EngineError> {
+        if batches.is_empty() {
+            return Ok(());
         }
-        self.index = teraphim_index::merge::merge(&self.index, &delta.build())?;
-        self.store.append(docs);
+        let deltas: Vec<InvertedIndex> = batches
+            .iter()
+            .map(|docs| {
+                let mut delta = IndexBuilder::new();
+                for doc in *docs {
+                    delta.add_document(&self.analyzer.analyze(&doc.text));
+                }
+                delta.build()
+            })
+            .collect();
+        self.index = teraphim_index::merge::merge(&self.index, &deltas)?;
+        for docs in batches {
+            self.store.append(docs);
+        }
         Ok(())
     }
 
@@ -650,6 +677,33 @@ mod tests {
                 assert_eq!((x.doc, x.score.to_bits()), (y.doc, y.score.to_bits()));
             }
         }
+    }
+
+    #[test]
+    fn appending_batches_at_once_writes_what_appending_them_in_turn_does() {
+        let batches: Vec<Vec<TrecDoc>> = (0..4)
+            .map(|b| {
+                (0..b)
+                    .map(|d| TrecDoc {
+                        docno: format!("B{b}-{d}"),
+                        text: format!("batch {b} brings {d} cats and a walrus"),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut in_turn = demo();
+        for batch in &batches {
+            in_turn.append_documents(batch).unwrap();
+        }
+        let mut at_once = demo();
+        let slices: Vec<&[TrecDoc]> = batches.iter().map(Vec::as_slice).collect();
+        at_once.append_batches(&slices).unwrap();
+        assert!(at_once.to_bytes() == in_turn.to_bytes());
+        at_once.append_batches(&[]).unwrap();
+        assert!(
+            at_once.to_bytes() == in_turn.to_bytes(),
+            "no batches, no change"
+        );
     }
 
     #[test]

@@ -776,7 +776,7 @@ mod tests {
         for i in 9..200 {
             delta.add_document(&doc(i));
         }
-        let grown = teraphim_index::merge::merge(&small, &delta.build()).unwrap();
+        let grown = teraphim_index::merge::merge(&small, &[delta.build()]).unwrap();
         let mut scratch = RankScratch::new();
         for ix in [&large, &small, &large, &small, &grown, &small] {
             for query in [vec!["all"], vec!["w3", "v1"], vec!["w6", "all", "v0"]] {

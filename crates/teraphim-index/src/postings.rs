@@ -310,6 +310,32 @@ impl ListsWriter {
         }
     }
 
+    /// Opens the next list with `list`'s coded postings, copied up to
+    /// the last bit of the last one (γ codes are canonical, so these are
+    /// the bits `put`ting them would write); `put` continues from there.
+    /// The list is decoded once, to find that bit and to check it.
+    /// Returns its last document, if it has postings.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if the list fails to decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the open list already has postings.
+    pub(crate) fn put_list(&mut self, list: PostingsList<'_>) -> Result<Option<DocId>, IndexError> {
+        assert_eq!(self.open.count, 0, "a copied list opens its list");
+        let mut iter = list.iter();
+        let mut last = None;
+        for _ in 0..list.count {
+            last = Some(iter.step()?.doc);
+        }
+        self.writer.copy_bits(list.bytes, iter.reader.bit_pos());
+        self.open.count = list.count;
+        self.open.last_doc = last.unwrap_or(0);
+        Ok(last)
+    }
+
     /// Appends `p` to the open list.
     ///
     /// # Panics

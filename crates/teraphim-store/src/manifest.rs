@@ -161,7 +161,9 @@ impl Manifest {
         }
         let file = take_str(&mut pos)?;
         let batch_count = take_u32(&mut pos)? as usize;
-        let mut batches = Vec::with_capacity(batch_count.min(body.len()));
+        // A batch takes 16 bytes, which bounds what a hostile count may
+        // reserve.
+        let mut batches = Vec::with_capacity(batch_count.min((body.len() - pos) / 16));
         for _ in 0..batch_count {
             batches.push(SegmentBatch {
                 epoch: take_u64(&mut pos)?,

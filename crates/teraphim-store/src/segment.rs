@@ -24,8 +24,11 @@
 //! manifest does not yet reference — is detected immediately if it is
 //! ever read.
 
+use std::borrow::Cow;
+use std::io::Write;
+
 use crate::{Result, StoreError};
-use teraphim_compress::checksum::crc32;
+use teraphim_compress::checksum::Crc32;
 
 /// Magic bytes opening every segment file.
 pub const HEAD_MAGIC: [u8; 4] = *b"TSG1";
@@ -43,33 +46,53 @@ pub struct SegmentBatch {
     pub docs: u64,
 }
 
-/// A decoded segment: collection bytes plus batch metadata.
+/// A segment: collection bytes plus batch metadata. The collection
+/// bytes are never copied: a segment to be written owns the buffer
+/// [`teraphim_engine::Collection::to_bytes`] returned, and a decoded one
+/// borrows them from the file's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub struct Segment<'a> {
     /// Serialized collection ([`teraphim_engine::Collection::to_bytes`]).
-    pub collection: Vec<u8>,
+    pub collection: Cow<'a, [u8]>,
     /// The batches this segment covers, in epoch order. Never empty.
     pub batches: Vec<SegmentBatch>,
 }
 
-impl Segment {
-    /// Serializes the segment (payload + meta + checksummed footer).
+impl<'a> Segment<'a> {
+    /// Writes the segment (payload + meta + checksummed footer) to `out`
+    /// in three writes: the payload goes from the caller's buffer
+    /// straight to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns what a write to `out` returns.
+    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let mut tail = Vec::with_capacity(4 + self.batches.len() * 16 + FOOTER_LEN);
+        tail.extend_from_slice(&(self.batches.len() as u32).to_le_bytes());
+        for batch in &self.batches {
+            tail.extend_from_slice(&batch.epoch.to_le_bytes());
+            tail.extend_from_slice(&batch.docs.to_le_bytes());
+        }
+        let meta_len = tail.len() as u32;
+        tail.extend_from_slice(&(self.collection.len() as u64).to_le_bytes());
+        tail.extend_from_slice(&meta_len.to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&self.collection);
+        crc.update(&tail);
+        tail.extend_from_slice(&crc.finish().to_le_bytes());
+        tail.extend_from_slice(&FOOT_MAGIC);
+        out.write_all(&HEAD_MAGIC)?;
+        out.write_all(&self.collection)?;
+        out.write_all(&tail)
+    }
+
+    /// The segment's bytes, as [`Segment::write_to`] writes them.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(4 + self.batches.len() * 16);
-        meta.extend_from_slice(&(self.batches.len() as u32).to_le_bytes());
-        for batch in &self.batches {
-            meta.extend_from_slice(&batch.epoch.to_le_bytes());
-            meta.extend_from_slice(&batch.docs.to_le_bytes());
-        }
-        let mut out = Vec::with_capacity(4 + self.collection.len() + meta.len() + FOOTER_LEN);
-        out.extend_from_slice(&HEAD_MAGIC);
-        out.extend_from_slice(&self.collection);
-        out.extend_from_slice(&meta);
-        out.extend_from_slice(&(self.collection.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&out[4..]).to_le_bytes());
-        out.extend_from_slice(&FOOT_MAGIC);
+        let mut out = Vec::with_capacity(
+            4 + self.collection.len() + 4 + self.batches.len() * 16 + FOOTER_LEN,
+        );
+        self.write_to(&mut out).expect("a Vec takes every write");
         out
     }
 
@@ -80,7 +103,7 @@ impl Segment {
     ///
     /// Returns [`StoreError::Corrupt`] describing the first structural
     /// problem found; never panics and never returns partial data.
-    pub fn decode(bytes: &[u8]) -> Result<Segment> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Segment<'a>> {
         if bytes.len() < 4 + FOOTER_LEN {
             return Err(StoreError::Corrupt {
                 what: "segment too short",
@@ -112,7 +135,7 @@ impl Segment {
         let body = &bytes[4..4 + payload_len + meta_len];
         // The CRC also covers the footer's own length fields, which were
         // appended to the buffer before the checksum was taken.
-        let mut hasher = teraphim_compress::checksum::Crc32::new();
+        let mut hasher = Crc32::new();
         hasher.update(body);
         hasher.update(&footer[0..12]);
         if hasher.finish() != crc {
@@ -120,7 +143,7 @@ impl Segment {
                 what: "segment checksum",
             });
         }
-        let collection = body[..payload_len].to_vec();
+        let collection = Cow::Borrowed(&body[..payload_len]);
         let meta = &body[payload_len..];
         if meta.len() < 4 {
             return Err(StoreError::Corrupt {
@@ -164,9 +187,9 @@ impl Segment {
 mod tests {
     use super::*;
 
-    fn sample() -> Segment {
+    fn sample() -> Segment<'static> {
         Segment {
-            collection: (0u16..900).map(|i| (i % 251) as u8).collect(),
+            collection: Cow::Owned((0u16..900).map(|i| (i % 251) as u8).collect()),
             batches: vec![
                 SegmentBatch { epoch: 0, docs: 12 },
                 SegmentBatch { epoch: 1, docs: 0 },
@@ -178,11 +201,24 @@ mod tests {
     #[test]
     fn roundtrip() {
         let seg = sample();
-        let decoded = Segment::decode(&seg.encode()).unwrap();
+        let bytes = seg.encode();
+        let decoded = Segment::decode(&bytes).unwrap();
         assert_eq!(decoded, seg);
         let epochs: Vec<u64> = decoded.batches.iter().map(|b| b.epoch).collect();
         assert_eq!((epochs.first(), epochs.last()), (Some(&0), Some(&2)));
         assert_eq!(decoded.batches.iter().map(|b| b.docs).sum::<u64>(), 19);
+    }
+
+    #[test]
+    fn the_payload_is_never_copied() {
+        let payload = sample().collection;
+        let bytes = sample().encode();
+        let decoded = Segment::decode(&bytes).unwrap();
+        assert!(std::ptr::eq(
+            &*decoded.collection,
+            &bytes[4..4 + payload.len()]
+        ));
+        assert_eq!(decoded.collection, payload);
     }
 
     #[test]
@@ -215,7 +251,7 @@ mod tests {
     #[test]
     fn non_contiguous_batches_rejected() {
         let seg = Segment {
-            collection: vec![1, 2, 3],
+            collection: Cow::Borrowed(&[1, 2, 3]),
             batches: vec![
                 SegmentBatch { epoch: 0, docs: 1 },
                 SegmentBatch { epoch: 2, docs: 1 },
@@ -232,7 +268,7 @@ mod tests {
     #[test]
     fn empty_batch_list_rejected() {
         let seg = Segment {
-            collection: vec![9; 40],
+            collection: Cow::Borrowed(&[9; 40]),
             batches: vec![],
         };
         assert_eq!(

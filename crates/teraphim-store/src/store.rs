@@ -86,14 +86,14 @@ impl IndexStore {
         let stemming = analyzer.stemming();
         let collection = Collection::build(name, analyzer, docs);
         let base = Segment {
-            collection: collection.to_bytes(),
+            collection: collection.to_bytes().into(),
             batches: vec![SegmentBatch {
                 epoch: 0,
                 docs: docs.len() as u64,
             }],
         };
         let file = segment_file_name(0);
-        write_file_synced(&dir.join(&file), &base.encode())?;
+        write_file_synced(&dir.join(&file), |f| base.write_to(f))?;
         let manifest = Manifest {
             name: name.to_owned(),
             stopping,
@@ -286,8 +286,8 @@ impl IndexStore {
         Ok(next)
     }
 
-    /// The fold: loads the segment, applies the pending batches one at a
-    /// time, writes the result as the next segment, replaces the
+    /// The fold: loads the segment, applies the pending batches in one
+    /// merge, writes the result as the next segment, replaces the
     /// manifest atomically, truncates the WAL and deletes the old
     /// segment. Afterwards the directory is the manifest, an empty WAL
     /// and one segment. With nothing pending it does nothing.
@@ -318,11 +318,11 @@ impl IndexStore {
             docs: docs.len() as u64,
         }));
         let segment = Segment {
-            collection: collection.to_bytes(),
+            collection: collection.to_bytes().into(),
             batches,
         };
         let file = segment_file_name(self.manifest.next_segment_id);
-        write_file_synced(&self.dir.join(&file), &segment.encode())?;
+        write_file_synced(&self.dir.join(&file), |f| segment.write_to(f))?;
         let manifest = Manifest {
             epoch: self.epoch,
             next_segment_id: self.manifest.next_segment_id + 1,
@@ -374,7 +374,8 @@ impl IndexStore {
                 durable: self.epoch,
             });
         }
-        let segment = read_segment(&self.dir, &self.manifest.segment)?;
+        let mut bytes = Vec::new();
+        let segment = read_segment(&self.dir, &self.manifest.segment, &mut bytes)?;
         let docs = Collection::from_bytes(&segment.collection)?.export_docs()?;
         // The segment's documents, cut back into the batches they were
         // committed as; the manifest guarantees epoch 0 comes first.
@@ -393,9 +394,8 @@ impl IndexStore {
             what: "store has no base batch",
         })?;
         let mut collection = Collection::build(&self.manifest.name, self.analyzer(), base);
-        for (_, docs) in batches {
-            collection.append_documents(docs)?;
-        }
+        let batches: Vec<&[TrecDoc]> = batches.map(|(_, docs)| docs).collect();
+        collection.append_batches(&batches)?;
         Ok(collection)
     }
 
@@ -407,7 +407,7 @@ impl IndexStore {
     /// Returns the first [`StoreError`] encountered.
     pub fn verify(&self) -> Result<StoreStatus> {
         self.manifest.validate()?;
-        read_segment(&self.dir, &self.manifest.segment)?;
+        read_segment(&self.dir, &self.manifest.segment, &mut Vec::new())?;
         wal::scan(&read_wal(&self.dir)?)?;
         Ok(StoreStatus {
             epoch: self.epoch,
@@ -429,27 +429,33 @@ fn is_segment_file_name(name: &str) -> bool {
 }
 
 /// The collection a store holds: its segment with `pending` applied on
-/// top. Each batch goes through `Collection::append_documents` on its
-/// own — the call the live writer made for it — because a document's
-/// weight is a floating-point sum taken in the term-id order of the
-/// delta index it was built in, and a delta over several batches at
-/// once numbers its terms differently. Recovery and the fold both come
-/// through here, which is why what the fold writes ranks bit for bit
-/// like what was serving.
+/// top, by one `Collection::append_batches`. That is the collection one
+/// `append_documents` per batch — the calls the live writer made — would
+/// give, to the byte: each batch is still its own delta, because a
+/// document's weight is a floating-point sum taken in the term-id order
+/// of the delta index it was built in, and a delta over several batches
+/// at once numbers its terms differently. Recovery and the fold both
+/// come through here, which is why what the fold writes ranks bit for
+/// bit like what was serving.
 fn replay(dir: &Path, manifest: &Manifest, pending: &[(u64, Vec<TrecDoc>)]) -> Result<Collection> {
-    let segment = read_segment(dir, &manifest.segment)?;
+    let mut bytes = Vec::new();
+    let segment = read_segment(dir, &manifest.segment, &mut bytes)?;
     let mut collection = Collection::from_bytes(&segment.collection)?;
-    for (_, docs) in pending {
-        collection.append_documents(docs)?;
-    }
+    let batches: Vec<&[TrecDoc]> = pending.iter().map(|(_, docs)| docs.as_slice()).collect();
+    collection.append_batches(&batches)?;
     Ok(collection)
 }
 
-/// Reads and validates the segment, cross-checking the manifest entry's
-/// batch list against the segment's own meta.
-fn read_segment(dir: &Path, entry: &SegmentEntry) -> Result<Segment> {
-    let bytes = std::fs::read(dir.join(&entry.file)).map_err(io_err("read segment"))?;
-    let segment = Segment::decode(&bytes)?;
+/// Reads the segment file `entry` names into `bytes` and decodes it
+/// there, cross-checking the manifest entry's batch list against the
+/// segment's own meta.
+fn read_segment<'a>(
+    dir: &Path,
+    entry: &SegmentEntry,
+    bytes: &'a mut Vec<u8>,
+) -> Result<Segment<'a>> {
+    *bytes = std::fs::read(dir.join(&entry.file)).map_err(io_err("read segment"))?;
+    let segment = Segment::decode(bytes)?;
     if segment.batches != entry.batches {
         return Err(StoreError::Corrupt {
             what: "segment batches disagree with manifest",
@@ -487,10 +493,13 @@ fn remove_fold_debris(dir: &Path, live: &str) {
     }
 }
 
-/// Writes `bytes` to `path` and syncs before returning.
-fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<()> {
+/// Creates `path`, fills it with `write` and syncs before returning.
+fn write_file_synced(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> std::io::Result<()>,
+) -> Result<()> {
     let mut file = File::create(path).map_err(io_err("create file"))?;
-    file.write_all(bytes).map_err(io_err("write file"))?;
+    write(&mut file).map_err(io_err("write file"))?;
     file.sync_all().map_err(io_err("sync file"))?;
     Ok(())
 }
@@ -498,7 +507,7 @@ fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<()> {
 /// Atomically replaces the manifest: write `MANIFEST.tmp`, sync, rename.
 fn write_manifest_atomic(dir: &Path, manifest: &Manifest) -> Result<()> {
     let tmp = dir.join(MANIFEST_TMP_FILE);
-    write_file_synced(&tmp, &manifest.encode())?;
+    write_file_synced(&tmp, |f| f.write_all(&manifest.encode()))?;
     std::fs::rename(&tmp, dir.join(MANIFEST_FILE)).map_err(io_err("rename manifest"))?;
     // Durability of the rename itself needs a directory sync where the
     // platform supports opening directories; best-effort elsewhere.
@@ -579,6 +588,18 @@ mod tests {
         assert_eq!(wal.len(), 0, "the fold empties the WAL");
     }
 
+    /// The segment's collection is, to the byte, `oracle`: the base and
+    /// one `append_documents` per batch.
+    fn assert_segment_holds(store: &IndexStore, oracle: &Collection, case: &str) {
+        let mut bytes = Vec::new();
+        let segment = read_segment(&store.dir, &store.manifest.segment, &mut bytes).unwrap();
+        assert!(
+            *segment.collection == oracle.to_bytes(),
+            "{case}: the segment at epoch {} is not the chain of appends",
+            store.epoch()
+        );
+    }
+
     #[test]
     fn create_open_roundtrip() {
         let dir = TempDir::new("roundtrip").unwrap();
@@ -654,6 +675,7 @@ mod tests {
                 assert_eq!(store.pending_batches(), pending, "{case}: batch {n}");
                 if pending == 0 {
                     assert_folded(&store);
+                    assert_segment_holds(&store, &oracle, case);
                 }
             }
             if let Some(fold) = fold {
@@ -662,6 +684,17 @@ mod tests {
             assert_eq!(store.epoch(), batches as u64, "{case}");
             assert_eq!(store.pending_batches(), 0, "{case}");
             assert_folded(&store);
+            assert_segment_holds(&store, &oracle, case);
+            let mut chain = Collection::build("demo", Analyzer::default(), &base_docs());
+            for e in 0..=batches as u64 {
+                if e > 0 {
+                    chain.append_documents(&batch(e)).unwrap();
+                }
+                assert!(
+                    store.collection_at(e).unwrap().to_bytes() == chain.to_bytes(),
+                    "{case}: collection_at({e}) is not the chain cut there"
+                );
+            }
             let segment = store.manifest.segment.file.clone();
 
             // With nothing pending a fold does nothing at all.

@@ -72,7 +72,9 @@ pub fn decode_batch(bytes: &[u8]) -> Result<Vec<TrecDoc>> {
         ))
     };
     let count = take_u32(&mut pos)? as usize;
-    let mut docs = Vec::with_capacity(count.min(bytes.len()));
+    // A document takes at least its two 4-byte lengths, which bounds
+    // what a hostile count may reserve.
+    let mut docs = Vec::with_capacity(count.min((bytes.len() - pos) / 8));
     for _ in 0..count {
         let docno_len = take_u32(&mut pos)? as usize;
         let docno = std::str::from_utf8(take(&mut pos, docno_len)?)

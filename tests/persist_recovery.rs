@@ -241,7 +241,7 @@ proptest! {
     fn segment_codec_round_trips(batch in ArbBatch { tag: "S" }) {
         let collection = Collection::build("SEG", Analyzer::default(), &batch);
         let segment = teraphim::store::Segment {
-            collection: collection.to_bytes(),
+            collection: collection.to_bytes().into(),
             batches: vec![teraphim::store::SegmentBatch {
                 epoch: 0,
                 docs: batch.len() as u64,

@@ -8,9 +8,10 @@
 //! the reply the client decodes.
 //!
 //! The same counter checks the decoders against hostile counts: a
-//! message of a few bytes that claims a million elements, or a document
-//! store that claims four billion documents, may not make the decoder
-//! reserve more than a small multiple of its own length.
+//! message of a few bytes that claims a million elements, a document
+//! store, a WAL batch or a manifest that claims four billion entries,
+//! may not make the decoder reserve more than a small multiple of its
+//! own length.
 //!
 //! A test binary of its own with a counting global allocator, so that
 //! no other test allocates while it counts; the tests here take one
@@ -19,6 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
+use teraphim::compress::checksum::crc32;
 use teraphim::core::{Librarian, Methodology, Receptionist};
 use teraphim::corpus::splits::split_into;
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
@@ -26,6 +28,7 @@ use teraphim::engine::DocStore;
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::wire::put_uint;
 use teraphim::net::{Message, MuxTransport};
+use teraphim::store::{wal, Manifest, SegmentEntry, StoreError};
 use teraphim::text::Analyzer;
 
 struct Counting;
@@ -205,5 +208,47 @@ fn a_hostile_count_buys_no_reservation() {
         requested <= model + 32 * store.len() as u64,
         "{requested} bytes reserved for a {}-byte document store ({model} for its model)",
         store.len()
+    );
+
+    // A WAL batch that claims u32::MAX documents and holds 8 192 empty
+    // ones: each takes its two lengths, 8 bytes, and 48 as a `TrecDoc`.
+    let batch = [&u32::MAX.to_le_bytes()[..], &[0; 1 << 16]].concat();
+    let requested = bytes_requested(|| assert!(wal::decode_batch(&batch).is_err()));
+    assert!(
+        requested <= 8 * batch.len() as u64,
+        "{requested} bytes reserved for a {}-byte WAL batch",
+        batch.len()
+    );
+
+    // A manifest, its checksum made good, whose long name is followed by
+    // a batch count of u32::MAX and no batches.
+    let manifest = Manifest {
+        name: "N".repeat(1 << 16),
+        stopping: true,
+        stemming: true,
+        epoch: 0,
+        next_segment_id: 1,
+        segment: SegmentEntry {
+            file: "seg-000000.seg".into(),
+            batches: Vec::new(),
+        },
+    };
+    let mut bytes = manifest.encode();
+    let body = bytes.len() - 4;
+    bytes[body - 4..body].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = crc32(&bytes[..body]).to_le_bytes();
+    bytes[body..].copy_from_slice(&crc);
+    let requested = bytes_requested(|| {
+        assert!(matches!(
+            Manifest::decode(&bytes),
+            Err(StoreError::Corrupt {
+                what: "manifest truncated"
+            })
+        ));
+    });
+    assert!(
+        requested <= 2 * bytes.len() as u64,
+        "{requested} bytes reserved for a {}-byte manifest",
+        bytes.len()
     );
 }
