@@ -14,11 +14,12 @@
 //! * `open_wal` — `IndexStore::open` with the batches still pending in
 //!   the write-ahead log: deserialize the base segment, replay the WAL
 //!   tail.
-//! * `checkpoint` — `IndexStore::checkpoint` on that store: load the
-//!   segment, apply the pending batches, write the one new segment,
-//!   swap the manifest, empty the WAL.
-//! * `open_compacted` — `IndexStore::open` after `compact()` (the same
-//!   fold): one segment holding everything, pure deserialization.
+//! * `checkpoint` — the fold, as the store-backed librarian opened on
+//!   that store runs it (`store_mut().compact()`): serialize the
+//!   collection it serves as the one new segment, swap the manifest,
+//!   empty the WAL. Nothing is replayed.
+//! * `open_compacted` — `IndexStore::open` after that fold: one segment
+//!   holding everything, pure deserialization.
 //!
 //! All three must produce bit-identical rankings over a probe query
 //! set — recovery is only allowed to be faster, never different.
@@ -37,6 +38,7 @@
 use std::path::Path;
 use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
+use teraphim_core::Librarian;
 use teraphim_engine::Collection;
 use teraphim_store::{IndexStore, TempDir};
 use teraphim_text::sgml::TrecDoc;
@@ -122,14 +124,15 @@ fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), S
     let (base_name, base_docs) = (parts[0].0, parts[0].1);
     let batches: Vec<&[TrecDoc]> = parts[1..].iter().map(|(_, docs)| *docs).collect();
 
-    let (mut store, _) = IndexStore::create(dir.path(), base_name, &Analyzer::default(), base_docs)
-        .expect("fresh store creates");
+    let mut librarian =
+        Librarian::create_store(dir.path(), base_name, &Analyzer::default(), base_docs)
+            .expect("fresh store creates");
     for batch in &batches {
-        store.log_batch(batch).expect("batch commits");
+        librarian.add_documents(batch).expect("batch commits");
     }
-    let epochs = store.epoch();
-    let num_docs = store.num_docs();
-    drop(store);
+    let epochs = librarian.epoch();
+    let num_docs = librarian.num_docs();
+    drop(librarian);
 
     // Rebuild: everything from raw text, the storeless restart.
     let (rebuilt, rebuild_micros) = time_min(|| {
@@ -153,22 +156,26 @@ fn run(parts: &[(&str, &[TrecDoc])], probes: &[String]) -> (Report, Result<(), S
             for (name, _) in &pending {
                 std::fs::copy(dir.path().join(name), copy.path().join(name)).expect("copy store");
             }
-            let (mut store, _) = IndexStore::open(copy.path()).expect("copy reopens");
+            let mut librarian = Librarian::open(copy.path()).expect("copy reopens");
+            let mut store = librarian.store_mut().expect("a store-backed librarian");
             let started = Instant::now();
-            store.checkpoint().expect("fold");
+            store.compact().expect("fold");
             started.elapsed().as_micros() as u64
         })
         .min()
         .expect("ITERS is positive");
 
     // Compact, then cold-open the one segment that holds everything.
-    let (mut store, _) = IndexStore::open(dir.path()).expect("store reopens");
+    let mut librarian = Librarian::open(dir.path()).expect("store reopens");
+    let mut store = librarian.store_mut().expect("a store-backed librarian");
     store.compact().expect("compaction");
-    let verify = store
+    let verify = librarian
+        .store()
+        .expect("a store-backed librarian")
         .verify()
         .map_err(|e| format!("{e}"))
         .and_then(|_| check_folded(dir.path()));
-    drop(store);
+    drop(librarian);
     let (opened_compacted, open_compacted_micros) =
         time_min(|| IndexStore::open(dir.path()).expect("store reopens").1);
 

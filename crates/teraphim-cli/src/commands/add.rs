@@ -6,7 +6,7 @@
 
 use crate::args::Args;
 use crate::commands::{load_collection, outln};
-use teraphim_store::IndexStore;
+use teraphim_core::Librarian;
 use teraphim_text::sgml::parse_trec;
 
 const HELP: &str = "\
@@ -48,12 +48,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
 
     if let Some(dir) = store_dir {
-        let (mut store, collection) = IndexStore::open(std::path::Path::new(dir))
+        let mut librarian = Librarian::open(std::path::Path::new(dir))
             .map_err(|e| format!("cannot open store {dir}: {e}"))?;
-        let before = collection.num_docs();
-        let epoch = store
-            .log_batch(&docs)
+        let before = librarian.num_docs();
+        let epoch = librarian
+            .add_documents(&docs)
             .map_err(|e| format!("append failed: {e}"))?;
+        let store = librarian.store().expect("opened from a store");
         outln!(
             "appended {} documents ({} -> {}); store {dir} now at epoch {epoch}, \
              {} pending batch(es)",

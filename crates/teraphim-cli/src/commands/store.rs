@@ -78,6 +78,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     if args.flag("compact") {
         let pending = store.pending_batches();
         store
+            .writer(&collection)
             .compact()
             .map_err(|e| format!("compaction failed: {e}"))?;
         outln!(

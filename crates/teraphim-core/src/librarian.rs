@@ -52,7 +52,8 @@ struct Ledger {
 /// place while the handle is alone and copy-on-write otherwise: the
 /// other handles keep ranking against the snapshot, and advertising the
 /// epoch, they had. The [`teraphim_store::IndexStore`] stays with the
-/// handle that opened it.
+/// handle that opened it, which is the only one that writes it
+/// ([`Librarian::store_mut`]).
 #[derive(Debug)]
 pub struct Librarian {
     collection: Arc<Collection>,
@@ -64,9 +65,6 @@ pub struct Librarian {
     /// the index changes. Echoed in every rank/score reply and in
     /// `StatsReply` so receptionist caches can invalidate.
     epoch: u64,
-    /// Serialized index size, computed lazily on the first `Stats`
-    /// request (serialization is too expensive for the constructor).
-    index_bytes_cache: Option<u64>,
     /// Scan (term lookup / weighting) micros of the last handled
     /// request; harvested by [`Service::take_phase_timings`].
     last_scan: u64,
@@ -103,7 +101,6 @@ impl Librarian {
             scratch: RankScratch::new(),
             query: Vec::new(),
             epoch: 0,
-            index_bytes_cache: None,
             last_scan: 0,
             last_rank: 0,
             flight: FlightRecorder::disabled(),
@@ -122,7 +119,6 @@ impl Librarian {
             scratch: RankScratch::new(),
             query: Vec::new(),
             epoch: self.epoch,
-            index_bytes_cache: self.index_bytes_cache,
             last_scan: 0,
             last_rank: 0,
             flight: self.flight.clone(),
@@ -169,8 +165,9 @@ impl Librarian {
     }
 
     /// Appends a document batch, durably when a store is attached: the
-    /// batch is WAL-logged and synced *first*, and only then merged into
-    /// the in-memory index, so the advertised epoch never gets ahead of
+    /// batch is WAL-logged and synced *first* through the store's writer
+    /// ([`Librarian::store_mut`]), and only then merged into the
+    /// in-memory index, so the advertised epoch never gets ahead of
     /// what a crash would recover. Without a store this is a plain
     /// in-memory append plus an epoch bump. Returns the new epoch.
     ///
@@ -182,8 +179,8 @@ impl Librarian {
     /// the batch, which is durable by then) or
     /// [`crate::TeraphimError::Engine`] if the merge fails.
     pub fn add_documents(&mut self, docs: &[TrecDoc]) -> Result<u64, crate::TeraphimError> {
-        let epoch = match &mut self.store {
-            Some(store) => store.log_batch(docs)?,
+        let epoch = match self.store_mut() {
+            Some(mut store) => store.log_batch(docs)?,
             None => self.epoch + 1,
         };
         self.collection_mut().append_documents(docs)?;
@@ -196,10 +193,15 @@ impl Librarian {
         self.store.as_ref()
     }
 
-    /// Mutable access to the attached store (checkpoint, compact,
-    /// crash-point injection in tests).
-    pub fn store_mut(&mut self) -> Option<&mut teraphim_store::IndexStore> {
-        self.store.as_mut()
+    /// The attached store's writer, bound to this handle's collection:
+    /// the only way to write the store, so that a fold writes the
+    /// collection this handle serves. A caller that logs a batch with it
+    /// applies the batch next ([`Librarian::collection_mut`]) and then
+    /// takes the epoch ([`Librarian::set_epoch`]), as
+    /// [`Librarian::add_documents`] does.
+    pub fn store_mut(&mut self) -> Option<teraphim_store::StoreWriter<'_>> {
+        let live = &*self.collection;
+        self.store.as_mut().map(|store| store.writer(live))
     }
 
     /// Attaches a flight recorder retaining at most `capacity`
@@ -237,11 +239,8 @@ impl Librarian {
 
     /// Mutable access (e.g. to append documents): in place while this
     /// handle is alone, on a private copy once the collection is shared,
-    /// so no other handle's snapshot moves. The caller may change the
-    /// index, so the serialized size `Stats` reports is recomputed on
-    /// the next poll.
+    /// so no other handle's snapshot moves.
     pub fn collection_mut(&mut self) -> &mut Collection {
-        self.index_bytes_cache = None;
         Arc::make_mut(&mut self.collection)
     }
 
@@ -252,15 +251,12 @@ impl Librarian {
 
     /// Builds the [`Message::StatsReply`] from the shared service ledger
     /// and this handle's snapshot.
-    fn stats_reply(&mut self) -> Message {
-        let index_bytes = *self
-            .index_bytes_cache
-            .get_or_insert_with(|| self.collection.index().to_bytes().len() as u64);
+    fn stats_reply(&self) -> Message {
         Message::StatsReply {
             name: self.collection.name().to_owned(),
             num_docs: self.collection.num_docs(),
             num_terms: self.collection.index().vocab().len() as u64,
-            index_bytes,
+            index_bytes: self.collection.index().serialized_len() as u64,
             requests_served: self.ledger.requests_served.load(Relaxed),
             rank_requests: self.ledger.rank_requests.load(Relaxed),
             errors: self.ledger.errors_returned.load(Relaxed),
@@ -942,12 +938,81 @@ mod tests {
             .map(|h| (h.doc, h.score.to_bits()))
             .collect();
         assert_eq!(got, expected, "recovered rankings are byte-identical");
-        // The recovered epoch flows through StatsReply unchanged.
-        let reply = reopened.handle(Message::Stats);
-        let Message::StatsReply { epoch, .. } = reply else {
-            panic!("expected StatsReply");
+        // The recovered epoch flows through StatsReply unchanged, and
+        // the size it reports is the index's serialized size, also
+        // after a further append.
+        for want in [1, 2] {
+            let Message::StatsReply {
+                epoch, index_bytes, ..
+            } = reopened.handle(Message::Stats)
+            else {
+                panic!("expected StatsReply");
+            };
+            assert_eq!(epoch, want);
+            let serialized = reopened.collection().index().to_bytes().len();
+            assert_eq!(index_bytes, serialized as u64);
+            reopened.add_documents(&batch).unwrap();
+        }
+    }
+
+    /// Every file of a store directory, by name.
+    fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// The librarian's own write (`add_documents`) and the three calls a
+    /// caller may make instead, each through the librarian (the store's
+    /// writer, the append, the epoch), fold on the same batches and
+    /// leave the same bytes on disk, through two automatic folds and one
+    /// batch more. Each fold comes before the batch that finds
+    /// `CHECKPOINT_BATCHES` pending, and writes the serving collection.
+    #[test]
+    fn add_documents_and_the_writer_sequence_leave_identical_stores() {
+        let root = teraphim_store::TempDir::new("librarian-fold").unwrap();
+        let base = [TrecDoc {
+            docno: "T-0".into(),
+            text: "the cat sat on the mat".into(),
+        }];
+        let open = |name: &str| {
+            let dir = root.path().join(name);
+            let lib = Librarian::create_store(&dir, "TEST", &Analyzer::default(), &base);
+            (dir, lib.unwrap())
         };
-        assert_eq!(epoch, 1);
+        let (owned_dir, mut owned) = open("owned");
+        let (traced_dir, mut traced) = open("traced");
+        let batches = 2 * teraphim_store::CHECKPOINT_BATCHES + 1;
+        for n in 1..=batches {
+            let batch = [TrecDoc {
+                docno: format!("T-{n}"),
+                text: format!("batch {n} of cats and tides"),
+            }];
+            let epoch = owned.add_documents(&batch).unwrap();
+            let logged = traced.store_mut().unwrap().log_batch(&batch).unwrap();
+            traced.collection_mut().append_documents(&batch).unwrap();
+            traced.set_epoch(logged);
+            assert_eq!((epoch, traced.epoch()), (n as u64, n as u64));
+            let pending = owned.store().unwrap().pending_batches();
+            assert_eq!(pending, (n - 1) % teraphim_store::CHECKPOINT_BATCHES + 1);
+            assert_eq!(
+                store_files(&owned_dir),
+                store_files(&traced_dir),
+                "batch {n}"
+            );
+        }
+        assert_eq!(owned.store_mut().unwrap().compact(), Ok(()));
+        assert_eq!(traced.store_mut().unwrap().compact(), Ok(()));
+        assert_eq!(store_files(&owned_dir), store_files(&traced_dir));
+        let reopened = Librarian::open(&owned_dir).unwrap();
+        assert!(reopened.collection().to_bytes() == owned.collection().to_bytes());
     }
 
     #[test]

@@ -295,6 +295,17 @@ impl InvertedIndex {
             })
     }
 
+    /// The length of [`InvertedIndex::to_bytes`], by arithmetic: three
+    /// length-prefixed sections (vocabulary, stats, weights), the
+    /// document lengths and each list's 12-byte head and bytes.
+    pub fn serialized_len(&self) -> usize {
+        (4 + 4 + vocab::serialized_len(&self.vocab))
+            + (4 + 12 + 8 * self.lists.len())
+            + (4 + self.weights.serialized_len())
+            + (4 + 4 * self.doc_lengths.len())
+            + (4 + 12 * self.lists.len() + self.postings_bytes())
+    }
+
     /// Serializes the full index (without skip tables, which are
     /// rebuilt): length-prefixed vocabulary, stats and weights sections,
     /// the document lengths, then each term's list head and bytes.
@@ -305,15 +316,7 @@ impl InvertedIndex {
         let doc_freqs = self.lists.iter().map(|list| u64::from(list.len()));
         stats::write(self.num_docs(), doc_freqs, &mut stats);
         let weights = self.weights.to_bytes();
-        let mut out = Vec::with_capacity(
-            vocab.len()
-                + stats.len()
-                + weights.len()
-                + 4 * self.doc_lengths.len()
-                + 12 * self.lists.len()
-                + self.postings_bytes()
-                + 20,
-        );
+        let mut out = Vec::with_capacity(self.serialized_len());
         for section in [&vocab, &stats, &weights] {
             out.extend_from_slice(&(section.len() as u32).to_le_bytes());
             out.extend_from_slice(section);
@@ -477,6 +480,27 @@ mod tests {
         assert!(index.index_bytes() <= 8, "got {}", index.index_bytes());
         let rt = InvertedIndex::from_bytes(&index.to_bytes()).unwrap();
         assert_eq!(rt.num_docs(), 0);
+    }
+
+    /// The arithmetic length is the serialized length, for a built, a
+    /// merged, a loaded and an empty index.
+    #[test]
+    fn serialized_len_is_the_length_of_to_bytes() {
+        let built = small_index();
+        let mut b = IndexBuilder::new();
+        b.add_document(&doc(&["cat", "newt", "newt"]));
+        b.add_document(&doc(&[]));
+        let merged = crate::merge::merge(&built, &[b.build()]).unwrap();
+        let loaded = InvertedIndex::from_bytes(&merged.to_bytes()).unwrap();
+        let empty = IndexBuilder::new().build();
+        for (case, index) in [
+            ("built", built),
+            ("merged", merged),
+            ("loaded", loaded),
+            ("empty", empty),
+        ] {
+            assert_eq!(index.serialized_len(), index.to_bytes().len(), "{case}");
+        }
     }
 
     #[test]

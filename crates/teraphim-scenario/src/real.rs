@@ -22,7 +22,7 @@ use teraphim_net::{
     DispatchMode, FaultyTransport, Message, ReplicaGroup, RoutingTable, Service, SharedPlan,
 };
 use teraphim_obs::{Count, Counts, EventKind, MetricsRegistry, TraceSink};
-use teraphim_store::{IndexStore, TempDir};
+use teraphim_store::TempDir;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
@@ -103,17 +103,19 @@ impl ShardState {
     }
 }
 
-/// The durable side of one real backend: one [`IndexStore`] per shard
-/// under a run-scoped temporary directory. Every churn batch is logged
-/// to the shard's WAL *before* any replica sees it, so the store is
-/// always at least as new as memory. A `crash_lib` step drops the store
-/// handle (the "process" died holding it); `reopen_lib` recovers the
-/// shard from disk alone — WAL replay into the last durable manifest —
-/// and the differential check against the never-crashing sim backend
-/// proves the recovered rankings and epoch are exactly what was lost.
+/// The durable side of one real backend: one store-backed [`Librarian`]
+/// per shard under a run-scoped temporary directory, the only writer of
+/// its store. Every churn batch goes through it, WAL first, *before*
+/// any replica sees it, so the store is always at least as new as
+/// memory, and its folds write the collection it holds. A `crash_lib`
+/// step drops the librarian (the "process" died holding the store);
+/// `reopen_lib` recovers the shard from disk alone — WAL replay into the
+/// last durable manifest — and the differential check against the
+/// never-crashing sim backend proves the recovered rankings and epoch
+/// are exactly what was lost.
 struct FleetStores {
     root: TempDir,
-    stores: Vec<Option<IndexStore>>,
+    stores: Vec<Option<Librarian>>,
 }
 
 impl FleetStores {
@@ -124,22 +126,22 @@ impl FleetStores {
             .enumerate()
             .map(|(s, shard)| {
                 let dir = root.path().join(format!("shard-{s:03}"));
-                let (store, _) =
-                    IndexStore::create(&dir, &shard.name, &Analyzer::default(), &shard.docs)
+                let lib =
+                    Librarian::create_store(&dir, &shard.name, &Analyzer::default(), &shard.docs)
                         .expect("fresh shard store creates");
-                Some(store)
+                Some(lib)
             })
             .collect();
         FleetStores { root, stores }
     }
 
-    /// Durably appends a churn batch to shard `lib`'s WAL. The runner
-    /// never churns while any shard is crashed, so the handle is live.
-    fn log_batch(&mut self, lib: usize, docs: &[TrecDoc]) -> Result<(), String> {
+    /// Durably appends a churn batch to shard `lib`'s store. The runner
+    /// never churns while any shard is crashed, so the librarian is live.
+    fn add_documents(&mut self, lib: usize, docs: &[TrecDoc]) -> Result<(), String> {
         self.stores[lib]
             .as_mut()
             .expect("store alive during add_docs")
-            .log_batch(docs)
+            .add_documents(docs)
             .map(|_| ())
             .map_err(|e| format!("{e}"))
     }
@@ -154,11 +156,10 @@ impl FleetStores {
     /// bit-identical to the recovery image.
     fn reopen(&mut self, lib: usize) -> (Vec<u8>, u64) {
         let dir = self.root.path().join(format!("shard-{lib:03}"));
-        let (store, collection) = IndexStore::open(&dir).expect("crashed shard store reopens");
-        let epoch = store.epoch();
-        let bytes = collection.to_bytes();
-        self.stores[lib] = Some(store);
-        (bytes, epoch)
+        let recovered = Librarian::open(&dir).expect("crashed shard store reopens");
+        let image = (recovered.collection().to_bytes(), recovered.epoch());
+        self.stores[lib] = Some(recovered);
+        image
     }
 }
 
@@ -490,7 +491,7 @@ impl<E: Embodiment> Backend for RealBackend<E> {
         // Write-ahead: the WAL records the batch before any replica
         // applies it, so a later crash can only lose what the fleet
         // never acknowledged.
-        self.stores.log_batch(lib, docs)?;
+        self.stores.add_documents(lib, docs)?;
         self.shards[lib].docs.extend_from_slice(docs);
         self.shards[lib].epoch += 1;
         for replica in &self.replicas[lib] {

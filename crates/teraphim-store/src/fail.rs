@@ -3,14 +3,12 @@
 //! A crash can leave a file in exactly two interesting states relative to
 //! an in-flight append: a **prefix** of the new bytes made it to disk
 //! (torn write), or all bytes made it but one sector holds garbage
-//! (misdirected/interrupted sector write). [`FailingFile`] wraps any
-//! writer and simulates both, "killing the process" (returning an error
-//! and refusing further writes) once the configured [`CrashPoint`] is
-//! reached. The recovery proptests sweep the crash offset across an
-//! entire WAL commit and assert that reopening always lands on a durable
-//! epoch.
-
-use std::io::{self, Write};
+//! (misdirected/interrupted sector write). A [`CrashPoint`] armed on a
+//! store ([`crate::StoreWriter::inject_crash`]) makes its next WAL append
+//! write only what `CrashPoint::landed` says of the record, then
+//! "kills the process": the append fails and the store refuses further
+//! work. The recovery proptests sweep the crash offset across an entire
+//! WAL commit and assert that reopening always lands on a durable epoch.
 
 /// How the simulated crash mangles the in-flight write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,97 +17,37 @@ pub enum CrashMode {
     /// rest are lost (torn write).
     Truncate,
     /// Every byte reaches the file, but the byte at `offset` is XOR-ed
-    /// with `0xA5` (corrupted sector); writes keep succeeding so the
-    /// full stream lands, corruption included. An `offset` past the end
-    /// of the written data garbles nothing — the crash then strikes
-    /// *after* a fully durable write.
+    /// with `0xA5` (corrupted sector). An `offset` past the end of the
+    /// written data garbles nothing — the crash then strikes *after* a
+    /// fully durable write.
     Garble,
 }
 
-/// A byte offset (relative to the wrapped writer's first byte) at which
+/// A byte offset (relative to the first byte of the append) at which
 /// the simulated crash strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint {
-    /// Offset into the stream of bytes written through the wrapper.
+    /// Offset into the bytes of the append.
     pub offset: u64,
     /// What happens to the data around the crash.
     pub mode: CrashMode,
 }
 
-/// Error kind used for the simulated crash.
-fn crash_error() -> io::Error {
-    io::Error::other("injected crash point fired")
-}
-
-/// A writer that persists data faithfully up to a [`CrashPoint`], then
-/// fails like a crashing process.
-///
-/// Semantics per mode:
-///
-/// * [`CrashMode::Truncate`] — bytes `0..offset` are forwarded, then
-///   the write covering the crash point and every later one return an
-///   error. If `offset` is at or beyond the end of all data written,
-///   nothing is lost (the crash lands after the write completed).
-/// * [`CrashMode::Garble`] — all bytes are forwarded with the byte at
-///   `offset` flipped; writes keep succeeding (the corruption is
-///   already planted; the store treats an armed crash point as fatal
-///   after the write).
-#[derive(Debug)]
-pub struct FailingFile<W: Write> {
-    inner: W,
-    point: CrashPoint,
-    written: u64,
-    fired: bool,
-}
-
-impl<W: Write> FailingFile<W> {
-    /// Wraps `inner`, arming the given crash point.
-    pub fn new(inner: W, point: CrashPoint) -> Self {
-        FailingFile {
-            inner,
-            point,
-            written: 0,
-            fired: false,
-        }
-    }
-}
-
-impl<W: Write> Write for FailingFile<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.fired && self.point.mode == CrashMode::Truncate {
-            return Err(crash_error());
-        }
-        let end = self.written + buf.len() as u64;
-        match self.point.mode {
-            CrashMode::Truncate => {
-                if end > self.point.offset {
-                    let keep = (self.point.offset.saturating_sub(self.written)) as usize;
-                    self.inner.write_all(&buf[..keep])?;
-                    self.written += keep as u64;
-                    self.fired = true;
-                    return Err(crash_error());
-                }
-                self.inner.write_all(buf)?;
-                self.written = end;
-                Ok(buf.len())
-            }
+impl CrashPoint {
+    /// What of `bytes`, written by a process that dies at this point,
+    /// reaches the file. An `offset` at or past the end loses nothing.
+    pub(crate) fn landed(&self, bytes: &[u8]) -> Vec<u8> {
+        let at = usize::try_from(self.offset).unwrap_or(usize::MAX);
+        let mut landed = bytes.to_vec();
+        match self.mode {
+            CrashMode::Truncate => landed.truncate(at),
             CrashMode::Garble => {
-                if !self.fired && self.point.offset >= self.written && self.point.offset < end {
-                    let mut garbled = buf.to_vec();
-                    garbled[(self.point.offset - self.written) as usize] ^= 0xA5;
-                    self.inner.write_all(&garbled)?;
-                    self.fired = true;
-                } else {
-                    self.inner.write_all(buf)?;
+                if let Some(byte) = landed.get_mut(at) {
+                    *byte ^= 0xA5;
                 }
-                self.written = end;
-                Ok(buf.len())
             }
         }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
+        landed
     }
 }
 
@@ -117,90 +55,37 @@ impl<W: Write> Write for FailingFile<W> {
 mod tests {
     use super::*;
 
-    fn run(point: CrashPoint, chunks: &[&[u8]]) -> (Vec<u8>, bool) {
-        let mut sink = Vec::new();
-        let crashed;
-        {
-            let mut f = FailingFile::new(&mut sink, point);
-            for chunk in chunks {
-                if f.write_all(chunk).is_err() {
-                    break;
-                }
-            }
-            crashed = f.fired;
-        }
-        (sink, crashed)
+    fn point(offset: u64, mode: CrashMode) -> CrashPoint {
+        CrashPoint { offset, mode }
     }
 
     #[test]
     fn truncate_keeps_exact_prefix() {
         let data: Vec<u8> = (0u8..100).collect();
-        for offset in 0..=100u64 {
-            let point = CrashPoint {
-                offset,
-                mode: CrashMode::Truncate,
-            };
-            let (persisted, crashed) = run(point, &[&data]);
-            assert_eq!(persisted, data[..offset as usize], "offset {offset}");
-            assert_eq!(crashed, offset < 100, "offset {offset}");
+        for offset in 0..=101u64 {
+            let landed = point(offset, CrashMode::Truncate).landed(&data);
+            assert_eq!(landed, data[..offset.min(100) as usize], "offset {offset}");
         }
-    }
-
-    #[test]
-    fn truncate_spanning_multiple_writes() {
-        let point = CrashPoint {
-            offset: 5,
-            mode: CrashMode::Truncate,
-        };
-        let (persisted, crashed) = run(point, &[b"abc", b"def", b"ghi"]);
-        assert_eq!(persisted, b"abcde");
-        assert!(crashed);
     }
 
     #[test]
     fn garble_flips_exactly_one_byte() {
         let data: Vec<u8> = (0u8..50).collect();
         for offset in 0..50u64 {
-            let point = CrashPoint {
-                offset,
-                mode: CrashMode::Garble,
-            };
-            let (persisted, crashed) = run(point, &[&data[..20], &data[20..]]);
-            assert!(crashed, "offset {offset}");
-            assert_eq!(persisted.len(), data.len());
-            let diffs: Vec<usize> = (0..data.len())
-                .filter(|&i| persisted[i] != data[i])
-                .collect();
+            let landed = point(offset, CrashMode::Garble).landed(&data);
+            assert_eq!(landed.len(), data.len());
+            let diffs: Vec<usize> = (0..data.len()).filter(|&i| landed[i] != data[i]).collect();
             assert_eq!(diffs, vec![offset as usize]);
-            assert_eq!(persisted[offset as usize], data[offset as usize] ^ 0xA5);
+            assert_eq!(landed[offset as usize], data[offset as usize] ^ 0xA5);
         }
     }
 
     #[test]
     fn garble_past_end_is_a_clean_write() {
-        let point = CrashPoint {
-            offset: 99,
-            mode: CrashMode::Garble,
-        };
-        let (persisted, crashed) = run(point, &[b"short"]);
-        assert_eq!(persisted, b"short");
-        assert!(!crashed);
-    }
-
-    #[test]
-    fn no_writes_accepted_after_crash() {
-        let mut sink = Vec::new();
-        let mut f = FailingFile::new(
-            &mut sink,
-            CrashPoint {
-                offset: 1,
-                mode: CrashMode::Truncate,
-            },
+        assert_eq!(point(99, CrashMode::Garble).landed(b"short"), b"short");
+        assert_eq!(
+            point(u64::MAX, CrashMode::Garble).landed(b"short"),
+            b"short"
         );
-        assert!(f.write_all(b"xy").is_err());
-        assert!(f.fired);
-        assert!(f.write_all(b"z").is_err());
-        let _ = f;
-        assert_eq!(sink, b"x");
     }
 }

@@ -18,14 +18,15 @@
 //! * **Manifest** ([`manifest`]) — the store's root pointer, updated
 //!   atomically (write-temp + rename), naming the live segment and the
 //!   last checkpointed epoch.
-//! * **The fold** — [`IndexStore::checkpoint`] (also reachable as
-//!   [`IndexStore::compact`], and run by [`IndexStore::log_batch`] once
-//!   [`CHECKPOINT_BATCHES`] batches are pending) is the one write path
-//!   besides the WAL append: the segment with the pending batches
-//!   applied becomes the next segment, the manifest is swapped, the WAL
-//!   truncated and the old segment deleted. A crash before the swap
-//!   leaves a file no manifest names; a crash after it leaves WAL
-//!   records the segment already covers. Recovery handles both.
+//! * **The fold** — [`StoreWriter::compact`], and
+//!   [`StoreWriter::log_batch`] before it commits a batch once
+//!   [`CHECKPOINT_BATCHES`] are pending, is the one write path besides
+//!   the WAL append: the live collection, which holds the segment and
+//!   every pending batch, is written as the next segment, the manifest
+//!   is swapped, the WAL truncated and the old segment deleted. A crash
+//!   before the swap leaves a file no manifest names; a crash after it
+//!   leaves WAL records the segment already covers. Recovery handles
+//!   both.
 //! * **Crash recovery** — [`IndexStore::open`] loads the segment and
 //!   replays the WAL's valid prefix, skipping records at or below the
 //!   manifest's epoch and deleting what an interrupted fold left
@@ -38,22 +39,27 @@
 //!   whose rankings are byte-identical to an in-memory oracle that
 //!   applied the same batches in the same order.
 //!
+//! **One owner.** The store does not hold the live collection, and
+//! keeps no copy of a pending batch: the WAL is the only one. Whoever
+//! holds both — a `Librarian` — writes the store only through
+//! [`IndexStore::writer`] bound to that collection, so the fold
+//! serializes the collection that was serving instead of recomputing
+//! it. A writer over a collection whose document count is not the
+//! store's is refused ([`StoreError::WrongCollection`]).
+//!
 //! The byte-identity guarantee rests on two facts: collection
 //! serialization round-trips exactly (document weights travel as raw
-//! `f64` bits), and every batch the store applies — on open, in the
-//! fold, in an as-of replay — goes through
+//! `f64` bits), and every batch — in the live writer, on open, in an
+//! as-of replay — goes through
 //! [`Collection::append_documents`](teraphim_engine::Collection::append_documents)
-//! on its own, in commit order, which is the call the live writer made
-//! for it. Batches are never concatenated into one call: a document's
-//! weight is a floating-point sum taken in the term-id order of the
-//! delta index its batch is built in, so indexing it together with other
-//! batches can change the last bit. Cold-open, WAL replay, the fold and
-//! as-of replay therefore all walk the same construction path as the
-//! oracle.
+//! on its own, in commit order. Batches are never concatenated into one
+//! call: a document's weight is a floating-point sum taken in the
+//! term-id order of the delta index its batch is built in, so indexing
+//! it together with other batches can change the last bit.
 //!
-//! [`fail`] supplies the crash-point injection harness ([`FailingFile`])
-//! used by the recovery test-suite, and [`tempdir`] a dependency-free
-//! scratch-directory helper shared by tests and benches.
+//! [`fail`] supplies the crash points ([`CrashPoint`]) the recovery
+//! test-suite arms, and [`tempdir`] a dependency-free scratch-directory
+//! helper shared by tests and benches.
 //!
 //! # Examples
 //!
@@ -70,7 +76,7 @@
 //!
 //! // Durable append: WAL first, then the in-memory index.
 //! let batch = vec![TrecDoc { docno: "D2".into(), text: "the dog ran".into() }];
-//! store.log_batch(&batch)?;
+//! store.writer(&collection).log_batch(&batch)?;
 //! collection.append_documents(&batch).expect("merge");
 //! assert_eq!(store.epoch(), 1);
 //!
@@ -96,10 +102,10 @@ pub mod store;
 pub mod tempdir;
 pub mod wal;
 
-pub use fail::{CrashMode, CrashPoint, FailingFile};
+pub use fail::{CrashMode, CrashPoint};
 pub use manifest::{Manifest, SegmentEntry};
 pub use segment::{Segment, SegmentBatch};
-pub use store::{IndexStore, StoreStatus, CHECKPOINT_BATCHES};
+pub use store::{IndexStore, StoreStatus, StoreWriter, CHECKPOINT_BATCHES};
 pub use tempdir::TempDir;
 
 use std::error::Error;
@@ -141,6 +147,14 @@ pub enum StoreError {
     Exists,
     /// `open` was called on a directory with no manifest.
     Missing,
+    /// A fold was handed a collection that is not the one the store's
+    /// batches built: its document count differs. Nothing was written.
+    WrongCollection {
+        /// Documents across the store's durable batches.
+        store: u64,
+        /// Documents in the collection handed to the fold.
+        live: u64,
+    },
     /// A collection-level operation (decode, merge) failed.
     Engine(String),
     /// An injected [`CrashPoint`] fired during a WAL append (test
@@ -163,6 +177,10 @@ impl fmt::Display for StoreError {
             }
             StoreError::Exists => write!(f, "store directory already contains a manifest"),
             StoreError::Missing => write!(f, "no store manifest in directory"),
+            StoreError::WrongCollection { store, live } => write!(
+                f,
+                "refusing to fold a collection of {live} documents into a store of {store}"
+            ),
             StoreError::Engine(msg) => write!(f, "collection failure: {msg}"),
             StoreError::Crashed => write!(f, "injected crash point fired during wal append"),
             StoreError::Poisoned => write!(f, "store unusable after injected crash; reopen it"),

@@ -45,7 +45,7 @@ impl SegmentEntry {
     /// Total documents across the segment's batches.
     #[must_use]
     pub fn num_docs(&self) -> u64 {
-        self.batches.iter().map(|b| b.docs).sum()
+        self.batches.iter().fold(0, |n, b| n.saturating_add(b.docs))
     }
 }
 

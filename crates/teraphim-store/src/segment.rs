@@ -86,16 +86,6 @@ impl<'a> Segment<'a> {
         out.write_all(&tail)
     }
 
-    /// The segment's bytes, as [`Segment::write_to`] writes them.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            4 + self.collection.len() + 4 + self.batches.len() * 16 + FOOTER_LEN,
-        );
-        self.write_to(&mut out).expect("a Vec takes every write");
-        out
-    }
-
     /// Decodes a segment file, validating both magics, the length
     /// bookkeeping and the CRC.
     ///
@@ -187,6 +177,13 @@ impl<'a> Segment<'a> {
 mod tests {
     use super::*;
 
+    /// The segment's bytes, as [`Segment::write_to`] writes them.
+    fn encode(segment: &Segment) -> Vec<u8> {
+        let mut out = Vec::new();
+        segment.write_to(&mut out).unwrap();
+        out
+    }
+
     fn sample() -> Segment<'static> {
         Segment {
             collection: Cow::Owned((0u16..900).map(|i| (i % 251) as u8).collect()),
@@ -201,7 +198,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let seg = sample();
-        let bytes = seg.encode();
+        let bytes = encode(&seg);
         let decoded = Segment::decode(&bytes).unwrap();
         assert_eq!(decoded, seg);
         let epochs: Vec<u64> = decoded.batches.iter().map(|b| b.epoch).collect();
@@ -212,7 +209,7 @@ mod tests {
     #[test]
     fn the_payload_is_never_copied() {
         let payload = sample().collection;
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         let decoded = Segment::decode(&bytes).unwrap();
         assert!(std::ptr::eq(
             &*decoded.collection,
@@ -223,7 +220,7 @@ mod tests {
 
     #[test]
     fn every_single_byte_flip_is_detected() {
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         for i in 0..bytes.len() {
             let mut garbled = bytes.clone();
             garbled[i] ^= 0x01;
@@ -236,7 +233,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = sample().encode();
+        let bytes = encode(&sample());
         for cut in [0, 3, 4, 23, bytes.len() / 2, bytes.len() - 1] {
             assert!(
                 matches!(
@@ -258,7 +255,7 @@ mod tests {
             ],
         };
         assert_eq!(
-            Segment::decode(&seg.encode()),
+            Segment::decode(&encode(&seg)),
             Err(StoreError::Corrupt {
                 what: "segment batch epochs not contiguous"
             })
@@ -272,7 +269,7 @@ mod tests {
             batches: vec![],
         };
         assert_eq!(
-            Segment::decode(&seg.encode()),
+            Segment::decode(&encode(&seg)),
             Err(StoreError::Corrupt {
                 what: "segment covers no batches"
             })

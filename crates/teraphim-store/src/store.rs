@@ -3,10 +3,10 @@
 //! See the crate docs for the durability contract. In short: a store
 //! directory holds exactly one immutable segment, an append-only WAL
 //! and an atomically replaced manifest. Epoch `0` is the base build;
-//! every synced WAL record commits exactly one further epoch. The one
-//! write path besides the WAL append is the *fold*
-//! ([`IndexStore::checkpoint`]): the segment plus the pending batches
-//! become the next segment and the WAL is emptied.
+//! every synced WAL record commits exactly one further epoch. A store
+//! is written only through a [`StoreWriter`] bound to the live
+//! collection: the WAL append, and the *fold*, which writes that
+//! collection as the next segment and empties the WAL.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -16,10 +16,10 @@ use teraphim_engine::Collection;
 use teraphim_text::sgml::TrecDoc;
 use teraphim_text::Analyzer;
 
-use crate::fail::{CrashPoint, FailingFile};
+use crate::fail::CrashPoint;
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::segment::{Segment, SegmentBatch};
-use crate::wal::{self, WalTail};
+use crate::wal::{self, WalScan, WalTail};
 use crate::{io_err, Result, StoreError};
 
 /// File name of the manifest.
@@ -29,8 +29,8 @@ pub const WAL_FILE: &str = "wal.log";
 /// What the manifest is written as before it is renamed into place.
 const MANIFEST_TMP_FILE: &str = "MANIFEST.tmp";
 
-/// [`IndexStore::log_batch`] folds the WAL into the segment once this
-/// many batches are pending.
+/// [`StoreWriter::log_batch`] folds the WAL into the segment before
+/// committing a batch once this many batches are pending.
 pub const CHECKPOINT_BATCHES: usize = 8;
 
 /// Summary returned by [`IndexStore::verify`].
@@ -46,19 +46,31 @@ pub struct StoreStatus {
 
 /// A durable, versioned store for one collection.
 ///
-/// The store does not own the live in-memory collection — callers (a
-/// `Librarian`, the CLI) keep it and follow the write-ahead discipline:
-/// call [`IndexStore::log_batch`] first, and only on success apply the
-/// same batch in memory with `Collection::append_documents`.
+/// The store keeps the files; the live in-memory collection belongs to
+/// whoever holds the store (a `Librarian`), and the store is written
+/// only through [`IndexStore::writer`] bound to that collection, in
+/// write-ahead order: [`StoreWriter::log_batch`] first, and only on
+/// success the same batch in memory with
+/// `Collection::append_documents`. A pending batch's documents are in
+/// the WAL only.
 #[derive(Debug)]
 pub struct IndexStore {
     dir: PathBuf,
     manifest: Manifest,
     wal: File,
-    pending: Vec<(u64, Vec<TrecDoc>)>,
-    epoch: u64,
+    /// The batches committed to the WAL after the segment.
+    pending: Vec<SegmentBatch>,
     crash: Option<CrashPoint>,
     poisoned: bool,
+}
+
+/// The one way to write a store: the store borrowed together with the
+/// live collection, which holds the segment's documents and every
+/// pending batch, and which the fold writes as the next segment.
+#[derive(Debug)]
+pub struct StoreWriter<'a> {
+    store: &'a mut IndexStore,
+    live: &'a Collection,
 }
 
 impl IndexStore {
@@ -119,7 +131,6 @@ impl IndexStore {
                 manifest,
                 wal,
                 pending: Vec::new(),
-                epoch: 0,
                 crash: None,
                 poisoned: false,
             },
@@ -129,10 +140,12 @@ impl IndexStore {
 
     /// Opens an existing store, recovering to the last durable epoch:
     /// the segment is loaded and the WAL's valid prefix is replayed on
-    /// top. A torn WAL tail (the only crash damage possible) is
-    /// truncated away; corruption anywhere else is a typed error. What a
-    /// crash in the middle of a fold left behind — `MANIFEST.tmp`, a
-    /// segment file the manifest does not name — is deleted.
+    /// top, one `Collection::append_documents` per batch in effect (by
+    /// one `append_batches`), which is what the live writer did. A torn
+    /// WAL tail (the only crash damage possible) is truncated away;
+    /// corruption anywhere else is a typed error. What a crash in the
+    /// middle of a fold left behind — `MANIFEST.tmp`, a segment file the
+    /// manifest does not name — is deleted.
     ///
     /// # Errors
     ///
@@ -146,25 +159,10 @@ impl IndexStore {
             Err(e) => return Err(io_err("read manifest")(e)),
         };
         let manifest = Manifest::decode(&manifest_bytes)?;
-
-        let scanned = wal::scan(&read_wal(dir)?)?;
-        let mut pending = Vec::new();
-        let mut epoch = manifest.epoch;
-        for record in scanned.records {
-            if record.epoch <= manifest.epoch {
-                // Stale record from a crash between manifest replacement
-                // and WAL truncation; the batch is already in the segment.
-                continue;
-            }
-            if record.epoch != epoch + 1 {
-                return Err(StoreError::Corrupt {
-                    what: "wal epoch out of order",
-                });
-            }
-            epoch = record.epoch;
-            pending.push((record.epoch, record.docs));
-        }
-        let collection = replay(dir, &manifest, &pending)?;
+        let scanned = scan_pending(dir, &manifest)?;
+        let mut collection = load_segment(dir, &manifest.segment)?;
+        let batches: Vec<&[TrecDoc]> = scanned.records.iter().map(|r| &r.docs[..]).collect();
+        collection.append_batches(&batches)?;
 
         let mut wal = OpenOptions::new()
             .read(true)
@@ -180,6 +178,14 @@ impl IndexStore {
         }
         wal.seek(SeekFrom::End(0)).map_err(io_err("seek wal"))?;
         remove_fold_debris(dir, &manifest.segment.file);
+        let pending = scanned
+            .records
+            .iter()
+            .map(|r| SegmentBatch {
+                epoch: r.epoch,
+                docs: r.docs.len() as u64,
+            })
+            .collect();
 
         Ok((
             IndexStore {
@@ -187,7 +193,6 @@ impl IndexStore {
                 manifest,
                 wal,
                 pending,
-                epoch,
                 crash: None,
                 poisoned: false,
             },
@@ -205,7 +210,7 @@ impl IndexStore {
     /// WAL record adds one.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.pending.last().map_or(self.manifest.epoch, |b| b.epoch)
     }
 
     /// Number of live segment files: a store has exactly one.
@@ -223,12 +228,7 @@ impl IndexStore {
     /// Total documents across all durable batches.
     #[must_use]
     pub fn num_docs(&self) -> u64 {
-        self.manifest.segment.num_docs()
-            + self
-                .pending
-                .iter()
-                .map(|(_, d)| d.len() as u64)
-                .sum::<u64>()
+        self.manifest.segment.num_docs() + self.pending.iter().map(|b| b.docs).sum::<u64>()
     }
 
     /// Reconstructs the analyzer recorded in the manifest.
@@ -239,58 +239,39 @@ impl IndexStore {
             .with_stemming(self.manifest.stemming)
     }
 
-    /// Arms a [`CrashPoint`] that will fire during the next
-    /// [`IndexStore::log_batch`] (test harness). The simulated process
-    /// dies: the call returns [`StoreError::Crashed`], the store is
-    /// poisoned, and only a fresh [`IndexStore::open`] can continue.
-    pub fn inject_crash(&mut self, point: CrashPoint) {
-        self.crash = Some(point);
+    /// The store's writer, bound to `live`: the collection this store's
+    /// batches built, with every committed batch applied.
+    pub fn writer<'a>(&'a mut self, live: &'a Collection) -> StoreWriter<'a> {
+        StoreWriter { store: self, live }
     }
 
-    /// Durably commits one document batch: the WAL record is appended
-    /// and synced, and only then does the epoch advance. The caller must
-    /// mirror the batch into its in-memory collection afterwards.
-    ///
-    /// Once [`CHECKPOINT_BATCHES`] batches are pending the WAL is folded
-    /// into the segment ([`IndexStore::checkpoint`]). The batch is
-    /// committed by then, so a fold that fails does not fail this call:
-    /// the batches stay pending and the next call tries again.
-    ///
-    /// Returns the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on write failure (the epoch does not
-    /// advance), [`StoreError::Crashed`] if an injected crash point
-    /// fired, or [`StoreError::Poisoned`] after one did.
-    pub fn log_batch(&mut self, docs: &[TrecDoc]) -> Result<u64> {
+    /// Appends and syncs the WAL record of one batch: the commit point.
+    fn append(&mut self, docs: &[TrecDoc]) -> Result<u64> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
-        let next = self.epoch + 1;
+        let next = self.epoch() + 1;
         let record = wal::encode_record(next, docs);
         if let Some(point) = self.crash.take() {
-            let mut failing = FailingFile::new(&mut self.wal, point);
-            let _ = failing.write_all(&record);
+            let _ = self.wal.write_all(&point.landed(&record));
             let _ = self.wal.sync_data();
             self.poisoned = true;
             return Err(StoreError::Crashed);
         }
         self.wal.write_all(&record).map_err(io_err("wal append"))?;
         self.wal.sync_data().map_err(io_err("wal sync"))?;
-        self.epoch = next;
-        self.pending.push((next, docs.to_vec()));
-        if self.pending.len() >= CHECKPOINT_BATCHES {
-            let _ = self.checkpoint();
-        }
+        self.pending.push(SegmentBatch {
+            epoch: next,
+            docs: docs.len() as u64,
+        });
         Ok(next)
     }
 
-    /// The fold: loads the segment, applies the pending batches in one
-    /// merge, writes the result as the next segment, replaces the
-    /// manifest atomically, truncates the WAL and deletes the old
-    /// segment. Afterwards the directory is the manifest, an empty WAL
-    /// and one segment. With nothing pending it does nothing.
+    /// The fold: writes `live` — the segment with every pending batch
+    /// applied — as the next segment, replaces the manifest atomically,
+    /// truncates the WAL and deletes the old segment. Afterwards the
+    /// directory is the manifest, an empty WAL and one segment. With
+    /// nothing pending it does nothing.
     ///
     /// Both crash windows are idempotent: a crash after the segment
     /// write but before the manifest rename leaves a file the manifest
@@ -299,32 +280,29 @@ impl IndexStore {
     /// records that replay skips. An error leaves the store usable and
     /// its state equal to what a reopen would recover, so the fold can
     /// simply be called again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on filesystem failure, or
-    /// [`StoreError::Corrupt`] if the segment fails to load.
-    pub fn checkpoint(&mut self) -> Result<()> {
+    fn fold(&mut self, live: &Collection) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
         }
         if self.pending.is_empty() {
             return Ok(());
         }
-        let collection = replay(&self.dir, &self.manifest, &self.pending)?;
+        if live.num_docs() != self.num_docs() {
+            return Err(StoreError::WrongCollection {
+                store: self.num_docs(),
+                live: live.num_docs(),
+            });
+        }
         let mut batches = self.manifest.segment.batches.clone();
-        batches.extend(self.pending.iter().map(|(epoch, docs)| SegmentBatch {
-            epoch: *epoch,
-            docs: docs.len() as u64,
-        }));
+        batches.extend_from_slice(&self.pending);
         let segment = Segment {
-            collection: collection.to_bytes().into(),
+            collection: live.to_bytes().into(),
             batches,
         };
         let file = segment_file_name(self.manifest.next_segment_id);
         write_file_synced(&self.dir.join(&file), |f| segment.write_to(f))?;
         let manifest = Manifest {
-            epoch: self.epoch,
+            epoch: self.epoch(),
             next_segment_id: self.manifest.next_segment_id + 1,
             segment: SegmentEntry {
                 file,
@@ -346,21 +324,10 @@ impl IndexStore {
         Ok(())
     }
 
-    /// [`IndexStore::checkpoint`] under the name the CLI and the
-    /// benchmark call: with one segment per store, folding the WAL in
-    /// is all the compaction there is.
-    ///
-    /// # Errors
-    ///
-    /// As [`IndexStore::checkpoint`].
-    pub fn compact(&mut self) -> Result<()> {
-        self.checkpoint()
-    }
-
     /// Deterministically replays the store up to `epoch`, yielding a
     /// collection byte-identical to an in-memory oracle that built the
     /// base and appended every batch `1..=epoch` in order ("as-of"
-    /// search).
+    /// search). The batches after the segment are read from the WAL.
     ///
     /// # Errors
     ///
@@ -368,19 +335,21 @@ impl IndexStore {
     /// durable one, or [`StoreError::Corrupt`]/[`StoreError::Io`] if the
     /// store cannot be read.
     pub fn collection_at(&self, epoch: u64) -> Result<Collection> {
-        if epoch > self.epoch {
+        if epoch > self.epoch() {
             return Err(StoreError::NoSuchEpoch {
                 requested: epoch,
-                durable: self.epoch,
+                durable: self.epoch(),
             });
         }
-        let mut bytes = Vec::new();
-        let segment = read_segment(&self.dir, &self.manifest.segment, &mut bytes)?;
-        let docs = Collection::from_bytes(&segment.collection)?.export_docs()?;
+        let docs = load_segment(&self.dir, &self.manifest.segment)?.export_docs()?;
+        let pending = scan_pending(&self.dir, &self.manifest)?.records;
         // The segment's documents, cut back into the batches they were
-        // committed as; the manifest guarantees epoch 0 comes first.
+        // committed as (their counts sum to its documents), then the
+        // WAL's; the manifest guarantees epoch 0 comes first.
         let mut rest = docs.as_slice();
-        let mut batches = segment
+        let history: Vec<(u64, &[TrecDoc])> = self
+            .manifest
+            .segment
             .batches
             .iter()
             .map(|batch| {
@@ -388,32 +357,86 @@ impl IndexStore {
                 rest = tail;
                 (batch.epoch, docs)
             })
-            .chain(self.pending.iter().map(|(e, docs)| (*e, docs.as_slice())))
-            .take_while(|(e, _)| *e <= epoch);
-        let (_, base) = batches.next().ok_or(StoreError::Corrupt {
-            what: "store has no base batch",
-        })?;
+            .chain(pending.iter().map(|r| (r.epoch, &r.docs[..])))
+            .take_while(|(e, _)| *e <= epoch)
+            .collect();
+        let Some(((_, base), batches)) = history.split_first() else {
+            return Err(StoreError::Corrupt {
+                what: "store has no base batch",
+            });
+        };
+        if history.last().map(|(e, _)| *e) != Some(epoch) {
+            return Err(StoreError::Corrupt {
+                what: "wal lacks a committed batch",
+            });
+        }
         let mut collection = Collection::build(&self.manifest.name, self.analyzer(), base);
-        let batches: Vec<&[TrecDoc]> = batches.map(|(_, docs)| docs).collect();
+        let batches: Vec<&[TrecDoc]> = batches.iter().map(|(_, docs)| *docs).collect();
         collection.append_batches(&batches)?;
         Ok(collection)
     }
 
-    /// Full integrity scan: the segment decodes and matches the
-    /// manifest, and the WAL parses cleanly up to its valid prefix.
+    /// Full integrity scan: the segment decodes, matches the manifest
+    /// and holds as many documents as its batches, and the WAL parses
+    /// cleanly up to its valid prefix.
     ///
     /// # Errors
     ///
     /// Returns the first [`StoreError`] encountered.
     pub fn verify(&self) -> Result<StoreStatus> {
         self.manifest.validate()?;
-        read_segment(&self.dir, &self.manifest.segment, &mut Vec::new())?;
-        wal::scan(&read_wal(&self.dir)?)?;
+        load_segment(&self.dir, &self.manifest.segment)?;
+        scan_pending(&self.dir, &self.manifest)?;
         Ok(StoreStatus {
-            epoch: self.epoch,
+            epoch: self.epoch(),
             pending_batches: self.pending.len(),
             num_docs: self.num_docs(),
         })
+    }
+}
+
+impl StoreWriter<'_> {
+    /// Durably commits one document batch and returns its epoch: the
+    /// WAL record is appended and synced, and only then does the epoch
+    /// advance. The caller applies the batch to the live collection
+    /// afterwards.
+    ///
+    /// With [`CHECKPOINT_BATCHES`] batches pending it first folds them
+    /// into the segment: the live collection holds exactly those then.
+    /// A fold that fails leaves them pending for the next call, and does
+    /// not fail this one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on write failure (the epoch does not
+    /// advance), [`StoreError::Crashed`] if an injected crash point
+    /// fired, or [`StoreError::Poisoned`] after one did.
+    pub fn log_batch(&mut self, docs: &[TrecDoc]) -> Result<u64> {
+        if self.store.pending.len() >= CHECKPOINT_BATCHES {
+            let _ = self.store.fold(self.live);
+        }
+        self.store.append(docs)
+    }
+
+    /// Folds the pending batches into the segment now, by writing the
+    /// live collection as the next segment.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::WrongCollection`], writing nothing, if the
+    /// live collection's document count is not the store's,
+    /// [`StoreError::Io`] on filesystem failure, and
+    /// [`StoreError::Poisoned`] after an injected crash.
+    pub fn compact(&mut self) -> Result<()> {
+        self.store.fold(self.live)
+    }
+
+    /// Arms a [`CrashPoint`] that fires during the next
+    /// [`StoreWriter::log_batch`] (test harness). The simulated process
+    /// dies: the call returns [`StoreError::Crashed`], the store is
+    /// poisoned, and only a fresh [`IndexStore::open`] can continue.
+    pub fn inject_crash(&mut self, point: CrashPoint) {
+        self.store.crash = Some(point);
     }
 }
 
@@ -428,49 +451,47 @@ fn is_segment_file_name(name: &str) -> bool {
         .is_some_and(|id| id.len() >= 6 && id.bytes().all(|b| b.is_ascii_digit()))
 }
 
-/// The collection a store holds: its segment with `pending` applied on
-/// top, by one `Collection::append_batches`. That is the collection one
-/// `append_documents` per batch — the calls the live writer made — would
-/// give, to the byte: each batch is still its own delta, because a
-/// document's weight is a floating-point sum taken in the term-id order
-/// of the delta index it was built in, and a delta over several batches
-/// at once numbers its terms differently. Recovery and the fold both
-/// come through here, which is why what the fold writes ranks bit for
-/// bit like what was serving.
-fn replay(dir: &Path, manifest: &Manifest, pending: &[(u64, Vec<TrecDoc>)]) -> Result<Collection> {
-    let mut bytes = Vec::new();
-    let segment = read_segment(dir, &manifest.segment, &mut bytes)?;
-    let mut collection = Collection::from_bytes(&segment.collection)?;
-    let batches: Vec<&[TrecDoc]> = pending.iter().map(|(_, docs)| docs.as_slice()).collect();
-    collection.append_batches(&batches)?;
-    Ok(collection)
-}
-
-/// Reads the segment file `entry` names into `bytes` and decodes it
-/// there, cross-checking the manifest entry's batch list against the
-/// segment's own meta.
-fn read_segment<'a>(
-    dir: &Path,
-    entry: &SegmentEntry,
-    bytes: &'a mut Vec<u8>,
-) -> Result<Segment<'a>> {
-    *bytes = std::fs::read(dir.join(&entry.file)).map_err(io_err("read segment"))?;
-    let segment = Segment::decode(bytes)?;
+/// Loads the collection of the segment file `entry` names, checking the
+/// segment's batch list against the entry and its document counts
+/// against the collection.
+fn load_segment(dir: &Path, entry: &SegmentEntry) -> Result<Collection> {
+    let bytes = std::fs::read(dir.join(&entry.file)).map_err(io_err("read segment"))?;
+    let segment = Segment::decode(&bytes)?;
     if segment.batches != entry.batches {
         return Err(StoreError::Corrupt {
             what: "segment batches disagree with manifest",
         });
     }
-    Ok(segment)
+    let collection = Collection::from_bytes(&segment.collection)?;
+    if collection.num_docs() != entry.num_docs() {
+        return Err(StoreError::Corrupt {
+            what: "segment batches disagree with its collection",
+        });
+    }
+    Ok(collection)
 }
 
-/// The WAL's bytes; a missing file is an empty log.
-fn read_wal(dir: &Path) -> Result<Vec<u8>> {
-    match std::fs::read(dir.join(WAL_FILE)) {
-        Ok(bytes) => Ok(bytes),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(io_err("read wal")(e)),
+/// Scans the WAL and keeps the records past the segment `manifest`
+/// names, which must run on from its epoch one at a time. Records at or
+/// below it are stale, left by a crash between a fold's manifest rename
+/// and its WAL truncation: the segment holds their batches.
+fn scan_pending(dir: &Path, manifest: &Manifest) -> Result<WalScan> {
+    let bytes = match std::fs::read(dir.join(WAL_FILE)) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(io_err("read wal")(e)),
+    };
+    let mut scanned = wal::scan(&bytes)?;
+    scanned.records.retain(|r| r.epoch > manifest.epoch);
+    if (manifest.epoch + 1..)
+        .zip(&scanned.records)
+        .any(|(epoch, r)| r.epoch != epoch)
+    {
+        return Err(StoreError::Corrupt {
+            what: "wal epoch out of order",
+        });
     }
+    Ok(scanned)
 }
 
 /// Deletes, best-effort, what a crash between a fold's segment write
@@ -548,6 +569,16 @@ mod tests {
         ]
     }
 
+    /// The base built afresh and one `append_documents` per batch
+    /// `1..=epoch`: what every fold and every as-of replay must equal.
+    fn chain(epoch: u64) -> Collection {
+        let mut c = Collection::build("demo", Analyzer::default(), &base_docs());
+        for n in 1..=epoch {
+            c.append_documents(&batch(n)).unwrap();
+        }
+        c
+    }
+
     /// Rankings for a spread of queries, as raw bits for exact compare.
     fn fingerprint(c: &Collection) -> Vec<(u32, u64)> {
         ["cat dog", "penguins", "tides", "batch volume", "mat yard"]
@@ -560,9 +591,17 @@ mod tests {
             .collect()
     }
 
-    /// A fresh store over the base documents, with its oracle.
+    /// A fresh store over the base documents, with its live collection.
     fn demo_store(dir: &TempDir) -> (IndexStore, Collection) {
         IndexStore::create(dir.path(), "demo", &Analyzer::default(), &base_docs()).unwrap()
+    }
+
+    /// Commits batch `n` the way the owner does: the writer bound to
+    /// the live collection first, then the append.
+    fn commit(store: &mut IndexStore, live: &mut Collection, n: u64) -> u64 {
+        let epoch = store.writer(live).log_batch(&batch(n)).unwrap();
+        live.append_documents(&batch(n)).unwrap();
+        epoch
     }
 
     fn file_names(dir: &Path) -> Vec<String> {
@@ -572,6 +611,20 @@ mod tests {
             .collect();
         names.sort();
         names
+    }
+
+    /// Every file of the store directory, by name.
+    fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        file_names(dir)
+            .into_iter()
+            .map(|n| (n.clone(), std::fs::read(dir.join(n)).unwrap()))
+            .collect()
+    }
+
+    /// The serialized collection of the store's segment.
+    fn segment_collection(store: &IndexStore) -> Vec<u8> {
+        let bytes = std::fs::read(store.dir.join(&store.manifest.segment.file)).unwrap();
+        Segment::decode(&bytes).unwrap().collection.into_owned()
     }
 
     /// What every successful fold leaves: the manifest, an empty WAL and
@@ -586,18 +639,6 @@ mod tests {
         assert_eq!(file_names(&store.dir), want);
         let wal = std::fs::metadata(store.dir.join(WAL_FILE)).unwrap();
         assert_eq!(wal.len(), 0, "the fold empties the WAL");
-    }
-
-    /// The segment's collection is, to the byte, `oracle`: the base and
-    /// one `append_documents` per batch.
-    fn assert_segment_holds(store: &IndexStore, oracle: &Collection, case: &str) {
-        let mut bytes = Vec::new();
-        let segment = read_segment(&store.dir, &store.manifest.segment, &mut bytes).unwrap();
-        assert!(
-            *segment.collection == oracle.to_bytes(),
-            "{case}: the segment at epoch {} is not the chain of appends",
-            store.epoch()
-        );
     }
 
     #[test]
@@ -637,80 +678,188 @@ mod tests {
     #[test]
     fn wal_replay_matches_oracle_exactly() {
         let dir = TempDir::new("replay").unwrap();
-        let (mut store, mut oracle) = demo_store(&dir);
+        let (mut store, mut live) = demo_store(&dir);
         for n in 1..=4u64 {
-            let docs = batch(n);
-            assert_eq!(store.log_batch(&docs).unwrap(), n);
-            oracle.append_documents(&docs).unwrap();
+            assert_eq!(commit(&mut store, &mut live, n), n);
         }
         assert_eq!(store.epoch(), 4);
         drop(store);
         let (store, recovered) = IndexStore::open(dir.path()).unwrap();
         assert_eq!(store.epoch(), 4);
         assert_eq!(store.pending_batches(), 4);
-        assert_eq!(fingerprint(&recovered), fingerprint(&oracle));
+        assert!(recovered.to_bytes() == chain(4).to_bytes());
     }
 
-    /// Pending batches, a fold, a reopen: by an explicit `checkpoint`,
-    /// by `compact`, and by `log_batch` itself (twice, so the second
-    /// fold starts from a segment that already holds several batches).
+    /// Pending batches, folds, a reopen: by `compact`, and by
+    /// `log_batch` itself (over two folds and one batch more, so the
+    /// second fold starts from a segment that already holds several
+    /// batches and the last batch is still in the WAL). The live
+    /// collection is reopened from the store halfway, so folds write
+    /// both a built and a loaded collection. Every fold's segment is, to
+    /// the byte, a fresh build with one `append_documents` per batch, and
+    /// the segment before it with the pending batches replayed on top.
     #[test]
     fn fold_leaves_one_segment_and_preserves_rankings() {
-        type Fold = fn(&mut IndexStore) -> Result<()>;
-        let cases: [(&str, usize, Option<Fold>); 3] = [
-            ("checkpoint", 3, Some(IndexStore::checkpoint)),
-            ("compact", 2, Some(IndexStore::compact)),
-            ("automatic", 2 * CHECKPOINT_BATCHES, None),
-        ];
-        for (case, batches, fold) in cases {
+        for (case, batches, compact) in [
+            ("compact", 3u64, true),
+            ("automatic", 2 * CHECKPOINT_BATCHES as u64 + 1, false),
+        ] {
             let dir = TempDir::new("fold").unwrap();
-            let (mut store, mut oracle) = demo_store(&dir);
-            for n in 1..=batches {
-                assert_eq!(store.log_batch(&batch(n as u64)).unwrap(), n as u64);
-                oracle.append_documents(&batch(n as u64)).unwrap();
-                let pending = match fold {
-                    Some(_) => n,
-                    None => n % CHECKPOINT_BATCHES,
-                };
-                assert_eq!(store.pending_batches(), pending, "{case}: batch {n}");
-                if pending == 0 {
-                    assert_folded(&store);
-                    assert_segment_holds(&store, &oracle, case);
+            let (mut store, mut live) = demo_store(&dir);
+            let mut folded = 0;
+            let mut fold = |store: &mut IndexStore, live: &mut Collection, n: u64| {
+                let before = segment_collection(store);
+                if n > batches {
+                    store.writer(live).compact().unwrap();
+                } else {
+                    assert_eq!(commit(store, live, n), n, "{case}");
                 }
-            }
-            if let Some(fold) = fold {
-                fold(&mut store).unwrap();
-            }
-            assert_eq!(store.epoch(), batches as u64, "{case}");
-            assert_eq!(store.pending_batches(), 0, "{case}");
-            assert_folded(&store);
-            assert_segment_holds(&store, &oracle, case);
-            let mut chain = Collection::build("demo", Analyzer::default(), &base_docs());
-            for e in 0..=batches as u64 {
-                if e > 0 {
-                    chain.append_documents(&batch(e)).unwrap();
+                if store.manifest.epoch == folded {
+                    return;
                 }
+                let mut replayed = Collection::from_bytes(&before).unwrap();
+                let pending: Vec<Vec<TrecDoc>> =
+                    (folded + 1..=store.manifest.epoch).map(batch).collect();
+                let pending: Vec<&[TrecDoc]> = pending.iter().map(Vec::as_slice).collect();
+                replayed.append_batches(&pending).unwrap();
+                folded = store.manifest.epoch;
+                let written = segment_collection(store);
                 assert!(
-                    store.collection_at(e).unwrap().to_bytes() == chain.to_bytes(),
+                    written == chain(folded).to_bytes(),
+                    "{case}: fold to {folded}"
+                );
+                assert!(written == replayed.to_bytes(), "{case}: fold to {folded}");
+            };
+            for n in 1..=batches {
+                if n == batches / 2 {
+                    drop(store);
+                    (store, live) = IndexStore::open(dir.path()).unwrap();
+                }
+                fold(&mut store, &mut live, n);
+                let pending = match compact {
+                    true => n,
+                    false => (n - 1) % CHECKPOINT_BATCHES as u64 + 1,
+                };
+                assert_eq!(store.pending_batches() as u64, pending, "{case}: batch {n}");
+            }
+            for e in 0..=batches {
+                assert!(
+                    store.collection_at(e).unwrap().to_bytes() == chain(e).to_bytes(),
                     "{case}: collection_at({e}) is not the chain cut there"
                 );
             }
-            let segment = store.manifest.segment.file.clone();
+            fold(&mut store, &mut live, batches + 1);
+            assert_eq!(folded, batches, "{case}");
+            assert_eq!(store.epoch(), batches, "{case}");
+            assert_eq!(store.pending_batches(), 0, "{case}");
+            assert_folded(&store);
+            for e in 0..=batches {
+                assert!(
+                    store.collection_at(e).unwrap().to_bytes() == chain(e).to_bytes(),
+                    "{case}: collection_at({e}) after the fold"
+                );
+            }
 
             // With nothing pending a fold does nothing at all.
-            store.checkpoint().unwrap();
-            store.compact().unwrap();
+            let segment = store.manifest.segment.file.clone();
+            store.writer(&live).compact().unwrap();
             assert_eq!(store.manifest.segment.file, segment, "{case}");
             assert_folded(&store);
             drop(store);
 
             let (reopened, recovered) = IndexStore::open(dir.path()).unwrap();
-            assert_eq!(reopened.epoch(), batches as u64, "{case}");
+            assert_eq!(reopened.epoch(), batches, "{case}");
             assert_eq!(reopened.pending_batches(), 0, "{case}");
-            assert_eq!(reopened.num_docs(), oracle.num_docs(), "{case}");
-            assert_eq!(fingerprint(&recovered), fingerprint(&oracle), "{case}");
+            assert_eq!(reopened.num_docs(), live.num_docs(), "{case}");
+            assert_eq!(fingerprint(&recovered), fingerprint(&live), "{case}");
             reopened.verify().unwrap();
         }
+    }
+
+    /// A writer over a collection that is not the one the store's
+    /// batches built is refused before it writes a byte, whether asked
+    /// to fold by name or by the batch that finds the WAL full.
+    #[test]
+    fn a_writer_over_the_wrong_collection_writes_nothing() {
+        let dir = TempDir::new("wrong-live").unwrap();
+        let (mut store, mut live) = demo_store(&dir);
+        for n in 1..=CHECKPOINT_BATCHES as u64 {
+            commit(&mut store, &mut live, n);
+        }
+        let stale = chain(2);
+        let before = snapshot(dir.path());
+        assert_eq!(
+            store.writer(&stale).compact(),
+            Err(StoreError::WrongCollection {
+                store: live.num_docs(),
+                live: stale.num_docs(),
+            })
+        );
+        assert_eq!(
+            snapshot(dir.path()),
+            before,
+            "a refused fold writes nothing"
+        );
+        // The batch still commits; only its fold is refused.
+        let epoch = store.writer(&stale).log_batch(&batch(9)).unwrap();
+        assert_eq!(epoch, CHECKPOINT_BATCHES as u64 + 1);
+        assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES + 1);
+        drop(store);
+        let (store, _) = IndexStore::open(dir.path()).unwrap();
+        assert_eq!(store.epoch(), CHECKPOINT_BATCHES as u64 + 1);
+        assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES + 1);
+        assert_eq!(store.manifest.segment.file, segment_file_name(0));
+    }
+
+    /// A segment whose batch list sums to more documents than its
+    /// collection holds, both checksums good, is corrupt at `open` and
+    /// at `verify`, not a panic in a later as-of cut.
+    #[test]
+    fn segment_batch_counts_must_match_its_collection() {
+        let dir = TempDir::new("miscount").unwrap();
+        let two = &base_docs()[..2];
+        let (store, _) = IndexStore::create(dir.path(), "demo", &Analyzer::default(), two).unwrap();
+        let wrong = |docs: u64, collection: &Collection| {
+            let batches = vec![SegmentBatch { epoch: 0, docs }];
+            let segment = Segment {
+                collection: collection.to_bytes().into(),
+                batches: batches.clone(),
+            };
+            write_file_synced(&dir.path().join(segment_file_name(0)), |f| {
+                segment.write_to(f)
+            })
+            .unwrap();
+            batches
+        };
+        let built = Collection::build("demo", Analyzer::default(), two);
+        // As the store in memory knows it, over a collection of three.
+        wrong(
+            2,
+            &Collection::build("demo", Analyzer::default(), &base_docs()),
+        );
+        assert_eq!(
+            store.verify(),
+            Err(StoreError::Corrupt {
+                what: "segment batches disagree with its collection"
+            })
+        );
+        // Ten documents claimed over two, the manifest agreeing.
+        let batches = wrong(10, &built);
+        let manifest = Manifest {
+            segment: SegmentEntry {
+                file: segment_file_name(0),
+                batches,
+            },
+            ..store.manifest.clone()
+        };
+        write_manifest_atomic(dir.path(), &manifest).unwrap();
+        drop(store);
+        assert_eq!(
+            IndexStore::open(dir.path()).map(|_| ()),
+            Err(StoreError::Corrupt {
+                what: "segment batches disagree with its collection"
+            })
+        );
     }
 
     /// A crash between a fold's segment write and its manifest rename
@@ -719,8 +868,8 @@ mod tests {
     #[test]
     fn open_removes_fold_debris_and_nothing_else() {
         let dir = TempDir::new("debris").unwrap();
-        let (mut store, _) = demo_store(&dir);
-        store.log_batch(&batch(1)).unwrap();
+        let (mut store, mut live) = demo_store(&dir);
+        commit(&mut store, &mut live, 1);
         drop(store);
         let before = file_names(dir.path());
         let bystanders = [
@@ -746,27 +895,21 @@ mod tests {
     #[test]
     fn collection_at_replays_every_epoch() {
         let dir = TempDir::new("asof").unwrap();
-        let (mut store, _) = demo_store(&dir);
-        let mut oracles = vec![Collection::build("demo", Analyzer::default(), &base_docs())];
+        let (mut store, mut live) = demo_store(&dir);
         for n in 1..=3u64 {
-            store.log_batch(&batch(n)).unwrap();
-            let mut next = Collection::build("demo", Analyzer::default(), &base_docs());
-            for m in 1..=n {
-                next.append_documents(&batch(m)).unwrap();
-            }
-            oracles.push(next);
+            commit(&mut store, &mut live, n);
         }
         // Replays must be exact both before and after checkpointing.
         for round in 0..2 {
-            for (e, oracle) in oracles.iter().enumerate() {
-                let as_of = store.collection_at(e as u64).unwrap();
+            for e in 0..=3 {
+                let as_of = store.collection_at(e).unwrap();
                 assert_eq!(
                     fingerprint(&as_of),
-                    fingerprint(oracle),
+                    fingerprint(&chain(e)),
                     "epoch {e} round {round}"
                 );
             }
-            store.checkpoint().unwrap();
+            store.writer(&live).compact().unwrap();
         }
         assert!(matches!(
             store.collection_at(99),
@@ -780,15 +923,16 @@ mod tests {
     #[test]
     fn injected_crash_poisons_store_and_reopen_recovers() {
         let dir = TempDir::new("poison").unwrap();
-        let (mut store, _) = demo_store(&dir);
-        store.log_batch(&batch(1)).unwrap();
-        store.inject_crash(CrashPoint {
+        let (mut store, mut live) = demo_store(&dir);
+        commit(&mut store, &mut live, 1);
+        let mut writer = store.writer(&live);
+        writer.inject_crash(CrashPoint {
             offset: 7,
             mode: CrashMode::Truncate,
         });
-        assert_eq!(store.log_batch(&batch(2)), Err(StoreError::Crashed));
-        assert_eq!(store.log_batch(&batch(3)), Err(StoreError::Poisoned));
-        assert_eq!(store.checkpoint(), Err(StoreError::Poisoned));
+        assert_eq!(writer.log_batch(&batch(2)), Err(StoreError::Crashed));
+        assert_eq!(writer.log_batch(&batch(3)), Err(StoreError::Poisoned));
+        assert_eq!(writer.compact(), Err(StoreError::Poisoned));
         drop(store);
         let (store, _) = IndexStore::open(dir.path()).unwrap();
         assert_eq!(store.epoch(), 1);
@@ -798,8 +942,8 @@ mod tests {
     #[test]
     fn verify_reports_status() {
         let dir = TempDir::new("verify").unwrap();
-        let (mut store, _) = demo_store(&dir);
-        store.log_batch(&batch(1)).unwrap();
+        let (mut store, mut live) = demo_store(&dir);
+        commit(&mut store, &mut live, 1);
         let status = store.verify().unwrap();
         assert_eq!(
             status,

@@ -22,7 +22,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
-use teraphim::core::Librarian;
+use teraphim::core::{Librarian, TeraphimError};
 use teraphim::engine::Collection;
 use teraphim::store::{
     wal, CrashMode, CrashPoint, IndexStore, StoreError, TempDir, CHECKPOINT_BATCHES,
@@ -109,20 +109,27 @@ impl Strategy for ArbBatch {
     }
 }
 
-/// Builds a store with `batches` committed alongside the in-memory
-/// oracle collection. Callers commit fewer than [`CHECKPOINT_BATCHES`],
-/// so every batch is still pending in the WAL and the crash sweeps
+/// A store-backed librarian, the store's one writer, with `batches`
+/// committed. Callers commit fewer than [`CHECKPOINT_BATCHES`], so
+/// every batch is still pending in the WAL and the crash sweeps
 /// exercise replay of the full log.
-fn store_with_batches(dir: &TempDir, batches: &[Vec<TrecDoc>]) -> (IndexStore, Collection) {
+fn store_with_batches(dir: &TempDir, batches: &[Vec<TrecDoc>]) -> Librarian {
     assert!(batches.len() < CHECKPOINT_BATCHES);
-    let (mut store, mut oracle) =
-        IndexStore::create(dir.path(), "CRASH", &Analyzer::default(), &base_docs())
+    let mut librarian =
+        Librarian::create_store(dir.path(), "CRASH", &Analyzer::default(), &base_docs())
             .expect("fresh store creates");
     for batch in batches {
-        store.log_batch(batch).expect("batch commits");
-        oracle.append_documents(batch).expect("oracle appends");
+        librarian.add_documents(batch).expect("batch commits");
     }
-    (store, oracle)
+    librarian
+}
+
+/// The store-backed librarian's fold, by name.
+fn compact(librarian: &mut Librarian) -> Result<(), StoreError> {
+    librarian
+        .store_mut()
+        .expect("a store-backed librarian")
+        .compact()
 }
 
 /// The oracle collection at `epoch`: base plus the first `epoch`
@@ -141,16 +148,29 @@ fn oracle_at(batches: &[&[TrecDoc]], epoch: u64) -> Collection {
 /// oracle-identical rankings.
 fn run_crash_case(committed: &[Vec<TrecDoc>], next: &[TrecDoc], offset: u64, mode: CrashMode) {
     let dir = TempDir::new("crash-case").expect("tempdir");
-    let (mut store, _) = store_with_batches(&dir, committed);
+    let mut librarian = store_with_batches(&dir, committed);
     let k = committed.len() as u64;
     let record_len = wal::encode_record(k + 1, next).len() as u64;
 
-    store.inject_crash(CrashPoint { offset, mode });
-    let err = store.log_batch(next).expect_err("armed crash point fires");
-    assert_eq!(err, StoreError::Crashed);
+    librarian
+        .store_mut()
+        .expect("a store-backed librarian")
+        .inject_crash(CrashPoint { offset, mode });
+    let err = librarian
+        .add_documents(next)
+        .expect_err("armed crash point fires");
+    assert!(matches!(err, TeraphimError::Store(StoreError::Crashed)));
     // The "process" is dead: every further operation is refused.
-    assert_eq!(store.log_batch(next), Err(StoreError::Poisoned));
-    drop(store);
+    let err = librarian
+        .add_documents(next)
+        .expect_err("a dead store refuses");
+    assert!(matches!(err, TeraphimError::Store(StoreError::Poisoned)));
+    assert_eq!(
+        librarian.epoch(),
+        k,
+        "the epoch never runs ahead of the WAL"
+    );
+    drop(librarian);
 
     // The record survives only if every one of its bytes did.
     let expected = if offset >= record_len { k + 1 } else { k };
@@ -247,7 +267,8 @@ proptest! {
                 docs: batch.len() as u64,
             }],
         };
-        let encoded = segment.encode();
+        let mut encoded = Vec::new();
+        segment.write_to(&mut encoded).expect("a Vec takes every write");
         let back = teraphim::store::Segment::decode(&encoded).expect("segment decodes");
         prop_assert_eq!(&back, &segment);
         let reloaded = Collection::from_bytes(&back.collection).expect("collection decodes");
@@ -263,9 +284,9 @@ proptest! {
 fn corruption_beyond_the_tail_is_a_typed_open_failure() {
     // Segment corruption: flip one byte in the middle of the segment.
     let dir = TempDir::new("corrupt-seg").expect("tempdir");
-    let (mut store, _) = store_with_batches(&dir, &[vec![doc("B", 0, &[0, 1])]]);
-    store.checkpoint().expect("checkpoint");
-    drop(store);
+    let mut librarian = store_with_batches(&dir, &[vec![doc("B", 0, &[0, 1])]]);
+    compact(&mut librarian).expect("fold");
+    drop(librarian);
     let seg_path = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(Result::ok)
@@ -283,8 +304,7 @@ fn corruption_beyond_the_tail_is_a_typed_open_failure() {
 
     // Manifest corruption: same treatment for the root pointer.
     let dir = TempDir::new("corrupt-man").expect("tempdir");
-    let (store, _) = store_with_batches(&dir, &[]);
-    drop(store);
+    drop(store_with_batches(&dir, &[]));
     let man_path = dir.path().join("MANIFEST");
     let mut bytes = std::fs::read(&man_path).unwrap();
     let last = bytes.len() - 1;
@@ -299,10 +319,10 @@ fn corruption_beyond_the_tail_is_a_typed_open_failure() {
     // produce this (each record is synced before the next is written),
     // so recovery must refuse rather than silently drop epoch 1.
     let dir = TempDir::new("corrupt-wal").expect("tempdir");
-    let (mut store, _) = store_with_batches(&dir, &[]);
-    store.log_batch(&[doc("B1", 0, &[0])]).unwrap();
-    store.log_batch(&[doc("B2", 0, &[1])]).unwrap();
-    drop(store);
+    let mut librarian = store_with_batches(&dir, &[]);
+    librarian.add_documents(&[doc("B1", 0, &[0])]).unwrap();
+    librarian.add_documents(&[doc("B2", 0, &[1])]).unwrap();
+    drop(librarian);
     let wal_path = dir.path().join("wal.log");
     let mut bytes = std::fs::read(&wal_path).unwrap();
     bytes[8] ^= 0xA5; // inside the first record's header
@@ -322,8 +342,8 @@ fn corruption_beyond_the_tail_is_a_typed_open_failure() {
 
 /// As-of queries: every durable epoch replays to oracle-identical
 /// rankings, before and after the fold moves the batches from the WAL
-/// into the segment ("checkpointed" and "compacted" are one state under
-/// two names); asking beyond the durable epoch is typed.
+/// into the segment, and after a second fold that finds nothing
+/// pending; asking beyond the durable epoch is typed.
 #[test]
 fn as_of_replay_matches_the_oracle_at_every_epoch() {
     let batches = vec![
@@ -332,10 +352,11 @@ fn as_of_replay_matches_the_oracle_at_every_epoch() {
         vec![doc("B3", 0, &[2, 3, 9])],
     ];
     let dir = TempDir::new("asof").expect("tempdir");
-    let (mut store, _) = store_with_batches(&dir, &batches);
+    let mut librarian = store_with_batches(&dir, &batches);
     let refs: Vec<&[TrecDoc]> = batches.iter().map(Vec::as_slice).collect();
 
-    for phase in ["pending", "checkpointed", "compacted"] {
+    for phase in ["pending", "compacted", "compacted twice"] {
+        let store = librarian.store().expect("a store-backed librarian");
         for epoch in 0..=batches.len() as u64 {
             let as_of = store
                 .collection_at(epoch)
@@ -357,12 +378,10 @@ fn as_of_replay_matches_the_oracle_at_every_epoch() {
             },
             "{phase}: beyond-durable epoch is typed"
         );
-        match phase {
-            "pending" => store.checkpoint().expect("checkpoint"),
-            "checkpointed" => store.compact().expect("compact"),
-            _ => {}
-        }
+        compact(&mut librarian).expect("compact");
     }
+    let store = librarian.store().expect("a store-backed librarian");
+    assert_eq!(store.pending_batches(), 0, "the fold emptied the WAL");
     assert_eq!(store.num_segments(), 1, "compaction left one segment");
 }
 
@@ -420,12 +439,14 @@ fn a_crash_in_either_window_of_the_fold_recovers() {
     ];
     let extra = vec![doc("B4", 0, &[10, 0, 5])];
     let dir = TempDir::new("fold-windows").expect("tempdir");
-    let (mut store, mut oracle) = store_with_batches(&dir, &batches);
+    let mut librarian = store_with_batches(&dir, &batches);
     let a = snapshot(dir.path());
-    store.checkpoint().expect("checkpoint");
+    compact(&mut librarian).expect("fold");
     let b = snapshot(dir.path());
-    drop(store);
-    let before = fingerprint(&oracle);
+    drop(librarian);
+    let refs: Vec<&[TrecDoc]> = batches.iter().map(Vec::as_slice).collect();
+    let before = fingerprint(&oracle_at(&refs, batches.len() as u64));
+    let mut oracle = oracle_at(&refs, batches.len() as u64);
     oracle.append_documents(&extra).expect("oracle appends");
 
     let (new_segment, new_segment_bytes) = b
@@ -446,18 +467,22 @@ fn a_crash_in_either_window_of_the_fold_recovers() {
         for (name, bytes) in &files {
             std::fs::write(dir.path().join(name), bytes).unwrap();
         }
-        let (mut store, collection) =
-            IndexStore::open(dir.path()).unwrap_or_else(|e| panic!("died {window}: reopen: {e}"));
+        let mut librarian =
+            Librarian::open(dir.path()).unwrap_or_else(|e| panic!("died {window}: reopen: {e}"));
+        let store = librarian.store().expect("a store-backed librarian");
         assert_eq!(store.epoch(), batches.len() as u64, "died {window}");
         assert_eq!(store.pending_batches(), pending, "died {window}");
-        assert_eq!(fingerprint(&collection), before, "died {window}");
+        assert_eq!(fingerprint(librarian.collection()), before, "died {window}");
         store.verify().expect("recovered store verifies");
 
-        let epoch = store.log_batch(&extra).expect("a further batch commits");
+        let epoch = librarian
+            .add_documents(&extra)
+            .expect("a further batch commits");
         assert_eq!(epoch, batches.len() as u64 + 1, "died {window}");
-        store.checkpoint().expect("a further fold");
+        compact(&mut librarian).expect("a further fold");
+        let store = librarian.store().expect("a store-backed librarian");
         assert_eq!(store.pending_batches(), 0, "died {window}");
-        drop(store);
+        drop(librarian);
         let left = snapshot(dir.path());
         let names: Vec<&str> = left.keys().map(String::as_str).collect();
         assert!(
@@ -475,8 +500,9 @@ fn a_crash_in_either_window_of_the_fold_recovers() {
 }
 
 /// A batch whose WAL record is synced has committed, whatever then
-/// happens to the fold it triggers. The fold is made to fail by a
-/// directory sitting where its segment file would go.
+/// happens to the fold that comes before it (the batch that finds
+/// `CHECKPOINT_BATCHES` pending folds them first). The fold is made to
+/// fail by a directory sitting where its segment file would go.
 #[test]
 fn a_failed_automatic_fold_does_not_fail_the_committed_batch() {
     let dir = TempDir::new("blocked-fold").expect("tempdir");
@@ -488,7 +514,8 @@ fn a_failed_automatic_fold_does_not_fail_the_committed_batch() {
     let blocker = dir.path().join("seg-000001.seg");
     std::fs::create_dir(&blocker).unwrap();
 
-    for n in 1..=CHECKPOINT_BATCHES {
+    let batches = CHECKPOINT_BATCHES + 1;
+    for n in 1..=batches {
         let batch = vec![doc("B", n, &[n, n + 3, 2])];
         let epoch = librarian
             .add_documents(&batch)
@@ -501,19 +528,25 @@ fn a_failed_automatic_fold_does_not_fail_the_committed_batch() {
 
     // The batches stay pending, and asking for the fold by name still
     // reports why it cannot be done.
-    let store = librarian.store_mut().expect("a store-backed librarian");
-    assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES);
-    assert!(matches!(store.checkpoint(), Err(StoreError::Io { .. })));
-    assert_eq!(store.pending_batches(), CHECKPOINT_BATCHES);
+    let pending = |l: &Librarian| {
+        l.store()
+            .expect("a store-backed librarian")
+            .pending_batches()
+    };
+    assert_eq!(pending(&librarian), batches);
+    assert!(matches!(
+        compact(&mut librarian),
+        Err(StoreError::Io { .. })
+    ));
+    assert_eq!(pending(&librarian), batches);
     drop(librarian);
 
     let mut reopened = Librarian::open(dir.path()).expect("reopen");
-    assert_eq!(reopened.epoch(), CHECKPOINT_BATCHES as u64);
+    assert_eq!(reopened.epoch(), batches as u64);
     assert_eq!(fingerprint(reopened.collection()), fingerprint(&oracle));
 
     // With the obstacle gone the retry goes through.
     std::fs::remove_dir(&blocker).unwrap();
-    let store = reopened.store_mut().expect("a store-backed librarian");
-    store.checkpoint().expect("unblocked fold");
-    assert_eq!(store.pending_batches(), 0);
+    compact(&mut reopened).expect("unblocked fold");
+    assert_eq!(pending(&reopened), 0);
 }

@@ -14,12 +14,20 @@
 //! own length.
 //!
 //! A test binary of its own with a counting global allocator, so that
-//! no other test allocates while it counts; the tests here take one
-//! lock, so they do not count each other either.
+//! no other test allocates while it counts. The counter is process-wide,
+//! as it must be (server threads allocate too), so the binary has no
+//! test harness: `main` runs the cases one after another on its own
+//! thread, with no harness thread beside them, and reports them the
+//! way the standard harness does. Arguments that are not flags filter
+//! the cases by name (`--exact` for whole names); `--list` lists them.
+//!
+//! ```sh
+//! cargo test --release --test request_allocations [-- NAME]
+//! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::time::Instant;
 use teraphim::compress::checksum::crc32;
 use teraphim::core::{Librarian, Methodology, Receptionist};
 use teraphim::corpus::splits::split_into;
@@ -72,9 +80,6 @@ fn counters() -> (u64, u64) {
     (CALLS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed))
 }
 
-/// One test counts at a time.
-static COUNTING: Mutex<()> = Mutex::new(());
-
 /// Allocations a served query may make for each shard it asks.
 const PER_SHARD: f64 = 4.0;
 /// Allocations a query may make for itself, whatever the fleet's size.
@@ -116,9 +121,7 @@ fn allocations_per_query(corpus: &SyntheticCorpus, n: usize, methodology: Method
     (after - before) as f64 / queries.len() as f64
 }
 
-#[test]
 fn a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard() {
-    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
     let corpus = SyntheticCorpus::generate(&CorpusSpec::small(42));
     for methodology in [Methodology::CentralNothing, Methodology::CentralVocabulary] {
         let per_query: Vec<(usize, f64)> = [4, 16]
@@ -163,9 +166,9 @@ fn claiming_a_million(tag: u8, fields: &[u64]) -> Vec<u8> {
     frame
 }
 
-#[test]
+/// Wire messages and a document store that claim far more elements
+/// than their bytes hold.
 fn a_hostile_count_buys_no_reservation() {
-    let _alone = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
     // Each variant that carries a list, with the fields before its
     // count: `(tag, fields)`, tags as `Message::encode` writes them.
     let frames = [
@@ -209,7 +212,11 @@ fn a_hostile_count_buys_no_reservation() {
         "{requested} bytes reserved for a {}-byte document store ({model} for its model)",
         store.len()
     );
+}
 
+/// The store's own files: a WAL batch and a manifest that claim four
+/// billion entries.
+fn a_hostile_wal_or_manifest_count_buys_no_reservation() {
     // A WAL batch that claims u32::MAX documents and holds 8 192 empty
     // ones: each takes its two lengths, 8 bytes, and 48 as a `TrecDoc`.
     let batch = [&u32::MAX.to_le_bytes()[..], &[0; 1 << 16]].concat();
@@ -251,4 +258,91 @@ fn a_hostile_count_buys_no_reservation() {
         "{requested} bytes reserved for a {}-byte manifest",
         bytes.len()
     );
+}
+
+/// The cases, in the order they run.
+const CASES: [(&str, fn()); 3] = [
+    (
+        "a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard",
+        a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard,
+    ),
+    (
+        "a_hostile_count_buys_no_reservation",
+        a_hostile_count_buys_no_reservation,
+    ),
+    (
+        "a_hostile_wal_or_manifest_count_buys_no_reservation",
+        a_hostile_wal_or_manifest_count_buys_no_reservation,
+    ),
+];
+
+/// Flags of the standard harness that take a value as the next
+/// argument; the value is not a filter.
+const FLAGS_WITH_VALUES: [&str; 6] = [
+    "--test-threads",
+    "--format",
+    "--color",
+    "--logfile",
+    "--skip",
+    "-Z",
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--skip" => skips.extend(iter.next()),
+            flag if FLAGS_WITH_VALUES.contains(&flag) => {
+                iter.next();
+            }
+            flag if flag.starts_with('-') => {}
+            filter => filters.push(filter),
+        }
+    }
+    let exact = args.iter().any(|a| a == "--exact");
+    let matches = |name: &str, pattern: &str| match exact {
+        true => name == pattern,
+        false => name.contains(pattern),
+    };
+    let selected: Vec<&(&str, fn())> = CASES
+        .iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+        .filter(|(name, _)| !skips.iter().any(|s| matches(name, s)))
+        .collect();
+    if args.iter().any(|a| a == "--list") {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let started = Instant::now();
+    println!("\nrunning {} tests", selected.len());
+    let mut failed = Vec::new();
+    for (name, case) in &selected {
+        let ok = std::panic::catch_unwind(case).is_ok();
+        println!("test {name} ... {}", if ok { "ok" } else { "FAILED" });
+        if !ok {
+            failed.push(*name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        CASES.len() - selected.len(),
+        started.elapsed().as_secs_f64()
+    );
+    if !failed.is_empty() {
+        std::process::exit(101);
+    }
 }

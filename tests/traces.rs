@@ -633,7 +633,7 @@ fn asof_receptionist(shards: &[Vec<u8>], epoch: u64) -> Receptionist<InProcTrans
 /// extending the span-tree contract to store-backed librarians.
 #[test]
 fn golden_asof_cv_trace_shared_by_sim_inproc_and_tcp() {
-    use teraphim::store::{IndexStore, TempDir};
+    use teraphim::store::TempDir;
 
     const ASOF: u64 = 1;
     let corpus = corpus();
@@ -644,14 +644,15 @@ fn golden_asof_cv_trace_shared_by_sim_inproc_and_tcp() {
     let mut asof_shards: Vec<Vec<u8>> = Vec::new();
     for (lib, s) in corpus.subcollections().iter().enumerate() {
         let dir = root.path().join(format!("shard-{lib}"));
-        let (mut store, _) = IndexStore::create(&dir, &s.name, &Analyzer::default(), &s.docs)
+        let mut librarian = Librarian::create_store(&dir, &s.name, &Analyzer::default(), &s.docs)
             .expect("fresh shard store creates");
-        store
-            .log_batch(&asof_batch(lib, 1))
+        librarian
+            .add_documents(&asof_batch(lib, 1))
             .expect("epoch 1 commits");
-        store
-            .log_batch(&asof_batch(lib, 2))
+        librarian
+            .add_documents(&asof_batch(lib, 2))
             .expect("epoch 2 commits");
+        let store = librarian.store().expect("a store-backed librarian");
         assert_eq!(store.epoch(), 2);
         let view = store.collection_at(ASOF).expect("as-of replay");
         asof_shards.push(view.to_bytes());
