@@ -13,7 +13,7 @@ fn build_sample() -> (SyntheticCorpus, teraphim_index::InvertedIndex) {
     let mut builder = IndexBuilder::new();
     for sub in corpus.subcollections() {
         for doc in &sub.docs {
-            builder.add_document(&analyzer.analyze(&doc.text));
+            builder.add_text(&analyzer, &doc.text);
         }
     }
     let index = builder.build();
@@ -23,20 +23,21 @@ fn build_sample() -> (SyntheticCorpus, teraphim_index::InvertedIndex) {
 fn bench_build(c: &mut Criterion) {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::small(5));
     let analyzer = Analyzer::default();
-    let analyzed: Vec<Vec<String>> = corpus
+    let texts: Vec<&str> = corpus
         .subcollections()
         .iter()
-        .flat_map(|s| s.docs.iter().map(|d| analyzer.analyze(&d.text)))
+        .flat_map(|s| s.docs.iter().map(|d| d.text.as_str()))
         .collect();
-    let tokens: usize = analyzed.iter().map(Vec::len).sum();
+    let tokens: usize = texts.iter().map(|t| analyzer.analyze(t).len()).sum();
     let mut group = c.benchmark_group("index_build");
     group.throughput(Throughput::Elements(tokens as u64));
     group.sample_size(20);
+    // From text, as `Collection::build` does: analysis is part of the cost.
     group.bench_function("build_360_docs", |b| {
         b.iter(|| {
             let mut builder = IndexBuilder::new();
-            for terms in &analyzed {
-                builder.add_document(terms);
+            for text in &texts {
+                builder.add_text(&analyzer, text);
             }
             black_box(builder.build())
         })

@@ -31,45 +31,66 @@ use crate::codes::{read_gamma0, write_gamma0};
 use crate::dict::Dictionary;
 use crate::huffman::HuffmanCode;
 use crate::{CodeError, Result};
-use std::collections::HashMap;
 
 /// Reserved symbol index for the escape codeword in both models.
 const ESCAPE: u32 = 0;
 
 /// Splits text into a strictly alternating `[word, nonword, word, ...]`
-/// token sequence starting with a (possibly empty) word.
+/// token sequence starting with a (possibly empty) word, in `tokens`
+/// (cleared first; a caller keeps it across texts for its capacity).
 ///
 /// A *word* is a maximal run of alphanumeric characters; a *non-word* is a
 /// maximal run of anything else. Concatenating the tokens reproduces the
 /// input exactly.
-pub fn alternating_tokens(text: &str) -> Vec<&str> {
-    let mut tokens = Vec::new();
-    let mut expect_word = true;
+fn alternating_tokens<'t>(text: &'t str, tokens: &mut Vec<&'t str>) {
+    tokens.clear();
+    let mut word = true;
     let mut start = 0;
-    let mut iter = text.char_indices().peekable();
-    while let Some(&(i, c)) = iter.peek() {
-        let is_word = c.is_alphanumeric();
-        if is_word == expect_word {
-            // Consume a maximal run of this class.
-            let mut end = i;
-            while let Some(&(j, d)) = iter.peek() {
-                if d.is_alphanumeric() == is_word {
-                    end = j + d.len_utf8();
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            tokens.push(&text[start..end]);
-            start = end;
-        } else {
-            // Emit an empty token of the expected class to restore
-            // alternation.
-            tokens.push("");
-        }
-        expect_word = !expect_word;
+    while start < text.len() {
+        // A maximal run of the expected class; empty if the next
+        // character is of the other one, which restores alternation.
+        let end = run_end(text, start, word);
+        tokens.push(&text[start..end]);
+        start = end;
+        word = !word;
     }
-    tokens
+}
+
+/// Where the run of word (`word`) or non-word characters that starts at
+/// byte `i` of `text` ends.
+fn run_end(text: &str, mut i: usize, word: bool) -> usize {
+    let bytes = text.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        let (is_word, len) = if b.is_ascii() {
+            (b.is_ascii_alphanumeric(), 1)
+        } else {
+            let c = text[i..].chars().next().expect("i is a char boundary");
+            (c.is_alphanumeric(), c.len_utf8())
+        };
+        if is_word != word {
+            break;
+        }
+        i += len;
+    }
+    i
+}
+
+/// How often each token of one class occurs in the training texts: the
+/// distinct tokens in one arena, and a count per token id.
+#[derive(Default)]
+struct TokenCounts {
+    tokens: Dictionary,
+    counts: Vec<u64>,
+}
+
+impl TokenCounts {
+    fn add(&mut self, token: &str) {
+        let id = self.tokens.intern(token) as usize;
+        if id == self.counts.len() {
+            self.counts.push(0);
+        }
+        self.counts[id] += 1;
+    }
 }
 
 /// One of the two token-class models: vocabulary plus Huffman code.
@@ -82,17 +103,18 @@ struct ClassModel {
 }
 
 impl ClassModel {
-    fn train(counts: HashMap<&str, u64>) -> Result<ClassModel> {
+    fn train(counts: TokenCounts) -> Result<ClassModel> {
         // Deterministic symbol order: by token string. Symbol 0 is escape.
-        let mut entries: Vec<(&str, u64)> = counts.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let bytes = entries.iter().map(|(tok, _)| tok.len()).sum();
-        let mut tokens = Dictionary::with_capacity(entries.len(), bytes);
-        let mut freqs = Vec::with_capacity(entries.len() + 1);
+        let seen = &counts.tokens;
+        let mut order: Vec<u32> = (0..seen.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| seen.term(a).cmp(seen.term(b)));
+        let bytes = seen.iter().map(|(_, tok)| tok.len()).sum();
+        let mut tokens = Dictionary::with_capacity(order.len(), bytes);
+        let mut freqs = Vec::with_capacity(order.len() + 1);
         freqs.push(1u64); // escape always possible
-        for (tok, count) in entries {
-            tokens.intern(tok);
-            freqs.push(count);
+        for id in order {
+            tokens.intern(seen.term(id));
+            freqs.push(counts.counts[id as usize]);
         }
         let code = HuffmanCode::from_frequencies(&freqs)?;
         Ok(ClassModel { tokens, code })
@@ -211,33 +233,29 @@ impl TextModel {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut word_counts: HashMap<&str, u64> = HashMap::new();
-        let mut nonword_counts: HashMap<&str, u64> = HashMap::new();
-        // Collect token slices; we need the text alive, so process one at a
-        // time.
-        let mut owned: Vec<&'a str> = Vec::new();
+        let mut words = TokenCounts::default();
+        let mut nonwords = TokenCounts::default();
+        let mut tokens = Vec::new();
         for text in texts {
-            owned.push(text);
-        }
-        for text in &owned {
-            for (i, tok) in alternating_tokens(text).into_iter().enumerate() {
-                let counts = if i % 2 == 0 {
-                    &mut word_counts
+            alternating_tokens(text, &mut tokens);
+            for (i, tok) in tokens.iter().enumerate() {
+                if i % 2 == 0 {
+                    words.add(tok);
                 } else {
-                    &mut nonword_counts
-                };
-                *counts.entry(tok).or_insert(0) += 1;
+                    nonwords.add(tok);
+                }
             }
         }
         Ok(TextModel {
-            words: ClassModel::train(word_counts)?,
-            nonwords: ClassModel::train(nonword_counts)?,
+            words: ClassModel::train(words)?,
+            nonwords: ClassModel::train(nonwords)?,
         })
     }
 
     /// Compresses one document.
     pub fn compress(&self, text: &str) -> Vec<u8> {
-        let tokens = alternating_tokens(text);
+        let mut tokens = Vec::new();
+        alternating_tokens(text, &mut tokens);
         let mut w = BitWriter::new();
         write_gamma0(&mut w, tokens.len() as u64);
         for (i, tok) in tokens.into_iter().enumerate() {
@@ -299,10 +317,16 @@ impl TextModel {
 mod tests {
     use super::*;
 
+    pub(super) fn tokens_of(text: &str) -> Vec<&str> {
+        let mut tokens = Vec::new();
+        alternating_tokens(text, &mut tokens);
+        tokens
+    }
+
     #[test]
     fn tokens_alternate_and_concatenate() {
         let text = "The cat, sat -- twice!";
-        let tokens = alternating_tokens(text);
+        let tokens = tokens_of(text);
         assert_eq!(tokens.concat(), text);
         for (i, tok) in tokens.iter().enumerate() {
             if tok.is_empty() {
@@ -315,19 +339,19 @@ mod tests {
 
     #[test]
     fn leading_separator_yields_empty_first_word() {
-        let tokens = alternating_tokens("  hello");
+        let tokens = tokens_of("  hello");
         assert_eq!(tokens, vec!["", "  ", "hello"]);
     }
 
     #[test]
     fn empty_text_has_no_tokens() {
-        assert!(alternating_tokens("").is_empty());
+        assert!(tokens_of("").is_empty());
     }
 
     #[test]
     fn unicode_text_tokenizes() {
         let text = "naïve — café 42";
-        let tokens = alternating_tokens(text);
+        let tokens = tokens_of(text);
         assert_eq!(tokens.concat(), text);
     }
 
@@ -403,14 +427,53 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::tokens_of;
     use super::*;
     use proptest::prelude::*;
+
+    /// The char-by-char splitter the byte scan replaced.
+    fn peeking_tokens(text: &str) -> Vec<&str> {
+        let mut tokens = Vec::new();
+        let mut expect_word = true;
+        let mut start = 0;
+        let mut iter = text.char_indices().peekable();
+        while let Some(&(i, c)) = iter.peek() {
+            let is_word = c.is_alphanumeric();
+            if is_word == expect_word {
+                let mut end = i;
+                while let Some(&(j, d)) = iter.peek() {
+                    if d.is_alphanumeric() == is_word {
+                        end = j + d.len_utf8();
+                        iter.next();
+                    } else {
+                        break;
+                    }
+                }
+                tokens.push(&text[start..end]);
+                start = end;
+            } else {
+                tokens.push("");
+            }
+            expect_word = !expect_word;
+        }
+        tokens
+    }
 
     proptest! {
         #[test]
         fn tokens_always_concatenate(text in ".{0,400}") {
-            let tokens = alternating_tokens(&text);
+            let tokens = tokens_of(&text);
             prop_assert_eq!(tokens.concat(), text);
+        }
+
+        #[test]
+        fn the_byte_scan_splits_as_the_char_scan_did(
+            ascii in "[a-zA-Z0-9 ,.'-]{0,200}",
+            wide in "\\PC{0,200}",
+        ) {
+            for text in [ascii, wide] {
+                prop_assert_eq!(tokens_of(&text), peeking_tokens(&text));
+            }
         }
 
         #[test]

@@ -576,17 +576,6 @@ impl<T: Transport> Receptionist<T> {
         total
     }
 
-    /// Analyzes query text into `(term, f_qt)` string pairs.
-    pub fn analyze_query(&self, query: &str) -> Vec<(String, u32)> {
-        let mut counts: HashMap<String, u32> = HashMap::new();
-        for term in self.analyzer.analyze(query) {
-            *counts.entry(term).or_insert(0) += 1;
-        }
-        let mut entries: Vec<(String, u32)> = counts.into_iter().collect();
-        entries.sort_unstable();
-        entries
-    }
-
     /// Evaluates a ranked query under `methodology`, returning the
     /// merged global top `k` (steps 1–3 of the paper's model).
     ///
@@ -602,7 +591,7 @@ impl<T: Transport> Receptionist<T> {
         query: &str,
         k: usize,
     ) -> Result<Vec<GlobalHit>, TeraphimError> {
-        let terms = self.analyze_query(query);
+        let terms = self.analyzer.term_counts(query);
         let answer = self.ranked_query("query", methodology, terms, k, None, OnFailure::Surface)?;
         Ok(answer.hits)
     }
@@ -899,7 +888,7 @@ impl<T: Transport> Receptionist<T> {
         query: &str,
         k: usize,
     ) -> Result<RankedAnswer, TeraphimError> {
-        let terms = self.analyze_query(query);
+        let terms = self.analyzer.term_counts(query);
         self.ranked_query(
             "query_with_coverage",
             methodology,
@@ -952,7 +941,7 @@ impl<T: Transport> Receptionist<T> {
                 "query_subset supports CentralNothing and CentralVocabulary only".into(),
             ));
         }
-        let terms = self.analyze_query(query);
+        let terms = self.analyzer.term_counts(query);
         let answer = self.ranked_query(
             "query_subset",
             methodology,
@@ -1056,7 +1045,7 @@ impl<T: Transport> Receptionist<T> {
             .cv
             .as_ref()
             .ok_or(TeraphimError::MissingGlobalState("central vocabulary"))?;
-        let terms = self.analyze_query(query);
+        let terms = self.analyzer.term_counts(query);
         let selected = cv.selection.select(&cv.vocab, &cv.stats, &terms, n_libs);
         let answer = self.ranked_query(
             "query_selected",

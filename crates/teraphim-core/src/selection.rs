@@ -54,7 +54,7 @@ impl SelectionState {
     /// vocabulary and statistics; best first, ties broken by index.
     ///
     /// Query terms are `(term string, f_qt)` pairs as produced by
-    /// `Receptionist::analyze_query`.
+    /// `teraphim_text::Analyzer::term_counts`.
     pub fn rank_librarians(
         &self,
         global_vocab: &Vocabulary,

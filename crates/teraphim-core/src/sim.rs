@@ -550,14 +550,6 @@ impl SimDriver {
             .record_at(micros(at), EventKind::PhaseEnd { phase });
     }
 
-    fn term_counts(&self, query: &str) -> Vec<(String, u32)> {
-        let mut counts: BTreeMap<String, u32> = BTreeMap::new();
-        for term in self.analyzer.analyze(query) {
-            *counts.entry(term).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
     // ------------------------------------------------------------------
     // Mono-server baseline
     // ------------------------------------------------------------------
@@ -568,7 +560,7 @@ impl SimDriver {
         query: &str,
         k: usize,
     ) -> Result<QueryCost, TeraphimError> {
-        let terms = self.term_counts(query);
+        let terms = self.analyzer.term_counts(query);
         let pairs: Vec<(teraphim_index::TermId, u32)> = terms
             .iter()
             .filter_map(|(t, f)| self.mono.index().vocab().term_id(t).map(|id| (id, *f)))
@@ -773,7 +765,7 @@ impl SimDriver {
         k: usize,
         cv: bool,
     ) -> Result<QueryCost, TeraphimError> {
-        let terms = self.term_counts(query);
+        let terms = self.analyzer.term_counts(query);
         let cost = net.cost().clone();
 
         // Step 1: the receptionist parses the query and sends everyone
@@ -847,7 +839,7 @@ impl SimDriver {
                 self.ci_params.k_prime, self.ci_params.group_size
             )));
         }
-        let terms = self.term_counts(query);
+        let terms = self.analyzer.term_counts(query);
         let cost = net.cost().clone();
 
         // Step 1-2 (receptionist side): rank groups on the central

@@ -118,7 +118,7 @@ impl Collection {
     pub fn build(name: &str, analyzer: Analyzer, docs: &[TrecDoc]) -> Self {
         let mut builder = IndexBuilder::new();
         for doc in docs {
-            builder.add_document(&analyzer.analyze(&doc.text));
+            builder.add_text(&analyzer, &doc.text);
         }
         let index = builder.build();
         let store = DocStore::build(docs);
@@ -162,13 +162,13 @@ impl Collection {
     /// Analyzes query text into `(term id, f_qt)` pairs, dropping terms
     /// absent from this collection's vocabulary.
     pub fn analyze_query(&self, query: &str) -> Vec<(TermId, u32)> {
-        let mut counts: std::collections::HashMap<TermId, u32> = std::collections::HashMap::new();
-        for term in self.analyzer.analyze(query) {
-            if let Some(id) = self.index.vocab().term_id(&term) {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut entries: Vec<(TermId, u32)> = counts.into_iter().collect();
+        let vocab = self.index.vocab();
+        let mut entries: Vec<(TermId, u32)> = self
+            .analyzer
+            .term_counts(query)
+            .into_iter()
+            .filter_map(|(term, f_qt)| Some((vocab.term_id(&term)?, f_qt)))
+            .collect();
         entries.sort_unstable_by_key(|&(t, _)| t);
         entries
     }
@@ -277,7 +277,7 @@ impl Collection {
             .map(|docs| {
                 let mut delta = IndexBuilder::new();
                 for doc in *docs {
-                    delta.add_document(&self.analyzer.analyze(&doc.text));
+                    delta.add_text(&self.analyzer, &doc.text);
                 }
                 delta.build()
             })
@@ -289,20 +289,22 @@ impl Collection {
         Ok(())
     }
 
-    /// Extracts every document as a [`TrecDoc`], in document-id order.
+    /// Extracts the first `count` documents (all of them if there are
+    /// fewer) as [`TrecDoc`]s, in document-id order.
     ///
     /// This is the inverse of indexing at the text level: the compressed
     /// document store round-trips text exactly, so the returned batch can
     /// rebuild an identical collection. The persistent store uses it to
     /// slice segment contents back into the batches they were committed
-    /// as (for "as-of" epoch replay).
+    /// as (for "as-of" epoch replay), decompressing only the documents
+    /// the requested epoch holds.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Corrupt`] if the document store fails to
     /// decode.
-    pub fn export_docs(&self) -> Result<Vec<TrecDoc>, EngineError> {
-        (0..self.num_docs() as DocId)
+    pub fn export_docs(&self, count: usize) -> Result<Vec<TrecDoc>, EngineError> {
+        (0..count.min(self.num_docs() as usize) as DocId)
             .map(|d| {
                 Ok(TrecDoc {
                     docno: self.docno(d).to_owned(),
@@ -663,11 +665,12 @@ mod tests {
     #[test]
     fn export_docs_roundtrips_exactly() {
         let c = demo();
-        let docs = c.export_docs().unwrap();
+        let docs = c.export_docs(usize::MAX).unwrap();
         assert_eq!(docs.len(), 4);
         assert_eq!(docs[0].docno, "D1");
         assert_eq!(docs[0].text, "the cat sat on the mat");
         assert_eq!(docs[3].docno, "D4");
+        assert_eq!(c.export_docs(2).unwrap(), docs[..2]);
         let rebuilt = Collection::build("demo", Analyzer::default(), &docs);
         for query in ["cat dog", "penguins"] {
             let a = c.ranked_query(query, 10);

@@ -7,13 +7,16 @@ use crate::vocab::{self, read_u32, Vocabulary};
 use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
 use std::sync::OnceLock;
+use teraphim_compress::dict::Dictionary;
+use teraphim_text::Analyzer;
 
 /// An in-memory index under construction.
 ///
-/// Documents are added as term sequences (the output of
-/// `teraphim_text::Analyzer::analyze`); ids are assigned densely in
-/// insertion order, which is also what keeps *grouping* meaningful — the
-/// paper's groups are runs of `G` consecutive document numbers.
+/// Documents are added as text ([`IndexBuilder::add_text`]) or as term
+/// sequences (the output of `teraphim_text::Analyzer::analyze`); ids are
+/// assigned densely in insertion order, which is also what keeps
+/// *grouping* meaningful — the paper's groups are runs of `G`
+/// consecutive document numbers.
 ///
 /// # Examples
 ///
@@ -37,7 +40,28 @@ pub struct IndexBuilder {
     doc_lengths: Vec<u32>,
     /// The term ids of the document being added (kept for its capacity).
     ids: Vec<TermId>,
+    /// What each token [`IndexBuilder::add_text`] has met stands for.
+    memo: Memo,
 }
+
+/// Token → term, for the texts one analyzer feeds a builder: each
+/// distinct folded token is filtered, stopped and stemmed once, however
+/// often it occurs.
+#[derive(Debug, Default)]
+struct Memo {
+    /// The analyzer the entries were made with; another one clears them.
+    analyzer: Option<Analyzer>,
+    /// The distinct tokens, in the order they were met.
+    tokens: Dictionary,
+    /// Per token id, its term's id, or [`DROPPED`].
+    terms: Vec<TermId>,
+    /// Scratch for tokens that are not slices of their text.
+    fold: String,
+}
+
+/// A memo entry for a token that stands for no term (a stop word, or a
+/// length out of range). No vocabulary reaches `u32::MAX` terms.
+const DROPPED: TermId = TermId::MAX;
 
 impl IndexBuilder {
     /// Creates an empty builder.
@@ -50,11 +74,52 @@ impl IndexBuilder {
         let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         ids.extend(terms.iter().map(|term| self.vocab.intern(term.as_ref())));
+        self.push_ids(ids)
+    }
+
+    /// Adds a document given its text, analyzed by `analyzer`; returns
+    /// its id. The index is the same, to the byte, as
+    /// `add_document(&analyzer.analyze(text))` builds, but the text is
+    /// read once and each distinct token analyzed once per builder.
+    pub fn add_text(&mut self, analyzer: &Analyzer, text: &str) -> DocId {
+        let memo = &mut self.memo;
+        if memo.analyzer.as_ref() != Some(analyzer) {
+            *memo = Memo {
+                analyzer: Some(analyzer.clone()),
+                ..Memo::default()
+            };
+        }
+        let mut ids = std::mem::take(&mut self.ids);
+        ids.clear();
+        let vocab = &mut self.vocab;
+        analyzer.tokens(text, &mut memo.fold, |token| {
+            let term = match memo.tokens.term_id(token) {
+                Some(seen) => memo.terms[seen as usize],
+                None => {
+                    let term = analyzer
+                        .term(token)
+                        .map_or(DROPPED, |term| vocab.intern(&term));
+                    memo.tokens.intern(token);
+                    memo.terms.push(term);
+                    term
+                }
+            };
+            if term != DROPPED {
+                ids.push(term);
+            }
+        });
+        self.push_ids(ids)
+    }
+
+    /// Files the next document given the term id of each of its terms,
+    /// in any order; returns its id. `ids` is kept for its capacity.
+    fn push_ids(&mut self, mut ids: Vec<TermId>) -> DocId {
+        let length = ids.len() as u32;
         ids.sort_unstable();
         let doc = self.push_document(
             ids.chunk_by(|a, b| a == b)
                 .map(|run| (run[0], run.len() as u32)),
-            terms.len() as u32,
+            length,
         );
         self.ids = ids;
         doc

@@ -341,17 +341,27 @@ impl IndexStore {
                 durable: self.epoch(),
             });
         }
-        let docs = load_segment(&self.dir, &self.manifest.segment)?.export_docs()?;
-        let pending = scan_pending(&self.dir, &self.manifest)?.records;
-        // The segment's documents, cut back into the batches they were
-        // committed as (their counts sum to its documents), then the
-        // WAL's; the manifest guarantees epoch 0 comes first.
-        let mut rest = docs.as_slice();
-        let history: Vec<(u64, &[TrecDoc])> = self
+        // The segment's batches up to `epoch`; only their documents are
+        // decompressed.
+        let held = self
             .manifest
             .segment
             .batches
             .iter()
+            .take_while(|batch| batch.epoch <= epoch);
+        let count: u64 = held.clone().map(|batch| batch.docs).sum();
+        let docs = load_segment(&self.dir, &self.manifest.segment)?.export_docs(count as usize)?;
+        if docs.len() as u64 != count {
+            return Err(StoreError::Corrupt {
+                what: "segment holds fewer documents than its batches",
+            });
+        }
+        let pending = scan_pending(&self.dir, &self.manifest)?.records;
+        // Those documents, cut back into the batches they were committed
+        // as, then the WAL's; the manifest guarantees epoch 0 comes
+        // first.
+        let mut rest = docs.as_slice();
+        let history: Vec<(u64, &[TrecDoc])> = held
             .map(|batch| {
                 let (docs, tail) = rest.split_at(batch.docs as usize);
                 rest = tail;

@@ -5,11 +5,12 @@
 //! removal of stop-words" before evaluation; MG additionally case-folds
 //! and stems terms. This crate implements that pipeline:
 //!
-//! * [`tokenize`] — case-folded alphanumeric tokenization.
-//! * [`stopwords`] — the classic short English stop list.
-//! * [`stem`] — the Porter stemming algorithm.
+//! * [`Analyzer`] — the composed pipeline used by indexing and querying:
+//!   case-folded alphanumeric tokenization ([`Analyzer::tokens`]), then
+//!   the classic short English stop list ([`stopwords`]) and the Porter
+//!   stemming algorithm ([`stem`]) applied to each token
+//!   ([`Analyzer::term`]).
 //! * [`sgml`] — parsing of TREC-format `<DOC>` collections.
-//! * [`Analyzer`] — the composed pipeline used by indexing and querying.
 //!
 //! # Examples
 //!
@@ -24,8 +25,9 @@
 pub mod sgml;
 pub mod stem;
 pub mod stopwords;
-pub mod tokenize;
+mod tokenize;
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The composed text-analysis pipeline: tokenize → stop → stem.
@@ -34,7 +36,7 @@ use std::fmt;
 /// collection; TERAPHIM requires all librarians and receptionists to share
 /// it (the paper's "librarians and receptionist are similar enough to
 /// share information such as vocabulary").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Analyzer {
     stop: bool,
     stem: bool,
@@ -100,14 +102,54 @@ impl Analyzer {
         self.stem
     }
 
+    /// Calls `each` with every case-folded token of `text`, in order,
+    /// borrowed: a slice of `text` when the word is already lower-case
+    /// ASCII, else `fold` (scratch the caller keeps across texts, so
+    /// that a scan allocates nothing a token).
+    pub fn tokens(&self, text: &str, fold: &mut String, each: impl FnMut(&str)) {
+        tokenize::for_each_token(text, fold, each);
+    }
+
+    /// The index term a token of [`Analyzer::tokens`] stands for, or
+    /// `None` if its length is out of range or it is a stop word.
+    pub fn term<'t>(&self, token: &'t str) -> Option<Cow<'t, str>> {
+        if token.len() < self.min_len
+            || token.len() > self.max_len
+            || (self.stop && stopwords::is_stopword(token))
+        {
+            return None;
+        }
+        Some(if self.stem {
+            Cow::Owned(stem::stem(token))
+        } else {
+            Cow::Borrowed(token)
+        })
+    }
+
     /// Runs the full pipeline over `text`, returning index terms in
     /// occurrence order (duplicates preserved).
     pub fn analyze(&self, text: &str) -> Vec<String> {
-        tokenize::tokenize(text)
-            .filter(|tok| tok.len() >= self.min_len && tok.len() <= self.max_len)
-            .filter(|tok| !self.stop || !stopwords::is_stopword(tok))
-            .map(|tok| if self.stem { stem::stem(&tok) } else { tok })
-            .collect()
+        let mut terms = Vec::new();
+        self.tokens(text, &mut String::new(), |token| {
+            terms.extend(self.term(token).map(Cow::into_owned));
+        });
+        terms
+    }
+
+    /// The distinct terms of `text` with their counts, sorted by term:
+    /// a query's `(term, f_qt)` pairs.
+    pub fn term_counts(&self, text: &str) -> Vec<(String, u32)> {
+        let mut counts: Vec<(String, u32)> = Vec::new();
+        self.tokens(text, &mut String::new(), |token| {
+            let Some(term) = self.term(token) else {
+                return;
+            };
+            match counts.binary_search_by(|(t, _)| t.as_str().cmp(&term)) {
+                Ok(i) => counts[i].1 += 1,
+                Err(i) => counts.insert(i, (term.into_owned(), 1)),
+            }
+        });
+        counts
     }
 }
 
@@ -148,6 +190,31 @@ mod tests {
     fn empty_text_gives_no_terms() {
         assert!(Analyzer::default().analyze("").is_empty());
         assert!(Analyzer::default().analyze("  ,,, !!!").is_empty());
+    }
+
+    #[test]
+    fn term_counts_are_sorted_by_term() {
+        let a = Analyzer::default();
+        assert_eq!(
+            a.term_counts("dogs run; the dog RAN, cats run"),
+            vec![
+                ("cat".into(), 1),
+                ("dog".into(), 2),
+                ("ran".into(), 1),
+                ("run".into(), 2)
+            ]
+        );
+        assert!(a.term_counts("the of and").is_empty());
+    }
+
+    #[test]
+    fn term_drops_out_of_range_and_stopped_tokens() {
+        let a = Analyzer::default();
+        assert_eq!(a.term("the"), None);
+        assert_eq!(a.term(&"x".repeat(65)), None);
+        assert_eq!(a.term(&"x".repeat(64)).as_deref(), Some(&*"x".repeat(64)));
+        assert_eq!(a.term("running").as_deref(), Some("run"));
+        assert_eq!(Analyzer::raw().term("the").as_deref(), Some("the"));
     }
 
     #[test]

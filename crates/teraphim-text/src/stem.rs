@@ -5,19 +5,10 @@
 //! characters, or shorter than three characters, are returned unchanged —
 //! the algorithm is defined over English.
 
-/// Stems a single lower-case word.
-///
-/// # Examples
-///
-/// ```
-/// use teraphim_text::stem::stem;
-///
-/// assert_eq!(stem("caresses"), "caress");
-/// assert_eq!(stem("running"), "run");
-/// assert_eq!(stem("relational"), "relat");
-/// assert_eq!(stem("sky"), "sky");
-/// ```
-pub fn stem(word: &str) -> String {
+/// Stems a single lower-case word (`caresses` → `caress`, `running` →
+/// `run`, `relational` → `relat`, `sky` → `sky`). Its one caller is
+/// [`crate::Analyzer::term`].
+pub(crate) fn stem(word: &str) -> String {
     if word.len() <= 2
         || !word
             .bytes()

@@ -147,17 +147,9 @@ fn stopword_set() -> &'static HashSet<&'static str> {
     SET.get_or_init(|| STOPWORDS.iter().copied().collect())
 }
 
-/// True if `word` (already lower-cased) is a stop word.
-///
-/// # Examples
-///
-/// ```
-/// use teraphim_text::stopwords::is_stopword;
-///
-/// assert!(is_stopword("the"));
-/// assert!(!is_stopword("retrieval"));
-/// ```
-pub fn is_stopword(word: &str) -> bool {
+/// True if `word` (already lower-cased) is a stop word. Its one caller
+/// is [`crate::Analyzer::term`].
+pub(crate) fn is_stopword(word: &str) -> bool {
     stopword_set().contains(word)
 }
 

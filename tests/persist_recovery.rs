@@ -273,7 +273,7 @@ proptest! {
         prop_assert_eq!(&back, &segment);
         let reloaded = Collection::from_bytes(&back.collection).expect("collection decodes");
         prop_assert_eq!(fingerprint(&reloaded), fingerprint(&collection));
-        prop_assert_eq!(reloaded.export_docs().expect("docs"), batch);
+        prop_assert_eq!(reloaded.export_docs(usize::MAX).expect("docs"), batch);
     }
 }
 

@@ -7,6 +7,10 @@
 //! it asks: the request the server decodes, the ranking it returns,
 //! the reply the client decodes.
 //!
+//! It also checks that building a collection allocates for each
+//! document and each distinct word, not for each token: a build reads
+//! each word once.
+//!
 //! The same counter checks the decoders against hostile counts: a
 //! message of a few bytes that claims a million elements, a document
 //! store, a WAL batch or a manifest that claims four billion entries,
@@ -26,13 +30,14 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use teraphim::compress::checksum::crc32;
 use teraphim::core::{Librarian, Methodology, Receptionist};
 use teraphim::corpus::splits::split_into;
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
-use teraphim::engine::DocStore;
+use teraphim::engine::{Collection, DocStore};
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::wire::put_uint;
 use teraphim::net::{Message, MuxTransport};
@@ -143,6 +148,44 @@ fn a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard() {
         assert!(
             slope <= PER_SHARD,
             "{methodology}: {slope:.2} allocations a query for each shard added"
+        );
+    }
+}
+
+/// Allocations a build may make for each document it indexes and
+/// stores (its compressed text, its docno, the growth of what holds
+/// them)...
+const BUILD_PER_DOC: f64 = 32.0;
+/// ... and for each distinct word (its term, its memo entry).
+const BUILD_PER_WORD: f64 = 2.0;
+
+fn a_build_allocates_per_document_and_distinct_word_not_per_token() {
+    let corpus = SyntheticCorpus::generate(&CorpusSpec::small(42));
+    for sub in corpus.subcollections() {
+        let (mut tokens, mut words) = (0, HashSet::new());
+        for doc in &sub.docs {
+            let folded = Analyzer::raw().analyze(&doc.text);
+            tokens += folded.len();
+            words.extend(folded);
+        }
+        let (before, _) = counters();
+        let collection = Collection::build(&sub.name, Analyzer::default(), &sub.docs);
+        let (after, _) = counters();
+        drop(collection);
+        let allocations = (after - before) as f64;
+        let (docs, words) = (sub.docs.len() as f64, words.len() as f64);
+        let bound = BUILD_PER_DOC * docs + BUILD_PER_WORD * words;
+        println!(
+            "{}: {allocations} allocations to build {docs} documents, {words} distinct words, \
+             {tokens} tokens ({:.2} a token; bound {bound})",
+            sub.name,
+            allocations / tokens as f64
+        );
+        assert!(
+            allocations <= bound,
+            "{}: {allocations} allocations, more than {BUILD_PER_DOC} x {docs} documents \
+             + {BUILD_PER_WORD} x {words} distinct words",
+            sub.name
         );
     }
 }
@@ -261,10 +304,14 @@ fn a_hostile_wal_or_manifest_count_buys_no_reservation() {
 }
 
 /// The cases, in the order they run.
-const CASES: [(&str, fn()); 3] = [
+const CASES: [(&str, fn()); 4] = [
     (
         "a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard",
         a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard,
+    ),
+    (
+        "a_build_allocates_per_document_and_distinct_word_not_per_token",
+        a_build_allocates_per_document_and_distinct_word_not_per_token,
     ),
     (
         "a_hostile_count_buys_no_reservation",
