@@ -8,7 +8,17 @@
 //! wire — so a change to the exhaustive kernel (or a pruning kernel
 //! measured against it) shows its split without the full benchmark.
 //!
-//! A second table follows one served Central Nothing request through a
+//! A second table times Central Index candidate scoring on the same
+//! shards, with the requests a CI query sends them: the short queries
+//! rank the groups of a grouped index over the shards (`CiParams`'
+//! default k' and G), the top groups are expanded into each shard's
+//! candidates, and the shard scores them under the global weights. It
+//! reports ns per candidate and per decoded posting, seeking through the
+//! skip tables against decoding and accumulating the query's lists in
+//! full (the paper's configuration; reading the candidates' sums back
+//! out of the accumulators is not timed).
+//!
+//! A third table follows one served Central Nothing request through a
 //! shard of the paper's 43-way split, step by step as a librarian takes
 //! it: decode the request, look its terms up and weight them, accumulate,
 //! select the top k, encode the reply — nanoseconds and heap allocations
@@ -25,11 +35,14 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use teraphim_bench::{corpus_parts, HarnessOptions, TextTable};
+use teraphim_core::CiParams;
 use teraphim_corpus::splits::split_into;
 use teraphim_corpus::SyntheticCorpus;
-use teraphim_engine::ranking::{local_weights, rank_with_norm, RankScratch, WeightedTerm};
+use teraphim_engine::candidates::score_candidates;
+use teraphim_engine::ranking::{local_weights, rank, rank_with_norm, RankScratch, WeightedTerm};
 use teraphim_engine::Collection;
-use teraphim_index::similarity::query_norm;
+use teraphim_index::similarity::{query_norm, w_qt};
+use teraphim_index::{DocId, GroupedIndex, InvertedIndex, TermId};
 use teraphim_net::{Message, TermList};
 use teraphim_text::Analyzer;
 
@@ -90,6 +103,108 @@ fn measured(mut pass: impl FnMut()) -> (f64, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     pass();
     (ns, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// One CI request per (short query, shard holding a candidate): the
+/// shard, its resolved terms and norm, and its candidates, as a
+/// receptionist derives them (`Receptionist::ci_requests`).
+fn ci_requests<'a>(
+    corpus: &SyntheticCorpus,
+    shards: &'a [Collection],
+) -> Vec<(&'a Collection, Vec<WeightedTerm>, f64, Vec<DocId>)> {
+    let params = CiParams::default();
+    let indexes: Vec<&InvertedIndex> = shards.iter().map(Collection::index).collect();
+    let grouped = GroupedIndex::build(&indexes, params.group_size).expect("own indexes");
+    let group_index = grouped.group_index();
+    let analyzer = Analyzer::default();
+    let mut requests = Vec::new();
+    for query in corpus.short_queries() {
+        let terms = analyzer.term_counts(&query.text);
+        let ids: Vec<(TermId, u32)> = terms
+            .iter()
+            .filter_map(|(t, f)| grouped.vocab().term_id(t).map(|id| (id, *f)))
+            .collect();
+        let top = rank(
+            group_index,
+            &local_weights(group_index, &ids),
+            params.k_prime,
+        );
+        let groups: Vec<u32> = top.iter().map(|g| g.doc).collect();
+        // Global weights, from the grouped index's document statistics.
+        let weights: Vec<(&str, f64)> = terms
+            .iter()
+            .filter_map(|(t, f)| {
+                let f_t = grouped.doc_stats().doc_freq(grouped.vocab().term_id(t)?);
+                let w = w_qt(u64::from(*f), grouped.total_docs(), f_t);
+                (w > 0.0).then_some((t.as_str(), w))
+            })
+            .collect();
+        for (part, candidates) in grouped.expand_groups(&groups) {
+            let shard = &shards[part as usize];
+            let mut terms = Vec::new();
+            let qnorm = shard.resolve_weighted(weights.iter().copied(), &mut terms);
+            requests.push((shard, terms, qnorm, candidates));
+        }
+    }
+    requests
+}
+
+/// Candidate scoring of CI's requests, skipping and by full-list decode.
+fn candidate_scoring(corpus: &SyntheticCorpus, shards: &[Collection]) {
+    let requests = ci_requests(corpus, shards);
+    let count: usize = requests
+        .iter()
+        .map(|(.., candidates)| candidates.len())
+        .sum();
+    let mut scratch = RankScratch::new();
+    let mut skipped = 0;
+    let skipping = fastest_ns(|| {
+        skipped = 0;
+        for (shard, terms, qnorm, candidates) in &requests {
+            let (scores, decoded) =
+                score_candidates(shard.index(), terms, *qnorm, candidates, &mut scratch)
+                    .expect("own lists are well-formed");
+            black_box(scores);
+            skipped += decoded;
+        }
+    });
+    let listed: u64 = requests
+        .iter()
+        .flat_map(|(shard, terms, ..)| terms.iter().map(|t| shard.index().stats().doc_freq(t.term)))
+        .sum();
+    // Depth 0: the whole lists decoded and accumulated, nothing selected.
+    let full = fastest_ns(|| {
+        for (shard, terms, qnorm, _) in &requests {
+            black_box(rank_with_norm(
+                shard.index(),
+                terms,
+                *qnorm,
+                0,
+                &mut scratch,
+            ));
+        }
+    });
+    let params = CiParams::default();
+    println!(
+        "CI candidate scoring: {} requests, {count} candidates a pass (k' = {} groups \
+         of G = {}, expanded), fastest of {PASSES} passes",
+        requests.len(),
+        params.k_prime,
+        params.group_size
+    );
+    let mut table = TextTable::new(["scoring", "postings decoded", "ns/candidate", "ns/posting"]);
+    for (label, ns, decoded) in [
+        ("skipping", skipping, skipped),
+        ("full lists, decode + accumulate", full, listed),
+    ] {
+        table.row([
+            label.to_owned(),
+            decoded.to_string(),
+            format!("{:.1}", ns / count.max(1) as f64),
+            format!("{:.2}", ns / decoded.max(1) as f64),
+        ]);
+    }
+    println!("{}", table.render());
 }
 
 /// One CN request per short query on every shard of the 43-way split,
@@ -312,5 +427,6 @@ fn main() {
         format!("{:.1}", lookup / lookups.max(1) as f64),
     ]);
     println!("{}", table.render());
+    candidate_scoring(&corpus, &shards);
     served_requests(&corpus);
 }

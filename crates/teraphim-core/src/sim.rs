@@ -900,6 +900,9 @@ impl SimDriver {
         // Disk: the librarian still reads the touched lists once;
         // skipping reduces decode CPU, not the sequential transfer.
         // CPU: candidate scoring maintains one accumulator per candidate.
+        // Without skipping (the paper's configuration) the librarian
+        // decodes every posting of the lists it reads: scores are the
+        // same to the bit, and the decoding charged is the lists' length.
         let skipping = self.skipping;
         let mut fan = self.fan_out(net, t_grank, &requests, |col, request| {
             let Message::ScoreCandidatesRequest { candidates, .. } = request else {
@@ -907,13 +910,12 @@ impl SimDriver {
             };
             let mut weighted = Vec::new();
             let qnorm = col.resolve_weighted(doc_weights.iter(), &mut weighted);
-            let (scores, decoded) = if skipping {
-                let scratch = &mut RankScratch::new();
+            let scratch = &mut RankScratch::new();
+            let (scores, skipped) =
                 candidates::score_candidates(col.index(), &weighted, qnorm, candidates, scratch)
-            } else {
-                candidates::score_candidates_full_scan(col.index(), &weighted, qnorm, candidates)
-            }
-            .map_err(TeraphimError::Engine)?;
+                    .map_err(TeraphimError::Engine)?;
+            let work = index_work_on(col.index(), &weighted);
+            let decoded = if skipping { skipped } else { work.postings };
             Ok(Answer {
                 reply: Message::ScoreResponse {
                     query_id: 0,
@@ -921,7 +923,7 @@ impl SimDriver {
                     entries: scores.iter().map(|s| (s.doc, s.score)).collect(),
                     postings_decoded: decoded,
                 },
-                work: index_work_on(col.index(), &weighted),
+                work,
                 cpu: cost.postings_cpu(decoded) + cost.merge_cpu(candidates.len() as u64),
             })
         })?;
@@ -1385,6 +1387,13 @@ mod tests {
             .time_query(&Topology::multi_disk(4), &cost, ci, q, 5)
             .unwrap();
         assert!(skipped.postings_decoded <= full.postings_decoded);
+        // Both configurations score through one function; the full
+        // ranking is the independent check (k'·G covers every match).
+        let cv = SimMode::Distributed(Methodology::CentralVocabulary);
+        let ranked = d
+            .time_query(&Topology::multi_disk(4), &cost, cv, q, 5)
+            .unwrap();
+        assert_eq!(full.hits, ranked.hits, "CI must rank as CV does");
         assert_eq!(skipped.hits, full.hits, "skipping must not change results");
     }
 

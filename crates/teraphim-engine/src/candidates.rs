@@ -8,9 +8,8 @@
 //! mechanism the paper credits with cutting librarian CPU cost "by a
 //! factor of two or more" at small `k'`.
 
-use crate::ranking::{accumulate, RankScratch, ScoredDoc, WeightedTerm};
+use crate::ranking::{w_dt_lookup, RankScratch, ScoredDoc, WeightedTerm};
 use crate::EngineError;
-use teraphim_index::similarity::w_dt;
 use teraphim_index::{DocId, InvertedIndex};
 
 /// Scores exactly `candidates` (any order, duplicates tolerated) against
@@ -21,9 +20,11 @@ use teraphim_index::{DocId, InvertedIndex};
 ///
 /// Returns `(scores, postings_decoded)`. The score vector has one entry
 /// per *distinct* candidate, in increasing document order; documents
-/// containing none of the query terms score 0.0. `postings_decoded`
-/// counts index postings actually decompressed, the unit of the CPU cost
-/// model. `scratch` lends the sorted-candidate and partial-sum vectors.
+/// containing none of the query terms score 0.0. Each score is the one
+/// full-list ranking gives the document, to the bit: the same `w_dt`
+/// table, summed in the same term order. `postings_decoded` counts index
+/// postings actually decompressed, the unit of the CPU cost model.
+/// `scratch` lends the sorted-candidate and partial-sum vectors.
 ///
 /// # Errors
 ///
@@ -44,6 +45,7 @@ pub fn score_candidates(
     let sums = &mut scratch.sums;
     sums.clear();
     sums.resize(sorted.len(), 0.0);
+    let w_dt_of = w_dt_lookup();
     let mut decoded = 0u64;
     for wt in terms {
         if wt.w_qt == 0.0 {
@@ -52,63 +54,24 @@ pub fn score_candidates(
         let mut cursor = index.skip_cursor(wt.term)?;
         for (i, &doc) in sorted.iter().enumerate() {
             match cursor.seek(doc)? {
-                Some(p) if p.doc == doc => {
-                    sums[i] += wt.w_qt * w_dt(u64::from(p.f_dt));
-                }
+                Some(p) if p.doc == doc => sums[i] += wt.w_qt * w_dt_of(p.f_dt),
                 Some(_) => {}
                 None => break,
             }
         }
         decoded += cursor.decoded();
     }
-    let scores = sorted.iter().zip(sums.iter());
-    Ok((
-        normalized(index, qnorm, scores.map(|(&d, &s)| (d, s))),
-        decoded,
-    ))
-}
-
-/// Scores candidates by decoding lists in full (no skipping) — the
-/// configuration the paper actually benchmarked ("we did not employ our
-/// skipping mechanism"), kept as the reference and for the ablation.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Corrupt`] if an inverted list fails to decode.
-pub fn score_candidates_full_scan(
-    index: &InvertedIndex,
-    terms: &[WeightedTerm],
-    qnorm: f64,
-    candidates: &[DocId],
-) -> Result<(Vec<ScoredDoc>, u64), EngineError> {
-    // The ranking loop over every document, read back at the candidates.
-    let mut scratch = RankScratch::new();
-    let (decoded, scanned) = accumulate(index, terms, &mut scratch, usize::MAX, false);
-    scanned?;
-
-    let mut sorted: Vec<DocId> = candidates.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let sums = sorted.into_iter().map(|doc| (doc, scratch.sum(doc)));
-    Ok((normalized(index, qnorm, sums), decoded))
-}
-
-/// Cosine-normalises `(document, partial sum)` pairs.
-fn normalized(
-    index: &InvertedIndex,
-    qnorm: f64,
-    sums: impl Iterator<Item = (DocId, f64)>,
-) -> Vec<ScoredDoc> {
-    sums.map(|(doc, sum)| {
-        let wd = index.weights().weight(doc);
+    let weights = index.weights();
+    let scores = sorted.iter().zip(sums.iter()).map(|(&doc, &sum)| {
+        let wd = weights.weight(doc);
         let score = if wd > 0.0 && qnorm > 0.0 {
             sum / (wd * qnorm)
         } else {
             0.0
         };
         ScoredDoc { doc, score }
-    })
-    .collect()
+    });
+    Ok((scores.collect(), decoded))
 }
 
 #[cfg(test)]
@@ -128,7 +91,8 @@ mod tests {
 
     type Scored = Result<(Vec<ScoredDoc>, u64), EngineError>;
 
-    /// The two entry points under the query's own norm.
+    /// The scorer, and the full-list scorer it replaced (the oracle),
+    /// under the query's own norm.
     pub(super) fn skipping(ix: &InvertedIndex, w: &[WeightedTerm], candidates: &[DocId]) -> Scored {
         score_candidates(ix, w, norm(w), candidates, &mut RankScratch::new())
     }
@@ -138,7 +102,7 @@ mod tests {
         w: &[WeightedTerm],
         candidates: &[DocId],
     ) -> Scored {
-        score_candidates_full_scan(ix, w, norm(w), candidates)
+        crate::ranking::oracle::score_candidates(ix, w, norm(w), candidates)
     }
 
     fn norm(w: &[WeightedTerm]) -> f64 {
@@ -223,22 +187,33 @@ mod tests {
         assert!(scored.iter().all(|s| s.score == 0.0));
     }
 
+    /// A list whose second document id passes `u32::MAX`: building its
+    /// skip table reports it, and the query fails, in a debug build and
+    /// in release alike.
     #[test]
-    fn full_scan_reports_a_malformed_list() {
-        use crate::ranking::oracle::{index_from_lists, list_of};
-        use teraphim_index::PostingsList;
-        let good = list_of((0..30).map(|d| (d, d % 3 + 1)).collect());
-        let good = good.view();
-        let cut = PostingsList::from_raw_parts(
-            &good.as_bytes()[..good.byte_len() - 2],
-            good.len(),
-            good.last_doc(),
-        );
+    fn a_document_id_past_u32_is_corrupt_not_a_panic() {
+        use crate::ranking::oracle::index_from_lists;
+        use teraphim_compress::bitio::BitWriter;
+        use teraphim_compress::codes::write_gamma;
+        use teraphim_index::{IndexError, PostingsList};
+        // Document u32::MAX - 1 (its gap is coded as doc + 1), then a
+        // gap of 2.
+        let mut writer = BitWriter::new();
+        for code in [u64::from(u32::MAX), 1, 2, 1] {
+            write_gamma(&mut writer, code);
+        }
+        let bytes = writer.into_bytes();
+        let list = PostingsList::from_raw_parts(&bytes, 2, u32::MAX);
+        let index = index_from_lists(&[1.0; 4], &[list]);
+        assert!(matches!(
+            index.skip_cursor(0),
+            Err(IndexError::Corrupt("document id overflows"))
+        ));
         let terms = [WeightedTerm { term: 0, w_qt: 1.0 }];
-        let clean = index_from_lists(&[1.0; 30], &[good]);
-        assert!(full_scan(&clean, &terms, &[3, 4]).is_ok());
-        let corrupt = index_from_lists(&[1.0; 30], &[cut]);
-        assert!(full_scan(&corrupt, &terms, &[3, 4]).is_err());
+        assert!(matches!(
+            skipping(&index, &terms, &[0, 3]),
+            Err(EngineError::Corrupt(_))
+        ));
     }
 
     /// A loaded index may hold a list that does not decode. Building its
@@ -288,7 +263,7 @@ mod tests {
 mod proptests {
     use super::tests::{full_scan, skipping};
     use super::*;
-    use crate::ranking::local_weights;
+    use crate::ranking::{local_weights, oracle};
     use proptest::prelude::*;
     use teraphim_index::IndexBuilder;
 
@@ -312,13 +287,13 @@ mod proptests {
             let terms: Vec<(teraphim_index::TermId, u32)> =
                 ix.vocab().iter().map(|(id, _)| (id, 1u32)).collect();
             let w = local_weights(&ix, &terms);
+            // Bit for bit, and a full scan decodes every posting of the
+            // query's lists: what the simulator charges it.
             let (skipped, _) = skipping(&ix, &w, &candidates).unwrap();
-            let (full, _) = full_scan(&ix, &w, &candidates).unwrap();
-            prop_assert_eq!(skipped.len(), full.len());
-            for (a, b) in skipped.iter().zip(&full) {
-                prop_assert_eq!(a.doc, b.doc);
-                prop_assert!((a.score - b.score).abs() < 1e-12);
-            }
+            let (full, scanned) = full_scan(&ix, &w, &candidates).unwrap();
+            prop_assert_eq!(oracle::bits(&skipped), oracle::bits(&full));
+            let lengths: u64 = w.iter().map(|t| u64::from(ix.postings(t.term).len())).sum();
+            prop_assert_eq!(scanned, lengths);
         }
     }
 }

@@ -633,7 +633,7 @@ mod tests {
         assert_eq!(query.len(), 2);
         let candidates: Vec<DocId> = (0..5).collect();
         let expected =
-            candidates::score_candidates_full_scan(shared.index(), &query, qnorm, &candidates)
+            ranking::oracle::score_candidates(shared.index(), &query, qnorm, &candidates)
                 .unwrap()
                 .0;
         std::thread::scope(|scope| {

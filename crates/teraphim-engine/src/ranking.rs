@@ -113,20 +113,20 @@ impl RankScratch {
         self.seen.resize(num_docs.div_ceil(64), 0);
         self.touched.resize(num_docs + 1, 0);
     }
-
-    /// The accumulated sum of `doc`; 0.0 if no posting reached it.
-    pub(crate) fn sum(&self, doc: DocId) -> f64 {
-        self.acc.get(doc as usize).copied().unwrap_or(0.0)
-    }
 }
 
-/// `w_dt` of the in-document frequencies inverted lists are full of, so
-/// that the inner loop loads where it used to take a logarithm. The table
-/// is filled by [`w_dt`] itself, which makes a looked-up weight
-/// bit-identical to a computed one.
-fn w_dt_table() -> &'static [f64; 256] {
+/// `w_dt` of an in-document frequency, read from a table of the
+/// frequencies inverted lists are full of, so that an inner loop loads
+/// where it used to take a logarithm. The table is filled by [`w_dt`]
+/// itself, which makes a looked-up weight bit-identical to a computed
+/// one. Take the lookup once, outside the loop.
+pub(crate) fn w_dt_lookup() -> impl Fn(u32) -> f64 + Copy {
     static TABLE: OnceLock<[f64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| std::array::from_fn(|f_dt| w_dt(f_dt as u64)))
+    let table = TABLE.get_or_init(|| std::array::from_fn(|f_dt| w_dt(f_dt as u64)));
+    move |f_dt| match table.get(f_dt as usize) {
+        Some(&w) => w,
+        None => w_dt(u64::from(f_dt)),
+    }
 }
 
 /// Computes local query weights `w_qt = ln(f_qt + 1) · ln(N/f_t + 1)`
@@ -210,7 +210,7 @@ pub(crate) fn accumulate(
         scratch.touched.as_mut_slice(),
     );
     let mut matched = 0;
-    let table = w_dt_table();
+    let w_dt_of = w_dt_lookup();
     let mut postings = 0u64;
     let mut outcome = Ok(());
     for wt in terms {
@@ -236,11 +236,7 @@ pub(crate) fn accumulate(
             seen[word] |= bit;
             touched[matched] = posting.doc;
             matched += usize::from(new);
-            let w_dt = match table.get(posting.f_dt as usize) {
-                Some(&w) => w,
-                None => w_dt(u64::from(posting.f_dt)),
-            };
-            acc[doc] += wt.w_qt * w_dt;
+            acc[doc] += wt.w_qt * w_dt_of(posting.f_dt);
         });
         if outcome.is_ok() {
             outcome = scanned;
@@ -449,6 +445,34 @@ pub(crate) mod oracle {
             .collect();
         hits.sort_by(ScoredDoc::ranking_cmp);
         hits
+    }
+
+    /// What `candidates::score_candidates` must return, and the postings
+    /// a full scan decodes: the candidate scorer that decoded every list
+    /// in full, the ranking loop read back at the candidates.
+    pub(crate) fn score_candidates(
+        index: &InvertedIndex,
+        terms: &[WeightedTerm],
+        qnorm: f64,
+        candidates: &[DocId],
+    ) -> Result<(Vec<ScoredDoc>, u64), crate::EngineError> {
+        let mut scratch = super::RankScratch::new();
+        let (decoded, scanned) = super::accumulate(index, terms, &mut scratch, usize::MAX, false);
+        scanned?;
+        let mut sorted: Vec<DocId> = candidates.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let scores = sorted.into_iter().map(|doc| {
+            let sum = scratch.acc.get(doc as usize).copied().unwrap_or(0.0);
+            let wd = index.weights().weight(doc);
+            let score = if wd > 0.0 && qnorm > 0.0 {
+                sum / (wd * qnorm)
+            } else {
+                0.0
+            };
+            ScoredDoc { doc, score }
+        });
+        Ok((scores.collect(), decoded))
     }
 
     /// What `rank_with_norm` must return.
@@ -825,7 +849,7 @@ mod tests {
         for bytes in corruptions {
             let bad = PostingsList::from_raw_parts(&bytes, good.len(), good.last_doc());
             let prefix: Vec<Posting> = bad.iter().map_while(Result::ok).collect();
-            if prefix.len() + 1 < good.len() as usize && bad.decode().is_err() {
+            if prefix.len() + 1 < good.len() as usize && bad.scan(|_| {}).is_err() {
                 stopped_midway += 1;
             }
             let corrupt = index_from_lists(&weights, &[bad, other]);

@@ -28,7 +28,9 @@ use teraphim_text::Analyzer;
 /// assert_eq!(d0, 0);
 /// let index = builder.build();
 /// let cat = index.vocab().term_id("cat").unwrap();
-/// assert_eq!(index.postings(cat).get(0), Some(2));
+/// let mut postings = Vec::new();
+/// index.postings(cat).scan(|p| postings.push((p.doc, p.f_dt))).unwrap();
+/// assert_eq!(postings, [(0, 2)]);
 /// ```
 #[derive(Debug, Default)]
 pub struct IndexBuilder {
@@ -125,38 +127,6 @@ impl IndexBuilder {
         doc
     }
 
-    /// Pre-registers a term so that it receives the next dense id even if
-    /// no document contains it (used to align a derived index's term ids
-    /// with an existing global vocabulary).
-    pub fn seed_term(&mut self, term: &str) -> TermId {
-        self.vocab.intern(term)
-    }
-
-    /// Adds a document given `(term, frequency)` pairs instead of a raw
-    /// term sequence — used when the caller has already aggregated
-    /// frequencies (e.g. when indexing *groups* as pseudo-documents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any frequency is zero.
-    pub fn add_document_freqs<S: AsRef<str>>(&mut self, freqs: &[(S, u32)]) -> DocId {
-        let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(freqs.len());
-        let mut total = 0u64;
-        for (term, f) in freqs {
-            assert!(*f > 0, "frequencies must be positive");
-            entries.push((self.vocab.intern(term.as_ref()), *f));
-            total += u64::from(*f);
-        }
-        entries.sort_unstable_by_key(|&(t, _)| t);
-        // Merge duplicate terms if the caller supplied any.
-        self.push_document(
-            entries
-                .chunk_by(|a, b| a.0 == b.0)
-                .map(|run| (run[0].0, run.iter().map(|&(_, f)| f).sum())),
-            total as u32,
-        )
-    }
-
     /// Files the next document's `(term, f_dt)` pairs, in term order, its
     /// weight and its length; returns its id.
     fn push_document(
@@ -180,8 +150,7 @@ impl IndexBuilder {
     /// Finalizes the index, compressing all lists into one arena.
     pub fn build(self) -> InvertedIndex {
         // A stable counting sort by term keeps each term's postings in
-        // document order. Terms can exist in the vocabulary without
-        // postings only if it was pre-seeded; they get empty lists.
+        // document order.
         let terms = self.vocab.len();
         let mut starts = vec![0usize; terms + 1];
         for &(term, _) in &self.postings {
@@ -266,8 +235,9 @@ impl InvertedIndex {
         self.lists.get(term as usize).expect("term id out of range")
     }
 
-    /// Assembles an index from its parts (used by the builder and by
-    /// [`crate::merge`]).
+    /// Assembles an index from its parts (used by the builder, by
+    /// [`crate::merge`] and by the derived indexes, [`crate::grouped`]
+    /// and [`crate::pruning`]).
     ///
     /// # Panics
     ///
@@ -291,21 +261,6 @@ impl InvertedIndex {
             doc_lengths,
             skip_tables: OnceLock::new(),
         }
-    }
-
-    /// Replaces the document-weights table (used by index pruning, which
-    /// approximates postings but must keep the original normalization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replacement covers a different number of documents.
-    pub fn replace_weights(&mut self, weights: DocWeights) {
-        assert_eq!(
-            weights.len() as u64,
-            self.num_docs(),
-            "weights table must cover every document"
-        );
-        self.weights = weights;
     }
 
     /// A seeking cursor over `term`'s list. The list's skip table is
@@ -461,6 +416,48 @@ impl InvertedIndex {
             doc_lengths,
         ))
     }
+}
+
+#[cfg(test)]
+impl InvertedIndex {
+    /// This index with `weights` put in for its own.
+    pub(crate) fn with_weights(mut self, weights: DocWeights) -> Self {
+        assert_eq!(weights.len(), self.weights.len());
+        self.weights = weights;
+        self
+    }
+}
+
+/// How the derived indexes (grouped, pruned) were built before they were
+/// written list by list: through a builder whose vocabulary is `terms`,
+/// interned first in that order, fed each document as `(term, f_dt)`
+/// pairs that it interns again and sorts. Kept as their oracle.
+#[cfg(test)]
+pub(crate) fn built_from_freqs<'a>(
+    terms: impl IntoIterator<Item = &'a str>,
+    docs: &[Vec<(&str, u32)>],
+) -> InvertedIndex {
+    let mut b = IndexBuilder::new();
+    for term in terms {
+        b.vocab.intern(term);
+    }
+    for freqs in docs {
+        let mut entries: Vec<(TermId, u32)> = Vec::with_capacity(freqs.len());
+        let mut total = 0u64;
+        for &(term, f) in freqs {
+            assert!(f > 0, "frequencies must be positive");
+            entries.push((b.vocab.intern(term), f));
+            total += u64::from(f);
+        }
+        entries.sort_unstable_by_key(|&(t, _)| t);
+        b.push_document(
+            entries
+                .chunk_by(|x, y| x.0 == y.0)
+                .map(|run| (run[0].0, run.iter().map(|&(_, f)| f).sum())),
+            total as u32,
+        );
+    }
+    b.build()
 }
 
 #[cfg(test)]

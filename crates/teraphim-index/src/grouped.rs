@@ -13,9 +13,11 @@
 //! [`crate::skips`]). Groups never straddle subcollection boundaries, so
 //! every expanded range maps to a single librarian.
 
-use crate::builder::{IndexBuilder, InvertedIndex};
+use crate::builder::InvertedIndex;
+use crate::postings::{ListsWriter, Posting};
 use crate::stats::{merge_stats, CollectionStats};
 use crate::vocab::Vocabulary;
+use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
 use std::collections::BTreeMap;
 
@@ -79,16 +81,16 @@ impl GroupedIndex {
             }
         }
 
-        // Accumulate per-term, per-group frequencies.
-        // BTreeMap keeps groups sorted per term, which PostingsList needs.
-        let mut per_term: Vec<BTreeMap<GroupId, u32>> =
-            (0..global_vocab.len()).map(|_| BTreeMap::new()).collect();
+        // One (term, group, f_gt) triple per term a group holds: a list
+        // is in document order, so a group's postings in it are
+        // adjacent, and a group lies in one part. One sort puts them in
+        // list order.
+        let mut triples: Vec<(TermId, GroupId, u32)> = Vec::new();
         for (p, ix) in parts.iter().enumerate() {
-            let mapping = &mappings[p];
             let offset = part_group_offset[p];
-            for (local_term, _) in ix.vocab().iter() {
-                let global_term = mapping[local_term as usize] as usize;
-                for posting in ix.postings(local_term).iter() {
+            for (local_term, &global_term) in mappings[p].iter().enumerate() {
+                let from = triples.len();
+                for posting in ix.postings(local_term as TermId).iter() {
                     let posting = posting?;
                     // A posting past the part's documents would land in
                     // another part's group, or in none.
@@ -96,34 +98,47 @@ impl GroupedIndex {
                         return Err(IndexError::Corrupt("posting beyond its part's documents"));
                     }
                     let group = offset + posting.doc / group_size;
-                    *per_term[global_term].entry(group).or_insert(0) += posting.f_dt;
+                    match triples[from..].last_mut() {
+                        Some((_, last, f_gt)) if *last == group => {
+                            *f_gt = f_gt
+                                .checked_add(posting.f_dt)
+                                .ok_or(IndexError::Corrupt("group frequency overflows u32"))?;
+                        }
+                        _ => triples.push((global_term, group, posting.f_dt)),
+                    }
                 }
             }
         }
+        triples.sort_unstable_by_key(|&(term, group, _)| (term, group));
 
-        // Build the group-level inverted index by feeding groups as
-        // pseudo-documents (transpose per-term map to per-group lists).
-        let mut per_group: Vec<Vec<(TermId, u32)>> = vec![Vec::new(); spans.len()];
-        for (term, groups) in per_term.iter().enumerate() {
-            for (&group, &f_gt) in groups {
-                per_group[group as usize].push((term as TermId, f_gt));
+        // The group-level index, groups as its documents, written list by
+        // list. `W_g²` is summed in term order, so each weight is
+        // `DocWeights::weight_from_freqs`'s to the bit.
+        let mut lists = ListsWriter::with_capacity(global_vocab.len(), triples.len());
+        let mut lengths = vec![0u64; spans.len()];
+        let mut squares = vec![DocWeights::NO_SQUARES; spans.len()];
+        let mut open = 0;
+        for (term, group, f_gt) in triples {
+            for _ in open..term {
+                lists.close();
             }
+            open = term;
+            lists.put(Posting {
+                doc: group,
+                f_dt: f_gt,
+            });
+            lengths[group as usize] += u64::from(f_gt);
+            squares[group as usize] += DocWeights::square(u64::from(f_gt));
         }
-        let mut gb = IndexBuilder::new();
-        // Pre-seed vocabulary in global id order so group term ids equal
-        // global term ids.
-        for (_, term) in global_vocab.iter() {
-            gb.seed_term(term);
+        for _ in open..global_vocab.len() as TermId {
+            lists.close();
         }
-        for entries in &per_group {
-            let named: Vec<(&str, u32)> = entries
-                .iter()
-                .map(|&(t, f)| (global_vocab.term(t), f))
-                .collect();
-            gb.add_document_freqs(&named);
-        }
-        let group_index = gb.build();
-        debug_assert_eq!(group_index.vocab().len(), global_vocab.len());
+        let group_index = InvertedIndex::from_merge_parts(
+            global_vocab,
+            lists.finish(),
+            DocWeights::from_squares(squares),
+            lengths.into_iter().map(|length| length as u32).collect(),
+        );
 
         Ok(GroupedIndex {
             group_index,
@@ -203,6 +218,7 @@ impl GroupedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::IndexBuilder;
 
     fn part(docs: &[&[&str]]) -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -402,7 +418,55 @@ mod proptests {
         b.build()
     }
 
+    /// The group-level index as it was built: per-term `BTreeMap`s
+    /// transposed into per-group `(term, f)` documents fed to a builder.
+    fn group_index_oracle(parts: &[&InvertedIndex], group_size: u32) -> InvertedIndex {
+        let (global_vocab, _, mappings) = merge_stats(parts);
+        let mut part_group_offset = Vec::new();
+        let mut groups = 0;
+        for ix in parts {
+            part_group_offset.push(groups);
+            groups += (ix.num_docs() as GroupId).div_ceil(group_size);
+        }
+        let mut per_term: Vec<BTreeMap<GroupId, u32>> =
+            (0..global_vocab.len()).map(|_| BTreeMap::new()).collect();
+        for (p, ix) in parts.iter().enumerate() {
+            for (local_term, _) in ix.vocab().iter() {
+                let global_term = mappings[p][local_term as usize] as usize;
+                for posting in ix.postings(local_term).iter() {
+                    let posting = posting.unwrap();
+                    let group = part_group_offset[p] + posting.doc / group_size;
+                    *per_term[global_term].entry(group).or_insert(0) += posting.f_dt;
+                }
+            }
+        }
+        let mut per_group: Vec<Vec<(&str, u32)>> = vec![Vec::new(); groups as usize];
+        for (term, groups) in per_term.iter().enumerate() {
+            for (&group, &f_gt) in groups {
+                per_group[group as usize].push((global_vocab.term(term as TermId), f_gt));
+            }
+        }
+        crate::builder::built_from_freqs(global_vocab.iter().map(|(_, t)| t), &per_group)
+    }
+
     proptest! {
+        /// The group-level index is the one the builder made, to the
+        /// byte, empty documents and empty groups included.
+        #[test]
+        fn group_index_bytes_equal_the_builders(
+            parts in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec("[a-f]", 0..6), 0..30),
+                1..4,
+            ),
+            group_size in 1u32..12,
+        ) {
+            let parts: Vec<InvertedIndex> = parts.iter().map(|docs| build_part(docs)).collect();
+            let refs: Vec<&InvertedIndex> = parts.iter().collect();
+            let grouped = GroupedIndex::build(&refs, group_size).unwrap();
+            let oracle = group_index_oracle(&refs, group_size);
+            prop_assert!(grouped.group_index().to_bytes() == oracle.to_bytes());
+        }
+
         /// For every term, the total occurrences in the grouped index
         /// equal the total occurrences across all documents, whatever G.
         #[test]

@@ -374,12 +374,12 @@ mod proptests {
                 all.extend_from_slice(d);
                 all
             });
-            let mut scratch = build(&all);
+            let scratch = build(&all);
             for d in 0..scratch.num_docs() as DocId {
                 let (m, s) = (merged.weights().weight(d), scratch.weights().weight(d));
                 prop_assert!((m - s).abs() <= 1e-12 * s, "W_{} {} vs {}", d, m, s);
             }
-            scratch.replace_weights(merged.weights().clone());
+            let scratch = scratch.with_weights(merged.weights().clone());
             prop_assert!(merged.to_bytes() == scratch.to_bytes(), "scratch differs");
         }
 

@@ -109,34 +109,6 @@ impl<'a> PostingsList<'a> {
         }
         Ok(())
     }
-
-    /// Decodes the whole list into a vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::Corrupt`] if the compressed stream is
-    /// malformed.
-    pub fn decode(&self) -> Result<Vec<Posting>, IndexError> {
-        // A posting is at least two bits, which bounds what a corrupt
-        // count may reserve.
-        let mut postings = Vec::with_capacity((self.count as usize).min(self.bytes.len() * 4));
-        self.scan(|p| postings.push(p))?;
-        Ok(postings)
-    }
-
-    /// Looks up the frequency of `doc` by linear scan (used by tests and
-    /// small lists; candidate scoring uses [`crate::skips`]).
-    pub fn get(&self, doc: DocId) -> Option<u32> {
-        for p in self.iter().flatten() {
-            if p.doc == doc {
-                return Some(p.f_dt);
-            }
-            if p.doc > doc {
-                return None;
-            }
-        }
-        None
-    }
 }
 
 /// Decoding iterator over a [`PostingsList`]. Produced by
@@ -173,6 +145,42 @@ impl Iter<'_> {
             u32::try_from(f_dt).map_err(|_| IndexError::Corrupt("frequency overflows u32"))?;
         Ok(Posting { doc, f_dt })
     }
+
+    /// Where the iterator stands, for [`Iter::restore`]; `None` after a
+    /// posting with id `u32::MAX`, where no posting can follow.
+    pub(crate) fn position(&self) -> Option<Position> {
+        Some(Position {
+            bit: self.reader.bit_pos(),
+            remaining: self.remaining,
+            next_min: u32::try_from(self.next_min).ok()?,
+        })
+    }
+
+    /// Moves the iterator to `at`, a [`Iter::position`] of an iterator
+    /// over the same list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IndexError::Corrupt`] if `at` lies past the list's bytes.
+    pub(crate) fn restore(&mut self, at: Position) -> Result<(), IndexError> {
+        self.reader
+            .seek_to_bit(at.bit)
+            .map_err(|_| IndexError::Corrupt("list position out of range"))?;
+        self.remaining = at.remaining;
+        self.next_min = u64::from(at.next_min);
+        Ok(())
+    }
+}
+
+/// The state of an [`Iter`] between two postings, in 16 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Position {
+    /// Bit offset of the next posting.
+    bit: u64,
+    /// Postings from this point to the end of the list.
+    pub(crate) remaining: u32,
+    /// The smallest document id the next posting may carry.
+    pub(crate) next_min: u32,
 }
 
 impl Iterator for Iter<'_> {
@@ -197,6 +205,8 @@ impl Iterator for Iter<'_> {
         (self.remaining as usize, Some(self.remaining as usize))
     }
 }
+
+impl ExactSizeIterator for Iter<'_> {}
 
 /// Every inverted list of one index: the lists' bytes back to back in
 /// one arena, each starting on a byte boundary, and one 12-byte head per
@@ -385,6 +395,25 @@ impl ListsWriter {
             bytes,
             heads: self.heads,
         }
+    }
+}
+
+#[cfg(test)]
+impl PostingsList<'_> {
+    /// Decodes the whole list into a vector.
+    pub(crate) fn decode(&self) -> Result<Vec<Posting>, IndexError> {
+        let mut postings = Vec::new();
+        self.scan(|p| postings.push(p))?;
+        Ok(postings)
+    }
+
+    /// The frequency of `doc`, by linear scan.
+    pub(crate) fn get(&self, doc: DocId) -> Option<u32> {
+        self.iter()
+            .map_while(Result::ok)
+            .find(|p| p.doc >= doc)
+            .filter(|p| p.doc == doc)
+            .map(|p| p.f_dt)
     }
 }
 

@@ -13,8 +13,9 @@
 //! `w_t = ln(N/f_t + 1)` is small). Rare terms are never pruned — their
 //! postings carry most of the similarity signal.
 
-use crate::builder::{IndexBuilder, InvertedIndex};
-use crate::IndexError;
+use crate::builder::InvertedIndex;
+use crate::postings::ListsWriter;
+use crate::{IndexError, TermId};
 
 /// Pruning parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,17 +77,14 @@ pub fn prune(
         bytes_before: index.postings_bytes(),
         ..PruneReport::default()
     };
-    let mut builder = IndexBuilder::new();
-    for (_, term) in index.vocab().iter() {
-        builder.seed_term(term);
-    }
-    // Rebuild document by document so ids stay aligned: collect per-doc
-    // surviving (term, f_dt) pairs.
-    let mut per_doc: Vec<Vec<(&str, u32)>> = vec![Vec::new(); index.num_docs() as usize];
-    for (term_id, term) in index.vocab().iter() {
-        let list = index.postings(term_id);
-        let f_t = u64::from(list.len());
-        let is_common = f_t > params.common_df_cutoff;
+    // Each list filtered in turn; a document's length becomes the sum of
+    // its surviving frequencies.
+    let terms = index.vocab().len();
+    let mut lists = ListsWriter::with_capacity(terms, index.postings_bytes());
+    let mut lengths = vec![0u64; index.num_docs() as usize];
+    for term in 0..terms as TermId {
+        let list = index.postings(term);
+        let is_common = u64::from(list.len()) > params.common_df_cutoff;
         for posting in list.iter() {
             let posting = posting?;
             report.postings_before += 1;
@@ -94,16 +92,21 @@ pub fn prune(
                 continue;
             }
             report.postings_after += 1;
-            per_doc[posting.doc as usize].push((term, posting.f_dt));
+            *lengths
+                .get_mut(posting.doc as usize)
+                .ok_or(IndexError::Corrupt("posting beyond the index's documents"))? +=
+                u64::from(posting.f_dt);
+            lists.put(posting);
         }
+        lists.close();
     }
-    for entries in &per_doc {
-        builder.add_document_freqs(entries);
-    }
-    let mut pruned = builder.build();
-    // Preserve the original (unpruned) document weights: similarity
-    // normalization must not silently change.
-    pruned.replace_weights(index.weights().clone());
+    let pruned = InvertedIndex::from_merge_parts(
+        index.vocab().clone(),
+        lists.finish(),
+        // Similarity normalization must not silently change.
+        index.weights().clone(),
+        lengths.into_iter().map(|length| length as u32).collect(),
+    );
     report.bytes_after = pruned.postings_bytes();
     Ok((pruned, report))
 }
@@ -111,6 +114,7 @@ pub fn prune(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::IndexBuilder;
 
     fn sample() -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -206,5 +210,57 @@ mod tests {
         let ix = IndexBuilder::new().build();
         let (_, report) = prune(&ix, PruneParams::default()).unwrap();
         assert_eq!(report.size_ratio(), 1.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::builder::IndexBuilder;
+    use proptest::prelude::*;
+
+    /// `prune` as it was: per-document `(term, f_dt)` survivors fed to a
+    /// builder, the original weights put back.
+    fn prune_oracle(index: &InvertedIndex, params: PruneParams) -> InvertedIndex {
+        let mut per_doc: Vec<Vec<(&str, u32)>> = vec![Vec::new(); index.num_docs() as usize];
+        for (term_id, term) in index.vocab().iter() {
+            let list = index.postings(term_id);
+            let is_common = u64::from(list.len()) > params.common_df_cutoff;
+            for posting in list.iter() {
+                let posting = posting.unwrap();
+                if !(is_common && posting.f_dt < params.min_f_dt) {
+                    per_doc[posting.doc as usize].push((term, posting.f_dt));
+                }
+            }
+        }
+        crate::builder::built_from_freqs(index.vocab().iter().map(|(_, t)| t), &per_doc)
+            .with_weights(index.weights().clone())
+    }
+
+    proptest! {
+        /// The pruned index is the one the builder made, to the byte,
+        /// documents left with no terms included.
+        #[test]
+        fn pruned_bytes_equal_the_builders(
+            docs in proptest::collection::vec(proptest::collection::vec("[a-f]", 0..8), 0..40),
+            min_f_dt in 0u32..4,
+            common_df_cutoff in 0u64..12,
+        ) {
+            let mut b = IndexBuilder::new();
+            for d in &docs {
+                b.add_document(d);
+            }
+            let index = b.build();
+            let params = PruneParams { min_f_dt, common_df_cutoff };
+            let (pruned, report) = prune(&index, params).unwrap();
+            let oracle = prune_oracle(&index, params);
+            prop_assert!(pruned.to_bytes() == oracle.to_bytes());
+            let postings = |ix: &InvertedIndex| -> u64 {
+                ix.vocab().iter().map(|(t, _)| ix.stats().doc_freq(t)).sum()
+            };
+            prop_assert_eq!(report.postings_before, postings(&index));
+            prop_assert_eq!(report.postings_after, postings(&oracle));
+            prop_assert_eq!(report.bytes_after, oracle.postings_bytes());
+        }
     }
 }

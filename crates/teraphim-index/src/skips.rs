@@ -1,48 +1,42 @@
 //! Self-indexing inverted lists (Moffat & Zobel, TOIS 1996).
 //!
-//! A *self-indexing* list embeds periodic synchronisation points — every
-//! `skip_every` postings we record the absolute document id of the
-//! preceding posting and the bit offset of the next one. A cursor can
-//! then answer "what is `f_dt` for document `d`?" by jumping to the
-//! sync point whose block could contain `d` and decoding at most
-//! `skip_every` postings, instead of decoding the whole list.
+//! A *self-indexing* list embeds periodic synchronisation points: every
+//! `skip_every` postings we record where the list's decoder stands — the
+//! bit offset of the next posting, how many postings are left and the
+//! smallest document id the next may carry. A cursor can then answer "what is
+//! `f_dt` for document `d`?" by putting the decoder back at the sync
+//! point whose block could contain `d` and decoding at most `skip_every`
+//! postings, instead of decoding the whole list. Every posting is read by
+//! [`crate::postings::Iter`], the decoder full-list ranking uses, so a
+//! skipped list is checked as a scanned one is.
 //!
 //! This is what makes the Central Index methodology cheap at the
 //! librarians: the receptionist sends a small *candidate set* of
 //! documents (the expanded groups) and each librarian scores exactly
 //! those, skipping the rest of its lists. The paper's analysis predicts
-//! a ≥2× CPU reduction for small `k'`; the `skipping` bench measures it.
+//! a ≥2× CPU reduction for small `k'`; the `skipping` table binary counts
+//! the postings decoded and the `rank_kernel` example times them.
+//!
+//! A list's table is built on its first cursor and kept beside the index
+//! ([`crate::InvertedIndex::skip_cursor`]); one skip arena per index,
+//! built with its postings, is still to come.
 
-use crate::postings::{Posting, PostingsList};
+use crate::postings::{Iter, Position, Posting, PostingsList};
 use crate::{DocId, IndexError};
-use teraphim_compress::bitio::BitReader;
-use teraphim_compress::codes::read_gamma;
 
 /// Default skip interval; MG uses intervals in this range for TREC-scale
 /// lists.
 pub const DEFAULT_SKIP_EVERY: u32 = 32;
 
-/// One synchronisation point in a skipped list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SkipEntry {
-    /// Document id of the last posting *before* this block (the d-gap
-    /// base for the block's first posting).
-    prev_doc: DocId,
-    /// Bit offset of the block's first posting in the compressed stream.
-    bit_offset: u64,
-    /// Index of the block's first posting.
-    posting_index: u32,
-}
-
 /// A skip table over a [`PostingsList`], enabling sub-linear candidate
-/// lookup.
+/// lookup: the decoder's position at the start of every block.
 ///
 /// The table is built from (and stored alongside) the unmodified
 /// compressed list, so a collection can serve both full-scan ranking and
 /// candidate-restricted scoring from one structure.
 #[derive(Debug, Clone)]
 pub struct SkipTable {
-    skips: Vec<SkipEntry>,
+    skips: Vec<Position>,
 }
 
 impl SkipTable {
@@ -57,27 +51,17 @@ impl SkipTable {
     /// Panics if `skip_every == 0`.
     pub fn build(list: PostingsList<'_>, skip_every: u32) -> Result<Self, IndexError> {
         assert!(skip_every > 0, "skip interval must be positive");
-        let bytes = list.as_bytes();
-        let mut reader = BitReader::new(bytes);
+        let mut postings = list.iter();
         let mut skips = Vec::new();
-        let mut prev_doc: DocId = 0;
-        let mut first = true;
         for i in 0..list.len() {
             if i % skip_every == 0 {
-                skips.push(SkipEntry {
-                    prev_doc: if first { 0 } else { prev_doc },
-                    bit_offset: reader.bit_pos(),
-                    posting_index: i,
-                });
+                // A posting follows, and none can follow id `u32::MAX`.
+                let at = postings.position();
+                skips.push(at.ok_or(IndexError::Corrupt("document id overflows"))?);
             }
-            let gap = read_gamma(&mut reader)?;
-            let _f_dt = read_gamma(&mut reader)?;
-            prev_doc = if first {
-                first = false;
-                (gap - 1) as DocId
-            } else {
-                prev_doc + gap as DocId
-            };
+            if let Some(Err(corrupt)) = postings.next() {
+                return Err(corrupt);
+            }
         }
         Ok(SkipTable { skips })
     }
@@ -85,8 +69,8 @@ impl SkipTable {
     /// Approximate size of the table in bytes (for index-size
     /// accounting).
     pub fn byte_len(&self) -> usize {
-        // doc id (4) + bit offset (stored compressed in practice; we
-        // charge 4) + index (4)
+        // smallest next document (4) + bit offset (stored compressed in
+        // practice; we charge 4) + postings left (4)
         self.skips.len() * 12
     }
 
@@ -95,11 +79,7 @@ impl SkipTable {
     pub fn cursor<'a>(&'a self, list: PostingsList<'a>) -> SkipCursor<'a> {
         SkipCursor {
             table: self,
-            list,
-            reader: BitReader::new(list.as_bytes()),
-            next_index: 0,
-            prev_doc: 0,
-            first: true,
+            postings: list.iter(),
             current: None,
             decoded: 0,
         }
@@ -114,12 +94,7 @@ impl SkipTable {
 #[derive(Debug, Clone)]
 pub struct SkipCursor<'a> {
     table: &'a SkipTable,
-    list: PostingsList<'a>,
-    reader: BitReader<'a>,
-    /// Index of the next posting to decode.
-    next_index: u32,
-    prev_doc: DocId,
-    first: bool,
+    postings: Iter<'a>,
     /// The most recently decoded posting, if it has not been surpassed.
     current: Option<Posting>,
     /// Number of postings decoded so far (instrumentation for the CPU
@@ -127,7 +102,7 @@ pub struct SkipCursor<'a> {
     decoded: u64,
 }
 
-impl<'a> SkipCursor<'a> {
+impl SkipCursor<'_> {
     /// Number of postings decoded so far.
     pub fn decoded(&self) -> u64 {
         self.decoded
@@ -139,10 +114,6 @@ impl<'a> SkipCursor<'a> {
     /// # Errors
     ///
     /// Returns [`IndexError::Corrupt`] on a malformed stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if targets are probed in decreasing order.
     pub fn seek(&mut self, target: DocId) -> Result<Option<Posting>, IndexError> {
         // If the cursor already sits at or beyond the target, the current
         // posting is the answer (targets are probed in non-decreasing
@@ -153,56 +124,26 @@ impl<'a> SkipCursor<'a> {
                 return Ok(Some(cur));
             }
         }
-        // Jump via the skip table: find the last sync point whose
-        // prev_doc < target and which is ahead of our position.
-        let candidate_blocks = self
-            .table
-            .skips
-            .partition_point(|entry| entry.prev_doc < target);
-        if candidate_blocks > 0 {
-            let entry = self.table.skips[candidate_blocks - 1];
-            if entry.posting_index > self.next_index {
-                self.reader
-                    .seek_to_bit(entry.bit_offset)
-                    .map_err(|_| IndexError::Corrupt("skip offset out of range"))?;
-                self.next_index = entry.posting_index;
-                self.prev_doc = entry.prev_doc;
-                self.first = entry.posting_index == 0;
+        // Jump to the last sync point whose block may start at or below
+        // the target, if it is ahead of the cursor.
+        let blocks = self.table.skips.partition_point(|at| at.next_min <= target);
+        if let Some(&at) = blocks.checked_sub(1).map(|last| &self.table.skips[last]) {
+            if (at.remaining as usize) < self.postings.len() {
+                self.postings.restore(at)?;
                 self.current = None;
             }
         }
         // Linear decode within the block.
-        loop {
-            if self.next_index >= self.list.len() {
-                self.current = None;
-                return Ok(None);
-            }
-            let gap = read_gamma(&mut self.reader)?;
-            let f_dt = read_gamma(&mut self.reader)?;
+        for posting in &mut self.postings {
+            let posting = posting?;
             self.decoded += 1;
-            let doc = if self.first {
-                self.first = false;
-                (gap.checked_sub(1))
-                    .and_then(|d| u32::try_from(d).ok())
-                    .ok_or(IndexError::Corrupt("first document id overflows"))?
-            } else {
-                u64::from(self.prev_doc)
-                    .checked_add(gap)
-                    .and_then(|d| u32::try_from(d).ok())
-                    .ok_or(IndexError::Corrupt("document id overflows"))?
-            };
-            self.prev_doc = doc;
-            self.next_index += 1;
-            if doc >= target {
-                let posting = Posting {
-                    doc,
-                    f_dt: u32::try_from(f_dt)
-                        .map_err(|_| IndexError::Corrupt("frequency overflows u32"))?,
-                };
+            if posting.doc >= target {
                 self.current = Some(posting);
                 return Ok(Some(posting));
             }
         }
+        self.current = None;
+        Ok(None)
     }
 }
 
@@ -226,6 +167,11 @@ mod tests {
             .map(|&(doc, f_dt)| Posting { doc, f_dt })
             .collect();
         Lists::of(&postings)
+    }
+
+    #[test]
+    fn a_sync_point_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<Position>(), 16);
     }
 
     #[test]
@@ -332,11 +278,51 @@ mod proptests {
     use crate::postings::Lists;
     use proptest::prelude::*;
 
+    /// The postings a cursor decodes, stated over the list's documents:
+    /// a sync point every `skip_every` postings keyed by the document
+    /// before it (0 for the first), a jump to the last one below the
+    /// target when it lies ahead, then a posting at a time.
+    struct BlockModel {
+        next: usize,
+        current: Option<usize>,
+        decoded: u64,
+    }
+
+    impl BlockModel {
+        fn seek(&mut self, docs: &[DocId], skip_every: usize, target: DocId) {
+            if self.current.is_some_and(|c| docs[c] >= target) {
+                return;
+            }
+            let before = |block: usize| {
+                if block == 0 {
+                    0
+                } else {
+                    docs[block * skip_every - 1]
+                }
+            };
+            let blocks = (0..docs.len().div_ceil(skip_every)).take_while(|&b| before(b) < target);
+            if let Some(block) = blocks.last() {
+                self.next = self.next.max(block * skip_every);
+            }
+            self.current = None;
+            while self.next < docs.len() {
+                self.decoded += 1;
+                self.next += 1;
+                if docs[self.next - 1] >= target {
+                    self.current = Some(self.next - 1);
+                    return;
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn cursor_agrees_with_full_decode(
             raw in proptest::collection::vec((0u32..100_000, 1u32..100), 1..200),
             probes in proptest::collection::vec(0u32..100_000, 1..50),
+            // Probes next to postings: one before, at and one after.
+            near in proptest::collection::vec((0usize..1000, 0u32..3), 0..50),
             skip_every in 1u32..64,
         ) {
             let mut docs: Vec<(DocId, u32)> = raw;
@@ -348,11 +334,16 @@ mod proptests {
             let list = lists.get(0).unwrap();
             let table = SkipTable::build(list, skip_every).unwrap();
             let mut cursor = table.cursor(list);
+            let ids: Vec<DocId> = postings.iter().map(|p| p.doc).collect();
+            let mut model = BlockModel { next: 0, current: None, decoded: 0 };
             let mut sorted_probes = probes;
+            sorted_probes.extend(near.iter().map(|&(i, off)| (ids[i % ids.len()] + off).saturating_sub(1)));
             sorted_probes.sort_unstable();
             for probe in sorted_probes {
                 let expected = postings.iter().find(|p| p.doc == probe).map(|p| p.f_dt);
                 prop_assert_eq!(cursor.frequency_of(probe).unwrap(), expected);
+                model.seek(&ids, skip_every as usize, probe);
+                prop_assert_eq!(cursor.decoded(), model.decoded, "probe {}", probe);
             }
         }
     }

@@ -49,12 +49,26 @@ impl DocWeights {
     pub fn weight_from_freqs<I: IntoIterator<Item = u64>>(freqs: I) -> f64 {
         freqs
             .into_iter()
-            .map(|f| {
-                let w = crate::similarity::w_dt(f);
-                w * w
-            })
-            .sum::<f64>()
+            .map(Self::square)
+            .fold(Self::NO_SQUARES, |sum, square| sum + square)
             .sqrt()
+    }
+
+    /// `W_d²` of a document with no terms, where every sum of squares
+    /// starts: −0.0, as std's float `Sum` starts, so that an empty
+    /// document's weight is the −0.0 stored indexes hold.
+    pub(crate) const NO_SQUARES: f64 = -0.0;
+
+    /// `w_dt²`, one term's share of `W_d²`.
+    pub(crate) fn square(f_dt: u64) -> f64 {
+        let w = crate::similarity::w_dt(f_dt);
+        w * w
+    }
+
+    /// The table of documents whose `W_d²` are `squares`, each summed
+    /// from [`DocWeights::NO_SQUARES`] in term order.
+    pub(crate) fn from_squares(squares: Vec<f64>) -> Self {
+        Self::from_vec(squares.into_iter().map(f64::sqrt).collect())
     }
 
     /// Serialized size in bytes.

@@ -50,12 +50,15 @@
 //! The byte-identity guarantee rests on two facts: collection
 //! serialization round-trips exactly (document weights travel as raw
 //! `f64` bits), and every batch — in the live writer, on open, in an
-//! as-of replay — goes through
-//! [`Collection::append_documents`](teraphim_engine::Collection::append_documents)
-//! on its own, in commit order. Batches are never concatenated into one
-//! call: a document's weight is a floating-point sum taken in the
-//! term-id order of the delta index its batch is built in, so indexing
-//! it together with other batches can change the last bit.
+//! as-of replay — is indexed into a delta index of its own, the deltas
+//! merged in commit order: the live writer appends one batch, while
+//! `open` and [`IndexStore::collection_at`] hand every batch to one
+//! [`Collection::append_batches`](teraphim_engine::Collection::append_batches)
+//! call, which builds one delta per batch. Batches are never
+//! concatenated into one delta: a document's weight is a floating-point
+//! sum taken in the term-id order of the delta index its batch is built
+//! in, so indexing it together with other batches can change the last
+//! bit.
 //!
 //! [`fail`] supplies the crash points ([`CrashPoint`]) the recovery
 //! test-suite arms, and [`tempdir`] a dependency-free scratch-directory

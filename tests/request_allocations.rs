@@ -5,7 +5,8 @@
 //! allocate a constant for itself — analysis, its one term list, the
 //! hits it returns — plus at most [`PER_SHARD`] blocks for each shard
 //! it asks: the request the server decodes, the ranking it returns,
-//! the reply the client decodes.
+//! the reply the client decodes. A Central Index query, on the 4-way
+//! split, may allocate no more than it did when its bound was set.
 //!
 //! It also checks that building a collection allocates for each
 //! document and each distinct word, not for each token: a build reads
@@ -34,7 +35,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use teraphim::compress::checksum::crc32;
-use teraphim::core::{Librarian, Methodology, Receptionist};
+use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::splits::split_into;
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::engine::{Collection, DocStore};
@@ -106,8 +107,10 @@ fn allocations_per_query(corpus: &SyntheticCorpus, n: usize, methodology: Method
         .map(|server| MuxTransport::connect(server.addr()).unwrap())
         .collect();
     let mut receptionist = Receptionist::new(transports, Analyzer::default());
-    if methodology == Methodology::CentralVocabulary {
-        receptionist.enable_cv().unwrap();
+    match methodology {
+        Methodology::CentralVocabulary => receptionist.enable_cv().unwrap(),
+        Methodology::CentralIndex => receptionist.enable_ci(CiParams::default()).unwrap(),
+        Methodology::CentralNothing => {}
     }
     let queries = corpus.short_queries();
     let mut pass = || {
@@ -150,6 +153,22 @@ fn a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard() {
             "{methodology}: {slope:.2} allocations a query for each shard added"
         );
     }
+}
+
+/// Allocations a served Central Index query may make on the 4-way split:
+/// its group ranking at the receptionist, the candidate lists it sends
+/// the librarians owning its top groups, their scoring and the replies.
+/// Pinned a little above the count measured when it was set (75.7).
+const CI_PER_QUERY: f64 = 80.0;
+
+fn a_served_ci_query_allocates_no_more_than_it_did() {
+    let corpus = SyntheticCorpus::generate(&CorpusSpec::small(42));
+    let allocations = allocations_per_query(&corpus, 4, Methodology::CentralIndex);
+    println!("CI: allocations a query over 4 shards: {allocations:.1}");
+    assert!(
+        allocations <= CI_PER_QUERY,
+        "CI over 4 shards: {allocations:.1} allocations a query, more than {CI_PER_QUERY}"
+    );
 }
 
 /// Allocations a build may make for each document it indexes and
@@ -304,10 +323,14 @@ fn a_hostile_wal_or_manifest_count_buys_no_reservation() {
 }
 
 /// The cases, in the order they run.
-const CASES: [(&str, fn()); 4] = [
+const CASES: [(&str, fn()); 5] = [
     (
         "a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard",
         a_served_query_allocates_a_constant_plus_a_few_blocks_per_shard,
+    ),
+    (
+        "a_served_ci_query_allocates_no_more_than_it_did",
+        a_served_ci_query_allocates_no_more_than_it_did,
     ),
     (
         "a_build_allocates_per_document_and_distinct_word_not_per_token",
