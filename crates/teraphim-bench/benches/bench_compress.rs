@@ -1,7 +1,7 @@
 //! Coder throughput: the per-posting decode cost these numbers imply is
 //! what `simnet::CostModel::cpu_per_posting` abstracts.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use teraphim_compress::bitio::{BitReader, BitWriter};
 use teraphim_compress::codes::{
@@ -134,15 +134,18 @@ fn bench_huffman(c: &mut Criterion) {
 fn bench_textcomp(c: &mut Criterion) {
     let doc = "the quick brown fox jumps over the lazy dog and the slow red hen ".repeat(40);
     let model = TextModel::train([doc.as_str()]).expect("train");
-    let compressed = model.compress(&doc);
+    let mut tokens = Vec::new();
+    let mut w = BitWriter::new();
+    model.compress_onto(&doc, &mut tokens, &mut w);
+    let compressed = w.into_bytes();
     let mut group = c.benchmark_group("textcomp");
     group.throughput(Throughput::Bytes(doc.len() as u64));
     group.bench_function("compress", |b| {
-        b.iter_batched(
-            || doc.clone(),
-            |d| black_box(model.compress(&d)),
-            BatchSize::SmallInput,
-        )
+        b.iter(|| {
+            let mut w = BitWriter::new();
+            model.compress_onto(&doc, &mut tokens, &mut w);
+            black_box(w.into_bytes())
+        })
     });
     group.bench_function("decompress", |b| {
         b.iter(|| black_box(model.decompress(&compressed).expect("valid stream")))

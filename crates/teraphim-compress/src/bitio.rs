@@ -38,14 +38,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Creates an empty writer with capacity for `bits` bits.
-    pub fn with_capacity_bits(bits: usize) -> Self {
-        BitWriter {
-            bytes: Vec::with_capacity(bits / 8 + 1),
-            partial_bits: 0,
-        }
-    }
-
     /// Total number of bits written so far.
     pub fn bit_len(&self) -> u64 {
         if self.partial_bits == 0 {
@@ -134,6 +126,19 @@ impl BitWriter {
     }
 }
 
+/// A writer that continues after `bytes`, on a byte boundary, and
+/// writes into their buffer's spare capacity first: what
+/// [`BitWriter::into_bytes`] gave back, or an empty buffer reserved
+/// ahead.
+impl From<Vec<u8>> for BitWriter {
+    fn from(bytes: Vec<u8>) -> Self {
+        BitWriter {
+            bytes,
+            partial_bits: 0,
+        }
+    }
+}
+
 /// A bit-granular cursor over a byte slice, MSB-first.
 ///
 /// The reader keeps the next few dozen bits of the stream in a 64-bit
@@ -197,7 +202,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits remaining from the cursor to the end of the buffer.
-    pub fn remaining_bits(&self) -> u64 {
+    pub(crate) fn remaining_bits(&self) -> u64 {
         self.rest.len() as u64 * 8 + u64::from(self.avail)
     }
 

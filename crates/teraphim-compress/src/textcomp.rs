@@ -12,16 +12,29 @@
 //!
 //! # Examples
 //!
+//! A collection is read once: [`TextScan`] splits each text, counts its
+//! tokens for the model and remembers each token's id, and then
+//! compresses every text from those ids into one arena, with no second
+//! split and no second lookup of a token. A text that arrives later is
+//! compressed from its words with [`TextModel::compress_onto`].
+//!
 //! ```
-//! use teraphim_compress::textcomp::TextModel;
+//! use teraphim_compress::bitio::BitWriter;
+//! use teraphim_compress::textcomp::{TextModel, TextScan};
 //!
 //! # fn main() -> Result<(), teraphim_compress::CodeError> {
-//! let model = TextModel::train(["the cat sat on the mat", "the dog sat"].iter().copied())?;
-//! let compressed = model.compress("the cat sat on the dog");
-//! assert_eq!(model.decompress(&compressed)?, "the cat sat on the dog");
+//! let mut scan = TextScan::default();
+//! let mut tokens = Vec::new();
+//! for text in ["the cat sat on the mat", "the dog sat"] {
+//!     scan.add(text, &mut tokens);
+//! }
+//! let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
+//! let model = scan.finish(&mut arena, &mut ends)?;
+//! assert_eq!(model.decompress(&arena.as_bytes()[..ends[0]])?, "the cat sat on the mat");
 //! // Novel words pass through the escape channel.
-//! let compressed = model.compress("the axolotl sat");
-//! assert_eq!(model.decompress(&compressed)?, "the axolotl sat");
+//! let mut later = BitWriter::new();
+//! model.compress_onto("the axolotl sat", &mut tokens, &mut later);
+//! assert_eq!(model.decompress(later.as_bytes())?, "the axolotl sat");
 //! # Ok(())
 //! # }
 //! ```
@@ -77,19 +90,21 @@ fn run_end(text: &str, mut i: usize, word: bool) -> usize {
 
 /// How often each token of one class occurs in the training texts: the
 /// distinct tokens in one arena, and a count per token id.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct TokenCounts {
     tokens: Dictionary,
     counts: Vec<u64>,
 }
 
 impl TokenCounts {
-    fn add(&mut self, token: &str) {
-        let id = self.tokens.intern(token) as usize;
-        if id == self.counts.len() {
+    /// Counts one occurrence of `token`; returns its id.
+    fn add(&mut self, token: &str) -> u32 {
+        let id = self.tokens.intern(token);
+        if id as usize == self.counts.len() {
             self.counts.push(0);
         }
-        self.counts[id] += 1;
+        self.counts[id as usize] += 1;
+        id
     }
 }
 
@@ -103,7 +118,8 @@ struct ClassModel {
 }
 
 impl ClassModel {
-    fn train(counts: TokenCounts) -> Result<ClassModel> {
+    /// The model of the counted tokens, and the symbol of each token id.
+    fn train(counts: TokenCounts) -> Result<(ClassModel, Vec<u32>)> {
         // Deterministic symbol order: by token string. Symbol 0 is escape.
         let seen = &counts.tokens;
         let mut order: Vec<u32> = (0..seen.len() as u32).collect();
@@ -112,12 +128,13 @@ impl ClassModel {
         let mut tokens = Dictionary::with_capacity(order.len(), bytes);
         let mut freqs = Vec::with_capacity(order.len() + 1);
         freqs.push(1u64); // escape always possible
+        let mut symbols = vec![ESCAPE; order.len()];
         for id in order {
-            tokens.intern(seen.term(id));
+            symbols[id as usize] = tokens.intern(seen.term(id)) + 1;
             freqs.push(counts.counts[id as usize]);
         }
         let code = HuffmanCode::from_frequencies(&freqs)?;
-        Ok(ClassModel { tokens, code })
+        Ok((ClassModel { tokens, code }, symbols))
     }
 
     fn encode(&self, w: &mut BitWriter, token: &str) {
@@ -211,6 +228,101 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
 }
 
+/// One scan of a collection's texts: it trains the text model and
+/// remembers the id of every token it met, so that
+/// [`TextScan::finish`] compresses each text from those ids, with no
+/// second split and no second lookup of a token (MG builds its model and
+/// its compressed text from one parse).
+#[derive(Debug, Default)]
+pub struct TextScan {
+    words: TokenCounts,
+    nonwords: TokenCounts,
+    /// Every token's id in its class, text after text: a text's ids
+    /// alternate word, non-word, as its tokens do. Reserved at
+    /// [`RESERVED_IDS`] before the first text.
+    ids: Vec<u32>,
+    /// Where each text's ids end in `ids`.
+    ends: Vec<usize>,
+}
+
+/// The ids a [`TextScan`] makes room for before its first text: 32 MiB,
+/// past the largest mmap threshold glibc's malloc sets for itself
+/// (`DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit hosts). So the ids get a
+/// mapping of their own, which is unmapped whole when the scan is done,
+/// whatever the size of the build: they never sit in the heap, leave no
+/// hole in it and move neither of malloc's thresholds, and only the
+/// pages the ids are written to are ever touched. In the heap, a
+/// doubling buffer of this size (16 MiB for 5 000 documents) makes
+/// whether glibc trims some 20 MB off the heap after a build hang on a
+/// few bytes of placement, such as the length of the working directory.
+const RESERVED_IDS: usize = (32 << 20) / std::mem::size_of::<u32>();
+
+impl TextScan {
+    /// Splits `text` into `tokens` (cleared first; a caller keeps it
+    /// across texts for its capacity), strictly alternating word and
+    /// non-word from a possibly empty word, and counts them. Returns
+    /// each token's id in its class: the same token string has the same
+    /// id in every text of the scan, and ids count up from 0 in the
+    /// order tokens are first met.
+    ///
+    /// A *word* is a maximal run of alphanumeric characters; a
+    /// *non-word* is a maximal run of anything else. Concatenating the
+    /// tokens reproduces the text.
+    pub fn add<'t>(&mut self, text: &'t str, tokens: &mut Vec<&'t str>) -> &[u32] {
+        alternating_tokens(text, tokens);
+        if self.ids.capacity() == 0 {
+            self.ids.reserve_exact(RESERVED_IDS);
+        }
+        let start = self.ids.len();
+        for pair in tokens.chunks(2) {
+            self.ids.push(self.words.add(pair[0]));
+            if let Some(nonword) = pair.get(1) {
+                self.ids.push(self.nonwords.add(nonword));
+            }
+        }
+        self.ends.push(self.ids.len());
+        &self.ids[start..]
+    }
+
+    /// Trains the model on every text added, then compresses each text,
+    /// in the order they were added, onto `arena`: every text starts on
+    /// a byte boundary, and its end is pushed to `ends`. A text's bytes
+    /// are what [`TextModel::compress_onto`] writes for it.
+    ///
+    /// # Errors
+    ///
+    /// Never fails in practice (the escape symbol guarantees non-empty
+    /// alphabets); any [`CodeError`] from code construction is propagated.
+    pub fn finish(self, arena: &mut BitWriter, ends: &mut Vec<usize>) -> Result<TextModel> {
+        let (model, word_symbols, nonword_symbols) = Self::model(self.words, self.nonwords)?;
+        let (words, nonwords) = (&model.words.code, &model.nonwords.code);
+        ends.reserve(self.ends.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            let ids = &self.ids[start..end];
+            write_gamma0(arena, ids.len() as u64);
+            for pair in ids.chunks(2) {
+                words.encode(arena, word_symbols[pair[0] as usize]);
+                if let Some(&nonword) = pair.get(1) {
+                    nonwords.encode(arena, nonword_symbols[nonword as usize]);
+                }
+            }
+            arena.align_to_byte();
+            ends.push(arena.as_bytes().len());
+            start = end;
+        }
+        Ok(model)
+    }
+
+    /// The model of the counted tokens, and the symbol of each word and
+    /// non-word id.
+    fn model(words: TokenCounts, nonwords: TokenCounts) -> Result<(TextModel, Vec<u32>, Vec<u32>)> {
+        let (words, word_symbols) = ClassModel::train(words)?;
+        let (nonwords, nonword_symbols) = ClassModel::train(nonwords)?;
+        Ok((TextModel { words, nonwords }, word_symbols, nonword_symbols))
+    }
+}
+
 /// A trained word-based compression model for a document collection.
 ///
 /// Training scans the collection once; compression and decompression are
@@ -233,42 +345,31 @@ impl TextModel {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut words = TokenCounts::default();
-        let mut nonwords = TokenCounts::default();
+        let mut scan = TextScan::default();
         let mut tokens = Vec::new();
         for text in texts {
-            alternating_tokens(text, &mut tokens);
-            for (i, tok) in tokens.iter().enumerate() {
-                if i % 2 == 0 {
-                    words.add(tok);
-                } else {
-                    nonwords.add(tok);
-                }
-            }
+            scan.add(text, &mut tokens);
         }
-        Ok(TextModel {
-            words: ClassModel::train(words)?,
-            nonwords: ClassModel::train(nonwords)?,
-        })
+        Ok(TextScan::model(scan.words, scan.nonwords)?.0)
     }
 
-    /// Compresses one document.
-    pub fn compress(&self, text: &str) -> Vec<u8> {
-        let mut tokens = Vec::new();
-        alternating_tokens(text, &mut tokens);
-        let mut w = BitWriter::new();
-        write_gamma0(&mut w, tokens.len() as u64);
-        for (i, tok) in tokens.into_iter().enumerate() {
-            if i % 2 == 0 {
-                self.words.encode(&mut w, tok);
-            } else {
-                self.nonwords.encode(&mut w, tok);
+    /// Compresses one document onto `w` from its text, then pads `w` to
+    /// a byte boundary: a document that starts on one is then the bytes
+    /// from there. `tokens` is scratch, as in [`TextScan::add`].
+    pub fn compress_onto<'t>(&self, text: &'t str, tokens: &mut Vec<&'t str>, w: &mut BitWriter) {
+        alternating_tokens(text, tokens);
+        write_gamma0(w, tokens.len() as u64);
+        for pair in tokens.chunks(2) {
+            self.words.encode(w, pair[0]);
+            if let Some(nonword) = pair.get(1) {
+                self.nonwords.encode(w, nonword);
             }
         }
-        w.into_bytes()
+        w.align_to_byte();
     }
 
-    /// Decompresses a document produced by [`TextModel::compress`].
+    /// Decompresses a document produced by [`TextModel::compress_onto`]
+    /// or [`TextScan::finish`].
     ///
     /// # Errors
     ///
@@ -323,6 +424,57 @@ mod tests {
         tokens
     }
 
+    /// One document's bytes, as [`TextModel::compress_onto`] writes them
+    /// onto a fresh writer.
+    pub(super) fn compress(model: &TextModel, text: &str) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        model.compress_onto(text, &mut Vec::new(), &mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_scan_compresses_each_text_as_compress_onto_does() {
+        let texts = ["the cat sat on the mat", "", "  a dog, the cat!", "mat"];
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        for text in texts {
+            let ids = scan.add(text, &mut tokens).to_vec();
+            assert_eq!(ids.len(), tokens.len());
+        }
+        let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
+        let model = scan.finish(&mut arena, &mut ends).unwrap();
+        assert_eq!(
+            model.to_bytes(),
+            TextModel::train(texts).unwrap().to_bytes()
+        );
+        let mut start = 0;
+        for (text, end) in texts.into_iter().zip(ends) {
+            assert_eq!(
+                &arena.as_bytes()[start..end],
+                compress(&model, text),
+                "{text:?}"
+            );
+            start = end;
+        }
+    }
+
+    #[test]
+    fn a_scan_maps_its_ids_apart_from_the_heap() {
+        let mut scan = TextScan::default();
+        assert_eq!(scan.ids.capacity(), 0, "an unused scan reserves nothing");
+        scan.add("cat sat", &mut Vec::new());
+        assert!(scan.ids.capacity() * std::mem::size_of::<u32>() >= 32 << 20);
+    }
+
+    #[test]
+    fn a_token_keeps_its_first_id_across_texts() {
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        assert_eq!(scan.add("cat sat", &mut tokens), [0, 0, 1]);
+        assert_eq!(scan.add("sat  cat", &mut tokens), [1, 1, 0]);
+        assert_eq!(scan.add(", dog", &mut tokens), [2, 2, 3]);
+    }
+
     #[test]
     fn tokens_alternate_and_concatenate() {
         let text = "The cat, sat -- twice!";
@@ -360,7 +512,7 @@ mod tests {
         let docs = ["the cat sat on the mat", "a dog sat on a log"];
         let model = TextModel::train(docs.iter().copied()).unwrap();
         for doc in docs {
-            assert_eq!(model.decompress(&model.compress(doc)).unwrap(), doc);
+            assert_eq!(model.decompress(&compress(&model, doc)).unwrap(), doc);
         }
     }
 
@@ -368,20 +520,20 @@ mod tests {
     fn roundtrip_novel_tokens() {
         let model = TextModel::train(["the cat sat"].iter().copied()).unwrap();
         let text = "the zyzzyva sat; the cat wobbled?!";
-        assert_eq!(model.decompress(&model.compress(text)).unwrap(), text);
+        assert_eq!(model.decompress(&compress(&model, text)).unwrap(), text);
     }
 
     #[test]
     fn roundtrip_empty_document() {
         let model = TextModel::train(["some text"].iter().copied()).unwrap();
-        assert_eq!(model.decompress(&model.compress("")).unwrap(), "");
+        assert_eq!(model.decompress(&compress(&model, "")).unwrap(), "");
     }
 
     #[test]
     fn compression_shrinks_repetitive_text() {
         let doc = "the quick brown fox jumps over the lazy dog ".repeat(50);
         let model = TextModel::train([doc.as_str()].iter().copied()).unwrap();
-        let compressed = model.compress(&doc);
+        let compressed = compress(&model, &doc);
         assert!(
             compressed.len() < doc.len() / 2,
             "compressed {} vs original {}",
@@ -393,7 +545,7 @@ mod tests {
     #[test]
     fn truncated_stream_errors() {
         let model = TextModel::train(["alpha beta gamma delta"].iter().copied()).unwrap();
-        let compressed = model.compress("alpha beta gamma delta alpha beta");
+        let compressed = compress(&model, "alpha beta gamma delta alpha beta");
         let cut = &compressed[..compressed.len() / 2];
         assert!(model.decompress(cut).is_err());
     }
@@ -406,9 +558,9 @@ mod tests {
         for text in [docs[0], docs[1], "a novel zyzzyva appears"] {
             // A restored model must decode what the original encoded and
             // encode identically.
-            let original = model.compress(text);
+            let original = compress(&model, text);
             assert_eq!(restored.decompress(&original).unwrap(), text);
-            assert_eq!(restored.compress(text), original);
+            assert_eq!(compress(&restored, text), original);
         }
     }
 
@@ -427,7 +579,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::tokens_of;
+    use super::tests::{compress, tokens_of};
     use super::*;
     use proptest::prelude::*;
 
@@ -482,7 +634,7 @@ mod proptests {
             text in "[a-zA-Z0-9,.;:!? éü-]{0,200}",
         ) {
             let model = TextModel::train(train.iter().map(String::as_str)).unwrap();
-            let compressed = model.compress(&text);
+            let compressed = compress(&model, &text);
             prop_assert_eq!(model.decompress(&compressed).unwrap(), text);
         }
     }

@@ -362,7 +362,7 @@ impl Librarian {
             } => {
                 let mut out = Vec::with_capacity(docs.len());
                 for doc in docs {
-                    let docno = match self.collection.store().docno_checked(doc) {
+                    let docno = match self.collection.store().docno(doc) {
                         Some(d) => d.to_owned(),
                         None => {
                             return Message::Error {
@@ -399,7 +399,7 @@ impl Librarian {
             Message::FetchHeadersRequest { query_id, docs } => {
                 let mut headers = Vec::with_capacity(docs.len());
                 for doc in docs {
-                    match self.collection.store().docno_checked(doc) {
+                    match self.collection.store().docno(doc) {
                         Some(d) => headers.push((doc, d.to_owned())),
                         None => {
                             return Message::Error {

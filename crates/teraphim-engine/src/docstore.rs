@@ -7,9 +7,15 @@
 //! answer documents over the network. Accordingly the store exposes both
 //! decompressed text (for display) and the raw compressed bytes (for
 //! transfer-cost accounting and wire shipping).
+//!
+//! The store is two arenas: every document's compressed bytes back to
+//! back, each from a byte boundary, and every docno back to back, each
+//! with one end offset a document. A store of any size is a handful of
+//! allocations, and so is loading one.
 
 use crate::EngineError;
-use teraphim_compress::textcomp::TextModel;
+use teraphim_compress::bitio::BitWriter;
+use teraphim_compress::textcomp::{TextModel, TextScan};
 use teraphim_index::DocId;
 use teraphim_text::sgml::TrecDoc;
 
@@ -17,48 +23,75 @@ use teraphim_text::sgml::TrecDoc;
 #[derive(Debug, Clone)]
 pub struct DocStore {
     model: TextModel,
-    docnos: Vec<String>,
-    compressed: Vec<Vec<u8>>,
+    /// Every document's compressed bytes, in document order.
+    texts: Vec<u8>,
+    /// Where each document's bytes end in `texts`.
+    text_ends: Vec<usize>,
+    /// Every document's docno, in document order.
+    docnos: String,
+    /// Where each docno ends in `docnos`.
+    docno_ends: Vec<usize>,
     raw_bytes_total: usize,
+}
+
+/// Where entry `i` of an arena with these end offsets lies.
+fn span(ends: &[usize], i: usize) -> Option<(usize, usize)> {
+    let end = *ends.get(i)?;
+    Some((if i == 0 { 0 } else { ends[i - 1] }, end))
 }
 
 impl DocStore {
     /// Builds the store, training the compression model on the collection
     /// itself (semi-static modelling, as in MG).
     pub fn build(docs: &[TrecDoc]) -> Self {
-        let model = TextModel::train(docs.iter().map(|d| d.text.as_str()))
-            .unwrap_or_else(|_| TextModel::train(["x"]).expect("non-empty alphabet"));
-        let compressed: Vec<Vec<u8>> = docs.iter().map(|d| model.compress(&d.text)).collect();
-        let raw_bytes_total = docs.iter().map(|d| d.text.len()).sum();
-        DocStore {
-            model,
-            docnos: docs.iter().map(|d| d.docno.clone()).collect(),
-            compressed,
-            raw_bytes_total,
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        for doc in docs {
+            scan.add(&doc.text, &mut tokens);
         }
+        Self::from_scan(scan, docs)
     }
 
-    /// The external identifier of `doc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `doc` is out of range.
-    pub fn docno(&self, doc: DocId) -> &str {
-        &self.docnos[doc as usize]
+    /// The store of `docs`, which `scan` has read, in order, and nothing
+    /// else: each document is compressed from the token ids the scan
+    /// counted.
+    pub(crate) fn from_scan(scan: TextScan, docs: &[TrecDoc]) -> Self {
+        let mut texts = BitWriter::new();
+        let mut text_ends = Vec::with_capacity(docs.len());
+        let model = scan
+            .finish(&mut texts, &mut text_ends)
+            .expect("the escape symbol makes every alphabet non-empty");
+        let mut store = DocStore {
+            model,
+            texts: texts.into_bytes(),
+            text_ends,
+            docnos: String::new(),
+            docno_ends: Vec::with_capacity(docs.len()),
+            raw_bytes_total: 0,
+        };
+        for doc in docs {
+            store.record(doc);
+        }
+        store
+    }
+
+    /// Files `doc`'s docno and counts its text.
+    fn record(&mut self, doc: &TrecDoc) {
+        self.docnos.push_str(&doc.docno);
+        self.docno_ends.push(self.docnos.len());
+        self.raw_bytes_total += doc.text.len();
     }
 
     /// The external identifier of `doc`, or `None` when out of range.
-    pub fn docno_checked(&self, doc: DocId) -> Option<&str> {
-        self.docnos.get(doc as usize).map(String::as_str)
+    pub fn docno(&self, doc: DocId) -> Option<&str> {
+        let (start, end) = span(&self.docno_ends, doc as usize)?;
+        Some(&self.docnos[start..end])
     }
 
     /// Looks up a document by its external identifier (linear scan; used
     /// by tests and tooling, not the query path).
     pub fn doc_id(&self, docno: &str) -> Option<DocId> {
-        self.docnos
-            .iter()
-            .position(|d| d == docno)
-            .map(|i| i as DocId)
+        (0..self.docno_ends.len() as DocId).find(|&doc| self.docno(doc) == Some(docno))
     }
 
     /// The compressed bytes of `doc` — what a librarian actually puts on
@@ -68,9 +101,8 @@ impl DocStore {
     ///
     /// Returns [`EngineError::UnknownDocument`] for out-of-range ids.
     pub fn compressed_bytes(&self, doc: DocId) -> Result<&[u8], EngineError> {
-        self.compressed
-            .get(doc as usize)
-            .map(Vec::as_slice)
+        span(&self.text_ends, doc as usize)
+            .map(|(start, end)| &self.texts[start..end])
             .ok_or(EngineError::UnknownDocument(doc))
     }
 
@@ -89,7 +121,7 @@ impl DocStore {
 
     /// Total compressed size of all documents.
     pub fn compressed_bytes_total(&self) -> usize {
-        self.compressed.iter().map(Vec::len).sum()
+        self.texts.len()
     }
 
     /// Total uncompressed size of all documents.
@@ -100,33 +132,42 @@ impl DocStore {
     /// Appends documents, compressing them with the *existing* model —
     /// novel words travel through the escape channel, so no retraining
     /// (and no recompression of old documents) is needed. This is what
-    /// makes librarian-local update cheap.
+    /// makes librarian-local update cheap. Each document is compressed
+    /// straight onto the arena, with one token buffer for the batch.
     pub fn append(&mut self, docs: &[TrecDoc]) {
+        let mut texts = BitWriter::from(std::mem::take(&mut self.texts));
+        let mut tokens = Vec::new();
         for doc in docs {
-            self.compressed.push(self.model.compress(&doc.text));
-            self.docnos.push(doc.docno.clone());
-            self.raw_bytes_total += doc.text.len();
+            self.model.compress_onto(&doc.text, &mut tokens, &mut texts);
+            self.text_ends.push(texts.as_bytes().len());
+            self.record(doc);
         }
+        self.texts = texts.into_bytes();
     }
 
     /// Serializes the store (model, identifiers, compressed documents).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
         let model = self.model.to_bytes();
+        let count = self.docno_ends.len();
+        let mut out =
+            Vec::with_capacity(16 + model.len() + self.docnos.len() + self.texts.len() + 8 * count);
         out.extend_from_slice(&(model.len() as u32).to_le_bytes());
         out.extend_from_slice(&model);
         out.extend_from_slice(&(self.raw_bytes_total as u64).to_le_bytes());
-        out.extend_from_slice(&(self.docnos.len() as u32).to_le_bytes());
-        for (docno, doc) in self.docnos.iter().zip(&self.compressed) {
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        for doc in 0..count as DocId {
+            let docno = self.docno(doc).expect("a docno a document");
+            let text = self.compressed_bytes(doc).expect("a text a document");
             out.extend_from_slice(&(docno.len() as u32).to_le_bytes());
             out.extend_from_slice(docno.as_bytes());
-            out.extend_from_slice(&(doc.len() as u32).to_le_bytes());
-            out.extend_from_slice(doc);
+            out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+            out.extend_from_slice(text);
         }
         out
     }
 
-    /// Reconstructs a store serialized by [`DocStore::to_bytes`].
+    /// Reconstructs a store serialized by [`DocStore::to_bytes`], copying
+    /// each document once, into the arenas.
     ///
     /// # Errors
     ///
@@ -152,29 +193,32 @@ impl DocStore {
             u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes")) as usize;
         let count = take_u32(bytes, &mut pos)? as usize;
         // A document is two length words at least: the count is a claim
-        // the bytes left must be able to hold before anything is reserved.
-        let room = count.min((bytes.len() - pos) / 8);
-        let mut docnos = Vec::with_capacity(room);
-        let mut compressed = Vec::with_capacity(room);
+        // the bytes left must be able to hold before anything is reserved,
+        // and the texts are no longer than those bytes.
+        let rest = bytes.len() - pos;
+        let room = count.min(rest / 8);
+        let mut store = DocStore {
+            model,
+            texts: Vec::with_capacity(rest),
+            text_ends: Vec::with_capacity(room),
+            docnos: String::new(),
+            docno_ends: Vec::with_capacity(room),
+            raw_bytes_total,
+        };
         for _ in 0..count {
             let len = take_u32(bytes, &mut pos)? as usize;
             let docno = std::str::from_utf8(take(bytes, &mut pos, len)?)
-                .map_err(|_| EngineError::Corrupt("docno is not UTF-8"))?
-                .to_owned();
+                .map_err(|_| EngineError::Corrupt("docno is not UTF-8"))?;
+            store.docnos.push_str(docno);
+            store.docno_ends.push(store.docnos.len());
             let len = take_u32(bytes, &mut pos)? as usize;
-            let doc = take(bytes, &mut pos, len)?.to_vec();
-            docnos.push(docno);
-            compressed.push(doc);
+            store.texts.extend_from_slice(take(bytes, &mut pos, len)?);
+            store.text_ends.push(store.texts.len());
         }
         if pos != bytes.len() {
             return Err(EngineError::Corrupt("trailing bytes after document store"));
         }
-        Ok(DocStore {
-            model,
-            docnos,
-            compressed,
-            raw_bytes_total,
-        })
+        Ok(store)
     }
 }
 
@@ -210,7 +254,8 @@ mod tests {
     #[test]
     fn docno_lookup_both_ways() {
         let store = DocStore::build(&docs());
-        assert_eq!(store.docno(1), "A-2");
+        assert_eq!(store.docno(1), Some("A-2"));
+        assert_eq!(store.docno(3), None);
         assert_eq!(store.doc_id("A-2"), Some(1));
         assert_eq!(store.doc_id("missing"), None);
     }
@@ -240,7 +285,7 @@ mod tests {
     #[test]
     fn empty_store() {
         let store = DocStore::build(&[]);
-        assert!(store.docnos.is_empty());
+        assert!(store.docno_ends.is_empty());
         assert_eq!(store.compressed_bytes_total(), 0);
     }
 
@@ -250,7 +295,8 @@ mod tests {
         let restored = DocStore::from_bytes(&store.to_bytes()).unwrap();
         assert_eq!(restored.docnos, store.docnos);
         assert_eq!(restored.raw_bytes_total(), store.raw_bytes_total());
-        for d in 0..store.docnos.len() as DocId {
+        assert_eq!(restored.to_bytes(), store.to_bytes());
+        for d in 0..store.docno_ends.len() as DocId {
             assert_eq!(restored.docno(d), store.docno(d));
             assert_eq!(restored.fetch(d).unwrap(), store.fetch(d).unwrap());
         }

@@ -44,6 +44,7 @@ pub mod thresholding;
 use std::error::Error;
 use std::fmt;
 
+use teraphim_compress::textcomp::TextScan;
 use teraphim_index::similarity::query_norm;
 use teraphim_index::{DocId, IndexBuilder, InvertedIndex, TermId};
 use teraphim_text::sgml::TrecDoc;
@@ -115,13 +116,26 @@ impl Collection {
     }
 
     /// Builds a collection from parsed TREC documents.
+    ///
+    /// Each text is read once: the text model's scan splits it, and its
+    /// tokens feed both the index ([`IndexBuilder::add_scanned`]) and the
+    /// document store, which compresses every document from the token
+    /// ids that scan counted. The bytes are those of an index built with
+    /// [`IndexBuilder::add_text`] beside a [`DocStore::build`].
     pub fn build(name: &str, analyzer: Analyzer, docs: &[TrecDoc]) -> Self {
         let mut builder = IndexBuilder::new();
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
         for doc in docs {
-            builder.add_text(&analyzer, &doc.text);
+            let ids = scan.add(&doc.text, &mut tokens);
+            builder.add_scanned(&analyzer, &tokens, ids);
         }
+        // The store first: coding the texts unmaps the scan's ids (see
+        // `TextScan`) before the index's build allocates its sorted copy
+        // of the postings, so a build's resident peak holds one of the
+        // two, not both.
+        let store = DocStore::from_scan(scan, docs);
         let index = builder.build();
-        let store = DocStore::build(docs);
         Collection {
             name: name.to_owned(),
             analyzer,
@@ -156,7 +170,7 @@ impl Collection {
     ///
     /// Panics if `doc` is out of range.
     pub fn docno(&self, doc: DocId) -> &str {
-        self.store.docno(doc)
+        self.store.docno(doc).expect("document id out of range")
     }
 
     /// Analyzes query text into `(term id, f_qt)` pairs, dropping terms

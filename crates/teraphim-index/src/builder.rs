@@ -47,8 +47,9 @@ pub struct IndexBuilder {
 }
 
 /// Token → term, for the texts one analyzer feeds a builder: each
-/// distinct folded token is filtered, stopped and stemmed once, however
-/// often it occurs.
+/// distinct folded token ([`IndexBuilder::add_text`]) or scanned word
+/// ([`IndexBuilder::add_scanned`]) is filtered, stopped and stemmed
+/// once, however often it occurs.
 #[derive(Debug, Default)]
 struct Memo {
     /// The analyzer the entries were made with; another one clears them.
@@ -57,13 +58,50 @@ struct Memo {
     tokens: Dictionary,
     /// Per token id, its term's id, or [`DROPPED`].
     terms: Vec<TermId>,
+    /// Per word id of the text model's scan, its term's id, [`DROPPED`],
+    /// or [`UNSEEN`] until the word stands alone in a text.
+    words: Vec<TermId>,
     /// Scratch for tokens that are not slices of their text.
     fold: String,
+}
+
+impl Memo {
+    /// The memo for `analyzer`: this one, or a new one if it was made
+    /// with another.
+    fn for_analyzer(&mut self, analyzer: &Analyzer) -> &mut Memo {
+        if self.analyzer.as_ref() != Some(analyzer) {
+            *self = Memo {
+                analyzer: Some(analyzer.clone()),
+                ..Memo::default()
+            };
+        }
+        self
+    }
 }
 
 /// A memo entry for a token that stands for no term (a stop word, or a
 /// length out of range). No vocabulary reaches `u32::MAX` terms.
 const DROPPED: TermId = TermId::MAX;
+
+/// A memo entry for a scanned word not yet analyzed.
+const UNSEEN: TermId = TermId::MAX - 1;
+
+/// The term of the token that `words` make, folded into `fold` as the
+/// analyzer folds a token: its id in `vocab`, or [`DROPPED`].
+fn analyze<'w>(
+    analyzer: &Analyzer,
+    words: impl IntoIterator<Item = &'w &'w str>,
+    fold: &mut String,
+    vocab: &mut Vocabulary,
+) -> TermId {
+    fold.clear();
+    for word in words {
+        fold.extend(word.chars().flat_map(char::to_lowercase));
+    }
+    analyzer
+        .term(fold)
+        .map_or(DROPPED, |term| vocab.intern(&term))
+}
 
 impl IndexBuilder {
     /// Creates an empty builder.
@@ -84,13 +122,7 @@ impl IndexBuilder {
     /// `add_document(&analyzer.analyze(text))` builds, but the text is
     /// read once and each distinct token analyzed once per builder.
     pub fn add_text(&mut self, analyzer: &Analyzer, text: &str) -> DocId {
-        let memo = &mut self.memo;
-        if memo.analyzer.as_ref() != Some(analyzer) {
-            *memo = Memo {
-                analyzer: Some(analyzer.clone()),
-                ..Memo::default()
-            };
-        }
+        let memo = self.memo.for_analyzer(analyzer);
         let mut ids = std::mem::take(&mut self.ids);
         ids.clear();
         let vocab = &mut self.vocab;
@@ -111,6 +143,58 @@ impl IndexBuilder {
             }
         });
         self.push_ids(ids)
+    }
+
+    /// Adds a document given the tokens and token ids that
+    /// `teraphim_compress::textcomp::TextScan::add` returned for its
+    /// text, analyzed by `analyzer`; returns its id. Every call on a
+    /// builder takes its ids from one scan. The index is the same, to the
+    /// byte, as [`IndexBuilder::add_text`] builds from the text, but
+    /// nothing is split or hashed again: a word is folded and analyzed
+    /// when it first stands alone, and its term is then found by its id.
+    ///
+    /// The two tokenizers differ in one place: the analyzer joins two
+    /// words across a non-word that is exactly `'` (`don't`,
+    /// `rock'n'roll`), which the text model splits. Such a run is folded
+    /// and analyzed whole, where it occurs.
+    pub fn add_scanned(&mut self, analyzer: &Analyzer, tokens: &[&str], ids: &[u32]) -> DocId {
+        let memo = self.memo.for_analyzer(analyzer);
+        let vocab = &mut self.vocab;
+        let mut terms = std::mem::take(&mut self.ids);
+        terms.clear();
+        // Tokens alternate word, non-word from a word (empty only when
+        // the text starts with a non-word), so a word at `i` joins the
+        // next across a lone apostrophe at `i + 1`.
+        let joins = |i: usize| {
+            !tokens[i].is_empty() && tokens.get(i + 1) == Some(&"'") && tokens.len() > i + 2
+        };
+        let mut i = 0;
+        while i < tokens.len() {
+            let first = i;
+            while joins(i) {
+                i += 2;
+            }
+            let term = if first < i {
+                let words = tokens[first..=i].iter().step_by(2);
+                analyze(analyzer, words, &mut memo.fold, vocab)
+            } else if tokens[i].is_empty() {
+                DROPPED
+            } else {
+                let word = ids[i] as usize;
+                if word >= memo.words.len() {
+                    memo.words.resize(word + 1, UNSEEN);
+                }
+                if memo.words[word] == UNSEEN {
+                    memo.words[word] = analyze(analyzer, [&tokens[i]], &mut memo.fold, vocab);
+                }
+                memo.words[word]
+            };
+            if term != DROPPED {
+                terms.push(term);
+            }
+            i += 2;
+        }
+        self.push_ids(terms)
     }
 
     /// Files the next document given the term id of each of its terms,

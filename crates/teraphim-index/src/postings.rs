@@ -310,7 +310,7 @@ impl ListsWriter {
     /// Room for `terms` lists of `bytes` bytes in all.
     pub(crate) fn with_capacity(terms: usize, bytes: usize) -> Self {
         ListsWriter {
-            writer: BitWriter::with_capacity_bits(bytes * 8),
+            writer: BitWriter::from(Vec::with_capacity(bytes + 1)),
             heads: Vec::with_capacity(terms),
             open: Head {
                 offset: 0,

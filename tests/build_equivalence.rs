@@ -1,12 +1,16 @@
 //! A build reads each word once, and builds what it built before: the
 //! index `IndexBuilder::add_text` files from text, the text model
-//! `TextModel::train` counts and the query terms
-//! `Analyzer::term_counts` counts are each checked, byte for byte,
-//! against the code they replaced, which is kept here as the oracle:
+//! `TextModel::train` counts, the query terms `Analyzer::term_counts`
+//! counts and the whole collection `Collection::build` makes from one
+//! scan of its text are each checked, byte for byte, against the code
+//! they replaced, which is kept here as the oracle:
 //! - an owned-`String` tokenizer feeding `add_document`;
 //! - hash-map counts for the text model;
 //! - the receptionist's hash-map and the simulator's B-tree query-term
-//!   counters.
+//!   counters;
+//! - an index from `add_text` beside a model from `TextModel::train`
+//!   and one `compress_onto` a document, onto a writer of its own, for
+//!   a build and for the appends after it.
 //!
 //! ```sh
 //! cargo test --release --test build_equivalence
@@ -14,9 +18,12 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+use teraphim::compress::bitio::BitWriter;
 use teraphim::compress::huffman::HuffmanCode;
 use teraphim::compress::textcomp::TextModel;
-use teraphim::index::IndexBuilder;
+use teraphim::engine::Collection;
+use teraphim::index::{merge::merge, IndexBuilder};
+use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
 
 /// The four pipelines: default, raw, stop-only and stem-only.
@@ -29,11 +36,13 @@ fn analyzers() -> [Analyzer; 4] {
     ]
 }
 
-/// Pieces a text is made of: stop words in both cases, inner and
-/// trailing apostrophes, digits, tokens at and over the 64-byte limit,
-/// upper-case letters whose lower case has another byte length (İ, Ⱥ,
-/// the Kelvin and Angstrom signs), and separators.
-const PIECES: [&str; 30] = [
+/// Pieces a text is made of: stop words in both cases, inner, leading,
+/// doubled and trailing apostrophes (the analyzer joins two words
+/// across a lone one, the text model splits them), digits, tokens at
+/// and over the 64-byte limit, upper-case letters whose lower case has
+/// another byte length (İ, Ⱥ, the Kelvin and Angstrom signs), and
+/// separators.
+const PIECES: [&str; 34] = [
     "the",
     "The",
     "OF",
@@ -44,6 +53,10 @@ const PIECES: [&str; 30] = [
     "o'clock",
     "cats'",
     "''",
+    "'t",
+    "a''b",
+    "rock'n'roll",
+    "Rock'N'Roll's",
     "1998",
     "b52",
     "TREC-2",
@@ -69,16 +82,16 @@ const PIECES: [&str; 30] = [
 /// A text of up to 60 pieces, some of them long runs, and some single
 /// characters of any plane.
 fn text() -> impl Strategy<Value = String> {
-    proptest::collection::vec((0usize..40, any::<u32>()), 0..60).prop_map(|picks| {
+    proptest::collection::vec((0usize..44, any::<u32>()), 0..60).prop_map(|picks| {
         let mut text = String::new();
         for (pick, n) in picks {
             match pick {
-                0..=29 => text.push_str(PIECES[pick]),
+                0..=33 => text.push_str(PIECES[pick]),
                 // Words around the 64-byte limit, in one- and two-byte
                 // letters: the limit is in bytes.
-                30..=32 => text.push_str(&"y".repeat(62 + (n % 5) as usize)),
-                33 => text.push_str(&"é".repeat(30 + (n % 5) as usize)),
-                34 => text.push_str(&"İ".repeat(20 + (n % 5) as usize)),
+                34..=36 => text.push_str(&"y".repeat(62 + (n % 5) as usize)),
+                37 => text.push_str(&"é".repeat(30 + (n % 5) as usize)),
+                38 => text.push_str(&"İ".repeat(20 + (n % 5) as usize)),
                 _ => text.extend(char::from_u32(n % 0x11_0000)),
             }
             if n % 3 == 0 {
@@ -219,7 +232,127 @@ fn btree_counts(analyzer: &Analyzer, query: &str) -> Vec<(String, u32)> {
     counts.into_iter().collect()
 }
 
+/// Documents named `D0`, `D1`, ... with these texts.
+fn trec(texts: &[String]) -> Vec<TrecDoc> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| TrecDoc {
+            docno: format!("D{i}"),
+            text: text.clone(),
+        })
+        .collect()
+}
+
+/// `Collection::to_bytes` of `base` appended with `batches`, one
+/// `append_documents` each, as it was built before one scan fed both
+/// halves: the index from `add_text` (one delta a batch, merged), the
+/// model from `TextModel::train` over `base`, and each document
+/// compressed on its own from its text.
+fn oracle_bytes(analyzer: &Analyzer, base: &[TrecDoc], batches: &[Vec<TrecDoc>]) -> Vec<u8> {
+    let index_of = |docs: &[TrecDoc]| {
+        let mut builder = IndexBuilder::new();
+        for doc in docs {
+            builder.add_text(analyzer, &doc.text);
+        }
+        builder.build()
+    };
+    let mut index = index_of(base);
+    for batch in batches {
+        index = merge(&index, &[index_of(batch)]).expect("merges");
+    }
+    let model = TextModel::train(base.iter().map(|d| d.text.as_str())).expect("trains");
+    let docs: Vec<&TrecDoc> = base.iter().chain(batches.iter().flatten()).collect();
+    let mut store = Vec::new();
+    let model_bytes = model.to_bytes();
+    store.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
+    store.extend_from_slice(&model_bytes);
+    let raw: usize = docs.iter().map(|d| d.text.len()).sum();
+    store.extend_from_slice(&(raw as u64).to_le_bytes());
+    store.extend_from_slice(&(docs.len() as u32).to_le_bytes());
+    for doc in docs {
+        let mut w = BitWriter::new();
+        model.compress_onto(&doc.text, &mut Vec::new(), &mut w);
+        let text = w.into_bytes();
+        store.extend_from_slice(&(doc.docno.len() as u32).to_le_bytes());
+        store.extend_from_slice(doc.docno.as_bytes());
+        store.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        store.extend_from_slice(&text);
+    }
+    let mut out = Vec::new();
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(b"C");
+    out.push(u8::from(analyzer.stopping()));
+    out.push(u8::from(analyzer.stemming()));
+    let index = index.to_bytes();
+    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    out.extend_from_slice(&index);
+    out.extend_from_slice(&(store.len() as u64).to_le_bytes());
+    out.extend_from_slice(&store);
+    out
+}
+
+#[test]
+fn the_scan_joins_words_across_a_lone_apostrophe_as_the_analyzer_does() {
+    let texts = [
+        "don't stop rock'n'roll",
+        "ROCK'N'ROLL a''b cats' 't",
+        "",
+        "O'Neil's İstanbul don't",
+    ]
+    .map(String::from);
+    let docs = trec(&texts);
+    for analyzer in analyzers() {
+        let built = Collection::build("C", analyzer.clone(), &docs);
+        assert_eq!(built.to_bytes(), oracle_bytes(&analyzer, &docs, &[]));
+    }
+    let vocab = Collection::build("C", Analyzer::raw(), &docs);
+    let vocab = vocab.index().vocab();
+    for joined in ["dont", "rocknroll", "oneils"] {
+        assert!(vocab.term_id(joined).is_some(), "{joined}");
+    }
+    for split in ["rock", "roll", "don", "neil"] {
+        assert!(vocab.term_id(split).is_none(), "{split}");
+    }
+    for word in ["a", "b", "cats", "t", "i\u{307}stanbul"] {
+        assert!(vocab.term_id(word).is_some(), "{word}");
+    }
+}
+
+#[test]
+fn an_empty_collection_builds_and_appends_as_before() {
+    let batch = trec(&["the cat".to_owned(), String::new()]);
+    for analyzer in analyzers() {
+        let mut built = Collection::build("C", analyzer.clone(), &[]);
+        assert_eq!(built.to_bytes(), oracle_bytes(&analyzer, &[], &[]));
+        built.append_documents(&batch).expect("appends");
+        assert_eq!(
+            built.to_bytes(),
+            oracle_bytes(&analyzer, &[], std::slice::from_ref(&batch))
+        );
+    }
+}
+
 proptest! {
+    fn a_collection_is_built_and_appended_as_the_two_scans_built_it(
+        texts in proptest::collection::vec(text(), 0..8),
+        batches in proptest::collection::vec(proptest::collection::vec(text(), 0..4), 0..3),
+    ) {
+        let base = trec(&texts);
+        let batches: Vec<Vec<TrecDoc>> = batches.iter().map(|b| trec(b)).collect();
+        for analyzer in analyzers() {
+            let mut built = Collection::build("C", analyzer.clone(), &base);
+            prop_assert_eq!(built.to_bytes(), oracle_bytes(&analyzer, &base, &[]));
+            for (i, batch) in batches.iter().enumerate() {
+                built.append_documents(batch).expect("appends");
+                prop_assert_eq!(
+                    built.to_bytes(),
+                    oracle_bytes(&analyzer, &base, &batches[..=i])
+                );
+            }
+        }
+    }
+
     fn add_text_builds_the_index_add_document_built(
         docs in proptest::collection::vec(text(), 1..8),
     ) {
