@@ -9,7 +9,7 @@ use teraphim_compress::codes::{
     write_vbyte,
 };
 use teraphim_compress::huffman::HuffmanCode;
-use teraphim_compress::textcomp::TextModel;
+use teraphim_compress::textcomp::TextScan;
 
 /// A deterministic pseudo-Zipfian gap sequence (what postings look
 /// like).
@@ -133,17 +133,21 @@ fn bench_huffman(c: &mut Criterion) {
 
 fn bench_textcomp(c: &mut Criterion) {
     let doc = "the quick brown fox jumps over the lazy dog and the slow red hen ".repeat(40);
-    let model = TextModel::train([doc.as_str()]).expect("train");
     let mut tokens = Vec::new();
+    let mut scan = TextScan::default();
+    scan.add(&doc, &mut tokens);
     let mut w = BitWriter::new();
-    model.compress_onto(&doc, &mut tokens, &mut w);
+    let model = scan.finish(&mut w, &mut Vec::new()).expect("train");
     let compressed = w.into_bytes();
     let mut group = c.benchmark_group("textcomp");
     group.throughput(Throughput::Bytes(doc.len() as u64));
+    // As an append codes a document: one scan, coded with a trained model.
     group.bench_function("compress", |b| {
         b.iter(|| {
+            let mut scan = TextScan::default();
+            scan.add(&doc, &mut tokens);
             let mut w = BitWriter::new();
-            model.compress_onto(&doc, &mut tokens, &mut w);
+            scan.finish_with(&model, &mut w, &mut Vec::new());
             black_box(w.into_bytes())
         })
     });

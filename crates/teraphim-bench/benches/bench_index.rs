@@ -2,21 +2,32 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
+use teraphim_compress::textcomp::TextScan;
 use teraphim_corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim_index::skips::SkipTable;
 use teraphim_index::IndexBuilder;
 use teraphim_text::Analyzer;
 
+/// The index of `texts`, each read through one text scan and analyzed
+/// by `analyzer`, as `Collection::build` reads them.
+fn index_of<'t>(
+    analyzer: &Analyzer,
+    texts: impl IntoIterator<Item = &'t str>,
+) -> teraphim_index::InvertedIndex {
+    let mut scan = TextScan::default();
+    let mut tokens = Vec::new();
+    let mut builder = IndexBuilder::new();
+    for text in texts {
+        let ids = scan.add(text, &mut tokens);
+        builder.add_scanned(analyzer, &tokens, ids);
+    }
+    builder.build()
+}
+
 fn build_sample() -> (SyntheticCorpus, teraphim_index::InvertedIndex) {
     let corpus = SyntheticCorpus::generate(&CorpusSpec::small(5));
-    let analyzer = Analyzer::default();
-    let mut builder = IndexBuilder::new();
-    for sub in corpus.subcollections() {
-        for doc in &sub.docs {
-            builder.add_text(&analyzer, &doc.text);
-        }
-    }
-    let index = builder.build();
+    let texts = corpus.subcollections().iter().flat_map(|s| &s.docs);
+    let index = index_of(&Analyzer::default(), texts.map(|d| d.text.as_str()));
     (corpus, index)
 }
 
@@ -32,15 +43,10 @@ fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.throughput(Throughput::Elements(tokens as u64));
     group.sample_size(20);
-    // From text, as `Collection::build` does: analysis is part of the cost.
+    // From text, as `Collection::build` does: the scan and analysis are
+    // part of the cost.
     group.bench_function("build_360_docs", |b| {
-        b.iter(|| {
-            let mut builder = IndexBuilder::new();
-            for text in &texts {
-                builder.add_text(&analyzer, text);
-            }
-            black_box(builder.build())
-        })
+        b.iter(|| black_box(index_of(&analyzer, texts.iter().copied())))
     });
     group.finish();
 }

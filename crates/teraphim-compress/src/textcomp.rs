@@ -2,7 +2,8 @@
 //!
 //! MG stores document text compressed with a word-based model: text is
 //! decomposed into a strictly alternating sequence of *word* and
-//! *non-word* tokens, and two zero-order Huffman models (one per token
+//! *non-word* tokens (`teraphim_text::tokenize::split`, the split the
+//! analyzer reads too), and two zero-order Huffman models (one per token
 //! class) code the sequence. Tokens unseen at training time are coded
 //! through an escape symbol followed by their raw bytes.
 //!
@@ -12,15 +13,16 @@
 //!
 //! # Examples
 //!
-//! A collection is read once: [`TextScan`] splits each text, counts its
-//! tokens for the model and remembers each token's id, and then
-//! compresses every text from those ids into one arena, with no second
-//! split and no second lookup of a token. A text that arrives later is
-//! compressed from its words with [`TextModel::compress_onto`].
+//! Texts are read once: [`TextScan`] splits each text, counts its tokens
+//! and remembers each token's id, and then codes every text from those
+//! ids into one arena, with no second split and no second lookup of a
+//! token. [`TextScan::finish`] trains the model on the texts it read;
+//! texts that arrive later are read by a scan of their own and coded
+//! with that model by [`TextScan::finish_with`].
 //!
 //! ```
 //! use teraphim_compress::bitio::BitWriter;
-//! use teraphim_compress::textcomp::{TextModel, TextScan};
+//! use teraphim_compress::textcomp::TextScan;
 //!
 //! # fn main() -> Result<(), teraphim_compress::CodeError> {
 //! let mut scan = TextScan::default();
@@ -32,9 +34,11 @@
 //! let model = scan.finish(&mut arena, &mut ends)?;
 //! assert_eq!(model.decompress(&arena.as_bytes()[..ends[0]])?, "the cat sat on the mat");
 //! // Novel words pass through the escape channel.
-//! let mut later = BitWriter::new();
-//! model.compress_onto("the axolotl sat", &mut tokens, &mut later);
-//! assert_eq!(model.decompress(later.as_bytes())?, "the axolotl sat");
+//! let mut later = TextScan::default();
+//! later.add("the axolotl sat", &mut tokens);
+//! let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
+//! later.finish_with(&model, &mut arena, &mut ends);
+//! assert_eq!(model.decompress(arena.as_bytes())?, "the axolotl sat");
 //! # Ok(())
 //! # }
 //! ```
@@ -44,49 +48,10 @@ use crate::codes::{read_gamma0, write_gamma0};
 use crate::dict::Dictionary;
 use crate::huffman::HuffmanCode;
 use crate::{CodeError, Result};
+use teraphim_text::tokenize;
 
 /// Reserved symbol index for the escape codeword in both models.
 const ESCAPE: u32 = 0;
-
-/// Splits text into a strictly alternating `[word, nonword, word, ...]`
-/// token sequence starting with a (possibly empty) word, in `tokens`
-/// (cleared first; a caller keeps it across texts for its capacity).
-///
-/// A *word* is a maximal run of alphanumeric characters; a *non-word* is a
-/// maximal run of anything else. Concatenating the tokens reproduces the
-/// input exactly.
-fn alternating_tokens<'t>(text: &'t str, tokens: &mut Vec<&'t str>) {
-    tokens.clear();
-    let mut word = true;
-    let mut start = 0;
-    while start < text.len() {
-        // A maximal run of the expected class; empty if the next
-        // character is of the other one, which restores alternation.
-        let end = run_end(text, start, word);
-        tokens.push(&text[start..end]);
-        start = end;
-        word = !word;
-    }
-}
-
-/// Where the run of word (`word`) or non-word characters that starts at
-/// byte `i` of `text` ends.
-fn run_end(text: &str, mut i: usize, word: bool) -> usize {
-    let bytes = text.as_bytes();
-    while let Some(&b) = bytes.get(i) {
-        let (is_word, len) = if b.is_ascii() {
-            (b.is_ascii_alphanumeric(), 1)
-        } else {
-            let c = text[i..].chars().next().expect("i is a char boundary");
-            (c.is_alphanumeric(), c.len_utf8())
-        };
-        if is_word != word {
-            break;
-        }
-        i += len;
-    }
-    i
-}
 
 /// How often each token of one class occurs in the training texts: the
 /// distinct tokens in one arena, and a count per token id.
@@ -119,7 +84,7 @@ struct ClassModel {
 
 impl ClassModel {
     /// The model of the counted tokens, and the symbol of each token id.
-    fn train(counts: TokenCounts) -> Result<(ClassModel, Vec<u32>)> {
+    fn train(counts: &TokenCounts) -> Result<(ClassModel, Vec<u32>)> {
         // Deterministic symbol order: by token string. Symbol 0 is escape.
         let seen = &counts.tokens;
         let mut order: Vec<u32> = (0..seen.len() as u32).collect();
@@ -137,18 +102,12 @@ impl ClassModel {
         Ok((ClassModel { tokens, code }, symbols))
     }
 
-    fn encode(&self, w: &mut BitWriter, token: &str) {
-        match self.tokens.term_id(token) {
-            Some(id) => self.code.encode(w, id + 1),
-            None => {
-                self.code.encode(w, ESCAPE);
-                let bytes = token.as_bytes();
-                write_gamma0(w, bytes.len() as u64);
-                for &b in bytes {
-                    w.write_bits(u64::from(b), 8);
-                }
-            }
-        }
+    /// The symbol of each token of `seen`, by id: [`ESCAPE`] for a token
+    /// this model lacks. Each token is looked up once.
+    fn symbols(&self, seen: &Dictionary) -> Vec<u32> {
+        seen.iter()
+            .map(|(_, token)| self.tokens.term_id(token).map_or(ESCAPE, |id| id + 1))
+            .collect()
     }
 
     /// Decodes one token onto the end of `out`.
@@ -228,11 +187,12 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
     Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
 }
 
-/// One scan of a collection's texts: it trains the text model and
-/// remembers the id of every token it met, so that
-/// [`TextScan::finish`] compresses each text from those ids, with no
-/// second split and no second lookup of a token (MG builds its model and
-/// its compressed text from one parse).
+/// One scan of a batch of texts: it counts their tokens and remembers
+/// the id of every token it met, so that each text is coded from those
+/// ids, with no second split and no second lookup of a token (MG builds
+/// its model and its compressed text from one parse). A build trains
+/// the model on its scan ([`TextScan::finish`]); an append codes its
+/// scan with the model the build trained ([`TextScan::finish_with`]).
 #[derive(Debug, Default)]
 pub struct TextScan {
     words: TokenCounts,
@@ -259,17 +219,14 @@ const RESERVED_IDS: usize = (32 << 20) / std::mem::size_of::<u32>();
 
 impl TextScan {
     /// Splits `text` into `tokens` (cleared first; a caller keeps it
-    /// across texts for its capacity), strictly alternating word and
-    /// non-word from a possibly empty word, and counts them. Returns
-    /// each token's id in its class: the same token string has the same
-    /// id in every text of the scan, and ids count up from 0 in the
-    /// order tokens are first met.
-    ///
-    /// A *word* is a maximal run of alphanumeric characters; a
-    /// *non-word* is a maximal run of anything else. Concatenating the
-    /// tokens reproduces the text.
+    /// across texts for its capacity) with `teraphim_text`'s one split,
+    /// strictly alternating word and non-word from a possibly empty
+    /// word, and counts them. Returns each token's id in its class: the
+    /// same token string has the same id in every text of the scan, and
+    /// ids count up from 0 in the order tokens are first met.
     pub fn add<'t>(&mut self, text: &'t str, tokens: &mut Vec<&'t str>) -> &[u32] {
-        alternating_tokens(text, tokens);
+        tokens.clear();
+        tokens.extend(tokenize::split(text));
         if self.ids.capacity() == 0 {
             self.ids.reserve_exact(RESERVED_IDS);
         }
@@ -284,50 +241,75 @@ impl TextScan {
         &self.ids[start..]
     }
 
-    /// Trains the model on every text added, then compresses each text,
-    /// in the order they were added, onto `arena`: every text starts on
-    /// a byte boundary, and its end is pushed to `ends`. A text's bytes
-    /// are what [`TextModel::compress_onto`] writes for it.
+    /// Trains the model on every text added, then codes each text with
+    /// it, as [`TextScan::finish_with`] does.
     ///
     /// # Errors
     ///
     /// Never fails in practice (the escape symbol guarantees non-empty
     /// alphabets); any [`CodeError`] from code construction is propagated.
     pub fn finish(self, arena: &mut BitWriter, ends: &mut Vec<usize>) -> Result<TextModel> {
-        let (model, word_symbols, nonword_symbols) = Self::model(self.words, self.nonwords)?;
-        let (words, nonwords) = (&model.words.code, &model.nonwords.code);
+        let (words, word_symbols) = ClassModel::train(&self.words)?;
+        let (nonwords, nonword_symbols) = ClassModel::train(&self.nonwords)?;
+        let model = TextModel { words, nonwords };
+        self.code(&model, [&word_symbols, &nonword_symbols], arena, ends);
+        Ok(model)
+    }
+
+    /// Codes each text added with `model`, in the order they were added,
+    /// onto `arena`: every text starts on a byte boundary, and its end is
+    /// pushed to `ends`. Each distinct token is looked up in `model`
+    /// once; one it lacks is escaped, and its bytes written, at every
+    /// occurrence.
+    pub fn finish_with(self, model: &TextModel, arena: &mut BitWriter, ends: &mut Vec<usize>) {
+        let word_symbols = model.words.symbols(&self.words.tokens);
+        let nonword_symbols = model.nonwords.symbols(&self.nonwords.tokens);
+        self.code(model, [&word_symbols, &nonword_symbols], arena, ends);
+    }
+
+    /// The one coding loop: each text's token count, then each token's
+    /// symbol in `model`, its id's entry in `symbols` (words', then
+    /// non-words'), with the token's bytes after an escape.
+    fn code(
+        &self,
+        model: &TextModel,
+        symbols: [&[u32]; 2],
+        arena: &mut BitWriter,
+        ends: &mut Vec<usize>,
+    ) {
+        let classes = [
+            (&model.words.code, symbols[0], &self.words.tokens),
+            (&model.nonwords.code, symbols[1], &self.nonwords.tokens),
+        ];
         ends.reserve(self.ends.len());
         let mut start = 0;
         for &end in &self.ends {
             let ids = &self.ids[start..end];
             write_gamma0(arena, ids.len() as u64);
-            for pair in ids.chunks(2) {
-                words.encode(arena, word_symbols[pair[0] as usize]);
-                if let Some(&nonword) = pair.get(1) {
-                    nonwords.encode(arena, nonword_symbols[nonword as usize]);
+            for (i, &id) in ids.iter().enumerate() {
+                let (code, symbols, tokens) = classes[i % 2];
+                let symbol = symbols[id as usize];
+                code.encode(arena, symbol);
+                if symbol == ESCAPE {
+                    let bytes = tokens.term(id).as_bytes();
+                    write_gamma0(arena, bytes.len() as u64);
+                    for &b in bytes {
+                        arena.write_bits(u64::from(b), 8);
+                    }
                 }
             }
             arena.align_to_byte();
             ends.push(arena.as_bytes().len());
             start = end;
         }
-        Ok(model)
-    }
-
-    /// The model of the counted tokens, and the symbol of each word and
-    /// non-word id.
-    fn model(words: TokenCounts, nonwords: TokenCounts) -> Result<(TextModel, Vec<u32>, Vec<u32>)> {
-        let (words, word_symbols) = ClassModel::train(words)?;
-        let (nonwords, nonword_symbols) = ClassModel::train(nonwords)?;
-        Ok((TextModel { words, nonwords }, word_symbols, nonword_symbols))
     }
 }
 
 /// A trained word-based compression model for a document collection.
 ///
-/// Training scans the collection once; compression and decompression are
-/// then deterministic. Novel tokens (e.g. in updated documents or queries)
-/// are handled via per-class escape codewords.
+/// A build trains it on its own texts ([`TextScan::finish`]); coding
+/// and decoding are then deterministic. Novel tokens (in appended
+/// documents) are handled via per-class escape codewords.
 #[derive(Debug, Clone)]
 pub struct TextModel {
     words: ClassModel,
@@ -335,41 +317,8 @@ pub struct TextModel {
 }
 
 impl TextModel {
-    /// Trains word and non-word Huffman models over a collection of texts.
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice (the escape symbol guarantees non-empty
-    /// alphabets); any [`CodeError`] from code construction is propagated.
-    pub fn train<'a, I>(texts: I) -> Result<TextModel>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let mut scan = TextScan::default();
-        let mut tokens = Vec::new();
-        for text in texts {
-            scan.add(text, &mut tokens);
-        }
-        Ok(TextScan::model(scan.words, scan.nonwords)?.0)
-    }
-
-    /// Compresses one document onto `w` from its text, then pads `w` to
-    /// a byte boundary: a document that starts on one is then the bytes
-    /// from there. `tokens` is scratch, as in [`TextScan::add`].
-    pub fn compress_onto<'t>(&self, text: &'t str, tokens: &mut Vec<&'t str>, w: &mut BitWriter) {
-        alternating_tokens(text, tokens);
-        write_gamma0(w, tokens.len() as u64);
-        for pair in tokens.chunks(2) {
-            self.words.encode(w, pair[0]);
-            if let Some(nonword) = pair.get(1) {
-                self.nonwords.encode(w, nonword);
-            }
-        }
-        w.align_to_byte();
-    }
-
-    /// Decompresses a document produced by [`TextModel::compress_onto`]
-    /// or [`TextScan::finish`].
+    /// Decompresses a document coded by [`TextScan::finish`] or
+    /// [`TextScan::finish_with`].
     ///
     /// # Errors
     ///
@@ -418,23 +367,8 @@ impl TextModel {
 mod tests {
     use super::*;
 
-    pub(super) fn tokens_of(text: &str) -> Vec<&str> {
-        let mut tokens = Vec::new();
-        alternating_tokens(text, &mut tokens);
-        tokens
-    }
-
-    /// One document's bytes, as [`TextModel::compress_onto`] writes them
-    /// onto a fresh writer.
-    pub(super) fn compress(model: &TextModel, text: &str) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        model.compress_onto(text, &mut Vec::new(), &mut w);
-        w.into_bytes()
-    }
-
-    #[test]
-    fn a_scan_compresses_each_text_as_compress_onto_does() {
-        let texts = ["the cat sat on the mat", "", "  a dog, the cat!", "mat"];
+    /// The model a scan of `texts` trains, and each text's bytes.
+    pub(super) fn build(texts: &[&str]) -> (TextModel, Vec<Vec<u8>>) {
         let mut scan = TextScan::default();
         let mut tokens = Vec::new();
         for text in texts {
@@ -443,19 +377,85 @@ mod tests {
         }
         let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
         let model = scan.finish(&mut arena, &mut ends).unwrap();
-        assert_eq!(
-            model.to_bytes(),
-            TextModel::train(texts).unwrap().to_bytes()
-        );
-        let mut start = 0;
-        for (text, end) in texts.into_iter().zip(ends) {
-            assert_eq!(
-                &arena.as_bytes()[start..end],
-                compress(&model, text),
-                "{text:?}"
-            );
-            start = end;
+        (model, cut(arena.as_bytes(), &ends))
+    }
+
+    /// The model a scan of `texts` trains.
+    pub(super) fn train(texts: &[&str]) -> TextModel {
+        build(texts).0
+    }
+
+    /// Each text's bytes, as one scan of `texts` coded with `model`
+    /// writes them.
+    pub(super) fn code<S: AsRef<str>>(model: &TextModel, texts: &[S]) -> Vec<Vec<u8>> {
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        for text in texts {
+            scan.add(text.as_ref(), &mut tokens);
         }
+        let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
+        scan.finish_with(model, &mut arena, &mut ends);
+        cut(arena.as_bytes(), &ends)
+    }
+
+    /// `arena` cut at `ends`.
+    fn cut(arena: &[u8], ends: &[usize]) -> Vec<Vec<u8>> {
+        let mut start = 0;
+        ends.iter()
+            .map(|&end| {
+                let text = arena[start..end].to_vec();
+                start = end;
+                text
+            })
+            .collect()
+    }
+
+    /// One text's bytes coded a token at a time from its string, each
+    /// looked up in `model` where it occurs: how appended texts were
+    /// coded before they were read through a scan. Kept as the oracle.
+    pub(super) fn per_token(model: &TextModel, text: &str) -> Vec<u8> {
+        let tokens: Vec<&str> = tokenize::split(text).collect();
+        let mut w = BitWriter::new();
+        write_gamma0(&mut w, tokens.len() as u64);
+        for (i, token) in tokens.into_iter().enumerate() {
+            let class = [&model.words, &model.nonwords][i % 2];
+            match class.tokens.term_id(token) {
+                Some(id) => class.code.encode(&mut w, id + 1),
+                None => {
+                    class.code.encode(&mut w, ESCAPE);
+                    write_gamma0(&mut w, token.len() as u64);
+                    for b in token.bytes() {
+                        w.write_bits(u64::from(b), 8);
+                    }
+                }
+            }
+        }
+        w.align_to_byte();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_scan_codes_each_text_as_per_token_coding_does() {
+        let texts = ["the cat sat on the mat", "", "  a dog, the cat!", "mat"];
+        let (model, coded) = build(&texts);
+        for (text, bytes) in texts.into_iter().zip(coded) {
+            assert_eq!(bytes, per_token(&model, text), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn an_unseen_token_is_escaped_at_every_occurrence() {
+        let model = train(&["the cat sat"]);
+        let texts = ["the axolotl sat, axolotl", "axolotl"];
+        let coded = code(&model, &texts);
+        for (text, bytes) in texts.into_iter().zip(&coded) {
+            assert_eq!(bytes, &per_token(&model, text), "{text:?}");
+            assert_eq!(model.decompress(bytes).unwrap(), text);
+        }
+        // Escaped, the word's bytes follow each of its escapes.
+        let once = code(&model, &["axolotl"])[0].len();
+        let twice = code(&model, &["axolotl axolotl"])[0].len();
+        assert!(twice > once + "axolotl".len(), "{once} then {twice} bytes");
     }
 
     #[test]
@@ -476,76 +476,43 @@ mod tests {
     }
 
     #[test]
-    fn tokens_alternate_and_concatenate() {
-        let text = "The cat, sat -- twice!";
-        let tokens = tokens_of(text);
-        assert_eq!(tokens.concat(), text);
-        for (i, tok) in tokens.iter().enumerate() {
-            if tok.is_empty() {
-                continue;
-            }
-            let all_word = tok.chars().all(char::is_alphanumeric);
-            assert_eq!(all_word, i % 2 == 0, "token {i}: {tok:?}");
-        }
-    }
-
-    #[test]
-    fn leading_separator_yields_empty_first_word() {
-        let tokens = tokens_of("  hello");
-        assert_eq!(tokens, vec!["", "  ", "hello"]);
-    }
-
-    #[test]
-    fn empty_text_has_no_tokens() {
-        assert!(tokens_of("").is_empty());
-    }
-
-    #[test]
-    fn unicode_text_tokenizes() {
-        let text = "naïve — café 42";
-        let tokens = tokens_of(text);
-        assert_eq!(tokens.concat(), text);
-    }
-
-    #[test]
     fn roundtrip_in_vocabulary() {
         let docs = ["the cat sat on the mat", "a dog sat on a log"];
-        let model = TextModel::train(docs.iter().copied()).unwrap();
-        for doc in docs {
-            assert_eq!(model.decompress(&compress(&model, doc)).unwrap(), doc);
+        let (model, coded) = build(&docs);
+        for (doc, bytes) in docs.into_iter().zip(coded) {
+            assert_eq!(model.decompress(&bytes).unwrap(), doc);
         }
     }
 
     #[test]
     fn roundtrip_novel_tokens() {
-        let model = TextModel::train(["the cat sat"].iter().copied()).unwrap();
+        let model = train(&["the cat sat"]);
         let text = "the zyzzyva sat; the cat wobbled?!";
-        assert_eq!(model.decompress(&compress(&model, text)).unwrap(), text);
+        assert_eq!(model.decompress(&code(&model, &[text])[0]).unwrap(), text);
     }
 
     #[test]
     fn roundtrip_empty_document() {
-        let model = TextModel::train(["some text"].iter().copied()).unwrap();
-        assert_eq!(model.decompress(&compress(&model, "")).unwrap(), "");
+        let model = train(&["some text"]);
+        assert_eq!(model.decompress(&code(&model, &[""])[0]).unwrap(), "");
     }
 
     #[test]
     fn compression_shrinks_repetitive_text() {
         let doc = "the quick brown fox jumps over the lazy dog ".repeat(50);
-        let model = TextModel::train([doc.as_str()].iter().copied()).unwrap();
-        let compressed = compress(&model, &doc);
+        let (_, coded) = build(&[&doc]);
         assert!(
-            compressed.len() < doc.len() / 2,
+            coded[0].len() < doc.len() / 2,
             "compressed {} vs original {}",
-            compressed.len(),
+            coded[0].len(),
             doc.len()
         );
     }
 
     #[test]
     fn truncated_stream_errors() {
-        let model = TextModel::train(["alpha beta gamma delta"].iter().copied()).unwrap();
-        let compressed = compress(&model, "alpha beta gamma delta alpha beta");
+        let model = train(&["alpha beta gamma delta"]);
+        let compressed = &code(&model, &["alpha beta gamma delta alpha beta"])[0];
         let cut = &compressed[..compressed.len() / 2];
         assert!(model.decompress(cut).is_err());
     }
@@ -553,20 +520,21 @@ mod tests {
     #[test]
     fn model_serialization_roundtrips_compression() {
         let docs = ["the cat sat on the mat", "dogs chase cats, often!"];
-        let model = TextModel::train(docs.iter().copied()).unwrap();
+        let model = train(&docs);
         let restored = TextModel::from_bytes(&model.to_bytes()).unwrap();
-        for text in [docs[0], docs[1], "a novel zyzzyva appears"] {
-            // A restored model must decode what the original encoded and
-            // encode identically.
-            let original = compress(&model, text);
-            assert_eq!(restored.decompress(&original).unwrap(), text);
-            assert_eq!(compress(&restored, text), original);
+        let texts = [docs[0], docs[1], "a novel zyzzyva appears"];
+        // A restored model must decode what the original encoded and
+        // encode identically.
+        let original = code(&model, &texts);
+        assert_eq!(code(&restored, &texts), original);
+        for (text, bytes) in texts.into_iter().zip(&original) {
+            assert_eq!(restored.decompress(bytes).unwrap(), text);
         }
     }
 
     #[test]
     fn model_deserialization_rejects_truncation() {
-        let model = TextModel::train(["alpha beta gamma"].iter().copied()).unwrap();
+        let model = train(&["alpha beta gamma"]);
         let bytes = model.to_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(TextModel::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
@@ -579,63 +547,39 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{compress, tokens_of};
-    use super::*;
+    use super::tests::{build, code, per_token, train};
     use proptest::prelude::*;
 
-    /// The char-by-char splitter the byte scan replaced.
-    fn peeking_tokens(text: &str) -> Vec<&str> {
-        let mut tokens = Vec::new();
-        let mut expect_word = true;
-        let mut start = 0;
-        let mut iter = text.char_indices().peekable();
-        while let Some(&(i, c)) = iter.peek() {
-            let is_word = c.is_alphanumeric();
-            if is_word == expect_word {
-                let mut end = i;
-                while let Some(&(j, d)) = iter.peek() {
-                    if d.is_alphanumeric() == is_word {
-                        end = j + d.len_utf8();
-                        iter.next();
-                    } else {
-                        break;
-                    }
-                }
-                tokens.push(&text[start..end]);
-                start = end;
-            } else {
-                tokens.push("");
-            }
-            expect_word = !expect_word;
-        }
-        tokens
-    }
-
     proptest! {
-        #[test]
-        fn tokens_always_concatenate(text in ".{0,400}") {
-            let tokens = tokens_of(&text);
-            prop_assert_eq!(tokens.concat(), text);
-        }
-
-        #[test]
-        fn the_byte_scan_splits_as_the_char_scan_did(
-            ascii in "[a-zA-Z0-9 ,.'-]{0,200}",
-            wide in "\\PC{0,200}",
+        /// A scan coded with a model trained on other texts is coded as
+        /// the per-token coder codes each text: upper case, digits and
+        /// punctuation the training texts lack are escaped, and every
+        /// batch has an empty text and one that starts with a non-word.
+        fn coding_a_scan_with_a_frozen_model_is_per_token_coding(
+            training in proptest::collection::vec("[a-z ,]{0,80}", 1..5),
+            texts in proptest::collection::vec("[a-zA-Z0-9,.;:!? éü'-]{0,200}", 0..6),
         ) {
-            for text in [ascii, wide] {
-                prop_assert_eq!(tokens_of(&text), peeking_tokens(&text));
+            let training: Vec<&str> = training.iter().map(String::as_str).collect();
+            let model = train(&training);
+            let mut texts = texts;
+            texts.push(String::new());
+            texts.push(format!(", {}", texts[0]));
+            for (text, bytes) in texts.iter().zip(code(&model, &texts)) {
+                prop_assert_eq!(&bytes, &per_token(&model, text));
+                prop_assert_eq!(&model.decompress(&bytes).unwrap(), text);
             }
         }
 
-        #[test]
-        fn compress_roundtrips_any_text(
-            train in proptest::collection::vec("[a-z ]{0,80}", 1..5),
-            text in "[a-zA-Z0-9,.;:!? éü-]{0,200}",
+        /// A scan that trains its model codes as the per-token coder does
+        /// with that model.
+        fn a_trained_scan_is_per_token_coding(
+            texts in proptest::collection::vec("[a-zA-Z ,.'-]{0,120}", 1..6),
         ) {
-            let model = TextModel::train(train.iter().map(String::as_str)).unwrap();
-            let compressed = compress(&model, &text);
-            prop_assert_eq!(model.decompress(&compressed).unwrap(), text);
+            let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let (model, coded) = build(&texts);
+            for (text, bytes) in texts.into_iter().zip(coded) {
+                prop_assert_eq!(bytes, per_token(&model, text));
+            }
         }
     }
 }

@@ -41,20 +41,10 @@ fn span(ends: &[usize], i: usize) -> Option<(usize, usize)> {
 }
 
 impl DocStore {
-    /// Builds the store, training the compression model on the collection
-    /// itself (semi-static modelling, as in MG).
-    pub fn build(docs: &[TrecDoc]) -> Self {
-        let mut scan = TextScan::default();
-        let mut tokens = Vec::new();
-        for doc in docs {
-            scan.add(&doc.text, &mut tokens);
-        }
-        Self::from_scan(scan, docs)
-    }
-
     /// The store of `docs`, which `scan` has read, in order, and nothing
-    /// else: each document is compressed from the token ids the scan
-    /// counted.
+    /// else: the compression model is trained on the collection itself
+    /// (semi-static modelling, as in MG), and each document is coded
+    /// from the token ids the scan counted.
     pub(crate) fn from_scan(scan: TextScan, docs: &[TrecDoc]) -> Self {
         let mut texts = BitWriter::new();
         let mut text_ends = Vec::with_capacity(docs.len());
@@ -129,20 +119,23 @@ impl DocStore {
         self.raw_bytes_total
     }
 
-    /// Appends documents, compressing them with the *existing* model —
-    /// novel words travel through the escape channel, so no retraining
-    /// (and no recompression of old documents) is needed. This is what
-    /// makes librarian-local update cheap. Each document is compressed
-    /// straight onto the arena, with one token buffer for the batch.
-    pub fn append(&mut self, docs: &[TrecDoc]) {
+    /// Appends `docs`, which `scan` has read, in order, and nothing else,
+    /// coding them with the *existing* model — novel words travel
+    /// through the escape channel, so no retraining (and no
+    /// recompression of old documents) is needed. This is what makes
+    /// librarian-local update cheap. Each document is coded from the
+    /// scan's ids straight onto the arena.
+    pub(crate) fn append<'d>(
+        &mut self,
+        scan: TextScan,
+        docs: impl IntoIterator<Item = &'d TrecDoc>,
+    ) {
         let mut texts = BitWriter::from(std::mem::take(&mut self.texts));
-        let mut tokens = Vec::new();
+        scan.finish_with(&self.model, &mut texts, &mut self.text_ends);
+        self.texts = texts.into_bytes();
         for doc in docs {
-            self.model.compress_onto(&doc.text, &mut tokens, &mut texts);
-            self.text_ends.push(texts.as_bytes().len());
             self.record(doc);
         }
-        self.texts = texts.into_bytes();
     }
 
     /// Serializes the store (model, identifiers, compressed documents).
@@ -226,6 +219,21 @@ impl DocStore {
 mod tests {
     use super::*;
 
+    /// The store of `docs`, each read through one scan.
+    fn scanned(docs: &[TrecDoc]) -> TextScan {
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        for doc in docs {
+            scan.add(&doc.text, &mut tokens);
+        }
+        scan
+    }
+
+    /// The store a build makes of `docs`.
+    fn store_of(docs: &[TrecDoc]) -> DocStore {
+        DocStore::from_scan(scanned(docs), docs)
+    }
+
     fn docs() -> Vec<TrecDoc> {
         vec![
             TrecDoc {
@@ -245,15 +253,32 @@ mod tests {
 
     #[test]
     fn fetch_roundtrips_exact_text() {
-        let store = DocStore::build(&docs());
+        let store = store_of(&docs());
         for (i, d) in docs().iter().enumerate() {
             assert_eq!(store.fetch(i as DocId).unwrap(), d.text);
         }
     }
 
     #[test]
+    fn appended_documents_fetch_with_the_existing_model() {
+        let mut store = store_of(&docs()[..1]);
+        let model = store.model.to_bytes();
+        let batch = &docs()[1..];
+        store.append(scanned(batch), batch);
+        assert_eq!(store.model.to_bytes(), model, "no retraining");
+        for (i, d) in docs().iter().enumerate() {
+            assert_eq!(store.fetch(i as DocId).unwrap(), d.text);
+            assert_eq!(store.docno(i as DocId), Some(d.docno.as_str()));
+        }
+        assert_eq!(
+            store.raw_bytes_total(),
+            docs().iter().map(|d| d.text.len()).sum::<usize>()
+        );
+    }
+
+    #[test]
     fn docno_lookup_both_ways() {
-        let store = DocStore::build(&docs());
+        let store = store_of(&docs());
         assert_eq!(store.docno(1), Some("A-2"));
         assert_eq!(store.docno(3), None);
         assert_eq!(store.doc_id("A-2"), Some(1));
@@ -262,7 +287,7 @@ mod tests {
 
     #[test]
     fn unknown_doc_is_an_error() {
-        let store = DocStore::build(&docs());
+        let store = store_of(&docs());
         assert!(matches!(
             store.fetch(99),
             Err(EngineError::UnknownDocument(99))
@@ -278,20 +303,20 @@ mod tests {
                 text: "alpha beta gamma delta epsilon zeta eta theta ".repeat(20),
             })
             .collect();
-        let store = DocStore::build(&repeated);
+        let store = store_of(&repeated);
         assert!(store.compressed_bytes_total() < store.raw_bytes_total() / 2);
     }
 
     #[test]
     fn empty_store() {
-        let store = DocStore::build(&[]);
+        let store = store_of(&[]);
         assert!(store.docno_ends.is_empty());
         assert_eq!(store.compressed_bytes_total(), 0);
     }
 
     #[test]
     fn store_serialization_roundtrips() {
-        let store = DocStore::build(&docs());
+        let store = store_of(&docs());
         let restored = DocStore::from_bytes(&store.to_bytes()).unwrap();
         assert_eq!(restored.docnos, store.docnos);
         assert_eq!(restored.raw_bytes_total(), store.raw_bytes_total());
@@ -304,7 +329,7 @@ mod tests {
 
     #[test]
     fn store_deserialization_rejects_truncation() {
-        let store = DocStore::build(&docs());
+        let store = store_of(&docs());
         let bytes = store.to_bytes();
         for cut in [0, 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(DocStore::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");

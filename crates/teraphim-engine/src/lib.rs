@@ -119,17 +119,11 @@ impl Collection {
     ///
     /// Each text is read once: the text model's scan splits it, and its
     /// tokens feed both the index ([`IndexBuilder::add_scanned`]) and the
-    /// document store, which compresses every document from the token
-    /// ids that scan counted. The bytes are those of an index built with
-    /// [`IndexBuilder::add_text`] beside a [`DocStore::build`].
+    /// document store, which trains its model on the scan and codes every
+    /// document from the token ids the scan counted.
     pub fn build(name: &str, analyzer: Analyzer, docs: &[TrecDoc]) -> Self {
-        let mut builder = IndexBuilder::new();
         let mut scan = TextScan::default();
-        let mut tokens = Vec::new();
-        for doc in docs {
-            let ids = scan.add(&doc.text, &mut tokens);
-            builder.add_scanned(&analyzer, &tokens, ids);
-        }
+        let builder = index_scanned(&analyzer, &mut scan, docs);
         // The store first: coding the texts unmaps the scan's ids (see
         // `TextScan`) before the index's build allocates its sorted copy
         // of the postings, so a build's resident peak holds one of the
@@ -276,7 +270,10 @@ impl Collection {
     /// [`Collection::append_documents`] per batch, because each batch is
     /// still indexed into a delta of its own (a document's weight is
     /// summed in its delta's term order), but the existing index is
-    /// copied once instead of once per batch. No batches, no change.
+    /// copied once instead of once per batch. The batches are read as a
+    /// build reads its documents, through one text scan that feeds the
+    /// deltas and the store, which codes them with the model it has.
+    /// No batches, no change.
     ///
     /// # Errors
     ///
@@ -286,20 +283,13 @@ impl Collection {
         if batches.is_empty() {
             return Ok(());
         }
+        let mut scan = TextScan::default();
         let deltas: Vec<InvertedIndex> = batches
             .iter()
-            .map(|docs| {
-                let mut delta = IndexBuilder::new();
-                for doc in *docs {
-                    delta.add_text(&self.analyzer, &doc.text);
-                }
-                delta.build()
-            })
+            .map(|docs| index_scanned(&self.analyzer, &mut scan, docs).build())
             .collect();
         self.index = teraphim_index::merge::merge(&self.index, &deltas)?;
-        for docs in batches {
-            self.store.append(docs);
-        }
+        self.store.append(scan, batches.iter().copied().flatten());
         Ok(())
     }
 
@@ -419,6 +409,18 @@ impl Collection {
             .map_err(|_| EngineError::Corrupt("failed to read collection file"))?;
         Collection::from_bytes(&bytes)
     }
+}
+
+/// A builder of `docs`, each read through `scan` and indexed by
+/// `analyzer`.
+fn index_scanned(analyzer: &Analyzer, scan: &mut TextScan, docs: &[TrecDoc]) -> IndexBuilder {
+    let mut builder = IndexBuilder::new();
+    let mut tokens = Vec::new();
+    for doc in docs {
+        let ids = scan.add(&doc.text, &mut tokens);
+        builder.add_scanned(analyzer, &tokens, ids);
+    }
+    builder
 }
 
 #[cfg(test)]

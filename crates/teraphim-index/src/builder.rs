@@ -7,16 +7,15 @@ use crate::vocab::{self, read_u32, Vocabulary};
 use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
 use std::sync::OnceLock;
-use teraphim_compress::dict::Dictionary;
-use teraphim_text::Analyzer;
+use teraphim_text::{tokenize, Analyzer};
 
 /// An in-memory index under construction.
 ///
-/// Documents are added as text ([`IndexBuilder::add_text`]) or as term
-/// sequences (the output of `teraphim_text::Analyzer::analyze`); ids are
-/// assigned densely in insertion order, which is also what keeps
-/// *grouping* meaningful — the paper's groups are runs of `G`
-/// consecutive document numbers.
+/// Documents are added as the tokens of a text model's scan
+/// ([`IndexBuilder::add_scanned`]) or as term sequences (the output of
+/// `teraphim_text::Analyzer::analyze`); ids are assigned densely in
+/// insertion order, which is also what keeps *grouping* meaningful —
+/// the paper's groups are runs of `G` consecutive document numbers.
 ///
 /// # Examples
 ///
@@ -42,27 +41,25 @@ pub struct IndexBuilder {
     doc_lengths: Vec<u32>,
     /// The term ids of the document being added (kept for its capacity).
     ids: Vec<TermId>,
-    /// What each token [`IndexBuilder::add_text`] has met stands for.
+    /// What each scanned word [`IndexBuilder::add_scanned`] has met
+    /// stands for.
     memo: Memo,
 }
 
-/// Token → term, for the texts one analyzer feeds a builder: each
-/// distinct folded token ([`IndexBuilder::add_text`]) or scanned word
-/// ([`IndexBuilder::add_scanned`]) is filtered, stopped and stemmed
-/// once, however often it occurs.
+/// Word id → term, for the texts one analyzer feeds a builder: each
+/// distinct word of the scan is filtered, stopped and stemmed once,
+/// however often it occurs.
 #[derive(Debug, Default)]
 struct Memo {
     /// The analyzer the entries were made with; another one clears them.
     analyzer: Option<Analyzer>,
-    /// The distinct tokens, in the order they were met.
-    tokens: Dictionary,
-    /// Per token id, its term's id, or [`DROPPED`].
-    terms: Vec<TermId>,
     /// Per word id of the text model's scan, its term's id, [`DROPPED`],
     /// or [`UNSEEN`] until the word stands alone in a text.
     words: Vec<TermId>,
     /// Scratch for tokens that are not slices of their text.
     fold: String,
+    /// Scratch for a token's stem.
+    stem: String,
 }
 
 impl Memo {
@@ -86,23 +83,6 @@ const DROPPED: TermId = TermId::MAX;
 /// A memo entry for a scanned word not yet analyzed.
 const UNSEEN: TermId = TermId::MAX - 1;
 
-/// The term of the token that `words` make, folded into `fold` as the
-/// analyzer folds a token: its id in `vocab`, or [`DROPPED`].
-fn analyze<'w>(
-    analyzer: &Analyzer,
-    words: impl IntoIterator<Item = &'w &'w str>,
-    fold: &mut String,
-    vocab: &mut Vocabulary,
-) -> TermId {
-    fold.clear();
-    for word in words {
-        fold.extend(word.chars().flat_map(char::to_lowercase));
-    }
-    analyzer
-        .term(fold)
-        .map_or(DROPPED, |term| vocab.intern(&term))
-}
-
 impl IndexBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
@@ -117,82 +97,43 @@ impl IndexBuilder {
         self.push_ids(ids)
     }
 
-    /// Adds a document given its text, analyzed by `analyzer`; returns
-    /// its id. The index is the same, to the byte, as
-    /// `add_document(&analyzer.analyze(text))` builds, but the text is
-    /// read once and each distinct token analyzed once per builder.
-    pub fn add_text(&mut self, analyzer: &Analyzer, text: &str) -> DocId {
-        let memo = self.memo.for_analyzer(analyzer);
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        let vocab = &mut self.vocab;
-        analyzer.tokens(text, &mut memo.fold, |token| {
-            let term = match memo.tokens.term_id(token) {
-                Some(seen) => memo.terms[seen as usize],
-                None => {
-                    let term = analyzer
-                        .term(token)
-                        .map_or(DROPPED, |term| vocab.intern(&term));
-                    memo.tokens.intern(token);
-                    memo.terms.push(term);
-                    term
-                }
-            };
-            if term != DROPPED {
-                ids.push(term);
-            }
-        });
-        self.push_ids(ids)
-    }
-
     /// Adds a document given the tokens and token ids that
     /// `teraphim_compress::textcomp::TextScan::add` returned for its
     /// text, analyzed by `analyzer`; returns its id. Every call on a
     /// builder takes its ids from one scan. The index is the same, to the
-    /// byte, as [`IndexBuilder::add_text`] builds from the text, but
-    /// nothing is split or hashed again: a word is folded and analyzed
-    /// when it first stands alone, and its term is then found by its id.
-    ///
-    /// The two tokenizers differ in one place: the analyzer joins two
-    /// words across a non-word that is exactly `'` (`don't`,
-    /// `rock'n'roll`), which the text model splits. Such a run is folded
-    /// and analyzed whole, where it occurs.
+    /// byte, as `add_document(&analyzer.analyze(text))` builds, but
+    /// nothing is split or hashed again: the analyzer's words are the
+    /// scan's ([`tokenize::words`]), and a word is folded and analyzed
+    /// when it first stands alone, its term then found by its id. A word
+    /// joined across apostrophes is folded and analyzed where it occurs.
     pub fn add_scanned(&mut self, analyzer: &Analyzer, tokens: &[&str], ids: &[u32]) -> DocId {
         let memo = self.memo.for_analyzer(analyzer);
         let vocab = &mut self.vocab;
+        let mut term_of = |pieces: &[&str], memo: &mut Memo| {
+            let token = tokenize::fold(pieces, &mut memo.fold);
+            analyzer
+                .term(token, &mut memo.stem)
+                .map_or(DROPPED, |term| vocab.intern(term))
+        };
         let mut terms = std::mem::take(&mut self.ids);
         terms.clear();
-        // Tokens alternate word, non-word from a word (empty only when
-        // the text starts with a non-word), so a word at `i` joins the
-        // next across a lone apostrophe at `i + 1`.
-        let joins = |i: usize| {
-            !tokens[i].is_empty() && tokens.get(i + 1) == Some(&"'") && tokens.len() > i + 2
-        };
-        let mut i = 0;
-        while i < tokens.len() {
-            let first = i;
-            while joins(i) {
-                i += 2;
-            }
-            let term = if first < i {
-                let words = tokens[first..=i].iter().step_by(2);
-                analyze(analyzer, words, &mut memo.fold, vocab)
-            } else if tokens[i].is_empty() {
-                DROPPED
+        for word in tokenize::words(tokens.iter().copied()) {
+            let pieces = &tokens[word.first..=word.last];
+            let term = if word.first < word.last {
+                term_of(pieces, memo)
             } else {
-                let word = ids[i] as usize;
-                if word >= memo.words.len() {
-                    memo.words.resize(word + 1, UNSEEN);
+                let id = ids[word.first] as usize;
+                if id >= memo.words.len() {
+                    memo.words.resize(id + 1, UNSEEN);
                 }
-                if memo.words[word] == UNSEEN {
-                    memo.words[word] = analyze(analyzer, [&tokens[i]], &mut memo.fold, vocab);
+                if memo.words[id] == UNSEEN {
+                    memo.words[id] = term_of(pieces, memo);
                 }
-                memo.words[word]
+                memo.words[id]
             };
             if term != DROPPED {
                 terms.push(term);
             }
-            i += 2;
         }
         self.push_ids(terms)
     }

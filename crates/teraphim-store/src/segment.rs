@@ -160,7 +160,7 @@ impl<'a> Segment<'a> {
             });
         }
         for pair in batches.windows(2) {
-            if pair[1].epoch != pair[0].epoch + 1 {
+            if pair[0].epoch.checked_add(1) != Some(pair[1].epoch) {
                 return Err(StoreError::Corrupt {
                     what: "segment batch epochs not contiguous",
                 });
@@ -252,6 +252,26 @@ mod tests {
             batches: vec![
                 SegmentBatch { epoch: 0, docs: 1 },
                 SegmentBatch { epoch: 2, docs: 1 },
+            ],
+        };
+        assert_eq!(
+            Segment::decode(&encode(&seg)),
+            Err(StoreError::Corrupt {
+                what: "segment batch epochs not contiguous"
+            })
+        );
+    }
+
+    #[test]
+    fn an_epoch_that_wraps_is_not_contiguous() {
+        let seg = Segment {
+            collection: Cow::Borrowed(&[1, 2, 3]),
+            batches: vec![
+                SegmentBatch {
+                    epoch: u64::MAX,
+                    docs: 1,
+                },
+                SegmentBatch { epoch: 0, docs: 1 },
             ],
         };
         assert_eq!(

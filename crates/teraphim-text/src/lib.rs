@@ -1,13 +1,16 @@
-//! Text processing for TERAPHIM: tokenization, stopping, stemming and
+//! Text processing for TERAPHIM: the word split, stopping, stemming and
 //! TREC-style SGML document parsing.
 //!
 //! The paper's query pipeline applies "simple transformations such as
 //! removal of stop-words" before evaluation; MG additionally case-folds
 //! and stems terms. This crate implements that pipeline:
 //!
+//! * [`tokenize`] — the one word split: MG's alternating word / non-word
+//!   parse, which the text model codes, and the one rule by which the
+//!   analyzer joins two words across a lone apostrophe.
 //! * [`Analyzer`] — the composed pipeline used by indexing and querying:
-//!   case-folded alphanumeric tokenization ([`Analyzer::tokens`]), then
-//!   the classic short English stop list ([`stopwords`]) and the Porter
+//!   the split's words, case-folded ([`Analyzer::tokens`]), then the
+//!   classic short English stop list ([`stopwords`]) and the Porter
 //!   stemming algorithm ([`stem`]) applied to each token
 //!   ([`Analyzer::term`]).
 //! * [`sgml`] — parsing of TREC-format `<DOC>` collections.
@@ -25,9 +28,8 @@
 pub mod sgml;
 pub mod stem;
 pub mod stopwords;
-mod tokenize;
+pub mod tokenize;
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// The composed text-analysis pipeline: tokenize → stop → stem.
@@ -102,17 +104,23 @@ impl Analyzer {
         self.stem
     }
 
-    /// Calls `each` with every case-folded token of `text`, in order,
-    /// borrowed: a slice of `text` when the word is already lower-case
-    /// ASCII, else `fold` (scratch the caller keeps across texts, so
-    /// that a scan allocates nothing a token).
-    pub fn tokens(&self, text: &str, fold: &mut String, each: impl FnMut(&str)) {
-        tokenize::for_each_token(text, fold, each);
+    /// Calls `each` with every case-folded token of `text`, in order:
+    /// the words of its [`tokenize::split`] as [`tokenize::words`] joins
+    /// them, each [`tokenize::fold`]ed. A token is borrowed: a slice of
+    /// `text` when the word is already lower-case ASCII, else `fold`
+    /// (scratch the caller keeps across texts, so that a scan allocates
+    /// nothing a token).
+    pub fn tokens(&self, text: &str, fold: &mut String, mut each: impl FnMut(&str)) {
+        for word in tokenize::words(tokenize::split(text)) {
+            each(tokenize::fold(&[&text[word.bytes]], fold));
+        }
     }
 
     /// The index term a token of [`Analyzer::tokens`] stands for, or
-    /// `None` if its length is out of range or it is a stop word.
-    pub fn term<'t>(&self, token: &'t str) -> Option<Cow<'t, str>> {
+    /// `None` if its length is out of range or it is a stop word: the
+    /// token itself, or its stem, written to `stem` (scratch the caller
+    /// keeps across tokens, so that a term allocates nothing).
+    pub fn term<'a>(&self, token: &'a str, stem: &'a mut String) -> Option<&'a str> {
         if token.len() < self.min_len
             || token.len() > self.max_len
             || (self.stop && stopwords::is_stopword(token))
@@ -120,9 +128,10 @@ impl Analyzer {
             return None;
         }
         Some(if self.stem {
-            Cow::Owned(stem::stem(token))
+            stem::stem(token, stem);
+            stem
         } else {
-            Cow::Borrowed(token)
+            token
         })
     }
 
@@ -130,8 +139,9 @@ impl Analyzer {
     /// occurrence order (duplicates preserved).
     pub fn analyze(&self, text: &str) -> Vec<String> {
         let mut terms = Vec::new();
+        let mut stem = String::new();
         self.tokens(text, &mut String::new(), |token| {
-            terms.extend(self.term(token).map(Cow::into_owned));
+            terms.extend(self.term(token, &mut stem).map(str::to_owned));
         });
         terms
     }
@@ -140,13 +150,14 @@ impl Analyzer {
     /// a query's `(term, f_qt)` pairs.
     pub fn term_counts(&self, text: &str) -> Vec<(String, u32)> {
         let mut counts: Vec<(String, u32)> = Vec::new();
+        let mut stem = String::new();
         self.tokens(text, &mut String::new(), |token| {
-            let Some(term) = self.term(token) else {
+            let Some(term) = self.term(token, &mut stem) else {
                 return;
             };
-            match counts.binary_search_by(|(t, _)| t.as_str().cmp(&term)) {
+            match counts.binary_search_by(|(t, _)| t.as_str().cmp(term)) {
                 Ok(i) => counts[i].1 += 1,
-                Err(i) => counts.insert(i, (term.into_owned(), 1)),
+                Err(i) => counts.insert(i, (term.to_owned(), 1)),
             }
         });
         counts
@@ -210,11 +221,12 @@ mod tests {
     #[test]
     fn term_drops_out_of_range_and_stopped_tokens() {
         let a = Analyzer::default();
-        assert_eq!(a.term("the"), None);
-        assert_eq!(a.term(&"x".repeat(65)), None);
-        assert_eq!(a.term(&"x".repeat(64)).as_deref(), Some(&*"x".repeat(64)));
-        assert_eq!(a.term("running").as_deref(), Some("run"));
-        assert_eq!(Analyzer::raw().term("the").as_deref(), Some("the"));
+        let s = &mut String::new();
+        assert_eq!(a.term("the", s), None);
+        assert_eq!(a.term(&"x".repeat(65), s), None);
+        assert_eq!(a.term(&"x".repeat(64), s), Some(&*"x".repeat(64)));
+        assert_eq!(a.term("running", s), Some("run"));
+        assert_eq!(Analyzer::raw().term("the", s), Some("the"));
     }
 
     #[test]

@@ -5,19 +5,23 @@
 //! characters, or shorter than three characters, are returned unchanged —
 //! the algorithm is defined over English.
 
-/// Stems a single lower-case word (`caresses` → `caress`, `running` →
-/// `run`, `relational` → `relat`, `sky` → `sky`). Its one caller is
-/// [`crate::Analyzer::term`].
-pub(crate) fn stem(word: &str) -> String {
+/// Stems a single lower-case word into `out` (cleared first; scratch the
+/// caller keeps, so that a stem allocates nothing): `caresses` →
+/// `caress`, `running` → `run`, `relational` → `relat`, `sky` → `sky`.
+/// Its one caller is [`crate::Analyzer::term`].
+pub(crate) fn stem(word: &str, out: &mut String) {
+    out.clear();
+    out.push_str(word);
     if word.len() <= 2
         || !word
             .bytes()
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
     {
-        return word.to_owned();
+        return;
     }
+    // A stem is never longer than its word, so the buffer never grows.
     let mut s = Stemmer {
-        b: word.as_bytes().to_vec(),
+        b: std::mem::take(out).into_bytes(),
         k: word.len(),
     };
     s.step1ab();
@@ -27,7 +31,7 @@ pub(crate) fn stem(word: &str) -> String {
     s.step4();
     s.step5();
     s.b.truncate(s.k);
-    String::from_utf8(s.b).expect("ascii input stays ascii")
+    *out = String::from_utf8(s.b).expect("ascii input stays ascii");
 }
 
 struct Stemmer {
@@ -281,7 +285,12 @@ impl Stemmer {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// The stem of `word`, owned.
+    pub(super) fn stem(word: &str) -> String {
+        let mut out = String::from("scratch from an earlier word");
+        super::stem(word, &mut out);
+        out
+    }
 
     /// Classic Porter test vectors (from the published algorithm paper and
     /// reference implementation).
@@ -407,7 +416,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
+    use super::tests::stem;
     use proptest::prelude::*;
 
     proptest! {

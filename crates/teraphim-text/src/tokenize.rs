@@ -1,89 +1,132 @@
-//! Case-folded alphanumeric tokenization: the one tokenizer loop.
+//! The one word split, which the text model and the analyzer both read.
 //!
-//! A token is a maximal run of alphanumeric characters, lower-cased a
-//! character at a time. Lower-casing may add characters that are not
-//! alphanumeric themselves (`İ` becomes `i` and U+0307 COMBINING DOT
-//! ABOVE), so a token is not always alphanumeric. Apostrophes inside a
-//! word (`libraries'`, `don't`) are dropped rather than splitting the
-//! word, matching the behaviour of classic IR tokenizers.
-//!
-//! The scan hands each token over borrowed, and allocates nothing for
-//! it: a word that is already lower-case ASCII letters and digits is a
-//! slice of the text; any other word (upper case, non-ASCII, an inner
-//! apostrophe) is folded into a buffer the caller keeps across texts.
+//! [`split`] cuts a text into MG's alternating word and non-word tokens,
+//! which the text model (`teraphim_compress::textcomp`) codes. [`words`]
+//! is the one join rule on top of it: the analyzer indexes every word,
+//! except that two words across a non-word that is exactly `'` form one
+//! (`don't`, `rock'n'roll`). [`fold`] makes a word's index token. Nothing
+//! here allocates: tokens are slices of the text, and a word that must be
+//! folded is folded into a buffer the caller keeps across texts.
 
-/// Calls `each` with every token of `text`, in order. `fold` is scratch
-/// for the tokens that are not slices of `text`; its contents on entry
-/// do not matter.
-pub(crate) fn for_each_token(text: &str, fold: &mut String, mut each: impl FnMut(&str)) {
+use std::ops::Range;
+
+/// The tokens of `text`, strictly alternating word and non-word from a
+/// word that is empty only when the text starts with a non-word. A word
+/// is a maximal run of alphanumeric characters, a non-word a maximal run
+/// of anything else; the tokens concatenate to the text.
+pub fn split(text: &str) -> impl Iterator<Item = &str> {
+    let (mut at, mut word) = (0, true);
+    std::iter::from_fn(move || {
+        // A maximal run of the expected class; empty if the next
+        // character is of the other one, which restores alternation.
+        let start = at;
+        at = run_end(text, start, word);
+        word = !word;
+        (start < text.len()).then(|| &text[start..at])
+    })
+}
+
+/// Where the run of word (`word`) or non-word characters that starts at
+/// byte `i` of `text` ends.
+fn run_end(text: &str, mut i: usize, word: bool) -> usize {
     let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let (c, len) = char_at(text, i);
-        if !is_word(c) {
-            i += len;
-            continue;
+    while let Some(&b) = bytes.get(i) {
+        let (is_word, len) = if b.is_ascii() {
+            (b.is_ascii_alphanumeric(), 1)
+        } else {
+            let c = text[i..].chars().next().expect("i is a char boundary");
+            (c.is_alphanumeric(), c.len_utf8())
+        };
+        if is_word != word {
+            break;
         }
-        // The maximal word run from `start`, taking an apostrophe when
-        // an alphanumeric character follows it. `plain` while every
-        // character is a lower-case ASCII letter or a digit.
-        let start = i;
-        let mut plain = true;
-        while i < bytes.len() {
-            let (c, len) = char_at(text, i);
-            if is_word(c) {
-                plain &= c.is_ascii_lowercase() || c.is_ascii_digit();
-                i += len;
-            } else if c == '\'' && i + 1 < bytes.len() && is_word(char_at(text, i + 1).0) {
-                plain = false;
-                i += 1;
-            } else {
-                break;
+        i += len;
+    }
+    i
+}
+
+/// A word the analyzer indexes: its first and last tokens' indexes in
+/// the split (`last > first` when words are joined, every token between
+/// them `'`), and the bytes they cover from the start of the split.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Word {
+    pub first: usize,
+    pub last: usize,
+    pub bytes: Range<usize>,
+}
+
+/// The words the analyzer indexes in `tokens`, a [`split`]: every
+/// non-empty word, with the words after it across a non-word that is
+/// exactly `'` joined on. A leading, trailing or doubled apostrophe joins
+/// nothing.
+pub fn words<'t>(tokens: impl IntoIterator<Item = &'t str>) -> impl Iterator<Item = Word> {
+    let mut tokens = tokens.into_iter().enumerate();
+    let mut at = 0;
+    // The word met last, while the tokens after it may still join on.
+    let mut open: Option<Word> = None;
+    std::iter::from_fn(move || {
+        for (i, token) in tokens.by_ref() {
+            let bytes = at..at + token.len();
+            at = bytes.end;
+            if i % 2 == 1 {
+                if token != "'" && open.is_some() {
+                    return open.take();
+                }
+            } else if let Some(word) = &mut open {
+                // Only a lone apostrophe leaves a word open to here.
+                word.last = i;
+                word.bytes.end = bytes.end;
+            } else if !token.is_empty() {
+                open = Some(Word {
+                    first: i,
+                    last: i,
+                    bytes,
+                });
             }
         }
-        let word = &text[start..i];
-        if plain {
-            each(word);
-        } else {
-            fold.clear();
-            fold.extend(
-                word.chars()
-                    .filter(|&c| c != '\'')
-                    .flat_map(char::to_lowercase),
-            );
-            each(fold);
-        }
-    }
+        open.take()
+    })
 }
 
-/// The character that starts at byte `i` of `text`, and its length.
-fn char_at(text: &str, i: usize) -> (char, usize) {
-    match text.as_bytes()[i] {
-        b if b.is_ascii() => (char::from(b), 1),
-        _ => {
-            let c = text[i..].chars().next().expect("i is a char boundary");
-            (c, c.len_utf8())
+/// The index token of a word made of `pieces` (one slice of text that a
+/// [`Word`] covers, or its tokens): the piece itself when it is one
+/// piece of lower-case ASCII letters and digits, else, folded into
+/// `fold`, apostrophes dropped and lower-cased a character at a time
+/// (`İ` grows to `i` and U+0307, which is not alphanumeric).
+pub fn fold<'a>(pieces: &[&'a str], fold: &'a mut String) -> &'a str {
+    if let [piece] = pieces {
+        if piece
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit())
+        {
+            return piece;
         }
     }
-}
-
-/// True if `c` belongs to a word.
-fn is_word(c: char) -> bool {
-    if c.is_ascii() {
-        c.is_ascii_alphanumeric()
-    } else {
-        c.is_alphanumeric()
-    }
+    fold.clear();
+    fold.extend(
+        pieces
+            .iter()
+            .flat_map(|piece| piece.chars())
+            .filter(|&c| c != '\'')
+            .flat_map(char::to_lowercase),
+    );
+    fold
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The index tokens of `text`: its words, each folded.
     pub(crate) fn toks(text: &str) -> Vec<String> {
-        let mut tokens = Vec::new();
-        for_each_token(text, &mut String::new(), |tok| tokens.push(tok.to_owned()));
-        tokens
+        let mut buf = String::new();
+        words(split(text))
+            .map(|word| fold(&[&text[word.bytes]], &mut buf).to_owned())
+            .collect()
+    }
+
+    pub(crate) fn tokens_of(text: &str) -> Vec<&str> {
+        split(text).collect()
     }
 
     #[test]
@@ -107,8 +150,8 @@ mod tests {
     #[test]
     fn internal_apostrophes_fold_into_the_word() {
         assert_eq!(
-            toks("don't libraries' o'clock"),
-            vec!["dont", "libraries", "oclock"]
+            toks("don't libraries' o'clock rock'n'roll"),
+            vec!["dont", "libraries", "oclock", "rocknroll"]
         );
     }
 
@@ -117,6 +160,39 @@ mod tests {
         assert_eq!(toks("cats' "), vec!["cats"]);
         assert_eq!(toks("cats'"), vec!["cats"]);
         assert_eq!(toks("a''b 'c"), vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn a_word_names_its_tokens_and_bytes() {
+        let text = "'t, rock'n'roll'";
+        assert_eq!(
+            words(split(text)).collect::<Vec<_>>(),
+            [
+                Word {
+                    first: 2,
+                    last: 2,
+                    bytes: 1..2
+                },
+                Word {
+                    first: 4,
+                    last: 8,
+                    bytes: 4..15
+                },
+            ]
+        );
+        assert_eq!(tokens_of(text)[4..=8], ["rock", "'", "n", "'", "roll"]);
+    }
+
+    #[test]
+    fn a_word_folds_alike_from_its_tokens_and_from_its_bytes() {
+        let text = "Rock'N'Roll";
+        let tokens = tokens_of(text);
+        let (mut a, mut b) = (String::new(), String::new());
+        assert_eq!(fold(&tokens, &mut a), "rocknroll");
+        assert_eq!(fold(&[text], &mut b), "rocknroll");
+        // One lower-case ASCII piece is itself, not a copy.
+        let plain = "b52";
+        assert!(std::ptr::eq(fold(&[plain], &mut a), plain));
     }
 
     #[test]
@@ -142,15 +218,42 @@ mod tests {
     fn hyphenated_words_split() {
         assert_eq!(toks("mono-server"), vec!["mono", "server"]);
     }
+
+    #[test]
+    fn tokens_alternate_and_concatenate() {
+        let text = "The cat, sat -- twice!";
+        let tokens = tokens_of(text);
+        assert_eq!(tokens.concat(), text);
+        for (i, tok) in tokens.iter().enumerate() {
+            let all_word = tok.chars().all(char::is_alphanumeric);
+            assert_eq!(all_word, i % 2 == 0, "token {i}: {tok:?}");
+        }
+    }
+
+    #[test]
+    fn leading_separator_yields_empty_first_word() {
+        assert_eq!(tokens_of("  hello"), vec!["", "  ", "hello"]);
+    }
+
+    #[test]
+    fn empty_text_has_no_tokens() {
+        assert!(tokens_of("").is_empty());
+    }
+
+    #[test]
+    fn unicode_text_splits() {
+        let text = "naïve — café 42";
+        assert_eq!(tokens_of(text).concat(), text);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::toks;
+    use super::tests::{tokens_of, toks};
     use proptest::prelude::*;
 
-    /// The tokenizer this scan replaced: an iterator that yields an
-    /// owned, folded `String` per token.
+    /// The analyzer's tokenizer before it read the split: an iterator
+    /// that yields an owned, folded `String` per token.
     fn owned_tokens(text: &str) -> Vec<String> {
         let mut tokens = Vec::new();
         let mut rest = text;
@@ -186,13 +289,58 @@ mod proptests {
         tokens
     }
 
+    /// The text model's char-by-char splitter before the byte scan.
+    fn peeking_tokens(text: &str) -> Vec<&str> {
+        let mut tokens = Vec::new();
+        let mut expect_word = true;
+        let mut start = 0;
+        let mut iter = text.char_indices().peekable();
+        while let Some(&(i, c)) = iter.peek() {
+            let is_word = c.is_alphanumeric();
+            if is_word == expect_word {
+                let mut end = i;
+                while let Some(&(j, d)) = iter.peek() {
+                    if d.is_alphanumeric() == is_word {
+                        end = j + d.len_utf8();
+                        iter.next();
+                    } else {
+                        break;
+                    }
+                }
+                tokens.push(&text[start..end]);
+                start = end;
+            } else {
+                tokens.push("");
+            }
+            expect_word = !expect_word;
+        }
+        tokens
+    }
+
+    /// Apostrophe pieces and the words and separators around them.
+    fn apostrophes() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 10] = [
+            "'t",
+            "a''b",
+            "rock'n'roll",
+            "cats'",
+            "'",
+            "Don't",
+            "x",
+            " ",
+            ", ",
+            "İ",
+        ];
+        proptest::collection::vec(0usize..PIECES.len(), 0..40)
+            .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+    }
+
     proptest! {
         /// Without apostrophes, the tokens are the text's maximal
         /// alphanumeric runs, each lower-cased a character at a time. `İ`
         /// (U+0130) is in the alphabet because its lower case ends in
         /// U+0307, which is not alphanumeric (and is in it too, as a
         /// separator).
-        #[test]
         fn tokens_are_alphanumeric_runs_lower_cased(
             text in "[a-zA-Z0-9 ,.\u{130}\u{307}\u{212a}\u{212b}\u{23a}σΣßéλЖ中—]{0,300}"
         ) {
@@ -204,17 +352,30 @@ mod proptests {
             prop_assert_eq!(toks(&text), runs);
         }
 
-        #[test]
-        fn the_scan_yields_the_owned_tokenizers_tokens(
+        /// The split and the join rule yield the owned tokenizer's
+        /// tokens.
+        fn the_split_and_the_rule_yield_the_owned_tokenizers_tokens(
             // Kelvin K and Angstrom Å fold to fewer bytes, İ and Ⱥ to more.
-            text in "[a-zA-Z0-9' ,.\u{130}\u{212a}\u{212b}\u{23a}σΣßéλЖ中—]{0,300}"
+            text in "[a-zA-Z0-9' ,.\u{130}\u{212a}\u{212b}\u{23a}σΣßéλЖ中—]{0,300}",
+            pieces in apostrophes(),
         ) {
-            prop_assert_eq!(toks(&text), owned_tokens(&text));
+            for text in [text, pieces] {
+                prop_assert_eq!(toks(&text), owned_tokens(&text));
+            }
         }
-
-        #[test]
         fn tokenize_never_panics(text in "\\PC{0,500}") {
             prop_assert_eq!(toks(&text), owned_tokens(&text));
+        }
+        fn tokens_always_concatenate(text in ".{0,400}") {
+            prop_assert_eq!(tokens_of(&text).concat(), text);
+        }
+        fn the_byte_scan_splits_as_the_char_scan_did(
+            ascii in "[a-zA-Z0-9 ,.'-]{0,200}",
+            wide in "\\PC{0,200}",
+        ) {
+            for text in [ascii, wide] {
+                prop_assert_eq!(tokens_of(&text), peeking_tokens(&text));
+            }
         }
     }
 }

@@ -1,16 +1,15 @@
 //! A build reads each word once, and builds what it built before: the
-//! index `IndexBuilder::add_text` files from text, the text model
-//! `TextModel::train` counts, the query terms `Analyzer::term_counts`
-//! counts and the whole collection `Collection::build` makes from one
-//! scan of its text are each checked, byte for byte, against the code
-//! they replaced, which is kept here as the oracle:
-//! - an owned-`String` tokenizer feeding `add_document`;
-//! - hash-map counts for the text model;
+//! whole collection `Collection::build` makes from one scan of its text,
+//! the appends after it, the text model a scan trains, the index
+//! `IndexBuilder::add_scanned` files and the query terms
+//! `Analyzer::term_counts` counts are each checked, byte for byte,
+//! against an oracle kept here that shares no code with them:
+//! - an owned-`String` tokenizer feeding `add_document`, and `merge`;
+//! - hash-map counts for the text model, and a coder that codes each
+//!   document a token at a time from its string, with the Huffman codes
+//!   and the γ code of `teraphim_compress`;
 //! - the receptionist's hash-map and the simulator's B-tree query-term
-//!   counters;
-//! - an index from `add_text` beside a model from `TextModel::train`
-//!   and one `compress_onto` a document, onto a writer of its own, for
-//!   a build and for the appends after it.
+//!   counters.
 //!
 //! ```sh
 //! cargo test --release --test build_equivalence
@@ -19,10 +18,11 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use teraphim::compress::bitio::BitWriter;
+use teraphim::compress::codes::write_gamma0;
 use teraphim::compress::huffman::HuffmanCode;
-use teraphim::compress::textcomp::TextModel;
+use teraphim::compress::textcomp::TextScan;
 use teraphim::engine::Collection;
-use teraphim::index::{merge::merge, IndexBuilder};
+use teraphim::index::{merge::merge, IndexBuilder, InvertedIndex};
 use teraphim::text::sgml::TrecDoc;
 use teraphim::text::Analyzer;
 
@@ -144,11 +144,11 @@ fn owned_tokens(text: &str) -> Vec<String> {
 fn owned_analyze(analyzer: &Analyzer, text: &str) -> Vec<String> {
     owned_tokens(text)
         .iter()
-        .filter_map(|token| analyzer.term(token).map(|term| term.into_owned()))
+        .filter_map(|token| analyzer.term(token, &mut String::new()).map(str::to_owned))
         .collect()
 }
 
-/// `alternating_tokens` as the text model split a text.
+/// The alternating word / non-word split, a character at a time.
 fn alternating_tokens(text: &str) -> Vec<&str> {
     let mut tokens = Vec::new();
     let mut expect_word = true;
@@ -176,40 +176,75 @@ fn alternating_tokens(text: &str) -> Vec<&str> {
     tokens
 }
 
-/// The serialized text model of `texts` as hash-map training made it:
-/// per class, the escape and then every token in string order with its
-/// canonical code length.
-fn hash_map_model(texts: &[String]) -> Vec<u8> {
-    let mut word_counts: HashMap<&str, u64> = HashMap::new();
-    let mut nonword_counts: HashMap<&str, u64> = HashMap::new();
+/// The text model of some texts as hash-map training made it: per class
+/// (words, then non-words), every token in string order, and the
+/// Huffman code of the escape (symbol 0) and of their counts.
+struct HashMapModel {
+    classes: [(Vec<String>, HuffmanCode); 2],
+}
+
+fn hash_map_model<S: AsRef<str>>(texts: &[S]) -> HashMapModel {
+    let mut counts: [HashMap<&str, u64>; 2] = Default::default();
     for text in texts {
-        for (i, tok) in alternating_tokens(text).into_iter().enumerate() {
-            let counts = if i % 2 == 0 {
-                &mut word_counts
-            } else {
-                &mut nonword_counts
-            };
-            *counts.entry(tok).or_insert(0) += 1;
+        for (i, tok) in alternating_tokens(text.as_ref()).into_iter().enumerate() {
+            *counts[i % 2].entry(tok).or_insert(0) += 1;
         }
     }
-    let mut out = Vec::new();
-    for counts in [word_counts, nonword_counts] {
-        let mut entries: Vec<(&str, u64)> = counts.into_iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut freqs = vec![1u64];
-        freqs.extend(entries.iter().map(|&(_, count)| count));
-        let code = HuffmanCode::from_frequencies(&freqs).expect("an escape at least");
-        let length = |sym: usize| code.lengths().get(sym).copied().unwrap_or(0);
-        out.extend_from_slice(&(entries.len() as u32 + 1).to_le_bytes());
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.push(length(0));
-        for (sym, (tok, _)) in entries.iter().enumerate() {
-            out.extend_from_slice(&(tok.len() as u32).to_le_bytes());
-            out.extend_from_slice(tok.as_bytes());
-            out.push(length(sym + 1));
-        }
+    HashMapModel {
+        classes: counts.map(|counts| {
+            let mut entries: Vec<(&str, u64)> = counts.into_iter().collect();
+            entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let mut freqs = vec![1u64];
+            freqs.extend(entries.iter().map(|&(_, count)| count));
+            let code = HuffmanCode::from_frequencies(&freqs).expect("an escape at least");
+            let tokens = entries.into_iter().map(|(tok, _)| tok.to_owned()).collect();
+            (tokens, code)
+        }),
     }
-    out
+}
+
+impl HashMapModel {
+    /// The serialized model: per class, the escape and then every token
+    /// with its canonical code length.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (tokens, code) in &self.classes {
+            let length = |sym: usize| code.lengths().get(sym).copied().unwrap_or(0);
+            out.extend_from_slice(&(tokens.len() as u32 + 1).to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes());
+            out.push(length(0));
+            for (sym, tok) in tokens.iter().enumerate() {
+                out.extend_from_slice(&(tok.len() as u32).to_le_bytes());
+                out.extend_from_slice(tok.as_bytes());
+                out.push(length(sym + 1));
+            }
+        }
+        out
+    }
+
+    /// One document's bytes, coded a token at a time from its string:
+    /// the token count, then each token's symbol, or the escape, its
+    /// length and its bytes, wherever a token the model lacks occurs.
+    fn code(&self, text: &str) -> Vec<u8> {
+        let tokens = alternating_tokens(text);
+        let mut w = BitWriter::new();
+        write_gamma0(&mut w, tokens.len() as u64);
+        for (i, tok) in tokens.into_iter().enumerate() {
+            let (entries, code) = &self.classes[i % 2];
+            match entries.binary_search_by(|entry| entry.as_str().cmp(tok)) {
+                Ok(sym) => code.encode(&mut w, sym as u32 + 1),
+                Err(_) => {
+                    code.encode(&mut w, 0);
+                    write_gamma0(&mut w, tok.len() as u64);
+                    for b in tok.bytes() {
+                        w.write_bits(u64::from(b), 8);
+                    }
+                }
+            }
+        }
+        w.align_to_byte();
+        w.into_bytes()
+    }
 }
 
 /// The receptionist's query-term counter: a hash map, then a sort.
@@ -244,16 +279,15 @@ fn trec(texts: &[String]) -> Vec<TrecDoc> {
         .collect()
 }
 
-/// `Collection::to_bytes` of `base` appended with `batches`, one
-/// `append_documents` each, as it was built before one scan fed both
-/// halves: the index from `add_text` (one delta a batch, merged), the
-/// model from `TextModel::train` over `base`, and each document
-/// compressed on its own from its text.
+/// `Collection::to_bytes` of `base` appended with `batches`, from the
+/// oracle alone: the index from owned tokens (one delta a batch,
+/// merged), the model from hash-map counts over `base`, and each
+/// document coded on its own, a token at a time.
 fn oracle_bytes(analyzer: &Analyzer, base: &[TrecDoc], batches: &[Vec<TrecDoc>]) -> Vec<u8> {
     let index_of = |docs: &[TrecDoc]| {
         let mut builder = IndexBuilder::new();
         for doc in docs {
-            builder.add_text(analyzer, &doc.text);
+            builder.add_document(&owned_analyze(analyzer, &doc.text));
         }
         builder.build()
     };
@@ -261,7 +295,8 @@ fn oracle_bytes(analyzer: &Analyzer, base: &[TrecDoc], batches: &[Vec<TrecDoc>])
     for batch in batches {
         index = merge(&index, &[index_of(batch)]).expect("merges");
     }
-    let model = TextModel::train(base.iter().map(|d| d.text.as_str())).expect("trains");
+    let texts: Vec<&str> = base.iter().map(|d| d.text.as_str()).collect();
+    let model = hash_map_model(&texts);
     let docs: Vec<&TrecDoc> = base.iter().chain(batches.iter().flatten()).collect();
     let mut store = Vec::new();
     let model_bytes = model.to_bytes();
@@ -271,9 +306,7 @@ fn oracle_bytes(analyzer: &Analyzer, base: &[TrecDoc], batches: &[Vec<TrecDoc>])
     store.extend_from_slice(&(raw as u64).to_le_bytes());
     store.extend_from_slice(&(docs.len() as u32).to_le_bytes());
     for doc in docs {
-        let mut w = BitWriter::new();
-        model.compress_onto(&doc.text, &mut Vec::new(), &mut w);
-        let text = w.into_bytes();
+        let text = model.code(&doc.text);
         store.extend_from_slice(&(doc.docno.len() as u32).to_le_bytes());
         store.extend_from_slice(doc.docno.as_bytes());
         store.extend_from_slice(&(text.len() as u32).to_le_bytes());
@@ -290,6 +323,25 @@ fn oracle_bytes(analyzer: &Analyzer, base: &[TrecDoc], batches: &[Vec<TrecDoc>])
     out.extend_from_slice(&(store.len() as u64).to_le_bytes());
     out.extend_from_slice(&store);
     out
+}
+
+/// The index of `texts` as a build files it: one text scan, each text
+/// added with `add_scanned` and analyzed by `analyzer_of` its position.
+fn scanned_index<'a>(
+    texts: &[String],
+    analyzer_of: impl Fn(usize) -> &'a Analyzer,
+) -> InvertedIndex {
+    let mut scan = TextScan::default();
+    let mut tokens = Vec::new();
+    let mut builder = IndexBuilder::new();
+    for (i, text) in texts.iter().enumerate() {
+        let ids = scan.add(text, &mut tokens);
+        assert_eq!(
+            builder.add_scanned(analyzer_of(i), &tokens, ids) as usize,
+            i
+        );
+    }
+    builder.build()
 }
 
 #[test]
@@ -340,9 +392,11 @@ proptest! {
     ) {
         let base = trec(&texts);
         let batches: Vec<Vec<TrecDoc>> = batches.iter().map(|b| trec(b)).collect();
+        let all: Vec<&[TrecDoc]> = batches.iter().map(Vec::as_slice).collect();
         for analyzer in analyzers() {
             let mut built = Collection::build("C", analyzer.clone(), &base);
             prop_assert_eq!(built.to_bytes(), oracle_bytes(&analyzer, &base, &[]));
+            let mut at_once = built.clone();
             for (i, batch) in batches.iter().enumerate() {
                 built.append_documents(batch).expect("appends");
                 prop_assert_eq!(
@@ -350,24 +404,25 @@ proptest! {
                     oracle_bytes(&analyzer, &base, &batches[..=i])
                 );
             }
+            at_once.append_batches(&all).expect("appends");
+            prop_assert_eq!(at_once.to_bytes(), built.to_bytes());
         }
     }
 
-    fn add_text_builds_the_index_add_document_built(
+    fn add_scanned_builds_the_index_add_document_built(
         docs in proptest::collection::vec(text(), 1..8),
     ) {
         for analyzer in analyzers() {
-            let mut from_text = IndexBuilder::new();
             let mut from_terms = IndexBuilder::new();
             for doc in &docs {
                 let terms = owned_analyze(&analyzer, doc);
                 prop_assert_eq!(&analyzer.analyze(doc), &terms);
-                prop_assert_eq!(
-                    from_text.add_text(&analyzer, doc),
-                    from_terms.add_document(&terms)
-                );
+                from_terms.add_document(&terms);
             }
-            prop_assert_eq!(from_text.build().to_bytes(), from_terms.build().to_bytes());
+            prop_assert_eq!(
+                scanned_index(&docs, |_| &analyzer).to_bytes(),
+                from_terms.build().to_bytes()
+            );
         }
     }
 
@@ -375,21 +430,34 @@ proptest! {
         docs in proptest::collection::vec(text(), 1..8),
     ) {
         let [default, raw, ..] = analyzers();
-        let mut from_text = IndexBuilder::new();
+        let analyzer_of = |i: usize| if i.is_multiple_of(2) { &default } else { &raw };
         let mut from_terms = IndexBuilder::new();
         for (i, doc) in docs.iter().enumerate() {
-            let analyzer = if i % 2 == 0 { &default } else { &raw };
-            from_text.add_text(analyzer, doc);
-            from_terms.add_document(&owned_analyze(analyzer, doc));
+            from_terms.add_document(&owned_analyze(analyzer_of(i), doc));
         }
-        prop_assert_eq!(from_text.build().to_bytes(), from_terms.build().to_bytes());
+        prop_assert_eq!(
+            scanned_index(&docs, analyzer_of).to_bytes(),
+            from_terms.build().to_bytes()
+        );
     }
 
     fn train_makes_the_model_hash_map_counts_made(
         texts in proptest::collection::vec(text(), 1..8),
     ) {
-        let model = TextModel::train(texts.iter().map(String::as_str)).expect("trains");
-        prop_assert_eq!(model.to_bytes(), hash_map_model(&texts));
+        let mut scan = TextScan::default();
+        let mut tokens = Vec::new();
+        for text in &texts {
+            scan.add(text, &mut tokens);
+        }
+        let (mut arena, mut ends) = (BitWriter::new(), Vec::new());
+        let model = scan.finish(&mut arena, &mut ends).expect("trains");
+        let oracle = hash_map_model(&texts);
+        prop_assert_eq!(model.to_bytes(), oracle.to_bytes());
+        let mut start = 0;
+        for (text, end) in texts.iter().zip(ends) {
+            prop_assert_eq!(&arena.as_bytes()[start..end], &oracle.code(text)[..]);
+            start = end;
+        }
     }
 
     fn term_counts_count_as_the_receptionist_and_simulator_did(query in text()) {
