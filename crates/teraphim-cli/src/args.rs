@@ -126,11 +126,11 @@ mod tests {
     #[test]
     fn parses_options_flags_and_positionals() {
         let args = Args::parse(
-            &argv(&["--index", "a.tcol", "--small", "extra", "-k", "10"]),
+            &argv(&["--store", "a.store", "--small", "extra", "-k", "10"]),
             &["small"],
         )
         .unwrap();
-        assert_eq!(args.get("index"), Some("a.tcol"));
+        assert_eq!(args.get("store"), Some("a.store"));
         assert!(args.flag("small"));
         assert!(!args.flag("other"));
         assert_eq!(args.get("k"), Some("10"));
@@ -139,8 +139,8 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let err = Args::parse(&argv(&["--index"]), &[]).unwrap_err();
-        assert!(err.contains("--index"));
+        let err = Args::parse(&argv(&["--store"]), &[]).unwrap_err();
+        assert!(err.contains("--store"));
     }
 
     #[test]

@@ -1,27 +1,23 @@
-//! `teraphim add` — append documents to an existing collection file or
-//! persistent store.
+//! `teraphim add` — append documents to a persistent store.
 //!
 //! The update path the paper motivates: librarians are updated locally
 //! and independently; no receptionist or global rebuild is involved.
 
 use crate::args::Args;
-use crate::commands::{load_collection, outln};
+use crate::commands::outln;
 use teraphim_core::Librarian;
 use teraphim_text::sgml::parse_trec;
 
 const HELP: &str = "\
-usage: teraphim add (--index FILE.tcol | --store DIR) --input DELTA.sgml
+usage: teraphim add --store DIR --input DELTA.sgml
 
-indexes the documents in DELTA.sgml into the existing collection (delta
-index merge; old documents are not touched).
-
---index FILE.tcol  append in memory and rewrite the collection file
---store DIR        commit the batch to a persistent versioned store:
-                   the batch is appended to the write-ahead log and
-                   synced before this command reports success, and the
-                   store's durable epoch advances by one. A crash at
-                   any byte of the append leaves the store openable at
-                   the previous epoch";
+indexes the documents in DELTA.sgml into the store's collection (delta
+index merge; old documents are not touched) and commits them as one
+batch: the batch is appended to the write-ahead log and synced before
+this command reports success, and the store's durable epoch advances
+by one. A crash at any byte of the append leaves the store openable at
+the previous epoch. A batch that finds eight batches pending first
+folds them into the store's segment";
 
 /// Runs the subcommand.
 ///
@@ -34,11 +30,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let index_path = args.get("index");
-    let store_dir = args.get("store");
-    if index_path.is_some() == store_dir.is_some() {
-        return Err(format!("need exactly one of --index or --store\n\n{HELP}"));
-    }
+    let dir = args.require("store")?;
     let input = args.require("input")?;
     args.reject_unread()?;
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
@@ -47,40 +39,20 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         return Err(format!("{input} contains no <DOC> elements"));
     }
 
-    if let Some(dir) = store_dir {
-        let mut librarian = Librarian::open(std::path::Path::new(dir))
-            .map_err(|e| format!("cannot open store {dir}: {e}"))?;
-        let before = librarian.num_docs();
-        let epoch = librarian
-            .add_documents(&docs)
-            .map_err(|e| format!("append failed: {e}"))?;
-        let store = librarian.store().expect("opened from a store");
-        outln!(
-            "appended {} documents ({} -> {}); store {dir} now at epoch {epoch}, \
-             {} pending batch(es)",
-            docs.len(),
-            before,
-            store.num_docs(),
-            store.pending_batches()
-        );
-        return Ok(());
-    }
-
-    let index_path = index_path.unwrap();
-    let mut collection = load_collection(index_path)?;
-    let before = collection.num_docs();
-    collection
-        .append_documents(&docs)
+    let mut librarian = Librarian::open(std::path::Path::new(dir))
+        .map_err(|e| format!("cannot open store {dir}: {e}"))?;
+    let before = librarian.num_docs();
+    let epoch = librarian
+        .add_documents(&docs)
         .map_err(|e| format!("append failed: {e}"))?;
-    collection
-        .save(std::path::Path::new(index_path))
-        .map_err(|e| format!("cannot rewrite {index_path}: {e}"))?;
+    let store = librarian.store().expect("opened from a store");
     outln!(
-        "appended {} documents ({} -> {}); index now {} KB",
+        "appended {} documents ({} -> {}); store {dir} now at epoch {epoch}, \
+         {} pending batch(es)",
         docs.len(),
         before,
-        collection.num_docs(),
-        collection.index().index_bytes() / 1024
+        store.num_docs(),
+        store.pending_batches()
     );
     Ok(())
 }

@@ -1,10 +1,10 @@
-//! `teraphim boolean` — Boolean retrieval against a collection file.
+//! `teraphim boolean` — Boolean retrieval against a store's collection.
 
 use crate::args::Args;
-use crate::commands::{load_collection, outln};
+use crate::commands::{open_store, outln};
 
 const HELP: &str = "\
-usage: teraphim boolean --index FILE.tcol --expr 'cat AND (dog OR bird)'
+usage: teraphim boolean --store DIR --expr 'cat AND (dog OR bird)'
 
 evaluates the Boolean expression (AND / OR / NOT, parentheses) and prints
 matching document identifiers";
@@ -20,10 +20,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let index_path = args.require("index")?;
+    let dir = args.require("store")?;
     let expr = args.require("expr")?;
     args.reject_unread()?;
-    let collection = load_collection(index_path)?;
+    let (_, collection) = open_store(dir)?;
     let docs = collection.boolean_query(expr).map_err(|e| format!("{e}"))?;
     outln!("{} matching documents", docs.len());
     for doc in docs {

@@ -1,8 +1,8 @@
 //! `teraphim eval` — retrieval-effectiveness evaluation against live
-//! librarian servers (or a single collection file).
+//! librarian servers (or a single store's collection).
 
 use crate::args::Args;
-use crate::commands::{load_collection, outln};
+use crate::commands::{open_store, outln};
 use teraphim_core::{CacheConfig, CiParams, Methodology, Receptionist};
 use teraphim_eval::{Judgments, QueryEval, SetEval};
 use teraphim_net::MuxTransport;
@@ -12,14 +12,15 @@ use teraphim_text::Analyzer;
 const HELP: &str = "\
 usage: teraphim eval --queries FILE.tsv --qrels FILE
                      (--servers ADDR[,ADDR...] [--methodology cn|cv|ci]
-                      | --index FILE.tcol)
+                      | --store DIR)
                      [--k N] [--trace-json FILE] [--metrics FILE]
                      [--cache SPEC]
 
 FILE.tsv holds one `id<TAB>query text` per line (the gen-corpus output);
 qrels is TREC format. Prints 11-pt average, relevant-in-top-20 and MAP.
 With --servers this is a distributed evaluation through a receptionist;
-with --index it evaluates the mono-server baseline.
+with --store it evaluates the mono-server baseline over the store's
+collection.
 
 --trace-json (with --servers) records a structured trace of every
 query's lifecycle — per-librarian exchanges, retries, faults, phase
@@ -106,7 +107,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     let trace_path = args.get("trace-json");
     let metrics_path = args.get("metrics");
     let cache_config = args.get("cache").map(parse_cache_spec).transpose()?;
-    // A fleet has a methodology, the mono baseline an index file.
+    // A fleet has a methodology, the mono baseline a store.
     let servers = args.get("servers");
     let methodology = match servers.and_then(|_| args.get("methodology")) {
         Some("cn") => Methodology::CentralNothing,
@@ -114,9 +115,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         Some("ci") => Methodology::CentralIndex,
         Some(other) => return Err(format!("unknown methodology {other:?}")),
     };
-    let index_path = match servers {
+    let store_dir = match servers {
         Some(_) => None,
-        None => Some(args.require("index")?),
+        None => Some(args.require("store")?),
     };
     args.reject_unread()?;
 
@@ -207,7 +208,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     .to_owned(),
             );
         }
-        let collection = load_collection(index_path.expect("required without --servers"))?;
+        let (_, collection) = open_store(store_dir.expect("required without --servers"))?;
         queries
             .iter()
             .map(|(id, q)| {

@@ -1,10 +1,10 @@
 //! `teraphim fetch` — print one document's text.
 
 use crate::args::Args;
-use crate::commands::{load_collection, outln};
+use crate::commands::{open_store, outln};
 
 const HELP: &str = "\
-usage: teraphim fetch --index FILE.tcol --docno ID
+usage: teraphim fetch --store DIR --docno ID
 
 decompresses and prints the document with external identifier ID";
 
@@ -19,10 +19,10 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         outln!("{HELP}");
         return Ok(());
     }
-    let index_path = args.require("index")?;
+    let dir = args.require("store")?;
     let docno = args.require("docno")?;
     args.reject_unread()?;
-    let collection = load_collection(index_path)?;
+    let (_, collection) = open_store(dir)?;
     let doc = collection
         .store()
         .doc_id(docno)

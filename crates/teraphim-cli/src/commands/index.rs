@@ -1,27 +1,21 @@
-//! `teraphim index` — build a `.tcol` collection file (or a persistent
-//! versioned store directory) from TREC SGML.
+//! `teraphim index` — build a persistent versioned store from TREC SGML.
 
 use crate::args::Args;
-use teraphim_engine::Collection;
 use teraphim_store::IndexStore;
 use teraphim_text::sgml::parse_trec;
 use teraphim_text::Analyzer;
 
 const HELP: &str = "\
-usage: teraphim index --name NAME --input FILE.sgml
-                      (--output FILE.tcol | --store DIR)
+usage: teraphim index --name NAME --input FILE.sgml --store DIR
                       [--no-stop] [--no-stem]
 
-parses a TREC-format SGML file and builds the compressed inverted index
-and document store.
-
---output FILE.tcol  write a self-contained collection file
---store DIR         create a persistent versioned store instead: the
-                    collection becomes durable epoch 0 (an on-disk
-                    segment plus manifest), and later `teraphim add
-                    --store` batches advance the epoch through the
-                    write-ahead log. Serve it with `teraphim serve
-                    --store DIR`; inspect it with `teraphim store`";
+parses a TREC-format SGML file, builds the compressed inverted index
+and document store, and creates a persistent versioned store in DIR:
+the collection becomes durable epoch 0 (an on-disk segment plus
+manifest), and later `teraphim add --store` batches advance the epoch
+through the write-ahead log. Query it with `teraphim query --store
+DIR`, serve it with `teraphim serve --store DIR`, and inspect it with
+`teraphim store --store DIR`";
 
 /// Runs the subcommand.
 ///
@@ -36,11 +30,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     let name = args.require("name")?;
     let input = args.require("input")?;
-    let output = args.get("output");
-    let store_dir = args.get("store");
-    if output.is_some() == store_dir.is_some() {
-        return Err(format!("need exactly one of --output or --store\n\n{HELP}"));
-    }
+    let dir = args.require("store")?;
     args.reject_unread()?;
 
     let text = std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
@@ -52,24 +42,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .with_stopping(!args.flag("no-stop"))
         .with_stemming(!args.flag("no-stem"));
 
-    let collection = if let Some(dir) = store_dir {
-        let (store, collection) =
-            IndexStore::create(std::path::Path::new(dir), name, &analyzer, &docs)
-                .map_err(|e| format!("cannot create store {dir}: {e}"))?;
-        println!(
-            "store {dir}: epoch {}, {} documents",
-            store.epoch(),
-            store.num_docs()
-        );
-        collection
-    } else {
-        let output = output.unwrap();
-        let collection = Collection::build(name, analyzer, &docs);
-        collection
-            .save(std::path::Path::new(output))
-            .map_err(|e| format!("cannot write {output}: {e}"))?;
-        collection
-    };
+    let (store, collection) = IndexStore::create(std::path::Path::new(dir), name, &analyzer, &docs)
+        .map_err(|e| format!("cannot create store {dir}: {e}"))?;
+    println!(
+        "store {dir}: epoch {}, {} documents",
+        store.epoch(),
+        store.num_docs()
+    );
     println!(
         "indexed {} documents: {} KB index, {} KB documents (from {} KB of text)",
         collection.num_docs(),

@@ -18,11 +18,12 @@ pub mod top;
 
 use std::io::Write;
 use teraphim_engine::Collection;
+use teraphim_store::IndexStore;
 
-/// Loads a `.tcol` collection file or produces a helpful error.
-pub(crate) fn load_collection(path: &str) -> Result<Collection, String> {
-    Collection::load(std::path::Path::new(path))
-        .map_err(|e| format!("cannot load collection {path}: {e}"))
+/// Opens the store in `dir`, recovering its live collection, or
+/// produces a helpful error. Opening only reads the directory.
+pub(crate) fn open_store(dir: &str) -> Result<(IndexStore, Collection), String> {
+    IndexStore::open(std::path::Path::new(dir)).map_err(|e| format!("cannot open store {dir}: {e}"))
 }
 
 /// Prints a line to stdout, treating a closed pipe (`teraphim ... | head`)

@@ -1,23 +1,25 @@
-//! `teraphim serve` — expose a collection as a librarian over TCP.
+//! `teraphim serve` — expose a store's collection as a librarian over
+//! TCP.
 
 use crate::args::Args;
+use crate::commands::open_store;
 use std::sync::Arc;
 use teraphim_core::Librarian;
 use teraphim_net::tcp::{ServerOptions, TcpServer};
-use teraphim_store::IndexStore;
 
 const HELP: &str = "\
-usage: teraphim serve (--index FILE.tcol | --store DIR)
+usage: teraphim serve --store DIR
                       [--addr 127.0.0.1:7070] [--workers N]
                       [--fleet ADDR[,ADDR...]] [--flightrec N]
 
-serves the collection as a TERAPHIM librarian; receptionists connect
-with `teraphim search --servers ...`. Runs until interrupted.
+serves the store's collection as a TERAPHIM librarian; receptionists
+connect with `teraphim search --servers ...`. Runs until interrupted.
 
---store DIR   serve from a persistent versioned store instead of a
-              collection file: the store is recovered (WAL replayed
-              into the last durable manifest) and stats replies report
-              the store's durable epoch
+--store DIR   the persistent versioned store to serve: it is recovered
+              (WAL replayed into the last durable manifest) without
+              being written, so `teraphim add` may append to it
+              meanwhile, and stats replies report the store's durable
+              epoch at start
 
 --workers N   requests evaluated at once (default 2). The collection is
               held once per process however many workers read it; a
@@ -43,7 +45,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         println!("{HELP}");
         return Ok(());
     }
-    let source = (args.get("index"), args.get("store"));
+    let dir = args.require("store")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7070");
     let workers: usize = args.get_parsed("workers", 2)?;
     let flightrec: usize = args.get_parsed("flightrec", 256)?;
@@ -59,22 +61,15 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     }
     args.reject_unread()?;
 
-    // The collection is loaded, or recovered, once: every server of the
-    // process and every worker of a server reads the same copy.
-    let (collection, epoch) = match source {
-        (Some(path), None) => (super::load_collection(path)?, 0),
-        (None, Some(dir)) => {
-            let (store, collection) = IndexStore::open(std::path::Path::new(dir))
-                .map_err(|e| format!("cannot open store {dir}: {e}"))?;
-            println!(
-                "store {dir}: recovered to epoch {}, {} pending batch(es)",
-                store.epoch(),
-                store.pending_batches()
-            );
-            (collection, store.epoch())
-        }
-        _ => return Err(format!("need exactly one of --index or --store\n\n{HELP}")),
-    };
+    // The collection is recovered once: every server of the process and
+    // every worker of a server reads the same copy.
+    let (store, collection) = open_store(dir)?;
+    println!(
+        "store {dir}: recovered to epoch {}, {} pending batch(es)",
+        store.epoch(),
+        store.pending_batches()
+    );
+    let epoch = store.epoch();
     let collection = Arc::new(collection);
 
     let options = ServerOptions {

@@ -2,25 +2,26 @@
 //!
 //! ```text
 //! teraphim gen-corpus --outdir corpus/ [--small] [--seed N]
-//! teraphim index --name AP --input corpus/AP.sgml --output ap.tcol
-//! teraphim query --index ap.tcol --query "distributed retrieval" [-k 10]
-//! teraphim boolean --index ap.tcol --expr "cat AND (dog OR bird)"
-//! teraphim fetch --index ap.tcol --docno AP-000001
-//! teraphim serve --index ap.tcol --addr 127.0.0.1:7070
-//! teraphim search --servers 127.0.0.1:7070,127.0.0.1:7071 \
-//!                 --methodology cv --query "..." [-k 10]
-//! teraphim sim --generate --seed 42 [--check differential]
-//! teraphim sim --plan tests/fixtures/plans/fault_differential.json
 //! teraphim index --name AP --input corpus/AP.sgml --store ap.store/
 //! teraphim add --store ap.store/ --input corpus/DELTA.sgml
+//! teraphim query --store ap.store/ --query "distributed retrieval" [--k 10]
+//! teraphim query --store ap.store/ --as-of 0 --query "..."
+//! teraphim boolean --store ap.store/ --expr "cat AND (dog OR bird)"
+//! teraphim fetch --store ap.store/ --docno AP-000001
 //! teraphim serve --store ap.store/ --addr 127.0.0.1:7070
-//! teraphim store --dir ap.store/ --as-of 1 --query "..."
+//! teraphim search --servers 127.0.0.1:7070,127.0.0.1:7071 \
+//!                 --methodology cv --query "..." [--k 10]
+//! teraphim store --store ap.store/ --verify --compact
+//! teraphim sim --generate --seed 42 [--check differential]
+//! teraphim sim --plan tests/fixtures/plans/fault_differential.json
 //! ```
 //!
-//! `index` builds a self-contained `.tcol` collection file (compressed
-//! inverted index + compressed document store); `serve` exposes it as a
-//! librarian over TCP; `search` is a receptionist over any set of
-//! librarian servers, supporting the paper's CN/CV/CI methodologies.
+//! A collection on disk is a store directory: `index` creates it
+//! (compressed inverted index + compressed document store as epoch 0),
+//! `add` commits batches to it, and every other command opens it
+//! without writing; `serve` exposes it as a librarian over TCP;
+//! `search` is a receptionist over any set of librarian servers,
+//! supporting the paper's CN/CV/CI methodologies.
 
 mod args;
 mod commands;
@@ -32,20 +33,20 @@ usage: teraphim <command> [options]
 
 commands:
   gen-corpus   generate the synthetic TREC-like corpus as SGML files
-  index        build a collection file from a TREC SGML file
-  add          append documents to an existing collection file
-  query        run a ranked query against a collection file
-  boolean      run a Boolean query against a collection file
+  index        build a store from a TREC SGML file
+  add          append documents to a store
+  query        run a ranked query against a store, now or as of an epoch
+  boolean      run a Boolean query against a store
   fetch        fetch one document by its identifier
   eval         evaluate effectiveness against queries and qrels
-  serve        serve a collection as a librarian over TCP
+  serve        serve a store as a librarian over TCP
   search       distributed search across librarian servers
   stats        poll librarian servers for live fleet health
   top          live per-librarian, per-phase latency attribution
   flightrec    dump a live fleet's tail-latency flight recorders
   fleet        replica-group status and health-based routing
   sim          replay or generate scenario plans with differential checks
-  store        inspect, verify, compact or time-travel a persistent store
+  store        inspect, verify or compact a store
 
 run `teraphim <command> --help` for per-command options";
 

@@ -1,9 +1,10 @@
 //! End-to-end tests of the `teraphim` binary: generate a corpus, index
-//! it, query it, serve it, and search it over TCP — all through the real
-//! executable.
+//! it into a store, append to it, query it now and as of an earlier
+//! epoch, verify and compact it, serve it, and search it over TCP — all
+//! through the real executable.
 
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
 fn teraphim() -> Command {
@@ -24,7 +25,7 @@ fn stdout(output: &Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// A scratch directory with a generated corpus and one built collection.
+/// A scratch directory with a generated corpus and one store, `AP`.
 struct Fixture {
     dir: PathBuf,
 }
@@ -53,22 +54,21 @@ impl Fixture {
         self.dir.join("corpus")
     }
 
-    fn col(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.tcol"))
+    fn sgml(&self, name: &str) -> String {
+        let path = self.corpus().join(format!("{name}.sgml"));
+        path.to_str().expect("utf-8 path").to_owned()
+    }
+
+    /// The store directory of subcollection `name`.
+    fn store(&self, name: &str) -> String {
+        let path = self.dir.join(format!("{name}.store"));
+        path.to_str().expect("utf-8 path").to_owned()
     }
 
     fn index(&self, name: &str) {
+        let (input, store) = (self.sgml(name), self.store(name));
         run_ok(&[
-            "index",
-            "--name",
-            name,
-            "--input",
-            self.corpus()
-                .join(format!("{name}.sgml"))
-                .to_str()
-                .expect("path"),
-            "--output",
-            self.col(name).to_str().expect("path"),
+            "index", "--name", name, "--input", &input, "--store", &store,
         ]);
     }
 
@@ -112,8 +112,8 @@ fn index_then_query_finds_documents() {
     let query = f.first_short_query();
     let out = run_ok(&[
         "query",
-        "--index",
-        f.col("AP").to_str().expect("path"),
+        "--store",
+        &f.store("AP"),
         "--query",
         &query,
         "--k",
@@ -124,28 +124,70 @@ fn index_then_query_finds_documents() {
     assert_eq!(text.lines().count(), 3, "expected 3 result lines: {text}");
 }
 
+/// Docnos of the ranked lines `query` printed.
+fn ranked_docnos(out: &Output) -> Vec<String> {
+    stdout(out)
+        .lines()
+        .filter_map(|line| line.split_whitespace().nth(1).map(str::to_owned))
+        .collect()
+}
+
+/// An `add` commits a batch as epoch 1: the live collection ranks the
+/// added documents, and `--as-of 0` ranks the base build alone. The
+/// store then verifies and folds down to its three files.
+#[test]
+fn add_then_query_now_and_as_of_the_base() {
+    let f = Fixture::new("add");
+    let store = f.store("AP");
+    let out = run_ok(&["add", "--store", &store, "--input", &f.sgml("FR")]);
+    assert!(stdout(&out).contains("now at epoch 1"), "{}", stdout(&out));
+
+    let query = f.first_short_query();
+    let ranked = |extra: &[&str]| {
+        let mut args = vec!["query", "--store", &store, "--query", &query, "--k", "1000"];
+        args.extend_from_slice(extra);
+        ranked_docnos(&run_ok(&args))
+    };
+    let live = ranked(&[]);
+    assert!(live.iter().any(|d| d.starts_with("FR-")), "{live:?}");
+    let base = ranked(&["--as-of", "0"]);
+    assert!(!base.is_empty());
+    assert!(base.iter().all(|d| d.starts_with("AP-")), "{base:?}");
+    assert_eq!(ranked(&["--as-of", "1"]), live);
+    let out = teraphim()
+        .args([
+            "query", "--store", &store, "--query", &query, "--as-of", "2",
+        ])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success(), "epoch 2 is not durable");
+
+    let out = run_ok(&["fetch", "--store", &store, "--docno", "FR-000000"]);
+    assert!(!stdout(&out).trim().is_empty());
+
+    let out = run_ok(&["store", "--store", &store, "--verify", "--compact"]);
+    let text = stdout(&out);
+    assert!(text.contains("verify OK: epoch 1, 1 pending"), "{text}");
+    assert!(text.contains("folded 1 pending batch(es)"), "{text}");
+    let mut files: Vec<String> = std::fs::read_dir(&store)
+        .expect("store dir")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    files.sort();
+    assert_eq!(files, ["MANIFEST", "seg-000001.seg", "wal.log"]);
+    assert_eq!(ranked(&[]), live, "the fold moves no ranking");
+}
+
 #[test]
 fn boolean_and_fetch_roundtrip() {
     let f = Fixture::new("bool");
     let query = f.first_short_query();
     let term = query.split_whitespace().next().expect("term");
-    let out = run_ok(&[
-        "boolean",
-        "--index",
-        f.col("AP").to_str().expect("path"),
-        "--expr",
-        term,
-    ]);
+    let out = run_ok(&["boolean", "--store", &f.store("AP"), "--expr", term]);
     let text = stdout(&out);
     assert!(text.contains("matching documents"));
 
-    let out = run_ok(&[
-        "fetch",
-        "--index",
-        f.col("AP").to_str().expect("path"),
-        "--docno",
-        "AP-000000",
-    ]);
+    let out = run_ok(&["fetch", "--store", &f.store("AP"), "--docno", "AP-000000"]);
     assert!(!stdout(&out).trim().is_empty());
 }
 
@@ -154,7 +196,7 @@ fn unknown_command_and_missing_options_fail() {
     let out = teraphim().arg("frobnicate").output().expect("runs");
     assert!(!out.status.success());
     let out = teraphim()
-        .args(["query", "--index", "x.tcol"])
+        .args(["query", "--store", "x.store"])
         .output()
         .expect("runs");
     assert!(!out.status.success());
@@ -163,17 +205,53 @@ fn unknown_command_and_missing_options_fail() {
 
 /// An option the command never reads stops it before it does anything:
 /// `serve --replicas` (retired) and `--worker` (a typo) used to start a
-/// server that meant something else than its operator believed.
+/// server that meant something else than its operator believed, and a
+/// collection file (`--output`, `--index`) or `store --dir` is no longer
+/// a way to name a collection.
 #[test]
 fn options_nobody_reads_are_errors() {
     for (args, culprit) in [
         (
-            &["serve", "--index", "x.tcol", "--replicas", "4"][..],
+            &["serve", "--store", "x.store", "--replicas", "4"][..],
             "unknown option --replicas",
         ),
         (
-            &["serve", "--index", "x.tcol", "--worker", "8"],
+            &["serve", "--store", "x.store", "--worker", "8"],
             "unknown option --worker",
+        ),
+        (
+            &[
+                "index", "--name", "X", "--input", "x.sgml", "--store", "x.store", "--output",
+                "x.tcol",
+            ],
+            "unknown option --output",
+        ),
+        (
+            &[
+                "query", "--store", "x.store", "--query", "q", "--index", "x.tcol",
+            ],
+            "unknown option --index",
+        ),
+        (
+            &[
+                "add", "--store", "x.store", "--input", "x.sgml", "--index", "x.tcol",
+            ],
+            "unknown option --index",
+        ),
+        (
+            &["serve", "--index", "x.tcol"],
+            "missing required option --store",
+        ),
+        (
+            &["store", "--dir", "x.store"],
+            "missing required option --store",
+        ),
+        // `store` no longer ranks; `query --as-of` does.
+        (
+            &[
+                "store", "--store", "x.store", "--as-of", "0", "--query", "q",
+            ],
+            "unknown option --as-of, --query",
         ),
         // Known to the command, meaningless in this invocation.
         (
@@ -207,16 +285,10 @@ struct Server {
 }
 
 impl Server {
-    fn spawn(col: &Path, port: u16) -> Server {
+    fn spawn(store: &str, port: u16) -> Server {
         let addr = format!("127.0.0.1:{port}");
         let mut child = teraphim()
-            .args([
-                "serve",
-                "--index",
-                col.to_str().expect("path"),
-                "--addr",
-                &addr,
-            ])
+            .args(["serve", "--store", store, "--addr", &addr])
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .spawn()
@@ -245,8 +317,8 @@ impl Drop for Server {
 fn serve_and_search_over_tcp() {
     let f = Fixture::new("serve");
     f.index("FR");
-    let s1 = Server::spawn(&f.col("AP"), 7411);
-    let s2 = Server::spawn(&f.col("FR"), 7412);
+    let s1 = Server::spawn(&f.store("AP"), 7411);
+    let s2 = Server::spawn(&f.store("FR"), 7412);
     let query = f.first_short_query();
     for methodology in ["cn", "cv", "ci"] {
         let out = run_ok(&[

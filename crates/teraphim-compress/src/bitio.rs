@@ -598,7 +598,6 @@ mod proptests {
     proptest! {
         /// The byte-at-a-time writer emits exactly what the bit-at-a-time
         /// one does, after every operation.
-        #[test]
         fn writer_matches_the_bit_at_a_time_writer(ops in proptest::collection::vec(op(), 0..60)) {
             let mut fast = BitWriter::new();
             let mut slow = RefWriter::default();
@@ -620,7 +619,6 @@ mod proptests {
         /// The windowed reader returns the same values, the same errors
         /// and the same cursor as the bit-at-a-time one, whatever mix of
         /// reads and seeks runs over whatever bytes.
-        #[test]
         fn reader_matches_the_bit_at_a_time_reader(
             bytes in proptest::collection::vec(any::<u8>(), 0..40),
             ops in proptest::collection::vec(op(), 0..60),

@@ -560,7 +560,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn gamma_roundtrips(values in proptest::collection::vec(1u64..u64::MAX, 0..200)) {
             let mut w = BitWriter::new();
             for &v in &values { write_gamma(&mut w, v); }
@@ -569,7 +568,6 @@ mod proptests {
             for &v in &values { prop_assert_eq!(read_gamma(&mut r).unwrap(), v); }
         }
 
-        #[test]
         fn delta_roundtrips(values in proptest::collection::vec(1u64..u64::MAX, 0..200)) {
             let mut w = BitWriter::new();
             for &v in &values { write_delta(&mut w, v); }
@@ -578,7 +576,6 @@ mod proptests {
             for &v in &values { prop_assert_eq!(read_delta(&mut r).unwrap(), v); }
         }
 
-        #[test]
         fn golomb_roundtrips(
             values in proptest::collection::vec(1u64..1u64 << 20, 0..200),
             b in 1u64..10_000,
@@ -590,7 +587,6 @@ mod proptests {
             for &v in &values { prop_assert_eq!(read_golomb(&mut r, b).unwrap(), v); }
         }
 
-        #[test]
         fn vbyte_roundtrips(values in proptest::collection::vec(0u64..u64::MAX, 0..200)) {
             let mut out = Vec::new();
             for &v in &values { write_vbyte(&mut out, v); }
@@ -599,7 +595,6 @@ mod proptests {
             prop_assert_eq!(pos, out.len());
         }
 
-        #[test]
         fn mixed_codes_share_a_stream(values in proptest::collection::vec(1u64..1u64 << 18, 1..100)) {
             // Interleave gamma/delta/golomb in one stream: positional decode
             // must stay in lockstep.
@@ -822,7 +817,6 @@ mod differential {
     }
 
     proptest! {
-        #[test]
         fn written_streams_read_alike_at_every_alignment_and_cut(
             script in proptest::collection::vec(read(), 1..24),
             pad in any::<u8>(),
@@ -852,7 +846,6 @@ mod differential {
             }
         }
 
-        #[test]
         fn arbitrary_bytes_read_alike(
             raw in proptest::collection::vec((0u8..4, any::<u8>(), 1usize..12), 0..24),
             script in proptest::collection::vec(read(), 1..24),

@@ -332,7 +332,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn matches_a_vec_and_hash_map(
             first in terms(),
             second in terms(),

@@ -423,7 +423,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn roundtrips_arbitrary_messages(
             freqs in proptest::collection::vec(0u64..1_000, 1..64),
             seed in 0u64..1_000,
@@ -452,7 +451,6 @@ mod proptests {
         /// loop on any bytes — symbols, errors and cursor — for codes
         /// built from frequencies and for whatever code arbitrary
         /// (possibly over-subscribed) lengths describe.
-        #[test]
         fn window_decode_matches_bit_at_a_time_decode(
             freqs in proptest::collection::vec(0u64..1_000, 1..300),
             raw_lengths in proptest::collection::vec(0u8..12, 1..40),
@@ -481,7 +479,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn kraft_inequality_never_violated(
             freqs in proptest::collection::vec(0u64..10_000, 1..128),
         ) {
@@ -494,7 +491,6 @@ mod proptests {
             prop_assert!(kraft <= 1.0 + 1e-9);
         }
 
-        #[test]
         fn entropy_bound_holds(
             freqs in proptest::collection::vec(1u64..10_000, 2..64),
         ) {

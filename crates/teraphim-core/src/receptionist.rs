@@ -1881,7 +1881,6 @@ mod proptests {
         /// The tentpole's correctness property: for any corpus split and
         /// any query, the concurrent CV merge is byte-identical to the
         /// sequential one.
-        #[test]
         fn concurrent_cv_merge_is_byte_identical_to_sequential(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-f]{2,8}", 1..8),

@@ -374,7 +374,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn set_ops_match_btreeset_semantics(
             a in proptest::collection::btree_set(0u32..200, 0..50),
             b in proptest::collection::btree_set(0u32..200, 0..50),
@@ -387,7 +386,6 @@ mod proptests {
             prop_assert_eq!(union(&av, &bv), expected_or);
         }
 
-        #[test]
         fn complement_is_involutive(
             a in proptest::collection::btree_set(0u32..100, 0..40),
         ) {
@@ -396,7 +394,6 @@ mod proptests {
             prop_assert_eq!(twice, av);
         }
 
-        #[test]
         fn parser_never_panics(input in "\\PC{0,100}") {
             let _ = parse(&input);
         }

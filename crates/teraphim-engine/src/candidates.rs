@@ -268,7 +268,6 @@ mod proptests {
     use teraphim_index::IndexBuilder;
 
     proptest! {
-        #[test]
         fn skip_and_full_scan_always_agree(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-e]", 1..6),

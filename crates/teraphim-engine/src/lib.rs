@@ -344,8 +344,9 @@ impl Collection {
     pub fn from_bytes(bytes: &[u8]) -> Result<Collection, EngineError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], EngineError> {
-            let slice = bytes
-                .get(*pos..*pos + n)
+            let slice = pos
+                .checked_add(n)
+                .and_then(|end| bytes.get(*pos..end))
                 .ok_or(EngineError::Corrupt("collection truncated"))?;
             *pos += n;
             Ok(slice)
@@ -371,43 +372,6 @@ impl Collection {
             index,
             store,
         })
-    }
-
-    /// Writes the collection to a file: to a sibling `<path>.tmp`,
-    /// synced, then renamed over `path`, so a save that does not
-    /// complete (a crash, a full disk) leaves the previous file intact
-    /// instead of a truncated one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] wrapping any I/O failure message.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), EngineError> {
-        use std::io::Write as _;
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::File::create(&tmp)
-            .and_then(|mut file| {
-                file.write_all(&self.to_bytes())?;
-                file.sync_all()
-            })
-            .and_then(|()| std::fs::rename(&tmp, path))
-            .map_err(|_| {
-                let _ = std::fs::remove_file(&tmp);
-                EngineError::Corrupt("failed to write collection file")
-            })
-    }
-
-    /// Reads a collection written by [`Collection::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Corrupt`] if the file cannot be read or
-    /// decoded.
-    pub fn load(path: &std::path::Path) -> Result<Collection, EngineError> {
-        let bytes = std::fs::read(path)
-            .map_err(|_| EngineError::Corrupt("failed to read collection file"))?;
-        Collection::from_bytes(&bytes)
     }
 }
 
@@ -463,45 +427,18 @@ mod tests {
         assert!(c.analyze_query("zyzzyva").is_empty());
     }
 
+    /// A length field no collection can have is corruption, not an
+    /// overflow in the offset arithmetic.
     #[test]
-    fn a_save_that_cannot_complete_leaves_the_previous_file_loadable() {
-        let dir = std::env::temp_dir().join(format!("teraphim-engine-save-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("demo.tcol");
-        let first = demo();
-        first.save(&path).unwrap();
+    fn a_hostile_length_is_corrupt() {
+        let mut bytes = demo().to_bytes();
+        // Name length, the name "demo", then the two analyzer flags.
+        let index_len = 4 + 4 + 2;
+        bytes[index_len..index_len + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert_eq!(
-            Collection::load(&path).unwrap().num_docs(),
-            first.num_docs()
+            Collection::from_bytes(&bytes).err(),
+            Some(EngineError::Corrupt("collection truncated"))
         );
-        assert!(
-            !dir.join("demo.tcol.tmp").exists(),
-            "temporary renamed away"
-        );
-
-        // Something in the way of the temporary: the save fails before
-        // the live file is touched.
-        std::fs::create_dir(dir.join("demo.tcol.tmp")).unwrap();
-        let mut grown = demo();
-        grown
-            .append_documents(&[TrecDoc {
-                docno: "D9".into(),
-                text: "one more cat".into(),
-            }])
-            .unwrap();
-        assert!(grown.save(&path).is_err());
-        assert_eq!(
-            Collection::load(&path).unwrap().num_docs(),
-            first.num_docs()
-        );
-
-        std::fs::remove_dir(dir.join("demo.tcol.tmp")).unwrap();
-        grown.save(&path).unwrap();
-        assert_eq!(
-            Collection::load(&path).unwrap().num_docs(),
-            grown.num_docs()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

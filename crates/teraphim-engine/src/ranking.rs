@@ -947,7 +947,6 @@ mod proptests {
         /// lists (document ids beyond the weights table and frequencies
         /// beyond the `w_dt` table included), any weights, duplicate
         /// terms, every kind of `k`, fresh scratch and reused scratch.
-        #[test]
         fn dense_kernel_matches_the_hashmap_oracle(
             doc_weights in proptest::collection::vec((0u8..8, 0.1f64..9.0), 1..200),
             lists in proptest::collection::vec(
@@ -992,7 +991,6 @@ mod proptests {
         /// The buffered selector against a full sort, with rankings
         /// longer than the buffer (so that it is cut) and every kind of
         /// depth: none, one, the benchmark's 20, past the end, unbounded.
-        #[test]
         fn top_k_agrees_with_exhaustive_sort(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-d]", 1..8),
@@ -1020,7 +1018,6 @@ mod proptests {
 
         /// Integer order of rank keys is `ranking_cmp`, reversed: a
         /// greater key ranks first.
-        #[test]
         fn rank_keys_order_as_ranking_cmp(a in (doc(), score()), b in (doc(), score())) {
             let (a, b) = (
                 ScoredDoc { doc: a.0, score: a.1 },
@@ -1043,7 +1040,6 @@ mod proptests {
         /// The allocation-free fold against the sort-everything merge it
         /// replaced, to the bit: replies unsorted or sorted, with
         /// duplicate documents, NaN, ±0 and ties across librarians.
-        #[test]
         fn fold_equals_the_merge_it_replaced(
             replies in proptest::collection::vec(
                 (proptest::collection::vec((doc(), score()), 0..30), any::<bool>()),

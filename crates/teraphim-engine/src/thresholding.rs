@@ -295,7 +295,6 @@ mod proptests {
         /// processed, same accumulators used, for every budget (zero and
         /// unlimited included) in both modes, with negative weights and
         /// duplicate terms.
-        #[test]
         fn limited_kernel_matches_the_hashmap_oracle(
             doc_weights in proptest::collection::vec((0u8..8, 0.1f64..9.0), 1..50),
             lists in proptest::collection::vec(
@@ -338,7 +337,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn unlimited_budget_equals_exact(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-d]", 1..6),
@@ -367,7 +365,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn budget_is_respected(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-c]", 1..4),

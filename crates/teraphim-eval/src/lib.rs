@@ -399,7 +399,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn metrics_are_bounded(e in arbitrary_eval()) {
             prop_assert!((0.0..=1.0).contains(&e.eleven_point_average()));
             prop_assert!((0.0..=1.0).contains(&e.average_precision()));
@@ -408,7 +407,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn interpolated_precision_nonincreasing(e in arbitrary_eval()) {
             let mut prev = f64::INFINITY;
             for i in 0..=10 {

@@ -744,7 +744,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn build_then_serialize_roundtrips(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-e]{1,3}", 0..20),
@@ -768,7 +767,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn doc_freq_equals_distinct_docs_containing_term(
             docs in proptest::collection::vec(
                 proptest::collection::vec("[a-c]{1,2}", 0..10),

@@ -452,7 +452,6 @@ mod proptests {
     proptest! {
         /// The group-level index is the one the builder made, to the
         /// byte, empty documents and empty groups included.
-        #[test]
         fn group_index_bytes_equal_the_builders(
             parts in proptest::collection::vec(
                 proptest::collection::vec(proptest::collection::vec("[a-f]", 0..6), 0..30),
@@ -469,7 +468,6 @@ mod proptests {
 
         /// For every term, the total occurrences in the grouped index
         /// equal the total occurrences across all documents, whatever G.
-        #[test]
         fn group_frequencies_conserve_term_mass(
             part_a in proptest::collection::vec(
                 proptest::collection::vec("[a-d]", 0..8), 0..20),
@@ -508,7 +506,6 @@ mod proptests {
         }
 
         /// Group spans partition each part's documents exactly.
-        #[test]
         fn spans_partition_documents(
             sizes in proptest::collection::vec(0usize..25, 1..5),
             group_size in 1u32..9,

@@ -337,7 +337,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn merge_always_equals_scratch_build(first in docs("[a-d]"), second in docs("[a-e]")) {
             let merged = merge(&build(&first), &[build(&second)]).unwrap();
             let all: Vec<Vec<String>> =
@@ -358,7 +357,6 @@ mod proptests {
         /// `W_d` is summed in its own term order, which can differ from a
         /// scratch build's in the last bit, so the scratch build is
         /// compared with the merge's weights put in.
-        #[test]
         fn one_merge_of_many_deltas_equals_a_chain_and_a_scratch_build(
             first in docs("[a-d]"),
             rest in proptest::collection::vec(docs("[a-g]"), 0..=4),
@@ -386,7 +384,6 @@ mod proptests {
         /// Whatever one flipped byte does to a base that still loads,
         /// the copying merge accepts and rejects what the recoding one
         /// did, and writes the same bytes.
-        #[test]
         fn a_damaged_base_merges_as_the_recoding_merge_did(
             first in docs("[a-d]"),
             second in docs("[a-e]"),

@@ -624,14 +624,12 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn roundtrips(postings in arbitrary_postings()) {
             let lists = Lists::of(&postings);
         let list = lists.get(0).unwrap();
             prop_assert_eq!(list.decode().unwrap(), postings);
         }
 
-        #[test]
         fn get_agrees_with_decode(postings in arbitrary_postings(), probe in 0u32..1_000_000) {
             let lists = Lists::of(&postings);
         let list = lists.get(0).unwrap();

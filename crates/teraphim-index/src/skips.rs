@@ -317,7 +317,6 @@ mod proptests {
     }
 
     proptest! {
-        #[test]
         fn cursor_agrees_with_full_decode(
             raw in proptest::collection::vec((0u32..100_000, 1u32..100), 1..200),
             probes in proptest::collection::vec(0u32..100_000, 1..50),

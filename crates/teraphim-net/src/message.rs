@@ -1129,7 +1129,6 @@ mod proptests {
         /// Every term-carrying request encodes exactly as it did when
         /// each pair was written out in turn, decodes to itself, and
         /// lends back the pairs it was built from.
-        #[test]
         fn term_lists_encode_as_pairs_written_in_turn(
             query_id in 0u32..1000,
             k in 0u32..2000,
@@ -1186,7 +1185,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn score_requests_roundtrip(
             candidates in proptest::collection::btree_set(0u32..1_000_000, 0..200),
         ) {
@@ -1198,7 +1196,6 @@ mod proptests {
             prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
 
-        #[test]
         fn docs_responses_roundtrip(
             docs in proptest::collection::vec(
                 (0u32..10_000, "[A-Z]{2}-[0-9]{4}", proptest::collection::vec(any::<u8>(), 0..100)),
@@ -1209,7 +1206,6 @@ mod proptests {
             prop_assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
 
-        #[test]
         fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
             let _ = Message::decode(&bytes);
         }

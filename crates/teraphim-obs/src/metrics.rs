@@ -1344,7 +1344,6 @@ mod proptests {
     proptest! {
         // Satellite: for arbitrary sample sets, quantiles are ordered
         // and bracketed by the observed extremes.
-        #[test]
         fn quantiles_are_monotone_and_bounded(
             samples in proptest::collection::vec(any::<u64>(), 1..200),
         ) {
@@ -1369,7 +1368,6 @@ mod proptests {
             prop_assert!(p99 <= max, "p99 {} > max {}", p99, max);
         }
 
-        #[test]
         fn merge_matches_recording_everything_once(
             a in proptest::collection::vec(any::<u64>(), 0..100),
             b in proptest::collection::vec(any::<u64>(), 0..100),

@@ -209,7 +209,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn fcfs_completions_are_monotone_when_issued_in_ready_order(
             jobs in proptest::collection::vec((0.0f64..100.0, 0.0f64..10.0), 1..50),
         ) {
@@ -225,7 +224,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn pool_never_beats_infinite_parallelism_nor_loses_to_serial(
             jobs in proptest::collection::vec(0.01f64..1.0, 1..40),
             servers in 1u32..8,

@@ -21,19 +21,27 @@
 //! * **The fold** — [`StoreWriter::compact`], and
 //!   [`StoreWriter::log_batch`] before it commits a batch once
 //!   [`CHECKPOINT_BATCHES`] are pending, is the one write path besides
-//!   the WAL append: the live collection, which holds the segment and
-//!   every pending batch, is written as the next segment, the manifest
-//!   is swapped, the WAL truncated and the old segment deleted. A crash
-//!   before the swap leaves a file no manifest names; a crash after it
-//!   leaves WAL records the segment already covers. Recovery handles
-//!   both.
+//!   the WAL append: what an earlier fold's crash left is deleted, the
+//!   live collection, which holds the segment and every pending batch,
+//!   is written as the next segment, the manifest is swapped, the WAL
+//!   truncated and the old segment deleted. A crash before the swap
+//!   leaves a file no manifest names, which the next fold deletes; a
+//!   crash after it leaves WAL records the segment already covers,
+//!   which replay skips.
 //! * **Crash recovery** — [`IndexStore::open`] loads the segment and
 //!   replays the WAL's valid prefix, skipping records at or below the
-//!   manifest's epoch and deleting what an interrupted fold left
-//!   behind. A torn tail (truncated or garbled final record, the only
-//!   damage a crash can inflict) is dropped silently; corruption
-//!   anywhere else fails with a typed [`StoreError`] rather than
-//!   panicking or serving partial data.
+//!   manifest's epoch. A torn tail (truncated or garbled final record,
+//!   the only damage a crash can inflict) is skipped, and cut off by
+//!   the writer just before its first append; corruption anywhere else
+//!   fails with a typed [`StoreError`] rather than panicking or serving
+//!   partial data.
+//! * **Who writes.** [`IndexStore::create`] makes the directory; after
+//!   that only the writer does, by the WAL append and the fold.
+//!   [`IndexStore::open`], [`IndexStore::verify`] and
+//!   [`IndexStore::collection_at`] only read, so a reader (a `serve` or
+//!   `query`) may open a store while its one writer (an `add`) appends
+//!   to it or folds it: the reader recovers a durable epoch or fails,
+//!   and deletes nothing the writer is about to name.
 //! * **As-of queries** — [`IndexStore::collection_at`] deterministically
 //!   replays the store up to any durable epoch, yielding a collection
 //!   whose rankings are byte-identical to an in-memory oracle that

@@ -4,9 +4,11 @@
 //! directory holds exactly one immutable segment, an append-only WAL
 //! and an atomically replaced manifest. Epoch `0` is the base build;
 //! every synced WAL record commits exactly one further epoch. A store
-//! is written only through a [`StoreWriter`] bound to the live
-//! collection: the WAL append, and the *fold*, which writes that
-//! collection as the next segment and empties the WAL.
+//! is written by [`IndexStore::create`] and then only through a
+//! [`StoreWriter`] bound to the live collection: the WAL append, and
+//! the *fold*, which writes that collection as the next segment and
+//! empties the WAL. [`IndexStore::open`] only reads, so a reader may
+//! open a store while its writer works on it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -19,7 +21,7 @@ use teraphim_text::Analyzer;
 use crate::fail::CrashPoint;
 use crate::manifest::{Manifest, SegmentEntry};
 use crate::segment::{Segment, SegmentBatch};
-use crate::wal::{self, WalScan, WalTail};
+use crate::wal::{self, WalScan};
 use crate::{io_err, Result, StoreError};
 
 /// File name of the manifest.
@@ -57,7 +59,12 @@ pub struct StoreStatus {
 pub struct IndexStore {
     dir: PathBuf,
     manifest: Manifest,
-    wal: File,
+    /// The WAL open for writing: `None` until the writer first needs it,
+    /// so that opening a store writes nothing.
+    wal: Option<File>,
+    /// Length of the WAL's valid prefix; anything past it is a torn
+    /// tail the writer cuts off before it appends.
+    wal_len: u64,
     /// The batches committed to the WAL after the segment.
     pending: Vec<SegmentBatch>,
     crash: Option<CrashPoint>,
@@ -118,18 +125,13 @@ impl IndexStore {
             },
         };
         write_manifest_atomic(dir, &manifest)?;
-        let wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(dir.join(WAL_FILE))
-            .map_err(io_err("create wal"))?;
+        let wal = File::create(dir.join(WAL_FILE)).map_err(io_err("create wal"))?;
         Ok((
             IndexStore {
                 dir: dir.to_path_buf(),
                 manifest,
-                wal,
+                wal: Some(wal),
+                wal_len: 0,
                 pending: Vec::new(),
                 crash: None,
                 poisoned: false,
@@ -142,10 +144,13 @@ impl IndexStore {
     /// the segment is loaded and the WAL's valid prefix is replayed on
     /// top, one `Collection::append_documents` per batch in effect (by
     /// one `append_batches`), which is what the live writer did. A torn
-    /// WAL tail (the only crash damage possible) is truncated away;
-    /// corruption anywhere else is a typed error. What a crash in the
-    /// middle of a fold left behind — `MANIFEST.tmp`, a segment file the
-    /// manifest does not name — is deleted.
+    /// WAL tail (the only crash damage possible) is skipped; corruption
+    /// anywhere else is a typed error.
+    ///
+    /// Opening writes nothing. The torn tail is cut off by the writer
+    /// before its first append, and what a crash in the middle of a fold
+    /// left behind (`MANIFEST.tmp`, a segment file the manifest does not
+    /// name) is deleted by the next fold.
     ///
     /// # Errors
     ///
@@ -163,21 +168,6 @@ impl IndexStore {
         let mut collection = load_segment(dir, &manifest.segment)?;
         let batches: Vec<&[TrecDoc]> = scanned.records.iter().map(|r| &r.docs[..]).collect();
         collection.append_batches(&batches)?;
-
-        let mut wal = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(WAL_FILE))
-            .map_err(io_err("open wal"))?;
-        if !matches!(scanned.tail, WalTail::Clean) {
-            wal.set_len(scanned.valid_len)
-                .map_err(io_err("truncate torn wal tail"))?;
-            wal.sync_data().map_err(io_err("sync wal"))?;
-        }
-        wal.seek(SeekFrom::End(0)).map_err(io_err("seek wal"))?;
-        remove_fold_debris(dir, &manifest.segment.file);
         let pending = scanned
             .records
             .iter()
@@ -191,7 +181,8 @@ impl IndexStore {
             IndexStore {
                 dir: dir.to_path_buf(),
                 manifest,
-                wal,
+                wal: None,
+                wal_len: scanned.valid_len,
                 pending,
                 crash: None,
                 poisoned: false,
@@ -245,6 +236,29 @@ impl IndexStore {
         StoreWriter { store: self, live }
     }
 
+    /// The WAL open for writing at the end of its valid prefix. The
+    /// first call opens it and cuts off a torn tail left by a crash.
+    fn wal(&mut self) -> Result<&mut File> {
+        if self.wal.is_none() {
+            let mut wal = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(self.dir.join(WAL_FILE))
+                .map_err(io_err("open wal"))?;
+            let len = wal.metadata().map_err(io_err("stat wal"))?.len();
+            if len != self.wal_len {
+                wal.set_len(self.wal_len)
+                    .map_err(io_err("truncate torn wal tail"))?;
+                wal.sync_data().map_err(io_err("sync wal"))?;
+            }
+            wal.seek(SeekFrom::Start(self.wal_len))
+                .map_err(io_err("seek wal"))?;
+            self.wal = Some(wal);
+        }
+        Ok(self.wal.as_mut().expect("opened above"))
+    }
+
     /// Appends and syncs the WAL record of one batch: the commit point.
     fn append(&mut self, docs: &[TrecDoc]) -> Result<u64> {
         if self.poisoned {
@@ -252,14 +266,17 @@ impl IndexStore {
         }
         let next = self.epoch() + 1;
         let record = wal::encode_record(next, docs);
-        if let Some(point) = self.crash.take() {
-            let _ = self.wal.write_all(&point.landed(&record));
-            let _ = self.wal.sync_data();
+        let crash = self.crash.take();
+        let wal = self.wal()?;
+        if let Some(point) = crash {
+            let _ = wal.write_all(&point.landed(&record));
+            let _ = wal.sync_data();
             self.poisoned = true;
             return Err(StoreError::Crashed);
         }
-        self.wal.write_all(&record).map_err(io_err("wal append"))?;
-        self.wal.sync_data().map_err(io_err("wal sync"))?;
+        wal.write_all(&record).map_err(io_err("wal append"))?;
+        wal.sync_data().map_err(io_err("wal sync"))?;
+        self.wal_len += record.len() as u64;
         self.pending.push(SegmentBatch {
             epoch: next,
             docs: docs.len() as u64,
@@ -267,19 +284,20 @@ impl IndexStore {
         Ok(next)
     }
 
-    /// The fold: writes `live` — the segment with every pending batch
-    /// applied — as the next segment, replaces the manifest atomically,
-    /// truncates the WAL and deletes the old segment. Afterwards the
-    /// directory is the manifest, an empty WAL and one segment. With
-    /// nothing pending it does nothing.
+    /// The fold: deletes what an earlier fold's crash left behind,
+    /// writes `live` — the segment with every pending batch applied — as
+    /// the next segment, replaces the manifest atomically, truncates the
+    /// WAL and deletes the old segment. Afterwards the directory is the
+    /// manifest, an empty WAL and one segment. With nothing pending it
+    /// does nothing.
     ///
     /// Both crash windows are idempotent: a crash after the segment
     /// write but before the manifest rename leaves a file the manifest
-    /// does not name, which the next [`IndexStore::open`] deletes; a
-    /// crash after the rename but before the WAL truncation leaves stale
-    /// records that replay skips. An error leaves the store usable and
-    /// its state equal to what a reopen would recover, so the fold can
-    /// simply be called again.
+    /// does not name, which the next fold deletes; a crash after the
+    /// rename but before the WAL truncation leaves stale records that
+    /// replay skips. An error leaves the store usable and its state
+    /// equal to what a reopen would recover, so the fold can simply be
+    /// called again.
     fn fold(&mut self, live: &Collection) -> Result<()> {
         if self.poisoned {
             return Err(StoreError::Poisoned);
@@ -293,6 +311,7 @@ impl IndexStore {
                 live: live.num_docs(),
             });
         }
+        remove_fold_debris(&self.dir, &self.manifest.segment.file);
         let mut batches = self.manifest.segment.batches.clone();
         batches.extend_from_slice(&self.pending);
         let segment = Segment {
@@ -316,11 +335,11 @@ impl IndexStore {
         let old = std::mem::replace(&mut self.manifest, manifest);
         self.pending.clear();
         let _ = std::fs::remove_file(self.dir.join(old.segment.file));
-        self.wal.set_len(0).map_err(io_err("truncate wal"))?;
-        self.wal
-            .seek(SeekFrom::Start(0))
-            .map_err(io_err("seek wal"))?;
-        self.wal.sync_data().map_err(io_err("sync wal"))?;
+        let wal = self.wal()?;
+        wal.set_len(0).map_err(io_err("truncate wal"))?;
+        wal.seek(SeekFrom::Start(0)).map_err(io_err("seek wal"))?;
+        wal.sync_data().map_err(io_err("sync wal"))?;
+        self.wal_len = 0;
         Ok(())
     }
 
@@ -873,15 +892,15 @@ mod tests {
     }
 
     /// A crash between a fold's segment write and its manifest rename
-    /// leaves files no manifest names; `open` deletes them, and nothing
-    /// that merely looks similar.
+    /// leaves files no manifest names; `open` leaves them, and the next
+    /// fold deletes them, and nothing that merely looks similar, before
+    /// it writes its own segment (here under one of their names).
     #[test]
-    fn open_removes_fold_debris_and_nothing_else() {
+    fn the_fold_removes_fold_debris_and_nothing_else() {
         let dir = TempDir::new("debris").unwrap();
         let (mut store, mut live) = demo_store(&dir);
         commit(&mut store, &mut live, 1);
         drop(store);
-        let before = file_names(dir.path());
         let bystanders = [
             "notes.txt",
             "seg-backup.seg",
@@ -894,12 +913,20 @@ mod tests {
         {
             std::fs::write(dir.path().join(name), b"torn").unwrap();
         }
-        let (store, _) = IndexStore::open(dir.path()).unwrap();
+        let before = file_names(dir.path());
+        let (mut store, live) = IndexStore::open(dir.path()).unwrap();
         assert_eq!((store.epoch(), store.pending_batches()), (1, 1));
-        let mut want = before;
+        assert_eq!(file_names(dir.path()), before, "open deletes nothing");
+        store.writer(&live).compact().unwrap();
+        let mut want = vec![
+            MANIFEST_FILE.to_owned(),
+            segment_file_name(1),
+            WAL_FILE.to_owned(),
+        ];
         want.extend(bystanders.iter().map(|n| (*n).to_owned()));
         want.sort();
         assert_eq!(file_names(dir.path()), want);
+        assert!(segment_collection(&store) == chain(1).to_bytes());
     }
 
     #[test]

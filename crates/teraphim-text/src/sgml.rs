@@ -236,7 +236,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
         fn roundtrip_arbitrary_safe_texts(
             texts in proptest::collection::vec("[a-zA-Z0-9 .,\n]{0,200}", 0..8),
         ) {
@@ -255,7 +254,6 @@ mod proptests {
             }
         }
 
-        #[test]
         fn parser_never_panics(input in "\\PC{0,500}") {
             let _ = parse_trec(&input);
         }

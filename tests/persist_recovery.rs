@@ -423,6 +423,71 @@ fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
         .collect()
 }
 
+/// What a crash leaves in a store besides its durable epochs: a torn
+/// WAL tail (half a record), a segment file no manifest names and a
+/// temporary manifest. Returns the oracle's batches.
+fn store_with_crash_leftovers(dir: &TempDir) -> Vec<Vec<TrecDoc>> {
+    let batches = vec![
+        vec![doc("B1", 0, &[0, 1, 8]), doc("B1", 1, &[4, 5])],
+        vec![doc("B2", 0, &[6, 7, 0])],
+    ];
+    drop(store_with_batches(dir, &batches));
+    let torn = wal::encode_record(3, &[doc("T", 0, &[2, 3])]);
+    let mut log = std::fs::read(dir.path().join("wal.log")).unwrap();
+    log.extend_from_slice(&torn[..torn.len() / 2]);
+    std::fs::write(dir.path().join("wal.log"), log).unwrap();
+    std::fs::write(dir.path().join("seg-000001.seg"), b"torn").unwrap();
+    std::fs::write(dir.path().join("MANIFEST.tmp"), b"torn").unwrap();
+    batches
+}
+
+/// Opening a store only reads it: recovery, a librarian's open, the
+/// integrity scan and an as-of replay leave every byte of the
+/// directory as they found it, crash leftovers included, so a reader
+/// can open a store its writer is working on.
+#[test]
+fn opening_a_store_writes_nothing() {
+    let dir = TempDir::new("read-only-open").expect("tempdir");
+    let batches = store_with_crash_leftovers(&dir);
+    let before = snapshot(dir.path());
+
+    let (store, _) = IndexStore::open(dir.path()).expect("open");
+    assert_eq!(store.epoch(), batches.len() as u64);
+    store.verify().expect("verify");
+    store.collection_at(1).expect("as-of epoch 1");
+    let librarian = Librarian::open(dir.path()).expect("librarian opens");
+    assert_eq!(librarian.epoch(), batches.len() as u64);
+    drop((store, librarian));
+    assert!(
+        snapshot(dir.path()) == before,
+        "opening the store changed its directory"
+    );
+}
+
+/// The writer cuts off the torn tail that `open` skipped before it
+/// appends: the next batch takes the next epoch and reopens with the
+/// oracle's rankings.
+#[test]
+fn a_batch_after_a_torn_tail_takes_the_next_epoch() {
+    let dir = TempDir::new("append-after-torn").expect("tempdir");
+    let mut batches = store_with_crash_leftovers(&dir);
+    let mut librarian = Librarian::open(dir.path()).expect("open");
+    let extra = vec![doc("B3", 0, &[9, 10, 11])];
+    let epoch = librarian.add_documents(&extra).expect("batch commits");
+    assert_eq!(epoch, batches.len() as u64 + 1);
+    batches.push(extra);
+    drop(librarian);
+
+    let (store, collection) = IndexStore::open(dir.path()).expect("reopen");
+    assert_eq!(store.epoch(), batches.len() as u64);
+    store.verify().expect("verify");
+    let refs: Vec<&[TrecDoc]> = batches.iter().map(Vec::as_slice).collect();
+    assert_eq!(
+        fingerprint(&collection),
+        fingerprint(&oracle_at(&refs, batches.len() as u64))
+    );
+}
+
 /// The fold has two crash windows: after the new segment is written but
 /// before the manifest is renamed over the old one, and after the
 /// rename but before the WAL is truncated. Both directory states are
