@@ -312,6 +312,7 @@ pub fn write_vbyte(out: &mut Vec<u8>, mut n: u64) {
 ///
 /// Returns [`CodeError::UnexpectedEof`] if the terminator byte is missing
 /// and [`CodeError::Corrupt`] if the value overflows a `u64`.
+#[inline]
 pub fn read_vbyte(input: &[u8], pos: &mut usize) -> Result<u64> {
     let mut n = 0u64;
     let mut shift = 0u32;

@@ -208,6 +208,10 @@ fn entry(hash: u64, id: u32) -> u64 {
 /// first, middle and last bytes: given the length, both are one-to-one,
 /// and neither copies. The final multiply leaves the best-mixed bits on
 /// top, which is where [`home`] reads.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "hashes in-memory bytes, decodes nothing"
+)]
 fn hash(bytes: &[u8]) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);

@@ -4,6 +4,9 @@
 //! therefore TERAPHIM, the distributed retrieval system reproduced in this
 //! workspace) relies on:
 //!
+//! * [`bytes`] — the one reader of bytes from outside the program
+//!   (files and sockets): little-endian integers, v-bytes, lengths,
+//!   counts checked against the bytes left, and trailing bytes.
 //! * [`bitio`] — MSB-first bit readers and writers over byte buffers.
 //! * [`codes`] — parameterless integer codes (unary, Elias γ, Elias δ),
 //!   parameterised Golomb codes and byte-aligned v-byte coding.
@@ -44,6 +47,7 @@
 //! ```
 
 pub mod bitio;
+pub mod bytes;
 pub mod checksum;
 pub mod codes;
 pub mod dict;

@@ -44,6 +44,7 @@
 //! ```
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::bytes::Reader;
 use crate::codes::{read_gamma0, write_gamma0};
 use crate::dict::Dictionary;
 use crate::huffman::HuffmanCode;
@@ -148,43 +149,27 @@ impl ClassModel {
         }
     }
 
-    fn from_bytes(bytes: &[u8], pos: &mut usize) -> Result<ClassModel> {
-        let count = read_u32(bytes, pos)? as usize;
-        // An entry is at least five bytes, which bounds what a corrupt
-        // count may reserve.
-        let rest = bytes.len().saturating_sub(*pos);
-        if count > rest / 5 {
-            return Err(CodeError::UnexpectedEof);
-        }
-        let mut tokens = Dictionary::with_capacity(count.saturating_sub(1), rest - 5 * count);
+    fn from_bytes(r: &mut Reader<'_>) -> Result<ClassModel> {
+        // An entry is at least five bytes: its length and code length.
+        let count = r.u32()?;
+        let count = r.count(count.into(), 5)?;
+        let mut tokens =
+            Dictionary::with_capacity(count.saturating_sub(1), r.rest().len() - 5 * count);
         let mut lengths = Vec::with_capacity(count);
         for i in 0..count {
-            let len = read_u32(bytes, pos)? as usize;
-            let slice = bytes
-                .get(*pos..pos.saturating_add(len))
-                .ok_or(CodeError::UnexpectedEof)?;
-            *pos += len;
-            let token = std::str::from_utf8(slice)
-                .map_err(|_| CodeError::Corrupt("model token is not UTF-8"))?;
-            let code_len = *bytes.get(*pos).ok_or(CodeError::UnexpectedEof)?;
-            *pos += 1;
+            let len = r.u32()?;
+            let token = r.str(len.into())?;
+            lengths.push(r.u8()?);
             // The escape's string is never read.
             if i != ESCAPE as usize && tokens.intern(token) as usize != i - 1 {
                 return Err(CodeError::Corrupt("model token appears twice"));
             }
-            lengths.push(code_len);
         }
         Ok(ClassModel {
             tokens,
             code: HuffmanCode::from_lengths(lengths),
         })
     }
-}
-
-fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
-    let slice = bytes.get(*pos..*pos + 4).ok_or(CodeError::UnexpectedEof)?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
 }
 
 /// One scan of a batch of texts: it counts their tokens and remembers
@@ -353,12 +338,10 @@ impl TextModel {
     ///
     /// Returns a [`CodeError`] on truncation or corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<TextModel> {
-        let mut pos = 0usize;
-        let words = ClassModel::from_bytes(bytes, &mut pos)?;
-        let nonwords = ClassModel::from_bytes(bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(CodeError::Corrupt("trailing bytes after text model"));
-        }
+        let mut r = Reader::new(bytes, "text model truncated");
+        let words = ClassModel::from_bytes(&mut r)?;
+        let nonwords = ClassModel::from_bytes(&mut r)?;
+        r.finish()?;
         Ok(TextModel { words, nonwords })
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::EngineError;
 use teraphim_compress::bitio::BitWriter;
+use teraphim_compress::bytes::Reader;
 use teraphim_compress::textcomp::{TextModel, TextScan};
 use teraphim_index::DocId;
 use teraphim_text::sgml::TrecDoc;
@@ -166,51 +167,31 @@ impl DocStore {
     ///
     /// Returns [`EngineError::Corrupt`] on truncation or corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<DocStore, EngineError> {
-        fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], EngineError> {
-            let slice = bytes
-                .get(*pos..*pos + n)
-                .ok_or(EngineError::Corrupt("document store truncated"))?;
-            *pos += n;
-            Ok(slice)
-        }
-        fn take_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, EngineError> {
-            Ok(u32::from_le_bytes(
-                take(bytes, pos, 4)?.try_into().expect("4 bytes"),
-            ))
-        }
-        let mut pos = 0usize;
-        let model_len = take_u32(bytes, &mut pos)? as usize;
-        let model = TextModel::from_bytes(take(bytes, &mut pos, model_len)?)
+        let mut r = Reader::new(bytes, "document store truncated");
+        let model = TextModel::from_bytes(r.section()?)
             .map_err(|_| EngineError::Corrupt("document store model"))?;
-        let raw_bytes_total =
-            u64::from_le_bytes(take(bytes, &mut pos, 8)?.try_into().expect("8 bytes")) as usize;
-        let count = take_u32(bytes, &mut pos)? as usize;
-        // A document is two length words at least: the count is a claim
-        // the bytes left must be able to hold before anything is reserved,
-        // and the texts are no longer than those bytes.
-        let rest = bytes.len() - pos;
-        let room = count.min(rest / 8);
+        let raw_bytes_total = r.u64()? as usize;
+        // A document is two length words at least, and the texts are no
+        // longer than the bytes left.
+        let count = r.u32()?;
+        let count = r.count(count.into(), 8)?;
         let mut store = DocStore {
             model,
-            texts: Vec::with_capacity(rest),
-            text_ends: Vec::with_capacity(room),
+            texts: Vec::with_capacity(r.rest().len()),
+            text_ends: Vec::with_capacity(count),
             docnos: String::new(),
-            docno_ends: Vec::with_capacity(room),
+            docno_ends: Vec::with_capacity(count),
             raw_bytes_total,
         };
         for _ in 0..count {
-            let len = take_u32(bytes, &mut pos)? as usize;
-            let docno = std::str::from_utf8(take(bytes, &mut pos, len)?)
-                .map_err(|_| EngineError::Corrupt("docno is not UTF-8"))?;
-            store.docnos.push_str(docno);
+            let len = r.u32()?;
+            store.docnos.push_str(r.str(len.into())?);
             store.docno_ends.push(store.docnos.len());
-            let len = take_u32(bytes, &mut pos)? as usize;
-            store.texts.extend_from_slice(take(bytes, &mut pos, len)?);
+            let len = r.u32()?;
+            store.texts.extend_from_slice(r.take(len.into())?);
             store.text_ends.push(store.texts.len());
         }
-        if pos != bytes.len() {
-            return Err(EngineError::Corrupt("trailing bytes after document store"));
-        }
+        r.finish()?;
         Ok(store)
     }
 }

@@ -44,6 +44,7 @@ pub mod thresholding;
 use std::error::Error;
 use std::fmt;
 
+use teraphim_compress::bytes::Reader;
 use teraphim_compress::textcomp::TextScan;
 use teraphim_index::similarity::query_norm;
 use teraphim_index::{DocId, IndexBuilder, InvertedIndex, TermId};
@@ -79,6 +80,12 @@ impl Error for EngineError {}
 impl From<teraphim_index::IndexError> for EngineError {
     fn from(_: teraphim_index::IndexError) -> Self {
         EngineError::Corrupt("index decode failure")
+    }
+}
+
+impl From<teraphim_compress::bytes::Corrupt> for EngineError {
+    fn from(e: teraphim_compress::bytes::Corrupt) -> Self {
+        EngineError::Corrupt(e.0)
     }
 }
 
@@ -342,30 +349,16 @@ impl Collection {
     ///
     /// Returns [`EngineError::Corrupt`] on truncation or corruption.
     pub fn from_bytes(bytes: &[u8]) -> Result<Collection, EngineError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], EngineError> {
-            let slice = pos
-                .checked_add(n)
-                .and_then(|end| bytes.get(*pos..end))
-                .ok_or(EngineError::Corrupt("collection truncated"))?;
-            *pos += n;
-            Ok(slice)
-        };
-        let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes")) as usize;
-        let name = std::str::from_utf8(take(&mut pos, name_len)?)
-            .map_err(|_| EngineError::Corrupt("collection name is not UTF-8"))?
-            .to_owned();
-        let stop = *take(&mut pos, 1)?.first().expect("one byte") != 0;
-        let stem = *take(&mut pos, 1)?.first().expect("one byte") != 0;
-        let index_len =
-            u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
-        let index = InvertedIndex::from_bytes(take(&mut pos, index_len)?)?;
-        let store_len =
-            u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes")) as usize;
-        let store = DocStore::from_bytes(take(&mut pos, store_len)?)?;
-        if pos != bytes.len() {
-            return Err(EngineError::Corrupt("trailing bytes after collection"));
-        }
+        let mut r = Reader::new(bytes, "collection truncated");
+        let name_len = r.u32()?;
+        let name = r.str(name_len.into())?.to_owned();
+        let stop = r.u8()? != 0;
+        let stem = r.u8()? != 0;
+        let index_len = r.u64()?;
+        let index = InvertedIndex::from_bytes(r.take(index_len)?)?;
+        let store_len = r.u64()?;
+        let store = DocStore::from_bytes(r.take(store_len)?)?;
+        r.finish()?;
         Ok(Collection {
             name,
             analyzer: Analyzer::new().with_stopping(stop).with_stemming(stem),

@@ -3,10 +3,11 @@
 use crate::postings::{Lists, ListsWriter, Posting, PostingsList};
 use crate::skips::{SkipTable, DEFAULT_SKIP_EVERY};
 use crate::stats::{self, IndexStats};
-use crate::vocab::{self, read_u32, Vocabulary};
+use crate::vocab::{self, Vocabulary};
 use crate::weights::DocWeights;
 use crate::{DocId, IndexError, TermId};
 use std::sync::OnceLock;
+use teraphim_compress::bytes::Reader;
 use teraphim_text::{tokenize, Analyzer};
 
 /// An in-memory index under construction.
@@ -380,59 +381,45 @@ impl InvertedIndex {
         out
     }
 
-    /// Deserializes the form produced by [`InvertedIndex::to_bytes`].
+    /// Deserializes the form produced by [`InvertedIndex::to_bytes`], to
+    /// its last byte.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::Corrupt`] on truncation or inconsistency:
-    /// among others, a count larger than the bytes left could hold, or a
-    /// stats section whose `N`, term count or any `f_t` disagrees with
-    /// the document lengths and the lists.
+    /// Returns [`IndexError::Corrupt`] on truncation, trailing bytes or
+    /// inconsistency: among others, a count larger than the bytes left
+    /// could hold, or a stats section whose `N`, term count or any `f_t`
+    /// disagrees with the document lengths and the lists.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
-        let mut pos = 0usize;
-        let section = |pos: &mut usize| -> Result<&[u8], IndexError> {
-            let len = read_u32(bytes, pos)? as usize;
-            let slice = bytes
-                .get(*pos..*pos + len)
-                .ok_or(IndexError::Corrupt("index section truncated"))?;
-            *pos += len;
-            Ok(slice)
-        };
-        let vocab = vocab::read(section(&mut pos)?)?;
-        let stats = section(&mut pos)?;
-        let weights = DocWeights::from_bytes(section(&mut pos)?)?;
-        let doc_count = read_u32(bytes, &mut pos)? as usize;
-        if doc_count > (bytes.len() - pos) / 4 {
-            return Err(IndexError::Corrupt("document lengths truncated"));
+        let mut r = Reader::new(bytes, "index section truncated");
+        let vocab = vocab::read(r.section()?)?;
+        let stats = r.section()?;
+        let weights = DocWeights::from_bytes(r.section()?)?;
+        r.reading("document lengths truncated");
+        let doc_count = r.u32()?;
+        let doc_count = r.count(doc_count.into(), 4)?;
+        let mut doc_lengths = Vec::with_capacity(doc_count);
+        for _ in 0..doc_count {
+            doc_lengths.push(r.u32()?);
         }
-        let doc_lengths: Vec<u32> = bytes[pos..pos + 4 * doc_count]
-            .chunks_exact(4)
-            .map(|len| u32::from_le_bytes(len.try_into().expect("4 bytes")))
-            .collect();
-        pos += 4 * doc_count;
         if weights.len() != doc_count {
             return Err(IndexError::Corrupt("weights/document count mismatch"));
         }
-        let term_count = read_u32(bytes, &mut pos)? as usize;
-        if term_count != vocab.len() {
+        r.reading("postings truncated");
+        let term_count = r.u32()?;
+        if term_count as usize != vocab.len() {
             return Err(IndexError::Corrupt("postings/vocabulary length mismatch"));
         }
         // Each list takes at least its 12-byte head.
-        let rest = bytes.len() - pos;
-        if term_count > rest / 12 {
-            return Err(IndexError::Corrupt("postings truncated"));
-        }
-        let mut lists = Lists::with_capacity(term_count, rest - 12 * term_count);
+        let term_count = r.count(term_count.into(), 12)?;
+        let mut lists = Lists::with_capacity(term_count, r.rest().len() - 12 * term_count);
         for _ in 0..term_count {
-            let count = read_u32(bytes, &mut pos)?;
-            let last_doc = read_u32(bytes, &mut pos)?;
-            let byte_len = read_u32(bytes, &mut pos)? as usize;
-            let slice = bytes
-                .get(pos..pos + byte_len)
-                .ok_or(IndexError::Corrupt("postings truncated"))?;
-            pos += byte_len;
-            lists.push_raw(slice, count, last_doc)?;
+            let count = r.u32()?;
+            let last_doc = r.u32()?;
+            let byte_len = r.u32()?;
+            lists.push_raw(r.take(byte_len.into())?, count, last_doc)?;
         }
+        r.finish()?;
         stats::check(stats, doc_count, &lists)?;
         Ok(InvertedIndex::from_merge_parts(
             vocab,
@@ -680,12 +667,31 @@ mod tests {
     }
 
     #[test]
+    fn a_section_holding_a_byte_past_its_contents_is_corrupt() {
+        let bytes = small_index().to_bytes();
+        let mut r = Reader::new(&bytes, "index");
+        // The vocabulary, stats and weights sections, each at its length.
+        for _ in 0..3 {
+            let at = bytes.len() - r.rest().len();
+            let len = r.section().unwrap().len();
+            let mut edited = bytes.clone();
+            edited.insert(at + 4 + len, 0);
+            edited[at..at + 4].copy_from_slice(&(len as u32 + 1).to_le_bytes());
+            assert_eq!(
+                InvertedIndex::from_bytes(&edited).err(),
+                Some(IndexError::Corrupt("trailing bytes")),
+                "section at {at}"
+            );
+        }
+    }
+
+    #[test]
     fn stats_that_disagree_with_the_lists_are_corrupt() {
         let index = small_index();
         let bytes = index.to_bytes();
         // The stats section follows the vocabulary section: its length,
         // N, the term count, then one f_t per term.
-        let vocab_len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let vocab_len = Reader::new(&bytes, "index").u32().unwrap() as usize;
         let stats = 4 + vocab_len + 4;
         let first_f_t = stats + 12;
         let cat = index.vocab().term_id("cat").unwrap() as usize;

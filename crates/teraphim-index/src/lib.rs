@@ -81,6 +81,12 @@ impl fmt::Display for IndexError {
 
 impl Error for IndexError {}
 
+impl From<teraphim_compress::bytes::Corrupt> for IndexError {
+    fn from(e: teraphim_compress::bytes::Corrupt) -> Self {
+        IndexError::Corrupt(e.0)
+    }
+}
+
 impl From<teraphim_compress::CodeError> for IndexError {
     fn from(_: teraphim_compress::CodeError) -> Self {
         IndexError::Corrupt("compressed stream decode failure")

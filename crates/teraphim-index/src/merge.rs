@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
     use std::slice::from_ref;
+    use teraphim_compress::bytes::Reader;
 
     fn index_of(docs: &[&[&str]]) -> InvertedIndex {
         let mut b = IndexBuilder::new();
@@ -191,13 +192,15 @@ mod tests {
     /// `index`'s bytes with the header of `header`'s: its vocabulary,
     /// statistics, weights and document lengths over `index`'s lists.
     fn spliced(header: &InvertedIndex, index: &InvertedIndex) -> InvertedIndex {
+        // Past the three sections and the counted document lengths.
         let postings_at = |b: &[u8]| {
-            let u32_at = |pos: usize| u32::from_le_bytes(b[pos..pos + 4].try_into().unwrap());
-            let mut pos = 0;
+            let mut r = Reader::new(b, "index");
             for _ in 0..3 {
-                pos += 4 + u32_at(pos) as usize;
+                r.section().unwrap();
             }
-            pos + 4 + 4 * u32_at(pos) as usize
+            let docs = r.u32().unwrap();
+            r.take(4 * u64::from(docs)).unwrap();
+            b.len() - r.rest().len()
         };
         let (header, index) = (header.to_bytes(), index.to_bytes());
         let bytes = [

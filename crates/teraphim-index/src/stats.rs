@@ -14,8 +14,9 @@
 //!   statistics directly.
 
 use crate::postings::Lists;
-use crate::vocab::{read_u32, read_u64, Vocabulary};
+use crate::vocab::Vocabulary;
 use crate::{IndexError, InvertedIndex, TermId};
+use teraphim_compress::bytes::Reader;
 
 /// `N` and per-term `f_t` of one index, read from its lists: a term's
 /// `f_t` is its list's length, stored once. Returned by
@@ -103,27 +104,28 @@ pub(crate) fn write(
     }
 }
 
-/// Checks a serialized index's stats section against what it describes:
-/// `num_docs` documents and `lists`, whose lengths are the `f_t`.
+/// Checks a serialized index's stats section, to its last byte, against
+/// what it describes: `num_docs` documents and `lists`, whose lengths are
+/// the `f_t`.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::Corrupt`] if the section is truncated, or its
-/// `N`, term count or any `f_t` disagrees.
+/// Returns [`IndexError::Corrupt`] if the section is truncated, has
+/// trailing bytes, or its `N`, term count or any `f_t` disagrees.
 pub(crate) fn check(section: &[u8], num_docs: usize, lists: &Lists) -> Result<(), IndexError> {
-    let mut pos = 0usize;
-    if read_u64(section, &mut pos)? != num_docs as u64 {
+    let mut r = Reader::new(section, "stats truncated");
+    if r.u64()? != num_docs as u64 {
         return Err(IndexError::Corrupt("stats document count disagrees"));
     }
-    if read_u32(section, &mut pos)? as usize != lists.len() {
+    if r.u32()? as usize != lists.len() {
         return Err(IndexError::Corrupt("stats term count disagrees"));
     }
     for list in lists.iter() {
-        if read_u64(section, &mut pos)? != u64::from(list.len()) {
+        if r.u64()? != u64::from(list.len()) {
             return Err(IndexError::Corrupt("f_t disagrees with its list"));
         }
     }
-    Ok(())
+    Ok(r.finish()?)
 }
 
 /// Merges per-subcollection vocabularies and statistics into a global

@@ -7,6 +7,7 @@
 //! "less than 10 Mb for the gigabyte of text".
 
 use crate::IndexError;
+use teraphim_compress::bytes::Reader;
 use teraphim_compress::dict::Dictionary;
 
 /// Dense term identifier within one vocabulary.
@@ -33,62 +34,26 @@ pub(crate) fn write(vocab: &Vocabulary, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads the form [`write`] produces.
+/// Reads the form [`write`] produces, to its last byte.
 ///
 /// # Errors
 ///
-/// Returns [`IndexError::Corrupt`] on truncation, invalid UTF-8 or a
-/// term stored twice.
+/// Returns [`IndexError::Corrupt`] on truncation, invalid UTF-8, a
+/// term stored twice or trailing bytes.
 pub(crate) fn read(bytes: &[u8]) -> Result<Vocabulary, IndexError> {
-    let mut pos = 0usize;
-    let count = read_u32(bytes, &mut pos)? as usize;
+    let mut r = Reader::new(bytes, "vocabulary truncated");
     // Each term takes at least its two length bytes.
-    let rest = bytes.len() - pos;
-    if count > rest / 2 {
-        return Err(IndexError::Corrupt("vocabulary truncated"));
-    }
-    let mut vocab = Vocabulary::with_capacity(count, rest - 2 * count);
+    let count = r.u32()?;
+    let count = r.count(count.into(), 2)?;
+    let mut vocab = Vocabulary::with_capacity(count, r.rest().len() - 2 * count);
     for id in 0..count {
-        let len = read_u16(bytes, &mut pos)? as usize;
-        let slice = bytes
-            .get(pos..pos + len)
-            .ok_or(IndexError::Corrupt("vocabulary truncated"))?;
-        pos += len;
-        let term = std::str::from_utf8(slice)
-            .map_err(|_| IndexError::Corrupt("vocabulary term not UTF-8"))?;
-        if vocab.intern(term) as usize != id {
+        let len = r.u16()?;
+        if vocab.intern(r.str(len.into())?) as usize != id {
             return Err(IndexError::Corrupt("vocabulary term stored twice"));
         }
     }
+    r.finish()?;
     Ok(vocab)
-}
-
-pub(crate) fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, IndexError> {
-    let slice = bytes
-        .get(*pos..*pos + 4)
-        .ok_or(IndexError::Corrupt("truncated u32"))?;
-    *pos += 4;
-    Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-}
-
-pub(crate) fn read_u16(bytes: &[u8], pos: &mut usize) -> Result<u16, IndexError> {
-    let slice = bytes
-        .get(*pos..*pos + 2)
-        .ok_or(IndexError::Corrupt("truncated u16"))?;
-    *pos += 2;
-    Ok(u16::from_le_bytes(slice.try_into().expect("2 bytes")))
-}
-
-pub(crate) fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, IndexError> {
-    let slice = bytes
-        .get(*pos..*pos + 8)
-        .ok_or(IndexError::Corrupt("truncated u64"))?;
-    *pos += 8;
-    Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
-}
-
-pub(crate) fn read_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, IndexError> {
-    Ok(f64::from_bits(read_u64(bytes, pos)?))
 }
 
 #[cfg(test)]

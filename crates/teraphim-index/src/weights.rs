@@ -7,8 +7,8 @@
 //! the Central Vocabulary method produce scores identical to a
 //! mono-server system without recomputing document weights.
 
-use crate::vocab::{read_f64, read_u32};
 use crate::{DocId, IndexError};
+use teraphim_compress::bytes::Reader;
 
 /// Precomputed per-document cosine norms.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -86,21 +86,21 @@ impl DocWeights {
         out
     }
 
-    /// Deserializes the form produced by [`DocWeights::to_bytes`].
+    /// Deserializes the form produced by [`DocWeights::to_bytes`], to
+    /// its last byte.
     ///
     /// # Errors
     ///
-    /// Returns [`IndexError::Corrupt`] on truncation.
+    /// Returns [`IndexError::Corrupt`] on truncation or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, IndexError> {
-        let mut pos = 0usize;
-        let count = read_u32(bytes, &mut pos)? as usize;
-        if count > (bytes.len() - pos) / 8 {
-            return Err(IndexError::Corrupt("weights truncated"));
-        }
+        let mut r = Reader::new(bytes, "weights truncated");
+        let count = r.u32()?;
+        let count = r.count(count.into(), 8)?;
         let mut weights = Vec::with_capacity(count);
         for _ in 0..count {
-            weights.push(read_f64(bytes, &mut pos)?);
+            weights.push(r.f64()?);
         }
+        r.finish()?;
         Ok(DocWeights { weights })
     }
 }

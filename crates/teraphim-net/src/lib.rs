@@ -132,6 +132,12 @@ impl Error for NetError {
     }
 }
 
+impl From<teraphim_compress::bytes::Corrupt> for NetError {
+    fn from(e: teraphim_compress::bytes::Corrupt) -> Self {
+        NetError::Corrupt(e.0)
+    }
+}
+
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)

@@ -15,10 +15,11 @@
 //! Documents travel *compressed* (the store's word-coded bytes), which is
 //! TERAPHIM's mitigation for WAN transfer cost.
 
-use crate::wire::{get_bytes, get_f64, get_str, get_uint, put_bytes, put_f64, put_str, put_uint};
+use crate::wire::{put_bytes, put_f64, put_str, put_uint};
 use crate::NetError;
 use std::fmt;
 use std::marker::PhantomData;
+use teraphim_compress::bytes::{Corrupt, Reader};
 use teraphim_compress::codes::vbyte_len;
 
 /// A protocol message (request or response).
@@ -235,13 +236,48 @@ const TAG_ADMIN_STATS_REPLY: u8 = 19;
 const TAG_FLIGHTREC_REQ: u8 = 22;
 const TAG_FLIGHTREC_REPLY: u8 = 23;
 
-/// Room to reserve for `n` elements of at least `width` encoded bytes
-/// each: no more than the bytes left after `pos` could hold. A count is
-/// a peer's claim, and a few bytes claiming a million elements reserve
-/// nothing.
-fn room(n: u64, rest: &[u8], pos: usize, width: usize) -> usize {
-    let fits = rest.len().saturating_sub(pos) / width;
-    usize::try_from(n).map_or(fits, |n| n.min(fits))
+/// The wire's length-prefixed bytes ([`put_bytes`]).
+fn bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], Corrupt> {
+    let len = r.vbyte()?;
+    r.take(len)
+}
+
+/// The wire's length-prefixed UTF-8 string ([`put_str`]), owned.
+fn string(r: &mut Reader<'_>) -> Result<String, Corrupt> {
+    let len = r.vbyte()?;
+    Ok(r.str(len)?.to_owned())
+}
+
+/// A counted list: a v-byte count, accepted if the bytes left hold that
+/// many elements of `width` bytes at least, then each element `one`
+/// reads.
+fn list<'a, T>(
+    r: &mut Reader<'a>,
+    width: usize,
+    mut one: impl FnMut(&mut Reader<'a>) -> Result<T, NetError>,
+) -> Result<Vec<T>, NetError> {
+    let n = r.vbyte()?;
+    let n = r.count(n, width)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(one(r)?);
+    }
+    Ok(out)
+}
+
+/// A counted list of ascending ids, each after the first sent as its gap
+/// from the one before.
+fn gapped(r: &mut Reader<'_>, overflow: &'static str) -> Result<Vec<u32>, NetError> {
+    let mut prev: Option<u32> = None;
+    list(r, 1, |r| {
+        let gap = r.vbyte_u32()?;
+        let id = match prev {
+            None => gap,
+            Some(prev) => prev.checked_add(gap).ok_or(NetError::Corrupt(overflow))?,
+        };
+        prev = Some(id);
+        Ok(id)
+    })
 }
 
 impl Message {
@@ -455,228 +491,103 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Corrupt`] on truncation, unknown tags, or
-    /// trailing garbage.
+    /// Returns [`NetError::Corrupt`] on truncation, unknown tags, a
+    /// count the bytes left cannot hold, a `u32` field wider than 32
+    /// bits, or trailing garbage.
     pub fn decode(buf: &[u8]) -> Result<Message, NetError> {
-        let (&tag, rest) = buf
-            .split_first()
-            .ok_or(NetError::Corrupt("empty message"))?;
-        let mut pos = 0usize;
-        let msg = match tag {
+        let mut r = Reader::new(buf, "message truncated");
+        let r = &mut r;
+        let msg = match r.u8()? {
             TAG_STATS_REQ => Message::StatsRequest,
-            TAG_STATS_RESP => {
-                let num_docs = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)?;
-                let mut term_freqs = Vec::with_capacity(room(n, rest, pos, 2));
-                for _ in 0..n {
-                    let term = get_str(rest, &mut pos)?;
-                    let f = get_uint(rest, &mut pos)?;
-                    term_freqs.push((term, f));
-                }
-                Message::StatsResponse {
-                    num_docs,
-                    term_freqs,
-                }
-            }
+            TAG_STATS_RESP => Message::StatsResponse {
+                num_docs: r.vbyte()?,
+                term_freqs: list(r, 2, |r| Ok((string(r)?, r.vbyte()?)))?,
+            },
             TAG_INDEX_REQ => Message::IndexRequest,
             TAG_INDEX_RESP => Message::IndexResponse {
-                index_bytes: get_bytes(rest, &mut pos)?.to_vec(),
+                index_bytes: bytes(r)?.to_vec(),
             },
             TAG_RANK_REQ => Message::RankRequest {
-                query_id: get_uint(rest, &mut pos)? as u32,
-                k: get_uint(rest, &mut pos)? as u32,
-                terms: TermList::decode(rest, &mut pos)?,
+                query_id: r.vbyte_u32()?,
+                k: r.vbyte_u32()?,
+                terms: TermList::decode(r)?,
             },
             TAG_RANK_W_REQ => Message::RankWeightedRequest {
-                query_id: get_uint(rest, &mut pos)? as u32,
-                k: get_uint(rest, &mut pos)? as u32,
-                terms: TermList::decode(rest, &mut pos)?,
+                query_id: r.vbyte_u32()?,
+                k: r.vbyte_u32()?,
+                terms: TermList::decode(r)?,
             },
-            TAG_RANK_RESP => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let epoch = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)?;
-                let mut entries = Vec::with_capacity(room(n, rest, pos, 9));
-                for _ in 0..n {
-                    let doc = get_uint(rest, &mut pos)? as u32;
-                    let score = get_f64(rest, &mut pos)?;
-                    entries.push((doc, score));
-                }
-                Message::RankResponse {
-                    query_id,
-                    epoch,
-                    entries,
-                }
-            }
-            TAG_SCORE_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let terms = TermList::decode(rest, &mut pos)?;
-                let nc = get_uint(rest, &mut pos)?;
-                let mut candidates = Vec::with_capacity(room(nc, rest, pos, 1));
-                let mut prev = 0u32;
-                for i in 0..nc {
-                    let raw = get_uint(rest, &mut pos)?;
-                    let gap = u32::try_from(raw).map_err(|_| NetError::Corrupt("gap overflow"))?;
-                    let c = if i == 0 {
-                        gap
-                    } else {
-                        prev.checked_add(gap)
-                            .ok_or(NetError::Corrupt("candidate id overflow"))?
-                    };
-                    candidates.push(c);
-                    prev = c;
-                }
-                Message::ScoreCandidatesRequest {
-                    query_id,
-                    terms,
-                    candidates,
-                }
-            }
-            TAG_SCORE_RESP => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let epoch = get_uint(rest, &mut pos)?;
-                let postings_decoded = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)?;
-                let mut entries = Vec::with_capacity(room(n, rest, pos, 9));
-                for _ in 0..n {
-                    let doc = get_uint(rest, &mut pos)? as u32;
-                    let score = get_f64(rest, &mut pos)?;
-                    entries.push((doc, score));
-                }
-                Message::ScoreResponse {
-                    query_id,
-                    epoch,
-                    entries,
-                    postings_decoded,
-                }
-            }
-            TAG_FETCH_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let plain = match rest.get(pos) {
-                    Some(0) => false,
-                    Some(1) => true,
+            TAG_RANK_RESP => Message::RankResponse {
+                query_id: r.vbyte_u32()?,
+                epoch: r.vbyte()?,
+                entries: list(r, 9, |r| Ok((r.vbyte_u32()?, r.f64()?)))?,
+            },
+            TAG_SCORE_REQ => Message::ScoreCandidatesRequest {
+                query_id: r.vbyte_u32()?,
+                terms: TermList::decode(r)?,
+                candidates: gapped(r, "candidate id overflow")?,
+            },
+            TAG_SCORE_RESP => Message::ScoreResponse {
+                query_id: r.vbyte_u32()?,
+                epoch: r.vbyte()?,
+                postings_decoded: r.vbyte()?,
+                entries: list(r, 9, |r| Ok((r.vbyte_u32()?, r.f64()?)))?,
+            },
+            TAG_FETCH_REQ => Message::FetchDocsRequest {
+                query_id: r.vbyte_u32()?,
+                plain: match r.u8()? {
+                    0 => false,
+                    1 => true,
                     _ => return Err(NetError::Corrupt("bad plain flag")),
-                };
-                pos += 1;
-                let n = get_uint(rest, &mut pos)?;
-                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
-                for _ in 0..n {
-                    docs.push(get_uint(rest, &mut pos)? as u32);
-                }
-                Message::FetchDocsRequest {
-                    query_id,
-                    docs,
-                    plain,
-                }
-            }
-            TAG_HEADERS_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)?;
-                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
-                for _ in 0..n {
-                    docs.push(get_uint(rest, &mut pos)? as u32);
-                }
-                Message::FetchHeadersRequest { query_id, docs }
-            }
-            TAG_HEADERS_RESP => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)?;
-                let mut headers = Vec::with_capacity(room(n, rest, pos, 2));
-                for _ in 0..n {
-                    let doc = get_uint(rest, &mut pos)? as u32;
-                    let docno = get_str(rest, &mut pos)?;
-                    headers.push((doc, docno));
-                }
-                Message::HeadersResponse { query_id, headers }
-            }
-            TAG_DOCS_RESP => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)?;
-                let mut docs = Vec::with_capacity(room(n, rest, pos, 3));
-                for _ in 0..n {
-                    let doc = get_uint(rest, &mut pos)? as u32;
-                    let docno = get_str(rest, &mut pos)?;
-                    let bytes = get_bytes(rest, &mut pos)?.to_vec();
-                    docs.push((doc, docno, bytes));
-                }
-                Message::DocsResponse { query_id, docs }
-            }
-            TAG_BOOL_REQ => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let expr = get_str(rest, &mut pos)?;
-                Message::BooleanRequest { query_id, expr }
-            }
-            TAG_BOOL_RESP => {
-                let query_id = get_uint(rest, &mut pos)? as u32;
-                let n = get_uint(rest, &mut pos)?;
-                let mut docs = Vec::with_capacity(room(n, rest, pos, 1));
-                let mut prev = 0u32;
-                for i in 0..n {
-                    let raw = get_uint(rest, &mut pos)?;
-                    let gap = u32::try_from(raw).map_err(|_| NetError::Corrupt("gap overflow"))?;
-                    let d = if i == 0 {
-                        gap
-                    } else {
-                        prev.checked_add(gap)
-                            .ok_or(NetError::Corrupt("document id overflow"))?
-                    };
-                    docs.push(d);
-                    prev = d;
-                }
-                Message::BooleanResponse { query_id, docs }
-            }
+                },
+                docs: list(r, 1, |r| Ok(r.vbyte_u32()?))?,
+            },
+            TAG_HEADERS_REQ => Message::FetchHeadersRequest {
+                query_id: r.vbyte_u32()?,
+                docs: list(r, 1, |r| Ok(r.vbyte_u32()?))?,
+            },
+            TAG_HEADERS_RESP => Message::HeadersResponse {
+                query_id: r.vbyte_u32()?,
+                headers: list(r, 2, |r| Ok((r.vbyte_u32()?, string(r)?)))?,
+            },
+            TAG_DOCS_RESP => Message::DocsResponse {
+                query_id: r.vbyte_u32()?,
+                docs: list(r, 3, |r| {
+                    Ok((r.vbyte_u32()?, string(r)?, bytes(r)?.to_vec()))
+                })?,
+            },
+            TAG_BOOL_REQ => Message::BooleanRequest {
+                query_id: r.vbyte_u32()?,
+                expr: string(r)?,
+            },
+            TAG_BOOL_RESP => Message::BooleanResponse {
+                query_id: r.vbyte_u32()?,
+                docs: gapped(r, "document id overflow")?,
+            },
             TAG_ERROR => Message::Error {
-                message: get_str(rest, &mut pos)?,
+                message: string(r)?,
             },
             TAG_UNAVAILABLE => Message::Unavailable {
-                message: get_str(rest, &mut pos)?,
+                message: string(r)?,
             },
             TAG_ADMIN_STATS => Message::Stats,
-            TAG_ADMIN_STATS_REPLY => {
-                let name = get_str(rest, &mut pos)?;
-                let num_docs = get_uint(rest, &mut pos)?;
-                let num_terms = get_uint(rest, &mut pos)?;
-                let index_bytes = get_uint(rest, &mut pos)?;
-                let requests_served = get_uint(rest, &mut pos)?;
-                let rank_requests = get_uint(rest, &mut pos)?;
-                let errors = get_uint(rest, &mut pos)?;
-                let epoch = get_uint(rest, &mut pos)?;
-                let n = get_uint(rest, &mut pos)?;
-                let mut latency = Vec::with_capacity(room(n, rest, pos, 2));
-                for _ in 0..n {
-                    let bucket = get_uint(rest, &mut pos)? as u32;
-                    let count = get_uint(rest, &mut pos)?;
-                    latency.push((bucket, count));
-                }
-                let np = get_uint(rest, &mut pos)?;
-                let mut server_phases = Vec::with_capacity(room(np, rest, pos, 2));
-                for _ in 0..np {
-                    let phase = get_uint(rest, &mut pos)? as u32;
-                    let micros = get_uint(rest, &mut pos)?;
-                    server_phases.push((phase, micros));
-                }
-                Message::StatsReply {
-                    name,
-                    num_docs,
-                    num_terms,
-                    index_bytes,
-                    requests_served,
-                    rank_requests,
-                    errors,
-                    epoch,
-                    latency,
-                    server_phases,
-                }
-            }
-            TAG_FLIGHTREC_REQ => Message::FlightRecRequest,
-            TAG_FLIGHTREC_REPLY => Message::FlightRecReply {
-                json: get_str(rest, &mut pos)?,
+            TAG_ADMIN_STATS_REPLY => Message::StatsReply {
+                name: string(r)?,
+                num_docs: r.vbyte()?,
+                num_terms: r.vbyte()?,
+                index_bytes: r.vbyte()?,
+                requests_served: r.vbyte()?,
+                rank_requests: r.vbyte()?,
+                errors: r.vbyte()?,
+                epoch: r.vbyte()?,
+                latency: list(r, 2, |r| Ok((r.vbyte_u32()?, r.vbyte()?)))?,
+                server_phases: list(r, 2, |r| Ok((r.vbyte_u32()?, r.vbyte()?)))?,
             },
+            TAG_FLIGHTREC_REQ => Message::FlightRecRequest,
+            TAG_FLIGHTREC_REPLY => Message::FlightRecReply { json: string(r)? },
             _ => return Err(NetError::Corrupt("unknown message tag")),
         };
-        if pos != rest.len() {
-            return Err(NetError::Corrupt("trailing bytes after message"));
-        }
+        r.finish()?;
         Ok(msg)
     }
 
@@ -733,14 +644,14 @@ pub struct TermList<W> {
 }
 
 mod weight {
-    use crate::NetError;
+    use teraphim_compress::bytes::{Corrupt, Reader};
 
     /// How one kind of term weight travels.
     pub trait Weight: Copy {
         /// Appends the weight's wire form.
         fn put(self, out: &mut Vec<u8>);
-        /// Reads a weight at `pos`.
-        fn get(buf: &[u8], pos: &mut usize) -> Result<Self, NetError>;
+        /// Reads a weight.
+        fn get(r: &mut Reader<'_>) -> Result<Self, Corrupt>;
         /// Bytes `put` appends.
         fn wire_len(self) -> usize;
     }
@@ -753,8 +664,8 @@ impl Weight for u32 {
     }
 
     /// A count beyond 32 bits is read modulo 2^32, as `f_qt` always was.
-    fn get(buf: &[u8], pos: &mut usize) -> Result<u32, NetError> {
-        Ok(get_uint(buf, pos)? as u32)
+    fn get(r: &mut Reader<'_>) -> Result<u32, Corrupt> {
+        Ok(r.vbyte()? as u32)
     }
 
     fn wire_len(self) -> usize {
@@ -767,8 +678,8 @@ impl Weight for f64 {
         put_f64(out, self);
     }
 
-    fn get(buf: &[u8], pos: &mut usize) -> Result<f64, NetError> {
-        get_f64(buf, pos)
+    fn get(r: &mut Reader<'_>) -> Result<f64, Corrupt> {
+        r.f64()
     }
 
     fn wire_len(self) -> usize {
@@ -776,47 +687,42 @@ impl Weight for f64 {
     }
 }
 
+/// One `(term, weight)` pair of a term section.
+fn pair<'a, W: Weight>(r: &mut Reader<'a>) -> Result<(&'a str, W), Corrupt> {
+    let len = r.vbyte()?;
+    Ok((r.str(len)?, W::get(r)?))
+}
+
 impl<W: Weight> TermList<W> {
     /// The pairs, in order, read from the buffer.
     pub fn iter(&self) -> impl Iterator<Item = (&str, W)> + '_ {
-        pairs(&self.bytes)
+        let mut r = Reader::new(&self.bytes, "a term list holds checked pairs");
+        let len = r.vbyte().expect("a term list holds checked pairs");
+        (0..len).map(move |_| pair(&mut r).expect("a term list holds checked pairs"))
     }
 
-    /// Reads the term section at `pos`, checking it once — count,
-    /// v-bytes, UTF-8, weights — and copies it once. A section that is
-    /// well formed but not canonical is re-encoded.
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Self, NetError> {
-        let start = *pos;
-        let len = get_uint(buf, pos)?;
+    /// Reads the term section, checking it once — count, v-bytes,
+    /// UTF-8, weights — and copies it once. A section that is well
+    /// formed but not canonical is re-encoded.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, NetError> {
+        let start = r.rest();
+        let len = r.vbyte()?;
+        // A pair is a length byte and a weight byte at least.
         let mut canonical = vbyte_len(len);
-        for _ in 0..len {
-            let term = get_bytes(buf, pos)?;
-            std::str::from_utf8(term).map_err(|_| NetError::Corrupt("string not UTF-8"))?;
-            canonical += vbyte_len(term.len() as u64) + term.len() + W::get(buf, pos)?.wire_len();
+        for _ in 0..r.count(len, 2)? {
+            let (term, weight) = pair::<W>(r)?;
+            canonical += vbyte_len(term.len() as u64) + term.len() + weight.wire_len();
         }
-        let section = &buf[start..*pos];
+        let section = &start[..start.len() - r.rest().len()];
+        let list = TermList {
+            bytes: section.to_vec(),
+            weight: PhantomData,
+        };
         if section.len() == canonical {
-            return Ok(TermList {
-                bytes: section.to_vec(),
-                weight: PhantomData,
-            });
+            return Ok(list);
         }
-        Ok(pairs(section).collect())
+        Ok(list.iter().collect())
     }
-}
-
-/// The pairs of a checked term section.
-fn pairs<W: Weight>(section: &[u8]) -> impl Iterator<Item = (&str, W)> + '_ {
-    let mut pos = 0;
-    let len = get_uint(section, &mut pos).expect("a term list holds checked pairs");
-    (0..len).map(move |_| {
-        let term = get_bytes(section, &mut pos)
-            .ok()
-            .and_then(|term| std::str::from_utf8(term).ok())
-            .expect("a term list holds checked pairs");
-        let weight = W::get(section, &mut pos).expect("a term list holds checked pairs");
-        (term, weight)
-    })
 }
 
 impl<S: AsRef<str>, W: Weight> FromIterator<(S, W)> for TermList<W> {
@@ -863,6 +769,15 @@ mod tests {
 
     #[test]
     fn all_variants_roundtrip() {
+        for msg in all_variants() {
+            roundtrip(msg);
+        }
+    }
+
+    /// One message of every variant, some twice.
+    pub(super) fn all_variants() -> Vec<Message> {
+        let mut all = Vec::new();
+        let mut roundtrip = |msg| all.push(msg);
         roundtrip(Message::StatsRequest);
         roundtrip(Message::StatsResponse {
             num_docs: 1234,
@@ -967,6 +882,135 @@ mod tests {
         roundtrip(Message::FlightRecReply {
             json: "{\"flightrec\":true,\"retained\":0,\"recorded\":0,\"dropped\":0}\n".into(),
         });
+        all
+    }
+
+    /// One field of a hand-built frame.
+    #[derive(Clone, Copy)]
+    enum Field {
+        B(u8),
+        V(u64),
+        F(f64),
+        S(&'static str),
+    }
+
+    /// `tag`, then `fields` as the wire writes them.
+    fn hand_built(tag: u8, fields: &[Field]) -> Vec<u8> {
+        let mut out = vec![tag];
+        for field in fields {
+            match *field {
+                Field::B(b) => out.push(b),
+                Field::V(v) => put_uint(&mut out, v),
+                Field::F(f) => put_f64(&mut out, f),
+                Field::S(s) => put_str(&mut out, s),
+            }
+        }
+        out
+    }
+
+    /// One frame for each kind of 32-bit field, carrying `x` there.
+    fn a_frame_per_u32_field(x: u64) -> Vec<(&'static str, Vec<u8>)> {
+        use Field::{B, F, S, V};
+        let x = V(x);
+        let hist = |bucket: Field, phase: Field| {
+            let mut fields = vec![S("lib"), V(1), V(2), V(3), V(4), V(5), V(6), V(7)];
+            fields.extend([V(1), bucket, V(1), V(1), phase, V(1)]);
+            hand_built(TAG_ADMIN_STATS_REPLY, &fields)
+        };
+        vec![
+            ("rank query id", hand_built(TAG_RANK_REQ, &[x, V(20), V(0)])),
+            ("rank k", hand_built(TAG_RANK_REQ, &[V(1), x, V(0)])),
+            (
+                "weighted query id",
+                hand_built(TAG_RANK_W_REQ, &[x, V(20), V(0)]),
+            ),
+            ("weighted k", hand_built(TAG_RANK_W_REQ, &[V(1), x, V(0)])),
+            (
+                "ranked query id",
+                hand_built(TAG_RANK_RESP, &[x, V(0), V(1), V(3), F(0.5)]),
+            ),
+            (
+                "ranked doc",
+                hand_built(TAG_RANK_RESP, &[V(9), V(0), V(1), x, F(0.5)]),
+            ),
+            (
+                "score query id",
+                hand_built(TAG_SCORE_REQ, &[x, V(0), V(1), V(3)]),
+            ),
+            (
+                "score candidate",
+                hand_built(TAG_SCORE_REQ, &[V(1), V(0), V(1), x]),
+            ),
+            (
+                "scored query id",
+                hand_built(TAG_SCORE_RESP, &[x, V(0), V(5), V(1), V(3), F(0.5)]),
+            ),
+            (
+                "scored doc",
+                hand_built(TAG_SCORE_RESP, &[V(1), V(0), V(5), V(1), x, F(0.5)]),
+            ),
+            (
+                "fetch query id",
+                hand_built(TAG_FETCH_REQ, &[x, B(0), V(1), V(3)]),
+            ),
+            (
+                "fetch doc",
+                hand_built(TAG_FETCH_REQ, &[V(1), B(0), V(1), x]),
+            ),
+            (
+                "headers query id",
+                hand_built(TAG_HEADERS_REQ, &[x, V(1), V(3)]),
+            ),
+            ("headers doc", hand_built(TAG_HEADERS_REQ, &[V(1), V(1), x])),
+            (
+                "header query id",
+                hand_built(TAG_HEADERS_RESP, &[x, V(1), V(3), S("D")]),
+            ),
+            (
+                "header doc",
+                hand_built(TAG_HEADERS_RESP, &[V(1), V(1), x, S("D")]),
+            ),
+            (
+                "docs query id",
+                hand_built(TAG_DOCS_RESP, &[x, V(1), V(3), S("D"), S("t")]),
+            ),
+            (
+                "docs doc",
+                hand_built(TAG_DOCS_RESP, &[V(1), V(1), x, S("D"), S("t")]),
+            ),
+            ("boolean query id", hand_built(TAG_BOOL_REQ, &[x, S("cat")])),
+            (
+                "boolean hit query id",
+                hand_built(TAG_BOOL_RESP, &[x, V(1), V(3)]),
+            ),
+            (
+                "boolean hit doc",
+                hand_built(TAG_BOOL_RESP, &[V(1), V(1), x]),
+            ),
+            ("histogram bucket", hist(x, V(0))),
+            ("phase id", hist(V(0), x)),
+        ]
+    }
+
+    #[test]
+    fn a_u32_field_wider_than_32_bits_is_corrupt_not_truncated() {
+        for (field, frame) in a_frame_per_u32_field(9) {
+            assert!(Message::decode(&frame).is_ok(), "{field}");
+        }
+        for (field, frame) in a_frame_per_u32_field((1 << 32) | 9) {
+            assert_eq!(
+                Message::decode(&frame),
+                Err(NetError::Corrupt("integer wider than 32 bits")),
+                "{field}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_string_that_is_not_utf8_is_corrupt() {
+        let mut frame = vec![TAG_ERROR];
+        put_bytes(&mut frame, &[0xFF, 0xFE]);
+        assert_eq!(Message::decode(&frame), Err(NetError::Corrupt("not UTF-8")));
     }
 
     #[test]
@@ -1208,6 +1252,22 @@ mod proptests {
 
         fn decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
             let _ = Message::decode(&bytes);
+        }
+
+        /// Every real message, cut at an offset and with the four bytes
+        /// there set to all ones or to zero, decodes or is refused.
+        fn mutated_real_messages_decode_or_are_refused(at in any::<usize>()) {
+            for msg in super::tests::all_variants() {
+                let bytes = msg.encode();
+                let at = at % bytes.len();
+                let _ = Message::decode(&bytes[..at]);
+                for fill in [0xFF, 0] {
+                    let mut mutated = bytes.clone();
+                    let end = (at + 4).min(bytes.len());
+                    mutated[at..end].fill(fill);
+                    let _ = Message::decode(&mutated);
+                }
+            }
         }
     }
 }

@@ -1,5 +1,7 @@
 //! Primitive wire encodings: little-endian integers, v-byte lengths,
 //! length-prefixed byte strings — and the stream framing built on them.
+//! Everything a peer sends is read back through the one byte reader,
+//! [`teraphim_compress::bytes::Reader`].
 //!
 //! Variable-length integers use the v-byte code from
 //! `teraphim-compress`, so small values (doc ids, list lengths, k) cost
@@ -22,7 +24,8 @@ use crate::NetError;
 use std::io::{self, ErrorKind::UnexpectedEof, Read};
 use std::ops::Range;
 use std::time::Instant;
-use teraphim_compress::codes::{read_vbyte, write_vbyte};
+use teraphim_compress::bytes::Reader;
+use teraphim_compress::codes::write_vbyte;
 use teraphim_obs::{ServerTimings, SpanContext};
 
 /// Appends a variable-length unsigned integer.
@@ -30,33 +33,9 @@ pub fn put_uint(out: &mut Vec<u8>, v: u64) {
     write_vbyte(out, v);
 }
 
-/// Reads a variable-length unsigned integer.
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation or overflow.
-pub fn get_uint(buf: &[u8], pos: &mut usize) -> Result<u64, NetError> {
-    read_vbyte(buf, pos).map_err(|_| NetError::Corrupt("varint"))
-}
-
 /// Appends an `f64` as its little-endian bit pattern.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-/// Reads an `f64`.
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation.
-pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, NetError> {
-    let slice = buf
-        .get(*pos..*pos + 8)
-        .ok_or(NetError::Corrupt("f64 truncated"))?;
-    *pos += 8;
-    Ok(f64::from_bits(u64::from_le_bytes(
-        slice.try_into().expect("8 bytes"),
-    )))
 }
 
 /// Appends a length-prefixed byte string.
@@ -65,37 +44,9 @@ pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     out.extend_from_slice(v);
 }
 
-/// Reads a length-prefixed byte string.
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation or an absurd length.
-pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], NetError> {
-    let len = get_uint(buf, pos)?;
-    let end = usize::try_from(len)
-        .ok()
-        .and_then(|len| pos.checked_add(len))
-        .ok_or(NetError::Corrupt("bytes truncated"))?;
-    let slice = buf
-        .get(*pos..end)
-        .ok_or(NetError::Corrupt("bytes truncated"))?;
-    *pos = end;
-    Ok(slice)
-}
-
 /// Appends a length-prefixed UTF-8 string.
 pub(crate) fn put_str(out: &mut Vec<u8>, v: &str) {
     put_bytes(out, v.as_bytes());
-}
-
-/// Reads a length-prefixed UTF-8 string.
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation or invalid UTF-8.
-pub(crate) fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, NetError> {
-    let bytes = get_bytes(buf, pos)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| NetError::Corrupt("string not UTF-8"))
 }
 
 /// Maximum accepted frame, guarding against corrupt length prefixes.
@@ -204,10 +155,9 @@ impl<R: Read> FrameReader<R> {
     /// The whole length, prefix included, of the next frame once its
     /// prefix has arrived.
     fn next_len(&self) -> Result<Option<usize>, NetError> {
-        let prefix = self.buf[self.start..self.end].first_chunk::<4>();
-        match prefix.map(|prefix| u32::from_le_bytes(*prefix)) {
-            Some(len) if len > MAX_FRAME => Err(NetError::Corrupt("frame too large")),
-            len => Ok(len.map(|len| 4 + len as usize)),
+        match Reader::new(&self.buf[self.start..self.end], "frame length").u32() {
+            Ok(len) if len > MAX_FRAME => Err(NetError::Corrupt("frame too large")),
+            len => Ok(len.ok().map(|len| 4 + len as usize)),
         }
     }
 }
@@ -248,24 +198,6 @@ pub fn put_span_context(out: &mut Vec<u8>, span: &SpanContext) {
     out.push(span.flags);
 }
 
-/// Reads a [`SpanContext`].
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation or overflow.
-pub fn get_span_context(buf: &[u8], pos: &mut usize) -> Result<SpanContext, NetError> {
-    let trace_id = get_uint(buf, pos)?;
-    let parent_span = u32::try_from(get_uint(buf, pos)?)
-        .map_err(|_| NetError::Corrupt("span parent overflow"))?;
-    let flags = *buf.get(*pos).ok_or(NetError::Corrupt("span truncated"))?;
-    *pos += 1;
-    Ok(SpanContext {
-        trace_id,
-        parent_span,
-        flags,
-    })
-}
-
 /// Appends [`ServerTimings`] in their wire form ([`SERVER_PHASES`]
 /// order, v-byte each — all-zero timings cost four bytes).
 ///
@@ -275,20 +207,6 @@ pub fn put_server_timings(out: &mut Vec<u8>, timings: &ServerTimings) {
     put_uint(out, timings.scan_micros);
     put_uint(out, timings.rank_micros);
     put_uint(out, timings.serialize_micros);
-}
-
-/// Reads [`ServerTimings`].
-///
-/// # Errors
-///
-/// Returns [`NetError::Corrupt`] on truncation.
-pub fn get_server_timings(buf: &[u8], pos: &mut usize) -> Result<ServerTimings, NetError> {
-    Ok(ServerTimings {
-        queue_micros: get_uint(buf, pos)?,
-        scan_micros: get_uint(buf, pos)?,
-        rank_micros: get_uint(buf, pos)?,
-        serialize_micros: get_uint(buf, pos)?,
-    })
 }
 
 /// Builds one whole frame in `out`, for one `write_all` (with
@@ -342,12 +260,11 @@ pub fn frame(
 /// [`ENVELOPE_TAG`], announces a version or flag this peer does not
 /// know, or is truncated inside the envelope.
 pub fn split_envelope(payload: &[u8]) -> Result<Envelope<'_>, NetError> {
-    if payload.first() != Some(&ENVELOPE_TAG) {
+    let mut r = Reader::new(payload, "envelope truncated");
+    if r.u8() != Ok(ENVELOPE_TAG) {
         return Err(NetError::Corrupt("not an envelope"));
     }
-    let vf = *payload
-        .get(1)
-        .ok_or(NetError::Corrupt("envelope truncated"))?;
+    let vf = r.u8()?;
     if vf >> 4 != ENVELOPE_VERSION {
         return Err(NetError::Corrupt("unknown envelope version"));
     }
@@ -355,23 +272,29 @@ pub fn split_envelope(payload: &[u8]) -> Result<Envelope<'_>, NetError> {
     if flags & !(ENV_SPAN | ENV_TIMINGS) != 0 {
         return Err(NetError::Corrupt("unknown envelope flags"));
     }
-    let mut pos = 2;
-    let corr = get_uint(payload, &mut pos)?;
-    let span = if flags & ENV_SPAN != 0 {
-        Some(get_span_context(payload, &mut pos)?)
-    } else {
-        None
-    };
-    let timings = if flags & ENV_TIMINGS != 0 {
-        Some(get_server_timings(payload, &mut pos)?)
-    } else {
-        None
-    };
+    let corr = r.vbyte()?;
+    let mut span = None;
+    if flags & ENV_SPAN != 0 {
+        span = Some(SpanContext {
+            trace_id: r.vbyte()?,
+            parent_span: r.vbyte_u32()?,
+            flags: r.u8()?,
+        });
+    }
+    let mut timings = None;
+    if flags & ENV_TIMINGS != 0 {
+        timings = Some(ServerTimings {
+            queue_micros: r.vbyte()?,
+            scan_micros: r.vbyte()?,
+            rank_micros: r.vbyte()?,
+            serialize_micros: r.vbyte()?,
+        });
+    }
     Ok(Envelope {
         corr,
         span,
         timings,
-        message: &payload[pos..],
+        message: r.rest(),
     })
 }
 
@@ -406,11 +329,11 @@ pub(crate) mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             put_uint(&mut out, v);
         }
-        let mut pos = 0;
+        let mut r = Reader::new(&out, "uints");
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            assert_eq!(get_uint(&out, &mut pos).unwrap(), v);
+            assert_eq!(r.vbyte(), Ok(v));
         }
-        assert_eq!(pos, out.len());
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -426,11 +349,16 @@ pub(crate) mod tests {
         for v in [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, f64::NAN] {
             put_f64(&mut out, v);
         }
-        let mut pos = 0;
+        let mut r = Reader::new(&out, "f64s");
         for v in [0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, f64::NAN] {
-            let got = get_f64(&out, &mut pos).unwrap();
-            assert_eq!(got.to_bits(), v.to_bits());
+            assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
         }
+    }
+
+    /// A v-byte length, then that many bytes.
+    fn prefixed<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], teraphim_compress::bytes::Corrupt> {
+        let len = r.vbyte()?;
+        r.take(len)
     }
 
     #[test]
@@ -439,10 +367,11 @@ pub(crate) mod tests {
         put_bytes(&mut out, b"hello");
         put_str(&mut out, "wörld");
         put_bytes(&mut out, b"");
-        let mut pos = 0;
-        assert_eq!(get_bytes(&out, &mut pos).unwrap(), b"hello");
-        assert_eq!(get_str(&out, &mut pos).unwrap(), "wörld");
-        assert_eq!(get_bytes(&out, &mut pos).unwrap(), b"");
+        let mut r = Reader::new(&out, "strings");
+        assert_eq!(prefixed(&mut r).unwrap(), b"hello");
+        assert_eq!(prefixed(&mut r).unwrap(), "wörld".as_bytes());
+        assert_eq!(prefixed(&mut r).unwrap(), b"");
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -450,20 +379,9 @@ pub(crate) mod tests {
         let mut out = Vec::new();
         put_str(&mut out, "hello world");
         for cut in 0..out.len() {
-            let mut pos = 0;
-            assert!(get_str(&out[..cut], &mut pos).is_err(), "cut {cut}");
+            let mut r = Reader::new(&out[..cut], "string truncated");
+            assert!(prefixed(&mut r).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn invalid_utf8_is_rejected() {
-        let mut out = Vec::new();
-        put_bytes(&mut out, &[0xFF, 0xFE]);
-        let mut pos = 0;
-        assert_eq!(
-            get_str(&out, &mut pos),
-            Err(NetError::Corrupt("string not UTF-8"))
-        );
     }
 
     /// A reader that hands back at most `chunk` bytes per call — the
@@ -760,20 +678,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn span_and_timings_sections_roundtrip_standalone() {
-        let mut out = Vec::new();
+    fn span_and_timings_sections_roundtrip_at_their_widest() {
         let span = SpanContext {
-            trace_id: 1 << 40,
+            trace_id: u64::MAX,
             parent_span: u32::MAX,
-            flags: 0,
+            flags: 0xFF,
         };
-        put_span_context(&mut out, &span);
-        let timings = ServerTimings::default();
-        put_server_timings(&mut out, &timings);
-        let mut pos = 0;
-        assert_eq!(get_span_context(&out, &mut pos).unwrap(), span);
-        assert_eq!(get_server_timings(&out, &mut pos).unwrap(), timings);
-        assert_eq!(pos, out.len());
+        let timings = ServerTimings {
+            queue_micros: u64::MAX,
+            ..ServerTimings::default()
+        };
+        let frame = framed(1, Some(&span), Some(timings), b"m");
+        let env = split_envelope(&frame[4..]).unwrap();
+        assert_eq!((env.span, env.timings), (Some(span), Some(timings)));
+        // A parent span past 32 bits is corrupt, not truncated to 32.
+        let mut wide = vec![ENVELOPE_TAG, (ENVELOPE_VERSION << 4) | ENV_SPAN];
+        for field in [1, 7, 1 << 32 | 9] {
+            put_uint(&mut wide, field);
+        }
+        wide.push(0);
+        assert_eq!(
+            split_envelope(&wide),
+            Err(NetError::Corrupt("integer wider than 32 bits"))
+        );
         // All-zero timings cost four bytes on the wire.
         let mut zeros = Vec::new();
         put_server_timings(&mut zeros, &ServerTimings::default());

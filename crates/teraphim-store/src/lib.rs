@@ -201,6 +201,12 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
+impl From<teraphim_compress::bytes::Corrupt> for StoreError {
+    fn from(e: teraphim_compress::bytes::Corrupt) -> Self {
+        StoreError::Corrupt { what: e.0 }
+    }
+}
+
 impl From<teraphim_engine::EngineError> for StoreError {
     fn from(e: teraphim_engine::EngineError) -> Self {
         match e {

@@ -24,6 +24,7 @@
 
 use crate::segment::SegmentBatch;
 use crate::{Result, StoreError};
+use teraphim_compress::bytes::Reader;
 use teraphim_compress::checksum::crc32;
 
 /// Magic bytes opening the manifest.
@@ -112,69 +113,41 @@ impl Manifest {
                 what: "manifest magic",
             });
         }
-        let body = &bytes[..bytes.len() - 4];
-        let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if crc32(body) != crc {
+        let (body, crc) = bytes.split_at(bytes.len() - 4);
+        if Reader::new(crc, "manifest truncated").u32()? != crc32(body) {
             return Err(StoreError::Corrupt {
                 what: "manifest checksum",
             });
         }
-        let mut pos = 4usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let slice = body.get(*pos..*pos + n).ok_or(StoreError::Corrupt {
-                what: "manifest truncated",
-            })?;
-            *pos += n;
-            Ok(slice)
-        };
-        let take_u32 = |pos: &mut usize| -> Result<u32> {
-            Ok(u32::from_le_bytes(
-                take(pos, 4)?.try_into().expect("4 bytes"),
-            ))
-        };
-        let take_u64 = |pos: &mut usize| -> Result<u64> {
-            Ok(u64::from_le_bytes(
-                take(pos, 8)?.try_into().expect("8 bytes"),
-            ))
-        };
-        let take_str = |pos: &mut usize| -> Result<String> {
-            let len = take_u32(pos)? as usize;
-            Ok(std::str::from_utf8(take(pos, len)?)
-                .map_err(|_| StoreError::Corrupt {
-                    what: "manifest string is not UTF-8",
-                })?
-                .to_owned())
-        };
-        let version = take_u32(&mut pos)?;
+        let mut r = Reader::new(&body[4..], "manifest truncated");
+        let version = r.u32()?;
         if version != VERSION {
             return Err(StoreError::BadVersion { found: version });
         }
-        let name = take_str(&mut pos)?;
-        let stopping = *take(&mut pos, 1)?.first().expect("one byte") != 0;
-        let stemming = *take(&mut pos, 1)?.first().expect("one byte") != 0;
-        let epoch = take_u64(&mut pos)?;
-        let next_segment_id = take_u64(&mut pos)?;
-        if take_u32(&mut pos)? != 1 {
+        let len = r.u32()?;
+        let name = r.str(len.into())?.to_owned();
+        let stopping = r.u8()? != 0;
+        let stemming = r.u8()? != 0;
+        let epoch = r.u64()?;
+        let next_segment_id = r.u64()?;
+        if r.u32()? != 1 {
             return Err(StoreError::Corrupt {
                 what: "manifest does not list exactly one segment",
             });
         }
-        let file = take_str(&mut pos)?;
-        let batch_count = take_u32(&mut pos)? as usize;
-        // A batch takes 16 bytes, which bounds what a hostile count may
-        // reserve.
-        let mut batches = Vec::with_capacity(batch_count.min((body.len() - pos) / 16));
-        for _ in 0..batch_count {
+        let len = r.u32()?;
+        let file = r.str(len.into())?.to_owned();
+        // A batch takes 16 bytes.
+        let count = r.u32()?;
+        let count = r.count(count.into(), 16)?;
+        let mut batches = Vec::with_capacity(count);
+        for _ in 0..count {
             batches.push(SegmentBatch {
-                epoch: take_u64(&mut pos)?,
-                docs: take_u64(&mut pos)?,
+                epoch: r.u64()?,
+                docs: r.u64()?,
             });
         }
-        if pos != body.len() {
-            return Err(StoreError::Corrupt {
-                what: "trailing bytes in manifest",
-            });
-        }
+        r.finish()?;
         let manifest = Manifest {
             name,
             stopping,

@@ -28,6 +28,7 @@ use std::borrow::Cow;
 use std::io::Write;
 
 use crate::{Result, StoreError};
+use teraphim_compress::bytes::Reader;
 use teraphim_compress::checksum::Crc32;
 
 /// Magic bytes opening every segment file.
@@ -110,50 +111,40 @@ impl<'a> Segment<'a> {
             });
         }
         let footer = &bytes[bytes.len() - FOOTER_LEN..];
-        let payload_len = u64::from_le_bytes(footer[0..8].try_into().expect("8 bytes")) as usize;
-        let meta_len = u32::from_le_bytes(footer[8..12].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(footer[12..16].try_into().expect("4 bytes"));
-        let expected_len = 4usize
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(meta_len))
-            .and_then(|n| n.checked_add(FOOTER_LEN));
-        if expected_len != Some(bytes.len()) {
+        let mut r = Reader::new(footer, "segment too short");
+        let (payload_len, meta_len, crc) = (r.u64()?, r.u32()?, r.u32()?);
+        let mut r = Reader::new(
+            &bytes[4..bytes.len() - FOOTER_LEN],
+            "segment length bookkeeping",
+        );
+        let (collection, meta) = (r.take(payload_len)?, r.take(meta_len.into())?);
+        if !r.rest().is_empty() {
             return Err(StoreError::Corrupt {
                 what: "segment length bookkeeping",
             });
         }
-        let body = &bytes[4..4 + payload_len + meta_len];
         // The CRC also covers the footer's own length fields, which were
         // appended to the buffer before the checksum was taken.
         let mut hasher = Crc32::new();
-        hasher.update(body);
+        hasher.update(collection);
+        hasher.update(meta);
         hasher.update(&footer[0..12]);
         if hasher.finish() != crc {
             return Err(StoreError::Corrupt {
                 what: "segment checksum",
             });
         }
-        let collection = Cow::Borrowed(&body[..payload_len]);
-        let meta = &body[payload_len..];
-        if meta.len() < 4 {
-            return Err(StoreError::Corrupt {
-                what: "segment meta truncated",
-            });
-        }
-        let count = u32::from_le_bytes(meta[0..4].try_into().expect("4 bytes")) as usize;
-        if meta.len() != 4 + count * 16 {
-            return Err(StoreError::Corrupt {
-                what: "segment batch list length",
-            });
-        }
+        let mut r = Reader::new(meta, "segment batch list length");
+        let count = r.u32()?;
+        let count = r.count(count.into(), 16)?;
         let mut batches = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = 4 + i * 16;
+        for _ in 0..count {
             batches.push(SegmentBatch {
-                epoch: u64::from_le_bytes(meta[at..at + 8].try_into().expect("8 bytes")),
-                docs: u64::from_le_bytes(meta[at + 8..at + 16].try_into().expect("8 bytes")),
+                epoch: r.u64()?,
+                docs: r.u64()?,
             });
         }
+        r.finish()?;
         if batches.is_empty() {
             return Err(StoreError::Corrupt {
                 what: "segment covers no batches",
@@ -167,7 +158,7 @@ impl<'a> Segment<'a> {
             }
         }
         Ok(Segment {
-            collection,
+            collection: Cow::Borrowed(collection),
             batches,
         })
     }

@@ -28,6 +28,7 @@
 //! [`StoreError::Corrupt`].
 
 use crate::{Result, StoreError};
+use teraphim_compress::bytes::Reader;
 use teraphim_text::sgml::TrecDoc;
 
 /// Magic bytes opening every WAL record.
@@ -58,43 +59,19 @@ pub fn encode_batch(docs: &[TrecDoc]) -> Vec<u8> {
 /// Returns [`StoreError::Corrupt`] on truncation, bad UTF-8 or trailing
 /// bytes.
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<TrecDoc>> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        let slice = bytes.get(*pos..*pos + n).ok_or(StoreError::Corrupt {
-            what: "wal batch truncated",
-        })?;
-        *pos += n;
-        Ok(slice)
-    };
-    let take_u32 = |pos: &mut usize| -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            take(pos, 4)?.try_into().expect("4 bytes"),
-        ))
-    };
-    let count = take_u32(&mut pos)? as usize;
-    // A document takes at least its two 4-byte lengths, which bounds
-    // what a hostile count may reserve.
-    let mut docs = Vec::with_capacity(count.min((bytes.len() - pos) / 8));
+    let mut r = Reader::new(bytes, "wal batch truncated");
+    // A document takes at least its two 4-byte lengths.
+    let count = r.u32()?;
+    let count = r.count(count.into(), 8)?;
+    let mut docs = Vec::with_capacity(count);
     for _ in 0..count {
-        let docno_len = take_u32(&mut pos)? as usize;
-        let docno = std::str::from_utf8(take(&mut pos, docno_len)?)
-            .map_err(|_| StoreError::Corrupt {
-                what: "wal docno is not UTF-8",
-            })?
-            .to_owned();
-        let text_len = take_u32(&mut pos)? as usize;
-        let text = std::str::from_utf8(take(&mut pos, text_len)?)
-            .map_err(|_| StoreError::Corrupt {
-                what: "wal text is not UTF-8",
-            })?
-            .to_owned();
+        let len = r.u32()?;
+        let docno = r.str(len.into())?.to_owned();
+        let len = r.u32()?;
+        let text = r.str(len.into())?.to_owned();
         docs.push(TrecDoc { docno, text });
     }
-    if pos != bytes.len() {
-        return Err(StoreError::Corrupt {
-            what: "trailing bytes after wal batch",
-        });
-    }
+    r.finish()?;
     Ok(docs)
 }
 
@@ -176,27 +153,24 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
                 tail: WalTail::Torn("truncated record header"),
             });
         }
-        let head = &bytes[pos..pos + HEADER_LEN];
-        if head[0..4] != RECORD_MAGIC {
+        let mut r = Reader::new(&bytes[pos..], "wal record truncated");
+        if r.take(4)? != RECORD_MAGIC {
             return Ok(WalScan {
                 records,
                 valid_len: pos as u64,
                 tail: WalTail::Torn("bad record magic at tail"),
             });
         }
-        let epoch = u64::from_le_bytes(head[4..12].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(head[12..16].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(head[16..20].try_into().expect("4 bytes"));
-        if remaining < HEADER_LEN + len {
+        let (epoch, len, crc) = (r.u64()?, r.u32()?, r.u32()?);
+        let Ok(payload) = r.take(len.into()) else {
             return Ok(WalScan {
                 records,
                 valid_len: pos as u64,
                 tail: WalTail::Torn("truncated record payload"),
             });
-        }
-        let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + len];
+        };
         if record_crc(epoch, payload) != crc {
-            if pos + HEADER_LEN + len == bytes.len() {
+            if r.rest().is_empty() {
                 return Ok(WalScan {
                     records,
                     valid_len: pos as u64,
@@ -211,7 +185,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan> {
         }
         let docs = decode_batch(payload)?;
         records.push(WalRecord { epoch, docs });
-        pos += HEADER_LEN + len;
+        pos += HEADER_LEN + payload.len();
     }
 }
 

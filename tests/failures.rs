@@ -9,6 +9,7 @@
 
 use std::time::{Duration, Instant};
 
+use teraphim::compress::bytes::Reader;
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::index::IndexBuilder;
 use teraphim::net::{
@@ -184,12 +185,13 @@ fn posting_past_its_documents() -> Vec<u8> {
     // `to_bytes` writes three length-prefixed sections, then a counted
     // run of u32 document lengths, then the postings.
     let postings_at = |bytes: &[u8]| {
-        let u32_at = |pos: usize| u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let mut pos = 0;
+        let mut r = Reader::new(bytes, "index");
         for _ in 0..3 {
-            pos += 4 + u32_at(pos) as usize;
+            r.section().unwrap();
         }
-        pos + 4 + 4 * u32_at(pos) as usize
+        let docs = r.u32().unwrap();
+        r.take(4 * u64::from(docs)).unwrap();
+        bytes.len() - r.rest().len()
     };
     let (one, ten) = (index(1), index(10));
     [&one[..postings_at(&one)], &ten[postings_at(&ten)..]].concat()

@@ -88,3 +88,33 @@ fn collection_bytes_match_the_pinned_fixture() {
     let hits = loaded.ranked_query("retrieval documents", 3);
     assert_eq!(loaded.docno(hits[0].doc), "D-9");
 }
+
+mod mutations {
+    use super::small_collection;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+    use teraphim_engine::Collection;
+
+    /// The small collection's bytes, built once.
+    fn pinned() -> &'static [u8] {
+        static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+        BYTES.get_or_init(|| small_collection().to_bytes())
+    }
+
+    proptest! {
+        /// The collection's bytes, cut at an offset and with the four
+        /// bytes there set to all ones or to zero, load or are refused
+        /// with a typed error: never a panic.
+        fn mutated_collection_bytes_load_or_are_refused(at in any::<usize>()) {
+            let bytes = pinned();
+            let at = at % bytes.len();
+            let _ = Collection::from_bytes(&bytes[..at]);
+            for fill in [0xFF, 0] {
+                let mut mutated = bytes.to_vec();
+                let end = (at + 4).min(bytes.len());
+                mutated[at..end].fill(fill);
+                let _ = Collection::from_bytes(&mutated);
+            }
+        }
+    }
+}

@@ -14,11 +14,11 @@
 //! arena. Loading a collection allocates a handful, not a few a
 //! document.
 //!
-//! The same counter checks the decoders against hostile counts: a
-//! message of a few bytes that claims a million elements, a document
-//! store, a WAL batch or a manifest that claims four billion entries,
-//! may not make the decoder reserve more than a small multiple of its
-//! own length.
+//! The same counter checks every decoder against hostile counts: a
+//! message of a few bytes that claims a million elements, and a document
+//! store, text model, index part, WAL batch or record, manifest or
+//! segment that claims four billion entries, may not make the decoder
+//! reserve more than a small multiple of its own length.
 //!
 //! A test binary of its own with a counting global allocator, so that
 //! no other test allocates while it counts. The counter is process-wide,
@@ -36,15 +36,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use teraphim::compress::bytes::Reader;
 use teraphim::compress::checksum::crc32;
+use teraphim::compress::textcomp::TextModel;
 use teraphim::core::{CiParams, Librarian, Methodology, Receptionist};
 use teraphim::corpus::splits::split_into;
 use teraphim::corpus::{CorpusSpec, SyntheticCorpus};
 use teraphim::engine::{Collection, DocStore};
+use teraphim::index::{DocWeights, IndexBuilder, InvertedIndex};
 use teraphim::net::tcp::TcpServer;
 use teraphim::net::wire::put_uint;
 use teraphim::net::{Message, MuxTransport};
-use teraphim::store::{wal, Manifest, SegmentEntry, StoreError};
+use teraphim::store::{wal, Manifest, Segment, SegmentBatch, SegmentEntry, StoreError};
 use teraphim::text::Analyzer;
 
 struct Counting;
@@ -310,8 +313,29 @@ fn claiming_a_million(tag: u8, fields: &[u64]) -> Vec<u8> {
     frame
 }
 
-/// Wire messages and a document store that claim far more elements
-/// than their bytes hold.
+/// Asserts that `decode` refuses `bytes` and reserves no more than 32
+/// bytes for each of theirs on the way.
+fn refused_for_little<T, E>(what: &str, bytes: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, E>) {
+    let requested = bytes_requested(|| assert!(decode(bytes).is_err(), "{what} decoded"));
+    assert!(
+        requested <= 32 * bytes.len() as u64,
+        "{what}: {requested} bytes reserved for a {}-byte input",
+        bytes.len()
+    );
+}
+
+/// Four bytes claiming `u32::MAX` elements, then 4 KiB of zeros.
+fn claiming_four_billion() -> Vec<u8> {
+    [&u32::MAX.to_le_bytes()[..], &[0; 1 << 12]].concat()
+}
+
+/// `section` with its `u32` length in front, as an index writes it.
+fn prefixed(section: &[u8]) -> Vec<u8> {
+    [&(section.len() as u32).to_le_bytes()[..], section].concat()
+}
+
+/// Wire messages, a document store, a text model and each counted part
+/// of an index that claim far more elements than their bytes hold.
 fn a_hostile_count_buys_no_reservation() {
     // Each variant that carries a list, with the fields before its
     // count: `(tag, fields)`, tags as `Message::encode` writes them.
@@ -358,10 +382,36 @@ fn a_hostile_count_buys_no_reservation() {
         "{requested} bytes reserved for a {}-byte document store ({model} for its model)",
         store.len()
     );
+
+    let hostile = claiming_four_billion();
+    refused_for_little("text model classes", &hostile, TextModel::from_bytes);
+    refused_for_little("weights", &hostile, DocWeights::from_bytes);
+    // An index's vocabulary section; then, behind empty sections, its
+    // document lengths.
+    let vocabulary = [prefixed(&hostile), prefixed(&[0; 12]), prefixed(&[0; 4])].concat();
+    refused_for_little("vocabulary", &vocabulary, InvertedIndex::from_bytes);
+    let empty = [prefixed(&[0; 4]), prefixed(&[0; 12]), prefixed(&[0; 4])].concat();
+    let lengths = [empty, hostile].concat();
+    refused_for_little("document lengths", &lengths, InvertedIndex::from_bytes);
+    // An index of 4 096 terms cut after its list count: 4 096 lists of
+    // at least 12 bytes each claimed, none there.
+    let mut builder = IndexBuilder::new();
+    let terms: Vec<String> = (0..1 << 12).map(|t| format!("t{t}")).collect();
+    builder.add_document(&terms);
+    let index = builder.build().to_bytes();
+    let mut r = Reader::new(&index, "index");
+    for _ in 0..3 {
+        r.section().unwrap();
+    }
+    let docs = r.u32().unwrap();
+    r.take(4 * u64::from(docs)).unwrap();
+    r.u32().unwrap();
+    let lists = &index[..index.len() - r.rest().len()];
+    refused_for_little("lists", lists, InvertedIndex::from_bytes);
 }
 
-/// The store's own files: a WAL batch and a manifest that claim four
-/// billion entries.
+/// The store's own files: a WAL batch, a WAL record, a manifest and a
+/// segment that claim four billion entries, each checksum made good.
 fn a_hostile_wal_or_manifest_count_buys_no_reservation() {
     // A WAL batch that claims u32::MAX documents and holds 8 192 empty
     // ones: each takes its two lengths, 8 bytes, and 48 as a `TrecDoc`.
@@ -404,6 +454,40 @@ fn a_hostile_wal_or_manifest_count_buys_no_reservation() {
         "{requested} bytes reserved for a {}-byte manifest",
         bytes.len()
     );
+
+    // A WAL record around a batch claiming u32::MAX documents: its CRC
+    // covers the epoch, the length and the payload.
+    let payload = claiming_four_billion();
+    let head = [
+        1u64.to_le_bytes(),
+        u64::from(payload.len() as u32).to_le_bytes(),
+    ];
+    let crc = crc32(&[&head[0][..], &head[1][..4], &payload].concat());
+    let record = [
+        &wal::RECORD_MAGIC[..],
+        &head[0],
+        &head[1][..4],
+        &crc.to_le_bytes(),
+        &payload,
+    ]
+    .concat();
+    refused_for_little("WAL record", &record, wal::scan);
+
+    // A segment whose batch list claims u32::MAX batches: its CRC covers
+    // everything between the head magic and the CRC itself.
+    let segment = Segment {
+        collection: vec![0; 1 << 12].into(),
+        batches: vec![SegmentBatch { epoch: 0, docs: 1 }],
+    };
+    let mut bytes = Vec::new();
+    segment.write_to(&mut bytes).unwrap();
+    let (meta, crc_at) = (4 + (1 << 12), bytes.len() - 8);
+    bytes[meta..meta + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = crc32(&bytes[4..crc_at]).to_le_bytes();
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc);
+    refused_for_little("segment batch list", &bytes, |b| {
+        Segment::decode(b).map(drop)
+    });
 }
 
 /// The cases, in the order they run.
